@@ -148,7 +148,11 @@ func (a *FileAgent) Delete(path string) error {
 	if a.cache != nil {
 		a.cache.InvalidateAll()
 	}
-	a.machine.naming.UnregisterSystemName(naming.FileObject, e.SystemName)
+	// A remote service that owns naming (see Create) already unregistered
+	// the name while serving the delete.
+	if _, ok := a.machine.files.(PathCreator); !ok {
+		a.machine.naming.UnregisterSystemName(naming.FileObject, e.SystemName)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package fileservice
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -124,16 +125,27 @@ func BenchmarkReadAtCold512KB(b *testing.B) {
 	b.SetBytes(512 << 10)
 }
 
+// BenchmarkCreateDelete measures one create plus delete beside the given
+// number of resident files; the cost must not grow with it.
 func BenchmarkCreateDelete(b *testing.B) {
-	svc := benchService(b, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := svc.Create(fit.Attributes{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := svc.Delete(id); err != nil {
-			b.Fatal(err)
-		}
+	for _, files := range []int{100, 5000} {
+		b.Run(fmt.Sprintf("files=%d", files), func(b *testing.B) {
+			svc := benchService(b, 1)
+			for i := 0; i < files; i++ {
+				if _, err := svc.Create(fit.Attributes{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := svc.Create(fit.Attributes{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := svc.Delete(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

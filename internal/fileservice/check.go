@@ -62,14 +62,14 @@ func (s *Service) Check() (*CheckReport, error) {
 	}
 	// Service structures.
 	claim(0, "superfragment", 0, s.superAddr(), 1)
-	for _, loc := range s.mapChain {
-		claim(0, "file-map chain", int(loc.Disk), int(loc.Addr), 1)
+	for _, f := range s.mapFrags[1:] {
+		claim(0, "file-map chain", int(f.loc.Disk), int(f.loc.Addr), 1)
 	}
 	// Every file. Use the live in-memory state when the file is cached (so
 	// the check sees what the service would act on, and does not clobber
 	// open-file state); load the FIT from disk otherwise.
 	for id, loc := range s.fileMap {
-		st, err := s.loadStateLocked(id, loc)
+		st, err := s.loadStateLocked(id, loc.fitLocation)
 		if err != nil {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("file %d: FIT unreadable: %v", id, err))
 			continue

@@ -151,12 +151,18 @@ type Service struct {
 
 	// mu is the structural lock: it guards the open-file table, the file
 	// map and ID allocation, and is never held across data-path disk I/O.
-	mu       sync.Mutex
-	closed   bool
-	files    map[FileID]*fileState
-	fileMap  map[FileID]fitLocation
-	mapChain []fitLocation // persisted file-map chain fragments
-	nextID   FileID
+	mu     sync.Mutex
+	closed bool
+	files  map[FileID]*fileState
+	// The file map and its persisted layout (see filemap.go): mapFrags[0] is
+	// the superfragment and mapFrags[1:] the chain in link order; mapRoom
+	// lists the fragments with a free slot. IDs below reservedID are covered
+	// by the persisted high-water mark.
+	fileMap    map[FileID]mapEntry
+	mapFrags   []mapFragment
+	mapRoom    []int
+	nextID     FileID
+	reservedID FileID
 
 	blockCache *cache.Cache[blockKey]
 }
@@ -172,6 +178,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("fileservice: claiming superfragment: %w", err)
 	}
 	s.nextID = 1
+	s.reservedID = s.nextID + idReserve
 	if err := s.persistMapLocked(); err != nil {
 		return nil, err
 	}
@@ -210,13 +217,13 @@ func (s *Service) rebuildBitmapsLocked() error {
 	if err := s.disks[0].AllocateAt(s.superAddr(), 1); err != nil {
 		return fmt.Errorf("fileservice: remarking superfragment: %w", err)
 	}
-	for _, loc := range s.mapChain {
-		if err := s.disks[loc.Disk].AllocateAt(int(loc.Addr), 1); err != nil {
+	for _, f := range s.mapFrags[1:] {
+		if err := s.disks[f.loc.Disk].AllocateAt(int(f.loc.Addr), 1); err != nil {
 			return fmt.Errorf("fileservice: remarking file-map chain: %w", err)
 		}
 	}
 	for id, loc := range s.fileMap {
-		st, err := s.loadStateLocked(id, loc)
+		st, err := s.loadStateLocked(id, loc.fitLocation)
 		if err != nil {
 			return fmt.Errorf("fileservice: rebuilding from FIT of file %d: %w", id, err)
 		}
@@ -265,7 +272,7 @@ func newService(cfg Config) (*Service, error) {
 		stripeUnit: unit,
 		overlap:    cfg.Overlap,
 		files:      make(map[FileID]*fileState),
-		fileMap:    make(map[FileID]fitLocation),
+		fileMap:    make(map[FileID]mapEntry),
 	}
 	for i, d := range cfg.Disks {
 		s.disksCtx[i], _ = d.(BackendCtx)
@@ -323,7 +330,7 @@ func (s *Service) fileHandle(id FileID) (*fileState, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	st := newFileState(id, loc)
+	st := newFileState(id, loc.fitLocation)
 	s.files[id] = st
 	return st, nil
 }
@@ -422,6 +429,16 @@ func (s *Service) Create(attr fit.Attributes) (FileID, error) {
 		fitAddr = addr
 	}
 
+	// Vital writes, in order: the ID reservation when this ID is the first
+	// beyond it, the FIT, then the one map fragment that gains the entry. A
+	// crash before the last leaves an unreferenced FIT, reclaimed at mount.
+	if s.nextID >= s.reservedID {
+		s.reservedID = s.nextID + idReserve
+		if err := s.putMapFragLocked(s.mapFrags, 0); err != nil {
+			s.reservedID = s.nextID
+			return 0, err
+		}
+	}
 	id := s.nextID
 	s.nextID++
 	st := &fileState{
@@ -429,14 +446,16 @@ func (s *Service) Create(attr fit.Attributes) (FileID, error) {
 		attr: attr, extents: fit.NewExtentMap(nil), reservedAddr: reserved,
 		loaded: true,
 	}
+	s.fileMap[id] = mapEntry{fitLocation: fitLocation{Disk: uint16(disk), Addr: uint32(fitAddr)}}
+	err := s.writeFIT(st, false)
+	if err == nil {
+		err = s.mapInsertLocked(id)
+	}
+	if err != nil {
+		delete(s.fileMap, id)
+		return 0, err
+	}
 	s.files[id] = st
-	s.fileMap[id] = fitLocation{Disk: uint16(disk), Addr: uint32(fitAddr)}
-	if err := s.writeFIT(st, false); err != nil {
-		return 0, err
-	}
-	if err := s.persistMapLocked(); err != nil {
-		return 0, err
-	}
 	return id, nil
 }
 
@@ -485,7 +504,7 @@ func (s *Service) Delete(id FileID) error {
 		if !mapped {
 			return fmt.Errorf("%w: id %d", ErrNotFound, id)
 		}
-		st = newFileState(id, loc)
+		st = newFileState(id, loc.fitLocation)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -501,15 +520,15 @@ func (s *Service) Delete(id FileID) error {
 	if st.refCount > 0 {
 		return fmt.Errorf("%w: file %d has %d openers", ErrFileBusy, id, st.refCount)
 	}
-	// Unlink first: a crash between the unlink and the frees leaks blocks
-	// (reclaimed by the next mount-time rebuild) instead of letting a stale
-	// map entry reference reallocated blocks.
-	delete(s.files, id)
-	delete(s.fileMap, id)
-	st.gone = true
-	if err := s.persistMapLocked(); err != nil {
+	// Unlink first — one vital write, of the map fragment that loses the
+	// entry: a crash between the unlink and the frees leaks blocks (reclaimed
+	// by the next mount-time rebuild) instead of letting a stale map entry
+	// reference reallocated blocks.
+	if err := s.mapRemoveLocked(id); err != nil {
 		return err
 	}
+	delete(s.files, id)
+	st.gone = true
 	for _, e := range st.extents.Extents() {
 		if err := s.disks[e.Disk].Free(int(e.Addr), int(e.Count)*FragmentsPerBlock); err != nil {
 			return fmt.Errorf("fileservice: freeing data extent: %w", err)
@@ -776,6 +795,8 @@ func (s *Service) Shutdown() error {
 	if s.closed {
 		return nil
 	}
+	// A clean remount continues at exactly the next ID.
+	s.reservedID = s.nextID
 	if err := s.flushAllLocked(); err != nil {
 		return err
 	}

@@ -77,6 +77,7 @@ type fetchSpan struct {
 // serves.
 type fetchTask struct {
 	disk, addr, run int
+	cached          uint64 // see planRun
 	spans           []fetchSpan
 }
 
@@ -115,18 +116,17 @@ func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off i
 		} else if data, ok := s.blockCache.Get(key); ok {
 			copy(out[covered:], data[within:within+chunk])
 		} else {
-			run := contiguous
-			if run > MaxSingleFetchBlocks {
-				run = MaxSingleFetchBlocks
-			}
-			t := &fetchTask{disk: int(disk), addr: int(addr), run: run}
+			run, cached := s.planRun(int(disk), int(addr), contiguous)
+			t := &fetchTask{disk: int(disk), addr: int(addr), run: run, cached: cached}
 			t.spans = append(t.spans, fetchSpan{covered, 0, within, within + chunk})
 			tasks = append(tasks, t)
 			if pending == nil {
 				pending = make(map[blockKey]pendingRef)
 			}
 			for b := 0; b < run; b++ {
-				pending[blockKey{disk: int(disk), addr: int(addr) + b*FragmentsPerBlock}] = pendingRef{t, b}
+				if cached&(1<<b) == 0 {
+					pending[blockKey{disk: int(disk), addr: int(addr) + b*FragmentsPerBlock}] = pendingRef{t, b}
+				}
 			}
 		}
 		covered += chunk
@@ -187,20 +187,51 @@ func (s *Service) runFetches(ctx context.Context, out []byte, tasks []*fetchTask
 	return nil
 }
 
-// fetch reads one contiguous run with a single disk reference, caches every
-// block of the run, and copies the requested spans into the caller's buffer.
-// The spans are copied from the raw transfer, never re-read from the cache,
-// so a concurrent eviction cannot lose data.
+// planRun sizes the single-reference fetch for a miss on the block at addr,
+// the first of contiguous blocks on disk, and reports as a bit mask which of
+// the run's other blocks are cached right now. A cached block may be dirty —
+// newer than the disk — so the fetch must neither serve nor install the image
+// it reads of it; the file's lock keeps the mask valid until the fetch (a
+// block can leave the cache meanwhile, written back first, but not enter).
+func (s *Service) planRun(disk, addr, contiguous int) (run int, cached uint64) {
+	run = contiguous
+	if run > MaxSingleFetchBlocks {
+		run = MaxSingleFetchBlocks
+	}
+	for b := 1; b < run; b++ {
+		if s.blockCache.Contains(blockKey{disk: disk, addr: addr + b*FragmentsPerBlock}) {
+			cached |= 1 << b
+		}
+	}
+	return run, cached
+}
+
+// fetchRun reads a planned run with a single disk reference and caches every
+// block of it that was not cached at planning time.
+func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint64) ([]byte, error) {
+	raw, err := s.backendGet(ctx, disk, addr, run*FragmentsPerBlock, diskservice.GetOptions{})
+	if err != nil {
+		return nil, err
+	}
+	for b := 0; b < run; b++ {
+		if cached&(1<<b) != 0 {
+			continue
+		}
+		k := blockKey{disk: disk, addr: addr + b*FragmentsPerBlock}
+		if err := s.blockCache.Put(k, raw[b*BlockSize:(b+1)*BlockSize], false); err != nil {
+			return nil, err
+		}
+	}
+	return raw, nil
+}
+
+// fetch executes one planned task and copies the requested spans into the
+// caller's buffer. The spans are copied from the raw transfer, never re-read
+// from the cache, so a concurrent eviction cannot lose data.
 func (s *Service) fetch(ctx context.Context, out []byte, t *fetchTask) error {
-	raw, err := s.backendGet(ctx, t.disk, t.addr, t.run*FragmentsPerBlock, diskservice.GetOptions{})
+	raw, err := s.fetchRun(ctx, t.disk, t.addr, t.run, t.cached)
 	if err != nil {
 		return err
-	}
-	for b := 0; b < t.run; b++ {
-		k := blockKey{disk: t.disk, addr: t.addr + b*FragmentsPerBlock}
-		if err := s.blockCache.Put(k, raw[b*BlockSize:(b+1)*BlockSize], false); err != nil {
-			return err
-		}
 	}
 	for _, sp := range t.spans {
 		copy(out[sp.outOff:], raw[sp.blk*BlockSize+sp.from:sp.blk*BlockSize+sp.to])
@@ -216,23 +247,13 @@ func (s *Service) block(ctx context.Context, st *fileState, blk int) ([]byte, er
 	if !ok {
 		return nil, fmt.Errorf("%w: file %d has no block %d", ErrBadRequest, st.id, blk)
 	}
-	key := blockKey{disk: int(disk), addr: int(addr)}
-	if data, ok := s.blockCache.Get(key); ok {
+	if data, ok := s.blockCache.Get(blockKey{disk: int(disk), addr: int(addr)}); ok {
 		return data, nil
 	}
-	run := contiguous
-	if run > MaxSingleFetchBlocks {
-		run = MaxSingleFetchBlocks
-	}
-	raw, err := s.backendGet(ctx, int(disk), int(addr), run*FragmentsPerBlock, diskservice.GetOptions{})
+	run, cached := s.planRun(int(disk), int(addr), contiguous)
+	raw, err := s.fetchRun(ctx, int(disk), int(addr), run, cached)
 	if err != nil {
 		return nil, err
-	}
-	for b := 0; b < run; b++ {
-		k := blockKey{disk: int(disk), addr: int(addr) + b*FragmentsPerBlock}
-		if err := s.blockCache.Put(k, raw[b*BlockSize:(b+1)*BlockSize], false); err != nil {
-			return nil, err
-		}
 	}
 	return raw[:BlockSize], nil
 }

@@ -110,6 +110,31 @@ func (m *Map) isSet(i int) bool { return m.words[i/64]&(1<<(i%64)) != 0 }
 func (m *Map) set(i int)        { m.words[i/64] |= 1 << (i % 64) }
 func (m *Map) clear(i int)      { m.words[i/64] &^= 1 << (i % 64) }
 
+// nextSet returns the lowest allocated address ≥ i, or the capacity when
+// everything from i up is free. Bits beyond the capacity are never set.
+func (m *Map) nextSet(i int) int {
+	for i < m.capacity {
+		if w := m.words[i/64] >> (i % 64); w != 0 {
+			return i + bits.TrailingZeros64(w)
+		}
+		i = (i/64 + 1) * 64
+	}
+	return m.capacity
+}
+
+// prevSet returns the highest allocated address < i, or -1 when everything
+// below i is free.
+func (m *Map) prevSet(i int) int {
+	for i > 0 {
+		j := i - 1
+		if w := m.words[j/64] << (63 - j%64); w != 0 {
+			return j - bits.LeadingZeros64(w)
+		}
+		i = j / 64 * 64
+	}
+	return -1
+}
+
 func (m *Map) checkSpan(start, n int) error {
 	if n <= 0 || start < 0 || start+n > m.capacity {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, start, start+n, m.capacity)
@@ -384,15 +409,10 @@ func (m *Map) Free(start, n int) error {
 		m.clear(i)
 	}
 	m.free += n
-	// Coalesce with adjacent free fragments.
-	lo := start
-	for lo > 0 && !m.isSet(lo-1) {
-		lo--
-	}
-	hi := start + n
-	for hi < m.capacity && !m.isSet(hi) {
-		hi++
-	}
+	// Coalesce with adjacent free fragments, a bitmap word at a time: on a
+	// mostly empty disk the free neighbour is most of the disk.
+	lo := m.prevSet(start) + 1
+	hi := m.nextSet(start + n)
 	// Neighbouring free spans were already cached as separate runs; those
 	// entries are now stale. Remove any cached run overlapping the coalesced
 	// span, then cache the whole thing.

@@ -3,6 +3,7 @@ package freespace
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -481,4 +482,103 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// freeBitwise is the reference for Free: the same steps with the neighbour
+// scan done one bit at a time.
+func freeBitwise(m *Map, start, n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.checkSpan(start, n); err != nil {
+		return err
+	}
+	for i := start; i < start+n; i++ {
+		if !m.isSet(i) {
+			return ErrNotAllocated
+		}
+	}
+	for i := start; i < start+n; i++ {
+		m.clear(i)
+	}
+	m.free += n
+	lo := start
+	for lo > 0 && !m.isSet(lo-1) {
+		lo--
+	}
+	hi := start + n
+	for hi < m.capacity && !m.isSet(hi) {
+		hi++
+	}
+	m.removeCachedWithin(lo, hi-lo)
+	m.cacheRun(Run{Start: lo, Len: hi - lo})
+	return nil
+}
+
+// TestFreeMatchesBitwiseReference drives the same random AllocateAt / Free
+// sequence into two maps, one freed through Free and one through the
+// bit-at-a-time reference, and requires identical bitmaps, free counts and
+// run tables after every step — at capacities below, at and off a multiple
+// of the word size, with spans that start at address 0, straddle word
+// boundaries and end at the capacity, on mostly empty and mostly full disks.
+func TestFreeMatchesBitwiseReference(t *testing.T) {
+	for _, capacity := range []int{1, 63, 64, 65, 128, 199, 4096 + 37} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m, ref := mustMap(t, capacity), mustMap(t, capacity)
+			fill := []float64{0.05, 0.5, 0.95}[seed%3]
+			type span struct{ start, n int }
+			var live []span
+			for step := 0; step < 600; step++ {
+				if rng.Float64() < fill || len(live) == 0 {
+					n := 1 + rng.Intn(min(capacity, 70))
+					start := rng.Intn(capacity - n + 1)
+					switch rng.Intn(8) {
+					case 0:
+						start = 0
+					case 1:
+						start = capacity - n
+					case 2:
+						start = min(start/64*64+64-n/2, capacity-n) // straddle a word boundary
+						if start < 0 {
+							start = 0
+						}
+					}
+					err, rerr := m.AllocateAt(start, n), ref.AllocateAt(start, n)
+					if (err == nil) != (rerr == nil) {
+						t.Fatalf("cap %d seed %d: AllocateAt(%d,%d) = %v, reference %v", capacity, seed, start, n, err, rerr)
+					}
+					if err == nil {
+						live = append(live, span{start, n})
+					}
+				} else {
+					i := rng.Intn(len(live))
+					s := live[i]
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					// Free in two pieces now and then, so a free lands between
+					// a free and an allocated neighbour.
+					pieces := []span{s}
+					if s.n > 1 && rng.Intn(2) == 0 {
+						cut := 1 + rng.Intn(s.n-1)
+						pieces = []span{{s.start + cut, s.n - cut}, {s.start, cut}}
+					}
+					for _, p := range pieces {
+						if err := m.Free(p.start, p.n); err != nil {
+							t.Fatalf("cap %d seed %d: Free(%d,%d): %v", capacity, seed, p.start, p.n, err)
+						}
+						if err := freeBitwise(ref, p.start, p.n); err != nil {
+							t.Fatalf("cap %d seed %d: reference Free(%d,%d): %v", capacity, seed, p.start, p.n, err)
+						}
+					}
+				}
+				if !reflect.DeepEqual(m.words, ref.words) || m.free != ref.free || !reflect.DeepEqual(m.rows, ref.rows) {
+					t.Fatalf("cap %d seed %d step %d: diverged from the bit-at-a-time reference\n free %d vs %d\n rows %v\n  vs  %v",
+						capacity, seed, step, m.free, ref.free, m.rows, ref.rows)
+				}
+			}
+			if got := m.Stats().WordsScanned; got != ref.Stats().WordsScanned {
+				t.Fatalf("cap %d seed %d: Free counted %d words scanned, reference %d", capacity, seed, got, ref.Stats().WordsScanned)
+			}
+		}
+	}
 }

@@ -128,13 +128,41 @@ func IsExists(err error) bool {
 }
 
 // Service is a naming service. It is safe for concurrent use.
+//
+// Entries are indexed three ways under the one mutex, so registration,
+// resolution by path and removal cost the same however many names exist:
+// by canonical name (duplicate check, Unregister), by path attribute
+// (Resolve narrows to these candidates before matching the rest of the
+// query) and by (type, system name) (UnregisterSystemName). Queries without
+// a path attribute, and List, scan every entry.
 type Service struct {
-	mu      sync.Mutex
-	entries []Entry
+	mu     sync.Mutex
+	seq    uint64 // registration counter; orders Entries
+	byName map[string]*record
+	byPath map[string][]*record
+	bySys  map[sysKey][]*record
+}
+
+// record is one registered entry plus its index keys.
+type record struct {
+	Entry
+	key string // canonical name
+	seq uint64
+}
+
+type sysKey struct {
+	t   ObjectType
+	sys uint64
 }
 
 // NewService returns an empty naming service.
-func NewService() *Service { return &Service{} }
+func NewService() *Service {
+	return &Service{
+		byName: make(map[string]*record),
+		byPath: make(map[string][]*record),
+		bySys:  make(map[sysKey][]*record),
+	}
+}
 
 // Register adds an entry. An entry with an identical attributed name may be
 // registered only once.
@@ -145,14 +173,45 @@ func (s *Service) Register(e Entry) error {
 	key := e.Name.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, cur := range s.entries {
-		if cur.Name.String() == key {
-			return fmt.Errorf("%w: %s", ErrExists, key)
-		}
+	if _, ok := s.byName[key]; ok {
+		return fmt.Errorf("%w: %s", ErrExists, key)
 	}
 	e.Name = e.Name.clone()
-	s.entries = append(s.entries, e)
+	s.seq++
+	r := &record{Entry: e, key: key, seq: s.seq}
+	s.byName[key] = r
+	if p := e.Name["path"]; p != "" {
+		s.byPath[p] = append(s.byPath[p], r)
+	}
+	sk := sysKey{e.Type, e.SystemName}
+	s.bySys[sk] = append(s.bySys[sk], r)
 	return nil
+}
+
+// removeLocked drops r from every index.
+func (s *Service) removeLocked(r *record) {
+	delete(s.byName, r.key)
+	if p := r.Name["path"]; p != "" {
+		dropRecord(s.byPath, p, r)
+	}
+	dropRecord(s.bySys, sysKey{r.Type, r.SystemName}, r)
+}
+
+// dropRecord removes r from the slice under key k, deleting the key when the
+// slice empties.
+func dropRecord[K comparable](idx map[K][]*record, k K, r *record) {
+	rs := idx[k]
+	for i, cur := range rs {
+		if cur == r {
+			rs = append(rs[:i], rs[i+1:]...)
+			break
+		}
+	}
+	if len(rs) == 0 {
+		delete(idx, k)
+	} else {
+		idx[k] = rs
+	}
 }
 
 // Resolve evaluates an attributed name: the query's attributes must select
@@ -160,19 +219,30 @@ func (s *Service) Register(e Entry) error {
 func (s *Service) Resolve(query Name) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var found []Entry
-	for _, e := range s.entries {
-		if e.Name.Matches(query) {
-			found = append(found, e)
+	var found *record
+	matches := 0
+	// An empty path value also matches entries with no path attribute, so
+	// only a non-empty one narrows the candidates.
+	if p := query["path"]; p != "" {
+		for _, r := range s.byPath[p] {
+			if r.Name.Matches(query) {
+				found, matches = r, matches+1
+			}
+		}
+	} else {
+		for _, r := range s.byName {
+			if r.Name.Matches(query) {
+				found, matches = r, matches+1
+			}
 		}
 	}
-	switch len(found) {
+	switch matches {
 	case 0:
 		return Entry{}, fmt.Errorf("%w: %s", ErrNotFound, query)
 	case 1:
-		return found[0], nil
+		return found.Entry, nil
 	default:
-		return Entry{}, fmt.Errorf("%w: %s (%d matches)", ErrAmbiguous, query, len(found))
+		return Entry{}, fmt.Errorf("%w: %s (%d matches)", ErrAmbiguous, query, matches)
 	}
 }
 
@@ -186,13 +256,12 @@ func (s *Service) Unregister(name Name) error {
 	key := name.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, e := range s.entries {
-		if e.Name.String() == key {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			return nil
-		}
+	r, ok := s.byName[key]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return fmt.Errorf("%w: %s", ErrNotFound, key)
+	s.removeLocked(r)
+	return nil
 }
 
 // UnregisterSystemName removes every entry with the given type and system
@@ -200,17 +269,11 @@ func (s *Service) Unregister(name Name) error {
 func (s *Service) UnregisterSystemName(t ObjectType, sys uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.entries[:0]
-	removed := 0
-	for _, e := range s.entries {
-		if e.Type == t && e.SystemName == sys {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
+	rs := append([]*record(nil), s.bySys[sysKey{t, sys}]...)
+	for _, r := range rs {
+		s.removeLocked(r)
 	}
-	s.entries = kept
-	return removed
+	return len(rs)
 }
 
 // List returns the names one level below dir in the path hierarchy, sorted.
@@ -221,7 +284,7 @@ func (s *Service) List(dir string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seen := map[string]bool{}
-	for _, e := range s.entries {
+	for _, e := range s.byName {
 		p, ok := e.Name["path"]
 		if !ok || !strings.HasPrefix(p, prefix) {
 			continue
@@ -248,14 +311,22 @@ func (s *Service) List(dir string) []string {
 func (s *Service) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.byName)
 }
 
-// Entries returns a snapshot of all entries (diagnostics).
+// Entries returns a snapshot of all entries in registration order
+// (diagnostics).
 func (s *Service) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, len(s.entries))
-	copy(out, s.entries)
+	rs := make([]*record, 0, len(s.byName))
+	for _, r := range s.byName {
+		rs = append(rs, r)
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].seq < rs[j].seq })
+	out := make([]Entry, len(rs))
+	for i, r := range rs {
+		out[i] = r.Entry
+	}
 	return out
 }
