@@ -28,7 +28,8 @@
 //
 // With -debug set, the daemon serves:
 //
-//	GET /debug/profile   per-layer latency profile (text; ?format=json)
+//	GET /debug/profile   per-layer latency profile (?format=json) and, in the
+//	                     text form, the operation counters
 //	GET /debug/flight    recent + in-flight span trees and fault dumps
 //	GET /debug/events    failover/lease event log (text; ?format=json)
 //	GET /debug/healthz   role, shard, and map version as JSON
@@ -54,6 +55,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fileservice"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
@@ -228,7 +230,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "rhodosd: debug listen: %v\n", err)
 			return 1
 		}
-		httpSrv := &http.Server{Handler: debugMux(rec, svc, shard, shards, *listen)}
+		httpSrv := &http.Server{Handler: debugMux(rec, fac.Metrics, svc, shard, shards, *listen)}
 		go func() { _ = httpSrv.Serve(dln) }()
 		defer func() { _ = httpSrv.Close() }()
 		fmt.Printf("rhodosd: debug endpoints on http://%s/debug/profile\n", dln.Addr())
@@ -245,7 +247,7 @@ func run() int {
 // debugMux serves the observability endpoints: the per-layer latency
 // profile, the flight recorder's span trees, the failover event log, and a
 // health summary for deployment scripts.
-func debugMux(rec *obs.Recorder, svc *cluster.Service, shard, shards int, addr string) *http.ServeMux {
+func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, shards int, addr string) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /debug/healthz", func(w http.ResponseWriter, r *http.Request) {
 		out := struct {
@@ -299,6 +301,12 @@ func debugMux(rec *obs.Recorder, svc *cluster.Service, shard, shards int, addr s
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		p.Render(w)
+		// The operation counters sit beside the latencies: cache hits and
+		// misses, disk references, and the miss fetches by class with the
+		// blocks each installed (fs.fetch.*) — read-ahead usefulness is
+		// blocks installed against fs.cache.hit.
+		fmt.Fprintln(w, "counters:")
+		fmt.Fprint(w, met.String())
 	})
 	mux.HandleFunc("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		trees, inFlight, dumps := rec.Flight(), rec.InFlight(), rec.FaultDumps()

@@ -123,6 +123,11 @@ func runParity() {
 	if err := cluster.Files.Flush(); err != nil {
 		log.Fatal(err)
 	}
+	// The flush fanned small writes out across the stripes concurrently;
+	// every stripe's parity must still be the XOR of its data units.
+	if bad, err := arr.CheckParity(); err != nil || len(bad) != 0 {
+		log.Fatalf("parity invariant after flush: %d bad stripes (%v)", len(bad), err)
+	}
 
 	cluster.InvalidateCaches()
 	start := cluster.Makespan()

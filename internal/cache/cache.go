@@ -203,11 +203,9 @@ func (c *Cache[K]) Len() int {
 	return len(c.entries)
 }
 
-// Get returns a copy of the buffer cached under key, marking it most
-// recently used.
-func (c *Cache[K]) Get(key K) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// lookupLocked finds key for a read: it counts the hit or miss and marks a
+// found buffer most recently used. Callers must hold c.mu.
+func (c *Cache[K]) lookupLocked(key K) (*entry[K], bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		if c.missName != "" {
@@ -219,10 +217,61 @@ func (c *Cache[K]) Get(key K) ([]byte, bool) {
 		c.met.Inc(c.hitName)
 	}
 	c.lru.MoveToFront(el)
-	e := el.Value.(*entry[K])
+	return el.Value.(*entry[K]), true
+}
+
+// Get returns a copy of the buffer cached under key, marking it most
+// recently used.
+func (c *Cache[K]) Get(key K) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.lookupLocked(key)
+	if !ok {
+		return nil, false
+	}
 	out := make([]byte, len(e.data))
 	copy(out, e.data)
 	return out, true
+}
+
+// ReadRange copies len(dst) bytes starting at byte off of the buffer cached
+// under key into dst. It counts a hit or a miss and touches the LRU order
+// exactly as Get does, but moves only the bytes asked for — a cache of large
+// buffers (the disk service's tracks) serves a small request without copying
+// the whole buffer. It reports whether key was cached.
+func (c *Cache[K]) ReadRange(key K, off int, dst []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.lookupLocked(key)
+	if !ok {
+		return false
+	}
+	copy(dst, e.data[off:off+len(dst)])
+	return true
+}
+
+// Patch overwrites bytes [off, off+len(data)) of the clean buffer cached
+// under key, in place and atomically with respect to every other operation
+// on the cache, and reports whether it did. It is how a cache of clean
+// images follows a write the layer below has already taken: concurrent
+// patches of disjoint ranges of one buffer all land, which a Get, modify,
+// Put sequence cannot promise. An absent or dirty buffer is left alone. A
+// patched buffer becomes the most recently used, as a Put of it would make
+// it; the hit/miss counters count reads only and are not affected.
+func (c *Cache[K]) Patch(key K, off int, data []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return false
+	}
+	e := el.Value.(*entry[K])
+	if e.dirty {
+		return false
+	}
+	copy(e.data[off:off+len(data)], data)
+	c.lru.MoveToFront(el)
+	return true
 }
 
 // Contains reports whether key is cached, without affecting LRU order or

@@ -282,6 +282,101 @@ func TestHitMissCounters(t *testing.T) {
 	}
 }
 
+func TestReadRange(t *testing.T) {
+	met := metrics.NewSet()
+	c, err := New(Config[int]{Capacity: 2, Metrics: met, HitCounter: "h", MissCounter: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 2; k++ {
+		if err := c.Put(k, []byte("0123456789"), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, 3)
+	if !c.ReadRange(1, 4, dst) || string(dst) != "456" {
+		t.Fatalf("ReadRange = %q, want 456", dst)
+	}
+	if c.ReadRange(9, 0, dst) {
+		t.Fatal("ReadRange of absent key succeeded")
+	}
+	if h, m := met.Get("h"), met.Get("m"); h != 1 || m != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1 and 1", h, m)
+	}
+	// The range read made key 1 the most recent: key 2 is the one evicted.
+	if err := c.Put(3, []byte("x"), false); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Contains(1) || c.Contains(2) {
+		t.Fatal("ReadRange did not touch the LRU order")
+	}
+}
+
+func TestPatch(t *testing.T) {
+	var written []byte
+	c := newDelayed(t, 2, func(_ int, data []byte) error {
+		written = append([]byte(nil), data...)
+		return nil
+	})
+	if c.Patch(1, 0, []byte("x")) {
+		t.Fatal("Patch of absent key reported success")
+	}
+	if err := c.Put(1, []byte("0123456789"), false); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Patch(1, 2, []byte("ab")) {
+		t.Fatal("Patch of clean buffer failed")
+	}
+	if got, _ := c.Get(1); string(got) != "01ab456789" {
+		t.Fatalf("after Patch: %q", got)
+	}
+	// A patch says the layer below already has the bytes: the buffer stays
+	// clean, and a dirty buffer — newer than the layer below — is left alone.
+	if c.DirtyCount() != 0 {
+		t.Fatal("Patch dirtied the buffer")
+	}
+	if err := c.Put(2, []byte("dirty"), true); err != nil {
+		t.Fatal(err)
+	}
+	if c.Patch(2, 0, []byte("D")) {
+		t.Fatal("Patch of dirty buffer reported success")
+	}
+	if err := c.FlushKey(2); err != nil || string(written) != "dirty" {
+		t.Fatalf("dirty buffer wrote back %q (%v), want dirty", written, err)
+	}
+}
+
+// TestConcurrentPatchesAllLand: patches of disjoint ranges of one buffer
+// from many goroutines must all be in the buffer afterwards.
+func TestConcurrentPatchesAllLand(t *testing.T) {
+	const writers, width = 16, 64
+	c := newDelayed(t, 1, nil)
+	for round := 0; round < 100; round++ {
+		if err := c.Put(1, make([]byte, writers*width), false); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				part := make([]byte, width)
+				for i := range part {
+					part[i] = byte(w + 1)
+				}
+				c.Patch(1, w*width, part)
+			}(w)
+		}
+		wg.Wait()
+		got, _ := c.Get(1)
+		for i, b := range got {
+			if b != byte(i/width+1) {
+				t.Fatalf("round %d: byte %d is %d, want %d: a patch was lost", round, i, b, i/width+1)
+			}
+		}
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	c := newDelayed(t, 16, func(k int, data []byte) error { return nil })
 	var wg sync.WaitGroup

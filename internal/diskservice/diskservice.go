@@ -90,8 +90,10 @@ type GetOptions struct {
 	// FromStable retrieves the data from stable storage instead of main
 	// storage.
 	FromStable bool
-	// NoReadAhead disables track read-ahead for this request (used by
-	// experiment ablations).
+	// NoReadAhead disables track read-ahead for this request: the file
+	// service sets it on a miss that continues no sequential stream, where the
+	// rest of the track is not worth a whole-track read (experiment ablations
+	// use it too).
 	NoReadAhead bool
 }
 
@@ -140,6 +142,13 @@ type Server struct {
 	fsmap  *freespace.Map
 
 	trackCache *cache.Cache[int] // track number -> track bytes
+	// tcMu orders track-cache installs against main-storage writes. A put,
+	// once its bytes are on the platter, bumps putGen and patches the cached
+	// tracks under tcMu; a get miss installs the track image it read only if
+	// putGen still has the value sampled before the read — otherwise the
+	// image may predate a put whose patch found nothing to patch.
+	tcMu   sync.Mutex
+	putGen uint64
 
 	// metaFrags is the size of the reserved metadata region (superblock +
 	// bitmap) at the start of the disk.
@@ -409,19 +418,27 @@ func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 		return s.disk.ReadFragmentsCtx(ctx, addr, n)
 	}
 	off := (addr - geom.TrackStart(firstTrack)) * FragmentSize
-	if data, ok := s.trackCache.Get(firstTrack); ok {
-		return data[off : off+n*FragmentSize : off+n*FragmentSize], nil
+	out := make([]byte, n*FragmentSize)
+	if s.trackCache.ReadRange(firstTrack, off, out) {
+		return out, nil
 	}
 	// Miss: fetch the whole track in one reference, serve the requested
 	// fragments, cache the rest (§4).
+	s.tcMu.Lock()
+	gen := s.putGen
+	s.tcMu.Unlock()
 	trackData, _, err := s.disk.ReadTrackCtx(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.trackCache.Put(firstTrack, trackData, false); err != nil {
+	s.tcMu.Lock()
+	if s.putGen == gen {
+		err = s.trackCache.Put(firstTrack, trackData, false)
+	}
+	s.tcMu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, n*FragmentSize)
 	copy(out, trackData[off:])
 	return out, nil
 }
@@ -473,10 +490,15 @@ func (s *Server) put(ctx context.Context, addr int, data []byte, opts PutOptions
 	return nil
 }
 
-// updateTrackCache keeps cached tracks coherent with a main-storage write.
+// updateTrackCache keeps cached tracks coherent with a main-storage write
+// that has reached the platter: each cached track the span touches is patched
+// in place, so concurrent puts to disjoint fragments of one track all land.
 func (s *Server) updateTrackCache(addr int, data []byte) {
 	geom := s.disk.Geometry()
 	n := len(data) / FragmentSize
+	s.tcMu.Lock()
+	defer s.tcMu.Unlock()
+	s.putGen++
 	for frag := addr; frag < addr+n; {
 		track := geom.Track(frag)
 		trackStart := geom.TrackStart(track)
@@ -485,13 +507,7 @@ func (s *Server) updateTrackCache(addr int, data []byte) {
 		if spanEnd > trackEnd {
 			spanEnd = trackEnd
 		}
-		if cached, ok := s.trackCache.Get(track); ok {
-			copy(cached[(frag-trackStart)*FragmentSize:], data[(frag-addr)*FragmentSize:(spanEnd-addr)*FragmentSize])
-			// Re-put clean: the platter already has the data.
-			if err := s.trackCache.Put(track, cached, false); err != nil {
-				s.trackCache.Invalidate(track)
-			}
-		}
+		s.trackCache.Patch(track, (frag-trackStart)*FragmentSize, data[(frag-addr)*FragmentSize:(spanEnd-addr)*FragmentSize])
 		frag = spanEnd
 	}
 }

@@ -3,6 +3,7 @@ package diskservice
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -523,5 +524,86 @@ func TestGetOutOfRange(t *testing.T) {
 	}
 	if _, err := r.srv.Get(0, 0, GetOptions{}); err == nil {
 		t.Fatal("zero-length get accepted")
+	}
+}
+
+// cachedEqualsDevice fails the test unless every fragment of the track
+// starting at trackStart reads the same through the track cache as from the
+// device.
+func cachedEqualsDevice(t *testing.T, r *testRig, trackStart, frags int) {
+	t.Helper()
+	for i := 0; i < frags; i++ {
+		got, err := r.srv.Get(trackStart+i, 1, GetOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.disk.ReadFragments(trackStart+i, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("fragment %d of the track: the track cache holds bytes the device does not", i)
+		}
+	}
+}
+
+// TestConcurrentPutsToOneCachedTrack: puts to disjoint fragments of a cached
+// track must all land in the cached image. (A copy-out, patch, copy-back
+// update loses one of two racing patches, and later reads through the cache
+// return the older bytes — parity read-modify-write reads its old parity
+// there.)
+func TestConcurrentPutsToOneCachedTrack(t *testing.T) {
+	r := newRig(t)
+	const frags = 8 // one track of the rig's geometry
+	trackStart := (r.srv.MetadataFragments()/frags + 1) * frags
+	if err := r.srv.AllocateAt(trackStart, frags); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		if _, err := r.srv.Get(trackStart, 1, GetOptions{}); err != nil { // cache the track
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < frags; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if err := r.srv.Put(trackStart+i, frag(1, byte(round*frags+i)), PutOptions{}); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		cachedEqualsDevice(t, r, trackStart, frags)
+	}
+}
+
+// TestGetMissRacingPut: a get that misses reads the track before it installs
+// it; a put landing in between must not leave the older image cached.
+func TestGetMissRacingPut(t *testing.T) {
+	r := newRig(t)
+	const frags = 8
+	trackStart := (r.srv.MetadataFragments()/frags + 1) * frags
+	if err := r.srv.AllocateAt(trackStart, frags); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2000; round++ {
+		r.srv.InvalidateCache()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := r.srv.Get(trackStart, 1, GetOptions{}); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := r.srv.Put(trackStart+1, frag(1, byte(round)), PutOptions{}); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		cachedEqualsDevice(t, r, trackStart, frags)
 	}
 }

@@ -3,6 +3,7 @@ package fileservice
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/device"
@@ -74,6 +75,42 @@ func BenchmarkReadAtCached8KB(b *testing.B) {
 		}
 	}
 	b.SetBytes(BlockSize)
+}
+
+// BenchmarkReadAtColdRandom4K measures a random 4 KB read that misses: a
+// 16 MB file against the default 256-block cache. A miss moves the block it
+// needs, so the bytes allocated per read stay far below the 512 KB run (and
+// its cached copy) a miss would cost if every fetch were sized for a stream.
+func BenchmarkReadAtColdRandom4K(b *testing.B) {
+	const blocks = 2048
+	svc := benchService(b, 1)
+	id, err := svc.Create(fit.Attributes{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := svc.WriteAt(id, 0, make([]byte, blocks*BlockSize)); err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(rng.Intn(2*blocks)) * (BlockSize / 2)
+		if _, err := svc.ReadAt(id, off, BlockSize/2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); b.N >= 1000 && perOp > 64<<10 {
+		b.Fatalf("%d B/op, want at most %d: a random miss is moving more than it needs", perOp, 64<<10)
+	}
+	b.SetBytes(BlockSize / 2)
 }
 
 // BenchmarkReadAtCached8KBTraced is the tracer-enabled counterpart of

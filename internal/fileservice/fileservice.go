@@ -136,6 +136,10 @@ type fileState struct {
 	// gone marks a state object that was deleted or evicted from the table;
 	// a waiter that acquires mu and finds gone must retry through the map.
 	gone bool
+	// next holds one cursor per recent access stream on the file, most
+	// recent first: the block after the last one the stream touched. A miss
+	// is sized by whether its access continues one (see sequential).
+	next [4]int
 }
 
 // Service is a basic file service. It is safe for concurrent use.

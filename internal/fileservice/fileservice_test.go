@@ -21,10 +21,15 @@ type rig struct {
 	met   *metrics.Set
 }
 
-// newRig builds a file service over nDisks simulated disks.
+// newRig builds a file service over nDisks simulated disks of 8 MB each.
 func newRig(t *testing.T, nDisks int, mutate ...func(*Config)) *rig {
 	t.Helper()
-	g := device.Geometry{FragmentsPerTrack: 32, Tracks: 128} // 8 MB per disk
+	return newRigGeom(t, device.Geometry{FragmentsPerTrack: 32, Tracks: 128}, nDisks, mutate...)
+}
+
+// newRigGeom is newRig with the disks' geometry chosen by the caller.
+func newRigGeom(t *testing.T, g device.Geometry, nDisks int, mutate ...func(*Config)) *rig {
+	t.Helper()
 	met := metrics.NewSet()
 	r := &rig{met: met}
 	for i := 0; i < nDisks; i++ {

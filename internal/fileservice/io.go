@@ -16,10 +16,24 @@ import (
 // bytes at end of file (and zero bytes, no error, at or past it).
 //
 // The read path is the paper's: locate the block through the (cached) file
-// index table, then fetch the whole physically contiguous run the block
-// starts with one single invocation of get-block — up to 64 blocks (512 KB)
-// — and cache every block of the run, so subsequent requests on the run
-// cost no disk reference (§5). Misses are planned first, then the fetches
+// index table, then move what is missing with one get-block per physically
+// contiguous stretch (§5). How much one miss moves depends on whether the
+// access continues a sequential stream on the file (fileState.sequential):
+//
+//   - It does, or it starts at block 0, where every reader starts: the fetch
+//     is the whole contiguous run the missed block starts — up to
+//     MaxSingleFetchBlocks (64 blocks, 512 KB) — and every block of it is
+//     cached, so the requests that follow on the run cost no disk reference;
+//     the disk service's track read-ahead is on (§4).
+//   - It does not: the fetch is the blocks this request covers, still one
+//     reference per contiguous stretch, and track read-ahead is off. A
+//     random 4 KB read moves one block, not a run that would displace a
+//     quarter of the default cache for bytes nobody asked for.
+//
+// The stream cursors are kept per file, not per client: the server is nearly
+// stateless (§2) and knows no client identity below the lease manager, and a
+// few cursors per file keep several sequential readers of one file apart as
+// well as per-client state would. Misses are planned first, then the fetches
 // fan out with one goroutine per disk, so a striped read drives all its
 // disks concurrently.
 func (s *Service) ReadAt(id FileID, off int64, n int) ([]byte, error) {
@@ -78,6 +92,7 @@ type fetchSpan struct {
 type fetchTask struct {
 	disk, addr, run int
 	cached          uint64 // see planRun
+	seq             bool   // the access continues a stream; see fetchRun
 	spans           []fetchSpan
 }
 
@@ -87,11 +102,37 @@ type pendingRef struct {
 	blk int
 }
 
+// sequential records an access to blocks first through last of the file and
+// reports whether it continues a sequential stream: it starts at block 0,
+// where every reader starts, or in the block a recent access ended in (a
+// reader whose requests are smaller than a block) or the one after it. Hits
+// advance the cursors as misses do, so a reader stays sequential across the
+// blocks an earlier run fetch left cached. Callers must hold st.mu.
+func (st *fileState) sequential(first, last int) bool {
+	seq := first == 0
+	slot := len(st.next) - 1 // no stream continued: the oldest cursor goes
+	for i, n := range st.next {
+		if first == n || first == n-1 {
+			seq, slot = true, i
+			break
+		}
+	}
+	copy(st.next[1:slot+1], st.next[:slot])
+	st.next[0] = last + 1
+	return seq
+}
+
 // readInto fills out with the file's bytes starting at off. It walks the
 // extent map once, serving cached blocks immediately and planning one fetch
-// per uncovered contiguous run, then executes the fetches grouped per disk.
-// Callers must hold st.mu.
+// per uncovered contiguous run — the whole run when the access continues a
+// stream, else no further than the request's last block — then executes the
+// fetches grouped per disk. Callers must hold st.mu.
 func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off int64) error {
+	if len(out) == 0 {
+		return nil
+	}
+	lastBlk := int((off + int64(len(out)) - 1) / BlockSize)
+	seq := st.sequential(int(off/BlockSize), lastBlk)
 	var tasks []*fetchTask
 	var pending map[blockKey]pendingRef
 	covered := 0
@@ -116,8 +157,11 @@ func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off i
 		} else if data, ok := s.blockCache.Get(key); ok {
 			copy(out[covered:], data[within:within+chunk])
 		} else {
+			if !seq && contiguous > lastBlk-blk+1 {
+				contiguous = lastBlk - blk + 1
+			}
 			run, cached := s.planRun(int(disk), int(addr), contiguous)
-			t := &fetchTask{disk: int(disk), addr: int(addr), run: run, cached: cached}
+			t := &fetchTask{disk: int(disk), addr: int(addr), run: run, cached: cached, seq: seq}
 			t.spans = append(t.spans, fetchSpan{covered, 0, within, within + chunk})
 			tasks = append(tasks, t)
 			if pending == nil {
@@ -207,12 +251,15 @@ func (s *Service) planRun(disk, addr, contiguous int) (run int, cached uint64) {
 }
 
 // fetchRun reads a planned run with a single disk reference and caches every
-// block of it that was not cached at planning time.
-func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint64) ([]byte, error) {
-	raw, err := s.backendGet(ctx, disk, addr, run*FragmentsPerBlock, diskservice.GetOptions{})
+// block of it that was not cached at planning time. seq says the access
+// continues a stream: only then is the rest of the track worth the disk
+// service's read-ahead (§4).
+func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint64, seq bool) ([]byte, error) {
+	raw, err := s.backendGet(ctx, disk, addr, run*FragmentsPerBlock, diskservice.GetOptions{NoReadAhead: !seq})
 	if err != nil {
 		return nil, err
 	}
+	installed := 0
 	for b := 0; b < run; b++ {
 		if cached&(1<<b) != 0 {
 			continue
@@ -221,6 +268,14 @@ func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint
 		if err := s.blockCache.Put(k, raw[b*BlockSize:(b+1)*BlockSize], false); err != nil {
 			return nil, err
 		}
+		installed++
+	}
+	if seq {
+		s.met.Inc(metrics.FetchStream)
+		s.met.Add(metrics.FetchStreamBlocks, int64(installed))
+	} else {
+		s.met.Inc(metrics.FetchDemand)
+		s.met.Add(metrics.FetchDemandBlocks, int64(installed))
 	}
 	return raw, nil
 }
@@ -229,7 +284,7 @@ func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint
 // caller's buffer. The spans are copied from the raw transfer, never re-read
 // from the cache, so a concurrent eviction cannot lose data.
 func (s *Service) fetch(ctx context.Context, out []byte, t *fetchTask) error {
-	raw, err := s.fetchRun(ctx, t.disk, t.addr, t.run, t.cached)
+	raw, err := s.fetchRun(ctx, t.disk, t.addr, t.run, t.cached, t.seq)
 	if err != nil {
 		return err
 	}
@@ -239,19 +294,25 @@ func (s *Service) fetch(ctx context.Context, out []byte, t *fetchTask) error {
 	return nil
 }
 
-// block returns logical block blk of the file, from cache or by fetching its
-// contiguous run from disk — the serial single-block path used for
-// read-modify-write and page-granular access. Callers must hold st.mu.
+// block returns logical block blk of the file, from cache or from disk — the
+// serial single-block path used for read-modify-write and page-granular
+// access. A miss fetches the block's contiguous run when the access continues
+// a stream and the block alone otherwise (see ReadAt). Callers must hold
+// st.mu.
 func (s *Service) block(ctx context.Context, st *fileState, blk int) ([]byte, error) {
 	disk, addr, contiguous, ok := st.extents.Lookup(blk)
 	if !ok {
 		return nil, fmt.Errorf("%w: file %d has no block %d", ErrBadRequest, st.id, blk)
 	}
+	seq := st.sequential(blk, blk)
 	if data, ok := s.blockCache.Get(blockKey{disk: int(disk), addr: int(addr)}); ok {
 		return data, nil
 	}
+	if !seq {
+		contiguous = 1
+	}
 	run, cached := s.planRun(int(disk), int(addr), contiguous)
-	raw, err := s.fetchRun(ctx, int(disk), int(addr), run, cached)
+	raw, err := s.fetchRun(ctx, int(disk), int(addr), run, cached, seq)
 	if err != nil {
 		return nil, err
 	}

@@ -35,6 +35,15 @@ const (
 	AgentCacheHit   = "agent.cache.hit"
 	AgentCacheMiss  = "agent.cache.miss"
 
+	// File-service miss fetches by class — one that continues a sequential
+	// stream fetches the whole contiguous run, any other the request's blocks
+	// only — and the blocks each class installed in the server cache. Blocks
+	// installed against ServerCacheHit says how much of the read-ahead is used.
+	FetchStream       = "fs.fetch.stream"
+	FetchDemand       = "fs.fetch.demand"
+	FetchStreamBlocks = "fs.fetch.stream.blocks"
+	FetchDemandBlocks = "fs.fetch.demand.blocks"
+
 	StableWrites = "stable.writes"
 
 	WalSyncs        = "wal.syncs"         // stable-storage barriers that hardened log records
