@@ -190,16 +190,16 @@ func BenchmarkE19GroupCommit(b *testing.B) {
 	b.ReportMetric(metric(tbl, 7, 4), "commits/sync-8-workers")
 }
 
-// BenchmarkE20LoadScaling: closed-loop ops/sec of the multiplexed binary
-// transport vs the serial gob baseline under concurrent client agents.
+// BenchmarkE20LoadScaling: closed-loop ops/sec of the multiplexed transport
+// vs the one-call-per-connection baseline under concurrent client agents.
 func BenchmarkE20LoadScaling(b *testing.B) {
 	tbl := runExperiment(b, experiments.E20LoadScaling)
-	// Rows alternate gob/binary per client count: rows 4,5 are the pair at
-	// 64 clients. Column 5 is ops/sec.
-	gob, mux := metric(tbl, 4, 5), metric(tbl, 5, 5)
+	// Rows alternate serial/multiplexed per client count: rows 4,5 are the
+	// pair at 64 clients. Column 5 is ops/sec.
+	serial, mux := metric(tbl, 4, 5), metric(tbl, 5, 5)
 	b.ReportMetric(mux, "mux-ops/sec-64-clients")
-	if gob > 0 {
-		b.ReportMetric(mux/gob, "x-vs-gob-64-clients")
+	if serial > 0 {
+		b.ReportMetric(mux/serial, "x-vs-serial-64-clients")
 	}
 }
 

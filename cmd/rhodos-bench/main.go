@@ -11,7 +11,7 @@
 //	rhodos-bench -smoke           # fast pass: virtual-time experiments only
 //	rhodos-bench -list            # list experiments
 //	rhodos-bench -json out.json   # also write results as JSON
-//	rhodos-bench -load -clients 64 -wire binary
+//	rhodos-bench -load -clients 64
 //	                              # one closed-loop load cell (E20's engine)
 //	                              # with explicit knobs
 //	rhodos-bench -load -rate 2000 -for 2s
@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/workload"
 )
 
@@ -67,11 +66,10 @@ func run() int {
 	dur := flag.Duration("for", time.Second, "load: open-loop run duration (with -rate)")
 	addrs := flag.String("addrs", "", "load: comma-separated endpoints of an already-running cluster, in shard order (closed loop only)")
 	backups := flag.String("backups", "", "load: comma-separated backup address per shard for failover (with -addrs; empty entries allowed)")
-	wireName := flag.String("wire", "binary", "load: wire format, binary or gob")
 	flag.Parse()
 
 	if *load {
-		return runLoad(*wireName, *clients, *perConn, *ops, *rate, *dur, *addrs, *backups, *jsonOut)
+		return runLoad(*clients, *perConn, *ops, *rate, *dur, *addrs, *backups, *jsonOut)
 	}
 
 	runners := experiments.All()
@@ -139,7 +137,6 @@ func run() int {
 // -json is combined with -load (the CI multi-node smoke artifact).
 type jsonLoad struct {
 	Mode      string  `json:"mode"` // closed, open, cluster
-	Wire      string  `json:"wire"`
 	Addrs     string  `json:"addrs,omitempty"`
 	Clients   int     `json:"clients"`
 	Ops       int     `json:"ops"`
@@ -156,18 +153,8 @@ type jsonLoad struct {
 // in-process server (default, E20's engine), open loop against the same
 // (-rate, S2's engine), or closed loop against an already-running external
 // cluster (-addrs, E21's smoke cell).
-func runLoad(wireName string, clients, perConn, ops int, rate float64, dur time.Duration, addrs, backups, jsonOut string) int {
-	var wire rpc.WireFormat
-	switch wireName {
-	case "binary":
-		wire = rpc.WireBinary
-	case "gob":
-		wire = rpc.WireGob
-	default:
-		fmt.Fprintf(os.Stderr, "load: unknown wire format %q (binary or gob)\n", wireName)
-		return 1
-	}
-	out := jsonLoad{Wire: wireName, Clients: clients}
+func runLoad(clients, perConn, ops int, rate float64, dur time.Duration, addrs, backups, jsonOut string) int {
+	out := jsonLoad{Clients: clients}
 	var res workload.LoadResult
 	var hist *obs.Histogram
 	switch {
@@ -186,32 +173,32 @@ func runLoad(wireName string, clients, perConn, ops int, rate float64, dur time.
 		// the servers' duplicate caches, a reused path their namespace.
 		uniq := uint64(time.Now().UnixNano())
 		var err error
-		res, hist, err = experiments.ClusterLoadRun(endpoints, backupList, wire, clients, ops, uniq, fmt.Sprintf("%x", uniq))
+		res, hist, err = experiments.ClusterLoadRun(endpoints, backupList, clients, ops, uniq, fmt.Sprintf("%x", uniq))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load: %v\n", err)
 			return 1
 		}
 		out.Mode, out.Addrs = "cluster", addrs
-		fmt.Printf("cluster=%s wire=%s clients=%d ops=%d\n", addrs, wireName, clients, res.Ops)
+		fmt.Printf("cluster=%s clients=%d ops=%d\n", addrs, clients, res.Ops)
 	case rate > 0:
-		open, h, err := experiments.LoadRunOpen(wire, clients, perConn, rate, dur)
+		open, h, err := experiments.LoadRunOpen(clients, perConn, rate, dur)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load: %v\n", err)
 			return 1
 		}
 		res, hist = open.LoadResult, h
 		out.Mode, out.Offered = "open", open.Offered
-		fmt.Printf("wire=%s clients=%d per-conn=%d rate=%.0f/s offered=%d completed=%d\n",
-			wireName, clients, perConn, rate, open.Offered, open.Ops)
+		fmt.Printf("clients=%d per-conn=%d rate=%.0f/s offered=%d completed=%d\n",
+			clients, perConn, rate, open.Offered, open.Ops)
 	default:
 		var err error
-		res, hist, err = experiments.LoadRun(wire, clients, perConn, ops, nil)
+		res, hist, err = experiments.LoadRun(clients, perConn, ops, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load: %v\n", err)
 			return 1
 		}
 		out.Mode = "closed"
-		fmt.Printf("wire=%s clients=%d per-conn=%d ops=%d\n", wireName, clients, perConn, res.Ops)
+		fmt.Printf("clients=%d per-conn=%d ops=%d\n", clients, perConn, res.Ops)
 	}
 	fmt.Printf("wall=%v ops/sec=%.0f MB/s=%.1f\n",
 		res.Wall.Round(time.Millisecond), res.OpsPerSec(),

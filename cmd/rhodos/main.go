@@ -99,22 +99,11 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:7423", "rhodosd address (single server)")
 	addrs := flag.String("addrs", "", "comma-separated cluster endpoints in shard order (overrides -addr)")
 	backups := flag.String("backups", "", "comma-separated backup address per shard for failover (with -addrs; empty entries allowed)")
-	wireName := flag.String("wire", "binary", "wire format: binary (multiplexed) or gob (legacy serial); must match the server")
 	cache := flag.Bool("cache", false, "coherent client cache: lease-protected local reads, recall callbacks, write-back on exit")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
 		return usage()
-	}
-	var wire rpc.WireFormat
-	switch *wireName {
-	case "binary":
-		wire = rpc.WireBinary
-	case "gob":
-		wire = rpc.WireGob
-	default:
-		fmt.Fprintf(os.Stderr, "rhodos: unknown wire format %q (binary or gob)\n", *wireName)
-		return 2
 	}
 	clientID := uint64(os.Getpid())
 	rec := obs.New()
@@ -129,7 +118,6 @@ func run() int {
 			Endpoints: strings.Split(*addrs, ","),
 			Backups:   backupList,
 			ClientID:  clientID,
-			Wire:      wire,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
@@ -159,9 +147,8 @@ func run() int {
 	} else {
 		var ccp atomic.Pointer[ccache.Client]
 		var dialOpts []rpc.TCPOption
-		dialOpts = append(dialOpts, rpc.WithWireFormat(wire))
 		if *cache {
-			dialOpts = append(dialOpts,
+			dialOpts = []rpc.TCPOption{
 				rpc.WithPushHandler(func(method string, body []byte) {
 					if method != ccache.MRecall {
 						return
@@ -176,7 +163,7 @@ func run() int {
 					if cc := ccp.Load(); cc != nil {
 						cc.DropLeases(nil)
 					}
-				}))
+				})}
 		}
 		tr, err := rpc.DialTCP(*addr, dialOpts...)
 		if err != nil {
@@ -185,7 +172,7 @@ func run() int {
 		}
 		defer func() { _ = tr.Close() }()
 		rcl := rpc.NewClient(tr, clientID, 10, nil)
-		base := singleClient{&rpcfs.Client{C: rcl, Wire: wire}}
+		base := singleClient{&rpcfs.Client{C: rcl}}
 		cl = base
 		if *cache {
 			cc, err := ccache.New(ccache.Config{

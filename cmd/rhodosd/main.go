@@ -66,25 +66,11 @@ func main() {
 	os.Exit(run())
 }
 
-// parseWire maps the -wire flag to a transport wire format. Client
-// (cmd/rhodos) and server must agree.
-func parseWire(name string) (rpc.WireFormat, error) {
-	switch name {
-	case "binary":
-		return rpc.WireBinary, nil
-	case "gob":
-		return rpc.WireGob, nil
-	default:
-		return 0, fmt.Errorf("unknown wire format %q (binary or gob)", name)
-	}
-}
-
 func run() int {
 	listen := flag.String("listen", "127.0.0.1:7423", "TCP listen address")
 	disks := flag.Int("disks", 1, "number of simulated data disks")
 	tracks := flag.Int("tracks", 4096, "tracks per disk (32 fragments each; 4096 = 256MB)")
 	debug := flag.String("debug", "", "HTTP listen address for /debug/profile and /debug/flight (empty = off)")
-	wireName := flag.String("wire", "binary", "wire format: binary (multiplexed) or gob (legacy serial)")
 	shardSpec := flag.String("shard", "", "this server's shard as i/N (empty = single-node 0/1)")
 	peers := flag.String("peers", "", "comma-separated endpoint list for all N shards, in shard order (defaults to -listen for a single-node cluster)")
 	leaseTTL := flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "network lock lease duration")
@@ -92,11 +78,6 @@ func run() int {
 	roleName := flag.String("role", "none", "replication role for this shard: none, primary, or backup")
 	replTTL := flag.Duration("repl-ttl", cluster.DefaultReplTTL, "replication lease: the backup promotes after this much primary silence")
 	flag.Parse()
-	wire, err := parseWire(*wireName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rhodosd: %v\n", err)
-		return 2
-	}
 	shard, shards, err := cluster.ParseShard(*shardSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rhodosd: %v\n", err)
@@ -168,7 +149,7 @@ func run() int {
 
 	var backupClient *rpc.Client
 	if role == cluster.RolePrimary {
-		tr, err := rpc.DialTCP(backups[shard], rpc.WithWireFormat(wire), rpc.WithLazyDial())
+		tr, err := rpc.DialTCP(backups[shard], rpc.WithLazyDial())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rhodosd: dialing backup: %v\n", err)
 			return 1
@@ -177,7 +158,7 @@ func run() int {
 		backupClient = rpc.NewClient(tr, cluster.ReplClientID(shard), 3, nil)
 	}
 
-	srv := &rpcfs.Server{Files: fac.Files, Naming: fac.Naming, Wire: wire}
+	srv := &rpcfs.Server{Files: fac.Files, Naming: fac.Naming}
 	// The client-cache lease manager sits between the cluster service and
 	// the rpcfs handler: it serves cc.lease.* acquires, recalls conflicting
 	// holders over the connection's push channel, and versions mutations.
@@ -185,7 +166,6 @@ func run() int {
 	// table survives a failover with the data.
 	ccSrv, err := ccache.NewServer(ccache.ServerConfig{
 		Inner: srv.HandlerCtx(),
-		Wire:  wire,
 		Size:  func(file uint64) (int64, error) { return fac.Files.Size(fileservice.FileID(file)) },
 		Obs:   rec,
 	})
@@ -199,7 +179,6 @@ func run() int {
 		Map:      cluster.Map{Version: 1, Endpoints: endpoints, Backups: backups},
 		Inner:    ccSrv.Handler,
 		InnerCtx: ccSrv.HandlerCtx,
-		Wire:     wire,
 		Locks:    fac.Locks(),
 		LeaseTTL: *leaseTTL,
 		Role:     role,
@@ -220,7 +199,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rhodosd: listen: %v\n", err)
 		return 1
 	}
-	tcpSrv := rpc.Serve(ln, ep, rpc.WithWireFormat(wire))
+	tcpSrv := rpc.Serve(ln, ep)
 	defer func() { _ = tcpSrv.Close() }()
 	fmt.Printf("rhodosd: serving shard %d/%d (role %v), %d disk(s) on %s\n", shard, shards, svc.Role(), *disks, tcpSrv.Addr())
 

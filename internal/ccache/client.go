@@ -19,7 +19,8 @@ import (
 // so a cached block is exactly one server-side block.
 const BlockSize = fileservice.BlockSize
 
-// DefaultBlocks is the cache capacity when Config leaves it zero.
+// DefaultBlocks is the cache capacity in blocks. Dirty blocks are never
+// evicted, so the cap is soft while unflushed writes accumulate.
 const DefaultBlocks = 1024
 
 // FlushSink receives write-back traffic: the dirty runs a flush pushes
@@ -59,10 +60,6 @@ type Config struct {
 	// flushes travel under, so the server can tell a holder's own
 	// write-back from a conflicting client's write. Required with Lease.
 	ClientID uint64
-	// Blocks caps the cache size in blocks (DefaultBlocks when zero).
-	// Dirty blocks are never evicted, so the cap is soft while unflushed
-	// writes accumulate.
-	Blocks int
 	// Sink overrides where flushed dirty runs go (default: Inner).
 	//
 	// Ordering rule: a flush installed in txn.GroupCommitConfig.Barrier
@@ -117,7 +114,6 @@ type Client struct {
 	sink     FlushSink
 	batch    BatchFlushSink
 	clientID uint64
-	capacity int
 	rec      *obs.Recorder
 	now      func() time.Time
 
@@ -142,10 +138,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Lease != nil && cfg.ClientID == 0 {
 		return nil, errors.New("ccache: leased mode requires a client ID")
 	}
-	capacity := cfg.Blocks
-	if capacity <= 0 {
-		capacity = DefaultBlocks
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -159,7 +151,6 @@ func New(cfg Config) (*Client, error) {
 		lease:    cfg.Lease,
 		sink:     sink,
 		clientID: cfg.ClientID,
-		capacity: capacity,
 		rec:      cfg.Obs,
 		now:      now,
 		files:    make(map[fileservice.FileID]*fileState),
@@ -299,7 +290,7 @@ func (c *Client) dropCleanLocked(st *fileState) {
 // blocks (never dirty ones — those hold unflushed writes). Map iteration
 // order makes this approximately random replacement. Callers hold mu.
 func (c *Client) evictLocked() {
-	if c.total <= c.capacity {
+	if c.total <= DefaultBlocks {
 		return
 	}
 	for _, st := range c.files {
@@ -309,7 +300,7 @@ func (c *Client) evictLocked() {
 			}
 			delete(st.blocks, blk)
 			c.total--
-			if c.total <= c.capacity {
+			if c.total <= DefaultBlocks {
 				return
 			}
 		}

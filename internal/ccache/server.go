@@ -18,20 +18,13 @@ type ServerConfig struct {
 	// Inner is the wrapped handler executing file requests (an rpcfs
 	// Server.HandlerCtx). Required.
 	Inner func(ctx context.Context, method string, body []byte) ([]byte, error)
-	// Wire decodes file requests for the conflict check; must match the
-	// inner rpcfs server's payload codec.
+	// Wire is inert; kept only because bench/rig.go sets it.
 	Wire rpc.WireFormat
 	// Size reports a file's current size for lease grants (raw file
 	// IDs). Required.
 	Size func(file uint64) (int64, error)
 	// TTL is the lease duration (DefaultTTL when zero).
 	TTL time.Duration
-	// RecallWait bounds how long a conflicting operation waits for a
-	// recalled holder before the lease is broken (DefaultRecallWait when
-	// zero).
-	RecallWait time.Duration
-	// SweepEvery is the expired-lease sweeper period (TTL/4 when zero).
-	SweepEvery time.Duration
 	// Obs receives lease telemetry. Optional.
 	Obs *obs.Recorder
 	// Now is the lease clock; nil means time.Now.
@@ -85,13 +78,11 @@ func (f *srvFile) empty() bool { return len(f.holders) == 0 && f.inflight == 0 &
 // conflicts only need acks, which bypass the order lock, and are waited
 // out inline.
 type Server struct {
-	inner      func(ctx context.Context, method string, body []byte) ([]byte, error)
-	wire       rpc.WireFormat
-	sizeFn     func(file uint64) (int64, error)
-	ttl        time.Duration
-	recallWait time.Duration
-	rec        *obs.Recorder
-	now        func() time.Time
+	inner  func(ctx context.Context, method string, body []byte) ([]byte, error)
+	sizeFn func(file uint64) (int64, error)
+	ttl    time.Duration
+	rec    *obs.Recorder
+	now    func() time.Time
 
 	// verGen mints file versions: globally unique and monotonic, so a
 	// file whose lease record was garbage-collected and recreated can
@@ -121,32 +112,22 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	wait := cfg.RecallWait
-	if wait <= 0 {
-		wait = DefaultRecallWait
-	}
-	sweep := cfg.SweepEvery
-	if sweep <= 0 {
-		sweep = ttl / 4
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
 	s := &Server{
-		inner:      cfg.Inner,
-		wire:       cfg.Wire,
-		sizeFn:     cfg.Size,
-		ttl:        ttl,
-		recallWait: wait,
-		rec:        cfg.Obs,
-		now:        now,
-		files:      make(map[uint64]*srvFile),
-		pushers:    make(map[uint64]rpc.Pusher),
-		stop:       make(chan struct{}),
+		inner:   cfg.Inner,
+		sizeFn:  cfg.Size,
+		ttl:     ttl,
+		rec:     cfg.Obs,
+		now:     now,
+		files:   make(map[uint64]*srvFile),
+		pushers: make(map[uint64]rpc.Pusher),
+		stop:    make(chan struct{}),
 	}
 	s.wg.Add(1)
-	go s.sweepLoop(sweep)
+	go s.sweepLoop(ttl / 4)
 	return s, nil
 }
 
@@ -184,7 +165,7 @@ func (s *Server) HandlerCtx(ctx context.Context, method string, body []byte) ([]
 	case MLeaseAck:
 		return nil, s.handleAck(body)
 	}
-	fid, mutating, ok, err := rpcfs.FileOfRequest(method, body, s.wire)
+	fid, mutating, ok, err := rpcfs.FileOfRequest(method, body)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +332,7 @@ func (s *Server) endMutation(file uint64, ok bool) {
 // access (exclusive = a write or write-lease acquire, which conflicts
 // with every other holder; shared conflicts only with write leases).
 func (s *Server) recallConflicts(file, requester uint64, exclusive bool) error {
-	deadline := s.now().Add(s.recallWait)
+	deadline := s.now().Add(DefaultRecallWait)
 	fenced := false
 	defer func() {
 		if fenced {
@@ -435,7 +416,7 @@ func (s *Server) recallRound(file, requester uint64, exclusive bool) (pending in
 				s.rec.Gauge(MetricLeaseBroken).Inc()
 				continue
 			}
-			h.recallAt = now.Add(s.recallWait)
+			h.recallAt = now.Add(DefaultRecallWait)
 			h.recallStart = now
 			// Push bodies must be plain allocations (see rpc.Pusher):
 			// AppendRecall over nil allocates fresh.

@@ -41,8 +41,7 @@ type RouterConfig struct {
 	// errors or not-primary rejections the shard's transport alternates
 	// between the pair until one answers as primary.
 	Backups []string
-	// Wire selects the transport and rpcfs payload format for every
-	// connection; must match the servers'.
+	// Wire is inert; kept only because bench/rig.go sets it.
 	Wire rpc.WireFormat
 	// Metrics receives rpc client counters. Optional.
 	Metrics *metrics.Set
@@ -117,7 +116,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for i, addr := range cfg.Endpoints {
 		shard := i
 		tr, err := rpc.DialTCP(addr,
-			rpc.WithWireFormat(cfg.Wire),
 			rpc.WithLazyDial(),
 			rpc.WithAddrResolver(func(prev string) string { return r.failoverAddr(shard, prev) }),
 			rpc.WithPushHandler(func(method string, body []byte) {
@@ -138,7 +136,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rc.SetRetryOn(func(se *rpc.ServiceError) bool { return IsNotReady(se) })
 		r.trs = append(r.trs, tr)
 		r.rcs = append(r.rcs, rc)
-		r.fs = append(r.fs, &rpcfs.Client{C: rc, Wire: cfg.Wire})
+		r.fs = append(r.fs, &rpcfs.Client{C: rc})
 		r.leases = append(r.leases, &ccache.DirectLease{C: rc})
 	}
 	return r, nil

@@ -45,16 +45,13 @@ type ServiceConfig struct {
 	// Inner is the wrapped rpcfs server handler executing owned requests.
 	// Required.
 	Inner rpc.Handler
-	// Wire is the payload codec of the inner rpcfs server, needed to decode
-	// path-addressed requests for the ownership check.
+	// Wire is inert; kept only because bench/rig.go sets it.
 	Wire rpc.WireFormat
 	// Locks enables the network lock service; nil serves file/name methods
 	// only.
 	Locks *lock.Manager
 	// LeaseTTL is the client lease duration (DefaultLeaseTTL when zero).
 	LeaseTTL time.Duration
-	// SweepEvery is the lease sweeper period (LeaseTTL/4 when zero).
-	SweepEvery time.Duration
 	// Now is the lease clock; nil means time.Now.
 	Now func() time.Time
 	// Fault is consulted at PtLeaseSweep, PtReplShip, and PtReplAck.
@@ -92,7 +89,6 @@ type Service struct {
 	shard    int
 	shards   int
 	inner    rpc.Handler
-	wire     rpc.WireFormat
 	locks    *lock.Manager
 	leases   *LeaseTable
 	inj      *fault.Injector
@@ -135,10 +131,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	sweep := cfg.SweepEvery
-	if sweep <= 0 {
-		sweep = ttl / 4
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -150,7 +142,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		cur:     m,
 		mapBody: appendMap(make([]byte, 0, mapSize(m)), m),
 		inner:   cfg.Inner,
-		wire:    cfg.Wire,
 		rec:     cfg.Obs,
 		locks:   cfg.Locks,
 		inj:     cfg.Fault,
@@ -167,7 +158,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Locks != nil {
 		s.leases = NewLeaseTable(ttl, cfg.Now)
 		s.wg.Add(1)
-		go s.sweep(sweep)
+		go s.sweep(ttl / 4)
 	}
 	rttl := cfg.ReplTTL
 	if rttl <= 0 {
@@ -264,18 +255,12 @@ func (s *Service) Close() {
 // lock manager.
 func (s *Service) Leases() *LeaseTable { return s.leases }
 
-// Handle is the rpc.Handler adapter over HandleRequest for callers without
-// request identity (tests, single-process rigs). Mutations executed through
-// it replicate without duplicate-cache seeding — there is no client to
-// seed for.
+// Handle is the rpc.Handler adapter over HandleRequestCtx for callers
+// without request identity or a span context (tests, single-process rigs).
+// Mutations executed through it replicate without duplicate-cache seeding —
+// there is no client to seed for.
 func (s *Service) Handle(method string, body []byte) ([]byte, error) {
-	return s.HandleRequest(rpc.Request{Method: method, Body: body})
-}
-
-// HandleRequest is the rpc.RequestHandler adapter over HandleRequestCtx
-// for callers without a span context.
-func (s *Service) HandleRequest(req rpc.Request) ([]byte, error) {
-	return s.HandleRequestCtx(context.Background(), req)
+	return s.HandleRequestCtx(context.Background(), rpc.Request{Method: method, Body: body})
 }
 
 // HandleRequestCtx is the rpc.CtxRequestHandler: cluster methods are
@@ -312,7 +297,7 @@ func (s *Service) HandleRequestCtx(ctx context.Context, req rpc.Request) ([]byte
 	// shard is redirected, not executed. ID-addressed requests carry raw
 	// per-server IDs (the router strips the shard tag), and name.list is
 	// answered locally — the router fans it out and merges.
-	if path, ok, err := rpcfs.PathOfRequest(req.Method, req.Body, s.wire); err != nil {
+	if path, ok, err := rpcfs.PathOfRequest(req.Method, req.Body); err != nil {
 		return nil, err
 	} else if ok {
 		if home := ShardForPath(path, s.shards); home != s.shard {

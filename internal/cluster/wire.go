@@ -1,9 +1,8 @@
 package cluster
 
-// Cluster control-plane methods and their payloads. These are new with the
-// multi-node subsystem, so unlike rpcfs there is no gob legacy: payloads are
-// always the fixed-layout binary encoding (big-endian integers, u32-length-
-// prefixed strings), independent of the transport's wire format.
+// Cluster control-plane methods and their payloads: the same fixed-layout
+// binary encoding as rpcfs (big-endian integers, u32-length-prefixed
+// strings).
 
 import (
 	"encoding/binary"

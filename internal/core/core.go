@@ -53,19 +53,14 @@ type Config struct {
 	Disks int
 	// Layout arranges the disks under the file service (default LayoutPlain).
 	Layout Layout
-	// ParityUnitFragments is the parity layout's stripe unit (default 1
-	// fragment, so 4 data disks make an 8 KB block one full stripe).
-	ParityUnitFragments int
 	// Geometry sizes each disk (default device.DefaultGeometry, 64 MB).
 	Geometry device.Geometry
 	// Model is the drive timing model (default device.DefaultModel).
 	Model device.Model
 	// LogFragments sizes the write-ahead log region (default 512 = 1 MB).
 	LogFragments int
-	// ServerCacheBlocks / ClientCacheBlocks size the file-service and
-	// file-agent caches.
+	// ServerCacheBlocks sizes the file-service cache.
 	ServerCacheBlocks int
-	ClientCacheBlocks int
 	// TrackCacheTracks sizes each disk server's read-ahead cache.
 	TrackCacheTracks int
 	// Stripe selects extent placement (default Locality).
@@ -75,8 +70,6 @@ type Config struct {
 	// LT and MaxRenewals configure deadlock timeouts (§6.4).
 	LT          time.Duration
 	MaxRenewals int
-	// LockClock drives lock timeouts (default wall clock).
-	LockClock simclock.Clock
 	// Metrics receives all counters; created if nil.
 	Metrics *metrics.Set
 	// ForceTechnique overrides the §6.7 commit-technique rule (ablation E8).
@@ -88,13 +81,9 @@ type Config struct {
 	// AllowMixedLevels enables §6.1's deferred relaxation: one file may be
 	// locked at several granularities by concurrent transactions.
 	AllowMixedLevels bool
-	// AdaptiveLockLevel derives a file's default lock level from its open
-	// frequency (§7).
-	AdaptiveLockLevel bool
 	// Ablations.
 	DisableReadAhead   bool // disk-service track cache off (E5)
 	DisableClientCache bool // file-agent cache off (E6)
-	CombinedLockTable  bool // one lock table for all levels (E12)
 	// Fault is the deterministic fault injector threaded through the storage
 	// stack (devices, stable stores, the WAL, the commit sequence, parity
 	// rebuild). It survives Crash remounts, so a schedule armed before the
@@ -242,13 +231,12 @@ func (c *Cluster) buildArray() error {
 	}
 	var err error
 	c.parity, err = parity.New(parity.Config{
-		ID:            0,
-		Disks:         c.servers,
-		UnitFragments: c.cfg.ParityUnitFragments,
-		Metrics:       c.cfg.Metrics,
-		Overlap:       c.timeGroup,
-		Fault:         c.cfg.Fault,
-		Obs:           c.cfg.Obs,
+		ID:      0,
+		Disks:   c.servers,
+		Metrics: c.cfg.Metrics,
+		Overlap: c.timeGroup,
+		Fault:   c.cfg.Fault,
+		Obs:     c.cfg.Obs,
 	})
 	if err != nil {
 		return fmt.Errorf("core: building parity array: %w", err)
@@ -286,20 +274,14 @@ func (c *Cluster) buildServices(fresh bool) error {
 	if err != nil {
 		return err
 	}
-	clk := c.cfg.LockClock
-	if clk == nil {
-		clk = &simclock.Wall{}
-	}
 	c.locks = lock.New(lock.Config{
-		Clock: clk, LT: c.cfg.LT, MaxRenewals: c.cfg.MaxRenewals,
-		Metrics: c.cfg.Metrics, Combined: c.cfg.CombinedLockTable,
-		AllowMixedLevels: c.cfg.AllowMixedLevels, Obs: c.cfg.Obs,
+		Clock: &simclock.Wall{}, LT: c.cfg.LT, MaxRenewals: c.cfg.MaxRenewals,
+		Metrics: c.cfg.Metrics, AllowMixedLevels: c.cfg.AllowMixedLevels, Obs: c.cfg.Obs,
 	})
 	c.Txns, err = txn.New(txn.Config{
 		Files: c.Files, Log: c.Log, Locks: c.locks,
 		Metrics: c.cfg.Metrics, ForceTechnique: c.cfg.ForceTechnique,
-		AdaptiveDefault: c.cfg.AdaptiveLockLevel, Fault: c.cfg.Fault,
-		Obs: c.cfg.Obs, Group: c.cfg.GroupCommit,
+		Fault: c.cfg.Fault, Obs: c.cfg.Obs, Group: c.cfg.GroupCommit,
 	})
 	return err
 }
@@ -311,7 +293,6 @@ func (c *Cluster) NewMachine() (*agent.Machine, error) {
 		Files:              c.Files,
 		Txns:               c.Txns,
 		Metrics:            c.cfg.Metrics,
-		CacheBlocks:        c.cfg.ClientCacheBlocks,
 		DisableClientCache: c.cfg.DisableClientCache,
 		Obs:                c.cfg.Obs,
 	})

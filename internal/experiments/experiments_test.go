@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rpc"
 )
 
 // cell parses a table cell as an integer.
@@ -415,23 +414,23 @@ func TestE20Shape(t *testing.T) {
 	const clients, ops = 16, 25
 	var ratio float64
 	for attempt := 0; attempt < 2; attempt++ {
-		gob, _, err := LoadRun(rpc.WireGob, clients, e20AgentsPerConn, ops, nil)
+		serial, _, err := loadRun(true, clients, e20AgentsPerConn, ops, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mux, hist, err := LoadRun(rpc.WireBinary, clients, e20AgentsPerConn, ops, nil)
+		mux, hist, err := loadRun(false, clients, e20AgentsPerConn, ops, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gob.Ops != clients*ops || mux.Ops != clients*ops {
-			t.Fatalf("ops = %d gob, %d mux, want %d", gob.Ops, mux.Ops, clients*ops)
+		if serial.Ops != clients*ops || mux.Ops != clients*ops {
+			t.Fatalf("ops = %d serial, %d mux, want %d", serial.Ops, mux.Ops, clients*ops)
 		}
 		if hist.Count() != int64(mux.Ops) {
 			t.Fatalf("latency samples = %d, want %d", hist.Count(), mux.Ops)
 		}
-		ratio = mux.OpsPerSec() / gob.OpsPerSec()
-		t.Logf("E20 attempt %d: gob %.0f ops/sec, mux %.0f ops/sec, ratio %.2f",
-			attempt, gob.OpsPerSec(), mux.OpsPerSec(), ratio)
+		ratio = mux.OpsPerSec() / serial.OpsPerSec()
+		t.Logf("E20 attempt %d: serial %.0f ops/sec, mux %.0f ops/sec, ratio %.2f",
+			attempt, serial.OpsPerSec(), mux.OpsPerSec(), ratio)
 		if ratio >= 2 {
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/agent"
@@ -20,7 +21,7 @@ import (
 
 // E20 parameters. Eight client agents share each TCP connection — the
 // configuration where per-connection head-of-line blocking shows or doesn't:
-// the serial gob transport admits one request per connection at a time, so a
+// the serial baseline admits one request per connection at a time, so a
 // connection's throughput is capped at 1/(agentsPerConn × service time),
 // while the multiplexed transport keeps all eight requests of a connection
 // in flight at once.
@@ -50,38 +51,38 @@ func e20Ops(clients int) int {
 // E20LoadScaling measures the serving path under closed-loop concurrency:
 // 1/8/64/256 client agents (8 per TCP connection) driving positional reads
 // and writes through agent → rpcfs → rpc → fileservice over real loopback
-// TCP, once over the legacy gob-serial transport and once over the
-// multiplexed binary transport. Each server-side request carries a 1 ms
-// injected service time; the multiplexed transport overlaps those across a
-// connection, the serial baseline cannot.
+// TCP, once with one call in flight per connection (serialTransport) and once
+// multiplexed — same frames, same codec. Each server-side request carries a
+// 1 ms injected service time; the multiplexed transport overlaps those across
+// a connection, the serial baseline cannot.
 func E20LoadScaling() (*Table, error) {
 	t := &Table{
 		ID:      "E20",
-		Title:   "Closed-loop load: gob-serial vs multiplexed-binary transport",
+		Title:   "Closed-loop load: serial vs multiplexed use of a connection",
 		Claim:   "connection multiplexing sustains concurrent clients per connection; the serial transport serializes them",
-		Columns: []string{"transport", "clients", "conns", "ops", "wall", "ops/sec", "p50", "p95", "p99", "vs gob"},
+		Columns: []string{"transport", "clients", "conns", "ops", "wall", "ops/sec", "p50", "p95", "p99", "vs serial"},
 	}
 	rec := obs.New() // headline profile: the largest multiplexed cell
 	for _, clients := range []int{1, 8, 64, 256} {
-		var gobOps float64
-		for _, wire := range []rpc.WireFormat{rpc.WireGob, rpc.WireBinary} {
+		var serialOps float64
+		for _, serial := range []bool{true, false} {
 			var cellRec *obs.Recorder
-			if wire == rpc.WireBinary && clients == 256 {
+			if !serial && clients == 256 {
 				cellRec = rec
 			}
-			res, hist, err := LoadRun(wire, clients, e20AgentsPerConn, e20Ops(clients), cellRec)
+			res, hist, err := loadRun(serial, clients, e20AgentsPerConn, e20Ops(clients), cellRec)
 			if err != nil {
 				return nil, err
 			}
 			opsPerSec := res.OpsPerSec()
-			ratio := "—"
-			if wire == rpc.WireGob {
-				gobOps = opsPerSec
-			} else if gobOps > 0 {
-				ratio = fmt.Sprintf("%.1fx", opsPerSec/gobOps)
+			label, ratio := "multiplexed", "—"
+			if serial {
+				label, serialOps = "serial", opsPerSec
+			} else if serialOps > 0 {
+				ratio = fmt.Sprintf("%.1fx", opsPerSec/serialOps)
 			}
 			conns := (clients + e20AgentsPerConn - 1) / e20AgentsPerConn
-			t.AddRow(wire.String(), clients, conns, res.Ops, res.Wall,
+			t.AddRow(label, clients, conns, res.Ops, res.Wall,
 				fmt.Sprintf("%.0f", opsPerSec),
 				hist.Quantile(0.50), hist.Quantile(0.95), hist.Quantile(0.99), ratio)
 		}
@@ -90,8 +91,8 @@ func E20LoadScaling() (*Table, error) {
 		fmt.Sprintf("closed loop over real loopback TCP: %d agents per connection, %d KB ops, %.0f%% reads, client cache off",
 			e20AgentsPerConn, e20OpSize>>10, e20ReadFrac*100),
 		fmt.Sprintf("every request carries a %s injected service time at the server dispatch point (rpc.tcp.serve) — the media-time stand-in the transports must overlap", e20ServiceTime),
-		"gob rows: one request in flight per connection (the old transport's mutex across the round trip)",
-		"binary rows: tagged frames multiplex each connection; the worker pool executes a connection's requests concurrently",
+		"serial rows: one request in flight per connection (a mutex across the round trip), same frames and codec",
+		"multiplexed rows: tagged frames multiplex each connection; the worker pool executes a connection's requests concurrently",
 		"the per-layer profile below traces the largest multiplexed cell (256 clients)")
 	t.Profile = rec.Profile()
 	return t, nil
@@ -127,7 +128,27 @@ func (r *loadRig) close() {
 	}
 }
 
-func newLoadRig(wire rpc.WireFormat, clients, agentsPerConn int, rec *obs.Recorder) (*loadRig, error) {
+// serialTransport is E20's baseline: the production transport with one call
+// in flight per connection, so serial and multiplexed rows differ only in
+// what the experiment is about.
+type serialTransport struct {
+	*rpc.TCPTransport
+	mu sync.Mutex
+}
+
+func (s *serialTransport) Send(req rpc.Request) (rpc.Response, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.TCPTransport.Send(req)
+}
+
+func (s *serialTransport) SendWithDeadline(req rpc.Request, deadline time.Time) (rpc.Response, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.TCPTransport.SendWithDeadline(req, deadline)
+}
+
+func newLoadRig(serial bool, clients, agentsPerConn int, rec *obs.Recorder) (*loadRig, error) {
 	if clients <= 0 || agentsPerConn <= 0 {
 		return nil, fmt.Errorf("experiments: bad load cell: %d clients, %d per conn", clients, agentsPerConn)
 	}
@@ -147,9 +168,7 @@ func newLoadRig(wire rpc.WireFormat, clients, agentsPerConn int, rec *obs.Record
 	}
 	r.closes = append(r.closes, func() { _ = c.Close() })
 
-	// The payload codec follows the transport: gob rows measure the legacy
-	// stack end to end (gob frames, gob payloads), binary rows the new one.
-	srv := &rpcfs.Server{Files: c.Files, Naming: c.Naming, Wire: wire}
+	srv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
 	ep := rpc.NewEndpoint(srv.Handler(), rpc.WithMetrics(c.Metrics), rpc.WithObs(rec), rpc.WithWindow(4096))
 	inj := fault.NewInjector(0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -158,18 +177,21 @@ func newLoadRig(wire rpc.WireFormat, clients, agentsPerConn int, rec *obs.Record
 	}
 	// Workers sized so injected service-time sleeps never starve the pool:
 	// every in-flight request can hold a worker simultaneously.
-	tsrv := rpc.Serve(ln, ep, rpc.WithWireFormat(wire), rpc.WithInjector(inj), rpc.WithWorkers(2*clients+16))
+	tsrv := rpc.Serve(ln, ep, rpc.WithInjector(inj), rpc.WithWorkers(2*clients+16))
 	r.closes = append(r.closes, func() { _ = tsrv.Close() })
 
 	conns := (clients + agentsPerConn - 1) / agentsPerConn
-	transports := make([]*rpc.TCPTransport, conns)
+	transports := make([]rpc.Transport, conns)
 	for i := range transports {
-		tr, err := rpc.DialTCP(tsrv.Addr().String(), rpc.WithWireFormat(wire))
+		tr, err := rpc.DialTCP(tsrv.Addr().String())
 		if err != nil {
 			return fail(err)
 		}
 		r.closes = append(r.closes, func() { _ = tr.Close() })
 		transports[i] = tr
+		if serial {
+			transports[i] = &serialTransport{TCPTransport: tr}
+		}
 	}
 
 	// Build one agent machine per client over its share of the connections
@@ -178,7 +200,7 @@ func newLoadRig(wire rpc.WireFormat, clients, agentsPerConn int, rec *obs.Record
 	r.agents = make([]workload.LoadAgent, clients)
 	seed := make([]byte, e20FileSize)
 	for i := 0; i < clients; i++ {
-		cl := &rpcfs.Client{C: rpc.NewClient(transports[i/agentsPerConn], uint64(i+1), 10, c.Metrics), Wire: wire}
+		cl := &rpcfs.Client{C: rpc.NewClient(transports[i/agentsPerConn], uint64(i+1), 10, c.Metrics)}
 		m, err := agent.NewMachine(agent.MachineConfig{
 			Naming:             c.Naming,
 			Files:              cl,
@@ -190,7 +212,7 @@ func newLoadRig(wire rpc.WireFormat, clients, agentsPerConn int, rec *obs.Record
 		}
 		proc := m.NewProcess()
 		fa := m.FileAgent()
-		fd, err := fa.Create(proc, fmt.Sprintf("/e20/%s/client%d", wire, i), fit.Attributes{})
+		fd, err := fa.Create(proc, fmt.Sprintf("/e20/client%d", i), fit.Attributes{})
 		if err != nil {
 			return fail(err)
 		}
@@ -209,8 +231,13 @@ func newLoadRig(wire rpc.WireFormat, clients, agentsPerConn int, rec *obs.Record
 // opsPerAgent timed operations back to back. Exported for cmd/rhodos-bench's
 // -load mode. rec (optional) receives the spans of every layer on both sides
 // of the wire.
-func LoadRun(wire rpc.WireFormat, clients, agentsPerConn, opsPerAgent int, rec *obs.Recorder) (workload.LoadResult, *obs.Histogram, error) {
-	rig, err := newLoadRig(wire, clients, agentsPerConn, rec)
+func LoadRun(clients, agentsPerConn, opsPerAgent int, rec *obs.Recorder) (workload.LoadResult, *obs.Histogram, error) {
+	return loadRun(false, clients, agentsPerConn, opsPerAgent, rec)
+}
+
+// loadRun is LoadRun, optionally over E20's serial baseline.
+func loadRun(serial bool, clients, agentsPerConn, opsPerAgent int, rec *obs.Recorder) (workload.LoadResult, *obs.Histogram, error) {
+	rig, err := newLoadRig(serial, clients, agentsPerConn, rec)
 	if err != nil {
 		return workload.LoadResult{}, nil, err
 	}
@@ -236,8 +263,8 @@ func LoadRun(wire rpc.WireFormat, clients, agentsPerConn, opsPerAgent int, rec *
 // duration, so latency includes queueing delay and a shortfall between
 // offered and completed rate is the overload signature. Exported for
 // cmd/rhodos-bench's -load -rate mode.
-func LoadRunOpen(wire rpc.WireFormat, clients, agentsPerConn int, rate float64, duration time.Duration) (workload.OpenLoopResult, *obs.Histogram, error) {
-	rig, err := newLoadRig(wire, clients, agentsPerConn, nil)
+func LoadRunOpen(clients, agentsPerConn int, rate float64, duration time.Duration) (workload.OpenLoopResult, *obs.Histogram, error) {
+	rig, err := newLoadRig(false, clients, agentsPerConn, nil)
 	if err != nil {
 		return workload.OpenLoopResult{}, nil, err
 	}
@@ -268,7 +295,7 @@ func LoadRunOpen(wire rpc.WireFormat, clients, agentsPerConn int, rate float64, 
 // invocation (the caller derives them from its PID) so client IDs miss the
 // servers' duplicate caches and file names miss the namespace of earlier
 // runs. Exported for cmd/rhodos-bench's -addrs mode.
-func ClusterLoadRun(endpoints, backups []string, wire rpc.WireFormat, clients, opsPerAgent int, baseID uint64, tag string) (workload.LoadResult, *obs.Histogram, error) {
+func ClusterLoadRun(endpoints, backups []string, clients, opsPerAgent int, baseID uint64, tag string) (workload.LoadResult, *obs.Histogram, error) {
 	fail := func(err error) (workload.LoadResult, *obs.Histogram, error) {
 		return workload.LoadResult{}, nil, err
 	}
@@ -282,7 +309,6 @@ func ClusterLoadRun(endpoints, backups []string, wire rpc.WireFormat, clients, o
 			Endpoints: endpoints,
 			Backups:   backups,
 			ClientID:  baseID + uint64(i) + 1,
-			Wire:      wire,
 		})
 		if err != nil {
 			return fail(err)

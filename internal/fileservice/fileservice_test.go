@@ -3,6 +3,7 @@ package fileservice
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -112,6 +113,12 @@ func TestReadPastEOF(t *testing.T) {
 	got, err := r.svc.ReadAt(id, 1, 100)
 	if err != nil || string(got) != "bc" {
 		t.Fatalf("short read = %q, %v", got, err)
+	}
+	// off+n wraps int64: the clamp must still apply (this length arrives
+	// straight off the wire in an fs.readAt body).
+	got, err = r.svc.ReadAt(id, 1, math.MaxInt64)
+	if err != nil || string(got) != "bc" {
+		t.Fatalf("read with n = MaxInt64 = %q, %v", got, err)
 	}
 	got, err = r.svc.ReadAt(id, 10, 5)
 	if err != nil || got != nil {

@@ -68,7 +68,9 @@ func (s *Service) readAt(ctx context.Context, id FileID, off int64, n int) ([]by
 	if off >= size {
 		return nil, nil
 	}
-	if off+int64(n) > size {
+	// Compared as n > size-off: off+n wraps for a peer-supplied n near
+	// MaxInt64 and would skip the clamp.
+	if int64(n) > size-off {
 		n = int(size - off)
 	}
 	out := make([]byte, n)

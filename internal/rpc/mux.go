@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// muxConn is the client side of one multiplexed binary-wire connection.
+// muxConn is the client side of one multiplexed connection.
 // Any number of goroutines issue roundTrips concurrently: each send is
 // tagged with a fresh frame ID, registered in the pending-call map, and
 // queued to the writer goroutine; the reader goroutine decodes response
@@ -148,7 +148,7 @@ type callResult struct {
 // dialMux establishes a multiplexed connection and starts its reader and
 // writer goroutines.
 func dialMux(addr string, opts tcpOpts) (*muxConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.dialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +338,7 @@ restart:
 
 // readLoop decodes response frames and completes their pending calls.
 func (c *muxConn) readLoop() {
-	fr := newFrameReader(c.conn, c.opts.maxFrame)
+	fr := newFrameReader(c.conn, DefaultMaxFrame)
 	for {
 		c.pmu.Lock()
 		c.armReadDeadlineLocked()
@@ -428,7 +428,7 @@ func (c *muxConn) writeLoop() {
 		wrote := false
 		for {
 			if c.claimWrite(w) {
-				err := writeRequest(bw, w.id, &w.req, c.opts.maxFrame)
+				err := writeRequest(bw, w.id, &w.req, DefaultMaxFrame)
 				c.releaseWrite(w.pc)
 				if err != nil {
 					c.fail(errors.Join(ErrDropped, err))

@@ -16,8 +16,7 @@
 // transport used by the cmd/rhodosd server. The TCP wire format is a
 // length-prefixed binary framing (see wire.go) multiplexed over a single
 // connection — many requests in flight, responses in any order, payload
-// buffers recycled through bounded free lists; the legacy serial
-// encoding/gob protocol remains available via WithWireFormat(WireGob).
+// buffers recycled through bounded free lists.
 package rpc
 
 import (
@@ -55,7 +54,7 @@ type Request struct {
 	// tracing (see internal/obs): when nonzero, the binary wire encodes the
 	// traced frame kind and the serving endpoint continues the caller's
 	// span tree instead of rooting its own. Zero — tracing off — keeps the
-	// original frame layout byte-for-byte (and gob omits zero fields).
+	// original frame layout byte-for-byte.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -72,14 +71,11 @@ type Response struct {
 // Handler executes one decoded request.
 type Handler func(method string, body []byte) ([]byte, error)
 
-// RequestHandler executes one decoded request with the client identity
+// CtxRequestHandler executes one decoded request with the client identity
 // visible — what a replicating service needs in order to forward
-// (ClientID, Seq) alongside the operation it ships to its backup.
-type RequestHandler func(Request) ([]byte, error)
-
-// CtxRequestHandler is a RequestHandler that also receives the request
-// context, which carries the endpoint's serving span when the request
-// arrived traced — services thread it through their own instrumented
+// (ClientID, Seq) alongside the operation it ships to its backup — and with
+// the request context, which carries the endpoint's serving span when the
+// request arrived traced: services thread it through their own instrumented
 // layers so the whole execution lands in the caller's span tree.
 type CtxRequestHandler func(ctx context.Context, req Request) ([]byte, error)
 
@@ -119,8 +115,8 @@ func ContextWithPeer(ctx context.Context, p Peer) context.Context {
 }
 
 // PeerFromContext returns the Peer of the request being handled, if the
-// transport provided one (the binary-wire TCP server does; the gob wire and
-// the in-process transport do not).
+// transport provided one (the TCP server does; the in-process transport
+// does not).
 func PeerFromContext(ctx context.Context) (Peer, bool) {
 	p, ok := ctx.Value(peerKey{}).(Peer)
 	return p, ok
@@ -167,15 +163,6 @@ func (c *DupCache) setWindow(n int) {
 	}
 	c.mu.Lock()
 	c.window = n
-	c.mu.Unlock()
-}
-
-func (c *DupCache) setMaxClients(n int) {
-	if n <= 0 {
-		n = DefaultMaxClients
-	}
-	c.mu.Lock()
-	c.maxClients = n
 	c.mu.Unlock()
 }
 
@@ -266,8 +253,7 @@ func isTransient(err error) bool {
 // Endpoint wraps a Handler with the duplicate-request cache.
 type Endpoint struct {
 	handler    Handler
-	reqHandler RequestHandler    // used instead of handler when set
-	ctxHandler CtxRequestHandler // preferred over both when set
+	ctxHandler CtxRequestHandler // used instead of handler when set
 	dup        *DupCache
 	met        *metrics.Set
 	obsRec     *obs.Recorder
@@ -311,23 +297,13 @@ func WithoutDupCache() EndpointOption { return func(e *Endpoint) { e.noDup = tru
 // WithWindow sets the duplicate-cache window size.
 func WithWindow(n int) EndpointOption { return func(e *Endpoint) { e.dup.setWindow(n) } }
 
-// WithMaxClients bounds how many client windows the duplicate cache retains
-// (default DefaultMaxClients); the least recently active client is reclaimed
-// beyond the bound.
-func WithMaxClients(n int) EndpointOption { return func(e *Endpoint) { e.dup.setMaxClients(n) } }
-
-// WithRequestHandler executes requests through h instead of the plain
-// method/body handler, exposing the client identity to the service: the
-// cluster layer forwards (ClientID, Seq) with each replicated mutation so
-// the backup can seed its own duplicate cache. The idempotency machinery —
-// duplicate cache, in-flight suppression — is unchanged.
-func WithRequestHandler(h RequestHandler) EndpointOption {
-	return func(e *Endpoint) { e.reqHandler = h }
-}
-
-// WithCtxRequestHandler is WithRequestHandler for services that accept the
-// request context, so a traced request's span tree flows into the service's
-// own instrumentation.
+// WithCtxRequestHandler executes requests through h instead of the plain
+// method/body handler, exposing the client identity and request context to
+// the service: the cluster layer forwards (ClientID, Seq) with each
+// replicated mutation so the backup can seed its own duplicate cache, and a
+// traced request's span tree flows into the service's own instrumentation.
+// The idempotency machinery — duplicate cache, in-flight suppression — is
+// unchanged.
 func WithCtxRequestHandler(h CtxRequestHandler) EndpointOption {
 	return func(e *Endpoint) { e.ctxHandler = h }
 }
@@ -389,12 +365,9 @@ func (e *Endpoint) handle(ctx context.Context, req Request) Response {
 	}
 	var body []byte
 	var err error
-	switch {
-	case e.ctxHandler != nil:
+	if e.ctxHandler != nil {
 		body, err = e.ctxHandler(ctx, req)
-	case e.reqHandler != nil:
-		body, err = e.reqHandler(req)
-	default:
+	} else {
 		body, err = e.handler(req.Method, req.Body)
 	}
 	resp := Response{Seq: req.Seq, Body: body}

@@ -141,7 +141,7 @@ func TestDupCacheWindowEviction(t *testing.T) {
 
 func TestDupCacheClientBound(t *testing.T) {
 	c := NewDupCache(4)
-	c.setMaxClients(8)
+	c.maxClients = 8
 	for id := uint64(1); id <= 100; id++ {
 		c.Store(id, 1, Response{Seq: 1})
 	}
@@ -175,7 +175,7 @@ func TestDupCacheConcurrentClients(t *testing.T) {
 	// Stress the cache with many clients churning past the bound while
 	// duplicate lookups race with stores (run under -race).
 	c := NewDupCache(8)
-	c.setMaxClients(16)
+	c.maxClients = 16
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

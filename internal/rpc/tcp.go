@@ -3,7 +3,6 @@ package rpc
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -21,44 +20,22 @@ import (
 // asserting exactly-once effects.
 var PtTCPServe = fault.Register("rpc.tcp.serve")
 
-// WireFormat selects the TCP wire protocol.
+// WireFormat is inert: there is one wire (see wire.go). Kept only because
+// bench/rig.go, which this change may not edit, names it.
 type WireFormat int
 
-const (
-	// WireBinary is the default: length-prefixed binary frames tagged with
-	// per-connection frame IDs, multiplexed — many requests in flight per
-	// connection, responses in any order (see wire.go for the layout).
-	WireBinary WireFormat = iota
-	// WireGob is the legacy protocol: gob-encoded Request/Response pairs,
-	// strictly serial per connection. Kept as the measured baseline (E20)
-	// and for compatibility with old peers. Both ends must agree.
-	WireGob
-)
+// WireBinary is WireFormat's only value; kept for bench/rig.go.
+const WireBinary WireFormat = 0
 
-// String implements fmt.Stringer.
-func (w WireFormat) String() string {
-	switch w {
-	case WireBinary:
-		return "binary"
-	case WireGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("WireFormat(%d)", int(w))
-	}
-}
-
-// DefaultDialTimeout bounds connection establishment when WithDialTimeout is
-// not given. (Dialing used to borrow the I/O timeout, whose zero default
-// meant a dial to a black-holed address blocked forever.)
-const DefaultDialTimeout = 10 * time.Second
+// dialTimeout bounds connection establishment and every re-dial, independent
+// of the I/O timeout (whose zero default would let a dial to a black-holed
+// address block forever).
+const dialTimeout = 10 * time.Second
 
 // tcpOpts are the shared tunables of the TCP server and transport.
 type tcpOpts struct {
 	ioTimeout    time.Duration
-	dialTimeout  time.Duration
-	wire         WireFormat
 	workers      int
-	maxFrame     int
 	inj          *fault.Injector
 	lazyDial     bool
 	addrResolver func(prev string) string
@@ -81,30 +58,15 @@ func WithIOTimeout(d time.Duration) TCPOption {
 	return func(o *tcpOpts) { o.ioTimeout = d }
 }
 
-// WithDialTimeout bounds connection establishment (and re-dials after a
-// broken connection). Defaults to DefaultDialTimeout; zero or negative
-// restores the default rather than disabling the bound.
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOpts) { o.dialTimeout = d }
-}
+// WithWireFormat is a no-op; kept for bench/rig.go.
+func WithWireFormat(WireFormat) TCPOption { return func(*tcpOpts) {} }
 
-// WithWireFormat selects the wire protocol (default WireBinary). Client and
-// server must agree.
-func WithWireFormat(w WireFormat) TCPOption {
-	return func(o *tcpOpts) { o.wire = w }
-}
-
-// WithWorkers sets the server's bounded handler pool size for the binary
-// wire (default 4×GOMAXPROCS). The pool is shared by every connection:
+// WithWorkers sets the server's bounded handler pool size (default
+// 4×GOMAXPROCS). The pool is shared by every connection:
 // decoded frames queue to it and execute as workers free up, so a burst on
 // one connection cannot unboundedly multiply goroutines.
 func WithWorkers(n int) TCPOption {
 	return func(o *tcpOpts) { o.workers = n }
-}
-
-// WithMaxFrame bounds one binary-wire frame (default DefaultMaxFrame).
-func WithMaxFrame(n int) TCPOption {
-	return func(o *tcpOpts) { o.maxFrame = n }
 }
 
 // WithInjector attaches a fault injector consulted at PtTCPServe for every
@@ -133,11 +95,10 @@ func WithAddrResolver(fn func(prev string) string) TCPOption {
 	return func(o *tcpOpts) { o.addrResolver = fn }
 }
 
-// WithPushHandler installs the client-side receiver for server push frames
-// (binary wire only — the gob wire has no push support). The handler runs on
-// a dedicated dispatcher goroutine, one push at a time in arrival order,
-// never on the connection's reader: it may therefore issue RPCs on this very
-// transport (acking a lease recall) without deadlocking. The body is a
+// WithPushHandler installs the client-side receiver for server push frames.
+// The handler runs on a dedicated dispatcher goroutine, one push at a time
+// in arrival order, never on the connection's reader: it may therefore issue
+// RPCs on this very transport (acking a lease recall) without deadlocking. The body is a
 // pooled wire buffer owned by the dispatcher; the handler must not retain or
 // recycle it past return. The option survives re-dials — every connection
 // the transport establishes delivers pushes to the same handler.
@@ -160,14 +121,8 @@ func applyTCPOpts(opts []TCPOption) tcpOpts {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.dialTimeout <= 0 {
-		o.dialTimeout = DefaultDialTimeout
-	}
 	if o.workers <= 0 {
 		o.workers = 4 * runtime.GOMAXPROCS(0)
-	}
-	if o.maxFrame <= 0 {
-		o.maxFrame = DefaultMaxFrame
 	}
 	return o
 }
@@ -181,12 +136,11 @@ func (o *tcpOpts) deadline() time.Time {
 	return time.Now().Add(o.ioTimeout)
 }
 
-// TCPServer serves an Endpoint over TCP. On the binary wire each connection
-// gets a reader and a writer goroutine and decoded requests dispatch to the
-// server-wide bounded worker pool, so one connection's requests execute
-// concurrently and respond out of order; on the gob wire requests are
-// handled serially per connection. Close stops the listener and waits for
-// connections and workers to drain.
+// TCPServer serves an Endpoint over TCP. Each connection gets a reader and a
+// writer goroutine and decoded requests dispatch to the server-wide bounded
+// worker pool, so one connection's requests execute concurrently and respond
+// out of order. Close stops the listener and waits for connections and
+// workers to drain.
 type TCPServer struct {
 	ep   *Endpoint
 	ln   net.Listener
@@ -208,8 +162,8 @@ type serverTask struct {
 	req Request
 }
 
-// serverConn is the per-connection state of the binary wire: the response
-// queue feeding the connection's writer goroutine, and the teardown latch.
+// serverConn is the per-connection server state: the response queue feeding
+// the connection's writer goroutine, and the teardown latch.
 type serverConn struct {
 	conn   net.Conn
 	writeq chan respWrite
@@ -257,12 +211,10 @@ func (sc *serverConn) Push(method string, body []byte) error {
 // until Close.
 func Serve(ln net.Listener, ep *Endpoint, opts ...TCPOption) *TCPServer {
 	s := &TCPServer{ep: ep, ln: ln, opts: applyTCPOpts(opts), conns: make(map[net.Conn]*serverConn)}
-	if s.opts.wire == WireBinary {
-		s.work = make(chan serverTask, 4*s.opts.workers)
-		for i := 0; i < s.opts.workers; i++ {
-			s.workWG.Add(1)
-			go s.worker()
-		}
+	s.work = make(chan serverTask, 4*s.opts.workers)
+	for i := 0; i < s.opts.workers; i++ {
+		s.workWG.Add(1)
+		go s.worker()
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -289,11 +241,7 @@ func (s *TCPServer) acceptLoop() {
 		s.conns[conn] = sc
 		s.mu.Unlock()
 		s.wg.Add(1)
-		if s.opts.wire == WireBinary {
-			go s.serveMuxConn(sc)
-		} else {
-			go s.serveGobConn(sc)
-		}
+		go s.serveMuxConn(sc)
 	}
 }
 
@@ -341,9 +289,9 @@ func (s *TCPServer) worker() {
 	}
 }
 
-// serveMuxConn reads frames off one binary-wire connection and dispatches
-// them to the worker pool; its paired writer goroutine streams responses
-// back in completion order.
+// serveMuxConn reads frames off one connection and dispatches them to the
+// worker pool; its paired writer goroutine streams responses back in
+// completion order.
 func (s *TCPServer) serveMuxConn(sc *serverConn) {
 	defer s.wg.Done()
 	defer func() {
@@ -356,7 +304,7 @@ func (s *TCPServer) serveMuxConn(sc *serverConn) {
 	s.wg.Add(1)
 	go s.connWriter(sc)
 
-	fr := newFrameReader(sc.conn, s.opts.maxFrame)
+	fr := newFrameReader(sc.conn, DefaultMaxFrame)
 	for {
 		if err := sc.conn.SetReadDeadline(s.opts.deadline()); err != nil {
 			return
@@ -409,9 +357,9 @@ func (s *TCPServer) connWriter(sc *serverConn) {
 		for {
 			var err error
 			if w.pushMethod != "" {
-				err = writePush(bw, w.pushMethod, w.pushBody, s.opts.maxFrame)
+				err = writePush(bw, w.pushMethod, w.pushBody, DefaultMaxFrame)
 			} else {
-				err = writeResponse(bw, w.id, &w.resp, s.opts.maxFrame)
+				err = writeResponse(bw, w.id, &w.resp, DefaultMaxFrame)
 			}
 			if err != nil {
 				return
@@ -424,42 +372,6 @@ func (s *TCPServer) connWriter(sc *serverConn) {
 			break
 		}
 		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// serveGobConn is the legacy serial loop: decode a request, handle it,
-// encode the response, repeat.
-func (s *TCPServer) serveGobConn(sc *serverConn) {
-	defer s.wg.Done()
-	defer func() {
-		sc.shutdown()
-		s.mu.Lock()
-		delete(s.conns, sc.conn)
-		s.mu.Unlock()
-	}()
-	dec := gob.NewDecoder(sc.conn)
-	enc := gob.NewEncoder(sc.conn)
-	for {
-		if err := sc.conn.SetReadDeadline(s.opts.deadline()); err != nil {
-			return
-		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		if s.dropped() {
-			// The serial wire cannot skip a response without desynchronizing
-			// the peer's decoder, so a "dropped" request drops the connection
-			// — the network failure a serial stream actually exhibits.
-			return
-		}
-		if err := sc.conn.SetWriteDeadline(s.opts.deadline()); err != nil {
-			return
-		}
-		resp := s.ep.Handle(req)
-		if err := enc.Encode(resp); err != nil {
 			return
 		}
 	}
@@ -480,19 +392,16 @@ func (s *TCPServer) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.work != nil {
-		close(s.work)
-		s.workWG.Wait()
-	}
+	close(s.work)
+	s.workWG.Wait()
 	return err
 }
 
 // TCPTransport is a client transport over one TCP connection, reconnecting
-// on failure. On the binary wire (the default) sends multiplex: any number
-// of goroutines issue concurrent Sends over the single connection, each
-// tagged with a frame ID and completed when its response frame arrives —
-// out of order, while later requests are already on the wire. On the gob
-// wire sends serialize, one round trip at a time (the legacy baseline).
+// on failure. Sends multiplex: any number of goroutines issue concurrent
+// Sends over the single connection, each tagged with a frame ID and completed
+// when its response frame arrives — out of order, while later requests are
+// already on the wire.
 type TCPTransport struct {
 	opts tcpOpts
 
@@ -500,11 +409,7 @@ type TCPTransport struct {
 	addr   string // current dial target; may move via WithAddrResolver
 	tried  bool   // at least one dial attempted (success or failure)
 	closed bool
-	mc     *muxConn // binary wire
-
-	gconn net.Conn // gob wire
-	genc  *gob.Encoder
-	gdec  *gob.Decoder
+	mc     *muxConn
 }
 
 var (
@@ -513,8 +418,8 @@ var (
 )
 
 // callerOwnsBodies reports that TCP response bodies are exclusively the
-// caller's: binary-wire bodies are decoded into pooled buffers handed to
-// exactly one waiter, and gob-wire bodies are freshly allocated by decode.
+// caller's: they are decoded into pooled buffers handed to exactly one
+// waiter.
 func (t *TCPTransport) callerOwnsBodies() bool { return true }
 
 // DialTCP connects to a TCPServer (or, with WithLazyDial, prepares to on
@@ -527,9 +432,6 @@ func DialTCP(addr string, opts ...TCPOption) (*TCPTransport, error) {
 		return t, nil
 	}
 	t.tried = true
-	if t.opts.wire == WireGob {
-		return t, t.reconnectGobLocked()
-	}
 	mc, err := dialMux(addr, t.opts)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
@@ -571,7 +473,6 @@ func (t *TCPTransport) Rebind() {
 		t.mc.fail(errors.Join(ErrDropped, errRebound))
 		t.mc = nil
 	}
-	t.dropGobConnLocked()
 }
 
 // Send issues one request and waits for its response. A broken connection is
@@ -591,9 +492,6 @@ func (t *TCPTransport) SendWithDeadline(req Request, deadline time.Time) (Respon
 // send issues one request. A zero override falls back to the per-operation
 // deadline derived from WithIOTimeout.
 func (t *TCPTransport) send(req Request, override time.Time) (Response, error) {
-	if t.opts.wire == WireGob {
-		return t.sendGob(req, override)
-	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -627,66 +525,5 @@ func (t *TCPTransport) Close() error {
 		t.mc.close()
 		t.mc = nil
 	}
-	t.dropGobConnLocked()
 	return nil
-}
-
-// --- gob wire (legacy serial client path) ---
-
-func (t *TCPTransport) reconnectGobLocked() error {
-	conn, err := net.DialTimeout("tcp", t.addr, t.opts.dialTimeout)
-	if err != nil {
-		return fmt.Errorf("rpc: dial %s: %w", t.addr, err)
-	}
-	t.gconn = conn
-	t.genc = gob.NewEncoder(conn)
-	t.gdec = gob.NewDecoder(conn)
-	return nil
-}
-
-// sendGob holds the transport mutex across the whole round trip — exactly
-// one request in flight per connection, the behaviour E20 measures against.
-func (t *TCPTransport) sendGob(req Request, override time.Time) (Response, error) {
-	deadline := func() time.Time {
-		if !override.IsZero() {
-			return override
-		}
-		return t.opts.deadline()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return Response{}, ErrClosed
-	}
-	if t.gconn == nil {
-		t.resolveAddrLocked()
-		if err := t.reconnectGobLocked(); err != nil {
-			return Response{}, errors.Join(ErrDropped, err)
-		}
-	}
-	if err := t.gconn.SetWriteDeadline(deadline()); err != nil {
-		t.dropGobConnLocked()
-		return Response{}, errors.Join(ErrDropped, err)
-	}
-	if err := t.genc.Encode(req); err != nil {
-		t.dropGobConnLocked()
-		return Response{}, errors.Join(ErrDropped, err)
-	}
-	if err := t.gconn.SetReadDeadline(deadline()); err != nil {
-		t.dropGobConnLocked()
-		return Response{}, errors.Join(ErrDropped, err)
-	}
-	var resp Response
-	if err := t.gdec.Decode(&resp); err != nil {
-		t.dropGobConnLocked()
-		return Response{}, errors.Join(ErrDropped, err)
-	}
-	return resp, nil
-}
-
-func (t *TCPTransport) dropGobConnLocked() {
-	if t.gconn != nil {
-		_ = t.gconn.Close()
-		t.gconn = nil
-	}
 }

@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 )
 
-// The binary wire format (WireBinary) frames every message with a 4-byte
-// big-endian length prefix followed by a tagged payload:
+// The wire format frames every message with a 4-byte big-endian length
+// prefix followed by a tagged payload:
 //
 //	frame    := length(4) payload               length = len(payload)
 //	payload  := kind(1) frameID(8) rest
@@ -23,22 +23,21 @@ import (
 // A traced request (kind 3) is a request carrying the caller's span
 // identity; the server endpoint continues that span tree instead of rooting
 // its own. Untraced requests use kind 1 with the exact pre-trace layout, so
-// tracing off means no frame growth and no extra work; the gob legacy
-// format never emits trace fields (gob omits zero values).
+// tracing off means no frame growth and no extra work.
 //
 // A push (kind 4) is a one-way server-to-client notification — the cache
 // coherence layer's lease recalls ride it. It reuses the kind-tag extension
 // point the traced frame introduced: old clients reject unknown kinds, so
-// both ends must speak the binary wire at this revision before a server may
+// both ends must speak this revision of the wire before a server may
 // push. Pushes carry no frameID (there is no reply to match) and no
 // client/seq identity (they are not idempotent requests); delivery is
 // at-most-once, exactly as reliable as the connection itself.
 //
 // The frameID tags each request so responses can return out of order over a
 // multiplexed connection; it is connection-local and never reaches the
-// Endpoint (idempotency still keys on ClientID/Seq). Unlike gob, the codec
-// carries no per-frame type metadata, the header encodes in place in the
-// connection writer's buffer, and the body is written to (and read from) the socket
+// Endpoint (idempotency still keys on ClientID/Seq). The codec carries no
+// per-frame type metadata, the header encodes in place in the connection
+// writer's buffer, and the body is written to (and read from) the socket
 // directly, so a fragment payload crosses the rpc layer without an
 // intermediate copy: on encode the body slice goes straight to the buffered
 // writer (large bodies bypass even that buffer), and on decode it lands in a
@@ -171,10 +170,15 @@ type wireFrame struct {
 	body     []byte
 }
 
+// maxInternedMethods caps a frameReader's intern map: the real method set is
+// ~25 names, and a peer inventing names (each up to 64 KB) must not grow
+// per-connection memory without bound.
+const maxInternedMethods = 64
+
 // frameReader decodes frames from one connection. It is owned by a single
 // reader goroutine; the method intern map keeps steady-state decoding free
-// of string allocations (the method set of a connection is small and
-// stable).
+// of string allocations for the first maxInternedMethods distinct names a
+// connection sends, and later names are plain allocations.
 type frameReader struct {
 	br       *bufio.Reader
 	maxFrame int
@@ -274,7 +278,9 @@ func (r *frameReader) read() (fr wireFrame, consumed int, err error) {
 		m, ok := r.methods[string(s[:strLen])]
 		if !ok {
 			m = string(s[:strLen])
-			r.methods[m] = m
+			if len(r.methods) < maxInternedMethods {
+				r.methods[m] = m
+			}
 		}
 		fr.method = m
 	} else if strLen > 0 {

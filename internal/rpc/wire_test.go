@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -125,6 +126,37 @@ func TestWireMethodInterning(t *testing.T) {
 	}
 }
 
+// TestWireMethodInternCap: a peer sending endless distinct method names
+// cannot grow the intern map past its cap, and names past the cap still
+// decode correctly.
+func TestWireMethodInternCap(t *testing.T) {
+	const n = 10_000
+	var stream bytes.Buffer
+	bw := bufio.NewWriter(&stream)
+	for i := 0; i < n; i++ {
+		req := Request{Method: fmt.Sprintf("m.%d", i)}
+		if err := writeRequest(bw, uint64(i), &req, DefaultMaxFrame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fr := newFrameReader(&stream, DefaultMaxFrame)
+	for i := 0; i < n; i++ {
+		frame, _, err := fr.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("m.%d", i); frame.method != want {
+			t.Fatalf("frame %d decoded method %q, want %q", i, frame.method, want)
+		}
+	}
+	if len(fr.methods) != maxInternedMethods {
+		t.Fatalf("intern map holds %d methods, want the cap %d", len(fr.methods), maxInternedMethods)
+	}
+}
+
 // TestWireRejectsCorruptFrames: corrupt length prefixes and inconsistent
 // field lengths are rejected instead of desynchronizing or over-allocating.
 func TestWireRejectsCorruptFrames(t *testing.T) {
@@ -206,28 +238,5 @@ func TestBufFreeListRecycling(t *testing.T) {
 	got := getBuf(1000)
 	if cap(got) != 1024 {
 		t.Fatalf("foreign slice entered the pool: cap=%d", cap(got))
-	}
-}
-
-// TestTCPGobWireRoundTrip: the legacy gob protocol still works end to end
-// when both sides opt in.
-func TestTCPGobWireRoundTrip(t *testing.T) {
-	h := newCountingHandler()
-	ep := NewEndpoint(h.handle)
-	ln := listen(t)
-	srv := Serve(ln, ep, WithWireFormat(WireGob))
-	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String(), WithWireFormat(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
-	c := NewClient(tr, 77, 3, nil)
-	got, err := c.Call("ping", []byte("legacy"))
-	if err != nil || string(got) != "echo:legacy" {
-		t.Fatalf("gob Call = %q, %v", got, err)
-	}
-	if _, err := c.Call("fail", nil); err == nil {
-		t.Fatal("service error lost over gob wire")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // allocations per op (reply buffer, frame bookkeeping, and the result
 // copy); the budget leaves ~2x headroom. A jump past it means per-call
 // encoder state, per-frame wire garbage, or an extra body copy crept back
-// in — the regressions the gob codec used to hide under its ~350 allocs.
+// in.
 const cachedReadAllocBudget = 25
 
 func TestCachedReadAllocBudgetOverMux(t *testing.T) {

@@ -1,11 +1,9 @@
 package rpcfs
 
 // The binary payload codec: hand-rolled fixed-layout encoding for every
-// rpcfs request and reply struct. The gob codec builds an encoder/decoder
-// pair per call (~350 allocations per cached read in the E20 profile); this
-// codec appends into a caller-supplied buffer and decodes with zero
-// allocations for fixed-size payloads, aliasing byte payloads into the
-// transport's pooled frame buffer instead of copying them.
+// rpcfs request and reply struct. It appends into a caller-supplied buffer
+// and decodes with zero allocations for fixed-size payloads, aliasing byte
+// payloads into the transport's pooled frame buffer instead of copying them.
 //
 // Layout conventions: integers are big-endian fixed width, strings and byte
 // slices are a u32 length followed by the bytes, times are UnixNano with

@@ -1,0 +1,121 @@
+package rpcfs
+
+import (
+	"context"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/fit"
+	"repro/internal/naming"
+)
+
+// fuzzMethods is every method the server dispatches.
+var fuzzMethods = []string{
+	MCreate, MOpen, MClose, MDelete, MReadAt, MWriteAt, MTruncate, MAttr, MSize,
+	MResolve, MRegister, MUnregister, MUnregisterSys, MList, MResolveQuery,
+}
+
+// newHandler serves a small facility holding one file with the returned
+// contents, and returns that file's ID.
+func newHandler(tb testing.TB) (h CtxHandler, id uint64, contents string) {
+	tb.Helper()
+	c, err := core.New(core.Config{Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: 128}}) // 8 MB
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = c.Close() })
+	fid, err := c.Files.Create(fit.Attributes{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	contents = "bytes off the network"
+	if _, err := c.Files.WriteAt(fid, 0, []byte(contents)); err != nil {
+		tb.Fatal(err)
+	}
+	return (&Server{Files: c.Files, Naming: c.Naming}).HandlerCtx(), uint64(fid), contents
+}
+
+// readAtBody hand-encodes an fs.readAt argument: id, off, n as the peer
+// would put them on the wire.
+func readAtBody(id uint64, off int64, n uint64) []byte {
+	b := binary.BigEndian.AppendUint64(nil, id)
+	b = binary.BigEndian.AppendUint64(b, uint64(off))
+	return binary.BigEndian.AppendUint64(b, n)
+}
+
+// TestReadAtLengthOverflow: a length chosen so off+n wraps int64 used to
+// skip the file service's clamp and panic the server in make([]byte, n); it
+// must read the file's tail like any other over-long read.
+func TestReadAtLengthOverflow(t *testing.T) {
+	h, id, contents := newHandler(t)
+	out, err := h(context.Background(), MReadAt, readAtBody(id, 1, math.MaxInt64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r BytesReply
+	if err := unmarshalPayload(out, &r); err != nil {
+		t.Fatal(err)
+	}
+	if string(r.Data) != contents[1:] {
+		t.Fatalf("read = %q, want the tail %q", r.Data, contents[1:])
+	}
+}
+
+// FuzzServerHandler drives every rpcfs entry point that parses a request
+// body — the two request classifiers the cluster and lease layers call, and
+// the handler itself over a live facility — with arbitrary bytes: each must
+// answer with a reply or an error, never a panic. The facility is shared
+// across inputs, so later inputs see files earlier ones created or deleted.
+func FuzzServerHandler(f *testing.F) {
+	h, id, _ := newHandler(f)
+	entry := naming.Entry{
+		Name: naming.Name{"type": "FILE", "path": "/fuzz/entry"}, Type: naming.FileObject,
+		SystemName: id, Service: "rhodosd",
+	}
+	for _, args := range []struct {
+		method string
+		v      any
+	}{
+		{MCreate, CreateArgs{Path: "/fuzz/created"}},
+		{MOpen, IDArgs{ID: id}},
+		{MClose, IDArgs{ID: id}},
+		{MReadAt, ReadAtArgs{ID: id, Off: 3, N: 8}},
+		{MWriteAt, WriteAtArgs{ID: id, Off: 5, Data: []byte("fuzz")}},
+		{MTruncate, TruncateArgs{ID: id, Size: 10}},
+		{MAttr, IDArgs{ID: id}},
+		{MSize, IDArgs{ID: id}},
+		{MRegister, RegisterArgs{Entry: entry}},
+		{MResolve, PathArgs{Path: "/fuzz/entry"}},
+		{MResolveQuery, QueryArgs{Query: entry.Name}},
+		{MList, PathArgs{Path: "/fuzz"}},
+		{MUnregisterSys, UnregisterSysArgs{Type: uint8(naming.FileObject), Sys: id}},
+		{MDelete, IDArgs{ID: id + 1}},
+	} {
+		body, err := appendPayload(nil, args.v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(methodIndex(f, args.method)), body)
+	}
+	f.Add(uint8(methodIndex(f, MReadAt)), readAtBody(id, 1, math.MaxInt64))
+
+	f.Fuzz(func(t *testing.T, m uint8, body []byte) {
+		method := fuzzMethods[int(m)%len(fuzzMethods)]
+		_, _, _ = PathOfRequest(method, body)
+		_, _, _, _ = FileOfRequest(method, body)
+		_, _ = h(context.Background(), method, body)
+	})
+}
+
+func methodIndex(tb testing.TB, method string) int {
+	for i, m := range fuzzMethods {
+		if m == method {
+			return i
+		}
+	}
+	tb.Fatalf("method %q not in fuzzMethods", method)
+	return 0
+}

@@ -4,9 +4,8 @@
 // (plus agent.FileService proxies) consume it.
 //
 // Arguments and replies are marshaled with the fixed-layout binary codec
-// (codec.go) by default, matching the transport's binary wire format; the
-// legacy gob encoding is kept behind WireGob. Every operation inherits the
-// idempotent request semantics of the rpc endpoint (§3).
+// (codec.go). Every operation inherits the idempotent request semantics of
+// the rpc endpoint (§3).
 //
 // Concurrency and ownership contract: the package holds no mutable state of
 // its own — handlers are stateless translations, so a server is safe for
@@ -21,7 +20,6 @@ package rpcfs
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -106,43 +104,18 @@ type (
 	Empty struct{}
 )
 
-func enc(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-func dec(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
 // Server adapts the file and naming services to an rpc.Handler.
 type Server struct {
 	Files  *fileservice.Service
 	Naming *naming.Service
-	// Wire selects the payload codec; the zero value is the binary codec
-	// (rpc.WireBinary), matching the transport default. Client and server
-	// must agree, as they already must on the transport format.
+	// Wire is inert; kept only because bench/rig.go sets it.
 	Wire rpc.WireFormat
-}
-
-// dec decodes an argument payload with the configured codec.
-func (s *Server) dec(data []byte, v any) error {
-	if s.Wire == rpc.WireGob {
-		return dec(data, v)
-	}
-	return unmarshalPayload(data, v)
 }
 
 // enc encodes a reply payload. Reply bodies are retained by the endpoint's
 // duplicate-request cache, so they are plain allocations, never drawn from
 // the transport's recycled buffer pools.
-func (s *Server) enc(v any) ([]byte, error) {
-	if s.Wire == rpc.WireGob {
-		return enc(v)
-	}
+func enc(v any) ([]byte, error) {
 	return appendPayload(make([]byte, 0, payloadSize(v)), v)
 }
 
@@ -166,7 +139,7 @@ func (s *Server) HandlerCtx() CtxHandler {
 		switch method {
 		case MCreate:
 			var a CreateArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			id, err := s.Files.Create(a.Attr)
@@ -184,126 +157,126 @@ func (s *Server) HandlerCtx() CtxHandler {
 					return nil, err
 				}
 			}
-			return s.enc(IntReply{V: int64(id)})
+			return enc(IntReply{V: int64(id)})
 		case MOpen:
 			var a IDArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			if err := s.Files.Open(fileservice.FileID(a.ID)); err != nil {
 				return nil, err
 			}
-			return s.enc(Empty{})
+			return enc(Empty{})
 		case MClose:
 			var a IDArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			if err := s.Files.Close(fileservice.FileID(a.ID)); err != nil {
 				return nil, err
 			}
-			return s.enc(Empty{})
+			return enc(Empty{})
 		case MDelete:
 			var a IDArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			if err := s.Files.Delete(fileservice.FileID(a.ID)); err != nil {
 				return nil, err
 			}
 			s.Naming.UnregisterSystemName(naming.FileObject, a.ID)
-			return s.enc(Empty{})
+			return enc(Empty{})
 		case MReadAt:
 			var a ReadAtArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			data, err := s.Files.ReadAtCtx(ctx, fileservice.FileID(a.ID), a.Off, a.N)
 			if err != nil {
 				return nil, err
 			}
-			return s.enc(BytesReply{Data: data})
+			return enc(BytesReply{Data: data})
 		case MWriteAt:
 			var a WriteAtArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			n, err := s.Files.WriteAtCtx(ctx, fileservice.FileID(a.ID), a.Off, a.Data)
 			if err != nil {
 				return nil, err
 			}
-			return s.enc(IntReply{V: int64(n)})
+			return enc(IntReply{V: int64(n)})
 		case MTruncate:
 			var a TruncateArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			if err := s.Files.Truncate(fileservice.FileID(a.ID), a.Size); err != nil {
 				return nil, err
 			}
-			return s.enc(Empty{})
+			return enc(Empty{})
 		case MAttr:
 			var a IDArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			attr, err := s.Files.Attributes(fileservice.FileID(a.ID))
 			if err != nil {
 				return nil, err
 			}
-			return s.enc(AttrReply{Attr: attr})
+			return enc(AttrReply{Attr: attr})
 		case MSize:
 			var a IDArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			size, err := s.Files.Size(fileservice.FileID(a.ID))
 			if err != nil {
 				return nil, err
 			}
-			return s.enc(IntReply{V: size})
+			return enc(IntReply{V: size})
 		case MResolve:
 			var a PathArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			e, err := s.Naming.ResolvePath(a.Path)
 			if err != nil {
 				return nil, err
 			}
-			return s.enc(ResolveReply{Entry: e})
+			return enc(ResolveReply{Entry: e})
 		case MRegister:
 			var a RegisterArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			if err := s.Naming.Register(a.Entry); err != nil {
 				return nil, err
 			}
-			return s.enc(Empty{})
+			return enc(Empty{})
 		case MUnregisterSys:
 			var a UnregisterSysArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			n := s.Naming.UnregisterSystemName(naming.ObjectType(a.Type), a.Sys)
-			return s.enc(IntReply{V: int64(n)})
+			return enc(IntReply{V: int64(n)})
 		case MResolveQuery:
 			var a QueryArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
 			e, err := s.Naming.Resolve(a.Query)
 			if err != nil {
 				return nil, err
 			}
-			return s.enc(ResolveReply{Entry: e})
+			return enc(ResolveReply{Entry: e})
 		case MList:
 			var a PathArgs
-			if err := s.dec(body, &a); err != nil {
+			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
-			return s.enc(ListReply{Names: s.Naming.List(a.Path)})
+			return enc(ListReply{Names: s.Naming.List(a.Path)})
 		default:
 			return nil, fmt.Errorf("rpcfs: unknown method %q", method)
 		}
@@ -314,9 +287,6 @@ func (s *Server) HandlerCtx() CtxHandler {
 // plus the naming calls the CLI and the cluster router need.
 type Client struct {
 	C *rpc.Client
-	// Wire selects the payload codec; the zero value is the binary codec.
-	// Must match the server's.
-	Wire rpc.WireFormat
 }
 
 var _ agent.FileService = (*Client)(nil)
@@ -328,10 +298,7 @@ func (c *Client) call(method string, args, reply any) error {
 // callCtx is call carrying ctx's span identity across the wire (see
 // rpc.Client.CallCtx); with no span in ctx it is exactly call.
 func (c *Client) callCtx(ctx context.Context, method string, args, reply any) error {
-	if c.Wire == rpc.WireGob {
-		return c.callGob(ctx, method, args, reply)
-	}
-	// Binary codec: the argument body comes from the transport's buffer
+	// The argument body comes from the transport's buffer
 	// pools and goes back once Call returns — on every path, including
 	// failure. The transport never retains a request body past Call (the
 	// connection writer claims it only while the call is still pending), so
@@ -360,24 +327,6 @@ func (c *Client) callCtx(ctx context.Context, method string, args, reply any) er
 	}
 	c.C.ReleaseBody(out)
 	return nil
-}
-
-func (c *Client) callGob(ctx context.Context, method string, args, reply any) error {
-	body, err := enc(args)
-	if err != nil {
-		return err
-	}
-	out, err := c.C.CallCtx(ctx, method, body)
-	if err != nil {
-		return err
-	}
-	if reply != nil {
-		err = dec(out, reply)
-	}
-	// The gob decoder copies everything out of the reply body, so it goes
-	// straight back to the free lists.
-	c.C.ReleaseBody(out)
-	return err
 }
 
 // CreatePath creates a file registered under path.
@@ -506,17 +455,11 @@ func (c *Client) List(dir string) ([]string, error) {
 // body (fs.create, name.resolve, name.register), so a shard wrapper can
 // check namespace ownership without re-implementing the codec. ok is false
 // for methods that do not address an object by path.
-func PathOfRequest(method string, body []byte, wire rpc.WireFormat) (path string, ok bool, err error) {
-	decode := func(v any) error {
-		if wire == rpc.WireGob {
-			return dec(body, v)
-		}
-		return unmarshalPayload(body, v)
-	}
+func PathOfRequest(method string, body []byte) (path string, ok bool, err error) {
 	switch method {
 	case MCreate:
 		var a CreateArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return "", false, err
 		}
 		if a.Path == "" {
@@ -525,13 +468,13 @@ func PathOfRequest(method string, body []byte, wire rpc.WireFormat) (path string
 		return a.Path, true, nil
 	case MResolve:
 		var a PathArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return "", false, err
 		}
 		return a.Path, true, nil
 	case MRegister:
 		var a RegisterArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return "", false, err
 		}
 		if p, exists := a.Entry.Name["path"]; exists {
@@ -548,43 +491,37 @@ func PathOfRequest(method string, body []byte, wire rpc.WireFormat) (path string
 // what a coherence layer needs in order to recall conflicting client leases
 // before the operation executes. ok is false for methods that do not address
 // a single file by ID (path-addressed and naming methods; see PathOfRequest).
-func FileOfRequest(method string, body []byte, wire rpc.WireFormat) (id uint64, mutating, ok bool, err error) {
-	decode := func(v any) error {
-		if wire == rpc.WireGob {
-			return dec(body, v)
-		}
-		return unmarshalPayload(body, v)
-	}
+func FileOfRequest(method string, body []byte) (id uint64, mutating, ok bool, err error) {
 	switch method {
 	case MWriteAt:
-		// The binary decode of WriteAtArgs aliases the payload for Data
+		// The decode of WriteAtArgs aliases the payload for Data
 		// (no copy); only the leading ID is read here, the alias dies with a.
 		var a WriteAtArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return 0, false, false, err
 		}
 		return a.ID, true, true, nil
 	case MTruncate:
 		var a TruncateArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return 0, false, false, err
 		}
 		return a.ID, true, true, nil
 	case MDelete:
 		var a IDArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return 0, false, false, err
 		}
 		return a.ID, true, true, nil
 	case MReadAt:
 		var a ReadAtArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return 0, false, false, err
 		}
 		return a.ID, false, true, nil
 	case MSize, MAttr, MOpen, MClose:
 		var a IDArgs
-		if err := decode(&a); err != nil {
+		if err := unmarshalPayload(body, &a); err != nil {
 			return 0, false, false, err
 		}
 		return a.ID, false, true, nil

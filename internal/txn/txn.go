@@ -108,9 +108,6 @@ type Config struct {
 	Clock simclock.Clock
 	// Metrics receives transaction counters. Optional.
 	Metrics *metrics.Set
-	// DefaultLevel is the lock level used when a file's attributes specify
-	// none; defaults to page level.
-	DefaultLevel fit.LockLevel
 	// AdaptiveDefault, when set, picks the default lock level from how
 	// frequently the file is used (§7: "to support default level of locking
 	// it exploits the knowledge of how frequently a file is used"): files
@@ -179,7 +176,6 @@ type Service struct {
 	locks    *lock.Manager
 	ownLocks bool
 	met      *metrics.Set
-	defLevel fit.LockLevel
 	adaptive bool
 	force    intentions.Technique
 
@@ -209,6 +205,9 @@ type Service struct {
 	obsRec *obs.Recorder
 }
 
+// defaultLevel is the lock level used when a file's attributes specify none.
+const defaultLevel = fit.LockPage
+
 // New creates a transaction service.
 func New(cfg Config) (*Service, error) {
 	if cfg.Files == nil {
@@ -217,15 +216,10 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Log == nil {
 		return nil, errors.New("txn: nil log")
 	}
-	level := cfg.DefaultLevel
-	if level == fit.LockNone {
-		level = fit.LockPage
-	}
 	s := &Service{
 		fs:          cfg.Files,
 		log:         cfg.Log,
 		met:         cfg.Metrics,
-		defLevel:    level,
 		adaptive:    cfg.AdaptiveDefault,
 		force:       cfg.ForceTechnique,
 		fault:       cfg.Fault,
@@ -327,7 +321,7 @@ func (s *Service) Create(id TxnID, attr fit.Attributes) (FileID, error) {
 	}
 	attr.Service = fit.ServiceTransaction
 	if attr.Locking == fit.LockNone {
-		attr.Locking = s.defLevel
+		attr.Locking = defaultLevel
 	}
 	fid, err := s.fs.Create(attr)
 	if err != nil {
@@ -393,7 +387,7 @@ func (s *Service) Open(id TxnID, fid FileID, level fit.LockLevel) error {
 		if s.adaptive {
 			level = adaptiveLevel(freq)
 		} else {
-			level = s.defLevel
+			level = defaultLevel
 		}
 	}
 	if err := s.fs.Open(fid); err != nil {
