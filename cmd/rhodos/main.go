@@ -30,15 +30,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/ccache"
-	"repro/internal/cluster"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
-	"repro/internal/naming"
+	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/rpcfs"
 )
 
@@ -51,146 +48,52 @@ func usage() int {
 	return 2
 }
 
-// fsClient is what the subcommands need from the facility: the single-server
-// rpcfs client (via singleClient) and the multi-shard router both satisfy it.
-type fsClient interface {
-	ResolvePath(path string) (naming.Entry, error)
-	CreatePath(attr fit.Attributes, path string) (fileservice.FileID, error)
-	Delete(id fileservice.FileID) error
-	ReadAt(id fileservice.FileID, off int64, n int) ([]byte, error)
-	WriteAt(id fileservice.FileID, off int64, data []byte) (int, error)
-	Truncate(id fileservice.FileID, size int64) error
-	Attributes(id fileservice.FileID) (fit.Attributes, error)
-	Size(id fileservice.FileID) (int64, error)
-	List(dir string) ([]string, error)
-}
-
-// singleClient adapts the single-server rpcfs client to fsClient: the only
-// mismatch is the name of the path-resolution method.
-type singleClient struct {
-	*rpcfs.Client
-}
-
-func (s singleClient) ResolvePath(path string) (naming.Entry, error) {
-	return s.Client.Resolve(path)
-}
-
-// cachedFS fronts the file operations with the coherent client cache;
-// naming operations (resolve, create-path, list) pass through untouched.
-type cachedFS struct {
-	fsClient
-	cc *ccache.Client
-}
-
-func (c cachedFS) Delete(id fileservice.FileID) error { return c.cc.Delete(id) }
-func (c cachedFS) ReadAt(id fileservice.FileID, off int64, n int) ([]byte, error) {
-	return c.cc.ReadAt(id, off, n)
-}
-func (c cachedFS) WriteAt(id fileservice.FileID, off int64, data []byte) (int, error) {
-	return c.cc.WriteAt(id, off, data)
-}
-func (c cachedFS) Truncate(id fileservice.FileID, size int64) error { return c.cc.Truncate(id, size) }
-func (c cachedFS) Attributes(id fileservice.FileID) (fit.Attributes, error) {
-	return c.cc.Attributes(id)
-}
-func (c cachedFS) Size(id fileservice.FileID) (int64, error) { return c.cc.Size(id) }
-
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:7423", "rhodosd address (single server)")
 	addrs := flag.String("addrs", "", "comma-separated cluster endpoints in shard order (overrides -addr)")
-	backups := flag.String("backups", "", "comma-separated backup address per shard for failover (with -addrs; empty entries allowed)")
+	backups := flag.String("backups", "", "comma-separated backup address per shard for failover (one per endpoint; empty entries allowed)")
 	cache := flag.Bool("cache", false, "coherent client cache: lease-protected local reads, recall callbacks, write-back on exit")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
 		return usage()
 	}
-	clientID := uint64(os.Getpid())
-	rec := obs.New()
-	var cl fsClient
-	var ccc *ccache.Client
+	// A single server is the one-endpoint cluster: its routed IDs equal the
+	// raw ones and a one-shard map never redirects.
+	endpoints := []string{*addr}
 	if *addrs != "" {
-		var backupList []string
-		if *backups != "" {
-			backupList = strings.Split(*backups, ",")
-		}
-		rt, err := cluster.NewRouter(cluster.RouterConfig{
-			Endpoints: strings.Split(*addrs, ","),
-			Backups:   backupList,
-			ClientID:  clientID,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
-			return 1
-		}
-		defer rt.Shutdown()
-		cl = rt
-		if *cache {
-			cc, err := ccache.New(ccache.Config{Inner: rt, Lease: rt, ClientID: clientID, Obs: rec})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
-				return 1
-			}
-			// Recall pushes carry the shard's raw file ID; the cache keys
-			// files by routed ID, so re-route before delivering.
-			rt.SetPushSink(func(shard int, method string, body []byte) {
-				if method != ccache.MRecall {
-					return
-				}
-				if file, ver, err := ccache.DecodeRecall(body); err == nil {
-					cc.Recall(fileservice.FileID(cluster.RoutedID(shard, file)), ver)
-				}
-			}, func(shard int, err error) { cc.DropLeases(nil) })
-			ccc = cc
-			cl = cachedFS{fsClient: rt, cc: cc}
-		}
-	} else {
-		var ccp atomic.Pointer[ccache.Client]
-		var dialOpts []rpc.TCPOption
-		if *cache {
-			dialOpts = []rpc.TCPOption{
-				rpc.WithPushHandler(func(method string, body []byte) {
-					if method != ccache.MRecall {
-						return
-					}
-					if file, ver, err := ccache.DecodeRecall(body); err == nil {
-						if cc := ccp.Load(); cc != nil {
-							cc.Recall(fileservice.FileID(file), ver)
-						}
-					}
-				}),
-				rpc.WithConnDown(func(error) {
-					if cc := ccp.Load(); cc != nil {
-						cc.DropLeases(nil)
-					}
-				})}
-		}
-		tr, err := rpc.DialTCP(*addr, dialOpts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
-			return 1
-		}
-		defer func() { _ = tr.Close() }()
-		rcl := rpc.NewClient(tr, clientID, 10, nil)
-		base := singleClient{&rpcfs.Client{C: rcl}}
-		cl = base
-		if *cache {
-			cc, err := ccache.New(ccache.Config{
-				Inner:    base.Client,
-				Lease:    &ccache.DirectLease{C: rcl},
-				ClientID: clientID,
-				Obs:      rec,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
-				return 1
-			}
-			ccp.Store(cc)
-			ccc = cc
-			cl = cachedFS{fsClient: base, cc: cc}
-		}
+		endpoints = strings.Split(*addrs, ",")
 	}
+	var backupList []string
+	if *backups != "" {
+		backupList = strings.Split(*backups, ",")
+	}
+	rec := obs.New()
+	cl, err := node.Dial(node.ClientConfig{
+		Endpoints: endpoints,
+		Backups:   backupList,
+		ClientID:  uint64(os.Getpid()),
+		Cache:     *cache,
+		Obs:       rec,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
+		return 1
+	}
+	code := command(cl, rec, args)
+	// Write back anything still dirty and hand the leases back, so the next
+	// client (cached or not) doesn't pay a recall against an exited process.
+	if err := cl.Close(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
+		return 1
+	}
+	return code
+}
 
+// command runs one subcommand: names go through the router, file
+// operations through the stack's file service (the cache under -cache).
+func command(cl *node.Client, rec *obs.Recorder, args []string) int {
+	names, files, ccc := cl.Router, cl.Files, cl.Cache
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "rhodos: %v\n", err)
 		return 1
@@ -206,20 +109,20 @@ func run() int {
 		}
 		// Reuse the existing file if the name resolves, else create.
 		var id fileservice.FileID
-		if e, err := cl.ResolvePath(args[1]); err == nil {
+		if e, err := names.ResolvePath(args[1]); err == nil {
 			id = fileservice.FileID(e.SystemName)
-			if err := cl.Truncate(id, 0); err != nil {
+			if err := files.Truncate(id, 0); err != nil {
 				return fail(err)
 			}
 		} else if rpcfs.IsNotFound(err) {
-			id, err = cl.CreatePath(fit.Attributes{}, args[1])
+			id, err = names.CreatePath(fit.Attributes{}, args[1])
 			if err != nil {
 				return fail(err)
 			}
 		} else {
 			return fail(err)
 		}
-		if _, err := cl.WriteAt(id, 0, data); err != nil {
+		if _, err := files.WriteAt(id, 0, data); err != nil {
 			return fail(err)
 		}
 		if ccc != nil {
@@ -234,16 +137,16 @@ func run() int {
 		if len(args) != 2 {
 			return usage()
 		}
-		e, err := cl.ResolvePath(args[1])
+		e, err := names.ResolvePath(args[1])
 		if err != nil {
 			return fail(err)
 		}
 		id := fileservice.FileID(e.SystemName)
-		size, err := cl.Size(id)
+		size, err := files.Size(id)
 		if err != nil {
 			return fail(err)
 		}
-		data, err := cl.ReadAt(id, 0, int(size))
+		data, err := files.ReadAt(id, 0, int(size))
 		if err != nil {
 			return fail(err)
 		}
@@ -254,22 +157,22 @@ func run() int {
 		if len(args) != 2 {
 			return usage()
 		}
-		names, err := cl.List(args[1])
+		entries, err := names.List(args[1])
 		if err != nil {
 			return fail(err)
 		}
-		for _, n := range names {
+		for _, n := range entries {
 			fmt.Println(n)
 		}
 	case "stat":
 		if len(args) != 2 {
 			return usage()
 		}
-		e, err := cl.ResolvePath(args[1])
+		e, err := names.ResolvePath(args[1])
 		if err != nil {
 			return fail(err)
 		}
-		attr, err := cl.Attributes(fileservice.FileID(e.SystemName))
+		attr, err := files.Attributes(fileservice.FileID(e.SystemName))
 		if err != nil {
 			return fail(err)
 		}
@@ -279,11 +182,11 @@ func run() int {
 		if len(args) != 2 {
 			return usage()
 		}
-		e, err := cl.ResolvePath(args[1])
+		e, err := names.ResolvePath(args[1])
 		if err != nil {
 			return fail(err)
 		}
-		if err := cl.Delete(fileservice.FileID(e.SystemName)); err != nil {
+		if err := files.Delete(fileservice.FileID(e.SystemName)); err != nil {
 			return fail(err)
 		}
 		fmt.Printf("removed %s\n", args[1])
@@ -296,21 +199,21 @@ func run() int {
 		if ccc == nil {
 			return fail(errors.New("cacheprobe requires -cache"))
 		}
-		e, err := cl.ResolvePath(args[1])
+		e, err := names.ResolvePath(args[1])
 		if err != nil {
 			return fail(err)
 		}
 		id := fileservice.FileID(e.SystemName)
-		size, err := cl.Size(id)
+		size, err := files.Size(id)
 		if err != nil {
 			return fail(err)
 		}
-		if _, err := cl.ReadAt(id, 0, int(size)); err != nil {
+		if _, err := files.ReadAt(id, 0, int(size)); err != nil {
 			return fail(err)
 		}
 		h0 := rec.Gauge(ccache.MetricHits).Value()
 		m0 := rec.Gauge(ccache.MetricMisses).Value()
-		if _, err := cl.ReadAt(id, 0, int(size)); err != nil {
+		if _, err := files.ReadAt(id, 0, int(size)); err != nil {
 			return fail(err)
 		}
 		h1 := rec.Gauge(ccache.MetricHits).Value()
@@ -323,14 +226,6 @@ func run() int {
 		}
 	default:
 		return usage()
-	}
-	if ccc != nil {
-		// Write back anything still dirty and hand the leases back, so the
-		// next client (cached or not) doesn't pay a recall against an
-		// exited process.
-		if err := ccc.Shutdown(); err != nil {
-			return fail(err)
-		}
 	}
 	return 0
 }

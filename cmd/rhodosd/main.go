@@ -46,20 +46,15 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/ccache"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/fileservice"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/rpc"
-	"repro/internal/rpcfs"
-	"repro/internal/txn"
 )
 
 func main() {
@@ -116,92 +111,35 @@ func run() int {
 		return 2
 	}
 
-	// A replicated primary holds each group-commit ack until the batch's
-	// mutations are on the backup. The service that owns the barrier is
-	// built after the facility, so the hook indirects through a pointer.
-	var svcPtr atomic.Pointer[cluster.Service]
-	var barrier func() error
-	if role == cluster.RolePrimary {
-		barrier = func() error {
-			if s := svcPtr.Load(); s != nil {
-				return s.ReplBarrier()
-			}
-			return nil
-		}
-	}
-
-	rec := obs.New()
-	fac, err := core.New(core.Config{
-		Disks:       *disks,
-		Geometry:    device.Geometry{FragmentsPerTrack: 32, Tracks: *tracks},
-		Obs:         rec,
-		GroupCommit: txn.GroupCommitConfig{Barrier: barrier},
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rhodosd: building facility: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := fac.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "rhodosd: shutdown: %v\n", err)
-		}
-	}()
-
-	var backupClient *rpc.Client
-	if role == cluster.RolePrimary {
-		tr, err := rpc.DialTCP(backups[shard], rpc.WithLazyDial())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rhodosd: dialing backup: %v\n", err)
-			return 1
-		}
-		defer func() { _ = tr.Close() }()
-		backupClient = rpc.NewClient(tr, cluster.ReplClientID(shard), 3, nil)
-	}
-
-	srv := &rpcfs.Server{Files: fac.Files, Naming: fac.Naming}
-	// The client-cache lease manager sits between the cluster service and
-	// the rpcfs handler: it serves cc.lease.* acquires, recalls conflicting
-	// holders over the connection's push channel, and versions mutations.
-	// On a backup it sees the primary's replicated replays, so its lease
-	// table survives a failover with the data.
-	ccSrv, err := ccache.NewServer(ccache.ServerConfig{
-		Inner: srv.HandlerCtx(),
-		Size:  func(file uint64) (int64, error) { return fac.Files.Size(fileservice.FileID(file)) },
-		Obs:   rec,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rhodosd: %v\n", err)
-		return 1
-	}
-	defer ccSrv.Close()
-	svc, err := cluster.NewService(cluster.ServiceConfig{
-		Shard:    shard,
-		Map:      cluster.Map{Version: 1, Endpoints: endpoints, Backups: backups},
-		Inner:    ccSrv.Handler,
-		InnerCtx: ccSrv.HandlerCtx,
-		Locks:    fac.Locks(),
-		LeaseTTL: *leaseTTL,
-		Role:     role,
-		Backup:   backupClient,
-		ReplTTL:  *replTTL,
-		Obs:      rec,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rhodosd: %v\n", err)
-		return 1
-	}
-	defer svc.Close()
-	svcPtr.Store(svc)
-	ep := rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(svc.HandleRequestCtx), rpc.WithMetrics(fac.Metrics), rpc.WithObs(rec))
-	svc.BindEndpoint(ep)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rhodosd: listen: %v\n", err)
 		return 1
 	}
-	tcpSrv := rpc.Serve(ln, ep)
-	defer func() { _ = tcpSrv.Close() }()
-	fmt.Printf("rhodosd: serving shard %d/%d (role %v), %d disk(s) on %s\n", shard, shards, svc.Role(), *disks, tcpSrv.Addr())
+	rec := obs.New()
+	n, err := node.Start(node.Config{
+		Facility: core.Config{
+			Disks:    *disks,
+			Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: *tracks},
+			Obs:      rec,
+		},
+		Shard:    shard,
+		Map:      cluster.Map{Version: 1, Endpoints: endpoints, Backups: backups},
+		Role:     role,
+		LeaseTTL: *leaseTTL,
+		ReplTTL:  *replTTL,
+		Listener: ln,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rhodosd: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := n.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "rhodosd: shutdown: %v\n", err)
+		}
+	}()
+	fmt.Printf("rhodosd: serving shard %d/%d (role %v), %d disk(s) on %s\n", shard, shards, n.Service.Role(), *disks, n.Addr())
 
 	if *debug != "" {
 		dln, err := net.Listen("tcp", *debug)
@@ -209,7 +147,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "rhodosd: debug listen: %v\n", err)
 			return 1
 		}
-		httpSrv := &http.Server{Handler: debugMux(rec, fac.Metrics, svc, shard, shards, *listen)}
+		httpSrv := &http.Server{Handler: debugMux(rec, n.Facility.Metrics, n.Service, shard, shards, *listen)}
 		go func() { _ = httpSrv.Serve(dln) }()
 		defer func() { _ = httpSrv.Close() }()
 		fmt.Printf("rhodosd: debug endpoints on http://%s/debug/profile\n", dln.Addr())
@@ -219,7 +157,7 @@ func run() int {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("\nrhodosd: shutting down")
-	fmt.Print(fac.Metrics.String())
+	fmt.Print(n.Facility.Metrics.String())
 	return 0
 }
 

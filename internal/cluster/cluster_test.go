@@ -132,6 +132,21 @@ type rig struct {
 	m     Map
 }
 
+// overFS fills cfg's inner handler pair with an rpcfs server over c.
+func overFS(c *core.Cluster, cfg ServiceConfig) ServiceConfig {
+	h := (&rpcfs.Server{Files: c.Files, Naming: c.Naming}).HandlerCtx()
+	cfg.InnerCtx = h
+	cfg.Inner = func(method string, body []byte) ([]byte, error) {
+		return h(context.Background(), method, body)
+	}
+	return cfg
+}
+
+// endpointOf serves svc the way a node does: on the ctx request handler.
+func endpointOf(svc *Service) *rpc.Endpoint {
+	return rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(svc.HandleRequestCtx))
+}
+
 func newRig(t *testing.T, shards int, leaseTTL time.Duration) *rig {
 	t.Helper()
 	r := &rig{}
@@ -155,20 +170,17 @@ func newRig(t *testing.T, shards int, leaseTTL time.Duration) *rig {
 			t.Fatal(err)
 		}
 		r.cores = append(r.cores, c)
-		fsrv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-		svc, err := NewService(ServiceConfig{
+		svc, err := NewService(overFS(c, ServiceConfig{
 			Shard:    i,
 			Map:      r.m,
-			Inner:    fsrv.Handler(),
 			Locks:    c.Locks(),
 			LeaseTTL: leaseTTL,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.svcs = append(r.svcs, svc)
-		ep := rpc.NewEndpoint(svc.Handle)
-		r.srvs = append(r.srvs, rpc.Serve(lns[i], ep))
+		r.srvs = append(r.srvs, rpc.Serve(lns[i], endpointOf(svc)))
 	}
 	t.Cleanup(func() {
 		for i := range r.srvs {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"net"
 	"reflect"
@@ -29,22 +30,21 @@ func TestRoutedDeleteIsTwoRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsrv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-	svc, err := NewService(ServiceConfig{
-		Map: Map{Version: 1, Endpoints: []string{ln.Addr().String()}}, Inner: fsrv.Handler(), Locks: c.Locks(),
-	})
+	svc, err := NewService(overFS(c, ServiceConfig{
+		Map: Map{Version: 1, Endpoints: []string{ln.Addr().String()}}, Locks: c.Locks(),
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	var mu sync.Mutex
 	var seen []string
-	srv := rpc.Serve(ln, rpc.NewEndpoint(func(method string, body []byte) ([]byte, error) {
+	srv := rpc.Serve(ln, rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(func(ctx context.Context, req rpc.Request) ([]byte, error) {
 		mu.Lock()
-		seen = append(seen, method)
+		seen = append(seen, req.Method)
 		mu.Unlock()
-		return svc.Handle(method, body)
-	}))
+		return svc.HandleRequestCtx(ctx, req)
+	})))
 	defer srv.Close()
 
 	rt, err := NewRouter(RouterConfig{Endpoints: []string{ln.Addr().String()}, ClientID: 7})

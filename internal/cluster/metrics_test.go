@@ -13,7 +13,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/obs"
 	"repro/internal/rpc"
-	"repro/internal/rpcfs"
 )
 
 // TestMetricNamesAudit statically audits the metric registry: every name
@@ -73,20 +72,18 @@ func newObsRig(t *testing.T, shards int, leaseTTL time.Duration, rec *obs.Record
 			t.Fatal(err)
 		}
 		r.cores = append(r.cores, c)
-		fsrv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-		svc, err := NewService(ServiceConfig{
+		svc, err := NewService(overFS(c, ServiceConfig{
 			Shard:    i,
 			Map:      r.m,
-			Inner:    fsrv.Handler(),
 			Locks:    c.Locks(),
 			LeaseTTL: leaseTTL,
 			Obs:      rec,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.svcs = append(r.svcs, svc)
-		r.srvs = append(r.srvs, rpc.Serve(lns[i], rpc.NewEndpoint(svc.Handle)))
+		r.srvs = append(r.srvs, rpc.Serve(lns[i], endpointOf(svc)))
 	}
 	t.Cleanup(func() {
 		for i := range r.srvs {

@@ -17,6 +17,9 @@ func TestParseShard(t *testing.T) {
 		{"1/0", 0, 0, true},
 		{"x/3", 0, 0, true},
 		{"2", 0, 0, true},
+		{"1/3x", 0, 0, true},
+		{"1/3/9", 0, 0, true},
+		{"0/1 junk", 0, 0, true},
 	}
 	for _, c := range cases {
 		shard, shards, err := ParseShard(c.in)

@@ -255,14 +255,6 @@ func (s *Service) Close() {
 // lock manager.
 func (s *Service) Leases() *LeaseTable { return s.leases }
 
-// Handle is the rpc.Handler adapter over HandleRequestCtx for callers
-// without request identity or a span context (tests, single-process rigs).
-// Mutations executed through it replicate without duplicate-cache seeding —
-// there is no client to seed for.
-func (s *Service) Handle(method string, body []byte) ([]byte, error) {
-	return s.HandleRequestCtx(context.Background(), rpc.Request{Method: method, Body: body})
-}
-
 // HandleRequestCtx is the rpc.CtxRequestHandler: cluster methods are
 // served here, everything else passes the role and namespace ownership
 // checks and delegates to the wrapped rpcfs handler (replicated to the

@@ -25,6 +25,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
 )
 
@@ -103,7 +104,16 @@ func ParseShard(s string) (shard, shards int, err error) {
 	if s == "" {
 		return 0, 1, nil
 	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &shard, &shards); err != nil {
+	// Atoi, not Sscanf: Sscanf stops at the first byte it cannot use and
+	// would accept "1/3x" or "1/3/9".
+	i, n, ok := strings.Cut(s, "/")
+	if !ok {
+		return 0, 0, fmt.Errorf("cluster: bad shard %q, want i/N", s)
+	}
+	if shard, err = strconv.Atoi(i); err == nil {
+		shards, err = strconv.Atoi(n)
+	}
+	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: bad shard %q, want i/N: %v", s, err)
 	}
 	if shards < 1 || shard < 0 || shard >= shards {

@@ -1,17 +1,15 @@
 package experiments
 
-// E23: coherent client caching. One file server fronted by the ccache lease
-// manager, N clients re-reading a hot file — first through plain rpcfs
-// (every read is a server round trip), then through the lease-backed client
-// cache (after warm-up, re-reads are local memory and the server's read-RPC
-// counter stays flat). A recall-storm cell then has one writer invalidating
+// E23: coherent client caching. One node (the lease manager in its stack),
+// N clients re-reading a hot file — first uncached (every read is a server
+// round trip), then through the lease-backed client cache (after warm-up,
+// re-reads are local memory and the server's file-service read count stays
+// flat). A recall-storm cell then has one writer invalidating
 // the whole reader population per round, which is the coherence protocol's
 // worst case.
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,9 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
+	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/rpc"
-	"repro/internal/rpcfs"
 	"repro/internal/workload"
 )
 
@@ -38,58 +35,24 @@ const (
 	e23StormReads  = 25
 )
 
-// e23Rig is a single file server with the ccache lease manager layered over
-// the rpcfs handler, serving loopback TCP with push frames enabled, and a
-// counter on every read RPC that actually reaches the disk service.
+// e23Rig is a single file server — the stack rhodosd runs, lease manager
+// included — on loopback TCP, and the clients dialed against it.
 type e23Rig struct {
-	core  *core.Cluster
-	srv   *ccache.Server
-	tsrv  *rpc.TCPServer
-	addr  string
-	srec  *obs.Recorder
-	reads atomic.Int64
-	hot   fileservice.FileID
-
-	mu  sync.Mutex
-	trs []*rpc.TCPTransport
+	srv  *node.Node
+	srec *obs.Recorder
+	hot  fileservice.FileID
+	cls  []*node.Client
 }
 
 func newE23Rig() (*e23Rig, error) {
-	c, err := core.New(core.Config{ServerCacheBlocks: 1024})
+	r := &e23Rig{srec: obs.New()}
+	var err error
+	r.srv, err = startSolo(node.Config{Facility: core.Config{ServerCacheBlocks: 1024, Obs: r.srec}})
 	if err != nil {
 		return nil, err
 	}
-	r := &e23Rig{core: c, srec: obs.New()}
-	fsrv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-	inner := fsrv.HandlerCtx()
-	counted := func(ctx context.Context, method string, body []byte) ([]byte, error) {
-		if method == rpcfs.MReadAt {
-			r.reads.Add(1)
-		}
-		return inner(ctx, method, body)
-	}
-	r.srv, err = ccache.NewServer(ccache.ServerConfig{
-		Inner: counted,
-		Size:  func(file uint64) (int64, error) { return c.Files.Size(fileservice.FileID(file)) },
-		Obs:   r.srec,
-	})
-	if err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	ep := rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(func(ctx context.Context, req rpc.Request) ([]byte, error) {
-		return r.srv.HandlerCtx(ctx, req.Method, req.Body)
-	}))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		r.srv.Close()
-		_ = c.Close()
-		return nil, err
-	}
-	r.tsrv = rpc.Serve(ln, ep)
-	r.addr = r.tsrv.Addr().String()
-
-	r.hot, err = c.Files.Create(fit.Attributes{})
+	files := r.srv.Facility.Files
+	r.hot, err = files.Create(fit.Attributes{})
 	if err != nil {
 		r.close()
 		return nil, err
@@ -98,7 +61,7 @@ func newE23Rig() (*e23Rig, error) {
 	for i := range seed {
 		seed[i] = byte(i)
 	}
-	if _, err := c.Files.WriteAt(r.hot, 0, seed); err != nil {
+	if _, err := files.WriteAt(r.hot, 0, seed); err != nil {
 		r.close()
 		return nil, err
 	}
@@ -106,67 +69,32 @@ func newE23Rig() (*e23Rig, error) {
 }
 
 func (r *e23Rig) close() {
-	r.mu.Lock()
-	trs := r.trs
-	r.trs = nil
-	r.mu.Unlock()
-	for _, tr := range trs {
-		_ = tr.Close()
+	for _, cl := range r.cls {
+		_ = cl.Close()
 	}
-	if r.tsrv != nil {
-		_ = r.tsrv.Close()
-	}
-	r.srv.Close()
-	_ = r.core.Close()
+	_ = r.srv.Close()
 }
 
-// rawClient dials a plain rpcfs client: no lease, no cache, every read a
-// server round trip (the uncached baseline).
-func (r *e23Rig) rawClient(id uint64) (*rpcfs.Client, error) {
-	tr, err := rpc.DialTCP(r.addr)
+// reads counts the reads and writes that reached the file service, off the
+// server's own recorder; over a read-only window it is the read RPCs the
+// clients did not absorb.
+func (r *e23Rig) reads() int64 { return r.srec.LayerWall(obs.LayerFileService).Count() }
+
+// dial dials one client stack: cached (lease-holding, recall sink wired) or
+// not (every read a server round trip, the baseline). rec receives the
+// client's telemetry and may be nil.
+func (r *e23Rig) dial(id uint64, cached bool, rec *obs.Recorder) (*node.Client, error) {
+	cl, err := node.Dial(node.ClientConfig{
+		Endpoints: []string{r.srv.Addr()},
+		ClientID:  id,
+		Cache:     cached,
+		Obs:       rec,
+	})
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	r.trs = append(r.trs, tr)
-	r.mu.Unlock()
-	return &rpcfs.Client{C: rpc.NewClient(tr, id, 8, nil)}, nil
-}
-
-// cachedClient dials one lease-holding cache client, with the recall push
-// handler and the drop-leases-on-disconnect hook the protocol requires.
-func (r *e23Rig) cachedClient(id uint64) (*ccache.Client, *obs.Recorder, error) {
-	var ccp atomic.Pointer[ccache.Client]
-	tr, err := rpc.DialTCP(r.addr,
-		rpc.WithPushHandler(func(method string, body []byte) {
-			if method != ccache.MRecall {
-				return
-			}
-			if file, ver, err := ccache.DecodeRecall(body); err == nil {
-				ccp.Load().Recall(fileservice.FileID(file), ver)
-			}
-		}),
-		rpc.WithConnDown(func(error) { ccp.Load().DropLeases(nil) }))
-	if err != nil {
-		return nil, nil, err
-	}
-	r.mu.Lock()
-	r.trs = append(r.trs, tr)
-	r.mu.Unlock()
-	rcl := rpc.NewClient(tr, id, 8, nil)
-	rec := obs.New()
-	cc, err := ccache.New(ccache.Config{
-		Inner:    &rpcfs.Client{C: rcl},
-		Lease:    &ccache.DirectLease{C: rcl},
-		ClientID: id,
-		Obs:      rec,
-	})
-	if err != nil {
-		_ = tr.Close()
-		return nil, nil, err
-	}
-	ccp.Store(cc)
-	return cc, rec, nil
+	r.cls = append(r.cls, cl)
+	return cl, nil
 }
 
 // e23Agent adapts positional I/O on the rig's hot file to workload.LoadAgent.
@@ -183,7 +111,7 @@ func (a e23Agent) WriteAt(off int64, data []byte) (int, error) { return a.write(
 // service during the measured window.
 func (r *e23Rig) e23ReRead(agents []workload.LoadAgent) (workload.LoadResult, *obs.Histogram, int64, error) {
 	hist := &obs.Histogram{}
-	before := r.reads.Load()
+	before := r.reads()
 	res, err := workload.RunClosedLoop(workload.LoadConfig{
 		OpsPerAgent: e23OpsPerAgent,
 		ReadFrac:    1.0,
@@ -195,7 +123,7 @@ func (r *e23Rig) e23ReRead(agents []workload.LoadAgent) (workload.LoadResult, *o
 	if err != nil {
 		return workload.LoadResult{}, nil, 0, err
 	}
-	return res, hist, r.reads.Load() - before, nil
+	return res, hist, r.reads() - before, nil
 }
 
 // CachedReadRun executes the before/after hot-spot cells against one rig:
@@ -209,17 +137,21 @@ func CachedReadRun() (unc, cac workload.LoadResult, uncHist, cacHist *obs.Histog
 	}
 	defer rig.close()
 
+	// hotAgent drives positional I/O on the hot file through a client stack.
+	hotAgent := func(cl *node.Client) workload.LoadAgent {
+		return e23Agent{
+			read:  func(off int64, n int) ([]byte, error) { return cl.Files.ReadAt(rig.hot, off, n) },
+			write: func(off int64, data []byte) (int, error) { return cl.Files.WriteAt(rig.hot, off, data) },
+		}
+	}
 	raws := make([]workload.LoadAgent, e23Clients)
 	for i := range raws {
-		rc, cerr := rig.rawClient(uint64(1 + i))
+		cl, cerr := rig.dial(uint64(1+i), false, nil)
 		if cerr != nil {
 			err = cerr
 			return
 		}
-		raws[i] = e23Agent{
-			read:  func(off int64, n int) ([]byte, error) { return rc.ReadAt(rig.hot, off, n) },
-			write: func(off int64, data []byte) (int, error) { return rc.WriteAt(rig.hot, off, data) },
-		}
+		raws[i] = hotAgent(cl)
 	}
 	unc, uncHist, uncReads, err = rig.e23ReRead(raws)
 	if err != nil {
@@ -229,24 +161,22 @@ func CachedReadRun() (unc, cac workload.LoadResult, uncHist, cacHist *obs.Histog
 	cached := make([]workload.LoadAgent, e23Clients)
 	var rec0 *obs.Recorder
 	for i := range cached {
-		cc, rec, cerr := rig.cachedClient(uint64(100 + i))
+		rec := obs.New()
+		if i == 0 {
+			rec0 = rec
+		}
+		cl, cerr := rig.dial(uint64(100+i), true, rec)
 		if cerr != nil {
 			err = cerr
 			return
 		}
-		if i == 0 {
-			rec0 = rec
-		}
 		// Warm-up: one full-file read acquires the lease and populates every
 		// block, so the measured loop is pure re-read.
-		if _, cerr := cc.ReadAt(rig.hot, 0, e23FileSize); cerr != nil {
+		if _, cerr := cl.Files.ReadAt(rig.hot, 0, e23FileSize); cerr != nil {
 			err = cerr
 			return
 		}
-		cached[i] = e23Agent{
-			read:  func(off int64, n int) ([]byte, error) { return cc.ReadAt(rig.hot, off, n) },
-			write: func(off int64, data []byte) (int, error) { return cc.WriteAt(rig.hot, off, data) },
-		}
+		cached[i] = hotAgent(cl)
 	}
 	cac, cacHist, cacReads, err = rig.e23ReRead(cached)
 	if err != nil {
@@ -278,17 +208,18 @@ func RecallStormRun(rounds, readers, readsPerRound int) (*StormResult, error) {
 	}
 	defer rig.close()
 
-	writer, _, err := rig.cachedClient(1)
+	wcl, err := rig.dial(1, true, obs.New())
 	if err != nil {
 		return nil, err
 	}
+	writer := wcl.Cache
 	ccs := make([]*ccache.Client, readers)
 	for i := range ccs {
-		cc, _, cerr := rig.cachedClient(uint64(10 + i))
+		cl, cerr := rig.dial(uint64(10+i), true, obs.New())
 		if cerr != nil {
 			return nil, cerr
 		}
-		ccs[i] = cc
+		ccs[i] = cl.Cache
 	}
 
 	res := &StormResult{Rounds: rounds, Readers: readers}

@@ -1,22 +1,15 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/agent"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/fault"
-	"repro/internal/fit"
+	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/rpc"
-	"repro/internal/rpcfs"
 	"repro/internal/workload"
 )
 
@@ -36,21 +29,14 @@ const (
 
 // failoverRig is the replicated variant of shardRig: `servers` primary
 // shards plus one hot backup paired with the victim shard. The backup is
-// built and listening before the victim primary boots, so the first shipped
-// batch finds it.
+// started and listening before the victim primary boots, so the first
+// shipped batch finds it.
 type failoverRig struct {
-	cores []*core.Cluster
-	svcs  []*cluster.Service
-	srvs  []*rpc.TCPServer
-	injs  []*fault.Injector
-	recs  []*obs.Recorder // per-shard server recorders (spans, events, repl metrics)
-
-	bCore *core.Cluster
-	bSvc  *cluster.Service
-	bSrv  *rpc.TCPServer
-	bTr   *rpc.TCPTransport // victim primary's dedicated link to the backup
-	bRec  *obs.Recorder     // backup's recorder: holds the promote event
-
+	nodes  []*node.Node
+	injs   []*fault.Injector
+	recs   []*obs.Recorder // per-shard server recorders (spans, events, repl metrics)
+	backup *node.Node
+	bRec   *obs.Recorder // backup's recorder: holds the promote event
 	m      cluster.Map
 	victim int
 }
@@ -58,157 +44,71 @@ type failoverRig struct {
 // newFailoverRig boots `servers` shards with shard `victim` replicated to a
 // hot backup under the given replication TTL.
 func newFailoverRig(servers, victim int, leaseTTL, replTTL time.Duration) (*failoverRig, error) {
-	r := &failoverRig{victim: victim}
-	lns := make([]net.Listener, servers)
-	addrs := make([]string, servers)
-	backups := make([]string, servers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	bLn, err := net.Listen("tcp", "127.0.0.1:0")
+	lns, addrs, err := listenLoopback(servers + 1)
 	if err != nil {
-		r.close()
 		return nil, err
 	}
+	bLn := lns[servers]
+	lns, addrs = lns[:servers], addrs[:servers:servers]
+	backups := make([]string, servers)
 	backups[victim] = bLn.Addr().String()
-	r.m = cluster.Map{Version: 1, Endpoints: addrs, Backups: backups}
-
-	newCore := func(rec *obs.Recorder) (*core.Cluster, error) {
-		return core.New(core.Config{
-			Disks:             2,
-			Geometry:          device.Geometry{FragmentsPerTrack: 32, Tracks: 1024},
-			ServerCacheBlocks: 4096,
-			Obs:               rec,
-		})
-	}
+	r := &failoverRig{victim: victim, bRec: obs.New(),
+		m: cluster.Map{Version: 1, Endpoints: addrs, Backups: backups}}
 
 	// The backup first: it must be applying before the primary ships.
-	r.bRec = obs.New()
-	bc, err := newCore(r.bRec)
-	if err != nil {
-		r.close()
-		_ = bLn.Close()
-		return nil, err
-	}
-	r.bCore = bc
-	bFS := &rpcfs.Server{Files: bc.Files, Naming: bc.Naming}
-	bSvc, err := cluster.NewService(cluster.ServiceConfig{
+	r.backup, err = node.Start(node.Config{
+		Facility: rigFacility(r.bRec),
 		Shard:    victim,
 		Map:      r.m,
-		Inner:    bFS.Handler(),
-		InnerCtx: bFS.HandlerCtx(),
-		Locks:    bc.Locks(),
-		LeaseTTL: leaseTTL,
 		Role:     cluster.RoleBackup,
+		LeaseTTL: leaseTTL,
 		ReplTTL:  replTTL,
-		Obs:      r.bRec,
+		Listener: bLn,
+		Workers:  e21WorkersPerServer,
+		Window:   4096,
 	})
 	if err != nil {
-		r.close()
-		_ = bLn.Close()
+		for _, ln := range lns {
+			_ = ln.Close()
+		}
 		return nil, err
 	}
-	r.bSvc = bSvc
-	bEp := rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(bSvc.HandleRequestCtx),
-		rpc.WithMetrics(bc.Metrics), rpc.WithWindow(4096), rpc.WithObs(r.bRec))
-	bSvc.BindEndpoint(bEp)
-	r.bSrv = rpc.Serve(bLn, bEp, rpc.WithWorkers(e21WorkersPerServer))
-
-	for i := 0; i < servers; i++ {
-		rec := obs.New()
-		r.recs = append(r.recs, rec)
-		c, err := newCore(rec)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.cores = append(r.cores, c)
-		inj := fault.NewInjector(0)
-		r.injs = append(r.injs, inj)
-		fs := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-		cfg := cluster.ServiceConfig{
-			Shard:    i,
-			Map:      r.m,
-			Inner:    fs.Handler(),
-			InnerCtx: fs.HandlerCtx(),
-			Locks:    c.Locks(),
+	r.nodes, err = startNodes(r.m, lns, func(i int) node.Config {
+		rec, inj := obs.New(), fault.NewInjector(0)
+		r.recs, r.injs = append(r.recs, rec), append(r.injs, inj)
+		cfg := node.Config{
+			Facility: rigFacility(rec),
 			LeaseTTL: leaseTTL,
 			Fault:    inj,
-			Obs:      rec,
+			Workers:  e21WorkersPerServer,
+			Window:   4096,
 		}
 		if i == victim {
-			tr, err := rpc.DialTCP(backups[victim], rpc.WithLazyDial())
-			if err != nil {
-				r.close()
-				return nil, err
-			}
-			r.bTr = tr
-			cfg.Role = cluster.RolePrimary
-			cfg.Backup = rpc.NewClient(tr, cluster.ReplClientID(i), 3, nil)
-			cfg.ReplTTL = replTTL
+			cfg.Role, cfg.ReplTTL = cluster.RolePrimary, replTTL
 		}
-		svc, err := cluster.NewService(cfg)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.svcs = append(r.svcs, svc)
-		// WithCtxRequestHandler, not the plain Handle adapter: replication
-		// records must carry each client's identity so the backup can seed
-		// its duplicate cache and answer post-failover retries exactly once
-		// (and the serve context must flow for cross-node traces).
-		ep := rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(svc.HandleRequestCtx),
-			rpc.WithMetrics(c.Metrics), rpc.WithWindow(4096), rpc.WithObs(rec))
-		svc.BindEndpoint(ep)
-		r.srvs = append(r.srvs, rpc.Serve(lns[i], ep, rpc.WithInjector(inj), rpc.WithWorkers(e21WorkersPerServer)))
+		return cfg
+	})
+	if err != nil {
+		_ = r.backup.Close()
+		return nil, err
 	}
 	return r, nil
 }
 
-// killPrimary takes the victim primary down whole: TCP server, service
-// (heartbeats and ship stream die with it), and its link to the backup. The
-// backup's watchdog promotes after the replication TTL of silence.
-func (r *failoverRig) killPrimary() {
-	_ = r.srvs[r.victim].Close()
-	r.svcs[r.victim].Close()
-	if r.bTr != nil {
-		_ = r.bTr.Close()
-	}
-}
+// killPrimary takes the victim primary down whole — TCP server, service
+// (heartbeats and ship stream die with it), its link to the backup, its
+// facility. The backup's watchdog promotes after the replication TTL of
+// silence.
+func (r *failoverRig) killPrimary() { _ = r.nodes[r.victim].Close() }
 
 // promoted reports whether the backup has taken the victim shard over.
 func (r *failoverRig) promoted() bool {
-	return r.bSvc != nil && r.bSvc.Role() == cluster.RolePrimary
+	return r.backup.Service.Role() == cluster.RolePrimary
 }
 
 func (r *failoverRig) close() {
-	for _, s := range r.srvs {
-		_ = s.Close()
-	}
-	if r.bSrv != nil {
-		_ = r.bSrv.Close()
-	}
-	for _, s := range r.svcs {
-		s.Close()
-	}
-	if r.bSvc != nil {
-		r.bSvc.Close()
-	}
-	if r.bTr != nil {
-		_ = r.bTr.Close()
-	}
-	for _, c := range r.cores {
-		_ = c.Close()
-	}
-	if r.bCore != nil {
-		_ = r.bCore.Close()
-	}
+	closeNodes(r.nodes)
+	_ = r.backup.Close()
 }
 
 // FailoverPhase is one phase of the failover cell: per-group success/error
@@ -303,57 +203,36 @@ func FailoverRun(phase time.Duration) (*FailoverResult, error) {
 	}
 	defer rig.close()
 
-	var cls []e21Client
-	defer func() {
-		for _, cl := range cls {
-			cl.rt.Shutdown()
-		}
-	}()
-	seed := make([]byte, e21FileSize)
-	for i := 0; i < clients; i++ {
-		rt, err := cluster.NewRouter(cluster.RouterConfig{
-			Endpoints: rig.m.Endpoints,
-			Backups:   rig.m.Backups,
-			ClientID:  uint64(i + 1),
-			Retries:   failoverRetries,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cls = append(cls, e21Client{rt: rt, shard: i % servers})
-		mach, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt, DisableClientCache: true})
-		if err != nil {
-			return nil, err
-		}
-		proc := mach.NewProcess()
-		fa := mach.FileAgent()
-		fd, err := fa.Create(proc, pathForShard(fmt.Sprintf("fo%d", i), i%servers, servers), fit.Attributes{})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
-			return nil, err
-		}
-		cls[i].agent = e20Agent{fa: fa, proc: proc, fd: fd}
+	cls, closeClients, err := dialPinned(rig.m, clients, failoverRetries, "fo", nil)
+	defer closeClients()
+	if err != nil {
+		return nil, err
 	}
 
-	res := &FailoverResult{VictimShard: victim}
-	res.Phases = append(res.Phases, failoverPhase("before", phase, cls, victim))
+	return rig.runPhases(cls, phase), nil
+}
+
+// runPhases drives the three phases of a failover cell — before, the
+// primary's death, after — and reads the promotion window off the backup's
+// event log.
+func (r *failoverRig) runPhases(cls []e21Client, phase time.Duration) *FailoverResult {
+	res := &FailoverResult{VictimShard: r.victim}
+	res.Phases = append(res.Phases, failoverPhase("before", phase, cls, r.victim))
 
 	killAt := time.Now()
-	rig.killPrimary()
+	r.killPrimary()
 	// The failover phase covers the outage: the watchdog promotes the backup
-	// after failoverReplTTL of silence, well inside the phase.
-	res.Phases = append(res.Phases, failoverPhase("failover", phase, cls, victim))
-	res.Promoted = rig.promoted()
+	// after the replication TTL of silence, well inside the phase.
+	res.Phases = append(res.Phases, failoverPhase("failover", phase, cls, r.victim))
+	res.Promoted = r.promoted()
 
-	res.Phases = append(res.Phases, failoverPhase("after", phase, cls, victim))
-	res.Events = rig.bRec.Events()
+	res.Phases = append(res.Phases, failoverPhase("after", phase, cls, r.victim))
+	res.Events = r.bRec.Events()
 	for _, e := range res.Events {
 		if e.Name == "promote" {
 			res.PromotionWindow = time.Duration(e.WallUnixNS - killAt.UnixNano())
 			break
 		}
 	}
-	return res, nil
+	return res
 }

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/cluster"
-	"repro/internal/fit"
 	"repro/internal/obs"
 )
 
@@ -45,41 +42,10 @@ func E22FleetObservability() (*Table, error) {
 	// One recorder for the whole client side: all routers and agent
 	// machines share it, as they would inside one client process.
 	clientRec := obs.New()
-	var cls []e21Client
-	defer func() {
-		for _, cl := range cls {
-			cl.rt.Shutdown()
-		}
-	}()
-	seed := make([]byte, e21FileSize)
-	for i := 0; i < e22Clients; i++ {
-		rt, err := cluster.NewRouter(cluster.RouterConfig{
-			Endpoints: rig.m.Endpoints,
-			Backups:   rig.m.Backups,
-			ClientID:  uint64(i + 1),
-			Retries:   failoverRetries,
-			Obs:       clientRec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cls = append(cls, e21Client{rt: rt, shard: i % e22Servers})
-		mach, err := agent.NewMachine(agent.MachineConfig{
-			Naming: rt, Files: rt, DisableClientCache: true, Obs: clientRec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		proc := mach.NewProcess()
-		fa := mach.FileAgent()
-		fd, err := fa.Create(proc, pathForShard(fmt.Sprintf("e22c%d", i), i%e22Servers, e22Servers), fit.Attributes{})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
-			return nil, err
-		}
-		cls[i].agent = e20Agent{fa: fa, proc: proc, fd: fd}
+	cls, closeClients, err := dialPinned(rig.m, e22Clients, failoverRetries, "e22c", clientRec)
+	defer closeClients()
+	if err != nil {
+		return nil, err
 	}
 
 	// The traced mutation, quiesced, while replication is live: client 1 is
@@ -88,7 +54,7 @@ func E22FleetObservability() (*Table, error) {
 	// group-commit barrier holds the reply until the backup confirmed, so
 	// by the time PWrite returns every span in the trace has ended.
 	victimClient := cls[e22Victim%e22Clients]
-	if _, err := victimClient.agent.WriteAt(0, seed[:256]); err != nil {
+	if _, err := victimClient.agent.WriteAt(0, make([]byte, 256)); err != nil {
 		return nil, fmt.Errorf("traced mutation: %w", err)
 	}
 	tree, covered, missing := e22StitchedTree(clientRec, rig.recs[e22Victim], rig.bRec)
@@ -101,20 +67,7 @@ func E22FleetObservability() (*Table, error) {
 	}
 
 	// The failover cell under telemetry.
-	res := &FailoverResult{VictimShard: e22Victim}
-	res.Phases = append(res.Phases, failoverPhase("before", e22Phase, cls, e22Victim))
-	killAt := time.Now()
-	rig.killPrimary()
-	res.Phases = append(res.Phases, failoverPhase("failover", e22Phase, cls, e22Victim))
-	res.Promoted = rig.promoted()
-	res.Phases = append(res.Phases, failoverPhase("after", e22Phase, cls, e22Victim))
-	res.Events = rig.bRec.Events()
-	for _, e := range res.Events {
-		if e.Name == "promote" {
-			res.PromotionWindow = time.Duration(e.WallUnixNS - killAt.UnixNano())
-			break
-		}
-	}
+	res := rig.runPhases(cls, e22Phase)
 	for _, ph := range res.Phases {
 		note := fmt.Sprintf("victim %d ok / %d err", ph.VictimOK, ph.VictimErr)
 		if ph.Name == "failover" {

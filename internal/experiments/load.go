@@ -2,17 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/fit"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
@@ -50,11 +47,11 @@ func e20Ops(clients int) int {
 
 // E20LoadScaling measures the serving path under closed-loop concurrency:
 // 1/8/64/256 client agents (8 per TCP connection) driving positional reads
-// and writes through agent → rpcfs → rpc → fileservice over real loopback
-// TCP, once with one call in flight per connection (serialTransport) and once
-// multiplexed — same frames, same codec. Each server-side request carries a
-// 1 ms injected service time; the multiplexed transport overlaps those across
-// a connection, the serial baseline cannot.
+// and writes through agent → rpcfs client → rpc → a node.Start server over
+// real loopback TCP, once with one call in flight per connection
+// (serialTransport) and once multiplexed — same frames, same codec. Each
+// server-side request carries a 1 ms injected service time; the multiplexed
+// transport overlaps those across a connection, the serial baseline cannot.
 func E20LoadScaling() (*Table, error) {
 	t := &Table{
 		ID:      "E20",
@@ -114,9 +111,11 @@ func (a e20Agent) WriteAt(off int64, data []byte) (int, error) {
 }
 
 // loadRig is the single-server load harness shared by the closed- and
-// open-loop entry points: a fresh cluster served over loopback TCP, clients
+// open-loop entry points: a fresh node served over loopback TCP, clients
 // agent machines in groups of agentsPerConn per connection, each with its
-// file materialized and the per-request service time armed.
+// file materialized and the per-request service time armed. The clients are
+// raw rpcfs clients, not node.Dial stacks: agentsPerConn of them share one
+// transport, which is the thing under test.
 type loadRig struct {
 	agents []workload.LoadAgent
 	closes []func()
@@ -157,33 +156,25 @@ func newLoadRig(serial bool, clients, agentsPerConn int, rec *obs.Recorder) (*lo
 		r.close()
 		return nil, err
 	}
-	c, err := core.New(core.Config{
-		Disks:             2,
-		Geometry:          device.Geometry{FragmentsPerTrack: 32, Tracks: 1024}, // 64 MB each
-		ServerCacheBlocks: 4096,
-		Obs:               rec,
+	inj := fault.NewInjector(0)
+	srv, err := startSolo(node.Config{
+		Facility: rigFacility(rec),
+		Fault:    inj,
+		// Workers sized so injected service-time sleeps never starve the
+		// pool: every in-flight request can hold a worker simultaneously.
+		Workers: 2*clients + 16,
+		Window:  4096,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	r.closes = append(r.closes, func() { _ = c.Close() })
-
-	srv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-	ep := rpc.NewEndpoint(srv.Handler(), rpc.WithMetrics(c.Metrics), rpc.WithObs(rec), rpc.WithWindow(4096))
-	inj := fault.NewInjector(0)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	// Workers sized so injected service-time sleeps never starve the pool:
-	// every in-flight request can hold a worker simultaneously.
-	tsrv := rpc.Serve(ln, ep, rpc.WithInjector(inj), rpc.WithWorkers(2*clients+16))
-	r.closes = append(r.closes, func() { _ = tsrv.Close() })
+	r.closes = append(r.closes, func() { _ = srv.Close() })
+	c := srv.Facility
 
 	conns := (clients + agentsPerConn - 1) / agentsPerConn
 	transports := make([]rpc.Transport, conns)
 	for i := range transports {
-		tr, err := rpc.DialTCP(tsrv.Addr().String())
+		tr, err := rpc.DialTCP(srv.Addr())
 		if err != nil {
 			return fail(err)
 		}
@@ -305,7 +296,7 @@ func ClusterLoadRun(endpoints, backups []string, clients, opsPerAgent int, baseI
 	agents := make([]workload.LoadAgent, clients)
 	seed := make([]byte, e20FileSize)
 	for i := 0; i < clients; i++ {
-		rt, err := cluster.NewRouter(cluster.RouterConfig{
+		cl, err := node.Dial(node.ClientConfig{
 			Endpoints: endpoints,
 			Backups:   backups,
 			ClientID:  baseID + uint64(i) + 1,
@@ -313,12 +304,8 @@ func ClusterLoadRun(endpoints, backups []string, clients, opsPerAgent int, baseI
 		if err != nil {
 			return fail(err)
 		}
-		defer rt.Shutdown()
-		m, err := agent.NewMachine(agent.MachineConfig{
-			Naming:             rt,
-			Files:              rt,
-			DisableClientCache: true,
-		})
+		defer func() { _ = cl.Close() }()
+		m, err := cl.NewMachine()
 		if err != nil {
 			return fail(err)
 		}

@@ -10,16 +10,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/agent"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/fit"
 	"repro/internal/lock"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/rpc"
-	"repro/internal/rpcfs"
 	"repro/internal/workload"
 )
 
@@ -41,62 +40,103 @@ const (
 	e21OpsPerAgent = 100
 )
 
-// shardRig is an N-shard cluster on loopback TCP: one core (disks, caches,
-// locks) per shard, each wrapped in a cluster.Service for namespace
-// ownership and leases, each behind its own capped worker pool.
+// rigFacility is the facility every networked rig's servers run: two 64 MB
+// disks and a server cache that holds the working set.
+func rigFacility(rec *obs.Recorder) core.Config {
+	return core.Config{
+		Disks:             2,
+		Geometry:          device.Geometry{FragmentsPerTrack: 32, Tracks: 1024},
+		ServerCacheBlocks: 4096,
+		Obs:               rec,
+	}
+}
+
+// listenLoopback binds n ephemeral loopback ports: a rig needs every address
+// before it can hand any server the cluster map.
+func listenLoopback(n int) ([]net.Listener, []string, error) {
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range lns[:i] {
+				_ = l.Close()
+			}
+			return nil, nil, err
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	return lns, addrs, nil
+}
+
+// startNodes boots shard i of the map on lns[i], from the config cfg(i)
+// returns (shard, map and listener are filled in here). On error nothing is
+// left running or bound.
+func startNodes(m cluster.Map, lns []net.Listener, cfg func(shard int) node.Config) ([]*node.Node, error) {
+	nodes := make([]*node.Node, 0, len(lns))
+	for i, ln := range lns {
+		c := cfg(i)
+		c.Shard, c.Map, c.Listener = i, m, ln
+		n, err := node.Start(c)
+		if err != nil {
+			for _, l := range lns[i+1:] {
+				_ = l.Close()
+			}
+			closeNodes(nodes)
+			return nil, err
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
+}
+
+// startSolo boots cfg as the only node of a one-shard cluster on a fresh
+// loopback port.
+func startSolo(cfg node.Config) (*node.Node, error) {
+	lns, addrs, err := listenLoopback(1)
+	if err != nil {
+		return nil, err
+	}
+	nodes, err := startNodes(cluster.Map{Version: 1, Endpoints: addrs}, lns, func(int) node.Config { return cfg })
+	if err != nil {
+		return nil, err
+	}
+	return nodes[0], nil
+}
+
+func closeNodes(nodes []*node.Node) {
+	for _, n := range nodes {
+		_ = n.Close()
+	}
+}
+
+// shardRig is an N-shard cluster on loopback TCP: one node per shard — the
+// stack rhodosd runs — each behind its own capped worker pool.
 type shardRig struct {
-	cores []*core.Cluster
-	svcs  []*cluster.Service
-	srvs  []*rpc.TCPServer
-	eps   []*rpc.Endpoint
+	nodes []*node.Node
 	injs  []*fault.Injector
 	m     cluster.Map
 }
 
 func newShardRig(servers int, leaseTTL time.Duration) (*shardRig, error) {
-	r := &shardRig{}
-	lns := make([]net.Listener, servers)
-	addrs := make([]string, servers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	lns, addrs, err := listenLoopback(servers)
+	if err != nil {
+		return nil, err
 	}
-	r.m = cluster.Map{Version: 1, Endpoints: addrs}
-	for i := 0; i < servers; i++ {
-		c, err := core.New(core.Config{
-			Disks:             2,
-			Geometry:          device.Geometry{FragmentsPerTrack: 32, Tracks: 1024},
-			ServerCacheBlocks: 4096,
-		})
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.cores = append(r.cores, c)
-		fsrv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-		svc, err := cluster.NewService(cluster.ServiceConfig{
-			Shard:    i,
-			Map:      r.m,
-			Inner:    fsrv.Handler(),
-			Locks:    c.Locks(),
-			LeaseTTL: leaseTTL,
-		})
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.svcs = append(r.svcs, svc)
+	r := &shardRig{m: cluster.Map{Version: 1, Endpoints: addrs}}
+	r.nodes, err = startNodes(r.m, lns, func(int) node.Config {
 		inj := fault.NewInjector(0)
 		r.injs = append(r.injs, inj)
-		ep := rpc.NewEndpoint(svc.Handle, rpc.WithMetrics(c.Metrics), rpc.WithWindow(4096))
-		r.eps = append(r.eps, ep)
-		r.srvs = append(r.srvs, rpc.Serve(lns[i], ep,
-			rpc.WithInjector(inj), rpc.WithWorkers(e21WorkersPerServer)))
+		return node.Config{
+			Facility: rigFacility(nil),
+			LeaseTTL: leaseTTL,
+			Fault:    inj,
+			Workers:  e21WorkersPerServer,
+			Window:   4096,
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -108,34 +148,7 @@ func (r *shardRig) armServiceTime() {
 	}
 }
 
-// kill closes shard i's TCP server: connections drop, the port stops
-// answering. The shard's core — including its lock manager and lease
-// sweeper — stays alive, which is exactly a server cut off from clients.
-func (r *shardRig) kill(i int) { _ = r.srvs[i].Close() }
-
-// restart brings shard i's TCP server back on the same address with the
-// same endpoint, so the duplicate cache and client sequence numbers carry
-// over; clients' transports re-dial on their next call.
-func (r *shardRig) restart(i int) error {
-	ln, err := net.Listen("tcp", r.m.Endpoints[i])
-	if err != nil {
-		return err
-	}
-	r.srvs[i] = rpc.Serve(ln, r.eps[i], rpc.WithInjector(r.injs[i]), rpc.WithWorkers(e21WorkersPerServer))
-	return nil
-}
-
-func (r *shardRig) close() {
-	for _, s := range r.srvs {
-		_ = s.Close()
-	}
-	for _, s := range r.svcs {
-		s.Close()
-	}
-	for _, c := range r.cores {
-		_ = c.Close()
-	}
-}
+func (r *shardRig) close() { closeNodes(r.nodes) }
 
 // pathForShard probes directory names until one homes on the wanted shard.
 func pathForShard(tag string, shard, servers int) string {
@@ -147,57 +160,71 @@ func pathForShard(tag string, shard, servers int) string {
 	}
 }
 
-// e21Client is one load client: its own router (own connections, own rpc
-// client identity) and one seeded file pinned to a chosen shard.
+// e21Client is one load client: its own dialed stack (own connections, own
+// rpc client identity) and one seeded file pinned to a chosen shard.
 type e21Client struct {
-	rt    *cluster.Router
+	*node.Client
 	agent e20Agent
 	shard int
 }
 
+// dialPinned dials `clients` uncached client stacks against the map and
+// seeds each one's file, pinned round-robin across the shards. The returned
+// cleanup closes whatever was dialed, on error too.
+func dialPinned(m cluster.Map, clients, retries int, tag string, rec *obs.Recorder) ([]e21Client, func(), error) {
+	var cls []e21Client
+	cleanup := func() {
+		for _, cl := range cls {
+			_ = cl.Close()
+		}
+	}
+	servers := m.Shards()
+	seed := make([]byte, e21FileSize)
+	for i := 0; i < clients; i++ {
+		c, err := node.Dial(node.ClientConfig{
+			Endpoints: m.Endpoints,
+			Backups:   m.Backups,
+			ClientID:  uint64(i + 1),
+			Retries:   retries,
+			Obs:       rec,
+		})
+		if err != nil {
+			return nil, cleanup, err
+		}
+		cls = append(cls, e21Client{Client: c, shard: i % servers})
+		mach, err := c.NewMachine()
+		if err != nil {
+			return nil, cleanup, err
+		}
+		proc := mach.NewProcess()
+		fa := mach.FileAgent()
+		fd, err := fa.Create(proc, pathForShard(fmt.Sprintf("%s%d", tag, i), i%servers, servers), fit.Attributes{})
+		if err != nil {
+			return nil, cleanup, err
+		}
+		if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
+			return nil, cleanup, err
+		}
+		cls[i].agent = e20Agent{fa: fa, proc: proc, fd: fd}
+	}
+	return cls, cleanup, nil
+}
+
 // e21Setup boots a rig and clients pinned round-robin across shards, each
-// with a seeded file, ready for load. Callers own both cleanups.
+// with a seeded file, ready for load. The returned cleanup closes both.
 func e21Setup(servers, clients int, leaseTTL time.Duration, retries int) (*shardRig, []e21Client, func(), error) {
 	rig, err := newShardRig(servers, leaseTTL)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var cls []e21Client
+	cls, closeClients, err := dialPinned(rig.m, clients, retries, "c", nil)
 	cleanup := func() {
-		for _, cl := range cls {
-			cl.rt.Shutdown()
-		}
+		closeClients()
 		rig.close()
 	}
-	seed := make([]byte, e21FileSize)
-	for i := 0; i < clients; i++ {
-		rt, err := cluster.NewRouter(cluster.RouterConfig{
-			Endpoints: rig.m.Endpoints,
-			ClientID:  uint64(i + 1),
-			Retries:   retries,
-		})
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		cls = append(cls, e21Client{rt: rt, shard: i % servers})
-		m, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt, DisableClientCache: true})
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		proc := m.NewProcess()
-		fa := m.FileAgent()
-		fd, err := fa.Create(proc, pathForShard(fmt.Sprintf("c%d", i), i%servers, servers), fit.Attributes{})
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		cls[i].agent = e20Agent{fa: fa, proc: proc, fd: fd}
+	if err != nil {
+		cleanup()
+		return nil, nil, nil, err
 	}
 	return rig, cls, cleanup, nil
 }
@@ -353,7 +380,7 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 
 	// A client holds a lock through the victim shard; its renewals stop
 	// when the server dies (the transport has nowhere to deliver them).
-	lcDead := cluster.NewLockClient(cls[0].rt.Lock(victim), 9001, leaseTTL, nil)
+	lcDead := cluster.NewLockClient(cls[0].Router.Lock(victim), 9001, leaseTTL, nil)
 	defer lcDead.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -364,21 +391,21 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 
 	res.Phases = append(res.Phases, killPhase("before", phase, cls, victim))
 
-	rig.kill(victim)
+	rig.nodes[victim].Kill()
 	res.Phases = append(res.Phases, killPhase("down", phase, cls, victim))
 	// The victim's lease sweeper ran throughout the outage: the unrenewed
 	// lease expired and the transaction's locks were broken (§6.4's break
 	// path, driven by client liveness instead of lock age).
-	res.LeaseBroken = rig.cores[victim].Locks().Broken(900)
+	res.LeaseBroken = rig.nodes[victim].Facility.Locks().Broken(900)
 
-	if err := rig.restart(victim); err != nil {
+	if err := rig.nodes[victim].Restart(); err != nil {
 		return nil, fmt.Errorf("restart shard %d: %w", victim, err)
 	}
 	res.Phases = append(res.Phases, killPhase("recovered", phase, cls, victim))
 
 	// With the server back and the dead client's locks broken, a second
 	// client wins the lock.
-	lcComp := cluster.NewLockClient(cls[1].rt.Lock(victim), 9002, leaseTTL, nil)
+	lcComp := cluster.NewLockClient(cls[1].Router.Lock(victim), 9002, leaseTTL, nil)
 	defer lcComp.Close()
 	acqCtx, acqCancel := context.WithTimeout(ctx, 10*time.Second)
 	err = lcComp.Acquire(acqCtx, 901, 2, lock.Record, item, lock.IWrite)

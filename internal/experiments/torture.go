@@ -6,13 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/agent"
 	"repro/internal/ccache"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -22,10 +19,10 @@ import (
 	"repro/internal/fit"
 	"repro/internal/intentions"
 	"repro/internal/lock"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/parity"
 	"repro/internal/rpc"
-	"repro/internal/rpcfs"
 	"repro/internal/stable"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -962,39 +959,12 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 	const victim = 1
 	inj := fault.NewInjector(seed)
 
-	lns := make([]net.Listener, shards)
-	addrs := make([]string, shards)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	lns, addrs, err := listenLoopback(shards)
+	if err != nil {
+		return nil, err
 	}
 	m := cluster.Map{Version: 1, Endpoints: addrs}
-
-	cores := make([]*core.Cluster, shards)
-	srvs := make([]*rpc.TCPServer, shards)
-	eps := make([]*rpc.Endpoint, shards)
-	// The victim's file and naming services are rebuilt when it reboots; the
-	// indirection lets the restarted TCP server serve the recovered core
-	// behind the same endpoint (duplicate cache and client sequence numbers
-	// carry over, as in a real server restart).
-	var victimInner atomic.Value
-	defer func() {
-		for _, s := range srvs {
-			if s != nil {
-				_ = s.Close()
-			}
-		}
-		for _, c := range cores {
-			if c != nil {
-				_ = c.Close()
-			}
-		}
-	}()
-	for i := range cores {
+	nodes, err := startNodes(m, lns, func(i int) node.Config {
 		cfg := core.Config{
 			Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
 			LogFragments:   2048,
@@ -1003,35 +973,21 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 		if i == victim {
 			cfg.Fault = inj
 		}
-		c, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cores[i] = c
-		inner := rpc.Handler((&rpcfs.Server{Files: c.Files, Naming: c.Naming}).Handler())
-		if i == victim {
-			victimInner.Store(inner)
-			inner = func(method string, body []byte) ([]byte, error) {
-				return victimInner.Load().(rpc.Handler)(method, body)
-			}
-		}
-		svc, err := cluster.NewService(cluster.ServiceConfig{Shard: i, Map: m, Inner: inner})
-		if err != nil {
-			return nil, err
-		}
-		defer svc.Close()
-		eps[i] = rpc.NewEndpoint(svc.Handle)
-		srvs[i] = rpc.Serve(lns[i], eps[i])
-	}
-
-	// A routed client with one probe file per shard, flushed so the reboot
-	// cannot take them with it.
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Endpoints: addrs, ClientID: 1, Retries: 3})
+		return node.Config{Facility: cfg}
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Shutdown()
-	mach, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt, DisableClientCache: true})
+	defer closeNodes(nodes)
+
+	// A routed client with one probe file per shard, flushed so the reboot
+	// cannot take them with it.
+	cl, err := node.Dial(node.ClientConfig{Endpoints: addrs, ClientID: 1, Retries: 3})
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = cl.Close() }()
+	mach, err := cl.NewMachine()
 	if err != nil {
 		return nil, err
 	}
@@ -1058,7 +1014,7 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 	rng.Read(oldData)
 	newData := make([]byte, len(oldData))
 	rng.Read(newData)
-	vc := cores[victim]
+	vc := nodes[victim].Facility
 	a, err := vc.Txns.Begin(1)
 	if err != nil {
 		return nil, err
@@ -1100,7 +1056,7 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 		return nil, fmt.Errorf("crashed at %s, armed %s", crashed.Point, sc.Point)
 	}
 	res := &TortureResult{Fired: inj.Fired(sc.Point)}
-	_ = srvs[victim].Close()
+	nodes[victim].Kill()
 
 	// The outage: the survivor serves, the victim's clients fail fast.
 	if _, err := fa.PRead(proc, fds[0], 0, 64); err != nil {
@@ -1146,13 +1102,12 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 	}
 
 	// Restart the shard's server over the recovered services, on the same
-	// address and endpoint; the router's transport re-dials on the next call.
-	victimInner.Store(rpc.Handler((&rpcfs.Server{Files: vc.Files, Naming: vc.Naming}).Handler()))
-	ln, err := net.Listen("tcp", addrs[victim])
-	if err != nil {
+	// address and endpoint (duplicate cache and client sequence numbers
+	// carry over, as in a real server restart); the router's transport
+	// re-dials on the next call.
+	if err := nodes[victim].Restart(); err != nil {
 		return nil, err
 	}
-	srvs[victim] = rpc.Serve(ln, eps[victim])
 	back, err := fa.PRead(proc, fds[victim], 0, 64)
 	if err != nil {
 		res.fail("victim clients did not fail over after the restart: %v", err)
@@ -1178,33 +1133,20 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 // transaction's locks, and a competitor wins them.
 func runTortureLease(sc TortureScenario, seed int64) (*TortureResult, error) {
 	inj := fault.NewInjector(seed)
-	c, err := core.New(core.Config{Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: 64}})
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = c.Close() }()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
 	const ttl = 50 * time.Millisecond
-	fsrv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
-	svc, err := cluster.NewService(cluster.ServiceConfig{
-		Map:      cluster.Map{Version: 1, Endpoints: []string{ln.Addr().String()}},
-		Inner:    fsrv.Handler(),
-		Locks:    c.Locks(),
+	srv, err := startSolo(node.Config{
+		Facility: core.Config{Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: 64}},
 		LeaseTTL: ttl,
 		Fault:    inj,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer svc.Close()
-	srv := rpc.Serve(ln, rpc.NewEndpoint(svc.Handle))
 	defer func() { _ = srv.Close() }()
+	c := srv.Facility
 
 	dial := func(rpcID uint64) (*rpc.Client, func(), error) {
-		tr, err := rpc.DialTCP(srv.Addr().String())
+		tr, err := rpc.DialTCP(srv.Addr())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1282,7 +1224,7 @@ func runTortureFailover(sc TortureScenario, seed int64) (*TortureResult, error) 
 	}
 	defer rig.close()
 	inj := rig.injs[0]
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
+	cl, err := node.Dial(node.ClientConfig{
 		Endpoints: rig.m.Endpoints,
 		Backups:   rig.m.Backups,
 		ClientID:  1,
@@ -1291,8 +1233,9 @@ func runTortureFailover(sc TortureScenario, seed int64) (*TortureResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Shutdown()
-	mach, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt, DisableClientCache: true})
+	defer func() { _ = cl.Close() }()
+	rt := cl.Router
+	mach, err := cl.NewMachine()
 	if err != nil {
 		return nil, err
 	}
@@ -1385,8 +1328,8 @@ func runTortureFailover(sc TortureScenario, seed int64) (*TortureResult, error) 
 	} else if _, err := fa.PWrite(proc, fd3, 0, w1[:512]); err != nil {
 		res.fail("promoted backup refused a fresh write: %v", err)
 	}
-	if rig.bSvc.Role() != cluster.RolePrimary {
-		res.fail("backup never promoted itself (role %v)", rig.bSvc.Role())
+	if !rig.promoted() {
+		res.fail("backup never promoted itself (role %v)", rig.backup.Service.Role())
 	}
 	return res, nil
 }

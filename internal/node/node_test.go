@@ -1,0 +1,287 @@
+package node
+
+import (
+	"bytes"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/fileservice"
+	"repro/internal/fit"
+	"repro/internal/metrics"
+	"repro/internal/rpc"
+	"repro/internal/rpcfs"
+)
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// startSolo boots an unreplicated one-shard node.
+func startSolo(t *testing.T) *Node {
+	t.Helper()
+	ln := listen(t)
+	n, err := Start(Config{
+		Map:      cluster.Map{Version: 1, Endpoints: []string{ln.Addr().String()}},
+		Listener: ln,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	return n
+}
+
+func dial(t *testing.T, cfg ClientConfig) *Client {
+	t.Helper()
+	cl, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	return cl
+}
+
+// tap records the last request a client sent and the reply it got, so a test
+// can retransmit the very same (client, seq) frame later.
+type tap struct {
+	rpc.Transport
+	req  rpc.Request
+	resp rpc.Response
+}
+
+func (t *tap) Send(req rpc.Request) (rpc.Response, error) {
+	resp, err := t.Transport.Send(req)
+	t.req, t.resp = req, resp
+	t.req.Body = append([]byte(nil), req.Body...)
+	t.resp.Body = append([]byte(nil), resp.Body...)
+	return resp, err
+}
+
+// tappedCreate creates path on the server at addr through a tapped
+// connection and returns the raw file ID with the recorded exchange.
+func tappedCreate(t *testing.T, addr, path string) (fileservice.FileID, *tap) {
+	t.Helper()
+	tr, err := rpc.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := &tap{Transport: tr}
+	t.Cleanup(func() { _ = tp.Close() })
+	id, err := (&rpcfs.Client{C: rpc.NewClient(tp, 77, 3, nil)}).CreatePath(fit.Attributes{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id, tp
+}
+
+// retransmit sends the tapped create again, as a client that never saw the
+// reply would, and requires the recorded reply back from the duplicate cache
+// of the node now serving addr — not a second execution.
+func retransmit(t *testing.T, tp *tap, addr string, serving *Node) {
+	t.Helper()
+	tr, err := rpc.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	dups := serving.Facility.Metrics.Get(metrics.RPCDuplicates)
+	resp, err := tr.Send(tp.req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != "" || !bytes.Equal(resp.Body, tp.resp.Body) {
+		t.Fatalf("retransmitted create answered (%q, %x), want the original reply %x", resp.Err, resp.Body, tp.resp.Body)
+	}
+	if got := serving.Facility.Metrics.Get(metrics.RPCDuplicates) - dups; got != 1 {
+		t.Fatalf("retransmission counted %d duplicate(s), want 1", got)
+	}
+}
+
+// TestRecallReachesDialedCache: a recall pushed by the node's lease manager
+// lands in the sink Dial wired, so a cached reader sees another client's
+// overwrite on its very next read instead of serving its lease out.
+func TestRecallReachesDialedCache(t *testing.T) {
+	n := startSolo(t)
+	a := dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 1, Cache: true})
+	b := dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 2, Cache: true})
+
+	id, err := a.Router.CreatePath(fit.Attributes{}, "/shared/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(data []byte) {
+		t.Helper()
+		if _, err := a.Files.WriteAt(id, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Cache.FlushFile(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := []byte("first bytes"), []byte("SECOND ONES")
+	write(first)
+	if got, err := b.Files.ReadAt(id, 0, len(first)); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("B's first read = %q, %v", got, err)
+	}
+	write(second)
+	if got, err := b.Files.ReadAt(id, 0, len(second)); err != nil || !bytes.Equal(got, second) {
+		t.Fatalf("B's read after A's overwrite = %q, %v; want %q", got, err, second)
+	}
+}
+
+// TestFailoverPair: bytes written through a primary survive its death on
+// the promoted backup, and a create the primary executed is answered there
+// from the duplicate cache the replication stream seeded.
+func TestFailoverPair(t *testing.T) {
+	const replTTL = 100 * time.Millisecond
+	pLn, bLn := listen(t), listen(t)
+	m := cluster.Map{Version: 1, Endpoints: []string{pLn.Addr().String()}, Backups: []string{bLn.Addr().String()}}
+	backup, err := Start(Config{Map: m, Role: cluster.RoleBackup, ReplTTL: replTTL, Listener: bLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	primary, err := Start(Config{Map: m, Role: cluster.RolePrimary, ReplTTL: replTTL, Listener: pLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+
+	id, tp := tappedCreate(t, primary.Addr(), "/pair/f")
+	cl := dial(t, ClientConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: 1, Retries: 25})
+	data := bytes.Repeat([]byte("replicated "), 500)
+	if _, err := cl.Files.WriteAt(id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); backup.Service.Role() != cluster.RolePrimary; {
+		if time.Now().After(deadline) {
+			t.Fatalf("backup never promoted (role %v)", backup.Service.Role())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got, err := cl.Files.ReadAt(id, 0, len(data)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read through the promoted backup: %d bytes, %v", len(got), err)
+	}
+	retransmit(t, tp, backup.Addr(), backup)
+	if names, err := cl.Router.List("/pair"); err != nil || len(names) != 1 {
+		t.Fatalf("/pair lists %v, %v; want the one created name", names, err)
+	}
+}
+
+// TestKillRestart: the endpoint — and with it the duplicate cache — outlives
+// the TCP server, and a facility that crashed and recovered while the node
+// was down is served from its rebuilt services.
+func TestKillRestart(t *testing.T) {
+	n := startSolo(t)
+	id, tp := tappedCreate(t, n.Addr(), "/kr/f")
+	cl := dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 1, Retries: 3})
+	data := bytes.Repeat([]byte{0xC3}, 3*4096)
+	if _, err := cl.Files.WriteAt(id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Facility.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	n.Kill()
+	if _, err := cl.Files.Size(id); err == nil {
+		t.Fatal("a killed node answered")
+	}
+	if err := n.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	retransmit(t, tp, n.Addr(), n)
+
+	n.Kill()
+	before := n.Facility.Files
+	if err := n.Facility.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Facility.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if n.fs.Files == before || n.fs.Files != n.Facility.Files {
+		t.Fatal("restart did not re-bind rpcfs to the recovered file service")
+	}
+	if got, err := cl.Files.ReadAt(id, 0, len(data)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read through the recovered node: %d bytes, %v", len(got), err)
+	}
+	// A write lands in the service the facility now owns.
+	if _, err := cl.Files.WriteAt(id, 0, []byte("post-recovery")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := n.Facility.Files.ReadAt(id, 0, 13); err != nil || string(got) != "post-recovery" {
+		t.Fatalf("facility sees %q, %v after a write through the restarted node", got, err)
+	}
+	if err := n.Restart(); err == nil {
+		t.Fatal("restart of a serving node succeeded")
+	}
+}
+
+// TestCloseReleasesEverything: Close is idempotent, frees the port, and
+// leaves no goroutine of the node's behind.
+func TestCloseReleasesEverything(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ln := listen(t)
+	n, err := Start(Config{
+		Facility: core.Config{Disks: 2},
+		Map:      cluster.Map{Version: 1, Endpoints: []string{ln.Addr().String()}},
+		Listener: ln,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 1, Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := cl.Router.CreatePath(fit.Attributes{}, "/close/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Files.WriteAt(id, 0, []byte("dirty until close")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := n.Close()
+	if first != nil {
+		t.Fatalf("close: %v", first)
+	}
+	if again := n.Close(); again != first {
+		t.Fatalf("second close returned %v, first %v", again, first)
+	}
+	if err := n.Restart(); err == nil {
+		t.Fatal("restart after close succeeded")
+	}
+	again, err := net.Listen("tcp", n.Addr())
+	if err != nil {
+		t.Fatalf("port not released: %v", err)
+	}
+	_ = again.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before Start, %d after Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -375,6 +375,12 @@ func (c *muxConn) readLoop() {
 		pc := c.pending[frame.id]
 		if pc != nil {
 			delete(c.pending, frame.id)
+			// The response proves the request left the socket, but only the
+			// writer's release orders its reads of the body before the
+			// caller's reuse of it.
+			for pc.writing {
+				c.wcond.Wait()
+			}
 		}
 		c.pmu.Unlock()
 		if pc == nil {

@@ -104,7 +104,7 @@ type (
 	Empty struct{}
 )
 
-// Server adapts the file and naming services to an rpc.Handler.
+// Server adapts the file and naming services to a request handler.
 type Server struct {
 	Files  *fileservice.Service
 	Naming *naming.Service
@@ -123,17 +123,10 @@ func enc(v any) ([]byte, error) {
 // the serving span when the request arrived traced.
 type CtxHandler func(ctx context.Context, method string, body []byte) ([]byte, error)
 
-// Handler returns the rpc handler.
-func (s *Server) Handler() rpc.Handler {
-	h := s.HandlerCtx()
-	return func(method string, body []byte) ([]byte, error) {
-		return h(context.Background(), method, body)
-	}
-}
-
-// HandlerCtx is Handler with the request context threaded through to the
-// instrumented file-service data path (ReadAtCtx/WriteAtCtx), so a traced
-// request's fileservice/txn/wal spans nest inside the caller's tree.
+// HandlerCtx returns the request handler. The request context is threaded
+// through to the instrumented file-service data path (ReadAtCtx/WriteAtCtx),
+// so a traced request's fileservice/txn/wal spans nest inside the caller's
+// tree.
 func (s *Server) HandlerCtx() CtxHandler {
 	return func(ctx context.Context, method string, body []byte) ([]byte, error) {
 		switch method {

@@ -2,6 +2,7 @@ package rpcfs
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
+	"repro/internal/metrics"
 	"repro/internal/rpc"
 )
 
@@ -22,7 +24,7 @@ func newRemote(t *testing.T) (*core.Cluster, *Client) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	srv := &Server{Files: c.Files, Naming: c.Naming}
-	ep := rpc.NewEndpoint(srv.Handler(), rpc.WithMetrics(c.Metrics))
+	ep := endpointOf(srv, c.Metrics)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +170,7 @@ func TestFileAgentOverLossyNetwork(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	srv := &Server{Files: c.Files, Naming: c.Naming}
-	ep := rpc.NewEndpoint(srv.Handler(), rpc.WithMetrics(c.Metrics))
+	ep := endpointOf(srv, c.Metrics)
 	tr := rpc.NewInProc(ep, rpc.FaultConfig{DropProb: 0.3, DupProb: 0.3, Seed: 42})
 	cl := &Client{C: rpc.NewClient(tr, 5, 200, c.Metrics)}
 	m, err := agent.NewMachine(agent.MachineConfig{Naming: c.Naming, Files: cl})
@@ -205,4 +207,12 @@ func TestFileAgentOverLossyNetwork(t *testing.T) {
 	if err != nil || size != int64(len(want)) {
 		t.Fatalf("size = %d, want %d (duplicated appends?)", size, len(want))
 	}
+}
+
+// endpointOf serves srv on the ctx request handler, as a node does.
+func endpointOf(srv *Server, met *metrics.Set) *rpc.Endpoint {
+	h := srv.HandlerCtx()
+	return rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(func(ctx context.Context, req rpc.Request) ([]byte, error) {
+		return h(ctx, req.Method, req.Body)
+	}), rpc.WithMetrics(met))
 }
