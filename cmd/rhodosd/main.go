@@ -55,6 +55,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/rpc"
 )
 
 func main() {
@@ -224,6 +225,11 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 		// blocks installed against fs.cache.hit.
 		fmt.Fprintln(w, "counters:")
 		fmt.Fprint(w, met.String())
+		// The wire-buffer free lists are process-wide: gets − puts is what
+		// callers hold, misses are the gets that had to allocate.
+		gets, puts := rpc.BufferBalance()
+		fmt.Fprintf(w, "%-28s %d\n%-28s %d\n%-28s %d\n",
+			"rpc.buffer.gets", gets, "rpc.buffer.puts", puts, "rpc.buffer.misses", rpc.BufferMisses())
 	})
 	mux.HandleFunc("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		trees, inFlight, dumps := rec.Flight(), rec.InFlight(), rec.FaultDumps()

@@ -10,8 +10,14 @@
 // the policy the file service adds for transaction data).
 //
 // Concurrency and ownership contract: Pool and Cache are safe for
-// concurrent use. Buffers are copied on Put and Get, so callers keep
-// ownership of their slices. Writebacks run outside the cache mutex
+// concurrent use. A cache owns its buffers and callers own theirs; no slice
+// is ever shared. Put copies the caller's bytes in and Get copies the whole
+// buffer out; ReadRange, WriteRange and Patch move only the bytes asked for
+// between the caller's slice and the cached buffer, in place under the cache
+// mutex — the forms the hot paths use, one copy and no allocation. A
+// Writeback is lent the buffer for the length of the call and must not keep
+// the slice: an evicted entry's buffer becomes the buffer of the entry that
+// displaced it. Writebacks run outside the cache mutex
 // (per-entry in-flight flags keep writebacks of one key serialized, and a
 // generation number detects redirtying during a flush); the one duty left
 // to the caller: concurrent dirty Puts of the same key in a WriteThrough
@@ -115,11 +121,13 @@ func (p *Pool) Outstanding() int {
 	return p.outstanding
 }
 
-// WritebackFunc persists a dirty buffer to the layer below.
+// WritebackFunc persists a dirty buffer to the layer below. data is the
+// cache's own buffer (or a copy of it), valid only until the call returns.
 type WritebackFunc[K comparable] func(key K, data []byte) error
 
-// Cache is an LRU buffer cache. It is safe for concurrent use. Buffers are
-// copied on Put and Get, so callers may freely reuse their slices.
+// Cache is an LRU buffer cache. It is safe for concurrent use and shares no
+// slice with its callers (see the package comment), so they may freely reuse
+// theirs.
 //
 // Writebacks happen outside the cache mutex wherever possible, so flushing
 // one disk's buffers never blocks hits, misses, or flushes bound for another
@@ -274,6 +282,32 @@ func (c *Cache[K]) Patch(key K, off int, data []byte) bool {
 	return true
 }
 
+// WriteRange overwrites bytes [off, off+len(data)) of the buffer cached under
+// key in place and marks it dirty, as a Get, modify, dirty Put of the whole
+// buffer would, without moving the rest of the buffer: it counts the hit or
+// miss and touches the LRU order as that Get does, and takes a fresh
+// generation as that Put does, so a write that lands while a FlushKey of key
+// is in flight leaves the buffer dirty for the next flush. It reports whether
+// key was cached; an absent buffer is the caller's to fetch and Put. On a
+// WriteThrough cache the whole patched buffer is written back before
+// WriteRange returns, and a failed writeback is returned with the buffer left
+// dirty.
+func (c *Cache[K]) WriteRange(key K, off int, data []byte) (bool, error) {
+	c.mu.Lock()
+	e, ok := c.lookupLocked(key)
+	if ok {
+		copy(e.data[off:off+len(data)], data)
+		e.dirty = true
+		c.seq++
+		e.gen = c.seq
+	}
+	c.mu.Unlock()
+	if !ok || c.policy != WriteThrough {
+		return ok, nil
+	}
+	return true, c.FlushKey(key)
+}
+
 // Contains reports whether key is cached, without affecting LRU order or
 // hit/miss counters.
 func (c *Cache[K]) Contains(key K) bool {
@@ -314,14 +348,16 @@ func (c *Cache[K]) Put(key K, data []byte, dirty bool) error {
 		c.lru.MoveToFront(el)
 		return nil
 	}
+	// A full cache hands the new entry its victim's buffer — the block-pool
+	// of §5: in steady state a miss moves bytes and allocates nothing.
+	var buf []byte
 	if len(c.entries) >= c.capacity {
-		if err := c.evictLocked(); err != nil {
+		var err error
+		if buf, err = c.evictLocked(); err != nil {
 			return err
 		}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	e := &entry[K]{key: key, data: cp, dirty: dirty}
+	e := &entry[K]{key: key, data: append(buf[:0], data...), dirty: dirty}
 	if dirty {
 		c.seq++
 		e.gen = c.seq
@@ -332,8 +368,9 @@ func (c *Cache[K]) Put(key K, data []byte, dirty bool) error {
 }
 
 // evictLocked removes the least recently used entry whose writeback is not
-// in flight, writing it back first if dirty. Callers must hold c.mu.
-func (c *Cache[K]) evictLocked() error {
+// in flight, writing it back first if dirty, and returns its buffer, which
+// nothing references any more. Callers must hold c.mu.
+func (c *Cache[K]) evictLocked() ([]byte, error) {
 	for {
 		var victim *list.Element
 		for el := c.lru.Back(); el != nil; el = el.Prev() {
@@ -344,7 +381,7 @@ func (c *Cache[K]) evictLocked() error {
 		}
 		if victim == nil {
 			if c.lru.Len() == 0 {
-				return nil
+				return nil, nil
 			}
 			// Every entry has a writeback in flight; wait for one to finish.
 			c.cond.Wait()
@@ -353,15 +390,15 @@ func (c *Cache[K]) evictLocked() error {
 		e := victim.Value.(*entry[K])
 		if e.dirty {
 			if c.writeback == nil {
-				return errors.New("cache: evicting dirty buffer with no writeback")
+				return nil, errors.New("cache: evicting dirty buffer with no writeback")
 			}
 			if err := c.writeback(e.key, e.data); err != nil {
-				return fmt.Errorf("cache: eviction writeback: %w", err)
+				return nil, fmt.Errorf("cache: eviction writeback: %w", err)
 			}
 		}
 		c.lru.Remove(victim)
 		delete(c.entries, e.key)
-		return nil
+		return e.data, nil
 	}
 }
 

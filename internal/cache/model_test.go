@@ -1,0 +1,314 @@
+package cache
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/metrics"
+)
+
+// The model: a cache is transparent. Whatever interleaving of evictions and
+// flushes other callers cause, the one writer of a key always reads through
+// to the last bytes it wrote — from the cache on a hit, from the layer below
+// on a miss — and after a flush the layer below holds exactly those bytes.
+// The layer below is a plain map; the reference for each key is a plain byte
+// slice the key's writer keeps.
+
+const (
+	modelWords = 8 // word 0 tags the key, words 1..7 carry versions
+	modelSize  = modelWords * 8
+)
+
+func word(buf []byte, i int) uint64 { return binary.LittleEndian.Uint64(buf[i*8:]) }
+
+// modelStore is the layer below, recording every writeback it takes.
+type modelStore struct {
+	t    *testing.T
+	mu   sync.Mutex
+	data map[int][]byte
+}
+
+func (s *modelStore) get(key int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]byte(nil), s.data[key]...)
+}
+
+func (s *modelStore) set(key int, data []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.data[key] = append([]byte(nil), data...)
+}
+
+// writeback checks the buffer is whole, is key's, and is no older in any word
+// than what is already below: writebacks of one key are serialized, so a
+// stale image can never land on a newer one.
+func (s *modelStore) writeback(key int, data []byte) error {
+	runtime.Gosched() // a slow device: leave the writeback in flight for a while
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(data) != modelSize || word(data, 0) != uint64(key) {
+		s.t.Errorf("writeback of key %d: %d bytes tagged %d", key, len(data), word(data, 0))
+		return nil
+	}
+	for i := 1; i < modelWords; i++ {
+		if old := s.data[key]; word(data, i) < word(old, i) {
+			s.t.Errorf("writeback of key %d: word %d goes back from version %d to %d", key, i, word(old, i), word(data, i))
+		}
+	}
+	s.data[key] = append([]byte(nil), data...)
+	return nil
+}
+
+func TestModelEquivalence(t *testing.T) {
+	const (
+		owners       = 3
+		keysPerOwner = 3
+		steps        = 1500
+	)
+	for _, policy := range []WritePolicy{DelayedWrite, WriteThrough} {
+		for capacity := 1; capacity <= 4; capacity++ {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%v/cap=%d/seed=%d", policy, capacity, seed), func(t *testing.T) {
+					store := &modelStore{t: t, data: make(map[int][]byte)}
+					met := metrics.NewSet()
+					c, err := New(Config[int]{
+						Capacity: capacity, Policy: policy, Writeback: store.writeback,
+						Metrics: met, HitCounter: "hit", MissCounter: "miss",
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := 0; k < owners*keysPerOwner; k++ {
+						buf := make([]byte, modelSize)
+						binary.LittleEndian.PutUint64(buf, uint64(k))
+						store.data[k] = buf
+					}
+					var lookups atomic.Int64 // Get, ReadRange and WriteRange calls: one hit or miss each
+
+					var wg sync.WaitGroup
+					for o := 0; o < owners; o++ {
+						wg.Add(1)
+						go func(o int) {
+							defer wg.Done()
+							runOwner(t, c, store, &lookups, rand.New(rand.NewSource(seed*100+int64(o))), o*keysPerOwner, keysPerOwner, steps)
+						}(o)
+					}
+					// Whole-cache traffic racing the owners: a flusher, and a
+					// reader that can only check whose buffer it was handed.
+					stop := make(chan struct{})
+					var bg sync.WaitGroup
+					bg.Add(2)
+					go func() {
+						defer bg.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if err := c.Flush(); err != nil {
+								t.Errorf("Flush: %v", err)
+								return
+							}
+						}
+					}()
+					go func() {
+						defer bg.Done()
+						for k := 0; ; k = (k + 1) % (owners * keysPerOwner) {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							lookups.Add(1)
+							if data, ok := c.Get(k); ok && (len(data) != modelSize || word(data, 0) != uint64(k)) {
+								t.Errorf("Get(%d) returned %d bytes tagged %d", k, len(data), word(data, 0))
+								return
+							}
+						}
+					}()
+					wg.Wait()
+					close(stop)
+					bg.Wait()
+
+					if n := c.Len(); n > capacity {
+						t.Errorf("Len = %d over capacity %d", n, capacity)
+					}
+					if got := met.Get("hit") + met.Get("miss"); got != lookups.Load() {
+						t.Errorf("hits+misses = %d, lookups made = %d", got, lookups.Load())
+					}
+				})
+			}
+		}
+	}
+}
+
+// runOwner is the one writer of keys [base, base+n): it applies random
+// operations to them and checks each against its reference copy.
+func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.Int64, rng *rand.Rand, base, n, steps int) {
+	want := make([][]byte, n)
+	dirty := make([]bool, n) // the cache may hold bytes the store has not seen
+	for i := range want {
+		want[i] = store.get(base + i)
+	}
+	version := uint64(0)
+	// patched returns buf with words [a, b) at a fresh version, and the bytes
+	// of that range.
+	patched := func(buf []byte, a, b int) (next, patch []byte) {
+		next = append([]byte(nil), buf...)
+		for w := a; w < b; w++ {
+			version++
+			binary.LittleEndian.PutUint64(next[w*8:], version)
+		}
+		return next, next[a*8 : b*8]
+	}
+	below := func(ctx string, key int, want []byte) {
+		if got := store.get(key); !bytes.Equal(got, want) {
+			t.Errorf("%s: the store holds %v, reference %v", ctx, got, want)
+		}
+	}
+	for step := 0; step < steps && !t.Failed(); step++ {
+		i := rng.Intn(n)
+		key := base + i
+		a := 1 + rng.Intn(modelWords-1)
+		b := a + 1 + rng.Intn(modelWords-a)
+		ctx := fmt.Sprintf("step %d key %d", step, key)
+		switch op := rng.Intn(12); {
+		case op < 1:
+			lookups.Add(1)
+			if data, ok := c.Get(key); !ok {
+				below(ctx+": Get missed", key, want[i])
+			} else if !bytes.Equal(data, want[i]) {
+				t.Errorf("%s: Get = %v, reference %v", ctx, data, want[i])
+			}
+		case op < 3:
+			dst := make([]byte, (b-a)*8)
+			lookups.Add(1)
+			if !c.ReadRange(key, a*8, dst) {
+				below(ctx+": ReadRange missed", key, want[i])
+			} else if !bytes.Equal(dst, want[i][a*8:b*8]) {
+				t.Errorf("%s: ReadRange[%d:%d] = %v, reference %v", ctx, a*8, b*8, dst, want[i][a*8:b*8])
+			}
+		case op < 4: // what a read miss installs: the bytes below, clean
+			if err := c.Put(key, want[i], false); err != nil {
+				t.Errorf("%s: clean Put: %v", ctx, err)
+			}
+		case op < 6:
+			want[i], _ = patched(want[i], 1, modelWords)
+			if err := c.Put(key, want[i], true); err != nil {
+				t.Errorf("%s: dirty Put: %v", ctx, err)
+			}
+			dirty[i] = true
+		case op < 8:
+			next, patch := patched(want[i], a, b)
+			lookups.Add(1)
+			hit, err := c.WriteRange(key, a*8, patch)
+			if err != nil {
+				t.Errorf("%s: WriteRange: %v", ctx, err)
+			}
+			if !hit {
+				// The file service's miss path: read below, modify, Put.
+				below(ctx+": WriteRange missed", key, want[i])
+				if err := c.Put(key, next, true); err != nil {
+					t.Errorf("%s: dirty Put after missed WriteRange: %v", ctx, err)
+				}
+			}
+			want[i], dirty[i] = next, true
+		case op < 9: // Patch follows a write the layer below has taken; clean buffers only
+			if dirty[i] {
+				if err := c.FlushKey(key); err != nil {
+					t.Errorf("%s: FlushKey: %v", ctx, err)
+				}
+				dirty[i] = false
+			}
+			next, patch := patched(want[i], a, b)
+			store.set(key, next)
+			c.Patch(key, a*8, patch)
+			want[i] = next
+		case op < 10:
+			if err := c.FlushKey(key); err != nil {
+				t.Errorf("%s: FlushKey: %v", ctx, err)
+			}
+			below(ctx+": after FlushKey", key, want[i])
+			dirty[i] = false
+		case op < 11:
+			if err := c.Flush(); err != nil {
+				t.Errorf("%s: Flush: %v", ctx, err)
+			}
+			for j := range want {
+				below(ctx+": after Flush", base+j, want[j])
+				dirty[j] = false
+			}
+		default: // dirty bytes are discarded: the truth is whatever is below
+			c.Invalidate(key)
+			want[i], dirty[i] = store.get(key), false
+		}
+		if c.Policy() == WriteThrough {
+			// Nothing stays dirty past the call that wrote it.
+			below(ctx+": write-through", key, want[i])
+			dirty[i] = false
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Errorf("final Flush: %v", err)
+	}
+	for j := range want {
+		below("after the final Flush", base+j, want[j])
+	}
+}
+
+// TestWriteRangeDuringFlush pins the interleaving the generation number
+// exists for: an in-place write that lands while FlushKey's writeback of the
+// same key is in flight must leave the entry dirty, and the next flush must
+// write the new bytes.
+func TestWriteRangeDuringFlush(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var wrote [][]byte
+	c, err := New(Config[int]{Capacity: 2, Writeback: func(key int, data []byte) error {
+		mu.Lock()
+		wrote = append(wrote, append([]byte(nil), data...))
+		first := len(wrote) == 1
+		mu.Unlock()
+		if first {
+			close(entered)
+			<-release
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(7, []byte("aaaaaaaa"), true); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.FlushKey(7) }()
+	<-entered
+	if hit, err := c.WriteRange(7, 2, []byte("BB")); !hit || err != nil {
+		t.Fatalf("WriteRange during the flush = %v, %v", hit, err)
+	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if n := c.DirtyCount(); n != 1 {
+		t.Fatalf("DirtyCount after the overtaken flush = %d, want 1", n)
+	}
+	if err := c.FlushKey(7); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.DirtyCount(); n != 0 {
+		t.Fatalf("DirtyCount after the second flush = %d, want 0", n)
+	}
+	if len(wrote) != 2 || string(wrote[0]) != "aaaaaaaa" || string(wrote[1]) != "aaBBaaaa" {
+		t.Fatalf("writebacks = %q, want the old image then the patched one", wrote)
+	}
+}

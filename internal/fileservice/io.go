@@ -44,15 +44,26 @@ func (s *Service) ReadAt(id FileID, off int64, n int) ([]byte, error) {
 // fileservice-layer span (nested under the caller's when ctx has one) and
 // its disk fetches contribute diskservice/device child spans.
 func (s *Service) ReadAtCtx(ctx context.Context, id FileID, off int64, n int) ([]byte, error) {
+	return s.ReadAtHeadroomCtx(ctx, id, off, n, 0)
+}
+
+// ReadAtHeadroomCtx is ReadAtCtx returning the bytes read behind headroom
+// bytes left zero for the caller to fill — the one buffer of a reply that
+// frames the data with a header, read into where it is sent from instead of
+// copied there. With headroom 0 it is ReadAtCtx; with more, a read at or past
+// end of file returns the headroom alone.
+func (s *Service) ReadAtHeadroomCtx(ctx context.Context, id FileID, off int64, n, headroom int) ([]byte, error) {
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerFileService, "readAt")
 	op.Span().SetFile(uint64(id))
-	out, err := s.readAt(ctx, id, off, n)
-	op.Span().AddBytes(len(out))
+	out, err := s.readAt(ctx, id, off, n, headroom)
+	if err == nil {
+		op.Span().AddBytes(len(out) - headroom)
+	}
 	op.End(err)
 	return out, err
 }
 
-func (s *Service) readAt(ctx context.Context, id FileID, off int64, n int) ([]byte, error) {
+func (s *Service) readAt(ctx context.Context, id FileID, off int64, n, headroom int) ([]byte, error) {
 	if off < 0 {
 		return nil, ErrBadOffset
 	}
@@ -66,15 +77,18 @@ func (s *Service) readAt(ctx context.Context, id FileID, off int64, n int) ([]by
 	defer st.mu.Unlock()
 	size := int64(st.attr.Size)
 	if off >= size {
-		return nil, nil
+		if headroom == 0 {
+			return nil, nil
+		}
+		return make([]byte, headroom), nil
 	}
 	// Compared as n > size-off: off+n wraps for a peer-supplied n near
 	// MaxInt64 and would skip the clamp.
 	if int64(n) > size-off {
 		n = int(size - off)
 	}
-	out := make([]byte, n)
-	if err := s.readInto(ctx, st, out, off); err != nil {
+	out := make([]byte, headroom+n)
+	if err := s.readInto(ctx, st, out[headroom:], off); err != nil {
 		return nil, err
 	}
 	st.attr.LastRead = time.Now()
@@ -156,9 +170,7 @@ func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off i
 			// is the cache hit the block-at-a-time path would have scored.
 			ref.t.spans = append(ref.t.spans, fetchSpan{covered, ref.blk, within, within + chunk})
 			s.met.Inc(metrics.ServerCacheHit)
-		} else if data, ok := s.blockCache.Get(key); ok {
-			copy(out[covered:], data[within:within+chunk])
-		} else {
+		} else if !s.blockCache.ReadRange(key, within, out[covered:covered+chunk]) {
 			if !seq && contiguous > lastBlk-blk+1 {
 				contiguous = lastBlk - blk + 1
 			}
@@ -166,12 +178,16 @@ func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off i
 			t := &fetchTask{disk: int(disk), addr: int(addr), run: run, cached: cached, seq: seq}
 			t.spans = append(t.spans, fetchSpan{covered, 0, within, within + chunk})
 			tasks = append(tasks, t)
-			if pending == nil {
-				pending = make(map[blockKey]pendingRef)
-			}
-			for b := 0; b < run; b++ {
-				if cached&(1<<b) == 0 {
-					pending[blockKey{disk: int(disk), addr: int(addr) + b*FragmentsPerBlock}] = pendingRef{t, b}
+			// Only the request's later blocks can land in this run: a miss in
+			// its last block — every small random read — indexes nothing.
+			if blk < lastBlk {
+				if pending == nil {
+					pending = make(map[blockKey]pendingRef)
+				}
+				for b := 0; b < run; b++ {
+					if cached&(1<<b) == 0 {
+						pending[blockKey{disk: int(disk), addr: int(addr) + b*FragmentsPerBlock}] = pendingRef{t, b}
+					}
 				}
 			}
 		}
@@ -307,14 +323,21 @@ func (s *Service) block(ctx context.Context, st *fileState, blk int) ([]byte, er
 		return nil, fmt.Errorf("%w: file %d has no block %d", ErrBadRequest, st.id, blk)
 	}
 	seq := st.sequential(blk, blk)
-	if data, ok := s.blockCache.Get(blockKey{disk: int(disk), addr: int(addr)}); ok {
+	key := blockKey{disk: int(disk), addr: int(addr)}
+	if data, ok := s.blockCache.Get(key); ok {
 		return data, nil
 	}
+	return s.fetchBlock(ctx, key, contiguous, seq)
+}
+
+// fetchBlock is block's miss path: the caller has looked key up, counted the
+// miss and recorded the access (seq is fileState.sequential's answer).
+func (s *Service) fetchBlock(ctx context.Context, key blockKey, contiguous int, seq bool) ([]byte, error) {
 	if !seq {
 		contiguous = 1
 	}
-	run, cached := s.planRun(int(disk), int(addr), contiguous)
-	raw, err := s.fetchRun(ctx, int(disk), int(addr), run, cached, seq)
+	run, cached := s.planRun(key.disk, key.addr, contiguous)
+	raw, err := s.fetchRun(ctx, key.disk, key.addr, run, cached, seq)
 	if err != nil {
 		return nil, err
 	}
@@ -379,29 +402,18 @@ func (s *Service) writeAt(ctx context.Context, id FileID, off int64, data []byte
 		if chunk > len(data)-written {
 			chunk = len(data) - written
 		}
-		var buf []byte
-		if within == 0 && chunk == BlockSize {
-			buf = data[written : written+BlockSize]
-		} else {
-			// Partial block: read-modify-write. Blocks beyond the old size
-			// are fresh and start zeroed.
-			if int64(blk)*BlockSize < int64(st.attr.Size) {
-				old, err := s.block(ctx, st, blk)
-				if err != nil {
-					return written, err
-				}
-				buf = old
-			} else {
-				buf = make([]byte, BlockSize)
-			}
-			copy(buf[within:], data[written:written+chunk])
-		}
-		disk, addr, _, ok := st.extents.Lookup(blk)
+		disk, addr, contiguous, ok := st.extents.Lookup(blk)
 		if !ok {
 			return written, fmt.Errorf("%w: block %d missing after grow", ErrBadRequest, blk)
 		}
 		key := blockKey{disk: int(disk), addr: int(addr)}
-		if err := s.blockCache.Put(key, buf, true); err != nil {
+		src := data[written : written+chunk]
+		if chunk == BlockSize {
+			err = s.blockCache.Put(key, src, true)
+		} else {
+			err = s.writePartial(ctx, st, blk, key, contiguous, within, src)
+		}
+		if err != nil {
 			return written, err
 		}
 		if writeThrough {
@@ -437,6 +449,30 @@ func (s *Service) writeAt(ctx context.Context, id FileID, off int64, data []byte
 		}
 	}
 	return written, nil
+}
+
+// writePartial writes src at byte within of logical block blk, which key
+// names, leaving the block dirty in the cache. A cached block takes the bytes
+// in place — under either policy: a write-through file's whole block is
+// written back by WriteAt before it acknowledges; a block beyond the old size
+// is fresh and starts zeroed; any other is read first. Callers must hold
+// st.mu.
+func (s *Service) writePartial(ctx context.Context, st *fileState, blk int, key blockKey, contiguous, within int, src []byte) error {
+	var buf []byte
+	if int64(blk)*BlockSize >= int64(st.attr.Size) {
+		buf = make([]byte, BlockSize)
+	} else {
+		seq := st.sequential(blk, blk)
+		hit, err := s.blockCache.WriteRange(key, within, src)
+		if hit || err != nil {
+			return err
+		}
+		if buf, err = s.fetchBlock(ctx, key, contiguous, seq); err != nil {
+			return err
+		}
+	}
+	copy(buf[within:], src)
+	return s.blockCache.Put(key, buf, true)
 }
 
 // grow extends the file's extent map to cover needBlocks logical blocks,

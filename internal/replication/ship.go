@@ -75,6 +75,10 @@ var ErrShipDown = errors.New("replication: ship stream down")
 // The CRC guards against a corrupt or truncated frame replaying garbage
 // into the backup's state machine.
 
+// recFixedLen is the fixed part of one encoded record: seq, client, cseq,
+// mlen, blen, rlen.
+const recFixedLen = 8 + 8 + 8 + 2 + 4 + 4
+
 // appendBatch encodes recs onto dst.
 func appendBatch(dst []byte, recs []Rec) []byte {
 	start := len(dst)
@@ -105,9 +109,14 @@ func decodeBatch(data []byte) ([]Rec, error) {
 	}
 	count := binary.BigEndian.Uint32(payload)
 	off := 4
+	// count is the peer's word: bound it by what the payload can hold before
+	// sizing anything by it.
+	if int64(count) > int64(len(payload)-off)/recFixedLen {
+		return nil, errors.New("replication: batch record count exceeds frame")
+	}
 	recs := make([]Rec, 0, count)
 	for i := uint32(0); i < count; i++ {
-		if len(payload)-off < 34 {
+		if len(payload)-off < recFixedLen {
 			return nil, errors.New("replication: truncated batch record")
 		}
 		var r Rec
@@ -117,7 +126,7 @@ func decodeBatch(data []byte) ([]Rec, error) {
 		mlen := int(binary.BigEndian.Uint16(payload[off+24:]))
 		blen := int(binary.BigEndian.Uint32(payload[off+26:]))
 		rlen := int(binary.BigEndian.Uint32(payload[off+30:]))
-		off += 34
+		off += recFixedLen
 		if len(payload)-off < mlen+blen+rlen {
 			return nil, errors.New("replication: truncated batch record")
 		}

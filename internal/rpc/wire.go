@@ -91,14 +91,21 @@ var frameBufs bufFree
 // buffer. They measure the ownership discipline, not list occupancy: a code
 // path that obtains pooled buffers and abandons them grows gets−puts without
 // bound, which is exactly what the free-list balance CI gate asserts against
-// (see BufferBalance). Buffers above bufMaxClass are unpooled and uncounted.
-var bufGets, bufPuts atomic.Int64
+// (see BufferBalance). bufMisses counts the gets a free list could not serve,
+// which allocated: the free-list hit rate is 1 − misses/gets, and a path that
+// keeps a frame instead of handing it back shows as one miss per call.
+// Buffers above bufMaxClass are unpooled and uncounted.
+var bufGets, bufPuts, bufMisses atomic.Int64
 
 // BufferBalance returns how many pooled-class buffers have been handed out
 // and returned since process start. gets−puts is the number currently owned
 // by callers or leaked to the garbage collector; a workload that recycles
 // every buffer it takes keeps the difference bounded by its in-flight count.
 func BufferBalance() (gets, puts int64) { return bufGets.Load(), bufPuts.Load() }
+
+// BufferMisses returns how many of BufferBalance's gets found their free list
+// empty and allocated.
+func BufferMisses() int64 { return bufMisses.Load() }
 
 // getBuf returns a buffer of length n backed by a pooled (or fresh)
 // power-of-two allocation. Contents are undefined; callers overwrite fully.
@@ -122,6 +129,7 @@ func getBuf(n int) []byte {
 		return buf[:n]
 	}
 	frameBufs.mu.Unlock()
+	bufMisses.Add(1)
 	return make([]byte, n, 1<<class)
 }
 
@@ -134,11 +142,13 @@ func Buffer(n int) []byte { return getBuf(n) }
 
 // Recycle returns a wire buffer to the frame free lists. Bodies handed out
 // by the binary transport (Response.Body on the client, Request.Body inside
-// a handler) are backed by these lists; a consumer that has finished
-// decoding a body may Recycle it to keep the hot path allocation-free.
-// Recycling is optional (forgotten buffers are simply collected), must
-// happen at most once per buffer, and the caller must not touch the buffer
-// afterwards. Slices not obtained from the transport are ignored.
+// a handler) are backed by these lists, and whoever was handed one recycles
+// it when it has finished decoding — copying out first whatever must outlive
+// the frame. A forgotten buffer is collected, not leaked, but costs the next
+// get of its class an allocation (BufferMisses counts them), so every hot
+// path recycles. Recycling must happen at most once per buffer, and the
+// caller must not touch the buffer afterwards. Slices not obtained from the
+// transport are ignored.
 func Recycle(buf []byte) {
 	c := cap(buf)
 	if c == 0 || c&(c-1) != 0 {

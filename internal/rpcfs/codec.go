@@ -2,8 +2,21 @@ package rpcfs
 
 // The binary payload codec: hand-rolled fixed-layout encoding for every
 // rpcfs request and reply struct. It appends into a caller-supplied buffer
-// and decodes with zero allocations for fixed-size payloads, aliasing byte
-// payloads into the transport's pooled frame buffer instead of copying them.
+// and decodes with zero allocations for fixed-size payloads.
+//
+// Buffer ownership, the one rule: a frame belongs to whoever called for it,
+// for as long as the call lasts, and nothing decoded from it outlives that.
+// Decoding never copies a byte slice — WriteAtArgs.Data and BytesReply.Data
+// alias the frame they were decoded from. On the server the request frame is
+// the handler's until it returns, so the file service is handed the alias and
+// copies the bytes once, into its block cache. On the client callCtx owns
+// both frames: it encodes the request into a pooled buffer and recycles it
+// when the call returns, and it copies a BytesReply's bytes out at their exact
+// size — the one copy of that hop — and hands the reply frame back to the
+// transport's free lists on every path. What a Client method returns is
+// therefore always the caller's own. Reply bodies a handler produces are plain
+// allocations, never pooled: the endpoint's duplicate-request cache keeps
+// them.
 //
 // Layout conventions: integers are big-endian fixed width, strings and byte
 // slices are a u32 length followed by the bytes, times are UnixNano with
@@ -113,8 +126,8 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 	}
 }
 
-// unmarshalPayload decodes data into *v. BytesReply.Data aliases data — the
-// caller owns the backing buffer from then on and must not recycle it.
+// unmarshalPayload decodes data into *v. Byte slices in *v alias data (see the
+// ownership rule above).
 func unmarshalPayload(data []byte, v any) error {
 	r := rbuf{b: data}
 	switch x := v.(type) {
@@ -191,6 +204,9 @@ func appendStr(dst []byte, s string) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
+
+// blobHeaderLen is the u32 length that precedes a byte slice.
+const blobHeaderLen = 4
 
 func appendBlob(dst, p []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p)))

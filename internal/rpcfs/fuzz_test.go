@@ -64,6 +64,47 @@ func TestReadAtLengthOverflow(t *testing.T) {
 	}
 }
 
+// TestReadAtReplyFraming: the fs.readAt reply is built by the file service
+// reading behind a length header the handler fills in afterwards, so at every
+// edge of the clamp — inside the file, up to its end, at it, past it, nothing
+// asked for, everything asked for — the header must count exactly the bytes
+// that follow it, and those must be the file's.
+func TestReadAtReplyFraming(t *testing.T) {
+	h, id, contents := newHandler(t)
+	size := int64(len(contents))
+	for _, c := range []struct {
+		off  int64
+		n    uint64
+		want string
+	}{
+		{0, uint64(size), contents},
+		{3, 8, contents[3:11]},
+		{size - 1, 1, contents[size-1:]},
+		{size - 1, 2, contents[size-1:]},
+		{size, 1, ""},
+		{size + 100, 8, ""},
+		{0, 0, ""},
+		{size, 0, ""},
+		{0, math.MaxInt64, contents},
+		{size, math.MaxInt64, ""},
+	} {
+		out, err := h(context.Background(), MReadAt, readAtBody(id, c.off, c.n))
+		if err != nil {
+			t.Fatalf("readAt(%d, %d): %v", c.off, c.n, err)
+		}
+		if len(out) < blobHeaderLen || int(binary.BigEndian.Uint32(out)) != len(out)-blobHeaderLen {
+			t.Fatalf("readAt(%d, %d): reply % x: header does not count the %d bytes after it", c.off, c.n, out, len(out)-blobHeaderLen)
+		}
+		if got := string(out[blobHeaderLen:]); got != c.want {
+			t.Fatalf("readAt(%d, %d) = %q, want %q", c.off, c.n, got, c.want)
+		}
+		// The bytes are what the codec's own encoder produces for the data.
+		if ref, _ := appendPayload(nil, BytesReply{Data: []byte(c.want)}); string(ref) != string(out) {
+			t.Fatalf("readAt(%d, %d): reply % x, encoder gives % x", c.off, c.n, out, ref)
+		}
+	}
+}
+
 // FuzzServerHandler drives every rpcfs entry point that parses a request
 // body — the two request classifiers the cluster and lease layers call, and
 // the handler itself over a live facility — with arbitrary bytes: each must

@@ -13,8 +13,9 @@ import (
 // TestFreeListBalance is the buffer-leak regression gate for the client call
 // path: every pooled wire buffer handed out for a request or reply must go
 // back to the free lists on every outcome — success, service error, and
-// decode — except a ReadAt reply, whose data intentionally transfers to the
-// caller. The call() error paths used to leak exactly these buffers.
+// decode — a ReadAt reply included: its bytes are copied out for the caller
+// and the frame handed back (codec.go has the rule). The call() error paths
+// used to leak exactly these buffers, and every read used to keep one.
 func TestFreeListBalance(t *testing.T) {
 	_, cl := newRemote(t)
 	id, err := cl.CreatePath(fit.Attributes{}, "/leak/file")
@@ -90,14 +91,28 @@ func TestFreeListBalance(t *testing.T) {
 	}
 	waitBalance(base, "after mixed success/error calls")
 
-	// Reads transfer reply-buffer ownership to the caller: exactly one
-	// outstanding pooled buffer per read, never more.
-	const reads = 5
-	for i := 0; i < reads; i++ {
-		got, err := cl.ReadAt(id, 0, 1024)
-		if err != nil || len(got) != 1024 {
-			t.Fatalf("ReadAt = %d bytes, %v", len(got), err)
+	// Reads hand the caller its own copy and the frame back to the lists:
+	// nothing stays out, and what was returned survives the frame's reuse by
+	// the reads that follow.
+	ramp := make([]byte, 2048)
+	for i := range ramp {
+		ramp[i] = byte(i * 7)
+	}
+	if _, err := cl.WriteAt(id, 0, ramp); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	for i := 0; i < 5; i++ {
+		out, err := cl.ReadAt(id, int64(i), 1024)
+		if err != nil || len(out) != 1024 {
+			t.Fatalf("ReadAt = %d bytes, %v", len(out), err)
+		}
+		got = append(got, out)
+	}
+	waitBalance(base, "after reads")
+	for i, out := range got {
+		if !bytes.Equal(out, ramp[i:i+1024]) {
+			t.Fatalf("read %d changed after later reads reused its frame", i)
 		}
 	}
-	waitBalance(base+reads, "after ownership-transferring reads")
 }

@@ -20,6 +20,7 @@ package rpcfs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -184,11 +185,14 @@ func (s *Server) HandlerCtx() CtxHandler {
 			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
-			data, err := s.Files.ReadAtCtx(ctx, fileservice.FileID(a.ID), a.Off, a.N)
+			// The reply is a BytesReply the file service reads straight into:
+			// the blob's length header, then the bytes where they were read.
+			reply, err := s.Files.ReadAtHeadroomCtx(ctx, fileservice.FileID(a.ID), a.Off, a.N, blobHeaderLen)
 			if err != nil {
 				return nil, err
 			}
-			return enc(BytesReply{Data: data})
+			binary.BigEndian.PutUint32(reply, uint32(len(reply)-blobHeaderLen))
+			return reply, nil
 		case MWriteAt:
 			var a WriteAtArgs
 			if err := unmarshalPayload(body, &a); err != nil {
@@ -291,11 +295,12 @@ func (c *Client) call(method string, args, reply any) error {
 // callCtx is call carrying ctx's span identity across the wire (see
 // rpc.Client.CallCtx); with no span in ctx it is exactly call.
 func (c *Client) callCtx(ctx context.Context, method string, args, reply any) error {
-	// The argument body comes from the transport's buffer
-	// pools and goes back once Call returns — on every path, including
-	// failure. The transport never retains a request body past Call (the
-	// connection writer claims it only while the call is still pending), so
-	// recycling here is always safe.
+	// Both frames are this function's (codec.go has the rule). The argument
+	// body comes from the transport's buffer pools and goes back once Call
+	// returns, on every path: the transport never retains a request body past
+	// Call (the connection writer claims it only while the call is still
+	// pending). The reply frame goes back once it is decoded, its bytes copied
+	// out first.
 	body, err := appendPayload(rpc.Buffer(payloadSize(args))[:0], args)
 	if err != nil {
 		rpc.Recycle(body)
@@ -303,23 +308,14 @@ func (c *Client) callCtx(ctx context.Context, method string, args, reply any) er
 	}
 	out, err := c.C.CallCtx(ctx, method, body)
 	rpc.Recycle(body)
-	if err != nil {
-		c.C.ReleaseBody(out)
-		return err
-	}
-	if reply != nil {
-		if err := unmarshalPayload(out, reply); err != nil {
-			c.C.ReleaseBody(out)
-			return err
+	if err == nil && reply != nil {
+		err = unmarshalPayload(out, reply)
+		if br, ok := reply.(*BytesReply); ok {
+			br.Data = bytes.Clone(br.Data)
 		}
 	}
-	if br, ok := reply.(*BytesReply); ok && len(br.Data) > 0 {
-		// br.Data aliases the reply body — ownership transfers to the
-		// caller, so the buffer must not go back to the free lists here.
-		return nil
-	}
 	c.C.ReleaseBody(out)
-	return nil
+	return err
 }
 
 // CreatePath creates a file registered under path.
