@@ -580,3 +580,83 @@ func TestAgentNestedTransactions(t *testing.T) {
 		t.Fatalf("committed = %q, %v", final, err)
 	}
 }
+
+// openFailsOnce is a FileService whose next Open fails.
+type openFailsOnce struct {
+	FileService
+	err error
+}
+
+func (f *openFailsOnce) Open(id fileservice.FileID) error {
+	if err := f.err; err != nil {
+		f.err = nil
+		return err
+	}
+	return f.FileService.Open(id)
+}
+
+// pathOwner is openFailsOnce as a remote service that owns naming presents
+// itself: it registers the name while serving CreatePath and unregisters it
+// while serving Delete.
+type pathOwner struct {
+	openFailsOnce
+	nm *naming.Service
+}
+
+func (f *pathOwner) CreatePath(attr fit.Attributes, path string) (fileservice.FileID, error) {
+	id, err := f.Create(attr)
+	if err != nil {
+		return 0, err
+	}
+	return id, f.nm.Register(naming.Entry{
+		Name: naming.Name{"type": "FILE", "path": path}, Type: naming.FileObject, SystemName: uint64(id), Service: "fs0",
+	})
+}
+
+func (f *pathOwner) Delete(id fileservice.FileID) error {
+	if err := f.FileService.Delete(id); err != nil {
+		return err
+	}
+	f.nm.UnregisterSystemName(naming.FileObject, uint64(id))
+	return nil
+}
+
+// A Create whose open fails reports that no file was created, so none may be
+// left behind: the path does not resolve, the file service holds nothing, and
+// the same path can be created again.
+func TestCreateLeavesNothingWhenOpenFails(t *testing.T) {
+	errOpen := errors.New("open refused")
+	for name, wrap := range map[string]func(r *rig) FileService{
+		"agent registers the name": func(r *rig) FileService {
+			return &openFailsOnce{FileService: r.fs, err: errOpen}
+		},
+		"service registers the name": func(r *rig) FileService {
+			return &pathOwner{openFailsOnce: openFailsOnce{FileService: r.fs, err: errOpen}, nm: r.nm}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t)
+			m, err := NewMachine(MachineConfig{Naming: r.nm, Files: wrap(r), Metrics: r.met})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, fa := m.NewProcess(), m.FileAgent()
+			if _, err := fa.Create(p, "/retry", fit.Attributes{}); !errors.Is(err, errOpen) {
+				t.Fatalf("Create with a failing open = %v, want %v", err, errOpen)
+			}
+			if e, err := r.nm.ResolvePath("/retry"); !errors.Is(err, naming.ErrNotFound) {
+				t.Fatalf("after the failed Create the path resolves to %+v (err %v)", e, err)
+			}
+			if ids, err := r.fs.List(); err != nil || len(ids) != 0 {
+				t.Fatalf("after the failed Create the file service lists %v (err %v)", ids, err)
+			}
+			fd, err := fa.Create(p, "/retry", fit.Attributes{})
+			if err != nil {
+				t.Fatalf("second Create of the same path: %v", err)
+			}
+			if err := fa.Close(p, fd); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

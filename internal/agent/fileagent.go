@@ -96,9 +96,25 @@ func (a *FileAgent) Create(p *Process, path string, attr fit.Attributes) (int, e
 		}
 	}
 	if err := a.machine.files.Open(id); err != nil {
+		// The caller is told the file does not exist, so it must not: a
+		// registered leftover would make a retry fail as already existing.
+		_ = a.remove(id)
 		return 0, err
 	}
 	return p.addFileDesc(&descriptor{kind: descFile, file: id}), nil
+}
+
+// remove deletes file id and its name. A remote service that owns naming
+// (see Create) unregisters the name while serving the delete; otherwise the
+// agent does.
+func (a *FileAgent) remove(id fileservice.FileID) error {
+	if err := a.machine.files.Delete(id); err != nil {
+		return err
+	}
+	if _, ok := a.machine.files.(PathCreator); !ok {
+		a.machine.naming.UnregisterSystemName(naming.FileObject, uint64(id))
+	}
+	return nil
 }
 
 // Open resolves the attributed path name to a system name (§3's name
@@ -141,17 +157,11 @@ func (a *FileAgent) Delete(path string) error {
 	if err != nil {
 		return err
 	}
-	id := fileservice.FileID(e.SystemName)
-	if err := a.machine.files.Delete(id); err != nil {
+	if err := a.remove(fileservice.FileID(e.SystemName)); err != nil {
 		return err
 	}
 	if a.cache != nil {
 		a.cache.InvalidateAll()
-	}
-	// A remote service that owns naming (see Create) already unregistered
-	// the name while serving the delete.
-	if _, ok := a.machine.files.(PathCreator); !ok {
-		a.machine.naming.UnregisterSystemName(naming.FileObject, e.SystemName)
 	}
 	return nil
 }

@@ -14,10 +14,16 @@
 // is ever shared. Put copies the caller's bytes in and Get copies the whole
 // buffer out; ReadRange, WriteRange and Patch move only the bytes asked for
 // between the caller's slice and the cached buffer, in place under the cache
-// mutex — the forms the hot paths use, one copy and no allocation. A
-// Writeback is lent the buffer for the length of the call and must not keep
-// the slice: an evicted entry's buffer becomes the buffer of the entry that
-// displaced it. Writebacks run outside the cache mutex
+// mutex — the forms the hot paths use, one copy and no allocation.
+//
+// The one exception is the lending rule, which every WritebackFunc call site
+// (FlushKey, eviction, a write-through Put) follows: the function is handed
+// the buffer itself, the slice does not change while the function runs, and
+// the function does not keep it after it returns — an evicted entry's buffer
+// becomes the buffer of the entry that displaced it. A flush therefore moves
+// no bytes inside the cache; the copy is paid by the rare write that lands on
+// an entry while its writeback is in flight, which first gives the entry a
+// fresh buffer (ownLocked). Writebacks run outside the cache mutex
 // (per-entry in-flight flags keep writebacks of one key serialized, and a
 // generation number detects redirtying during a flush); the one duty left
 // to the caller: concurrent dirty Puts of the same key in a WriteThrough
@@ -121,13 +127,15 @@ func (p *Pool) Outstanding() int {
 	return p.outstanding
 }
 
-// WritebackFunc persists a dirty buffer to the layer below. data is the
-// cache's own buffer (or a copy of it), valid only until the call returns.
+// WritebackFunc persists a dirty buffer to the layer below. data is lent (see
+// the package comment): it is the cache's own buffer, or the caller's on a
+// write-through Put, it holds still for the length of the call, and the
+// function must neither modify it nor keep it once it returns.
 type WritebackFunc[K comparable] func(key K, data []byte) error
 
 // Cache is an LRU buffer cache. It is safe for concurrent use and shares no
-// slice with its callers (see the package comment), so they may freely reuse
-// theirs.
+// slice with its callers beyond the loan to a running writeback (see the
+// package comment), so they may freely reuse theirs.
 //
 // Writebacks happen outside the cache mutex wherever possible, so flushing
 // one disk's buffers never blocks hits, misses, or flushes bound for another
@@ -158,6 +166,17 @@ type entry[K comparable] struct {
 	dirty    bool
 	gen      uint64 // generation of the last dirty Put
 	flushing bool   // a writeback of this entry is in flight
+	lent     bool   // that writeback holds data itself: do not write into it
+}
+
+// ownLocked makes e.data safe to write into: if the buffer is on loan to a
+// writeback in flight, the entry takes a private copy and the writeback keeps
+// the old one, unchanged, to the end of its call. Callers must hold c.mu.
+func (e *entry[K]) ownLocked() {
+	if e.lent {
+		e.data = append([]byte(nil), e.data...)
+		e.lent = false
+	}
 }
 
 // Config configures a Cache.
@@ -265,7 +284,9 @@ func (c *Cache[K]) ReadRange(key K, off int, dst []byte) bool {
 // patches of disjoint ranges of one buffer all land, which a Get, modify,
 // Put sequence cannot promise. An absent or dirty buffer is left alone. A
 // patched buffer becomes the most recently used, as a Put of it would make
-// it; the hit/miss counters count reads only and are not affected.
+// it; the hit/miss counters count reads only and are not affected. (A buffer
+// on loan to a writeback is dirty until the writeback returns, so Patch never
+// writes into one.)
 func (c *Cache[K]) Patch(key K, off int, data []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -296,6 +317,7 @@ func (c *Cache[K]) WriteRange(key K, off int, data []byte) (bool, error) {
 	c.mu.Lock()
 	e, ok := c.lookupLocked(key)
 	if ok {
+		e.ownLocked()
 		copy(e.data[off:off+len(data)], data)
 		e.dirty = true
 		c.seq++
@@ -339,6 +361,7 @@ func (c *Cache[K]) Put(key K, data []byte, dirty bool) error {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*entry[K])
+		e.ownLocked()
 		e.data = append(e.data[:0], data...)
 		if dirty {
 			e.dirty = true
@@ -473,10 +496,10 @@ func (c *Cache[K]) DirtyKeys() []K {
 }
 
 // FlushKey writes back the buffer under key if it is dirty. The writeback
-// runs outside the cache lock; a Put that redirties the key while the
-// writeback is in flight leaves the buffer dirty (detected by generation),
-// and concurrent FlushKey calls for the same key serialize on the in-flight
-// flag.
+// runs outside the cache lock on the entry's own buffer, lent for the call; a
+// write that redirties the key meanwhile lands in a fresh buffer (ownLocked)
+// and leaves the entry dirty (detected by generation), and concurrent
+// FlushKey calls for the same key serialize on the in-flight flag.
 func (c *Cache[K]) FlushKey(key K) error {
 	c.mu.Lock()
 	var e *entry[K]
@@ -500,16 +523,15 @@ func (c *Cache[K]) FlushKey(key K) error {
 		c.mu.Unlock()
 		return errors.New("cache: flushing dirty buffer with no writeback")
 	}
-	data := append([]byte(nil), e.data...)
-	gen := e.gen
-	e.flushing = true
+	data, gen := e.data, e.gen
+	e.flushing, e.lent = true, true
 	c.mu.Unlock()
 
 	err := c.writeback(key, data)
 
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok && el.Value.(*entry[K]) == e {
-		e.flushing = false
+		e.flushing, e.lent = false, false
 		if err == nil && e.gen == gen {
 			e.dirty = false
 		}

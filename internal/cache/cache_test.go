@@ -49,10 +49,17 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// The ownership rule: Put copies the caller's bytes in and Get copies the
+// buffer out, so neither side ever sees the other's later writes; a
+// writeback alone is lent the cache's own buffer, for the length of the call.
 func TestBuffersAreCopied(t *testing.T) {
-	c := newDelayed(t, 4, nil)
+	var lent []byte
+	c := newDelayed(t, 4, func(k int, data []byte) error {
+		lent = data
+		return nil
+	})
 	src := []byte("abc")
-	if err := c.Put(1, src, false); err != nil {
+	if err := c.Put(1, src, true); err != nil {
 		t.Fatal(err)
 	}
 	src[0] = 'z'
@@ -64,6 +71,20 @@ func TestBuffersAreCopied(t *testing.T) {
 	again, _ := c.Get(1)
 	if string(again) != "abc" {
 		t.Fatal("Get did not return a copy")
+	}
+	if err := c.FlushKey(1); err != nil {
+		t.Fatal(err)
+	}
+	if string(lent) != "abc" {
+		t.Fatalf("writeback saw %q", lent)
+	}
+	// Lent, not copied: a flush moves no bytes inside the cache, so the
+	// writeback's slice is the buffer the next in-place write lands in.
+	if hit, err := c.WriteRange(1, 0, []byte("X")); !hit || err != nil {
+		t.Fatalf("WriteRange = %v, %v", hit, err)
+	}
+	if string(lent) != "Xbc" {
+		t.Fatalf("after the call returned the slice reads %q: FlushKey handed the writeback a copy", lent)
 	}
 }
 

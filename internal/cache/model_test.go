@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -29,9 +30,10 @@ func word(buf []byte, i int) uint64 { return binary.LittleEndian.Uint64(buf[i*8:
 
 // modelStore is the layer below, recording every writeback it takes.
 type modelStore struct {
-	t    *testing.T
-	mu   sync.Mutex
-	data map[int][]byte
+	t     *testing.T
+	steps atomic.Int64 // operations the owners have started
+	mu    sync.Mutex
+	data  map[int][]byte
 }
 
 func (s *modelStore) get(key int) []byte {
@@ -49,8 +51,21 @@ func (s *modelStore) set(key int, data []byte) {
 // writeback checks the buffer is whole, is key's, and is no older in any word
 // than what is already below: writebacks of one key are serialized, so a
 // stale image can never land on a newer one.
+//
+// It is also where the lending rule is checked, at all three call sites
+// (FlushKey, eviction, a write-through Put): data is the cache's own buffer,
+// not a copy, so it is summed, left in flight until some owner has started
+// another operation — a WriteRange, Patch, Put or Invalidate of this key, an
+// evicting Put of another — and summed again. (The wait is bounded: an
+// eviction writeback runs under the cache mutex, where nobody can step.)
 func (s *modelStore) writeback(key int, data []byte) error {
-	runtime.Gosched() // a slow device: leave the writeback in flight for a while
+	before := crc32.ChecksumIEEE(data)
+	for i, at := 0, s.steps.Load(); i < 16 && s.steps.Load() == at; i++ {
+		runtime.Gosched()
+	}
+	if after := crc32.ChecksumIEEE(data); after != before {
+		s.t.Errorf("writeback of key %d: the lent buffer changed during the call (crc %08x, then %08x)", key, before, after)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(data) != modelSize || word(data, 0) != uint64(key) {
@@ -175,6 +190,7 @@ func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.In
 		}
 	}
 	for step := 0; step < steps && !t.Failed(); step++ {
+		store.steps.Add(1)
 		i := rng.Intn(n)
 		key := base + i
 		a := 1 + rng.Intn(modelWords-1)
@@ -264,51 +280,129 @@ func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.In
 	}
 }
 
-// TestWriteRangeDuringFlush pins the interleaving the generation number
-// exists for: an in-place write that lands while FlushKey's writeback of the
-// same key is in flight must leave the entry dirty, and the next flush must
-// write the new bytes.
+// TestWriteRangeDuringFlush pins the interleavings the generation number and
+// the lending rule exist for. FlushKey's writeback is parked holding the
+// entry's own buffer while one more operation runs against the cache: the
+// buffer must read the same before and after; a write that lands must leave
+// the entry dirty and reach the store on the next flush; an operation that
+// would take the buffer away (Invalidate, an eviction with nothing else to
+// evict) must wait the writeback out.
 func TestWriteRangeDuringFlush(t *testing.T) {
-	entered, release := make(chan struct{}), make(chan struct{})
-	var mu sync.Mutex
-	var wrote [][]byte
-	c, err := New(Config[int]{Capacity: 2, Writeback: func(key int, data []byte) error {
-		mu.Lock()
-		wrote = append(wrote, append([]byte(nil), data...))
-		first := len(wrote) == 1
-		mu.Unlock()
-		if first {
-			close(entered)
-			<-release
+	const key, other = 7, 8
+	for _, tc := range []struct {
+		name  string
+		op    func(c *Cache[int]) error
+		waits func(capacity int) bool // op cannot finish before the writeback does
+		// second is the image the next FlushKey writes ("" when the entry
+		// was left clean or is gone).
+		second string
+	}{
+		{name: "WriteRange", second: "aaBBaaaa", op: func(c *Cache[int]) error {
+			hit, err := c.WriteRange(key, 2, []byte("BB"))
+			if !hit {
+				return fmt.Errorf("WriteRange missed")
+			}
+			return err
+		}},
+		{name: "same-key Put", second: "CCCCCCCC", op: func(c *Cache[int]) error {
+			return c.Put(key, []byte("CCCCCCCC"), true)
+		}},
+		{name: "Patch", op: func(c *Cache[int]) error {
+			if c.Patch(key, 2, []byte("BB")) {
+				return fmt.Errorf("Patch wrote into a dirty buffer")
+			}
+			return nil
+		}},
+		{name: "Invalidate", waits: func(int) bool { return true }, op: func(c *Cache[int]) error {
+			c.Invalidate(key)
+			return nil
+		}},
+		{name: "evicting Put", waits: func(capacity int) bool { return capacity == 1 }, op: func(c *Cache[int]) error {
+			return c.Put(other, []byte("eeeeeeee"), false)
+		}},
+	} {
+		for capacity := 1; capacity <= 4; capacity++ {
+			t.Run(fmt.Sprintf("%s/cap=%d", tc.name, capacity), func(t *testing.T) {
+				entered, release := make(chan struct{}), make(chan struct{})
+				var returned atomic.Bool // the parked writeback is past its second checksum
+				var mu sync.Mutex
+				var wrote []string
+				c, err := New(Config[int]{Capacity: capacity, Writeback: func(k int, data []byte) error {
+					mu.Lock()
+					wrote = append(wrote, string(data))
+					first := len(wrote) == 1
+					mu.Unlock()
+					if first {
+						before := crc32.ChecksumIEEE(data)
+						close(entered)
+						<-release
+						if after := crc32.ChecksumIEEE(data); after != before {
+							t.Errorf("the lent buffer changed while the writeback held it: now %q", data)
+						}
+						returned.Store(true)
+					}
+					return nil
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Fill the cache with clean neighbours, key last so it is the
+				// one an eviction would not pick while anything else is there.
+				for k := 100; k < 100+capacity-1; k++ {
+					if err := c.Put(k, []byte("nnnnnnnn"), false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.Put(key, []byte("aaaaaaaa"), true); err != nil {
+					t.Fatal(err)
+				}
+				flushed := make(chan error, 1)
+				go func() { flushed <- c.FlushKey(key) }()
+				<-entered
+				opDone := make(chan error, 1)
+				go func() {
+					err := tc.op(c)
+					if tc.waits != nil && tc.waits(capacity) && !returned.Load() {
+						err = fmt.Errorf("finished while the writeback still held the buffer")
+					}
+					opDone <- err
+				}()
+				if tc.waits == nil || !tc.waits(capacity) {
+					// The operation does not depend on the writeback: it must
+					// finish while the writeback is still parked.
+					if err := <-opDone; err != nil {
+						t.Fatal(err)
+					}
+					opDone <- nil
+				}
+				close(release)
+				if err := <-flushed; err != nil {
+					t.Fatal(err)
+				}
+				if err := <-opDone; err != nil {
+					t.Fatal(err)
+				}
+				wantDirty := 0
+				if tc.second != "" {
+					wantDirty = 1
+				}
+				if n := c.DirtyCount(); n != wantDirty {
+					t.Fatalf("DirtyCount after the flush = %d, want %d", n, wantDirty)
+				}
+				if err := c.FlushKey(key); err != nil {
+					t.Fatal(err)
+				}
+				if n := c.DirtyCount(); n != 0 {
+					t.Fatalf("DirtyCount after the second flush = %d, want 0", n)
+				}
+				want := []string{"aaaaaaaa"}
+				if tc.second != "" {
+					want = append(want, tc.second)
+				}
+				if fmt.Sprint(wrote) != fmt.Sprint(want) {
+					t.Fatalf("writebacks = %q, want %q", wrote, want)
+				}
+			})
 		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(7, []byte("aaaaaaaa"), true); err != nil {
-		t.Fatal(err)
-	}
-	flushed := make(chan error, 1)
-	go func() { flushed <- c.FlushKey(7) }()
-	<-entered
-	if hit, err := c.WriteRange(7, 2, []byte("BB")); !hit || err != nil {
-		t.Fatalf("WriteRange during the flush = %v, %v", hit, err)
-	}
-	close(release)
-	if err := <-flushed; err != nil {
-		t.Fatal(err)
-	}
-	if n := c.DirtyCount(); n != 1 {
-		t.Fatalf("DirtyCount after the overtaken flush = %d, want 1", n)
-	}
-	if err := c.FlushKey(7); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.DirtyCount(); n != 0 {
-		t.Fatalf("DirtyCount after the second flush = %d, want 0", n)
-	}
-	if len(wrote) != 2 || string(wrote[0]) != "aaaaaaaa" || string(wrote[1]) != "aaBBaaaa" {
-		t.Fatalf("writebacks = %q, want the old image then the patched one", wrote)
 	}
 }

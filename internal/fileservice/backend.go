@@ -46,7 +46,9 @@ type Backend interface {
 
 	// Get is the paper's get-block (§4).
 	Get(addr, n int, opts diskservice.GetOptions) ([]byte, error)
-	// Put is the paper's put-block (§4).
+	// Put is the paper's put-block (§4). data is lent for the length of the
+	// call — it is a cache buffer on a writeback, a pooled one on a FIT write
+	// — so an implementation copies whatever it keeps.
 	Put(addr int, data []byte, opts diskservice.PutOptions) error
 	// Flush is the paper's flush-block: all buffered state becomes durable.
 	Flush() error

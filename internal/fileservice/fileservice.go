@@ -676,48 +676,46 @@ func (s *Service) flushAllLocked() error {
 	return s.flushDisksLocked()
 }
 
-// flushCacheLocked writes back every dirty cached block, fanning out one
-// goroutine per destination disk.
+// flushCacheLocked writes back every dirty cached block.
 func (s *Service) flushCacheLocked() error {
-	keys := s.blockCache.DirtyKeys()
-	if len(keys) == 0 {
-		return nil
-	}
-	byDisk := make([][]blockKey, len(s.disks))
-	for _, k := range keys {
-		byDisk[k.disk] = append(byDisk[k.disk], k)
-	}
-	var groups [][]blockKey
-	for _, g := range byDisk {
-		if len(g) > 0 {
-			groups = append(groups, g)
-		}
-	}
-	return s.flushKeyGroups(groups)
+	return s.flushKeys(s.blockCache.DirtyKeys())
 }
 
-// flushKeyGroups flushes each group of cache keys in order, the groups in
-// parallel (they target distinct disks). On error the first failure in group
-// order is returned.
-func (s *Service) flushKeyGroups(groups [][]blockKey) error {
-	if len(groups) == 0 {
-		return nil
+// flushKeys flushes the given cache keys. Keys that share a disk — the whole
+// list, for a record write or a file on one disk — are flushed in order on
+// the calling goroutine and nothing is allocated; keys on several disks go
+// out as one in-order stream per disk, the streams in parallel. On error the
+// first failure in disk order is returned.
+func (s *Service) flushKeys(keys []blockKey) error {
+	oneDisk := true
+	for _, k := range keys {
+		if k.disk != keys[0].disk {
+			oneDisk = false
+			break
+		}
 	}
-	if len(groups) == 1 {
-		for _, k := range groups[0] {
+	if oneDisk {
+		for _, k := range keys {
 			if err := s.blockCache.FlushKey(k); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	byDisk := make([][]blockKey, len(s.disks))
+	for _, k := range keys {
+		byDisk[k.disk] = append(byDisk[k.disk], k)
+	}
 	if s.overlap != nil {
 		s.overlap.EnterBatch()
 		defer s.overlap.LeaveBatch()
 	}
-	errs := make([]error, len(groups))
+	errs := make([]error, len(byDisk))
 	var wg sync.WaitGroup
-	for i, g := range groups {
+	for i, g := range byDisk {
+		if len(g) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, g []blockKey) {
 			defer wg.Done()
@@ -768,22 +766,13 @@ func (s *Service) flushDisksLocked() error {
 // flushFile flushes one file's dirty blocks (per-disk parallel) and FIT.
 // Callers must hold st.mu.
 func (s *Service) flushFile(st *fileState) error {
-	byDisk := make(map[int][]blockKey)
-	var order []int
+	keys := make([]blockKey, 0, st.extents.TotalBlocks())
 	for _, e := range st.extents.Extents() {
-		d := int(e.Disk)
-		if _, ok := byDisk[d]; !ok {
-			order = append(order, d)
-		}
 		for b := 0; b < int(e.Count); b++ {
-			byDisk[d] = append(byDisk[d], blockKey{disk: d, addr: int(e.Addr) + b*FragmentsPerBlock})
+			keys = append(keys, blockKey{disk: int(e.Disk), addr: int(e.Addr) + b*FragmentsPerBlock})
 		}
 	}
-	groups := make([][]blockKey, 0, len(order))
-	for _, d := range order {
-		groups = append(groups, byDisk[d])
-	}
-	if err := s.flushKeyGroups(groups); err != nil {
+	if err := s.flushKeys(keys); err != nil {
 		return err
 	}
 	if st.fitDirty {
@@ -896,6 +885,12 @@ func (s *Service) loadFIT(st *fileState) error {
 	return nil
 }
 
+// fitBufs recycles writeFIT's one-fragment encode buffers.
+var fitBufs = sync.Pool{New: func() any {
+	b := make([]byte, FragmentSize)
+	return &b
+}}
+
 // writeFIT encodes and persists the FIT to its original location and
 // stable storage (§4's put-block file-index-table flavour), rewriting
 // indirect blocks as needed. waitStable selects synchronous stable writes.
@@ -945,9 +940,13 @@ func (s *Service) writeFIT(st *fileState, waitStable bool) error {
 			return err
 		}
 	}
-	tbl := &fit.Table{Attr: st.attr, Direct: direct, Indirect: st.indirect}
-	raw, err := tbl.Encode()
-	if err != nil {
+	tbl := fit.Table{Attr: st.attr, Direct: direct, Indirect: st.indirect}
+	// Put is lent its data as a cache writeback is (it copies what it keeps),
+	// so the encode buffer goes back for the next table.
+	bp := fitBufs.Get().(*[]byte)
+	defer fitBufs.Put(bp)
+	raw := *bp
+	if err := tbl.EncodeInto(raw); err != nil {
 		return err
 	}
 	if err := s.disks[st.fitDisk].Put(st.fitAddr, raw, diskservice.PutOptions{

@@ -391,8 +391,8 @@ func (s *Service) writeAt(ctx context.Context, id FileID, off int64, data []byte
 		}
 	}
 	writeThrough := st.attr.Service == fit.ServiceTransaction
-	var wtDisks []int
-	var wtByDisk map[int][]blockKey
+	var wtBuf [4]blockKey // a record write touches one block, rarely two
+	wtKeys := wtBuf[:0]
 	written := 0
 	for written < len(data) {
 		pos := off + int64(written)
@@ -417,24 +417,12 @@ func (s *Service) writeAt(ctx context.Context, id FileID, off int64, data []byte
 			return written, err
 		}
 		if writeThrough {
-			if wtByDisk == nil {
-				wtByDisk = make(map[int][]blockKey)
-			}
-			if _, ok := wtByDisk[key.disk]; !ok {
-				wtDisks = append(wtDisks, key.disk)
-			}
-			wtByDisk[key.disk] = append(wtByDisk[key.disk], key)
+			wtKeys = append(wtKeys, key)
 		}
 		written += chunk
 	}
-	if writeThrough {
-		groups := make([][]blockKey, 0, len(wtDisks))
-		for _, d := range wtDisks {
-			groups = append(groups, wtByDisk[d])
-		}
-		if err := s.flushKeyGroups(groups); err != nil {
-			return written, err
-		}
+	if err := s.flushKeys(wtKeys); err != nil {
+		return written, err
 	}
 	if uint64(end) > st.attr.Size {
 		st.attr.Size = uint64(end)

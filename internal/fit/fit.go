@@ -149,13 +149,26 @@ var (
 // Encode serializes the table into exactly one fragment. The layout is:
 // magic, CRC, attribute block, direct count, indirect count, descriptors.
 func (t *Table) Encode() ([]byte, error) {
+	buf := make([]byte, FragmentSize)
+	if err := t.EncodeInto(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// EncodeInto is Encode into buf, which must be one fragment long; every byte
+// of it is overwritten, so a caller may reuse one buffer across tables.
+func (t *Table) EncodeInto(buf []byte) error {
+	if len(buf) != FragmentSize {
+		return fmt.Errorf("fit: encode buffer is %d bytes, want %d", len(buf), FragmentSize)
+	}
 	if len(t.Direct) > MaxDirectExtents {
-		return nil, fmt.Errorf("%w: %d direct extents (max %d)", ErrTooLarge, len(t.Direct), MaxDirectExtents)
+		return fmt.Errorf("%w: %d direct extents (max %d)", ErrTooLarge, len(t.Direct), MaxDirectExtents)
 	}
 	if len(t.Indirect) > MaxIndirectPtrs {
-		return nil, fmt.Errorf("%w: %d indirect pointers (max %d)", ErrTooLarge, len(t.Indirect), MaxIndirectPtrs)
+		return fmt.Errorf("%w: %d indirect pointers (max %d)", ErrTooLarge, len(t.Indirect), MaxIndirectPtrs)
 	}
-	buf := make([]byte, FragmentSize)
+	clear(buf)
 	binary.BigEndian.PutUint32(buf[0:], fitMagic)
 	// buf[4:8] is the CRC, filled last.
 	a := &t.Attr
@@ -169,14 +182,16 @@ func (t *Table) Encode() ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[42:], uint16(len(t.Direct)))
 	binary.BigEndian.PutUint16(buf[44:], uint16(len(t.Indirect)))
 	off := 46
-	for _, e := range append(append([]Extent(nil), t.Direct...), t.Indirect...) {
-		binary.BigEndian.PutUint16(buf[off:], e.Disk)
-		binary.BigEndian.PutUint32(buf[off+2:], e.Addr)
-		binary.BigEndian.PutUint16(buf[off+6:], e.Count)
-		off += DescriptorSize
+	for _, list := range [2][]Extent{t.Direct, t.Indirect} {
+		for _, e := range list {
+			binary.BigEndian.PutUint16(buf[off:], e.Disk)
+			binary.BigEndian.PutUint32(buf[off+2:], e.Addr)
+			binary.BigEndian.PutUint16(buf[off+6:], e.Count)
+			off += DescriptorSize
+		}
 	}
 	binary.BigEndian.PutUint32(buf[4:], crcOf(buf))
-	return buf, nil
+	return nil
 }
 
 // crcOf computes the table checksum with the CRC field zeroed.

@@ -18,7 +18,6 @@ package intentions
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -114,7 +113,7 @@ type List struct {
 	mu      sync.Mutex
 	txn     uint64
 	status  Status
-	records []Record
+	records []Record // in Seq order: appended with rising Seq, removed in place
 	nextSeq int
 }
 
@@ -184,7 +183,6 @@ func (l *List) GetIntentions() []Record {
 	defer l.mu.Unlock()
 	out := make([]Record, len(l.records))
 	copy(out, l.records)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
@@ -283,7 +281,9 @@ func (l *List) RemoveIntentions(seqs ...int) {
 // last. blockSize converts page-mode blocks to byte ranges.
 func (l *List) Overlay(file uint64, off int64, base []byte, blockSize int) []byte {
 	out := base
-	for _, r := range l.GetIntentions() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, r := range l.records {
 		if r.File != file {
 			continue
 		}

@@ -6,7 +6,8 @@
 //
 // A Span records its layer, operation, file/txn id, start and end in both
 // wall time and virtual time (the simclock makespan), and the outcome.
-// Spans nest via context.Context, so one client operation yields a tree:
+// Spans nest via context.Context — a started span is itself the context its
+// callees receive — so one client operation yields a tree:
 // agent → fileservice → lock wait → diskservice → device transfer. When a
 // root span ends its completed tree is pushed into the flight recorder;
 // when a fault-injection point fires the recorder snapshots the in-flight
@@ -17,6 +18,13 @@
 // pays only a nil check — plus, on ctx-threaded paths, one context.Value
 // lookup — when tracing is off. BenchmarkSpanDisabled in this package and
 // BenchmarkReadAtCached8KB in fileservice pin that cost at ~0 ns/op.
+//
+// Cost model when tracing is on (TestSpanAllocBudget pins it): a span is one
+// allocation and two reads of the monotonic clock, one at each edge — wall
+// times are kept as offsets from the recorder's epoch, the span doubles as
+// its own context node, and its first inlineKids children are linked without
+// growing a slice. The histogram-only Op bracket allocates nothing and reads
+// the clock once per edge.
 //
 // Concurrency and ownership contract: a Recorder is safe for concurrent use
 // — histograms (latency and named value histograms alike) are lock-free
@@ -98,7 +106,7 @@ type Recorder struct {
 	values map[string]*Histogram
 
 	amu    sync.Mutex
-	active map[*Span]struct{}
+	active *Span // head of the in-flight roots, linked through the spans
 
 	dmu       sync.Mutex
 	dumps     []*FaultDump
@@ -138,7 +146,6 @@ func New(opts ...Option) *Recorder {
 		epoch:  time.Now(),
 		flight: newFlightRing(defaultFlightCap),
 		gauges: make(map[string]*Gauge),
-		active: make(map[*Span]struct{}),
 	}
 	for _, o := range opts {
 		o(r)
@@ -296,10 +303,22 @@ func (r *Recorder) Gauges() map[string]int64 {
 	return out
 }
 
+// inlineKids is how many children a span links without allocating: the
+// commit and read paths start two to four per parent, and only a fan-out
+// wider than this spills to a slice.
+const inlineKids = 4
+
 // Span is one timed operation in one layer. A nil Span accepts every
 // method and does nothing, so callers never need to check whether tracing
 // is on.
+//
+// A started Span is also the context.Context its callees run under: it
+// answers Value(ctxKey{}) with itself and defers everything else to the
+// context it was started in, so a span costs one allocation, not a span plus
+// a context.WithValue node. (The context methods are the one place a nil
+// Span is not accepted; no Start function returns a nil Span as a context.)
 type Span struct {
+	ctx    context.Context // the context the span was started in
 	rec    *Recorder
 	parent *Span
 	layer  Layer
@@ -312,22 +331,46 @@ type Span struct {
 	spanID       uint64
 	remoteParent uint64
 
-	mu        sync.Mutex
-	op        string
-	file      uint64
-	txn       uint64
-	bytes     int64
-	count     int64
-	startWall time.Time
+	// Wall times are monotonic offsets from rec.epoch: one clock read each.
+	startWall time.Duration
 	startVirt time.Duration
-	endWall   time.Time
-	endVirt   time.Duration
-	errmsg    string
-	done      bool
-	children  []*Span
+
+	// A root's links in the recorder's in-flight list (guarded by rec.amu).
+	activePrev, activeNext *Span
+
+	mu      sync.Mutex
+	op      string
+	file    uint64
+	txn     uint64
+	bytes   int64
+	count   int64
+	endWall time.Duration
+	endVirt time.Duration
+	errmsg  string
+	done    bool
+	nkids   int
+	kids    [inlineKids]*Span
+	more    []*Span // children beyond inlineKids
 }
 
 type ctxKey struct{}
+
+// Deadline implements context.Context by deferring to the enclosing context.
+func (s *Span) Deadline() (time.Time, bool) { return s.ctx.Deadline() }
+
+// Done implements context.Context by deferring to the enclosing context.
+func (s *Span) Done() <-chan struct{} { return s.ctx.Done() }
+
+// Err implements context.Context by deferring to the enclosing context.
+func (s *Span) Err() error { return s.ctx.Err() }
+
+// Value implements context.Context: the span is the value of its own key.
+func (s *Span) Value(key any) any {
+	if key == (ctxKey{}) {
+		return s
+	}
+	return s.ctx.Value(key)
+}
 
 // FromContext returns the span active in ctx, or nil.
 func FromContext(ctx context.Context) *Span {
@@ -343,16 +386,16 @@ func WithSpan(ctx context.Context, sp *Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, sp)
 }
 
-// StartSpan starts a child of the span active in ctx. When ctx carries no
-// span it returns (ctx, nil) — the disabled fast path is one context
-// lookup and a nil check.
+// StartSpan starts a child of the span active in ctx and returns it as the
+// context for the work it brackets. When ctx carries no span it returns
+// (ctx, nil) — the disabled fast path is one context lookup and a nil check.
 func StartSpan(ctx context.Context, layer Layer, op string) (context.Context, *Span) {
 	parent := FromContext(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
-	child := parent.rec.newSpan(layer, op, parent)
-	return context.WithValue(ctx, ctxKey{}, child), child
+	child := parent.rec.newSpan(ctx, layer, op, parent)
+	return child, child
 }
 
 // StartRoot starts a new root span tree on r. The root is registered as
@@ -361,11 +404,10 @@ func (r *Recorder) StartRoot(ctx context.Context, layer Layer, op string) (conte
 	if r == nil {
 		return ctx, nil
 	}
-	sp := r.newSpan(layer, op, nil)
-	r.amu.Lock()
-	r.active[sp] = struct{}{}
-	r.amu.Unlock()
-	return context.WithValue(ctx, ctxKey{}, sp), sp
+	sp := r.newSpan(ctx, layer, op, nil)
+	sp.traceID = newID()
+	r.register(sp)
+	return sp, sp
 }
 
 // StartRemote continues a span tree that began in another process: it
@@ -379,21 +421,19 @@ func (r *Recorder) StartRemote(ctx context.Context, layer Layer, op string, trac
 	if traceID == 0 {
 		return r.StartRoot(ctx, layer, op)
 	}
-	sp := r.newSpan(layer, op, nil)
+	sp := r.newSpan(ctx, layer, op, nil)
 	sp.traceID = traceID
 	sp.remoteParent = parentSpanID
-	r.amu.Lock()
-	r.active[sp] = struct{}{}
-	r.amu.Unlock()
-	return context.WithValue(ctx, ctxKey{}, sp), sp
+	r.register(sp)
+	return sp, sp
 }
 
 // StartOr nests under the span in ctx when there is one, and otherwise
 // roots a new tree on r — for layers that are entry points for some
 // callers (a txn service driven directly) and interior for others.
 func (r *Recorder) StartOr(ctx context.Context, layer Layer, op string) (context.Context, *Span) {
-	if FromContext(ctx) != nil {
-		return StartSpan(ctx, layer, op)
+	if ctx, child := StartSpan(ctx, layer, op); child != nil {
+		return ctx, child
 	}
 	return r.StartRoot(ctx, layer, op)
 }
@@ -413,25 +453,61 @@ func newID() uint64 {
 	return id
 }
 
-func (r *Recorder) newSpan(layer Layer, op string, parent *Span) *Span {
+// wallNow is the recorder's wall clock: the monotonic time since its epoch,
+// one clock read (time.Now reads the wall clock as well).
+func (r *Recorder) wallNow() time.Duration { return time.Since(r.epoch) }
+
+// newSpan starts a span under parent; a root (nil parent) is left for the
+// caller to give a traceID and register.
+func (r *Recorder) newSpan(ctx context.Context, layer Layer, op string, parent *Span) *Span {
 	sp := &Span{
+		ctx:       ctx,
 		rec:       r,
 		parent:    parent,
 		layer:     layer,
 		op:        op,
 		spanID:    newID(),
-		startWall: time.Now(),
+		startWall: r.wallNow(),
 		startVirt: r.vnow(),
 	}
 	if parent != nil {
 		sp.traceID = parent.traceID
 		parent.mu.Lock()
-		parent.children = append(parent.children, sp)
+		if parent.nkids < inlineKids {
+			parent.kids[parent.nkids] = sp
+		} else {
+			parent.more = append(parent.more, sp)
+		}
+		parent.nkids++
 		parent.mu.Unlock()
-	} else {
-		sp.traceID = newID()
 	}
 	return sp
+}
+
+// register links a root into the in-flight list; unregister unlinks it. The
+// list is intrusive (the links live in the span), so neither allocates.
+func (r *Recorder) register(sp *Span) {
+	r.amu.Lock()
+	sp.activeNext = r.active
+	if r.active != nil {
+		r.active.activePrev = sp
+	}
+	r.active = sp
+	r.amu.Unlock()
+}
+
+func (r *Recorder) unregister(sp *Span) {
+	r.amu.Lock()
+	if sp.activePrev != nil {
+		sp.activePrev.activeNext = sp.activeNext
+	} else {
+		r.active = sp.activeNext
+	}
+	if sp.activeNext != nil {
+		sp.activeNext.activePrev = sp.activePrev
+	}
+	sp.activePrev, sp.activeNext = nil, nil
+	r.amu.Unlock()
 }
 
 // TraceID returns the span's trace identity (zero on a nil Span).
@@ -506,7 +582,7 @@ func (s *Span) end(err error, cost time.Duration) {
 	if s == nil {
 		return
 	}
-	now := time.Now()
+	now := s.rec.wallNow()
 	vnow := s.rec.vnow()
 	s.mu.Lock()
 	if s.done {
@@ -526,7 +602,7 @@ func (s *Span) end(err error, cost time.Duration) {
 	if err != nil {
 		s.errmsg = err.Error()
 	}
-	wallDur := now.Sub(s.startWall)
+	wallDur := now - s.startWall
 	virtDur := s.endVirt - s.startVirt
 	layer := s.layer
 	root := s.parent == nil
@@ -536,9 +612,7 @@ func (s *Span) end(err error, cost time.Duration) {
 	r.wall[layer].Record(wallDur)
 	r.virt[layer].Record(virtDur)
 	if root {
-		r.amu.Lock()
-		delete(r.active, s)
-		r.amu.Unlock()
+		r.unregister(s)
 		r.flight.add(s)
 	}
 }
@@ -555,7 +629,7 @@ type Op struct {
 	sp    *Span
 	r     *Recorder
 	layer Layer
-	t0    time.Time
+	t0    time.Duration // r.wallNow() at the start
 	v0    time.Duration
 }
 
@@ -570,7 +644,7 @@ func (r *Recorder) StartOp(ctx context.Context, layer Layer, op string) (context
 	if r == nil {
 		return ctx, Op{}
 	}
-	return ctx, Op{r: r, layer: layer, t0: time.Now(), v0: r.vnow()}
+	return ctx, Op{r: r, layer: layer, t0: r.wallNow(), v0: r.vnow()}
 }
 
 // StartRemoteOp is StartOp for a request that arrived with cross-process
@@ -601,7 +675,7 @@ func (o Op) End(err error) {
 		if virt < 0 {
 			virt = 0
 		}
-		o.r.Observe(o.layer, time.Since(o.t0), virt)
+		o.r.Observe(o.layer, o.r.wallNow()-o.t0, virt)
 	}
 }
 
@@ -647,20 +721,24 @@ func (s *Span) Data() *SpanData {
 		Txn:          s.txn,
 		Bytes:        s.bytes,
 		Count:        s.count,
-		StartWallNS:  s.startWall.Sub(s.rec.epoch).Nanoseconds(),
+		StartWallNS:  int64(s.startWall),
 		StartVirtNS:  int64(s.startVirt),
 		Err:          s.errmsg,
 		InFlight:     !s.done,
 	}
 	if s.done {
-		d.WallNS = s.endWall.Sub(s.startWall).Nanoseconds()
+		d.WallNS = int64(s.endWall - s.startWall)
 		d.VirtNS = int64(s.endVirt - s.startVirt)
 	}
-	kids := make([]*Span, len(s.children))
-	copy(kids, s.children)
+	kids := make([]*Span, 0, s.nkids)
+	kids = append(kids, s.kids[:min(s.nkids, inlineKids)]...)
+	kids = append(kids, s.more...)
 	s.mu.Unlock()
-	for _, c := range kids {
-		d.Children = append(d.Children, c.Data())
+	if len(kids) > 0 {
+		d.Children = make([]*SpanData, len(kids))
+		for i, c := range kids {
+			d.Children[i] = c.Data()
+		}
 	}
 	return d
 }
@@ -685,8 +763,8 @@ func (r *Recorder) InFlight() []*SpanData {
 		return nil
 	}
 	r.amu.Lock()
-	roots := make([]*Span, 0, len(r.active))
-	for sp := range r.active {
+	var roots []*Span
+	for sp := r.active; sp != nil; sp = sp.activeNext {
 		roots = append(roots, sp)
 	}
 	r.amu.Unlock()

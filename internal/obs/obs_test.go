@@ -292,3 +292,109 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("flight retained = %d, want 16", got)
 	}
 }
+
+// TestSpanAllocBudget pins the cost model in the package comment: a span is
+// one allocation — no context node beside it, no slice for its first
+// children — and the histogram-only Op bracket, the path every untraced
+// request takes through an instrumented layer, allocates nothing.
+func TestSpanAllocBudget(t *testing.T) {
+	r := New(WithVirtualClock(func() time.Duration { return 0 }))
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(200, func() {
+		ctx2, root := r.StartRoot(ctx, LayerAgent, "read")
+		_, child := StartSpan(ctx2, LayerDevice, "io")
+		child.End(nil)
+		root.End(nil)
+	}); n > 2 {
+		t.Errorf("root + one child = %v allocations, budget 2", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		ctx2, root := r.StartRoot(ctx, LayerAgent, "read")
+		for i := 0; i < inlineKids; i++ {
+			_, child := StartSpan(ctx2, LayerDevice, "io")
+			child.End(nil)
+		}
+		root.End(nil)
+	}); n > 1+inlineKids {
+		t.Errorf("root + %d children = %v allocations, budget %d", inlineKids, n, 1+inlineKids)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		_, op := r.StartOp(ctx, LayerDiskService, "put")
+		op.Span().AddBytes(8192)
+		op.End(nil)
+	}); n != 0 {
+		t.Errorf("histogram-only Op bracket = %v allocations, budget 0", n)
+	}
+}
+
+// A span is the context its callees run under, so everything the enclosing
+// context carried must still be reachable through it: values, cancellation,
+// the deadline.
+func TestSpanIsTheEnclosingContext(t *testing.T) {
+	type key struct{}
+	outer, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	ctx, root := New().StartRoot(outer, LayerAgent, "read")
+	ctx, child := StartSpan(ctx, LayerDevice, "io")
+	if FromContext(ctx) != child || FromContext(context.WithValue(ctx, key{}, "w")) != child {
+		t.Fatal("the innermost span is not the one the context reports")
+	}
+	if got := ctx.Value(key{}); got != "v" {
+		t.Fatalf("outer value through two spans = %v", got)
+	}
+	// A context derived from a span is cancelled with the enclosing one.
+	derived, cancelDerived := context.WithCancel(ctx)
+	defer cancelDerived()
+	if ctx.Err() != nil {
+		t.Fatal("cancelled before cancel")
+	}
+	cancel()
+	<-derived.Done()
+	if !errors.Is(ctx.Err(), context.Canceled) || !errors.Is(derived.Err(), context.Canceled) {
+		t.Fatalf("after cancel: span ctx %v, derived %v", ctx.Err(), derived.Err())
+	}
+	child.End(nil)
+	root.End(nil)
+}
+
+// Children beyond the inline slots are kept, in start order, and roots leave
+// the in-flight set in whatever order they end.
+func TestManyChildrenAndInFlightSet(t *testing.T) {
+	r := New()
+	ctx, root := r.StartRoot(context.Background(), LayerAgent, "fan-out")
+	const n = 2*inlineKids + 1
+	for i := 0; i < n; i++ {
+		_, c := StartSpan(ctx, LayerDevice, "io")
+		c.SetCount(i)
+		c.End(nil)
+	}
+	_, a := r.StartRoot(context.Background(), LayerAgent, "a")
+	_, b := r.StartRoot(context.Background(), LayerAgent, "b")
+	inFlight := func() string {
+		var ops []string
+		for _, d := range r.InFlight() {
+			ops = append(ops, d.Op)
+		}
+		return strings.Join(ops, ",")
+	}
+	if got := inFlight(); got != "fan-out,a,b" {
+		t.Fatalf("in flight = %s", got)
+	}
+	a.End(nil) // the middle of the list
+	if got := inFlight(); got != "fan-out,b" {
+		t.Fatalf("in flight after a ended = %s", got)
+	}
+	root.End(nil)
+	b.End(nil)
+	if got := inFlight(); got != "" {
+		t.Fatalf("in flight after all ended = %s", got)
+	}
+	kids := r.Flight()[1].Children // a, then fan-out, then b
+	if len(kids) != n {
+		t.Fatalf("%d children recorded, started %d", len(kids), n)
+	}
+	for i, k := range kids {
+		if k.Count != int64(i) {
+			t.Fatalf("child %d is the one started %d-th", i, k.Count)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package simclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -99,7 +100,7 @@ var _ OpClock = (*Virtual)(nil)
 // dispatched them together.
 type Group struct {
 	mu      sync.Mutex
-	elapsed time.Duration // overlap-aware completion time of all work so far
+	elapsed atomic.Int64  // overlap-aware completion time of all work so far, ns; written under mu
 	base    time.Duration // elapsed when the current burst opened
 	bursts  int           // open operations + open batches
 }
@@ -109,16 +110,14 @@ func NewGroup() *Group { return &Group{} }
 
 // Elapsed returns the overlap-aware completion time of all work charged so
 // far: cluster makespan for batched scatter-gather, plain sum for strictly
-// sequential work.
-func (g *Group) Elapsed() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.elapsed
-}
+// sequential work. It is a single atomic load — every span edge and Op
+// bracket of an instrumented facility reads it — so it never waits behind an
+// operation being charged.
+func (g *Group) Elapsed() time.Duration { return time.Duration(g.elapsed.Load()) }
 
 func (g *Group) enterBurstLocked() {
 	if g.bursts == 0 {
-		g.base = g.elapsed
+		g.base = g.Elapsed()
 	}
 	g.bursts++
 }
@@ -183,8 +182,8 @@ func (m *Member) BeginOp(cost time.Duration) {
 	end := start + cost
 	m.busyUntil = end
 	m.busy += cost
-	if end > g.elapsed {
-		g.elapsed = end
+	if end > g.Elapsed() {
+		g.elapsed.Store(int64(end))
 	}
 }
 

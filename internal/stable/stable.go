@@ -56,6 +56,7 @@ type Store struct {
 	closed  bool
 	pending sync.WaitGroup // deferred writes in flight
 	deferCh chan deferred
+	bufs    sync.Pool // *[]byte: copies queued by WriteDeferred, recycled by the worker
 	loopWG  sync.WaitGroup
 
 	errMu   sync.Mutex
@@ -66,7 +67,7 @@ type Store struct {
 
 type deferred struct {
 	start int
-	data  []byte
+	buf   *[]byte // the store's copy of the data, from bufs; the worker puts it back
 }
 
 // Option configures a Store.
@@ -98,6 +99,7 @@ func NewStore(primary, mirror *device.Disk, opts ...Option) (*Store, error) {
 		mirror:  mirror,
 		alloc:   alloc,
 		deferCh: make(chan deferred, 64),
+		bufs:    sync.Pool{New: func() any { return new([]byte) }},
 	}
 	for _, o := range opts {
 		o(st)
@@ -181,23 +183,24 @@ func (s *Store) WriteDeferred(start int, data []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	bp := s.bufs.Get().(*[]byte)
+	*bp = append((*bp)[:0], data...)
 	s.pending.Add(1)
-	s.deferCh <- deferred{start: start, data: cp}
+	s.deferCh <- deferred{start: start, buf: bp}
 	return nil
 }
 
 func (s *Store) deferLoop() {
 	defer s.loopWG.Done()
 	for d := range s.deferCh {
-		if err := s.writeBoth(d.start, d.data); err != nil {
+		if err := s.writeBoth(d.start, *d.buf); err != nil {
 			s.errMu.Lock()
 			if s.lastErr == nil {
 				s.lastErr = err
 			}
 			s.errMu.Unlock()
 		}
+		s.bufs.Put(d.buf)
 		s.pending.Done()
 	}
 }

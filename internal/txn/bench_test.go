@@ -81,6 +81,7 @@ func BenchmarkCommitRecordUpdate(b *testing.B) {
 	svc := benchRig(b)
 	fid := benchFile(b, svc, fit.LockRecord, 64*1024)
 	payload := make([]byte, 128)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id, err := svc.Begin(1)

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"time"
 
@@ -285,6 +286,13 @@ func (l *Log) Replay(fn func(Record) error) error {
 		gen := binary.BigEndian.Uint32(b[16:])
 		if gen < lastGen {
 			break // stale residue from before a truncation
+		}
+		if gen == math.MaxUint32 {
+			// Appends after this replay take generation lastGen+1. A record
+			// already at the last one (corruption: a generation is used up
+			// per recovery) would wrap that to zero, and the next replay
+			// would drop everything appended since as stale.
+			break
 		}
 		rec := Record{
 			Type:   RecordType(b[20]),

@@ -16,7 +16,7 @@ func newLog(t *testing.T, frags int) (*Log, *stable.Store) {
 	return l, st
 }
 
-func newLogStart(t *testing.T, frags int) (*Log, *stable.Store, int) {
+func newLogStart(t testing.TB, frags int) (*Log, *stable.Store, int) {
 	t.Helper()
 	g := device.Geometry{FragmentsPerTrack: 8, Tracks: 8}
 	p, err := device.New(g)
