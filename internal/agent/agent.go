@@ -59,11 +59,19 @@ var (
 
 // FileService is the interface the file agent needs from the basic file
 // service; *fileservice.Service implements it, as does the RPC-backed proxy.
+// The data path takes the caller's context, so the service's spans join the
+// agent's trace.
 type FileService interface {
 	Create(attr fit.Attributes) (fileservice.FileID, error)
 	Open(id fileservice.FileID) error
 	Close(id fileservice.FileID) error
 	Delete(id fileservice.FileID) error
+	ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error)
+	WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error)
+	// ReadAt and WriteAt are the data path without a context: every
+	// implementation's one-line delegate (its compat.go), declared here
+	// because bench/wrap.go calls them through this interface. ROADMAP item
+	// 8 deletes them and drops the Ctx suffix above.
 	ReadAt(id fileservice.FileID, off int64, n int) ([]byte, error)
 	WriteAt(id fileservice.FileID, off int64, data []byte) (int, error)
 	Truncate(id fileservice.FileID, size int64) error
@@ -94,24 +102,13 @@ type PathCreator interface {
 	CreatePath(attr fit.Attributes, path string) (fileservice.FileID, error)
 }
 
-// fileServiceCtx is the optional trace-context form of FileService's data
-// path. *fileservice.Service provides it; the machine reaches it by type
-// assertion so FileService itself (and the RPC proxy) is unaffected.
-type fileServiceCtx interface {
-	ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error)
-	WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error)
-}
-
-var _ fileServiceCtx = (*fileservice.Service)(nil)
-
 // Machine hosts one computer's agents.
 type Machine struct {
-	naming   NameService
-	files    FileService
-	filesCtx fileServiceCtx // non-nil when files supports trace contexts
-	txns     *txn.Service
-	met      *metrics.Set
-	obsRec   *obs.Recorder
+	naming NameService
+	files  FileService
+	txns   *txn.Service
+	met    *metrics.Set
+	obsRec *obs.Recorder
 
 	fileAgent   *FileAgent
 	deviceAgent *DeviceAgent
@@ -152,7 +149,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		return nil, errors.New("agent: nil file service")
 	}
 	m := &Machine{naming: cfg.Naming, files: cfg.Files, txns: cfg.Txns, met: cfg.Metrics, obsRec: cfg.Obs}
-	m.filesCtx, _ = cfg.Files.(fileServiceCtx)
 	fa, err := newFileAgent(m, cfg)
 	if err != nil {
 		return nil, err
@@ -160,23 +156,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	m.fileAgent = fa
 	m.deviceAgent = newDeviceAgent(m)
 	return m, nil
-}
-
-// readAt routes a file-service read through the ctx-threaded path when the
-// service has one, so lower-layer spans join the agent's trace.
-func (m *Machine) readAt(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
-	if m.filesCtx != nil {
-		return m.filesCtx.ReadAtCtx(ctx, id, off, n)
-	}
-	return m.files.ReadAt(id, off, n)
-}
-
-// writeAt is readAt's write-side counterpart.
-func (m *Machine) writeAt(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
-	if m.filesCtx != nil {
-		return m.filesCtx.WriteAtCtx(ctx, id, off, data)
-	}
-	return m.files.WriteAt(id, off, data)
 }
 
 // FileAgent returns the machine's file agent.

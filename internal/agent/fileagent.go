@@ -54,7 +54,7 @@ func newFileAgent(m *Machine, cfg MachineConfig) (*FileAgent, error) {
 			if off+n > size {
 				n = size - off
 			}
-			_, err = m.files.WriteAt(k.file, off, data[:n])
+			_, err = m.files.WriteAtCtx(context.Background(), k.file, off, data[:n])
 			return err
 		},
 		Metrics:     cfg.Metrics,
@@ -192,7 +192,7 @@ func (a *FileAgent) readAt(id fileservice.FileID, off int64, n int) ([]byte, err
 
 func (a *FileAgent) readAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	if a.cache == nil {
-		return a.machine.readAt(ctx, id, off, n)
+		return a.machine.files.ReadAtCtx(ctx, id, off, n)
 	}
 	size, err := a.machine.files.Size(id)
 	if err != nil {
@@ -213,7 +213,7 @@ func (a *FileAgent) readAtCtx(ctx context.Context, id fileservice.FileID, off in
 		key := clientKey{file: id, blk: blk}
 		data, ok := a.cache.Get(key)
 		if !ok {
-			data, err = a.machine.readAt(ctx, id, blk*fileservice.BlockSize, fileservice.BlockSize)
+			data, err = a.machine.files.ReadAtCtx(ctx, id, blk*fileservice.BlockSize, fileservice.BlockSize)
 			if err != nil {
 				return nil, err
 			}
@@ -256,7 +256,7 @@ func (a *FileAgent) writeAt(id fileservice.FileID, off int64, data []byte) (int,
 
 func (a *FileAgent) writeAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	if a.cache == nil {
-		return a.machine.writeAt(ctx, id, off, data)
+		return a.machine.files.WriteAtCtx(ctx, id, off, data)
 	}
 	if len(data) == 0 {
 		return 0, nil
@@ -282,7 +282,7 @@ func (a *FileAgent) writeAtCtx(ctx context.Context, id fileservice.FileID, off i
 		if !ok {
 			buf = make([]byte, fileservice.BlockSize)
 			if blk*fileservice.BlockSize < size {
-				base, err := a.machine.readAt(ctx, id, blk*fileservice.BlockSize, fileservice.BlockSize)
+				base, err := a.machine.files.ReadAtCtx(ctx, id, blk*fileservice.BlockSize, fileservice.BlockSize)
 				if err != nil {
 					return written, err
 				}

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fileservice"
@@ -125,7 +126,7 @@ func (p *Process) TPRead(id txn.TxnID, fd int, off int64, n int, forUpdate bool)
 	if err != nil {
 		return nil, err
 	}
-	return p.machine.txns.PRead(id, d.file, off, n, forUpdate)
+	return p.machine.txns.PReadCtx(context.Background(), id, d.file, off, n, forUpdate)
 }
 
 // TWrite writes at the descriptor's cursor.
@@ -143,7 +144,7 @@ func (p *Process) TPWrite(id txn.TxnID, fd int, off int64, data []byte) (int, er
 	if err != nil {
 		return 0, err
 	}
-	return p.machine.txns.PWrite(id, d.file, off, data)
+	return p.machine.txns.PWriteCtx(context.Background(), id, d.file, off, data)
 }
 
 // TLSeek moves the transaction cursor on the file.
@@ -184,7 +185,7 @@ func (p *Process) TEnd(id txn.TxnID) error {
 	if err := p.checkTxn(id); err != nil {
 		return err
 	}
-	err := p.machine.txns.End(id)
+	err := p.machine.txns.EndCtx(context.Background(), id)
 	p.dropTxnDescs(id)
 	p.endTxn(id)
 	return err

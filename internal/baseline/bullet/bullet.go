@@ -10,6 +10,7 @@
 package bullet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -71,7 +72,7 @@ func (s *Server) Create(data []byte) (FileID, error) {
 	}
 	buf := make([]byte, frags*device.FragmentSize)
 	copy(buf, data)
-	if err := s.disk.WriteFragments(addr, buf); err != nil {
+	if err := s.disk.WriteFragments(context.Background(), addr, buf); err != nil {
 		_ = s.alloc.Free(addr, frags)
 		return 0, err
 	}
@@ -89,7 +90,7 @@ func (s *Server) Read(id FileID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	raw, err := s.disk.ReadFragments(fi.addr, fi.frags)
+	raw, err := s.disk.ReadFragments(context.Background(), fi.addr, fi.frags)
 	if err != nil {
 		return nil, err
 	}

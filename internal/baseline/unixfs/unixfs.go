@@ -11,6 +11,7 @@
 package unixfs
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,7 +107,7 @@ func (f *FS) inodeLoc(ino Ino) (frag int, off int) {
 // readInode costs one disk reference into the fixed inode area.
 func (f *FS) readInode(ino Ino) (*inode, error) {
 	frag, off := f.inodeLoc(ino)
-	raw, err := f.disk.ReadFragments(frag, 1)
+	raw, err := f.disk.ReadFragments(context.Background(), frag, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +124,7 @@ func (f *FS) readInode(ino Ino) (*inode, error) {
 // writeInode costs one disk reference (read-modify-write of the fragment).
 func (f *FS) writeInode(ino Ino, in *inode) error {
 	frag, off := f.inodeLoc(ino)
-	raw, err := f.disk.ReadFragments(frag, 1)
+	raw, err := f.disk.ReadFragments(context.Background(), frag, 1)
 	if err != nil {
 		return err
 	}
@@ -133,7 +134,7 @@ func (f *FS) writeInode(ino Ino, in *inode) error {
 		binary.BigEndian.PutUint32(b[8+i*4:], in.direct[i])
 	}
 	binary.BigEndian.PutUint32(b[8+DirectPointers*4:], in.indirect)
-	return f.disk.WriteFragments(frag, raw)
+	return f.disk.WriteFragments(context.Background(), frag, raw)
 }
 
 // Create allocates an inode.
@@ -195,14 +196,14 @@ func (f *FS) blockAddr(in *inode, blk int, alloc bool, dirty *bool) (uint32, err
 		if err != nil {
 			return 0, err
 		}
-		if err := f.disk.WriteFragments(int(a), make([]byte, BlockSize)); err != nil {
+		if err := f.disk.WriteFragments(context.Background(), int(a), make([]byte, BlockSize)); err != nil {
 			return 0, err
 		}
 		in.indirect = a
 		*dirty = true
 	}
 	// One disk reference to read the indirect block.
-	raw, err := f.disk.ReadFragments(int(in.indirect), FragmentsPerBlock)
+	raw, err := f.disk.ReadFragments(context.Background(), int(in.indirect), FragmentsPerBlock)
 	if err != nil {
 		return 0, err
 	}
@@ -216,7 +217,7 @@ func (f *FS) blockAddr(in *inode, blk int, alloc bool, dirty *bool) (uint32, err
 			return 0, err
 		}
 		binary.BigEndian.PutUint32(raw[idx*4:], a)
-		if err := f.disk.WriteFragments(int(in.indirect), raw); err != nil {
+		if err := f.disk.WriteFragments(context.Background(), int(in.indirect), raw); err != nil {
 			return 0, err
 		}
 		ptr = a
@@ -257,7 +258,7 @@ func (f *FS) ReadAt(ino Ino, off int64, n int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		raw, err := f.disk.ReadFragments(int(addr), FragmentsPerBlock)
+		raw, err := f.disk.ReadFragments(context.Background(), int(addr), FragmentsPerBlock)
 		if err != nil {
 			return nil, err
 		}
@@ -301,14 +302,14 @@ func (f *FS) WriteAt(ino Ino, off int64, data []byte) (int, error) {
 		if within == 0 && chunk == BlockSize {
 			buf = data[written : written+BlockSize]
 		} else {
-			raw, err := f.disk.ReadFragments(int(addr), FragmentsPerBlock)
+			raw, err := f.disk.ReadFragments(context.Background(), int(addr), FragmentsPerBlock)
 			if err != nil {
 				return written, err
 			}
 			buf = raw
 			copy(buf[within:], data[written:written+chunk])
 		}
-		if err := f.disk.WriteFragments(int(addr), buf); err != nil {
+		if err := f.disk.WriteFragments(context.Background(), int(addr), buf); err != nil {
 			return written, err
 		}
 		written += chunk
@@ -358,7 +359,7 @@ func (f *FS) Delete(ino Ino) error {
 		}
 	}
 	if in.indirect != 0 {
-		raw, err := f.disk.ReadFragments(int(in.indirect), FragmentsPerBlock)
+		raw, err := f.disk.ReadFragments(context.Background(), int(in.indirect), FragmentsPerBlock)
 		if err != nil {
 			return err
 		}

@@ -2,19 +2,19 @@
 // the facility (§2.2, §5): the client agents, the file service, and the disk
 // service each keep a cache so a request need not descend to the level below.
 //
-// Space is modeled as the paper describes: buffers come from a fragment-pool
-// or block-pool sized by available memory (Pool), and a Cache is an LRU map
-// of keys to buffers with one of two modification policies — delayed-write
-// (dirty buffers flushed on eviction or an explicit Flush, the policy of the
-// file agent) or write-through (every dirty Put is written back immediately,
-// the policy the file service adds for transaction data).
+// A Cache is an LRU map of keys to buffers — its capacity stands for the
+// paper's fragment-pool or block-pool, sized by available memory — with one
+// of two modification policies: delayed-write (dirty buffers flushed on
+// eviction or an explicit Flush, the policy of the file agent) or
+// write-through (every dirty Put is written back immediately, the policy the
+// file service adds for transaction data).
 //
-// Concurrency and ownership contract: Pool and Cache are safe for
-// concurrent use. A cache owns its buffers and callers own theirs; no slice
-// is ever shared. Put copies the caller's bytes in and Get copies the whole
-// buffer out; ReadRange, WriteRange and Patch move only the bytes asked for
-// between the caller's slice and the cached buffer, in place under the cache
-// mutex — the forms the hot paths use, one copy and no allocation.
+// Concurrency and ownership contract: a Cache is safe for concurrent use. A
+// cache owns its buffers and callers own theirs; no slice is ever shared.
+// Put copies the caller's bytes in and Get copies the whole buffer out;
+// ReadRange, WriteRange and Patch move only the bytes asked for between the
+// caller's slice and the cached buffer, in place under the cache mutex — the
+// forms the hot paths use, one copy and no allocation.
 //
 // The one exception is the lending rule, which every WritebackFunc call site
 // (FlushKey, eviction, a write-through Put) follows: the function is handed
@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -61,70 +60,6 @@ func (p WritePolicy) String() string {
 	default:
 		return fmt.Sprintf("WritePolicy(%d)", int(p))
 	}
-}
-
-// ErrPoolExhausted reports that a Pool has no free buffers.
-var ErrPoolExhausted = errors.New("cache: buffer pool exhausted")
-
-// Pool is a bounded recycler of fixed-size buffers — the paper's
-// fragment-pool and block-pool (§5). The zero value is unusable; use NewPool.
-type Pool struct {
-	size int
-	max  int
-
-	mu          sync.Mutex
-	free        [][]byte
-	outstanding int
-}
-
-// NewPool returns a pool of at most max buffers of size bytes each.
-func NewPool(size, max int) (*Pool, error) {
-	if size <= 0 || max <= 0 {
-		return nil, fmt.Errorf("cache: invalid pool size=%d max=%d", size, max)
-	}
-	return &Pool{size: size, max: max}, nil
-}
-
-// BufferSize returns the size of each buffer in bytes.
-func (p *Pool) BufferSize() int { return p.size }
-
-// Get returns a zeroed buffer, or ErrPoolExhausted if max buffers are
-// already outstanding.
-func (p *Pool) Get() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.outstanding >= p.max {
-		return nil, ErrPoolExhausted
-	}
-	p.outstanding++
-	if n := len(p.free); n > 0 {
-		buf := p.free[n-1]
-		p.free = p.free[:n-1]
-		for i := range buf {
-			buf[i] = 0
-		}
-		return buf, nil
-	}
-	return make([]byte, p.size), nil
-}
-
-// Put returns a buffer to the pool. Buffers of the wrong size are dropped.
-func (p *Pool) Put(buf []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.outstanding > 0 {
-		p.outstanding--
-	}
-	if len(buf) == p.size {
-		p.free = append(p.free, buf)
-	}
-}
-
-// Outstanding returns the number of buffers currently checked out.
-func (p *Pool) Outstanding() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.outstanding
 }
 
 // WritebackFunc persists a dirty buffer to the layer below. data is lent (see
@@ -555,46 +490,4 @@ func (c *Cache[K]) DirtyCount() int {
 		}
 	}
 	return n
-}
-
-// Flusher periodically flushes a cache in the background — the delayed-write
-// daemon. Stop it with Close; Close waits for the goroutine to exit.
-type Flusher struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// Flushable is anything with a Flush method (satisfied by *Cache[K]).
-type Flushable interface{ Flush() error }
-
-// StartFlusher flushes c every interval until Close is called. Flush errors
-// are delivered to onErr, which may be nil.
-func StartFlusher(c Flushable, interval time.Duration, onErr func(error)) *Flusher {
-	f := &Flusher{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-f.stop:
-				return
-			case <-t.C:
-				if err := c.Flush(); err != nil && onErr != nil {
-					onErr(err)
-				}
-			}
-		}
-	}()
-	return f
-}
-
-// Close stops the flusher and waits for it to exit. Close is idempotent.
-func (f *Flusher) Close() {
-	select {
-	case <-f.stop:
-	default:
-		close(f.stop)
-	}
-	<-f.done
 }

@@ -2,10 +2,8 @@ package cache
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -421,107 +419,5 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPool(t *testing.T) {
-	p, err := NewPool(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.BufferSize() != 8 {
-		t.Fatalf("BufferSize = %d, want 8", p.BufferSize())
-	}
-	a, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Get(); !errors.Is(err, ErrPoolExhausted) {
-		t.Fatalf("third Get = %v, want ErrPoolExhausted", err)
-	}
-	if p.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d, want 2", p.Outstanding())
-	}
-	a[0] = 0xAA
-	p.Put(a)
-	c, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c[0] != 0 {
-		t.Fatal("recycled buffer not zeroed")
-	}
-	_ = b
-}
-
-func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(0, 1); err == nil {
-		t.Fatal("NewPool(0,1) succeeded")
-	}
-	if _, err := NewPool(8, 0); err == nil {
-		t.Fatal("NewPool(8,0) succeeded")
-	}
-}
-
-func TestFlusherFlushesPeriodically(t *testing.T) {
-	var mu sync.Mutex
-	flushes := 0
-	c := newDelayed(t, 4, func(k int, data []byte) error {
-		mu.Lock()
-		flushes++
-		mu.Unlock()
-		return nil
-	})
-	f := StartFlusher(c, 5*time.Millisecond, nil)
-	defer f.Close()
-	if err := c.Put(1, []byte("a"), true); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := flushes
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("flusher never flushed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestFlusherCloseIdempotent(t *testing.T) {
-	c := newDelayed(t, 4, nil)
-	f := StartFlusher(c, time.Hour, nil)
-	f.Close()
-	f.Close()
-}
-
-func TestFlusherReportsErrors(t *testing.T) {
-	errCh := make(chan error, 1)
-	c := newDelayed(t, 4, func(k int, data []byte) error { return fmt.Errorf("boom") })
-	if err := c.Put(1, []byte("a"), true); err != nil {
-		t.Fatal(err)
-	}
-	f := StartFlusher(c, 2*time.Millisecond, func(err error) {
-		select {
-		case errCh <- err:
-		default:
-		}
-	})
-	defer f.Close()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("nil error delivered")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("flusher never reported the error")
 	}
 }

@@ -34,6 +34,7 @@
 package ccache
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -202,7 +203,7 @@ type DirectLease struct {
 // AcquireLease implements LeaseTransport.
 func (d *DirectLease) AcquireLease(file, client uint64, mode byte) (Grant, error) {
 	args := AppendAcquireArgs(rpc.Buffer(acquireArgsLen)[:0], file, client, mode)
-	out, err := d.C.Call(MLeaseAcquire, args)
+	out, err := d.C.Call(context.Background(), MLeaseAcquire, args)
 	rpc.Recycle(args)
 	if err != nil {
 		d.C.ReleaseBody(out)
@@ -225,7 +226,7 @@ func (d *DirectLease) AckRecall(file, client uint64) error {
 
 func (d *DirectLease) leaseID(method string, file, client uint64) error {
 	args := AppendLeaseIDArgs(rpc.Buffer(leaseIDArgsLen)[:0], file, client)
-	out, err := d.C.Call(method, args)
+	out, err := d.C.Call(context.Background(), method, args)
 	rpc.Recycle(args)
 	d.C.ReleaseBody(out)
 	return err

@@ -138,9 +138,9 @@ func newRig(t *testing.T, clk *fakeClock) *rig {
 	}
 	t.Cleanup(srv.Close)
 	r.srv = srv
-	ep := rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(func(ctx context.Context, req rpc.Request) ([]byte, error) {
+	ep := rpc.NewEndpoint(func(ctx context.Context, req rpc.Request) ([]byte, error) {
 		return srv.HandlerCtx(ctx, req.Method, req.Body)
-	}))
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

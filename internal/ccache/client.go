@@ -101,15 +101,10 @@ type fileState struct {
 	ndirty  int
 }
 
-// Client is the coherent client cache. It implements agent.FileService
-// (and the trace-context read/write extension), so it drops in front of
-// a router or rpcfs client transparently.
+// Client is the coherent client cache. It implements agent.FileService,
+// so it drops in front of a router or rpcfs client transparently.
 type Client struct {
 	inner    agent.FileService
-	innerCtx interface {
-		ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error)
-		WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error)
-	}
 	lease    LeaseTransport
 	sink     FlushSink
 	batch    BatchFlushSink
@@ -155,10 +150,6 @@ func New(cfg Config) (*Client, error) {
 		now:      now,
 		files:    make(map[fileservice.FileID]*fileState),
 	}
-	c.innerCtx, _ = cfg.Inner.(interface {
-		ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error)
-		WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error)
-	})
 	c.batch, _ = sink.(BatchFlushSink)
 	return c, nil
 }
@@ -320,35 +311,25 @@ func (c *Client) putCleanLocked(st *fileState, blk int64, data []byte) {
 	c.total++
 }
 
-// readInner is the uncached read, trace-context aware when Inner is. It
-// absorbs the server's transient recall-in-progress refusals: a read can
-// arrive while another client's write lease is being recalled on our
-// behalf, and the retry lands once the holder flushed and acknowledged.
+// readInner is the uncached read. It absorbs the server's transient
+// recall-in-progress refusals: a read can arrive while another client's
+// write lease is being recalled on our behalf, and the retry lands once the
+// holder flushed and acknowledged.
 func (c *Client) readInner(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	var out []byte
-	err := retryBusy(func() error {
-		var e error
-		if c.innerCtx != nil {
-			out, e = c.innerCtx.ReadAtCtx(ctx, id, off, n)
-		} else {
-			out, e = c.inner.ReadAt(id, off, n)
-		}
+	err := retryBusy(func() (e error) {
+		out, e = c.inner.ReadAtCtx(ctx, id, off, n)
 		return e
 	})
 	return out, err
 }
 
-// writeInner is the uncached write, trace-context aware when Inner is,
-// retrying through recall-in-progress refusals like readInner.
+// writeInner is the uncached write, retrying through recall-in-progress
+// refusals like readInner.
 func (c *Client) writeInner(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	var n int
-	err := retryBusy(func() error {
-		var e error
-		if c.innerCtx != nil {
-			n, e = c.innerCtx.WriteAtCtx(ctx, id, off, data)
-		} else {
-			n, e = c.inner.WriteAt(id, off, data)
-		}
+	err := retryBusy(func() (e error) {
+		n, e = c.inner.WriteAtCtx(ctx, id, off, data)
 		return e
 	})
 	return n, err
@@ -379,16 +360,10 @@ type gap struct {
 	n      int
 }
 
-// ReadAt implements agent.FileService.
-func (c *Client) ReadAt(id fileservice.FileID, off int64, n int) ([]byte, error) {
-	return c.ReadAtCtx(context.Background(), id, off, n)
-}
-
-// ReadAtCtx is the trace-context ReadAt (agent's fileServiceCtx). While
-// a live lease covers the file, cached reads complete with zero RPCs:
-// the size check, the block lookups, and the data all come from local
-// state — the paper's client-cache promise, made safe by the recall
-// protocol.
+// ReadAtCtx implements agent.FileService. While a live lease covers the
+// file, cached reads complete with zero RPCs: the size check, the block
+// lookups, and the data all come from local state — the paper's
+// client-cache promise, made safe by the recall protocol.
 func (c *Client) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 {
 		return c.readInner(ctx, id, off, n)
@@ -520,14 +495,9 @@ func (c *Client) fillGaps(ctx context.Context, id fileservice.FileID, st *fileSt
 	return true, nil
 }
 
-// WriteAt implements agent.FileService: under a write lease the data is
+// WriteAtCtx implements agent.FileService: under a write lease the data is
 // buffered locally (the paper's delayed write) and written back on the
 // commit barrier, an explicit flush, close, or a recall.
-func (c *Client) WriteAt(id fileservice.FileID, off int64, data []byte) (int, error) {
-	return c.WriteAtCtx(context.Background(), id, off, data)
-}
-
-// WriteAtCtx is the trace-context WriteAt (agent's fileServiceCtx).
 func (c *Client) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	if off < 0 {
 		return c.writeInner(ctx, id, off, data)

@@ -17,8 +17,8 @@ import (
 type ServerConfig struct {
 	// Inner is the wrapped handler executing file requests (an rpcfs
 	// Server.HandlerCtx). Required.
-	Inner func(ctx context.Context, method string, body []byte) ([]byte, error)
-	// Wire is inert; kept only because bench/rig.go sets it.
+	Inner rpc.Link
+	// Wire is inert: bench/rig.go sets it, ROADMAP item 8 deletes it.
 	Wire rpc.WireFormat
 	// Size reports a file's current size for lease grants (raw file
 	// IDs). Required.
@@ -78,7 +78,7 @@ func (f *srvFile) empty() bool { return len(f.holders) == 0 && f.inflight == 0 &
 // conflicts only need acks, which bypass the order lock, and are waited
 // out inline.
 type Server struct {
-	inner  func(ctx context.Context, method string, body []byte) ([]byte, error)
+	inner  rpc.Link
 	sizeFn func(file uint64) (int64, error)
 	ttl    time.Duration
 	rec    *obs.Recorder
@@ -137,17 +137,11 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Handler is the context-free adapter over HandlerCtx (tests, the
-// cluster service's Inner fallback). Requests through it carry no peer,
-// so they recall every conflicting holder — including the caller's own.
-func (s *Server) Handler(method string, body []byte) ([]byte, error) {
-	return s.HandlerCtx(context.Background(), method, body)
-}
-
-// HandlerCtx serves the lease protocol and guards everything else with
-// the conflict check before delegating to the wrapped handler. Wire it
-// as the cluster service's InnerCtx (or directly under an endpoint via
-// rpc.WithCtxRequestHandler on single-server rigs).
+// HandlerCtx is the lease manager's rpc.Link: it serves the lease protocol
+// and guards everything else with the conflict check before delegating to
+// the wrapped handler. Wire it as the cluster service's InnerCtx. A request
+// whose context carries no peer recalls every conflicting holder —
+// including the caller's own.
 func (s *Server) HandlerCtx(ctx context.Context, method string, body []byte) ([]byte, error) {
 	peer, hasPeer := rpc.PeerFromContext(ctx)
 	if hasPeer && peer.Pusher != nil && peer.ClientID != 0 {

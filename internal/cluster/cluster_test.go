@@ -132,19 +132,15 @@ type rig struct {
 	m     Map
 }
 
-// overFS fills cfg's inner handler pair with an rpcfs server over c.
+// overFS sets cfg's inner handler to an rpcfs server over c.
 func overFS(c *core.Cluster, cfg ServiceConfig) ServiceConfig {
-	h := (&rpcfs.Server{Files: c.Files, Naming: c.Naming}).HandlerCtx()
-	cfg.InnerCtx = h
-	cfg.Inner = func(method string, body []byte) ([]byte, error) {
-		return h(context.Background(), method, body)
-	}
+	cfg.InnerCtx = (&rpcfs.Server{Files: c.Files, Naming: c.Naming}).HandlerCtx()
 	return cfg
 }
 
-// endpointOf serves svc the way a node does: on the ctx request handler.
+// endpointOf serves svc the way a node does.
 func endpointOf(svc *Service) *rpc.Endpoint {
-	return rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(svc.HandleRequestCtx))
+	return rpc.NewEndpoint(svc.HandleRequestCtx)
 }
 
 func newRig(t *testing.T, shards int, leaseTTL time.Duration) *rig {
@@ -395,5 +391,28 @@ func TestNetworkLockPartitionedRenewals(t *testing.T) {
 	}
 	if !r.cores[0].Locks().Broken(10) {
 		t.Fatal("partitioned client's txn not broken")
+	}
+}
+
+// TestNewServiceRequiresTheContextLink pins which inner handler NewService
+// insists on: InnerCtx, the one it calls. The context-free Inner is inert —
+// present or absent, it neither satisfies nor fails the check.
+func TestNewServiceRequiresTheContextLink(t *testing.T) {
+	c, err := core.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	m := Map{Version: 1, Endpoints: []string{"127.0.0.1:1"}}
+
+	svc, err := NewService(overFS(c, ServiceConfig{Map: m}))
+	if err != nil {
+		t.Fatalf("InnerCtx set, Inner nil: %v", err)
+	}
+	svc.Close()
+
+	inert := func(string, []byte) ([]byte, error) { return nil, nil }
+	if _, err := NewService(ServiceConfig{Map: m, Inner: inert}); err == nil {
+		t.Fatal("Inner set, InnerCtx nil: accepted")
 	}
 }

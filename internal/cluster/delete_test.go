@@ -39,12 +39,12 @@ func TestRoutedDeleteIsTwoRequests(t *testing.T) {
 	defer svc.Close()
 	var mu sync.Mutex
 	var seen []string
-	srv := rpc.Serve(ln, rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(func(ctx context.Context, req rpc.Request) ([]byte, error) {
+	srv := rpc.Serve(ln, rpc.NewEndpoint(func(ctx context.Context, req rpc.Request) ([]byte, error) {
 		mu.Lock()
 		seen = append(seen, req.Method)
 		mu.Unlock()
 		return svc.HandleRequestCtx(ctx, req)
-	})))
+	}))
 	defer srv.Close()
 
 	rt, err := NewRouter(RouterConfig{Endpoints: []string{ln.Addr().String()}, ClientID: 7})

@@ -98,7 +98,7 @@ func (l *LockClient) Acquire(ctx context.Context, txn lock.TxnID, pid int, level
 			return err
 		}
 		body := appendLockAcquire(rpc.Buffer(lockAcquireLen)[:0], args)
-		out, err := l.c.Call(MLockAcquire, body)
+		out, err := l.c.Call(context.Background(), MLockAcquire, body)
 		rpc.Recycle(body)
 		if err != nil {
 			l.c.ReleaseBody(out)
@@ -132,7 +132,7 @@ func (l *LockClient) Release(txn lock.TxnID) error {
 	delete(l.txns, uint64(txn))
 	l.mu.Unlock()
 	body := appendLockTxn(rpc.Buffer(lockTxnLen)[:0], LockTxnArgs{Client: l.clientID, Txn: uint64(txn)})
-	out, err := l.c.Call(MLockRelease, body)
+	out, err := l.c.Call(context.Background(), MLockRelease, body)
 	rpc.Recycle(body)
 	l.c.ReleaseBody(out)
 	return err
@@ -171,7 +171,7 @@ func (l *LockClient) renewLoop(every time.Duration) {
 		for _, txn := range txns {
 			body := appendLockTxn(rpc.Buffer(lockTxnLen)[:0], LockTxnArgs{Client: l.clientID, Txn: txn})
 			t0 := time.Now()
-			out, err := l.c.Call(MLockRenew, body)
+			out, err := l.c.Call(context.Background(), MLockRenew, body)
 			l.rec.Load().ValueHist(MetricLeaseRenewNS).Record(time.Since(t0))
 			rpc.Recycle(body)
 			l.c.ReleaseBody(out)

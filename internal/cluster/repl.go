@@ -211,14 +211,14 @@ func (s *Service) checkServing() error {
 func (s *Service) execReplicated(ctx context.Context, req rpc.Request) ([]byte, error) {
 	r := s.repl
 	if r == nil || r.sh == nil || s.Role() != RolePrimary || !mutatesState(req.Method) {
-		return s.innerCtx(ctx, req.Method, req.Body)
+		return s.inner(ctx, req.Method, req.Body)
 	}
 	// The group-commit span brackets execute + append + barrier; its
 	// identity rides the replication record (in memory) so the shipper's
 	// ship span — and, across the wire, the backup's apply — parent here.
 	gctx, op := s.rec.StartOp(ctx, obs.LayerCluster, "group-commit")
 	r.ordMu.Lock()
-	out, err := s.innerCtx(gctx, req.Method, req.Body)
+	out, err := s.inner(gctx, req.Method, req.Body)
 	if err != nil {
 		// Failed mutations change nothing and are not shipped; a replay of
 		// the retry fails identically on the backup.
@@ -261,7 +261,7 @@ func (s *Service) handleReplApply(ctx context.Context, body []byte) ([]byte, err
 		return nil, errors.New(promotedMarker)
 	}
 	s.touch()
-	applied, err := r.ap.ApplyBatchCtx(ctx, body)
+	applied, err := r.ap.ApplyBatch(ctx, body)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +301,7 @@ func (s *Service) heartbeatLoop() {
 		if s.Role() != RolePrimary || r.sh.Down() {
 			return
 		}
-		out, err := r.bc.Call(MReplHeartbeat, nil)
+		out, err := r.bc.Call(context.Background(), MReplHeartbeat, nil)
 		r.bc.ReleaseBody(out)
 		if err != nil {
 			if isPromoted(err) {

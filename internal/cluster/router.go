@@ -41,7 +41,7 @@ type RouterConfig struct {
 	// errors or not-primary rejections the shard's transport alternates
 	// between the pair until one answers as primary.
 	Backups []string
-	// Wire is inert; kept only because bench/rig.go sets it.
+	// Wire is inert: bench/rig.go sets it, ROADMAP item 8 deletes it.
 	Wire rpc.WireFormat
 	// Metrics receives rpc client counters. Optional.
 	Metrics *metrics.Set
@@ -202,7 +202,7 @@ func (r *Router) shards() int {
 // promotion or fencing reaches the failover address resolver.
 func (r *Router) refreshMap(from int) {
 	t0 := time.Now()
-	body, err := r.rcs[from].Call(MMap, nil)
+	body, err := r.rcs[from].Call(context.Background(), MMap, nil)
 	r.rec.ValueHist(MetricRouterMapRefresh).Record(time.Since(t0))
 	if err != nil {
 		return
@@ -311,28 +311,9 @@ func (r *Router) Delete(id fileservice.FileID) error {
 	return c.Delete(raw)
 }
 
-// ReadAt implements agent.FileService.
-func (r *Router) ReadAt(id fileservice.FileID, off int64, n int) ([]byte, error) {
-	c, raw, err := r.conn(id)
-	if err != nil {
-		return nil, err
-	}
-	return c.ReadAt(raw, off, n)
-}
-
-// WriteAt implements agent.FileService.
-func (r *Router) WriteAt(id fileservice.FileID, off int64, data []byte) (int, error) {
-	c, raw, err := r.conn(id)
-	if err != nil {
-		return 0, err
-	}
-	return c.WriteAt(raw, off, data)
-}
-
-// ReadAtCtx is the traced ReadAt: the agent's cache layer discovers it by
-// type assertion and threads its span context through, so the routing hop
-// appears as a cluster-layer span between the agent and the server's rpc
-// serve span.
+// ReadAtCtx implements agent.FileService. The routing hop is a
+// cluster-layer span (or histogram observation) between the caller's span
+// and the server's rpc serve span.
 func (r *Router) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	c, raw, err := r.conn(id)
 	if err != nil {
@@ -344,7 +325,7 @@ func (r *Router) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64
 	return out, err
 }
 
-// WriteAtCtx is the traced WriteAt (see ReadAtCtx).
+// WriteAtCtx implements agent.FileService; bracketed like ReadAtCtx.
 func (r *Router) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	c, raw, err := r.conn(id)
 	if err != nil {

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fit"
 	"repro/internal/lock"
+	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
 )
@@ -227,5 +229,42 @@ func waitBalance(t *testing.T, want int64, what string) {
 			t.Fatalf("%s: pooled buffers out of balance: gets-puts = %d, want %d", what, gets-puts, want)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRouterEntryPointsObserveOnce pins that a routed read or write is in
+// the cluster-layer histogram exactly once whichever entry point the caller
+// reached: the context-free forms are delegates, not a second path that
+// skips the bracket.
+func TestRouterEntryPointsObserveOnce(t *testing.T) {
+	r := newRig(t, 1, 0)
+	rec := obs.New()
+	rt, err := NewRouter(RouterConfig{Endpoints: r.m.Endpoints, ClientID: 77, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Shutdown)
+	id, err := rt.CreatePath(fit.Attributes{}, "/obs/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cluster := rec.LayerWall(obs.LayerCluster)
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"WriteAt", func() error { _, err := rt.WriteAt(id, 0, []byte("abc")); return err }},
+		{"WriteAtCtx", func() error { _, err := rt.WriteAtCtx(ctx, id, 0, []byte("abc")); return err }},
+		{"ReadAt", func() error { _, err := rt.ReadAt(id, 0, 3); return err }},
+		{"ReadAtCtx", func() error { _, err := rt.ReadAtCtx(ctx, id, 0, 3); return err }},
+	} {
+		before := cluster.Count()
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := cluster.Count() - before; got != 1 {
+			t.Errorf("%s recorded %d cluster-layer observations, want 1", c.name, got)
+		}
 	}
 }

@@ -42,11 +42,15 @@ type ServiceConfig struct {
 	// Map is the cluster map this server serves to clients. Required:
 	// len(Map.Endpoints) is the shard count the ownership check uses.
 	Map Map
-	// Inner is the wrapped rpcfs server handler executing owned requests.
-	// Required.
-	Inner rpc.Handler
-	// Wire is inert; kept only because bench/rig.go sets it.
-	Wire rpc.WireFormat
+	// InnerCtx is the wrapped handler executing owned requests (the lease
+	// manager's HandlerCtx over an rpcfs server's). Required. Owned requests
+	// execute under the cluster span it is handed, so the file service's own
+	// spans nest inside the caller's trace.
+	InnerCtx rpc.Link
+	// Inner and Wire are inert: bench/rig.go sets them, nothing reads them,
+	// ROADMAP item 8 deletes them.
+	Inner func(method string, body []byte) ([]byte, error)
+	Wire  rpc.WireFormat
 	// Locks enables the network lock service; nil serves file/name methods
 	// only.
 	Locks *lock.Manager
@@ -61,12 +65,6 @@ type ServiceConfig struct {
 	// group-commit spans, lease and failover counters, the replication-lag
 	// histogram, and the failover event log. Optional; nil records nothing.
 	Obs *obs.Recorder
-	// InnerCtx, when set, is the context-aware form of Inner (an rpcfs
-	// Server.HandlerCtx), used so owned requests execute under the cluster
-	// span and the file service's own spans nest inside the caller's trace.
-	// Falls back to Inner when nil.
-	InnerCtx func(ctx context.Context, method string, body []byte) ([]byte, error)
-
 	// Role selects the shard's replication role (RoleNone — unreplicated —
 	// when zero; see repl.go). A primary requires Backup and a backup
 	// address in Map.Backups[Shard]; a backup requires its own address
@@ -86,15 +84,14 @@ type ServiceConfig struct {
 // serves the shard map, runs the leased network lock service, and — on
 // replicated shards — the primary/backup replication machinery (repl.go).
 type Service struct {
-	shard    int
-	shards   int
-	inner    rpc.Handler
-	locks    *lock.Manager
-	leases   *LeaseTable
-	inj      *fault.Injector
-	now      func() time.Time
-	rec      *obs.Recorder
-	innerCtx func(ctx context.Context, method string, body []byte) ([]byte, error)
+	shard  int
+	shards int
+	inner  rpc.Link
+	locks  *lock.Manager
+	leases *LeaseTable
+	inj    *fault.Injector
+	now    func() time.Time
+	rec    *obs.Recorder
 
 	// The served map is mutable: promotion, fencing, and a lost backup
 	// rewrite it at a bumped version.
@@ -118,7 +115,7 @@ type Service struct {
 // NewService builds the shard service and starts its lease sweeper (when a
 // lock manager is attached). Close stops the sweeper.
 func NewService(cfg ServiceConfig) (*Service, error) {
-	if cfg.Inner == nil {
+	if cfg.InnerCtx == nil {
 		return nil, errors.New("cluster: nil inner handler")
 	}
 	if cfg.Map.Shards() == 0 {
@@ -141,18 +138,12 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		shards:  cfg.Map.Shards(),
 		cur:     m,
 		mapBody: appendMap(make([]byte, 0, mapSize(m)), m),
-		inner:   cfg.Inner,
+		inner:   cfg.InnerCtx,
 		rec:     cfg.Obs,
 		locks:   cfg.Locks,
 		inj:     cfg.Fault,
 		now:     now,
 		stop:    make(chan struct{}),
-	}
-	s.innerCtx = cfg.InnerCtx
-	if s.innerCtx == nil {
-		s.innerCtx = func(_ context.Context, method string, body []byte) ([]byte, error) {
-			return cfg.Inner(method, body)
-		}
 	}
 	s.role.Store(int32(cfg.Role))
 	if cfg.Locks != nil {
@@ -189,10 +180,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}
 		s.self = m.Backup(cfg.Shard)
 		s.repl = &replState{ttl: rttl, ap: &replication.Applier{
-			Apply:    cfg.Inner,
-			ApplyCtx: s.innerCtx,
-			Seed:     s.seedDup,
-			Obs:      cfg.Obs,
+			Apply: s.inner,
+			Seed:  s.seedDup,
+			Obs:   cfg.Obs,
 		}}
 		// The promotion clock starts at the primary's first contact, not at
 		// construction: a backup that boots before its (possibly slow)
@@ -215,7 +205,7 @@ func (s *Service) shipBatch(ctx context.Context, batch []byte) error {
 	if d := s.inj.Delay(PtReplShip); d > 0 {
 		time.Sleep(d)
 	}
-	out, err := s.repl.bc.CallCtx(ctx, MReplApply, batch)
+	out, err := s.repl.bc.Call(ctx, MReplApply, batch)
 	s.repl.bc.ReleaseBody(out)
 	return err
 }
@@ -255,13 +245,13 @@ func (s *Service) Close() {
 // lock manager.
 func (s *Service) Leases() *LeaseTable { return s.leases }
 
-// HandleRequestCtx is the rpc.CtxRequestHandler: cluster methods are
+// HandleRequestCtx is the endpoint's rpc.Handler: cluster methods are
 // served here, everything else passes the role and namespace ownership
-// checks and delegates to the wrapped rpcfs handler (replicated to the
-// backup when this shard is a primary — see execReplicated). Serve it via
-// rpc.WithCtxRequestHandler so replication records carry the originating
-// client's identity and ctx carries the endpoint's serve span, keeping the
-// whole execution inside the caller's trace.
+// checks and delegates to the wrapped handler (replicated to the backup
+// when this shard is a primary — see execReplicated). Replication records
+// carry the originating client's identity from req, and ctx carries the
+// endpoint's serve span, keeping the whole execution inside the caller's
+// trace.
 func (s *Service) HandleRequestCtx(ctx context.Context, req rpc.Request) ([]byte, error) {
 	switch req.Method {
 	case MMap:

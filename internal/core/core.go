@@ -145,10 +145,6 @@ type Cluster struct {
 }
 
 // New builds a fresh cluster (all disks formatted).
-// backendCtx guarantees both storage layouts join span trees through the
-// file service's ctx-threaded path.
-var _ fileservice.BackendCtx = (*parity.Array)(nil)
-
 func New(cfg Config) (*Cluster, error) {
 	cfg.fillDefaults()
 	c := &Cluster{cfg: cfg, Metrics: cfg.Metrics, Naming: naming.NewService(), timeGroup: simclock.NewGroup()}

@@ -267,15 +267,10 @@ func (d *Disk) finish(cost time.Duration, seeked bool) {
 }
 
 // ReadFragments reads n fragments starting at fragment address start as one
-// disk reference, returning a fresh buffer of n*FragmentSize bytes.
-func (d *Disk) ReadFragments(start, n int) ([]byte, error) {
-	return d.ReadFragmentsCtx(context.Background(), start, n)
-}
-
-// ReadFragmentsCtx is ReadFragments carrying a trace context: when the ctx
+// disk reference, returning a fresh buffer of n*FragmentSize bytes. When ctx
 // holds a span, the disk reference is recorded as a device-layer child span
 // with its exact modeled cost as the virtual duration.
-func (d *Disk) ReadFragmentsCtx(ctx context.Context, start, n int) ([]byte, error) {
+func (d *Disk) ReadFragments(ctx context.Context, start, n int) ([]byte, error) {
 	if d.obs == nil {
 		buf, _, err := d.readFragments(start, n)
 		return buf, err
@@ -321,14 +316,8 @@ func (d *Disk) readFragments(start, n int) ([]byte, time.Duration, error) {
 
 // WriteFragments writes len(data)/FragmentSize fragments starting at fragment
 // address start as one disk reference. data must be a whole number of
-// fragments.
-func (d *Disk) WriteFragments(start int, data []byte) error {
-	return d.WriteFragmentsCtx(context.Background(), start, data)
-}
-
-// WriteFragmentsCtx is WriteFragments carrying a trace context (see
-// ReadFragmentsCtx).
-func (d *Disk) WriteFragmentsCtx(ctx context.Context, start int, data []byte) error {
+// fragments. ctx's span gains a device-layer child, as in ReadFragments.
+func (d *Disk) WriteFragments(ctx context.Context, start int, data []byte) error {
 	if d.obs == nil {
 		_, err := d.writeFragments(start, data)
 		return err
@@ -375,18 +364,13 @@ func (d *Disk) writeFragments(start int, data []byte) (time.Duration, error) {
 // one. This is the primitive behind the disk service's track read-ahead
 // cache (§4): the service fetches what a request needs and caches the rest
 // of the track.
-func (d *Disk) ReadTrack(addr int) (data []byte, trackStart int, err error) {
-	return d.ReadTrackCtx(context.Background(), addr)
-}
-
-// ReadTrackCtx is ReadTrack carrying a trace context.
-func (d *Disk) ReadTrackCtx(ctx context.Context, addr int) (data []byte, trackStart int, err error) {
+func (d *Disk) ReadTrack(ctx context.Context, addr int) (data []byte, trackStart int, err error) {
 	if err := d.checkSpan(addr, 1); err != nil {
 		return nil, 0, err
 	}
 	track := d.geom.Track(addr)
 	start := d.geom.TrackStart(track)
-	data, err = d.ReadFragmentsCtx(ctx, start, d.geom.FragmentsPerTrack)
+	data, err = d.ReadFragments(ctx, start, d.geom.FragmentsPerTrack)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -33,10 +34,10 @@ func pattern(n int, seed byte) []byte {
 func TestWriteReadRoundTrip(t *testing.T) {
 	d, _, _ := newTestDisk(t)
 	want := pattern(3*FragmentSize, 7)
-	if err := d.WriteFragments(5, want); err != nil {
+	if err := d.WriteFragments(context.Background(), 5, want); err != nil {
 		t.Fatalf("WriteFragments: %v", err)
 	}
-	got, err := d.ReadFragments(5, 3)
+	got, err := d.ReadFragments(context.Background(), 5, 3)
 	if err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
@@ -47,15 +48,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestReadReturnsCopy(t *testing.T) {
 	d, _, _ := newTestDisk(t)
-	if err := d.WriteFragments(0, pattern(FragmentSize, 1)); err != nil {
+	if err := d.WriteFragments(context.Background(), 0, pattern(FragmentSize, 1)); err != nil {
 		t.Fatalf("WriteFragments: %v", err)
 	}
-	got, err := d.ReadFragments(0, 1)
+	got, err := d.ReadFragments(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
 	got[0] = 0xFF
-	again, err := d.ReadFragments(0, 1)
+	again, err := d.ReadFragments(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
@@ -71,31 +72,31 @@ func TestOutOfRange(t *testing.T) {
 		{-1, 1}, {0, 0}, {cap, 1}, {cap - 1, 2}, {0, cap + 1},
 	}
 	for _, c := range cases {
-		if _, err := d.ReadFragments(c.start, c.n); !errors.Is(err, ErrOutOfRange) {
+		if _, err := d.ReadFragments(context.Background(), c.start, c.n); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("ReadFragments(%d,%d) = %v, want ErrOutOfRange", c.start, c.n, err)
 		}
 	}
-	if err := d.WriteFragments(cap-1, make([]byte, 2*FragmentSize)); !errors.Is(err, ErrOutOfRange) {
+	if err := d.WriteFragments(context.Background(), cap-1, make([]byte, 2*FragmentSize)); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("WriteFragments over end = %v, want ErrOutOfRange", err)
 	}
 }
 
 func TestShortWrite(t *testing.T) {
 	d, _, _ := newTestDisk(t)
-	if err := d.WriteFragments(0, make([]byte, 100)); !errors.Is(err, ErrShortWrite) {
+	if err := d.WriteFragments(context.Background(), 0, make([]byte, 100)); !errors.Is(err, ErrShortWrite) {
 		t.Fatalf("partial-fragment write = %v, want ErrShortWrite", err)
 	}
-	if err := d.WriteFragments(0, nil); !errors.Is(err, ErrShortWrite) {
+	if err := d.WriteFragments(context.Background(), 0, nil); !errors.Is(err, ErrShortWrite) {
 		t.Fatalf("empty write = %v, want ErrShortWrite", err)
 	}
 }
 
 func TestOneReferencePerCall(t *testing.T) {
 	d, met, _ := newTestDisk(t)
-	if _, err := d.ReadFragments(0, 8); err != nil {
+	if _, err := d.ReadFragments(context.Background(), 0, 8); err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
-	if err := d.WriteFragments(8, make([]byte, 4*FragmentSize)); err != nil {
+	if err := d.WriteFragments(context.Background(), 8, make([]byte, 4*FragmentSize)); err != nil {
 		t.Fatalf("WriteFragments: %v", err)
 	}
 	if got := met.Get(metrics.DiskReferences); got != 2 {
@@ -112,14 +113,14 @@ func TestOneReferencePerCall(t *testing.T) {
 func TestSeekAccounting(t *testing.T) {
 	d, met, _ := newTestDisk(t)
 	// Head starts at track 0; a read on track 0 needs no seek.
-	if _, err := d.ReadFragments(0, 1); err != nil {
+	if _, err := d.ReadFragments(context.Background(), 0, 1); err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
 	if got := met.Get(metrics.DiskSeeks); got != 0 {
 		t.Fatalf("seeks after same-track read = %d, want 0", got)
 	}
 	// Track 10 requires a seek.
-	if _, err := d.ReadFragments(10*8, 1); err != nil {
+	if _, err := d.ReadFragments(context.Background(), 10*8, 1); err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
 	if got := met.Get(metrics.DiskSeeks); got != 1 {
@@ -144,7 +145,7 @@ func TestTimingModel(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	// Same-track single-fragment read: rotation + 1 transfer, no seek.
-	if _, err := d.ReadFragments(0, 1); err != nil {
+	if _, err := d.ReadFragments(context.Background(), 0, 1); err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
 	want := 2*time.Millisecond + 10*time.Microsecond
@@ -153,7 +154,7 @@ func TestTimingModel(t *testing.T) {
 	}
 	// Seek 5 tracks, read 2 fragments.
 	start := clk.Now()
-	if _, err := d.ReadFragments(5*8, 2); err != nil {
+	if _, err := d.ReadFragments(context.Background(), 5*8, 2); err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
 	want = 1*time.Millisecond + 5*100*time.Microsecond + 2*time.Millisecond + 2*10*time.Microsecond
@@ -165,7 +166,7 @@ func TestTimingModel(t *testing.T) {
 func TestMultiTrackTransferMovesHead(t *testing.T) {
 	d, met, _ := newTestDisk(t)
 	// Read 16 fragments spanning tracks 0 and 1.
-	if _, err := d.ReadFragments(0, 16); err != nil {
+	if _, err := d.ReadFragments(context.Background(), 0, 16); err != nil {
 		t.Fatalf("ReadFragments: %v", err)
 	}
 	if got := d.HeadTrack(); got != 1 {
@@ -179,11 +180,11 @@ func TestMultiTrackTransferMovesHead(t *testing.T) {
 func TestReadTrack(t *testing.T) {
 	d, met, _ := newTestDisk(t)
 	want := pattern(FragmentSize, 42)
-	if err := d.WriteFragments(13, want); err != nil { // track 1 (frags 8..15)
+	if err := d.WriteFragments(context.Background(), 13, want); err != nil { // track 1 (frags 8..15)
 		t.Fatalf("WriteFragments: %v", err)
 	}
 	met.Reset()
-	data, start, err := d.ReadTrack(13)
+	data, start, err := d.ReadTrack(context.Background(), 13)
 	if err != nil {
 		t.Fatalf("ReadTrack: %v", err)
 	}
@@ -203,21 +204,21 @@ func TestReadTrack(t *testing.T) {
 
 func TestFailAndRepair(t *testing.T) {
 	d, _, _ := newTestDisk(t)
-	if err := d.WriteFragments(0, pattern(FragmentSize, 9)); err != nil {
+	if err := d.WriteFragments(context.Background(), 0, pattern(FragmentSize, 9)); err != nil {
 		t.Fatalf("WriteFragments: %v", err)
 	}
 	d.Fail()
 	if !d.Failed() {
 		t.Fatal("Failed() = false after Fail")
 	}
-	if _, err := d.ReadFragments(0, 1); !errors.Is(err, ErrFailed) {
+	if _, err := d.ReadFragments(context.Background(), 0, 1); !errors.Is(err, ErrFailed) {
 		t.Fatalf("read on failed disk = %v, want ErrFailed", err)
 	}
-	if err := d.WriteFragments(0, pattern(FragmentSize, 1)); !errors.Is(err, ErrFailed) {
+	if err := d.WriteFragments(context.Background(), 0, pattern(FragmentSize, 1)); !errors.Is(err, ErrFailed) {
 		t.Fatalf("write on failed disk = %v, want ErrFailed", err)
 	}
 	d.Repair()
-	got, err := d.ReadFragments(0, 1)
+	got, err := d.ReadFragments(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatalf("read after repair: %v", err)
 	}
@@ -231,25 +232,25 @@ func TestMediaError(t *testing.T) {
 	if err := d.CorruptFragment(3); err != nil {
 		t.Fatalf("CorruptFragment: %v", err)
 	}
-	if _, err := d.ReadFragments(3, 1); !errors.Is(err, ErrMediaError) {
+	if _, err := d.ReadFragments(context.Background(), 3, 1); !errors.Is(err, ErrMediaError) {
 		t.Fatalf("read of corrupted fragment = %v, want ErrMediaError", err)
 	}
 	// A spanning read hitting the bad fragment also fails.
-	if _, err := d.ReadFragments(2, 3); !errors.Is(err, ErrMediaError) {
+	if _, err := d.ReadFragments(context.Background(), 2, 3); !errors.Is(err, ErrMediaError) {
 		t.Fatalf("spanning read over corruption = %v, want ErrMediaError", err)
 	}
 	// Rewriting the fragment clears the error.
-	if err := d.WriteFragments(3, pattern(FragmentSize, 5)); err != nil {
+	if err := d.WriteFragments(context.Background(), 3, pattern(FragmentSize, 5)); err != nil {
 		t.Fatalf("rewrite of corrupted fragment: %v", err)
 	}
-	if _, err := d.ReadFragments(3, 1); err != nil {
+	if _, err := d.ReadFragments(context.Background(), 3, 1); err != nil {
 		t.Fatalf("read after rewrite = %v, want success", err)
 	}
 }
 
 func TestRepairFragment(t *testing.T) {
 	d, _, _ := newTestDisk(t)
-	if err := d.WriteFragments(4, pattern(FragmentSize, 8)); err != nil {
+	if err := d.WriteFragments(context.Background(), 4, pattern(FragmentSize, 8)); err != nil {
 		t.Fatalf("WriteFragments: %v", err)
 	}
 	if err := d.CorruptFragment(4); err != nil {
@@ -258,7 +259,7 @@ func TestRepairFragment(t *testing.T) {
 	if err := d.RepairFragment(4); err != nil {
 		t.Fatalf("RepairFragment: %v", err)
 	}
-	got, err := d.ReadFragments(4, 1)
+	got, err := d.ReadFragments(context.Background(), 4, 1)
 	if err != nil {
 		t.Fatalf("read after RepairFragment: %v", err)
 	}
@@ -311,7 +312,7 @@ func TestInjectedReadWriteErrors(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	want := pattern(2*FragmentSize, 3)
-	if err := d.WriteFragments(0, want); err != nil {
+	if err := d.WriteFragments(context.Background(), 0, want); err != nil {
 		t.Fatalf("WriteFragments: %v", err)
 	}
 
@@ -319,24 +320,24 @@ func TestInjectedReadWriteErrors(t *testing.T) {
 	// callers distinguish "injected" from a naturally bad fragment while the
 	// mirror-fallback logic still recognizes it as a media error.
 	inj.Arm(PtRead, fault.Action{Kind: fault.KindError, Err: ErrMediaError})
-	if _, err := d.ReadFragments(0, 2); !errors.Is(err, ErrMediaError) || !errors.Is(err, fault.ErrInjected) {
+	if _, err := d.ReadFragments(context.Background(), 0, 2); !errors.Is(err, ErrMediaError) || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("injected read = %v, want ErrMediaError and ErrInjected", err)
 	}
-	got, err := d.ReadFragments(0, 2)
+	got, err := d.ReadFragments(context.Background(), 0, 2)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("read after injection = %v (equal=%v), want clean", err, bytes.Equal(got, want))
 	}
 
 	// Same for the write path: one failed write, no bytes changed, then clean.
 	inj.Arm(PtWrite, fault.Action{Kind: fault.KindError, Err: ErrFailed})
-	if err := d.WriteFragments(0, pattern(2*FragmentSize, 9)); !errors.Is(err, ErrFailed) {
+	if err := d.WriteFragments(context.Background(), 0, pattern(2*FragmentSize, 9)); !errors.Is(err, ErrFailed) {
 		t.Fatalf("injected write = %v, want ErrFailed", err)
 	}
-	got, err = d.ReadFragments(0, 2)
+	got, err = d.ReadFragments(context.Background(), 0, 2)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatal("injected write error must not modify the media")
 	}
-	if err := d.WriteFragments(0, pattern(2*FragmentSize, 9)); err != nil {
+	if err := d.WriteFragments(context.Background(), 0, pattern(2*FragmentSize, 9)); err != nil {
 		t.Fatalf("write after injection = %v, want clean", err)
 	}
 }

@@ -211,7 +211,7 @@ func Mount(cfg Config) (*Server, error) {
 // readMeta reads metadata fragments from the disk, falling back to the
 // stable mirror on a media error.
 func (s *Server) readMeta(start, n int) ([]byte, error) {
-	data, err := s.disk.ReadFragments(start, n)
+	data, err := s.disk.ReadFragments(context.Background(), start, n)
 	if err == nil {
 		return data, nil
 	}
@@ -378,15 +378,10 @@ func (s *Server) Free(addr, n int) error {
 // Get is the paper's get-block: it reads n contiguous fragments starting at
 // addr in one disk reference. By default data comes from main storage, with
 // the track read-ahead cache consulted first; with FromStable it comes from
-// the stable mirror.
-func (s *Server) Get(addr, n int, opts GetOptions) ([]byte, error) {
-	return s.GetCtx(context.Background(), addr, n, opts)
-}
-
-// GetCtx is Get carrying a trace context: the request is bracketed by a
-// diskservice-layer span (or histogram observation) and counts against this
-// disk's queue-depth gauge.
-func (s *Server) GetCtx(ctx context.Context, addr, n int, opts GetOptions) ([]byte, error) {
+// the stable mirror. The request is bracketed by a diskservice-layer span
+// under ctx's (or a histogram observation) and counts against this disk's
+// queue-depth gauge.
+func (s *Server) Get(ctx context.Context, addr, n int, opts GetOptions) ([]byte, error) {
 	s.queue.Inc()
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerDiskService, "get")
 	data, err := s.get(ctx, addr, n, opts)
@@ -408,14 +403,14 @@ func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 		return nil, fmt.Errorf("%w: [%d,%d)", device.ErrOutOfRange, addr, addr+n)
 	}
 	if !s.readAhead || opts.NoReadAhead {
-		return s.disk.ReadFragmentsCtx(ctx, addr, n)
+		return s.disk.ReadFragments(ctx, addr, n)
 	}
 	firstTrack := geom.Track(addr)
 	lastTrack := geom.Track(addr + n - 1)
 	if firstTrack != lastTrack {
 		// Multi-track transfers bypass the track cache: they are one disk
 		// reference already and would otherwise flood the cache.
-		return s.disk.ReadFragmentsCtx(ctx, addr, n)
+		return s.disk.ReadFragments(ctx, addr, n)
 	}
 	off := (addr - geom.TrackStart(firstTrack)) * FragmentSize
 	out := make([]byte, n*FragmentSize)
@@ -427,7 +422,7 @@ func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 	s.tcMu.Lock()
 	gen := s.putGen
 	s.tcMu.Unlock()
-	trackData, _, err := s.disk.ReadTrackCtx(ctx, addr)
+	trackData, _, err := s.disk.ReadTrack(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -446,13 +441,8 @@ func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 // Put is the paper's put-block: it writes data (a whole number of fragments)
 // at addr in one disk reference per destination. opts.Stability selects main
 // storage, stable storage, or both; opts.WaitStable selects whether the call
-// waits for the stable copy.
-func (s *Server) Put(addr int, data []byte, opts PutOptions) error {
-	return s.PutCtx(context.Background(), addr, data, opts)
-}
-
-// PutCtx is Put carrying a trace context (see GetCtx).
-func (s *Server) PutCtx(ctx context.Context, addr int, data []byte, opts PutOptions) error {
+// waits for the stable copy. It is bracketed and counted like Get.
+func (s *Server) Put(ctx context.Context, addr int, data []byte, opts PutOptions) error {
 	s.queue.Inc()
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerDiskService, "put")
 	op.Span().AddBytes(len(data))
@@ -471,7 +461,7 @@ func (s *Server) put(ctx context.Context, addr int, data []byte, opts PutOptions
 		st = MainOnly
 	}
 	if st == MainOnly || st == MainAndStable {
-		if err := s.disk.WriteFragmentsCtx(ctx, addr, data); err != nil {
+		if err := s.disk.WriteFragments(ctx, addr, data); err != nil {
 			return err
 		}
 		s.updateTrackCache(addr, data)
@@ -535,10 +525,10 @@ func (s *Server) persistMetadataLocked() error {
 	}
 	// Vital structural information: original location and stable storage
 	// (the file-index-table flavour of put-block).
-	if err := s.disk.WriteFragments(0, super); err != nil {
+	if err := s.disk.WriteFragments(context.Background(), 0, super); err != nil {
 		return fmt.Errorf("diskservice: writing superblock: %w", err)
 	}
-	if err := s.disk.WriteFragments(1, raw); err != nil {
+	if err := s.disk.WriteFragments(context.Background(), 1, raw); err != nil {
 		return fmt.Errorf("diskservice: writing bitmap: %w", err)
 	}
 	if err := s.stable.Write(0, super); err != nil {

@@ -2,6 +2,7 @@ package diskservice
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -95,10 +96,10 @@ func TestAllocatePutGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := frag(8, 3)
-	if err := r.srv.Put(addr, want, PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, want, PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.srv.Get(addr, 8, GetOptions{})
+	got, err := r.srv.Get(context.Background(), addr, 8, GetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +131,11 @@ func TestContiguousGetIsOneReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.srv.Put(addr, frag(16, 1), PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, frag(16, 1), PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	before := r.met.Get(metrics.DiskReferences)
-	if _, err := r.srv.Get(addr, 16, GetOptions{}); err != nil {
+	if _, err := r.srv.Get(context.Background(), addr, 16, GetOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.met.Get(metrics.DiskReferences) - before; got != 1 {
@@ -147,18 +148,18 @@ func TestTrackReadAhead(t *testing.T) {
 	// Lay out data on one track past the metadata region.
 	meta := r.srv.MetadataFragments()
 	trackStart := ((meta / 8) + 1) * 8 // first full track above metadata
-	if err := r.srv.Put(trackStart, frag(8, 9), PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), trackStart, frag(8, 9), PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r.srv.InvalidateCache()
 	before := r.met.Get(metrics.DiskReferences)
 	// First fragment read misses and fetches the whole track.
-	if _, err := r.srv.Get(trackStart, 1, GetOptions{}); err != nil {
+	if _, err := r.srv.Get(context.Background(), trackStart, 1, GetOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Subsequent fragments on the same track are served from cache.
 	for i := 1; i < 8; i++ {
-		if _, err := r.srv.Get(trackStart+i, 1, GetOptions{}); err != nil {
+		if _, err := r.srv.Get(context.Background(), trackStart+i, 1, GetOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,12 +175,12 @@ func TestReadAheadDisabled(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.DisableReadAhead = true })
 	meta := r.srv.MetadataFragments()
 	start := ((meta / 8) + 1) * 8
-	if err := r.srv.Put(start, frag(8, 2), PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), start, frag(8, 2), PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	before := r.met.Get(metrics.DiskReferences)
 	for i := 0; i < 8; i++ {
-		if _, err := r.srv.Get(start+i, 1, GetOptions{}); err != nil {
+		if _, err := r.srv.Get(context.Background(), start+i, 1, GetOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,18 +193,18 @@ func TestTrackCacheCoherentWithWrites(t *testing.T) {
 	r := newRig(t)
 	meta := r.srv.MetadataFragments()
 	start := ((meta / 8) + 1) * 8
-	if err := r.srv.Put(start, frag(8, 1), PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), start, frag(8, 1), PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r.srv.InvalidateCache()
-	if _, err := r.srv.Get(start, 1, GetOptions{}); err != nil { // populate track cache
+	if _, err := r.srv.Get(context.Background(), start, 1, GetOptions{}); err != nil { // populate track cache
 		t.Fatal(err)
 	}
 	want := frag(1, 77)
-	if err := r.srv.Put(start+3, want, PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), start+3, want, PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.srv.Get(start+3, 1, GetOptions{})
+	got, err := r.srv.Get(context.Background(), start+3, 1, GetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +220,15 @@ func TestPutStableOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	main := frag(1, 5)
-	if err := r.srv.Put(addr, main, PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, main, PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	shadow := frag(1, 99)
-	if err := r.srv.Put(addr, shadow, PutOptions{Stability: StableOnly, WaitStable: true}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, shadow, PutOptions{Stability: StableOnly, WaitStable: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Main storage still holds the original (the shadow-page property).
-	got, err := r.srv.Get(addr, 1, GetOptions{NoReadAhead: true})
+	got, err := r.srv.Get(context.Background(), addr, 1, GetOptions{NoReadAhead: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestPutStableOnly(t *testing.T) {
 		t.Fatal("StableOnly put modified main storage")
 	}
 	// Stable storage holds the shadow.
-	got, err = r.srv.Get(addr, 1, GetOptions{FromStable: true})
+	got, err = r.srv.Get(context.Background(), addr, 1, GetOptions{FromStable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +252,11 @@ func TestPutMainAndStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := frag(2, 8)
-	if err := r.srv.Put(addr, want, PutOptions{Stability: MainAndStable, WaitStable: true}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, want, PutOptions{Stability: MainAndStable, WaitStable: true}); err != nil {
 		t.Fatal(err)
 	}
 	for _, fromStable := range []bool{false, true} {
-		got, err := r.srv.Get(addr, 2, GetOptions{FromStable: fromStable, NoReadAhead: true})
+		got, err := r.srv.Get(context.Background(), addr, 2, GetOptions{FromStable: fromStable, NoReadAhead: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,13 +273,13 @@ func TestPutDeferredStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := frag(1, 6)
-	if err := r.srv.Put(addr, want, PutOptions{Stability: MainAndStable, WaitStable: false}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, want, PutOptions{Stability: MainAndStable, WaitStable: false}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.srv.Flush(); err != nil { // flush-block drains deferred stable writes
 		t.Fatal(err)
 	}
-	got, err := r.srv.Get(addr, 1, GetOptions{FromStable: true})
+	got, err := r.srv.Get(context.Background(), addr, 1, GetOptions{FromStable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestMountRestoresBitmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.srv.Put(addr, frag(6, 4), PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, frag(6, 4), PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	freeBefore := r.srv.FreeFragments()
@@ -328,7 +329,7 @@ func TestMountRestoresBitmap(t *testing.T) {
 	}
 	// Allocated data must still be there and new allocations must not
 	// overlap it.
-	got, err := srv2.Get(addr, 6, GetOptions{})
+	got, err := srv2.Get(context.Background(), addr, 6, GetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +395,10 @@ func TestClosedServerRejectsOps(t *testing.T) {
 	if _, err := r.srv.AllocateFragments(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Allocate after close = %v, want ErrClosed", err)
 	}
-	if _, err := r.srv.Get(0, 1, GetOptions{}); !errors.Is(err, ErrClosed) {
+	if _, err := r.srv.Get(context.Background(), 0, 1, GetOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after close = %v, want ErrClosed", err)
 	}
-	if err := r.srv.Put(0, frag(1, 0), PutOptions{}); !errors.Is(err, ErrClosed) {
+	if err := r.srv.Put(context.Background(), 0, frag(1, 0), PutOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after close = %v, want ErrClosed", err)
 	}
 	if err := r.srv.Free(0, 1); !errors.Is(err, ErrClosed) {
@@ -415,14 +416,14 @@ func TestGetFromStableBypassesTrackCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	stableData := frag(1, 42)
-	if err := r.srv.Put(addr, stableData, PutOptions{Stability: StableOnly, WaitStable: true}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, stableData, PutOptions{Stability: StableOnly, WaitStable: true}); err != nil {
 		t.Fatal(err)
 	}
 	mainData := frag(1, 24)
-	if err := r.srv.Put(addr, mainData, PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, mainData, PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.srv.Get(addr, 1, GetOptions{FromStable: true})
+	got, err := r.srv.Get(context.Background(), addr, 1, GetOptions{FromStable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +491,7 @@ func TestPutDefaultStabilityIsMainOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := r.met.Get(metrics.StableWrites)
-	if err := r.srv.Put(addr, frag(1, 1), PutOptions{}); err != nil {
+	if err := r.srv.Put(context.Background(), addr, frag(1, 1), PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.srv.Flush(); err != nil {
@@ -516,13 +517,13 @@ func TestLargestRunShrinksWithAllocations(t *testing.T) {
 
 func TestGetOutOfRange(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.srv.Get(-1, 1, GetOptions{}); err == nil {
+	if _, err := r.srv.Get(context.Background(), -1, 1, GetOptions{}); err == nil {
 		t.Fatal("negative address accepted")
 	}
-	if _, err := r.srv.Get(r.srv.Capacity(), 1, GetOptions{}); err == nil {
+	if _, err := r.srv.Get(context.Background(), r.srv.Capacity(), 1, GetOptions{}); err == nil {
 		t.Fatal("past-end address accepted")
 	}
-	if _, err := r.srv.Get(0, 0, GetOptions{}); err == nil {
+	if _, err := r.srv.Get(context.Background(), 0, 0, GetOptions{}); err == nil {
 		t.Fatal("zero-length get accepted")
 	}
 }
@@ -533,11 +534,11 @@ func TestGetOutOfRange(t *testing.T) {
 func cachedEqualsDevice(t *testing.T, r *testRig, trackStart, frags int) {
 	t.Helper()
 	for i := 0; i < frags; i++ {
-		got, err := r.srv.Get(trackStart+i, 1, GetOptions{})
+		got, err := r.srv.Get(context.Background(), trackStart+i, 1, GetOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := r.disk.ReadFragments(trackStart+i, 1)
+		want, err := r.disk.ReadFragments(context.Background(), trackStart+i, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,7 +561,7 @@ func TestConcurrentPutsToOneCachedTrack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 200; round++ {
-		if _, err := r.srv.Get(trackStart, 1, GetOptions{}); err != nil { // cache the track
+		if _, err := r.srv.Get(context.Background(), trackStart, 1, GetOptions{}); err != nil { // cache the track
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -568,7 +569,7 @@ func TestConcurrentPutsToOneCachedTrack(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if err := r.srv.Put(trackStart+i, frag(1, byte(round*frags+i)), PutOptions{}); err != nil {
+				if err := r.srv.Put(context.Background(), trackStart+i, frag(1, byte(round*frags+i)), PutOptions{}); err != nil {
 					t.Error(err)
 				}
 			}(i)
@@ -593,13 +594,13 @@ func TestGetMissRacingPut(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := r.srv.Get(trackStart, 1, GetOptions{}); err != nil {
+			if _, err := r.srv.Get(context.Background(), trackStart, 1, GetOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if err := r.srv.Put(trackStart+1, frag(1, byte(round)), PutOptions{}); err != nil {
+			if err := r.srv.Put(context.Background(), trackStart+1, frag(1, byte(round)), PutOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -156,7 +157,7 @@ func e2Measure(blocks int) (withCount, perBlock int64, err error) {
 	// With the count field: one get-block for the whole run.
 	srv.InvalidateCache()
 	before := c.Metrics.Get(metrics.DiskReferences)
-	if _, err := srv.Get(addr, blocks*fileservice.FragmentsPerBlock,
+	if _, err := srv.Get(context.Background(), addr, blocks*fileservice.FragmentsPerBlock,
 		diskservice.GetOptions{NoReadAhead: true}); err != nil {
 		return 0, 0, err
 	}
@@ -167,7 +168,7 @@ func e2Measure(blocks int) (withCount, perBlock int64, err error) {
 	srv.InvalidateCache()
 	before = c.Metrics.Get(metrics.DiskReferences)
 	for b := 0; b < blocks; b++ {
-		if _, err := srv.Get(addr+b*fileservice.FragmentsPerBlock,
+		if _, err := srv.Get(context.Background(), addr+b*fileservice.FragmentsPerBlock,
 			fileservice.FragmentsPerBlock, diskservice.GetOptions{NoReadAhead: true}); err != nil {
 			return 0, 0, err
 		}
@@ -307,7 +308,7 @@ func e5Measure(pattern string, readAhead bool) (int64, float64, string, error) {
 	if err != nil {
 		return 0, 0, "", err
 	}
-	if err := srv.Put(addr, make([]byte, frags*fileservice.FragmentSize), diskservice.PutOptions{}); err != nil {
+	if err := srv.Put(context.Background(), addr, make([]byte, frags*fileservice.FragmentSize), diskservice.PutOptions{}); err != nil {
 		return 0, 0, "", err
 	}
 	srv.InvalidateCache()
@@ -319,7 +320,7 @@ func e5Measure(pattern string, readAhead bool) (int64, float64, string, error) {
 		if pattern == "random" {
 			f = rng.Intn(frags)
 		}
-		if _, err := srv.Get(addr+f, 1, diskservice.GetOptions{}); err != nil {
+		if _, err := srv.Get(context.Background(), addr+f, 1, diskservice.GetOptions{}); err != nil {
 			return 0, 0, "", err
 		}
 	}

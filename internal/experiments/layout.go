@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -148,12 +149,12 @@ func e13Run(cacheOn bool, drop, dup float64) (e13Result, error) {
 	}
 	// The handler appends one byte per logical request — a non-idempotent
 	// effect unless the duplicate cache absorbs replays.
-	handler := func(method string, body []byte) ([]byte, error) {
+	handler := func(_ context.Context, req rpc.Request) ([]byte, error) {
 		size, err := c.Files.Size(id)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.Files.WriteAt(id, size, body); err != nil {
+		if _, err := c.Files.WriteAt(id, size, req.Body); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -167,7 +168,7 @@ func e13Run(cacheOn bool, drop, dup float64) (e13Result, error) {
 		1, 200, met)
 	const appends = 200
 	for i := 0; i < appends; i++ {
-		if _, err := client.Call("append", []byte{byte(i)}); err != nil {
+		if _, err := client.Call(context.Background(), "append", []byte{byte(i)}); err != nil {
 			return e13Result{}, err
 		}
 	}

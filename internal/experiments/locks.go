@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -271,15 +272,15 @@ func e12Run(combined bool) (locks int, searches int, steps int64, err error) {
 	const perLevel = 300
 	txnID := lock.TxnID(1)
 	for i := 0; i < perLevel; i++ {
-		if err := m.Acquire(txnID, 0, lock.Record,
+		if err := m.Acquire(context.Background(), txnID, 0, lock.Record,
 			lock.ItemID{File: uint64(10000 + i), Offset: 0, Length: 64}, lock.ReadOnly); err != nil {
 			return 0, 0, 0, err
 		}
-		if err := m.Acquire(txnID, 0, lock.Page,
+		if err := m.Acquire(context.Background(), txnID, 0, lock.Page,
 			lock.ItemID{File: uint64(20000 + i), Offset: 0}, lock.ReadOnly); err != nil {
 			return 0, 0, 0, err
 		}
-		if err := m.Acquire(txnID, 0, lock.File,
+		if err := m.Acquire(context.Background(), txnID, 0, lock.File,
 			lock.ItemID{File: uint64(30000 + i)}, lock.ReadOnly); err != nil {
 			return 0, 0, 0, err
 		}

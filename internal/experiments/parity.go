@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -152,7 +153,7 @@ func e17Run(disks int) (e17Result, error) {
 		if addr+n > hi {
 			n = hi - addr
 		}
-		if err := srv.Put(addr, junk[:n*diskservice.FragmentSize], diskservice.PutOptions{}); err != nil {
+		if err := srv.Put(context.Background(), addr, junk[:n*diskservice.FragmentSize], diskservice.PutOptions{}); err != nil {
 			return e17Result{}, fmt.Errorf("scribbling replacement: %w", err)
 		}
 	}

@@ -44,42 +44,20 @@ type Backend interface {
 	// mount-time rebuild resets, then re-marks from the FITs).
 	ResetBitmap() error
 
-	// Get is the paper's get-block (§4).
-	Get(addr, n int, opts diskservice.GetOptions) ([]byte, error)
+	// Get is the paper's get-block (§4). The backend's disk and device
+	// spans nest under ctx's.
+	Get(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error)
 	// Put is the paper's put-block (§4). data is lent for the length of the
 	// call — it is a cache buffer on a writeback, a pooled one on a FIT write
 	// — so an implementation copies whatever it keeps.
-	Put(addr int, data []byte, opts diskservice.PutOptions) error
+	Put(ctx context.Context, addr int, data []byte, opts diskservice.PutOptions) error
 	// Flush is the paper's flush-block: all buffered state becomes durable.
 	Flush() error
 	// InvalidateCache empties read caches (experiments force cold reads).
 	InvalidateCache()
 }
 
-// BackendCtx is the optional trace-context form of Backend's data path.
-// The built-in implementations provide it; the file service reaches it by
-// type assertion, so Backend itself — and any external implementation or
-// test double — is unaffected by the tracing layer.
-type BackendCtx interface {
-	// GetCtx is Get carrying a trace context.
-	GetCtx(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error)
-	// PutCtx is Put carrying a trace context.
-	PutCtx(ctx context.Context, addr int, data []byte, opts diskservice.PutOptions) error
-}
-
-var (
-	_ Backend    = (*diskservice.Server)(nil)
-	_ BackendCtx = (*diskservice.Server)(nil)
-)
-
-// backendGet routes a get-block through the ctx-threaded path when the
-// backend has one, so disk and device spans join the caller's trace.
-func (s *Service) backendGet(ctx context.Context, disk, addr, n int, opts diskservice.GetOptions) ([]byte, error) {
-	if bc := s.disksCtx[disk]; bc != nil {
-		return bc.GetCtx(ctx, addr, n, opts)
-	}
-	return s.disks[disk].Get(addr, n, opts)
-}
+var _ Backend = (*diskservice.Server)(nil)
 
 // Servers adapts disk servers to the Backend slice Config.Disks takes —
 // the plain layout, one Backend per physical disk.

@@ -1,6 +1,7 @@
 package fileservice
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -114,9 +115,10 @@ func (s *Service) putMapFragLocked(frags []mapFragment, idx int) error {
 		off += entrySize
 	}
 	binary.BigEndian.PutUint32(frag[4:], fragCRC(frag))
-	return s.disks[f.loc.Disk].Put(int(f.loc.Addr), frag, diskservice.PutOptions{
+	return s.disks[f.loc.Disk].Put(context.Background(), int(f.loc.Addr), frag, diskservice.PutOptions{
 		Stability: diskservice.MainAndStable, WaitStable: true,
 	})
+
 }
 
 // allocMapFragLocked claims one fragment for the file-map chain.
@@ -296,11 +298,11 @@ func (s *Service) loadMapLocked() error {
 // readVital reads one fragment of vital structure, falling back to the
 // stable copy when the main copy is unreadable.
 func (s *Service) readVital(disk, addr int) ([]byte, error) {
-	data, err := s.disks[disk].Get(addr, 1, diskservice.GetOptions{NoReadAhead: true})
+	data, err := s.disks[disk].Get(context.Background(), addr, 1, diskservice.GetOptions{NoReadAhead: true})
 	if err == nil {
 		return data, nil
 	}
-	return s.disks[disk].Get(addr, 1, diskservice.GetOptions{FromStable: true})
+	return s.disks[disk].Get(context.Background(), addr, 1, diskservice.GetOptions{FromStable: true})
 }
 
 // fragCRC computes the fragment checksum with the CRC field zeroed.

@@ -3,6 +3,7 @@ package fileservice
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -136,7 +137,7 @@ func TestMountsParentImage(t *testing.T) {
 		if _, err := io.ReadFull(zr, raw); err != nil {
 			t.Fatal(err)
 		}
-		if err := devs[i].WriteFragments(0, raw); err != nil {
+		if err := devs[i].WriteFragments(context.Background(), 0, raw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +235,7 @@ func newCrashRig(t *testing.T) *crashRig {
 	}
 	r.files = j.live
 	for i, d := range r.devs {
-		if r.image[i], err = d.ReadFragments(0, g.Capacity()); err != nil {
+		if r.image[i], err = d.ReadFragments(context.Background(), 0, g.Capacity()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +255,7 @@ func (r *crashRig) boot(t *testing.T, inj *fault.Injector) *churnJournal {
 		_ = r.st.Close()
 	}
 	for i, d := range r.devs {
-		if err := d.WriteFragments(0, r.image[i]); err != nil {
+		if err := d.WriteFragments(context.Background(), 0, r.image[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,6 +30,7 @@
 package fileservice
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -145,7 +146,6 @@ type fileState struct {
 // Service is a basic file service. It is safe for concurrent use.
 type Service struct {
 	disks      []Backend
-	disksCtx   []BackendCtx // per-disk ctx-threaded data path; nil when unsupported
 	met        *metrics.Set
 	obsRec     *obs.Recorder
 	stripe     StripePolicy
@@ -269,7 +269,6 @@ func newService(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		disks:      cfg.Disks,
-		disksCtx:   make([]BackendCtx, len(cfg.Disks)),
 		met:        cfg.Metrics,
 		obsRec:     cfg.Obs,
 		stripe:     stripe,
@@ -278,14 +277,11 @@ func newService(cfg Config) (*Service, error) {
 		files:      make(map[FileID]*fileState),
 		fileMap:    make(map[FileID]mapEntry),
 	}
-	for i, d := range cfg.Disks {
-		s.disksCtx[i], _ = d.(BackendCtx)
-	}
 	bc, err := cache.New(cache.Config[blockKey]{
 		Capacity: cb,
 		Policy:   cache.DelayedWrite,
 		Writeback: func(k blockKey, data []byte) error {
-			return s.disks[k.disk].Put(k.addr, data, diskservice.PutOptions{})
+			return s.disks[k.disk].Put(context.Background(), k.addr, data, diskservice.PutOptions{})
 		},
 		Metrics:     cfg.Metrics,
 		HitCounter:  metrics.ServerCacheHit,
@@ -844,14 +840,14 @@ func (s *Service) pickDisk(n int) int {
 // access to st).
 func (s *Service) loadFIT(st *fileState) error {
 	srv := s.disks[st.fitDisk]
-	raw, err := srv.Get(st.fitAddr, 1, diskservice.GetOptions{})
+	raw, err := srv.Get(context.Background(), st.fitAddr, 1, diskservice.GetOptions{})
 	var tbl *fit.Table
 	if err == nil {
 		tbl, err = fit.Decode(raw)
 	}
 	if err != nil {
 		// Vital structure: recover from the stable copy.
-		raw, serr := srv.Get(st.fitAddr, 1, diskservice.GetOptions{FromStable: true})
+		raw, serr := srv.Get(context.Background(), st.fitAddr, 1, diskservice.GetOptions{FromStable: true})
 		if serr != nil {
 			return fmt.Errorf("fileservice: FIT of file %d unreadable: %v; stable: %w", st.id, err, serr)
 		}
@@ -860,13 +856,13 @@ func (s *Service) loadFIT(st *fileState) error {
 			return fmt.Errorf("fileservice: FIT of file %d corrupt on both copies: %w", st.id, serr)
 		}
 		// Heal the main copy.
-		if herr := srv.Put(st.fitAddr, raw, diskservice.PutOptions{}); herr != nil {
+		if herr := srv.Put(context.Background(), st.fitAddr, raw, diskservice.PutOptions{}); herr != nil {
 			return fmt.Errorf("fileservice: healing FIT of file %d: %w", st.id, herr)
 		}
 	}
 	extents := append([]fit.Extent(nil), tbl.Direct...)
 	for _, ind := range tbl.Indirect {
-		blk, err := s.disks[ind.Disk].Get(int(ind.Addr), FragmentsPerBlock, diskservice.GetOptions{})
+		blk, err := s.disks[ind.Disk].Get(context.Background(), int(ind.Addr), FragmentsPerBlock, diskservice.GetOptions{})
 		if err != nil {
 			return fmt.Errorf("fileservice: reading indirect block of file %d: %w", st.id, err)
 		}
@@ -934,7 +930,7 @@ func (s *Service) writeFIT(st *fileState, waitStable bool) error {
 			return err
 		}
 		ind := st.indirect[i]
-		if err := s.disks[ind.Disk].Put(int(ind.Addr), blk, diskservice.PutOptions{
+		if err := s.disks[ind.Disk].Put(context.Background(), int(ind.Addr), blk, diskservice.PutOptions{
 			Stability: diskservice.MainAndStable, WaitStable: waitStable,
 		}); err != nil {
 			return err
@@ -949,7 +945,7 @@ func (s *Service) writeFIT(st *fileState, waitStable bool) error {
 	if err := tbl.EncodeInto(raw); err != nil {
 		return err
 	}
-	if err := s.disks[st.fitDisk].Put(st.fitAddr, raw, diskservice.PutOptions{
+	if err := s.disks[st.fitDisk].Put(context.Background(), st.fitAddr, raw, diskservice.PutOptions{
 		Stability: diskservice.MainAndStable, WaitStable: waitStable,
 	}); err != nil {
 		return err

@@ -2,6 +2,7 @@ package fileservice
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -675,7 +676,7 @@ func TestReplaceBlockDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.disks[0].Put(addr, shadow, diskservice.PutOptions{}); err != nil {
+	if err := r.disks[0].Put(context.Background(), addr, shadow, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	extsBefore, _, err := r.svc.ContiguityProfile(id)
@@ -727,7 +728,7 @@ func TestWriteBlockThroughAndReadBlock(t *testing.T) {
 	if err := r.svc.WriteBlockThrough(id, 0, blk); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.svc.ReadBlock(id, 0)
+	got, err := r.svc.ReadBlock(context.Background(), id, 0)
 	if err != nil || !bytes.Equal(got, blk) {
 		t.Fatal("block round trip mismatch")
 	}

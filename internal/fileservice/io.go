@@ -12,7 +12,7 @@ import (
 	"repro/internal/obs"
 )
 
-// ReadAt reads up to n bytes starting at byte offset off, returning fewer
+// ReadAtCtx reads up to n bytes starting at byte offset off, returning fewer
 // bytes at end of file (and zero bytes, no error, at or past it).
 //
 // The read path is the paper's: locate the block through the (cached) file
@@ -36,13 +36,10 @@ import (
 // well as per-client state would. Misses are planned first, then the fetches
 // fan out with one goroutine per disk, so a striped read drives all its
 // disks concurrently.
-func (s *Service) ReadAt(id FileID, off int64, n int) ([]byte, error) {
-	return s.ReadAtCtx(context.Background(), id, off, n)
-}
-
-// ReadAtCtx is ReadAt carrying a trace context: the read is bracketed by a
-// fileservice-layer span (nested under the caller's when ctx has one) and
-// its disk fetches contribute diskservice/device child spans.
+//
+// The read is bracketed by a fileservice-layer span (nested under the
+// caller's when ctx has one) and its disk fetches contribute
+// diskservice/device child spans.
 func (s *Service) ReadAtCtx(ctx context.Context, id FileID, off int64, n int) ([]byte, error) {
 	return s.ReadAtHeadroomCtx(ctx, id, off, n, 0)
 }
@@ -273,7 +270,7 @@ func (s *Service) planRun(disk, addr, contiguous int) (run int, cached uint64) {
 // continues a stream: only then is the rest of the track worth the disk
 // service's read-ahead (§4).
 func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint64, seq bool) ([]byte, error) {
-	raw, err := s.backendGet(ctx, disk, addr, run*FragmentsPerBlock, diskservice.GetOptions{NoReadAhead: !seq})
+	raw, err := s.disks[disk].Get(ctx, addr, run*FragmentsPerBlock, diskservice.GetOptions{NoReadAhead: !seq})
 	if err != nil {
 		return nil, err
 	}
@@ -344,17 +341,12 @@ func (s *Service) fetchBlock(ctx context.Context, key blockKey, contiguous int, 
 	return raw[:BlockSize], nil
 }
 
-// WriteAt writes data at byte offset off, extending the file as needed, and
+// WriteAtCtx writes data at byte offset off, extending the file as needed, and
 // returns the number of bytes written. Modifications follow the file's
 // policy: delayed-write for basic files, write-through for transaction
 // files (§5). Write-through blocks bound for different disks are flushed in
 // parallel once the whole request is staged, one writeback stream per disk,
 // so a striped synchronous write drives all its disks concurrently.
-func (s *Service) WriteAt(id FileID, off int64, data []byte) (int, error) {
-	return s.WriteAtCtx(context.Background(), id, off, data)
-}
-
-// WriteAtCtx is WriteAt carrying a trace context (see ReadAtCtx).
 func (s *Service) WriteAtCtx(ctx context.Context, id FileID, off int64, data []byte) (int, error) {
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerFileService, "writeAt")
 	op.Span().SetFile(uint64(id))
@@ -666,12 +658,7 @@ func (s *Service) BlockCount(id FileID) (int, error) {
 
 // ReadBlock returns logical block blk (a full 8 KB), for the transaction
 // service's page-granular access.
-func (s *Service) ReadBlock(id FileID, blk int) ([]byte, error) {
-	return s.ReadBlockCtx(context.Background(), id, blk)
-}
-
-// ReadBlockCtx is ReadBlock carrying a trace context.
-func (s *Service) ReadBlockCtx(ctx context.Context, id FileID, blk int) ([]byte, error) {
+func (s *Service) ReadBlock(ctx context.Context, id FileID, blk int) ([]byte, error) {
 	st, err := s.lockFile(id)
 	if err != nil {
 		return nil, err

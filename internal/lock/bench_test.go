@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -17,7 +18,7 @@ func BenchmarkAcquireReleaseUncontended(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txn := TxnID(i + 1)
-		if err := m.Acquire(txn, 0, Page, ItemID{File: 1, Offset: uint64(i % 64)}, IWrite); err != nil {
+		if err := m.Acquire(context.Background(), txn, 0, Page, ItemID{File: 1, Offset: uint64(i % 64)}, IWrite); err != nil {
 			b.Fatal(err)
 		}
 		m.ReleaseAll(txn)
@@ -28,7 +29,7 @@ func BenchmarkAcquireSharedReadOnly(b *testing.B) {
 	m := benchManager(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Acquire(TxnID(i+1), 0, File, ItemID{File: 7}, ReadOnly); err != nil {
+		if err := m.Acquire(context.Background(), TxnID(i+1), 0, File, ItemID{File: 7}, ReadOnly); err != nil {
 			b.Fatal(err)
 		}
 		if i%256 == 255 {
@@ -49,10 +50,10 @@ func BenchmarkSearchInPopulatedTable(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			m := benchManager(b, tc.combined)
 			for i := 0; i < 500; i++ {
-				if err := m.Acquire(1, 0, Record, ItemID{File: uint64(1000 + i), Offset: 0, Length: 10}, ReadOnly); err != nil {
+				if err := m.Acquire(context.Background(), 1, 0, Record, ItemID{File: uint64(1000 + i), Offset: 0, Length: 10}, ReadOnly); err != nil {
 					b.Fatal(err)
 				}
-				if err := m.Acquire(1, 0, Page, ItemID{File: uint64(2000 + i), Offset: 0}, ReadOnly); err != nil {
+				if err := m.Acquire(context.Background(), 1, 0, Page, ItemID{File: uint64(2000 + i), Offset: 0}, ReadOnly); err != nil {
 					b.Fatal(err)
 				}
 			}

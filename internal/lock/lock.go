@@ -358,14 +358,11 @@ func normLength(level Level, id ItemID) (uint64, error) {
 // mode; the lock is converted when Table 1 permits it with respect to the
 // other holders (§6.3: an Iwrite can be set if the item is Iread locked by
 // the same transaction).
-func (m *Manager) Acquire(txn TxnID, pid int, level Level, id ItemID, mode Mode) error {
-	return m.AcquireCtx(context.Background(), txn, pid, level, id, mode)
-}
-
-// AcquireCtx is Acquire carrying a trace context: the request — including
-// any blocking wait — is bracketed by a lock-layer span or histogram
-// observation, so lock-wait time shows up per layer in the profile.
-func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, pid int, level Level, id ItemID, mode Mode) error {
+//
+// The request — including any blocking wait — is bracketed by a lock-layer
+// span under ctx's or a histogram observation, so lock-wait time shows up
+// per layer in the profile.
+func (m *Manager) Acquire(ctx context.Context, txn TxnID, pid int, level Level, id ItemID, mode Mode) error {
 	_, op := m.obsRec.StartOp(ctx, obs.LayerLock, "acquire")
 	op.Span().SetFile(id.File)
 	op.Span().SetTxn(uint64(txn))

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -53,7 +54,7 @@ func TestSharedReadOnly(t *testing.T) {
 	m, _ := newMgr(t)
 	it := fileItem(1)
 	for txn := TxnID(1); txn <= 3; txn++ {
-		if err := m.Acquire(txn, 100, File, it, ReadOnly); err != nil {
+		if err := m.Acquire(context.Background(), txn, 100, File, it, ReadOnly); err != nil {
 			t.Fatalf("txn %d RO acquire: %v", txn, err)
 		}
 	}
@@ -65,11 +66,11 @@ func TestSharedReadOnly(t *testing.T) {
 func TestIReadSharesWithReadOnlyButNotNewRO(t *testing.T) {
 	m, _ := newMgr(t)
 	it := pageItem(1, 0)
-	if err := m.Acquire(1, 0, Page, it, ReadOnly); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, it, ReadOnly); err != nil {
 		t.Fatal(err)
 	}
 	// IRead can join existing read-only locks.
-	if err := m.Acquire(2, 0, Page, it, IRead); err != nil {
+	if err := m.Acquire(context.Background(), 2, 0, Page, it, IRead); err != nil {
 		t.Fatalf("IRead alongside RO: %v", err)
 	}
 	// But a NEW read-only must now wait (prevents permanent blocking, §6.3).
@@ -93,7 +94,7 @@ func TestIReadSharesWithReadOnlyButNotNewRO(t *testing.T) {
 func TestIWriteExclusive(t *testing.T) {
 	m, _ := newMgr(t)
 	it := fileItem(7)
-	if err := m.Acquire(1, 0, File, it, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, it, IWrite); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{ReadOnly, IRead, IWrite} {
@@ -110,12 +111,12 @@ func TestIWriteExclusive(t *testing.T) {
 func TestIReadToIWriteConversion(t *testing.T) {
 	m, _ := newMgr(t)
 	it := pageItem(1, 5)
-	if err := m.Acquire(1, 0, Page, it, IRead); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, it, IRead); err != nil {
 		t.Fatal(err)
 	}
 	// §6.3: an IWrite can be set when the item is IRead locked by the same
 	// transaction.
-	if err := m.Acquire(1, 0, Page, it, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, it, IWrite); err != nil {
 		t.Fatalf("IRead->IWrite conversion: %v", err)
 	}
 	modes := m.HeldModes(1, Page, it)
@@ -130,14 +131,14 @@ func TestIReadToIWriteConversion(t *testing.T) {
 func TestConversionWaitsForReaderThenProceeds(t *testing.T) {
 	m, _ := newMgr(t)
 	it := pageItem(9, 0)
-	if err := m.Acquire(1, 0, Page, it, ReadOnly); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, it, ReadOnly); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, 0, Page, it, IRead); err != nil {
+	if err := m.Acquire(context.Background(), 2, 0, Page, it, IRead); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, 0, Page, it, IWrite) }()
+	go func() { done <- m.Acquire(context.Background(), 2, 0, Page, it, IWrite) }()
 	select {
 	case err := <-done:
 		t.Fatalf("IWrite conversion granted while txn 1 holds RO: %v", err)
@@ -157,11 +158,11 @@ func TestConversionWaitsForReaderThenProceeds(t *testing.T) {
 func TestWaiterGrantedOnRelease(t *testing.T) {
 	m, _ := newMgr(t)
 	it := fileItem(3)
-	if err := m.Acquire(1, 0, File, it, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, it, IWrite); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, 0, File, it, IWrite) }()
+	go func() { done <- m.Acquire(context.Background(), 2, 0, File, it, IWrite) }()
 	select {
 	case <-done:
 		t.Fatal("second IWrite granted while first held")
@@ -181,7 +182,7 @@ func TestWaiterGrantedOnRelease(t *testing.T) {
 func TestFIFOOrdering(t *testing.T) {
 	m, _ := newMgr(t)
 	it := fileItem(4)
-	if err := m.Acquire(1, 0, File, it, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, it, IWrite); err != nil {
 		t.Fatal(err)
 	}
 	var order []int
@@ -192,7 +193,7 @@ func TestFIFOOrdering(t *testing.T) {
 		txn := TxnID(i)
 		go func(n int) {
 			defer wg.Done()
-			if err := m.Acquire(txn, 0, File, it, IWrite); err != nil {
+			if err := m.Acquire(context.Background(), txn, 0, File, it, IWrite); err != nil {
 				t.Errorf("txn %d: %v", n, err)
 				return
 			}
@@ -213,7 +214,7 @@ func TestFIFOOrdering(t *testing.T) {
 func TestRecordRangeOverlap(t *testing.T) {
 	m, _ := newMgr(t)
 	// Txn 1 write-locks bytes [100,200).
-	if err := m.Acquire(1, 0, Record, recItem(1, 100, 100), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Record, recItem(1, 100, 100), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	// Overlapping range conflicts.
@@ -236,14 +237,14 @@ func TestRecordRangeOverlap(t *testing.T) {
 
 func TestZeroLengthRecordRejected(t *testing.T) {
 	m, _ := newMgr(t)
-	if err := m.Acquire(1, 0, Record, recItem(1, 0, 0), IWrite); !errors.Is(err, ErrBadItem) {
+	if err := m.Acquire(context.Background(), 1, 0, Record, recItem(1, 0, 0), IWrite); !errors.Is(err, ErrBadItem) {
 		t.Fatalf("zero-length record lock = %v, want ErrBadItem", err)
 	}
 }
 
 func TestPageLocksIndependent(t *testing.T) {
 	m, _ := newMgr(t)
-	if err := m.Acquire(1, 0, Page, pageItem(1, 0), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, pageItem(1, 0), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := m.TryAcquire(2, 0, Page, pageItem(1, 1), IWrite)
@@ -254,7 +255,7 @@ func TestPageLocksIndependent(t *testing.T) {
 
 func TestFileLevelConflictsWithAll(t *testing.T) {
 	m, _ := newMgr(t)
-	if err := m.Acquire(1, 0, File, fileItem(1), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := m.TryAcquire(2, 0, File, fileItem(1), ReadOnly)
@@ -265,15 +266,15 @@ func TestFileLevelConflictsWithAll(t *testing.T) {
 
 func TestOneLevelPerFileRule(t *testing.T) {
 	m, _ := newMgr(t)
-	if err := m.Acquire(1, 0, Page, pageItem(1, 0), ReadOnly); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, pageItem(1, 0), ReadOnly); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, 0, File, fileItem(1), ReadOnly); !errors.Is(err, ErrLevelMismatch) {
+	if err := m.Acquire(context.Background(), 2, 0, File, fileItem(1), ReadOnly); !errors.Is(err, ErrLevelMismatch) {
 		t.Fatalf("second level on same file = %v, want ErrLevelMismatch", err)
 	}
 	// After release the file can be locked at a different level.
 	m.ReleaseAll(1)
-	if err := m.Acquire(2, 0, File, fileItem(1), ReadOnly); err != nil {
+	if err := m.Acquire(context.Background(), 2, 0, File, fileItem(1), ReadOnly); err != nil {
 		t.Fatalf("relock at new level after release: %v", err)
 	}
 }
@@ -289,16 +290,16 @@ func TestDeadlockBrokenByTimeout(t *testing.T) {
 		}
 	})
 	a, b := fileItem(1), fileItem(2)
-	if err := m.Acquire(1, 0, File, a, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, a, IWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, 0, File, b, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 2, 0, File, b, IWrite); err != nil {
 		t.Fatal(err)
 	}
 	// Classic deadlock: 1 wants b, 2 wants a.
 	errs := make(chan error, 2)
-	go func() { errs <- m.Acquire(1, 0, File, b, IWrite) }()
-	go func() { errs <- m.Acquire(2, 0, File, a, IWrite) }()
+	go func() { errs <- m.Acquire(context.Background(), 1, 0, File, b, IWrite) }()
+	go func() { errs <- m.Acquire(context.Background(), 2, 0, File, a, IWrite) }()
 	time.Sleep(20 * time.Millisecond) // both must be enqueued
 
 	// Advance past LT: both locks are contested, so the sweep breaks them.
@@ -325,7 +326,7 @@ func TestDeadlockBrokenByTimeout(t *testing.T) {
 
 func TestUncontestedLockRenewedUpToN(t *testing.T) {
 	m, clk := newMgr(t) // LT=10ms, N=3
-	if err := m.Acquire(1, 0, File, fileItem(1), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	// Two renewals pass without competition.
@@ -349,11 +350,11 @@ func TestUncontestedLockRenewedUpToN(t *testing.T) {
 func TestContestedLockBrokenAtFirstExpiry(t *testing.T) {
 	m, clk := newMgr(t)
 	it := fileItem(1)
-	if err := m.Acquire(1, 0, File, it, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, it, IWrite); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, 0, File, it, IWrite) }()
+	go func() { done <- m.Acquire(context.Background(), 2, 0, File, it, IWrite) }()
 	time.Sleep(20 * time.Millisecond)
 	clk.Advance(11 * time.Millisecond)
 	broke := m.Sweep()
@@ -373,7 +374,7 @@ func TestContestedLockBrokenAtFirstExpiry(t *testing.T) {
 
 func TestFreshLockSurvivesSweep(t *testing.T) {
 	m, clk := newMgr(t)
-	if err := m.Acquire(1, 0, File, fileItem(1), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Millisecond) // within LT
@@ -384,14 +385,14 @@ func TestFreshLockSurvivesSweep(t *testing.T) {
 
 func TestBrokenTxnCannotAcquire(t *testing.T) {
 	m, clk := newMgr(t)
-	if err := m.Acquire(1, 0, File, fileItem(1), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(100 * time.Millisecond)
 	if broke := m.Sweep(); len(broke) != 1 {
 		t.Fatalf("Sweep = %v", broke)
 	}
-	if err := m.Acquire(1, 0, File, fileItem(2), ReadOnly); !errors.Is(err, ErrTxnBroken) {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(2), ReadOnly); !errors.Is(err, ErrTxnBroken) {
 		t.Fatalf("broken txn Acquire = %v, want ErrTxnBroken", err)
 	}
 	// ReleaseAll (the abort path) clears the flag for id reuse.
@@ -403,13 +404,13 @@ func TestBrokenTxnCannotAcquire(t *testing.T) {
 
 func TestReleaseAllReleasesEverything(t *testing.T) {
 	m, _ := newMgr(t)
-	if err := m.Acquire(1, 0, Page, pageItem(1, 0), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, pageItem(1, 0), IWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, 0, Page, pageItem(1, 1), IRead); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, pageItem(1, 1), IRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, 0, File, fileItem(2), ReadOnly); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(2), ReadOnly); err != nil {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(1)
@@ -417,7 +418,7 @@ func TestReleaseAllReleasesEverything(t *testing.T) {
 		t.Fatalf("HoldCount after ReleaseAll = %d, want 0", got)
 	}
 	// Items are cleaned up: the file-level map allows a new level now.
-	if err := m.Acquire(2, 0, File, fileItem(1), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 2, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatalf("relock after cleanup: %v", err)
 	}
 }
@@ -432,13 +433,13 @@ func TestSearchStepsSplitVsCombined(t *testing.T) {
 		// Populate: 50 record items, 50 page items, 50 file items on
 		// distinct files.
 		for i := 0; i < 50; i++ {
-			if err := m.Acquire(txn, 0, Record, recItem(uint64(1000+i), 0, 10), ReadOnly); err != nil {
+			if err := m.Acquire(context.Background(), txn, 0, Record, recItem(uint64(1000+i), 0, 10), ReadOnly); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Acquire(txn, 0, Page, pageItem(uint64(2000+i), 0), ReadOnly); err != nil {
+			if err := m.Acquire(context.Background(), txn, 0, Page, pageItem(uint64(2000+i), 0), ReadOnly); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Acquire(txn, 0, File, fileItem(uint64(3000+i)), ReadOnly); err != nil {
+			if err := m.Acquire(context.Background(), txn, 0, File, fileItem(uint64(3000+i)), ReadOnly); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -463,10 +464,10 @@ func TestMetricsCounters(t *testing.T) {
 	met := metrics.NewSet()
 	m, _ := newMgr(t, func(c *Config) { c.Metrics = met })
 	it := pageItem(1, 0)
-	if err := m.Acquire(1, 0, Page, it, IRead); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, it, IRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, 0, Page, it, IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Page, it, IWrite); err != nil {
 		t.Fatal(err)
 	}
 	if met.Get(metrics.LocksGranted) != 1 {
@@ -476,7 +477,7 @@ func TestMetricsCounters(t *testing.T) {
 		t.Fatalf("upgrades = %d, want 1", met.Get(metrics.LockUpgrades))
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, 0, Page, it, IWrite) }()
+	go func() { done <- m.Acquire(context.Background(), 2, 0, Page, it, IWrite) }()
 	time.Sleep(20 * time.Millisecond)
 	if met.Get(metrics.LockWaits) != 1 {
 		t.Fatalf("waits = %d, want 1", met.Get(metrics.LockWaits))
@@ -490,11 +491,11 @@ func TestMetricsCounters(t *testing.T) {
 func TestCloseFailsWaiters(t *testing.T) {
 	clk := simclock.New()
 	m := New(Config{Clock: clk, LT: time.Hour})
-	if err := m.Acquire(1, 0, File, fileItem(1), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, 0, File, fileItem(1), IWrite) }()
+	go func() { done <- m.Acquire(context.Background(), 2, 0, File, fileItem(1), IWrite) }()
 	time.Sleep(20 * time.Millisecond)
 	m.Close()
 	select {
@@ -505,7 +506,7 @@ func TestCloseFailsWaiters(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter survived Close")
 	}
-	if err := m.Acquire(3, 0, File, fileItem(2), ReadOnly); !errors.Is(err, ErrClosed) {
+	if err := m.Acquire(context.Background(), 3, 0, File, fileItem(2), ReadOnly); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Acquire after Close = %v, want ErrClosed", err)
 	}
 }
@@ -513,7 +514,7 @@ func TestCloseFailsWaiters(t *testing.T) {
 func TestSweeperBackground(t *testing.T) {
 	m := New(Config{LT: 5 * time.Millisecond, MaxRenewals: 1}) // wall clock
 	defer m.Close()
-	if err := m.Acquire(1, 0, File, fileItem(1), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	sw := m.StartSweeper(2 * time.Millisecond)
@@ -540,7 +541,7 @@ func TestMixedLevelsRelaxation(t *testing.T) {
 	// §6.1: "This constraint can be relaxed, if required, at a later stage."
 	m, _ := newMgr(t, func(c *Config) { c.AllowMixedLevels = true })
 	// Record lock on bytes [0, 64) of file 1.
-	if err := m.Acquire(1, 0, Record, recItem(1, 0, 64), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Record, recItem(1, 0, 64), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	// A page lock on page 0 covers bytes [0, 8192): conflicts.
@@ -567,7 +568,7 @@ func TestMixedLevelsRelaxation(t *testing.T) {
 
 func TestMixedLevelsFileLockBlocksRecord(t *testing.T) {
 	m, _ := newMgr(t, func(c *Config) { c.AllowMixedLevels = true })
-	if err := m.Acquire(1, 0, File, fileItem(7), IWrite); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(7), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := m.TryAcquire(2, 0, Record, recItem(7, 99999, 1), ReadOnly)
@@ -585,7 +586,7 @@ func TestMixedLevelsFileLockBlocksRecord(t *testing.T) {
 func TestMixedLevelsStillConflictAcrossSharedModes(t *testing.T) {
 	m, _ := newMgr(t, func(c *Config) { c.AllowMixedLevels = true })
 	// RO record + RO page on overlapping ranges: compatible.
-	if err := m.Acquire(1, 0, Record, recItem(1, 0, 100), ReadOnly); err != nil {
+	if err := m.Acquire(context.Background(), 1, 0, Record, recItem(1, 0, 100), ReadOnly); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := m.TryAcquire(2, 0, Page, pageItem(1, 0), ReadOnly)

@@ -138,7 +138,6 @@ func Start(cfg Config) (*Node, error) {
 	n.Service, err = cluster.NewService(cluster.ServiceConfig{
 		Shard:    cfg.Shard,
 		Map:      cfg.Map,
-		Inner:    n.leases.Handler,
 		InnerCtx: n.leases.HandlerCtx,
 		Locks:    fac.Locks(),
 		LeaseTTL: cfg.LeaseTTL,
@@ -152,11 +151,7 @@ func Start(cfg Config) (*Node, error) {
 		return fail(err)
 	}
 	n.barrierSvc.Store(n.Service)
-	// The ctx request handler, not the method/body one: replication records
-	// must carry each client's identity so the backup can seed its
-	// duplicate cache and answer post-failover retries exactly once, and
-	// the serve span must flow for cross-node traces.
-	n.ep = rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(n.Service.HandleRequestCtx),
+	n.ep = rpc.NewEndpoint(n.Service.HandleRequestCtx,
 		rpc.WithMetrics(fac.Metrics), rpc.WithObs(rec), rpc.WithWindow(cfg.Window))
 	n.Service.BindEndpoint(n.ep)
 	n.serve = []rpc.TCPOption{rpc.WithInjector(cfg.Fault), rpc.WithWorkers(cfg.Workers)}

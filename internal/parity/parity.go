@@ -486,15 +486,10 @@ func (a *Array) checkSpan(addr, n int) error {
 // units on a failed disk are reconstructed by XOR of the surviving K disks
 // under the stripe lock (degraded read). FromStable passes through to the
 // member disks' stable stores, which survive a main-device failure
-// independently.
-func (a *Array) Get(addr, n int, opts diskservice.GetOptions) ([]byte, error) {
-	return a.GetCtx(context.Background(), addr, n, opts)
-}
-
-// GetCtx is Get carrying a trace context: the read is bracketed as a
-// parity-layer operation. Member-disk I/O is observed by the disk service's
-// own instrumentation.
-func (a *Array) GetCtx(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error) {
+// independently. The read is bracketed as a parity-layer operation under
+// ctx's span; member-disk I/O is observed by the disk service's own
+// instrumentation, outside that tree.
+func (a *Array) Get(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error) {
 	_, op := a.obsRec.StartOp(ctx, obs.LayerParity, "get")
 	data, err := a.get(addr, n, opts)
 	op.Span().AddBytes(len(data))
@@ -552,7 +547,7 @@ func (a *Array) readSpans(out []byte, spans []vspan, opts diskservice.GetOptions
 		srv := disks[d]
 		tasks = append(tasks, func() error {
 			for _, p := range ps {
-				data, err := srv.Get(p.phys, p.frags, opts)
+				data, err := srv.Get(context.Background(), p.phys, p.frags, opts)
 				if err != nil {
 					if errors.Is(err, device.ErrFailed) && !opts.FromStable && !a.noteFailure(d) {
 						return fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, d, err)
@@ -629,7 +624,7 @@ func (a *Array) reconstructSpan(dst []byte, sp vspan) error {
 		srv := disks[d]
 		phys := a.physAddr(d, sp.stripe, sp.off)
 		tasks = append(tasks, func() error {
-			data, err := srv.Get(phys, sp.frags, diskservice.GetOptions{})
+			data, err := srv.Get(context.Background(), phys, sp.frags, diskservice.GetOptions{})
 			bufs[d] = data
 			return err
 		})

@@ -2,6 +2,7 @@ package parity
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -83,7 +84,7 @@ func pattern(frags int, seed int64) []byte {
 
 func mustGet(t *testing.T, a *Array, addr, n int) []byte {
 	t.Helper()
-	b, err := a.Get(addr, n, diskservice.GetOptions{})
+	b, err := a.Get(context.Background(), addr, n, diskservice.GetOptions{})
 	if err != nil {
 		t.Fatalf("Get(%d,%d): %v", addr, n, err)
 	}
@@ -135,16 +136,16 @@ func TestRoundTripAndParityInvariant(t *testing.T) {
 
 	// Full-stripe aligned write (4 fragments = one stripe at unit 1).
 	full := pattern(4*3, 1)
-	if err := a.Put(0, full, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 0, full, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Unaligned partial writes exercising RMW across stripe boundaries.
 	part := pattern(5, 2)
-	if err := a.Put(17, part, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 17, part, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	single := pattern(1, 3)
-	if err := a.Put(30, single, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 30, single, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,7 +171,7 @@ func TestLargerUnit(t *testing.T) {
 	r := newRig(t, 4, func(c *Config) { c.UnitFragments = 4 })
 	a := r.arr
 	data := pattern(a.Capacity(), 4)
-	if err := a.Put(0, data, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 0, data, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustGet(t, a, 0, a.Capacity()); !bytes.Equal(got, data) {
@@ -184,7 +185,7 @@ func TestDegradedRead(t *testing.T) {
 		r := newRig(t, 5)
 		a := r.arr
 		data := pattern(40, int64(fail))
-		if err := a.Put(3, data, diskservice.PutOptions{}); err != nil {
+		if err := a.Put(context.Background(), 3, data, diskservice.PutOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		r.disks[fail].Fail()
@@ -206,7 +207,7 @@ func TestAutoFailureDetection(t *testing.T) {
 	r := newRig(t, 5)
 	a := r.arr
 	data := pattern(40, 7)
-	if err := a.Put(0, data, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 0, data, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Fail a disk without telling the array: the first read that trips over
@@ -227,7 +228,7 @@ func TestDegradedWrite(t *testing.T) {
 		r := newRig(t, 5)
 		a := r.arr
 		base := pattern(60, int64(10+fail))
-		if err := a.Put(0, base, diskservice.PutOptions{}); err != nil {
+		if err := a.Put(context.Background(), 0, base, diskservice.PutOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		r.disks[fail].Fail()
@@ -238,12 +239,12 @@ func TestDegradedWrite(t *testing.T) {
 		// Overwrite a mix of full stripes and partial spans while degraded.
 		over1 := pattern(8, int64(20+fail)) // stripes 0-1, full
 		copy(base[0:], over1)
-		if err := a.Put(0, over1, diskservice.PutOptions{}); err != nil {
+		if err := a.Put(context.Background(), 0, over1, diskservice.PutOptions{}); err != nil {
 			t.Fatalf("degraded full-stripe write, disk %d down: %v", fail, err)
 		}
 		over2 := pattern(5, int64(30+fail)) // partial, crosses stripes
 		copy(base[22*FragmentSize:], over2)
-		if err := a.Put(22, over2, diskservice.PutOptions{}); err != nil {
+		if err := a.Put(context.Background(), 22, over2, diskservice.PutOptions{}); err != nil {
 			t.Fatalf("degraded partial write, disk %d down: %v", fail, err)
 		}
 		if got := mustGet(t, a, 0, 60); !bytes.Equal(got, base) {
@@ -279,7 +280,7 @@ func TestSecondFailureIsFatal(t *testing.T) {
 	r := newRig(t, 5)
 	a := r.arr
 	data := pattern(8, 5)
-	if err := a.Put(0, data, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 0, data, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.MarkFailed(1); err != nil {
@@ -291,7 +292,7 @@ func TestSecondFailureIsFatal(t *testing.T) {
 	r.disks[1].Fail()
 	r.disks[3].Fail()
 	a.InvalidateCache()
-	if _, err := a.Get(0, 8, diskservice.GetOptions{}); err == nil {
+	if _, err := a.Get(context.Background(), 0, 8, diskservice.GetOptions{}); err == nil {
 		t.Fatal("read with two disks down unexpectedly succeeded")
 	}
 }
@@ -301,10 +302,10 @@ func TestStablePassThrough(t *testing.T) {
 	a := r.arr
 	data := pattern(6, 9)
 	opts := diskservice.PutOptions{Stability: diskservice.StableOnly, WaitStable: true}
-	if err := a.Put(4, data, opts); err != nil {
+	if err := a.Put(context.Background(), 4, data, opts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Get(4, 6, diskservice.GetOptions{FromStable: true})
+	got, err := a.Get(context.Background(), 4, 6, diskservice.GetOptions{FromStable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestStablePassThrough(t *testing.T) {
 	if err := a.MarkFailed(2); err != nil {
 		t.Fatal(err)
 	}
-	got, err = a.Get(4, 6, diskservice.GetOptions{FromStable: true})
+	got, err = a.Get(context.Background(), 4, 6, diskservice.GetOptions{FromStable: true})
 	if err != nil {
 		t.Fatalf("stable read with main device down: %v", err)
 	}
@@ -336,7 +337,7 @@ func TestOnlineRebuild(t *testing.T) {
 	a := r.arr
 	size := a.Capacity()
 	img := pattern(size, 42)
-	if err := a.Put(0, img, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 0, img, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r.disks[2].Fail()
@@ -364,7 +365,7 @@ func TestOnlineRebuild(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				addr := w*region + (i*7)%(region-9)
 				chunk := pattern(9, int64(1000+w*100+i))
-				if err := a.Put(addr, chunk, diskservice.PutOptions{}); err != nil {
+				if err := a.Put(context.Background(), addr, chunk, diskservice.PutOptions{}); err != nil {
 					errc <- err
 					return
 				}
@@ -449,7 +450,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	a := r.arr
 	size := a.Capacity()
 	img := pattern(size, 77)
-	if err := a.Put(0, img, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 0, img, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r.disks[1].Fail()
@@ -486,7 +487,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				got, err := a.Get(0, 4, diskservice.GetOptions{})
+				got, err := a.Get(context.Background(), 0, 4, diskservice.GetOptions{})
 				if err != nil {
 					if !errors.Is(err, ErrDoubleFailure) && !errors.Is(err, ErrTooManyFailures) {
 						readErrs <- err
@@ -521,10 +522,10 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 
 	// The array is lost: reads, writes, parity checks, and rebuild restarts
 	// all refuse with the double-failure error instead of serving garbage.
-	if _, err := a.Get(0, 1, diskservice.GetOptions{}); !errors.Is(err, ErrDoubleFailure) {
+	if _, err := a.Get(context.Background(), 0, 1, diskservice.GetOptions{}); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("Get after double failure = %v", err)
 	}
-	if err := a.Put(0, pattern(1, 1), diskservice.PutOptions{}); !errors.Is(err, ErrDoubleFailure) {
+	if err := a.Put(context.Background(), 0, pattern(1, 1), diskservice.PutOptions{}); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("Put after double failure = %v", err)
 	}
 	if _, err := a.CheckParity(); !errors.Is(err, ErrDoubleFailure) {
@@ -553,7 +554,7 @@ func TestConcurrentSmallWritesSharingTracks(t *testing.T) {
 		writers = 8
 	)
 	want := pattern(frags, 1)
-	if err := a.Put(0, want, diskservice.PutOptions{}); err != nil {
+	if err := a.Put(context.Background(), 0, want, diskservice.PutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 20; round++ {
@@ -565,7 +566,7 @@ func TestConcurrentSmallWritesSharingTracks(t *testing.T) {
 				for f := w; f < frags; f += writers {
 					chunk := want[f*FragmentSize : (f+1)*FragmentSize]
 					copy(chunk, pattern(1, int64(round*frags+f)))
-					if err := a.Put(f, chunk, diskservice.PutOptions{}); err != nil {
+					if err := a.Put(context.Background(), f, chunk, diskservice.PutOptions{}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -136,7 +137,7 @@ func (a *Array) rebuildStripe(disks []*diskservice.Server, f, s int) error {
 		srv := disks[d]
 		phys := a.physAddr(d, s, 0)
 		tasks = append(tasks, func() error {
-			b, err := srv.Get(phys, a.unit, diskservice.GetOptions{})
+			b, err := srv.Get(context.Background(), phys, a.unit, diskservice.GetOptions{})
 			bufs[d] = b
 			return err
 		})
@@ -155,7 +156,7 @@ func (a *Array) rebuildStripe(disks []*diskservice.Server, f, s int) error {
 		}
 	}
 	a.fault.Hit(PtRebuildBeforePut)
-	if err := disks[f].Put(a.physAddr(f, s, 0), unit, diskservice.PutOptions{}); err != nil {
+	if err := disks[f].Put(context.Background(), a.physAddr(f, s, 0), unit, diskservice.PutOptions{}); err != nil {
 		if errors.Is(err, device.ErrFailed) {
 			// The replacement itself died: drop back to plain degraded mode.
 			a.noteFailure(f)
@@ -210,7 +211,7 @@ func (a *Array) CheckParity() ([]int, error) {
 			srv := disks[d]
 			phys := a.physAddr(d, s, 0)
 			tasks = append(tasks, func() error {
-				b, e := srv.Get(phys, a.unit, diskservice.GetOptions{})
+				b, e := srv.Get(context.Background(), phys, a.unit, diskservice.GetOptions{})
 				bufs[d] = b
 				return e
 			})

@@ -27,13 +27,8 @@ import (
 // stripe's parity stale (the classic RAID-5 "write hole"; closing it needs
 // a write-intent journal, out of scope here). Failures between writes —
 // the fault-injection scenarios the experiments exercise — always leave
-// every stripe consistent.
-func (a *Array) Put(addr int, data []byte, opts diskservice.PutOptions) error {
-	return a.PutCtx(context.Background(), addr, data, opts)
-}
-
-// PutCtx is Put carrying a trace context; see GetCtx.
-func (a *Array) PutCtx(ctx context.Context, addr int, data []byte, opts diskservice.PutOptions) error {
+// every stripe consistent. The write is bracketed like Get.
+func (a *Array) Put(ctx context.Context, addr int, data []byte, opts diskservice.PutOptions) error {
 	_, op := a.obsRec.StartOp(ctx, obs.LayerParity, "put")
 	op.Span().AddBytes(len(data))
 	err := a.put(addr, data, opts)
@@ -94,7 +89,7 @@ func (a *Array) putStable(spans []vspan, data []byte, opts diskservice.PutOption
 		srv, ps := disks[d], coalesce(ps)
 		tasks = append(tasks, func() error {
 			for _, p := range ps {
-				if err := srv.Put(p.phys, data[p.bufOff:p.bufOff+p.frags*FragmentSize], opts); err != nil {
+				if err := srv.Put(context.Background(), p.phys, data[p.bufOff:p.bufOff+p.frags*FragmentSize], opts); err != nil {
 					return err
 				}
 			}
@@ -140,7 +135,7 @@ func (a *Array) writeStripeLocked(stripe int, spans []vspan, data []byte, opts d
 // getNoted / putNoted wrap member-disk I/O, recording an observed failure so
 // the array flips to degraded mode; a second distinct failure is fatal.
 func (a *Array) getNoted(srv *diskservice.Server, d, addr, frags int) ([]byte, error) {
-	b, err := srv.Get(addr, frags, diskservice.GetOptions{})
+	b, err := srv.Get(context.Background(), addr, frags, diskservice.GetOptions{})
 	if err != nil && errors.Is(err, device.ErrFailed) && !a.noteFailure(d) {
 		return nil, fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, d, err)
 	}
@@ -148,7 +143,7 @@ func (a *Array) getNoted(srv *diskservice.Server, d, addr, frags int) ([]byte, e
 }
 
 func (a *Array) putNoted(srv *diskservice.Server, d, addr int, data []byte, opts diskservice.PutOptions) error {
-	err := srv.Put(addr, data, opts)
+	err := srv.Put(context.Background(), addr, data, opts)
 	if err != nil && errors.Is(err, device.ErrFailed) && !a.noteFailure(d) {
 		return fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, d, err)
 	}
@@ -187,7 +182,7 @@ func (a *Array) writeFullStripe(disks []*diskservice.Server, healthy bool, faile
 				srv := disks[d]
 				phys := a.physAddr(d, stripe, sp.off)
 				chunk := data[sp.bufOff : sp.bufOff+sp.frags*FragmentSize]
-				tasks = append(tasks, func() error { return srv.Put(phys, chunk, echo) })
+				tasks = append(tasks, func() error { return srv.Put(context.Background(), phys, chunk, echo) })
 			}
 			continue
 		}
@@ -422,7 +417,7 @@ func (a *Array) writeDegraded(disks []*diskservice.Server, failed, stripe int, s
 		chunk := data[sp.bufOff : sp.bufOff+sp.frags*FragmentSize]
 		if sp.j == jf {
 			if echo, ok := stableEcho(opts); ok {
-				tasks = append(tasks, func() error { return srv.Put(phys, chunk, echo) })
+				tasks = append(tasks, func() error { return srv.Put(context.Background(), phys, chunk, echo) })
 			}
 			continue
 		}

@@ -116,7 +116,7 @@ func (m *Manager) writeAt(id RepID, off int64, data []byte) (int, error) {
 			rf.stale[i] = true
 			continue
 		}
-		n, err := fs.WriteAt(rf.ids[i], off, data)
+		n, err := fs.WriteAtCtx(context.Background(), rf.ids[i], off, data)
 		if err != nil {
 			// The replica failed mid-write: mark it down and stale.
 			m.failed[i] = true
@@ -161,7 +161,7 @@ func (m *Manager) readAt(id RepID, off int64, n int) ([]byte, error) {
 	m.mu.Unlock()
 	var lastErr error
 	for _, c := range cands {
-		data, err := m.replicas[c.idx].ReadAt(c.fid, off, n)
+		data, err := m.replicas[c.idx].ReadAtCtx(context.Background(), c.fid, off, n)
 		if err == nil {
 			return data, nil
 		}
@@ -270,14 +270,14 @@ func (m *Manager) resyncLocked(rf *rfile, dst int) error {
 	}
 	const chunk = 64 * 1024
 	for off := int64(0); off < size; off += chunk {
-		data, err := m.replicas[src].ReadAt(rf.ids[src], off, chunk)
+		data, err := m.replicas[src].ReadAtCtx(context.Background(), rf.ids[src], off, chunk)
 		if err != nil {
 			return err
 		}
 		if len(data) == 0 {
 			break
 		}
-		if _, err := m.replicas[dst].WriteAt(rf.ids[dst], off, data); err != nil {
+		if _, err := m.replicas[dst].WriteAtCtx(context.Background(), rf.ids[dst], off, data); err != nil {
 			return err
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rpc"
 )
 
 // Named metrics this package records (on the recorder passed in via
@@ -340,12 +341,10 @@ func (s *Shipper) sender() {
 // batches in stream order.
 type Applier struct {
 	// Apply re-executes one record against the backup's state machine and
-	// returns the reply it produced.
-	Apply func(method string, body []byte) ([]byte, error)
-	// ApplyCtx, when set, is used instead of Apply and receives the batch
-	// context, which carries the backup-apply span — so the backup's own
-	// fileservice/txn/wal spans nest inside the shipped trace.
-	ApplyCtx func(ctx context.Context, method string, body []byte) ([]byte, error)
+	// returns the reply it produced. Its context carries the backup-apply
+	// span, so the backup's own fileservice/txn/wal spans nest inside the
+	// shipped trace.
+	Apply rpc.Link
 	// Seed, when set, records (client, cseq) → reply in the backup's
 	// duplicate-request cache, so a client retry after failover is answered
 	// without re-execution. reply is owned by the callee.
@@ -369,15 +368,10 @@ func (a *Applier) Applied() uint64 {
 // applied watermark are skipped (a resent batch is harmless); a gap or a
 // replay that produces a different reply than the primary's is divergence
 // and fails the batch — the stream cannot safely continue. Returns the new
-// applied watermark.
-func (a *Applier) ApplyBatch(data []byte) (uint64, error) {
-	return a.ApplyBatchCtx(context.Background(), data)
-}
-
-// ApplyBatchCtx is ApplyBatch with the receiving rpc's context threaded
-// through: each record replays under a backup-apply span nested in ctx's
-// tree (the primary's ship span, when the batch arrived traced).
-func (a *Applier) ApplyBatchCtx(ctx context.Context, data []byte) (uint64, error) {
+// applied watermark. ctx is the receiving rpc's: each record replays under a
+// backup-apply span nested in its tree (the primary's ship span, when the
+// batch arrived traced).
+func (a *Applier) ApplyBatch(ctx context.Context, data []byte) (uint64, error) {
 	recs, err := decodeBatch(data)
 	if err != nil {
 		return a.Applied(), err
@@ -396,13 +390,7 @@ func (a *Applier) ApplyBatchCtx(ctx context.Context, data []byte) (uint64, error
 		// or answers differently — means the replicas have diverged.
 		t0 := time.Now()
 		rctx, op := a.Obs.StartOp(ctx, obs.LayerReplication, "backup-apply")
-		var out []byte
-		var aerr error
-		if a.ApplyCtx != nil {
-			out, aerr = a.ApplyCtx(rctx, r.Method, r.Body)
-		} else {
-			out, aerr = a.Apply(r.Method, r.Body)
-		}
+		out, aerr := a.Apply(rctx, r.Method, r.Body)
 		op.End(aerr)
 		a.Obs.ValueHist(MetricApplyNS).Record(time.Since(t0))
 		if aerr != nil {

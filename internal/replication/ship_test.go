@@ -209,7 +209,7 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 	type seeded struct{ client, cseq uint64 }
 	var seeds []seeded
 	a := &Applier{
-		Apply: func(method string, body []byte) ([]byte, error) {
+		Apply: func(_ context.Context, method string, body []byte) ([]byte, error) {
 			applied = append(applied, method)
 			return []byte("ok:" + method), nil
 		},
@@ -221,7 +221,7 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 		{Seq: 1, Client: 7, CSeq: 100, Method: "a", Reply: []byte("ok:a")},
 		{Seq: 2, Client: 0, CSeq: 0, Method: "b", Reply: []byte("ok:b")},
 	})
-	if w, err := a.ApplyBatch(batch); err != nil || w != 2 {
+	if w, err := a.ApplyBatch(context.Background(), batch); err != nil || w != 2 {
 		t.Fatalf("ApplyBatch = %d, %v", w, err)
 	}
 	if len(applied) != 2 || applied[0] != "a" || applied[1] != "b" {
@@ -233,7 +233,7 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 	}
 
 	// A resent batch is skipped idempotently.
-	if w, err := a.ApplyBatch(batch); err != nil || w != 2 {
+	if w, err := a.ApplyBatch(context.Background(), batch); err != nil || w != 2 {
 		t.Fatalf("resent ApplyBatch = %d, %v", w, err)
 	}
 	if len(applied) != 2 {
@@ -242,7 +242,7 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 
 	// A sequence gap is divergence territory: fail, don't apply.
 	gap := appendBatch(nil, []Rec{{Seq: 4, Method: "d", Reply: []byte("ok:d")}})
-	if _, err := a.ApplyBatch(gap); err == nil {
+	if _, err := a.ApplyBatch(context.Background(), gap); err == nil {
 		t.Fatal("sequence gap applied")
 	}
 	if a.Applied() != 2 {
@@ -252,7 +252,7 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 
 func TestApplierDetectsDivergence(t *testing.T) {
 	newApplier := func(applyErr error, reply string) *Applier {
-		return &Applier{Apply: func(string, []byte) ([]byte, error) {
+		return &Applier{Apply: func(context.Context, string, []byte) ([]byte, error) {
 			return []byte(reply), applyErr
 		}}
 	}
@@ -260,7 +260,7 @@ func TestApplierDetectsDivergence(t *testing.T) {
 
 	// Replay produced a different reply than the primary recorded.
 	a := newApplier(nil, "backup-said")
-	if _, err := a.ApplyBatch(batch); err == nil {
+	if _, err := a.ApplyBatch(context.Background(), batch); err == nil {
 		t.Fatal("reply mismatch applied")
 	}
 	if a.Applied() != 0 {
@@ -270,7 +270,7 @@ func TestApplierDetectsDivergence(t *testing.T) {
 	// Replay errored where the primary succeeded (only successful mutations
 	// are shipped).
 	a = newApplier(errors.New("no such file"), "")
-	if _, err := a.ApplyBatch(batch); err == nil {
+	if _, err := a.ApplyBatch(context.Background(), batch); err == nil {
 		t.Fatal("failed replay applied")
 	}
 }

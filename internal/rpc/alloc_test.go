@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -62,9 +63,9 @@ func TestWireDecodeAllocBudget(t *testing.T) {
 // into the hot path fails CI.
 func TestMuxRoundTripAllocBudget(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xCD}, 4096)
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
-		out := getBuf(len(body)) // pooled, copied: handlers must not alias req bodies
-		copy(out, body)
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
+		out := getBuf(len(req.Body)) // pooled, copied: handlers must not alias req bodies
+		copy(out, req.Body)
 		return out, nil
 	}, WithoutDupCache())
 	srv := Serve(listen(t), ep)
@@ -76,7 +77,7 @@ func TestMuxRoundTripAllocBudget(t *testing.T) {
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 9, 3, nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		out, err := c.Call("echo", payload)
+		out, err := c.Call(context.Background(), "echo", payload)
 		if err != nil || len(out) != len(payload) {
 			t.Fatalf("Call = %d bytes, %v", len(out), err)
 		}
@@ -131,9 +132,9 @@ func BenchmarkWireDecode(b *testing.B) {
 // benchRoundTrip measures Client.Call over loopback TCP at the given
 // concurrency.
 func benchRoundTrip(b *testing.B, clients int) {
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
-		out := getBuf(len(body))
-		copy(out, body)
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
+		out := getBuf(len(req.Body))
+		copy(out, req.Body)
 		return out, nil
 	}, WithoutDupCache())
 	srv := Serve(listen(b), ep)
@@ -151,7 +152,7 @@ func benchRoundTrip(b *testing.B, clients int) {
 	b.RunParallel(func(pb *testing.PB) {
 		c := NewClient(tr, id.Add(1), 3, nil)
 		for pb.Next() {
-			out, err := c.Call("echo", payload)
+			out, err := c.Call(context.Background(), "echo", payload)
 			if err != nil {
 				b.Fatal(err)
 			}

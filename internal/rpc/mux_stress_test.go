@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,7 +35,7 @@ func TestMuxConcurrentSendsOneConnection(t *testing.T) {
 			c := NewClient(tr, uint64(1000+g), 3, nil)
 			for i := 0; i < calls; i++ {
 				payload := fmt.Sprintf("g%d-i%d", g, i)
-				got, err := c.Call("m"+payload, []byte(payload))
+				got, err := c.Call(context.Background(), "m"+payload, []byte(payload))
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d call %d: %w", g, i, err)
 					return
@@ -92,7 +93,7 @@ func TestMuxStressWithInjectedFaults(t *testing.T) {
 				c := NewClient(tr, uint64(len(prefix))*10000+uint64(5000+g), 50, nil)
 				for i := 0; i < calls; i++ {
 					payload := fmt.Sprintf("g%d-i%d", g, i)
-					got, err := c.Call(prefix+payload, []byte(payload))
+					got, err := c.Call(context.Background(), prefix+payload, []byte(payload))
 					if err != nil {
 						errs <- fmt.Errorf("goroutine %d call %d: %w", g, i, err)
 						return
@@ -145,11 +146,11 @@ func TestMuxStressWithInjectedFaults(t *testing.T) {
 // the same connection still completes, and the connection survives.
 func TestMuxAttemptDeadlineExpiresAlone(t *testing.T) {
 	block := make(chan struct{})
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
-		if method == "slow" {
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
+		if req.Method == "slow" {
 			<-block
 		}
-		return []byte(method), nil
+		return []byte(req.Method), nil
 	}, WithWindow(64))
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
@@ -195,7 +196,7 @@ func TestMuxAttemptDeadlineExpiresAlone(t *testing.T) {
 // call, it would read a buffer another goroutine is filling; run with -race
 // to catch it.
 func TestMuxExpiredBodyRecycleRace(t *testing.T) {
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
 		time.Sleep(2 * time.Millisecond) // outlive the client attempt deadline
 		return []byte("ok"), nil
 	}, WithWindow(4096))
@@ -220,7 +221,7 @@ func TestMuxExpiredBodyRecycleRace(t *testing.T) {
 				for j := range body {
 					body[j] = byte(i)
 				}
-				out, err := c.Call("m", body)
+				out, err := c.Call(context.Background(), "m", body)
 				// The transport guarantees the body is the caller's again on
 				// every outcome — success, expiry, teardown — so recycling
 				// here must never race the writer.

@@ -65,7 +65,7 @@ func pushEcho(ctx context.Context, req Request) ([]byte, error) {
 // the request's Peer, the client's dispatcher delivers in order, and the
 // handler may issue RPCs on the same connection without deadlocking.
 func TestServerPushDelivered(t *testing.T) {
-	ep := NewEndpoint(nil, WithCtxRequestHandler(pushEcho))
+	ep := NewEndpoint(pushEcho)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestServerPushDelivered(t *testing.T) {
 	var cl *Client
 	tr, err = DialTCP(srv.Addr().String(), WithPushHandler(func(method string, body []byte) {
 		// Re-entrancy: the handler calls back into the same connection.
-		if _, err := cl.Call("ping", nil); err != nil {
+		if _, err := cl.Call(context.Background(), "ping", nil); err != nil {
 			t.Errorf("RPC from push handler: %v", err)
 		}
 		mu.Lock()
@@ -96,7 +96,7 @@ func TestServerPushDelivered(t *testing.T) {
 
 	const n = 8
 	for i := 0; i < n; i++ {
-		if _, err := cl.Call("poke", []byte{byte('a' + i)}); err != nil {
+		if _, err := cl.Call(context.Background(), "poke", []byte{byte('a' + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestServerPushDelivered(t *testing.T) {
 // TestPushIgnoredWithoutHandler pins that a client with no push handler
 // drops push frames without failing the connection or leaking buffers.
 func TestPushIgnoredWithoutHandler(t *testing.T) {
-	ep := NewEndpoint(nil, WithCtxRequestHandler(pushEcho))
+	ep := NewEndpoint(pushEcho)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -135,12 +135,12 @@ func TestPushIgnoredWithoutHandler(t *testing.T) {
 	defer func() { _ = tr.Close() }()
 	cl := NewClient(tr, 8, 3, nil)
 	for i := 0; i < 4; i++ {
-		if _, err := cl.Call("poke", []byte("x")); err != nil {
+		if _, err := cl.Call(context.Background(), "poke", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The connection must remain healthy after the unsolicited pushes.
-	if body, err := cl.Call("ping", nil); err != nil || string(body) != "pong" {
+	if body, err := cl.Call(context.Background(), "ping", nil); err != nil || string(body) != "pong" {
 		t.Fatalf("connection unhealthy after dropped pushes: %q, %v", body, err)
 	}
 }
@@ -148,7 +148,7 @@ func TestPushIgnoredWithoutHandler(t *testing.T) {
 // TestConnDownHookFires pins the conn-down notification: once per connection
 // death, after pending calls fail.
 func TestConnDownHookFires(t *testing.T) {
-	ep := NewEndpoint(nil, WithCtxRequestHandler(pushEcho))
+	ep := NewEndpoint(pushEcho)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestConnDownHookFires(t *testing.T) {
 	}
 	defer func() { _ = tr.Close() }()
 	cl := NewClient(tr, 9, 1, nil)
-	if _, err := cl.Call("ping", nil); err != nil {
+	if _, err := cl.Call(context.Background(), "ping", nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = srv.Close()
@@ -187,7 +187,7 @@ func TestConnDownHookFires(t *testing.T) {
 // pushes delivered (and a batch dropped on a handler-less client) must not
 // grow the pooled-buffer ledger.
 func TestPushBufferBalance(t *testing.T) {
-	ep := NewEndpoint(nil, WithCtxRequestHandler(pushEcho))
+	ep := NewEndpoint(pushEcho)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestPushBufferBalance(t *testing.T) {
 	// Bodies large enough that the decoded push body is a pooled buffer.
 	big := make([]byte, 2048)
 	for i := 0; i < n; i++ {
-		body, err := cl.Call("poke", big)
+		body, err := cl.Call(context.Background(), "poke", big)
 		if err != nil {
 			t.Fatal(err)
 		}

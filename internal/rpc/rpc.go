@@ -68,16 +68,20 @@ type Response struct {
 	Err string
 }
 
-// Handler executes one decoded request.
-type Handler func(method string, body []byte) ([]byte, error)
-
-// CtxRequestHandler executes one decoded request with the client identity
-// visible — what a replicating service needs in order to forward
+// Handler executes one decoded request at an endpoint, with the client
+// identity visible — what a replicating service needs in order to forward
 // (ClientID, Seq) alongside the operation it ships to its backup — and with
 // the request context, which carries the endpoint's serving span when the
 // request arrived traced: services thread it through their own instrumented
 // layers so the whole execution lands in the caller's span tree.
-type CtxRequestHandler func(ctx context.Context, req Request) ([]byte, error)
+type Handler func(ctx context.Context, req Request) ([]byte, error)
+
+// Link is one layer of a server stack below the endpoint, where client
+// identity and sequence are no longer needed: the cluster service's inner
+// handler, the lease manager's, the rpcfs server and the replication
+// applier's replay all have this shape, so each hands the next the context
+// it was given.
+type Link func(ctx context.Context, method string, body []byte) ([]byte, error)
 
 // Errors.
 var (
@@ -252,11 +256,10 @@ func isTransient(err error) bool {
 
 // Endpoint wraps a Handler with the duplicate-request cache.
 type Endpoint struct {
-	handler    Handler
-	ctxHandler CtxRequestHandler // used instead of handler when set
-	dup        *DupCache
-	met        *metrics.Set
-	obsRec     *obs.Recorder
+	handler Handler
+	dup     *DupCache
+	met     *metrics.Set
+	obsRec  *obs.Recorder
 	// NoDupCache disables idempotency (ablation for E13): every message is
 	// executed, duplicates included.
 	noDup bool
@@ -297,17 +300,6 @@ func WithoutDupCache() EndpointOption { return func(e *Endpoint) { e.noDup = tru
 // WithWindow sets the duplicate-cache window size.
 func WithWindow(n int) EndpointOption { return func(e *Endpoint) { e.dup.setWindow(n) } }
 
-// WithCtxRequestHandler executes requests through h instead of the plain
-// method/body handler, exposing the client identity and request context to
-// the service: the cluster layer forwards (ClientID, Seq) with each
-// replicated mutation so the backup can seed its own duplicate cache, and a
-// traced request's span tree flows into the service's own instrumentation.
-// The idempotency machinery — duplicate cache, in-flight suppression — is
-// unchanged.
-func WithCtxRequestHandler(h CtxRequestHandler) EndpointOption {
-	return func(e *Endpoint) { e.ctxHandler = h }
-}
-
 // NewEndpoint wraps handler.
 func NewEndpoint(handler Handler, opts ...EndpointOption) *Endpoint {
 	e := &Endpoint{handler: handler, dup: NewDupCache(0), inflight: make(map[clientSeq]*inflightCall)}
@@ -320,16 +312,11 @@ func NewEndpoint(handler Handler, opts ...EndpointOption) *Endpoint {
 // Handle executes (or replays) one request. A request carrying trace
 // identity continues the caller's span tree (StartRemoteOp), so the serving
 // span — and everything the handler nests under it — stitches into one
-// cross-process tree; an untraced request is observed exactly as before.
-func (e *Endpoint) Handle(req Request) Response {
-	return e.HandleCtx(context.Background(), req)
-}
-
-// HandleCtx is Handle with a caller-supplied base context, which the serving
-// span (and so the ctx handed to a CtxRequestHandler) descends from. The TCP
-// server's worker pool uses it to thread the requesting connection's Peer —
-// ClientID plus push capability — down to services that grant leases.
-func (e *Endpoint) HandleCtx(base context.Context, req Request) Response {
+// cross-process tree; an untraced request is observed exactly as before. The
+// serving span, and so the ctx handed to the Handler, descends from base: the
+// TCP server's worker pool uses it to thread the requesting connection's
+// Peer — ClientID plus push capability — down to services that grant leases.
+func (e *Endpoint) Handle(base context.Context, req Request) Response {
 	ctx, op := e.obsRec.StartRemoteOp(base, obs.LayerRPC, req.Method, req.TraceID, req.SpanID)
 	resp := e.handle(ctx, req)
 	var err error
@@ -363,13 +350,7 @@ func (e *Endpoint) handle(ctx context.Context, req Request) Response {
 		e.inflight[key] = call
 		e.iMu.Unlock()
 	}
-	var body []byte
-	var err error
-	if e.ctxHandler != nil {
-		body, err = e.ctxHandler(ctx, req)
-	} else {
-		body, err = e.handler(req.Method, req.Body)
-	}
+	body, err := e.handler(ctx, req)
 	resp := Response{Seq: req.Seq, Body: body}
 	if err != nil {
 		resp.Err = err.Error()
@@ -487,19 +468,19 @@ func (t *InProc) send(req Request, deadline time.Time) (Response, error) {
 	}
 	if d := inj.Delay(PtSend); d > 0 {
 		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-			t.ep.Handle(req)
+			t.ep.Handle(context.Background(), req)
 			return Response{}, fmt.Errorf("rpc: attempt deadline exceeded: %w", ErrDropped)
 		}
 		time.Sleep(d)
 	}
 	if dup {
 		// The network delivered an extra copy; its response is lost.
-		t.ep.Handle(req)
+		t.ep.Handle(context.Background(), req)
 	}
 	if drop {
 		return Response{}, ErrDropped
 	}
-	return t.ep.Handle(req), nil
+	return t.ep.Handle(context.Background(), req), nil
 }
 
 // Close marks the transport closed.
@@ -587,25 +568,16 @@ func (c *Client) SetAttemptTimeout(d time.Duration) {
 }
 
 // Call invokes method with the encoded body, retrying lost messages.
-// Service-level failures are returned as *ServiceError.
-func (c *Client) Call(method string, body []byte) ([]byte, error) {
-	return c.call(method, body, 0, 0)
-}
-
-// CallCtx is Call carrying the span active in ctx across the wire: the
-// request is stamped with the span's trace identity, so the serving
-// endpoint continues the same span tree. With no span in ctx — tracing
-// off — it is exactly Call: one context lookup, nothing on the wire.
-func (c *Client) CallCtx(ctx context.Context, method string, body []byte) ([]byte, error) {
+// Service-level failures are returned as *ServiceError. The request is
+// stamped with the trace identity of the span active in ctx, so the serving
+// endpoint continues the same span tree; with no span in ctx — tracing off
+// — that is one context lookup and nothing on the wire.
+func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, error) {
 	sp := obs.FromContext(ctx)
-	return c.call(method, body, sp.TraceID(), sp.SpanID())
-}
-
-func (c *Client) call(method string, body []byte, traceID, spanID uint64) ([]byte, error) {
 	c.mu.Lock()
 	c.seq++
 	req := Request{ClientID: c.clientID, Seq: c.seq, Method: method, Body: body,
-		TraceID: traceID, SpanID: spanID}
+		TraceID: sp.TraceID(), SpanID: sp.SpanID()}
 	timeout := c.attemptTimeout
 	retryOn := c.retryOn
 	c.mu.Unlock()

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -23,7 +24,8 @@ func newCountingHandler() *countingHandler {
 	return &countingHandler{execs: make(map[string]int)}
 }
 
-func (h *countingHandler) handle(method string, body []byte) ([]byte, error) {
+func (h *countingHandler) handle(_ context.Context, req Request) ([]byte, error) {
+	method, body := req.Method, req.Body
 	h.mu.Lock()
 	h.execs[method]++
 	h.mu.Unlock()
@@ -43,7 +45,7 @@ func TestCallRoundTrip(t *testing.T) {
 	h := newCountingHandler()
 	ep := NewEndpoint(h.handle)
 	c := NewClient(NewInProc(ep, FaultConfig{}), 1, 0, nil)
-	got, err := c.Call("ping", []byte("x"))
+	got, err := c.Call(context.Background(), "ping", []byte("x"))
 	if err != nil || string(got) != "echo:x" {
 		t.Fatalf("Call = %q, %v", got, err)
 	}
@@ -56,7 +58,7 @@ func TestServiceErrorPropagates(t *testing.T) {
 	h := newCountingHandler()
 	ep := NewEndpoint(h.handle)
 	c := NewClient(NewInProc(ep, FaultConfig{}), 1, 0, nil)
-	_, err := c.Call("fail", nil)
+	_, err := c.Call(context.Background(), "fail", nil)
 	var se *ServiceError
 	if !errors.As(err, &se) {
 		t.Fatalf("Call = %v, want ServiceError", err)
@@ -75,7 +77,7 @@ func TestRetriesAfterLossNoDoubleExecution(t *testing.T) {
 	c := NewClient(NewInProc(ep, FaultConfig{DropProb: 0.4, Seed: 7}), 1, 100, met)
 	for i := 0; i < 50; i++ {
 		m := "op" + strconv.Itoa(i)
-		if _, err := c.Call(m, nil); err != nil {
+		if _, err := c.Call(context.Background(), m, nil); err != nil {
 			t.Fatalf("Call %s: %v", m, err)
 		}
 		if h.count(m) != 1 {
@@ -94,7 +96,7 @@ func TestDuplicatesAnsweredFromCache(t *testing.T) {
 	c := NewClient(NewInProc(ep, FaultConfig{DupProb: 1.0, Seed: 3}), 1, 10, met)
 	for i := 0; i < 20; i++ {
 		m := "dup" + strconv.Itoa(i)
-		if _, err := c.Call(m, nil); err != nil {
+		if _, err := c.Call(context.Background(), m, nil); err != nil {
 			t.Fatal(err)
 		}
 		if h.count(m) != 1 {
@@ -110,7 +112,7 @@ func TestAblationWithoutDupCacheDoubleExecutes(t *testing.T) {
 	h := newCountingHandler()
 	ep := NewEndpoint(h.handle, WithoutDupCache())
 	c := NewClient(NewInProc(ep, FaultConfig{DupProb: 1.0, Seed: 3}), 1, 10, nil)
-	if _, err := c.Call("op", nil); err != nil {
+	if _, err := c.Call(context.Background(), "op", nil); err != nil {
 		t.Fatal(err)
 	}
 	if h.count("op") < 2 {
@@ -206,10 +208,10 @@ func TestClientsHaveIndependentSequences(t *testing.T) {
 	ep := NewEndpoint(h.handle)
 	c1 := NewClient(NewInProc(ep, FaultConfig{}), 1, 0, nil)
 	c2 := NewClient(NewInProc(ep, FaultConfig{}), 2, 0, nil)
-	if _, err := c1.Call("a", nil); err != nil {
+	if _, err := c1.Call(context.Background(), "a", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Call("a", nil); err != nil {
+	if _, err := c2.Call(context.Background(), "a", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same seq (1) from different clients must both execute.
@@ -222,7 +224,7 @@ func TestExhaustedRetries(t *testing.T) {
 	h := newCountingHandler()
 	ep := NewEndpoint(h.handle)
 	c := NewClient(NewInProc(ep, FaultConfig{DropProb: 1.0, Seed: 1}), 1, 3, nil)
-	if _, err := c.Call("x", nil); !errors.Is(err, ErrDropped) {
+	if _, err := c.Call(context.Background(), "x", nil); !errors.Is(err, ErrDropped) {
 		t.Fatalf("Call on dead network = %v, want wrapped ErrDropped", err)
 	}
 }
@@ -234,7 +236,7 @@ func TestClosedTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewClient(tr, 1, 0, nil)
-	if _, err := c.Call("x", nil); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call(context.Background(), "x", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Call after close = %v, want ErrClosed", err)
 	}
 }
@@ -249,7 +251,7 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := c.Call(fmt.Sprintf("w%d-%d", w, i), nil); err != nil {
+				if _, err := c.Call(context.Background(), fmt.Sprintf("w%d-%d", w, i), nil); err != nil {
 					t.Errorf("Call: %v", err)
 					return
 				}
@@ -282,12 +284,12 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 42, 3, nil)
-	got, err := c.Call("ping", []byte("net"))
+	got, err := c.Call(context.Background(), "ping", []byte("net"))
 	if err != nil || string(got) != "echo:net" {
 		t.Fatalf("TCP Call = %q, %v", got, err)
 	}
 	// Errors over TCP.
-	if _, err := c.Call("fail", nil); err == nil {
+	if _, err := c.Call(context.Background(), "fail", nil); err == nil {
 		t.Fatal("service error lost over TCP")
 	}
 }
@@ -309,7 +311,7 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewClient(tr, 1, 1, nil)
-	if _, err := c.Call("ping", nil); err == nil {
+	if _, err := c.Call(context.Background(), "ping", nil); err == nil {
 		t.Fatal("call to closed server succeeded")
 	}
 }
@@ -329,7 +331,7 @@ func TestTCPReconnectAfterServerRestart(t *testing.T) {
 	}
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 1, 20, nil)
-	if _, err := c.Call("one", nil); err != nil {
+	if _, err := c.Call(context.Background(), "one", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Restart the server on the same address (same endpoint, so the
@@ -344,7 +346,7 @@ func TestTCPReconnectAfterServerRestart(t *testing.T) {
 	}
 	srv2 := Serve(ln2, ep)
 	defer func() { _ = srv2.Close() }()
-	if _, err := c.Call("two", nil); err != nil {
+	if _, err := c.Call(context.Background(), "two", nil); err != nil {
 		t.Fatalf("call after restart: %v", err)
 	}
 	if h.count("two") != 1 {
@@ -421,7 +423,7 @@ func TestTCPServerReadTimeout(t *testing.T) {
 	}
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 7, 3, nil)
-	if got, err := c.Call("ping", []byte("x")); err != nil || string(got) != "echo:x" {
+	if got, err := c.Call(context.Background(), "ping", []byte("x")); err != nil || string(got) != "echo:x" {
 		t.Fatalf("call after timeout eviction = %q, %v", got, err)
 	}
 }
@@ -454,7 +456,7 @@ func (d *deadlineRecorder) SendWithDeadline(req Request, deadline time.Time) (Re
 		time.Sleep(time.Millisecond)
 		return Response{}, ErrDropped
 	}
-	return d.ep.Handle(req), nil
+	return d.ep.Handle(context.Background(), req), nil
 }
 
 func (d *deadlineRecorder) Close() error { return nil }
@@ -464,7 +466,7 @@ func TestRetryComputesFreshAttemptDeadline(t *testing.T) {
 	tr := &deadlineRecorder{ep: NewEndpoint(h.handle), failures: 2}
 	c := NewClient(tr, 1, 5, nil)
 	c.SetAttemptTimeout(50 * time.Millisecond)
-	got, err := c.Call("ping", []byte("x"))
+	got, err := c.Call(context.Background(), "ping", []byte("x"))
 	if err != nil || string(got) != "echo:x" {
 		t.Fatalf("Call = %q, %v", got, err)
 	}
@@ -499,7 +501,7 @@ func TestInjectedDelayPastDeadlineRetriesEffectsOnce(t *testing.T) {
 	c := NewClient(tr, 1, 5, met)
 	c.SetAttemptTimeout(10 * time.Millisecond)
 	inj.Arm(PtSend, fault.Action{Kind: fault.KindDelay, Delay: 50 * time.Millisecond})
-	got, err := c.Call("slow", []byte("x"))
+	got, err := c.Call(context.Background(), "slow", []byte("x"))
 	if err != nil || string(got) != "echo:x" {
 		t.Fatalf("Call = %q, %v", got, err)
 	}
@@ -524,7 +526,7 @@ func TestInjectedSendErrorIsRetried(t *testing.T) {
 	tr.SetInjector(inj)
 	c := NewClient(tr, 1, 5, nil)
 	inj.Arm(PtSend, fault.Action{Kind: fault.KindError})
-	got, err := c.Call("drop", []byte("y"))
+	got, err := c.Call(context.Background(), "drop", []byte("y"))
 	if err != nil || string(got) != "echo:y" {
 		t.Fatalf("Call = %q, %v", got, err)
 	}

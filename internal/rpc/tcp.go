@@ -20,13 +20,6 @@ import (
 // asserting exactly-once effects.
 var PtTCPServe = fault.Register("rpc.tcp.serve")
 
-// WireFormat is inert: there is one wire (see wire.go). Kept only because
-// bench/rig.go, which this change may not edit, names it.
-type WireFormat int
-
-// WireBinary is WireFormat's only value; kept for bench/rig.go.
-const WireBinary WireFormat = 0
-
 // dialTimeout bounds connection establishment and every re-dial, independent
 // of the I/O timeout (whose zero default would let a dial to a black-holed
 // address block forever).
@@ -57,9 +50,6 @@ type TCPOption func(*tcpOpts)
 func WithIOTimeout(d time.Duration) TCPOption {
 	return func(o *tcpOpts) { o.ioTimeout = d }
 }
-
-// WithWireFormat is a no-op; kept for bench/rig.go.
-func WithWireFormat(WireFormat) TCPOption { return func(*tcpOpts) {} }
 
 // WithWorkers sets the server's bounded handler pool size (default
 // 4×GOMAXPROCS). The pool is shared by every connection:
@@ -278,7 +268,7 @@ func (s *TCPServer) worker() {
 		// identity plus a Pusher for one-way frames back to this client —
 		// what a lease-granting cache layer needs to recall later.
 		ctx := ContextWithPeer(context.Background(), Peer{ClientID: task.req.ClientID, Pusher: task.sc})
-		resp := s.ep.HandleCtx(ctx, task.req)
+		resp := s.ep.Handle(ctx, task.req)
 		Recycle(task.req.Body)
 		select {
 		case task.sc.writeq <- respWrite{id: task.id, resp: resp}:

@@ -79,9 +79,9 @@ func TestWireTracedEncodeAllocBudget(t *testing.T) {
 // existing frames and existing structs, so tracing-off is free.
 func TestMuxRoundTripAllocBudgetTracingDisabled(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xCD}, 4096)
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
-		out := getBuf(len(body))
-		copy(out, body)
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
+		out := getBuf(len(req.Body))
+		copy(out, req.Body)
 		return out, nil
 	}, WithoutDupCache())
 	srv := Serve(listen(t), ep)
@@ -92,12 +92,12 @@ func TestMuxRoundTripAllocBudgetTracingDisabled(t *testing.T) {
 	}
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 9, 3, nil)
-	// CallCtx with a bare context: tracing disabled, same budget as Call.
+	// A bare context: tracing disabled, the untraced budget.
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		out, err := c.CallCtx(ctx, "echo", payload)
+		out, err := c.Call(ctx, "echo", payload)
 		if err != nil || len(out) != len(payload) {
-			t.Fatalf("CallCtx = %d bytes, %v", len(out), err)
+			t.Fatalf("Call = %d bytes, %v", len(out), err)
 		}
 		c.ReleaseBody(out)
 	})
@@ -106,21 +106,18 @@ func TestMuxRoundTripAllocBudgetTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestTracePropagationOverTCP drives a traced CallCtx through the real
+// TestTracePropagationOverTCP drives a traced Call through the real
 // multiplexed transport and checks the server's serve span continues the
 // client's trace: same trace ID, remote-parented to the client span.
 func TestTracePropagationOverTCP(t *testing.T) {
 	serverRec := obs.New()
 	var gotTrace atomic.Uint64
-	ep := NewEndpoint(nil,
-		WithObs(serverRec),
-		WithCtxRequestHandler(func(ctx context.Context, req Request) ([]byte, error) {
-			if sp := obs.FromContext(ctx); sp != nil {
-				gotTrace.Store(sp.TraceID())
-			}
-			return nil, nil
-		}),
-		WithoutDupCache())
+	ep := NewEndpoint(func(ctx context.Context, req Request) ([]byte, error) {
+		if sp := obs.FromContext(ctx); sp != nil {
+			gotTrace.Store(sp.TraceID())
+		}
+		return nil, nil
+	}, WithObs(serverRec), WithoutDupCache())
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
 	tr, err := DialTCP(srv.Addr().String(), WithIOTimeout(5*time.Second))
@@ -132,7 +129,7 @@ func TestTracePropagationOverTCP(t *testing.T) {
 
 	clientRec := obs.New()
 	ctx, sp := clientRec.StartRoot(context.Background(), obs.LayerAgent, "op")
-	out, err := c.CallCtx(ctx, "traced", nil)
+	out, err := c.Call(ctx, "traced", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +152,7 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		t.Fatalf("serve span = %s/%s", serve.Layer, serve.Op)
 	}
 	// Untraced Call against the same endpoint must not join any trace.
-	out, err = c.Call("traced", nil)
+	out, err = c.Call(context.Background(), "traced", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +167,9 @@ func TestTracePropagationOverTCP(t *testing.T) {
 // BenchmarkMuxRoundTripTraced measures the traced-vs-disabled delta the CI
 // overhead step reports (compare with BenchmarkRoundTrip wire=binary).
 func BenchmarkMuxRoundTripTraced(b *testing.B) {
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
-		out := getBuf(len(body))
-		copy(out, body)
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
+		out := getBuf(len(req.Body))
+		copy(out, req.Body)
 		return out, nil
 	}, WithoutDupCache())
 	srv := Serve(listen(b), ep)
@@ -189,7 +186,7 @@ func BenchmarkMuxRoundTripTraced(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx, sp := rec.StartRoot(context.Background(), obs.LayerAgent, "bench")
-		out, err := c.CallCtx(ctx, "echo", payload)
+		out, err := c.Call(ctx, "echo", payload)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 func TestTransientErrorNotCached(t *testing.T) {
 	var mu sync.Mutex
 	execs, ready := 0, false
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		execs++
@@ -34,7 +35,7 @@ func TestTransientErrorNotCached(t *testing.T) {
 		ready = true
 		mu.Unlock()
 	}()
-	out, err := c.Call("op", []byte("x"))
+	out, err := c.Call(context.Background(), "op", []byte("x"))
 	if err != nil || string(out) != "served" {
 		t.Fatalf("Call across a transient refusal = %q, %v", out, err)
 	}
@@ -51,7 +52,7 @@ func TestTransientErrorNotCached(t *testing.T) {
 func TestPermanentErrorStillCached(t *testing.T) {
 	var mu sync.Mutex
 	execs := 0
-	ep := NewEndpoint(func(method string, body []byte) ([]byte, error) {
+	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		execs++
@@ -60,7 +61,7 @@ func TestPermanentErrorStillCached(t *testing.T) {
 	c := NewClient(NewInProc(ep, FaultConfig{}), 1, 4, nil)
 	c.SetRetryOn(func(se *ServiceError) bool { return true })
 
-	_, err := c.Call("op", nil)
+	_, err := c.Call(context.Background(), "op", nil)
 	var se *ServiceError
 	if !errors.As(err, &se) || se.Message != "no such file" {
 		t.Fatalf("Call = %v, want the cached service error", err)

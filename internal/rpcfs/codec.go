@@ -9,7 +9,7 @@ package rpcfs
 // Decoding never copies a byte slice — WriteAtArgs.Data and BytesReply.Data
 // alias the frame they were decoded from. On the server the request frame is
 // the handler's until it returns, so the file service is handed the alias and
-// copies the bytes once, into its block cache. On the client callCtx owns
+// copies the bytes once, into its block cache. On the client Client.call owns
 // both frames: it encodes the request into a pooled buffer and recycles it
 // when the call returns, and it copies a BytesReply's bytes out at their exact
 // size — the one copy of that hop — and hands the reply frame back to the

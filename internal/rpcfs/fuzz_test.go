@@ -10,6 +10,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fit"
 	"repro/internal/naming"
+	"repro/internal/rpc"
 )
 
 // fuzzMethods is every method the server dispatches.
@@ -20,7 +21,7 @@ var fuzzMethods = []string{
 
 // newHandler serves a small facility holding one file with the returned
 // contents, and returns that file's ID.
-func newHandler(tb testing.TB) (h CtxHandler, id uint64, contents string) {
+func newHandler(tb testing.TB) (h rpc.Link, id uint64, contents string) {
 	tb.Helper()
 	c, err := core.New(core.Config{Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: 128}}) // 8 MB
 	if err != nil {

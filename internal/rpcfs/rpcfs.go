@@ -109,7 +109,7 @@ type (
 type Server struct {
 	Files  *fileservice.Service
 	Naming *naming.Service
-	// Wire is inert; kept only because bench/rig.go sets it.
+	// Wire is inert: bench/rig.go sets it, ROADMAP item 8 deletes it.
 	Wire rpc.WireFormat
 }
 
@@ -120,15 +120,11 @@ func enc(v any) ([]byte, error) {
 	return appendPayload(make([]byte, 0, payloadSize(v)), v)
 }
 
-// CtxHandler executes one decoded request with its context, which carries
-// the serving span when the request arrived traced.
-type CtxHandler func(ctx context.Context, method string, body []byte) ([]byte, error)
-
-// HandlerCtx returns the request handler. The request context is threaded
-// through to the instrumented file-service data path (ReadAtCtx/WriteAtCtx),
-// so a traced request's fileservice/txn/wal spans nest inside the caller's
-// tree.
-func (s *Server) HandlerCtx() CtxHandler {
+// HandlerCtx returns the request handler. The request context, which
+// carries the serving span when the request arrived traced, is threaded
+// through to the instrumented file-service data path, so a traced request's
+// fileservice/txn/wal spans nest inside the caller's tree.
+func (s *Server) HandlerCtx() rpc.Link {
 	return func(ctx context.Context, method string, body []byte) ([]byte, error) {
 		switch method {
 		case MCreate:
@@ -288,13 +284,9 @@ type Client struct {
 
 var _ agent.FileService = (*Client)(nil)
 
-func (c *Client) call(method string, args, reply any) error {
-	return c.callCtx(context.Background(), method, args, reply)
-}
-
-// callCtx is call carrying ctx's span identity across the wire (see
-// rpc.Client.CallCtx); with no span in ctx it is exactly call.
-func (c *Client) callCtx(ctx context.Context, method string, args, reply any) error {
+// call is one round trip, carrying ctx's span identity across the wire (see
+// rpc.Client.Call).
+func (c *Client) call(ctx context.Context, method string, args, reply any) error {
 	// Both frames are this function's (codec.go has the rule). The argument
 	// body comes from the transport's buffer pools and goes back once Call
 	// returns, on every path: the transport never retains a request body past
@@ -306,7 +298,7 @@ func (c *Client) callCtx(ctx context.Context, method string, args, reply any) er
 		rpc.Recycle(body)
 		return err
 	}
-	out, err := c.C.CallCtx(ctx, method, body)
+	out, err := c.C.Call(ctx, method, body)
 	rpc.Recycle(body)
 	if err == nil && reply != nil {
 		err = unmarshalPayload(out, reply)
@@ -321,7 +313,7 @@ func (c *Client) callCtx(ctx context.Context, method string, args, reply any) er
 // CreatePath creates a file registered under path.
 func (c *Client) CreatePath(attr fit.Attributes, path string) (fileservice.FileID, error) {
 	var r IntReply
-	if err := c.call(MCreate, CreateArgs{Attr: attr, Path: path}, &r); err != nil {
+	if err := c.call(context.Background(), MCreate, CreateArgs{Attr: attr, Path: path}, &r); err != nil {
 		return 0, err
 	}
 	return fileservice.FileID(r.V), nil
@@ -334,42 +326,34 @@ func (c *Client) Create(attr fit.Attributes) (fileservice.FileID, error) {
 
 // Open implements agent.FileService.
 func (c *Client) Open(id fileservice.FileID) error {
-	return c.call(MOpen, IDArgs{ID: uint64(id)}, nil)
+	return c.call(context.Background(), MOpen, IDArgs{ID: uint64(id)}, nil)
 }
 
 // Close implements agent.FileService.
 func (c *Client) Close(id fileservice.FileID) error {
-	return c.call(MClose, IDArgs{ID: uint64(id)}, nil)
+	return c.call(context.Background(), MClose, IDArgs{ID: uint64(id)}, nil)
 }
 
 // Delete implements agent.FileService.
 func (c *Client) Delete(id fileservice.FileID) error {
-	return c.call(MDelete, IDArgs{ID: uint64(id)}, nil)
+	return c.call(context.Background(), MDelete, IDArgs{ID: uint64(id)}, nil)
 }
 
-// ReadAt implements agent.FileService.
-func (c *Client) ReadAt(id fileservice.FileID, off int64, n int) ([]byte, error) {
-	return c.ReadAtCtx(context.Background(), id, off, n)
-}
-
-// ReadAtCtx is ReadAt carrying ctx's span across the wire.
+// ReadAtCtx implements agent.FileService, carrying ctx's span across the
+// wire.
 func (c *Client) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	var r BytesReply
-	if err := c.callCtx(ctx, MReadAt, ReadAtArgs{ID: uint64(id), Off: off, N: n}, &r); err != nil {
+	if err := c.call(ctx, MReadAt, ReadAtArgs{ID: uint64(id), Off: off, N: n}, &r); err != nil {
 		return nil, err
 	}
 	return r.Data, nil
 }
 
-// WriteAt implements agent.FileService.
-func (c *Client) WriteAt(id fileservice.FileID, off int64, data []byte) (int, error) {
-	return c.WriteAtCtx(context.Background(), id, off, data)
-}
-
-// WriteAtCtx is WriteAt carrying ctx's span across the wire.
+// WriteAtCtx implements agent.FileService, carrying ctx's span across the
+// wire.
 func (c *Client) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	var r IntReply
-	if err := c.callCtx(ctx, MWriteAt, WriteAtArgs{ID: uint64(id), Off: off, Data: data}, &r); err != nil {
+	if err := c.call(ctx, MWriteAt, WriteAtArgs{ID: uint64(id), Off: off, Data: data}, &r); err != nil {
 		return 0, err
 	}
 	return int(r.V), nil
@@ -377,13 +361,13 @@ func (c *Client) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int6
 
 // Truncate implements agent.FileService.
 func (c *Client) Truncate(id fileservice.FileID, size int64) error {
-	return c.call(MTruncate, TruncateArgs{ID: uint64(id), Size: size}, nil)
+	return c.call(context.Background(), MTruncate, TruncateArgs{ID: uint64(id), Size: size}, nil)
 }
 
 // Attributes implements agent.FileService.
 func (c *Client) Attributes(id fileservice.FileID) (fit.Attributes, error) {
 	var r AttrReply
-	if err := c.call(MAttr, IDArgs{ID: uint64(id)}, &r); err != nil {
+	if err := c.call(context.Background(), MAttr, IDArgs{ID: uint64(id)}, &r); err != nil {
 		return fit.Attributes{}, err
 	}
 	return r.Attr, nil
@@ -392,7 +376,7 @@ func (c *Client) Attributes(id fileservice.FileID) (fit.Attributes, error) {
 // Size implements agent.FileService.
 func (c *Client) Size(id fileservice.FileID) (int64, error) {
 	var r IntReply
-	if err := c.call(MSize, IDArgs{ID: uint64(id)}, &r); err != nil {
+	if err := c.call(context.Background(), MSize, IDArgs{ID: uint64(id)}, &r); err != nil {
 		return 0, err
 	}
 	return r.V, nil
@@ -401,7 +385,7 @@ func (c *Client) Size(id fileservice.FileID) (int64, error) {
 // Resolve resolves an attributed path name remotely.
 func (c *Client) Resolve(path string) (naming.Entry, error) {
 	var r ResolveReply
-	if err := c.call(MResolve, PathArgs{Path: path}, &r); err != nil {
+	if err := c.call(context.Background(), MResolve, PathArgs{Path: path}, &r); err != nil {
 		return naming.Entry{}, err
 	}
 	return r.Entry, nil
@@ -410,7 +394,7 @@ func (c *Client) Resolve(path string) (naming.Entry, error) {
 // ResolveQuery evaluates a general attributed-name query remotely.
 func (c *Client) ResolveQuery(query naming.Name) (naming.Entry, error) {
 	var r ResolveReply
-	if err := c.call(MResolveQuery, QueryArgs{Query: query}, &r); err != nil {
+	if err := c.call(context.Background(), MResolveQuery, QueryArgs{Query: query}, &r); err != nil {
 		return naming.Entry{}, err
 	}
 	return r.Entry, nil
@@ -418,14 +402,14 @@ func (c *Client) ResolveQuery(query naming.Name) (naming.Entry, error) {
 
 // Register registers a naming entry remotely.
 func (c *Client) Register(e naming.Entry) error {
-	return c.call(MRegister, RegisterArgs{Entry: e}, nil)
+	return c.call(context.Background(), MRegister, RegisterArgs{Entry: e}, nil)
 }
 
 // UnregisterSys removes every naming entry with the given object type and
 // system name remotely, returning how many were removed.
 func (c *Client) UnregisterSys(t naming.ObjectType, sys uint64) (int, error) {
 	var r IntReply
-	if err := c.call(MUnregisterSys, UnregisterSysArgs{Type: uint8(t), Sys: sys}, &r); err != nil {
+	if err := c.call(context.Background(), MUnregisterSys, UnregisterSysArgs{Type: uint8(t), Sys: sys}, &r); err != nil {
 		return 0, err
 	}
 	return int(r.V), nil
@@ -434,7 +418,7 @@ func (c *Client) UnregisterSys(t naming.ObjectType, sys uint64) (int, error) {
 // List lists directory children remotely.
 func (c *Client) List(dir string) ([]string, error) {
 	var r ListReply
-	if err := c.call(MList, PathArgs{Path: dir}, &r); err != nil {
+	if err := c.call(context.Background(), MList, PathArgs{Path: dir}, &r); err != nil {
 		return nil, err
 	}
 	return r.Names, nil

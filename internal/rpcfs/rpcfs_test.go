@@ -132,7 +132,7 @@ func TestFileAgentOverRemoteService(t *testing.T) {
 
 func TestUnknownMethod(t *testing.T) {
 	_, cl := newRemote(t)
-	if err := cl.call("bogus.method", Empty{}, nil); err == nil {
+	if err := cl.call(context.Background(), "bogus.method", Empty{}, nil); err == nil {
 		t.Fatal("unknown method succeeded")
 	}
 }
@@ -212,7 +212,7 @@ func TestFileAgentOverLossyNetwork(t *testing.T) {
 // endpointOf serves srv on the ctx request handler, as a node does.
 func endpointOf(srv *Server, met *metrics.Set) *rpc.Endpoint {
 	h := srv.HandlerCtx()
-	return rpc.NewEndpoint(nil, rpc.WithCtxRequestHandler(func(ctx context.Context, req rpc.Request) ([]byte, error) {
+	return rpc.NewEndpoint(func(ctx context.Context, req rpc.Request) ([]byte, error) {
 		return h(ctx, req.Method, req.Body)
-	}), rpc.WithMetrics(met))
+	}, rpc.WithMetrics(met))
 }

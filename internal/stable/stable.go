@@ -17,6 +17,7 @@ package stable
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -162,7 +163,7 @@ func (s *Store) writeDisk(d *device.Disk, p fault.Point, start int, data []byte)
 			frags = n
 		}
 		if frags > 0 {
-			if err := d.WriteFragments(start, data[:frags*device.FragmentSize]); err != nil {
+			if err := d.WriteFragments(context.Background(), start, data[:frags*device.FragmentSize]); err != nil {
 				return err
 			}
 		}
@@ -171,7 +172,7 @@ func (s *Store) writeDisk(d *device.Disk, p fault.Point, start int, data []byte)
 		}
 		return fmt.Errorf("torn write at %d (%d/%d fragments): %w", start, frags, n, fault.ErrInjected)
 	}
-	return d.WriteFragments(start, data)
+	return d.WriteFragments(context.Background(), start, data)
 }
 
 // WriteDeferred queues data for stable write and returns immediately — the
@@ -244,21 +245,21 @@ func (s *Store) Barrier() error {
 // Read returns n fragments starting at start. It reads the primary and, on
 // a media error, falls back to the mirror and repairs the primary copy.
 func (s *Store) Read(start, n int) ([]byte, error) {
-	data, perr := s.primary.ReadFragments(start, n)
+	data, perr := s.primary.ReadFragments(context.Background(), start, n)
 	if perr == nil {
 		return data, nil
 	}
 	if !errors.Is(perr, device.ErrMediaError) && !errors.Is(perr, device.ErrFailed) {
 		return nil, perr
 	}
-	data, merr := s.mirror.ReadFragments(start, n)
+	data, merr := s.mirror.ReadFragments(context.Background(), start, n)
 	if merr != nil {
 		return nil, fmt.Errorf("stable: both copies unreadable: primary %v, mirror %w", perr, merr)
 	}
 	// Repair the primary if it is online; a powered-off primary is repaired
 	// by the next Recover.
 	if errors.Is(perr, device.ErrMediaError) {
-		if werr := s.primary.WriteFragments(start, data); werr != nil {
+		if werr := s.primary.WriteFragments(context.Background(), start, data); werr != nil {
 			return data, nil // data is good; repair is best-effort
 		}
 	}
@@ -285,23 +286,23 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	geom := s.primary.Geometry()
 	for f := 0; f < geom.Capacity(); f++ {
 		rep.FragmentsScanned++
-		p, perr := s.primary.ReadFragments(f, 1)
-		m, merr := s.mirror.ReadFragments(f, 1)
+		p, perr := s.primary.ReadFragments(context.Background(), f, 1)
+		m, merr := s.mirror.ReadFragments(context.Background(), f, 1)
 		switch {
 		case perr == nil && merr == nil:
 			if !bytes.Equal(p, m) {
-				if err := s.mirror.WriteFragments(f, p); err != nil {
+				if err := s.mirror.WriteFragments(context.Background(), f, p); err != nil {
 					return rep, fmt.Errorf("stable: healing mirror fragment %d: %w", f, err)
 				}
 				rep.DivergenceHealed++
 			}
 		case perr != nil && merr == nil:
-			if err := s.primary.WriteFragments(f, m); err != nil {
+			if err := s.primary.WriteFragments(context.Background(), f, m); err != nil {
 				return rep, fmt.Errorf("stable: restoring primary fragment %d: %w", f, err)
 			}
 			rep.PrimaryRepaired++
 		case perr == nil && merr != nil:
-			if err := s.mirror.WriteFragments(f, p); err != nil {
+			if err := s.mirror.WriteFragments(context.Background(), f, p); err != nil {
 				return rep, fmt.Errorf("stable: restoring mirror fragment %d: %w", f, err)
 			}
 			rep.MirrorRepaired++

@@ -2,6 +2,7 @@ package stable
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestWriteHitsBothMirrors(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	for name, d := range map[string]*device.Disk{"primary": p, "mirror": m} {
-		got, err := d.ReadFragments(3, 1)
+		got, err := d.ReadFragments(context.Background(), 3, 1)
 		if err != nil {
 			t.Fatalf("%s read: %v", name, err)
 		}
@@ -94,7 +95,7 @@ func TestReadFallsBackToMirrorAndRepairs(t *testing.T) {
 		t.Fatal("Read returned wrong data from mirror")
 	}
 	// The primary must have been repaired in passing.
-	got, err = p.ReadFragments(2, 1)
+	got, err = p.ReadFragments(context.Background(), 2, 1)
 	if err != nil {
 		t.Fatalf("primary still unreadable after repair: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestRecoverHealsDivergence(t *testing.T) {
 	}
 	// Simulate a crash between the careful writes: primary has new data,
 	// mirror has old.
-	if err := p.WriteFragments(0, frag(2)); err != nil {
+	if err := p.WriteFragments(context.Background(), 0, frag(2)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := st.Recover()
@@ -152,7 +153,7 @@ func TestRecoverHealsDivergence(t *testing.T) {
 	if rep.DivergenceHealed != 1 {
 		t.Fatalf("DivergenceHealed = %d, want 1", rep.DivergenceHealed)
 	}
-	got, err := m.ReadFragments(0, 1)
+	got, err := m.ReadFragments(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +184,10 @@ func TestRecoverRestoresCorruptedCopies(t *testing.T) {
 		t.Fatalf("repaired primary=%d mirror=%d, want 1 and 1", rep.PrimaryRepaired, rep.MirrorRepaired)
 	}
 	for _, d := range []*device.Disk{p, m} {
-		if got, err := d.ReadFragments(1, 1); err != nil || !bytes.Equal(got, frag(3)) {
+		if got, err := d.ReadFragments(context.Background(), 1, 1); err != nil || !bytes.Equal(got, frag(3)) {
 			t.Fatalf("fragment 1 not restored: %v", err)
 		}
-		if got, err := d.ReadFragments(2, 1); err != nil || !bytes.Equal(got, frag(4)) {
+		if got, err := d.ReadFragments(context.Background(), 2, 1); err != nil || !bytes.Equal(got, frag(4)) {
 			t.Fatalf("fragment 2 not restored: %v", err)
 		}
 	}
@@ -219,7 +220,7 @@ func TestWriteDeferredAndFlush(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	for name, d := range map[string]*device.Disk{"primary": p, "mirror": m} {
-		got, err := d.ReadFragments(6, 1)
+		got, err := d.ReadFragments(context.Background(), 6, 1)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s missing deferred write: %v", name, err)
 		}
@@ -236,7 +237,7 @@ func TestWriteDeferredCopiesData(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.ReadFragments(0, 1)
+	got, err := p.ReadFragments(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestBarrierSurfacesAndConsumesDeferredFault(t *testing.T) {
 		t.Fatalf("retried deferred write: %v", err)
 	}
 	for _, d := range []*device.Disk{p, m} {
-		got, err := d.ReadFragments(start, 1)
+		got, err := d.ReadFragments(context.Background(), start, 1)
 		if err != nil || !bytes.Equal(got, frag(2)) {
 			t.Fatalf("mirror missing retried data: %v", err)
 		}
@@ -396,11 +397,11 @@ func TestSyncWriteTornPrimaryFailsWrite(t *testing.T) {
 	}
 	// The torn prefix reached the primary; the mirror was never touched —
 	// exactly the divergence Recover's primary-wins rule heals.
-	got, err := p.ReadFragments(start, 1)
+	got, err := p.ReadFragments(context.Background(), start, 1)
 	if err != nil || !bytes.Equal(got, frag(7)) {
 		t.Fatalf("primary missing torn prefix: %v", err)
 	}
-	if got, _ := m.ReadFragments(start, 1); bytes.Equal(got, frag(7)) {
+	if got, _ := m.ReadFragments(context.Background(), start, 1); bytes.Equal(got, frag(7)) {
 		t.Fatal("mirror written despite torn primary")
 	}
 	rep, err := st.Recover()

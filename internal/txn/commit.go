@@ -29,15 +29,10 @@ var (
 	PtCommitAfterApply = fault.Register("txn.commit.after-apply")
 )
 
-// End commits the transaction (tend): the intention flag moves to commit,
+// EndCtx commits the transaction (tend): the intention flag moves to commit,
 // the commit record reaches stable storage, the intentions are made
 // permanent (WAL or shadow page per §6.7), and only then are the locks
-// released — the second phase of strict 2PL.
-func (s *Service) End(id TxnID) error {
-	return s.EndCtx(context.Background(), id)
-}
-
-// EndCtx is End carrying a trace context. If a fault-injected crash cuts
+// released — the second phase of strict 2PL. If a fault-injected crash cuts
 // the commit sequence short, the span stays in-flight and the flight
 // recorder's fault dump captures the interrupted commit mid-operation.
 func (s *Service) EndCtx(ctx context.Context, id TxnID) error {
@@ -184,7 +179,7 @@ func (s *Service) writeCommitRecords(t *txnState) error {
 			}
 			// Restage the final page image (intervening writes may have
 			// updated the intention since the last stage).
-			if err := s.fs.DiskServer(int(disk)).Put(int(addr), rec.Data, diskservice.PutOptions{
+			if err := s.fs.DiskServer(int(disk)).Put(context.Background(), int(addr), rec.Data, diskservice.PutOptions{
 				Stability: diskservice.StableOnly, WaitStable: true,
 			}); err != nil {
 				return err
@@ -265,7 +260,7 @@ func (s *Service) applyOne(txn uint64, rec intentions.Record) error {
 	fid := FileID(rec.File)
 	switch {
 	case rec.Kind == intentions.RecordKind:
-		_, err := s.fs.WriteAt(fid, rec.Offset, rec.Data)
+		_, err := s.fs.WriteAtCtx(context.Background(), fid, rec.Offset, rec.Data)
 		return err
 	case rec.Technique == intentions.ShadowPage:
 		disk, _, err := s.fs.BlockLocation(fid, rec.Block)
@@ -276,7 +271,7 @@ func (s *Service) applyOne(txn uint64, rec intentions.Record) error {
 		if err != nil {
 			return err
 		}
-		if err := s.fs.DiskServer(int(disk)).Put(newAddr, rec.Data, diskservice.PutOptions{}); err != nil {
+		if err := s.fs.DiskServer(int(disk)).Put(context.Background(), newAddr, rec.Data, diskservice.PutOptions{}); err != nil {
 			return err
 		}
 		return s.fs.ReplaceBlockDescriptor(fid, rec.Block, fit.Extent{
@@ -458,7 +453,7 @@ func (s *Service) redo(r wal.Record) error {
 	fid := FileID(r.File)
 	switch r.Disk {
 	case kindRecord:
-		_, err := s.fs.WriteAt(fid, int64(r.Offset), r.Data)
+		_, err := s.fs.WriteAtCtx(context.Background(), fid, int64(r.Offset), r.Data)
 		if errors.Is(err, fileservice.ErrNotFound) {
 			return nil // file deleted later; nothing to redo
 		}
@@ -496,8 +491,9 @@ func (s *Service) redo(r wal.Record) error {
 		if curDisk != oldDisk || curAddr != oldAddr {
 			return nil // swap already applied before the crash
 		}
-		staged, err := s.fs.DiskServer(int(oldDisk)).Get(int(oldAddr),
+		staged, err := s.fs.DiskServer(int(oldDisk)).Get(context.Background(), int(oldAddr),
 			fileservice.FragmentsPerBlock, diskservice.GetOptions{FromStable: true})
+
 		if err != nil {
 			return err
 		}
@@ -505,7 +501,7 @@ func (s *Service) redo(r wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if err := s.fs.DiskServer(int(oldDisk)).Put(newAddr, staged, diskservice.PutOptions{}); err != nil {
+		if err := s.fs.DiskServer(int(oldDisk)).Put(context.Background(), newAddr, staged, diskservice.PutOptions{}); err != nil {
 			return err
 		}
 		return s.fs.ReplaceBlockDescriptor(fid, blk, fit.Extent{

@@ -485,7 +485,7 @@ func (s *Service) Delete(id TxnID, fid FileID) error {
 		return err
 	}
 	item := lock.ItemID{File: uint64(fid)}
-	if err := s.locks.Acquire(t.lockID, t.pid, lockLevel(f.level), fileWideItem(f.level, item), lock.IWrite); err != nil {
+	if err := s.locks.Acquire(context.Background(), t.lockID, t.pid, lockLevel(f.level), fileWideItem(f.level, item), lock.IWrite); err != nil {
 		return s.lockErr(t, err)
 	}
 	t.mu.Lock()
@@ -518,15 +518,15 @@ func (s *Service) lockRange(ctx context.Context, t *txnState, f *txnFile, off in
 	}
 	switch f.level {
 	case fit.LockFile:
-		return s.locks.AcquireCtx(ctx, t.lockID, t.pid, lock.File, lock.ItemID{File: uint64(f.id)}, mode)
+		return s.locks.Acquire(ctx, t.lockID, t.pid, lock.File, lock.ItemID{File: uint64(f.id)}, mode)
 	case fit.LockRecord:
-		return s.locks.AcquireCtx(ctx, t.lockID, t.pid, lock.Record,
+		return s.locks.Acquire(ctx, t.lockID, t.pid, lock.Record,
 			lock.ItemID{File: uint64(f.id), Offset: uint64(off), Length: uint64(n)}, mode)
 	default: // page
 		first := off / fileservice.BlockSize
 		last := (off + int64(n) - 1) / fileservice.BlockSize
 		for b := first; b <= last; b++ {
-			if err := s.locks.AcquireCtx(ctx, t.lockID, t.pid, lock.Page,
+			if err := s.locks.Acquire(ctx, t.lockID, t.pid, lock.Page,
 				lock.ItemID{File: uint64(f.id), Offset: uint64(b)}, mode); err != nil {
 				return err
 			}
@@ -535,15 +535,10 @@ func (s *Service) lockRange(ctx context.Context, t *txnState, f *txnFile, off in
 	}
 }
 
-// PRead reads n bytes at offset off (tpread). forUpdate takes an Iread lock
-// instead of read-only, for data the transaction intends to modify (§6.3).
-func (s *Service) PRead(id TxnID, fid FileID, off int64, n int, forUpdate bool) ([]byte, error) {
-	return s.PReadCtx(context.Background(), id, fid, off, n, forUpdate)
-}
-
-// PReadCtx is PRead carrying a trace context. The transaction layer is an
-// entry point when driven directly and interior under an agent, so the
-// span roots a new tree if ctx carries none.
+// PReadCtx reads n bytes at offset off (tpread). forUpdate takes an Iread
+// lock instead of read-only, for data the transaction intends to modify
+// (§6.3). The transaction layer is an entry point when driven directly and
+// interior under an agent, so the span roots a new tree if ctx carries none.
 func (s *Service) PReadCtx(ctx context.Context, id TxnID, fid FileID, off int64, n int, forUpdate bool) ([]byte, error) {
 	ctx, sp := s.obsRec.StartOr(ctx, obs.LayerTxn, "pread")
 	sp.SetTxn(uint64(id))
@@ -613,7 +608,7 @@ func (s *Service) Read(id TxnID, fid FileID, n int, forUpdate bool) ([]byte, err
 	t.mu.Lock()
 	off := f.cursor
 	t.mu.Unlock()
-	data, err := s.PRead(id, fid, off, n, forUpdate)
+	data, err := s.PReadCtx(context.Background(), id, fid, off, n, forUpdate)
 	if err != nil {
 		return nil, err
 	}
@@ -623,13 +618,9 @@ func (s *Service) Read(id TxnID, fid FileID, n int, forUpdate bool) ([]byte, err
 	return data, nil
 }
 
-// PWrite writes data at offset off (tpwrite), recording tentative data items
-// in the intentions list; nothing reaches the committed file until tend.
-func (s *Service) PWrite(id TxnID, fid FileID, off int64, data []byte) (int, error) {
-	return s.PWriteCtx(context.Background(), id, fid, off, data)
-}
-
-// PWriteCtx is PWrite carrying a trace context.
+// PWriteCtx writes data at offset off (tpwrite), recording tentative data
+// items in the intentions list; nothing reaches the committed file until
+// tend.
 func (s *Service) PWriteCtx(ctx context.Context, id TxnID, fid FileID, off int64, data []byte) (int, error) {
 	ctx, sp := s.obsRec.StartOr(ctx, obs.LayerTxn, "pwrite")
 	sp.SetTxn(uint64(id))
@@ -731,9 +722,10 @@ func (s *Service) stageShadow(f *txnFile, blk int, page []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.fs.DiskServer(int(disk)).Put(int(addr), page, diskservice.PutOptions{
+	return s.fs.DiskServer(int(disk)).Put(context.Background(), int(addr), page, diskservice.PutOptions{
 		Stability: diskservice.StableOnly, WaitStable: true,
 	})
+
 }
 
 // Write writes at the cursor (twrite), advancing it.
@@ -749,7 +741,7 @@ func (s *Service) Write(id TxnID, fid FileID, data []byte) (int, error) {
 	t.mu.Lock()
 	off := f.cursor
 	t.mu.Unlock()
-	n, err := s.PWrite(id, fid, off, data)
+	n, err := s.PWriteCtx(context.Background(), id, fid, off, data)
 	if err != nil {
 		return n, err
 	}

@@ -126,78 +126,3 @@ func TestRunClosedLoopRejectsBadConfig(t *testing.T) {
 		t.Fatal("zero config accepted")
 	}
 }
-
-// memMulti is an in-memory MultiAgent: a shared slice-per-file store.
-type memMulti struct {
-	mu    sync.Mutex
-	files [][]byte
-}
-
-func (m *memMulti) ReadFileAt(file int, off int64, n int) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.files[file]
-	if off >= int64(len(f)) {
-		return nil, nil
-	}
-	end := off + int64(n)
-	if end > int64(len(f)) {
-		end = int64(len(f))
-	}
-	return append([]byte(nil), f[off:end]...), nil
-}
-
-func (m *memMulti) WriteFileAt(file int, off int64, data []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if need := off + int64(len(data)); need > int64(len(m.files[file])) {
-		m.files[file] = append(m.files[file], make([]byte, need-int64(len(m.files[file])))...)
-	}
-	copy(m.files[file][off:], data)
-	return len(data), nil
-}
-
-// TestRunMultiTenantZipfianHotSpot pins the multi-tenant mode's contract:
-// all operations complete, per-file counts sum to the total, and a skewed
-// run concentrates far more traffic on its hottest file than a uniform one.
-func TestRunMultiTenantZipfianHotSpot(t *testing.T) {
-	run := func(theta float64) MultiTenantResult {
-		store := &memMulti{files: make([][]byte, 20)}
-		for i := range store.files {
-			store.files[i] = make([]byte, 1<<14)
-		}
-		agents := make([]MultiAgent, 4)
-		for i := range agents {
-			agents[i] = store
-		}
-		res, err := RunMultiTenant(MultiTenantConfig{
-			LoadConfig: LoadConfig{OpsPerAgent: 500, ReadFrac: 0.9, OpSize: 128, FileSize: 1 << 14, Seed: 7},
-			Files:      20,
-			Theta:      theta,
-		}, agents)
-		if err != nil {
-			t.Fatalf("theta %.1f: %v", theta, err)
-		}
-		return res
-	}
-	uniform, hot := run(0), run(0.95)
-	for name, res := range map[string]MultiTenantResult{"uniform": uniform, "hot": hot} {
-		if res.Ops != 2000 {
-			t.Fatalf("%s: ops = %d, want 2000", name, res.Ops)
-		}
-		var sum int64
-		for _, n := range res.FileOps {
-			sum += n
-		}
-		if sum != int64(res.Ops) {
-			t.Fatalf("%s: file ops sum %d != %d", name, sum, res.Ops)
-		}
-	}
-	if hot.HotFrac() < 2*uniform.HotFrac() {
-		t.Fatalf("hot spot did not form: hot %.3f vs uniform %.3f", hot.HotFrac(), uniform.HotFrac())
-	}
-
-	if _, err := RunMultiTenant(MultiTenantConfig{}, nil); err == nil {
-		t.Fatal("zero config accepted")
-	}
-}
