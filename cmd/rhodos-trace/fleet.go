@@ -132,7 +132,12 @@ func runFleet(addrs []string, jsonOut bool, spans int) int {
 		fmt.Fprintln(os.Stderr, "rhodos-trace: no node answered")
 		return 1
 	}
-	res.Profile = obs.MergeProfiles(profiles...)
+	merged, err := obs.MergeProfiles(profiles...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rhodos-trace: %v\n", err)
+		return 1
+	}
+	res.Profile = merged
 	sort.SliceStable(res.Events, func(i, j int) bool {
 		return res.Events[i].WallUnixNS < res.Events[j].WallUnixNS
 	})

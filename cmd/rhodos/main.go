@@ -68,7 +68,10 @@ func run() int {
 	if *backups != "" {
 		backupList = strings.Split(*backups, ",")
 	}
-	rec := obs.New()
+	// A one-shot CLI traces every root it starts (under -cache, the
+	// write-back flush): the trace identity rides the wire, so the servers
+	// it touched keep the matching trees whatever they sample.
+	rec := obs.New(obs.WithSampleRate(1))
 	cl, err := node.Dial(node.ClientConfig{
 		Endpoints: endpoints,
 		Backups:   backupList,

@@ -73,6 +73,7 @@ func run() int {
 	backupsSpec := flag.String("backups", "", "comma-separated backup address per shard, in shard order (empty entries for unreplicated shards)")
 	roleName := flag.String("role", "none", "replication role for this shard: none, primary, or backup")
 	replTTL := flag.Duration("repl-ttl", cluster.DefaultReplTTL, "replication lease: the backup promotes after this much primary silence")
+	traceSample := flag.Int("trace-sample", obs.DefaultSampleRate, "build a span tree for one operation in N (1 = every operation, 0 = only slow, failed and remotely traced ones); the latency histograms see every operation regardless")
 	flag.Parse()
 	shard, shards, err := cluster.ParseShard(*shardSpec)
 	if err != nil {
@@ -117,7 +118,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rhodosd: listen: %v\n", err)
 		return 1
 	}
-	rec := obs.New()
+	rec := obs.New(obs.WithSampleRate(*traceSample))
 	n, err := node.Start(node.Config{
 		Facility: core.Config{
 			Disks:    *disks,
@@ -174,7 +175,11 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 			Shards     int    `json:"shards"`
 			MapVersion uint64 `json:"map_version"`
 			Addr       string `json:"addr"`
-		}{svc.Role().String(), shard, shards, svc.Map().Version, addr}
+			// Tracing as configured: -trace-sample, and the fixed slow threshold.
+			SampleRate      int   `json:"sample_rate"`
+			SlowThresholdNS int64 `json:"slow_threshold_ns"`
+		}{svc.Role().String(), shard, shards, svc.Map().Version, addr,
+			rec.SampleRate(), obs.SlowThreshold.Nanoseconds()}
 		data, err := json.Marshal(&out)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -232,13 +237,14 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 			"rpc.buffer.gets", gets, "rpc.buffer.puts", puts, "rpc.buffer.misses", rpc.BufferMisses())
 	})
 	mux.HandleFunc("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		trees, inFlight, dumps := rec.Flight(), rec.InFlight(), rec.FaultDumps()
+		trees, inFlight, dumps, slow := rec.Flight(), rec.InFlight(), rec.FaultDumps(), rec.SlowOps()
 		if wantsJSON(r) {
 			out := struct {
 				Trees      []*obs.SpanData  `json:"trees"`
 				InFlight   []*obs.SpanData  `json:"in_flight,omitempty"`
 				FaultDumps []*obs.FaultDump `json:"fault_dumps,omitempty"`
-			}{trees, inFlight, dumps}
+				SlowOps    []obs.SlowOp     `json:"slow_ops,omitempty"`
+			}{trees, inFlight, dumps, slow}
 			data, err := json.MarshalIndent(&out, "", "  ")
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -249,10 +255,16 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "flight recorder: %d retained tree(s), %d in flight, %d fault dump(s)\n",
-			len(trees), len(inFlight), len(dumps))
+		fmt.Fprintf(w, "flight recorder: %d retained tree(s), %d in flight, %d fault dump(s), %d slow or failed op(s); -trace-sample %d, slow at %v\n",
+			len(trees), len(inFlight), len(dumps), len(slow), rec.SampleRate(), obs.SlowThreshold)
 		for _, tr := range trees {
 			tr.Render(w)
+		}
+		if len(slow) > 0 {
+			fmt.Fprintln(w, "slow or failed:")
+			for _, op := range slow {
+				op.Render(w)
+			}
 		}
 		if len(inFlight) > 0 {
 			fmt.Fprintln(w, "in flight:")

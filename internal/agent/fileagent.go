@@ -178,9 +178,10 @@ func (a *FileAgent) PRead(p *Process, fd int, off int64, n int) ([]byte, error) 
 	return a.readAt(d.file, off, n)
 }
 
-// readAt roots a new agent-layer span tree: the agent is the top of
-// Figure 1's layering, so every file access a client makes traces from
-// here down through the services it touches.
+// readAt starts an agent-layer root: the agent is the top of Figure 1's
+// layering, so a file access a client makes is timed — and, when the
+// recorder samples it, traced — from here down through the services it
+// touches.
 func (a *FileAgent) readAt(id fileservice.FileID, off int64, n int) ([]byte, error) {
 	ctx, sp := a.machine.obsRec.StartRoot(context.Background(), obs.LayerAgent, "readAt")
 	sp.SetFile(uint64(id))

@@ -369,9 +369,9 @@ func (c *Client) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64
 		return c.readInner(ctx, id, off, n)
 	}
 	rctx, op := c.rec.StartOp(ctx, obs.LayerAgent, "ccache.read")
-	op.Span().SetFile(uint64(id))
+	op.SetFile(uint64(id))
 	out, err := c.readAt(rctx, id, off, n)
-	op.Span().AddBytes(len(out))
+	op.AddBytes(len(out))
 	op.End(err)
 	return out, err
 }
@@ -506,9 +506,9 @@ func (c *Client) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int6
 		return 0, nil
 	}
 	rctx, op := c.rec.StartOp(ctx, obs.LayerAgent, "ccache.write")
-	op.Span().SetFile(uint64(id))
+	op.SetFile(uint64(id))
 	n, err := c.writeAt(rctx, id, off, data)
-	op.Span().AddBytes(n)
+	op.AddBytes(n)
 	op.End(err)
 	return n, err
 }

@@ -267,23 +267,18 @@ func (d *Disk) finish(cost time.Duration, seeked bool) {
 }
 
 // ReadFragments reads n fragments starting at fragment address start as one
-// disk reference, returning a fresh buffer of n*FragmentSize bytes. When ctx
-// holds a span, the disk reference is recorded as a device-layer child span
-// with its exact modeled cost as the virtual duration.
+// disk reference, returning a fresh buffer of n*FragmentSize bytes. The disk
+// reference is bracketed as a device-layer op — a child span when ctx holds a
+// span — with its exact modeled cost as the virtual duration.
 func (d *Disk) ReadFragments(ctx context.Context, start, n int) ([]byte, error) {
 	if d.obs == nil {
 		buf, _, err := d.readFragments(start, n)
 		return buf, err
 	}
-	_, sp := obs.StartSpan(ctx, obs.LayerDevice, "read")
-	t0 := time.Now()
+	_, op := d.obs.StartOp(ctx, obs.LayerDevice, "read")
 	buf, cost, err := d.readFragments(start, n)
-	if sp != nil {
-		sp.AddBytes(len(buf))
-		sp.EndCost(cost, err)
-	} else {
-		d.obs.Observe(obs.LayerDevice, time.Since(t0), cost)
-	}
+	op.AddBytes(len(buf))
+	op.EndCost(cost, err)
 	return buf, err
 }
 
@@ -316,21 +311,16 @@ func (d *Disk) readFragments(start, n int) ([]byte, time.Duration, error) {
 
 // WriteFragments writes len(data)/FragmentSize fragments starting at fragment
 // address start as one disk reference. data must be a whole number of
-// fragments. ctx's span gains a device-layer child, as in ReadFragments.
+// fragments. The reference is bracketed as in ReadFragments.
 func (d *Disk) WriteFragments(ctx context.Context, start int, data []byte) error {
 	if d.obs == nil {
 		_, err := d.writeFragments(start, data)
 		return err
 	}
-	_, sp := obs.StartSpan(ctx, obs.LayerDevice, "write")
-	t0 := time.Now()
+	_, op := d.obs.StartOp(ctx, obs.LayerDevice, "write")
 	cost, err := d.writeFragments(start, data)
-	if sp != nil {
-		sp.AddBytes(len(data))
-		sp.EndCost(cost, err)
-	} else {
-		d.obs.Observe(obs.LayerDevice, time.Since(t0), cost)
-	}
+	op.AddBytes(len(data))
+	op.EndCost(cost, err)
 	return err
 }
 

@@ -385,7 +385,7 @@ func (s *Server) Get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 	s.queue.Inc()
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerDiskService, "get")
 	data, err := s.get(ctx, addr, n, opts)
-	op.Span().AddBytes(len(data))
+	op.AddBytes(len(data))
 	op.End(err)
 	s.queue.Dec()
 	return data, err
@@ -445,7 +445,7 @@ func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 func (s *Server) Put(ctx context.Context, addr int, data []byte, opts PutOptions) error {
 	s.queue.Inc()
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerDiskService, "put")
-	op.Span().AddBytes(len(data))
+	op.AddBytes(len(data))
 	err := s.put(ctx, addr, data, opts)
 	op.End(err)
 	s.queue.Dec()

@@ -41,7 +41,10 @@ func E22FleetObservability() (*Table, error) {
 
 	// One recorder for the whole client side: all routers and agent
 	// machines share it, as they would inside one client process.
-	clientRec := obs.New()
+	// It traces every op — the traced mutation below must be one of them —
+	// while the servers sample: they trace it because it arrives with the
+	// client's trace identity.
+	clientRec := obs.New(obs.WithSampleRate(1))
 	cls, closeClients, err := dialPinned(rig.m, e22Clients, failoverRetries, "e22c", clientRec)
 	defer closeClients()
 	if err != nil {
@@ -84,7 +87,9 @@ func E22FleetObservability() (*Table, error) {
 	for _, rec := range rig.recs {
 		profiles = append(profiles, rec.Profile())
 	}
-	t.Profile = obs.MergeProfiles(profiles...)
+	if t.Profile, err = obs.MergeProfiles(profiles...); err != nil {
+		return nil, err
+	}
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d shards + 1 hot backup + 1 client process, one recorder each; profile below is the %d-recorder merge", e22Servers, len(profiles)),

@@ -294,7 +294,7 @@ func checkMirrors(res *TortureResult, c *core.Cluster, secondPass bool) error {
 // scenario, mirrors reconciled, structural fsck clean.
 func runTortureTxn(sc TortureScenario, seed int64) (*TortureResult, error) {
 	inj := fault.NewInjector(seed)
-	rec := obs.New()
+	rec := obs.New(obs.WithSampleRate(1)) // the fault dump must hold the op that died
 	c, err := core.New(core.Config{
 		Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
 		LogFragments:   2048,
@@ -420,7 +420,7 @@ func runTortureTxn(sc TortureScenario, seed int64) (*TortureResult, error) {
 func runTortureGroup(sc TortureScenario, seed int64) (*TortureResult, error) {
 	const workers = 4
 	inj := fault.NewInjector(seed)
-	rec := obs.New()
+	rec := obs.New(obs.WithSampleRate(1)) // the fault dump must hold the op that died
 	c, err := core.New(core.Config{
 		Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
 		LogFragments:   2048,
@@ -618,7 +618,7 @@ func (s *txnFlushSink) FlushFileBatch(id fileservice.FileID, runs []ccache.Run) 
 // seeded bytes between them untouched.
 func runTortureWriteback(sc TortureScenario, seed int64) (*TortureResult, error) {
 	inj := fault.NewInjector(seed)
-	rec := obs.New()
+	rec := obs.New(obs.WithSampleRate(1)) // the fault dump must hold the op that died
 	c, err := core.New(core.Config{
 		Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
 		LogFragments:   2048,

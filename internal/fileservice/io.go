@@ -51,10 +51,10 @@ func (s *Service) ReadAtCtx(ctx context.Context, id FileID, off int64, n int) ([
 // end of file returns the headroom alone.
 func (s *Service) ReadAtHeadroomCtx(ctx context.Context, id FileID, off int64, n, headroom int) ([]byte, error) {
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerFileService, "readAt")
-	op.Span().SetFile(uint64(id))
+	op.SetFile(uint64(id))
 	out, err := s.readAt(ctx, id, off, n, headroom)
 	if err == nil {
-		op.Span().AddBytes(len(out) - headroom)
+		op.AddBytes(len(out) - headroom)
 	}
 	op.End(err)
 	return out, err
@@ -349,9 +349,9 @@ func (s *Service) fetchBlock(ctx context.Context, key blockKey, contiguous int, 
 // so a striped synchronous write drives all its disks concurrently.
 func (s *Service) WriteAtCtx(ctx context.Context, id FileID, off int64, data []byte) (int, error) {
 	ctx, op := s.obsRec.StartOp(ctx, obs.LayerFileService, "writeAt")
-	op.Span().SetFile(uint64(id))
+	op.SetFile(uint64(id))
 	written, err := s.writeAt(ctx, id, off, data)
-	op.Span().AddBytes(written)
+	op.AddBytes(written)
 	op.End(err)
 	return written, err
 }

@@ -364,8 +364,8 @@ func normLength(level Level, id ItemID) (uint64, error) {
 // per layer in the profile.
 func (m *Manager) Acquire(ctx context.Context, txn TxnID, pid int, level Level, id ItemID, mode Mode) error {
 	_, op := m.obsRec.StartOp(ctx, obs.LayerLock, "acquire")
-	op.Span().SetFile(id.File)
-	op.Span().SetTxn(uint64(txn))
+	op.SetFile(id.File)
+	op.SetTxn(uint64(txn))
 	err := m.acquire(txn, pid, level, id, mode)
 	op.End(err)
 	return err

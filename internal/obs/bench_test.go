@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -37,16 +38,34 @@ func BenchmarkSpanDisabledRoot(b *testing.B) {
 }
 
 // BenchmarkSpanEnabled is the comparison point: a full root+child tree
-// with an installed recorder.
+// on a recorder that traces every op.
 func BenchmarkSpanEnabled(b *testing.B) {
+	benchRootAndChild(b, New(WithSampleRate(1)), nil)
+}
+
+// BenchmarkSpanSampled is what an installed recorder costs by default: the
+// same root and child as histogram-only brackets, a tree one time in 64.
+func BenchmarkSpanSampled(b *testing.B) {
+	benchRootAndChild(b, New(), nil)
+}
+
+// BenchmarkSpanSampledFailing is the same with every root returning an
+// error, the way a contended transaction mix does: each leaves a slow-op
+// record, and the tail rule may force a tree only once per SlowThreshold.
+func BenchmarkSpanSampledFailing(b *testing.B) {
 	r := New()
+	benchRootAndChild(b, r, errors.New("lock conflict"))
+	b.ReportMetric(float64(r.Profile().Trees)/float64(b.N), "trees/op")
+}
+
+func benchRootAndChild(b *testing.B, r *Recorder, err error) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx2, root := r.StartRoot(ctx, LayerAgent, "read")
-		_, child := StartSpan(ctx2, LayerDevice, "io")
-		child.End(nil)
-		root.End(nil)
+		_, child := r.StartOp(ctx2, LayerDevice, "io")
+		child.End(err)
+		root.End(err)
 	}
 }
 

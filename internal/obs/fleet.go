@@ -1,25 +1,37 @@
 package obs
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // MergeProfiles combines profiles snapshotted from different recorders —
 // typically one per shard process, scraped over /debug/profile — into one
 // fleet-wide profile. Layer and value histograms are merged bucket-by-
 // bucket via their exported HistData and the quantiles recomputed from the
 // merged distribution (never averaged); gauges, tree and event counts sum.
-// Profiles that predate the bucket export contribute nothing to the
-// quantiles, so the result is exact over whatever bucket data is present.
-func MergeProfiles(ps ...*Profile) *Profile {
-	out := &Profile{Gauges: make(map[string]int64)}
-	type mergedLayer struct{ wall, virt *HistData }
-	layers := make(map[string]*mergedLayer)
+// A profile written under another bucket scheme (ProfileVersion) is refused:
+// its bucket indexes mean different values.
+func MergeProfiles(ps ...*Profile) (*Profile, error) {
+	out := &Profile{Version: ProfileVersion, Gauges: make(map[string]int64)}
+	layers := make(map[string]*LayerStats)
 	var order []string
 	values := make(map[string]*HistData)
+	first := true
 	for _, p := range ps {
 		if p == nil {
 			continue
 		}
+		if p.Version != ProfileVersion {
+			return nil, fmt.Errorf("obs: cannot merge a version %d profile into version %d: the histogram buckets differ", p.Version, ProfileVersion)
+		}
+		if first {
+			out.SampleRate, first = p.SampleRate, false
+		} else if out.SampleRate != p.SampleRate {
+			out.SampleRate = 0
+		}
 		out.Trees += p.Trees
+		out.SlowOps += p.SlowOps
 		out.Events += p.Events
 		out.FaultDumps += p.FaultDumps
 		for k, v := range p.Gauges {
@@ -28,12 +40,13 @@ func MergeProfiles(ps ...*Profile) *Profile {
 		for _, ls := range p.Layers {
 			m := layers[ls.Layer]
 			if m == nil {
-				m = &mergedLayer{wall: &HistData{}, virt: &HistData{}}
+				m = &LayerStats{Layer: ls.Layer, Wall: &HistData{}, Virt: &HistData{}, Self: &HistData{}}
 				layers[ls.Layer] = m
 				order = append(order, ls.Layer)
 			}
-			m.wall.Merge(ls.Wall)
-			m.virt.Merge(ls.Virt)
+			m.Wall.Merge(ls.Wall)
+			m.Virt.Merge(ls.Virt)
+			m.Self.Merge(ls.Self)
 		}
 		for _, vs := range p.Values {
 			h := values[vs.Name]
@@ -46,19 +59,8 @@ func MergeProfiles(ps ...*Profile) *Profile {
 	}
 	for _, name := range order {
 		m := layers[name]
-		out.Layers = append(out.Layers, LayerStats{
-			Layer:      name,
-			Count:      m.wall.Count,
-			WallP50NS:  int64(m.wall.Quantile(0.50)),
-			WallP95NS:  int64(m.wall.Quantile(0.95)),
-			WallP99NS:  int64(m.wall.Quantile(0.99)),
-			WallMaxNS:  m.wall.MaxNS,
-			WallMeanNS: int64(m.wall.Mean()),
-			VirtP50NS:  int64(m.virt.Quantile(0.50)),
-			VirtP99NS:  int64(m.virt.Quantile(0.99)),
-			Wall:       m.wall,
-			Virt:       m.virt,
-		})
+		m.fill()
+		out.Layers = append(out.Layers, *m)
 	}
 	for name, h := range values {
 		out.Values = append(out.Values, ValueStats{
@@ -75,7 +77,7 @@ func MergeProfiles(ps ...*Profile) *Profile {
 	if len(out.Gauges) == 0 {
 		out.Gauges = nil
 	}
-	return out
+	return out, nil
 }
 
 // StitchTraces joins span trees captured by different recorders (typically

@@ -131,7 +131,10 @@ func TestMergeProfiles(t *testing.T) {
 	r2.ValueHist("v").Record(500000)
 	r2.Event("promote", "x")
 
-	m := MergeProfiles(r1.Profile(), r2.Profile(), nil)
+	m, err := MergeProfiles(r1.Profile(), r2.Profile(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rpc *LayerStats
 	for i := range m.Layers {
 		if m.Layers[i].Layer == "rpc" {
@@ -170,18 +173,20 @@ func TestMergeProfiles(t *testing.T) {
 }
 
 // TestStitchTraces reconstructs a cross-process span tree: a client root,
-// a server continuation root carrying ParentSpanID, and a second hop.
+// a server continuation root carrying ParentSpanID, and a second hop. Only
+// the client decided to trace: the servers sample nothing themselves and
+// still keep the trees of a request that arrives with trace identity.
 func TestStitchTraces(t *testing.T) {
-	client, server, backup := New(), New(), New()
+	client, server, backup := New(WithSampleRate(1)), New(WithSampleRate(0)), New(WithSampleRate(0))
 
 	ctx, root := client.StartRoot(context.Background(), LayerAgent, "writeAt")
 	_, child := StartSpan(ctx, LayerCluster, "writeAt")
 	tid, psid := child.TraceID(), child.SpanID()
 	// Server continues the client's tree from the wire identity.
-	sctx, serve := server.StartRemote(context.Background(), LayerRPC, "fs.writeAt", tid, psid)
+	sctx, serve := server.StartRemoteOp(context.Background(), LayerRPC, "fs.writeAt", tid, psid)
 	_, gc := StartSpan(sctx, LayerCluster, "group-commit")
 	// Backup continues from the group-commit span.
-	_, apply := backup.StartRemote(context.Background(), LayerReplication, "backup-apply", tid, gc.SpanID())
+	_, apply := backup.StartRemoteOp(context.Background(), LayerReplication, "backup-apply", tid, gc.SpanID())
 	apply.End(nil)
 	gc.End(nil)
 	serve.End(nil)
@@ -226,7 +231,7 @@ func TestStitchTraces(t *testing.T) {
 	}
 	// A tree whose remote parent is absent stays a root.
 	orphanRec := New()
-	_, orphan := orphanRec.StartRemote(context.Background(), LayerRPC, "x", 999, 12345)
+	_, orphan := orphanRec.StartRemoteOp(context.Background(), LayerRPC, "x", 999, 12345)
 	orphan.End(nil)
 	if got := StitchTraces(orphanRec.Flight()); len(got) != 1 || got[0].Op != "x" {
 		t.Fatalf("orphan continuation did not survive as root: %+v", got)
@@ -261,5 +266,31 @@ func TestEventRing(t *testing.T) {
 	nilRec.Event("x", "y")
 	if nilRec.Events() != nil || nilRec.EventTotal() != 0 {
 		t.Fatal("nil recorder event accessors not empty")
+	}
+}
+
+// A profile from before the log-linear buckets (no version) indexes its
+// HistData differently, so merging it is refused, not silently wrong.
+func TestMergeProfilesRefusesOtherBucketScheme(t *testing.T) {
+	r := New()
+	r.Observe(LayerRPC, time.Millisecond, 0)
+	blob, err := r.Profile().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur, old Profile
+	if err := json.Unmarshal(blob, &cur); err != nil {
+		t.Fatal(err)
+	}
+	if cur.Version != ProfileVersion {
+		t.Fatalf("profile JSON carries version %d, want %d", cur.Version, ProfileVersion)
+	}
+	if _, err := MergeProfiles(&cur, &cur); err != nil {
+		t.Fatalf("merging two current profiles: %v", err)
+	}
+	old = cur
+	old.Version = 0
+	if _, err := MergeProfiles(&cur, &old); err == nil {
+		t.Fatal("merged a version-0 profile's power-of-two bucket indexes into log-linear ones")
 	}
 }

@@ -1,37 +1,43 @@
 package obs
 
 import (
+	"io"
 	"sync"
 	"time"
 )
 
-// flightRing is the bounded ring buffer behind the flight recorder: the
-// most recent completed root span trees, overwritten oldest-first.
-type flightRing struct {
+// ring is a bounded ring buffer of the most recent entries, overwritten
+// oldest-first: the flight recorder's completed root span trees, and the
+// tail rule's slow-op records.
+type ring[T any] struct {
 	mu   sync.Mutex
-	buf  []*Span
+	buf  []T
 	next int
 	n    int // total ever added
 }
 
-func newFlightRing(capacity int) *flightRing {
+func newRing[T any](capacity int) *ring[T] {
+	return &ring[T]{buf: make([]T, capacity)}
+}
+
+func newFlightRing(capacity int) *ring[*Span] {
 	if capacity <= 0 {
 		capacity = defaultFlightCap
 	}
-	return &flightRing{buf: make([]*Span, capacity)}
+	return newRing[*Span](capacity)
 }
 
-func (f *flightRing) add(sp *Span) {
+func (f *ring[T]) add(v T) {
 	f.mu.Lock()
-	f.buf[f.next] = sp
+	f.buf[f.next] = v
 	f.next = (f.next + 1) % len(f.buf)
 	f.n++
 	f.mu.Unlock()
 }
 
-// snapshot returns the retained roots oldest-first; max > 0 keeps only the
-// newest max entries.
-func (f *flightRing) snapshot(max int) []*Span {
+// snapshot returns the retained entries oldest-first; max > 0 keeps only the
+// newest max of them.
+func (f *ring[T]) snapshot(max int) []T {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	size := f.n
@@ -42,7 +48,7 @@ func (f *flightRing) snapshot(max int) []*Span {
 	if start < 0 {
 		start += len(f.buf)
 	}
-	out := make([]*Span, 0, size)
+	out := make([]T, 0, size)
 	for i := 0; i < size; i++ {
 		out = append(out, f.buf[(start+i)%len(f.buf)])
 	}
@@ -52,11 +58,66 @@ func (f *flightRing) snapshot(max int) []*Span {
 	return out
 }
 
-// total returns how many trees were ever recorded (including overwritten).
-func (f *flightRing) total() int {
+// total returns how many entries were ever recorded (including overwritten).
+func (f *ring[T]) total() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.n
+}
+
+// SlowOp is the flat record the tail rule keeps of a root that failed or ran
+// past the slow threshold, whether or not a span tree was built for it. Times
+// are nanoseconds; the wall start is relative to the recorder's epoch, as in
+// SpanData, so a record can be lined up with the trees around it.
+type SlowOp struct {
+	Layer       string `json:"layer"`
+	Op          string `json:"op"`
+	File        uint64 `json:"file,omitempty"`
+	Txn         uint64 `json:"txn,omitempty"`
+	Bytes       int64  `json:"bytes,omitempty"`
+	StartWallNS int64  `json:"start_wall_ns"`
+	WallNS      int64  `json:"wall_ns"`
+	VirtNS      int64  `json:"virt_ns"`
+	Err         string `json:"err,omitempty"`
+}
+
+// isTail reports whether a root that ran for wall and returned err falls
+// under the tail rule.
+func isTail(wall time.Duration, err error) bool {
+	return err != nil || wall >= SlowThreshold
+}
+
+// tail records op in the slow-op ring and forces the next root of its layer
+// to be traced in full, so sustained slowness yields real trees within one
+// op however low the sample rate. Every such root is recorded; a tree is
+// forced at most once per SlowThreshold and layer, because "failed" includes
+// the errors a contended mix returns all the time (a lock conflict, an abort,
+// a busy retry), and a tree for every other root would undo the sampling.
+func (r *Recorder) tail(layer Layer, op SlowOp, err error) {
+	op.Layer = layer.String()
+	if err != nil {
+		op.Err = err.Error()
+	}
+	r.slow.add(op)
+	end := op.StartWallNS + op.WallNS
+	if after := &r.forceAfter[layer]; end >= after.Load() {
+		after.Store(end + int64(SlowThreshold))
+		r.forceNext[layer].Store(true)
+	}
+}
+
+// SlowOps returns the retained slow-op records, oldest first.
+func (r *Recorder) SlowOps() []SlowOp {
+	if r == nil {
+		return nil
+	}
+	return r.slow.snapshot(0)
+}
+
+// Render writes the record as one line, the way a childless span renders.
+func (o SlowOp) Render(w io.Writer) {
+	(&SpanData{Layer: o.Layer, Op: o.Op, File: o.File, Txn: o.Txn, Bytes: o.Bytes,
+		WallNS: o.WallNS, VirtNS: o.VirtNS, Err: o.Err}).Render(w)
 }
 
 // FaultDump is the flight-recorder state captured the instant a

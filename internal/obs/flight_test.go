@@ -11,7 +11,7 @@ import (
 // the newest trees survive, oldest-first.
 func TestFlightWraparound(t *testing.T) {
 	const capacity = 4
-	r := New(WithFlightCapacity(capacity))
+	r := New(WithSampleRate(1), WithFlightCapacity(capacity))
 	for i := 0; i < 10; i++ {
 		_, sp := r.StartRoot(context.Background(), LayerAgent, fmt.Sprintf("op-%d", i))
 		sp.End(nil)
@@ -33,7 +33,7 @@ func TestFlightWraparound(t *testing.T) {
 
 // TestFlightPartialFill checks snapshot order before the ring wraps.
 func TestFlightPartialFill(t *testing.T) {
-	r := New(WithFlightCapacity(8))
+	r := New(WithSampleRate(1), WithFlightCapacity(8))
 	for i := 0; i < 3; i++ {
 		_, sp := r.StartRoot(context.Background(), LayerAgent, fmt.Sprintf("op-%d", i))
 		sp.End(nil)
@@ -53,7 +53,7 @@ func TestFlightPartialFill(t *testing.T) {
 // snapshots run, under the race detector.
 func TestFlightWraparoundConcurrent(t *testing.T) {
 	const capacity = 8
-	r := New(WithFlightCapacity(capacity))
+	r := New(WithSampleRate(1), WithFlightCapacity(capacity))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

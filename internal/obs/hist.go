@@ -2,22 +2,53 @@ package obs
 
 import (
 	"math/bits"
+	"sort"
 	"sync/atomic"
 	"time"
 )
 
-// histBuckets covers every possible bit length of a non-negative int64
-// nanosecond value (0..63) with headroom for the uint64 conversion.
-const histBuckets = 65
+// Log-linear bucketing, the scheme of bench/hist.go: values (nanoseconds)
+// below 2·histSub are counted exactly; above that every power of two is cut
+// into histSub equal buckets, so a bucket is at most 1/32 of its lower bound
+// wide and the midpoint a quantile reports is within 1.6 % of every sample in
+// it. The size is fixed, so Record never allocates.
+const (
+	histSubBits = 5
+	histSub     = 1 << histSubBits
+	histMaxBits = 42 // 2^42 ns ≈ 73 min; larger samples land in the last bucket
+	histBuckets = (histMaxBits - histSubBits + 1) * histSub
+)
 
-// Histogram is a lock-free log-bucketed latency histogram: bucket i counts
-// durations whose nanosecond value has bit length i, i.e. the range
-// [2^(i-1), 2^i). Record, Quantile and Merge are all safe to call
-// concurrently; quantiles are computed from a best-effort snapshot of the
-// buckets, which is exact once recording quiesces. A nil Histogram accepts
-// every method.
+// bucketOf returns the index of the bucket counting v.
+func bucketOf(v uint64) int {
+	if v < histSub {
+		return int(v)
+	}
+	e := bits.Len64(v) - histSubBits - 1
+	if i := e*histSub + int(v>>uint(e)); i < histBuckets {
+		return i
+	}
+	return histBuckets - 1
+}
+
+// bucketMid is the value a sample in bucket i is reported as.
+func bucketMid(i int) int64 {
+	if i < 2*histSub {
+		return int64(i)
+	}
+	e := uint(i/histSub - 1)
+	low := int64(i%histSub+histSub) << e
+	return low + int64(1)<<e/2
+}
+
+// Histogram is a lock-free log-linear latency histogram (see bucketOf for
+// the scheme). Record, Quantile and Merge are all safe to call concurrently;
+// quantiles are computed from a best-effort snapshot of the buckets, which
+// is exact once recording quiesces. A nil Histogram accepts every method.
+//
+// There is no running count: Record is on every instrumented op's path and
+// the buckets already hold it, so the readers add them up instead.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
@@ -32,7 +63,6 @@ func (h *Histogram) Record(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
 		cur := h.max.Load()
@@ -40,7 +70,7 @@ func (h *Histogram) Record(d time.Duration) {
 			break
 		}
 	}
-	h.buckets[bits.Len64(uint64(ns))].Add(1)
+	h.buckets[bucketOf(uint64(ns))].Add(1)
 }
 
 // Count returns the number of observations.
@@ -48,7 +78,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // Sum returns the total observed nanoseconds.
@@ -72,53 +106,20 @@ func (h *Histogram) Mean() time.Duration {
 	if h == nil {
 		return 0
 	}
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
 	return time.Duration(h.sum.Load() / n)
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1): the geometric midpoint of
-// the bucket holding the ⌈q·count⌉-th observation, clamped to the observed
-// maximum. Resolution is therefore one power of two, which is plenty for a
-// per-layer p50/p95/p99 breakdown.
+// Quantile estimates the q-quantile (0 < q ≤ 1): the midpoint of the bucket
+// holding the ⌈q·count⌉-th observation, clamped to the observed maximum.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			var rep int64
-			if i > 0 {
-				lo := int64(1) << uint(i-1)
-				rep = lo + lo/2
-			}
-			if mx := h.max.Load(); rep > mx {
-				rep = mx
-			}
-			return time.Duration(rep)
-		}
-	}
-	return time.Duration(h.max.Load())
+	return h.Data().Quantile(q)
 }
 
-// HistData is the exportable snapshot of a Histogram: the same log-scale
+// HistData is the exportable snapshot of a Histogram: the same log-linear
 // buckets in sparse form, JSON-marshalable, so snapshots scraped from
 // different processes can be merged and re-queried for fleet-wide
 // quantiles. A nil HistData accepts every method.
@@ -126,19 +127,18 @@ type HistData struct {
 	Count int64 `json:"count"`
 	SumNS int64 `json:"sum_ns"`
 	MaxNS int64 `json:"max_ns"`
-	// Buckets maps bucket index (the bit length of the observed
-	// nanosecond value, as in Histogram) to its count; empty buckets are
-	// omitted, so snapshots with disjoint ranges merge cleanly.
+	// Buckets maps bucket index (bucketOf the observed nanosecond value, at
+	// ProfileVersion's scheme) to its count; empty buckets are omitted, so
+	// snapshots with disjoint ranges merge cleanly.
 	Buckets map[int]int64 `json:"buckets,omitempty"`
 }
 
 // Data snapshots the histogram, or nil when it has no observations.
 func (h *Histogram) Data() *HistData {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil {
 		return nil
 	}
 	d := &HistData{
-		Count:   h.count.Load(),
 		SumNS:   h.sum.Load(),
 		MaxNS:   h.max.Load(),
 		Buckets: make(map[int]int64),
@@ -146,7 +146,11 @@ func (h *Histogram) Data() *HistData {
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n != 0 {
 			d.Buckets[i] = n
+			d.Count += n
 		}
+	}
+	if d.Count == 0 {
+		return nil
 	}
 	return d
 }
@@ -170,8 +174,8 @@ func (d *HistData) Merge(o *HistData) {
 	}
 }
 
-// Quantile estimates the q-quantile with the same scheme as
-// Histogram.Quantile: geometric bucket midpoint, clamped to the maximum.
+// Quantile estimates the q-quantile: bucket midpoint, clamped to the
+// maximum.
 func (d *HistData) Quantile(q float64) time.Duration {
 	if d == nil || d.Count == 0 {
 		return 0
@@ -185,19 +189,16 @@ func (d *HistData) Quantile(q float64) time.Duration {
 	if rank < 1 {
 		rank = 1
 	}
+	idx := make([]int, 0, len(d.Buckets))
+	for i := range d.Buckets {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
+	for _, i := range idx {
 		cum += d.Buckets[i]
 		if cum >= rank {
-			var rep int64
-			if i > 0 {
-				lo := int64(1) << uint(i-1)
-				rep = lo + lo/2
-			}
-			if rep > d.MaxNS {
-				rep = d.MaxNS
-			}
-			return time.Duration(rep)
+			return time.Duration(min(bucketMid(i), d.MaxNS))
 		}
 	}
 	return time.Duration(d.MaxNS)
@@ -217,7 +218,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return
 	}
-	h.count.Add(o.count.Load())
 	h.sum.Add(o.sum.Load())
 	for {
 		cur := h.max.Load()

@@ -133,3 +133,33 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("p50 = %v, want ~1ms", p50)
 	}
 }
+
+// The log-linear buckets hold a quantile within 3 % of the sample it stands
+// for across the whole range, and small integers — batch sizes — exactly.
+func TestHistogramResolution(t *testing.T) {
+	for v := int64(1); v < int64(time.Hour); v = v*21/20 + 1 {
+		var h Histogram
+		h.Record(time.Duration(v))
+		h.Record(time.Duration(2 * v)) // so the maximum does not clamp p50 to v
+		got := int64(h.Quantile(0.5))
+		if err := float64(got-v) / float64(v); err > 0.03 || err < -0.03 {
+			t.Fatalf("p50 of {%d, %d} = %d: %.1f %% off", v, 2*v, got, 100*err)
+		}
+		if v < 2*histSub && got != v {
+			t.Fatalf("p50 of {%d, %d} = %d, small values are exact", v, 2*v, got)
+		}
+	}
+	// Beyond the last octave everything lands in the last bucket.
+	if i := bucketOf(1 << 62); i != histBuckets-1 {
+		t.Fatalf("bucketOf(2^62) = %d, want the last bucket %d", i, histBuckets-1)
+	}
+	// Distinct latencies inside one octave get distinct quantiles: the
+	// power-of-two histogram printed p50 = p95 = p99 here.
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		h.Record(20*time.Millisecond + time.Duration(i)*100*time.Microsecond)
+	}
+	if p50, p99 := h.Quantile(0.50), h.Quantile(0.99); p99 < p50+3*time.Millisecond {
+		t.Fatalf("p50 %v and p99 %v of a 20–30 ms spread are not told apart", p50, p99)
+	}
+}

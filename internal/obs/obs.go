@@ -19,12 +19,24 @@
 // lookup — when tracing is off. BenchmarkSpanDisabled in this package and
 // BenchmarkReadAtCached8KB in fileservice pin that cost at ~0 ns/op.
 //
-// Cost model when tracing is on (TestSpanAllocBudget pins it): a span is one
-// allocation and two reads of the monotonic clock, one at each edge — wall
-// times are kept as offsets from the recorder's epoch, the span doubles as
-// its own context node, and its first inlineKids children are linked without
-// growing a slice. The histogram-only Op bracket allocates nothing and reads
-// the clock once per edge.
+// Cost model (TestSpanAllocBudget pins it). Every instrumented op, roots
+// included, pays one Op bracket per layer: no allocation, one read of the
+// monotonic clock per edge, two Histogram.Records at the end — so a layer's
+// histogram count is the same whether or not the op was traced. Only a
+// retained trace pays for spans: one allocation each (wall times are offsets
+// from the recorder's epoch, the span doubles as its own context node, and
+// its first inlineKids children are linked without growing a slice).
+//
+// A span tree comes to exist in three ways: the request arrived with trace
+// identity (StartRemoteOp with a non-zero trace ID — the caller already
+// decided); head sampling picked the root (WithSampleRate, default one root
+// in DefaultSampleRate); or the tail rule — a root that fails or runs past
+// SlowThreshold leaves a flat SlowOp record in a fixed ring and forces the
+// next root of its layer to be traced in full, at most once per SlowThreshold
+// and layer, so a run of expected failures (lock conflicts, aborts) cannot
+// spend more than that on trees. An untraced root puts nothing in the
+// context, so nothing a goroutine that outlives the root can reach is ever
+// reused.
 //
 // Concurrency and ownership contract: a Recorder is safe for concurrent use
 // — histograms (latency and named value histograms alike) are lock-free
@@ -37,7 +49,7 @@ package obs
 
 import (
 	"context"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,7 +100,21 @@ const (
 	defaultFlightCap = 64
 	faultDumpCap     = 8
 	faultRecentCap   = 8
+	slowOpCap        = 64
 )
+
+// DefaultSampleRate is the head-sampling rate of a Recorder built without
+// WithSampleRate: one root in 64 gets a span tree.
+const DefaultSampleRate = 64
+
+// SlowThreshold is the wall time at which a root counts as slow. It is the
+// facility's own unit of "stopped working, started waiting": the lock
+// manager's default timeout period (lock.Config.LT) and the ceiling of the rpc
+// client's retry back-off are both 100 ms, and it is five times the worst p99
+// a healthy server has printed under load (E20, 256 clients on the serial
+// transport: 21 ms), so an operation that is merely busy does not reach it.
+// A constant until a deployment needs another value.
+const SlowThreshold = 100 * time.Millisecond
 
 // Recorder collects spans, histograms, gauges and fault dumps for one
 // cluster. A nil Recorder is a valid no-op sink.
@@ -97,7 +123,13 @@ type Recorder struct {
 	virtNow func() time.Duration
 	wall    [numLayers]Histogram
 	virt    [numLayers]Histogram
-	flight  *flightRing
+	self    [numLayers]Histogram // inclusive − children, from traced trees only
+	flight  *ring[*Span]
+
+	sampleRate uint32 // trace one root in sampleRate; 1 = every root, 0 = none
+	forceNext  [numLayers]atomic.Bool
+	forceAfter [numLayers]atomic.Int64 // wall offset before which the tail rule forces no further tree
+	slow       *ring[SlowOp]
 
 	gmu    sync.Mutex
 	gauges map[string]*Gauge
@@ -140,17 +172,38 @@ func WithVirtualClock(now func() time.Duration) Option {
 	return func(r *Recorder) { r.virtNow = now }
 }
 
-// New creates a Recorder.
+// WithSampleRate sets head sampling: one root in n gets a span tree, chosen
+// at random per root. 1 traces every op — what a trace dump, a fault-dump
+// reader or a test asserting tree shapes wants; 0 or less turns head sampling
+// off, leaving only trees the tail rule forces and requests that arrive with
+// trace identity. The histograms see every op at any rate.
+func WithSampleRate(n int) Option {
+	return func(r *Recorder) { r.sampleRate = uint32(max(n, 0)) }
+}
+
+// New creates a Recorder. With no option it samples: every op feeds the
+// histograms, one root in DefaultSampleRate builds a span tree.
 func New(opts ...Option) *Recorder {
 	r := &Recorder{
-		epoch:  time.Now(),
-		flight: newFlightRing(defaultFlightCap),
-		gauges: make(map[string]*Gauge),
+		epoch:      time.Now(),
+		flight:     newFlightRing(defaultFlightCap),
+		slow:       newRing[SlowOp](slowOpCap),
+		gauges:     make(map[string]*Gauge),
+		sampleRate: DefaultSampleRate,
 	}
 	for _, o := range opts {
 		o(r)
 	}
 	return r
+}
+
+// SampleRate returns the head-sampling rate: one root in n is traced, 1
+// means every op, 0 (also a nil Recorder's answer) means none.
+func (r *Recorder) SampleRate() int {
+	if r == nil {
+		return 0
+	}
+	return int(r.sampleRate)
 }
 
 // SetVirtualClock installs the virtual-time source after construction. The
@@ -325,7 +378,7 @@ type Span struct {
 
 	// Identity for cross-process stitching, fixed at creation: every span
 	// gets a process-unique spanID; roots mint a traceID that children
-	// inherit; a continuation root started by StartRemote also records the
+	// inherit; a continuation root started by StartRemoteOp also records the
 	// remote caller's span as remoteParent.
 	traceID      uint64
 	spanID       uint64
@@ -398,42 +451,46 @@ func StartSpan(ctx context.Context, layer Layer, op string) (context.Context, *S
 	return child, child
 }
 
-// StartRoot starts a new root span tree on r. The root is registered as
-// in-flight until it ends, so fault dumps can capture it mid-operation.
-func (r *Recorder) StartRoot(ctx context.Context, layer Layer, op string) (context.Context, *Span) {
+// StartRoot brackets a new top-level operation on r. Every root is timed
+// into its layer's histograms; a span tree is built only for the roots the
+// recorder samples (see the package comment), and then the returned context
+// is the root span, registered as in-flight until it ends so fault dumps can
+// capture it mid-operation. An unsampled root allocates nothing and returns
+// ctx unchanged, so every StartOp below it is histogram-only too.
+func (r *Recorder) StartRoot(ctx context.Context, layer Layer, op string) (context.Context, RootOp) {
 	if r == nil {
-		return ctx, nil
+		return ctx, RootOp{}
 	}
-	sp := r.newSpan(ctx, layer, op, nil)
-	sp.traceID = newID()
-	r.register(sp)
-	return sp, sp
+	if !r.sampled(layer) {
+		return ctx, RootOp{Op: Op{r: r, layer: layer, t0: r.wallNow(), v0: r.vnow()}, name: op}
+	}
+	sp := r.newRoot(ctx, layer, op, newID(), 0)
+	return sp, RootOp{Op: Op{sp: sp}}
 }
 
-// StartRemote continues a span tree that began in another process: it
-// starts a root span on r that carries the caller's traceID and records
-// parentSpanID as its remote parent, so StitchTraces can reattach the two
-// trees into one. A zero traceID falls back to StartRoot.
-func (r *Recorder) StartRemote(ctx context.Context, layer Layer, op string, traceID, parentSpanID uint64) (context.Context, *Span) {
-	if r == nil {
-		return ctx, nil
+// sampled decides whether the next root of layer gets a span tree: always at
+// rate 1, when the tail rule forced it, or one time in sampleRate by the
+// runtime's per-thread generator — no shared counter.
+func (r *Recorder) sampled(layer Layer) bool {
+	if r.sampleRate == 1 {
+		return true
 	}
-	if traceID == 0 {
-		return r.StartRoot(ctx, layer, op)
+	if f := &r.forceNext[layer]; f.Load() && f.CompareAndSwap(true, false) {
+		return true
 	}
-	sp := r.newSpan(ctx, layer, op, nil)
-	sp.traceID = traceID
-	sp.remoteParent = parentSpanID
-	r.register(sp)
-	return sp, sp
+	return r.sampleRate > 1 && rand.Uint32N(r.sampleRate) == 0
 }
 
 // StartOr nests under the span in ctx when there is one, and otherwise
-// roots a new tree on r — for layers that are entry points for some
-// callers (a txn service driven directly) and interior for others.
-func (r *Recorder) StartOr(ctx context.Context, layer Layer, op string) (context.Context, *Span) {
+// starts a root on r — for layers that are entry points for some callers (a
+// txn service driven directly) and interior for others. Below an unsampled
+// root it is a root again, with its own sampling decision.
+func (r *Recorder) StartOr(ctx context.Context, layer Layer, op string) (context.Context, RootOp) {
 	if ctx, child := StartSpan(ctx, layer, op); child != nil {
-		return ctx, child
+		return ctx, RootOp{Op: Op{sp: child}}
+	}
+	if r == nil {
+		return ctx, RootOp{} // here, not through StartRoot: a RootOp is ten words to copy
 	}
 	return r.StartRoot(ctx, layer, op)
 }
@@ -457,8 +514,19 @@ func newID() uint64 {
 // one clock read (time.Now reads the wall clock as well).
 func (r *Recorder) wallNow() time.Duration { return time.Since(r.epoch) }
 
-// newSpan starts a span under parent; a root (nil parent) is left for the
-// caller to give a traceID and register.
+// newRoot starts a traced root: traceID is freshly minted, or the remote
+// caller's together with its span as remoteParent, so StitchTraces can
+// reattach the two trees into one.
+func (r *Recorder) newRoot(ctx context.Context, layer Layer, op string, traceID, remoteParent uint64) *Span {
+	sp := r.newSpan(ctx, layer, op, nil)
+	sp.traceID = traceID
+	sp.remoteParent = remoteParent
+	r.register(sp)
+	return sp
+}
+
+// newSpan starts a span under parent; a root (nil parent) is newRoot's to
+// give a traceID and register.
 func (r *Recorder) newSpan(ctx context.Context, layer Layer, op string, parent *Span) *Span {
 	sp := &Span{
 		ctx:       ctx,
@@ -582,8 +650,9 @@ func (s *Span) end(err error, cost time.Duration) {
 	if s == nil {
 		return
 	}
-	now := s.rec.wallNow()
-	vnow := s.rec.vnow()
+	r := s.rec
+	now := r.wallNow()
+	vnow := r.vnow()
 	s.mu.Lock()
 	if s.done {
 		s.mu.Unlock()
@@ -604,27 +673,67 @@ func (s *Span) end(err error, cost time.Duration) {
 	}
 	wallDur := now - s.startWall
 	virtDur := s.endVirt - s.startVirt
-	layer := s.layer
-	root := s.parent == nil
+	file, txn, bytes := s.file, s.txn, s.bytes
 	s.mu.Unlock()
 
-	r := s.rec
-	r.wall[layer].Record(wallDur)
-	r.virt[layer].Record(virtDur)
-	if root {
+	r.wall[s.layer].Record(wallDur)
+	r.virt[s.layer].Record(virtDur)
+	if s.parent == nil {
 		r.unregister(s)
+		r.recordSelf(s)
 		r.flight.add(s)
+		if isTail(wallDur, err) {
+			r.tail(s.layer, SlowOp{Op: s.op, File: file, Txn: txn, Bytes: bytes,
+				StartWallNS: int64(s.startWall), WallNS: int64(wallDur), VirtNS: int64(virtDur)}, err)
+		}
 	}
 }
 
+// recordSelf walks a finished root's tree once and records every completed
+// span's self time — its wall time minus the part of it its completed
+// children cover — into the per-layer self histograms. It reports the span's
+// interval, and false for a span still running (a read-ahead or flush that
+// outlives the root), which is left out along with its subtree.
+func (r *Recorder) recordSelf(s *Span) (start, end time.Duration, done bool) {
+	s.mu.Lock()
+	start, end, done = s.startWall, s.endWall, s.done
+	n, kids, more := s.nkids, s.kids, s.more
+	s.mu.Unlock()
+	if !done {
+		return 0, 0, false
+	}
+	// Children are linked in start order, so one sweep measures the union
+	// of their intervals: concurrent children are not counted twice.
+	self, covered := end-start, start
+	for i := 0; i < n; i++ {
+		var c *Span
+		if i < inlineKids {
+			c = kids[i]
+		} else {
+			c = more[i-inlineKids]
+		}
+		cs, ce, ok := r.recordSelf(c)
+		if lo, hi := max(cs, covered), min(ce, end); ok && hi > lo {
+			self -= hi - lo
+			covered = hi
+		}
+	}
+	r.self[s.layer].Record(self)
+	return start, end, true
+}
+
 // Op brackets one instrumented operation with whichever sink applies: a
-// child span when ctx carries one, a histogram-only observation on r when
-// only a recorder is installed, and nothing at all otherwise. The zero Op
-// is a valid no-op, so call sites need no conditionals:
+// span when the operation is traced (a child of the span ctx carries, or a
+// sampled root), a histogram-only observation on r otherwise, and nothing at
+// all without either. The zero Op is a valid no-op, so call sites need no
+// conditionals:
 //
 //	ctx, op := s.rec.StartOp(ctx, obs.LayerDiskService, "get")
 //	... do the work with ctx ...
 //	op.End(err)
+//
+// An Op lives in its caller's frame: it is never put in a context, so
+// nothing that outlives the operation can reach it.
 type Op struct {
 	sp    *Span
 	r     *Recorder
@@ -648,34 +757,91 @@ func (r *Recorder) StartOp(ctx context.Context, layer Layer, op string) (context
 }
 
 // StartRemoteOp is StartOp for a request that arrived with cross-process
-// trace identity: with a nonzero traceID it continues the remote caller's
-// tree via StartRemote; otherwise it behaves exactly like StartOp.
+// trace identity: with a nonzero traceID the caller already decided to
+// trace, so it continues the remote caller's tree with a root span on r
+// whatever the sample rate; otherwise it behaves exactly like StartOp.
 func (r *Recorder) StartRemoteOp(ctx context.Context, layer Layer, op string, traceID, parentSpanID uint64) (context.Context, Op) {
-	if traceID == 0 {
+	if traceID == 0 || r == nil {
 		return r.StartOp(ctx, layer, op)
 	}
-	ctx2, sp := r.StartRemote(ctx, layer, op, traceID, parentSpanID)
-	if sp == nil {
-		return ctx, Op{}
-	}
-	return ctx2, Op{sp: sp}
+	sp := r.newRoot(ctx, layer, op, traceID, parentSpanID)
+	return sp, Op{sp: sp}
 }
 
 // Span returns the op's span (nil when observing histograms only).
-func (o Op) Span() *Span { return o.sp }
+func (o *Op) Span() *Span { return o.sp }
 
-// End completes the bracket.
-func (o Op) End(err error) {
+// SetFile, SetTxn, AddBytes and SetCount annotate the operation's span (see
+// the Span methods); without a span there is nothing to annotate.
+func (o *Op) SetFile(id uint64) { o.sp.SetFile(id) }
+func (o *Op) SetTxn(id uint64)  { o.sp.SetTxn(id) }
+func (o *Op) AddBytes(n int)    { o.sp.AddBytes(n) }
+func (o *Op) SetCount(n int)    { o.sp.SetCount(n) }
+
+// End completes the bracket. Like Span.End it is idempotent.
+func (o *Op) End(err error) { o.end(err, -1) }
+
+// EndCost is End with an exact virtual-time cost (see Span.EndCost).
+func (o *Op) EndCost(cost time.Duration, err error) { o.end(err, cost) }
+
+// end reports the durations it recorded, and false when it recorded none
+// here: the span did, the bracket had ended already, or it is the zero Op.
+func (o *Op) end(err error, cost time.Duration) (wall, virt time.Duration, ok bool) {
 	if o.sp != nil {
-		o.sp.End(err)
-		return
+		o.sp.end(err, cost)
+		return 0, 0, false
 	}
-	if o.r != nil {
-		virt := o.r.vnow() - o.v0
-		if virt < 0 {
-			virt = 0
-		}
-		o.r.Observe(o.layer, o.r.wallNow()-o.t0, virt)
+	r := o.r
+	if r == nil {
+		return 0, 0, false
+	}
+	o.r = nil
+	wall = r.wallNow() - o.t0
+	if cost < 0 {
+		cost = max(r.vnow()-o.v0, 0)
+	}
+	r.wall[o.layer].Record(wall)
+	r.virt[o.layer].Record(cost)
+	return wall, cost, true
+}
+
+// RootOp is the bracket of a top-level operation (StartRoot, StartOr): an Op
+// that, when no span was built for it, keeps what the span would have been
+// annotated with, so a root that fails or runs slow untraced still leaves a
+// whole SlowOp record. Only roots carry these fields; the bracket every
+// layer pays stays five words.
+type RootOp struct {
+	Op
+	name      string
+	file, txn uint64
+	bytes     int64
+}
+
+// SetFile annotates the operation with a file id.
+func (o *RootOp) SetFile(id uint64) {
+	o.Op.SetFile(id)
+	o.file = id
+}
+
+// SetTxn annotates the operation with a transaction id.
+func (o *RootOp) SetTxn(id uint64) {
+	o.Op.SetTxn(id)
+	o.txn = id
+}
+
+// AddBytes accumulates the operation's transferred byte count.
+func (o *RootOp) AddBytes(n int) {
+	o.Op.AddBytes(n)
+	o.bytes += int64(n)
+}
+
+// End completes the bracket and applies the tail rule (a traced root's span
+// applies it itself). Idempotent.
+func (o *RootOp) End(err error) {
+	r := o.r // end clears it
+	if wall, virt, ok := o.end(err, -1); ok && isTail(wall, err) {
+		r.tail(o.layer, SlowOp{Op: o.name, File: o.file, Txn: o.txn, Bytes: o.bytes,
+			StartWallNS: int64(o.t0), WallNS: int64(wall), VirtNS: int64(virt)}, err)
 	}
 }
 
@@ -687,7 +853,7 @@ type SpanData struct {
 	Op    string `json:"op"`
 	// TraceID groups the spans of one logical operation across processes;
 	// SpanID identifies this span; ParentSpanID is set only on continuation
-	// roots (StartRemote) and names the remote caller's span, which
+	// roots (StartRemoteOp) and names the remote caller's span, which
 	// StitchTraces uses to reattach the trees.
 	TraceID      uint64      `json:"trace_id,omitempty"`
 	SpanID       uint64      `json:"span_id,omitempty"`

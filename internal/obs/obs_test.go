@@ -12,7 +12,7 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
 	ctx, sp := r.StartRoot(context.Background(), LayerAgent, "read")
-	if sp != nil {
+	if sp.Span() != nil {
 		t.Fatalf("nil recorder returned non-nil span")
 	}
 	if FromContext(ctx) != nil {
@@ -28,7 +28,8 @@ func TestNilSafety(t *testing.T) {
 	sp.AddBytes(3)
 	sp.End(nil)
 	sp.EndCost(time.Second, errors.New("x"))
-	if sp.Data() != nil {
+	sp.Span().End(nil)
+	if sp.Span().Data() != nil {
 		t.Fatalf("nil span Data() != nil")
 	}
 	r.Observe(LayerDevice, time.Millisecond, time.Millisecond)
@@ -52,7 +53,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestSpanTreeNesting(t *testing.T) {
 	var virt time.Duration
-	r := New(WithVirtualClock(func() time.Duration { return virt }))
+	r := New(WithSampleRate(1), WithVirtualClock(func() time.Duration { return virt }))
 	ctx, root := r.StartRoot(context.Background(), LayerAgent, "read")
 	root.SetFile(42)
 	if got := len(r.InFlight()); got != 1 {
@@ -110,30 +111,31 @@ func TestSpanTreeNesting(t *testing.T) {
 }
 
 func TestStartOr(t *testing.T) {
-	r := New()
+	r := New(WithSampleRate(1))
 	// Without a span in ctx, StartOr roots a new tree.
 	ctx, root := r.StartOr(context.Background(), LayerTxn, "commit")
-	if root == nil || root.parent != nil {
+	if root.Span() == nil || root.Span().parent != nil {
 		t.Fatalf("StartOr did not root a tree")
 	}
-	// With a span in ctx, StartOr nests.
-	_, child := r.StartOr(ctx, LayerLock, "wait")
-	if child == nil || child.parent != root {
+	// With a span in ctx, StartOr nests — whatever the recorder it is
+	// called on samples.
+	_, child := New(WithSampleRate(0)).StartOr(ctx, LayerLock, "wait")
+	if child.Span() == nil || child.Span().parent != root.Span() {
 		t.Fatalf("StartOr did not nest under the ctx span")
 	}
 	child.End(nil)
 	root.End(nil)
 	// A nil recorder still nests under an existing ctx span.
 	var nilRec *Recorder
-	_, child2 := nilRec.StartOr(WithSpan(context.Background(), root), LayerLock, "wait")
-	if child2 == nil {
+	_, child2 := nilRec.StartOr(WithSpan(context.Background(), root.Span()), LayerLock, "wait")
+	if child2.Span() == nil {
 		t.Fatalf("nil recorder StartOr lost the ctx span chain")
 	}
 	child2.End(nil)
 }
 
 func TestEndIdempotent(t *testing.T) {
-	r := New()
+	r := New(WithSampleRate(1))
 	_, sp := r.StartRoot(context.Background(), LayerAgent, "op")
 	sp.End(nil)
 	sp.End(errors.New("second"))
@@ -146,10 +148,24 @@ func TestEndIdempotent(t *testing.T) {
 	if d := r.Flight()[0]; d.Err != "" {
 		t.Fatalf("second End mutated the span: err=%q", d.Err)
 	}
+	// The same holds for an untraced root and for a plain bracket.
+	r = New(WithSampleRate(0))
+	_, root := r.StartRoot(context.Background(), LayerAgent, "op")
+	_, op := r.StartOp(context.Background(), LayerDevice, "io")
+	for i := 0; i < 2; i++ {
+		op.End(nil)
+		root.End(errors.New("failed"))
+	}
+	if a, d := r.LayerWall(LayerAgent).Count(), r.LayerWall(LayerDevice).Count(); a != 1 || d != 1 {
+		t.Fatalf("double End of untraced brackets recorded %d and %d observations", a, d)
+	}
+	if n := len(r.SlowOps()); n != 1 {
+		t.Fatalf("double End of a failed root left %d slow-op records", n)
+	}
 }
 
 func TestFaultDumpCapturesInFlight(t *testing.T) {
-	r := New()
+	r := New(WithSampleRate(1))
 	ctx, root := r.StartRoot(context.Background(), LayerTxn, "commit")
 	root.SetTxn(7)
 	_, dev := StartSpan(ctx, LayerDevice, "write")
@@ -255,7 +271,7 @@ func TestProfileRender(t *testing.T) {
 // TestConcurrentSpans exercises parallel span creation, fault dumps and
 // flight snapshots under the race detector.
 func TestConcurrentSpans(t *testing.T) {
-	r := New(WithFlightCapacity(16))
+	r := New(WithSampleRate(1), WithFlightCapacity(16))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -296,9 +312,10 @@ func TestConcurrentSpans(t *testing.T) {
 // TestSpanAllocBudget pins the cost model in the package comment: a span is
 // one allocation — no context node beside it, no slice for its first
 // children — and the histogram-only Op bracket, the path every untraced
-// request takes through an instrumented layer, allocates nothing.
+// request takes through an instrumented layer, allocates nothing, as a root
+// or below one.
 func TestSpanAllocBudget(t *testing.T) {
-	r := New(WithVirtualClock(func() time.Duration { return 0 }))
+	r := New(WithSampleRate(1), WithVirtualClock(func() time.Duration { return 0 }))
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(200, func() {
 		ctx2, root := r.StartRoot(ctx, LayerAgent, "read")
@@ -320,10 +337,21 @@ func TestSpanAllocBudget(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		_, op := r.StartOp(ctx, LayerDiskService, "put")
-		op.Span().AddBytes(8192)
+		op.AddBytes(8192)
 		op.End(nil)
 	}); n != 0 {
 		t.Errorf("histogram-only Op bracket = %v allocations, budget 0", n)
+	}
+	never := New(WithSampleRate(0))
+	if n := testing.AllocsPerRun(200, func() {
+		ctx2, root := never.StartRoot(ctx, LayerAgent, "read")
+		root.SetFile(7)
+		_, child := never.StartOp(ctx2, LayerDevice, "io")
+		child.AddBytes(8192)
+		child.EndCost(time.Millisecond, nil)
+		root.End(nil)
+	}); n != 0 {
+		t.Errorf("unsampled root + child bracket = %v allocations, budget 0", n)
 	}
 }
 
@@ -333,7 +361,7 @@ func TestSpanAllocBudget(t *testing.T) {
 func TestSpanIsTheEnclosingContext(t *testing.T) {
 	type key struct{}
 	outer, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
-	ctx, root := New().StartRoot(outer, LayerAgent, "read")
+	ctx, root := New(WithSampleRate(1)).StartRoot(outer, LayerAgent, "read")
 	ctx, child := StartSpan(ctx, LayerDevice, "io")
 	if FromContext(ctx) != child || FromContext(context.WithValue(ctx, key{}, "w")) != child {
 		t.Fatal("the innermost span is not the one the context reports")
@@ -359,7 +387,7 @@ func TestSpanIsTheEnclosingContext(t *testing.T) {
 // Children beyond the inline slots are kept, in start order, and roots leave
 // the in-flight set in whatever order they end.
 func TestManyChildrenAndInFlightSet(t *testing.T) {
-	r := New()
+	r := New(WithSampleRate(1))
 	ctx, root := r.StartRoot(context.Background(), LayerAgent, "fan-out")
 	const n = 2*inlineKids + 1
 	for i := 0; i < n; i++ {

@@ -21,11 +21,39 @@ type LayerStats struct {
 	WallMeanNS int64  `json:"wall_mean_ns"`
 	VirtP50NS  int64  `json:"virt_p50_ns"`
 	VirtP99NS  int64  `json:"virt_p99_ns"`
-	// Wall and Virt carry the raw histogram buckets, so profiles scraped
+	// Self time — a span's wall time minus what its children cover — is
+	// known only for ops that were traced, so unlike the columns above it
+	// is an estimate from the sampled trees (SelfCount of them).
+	SelfCount  int64 `json:"self_count"`
+	SelfMeanNS int64 `json:"self_mean_ns"`
+	SelfP99NS  int64 `json:"self_p99_ns"`
+	// Wall, Virt and Self carry the raw histogram buckets, so profiles scraped
 	// from different processes can be merged (MergeProfiles) and their
 	// fleet-wide quantiles recomputed rather than averaged.
 	Wall *HistData `json:"wall_hist,omitempty"`
 	Virt *HistData `json:"virt_hist,omitempty"`
+	Self *HistData `json:"self_hist,omitempty"`
+}
+
+// fill summarizes one layer from its three histogram snapshots — the one
+// place the summary columns are derived, for a live recorder and a merged
+// fleet alike.
+func (ls *LayerStats) fill() {
+	w, v, s := ls.Wall, ls.Virt, ls.Self
+	if w != nil {
+		ls.Count, ls.WallMaxNS = w.Count, w.MaxNS
+	}
+	ls.WallP50NS = int64(w.Quantile(0.50))
+	ls.WallP95NS = int64(w.Quantile(0.95))
+	ls.WallP99NS = int64(w.Quantile(0.99))
+	ls.WallMeanNS = int64(w.Mean())
+	ls.VirtP50NS = int64(v.Quantile(0.50))
+	ls.VirtP99NS = int64(v.Quantile(0.99))
+	if s != nil {
+		ls.SelfCount = s.Count
+	}
+	ls.SelfMeanNS = int64(s.Mean())
+	ls.SelfP99NS = int64(s.Quantile(0.99))
 }
 
 // ValueStats summarizes one named unit-less value histogram (for example
@@ -40,16 +68,29 @@ type ValueStats struct {
 	Hist  *HistData `json:"hist,omitempty"`
 }
 
+// ProfileVersion identifies the histogram bucket scheme a Profile's HistData
+// indexes into: 2 is log-linear (hist.go); profiles from before it carry no
+// version and power-of-two bucket indexes, and MergeProfiles refuses to fold
+// the two together.
+const ProfileVersion = 2
+
 // Profile is the per-layer latency breakdown plus gauge snapshot — the
 // export form served by rhodosd's /debug/profile, embedded in
 // rhodos-bench's JSON results, and printed by rhodos-trace -profile.
 type Profile struct {
-	Layers     []LayerStats     `json:"layers"`
-	Values     []ValueStats     `json:"values,omitempty"`
-	Gauges     map[string]int64 `json:"gauges,omitempty"`
-	Trees      int              `json:"trees"`
-	Events     int              `json:"events,omitempty"`
-	FaultDumps int              `json:"fault_dumps,omitempty"`
+	Version int              `json:"version"`
+	Layers  []LayerStats     `json:"layers"`
+	Values  []ValueStats     `json:"values,omitempty"`
+	Gauges  map[string]int64 `json:"gauges,omitempty"`
+	// Trees counts the span trees ever recorded, retained or overwritten;
+	// SlowOps likewise the slow-op records. SampleRate is the recorder's
+	// head-sampling rate (one root in n; 0 in a merged profile whose
+	// members disagree).
+	Trees      int `json:"trees"`
+	SlowOps    int `json:"slow_ops"`
+	SampleRate int `json:"sample_rate"`
+	Events     int `json:"events,omitempty"`
+	FaultDumps int `json:"fault_dumps,omitempty"`
 }
 
 // Profile summarizes the recorder's histograms and gauges. Layers with no
@@ -59,30 +100,25 @@ func (r *Recorder) Profile() *Profile {
 		return nil
 	}
 	p := &Profile{
-		Gauges: r.Gauges(),
-		Trees:  r.flight.total(),
-		Events: r.EventTotal(),
+		Version:    ProfileVersion,
+		Gauges:     r.Gauges(),
+		Trees:      r.flight.total(),
+		SlowOps:    r.slow.total(),
+		SampleRate: r.SampleRate(),
+		Events:     r.EventTotal(),
 	}
 	r.dmu.Lock()
 	p.FaultDumps = len(r.dumps)
 	r.dmu.Unlock()
 	for l := Layer(0); l < numLayers; l++ {
-		w, v := &r.wall[l], &r.virt[l]
-		p.Layers = append(p.Layers, LayerStats{
-			Layer:      l.String(),
-			Count:      w.Count(),
-			WallP50NS:  int64(w.Quantile(0.50)),
-			WallP95NS:  int64(w.Quantile(0.95)),
-			WallP99NS:  int64(w.Quantile(0.99)),
-			WallMaxNS:  int64(w.Max()),
-			WallMeanNS: int64(w.Mean()),
-			VirtP50NS:  int64(v.Quantile(0.50)),
-			VirtP99NS:  int64(v.Quantile(0.99)),
-			Wall:       w.Data(),
-			Virt:       v.Data(),
-		})
+		ls := LayerStats{Layer: l.String(), Wall: r.wall[l].Data(), Virt: r.virt[l].Data(), Self: r.self[l].Data()}
+		ls.fill()
+		p.Layers = append(p.Layers, ls)
 	}
 	for name, h := range r.ValueHists() {
+		if h.Count() == 0 {
+			continue // resolved by its recorder's owner, never recorded into
+		}
 		p.Values = append(p.Values, ValueStats{
 			Name:  name,
 			Count: h.Count(),
@@ -112,12 +148,20 @@ func fmtNS(ns int64) string {
 	}
 }
 
+// fmtSelf renders a self-time cell, blank for a layer no traced tree reached.
+func fmtSelf(count, ns int64) string {
+	if count == 0 {
+		return "-"
+	}
+	return fmtNS(ns)
+}
+
 // Render writes the profile as an aligned text table.
 func (p *Profile) Render(w io.Writer) {
 	if p == nil {
 		return
 	}
-	cols := []string{"layer", "count", "wall p50", "wall p95", "wall p99", "wall max", "wall mean", "virt p50", "virt p99"}
+	cols := []string{"layer", "count", "wall p50", "wall p95", "wall p99", "wall max", "wall mean", "virt p50", "virt p99", "traced*", "self mean*", "self p99*"}
 	rows := make([][]string, 0, len(p.Layers))
 	for _, ls := range p.Layers {
 		if ls.Count == 0 {
@@ -133,6 +177,9 @@ func (p *Profile) Render(w io.Writer) {
 			fmtNS(ls.WallMeanNS),
 			fmtNS(ls.VirtP50NS),
 			fmtNS(ls.VirtP99NS),
+			fmt.Sprint(ls.SelfCount),
+			fmtSelf(ls.SelfCount, ls.SelfMeanNS),
+			fmtSelf(ls.SelfCount, ls.SelfP99NS),
 		})
 	}
 	fmt.Fprintln(w, "per-layer latency profile:")
@@ -167,6 +214,12 @@ func (p *Profile) Render(w io.Writer) {
 	for _, row := range rows {
 		line(row)
 	}
+	rate := "head sampling off, or recorders whose rates differ"
+	if p.SampleRate > 0 {
+		rate = fmt.Sprintf("sample rate 1 in %d", p.SampleRate)
+	}
+	fmt.Fprintf(w, "  * self = wall − children, over the layer's spans in the %d span tree(s) traced (%s; %d slow or failed op(s))\n",
+		p.Trees, rate, p.SlowOps)
 	if len(p.Values) > 0 {
 		fmt.Fprintln(w, "value histograms:")
 		for _, v := range p.Values {

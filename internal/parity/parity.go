@@ -492,7 +492,7 @@ func (a *Array) checkSpan(addr, n int) error {
 func (a *Array) Get(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error) {
 	_, op := a.obsRec.StartOp(ctx, obs.LayerParity, "get")
 	data, err := a.get(addr, n, opts)
-	op.Span().AddBytes(len(data))
+	op.AddBytes(len(data))
 	op.End(err)
 	return data, err
 }

@@ -30,7 +30,7 @@ import (
 // every stripe consistent. The write is bracketed like Get.
 func (a *Array) Put(ctx context.Context, addr int, data []byte, opts diskservice.PutOptions) error {
 	_, op := a.obsRec.StartOp(ctx, obs.LayerParity, "put")
-	op.Span().AddBytes(len(data))
+	op.AddBytes(len(data))
 	err := a.put(addr, data, opts)
 	op.End(err)
 	return err

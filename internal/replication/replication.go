@@ -97,7 +97,7 @@ func (m *Manager) Create(attr fit.Attributes) (RepID, error) {
 // least one replica accepts it.
 func (m *Manager) WriteAt(id RepID, off int64, data []byte) (int, error) {
 	_, op := m.obsRec.StartOp(context.Background(), obs.LayerReplication, "writeAt")
-	op.Span().AddBytes(len(data))
+	op.AddBytes(len(data))
 	n, err := m.writeAt(id, off, data)
 	op.End(err)
 	return n, err
@@ -136,7 +136,7 @@ func (m *Manager) writeAt(id RepID, off int64, data []byte) (int, error) {
 func (m *Manager) ReadAt(id RepID, off int64, n int) ([]byte, error) {
 	_, op := m.obsRec.StartOp(context.Background(), obs.LayerReplication, "readAt")
 	data, err := m.readAt(id, off, n)
-	op.Span().AddBytes(len(data))
+	op.AddBytes(len(data))
 	op.End(err)
 	return data, err
 }

@@ -315,8 +315,8 @@ func (s *Shipper) sender() {
 			}
 		}
 		ctx, op = s.rec.StartRemoteOp(ctx, obs.LayerReplication, "ship", tid, sid)
-		op.Span().SetCount(len(batch))
-		op.Span().AddBytes(len(frame))
+		op.SetCount(len(batch))
+		op.AddBytes(len(frame))
 		t0 := time.Now()
 		err := s.send(ctx, frame)
 		op.End(err)

@@ -108,9 +108,11 @@ func TestMuxRoundTripAllocBudgetTracingDisabled(t *testing.T) {
 
 // TestTracePropagationOverTCP drives a traced Call through the real
 // multiplexed transport and checks the server's serve span continues the
-// client's trace: same trace ID, remote-parented to the client span.
+// client's trace: same trace ID, remote-parented to the client span. The
+// server samples nothing of its own accord — the request arrives with trace
+// identity, so the caller already decided.
 func TestTracePropagationOverTCP(t *testing.T) {
-	serverRec := obs.New()
+	serverRec := obs.New(obs.WithSampleRate(0))
 	var gotTrace atomic.Uint64
 	ep := NewEndpoint(func(ctx context.Context, req Request) ([]byte, error) {
 		if sp := obs.FromContext(ctx); sp != nil {
@@ -127,14 +129,15 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 9, 3, nil)
 
-	clientRec := obs.New()
-	ctx, sp := clientRec.StartRoot(context.Background(), obs.LayerAgent, "op")
+	clientRec := obs.New(obs.WithSampleRate(1))
+	ctx, root := clientRec.StartRoot(context.Background(), obs.LayerAgent, "op")
 	out, err := c.Call(ctx, "traced", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.ReleaseBody(out)
-	sp.End(nil)
+	root.End(nil)
+	sp := root.Span()
 
 	if got, want := gotTrace.Load(), sp.TraceID(); got != want {
 		t.Fatalf("server saw trace %x, client sent %x", got, want)
@@ -181,7 +184,7 @@ func BenchmarkMuxRoundTripTraced(b *testing.B) {
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 9, 3, nil)
 	payload := bytes.Repeat([]byte{0xCD}, 4096)
-	rec := obs.New()
+	rec := obs.New(obs.WithSampleRate(1))
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

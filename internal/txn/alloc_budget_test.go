@@ -3,77 +3,228 @@ package txn_test
 // External test package: the rig is core.New, which imports txn.
 
 import (
+	"fmt"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fit"
 	"repro/internal/obs"
+	"repro/internal/txn"
 )
 
-// Budgets for one two-record commit with a recorder installed — the shape of
-// the repository benchmark's txn_commit operation below the agent: measured
-// value + 15 %. Before the commit path lent its buffers the same commit
-// allocated 25 708 B (a private 8 KiB copy of the block per record flushed)
-// in 67 objects.
-const (
-	commitAllocBytesBudget   = 4570 // measured 3 974 B/op
-	commitAllocObjectsBudget = 39   // measured 34 allocs/op
-)
+// The commit these tests and benchmarks repeat is the repository benchmark's
+// txn_commit operation below the agent: two records of one record-locked
+// file; every other transaction's pair shares a block.
+const commitRecSize, commitRecords = 256, 64
 
+// commitRig builds a one-disk facility around rec (nil: no recorder) and
+// commits files record-locked files of commitRecords records each.
+func commitRig(tb testing.TB, rec *obs.Recorder, files int) (*txn.Service, []txn.FileID) {
+	tb.Helper()
+	fac, err := core.New(core.Config{Disks: 1, Obs: rec})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = fac.Close() })
+	svc := fac.Txns
+	fids := make([]txn.FileID, files)
+	for f := range fids {
+		id, err := svc.Begin(0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if fids[f], err = svc.Create(id, fit.Attributes{Locking: fit.LockRecord}); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := svc.PWrite(id, fids[f], 0, make([]byte, commitRecords*commitRecSize)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := svc.End(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return svc, fids
+}
+
+// commitTwoRecords is the i-th commit against fid.
+func commitTwoRecords(svc *txn.Service, fid txn.FileID, i int, payload []byte) error {
+	id, err := svc.Begin(1)
+	if err != nil {
+		return err
+	}
+	if err := svc.Open(id, fid, fit.LockRecord); err != nil {
+		return err
+	}
+	a, c := i%commitRecords, (i+1+i%2*31)%commitRecords
+	for _, rec := range []int{a, c} {
+		if _, err := svc.PWrite(id, fid, int64(rec*commitRecSize), payload); err != nil {
+			return err
+		}
+	}
+	return svc.End(id)
+}
+
+// recorders are the three ways a facility is observed: not at all, by the
+// sampling default rhodosd installs, and with a span tree for every op —
+// with the allocation budget of one commit under each that has one.
+var recorders = []struct {
+	name           string
+	new            func() *obs.Recorder
+	bytes, objects int64
+}{
+	{"none", func() *obs.Recorder { return nil }, 0, 0},
+	{"default", func() *obs.Recorder { return obs.New() }, 2830, 32},                       // measured 2 463 B/op in 28 objects
+	{"every-op", func() *obs.Recorder { return obs.New(obs.WithSampleRate(1)) }, 4570, 39}, // measured 3 974 B/op in 34 objects
+}
+
+// TestCommitAllocBudget pins bytes and objects per commit with a recorder
+// installed, at measured value + 15 %. The sampled default sheds the spans:
+// its commit allocates what one with no recorder does (2 439 B in 28), plus
+// a tree one time in 64. Every-op keeps the ceiling it had when every commit built its
+// trees; before the commit path lent its buffers that commit allocated
+// 25 708 B (a private 8 KiB copy of the block per record flushed) in 67
+// objects.
 func TestCommitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the code's under the race detector")
 	}
-	fac, err := core.New(core.Config{Disks: 1, Obs: obs.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fac.Close()
-	svc := fac.Txns
-	const recSize, records = 256, 64
-	id, err := svc.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fid, err := svc.Create(id, fit.Attributes{Locking: fit.LockRecord})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.PWrite(id, fid, 0, make([]byte, records*recSize)); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.End(id); err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, recSize)
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			id, err := svc.Begin(1)
-			if err != nil {
-				b.Fatal(err)
+	for _, r := range recorders {
+		if r.bytes == 0 {
+			continue
+		}
+		t.Run("recorder="+r.name, func(t *testing.T) {
+			svc, fids := commitRig(t, r.new(), 1)
+			payload := make([]byte, commitRecSize)
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := commitTwoRecords(svc, fids[0], i, payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if got := res.AllocedBytesPerOp(); got > r.bytes {
+				t.Errorf("two-record commit allocates %d B/op, budget %d", got, r.bytes)
 			}
-			if err := svc.Open(id, fid, fit.LockRecord); err != nil {
-				b.Fatal(err)
+			if got := res.AllocsPerOp(); got > r.objects {
+				t.Errorf("two-record commit allocates %d objects/op, budget %d", got, r.objects)
 			}
-			// Two records of one file; every other transaction's pair shares
-			// a block, as in txn_commit.
-			a, c := i%records, (i+1+i%2*31)%records
-			for _, rec := range []int{a, c} {
-				if _, err := svc.PWrite(id, fid, int64(rec*recSize), payload); err != nil {
+			t.Logf("two-record commit: %d B/op in %d objects (%d ns/op)", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.NsPerOp())
+		})
+	}
+}
+
+// TestCommitCountsIndependentOfSampling: every op is counted whatever the
+// sample rate. The same commits under "every op", the default and "never
+// sample" leave identical per-layer histogram counts — group commit's
+// group-sync and the device's references included, which used to observe
+// only under a tree.
+func TestCommitCountsIndependentOfSampling(t *testing.T) {
+	const commits = 300
+	counts := func(rec *obs.Recorder) map[string]int64 {
+		svc, fids := commitRig(t, rec, 1)
+		payload := make([]byte, commitRecSize)
+		for i := 0; i < commits; i++ {
+			if err := commitTwoRecords(svc, fids[0], i, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := map[string]int64{}
+		for _, ls := range rec.Profile().Layers {
+			out[ls.Layer] = ls.Count
+		}
+		return out
+	}
+	every, never := obs.New(obs.WithSampleRate(1)), obs.New(obs.WithSampleRate(0))
+	want := counts(every)
+	if want["txn"] < 4*commits || want["device"] < 3*commits || want["lock"] < 2*commits {
+		t.Fatalf("every-op counts %v: the commits did not cross the layers expected", want)
+	}
+	for name, rec := range map[string]*obs.Recorder{"default": obs.New(), "never": never} {
+		got := counts(rec)
+		for layer, n := range want {
+			if got[layer] != n {
+				t.Errorf("recorder=%s: layer %s counted %d ops, every-op counted %d", name, layer, got[layer], n)
+			}
+		}
+	}
+	if trees := never.Profile().Trees; trees != 0 {
+		t.Errorf("the never-sample recorder built %d trees", trees)
+	}
+	if trees := every.Profile().Trees; trees < 3*commits { // two pwrites and the end
+		t.Errorf("the every-op recorder built %d trees for %d commits", trees, commits)
+	}
+}
+
+// BenchmarkCommitRecordUpdate prints what a recorder costs a commit: the
+// same commit with none, with the sampling default and with every op traced.
+func BenchmarkCommitRecordUpdate(b *testing.B) {
+	for _, r := range recorders {
+		b.Run("recorder="+r.name, func(b *testing.B) {
+			svc, fids := commitRig(b, r.new(), 1)
+			payload := make([]byte, commitRecSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := commitTwoRecords(svc, fids[0], i, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if err := svc.End(id); err != nil {
-				b.Fatal(err)
+		})
+	}
+}
+
+// BenchmarkCommitRecordUpdateCommitters runs the commit from one and from two
+// goroutines, each on its own file, and reports the distribution per commit —
+// the mean far above the median is a committer that lost one of the path's
+// process-wide mutexes and waited to be rescheduled (EXPERIMENTS.md, "Tracing
+// budget before/after", has the scheduler-latency recipe that goes with it).
+func BenchmarkCommitRecordUpdateCommitters(b *testing.B) {
+	for _, committers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("committers=%d", committers), func(b *testing.B) {
+			svc, fids := commitRig(b, obs.New(), committers)
+			lat := make([][]time.Duration, committers)
+			errs := make([]error, committers)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < committers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					payload := make([]byte, commitRecSize)
+					n := b.N / committers
+					lat[c] = make([]time.Duration, 0, n)
+					for i := 0; i < n && errs[c] == nil; i++ {
+						t0 := time.Now()
+						errs[c] = commitTwoRecords(svc, fids[c], i, payload)
+						lat[c] = append(lat[c], time.Since(t0))
+					}
+				}(c)
 			}
-		}
-	})
-	if got := res.AllocedBytesPerOp(); got > commitAllocBytesBudget {
-		t.Errorf("two-record commit allocates %d B/op, budget %d", got, commitAllocBytesBudget)
+			wg.Wait()
+			b.StopTimer()
+			var all []time.Duration
+			var sum time.Duration
+			for c, l := range lat {
+				if errs[c] != nil {
+					b.Fatal(errs[c])
+				}
+				all = append(all, l...)
+				for _, d := range l {
+					sum += d
+				}
+			}
+			if len(all) == 0 {
+				return
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			b.ReportMetric(float64(sum.Nanoseconds())/float64(len(all)), "mean-ns/commit")
+			b.ReportMetric(float64(all[len(all)/2].Nanoseconds()), "p50-ns/commit")
+			b.ReportMetric(float64(all[len(all)*99/100].Nanoseconds()), "p99-ns/commit")
+			b.ReportMetric(float64(len(all))/b.Elapsed().Seconds(), "commits/s")
+		})
 	}
-	if got := res.AllocsPerOp(); got > commitAllocObjectsBudget {
-		t.Errorf("two-record commit allocates %d objects/op, budget %d", got, commitAllocObjectsBudget)
-	}
-	t.Logf("two-record commit: %d B/op in %d objects (%d ns/op)", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.NsPerOp())
 }

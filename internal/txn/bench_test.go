@@ -77,29 +77,6 @@ func benchFile(b *testing.B, svc *Service, level fit.LockLevel, size int) FileID
 	return fid
 }
 
-func BenchmarkCommitRecordUpdate(b *testing.B) {
-	svc := benchRig(b)
-	fid := benchFile(b, svc, fit.LockRecord, 64*1024)
-	payload := make([]byte, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := svc.Begin(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := svc.Open(id, fid, fit.LockRecord); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := svc.PWrite(id, fid, int64((i%100)*128), payload); err != nil {
-			b.Fatal(err)
-		}
-		if err := svc.End(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCommitPageUpdate(b *testing.B) {
 	svc := benchRig(b)
 	fid := benchFile(b, svc, fit.LockPage, 32*fileservice.BlockSize)

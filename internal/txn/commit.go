@@ -33,8 +33,8 @@ var (
 // the commit record reaches stable storage, the intentions are made
 // permanent (WAL or shadow page per §6.7), and only then are the locks
 // released — the second phase of strict 2PL. If a fault-injected crash cuts
-// the commit sequence short, the span stays in-flight and the flight
-// recorder's fault dump captures the interrupted commit mid-operation.
+// the commit sequence short, a traced commit's span stays in-flight and the
+// flight recorder's fault dump captures the interrupted commit mid-operation.
 func (s *Service) EndCtx(ctx context.Context, id TxnID) error {
 	ctx, sp := s.obsRec.StartOr(ctx, obs.LayerTxn, "end")
 	sp.SetTxn(uint64(id))

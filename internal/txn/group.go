@@ -117,6 +117,9 @@ type groupCommit struct {
 	maxDelay time.Duration
 	clock    simclock.Clock
 	barrier  func() error
+	// batchSize is the recorder's txn.group.batch_size value histogram,
+	// resolved once (nil, and still recordable, without a recorder).
+	batchSize *obs.Histogram
 
 	mu   sync.Mutex
 	idle *sync.Cond // broadcast whenever cur/syncing/unapplied/resetting change
@@ -153,6 +156,8 @@ func newGroupCommit(s *Service, cfg GroupCommitConfig) *groupCommit {
 		maxDelay: cfg.MaxDelay,
 		clock:    cfg.Clock,
 		barrier:  cfg.Barrier,
+
+		batchSize: s.obsRec.ValueHist("txn.group.batch_size"),
 	}
 	if g.maxBatch <= 0 {
 		g.maxBatch = 64
@@ -287,8 +292,8 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 		close(b.done)
 	}()
 
-	_, sp := obs.StartSpan(ctx, obs.LayerTxn, "group-sync")
-	sp.SetCount(size) // the batch size, for the trace
+	_, op := g.s.obsRec.StartOp(ctx, obs.LayerTxn, "group-sync")
+	op.SetCount(size) // the batch size, for the trace
 	g.s.fault.Hit(PtGroupBeforeSync)
 	err := g.s.log.Sync()
 	syncFailed := err != nil
@@ -303,7 +308,7 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 			}
 		}
 	}
-	sp.End(err)
+	op.End(err)
 
 	g.mu.Lock()
 	g.syncing = false
@@ -330,7 +335,7 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 
 	if err == nil {
 		g.s.met.Inc(metrics.TxnGroupBatches)
-		g.s.obsRec.ValueHist("txn.group.batch_size").Record(time.Duration(size))
+		g.batchSize.Record(time.Duration(size))
 	}
 	completed = true
 	b.closed = true

@@ -538,7 +538,7 @@ func (s *Service) lockRange(ctx context.Context, t *txnState, f *txnFile, off in
 // PReadCtx reads n bytes at offset off (tpread). forUpdate takes an Iread
 // lock instead of read-only, for data the transaction intends to modify
 // (§6.3). The transaction layer is an entry point when driven directly and
-// interior under an agent, so the span roots a new tree if ctx carries none.
+// interior under an agent, so the bracket is a root if ctx carries no span.
 func (s *Service) PReadCtx(ctx context.Context, id TxnID, fid FileID, off int64, n int, forUpdate bool) ([]byte, error) {
 	ctx, sp := s.obsRec.StartOr(ctx, obs.LayerTxn, "pread")
 	sp.SetTxn(uint64(id))
