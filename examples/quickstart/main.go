@@ -9,15 +9,19 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/ccache"
 	"repro/internal/core"
 	"repro/internal/fit"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 func main() {
 	// One facility: a simulated disk with a stable-storage mirror, a disk
-	// server, the file service, the transaction service and naming.
-	cluster, err := core.New(core.Config{})
+	// server, the file service, the transaction service and naming. The
+	// recorder is where the machine's client cache counts its hits.
+	rec := obs.New()
+	cluster, err := core.New(core.Config{Obs: rec})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("100 re-reads cost %d disk references (client cache hits: %d)\n",
 		cluster.Metrics.Get(metrics.DiskReferences)-before,
-		cluster.Metrics.Get(metrics.AgentCacheHit))
+		rec.Gauge(ccache.MetricHits).Value())
 
 	fmt.Println("\nfacility counters:")
 	fmt.Print(cluster.Metrics.String())

@@ -12,9 +12,12 @@
 // default to 0/1/2 and are set to 100001/100002/100003 when redirected to a
 // file.
 //
-// The file agent caches file data in the client's machine with the
-// delayed-write policy (§5), so repeated reads do not descend to the file
-// service. The transaction agent is event-driven (§2.1, §7): it comes into
+// The file agent is names, descriptors and cursors. §5's client cache
+// ("the file agent caches file data in the client's machine with the
+// delayed-write policy") is the machine's ccache.Client, which the assembly
+// (core.Cluster.NewMachine in process, node.Client.NewMachine on the wire)
+// hands in as MachineConfig.Files; the agent does not know whether one is
+// there. The transaction agent is event-driven (§2.1, §7): it comes into
 // existence with the first tbegin on the machine and ceases to exist when
 // the last transaction completes or aborts.
 //
@@ -31,7 +34,6 @@ import (
 
 	"repro/internal/fileservice"
 	"repro/internal/fit"
-	"repro/internal/metrics"
 	"repro/internal/naming"
 	"repro/internal/obs"
 	"repro/internal/txn"
@@ -107,7 +109,6 @@ type Machine struct {
 	naming NameService
 	files  FileService
 	txns   *txn.Service
-	met    *metrics.Set
 	obsRec *obs.Recorder
 
 	fileAgent   *FileAgent
@@ -127,12 +128,11 @@ type MachineConfig struct {
 	Files FileService
 	// Txns is the transaction service; nil disables transaction operations.
 	Txns *txn.Service
-	// Metrics receives agent-cache counters. Optional.
-	Metrics *metrics.Set
-	// CacheBlocks is the file agent's client-cache capacity in blocks;
-	// defaults to 64.
-	CacheBlocks int
-	// DisableClientCache turns the file agent's cache off (ablation E6).
+	// Metrics and DisableClientCache are inert: the agent has no cache to
+	// count or switch off. bench/workloads.go sets the first, bench/rig.go
+	// the second; ROADMAP item 8 deletes them. (E6's switch is
+	// core.Config.DisableClientCache.)
+	Metrics            any
 	DisableClientCache bool
 	// Obs receives agent-layer spans; agent calls root new span trees.
 	// Optional; nil disables tracing.
@@ -148,12 +148,8 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if cfg.Files == nil {
 		return nil, errors.New("agent: nil file service")
 	}
-	m := &Machine{naming: cfg.Naming, files: cfg.Files, txns: cfg.Txns, met: cfg.Metrics, obsRec: cfg.Obs}
-	fa, err := newFileAgent(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.fileAgent = fa
+	m := &Machine{naming: cfg.Naming, files: cfg.Files, txns: cfg.Txns, obsRec: cfg.Obs}
+	m.fileAgent = &FileAgent{machine: m}
 	m.deviceAgent = newDeviceAgent(m)
 	return m, nil
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/diskservice"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
-	"repro/internal/metrics"
 	"repro/internal/naming"
 	"repro/internal/stable"
 	"repro/internal/txn"
@@ -22,15 +21,13 @@ import (
 type rig struct {
 	machine *Machine
 	fs      *fileservice.Service
-	met     *metrics.Set
 	nm      *naming.Service
 }
 
-func newRig(t *testing.T, mutate ...func(*MachineConfig)) *rig {
+func newRig(t *testing.T) *rig {
 	t.Helper()
 	g := device.Geometry{FragmentsPerTrack: 32, Tracks: 128}
-	met := metrics.NewSet()
-	d, err := device.New(g, device.WithMetrics(met))
+	d, err := device.New(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +38,11 @@ func newRig(t *testing.T, mutate ...func(*MachineConfig)) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
-	srv, err := diskservice.Format(diskservice.Config{Disk: d, Stable: st, Metrics: met})
+	srv, err := diskservice.Format(diskservice.Config{Disk: d, Stable: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := fileservice.New(fileservice.Config{Disks: fileservice.Servers(srv), Metrics: met})
+	fs, err := fileservice.New(fileservice.Config{Disks: fileservice.Servers(srv)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +61,17 @@ func newRig(t *testing.T, mutate ...func(*MachineConfig)) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := txn.New(txn.Config{Files: fs, Log: log, Metrics: met, LT: 100 * time.Millisecond})
+	ts, err := txn.New(txn.Config{Files: fs, Log: log, LT: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ts.Close)
 	nm := naming.NewService()
-	cfg := MachineConfig{Naming: nm, Files: fs, Txns: ts, Metrics: met}
-	for _, m := range mutate {
-		m(&cfg)
-	}
-	machine, err := NewMachine(cfg)
+	machine, err := NewMachine(MachineConfig{Naming: nm, Files: fs, Txns: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{machine: machine, fs: fs, met: met, nm: nm}
+	return &rig{machine: machine, fs: fs, nm: nm}
 }
 
 func TestFileAgentCreateWriteReadByPath(t *testing.T) {
@@ -141,56 +134,6 @@ func TestFileAgentCursorAndSeek(t *testing.T) {
 	got, err = fa.Read(p, fd, 10)
 	if err != nil || string(got) != "f" {
 		t.Fatalf("Read at end = %q, %v", got, err)
-	}
-}
-
-func TestClientCacheAvoidsFileService(t *testing.T) {
-	r := newRig(t)
-	p := r.machine.NewProcess()
-	fa := r.machine.FileAgent()
-	fd, err := fa.Create(p, "/cached", fit.Attributes{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fa.PWrite(p, fd, 0, bytes.Repeat([]byte("c"), 8192)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fa.PRead(p, fd, 0, 8192); err != nil {
-		t.Fatal(err)
-	}
-	hitsBefore := r.met.Get(metrics.AgentCacheHit)
-	for i := 0; i < 10; i++ {
-		if _, err := fa.PRead(p, fd, 100, 50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := r.met.Get(metrics.AgentCacheHit) - hitsBefore; got < 10 {
-		t.Fatalf("agent cache hits = %d, want >= 10", got)
-	}
-}
-
-func TestDelayedWriteFlushedOnClose(t *testing.T) {
-	r := newRig(t)
-	p := r.machine.NewProcess()
-	fa := r.machine.FileAgent()
-	fd, err := fa.Create(p, "/dw", fit.Attributes{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fa.PWrite(p, fd, 0, []byte("delayed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fa.Close(p, fd); err != nil {
-		t.Fatal(err)
-	}
-	// Read directly from the file service, bypassing the agent cache.
-	e, err := r.nm.ResolvePath("/dw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.fs.ReadAt(fileservice.FileID(e.SystemName), 0, 7)
-	if err != nil || string(got) != "delayed" {
-		t.Fatalf("file service content = %q, %v", got, err)
 	}
 }
 
@@ -511,26 +454,6 @@ func TestDescriptorKindChecks(t *testing.T) {
 	}
 }
 
-func TestClientCacheDisabled(t *testing.T) {
-	r := newRig(t, func(c *MachineConfig) { c.DisableClientCache = true })
-	p := r.machine.NewProcess()
-	fa := r.machine.FileAgent()
-	fd, err := fa.Create(p, "/nocache", fit.Attributes{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fa.PWrite(p, fd, 0, []byte("direct")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fa.PRead(p, fd, 0, 6)
-	if err != nil || string(got) != "direct" {
-		t.Fatalf("no-cache round trip = %q, %v", got, err)
-	}
-	if r.met.Get(metrics.AgentCacheHit)+r.met.Get(metrics.AgentCacheMiss) != 0 {
-		t.Fatal("cache counters moved with cache disabled")
-	}
-}
-
 func TestAgentNestedTransactions(t *testing.T) {
 	r := newRig(t)
 	p := r.machine.NewProcess()
@@ -636,7 +559,7 @@ func TestCreateLeavesNothingWhenOpenFails(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t)
-			m, err := NewMachine(MachineConfig{Naming: r.nm, Files: wrap(r), Metrics: r.met})
+			m, err := NewMachine(MachineConfig{Naming: r.nm, Files: wrap(r)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,68 +4,19 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
-	"repro/internal/metrics"
 	"repro/internal/naming"
 	"repro/internal/obs"
 )
 
-// clientKey identifies a cached block in the file agent's cache.
-type clientKey struct {
-	file fileservice.FileID
-	blk  int64
-}
-
 // FileAgent is the per-machine basic-file-service agent (§3): it resolves
-// attributed names through the naming service, tracks open-file state
-// (cursors live in the process descriptors), and caches file data in the
-// client's machine with the delayed-write policy (§5).
+// attributed names through the naming service and tracks open-file state
+// (cursors live in the process descriptors). The machine's cache (§5) is
+// not here: whoever assembles the machine puts a ccache.Client under the
+// agent as its file service.
 type FileAgent struct {
 	machine *Machine
-	cache   *cache.Cache[clientKey] // nil when the client cache is disabled
-}
-
-func newFileAgent(m *Machine, cfg MachineConfig) (*FileAgent, error) {
-	fa := &FileAgent{machine: m}
-	if cfg.DisableClientCache {
-		return fa, nil
-	}
-	blocks := cfg.CacheBlocks
-	if blocks <= 0 {
-		blocks = 64
-	}
-	c, err := cache.New(cache.Config[clientKey]{
-		Capacity: blocks,
-		Policy:   cache.DelayedWrite,
-		Writeback: func(k clientKey, data []byte) error {
-			// Cached blocks are padded to BlockSize; clamp the writeback to
-			// the file's size so the tail block does not extend the file.
-			size, err := m.files.Size(k.file)
-			if err != nil {
-				return err
-			}
-			off := k.blk * fileservice.BlockSize
-			if off >= size {
-				return nil // block beyond a truncation; nothing to persist
-			}
-			n := int64(len(data))
-			if off+n > size {
-				n = size - off
-			}
-			_, err = m.files.WriteAtCtx(context.Background(), k.file, off, data[:n])
-			return err
-		},
-		Metrics:     cfg.Metrics,
-		HitCounter:  metrics.AgentCacheHit,
-		MissCounter: metrics.AgentCacheMiss,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fa.cache = c
-	return fa, nil
 }
 
 // Create creates a file and registers its attributed name, returning an
@@ -131,7 +82,8 @@ func (a *FileAgent) Open(p *Process, path string) (int, error) {
 	return p.addFileDesc(&descriptor{kind: descFile, file: id}), nil
 }
 
-// Close flushes the descriptor's cached blocks and closes the file.
+// Close closes the descriptor's file; a client cache under the agent writes
+// the file's delayed blocks back as it does.
 func (a *FileAgent) Close(p *Process, fd int) error {
 	d, err := p.desc(fd)
 	if err != nil {
@@ -139,11 +91,6 @@ func (a *FileAgent) Close(p *Process, fd int) error {
 	}
 	if d.kind != descFile {
 		return fmt.Errorf("%w: %d", ErrNotFile, fd)
-	}
-	if a.cache != nil {
-		if err := a.cache.Flush(); err != nil {
-			return err
-		}
 	}
 	p.mu.Lock()
 	delete(p.descs, fd)
@@ -157,16 +104,10 @@ func (a *FileAgent) Delete(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := a.remove(fileservice.FileID(e.SystemName)); err != nil {
-		return err
-	}
-	if a.cache != nil {
-		a.cache.InvalidateAll()
-	}
-	return nil
+	return a.remove(fileservice.FileID(e.SystemName))
 }
 
-// PRead reads n bytes at offset off through the client cache.
+// PRead reads n bytes at offset off.
 func (a *FileAgent) PRead(p *Process, fd int, off int64, n int) ([]byte, error) {
 	d, err := p.desc(fd)
 	if err != nil {
@@ -185,56 +126,13 @@ func (a *FileAgent) PRead(p *Process, fd int, off int64, n int) ([]byte, error) 
 func (a *FileAgent) readAt(id fileservice.FileID, off int64, n int) ([]byte, error) {
 	ctx, sp := a.machine.obsRec.StartRoot(context.Background(), obs.LayerAgent, "readAt")
 	sp.SetFile(uint64(id))
-	data, err := a.readAtCtx(ctx, id, off, n)
+	data, err := a.machine.files.ReadAtCtx(ctx, id, off, n)
 	sp.AddBytes(len(data))
 	sp.End(err)
 	return data, err
 }
 
-func (a *FileAgent) readAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
-	if a.cache == nil {
-		return a.machine.files.ReadAtCtx(ctx, id, off, n)
-	}
-	size, err := a.machine.files.Size(id)
-	if err != nil {
-		return nil, err
-	}
-	if off >= size {
-		return nil, nil
-	}
-	if off+int64(n) > size {
-		n = int(size - off)
-	}
-	out := make([]byte, n)
-	covered := 0
-	for covered < n {
-		pos := off + int64(covered)
-		blk := pos / fileservice.BlockSize
-		within := pos % fileservice.BlockSize
-		key := clientKey{file: id, blk: blk}
-		data, ok := a.cache.Get(key)
-		if !ok {
-			data, err = a.machine.files.ReadAtCtx(ctx, id, blk*fileservice.BlockSize, fileservice.BlockSize)
-			if err != nil {
-				return nil, err
-			}
-			// Pad the tail block so cached blocks are uniform.
-			if len(data) < fileservice.BlockSize {
-				padded := make([]byte, fileservice.BlockSize)
-				copy(padded, data)
-				data = padded
-			}
-			if err := a.cache.Put(key, data, false); err != nil {
-				return nil, err
-			}
-		}
-		covered += copy(out[covered:], data[within:])
-	}
-	return out, nil
-}
-
-// PWrite writes data at offset off. Modified blocks stay in the client
-// cache (delayed write) until eviction, Flush or Close.
+// PWrite writes data at offset off.
 func (a *FileAgent) PWrite(p *Process, fd int, off int64, data []byte) (int, error) {
 	d, err := p.desc(fd)
 	if err != nil {
@@ -250,60 +148,9 @@ func (a *FileAgent) writeAt(id fileservice.FileID, off int64, data []byte) (int,
 	ctx, sp := a.machine.obsRec.StartRoot(context.Background(), obs.LayerAgent, "writeAt")
 	sp.SetFile(uint64(id))
 	sp.AddBytes(len(data))
-	n, err := a.writeAtCtx(ctx, id, off, data)
+	n, err := a.machine.files.WriteAtCtx(ctx, id, off, data)
 	sp.End(err)
 	return n, err
-}
-
-func (a *FileAgent) writeAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
-	if a.cache == nil {
-		return a.machine.files.WriteAtCtx(ctx, id, off, data)
-	}
-	if len(data) == 0 {
-		return 0, nil
-	}
-	if off < 0 {
-		return 0, fileservice.ErrBadOffset
-	}
-	size, err := a.machine.files.Size(id)
-	if err != nil {
-		return 0, err
-	}
-	written := 0
-	for written < len(data) {
-		pos := off + int64(written)
-		blk := pos / fileservice.BlockSize
-		within := int(pos % fileservice.BlockSize)
-		chunk := fileservice.BlockSize - within
-		if chunk > len(data)-written {
-			chunk = len(data) - written
-		}
-		key := clientKey{file: id, blk: blk}
-		buf, ok := a.cache.Get(key)
-		if !ok {
-			buf = make([]byte, fileservice.BlockSize)
-			if blk*fileservice.BlockSize < size {
-				base, err := a.machine.files.ReadAtCtx(ctx, id, blk*fileservice.BlockSize, fileservice.BlockSize)
-				if err != nil {
-					return written, err
-				}
-				copy(buf, base)
-			}
-		}
-		copy(buf[within:], data[written:written+chunk])
-		if err := a.cache.Put(key, buf, true); err != nil {
-			return written, err
-		}
-		written += chunk
-	}
-	// Grow the committed size eagerly so Size/GetAttribute reflect the
-	// write even while the data itself is still delayed in the cache.
-	if end := off + int64(len(data)); end > size {
-		if err := a.machine.files.Truncate(id, end); err != nil {
-			return written, err
-		}
-	}
-	return written, nil
 }
 
 // Read reads from the descriptor's cursor, advancing it.
@@ -387,19 +234,4 @@ func (a *FileAgent) GetAttribute(p *Process, fd int) (fit.Attributes, error) {
 		return fit.Attributes{}, fmt.Errorf("%w: %d", ErrNotFile, fd)
 	}
 	return a.machine.files.Attributes(d.file)
-}
-
-// Flush writes all delayed blocks back to the file service.
-func (a *FileAgent) Flush() error {
-	if a.cache == nil {
-		return nil
-	}
-	return a.cache.Flush()
-}
-
-// InvalidateCache drops the client cache (experiments).
-func (a *FileAgent) InvalidateCache() {
-	if a.cache != nil {
-		a.cache.InvalidateAll()
-	}
 }

@@ -1,11 +1,12 @@
-// Package cache provides the buffer-cache machinery used at every level of
-// the facility (§2.2, §5): the client agents, the file service, and the disk
-// service each keep a cache so a request need not descend to the level below.
+// Package cache provides the buffer-cache machinery of the two server-side
+// levels of the facility (§2.2, §5): the file service and the disk service
+// each keep a cache so a request need not descend to the level below. (The
+// client machine's cache is internal/ccache.)
 //
 // A Cache is an LRU map of keys to buffers — its capacity stands for the
 // paper's fragment-pool or block-pool, sized by available memory — with one
 // of two modification policies: delayed-write (dirty buffers flushed on
-// eviction or an explicit Flush, the policy of the file agent) or
+// eviction or an explicit Flush) or
 // write-through (every dirty Put is written back immediately, the policy the
 // file service adds for transaction data).
 //

@@ -31,6 +31,15 @@
 // holder set and converges through its own sweeper — because an ack
 // must be able to land while a recalling operation is still holding the
 // shard's replication order lock.
+//
+// Local mode (Config.Lease == nil) is the same cache with no wire under
+// it: the client cache of an in-process machine (core.Cluster.NewMachine),
+// assumed to be the file's sole basic-file writer. With no lease transport
+// nobody can tell the cache a file changed, so it trusts its blocks but not
+// its size: every read, write, Size and Attributes takes max(inner size,
+// locally buffered growth), which is what lets a file grown by a committed
+// transaction on the same facility be read past its old end. Blocks cached
+// before such a foreign write stay stale until Close or DropLeases.
 package ccache
 
 import (

@@ -1,4 +1,4 @@
-package ccache
+package ccache_test
 
 import (
 	"bytes"
@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
+	"repro/internal/ccache"
 	"repro/internal/core"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
@@ -22,41 +24,41 @@ import (
 
 // TestCodecRoundTrips pins the lease protocol's wire layouts.
 func TestCodecRoundTrips(t *testing.T) {
-	f, cl, mode := uint64(0xdeadbeef), uint64(42), ModeWrite
-	gotF, gotC, gotM, err := DecodeAcquireArgs(AppendAcquireArgs(nil, f, cl, mode))
+	f, cl, mode := uint64(0xdeadbeef), uint64(42), ccache.ModeWrite
+	gotF, gotC, gotM, err := ccache.DecodeAcquireArgs(ccache.AppendAcquireArgs(nil, f, cl, mode))
 	if err != nil || gotF != f || gotC != cl || gotM != mode {
 		t.Fatalf("acquire round trip = %#x %d %d, %v", gotF, gotC, gotM, err)
 	}
-	g := Grant{Ver: 7, Size: 123456, TTL: 1500 * time.Millisecond}
-	gotG, err := DecodeGrant(AppendGrant(nil, g))
+	g := ccache.Grant{Ver: 7, Size: 123456, TTL: 1500 * time.Millisecond}
+	gotG, err := ccache.DecodeGrant(ccache.AppendGrant(nil, g))
 	if err != nil || gotG != g {
 		t.Fatalf("grant round trip = %+v, %v", gotG, err)
 	}
-	gotF, gotC, err = DecodeLeaseIDArgs(AppendLeaseIDArgs(nil, f, cl))
+	gotF, gotC, err = ccache.DecodeLeaseIDArgs(ccache.AppendLeaseIDArgs(nil, f, cl))
 	if err != nil || gotF != f || gotC != cl {
 		t.Fatalf("lease-id round trip = %#x %d, %v", gotF, gotC, err)
 	}
-	gotF, ver, err := DecodeRecall(AppendRecall(nil, f, 9))
+	gotF, ver, err := ccache.DecodeRecall(ccache.AppendRecall(nil, f, 9))
 	if err != nil || gotF != f || ver != 9 {
 		t.Fatalf("recall round trip = %#x %d, %v", gotF, ver, err)
 	}
-	if _, _, _, err := DecodeAcquireArgs([]byte{1, 2}); err == nil {
+	if _, _, _, err := ccache.DecodeAcquireArgs([]byte{1, 2}); err == nil {
 		t.Fatal("short acquire args decoded")
 	}
-	if _, err := DecodeGrant(nil); err == nil {
+	if _, err := ccache.DecodeGrant(nil); err == nil {
 		t.Fatal("empty grant decoded")
 	}
 }
 
 func TestBusyAndLeaseMethodPredicates(t *testing.T) {
-	busy := rpc.Transient(fmt.Errorf("%s: file %#x", busyMarker, 1))
-	if !IsBusy(busy) || IsBusy(nil) || IsBusy(fmt.Errorf("other")) {
-		t.Fatal("IsBusy misclassifies")
+	busy := rpc.Transient(fmt.Errorf("%s: file %#x", ccache.BusyMarker, 1))
+	if !ccache.IsBusy(busy) || ccache.IsBusy(nil) || ccache.IsBusy(fmt.Errorf("other")) {
+		t.Fatal("ccache.IsBusy misclassifies")
 	}
-	if !IsLeaseMethod(MLeaseAcquire) || !IsLeaseMethod(MLeaseRelease) || !IsLeaseMethod(MLeaseAck) {
+	if !ccache.IsLeaseMethod(ccache.MLeaseAcquire) || !ccache.IsLeaseMethod(ccache.MLeaseRelease) || !ccache.IsLeaseMethod(ccache.MLeaseAck) {
 		t.Fatal("lease methods not recognized")
 	}
-	if IsLeaseMethod(MRecall) || IsLeaseMethod(rpcfs.MReadAt) {
+	if ccache.IsLeaseMethod(ccache.MRecall) || ccache.IsLeaseMethod(rpcfs.MReadAt) {
 		t.Fatal("non-lease method recognized")
 	}
 }
@@ -65,7 +67,7 @@ func TestBusyAndLeaseMethodPredicates(t *testing.T) {
 // records is registered, prefixed, and unique.
 func TestMetricNamesAudit(t *testing.T) {
 	seen := map[string]bool{}
-	for _, name := range MetricNames {
+	for _, name := range ccache.MetricNames {
 		if !strings.HasPrefix(name, "ccache.") {
 			t.Errorf("metric %q outside the ccache. namespace", name)
 		}
@@ -74,8 +76,8 @@ func TestMetricNamesAudit(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	if len(MetricNames) != 9 {
-		t.Fatalf("MetricNames has %d entries, want 9 — update the audit with the new metric", len(MetricNames))
+	if len(ccache.MetricNames) != 9 {
+		t.Fatalf("ccache.MetricNames has %d entries, want 9 — update the audit with the new metric", len(ccache.MetricNames))
 	}
 }
 
@@ -83,7 +85,7 @@ func TestMetricNamesAudit(t *testing.T) {
 type rig struct {
 	t     *testing.T
 	core  *core.Cluster
-	srv   *Server
+	srv   *ccache.Server
 	addr  string
 	reads atomic.Int64 // fs.readAt RPCs that reached the file service
 	clk   *fakeClock   // nil for real time
@@ -124,7 +126,7 @@ func newRig(t *testing.T, clk *fakeClock) *rig {
 		return inner(ctx, method, body)
 	}
 	r.srec = obs.New()
-	scfg := ServerConfig{
+	scfg := ccache.ServerConfig{
 		Inner: counted,
 		Size:  func(file uint64) (int64, error) { return c.Files.Size(fileservice.FileID(file)) },
 		Obs:   r.srec,
@@ -132,7 +134,7 @@ func newRig(t *testing.T, clk *fakeClock) *rig {
 	if clk != nil {
 		scfg.Now = clk.Now
 	}
-	srv, err := NewServer(scfg)
+	srv, err := ccache.NewServer(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +155,15 @@ func newRig(t *testing.T, clk *fakeClock) *rig {
 
 // client dials one cached client: push handler wired to Recall, conn-down
 // to DropLeases, lease transport direct over the same connection.
-func (r *rig) client(id uint64) (*Client, *obs.Recorder) {
+func (r *rig) client(id uint64) (*ccache.Client, *obs.Recorder) {
 	r.t.Helper()
-	var ccp atomic.Pointer[Client]
+	var ccp atomic.Pointer[ccache.Client]
 	tr, err := rpc.DialTCP(r.addr,
 		rpc.WithPushHandler(func(method string, body []byte) {
-			if method != MRecall {
+			if method != ccache.MRecall {
 				return
 			}
-			file, ver, err := DecodeRecall(body)
+			file, ver, err := ccache.DecodeRecall(body)
 			if err != nil {
 				return
 			}
@@ -174,16 +176,16 @@ func (r *rig) client(id uint64) (*Client, *obs.Recorder) {
 	r.t.Cleanup(func() { _ = tr.Close() })
 	rcl := rpc.NewClient(tr, id, 8, nil)
 	rec := obs.New()
-	cfg := Config{
+	cfg := ccache.Config{
 		Inner:    &rpcfs.Client{C: rcl},
-		Lease:    &DirectLease{C: rcl},
+		Lease:    &ccache.DirectLease{C: rcl},
 		ClientID: id,
 		Obs:      rec,
 	}
 	if r.clk != nil {
 		cfg.Now = r.clk.Now
 	}
-	cc, err := New(cfg)
+	cc, err := ccache.New(cfg)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestCachedReReadBypassesServer(t *testing.T) {
 	if after := r.reads.Load(); after != before {
 		t.Fatalf("re-reads issued %d read RPCs, want 0", after-before)
 	}
-	if hits := recB.Gauge(MetricHits).Value(); hits < 10 {
+	if hits := recB.Gauge(ccache.MetricHits).Value(); hits < 10 {
 		t.Fatalf("ccache.hits = %d, want >= 10", hits)
 	}
 	// Size is served from the lease too.
@@ -263,7 +265,7 @@ func TestWriteBackOnRecall(t *testing.T) {
 		t.Fatalf("writer still has %d dirty blocks after recall", ccW.DirtyBlocks())
 	}
 	// The reader's data had to come over the wire, not from a stale cache.
-	if recR.Gauge(MetricMisses).Value() == 0 {
+	if recR.Gauge(ccache.MetricMisses).Value() == 0 {
 		t.Fatal("reader reported no miss")
 	}
 }
@@ -279,7 +281,7 @@ func TestRecallStorm(t *testing.T) {
 	if _, err := r.core.Files.WriteAt(id, 0, seed); err != nil {
 		t.Fatal(err)
 	}
-	readers := make([]*Client, nReaders)
+	readers := make([]*ccache.Client, nReaders)
 	recs := make([]*obs.Recorder, nReaders)
 	for i := range readers {
 		readers[i], recs[i] = r.client(uint64(301 + i))
@@ -305,7 +307,7 @@ func TestRecallStorm(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("reader %d read stale data after recall: %v", i, err)
 		}
-		if recs[i].Gauge(MetricRecalls).Value() == 0 {
+		if recs[i].Gauge(ccache.MetricRecalls).Value() == 0 {
 			t.Fatalf("reader %d never processed a recall push", i)
 		}
 	}
@@ -318,7 +320,7 @@ func TestRecallStorm(t *testing.T) {
 func TestConcurrentRecallReadStress(t *testing.T) {
 	r := newRig(t, nil)
 	id := r.create("/cc/stress")
-	region := 4 * BlockSize
+	region := 4 * ccache.BlockSize
 
 	seed := bytes.Repeat([]byte{0xAA}, region)
 	if _, err := r.core.Files.WriteAt(id, 0, seed); err != nil {
@@ -353,7 +355,7 @@ func TestConcurrentRecallReadStress(t *testing.T) {
 	for i := 0; i < nReaders; i++ {
 		cc, _ := r.client(uint64(601 + i))
 		wg.Add(1)
-		go func(i int, cc *Client) {
+		go func(i int, cc *ccache.Client) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(i)))
 			for {
@@ -419,8 +421,8 @@ func TestExpiredLeaseNeverServesStale(t *testing.T) {
 
 	// Let the lease lapse on both clocks; the sweeper path drops it
 	// without any callback traffic.
-	clk.Advance(DefaultTTL + time.Second)
-	r.srv.sweepOnce()
+	clk.Advance(ccache.DefaultTTL + time.Second)
+	r.srv.SweepOnce()
 	if n := r.srv.Holders(uint64(id)); n != 0 {
 		t.Fatalf("holders after sweep = %d, want 0", n)
 	}
@@ -441,7 +443,7 @@ func TestExpiredLeaseNeverServesStale(t *testing.T) {
 
 	// Reconnect flavor: revoke local state wholesale (the conn-down hook)
 	// after another remote write, then read again.
-	clk.Advance(DefaultTTL + time.Second)
+	clk.Advance(ccache.DefaultTTL + time.Second)
 	fresh2 := bytes.Repeat([]byte("newer!!!"), 1024)
 	if _, err := cc2.WriteAt(id, 0, fresh2); err != nil {
 		t.Fatal(err)
@@ -483,7 +485,7 @@ func TestLeaseBufferBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if recA.Gauge(MetricRecalls).Value() == 0 || recB.Gauge(MetricRecalls).Value() == 0 {
+	if recA.Gauge(ccache.MetricRecalls).Value() == 0 || recB.Gauge(ccache.MetricRecalls).Value() == 0 {
 		t.Fatal("lease churn produced no recalls — the test lost its subject")
 	}
 	// The server worker recycles request bodies slightly after replies
@@ -513,7 +515,7 @@ func TestLocalModeMirrorsFileService(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	cached, err := New(Config{Inner: c.Files})
+	cached, err := ccache.New(ccache.Config{Inner: c.Files})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +544,7 @@ func TestLocalModeMirrorsFileService(t *testing.T) {
 
 	// Regression: aligned-offset write whose end falls mid-block must
 	// preserve the existing tail bytes of that same block (RMW fetch).
-	full := bytes.Repeat([]byte("tailtail"), BlockSize/8)
+	full := bytes.Repeat([]byte("tailtail"), ccache.BlockSize/8)
 	if _, err := c.Files.WriteAt(idP, 0, full); err != nil {
 		t.Fatal(err)
 	}
@@ -559,11 +561,11 @@ func TestLocalModeMirrorsFileService(t *testing.T) {
 	check("aligned-head RMW")
 
 	rng := rand.New(rand.NewSource(7))
-	span := int64(6 * BlockSize)
+	span := int64(6 * ccache.BlockSize)
 	for i := 0; i < 120; i++ {
 		op := rng.Intn(10)
 		off := rng.Int63n(span)
-		n := rng.Intn(3*BlockSize) + 1
+		n := rng.Intn(3*ccache.BlockSize) + 1
 		switch {
 		case op < 5: // write
 			data := make([]byte, n)
@@ -709,12 +711,12 @@ func TestTruncateCoherent(t *testing.T) {
 		t.Fatalf("B after truncate: %d bytes, %v", len(got), err)
 	}
 	// Growth after shrink: the reclaimed range reads as zeros everywhere.
-	if _, err := ccA.WriteAt(id, int64(BlockSize), []byte("far")); err != nil {
+	if _, err := ccA.WriteAt(id, int64(ccache.BlockSize), []byte("far")); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]byte, BlockSize+3)
+	want := make([]byte, ccache.BlockSize+3)
 	copy(want, data[:100])
-	copy(want[BlockSize:], "far")
+	copy(want[ccache.BlockSize:], "far")
 	gotA, err := ccA.ReadAt(id, 0, len(want))
 	if err != nil || !bytes.Equal(gotA, want) {
 		t.Fatalf("A hole read: %v", err)
@@ -725,5 +727,118 @@ func TestTruncateCoherent(t *testing.T) {
 	gotB, err := ccB.ReadAt(id, 0, len(want))
 	if err != nil || !bytes.Equal(gotB, want) {
 		t.Fatalf("B hole read: %v", err)
+	}
+}
+
+// TestDirtyHighWater: nothing evicts a dirty block, so a writer that never
+// closes must not grow without bound — at DefaultBlocks dirty blocks the next
+// write puts its file back first. Both modes: the in-process machine's cache
+// and a lease holder against a live server.
+func TestDirtyHighWater(t *testing.T) {
+	r := newRig(t, nil)
+	local, err := ccache.New(ccache.Config{Inner: r.core.Files})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased, _ := r.client(1201)
+	for name, cc := range map[string]*ccache.Client{"local": local, "leased": leased} {
+		t.Run(name, func(t *testing.T) {
+			id := r.create("/cc/highwater/" + name)
+			const blocks = 2 * ccache.DefaultBlocks
+			buf := make([]byte, ccache.BlockSize)
+			stamp := func(blk int) []byte {
+				for i := range buf {
+					buf[i] = byte(blk + i)
+				}
+				buf[0], buf[1] = byte(blk), byte(blk>>8)
+				return buf
+			}
+			for blk := 0; blk < blocks; blk++ {
+				if _, err := cc.WriteAt(id, int64(blk)*ccache.BlockSize, stamp(blk)); err != nil {
+					t.Fatalf("write of block %d: %v", blk, err)
+				}
+				if d := cc.DirtyBlocks(); d > ccache.DefaultBlocks {
+					t.Fatalf("after block %d: %d dirty blocks, high-water mark is %d", blk, d, ccache.DefaultBlocks)
+				}
+			}
+			if cc.DirtyBlocks() == 0 {
+				t.Fatal("nothing left buffered: the high-water flush must not turn the cache write-through")
+			}
+			for blk := 0; blk < blocks; blk++ {
+				got, err := cc.ReadAt(id, int64(blk)*ccache.BlockSize, ccache.BlockSize)
+				if err != nil || !bytes.Equal(got, stamp(blk)) {
+					t.Fatalf("block %d reads back wrong (%d bytes, %v)", blk, len(got), err)
+				}
+			}
+		})
+	}
+}
+
+// heldSize is a file service whose next Size call, once armed, takes its
+// answer and then waits to deliver it.
+type heldSize struct {
+	agent.FileService
+	armed   atomic.Bool
+	asked   chan struct{}
+	deliver chan struct{}
+}
+
+func (h *heldSize) Size(id fileservice.FileID) (int64, error) {
+	size, err := h.FileService.Size(id)
+	if h.armed.CompareAndSwap(true, false) {
+		h.asked <- struct{}{}
+		<-h.deliver
+	}
+	return size, err
+}
+
+// TestLocalSizeAnswerOlderThanOwnFlush: local mode asks the inner size
+// outside its lock. If the answer was taken before this same cache flushed
+// growth (and dropped the blocks), believing it would shrink the file under
+// a second writer, whose partial-block write would then skip the
+// read-modify-write fetch and put zeros over the flushed bytes.
+func TestLocalSizeAnswerOlderThanOwnFlush(t *testing.T) {
+	r := newRig(t, nil)
+	inner := &heldSize{FileService: r.core.Files, asked: make(chan struct{}), deliver: make(chan struct{})}
+	cc, err := ccache.New(ccache.Config{Inner: inner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := r.create("/cc/heldsize")
+	const bs = ccache.BlockSize
+	if _, err := r.core.Files.WriteAt(id, 0, bytes.Repeat([]byte("s"), bs)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The second writer asks the size (one block) and is held there.
+	inner.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := cc.WriteAt(id, 2*bs+100, []byte("AAAA"))
+		done <- err
+	}()
+	<-inner.asked
+	// Meanwhile the first grows the file by two blocks, flushes, and its
+	// clean blocks are dropped.
+	if _, err := cc.WriteAt(id, bs, bytes.Repeat([]byte("B"), 2*bs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.FlushFile(id); err != nil {
+		t.Fatal(err)
+	}
+	cc.DropLeases(nil)
+	close(inner.deliver)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := bytes.Repeat([]byte("B"), bs)
+	copy(want[100:], "AAAA")
+	got, err := r.core.Files.ReadAt(id, 2*bs, bs)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("block 2 after both writers: %d bytes, first %q (err %v); the flushed growth was overwritten", len(got), got[:8], err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agent"
@@ -19,8 +20,9 @@ import (
 // so a cached block is exactly one server-side block.
 const BlockSize = fileservice.BlockSize
 
-// DefaultBlocks is the cache capacity in blocks. Dirty blocks are never
-// evicted, so the cap is soft while unflushed writes accumulate.
+// DefaultBlocks is the cache capacity in blocks, and the dirty high-water
+// mark: dirty blocks are never evicted, so a write that would take the
+// cache's dirty count past it writes its file back first.
 const DefaultBlocks = 1024
 
 // FlushSink receives write-back traffic: the dirty runs a flush pushes
@@ -51,9 +53,10 @@ type Config struct {
 	// router, an rpcfs client, or — in local mode — the file service
 	// itself). Required.
 	Inner agent.FileService
-	// Lease is the lease-protocol transport. Nil selects local mode: no
-	// coherence traffic at all, valid only when this cache is the file's
-	// sole writer (single-client rigs; the E18 write-back scenarios).
+	// Lease is the lease-protocol transport. Nil selects local mode (see
+	// the package comment): no coherence traffic at all, valid only when
+	// this cache is the file's sole basic-file writer (the in-process
+	// machine of core.Cluster.NewMachine; the E18 write-back scenarios).
 	Lease LeaseTransport
 	// ClientID identifies this cache to the server's lease table. It
 	// must equal the rpc client identity the cache's reads, writes, and
@@ -115,6 +118,12 @@ type Client struct {
 	mu    sync.Mutex
 	files map[fileservice.FileID]*fileState
 	total int // cached blocks across all files
+	dirty int // of which dirty; held at or under DefaultBlocks by writeAt
+	// innerSeq counts the times this cache itself moved a file's size on
+	// the inner service (a flush, a truncate; bumped under mu). Local mode
+	// reads the inner size outside mu; an answer that straddles such a move
+	// may predate growth that is no longer buffered here, and is asked again.
+	innerSeq atomic.Uint64
 	// epochGen mints file-state epochs. Every epoch value — including a
 	// freshly created state's — is globally unique for this client, so a
 	// state deleted by a recall and recreated while an acquire was in
@@ -173,14 +182,15 @@ func (c *Client) leasedLocked(st *fileState, mode byte) bool {
 	if st.mode == 0 || (mode == ModeWrite && st.mode != ModeWrite) {
 		return false
 	}
-	return c.now().Before(st.expires)
+	return c.lease == nil || c.now().Before(st.expires)
 }
 
 // ensureLease acquires (or renews) a lease of the given mode, retrying
 // through the server's transient recall-in-progress refusals.
 func (c *Client) ensureLease(id fileservice.FileID, mode byte) error {
 	if c.lease == nil {
-		return c.ensureLocal(id, mode)
+		_, err := c.ensureLocal(id, mode)
+		return err
 	}
 	c.mu.Lock()
 	epoch := c.state(id).epoch
@@ -213,29 +223,34 @@ func (c *Client) ensureLease(id fileservice.FileID, mode byte) error {
 	return lastErr
 }
 
-// ensureLocal synthesizes an effectively eternal lease in local mode,
-// where this cache is the file's only client and coherence is trivial.
-func (c *Client) ensureLocal(id fileservice.FileID, mode byte) error {
-	c.mu.Lock()
-	st := c.state(id)
-	if st.mode == 0 {
-		c.mu.Unlock()
+// ensureLocal is local mode's lease: with no transport nobody can recall
+// it, so it never expires, but nobody can tell this cache that the file
+// grew either, so every operation comes through here and re-asks the inner
+// size (the package comment's size rule). It returns the file's size:
+// max(inner size, locally buffered growth).
+func (c *Client) ensureLocal(id fileservice.FileID, mode byte) (int64, error) {
+	for {
+		seq := c.innerSeq.Load()
 		size, err := c.inner.Size(id)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		c.mu.Lock()
-		st = c.state(id)
-		if st.mode == 0 {
+		if seq != c.innerSeq.Load() {
+			c.mu.Unlock()
+			continue
+		}
+		st := c.state(id)
+		if st.ndirty == 0 || size > st.size {
 			st.size = size
 		}
+		if st.mode != ModeWrite {
+			st.mode = mode
+		}
+		size = st.size
+		c.mu.Unlock()
+		return size, nil
 	}
-	if mode == ModeWrite || st.mode == 0 {
-		st.mode = mode
-	}
-	st.expires = c.now().Add(1000 * time.Hour)
-	c.mu.Unlock()
-	return nil
 }
 
 // install applies a grant, unless the file's epoch moved while the
@@ -377,6 +392,11 @@ func (c *Client) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64
 }
 
 func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
+	if c.lease == nil {
+		if _, err := c.ensureLocal(id, ModeRead); err != nil {
+			return c.readInner(ctx, id, off, n)
+		}
+	}
 	for attempt := 0; attempt < 4; attempt++ {
 		c.mu.Lock()
 		st := c.files[id]
@@ -515,6 +535,13 @@ func (c *Client) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int6
 
 func (c *Client) writeAt(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	end := off + int64(len(data))
+	firstBlk, lastBlk := off/BlockSize, (end-1)/BlockSize
+	if c.lease == nil {
+		if _, err := c.ensureLocal(id, ModeWrite); err != nil {
+			return c.writeInner(ctx, id, off, data)
+		}
+	}
+	flushed := false
 	for attempt := 0; attempt < 4; attempt++ {
 		c.mu.Lock()
 		st := c.files[id]
@@ -525,11 +552,22 @@ func (c *Client) writeAt(ctx context.Context, id fileservice.FileID, off int64, 
 			}
 			continue
 		}
+		if !flushed && c.dirty+c.cleanLocked(st, firstBlk, lastBlk) > DefaultBlocks {
+			// Dirty high-water: nothing evicts a dirty block, so a writer
+			// that never closes writes its file back here instead of growing
+			// without bound. Once per write — a write larger than the mark,
+			// or a mark held by other files, buffers anyway.
+			c.mu.Unlock()
+			if err := c.FlushFile(id); err != nil {
+				return 0, err
+			}
+			flushed = true
+			continue
+		}
 		// Partial edge blocks absent from the cache need their existing
 		// bytes first (read-modify-write) when the file already has data
 		// there; whole-block overwrites and fresh tails do not.
 		var need []int64
-		firstBlk, lastBlk := off/BlockSize, (end-1)/BlockSize
 		if off%BlockSize != 0 && st.blocks[firstBlk] == nil && firstBlk*BlockSize < st.size {
 			// Bytes [firstBlk*BlockSize, off) exist and must be preserved.
 			need = append(need, firstBlk)
@@ -572,6 +610,7 @@ func (c *Client) writeAt(ctx context.Context, id fileservice.FileID, off int64, 
 			if !cb.dirty {
 				cb.dirty = true
 				st.ndirty++
+				c.dirty++
 			}
 			st.gen++
 			cb.gen = st.gen
@@ -590,6 +629,18 @@ func (c *Client) writeAt(ctx context.Context, id fileservice.FileID, off int64, 
 		return 0, err
 	}
 	return c.writeInner(ctx, id, off, data)
+}
+
+// cleanLocked counts the blocks of [first, last] that are not dirty yet —
+// what a write over that range adds to the dirty set. Callers hold mu.
+func (c *Client) cleanLocked(st *fileState, first, last int64) int {
+	n := 0
+	for blk := first; blk <= last; blk++ {
+		if cb := st.blocks[blk]; cb == nil || !cb.dirty {
+			n++
+		}
+	}
+	return n
 }
 
 // fetchBlocks pulls whole blocks into the cache for read-modify-write,
@@ -688,11 +739,13 @@ func (c *Client) FlushFile(id fileservice.FileID) error {
 	}
 	c.rec.Gauge(MetricFlushBlocks).Add(int64(len(flushed)))
 	c.mu.Lock()
+	c.innerSeq.Add(1)
 	if c.files[id] == st {
 		for _, fg := range flushed {
 			if cb := st.blocks[fg.blk]; cb != nil && cb.dirty && cb.gen == fg.gen {
 				cb.dirty = false
 				st.ndirty--
+				c.dirty--
 			}
 		}
 		c.evictLocked()
@@ -728,11 +781,7 @@ func (c *Client) Flush() error {
 func (c *Client) DirtyBlocks() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, st := range c.files {
-		n += st.ndirty
-	}
-	return n
+	return c.dirty
 }
 
 // Recall handles a cc.recall push: revoke the lease immediately (no new
@@ -877,9 +926,8 @@ func (c *Client) Delete(id fileservice.FileID) error {
 	if st := c.files[id]; st != nil {
 		c.epochGen++
 		st.epoch = c.epochGen
-		for range st.blocks {
-			c.total--
-		}
+		c.total -= len(st.blocks)
+		c.dirty -= st.ndirty
 		delete(c.files, id)
 	}
 	c.mu.Unlock()
@@ -903,12 +951,14 @@ func (c *Client) Truncate(id fileservice.FileID, size int64) error {
 		return err
 	}
 	c.mu.Lock()
+	c.innerSeq.Add(1)
 	if st := c.files[id]; st != nil {
 		st.size = size
 		for blk, cb := range st.blocks {
 			if blk*BlockSize >= size {
 				if cb.dirty {
 					st.ndirty--
+					c.dirty--
 				}
 				delete(st.blocks, blk)
 				c.total--
@@ -924,14 +974,17 @@ func (c *Client) Truncate(id fileservice.FileID, size int64) error {
 }
 
 // Attributes implements agent.FileService: a passthrough, with the size
-// overridden by the leased local size so buffered growth is visible.
+// overridden by the leased local size so buffered growth is visible. In
+// local mode the inner answer is the fresh one and only buffered growth
+// can exceed it.
 func (c *Client) Attributes(id fileservice.FileID) (fit.Attributes, error) {
 	attr, err := c.inner.Attributes(id)
 	if err != nil {
 		return attr, err
 	}
 	c.mu.Lock()
-	if st := c.files[id]; st != nil && c.leasedLocked(st, ModeRead) {
+	if st := c.files[id]; st != nil && c.leasedLocked(st, ModeRead) &&
+		(c.lease != nil || (st.ndirty > 0 && uint64(st.size) > attr.Size)) {
 		attr.Size = uint64(st.size)
 	}
 	c.mu.Unlock()
@@ -942,6 +995,9 @@ func (c *Client) Attributes(id fileservice.FileID) (fit.Attributes, error) {
 // RPC — the grant carried the size, and while leased no one else can
 // change it.
 func (c *Client) Size(id fileservice.FileID) (int64, error) {
+	if c.lease == nil {
+		return c.ensureLocal(id, ModeRead)
+	}
 	c.mu.Lock()
 	if st := c.files[id]; st != nil && c.leasedLocked(st, ModeRead) {
 		size := st.size

@@ -1,0 +1,33 @@
+package ccache
+
+import (
+	"fmt"
+
+	"repro/internal/fileservice"
+)
+
+// The tests live in package ccache_test — their rig is built on core.New,
+// and core imports this package — so the few unexported things they touch
+// are exported here, to them only.
+
+// BusyMarker is the recall-in-progress marker IsBusy matches.
+const BusyMarker = busyMarker
+
+// SweepOnce runs one pass of the server's lease sweeper.
+func (s *Server) SweepOnce() { s.sweepOnce() }
+
+// DebugState describes one file's cache state for a failing test's log.
+func (c *Client) DebugState(id fileservice.FileID) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.files[id]
+	if st == nil {
+		return "no state"
+	}
+	desc := fmt.Sprintf("mode=%d ver=%d ndirty=%d expires-live=%v blocks=%d",
+		st.mode, st.ver, st.ndirty, c.now().Before(st.expires), len(st.blocks))
+	if cb := st.blocks[0]; cb != nil {
+		desc += fmt.Sprintf(" block0=%d", cb.data[0])
+	}
+	return desc
+}

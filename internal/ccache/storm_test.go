@@ -1,13 +1,14 @@
-package ccache
+package ccache_test
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/ccache"
 )
 
-// TestRecallStormConvergence is the in-package mirror of the E23
+// TestRecallStormConvergence is the package-level mirror of the E23
 // recall-storm cell: one writer pushing rounds of conflicting writes
 // through a population of hot readers. It regression-pins two bugs the
 // cell originally flushed out: a recall deleting an empty file state
@@ -23,7 +24,7 @@ func TestRecallStormConvergence(t *testing.T) {
 	}
 	writer, _ := r.client(1)
 	const readers = 7
-	ccs := make([]*Client, readers)
+	ccs := make([]*ccache.Client, readers)
 	for i := range ccs {
 		ccs[i], _ = r.client(uint64(10 + i))
 	}
@@ -34,7 +35,7 @@ func TestRecallStormConvergence(t *testing.T) {
 	var readOps atomic.Int64
 	for i, cc := range ccs {
 		wg.Add(1)
-		go func(i int, cc *Client) {
+		go func(i int, cc *ccache.Client) {
 			defer wg.Done()
 			for {
 				select {
@@ -80,35 +81,14 @@ func TestRecallStormConvergence(t *testing.T) {
 	}
 	t.Logf("server byte0=%d want=%d, holders=%d, readOps=%d", got[0], rounds-1, r.srv.Holders(uint64(f)), readOps.Load())
 	t.Logf("server metrics: grants=%d recalls=%d broken=%d expired=%d",
-		r.srec.Gauge(MetricLeaseGrants).Value(), r.srec.Gauge(MetricLeaseRecalls).Value(),
-		r.srec.Gauge(MetricLeaseBroken).Value(), r.srec.Gauge(MetricLeaseExpired).Value())
+		r.srec.Gauge(ccache.MetricLeaseGrants).Value(), r.srec.Gauge(ccache.MetricLeaseRecalls).Value(),
+		r.srec.Gauge(ccache.MetricLeaseBroken).Value(), r.srec.Gauge(ccache.MetricLeaseExpired).Value())
 
-	// Writer residual state.
-	writer.mu.Lock()
-	if st := writer.files[f]; st != nil {
-		t.Logf("writer: mode=%d ver=%d ndirty=%d blocks=%d", st.mode, st.ver, st.ndirty, len(st.blocks))
-	} else {
-		t.Log("writer: no state")
-	}
-	writer.mu.Unlock()
+	t.Logf("writer: %s", writer.DebugState(f))
 
 	stale := false
 	for i, cc := range ccs {
-		cc.mu.Lock()
-		var desc string
-		if st := cc.files[f]; st != nil {
-			cached := byte(0)
-			has := false
-			if cb := st.blocks[0]; cb != nil {
-				cached = cb.data[0]
-				has = true
-			}
-			desc = fmt.Sprintf("mode=%d ver=%d expires-live=%v blocks=%d block0=%v val=%d",
-				st.mode, st.ver, cc.now().Before(st.expires), len(st.blocks), has, cached)
-		} else {
-			desc = "no state"
-		}
-		cc.mu.Unlock()
+		desc := cc.DebugState(f)
 		out, err := cc.ReadAt(f, 0, 1)
 		if err != nil {
 			t.Fatalf("reader %d final read: %v", i, err)

@@ -201,7 +201,7 @@ func (r *rig) router(t *testing.T, clientID uint64) *Router {
 func TestRouterFileOpsAcrossShards(t *testing.T) {
 	r := newRig(t, 3, 0)
 	rt := r.router(t, 100)
-	m, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt, DisableClientCache: true})
+	m, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt})
 	if err != nil {
 		t.Fatal(err)
 	}

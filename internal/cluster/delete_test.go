@@ -52,7 +52,7 @@ func TestRoutedDeleteIsTwoRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown()
-	m, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt, DisableClientCache: true})
+	m, err := agent.NewMachine(agent.MachineConfig{Naming: rt, Files: rt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,7 +282,7 @@ func (s *Service) handleReplHeartbeat() ([]byte, error) {
 }
 
 // touch records that the primary was heard from just now.
-func (s *Service) touch() { s.lastHeard.Store(s.now().UnixNano()) }
+func (s *Service) touch() { s.lastHeard.Store(time.Now().UnixNano()) }
 
 // heartbeatLoop keeps the backup's watchdog quiet while the primary is
 // idle. It exits once the stream is down or the primary is deposed — both
@@ -336,7 +336,7 @@ func (s *Service) watchdogLoop() {
 		if last == 0 {
 			continue
 		}
-		gap := s.now().UnixNano() - last
+		gap := time.Now().UnixNano() - last
 		s.rec.Gauge(MetricReplHeartbeatGap).Set(gap)
 		if gap >= int64(r.ttl) {
 			s.promote()
@@ -352,7 +352,7 @@ func (s *Service) promote() {
 	if !s.role.CompareAndSwap(int32(RoleBackup), int32(RolePrimary)) {
 		return
 	}
-	silence := time.Duration(s.now().UnixNano() - s.lastHeard.Load())
+	silence := time.Duration(time.Now().UnixNano() - s.lastHeard.Load())
 	s.updateMap(func(m *Map) {
 		m.Endpoints[s.shard] = s.self
 		if s.shard < len(m.Backups) {

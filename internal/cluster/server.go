@@ -56,8 +56,6 @@ type ServiceConfig struct {
 	Locks *lock.Manager
 	// LeaseTTL is the client lease duration (DefaultLeaseTTL when zero).
 	LeaseTTL time.Duration
-	// Now is the lease clock; nil means time.Now.
-	Now func() time.Time
 	// Fault is consulted at PtLeaseSweep, PtReplShip, and PtReplAck.
 	// Optional.
 	Fault *fault.Injector
@@ -90,7 +88,6 @@ type Service struct {
 	locks  *lock.Manager
 	leases *LeaseTable
 	inj    *fault.Injector
-	now    func() time.Time
 	rec    *obs.Recorder
 
 	// The served map is mutable: promotion, fencing, and a lost backup
@@ -128,10 +125,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	m := cfg.Map.Clone()
 	s := &Service{
 		shard:   cfg.Shard,
@@ -142,12 +135,11 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		rec:     cfg.Obs,
 		locks:   cfg.Locks,
 		inj:     cfg.Fault,
-		now:     now,
 		stop:    make(chan struct{}),
 	}
 	s.role.Store(int32(cfg.Role))
 	if cfg.Locks != nil {
-		s.leases = NewLeaseTable(ttl, cfg.Now)
+		s.leases = NewLeaseTable(ttl, nil)
 		s.wg.Add(1)
 		go s.sweep(ttl / 4)
 	}

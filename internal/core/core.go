@@ -2,7 +2,7 @@
 // Figure 1: simulated drives with stable-storage mirrors at the bottom, one
 // disk server per drive, the basic file service and the transaction service
 // (with its write-ahead log) above them, the naming service beside them, and
-// per-machine client agents on top.
+// per-machine client agents on top, each over its machine's client cache.
 //
 // A Cluster is one facility instance. It can be crashed and rebooted
 // (Cluster.Crash), which discards all volatile state and remounts everything
@@ -13,9 +13,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/ccache"
 	"repro/internal/device"
 	"repro/internal/diskservice"
 	"repro/internal/fault"
@@ -83,7 +85,7 @@ type Config struct {
 	AllowMixedLevels bool
 	// Ablations.
 	DisableReadAhead   bool // disk-service track cache off (E5)
-	DisableClientCache bool // file-agent cache off (E6)
+	DisableClientCache bool // machines get no client cache (E6)
 	// Fault is the deterministic fault injector threaded through the storage
 	// stack (devices, stable stores, the WAL, the commit sequence, parity
 	// rebuild). It survives Crash remounts, so a schedule armed before the
@@ -142,6 +144,11 @@ type Cluster struct {
 	parity     *parity.Array // nil unless LayoutParity
 	locks      *lock.Manager
 	sweeper    *lock.Sweeper
+
+	// caches are the client caches of the machines NewMachine built, kept so
+	// Flush and InvalidateCaches reach every cache level.
+	cacheMu sync.Mutex
+	caches  []*ccache.Client
 }
 
 // New builds a fresh cluster (all disks formatted).
@@ -282,16 +289,35 @@ func (c *Cluster) buildServices(fresh bool) error {
 	return err
 }
 
-// NewMachine creates a client machine attached to the cluster's services.
+// NewMachine creates a client machine attached to the cluster's services,
+// the in-process counterpart of node.Client.NewMachine: the agents over the
+// machine's client cache (§5) — a local-mode ccache.Client, there being no
+// wire for a lease to cross — over the file service.
 func (c *Cluster) NewMachine() (*agent.Machine, error) {
+	var files agent.FileService = c.Files
+	if !c.cfg.DisableClientCache {
+		cc, err := ccache.New(ccache.Config{Inner: c.Files, Obs: c.cfg.Obs})
+		if err != nil {
+			return nil, err
+		}
+		c.cacheMu.Lock()
+		c.caches = append(c.caches, cc)
+		c.cacheMu.Unlock()
+		files = cc
+	}
 	return agent.NewMachine(agent.MachineConfig{
-		Naming:             c.Naming,
-		Files:              c.Files,
-		Txns:               c.Txns,
-		Metrics:            c.cfg.Metrics,
-		DisableClientCache: c.cfg.DisableClientCache,
-		Obs:                c.cfg.Obs,
+		Naming: c.Naming,
+		Files:  files,
+		Txns:   c.Txns,
+		Obs:    c.cfg.Obs,
 	})
+}
+
+// clientCaches returns the caches of the machines built so far.
+func (c *Cluster) clientCaches() []*ccache.Client {
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
+	return c.caches // appended to, never written in place
 }
 
 // Obs returns the observability recorder, or nil when tracing is disabled.
@@ -356,6 +382,9 @@ func (c *Cluster) Makespan() time.Duration {
 
 // InvalidateCaches drops every cache level (cold-start for experiments).
 func (c *Cluster) InvalidateCaches() {
+	for _, cc := range c.clientCaches() {
+		cc.DropLeases(nil) // clean blocks go; delayed writes stay for Flush
+	}
 	c.Files.InvalidateCaches()
 	c.Files.DropFITCache()
 }
@@ -365,6 +394,9 @@ func (c *Cluster) InvalidateCaches() {
 // and stable storage survive; services are remounted. Run Recover afterwards
 // to redo committed transactions.
 func (c *Cluster) Crash() error {
+	c.cacheMu.Lock()
+	c.caches = nil // the machines died with their delayed writes
+	c.cacheMu.Unlock()
 	c.StopSweeper()
 	c.Txns.Close()
 	c.locks.Close() // volatile lock tables die with the machine
@@ -420,8 +452,14 @@ func (c *Cluster) StableRecoverAll() ([]stable.RecoveryReport, error) {
 	return append(out, rep), nil
 }
 
-// Flush makes all buffered state durable (flush-block all the way down).
+// Flush makes all buffered state durable (flush-block all the way down,
+// starting with the machines' delayed writes).
 func (c *Cluster) Flush() error {
+	for _, cc := range c.clientCaches() {
+		if err := cc.Flush(); err != nil {
+			return err
+		}
+	}
 	if err := c.Files.Flush(); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -163,6 +164,17 @@ func TestE6Shape(t *testing.T) {
 	}
 	if full >= bulletN {
 		t.Errorf("E6: full caching %d refs >= bullet %d", full, bulletN)
+	}
+	// The machine's cache evicts in map order, which must never reach a
+	// virtual-time table: every cell the same on every run.
+	for run := 2; run <= 5; run++ {
+		again, err := E6CacheLevels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Rows, tbl.Rows) {
+			t.Fatalf("E6 run %d differs from run 1:\n%v\n%v", run, again.Rows, tbl.Rows)
+		}
 	}
 }
 

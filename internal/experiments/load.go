@@ -192,12 +192,8 @@ func newLoadRig(serial bool, clients, agentsPerConn int, rec *obs.Recorder) (*lo
 	seed := make([]byte, e20FileSize)
 	for i := 0; i < clients; i++ {
 		cl := &rpcfs.Client{C: rpc.NewClient(transports[i/agentsPerConn], uint64(i+1), 10, c.Metrics)}
-		m, err := agent.NewMachine(agent.MachineConfig{
-			Naming:             c.Naming,
-			Files:              cl,
-			DisableClientCache: true, // every timed op must cross the wire
-			Obs:                rec,
-		})
+		// No client cache under the agent: every timed op must cross the wire.
+		m, err := agent.NewMachine(agent.MachineConfig{Naming: c.Naming, Files: cl, Obs: rec})
 		if err != nil {
 			return fail(err)
 		}

@@ -32,8 +32,6 @@ const (
 	TrackCacheMiss  = "disk.track_cache.miss"
 	ServerCacheHit  = "fs.cache.hit"
 	ServerCacheMiss = "fs.cache.miss"
-	AgentCacheHit   = "agent.cache.hit"
-	AgentCacheMiss  = "agent.cache.miss"
 
 	// File-service miss fetches by class — one that continues a sequential
 	// stream fetches the whole contiguous run, any other the request's blocks

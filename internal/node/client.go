@@ -78,17 +78,12 @@ func Dial(cfg ClientConfig) (*Client, error) {
 }
 
 // NewMachine creates an agent machine over the stack, the wire counterpart
-// of core.Cluster.NewMachine. The file agent's own block cache is off: the
-// coherent cache, when asked for, is this stack's client cache, and without
-// it every operation crosses the wire. Construction registers the machine's
-// devices with the naming service, so shard 0 must be reachable.
+// of core.Cluster.NewMachine: the agents over this stack's client cache when
+// it has one, and without it every operation crosses the wire. Construction
+// registers the machine's devices with the naming service, so shard 0 must
+// be reachable.
 func (c *Client) NewMachine() (*agent.Machine, error) {
-	return agent.NewMachine(agent.MachineConfig{
-		Naming:             c.Router,
-		Files:              c.Files,
-		DisableClientCache: true,
-		Obs:                c.rec,
-	})
+	return agent.NewMachine(agent.MachineConfig{Naming: c.Router, Files: c.Files, Obs: c.rec})
 }
 
 // Close writes back whatever the cache still holds dirty and hands its

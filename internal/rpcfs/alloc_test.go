@@ -1,4 +1,4 @@
-package rpcfs
+package rpcfs_test
 
 import (
 	"bytes"

@@ -1,4 +1,4 @@
-package rpcfs
+package rpcfs_test
 
 import (
 	"context"
@@ -11,12 +11,13 @@ import (
 	"repro/internal/fit"
 	"repro/internal/naming"
 	"repro/internal/rpc"
+	"repro/internal/rpcfs"
 )
 
 // fuzzMethods is every method the server dispatches.
 var fuzzMethods = []string{
-	MCreate, MOpen, MClose, MDelete, MReadAt, MWriteAt, MTruncate, MAttr, MSize,
-	MResolve, MRegister, MUnregister, MUnregisterSys, MList, MResolveQuery,
+	rpcfs.MCreate, rpcfs.MOpen, rpcfs.MClose, rpcfs.MDelete, rpcfs.MReadAt, rpcfs.MWriteAt, rpcfs.MTruncate, rpcfs.MAttr, rpcfs.MSize,
+	rpcfs.MResolve, rpcfs.MRegister, rpcfs.MUnregister, rpcfs.MUnregisterSys, rpcfs.MList, rpcfs.MResolveQuery,
 }
 
 // newHandler serves a small facility holding one file with the returned
@@ -36,7 +37,7 @@ func newHandler(tb testing.TB) (h rpc.Link, id uint64, contents string) {
 	if _, err := c.Files.WriteAt(fid, 0, []byte(contents)); err != nil {
 		tb.Fatal(err)
 	}
-	return (&Server{Files: c.Files, Naming: c.Naming}).HandlerCtx(), uint64(fid), contents
+	return (&rpcfs.Server{Files: c.Files, Naming: c.Naming}).HandlerCtx(), uint64(fid), contents
 }
 
 // readAtBody hand-encodes an fs.readAt argument: id, off, n as the peer
@@ -52,12 +53,12 @@ func readAtBody(id uint64, off int64, n uint64) []byte {
 // must read the file's tail like any other over-long read.
 func TestReadAtLengthOverflow(t *testing.T) {
 	h, id, contents := newHandler(t)
-	out, err := h(context.Background(), MReadAt, readAtBody(id, 1, math.MaxInt64))
+	out, err := h(context.Background(), rpcfs.MReadAt, readAtBody(id, 1, math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r BytesReply
-	if err := unmarshalPayload(out, &r); err != nil {
+	var r rpcfs.BytesReply
+	if err := rpcfs.UnmarshalPayload(out, &r); err != nil {
 		t.Fatal(err)
 	}
 	if string(r.Data) != contents[1:] {
@@ -89,18 +90,18 @@ func TestReadAtReplyFraming(t *testing.T) {
 		{0, math.MaxInt64, contents},
 		{size, math.MaxInt64, ""},
 	} {
-		out, err := h(context.Background(), MReadAt, readAtBody(id, c.off, c.n))
+		out, err := h(context.Background(), rpcfs.MReadAt, readAtBody(id, c.off, c.n))
 		if err != nil {
 			t.Fatalf("readAt(%d, %d): %v", c.off, c.n, err)
 		}
-		if len(out) < blobHeaderLen || int(binary.BigEndian.Uint32(out)) != len(out)-blobHeaderLen {
-			t.Fatalf("readAt(%d, %d): reply % x: header does not count the %d bytes after it", c.off, c.n, out, len(out)-blobHeaderLen)
+		if len(out) < rpcfs.BlobHeaderLen || int(binary.BigEndian.Uint32(out)) != len(out)-rpcfs.BlobHeaderLen {
+			t.Fatalf("readAt(%d, %d): reply % x: header does not count the %d bytes after it", c.off, c.n, out, len(out)-rpcfs.BlobHeaderLen)
 		}
-		if got := string(out[blobHeaderLen:]); got != c.want {
+		if got := string(out[rpcfs.BlobHeaderLen:]); got != c.want {
 			t.Fatalf("readAt(%d, %d) = %q, want %q", c.off, c.n, got, c.want)
 		}
 		// The bytes are what the codec's own encoder produces for the data.
-		if ref, _ := appendPayload(nil, BytesReply{Data: []byte(c.want)}); string(ref) != string(out) {
+		if ref, _ := rpcfs.AppendPayload(nil, rpcfs.BytesReply{Data: []byte(c.want)}); string(ref) != string(out) {
 			t.Fatalf("readAt(%d, %d): reply % x, encoder gives % x", c.off, c.n, out, ref)
 		}
 	}
@@ -121,33 +122,33 @@ func FuzzServerHandler(f *testing.F) {
 		method string
 		v      any
 	}{
-		{MCreate, CreateArgs{Path: "/fuzz/created"}},
-		{MOpen, IDArgs{ID: id}},
-		{MClose, IDArgs{ID: id}},
-		{MReadAt, ReadAtArgs{ID: id, Off: 3, N: 8}},
-		{MWriteAt, WriteAtArgs{ID: id, Off: 5, Data: []byte("fuzz")}},
-		{MTruncate, TruncateArgs{ID: id, Size: 10}},
-		{MAttr, IDArgs{ID: id}},
-		{MSize, IDArgs{ID: id}},
-		{MRegister, RegisterArgs{Entry: entry}},
-		{MResolve, PathArgs{Path: "/fuzz/entry"}},
-		{MResolveQuery, QueryArgs{Query: entry.Name}},
-		{MList, PathArgs{Path: "/fuzz"}},
-		{MUnregisterSys, UnregisterSysArgs{Type: uint8(naming.FileObject), Sys: id}},
-		{MDelete, IDArgs{ID: id + 1}},
+		{rpcfs.MCreate, rpcfs.CreateArgs{Path: "/fuzz/created"}},
+		{rpcfs.MOpen, rpcfs.IDArgs{ID: id}},
+		{rpcfs.MClose, rpcfs.IDArgs{ID: id}},
+		{rpcfs.MReadAt, rpcfs.ReadAtArgs{ID: id, Off: 3, N: 8}},
+		{rpcfs.MWriteAt, rpcfs.WriteAtArgs{ID: id, Off: 5, Data: []byte("fuzz")}},
+		{rpcfs.MTruncate, rpcfs.TruncateArgs{ID: id, Size: 10}},
+		{rpcfs.MAttr, rpcfs.IDArgs{ID: id}},
+		{rpcfs.MSize, rpcfs.IDArgs{ID: id}},
+		{rpcfs.MRegister, rpcfs.RegisterArgs{Entry: entry}},
+		{rpcfs.MResolve, rpcfs.PathArgs{Path: "/fuzz/entry"}},
+		{rpcfs.MResolveQuery, rpcfs.QueryArgs{Query: entry.Name}},
+		{rpcfs.MList, rpcfs.PathArgs{Path: "/fuzz"}},
+		{rpcfs.MUnregisterSys, rpcfs.UnregisterSysArgs{Type: uint8(naming.FileObject), Sys: id}},
+		{rpcfs.MDelete, rpcfs.IDArgs{ID: id + 1}},
 	} {
-		body, err := appendPayload(nil, args.v)
+		body, err := rpcfs.AppendPayload(nil, args.v)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(uint8(methodIndex(f, args.method)), body)
 	}
-	f.Add(uint8(methodIndex(f, MReadAt)), readAtBody(id, 1, math.MaxInt64))
+	f.Add(uint8(methodIndex(f, rpcfs.MReadAt)), readAtBody(id, 1, math.MaxInt64))
 
 	f.Fuzz(func(t *testing.T, m uint8, body []byte) {
 		method := fuzzMethods[int(m)%len(fuzzMethods)]
-		_, _, _ = PathOfRequest(method, body)
-		_, _, _, _ = FileOfRequest(method, body)
+		_, _, _ = rpcfs.PathOfRequest(method, body)
+		_, _, _, _ = rpcfs.FileOfRequest(method, body)
 		_, _ = h(context.Background(), method, body)
 	})
 }

@@ -1,4 +1,4 @@
-package rpcfs
+package rpcfs_test
 
 import (
 	"bytes"
@@ -12,18 +12,19 @@ import (
 	"repro/internal/fit"
 	"repro/internal/metrics"
 	"repro/internal/rpc"
+	"repro/internal/rpcfs"
 )
 
 // newRemote builds a cluster served over loopback TCP and a connected
 // client.
-func newRemote(t *testing.T) (*core.Cluster, *Client) {
+func newRemote(t *testing.T) (*core.Cluster, *rpcfs.Client) {
 	t.Helper()
 	c, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	srv := &Server{Files: c.Files, Naming: c.Naming}
+	srv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
 	ep := endpointOf(srv, c.Metrics)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -36,7 +37,7 @@ func newRemote(t *testing.T) (*core.Cluster, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = tr.Close() })
-	return c, &Client{C: rpc.NewClient(tr, 77, 5, c.Metrics)}
+	return c, &rpcfs.Client{C: rpc.NewClient(tr, 77, 5, c.Metrics)}
 }
 
 func TestRemoteFileOps(t *testing.T) {
@@ -88,10 +89,10 @@ func TestRemoteFileOps(t *testing.T) {
 	if err := cl.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Resolve("/remote/hello"); !IsNotFound(err) {
+	if _, err := cl.Resolve("/remote/hello"); !rpcfs.IsNotFound(err) {
 		t.Fatalf("Resolve after delete = %v, want not-found", err)
 	}
-	if _, err := cl.ReadAt(id, 0, 1); !IsNotFound(err) {
+	if _, err := cl.ReadAt(id, 0, 1); !rpcfs.IsNotFound(err) {
 		t.Fatalf("ReadAt after delete = %v, want not-found", err)
 	}
 }
@@ -132,7 +133,7 @@ func TestFileAgentOverRemoteService(t *testing.T) {
 
 func TestUnknownMethod(t *testing.T) {
 	_, cl := newRemote(t)
-	if err := cl.call(context.Background(), "bogus.method", Empty{}, nil); err == nil {
+	if err := cl.Call(context.Background(), "bogus.method", rpcfs.Empty{}, nil); err == nil {
 		t.Fatal("unknown method succeeded")
 	}
 }
@@ -169,10 +170,10 @@ func TestFileAgentOverLossyNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	srv := &Server{Files: c.Files, Naming: c.Naming}
+	srv := &rpcfs.Server{Files: c.Files, Naming: c.Naming}
 	ep := endpointOf(srv, c.Metrics)
 	tr := rpc.NewInProc(ep, rpc.FaultConfig{DropProb: 0.3, DupProb: 0.3, Seed: 42})
-	cl := &Client{C: rpc.NewClient(tr, 5, 200, c.Metrics)}
+	cl := &rpcfs.Client{C: rpc.NewClient(tr, 5, 200, c.Metrics)}
 	m, err := agent.NewMachine(agent.MachineConfig{Naming: c.Naming, Files: cl})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestFileAgentOverLossyNetwork(t *testing.T) {
 }
 
 // endpointOf serves srv on the ctx request handler, as a node does.
-func endpointOf(srv *Server, met *metrics.Set) *rpc.Endpoint {
+func endpointOf(srv *rpcfs.Server, met *metrics.Set) *rpc.Endpoint {
 	h := srv.HandlerCtx()
 	return rpc.NewEndpoint(func(ctx context.Context, req rpc.Request) ([]byte, error) {
 		return h(ctx, req.Method, req.Body)
