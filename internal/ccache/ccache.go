@@ -40,6 +40,12 @@
 // locally buffered growth), which is what lets a file grown by a committed
 // transaction on the same facility be read past its old end. Blocks cached
 // before such a foreign write stay stale until Close or DropLeases.
+//
+// Write-back, in both modes, goes through one sink shape (FlushSink: all of
+// one file's dirty runs per call) on close, recall, truncate, the dirty
+// high-water mark, a write that cannot get a write lease, or an explicit
+// Flush or FlushFile. No commit path calls it; a flushed run is as durable
+// as the sink's writes.
 package ccache
 
 import (
@@ -67,12 +73,13 @@ const (
 	// ModeRead is a shared lease: cached blocks may be served locally.
 	ModeRead byte = 1
 	// ModeWrite is an exclusive lease: writes may be buffered locally
-	// (delayed write) and flushed on the commit barrier or on recall.
+	// (delayed write) and flushed on close, on recall, or on an explicit
+	// flush.
 	ModeWrite byte = 2
 )
 
-// DefaultTTL is the lease duration when ServerConfig leaves it zero. It
-// is also the staleness bound for a partitioned holder.
+// DefaultTTL is the lease duration every grant carries. It is also the
+// staleness bound for a partitioned holder.
 const DefaultTTL = 2 * time.Second
 
 // DefaultRecallWait bounds how long the server waits for a recalled

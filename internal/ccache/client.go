@@ -25,12 +25,13 @@ const BlockSize = fileservice.BlockSize
 // cache's dirty count past it writes its file back first.
 const DefaultBlocks = 1024
 
-// FlushSink receives write-back traffic: the dirty runs a flush pushes
-// toward stable storage. The default sink is Config.Inner — plain
-// remote writes — which is the only safe sink for a flush installed in
-// a group-commit barrier (see the ordering rule on Config.Sink).
+// FlushSink receives write-back traffic: all of one file's dirty runs,
+// coalesced and in offset order, in one call per flush. A sink may apply
+// them atomically (E18 wraps them in one transaction); the default writes
+// each run to Config.Inner. The sink retries what it wants retried: the
+// default retries each run through recall-in-progress refusals.
 type FlushSink interface {
-	WriteAt(id fileservice.FileID, off int64, data []byte) (int, error)
+	WriteRuns(id fileservice.FileID, runs []Run) error
 }
 
 // Run is one contiguous dirty byte range of a flush.
@@ -39,12 +40,19 @@ type Run struct {
 	Data []byte
 }
 
-// BatchFlushSink is the optional batch form of FlushSink: a sink that
-// implements it receives all of one file's dirty runs in a single call
-// and may apply them atomically (e.g. wrapped in one transaction). The
-// cache prefers it over per-run WriteAt when present.
-type BatchFlushSink interface {
-	FlushFileBatch(id fileservice.FileID, runs []Run) error
+// innerSink is the default FlushSink.
+type innerSink struct{ inner agent.FileService }
+
+func (s innerSink) WriteRuns(id fileservice.FileID, runs []Run) error {
+	for _, r := range runs {
+		if err := retryBusy(func() error {
+			_, err := s.inner.WriteAt(id, r.Off, r.Data)
+			return err
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Config configures a client cache.
@@ -63,16 +71,8 @@ type Config struct {
 	// flushes travel under, so the server can tell a holder's own
 	// write-back from a conflicting client's write. Required with Lease.
 	ClientID uint64
-	// Sink overrides where flushed dirty runs go (default: Inner).
-	//
-	// Ordering rule: a flush installed in txn.GroupCommitConfig.Barrier
-	// runs while the group leader holds the commit path, so its sink
-	// must write directly (plain WriteAts) — a sink that opens its own
-	// transaction would commit inside the barrier and deadlock against
-	// the very group commit the barrier serializes. A transactional sink
-	// (BatchFlushSink wrapping the runs in one transaction) is the other
-	// way around: call Flush explicitly, outside the barrier, and the
-	// sink's commit rides the barrier like any other commit.
+	// Sink overrides where flushed dirty runs go (default: one write per
+	// run to Inner).
 	Sink FlushSink
 	// Obs receives cache telemetry (hits, misses, recalls, flushes) and
 	// op spans. Optional.
@@ -110,7 +110,6 @@ type Client struct {
 	inner    agent.FileService
 	lease    LeaseTransport
 	sink     FlushSink
-	batch    BatchFlushSink
 	clientID uint64
 	rec      *obs.Recorder
 	now      func() time.Time
@@ -148,9 +147,9 @@ func New(cfg Config) (*Client, error) {
 	}
 	sink := cfg.Sink
 	if sink == nil {
-		sink = cfg.Inner
+		sink = innerSink{cfg.Inner}
 	}
-	c := &Client{
+	return &Client{
 		inner:    cfg.Inner,
 		lease:    cfg.Lease,
 		sink:     sink,
@@ -158,9 +157,7 @@ func New(cfg Config) (*Client, error) {
 		rec:      cfg.Obs,
 		now:      now,
 		files:    make(map[fileservice.FileID]*fileState),
-	}
-	c.batch, _ = sink.(BatchFlushSink)
-	return c, nil
+	}, nil
 }
 
 // state returns (creating if needed) the per-file state. Callers hold mu.
@@ -516,8 +513,9 @@ func (c *Client) fillGaps(ctx context.Context, id fileservice.FileID, st *fileSt
 }
 
 // WriteAtCtx implements agent.FileService: under a write lease the data is
-// buffered locally (the paper's delayed write) and written back on the
-// commit barrier, an explicit flush, close, or a recall.
+// buffered locally (the paper's delayed write) and written back on close, a
+// recall, a truncate, the dirty high-water mark, a write that cannot get a
+// write lease, or an explicit flush.
 func (c *Client) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	if off < 0 {
 		return c.writeInner(ctx, id, off, data)
@@ -719,20 +717,7 @@ func (c *Client) FlushFile(id fileservice.FileID) error {
 	c.mu.Unlock()
 	_, fop := c.rec.StartRoot(context.Background(), obs.LayerAgent, "ccache.flush")
 	fop.SetFile(uint64(id))
-	var err error
-	if c.batch != nil {
-		err = retryBusy(func() error { return c.batch.FlushFileBatch(id, runs) })
-	} else {
-		for _, r := range runs {
-			run := r
-			if err = retryBusy(func() error {
-				_, werr := c.sink.WriteAt(id, run.Off, run.Data)
-				return werr
-			}); err != nil {
-				break
-			}
-		}
-	}
+	err := c.sink.WriteRuns(id, runs)
 	fop.End(err)
 	if err != nil {
 		return fmt.Errorf("ccache: flush of file %#x: %w", uint64(id), err)
@@ -754,10 +739,8 @@ func (c *Client) FlushFile(id fileservice.FileID) error {
 	return nil
 }
 
-// Flush writes every file's dirty blocks back. Its signature matches
-// txn.GroupCommitConfig.Barrier, so installing it there (see
-// txn.ChainBarriers) makes delayed writes ride the WAL's group syncs —
-// but only with the default (direct-write) sink; see Config.Sink.
+// Flush writes every file's dirty blocks back (Shutdown, and
+// core.Cluster.Flush for the in-process machines' caches).
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	ids := make([]fileservice.FileID, 0, len(c.files))

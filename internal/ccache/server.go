@@ -23,8 +23,6 @@ type ServerConfig struct {
 	// Size reports a file's current size for lease grants (raw file
 	// IDs). Required.
 	Size func(file uint64) (int64, error)
-	// TTL is the lease duration (DefaultTTL when zero).
-	TTL time.Duration
 	// Obs receives lease telemetry. Optional.
 	Obs *obs.Recorder
 	// Now is the lease clock; nil means time.Now.
@@ -80,7 +78,6 @@ func (f *srvFile) empty() bool { return len(f.holders) == 0 && f.inflight == 0 &
 type Server struct {
 	inner  rpc.Link
 	sizeFn func(file uint64) (int64, error)
-	ttl    time.Duration
 	rec    *obs.Recorder
 	now    func() time.Time
 
@@ -108,10 +105,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Size == nil {
 		return nil, errors.New("ccache: nil size callback")
 	}
-	ttl := cfg.TTL
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -119,7 +112,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		inner:   cfg.Inner,
 		sizeFn:  cfg.Size,
-		ttl:     ttl,
 		rec:     cfg.Obs,
 		now:     now,
 		files:   make(map[uint64]*srvFile),
@@ -127,7 +119,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		stop:    make(chan struct{}),
 	}
 	s.wg.Add(1)
-	go s.sweepLoop(ttl / 4)
+	go s.sweepLoop(DefaultTTL / 4)
 	return s, nil
 }
 
@@ -218,12 +210,12 @@ func (s *Server) handleAcquire(body []byte) ([]byte, error) {
 		f.holders[client] = h
 	}
 	h.mode = mode
-	h.expires = s.now().Add(s.ttl)
+	h.expires = s.now().Add(DefaultTTL)
 	h.recallAt = time.Time{}
 	ver := f.ver
 	s.mu.Unlock()
 	s.rec.Gauge(MetricLeaseGrants).Inc()
-	return AppendGrant(make([]byte, 0, acquireReplyLen), Grant{Ver: ver, Size: size, TTL: s.ttl}), nil
+	return AppendGrant(make([]byte, 0, acquireReplyLen), Grant{Ver: ver, Size: size, TTL: DefaultTTL}), nil
 }
 
 func (s *Server) handleRelease(body []byte) error {

@@ -4,11 +4,16 @@ package cluster
 // replicated pair: the primary executes mutations and ships the committed
 // operation stream to a hot backup (internal/replication's Shipper/Applier)
 // over a dedicated rpc connection, holding each reply until the backup has
-// confirmed the mutation — replication rides the same barrier discipline as
-// the group-commit sync. The backup replays the stream against its own file
-// service and seeds its duplicate-request cache with the primary's replies,
-// so a client retransmission that lands after a failover still gets the
-// exactly-once answer.
+// confirmed that mutation's record (execReplicated) — the one rule that
+// acknowledges a replicated mutation. Records that pile up behind an
+// in-flight ship go out as one batch, which amortizes the backup round trip
+// the way group commit amortizes the log sync. A transaction committed on a
+// primary's facility in process is not replicated: its intentions reach the
+// file service directly, not through this path (no caller does so today).
+// The backup replays the stream against its own file service and seeds its
+// duplicate-request cache with the primary's replies, so a client
+// retransmission that lands after a failover still gets the exactly-once
+// answer.
 //
 // Failure handling is lease-shaped, like the lock service:
 //
@@ -61,7 +66,7 @@ const (
 // Fault points on the replication path.
 var (
 	// PtReplShip is consulted before each batch ship: an error severs the
-	// stream (the primary goes solo), a delay stalls the commit barrier.
+	// stream (the primary goes solo), a delay stalls every replicated reply.
 	PtReplShip = fault.Register("cluster.repl.ship")
 	// PtReplAck is consulted after the backup confirms, before the client is
 	// answered: a delay here is the crash-before-ack window the failover
@@ -176,19 +181,6 @@ func (s *Service) Role() Role { return Role(s.role.Load()) }
 // replies. Call before serving traffic on a backup.
 func (s *Service) BindEndpoint(ep *rpc.Endpoint) { s.ep.Store(ep) }
 
-// ReplBarrier is the group-commit barrier hook of a replicated primary:
-// it flushes the shipped stream, so every mutation in the synced batch is
-// on the backup before any of them is acknowledged. A down stream does not
-// fail the commit — the records are durable locally and the primary has
-// already dropped the backup from the map — so the barrier always reports
-// success; it exists to hold the ack until replication caught up.
-func (s *Service) ReplBarrier() error {
-	if r := s.repl; r != nil && r.sh != nil && s.Role() == RolePrimary {
-		r.sh.Flush()
-	}
-	return nil
-}
-
 // checkServing refuses ordinary traffic on a server that is not the
 // shard's primary. The error is retriable client-side — the router rebinds
 // toward the current map and retries — and marked transient server-side so
@@ -213,7 +205,7 @@ func (s *Service) execReplicated(ctx context.Context, req rpc.Request) ([]byte, 
 	if r == nil || r.sh == nil || s.Role() != RolePrimary || !mutatesState(req.Method) {
 		return s.inner(ctx, req.Method, req.Body)
 	}
-	// The group-commit span brackets execute + append + barrier; its
+	// The group-commit span brackets execute + append + wait; its
 	// identity rides the replication record (in memory) so the shipper's
 	// ship span — and, across the wire, the backup's apply — parent here.
 	gctx, op := s.rec.StartOp(ctx, obs.LayerCluster, "group-commit")

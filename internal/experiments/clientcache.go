@@ -327,6 +327,6 @@ func E23ClientCache() (*Table, error) {
 		fmt.Sprintf("hot file %d KiB, %d KiB reads, %d clients x %d ops per cell", e23FileSize>>10, e23OpSize>>10, e23Clients, e23OpsPerAgent),
 		"cached cell warms each client with one full-file read, then measures pure re-read; the read-RPC column counts requests reaching the disk service during the measured window (cached steady state: 0)",
 		"recall storm: every write conflicts with every reader's lease, so the server recalls the whole population per round; readers re-acquire and refetch, and all converge on the final bytes",
-		"write-back rides the group-commit barrier (txn.ChainBarriers composes the cache flush with shard replication); the crash-with-dirty-write-back case is E18's writeback scenario")
+		"write-back runs on close, recall, truncate, the dirty high-water mark, a write that cannot get a write lease, and an explicit flush or shutdown; the crash-with-dirty-write-back case is E18's writeback scenario")
 	return t, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/intentions"
@@ -161,7 +162,8 @@ type e10Result struct {
 }
 
 func e10Run(commits int) (e10Result, error) {
-	c, err := core.New(core.Config{LogFragments: 4096})
+	inj := fault.NewInjector(int64(commits))
+	c, err := core.New(core.Config{LogFragments: 4096, Fault: inj})
 	if err != nil {
 		return e10Result{}, err
 	}
@@ -190,14 +192,11 @@ func e10Run(commits int) (e10Result, error) {
 			return e10Result{}, err
 		}
 		if i == commits-1 {
-			c.Txns.SetCrashAfterLog(true)
-		}
-		err = c.Txns.End(id)
-		if i == commits-1 {
-			if err == nil {
-				return e10Result{}, fmt.Errorf("crash hook did not fire")
+			inj.Arm(txn.PtCommitAfterLog, fault.Action{Kind: fault.KindCrash})
+			if crashed, err := fault.Run(func() error { return c.Txns.End(id) }); crashed == nil {
+				return e10Result{}, fmt.Errorf("crash after the commit point did not fire (End: %v)", err)
 			}
-		} else if err != nil {
+		} else if err := c.Txns.End(id); err != nil {
 			return e10Result{}, err
 		}
 		committedData = append(committedData, expected{fid, data})

@@ -54,8 +54,8 @@ func E22FleetObservability() (*Table, error) {
 	// The traced mutation, quiesced, while replication is live: client 1 is
 	// pinned to the victim shard, so this single write crosses client →
 	// router → primary serve → group commit → ship → backup apply. The
-	// group-commit barrier holds the reply until the backup confirmed, so
-	// by the time PWrite returns every span in the trace has ended.
+	// primary holds the reply until the backup confirmed this mutation's
+	// ship, so by the time PWrite returns every span in the trace has ended.
 	victimClient := cls[e22Victim%e22Clients]
 	if _, err := victimClient.agent.WriteAt(0, make([]byte, 256)); err != nil {
 		return nil, fmt.Errorf("traced mutation: %w", err)

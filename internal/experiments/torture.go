@@ -68,8 +68,8 @@ const (
 	// the handover, unreplicated state does not outlive a severed stream,
 	// and the promoted backup serves new mutations.
 	TortureFailover
-	// TortureWriteback crashes a client-cache write-back at the commit
-	// barrier: dirty blocks buffered in the cache flush through a
+	// TortureWriteback crashes a client-cache write-back at the group
+	// commit's sync: dirty blocks buffered in the cache flush through a
 	// transactional sink (one transaction per flush), the group-commit
 	// leader dies at the armed point, and after recovery every dirty run
 	// the flush carried must be durable or invisible as a unit — never one
@@ -215,7 +215,7 @@ func TortureScenarios() []TortureScenario {
 		{Point: cluster.PtReplShip, Action: fault.Action{Kind: fault.KindError, Times: -1},
 			Kind: TortureFailover},
 		// Client-cache write-back: the flush's dirty runs ride one
-		// transaction into the group-commit barrier, and the leader dies
+		// transaction into a group-commit batch, and the leader dies
 		// right after the shared sync — past the commit point, so the whole
 		// write-back must be durable.
 		{Point: txn.PtGroupLeaderSynced, Action: crash, Kind: TortureWriteback, Durable: true},
@@ -579,22 +579,14 @@ func runTortureGroup(sc TortureScenario, seed int64) (*TortureResult, error) {
 
 // txnFlushSink commits each cache flush as one transaction: every dirty
 // run the flush carries becomes a PWrite inside a single Begin/End, so the
-// whole write-back reaches the commit barrier atomically. This is the
-// transactional-sink shape ccache.Config.Sink documents for callers that
-// need crash atomicity across a flush.
+// whole write-back reaches the log atomically — what a caller that needs
+// crash atomicity across a flush puts in ccache.Config.Sink.
 type txnFlushSink struct {
 	c   *core.Cluster
 	pid int
 }
 
-func (s *txnFlushSink) WriteAt(id fileservice.FileID, off int64, data []byte) (int, error) {
-	if err := s.FlushFileBatch(id, []ccache.Run{{Off: off, Data: data}}); err != nil {
-		return 0, err
-	}
-	return len(data), nil
-}
-
-func (s *txnFlushSink) FlushFileBatch(id fileservice.FileID, runs []ccache.Run) error {
+func (s *txnFlushSink) WriteRuns(id fileservice.FileID, runs []ccache.Run) error {
 	b, err := s.c.Txns.Begin(s.pid)
 	if err != nil {
 		return err
@@ -611,8 +603,8 @@ func (s *txnFlushSink) FlushFileBatch(id fileservice.FileID, runs []ccache.Run) 
 }
 
 // runTortureWriteback buffers two widely separated dirty runs in the client
-// cache, flushes them through a transactional sink whose single commit rides
-// the group-commit barrier, and kills the batch leader at the armed point.
+// cache, flushes them through a transactional sink whose single commit joins
+// a group-commit batch, and kills the batch leader at the armed point.
 // After reboot and replay both runs must be durable together or invisible
 // together — never one without the other, never a torn block — and the
 // seeded bytes between them untouched.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ccache"
@@ -32,7 +31,6 @@ type Config struct {
 	// Facility sizes the storage stack. Its Obs is the node's one
 	// recorder — facility, lease manager, cluster service and endpoint all
 	// report to it — and its Fault reaches the storage fault points only.
-	// On a primary Start owns GroupCommit.Barrier.
 	Facility core.Config
 	// Shard is this node's index in Map.Endpoints; Map is the cluster map
 	// it serves (for a replicated shard, Map.Backups[Shard] is the pair's
@@ -65,11 +63,6 @@ type Node struct {
 	// Service is the shard's cluster service: role, served map, lock leases.
 	Service *cluster.Service
 
-	// barrierSvc is what a primary's group-commit barrier waits on. The
-	// facility takes the barrier at construction and the service that owns
-	// it is built on top of the facility, hence the indirection.
-	barrierSvc atomic.Pointer[cluster.Service]
-
 	fs     *rpcfs.Server
 	leases *ccache.Server
 	ship   *rpc.TCPTransport // primary only: the link to the backup
@@ -94,16 +87,6 @@ func Start(cfg Config) (*Node, error) {
 		_ = cfg.Listener.Close()
 		_ = n.Close()
 		return nil, err
-	}
-	// A replicated primary holds each group-commit ack until the batch's
-	// mutations are on the backup.
-	if cfg.Role == cluster.RolePrimary {
-		cfg.Facility.GroupCommit.Barrier = func() error {
-			if s := n.barrierSvc.Load(); s != nil {
-				return s.ReplBarrier()
-			}
-			return nil
-		}
 	}
 	fac, err := core.New(cfg.Facility)
 	if err != nil {
@@ -150,7 +133,6 @@ func Start(cfg Config) (*Node, error) {
 	if err != nil {
 		return fail(err)
 	}
-	n.barrierSvc.Store(n.Service)
 	n.ep = rpc.NewEndpoint(n.Service.HandleRequestCtx,
 		rpc.WithMetrics(fac.Metrics), rpc.WithObs(rec), rpc.WithWindow(cfg.Window))
 	n.Service.BindEndpoint(n.ep)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/metrics"
@@ -178,6 +179,69 @@ func TestFailoverPair(t *testing.T) {
 	retransmit(t, tp, backup.Addr(), backup)
 	if names, err := cl.Router.List("/pair"); err != nil || len(names) != 1 {
 		t.Fatalf("/pair lists %v, %v; want the one created name", names, err)
+	}
+}
+
+// TestReplicatedWriteWaitsForItsShip pins the one rule that acknowledges a
+// replicated mutation: the primary answers a write only once the backup has
+// confirmed that write's own ship, so a stalled ship stalls the reply and the
+// backup holds the bytes by the time the call returns. Once the stream is
+// severed the primary serves solo and answers without waiting on any ship.
+func TestReplicatedWriteWaitsForItsShip(t *testing.T) {
+	const stall = 150 * time.Millisecond
+	inj := fault.NewInjector(1)
+	pLn, bLn := listen(t), listen(t)
+	m := cluster.Map{Version: 1, Endpoints: []string{pLn.Addr().String()}, Backups: []string{bLn.Addr().String()}}
+	backup, err := Start(Config{Map: m, Role: cluster.RoleBackup, Listener: bLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	primary, err := Start(Config{Map: m, Role: cluster.RolePrimary, Fault: inj, Listener: pLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	cl := dial(t, ClientConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: 1})
+	id, err := cl.Router.CreatePath(fit.Attributes{}, "/ack/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(data []byte) time.Duration {
+		t.Helper()
+		t0 := time.Now()
+		if _, err := cl.Files.WriteAt(id, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+
+	replicated := bytes.Repeat([]byte("on the backup before the ack "), 100)
+	inj.Arm(cluster.PtReplShip, fault.Action{Kind: fault.KindDelay, Delay: stall})
+	if took := write(replicated); took < stall {
+		t.Fatalf("write acknowledged after %v with its ship stalled %v", took, stall)
+	}
+	if got, err := backup.Facility.Files.ReadAt(id, 0, len(replicated)); err != nil || !bytes.Equal(got, replicated) {
+		t.Fatalf("backup holds %d matching bytes (%v) when the write returns; want all %d", len(got), err, len(replicated))
+	}
+
+	// Sever the stream: this write's ship fails and the primary drops its
+	// backup from the map.
+	inj.Arm(cluster.PtReplShip, fault.Action{Kind: fault.KindError})
+	write([]byte("severs the stream"))
+	for deadline := time.Now().Add(5 * time.Second); primary.Service.Map().Backup(0) != ""; {
+		if time.Now().After(deadline) {
+			t.Fatal("primary never dropped its backup after a failed ship")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inj.Arm(cluster.PtReplShip, fault.Action{Kind: fault.KindDelay, Delay: stall, Times: -1})
+	solo := []byte("acknowledged solo")
+	if took := write(solo); took >= stall {
+		t.Fatalf("solo write took %v: it waited on a ship", took)
+	}
+	if got, err := backup.Facility.Files.ReadAt(id, 0, len(solo)); err != nil || bytes.Equal(got, solo) {
+		t.Fatalf("backup holds %q, %v: a solo write reached it", got, err)
 	}
 }
 

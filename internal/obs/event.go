@@ -36,17 +36,16 @@ func (r *Recorder) Event(name, detail string) {
 		WallUnixNS: time.Now().UnixNano(),
 		VirtNS:     int64(r.vnow()),
 	}
-	r.emu.Lock()
-	if r.events == nil {
-		if r.ecap <= 0 {
-			r.ecap = defaultEventCap
+	log := r.events.Load()
+	if log == nil {
+		capacity := r.ecap
+		if capacity <= 0 {
+			capacity = defaultEventCap
 		}
-		r.events = make([]Event, r.ecap)
+		r.events.CompareAndSwap(nil, newRing[Event](capacity))
+		log = r.events.Load()
 	}
-	r.events[r.enext] = ev
-	r.enext = (r.enext + 1) % len(r.events)
-	r.etotal++
-	r.emu.Unlock()
+	log.add(ev)
 }
 
 // Eventf is Event with a formatted detail string.
@@ -63,21 +62,10 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.emu.Lock()
-	defer r.emu.Unlock()
-	size := r.etotal
-	if size > len(r.events) {
-		size = len(r.events)
+	if log := r.events.Load(); log != nil {
+		return log.snapshot(0)
 	}
-	start := r.enext - size
-	if start < 0 {
-		start += len(r.events)
-	}
-	out := make([]Event, 0, size)
-	for i := 0; i < size; i++ {
-		out = append(out, r.events[(start+i)%len(r.events)])
-	}
-	return out
+	return []Event{}
 }
 
 // EventTotal returns how many events were ever logged, including any the
@@ -86,7 +74,8 @@ func (r *Recorder) EventTotal() int {
 	if r == nil {
 		return 0
 	}
-	r.emu.Lock()
-	defer r.emu.Unlock()
-	return r.etotal
+	if log := r.events.Load(); log != nil {
+		return log.total()
+	}
+	return 0
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // ring is a bounded ring buffer of the most recent entries, overwritten
-// oldest-first: the flight recorder's completed root span trees, and the
-// tail rule's slow-op records.
+// oldest-first: the flight recorder's completed root span trees, the tail
+// rule's slow-op records, and the event log.
 type ring[T any] struct {
 	mu   sync.Mutex
 	buf  []T

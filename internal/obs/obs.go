@@ -144,10 +144,9 @@ type Recorder struct {
 	dumps     []*FaultDump
 	dumpDrops int64
 
-	emu    sync.Mutex
-	events []Event
-	enext  int
-	etotal int
+	// events is the event log, allocated by the first Event: most recorders
+	// never log one.
+	events atomic.Pointer[ring[Event]]
 	ecap   int
 }
 
@@ -164,12 +163,6 @@ func WithFlightCapacity(n int) Option {
 // (default 256).
 func WithEventCapacity(n int) Option {
 	return func(r *Recorder) { r.ecap = n }
-}
-
-// WithVirtualClock sets the virtual-time source, typically the cluster's
-// simclock group makespan.
-func WithVirtualClock(now func() time.Duration) Option {
-	return func(r *Recorder) { r.virtNow = now }
 }
 
 // WithSampleRate sets head sampling: one root in n gets a span tree, chosen

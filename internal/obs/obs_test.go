@@ -53,7 +53,8 @@ func TestNilSafety(t *testing.T) {
 
 func TestSpanTreeNesting(t *testing.T) {
 	var virt time.Duration
-	r := New(WithSampleRate(1), WithVirtualClock(func() time.Duration { return virt }))
+	r := New(WithSampleRate(1))
+	r.SetVirtualClock(func() time.Duration { return virt })
 	ctx, root := r.StartRoot(context.Background(), LayerAgent, "read")
 	root.SetFile(42)
 	if got := len(r.InFlight()); got != 1 {
@@ -315,7 +316,8 @@ func TestConcurrentSpans(t *testing.T) {
 // request takes through an instrumented layer, allocates nothing, as a root
 // or below one.
 func TestSpanAllocBudget(t *testing.T) {
-	r := New(WithSampleRate(1), WithVirtualClock(func() time.Duration { return 0 }))
+	r := New(WithSampleRate(1))
+	r.SetVirtualClock(func() time.Duration { return 0 })
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(200, func() {
 		ctx2, root := r.StartRoot(ctx, LayerAgent, "read")

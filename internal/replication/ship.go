@@ -10,8 +10,8 @@
 // still gets the exactly-once answer.
 //
 // Shipper runs on the primary: mutations append records, a single sender
-// goroutine batches and ships them, and Wait blocks a committing batch until
-// its records are confirmed by the backup (the group-commit barrier). A ship
+// goroutine batches and ships them, and Wait blocks each mutation's reply
+// until its record is confirmed by the backup. A ship
 // failure marks the stream down — the primary then serves solo rather than
 // stall (availability over replication; the cluster layer drops the backup
 // from the map). Applier runs on the backup: it checks sequencing and CRC,
@@ -164,7 +164,8 @@ type ShipperConfig struct {
 // the single sender goroutine rendezvous on a queue: Append assigns the next
 // sequence number and enqueues; the sender drains whatever has accumulated,
 // ships it as one batch, and advances the confirmed watermark. Wait blocks
-// until a record is confirmed or the stream is down — the commit barrier.
+// until a record is confirmed or the stream is down — a replicated
+// mutation's acknowledgement rule.
 type Shipper struct {
 	send   func(context.Context, []byte) error
 	onDown func(error)
@@ -222,18 +223,6 @@ func (s *Shipper) Wait(seq uint64) bool {
 		s.cond.Wait()
 	}
 	return s.confirmed >= seq
-}
-
-// Flush waits until every appended record is confirmed, or the stream is
-// down or closed (false).
-func (s *Shipper) Flush() bool {
-	s.mu.Lock()
-	seq := s.nextSeq
-	s.mu.Unlock()
-	if seq == 0 {
-		return !s.Down()
-	}
-	return s.Wait(seq)
 }
 
 // Down reports whether the stream is down.

@@ -115,11 +115,6 @@ func (s *Service) end(ctx context.Context, id TxnID) error {
 	// redo records until recovery.
 	_ = t.list.SetStatus(intentions.Committed)
 	s.fault.Hit(PtCommitAfterLog)
-	if s.crashAfterLog {
-		// Test hook: simulate a crash between the commit point and the
-		// application of the intentions.
-		return ErrCrashInjected
-	}
 	if err := s.applyIntentions(t); err != nil {
 		// Redo will finish the job at recovery; report but do not abort.
 		return fmt.Errorf("txn: committed but application incomplete (recoverable): %w", err)
@@ -131,16 +126,6 @@ func (s *Service) end(ctx context.Context, id TxnID) error {
 	s.maybeTruncateLog()
 	return nil
 }
-
-// ErrCrashInjected is returned by End when the crash-injection hook is
-// armed (SetCrashAfterLog): the commit record is durable but intentions were
-// not applied, as if the machine died at the worst moment.
-var ErrCrashInjected = errors.New("txn: crash injected after commit point")
-
-// SetCrashAfterLog arms the crash-injection fault hook used by recovery
-// tests and experiment E10: the next End stops right after the commit
-// record reaches stable storage, before the intentions are applied.
-func (s *Service) SetCrashAfterLog(v bool) { s.crashAfterLog = v }
 
 // writeCommitRecords appends the transaction's redo records and its commit
 // record. It does NOT sync: the group-commit coordinator (group.go) owns the

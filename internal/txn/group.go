@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/simclock"
 	"repro/internal/wal"
 )
 
@@ -49,41 +48,8 @@ type GroupCommitConfig struct {
 	// Zero means no linger — batching then comes only from commits that
 	// arrive while the previous batch's sync is in flight.
 	MaxDelay time.Duration
-	// Clock, when set, makes the MaxDelay window virtual-time aware: the
-	// leader charges the window to the clock and proceeds without a wall
-	// wait, so virtual-time runs stay deterministic. Leave nil for wall
-	// runs.
-	Clock simclock.Clock
-	// Barrier, when set, runs after each successful batch Sync and before
-	// any member of the batch is acknowledged — the hook shard replication
-	// uses to hold commit acks until the backup confirms the batch's
-	// mutations. It is called outside the pipeline lock, once per batch. A
-	// Barrier error does NOT drop the batch's records (they are durable;
-	// only the acknowledgement is in doubt), so it surfaces to every member
-	// as ErrCommitInterrupted: locks and records are held until Recover,
-	// exactly like a leader crash after the sync.
+	// Barrier is inert: bench/rig.go sets it, ROADMAP item 8 deletes it.
 	Barrier func() error
-}
-
-// ChainBarriers composes several commit-barrier hooks into one Barrier
-// function: each runs in order, and the first error stops the chain and is
-// returned. Nil entries are skipped, so callers can chain optional hooks
-// without guarding. The order is load-bearing — the client-cache write-back
-// barrier must run before the replication barrier, so dirty blocks flushed
-// by the cache land in the same replicated batch whose acknowledgement the
-// replication hook is holding back.
-func ChainBarriers(fns ...func() error) func() error {
-	return func() error {
-		for _, fn := range fns {
-			if fn == nil {
-				continue
-			}
-			if err := fn(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // gcBatch is one commit batch: the transactions whose log records share a
@@ -115,8 +81,6 @@ type groupCommit struct {
 	disabled bool
 	maxBatch int
 	maxDelay time.Duration
-	clock    simclock.Clock
-	barrier  func() error
 	// batchSize is the recorder's txn.group.batch_size value histogram,
 	// resolved once (nil, and still recordable, without a recorder).
 	batchSize *obs.Histogram
@@ -154,8 +118,6 @@ func newGroupCommit(s *Service, cfg GroupCommitConfig) *groupCommit {
 		disabled: cfg.Disable,
 		maxBatch: cfg.MaxBatch,
 		maxDelay: cfg.MaxDelay,
-		clock:    cfg.Clock,
-		barrier:  cfg.Barrier,
 
 		batchSize: s.obsRec.ValueHist("txn.group.batch_size"),
 	}
@@ -296,23 +258,14 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 	op.SetCount(size) // the batch size, for the trace
 	g.s.fault.Hit(PtGroupBeforeSync)
 	err := g.s.log.Sync()
-	syncFailed := err != nil
 	if err == nil {
 		g.s.fault.Hit(PtGroupLeaderSynced)
-		if g.barrier != nil {
-			if berr := g.barrier(); berr != nil {
-				// The records ARE durable — only the barrier (replication)
-				// failed — so this must not drop them below: members get the
-				// leader-crashed treatment and recovery resolves them.
-				err = fmt.Errorf("%w: replication barrier: %v", ErrCommitInterrupted, berr)
-			}
-		}
 	}
 	op.End(err)
 
 	g.mu.Lock()
 	g.syncing = false
-	if syncFailed {
+	if err != nil {
 		// Nothing synced: the watermarks are untouched (wal.Sync is
 		// failure-atomic), so everything unsynced belongs to this batch and
 		// any batch formed behind it — possibly several (a filled batch plus
@@ -345,14 +298,9 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 }
 
 // linger holds the batch open for up to MaxDelay while it is below
-// MaxBatch, giving concurrent committers time to join. Under a virtual
-// clock the window is charged to the clock instead of slept.
+// MaxBatch, giving concurrent committers time to join.
 func (g *groupCommit) linger(b *gcBatch) {
 	if g.maxDelay <= 0 || b.size >= g.maxBatch {
-		return
-	}
-	if g.clock != nil {
-		g.clock.Advance(g.maxDelay)
 		return
 	}
 	deadline := time.Now().Add(g.maxDelay)
@@ -385,21 +333,13 @@ func (g *groupCommit) commitSolo(t *txnState) error {
 
 	g.s.fault.Hit(PtGroupBeforeSync)
 	err := g.s.log.Sync()
-	syncFailed := err != nil
 	if err == nil {
 		g.s.fault.Hit(PtGroupLeaderSynced)
-		if g.barrier != nil {
-			if berr := g.barrier(); berr != nil {
-				// Durable but unacknowledgeable, as in lead: leave the records
-				// (and the unapplied count) for recovery.
-				err = fmt.Errorf("%w: replication barrier: %v", ErrCommitInterrupted, berr)
-			}
-		}
 	}
 
 	g.mu.Lock()
 	g.syncing = false
-	if syncFailed {
+	if err != nil {
 		// Only this commit's records are unsynced: appends waited out the
 		// sync, so nothing else is in the volatile window. (No batches exist
 		// in solo mode, but every DropUnsynced still bumps the epoch.)

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,70 +310,6 @@ func TestGroupSyncFailureFailsAllPendingBatches(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBarrier pins the replication-barrier hook's contract: it
-// runs after each successful sync and before the batch is acknowledged, and
-// a barrier failure surfaces as ErrCommitInterrupted WITHOUT dropping the
-// batch's records — they are durable, so recovery resolves the commit.
-func TestGroupCommitBarrier(t *testing.T) {
-	for _, solo := range []bool{false, true} {
-		name := "grouped"
-		if solo {
-			name = "solo"
-		}
-		t.Run(name, func(t *testing.T) {
-			var calls atomic.Int64
-			var failBarrier atomic.Bool
-			withBarrier := func(c *Config) {
-				c.Group.Disable = solo
-				c.Group.Barrier = func() error {
-					calls.Add(1)
-					if failBarrier.Load() {
-						return errors.New("backup unreachable")
-					}
-					return nil
-				}
-			}
-			r := newRig(t, withBarrier)
-
-			// Healthy barrier: the commit is acknowledged and the hook ran.
-			id, fid := r.beginWithFile(fit.LockRecord)
-			if _, err := r.svc.PWrite(id, fid, 0, []byte("replicated")); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.svc.End(id); err != nil {
-				t.Fatal(err)
-			}
-			if calls.Load() < 1 {
-				t.Fatal("barrier never ran on the commit path")
-			}
-
-			// Failing barrier: durable but unacknowledgeable. The committer
-			// must get the leader-crashed treatment, not a nil ack and not a
-			// dropped batch.
-			failBarrier.Store(true)
-			id2, fid2 := r.beginWithFile(fit.LockRecord)
-			payload := []byte("synced, then the backup vanished")
-			if _, err := r.svc.PWrite(id2, fid2, 0, payload); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.svc.End(id2); !errors.Is(err, ErrCommitInterrupted) {
-				t.Fatalf("End with failing barrier = %v, want ErrCommitInterrupted", err)
-			}
-
-			// The records were synced before the barrier failed, so recovery
-			// lands the interrupted commit.
-			r.crash()
-			if _, err := r.svc.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.fs.ReadAt(fid2, 0, len(payload))
-			if err != nil || !bytes.Equal(got, payload) {
-				t.Fatalf("interrupted commit after recovery = %q, %v; want %q", got, err, payload)
-			}
-		})
-	}
-}
-
 // TestCommitLargerThanLogAborts covers the append-rollback path: a
 // transaction whose records cannot fit even an empty log backs its partial
 // tail out, aborts cleanly, and leaves the service usable.
@@ -401,37 +335,5 @@ func TestCommitLargerThanLogAborts(t *testing.T) {
 	got, err := r.fs.ReadAt(fid2, 0, len(want))
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("post-abort commit: %q, %v; want %q", got, err, want)
-	}
-}
-
-// TestChainBarriers pins the composition contract: hooks run in order, nil
-// entries are skipped, and the first error short-circuits the rest.
-func TestChainBarriers(t *testing.T) {
-	var order []string
-	errBoom := errors.New("boom")
-	b := ChainBarriers(
-		func() error { order = append(order, "a"); return nil },
-		nil,
-		func() error { order = append(order, "b"); return nil },
-	)
-	if err := b(); err != nil {
-		t.Fatalf("chain: %v", err)
-	}
-	if got := strings.Join(order, ","); got != "a,b" {
-		t.Fatalf("order = %q, want a,b", got)
-	}
-	order = nil
-	b = ChainBarriers(
-		func() error { order = append(order, "a"); return errBoom },
-		func() error { order = append(order, "never"); return nil },
-	)
-	if err := b(); err != errBoom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if got := strings.Join(order, ","); got != "a" {
-		t.Fatalf("order = %q, want a (short-circuit)", got)
-	}
-	if err := ChainBarriers()(); err != nil {
-		t.Fatalf("empty chain: %v", err)
 	}
 }

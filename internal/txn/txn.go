@@ -197,10 +197,6 @@ type Service struct {
 	// log truncation (group.go).
 	gc *groupCommit
 
-	// crashAfterLog is a test hook: End stops right after the commit record
-	// is durable, as if the machine crashed before applying intentions.
-	crashAfterLog bool
-
 	fault  *fault.Injector
 	obsRec *obs.Recorder
 }

@@ -528,17 +528,32 @@ func TestDefaultTechniqueFollowsContiguityRule(t *testing.T) {
 	}
 }
 
+// newCrashAfterLogRig is a rig whose service can be killed at the commit
+// point with crashAfterLog.
+func newCrashAfterLogRig(t *testing.T) *rig {
+	inj := fault.NewInjector(1)
+	return newRig(t, func(c *Config) { c.Fault = inj })
+}
+
+// crashAfterLog runs End with a crash armed at the commit point: the commit
+// record is durable, no intention is applied.
+func (r *rig) crashAfterLog(id TxnID) {
+	r.t.Helper()
+	r.inj.Arm(PtCommitAfterLog, fault.Action{Kind: fault.KindCrash})
+	crashed, err := fault.Run(func() error { return r.svc.End(id) })
+	if crashed == nil || crashed.Point != PtCommitAfterLog {
+		r.t.Fatalf("End with a crash armed after the log = %v, %v; want a crash at %s", crashed, err, PtCommitAfterLog)
+	}
+}
+
 func TestCrashBeforeApplyRedoneByRecovery(t *testing.T) {
-	r := newRig(t)
+	r := newCrashAfterLogRig(t)
 	id, fid := r.beginWithFile(fit.LockPage)
 	want := bytes.Repeat([]byte("R"), 100)
 	if _, err := r.svc.PWrite(id, fid, 0, want); err != nil {
 		t.Fatal(err)
 	}
-	r.svc.SetCrashAfterLog(true)
-	if err := r.svc.End(id); !errors.Is(err, ErrCrashInjected) {
-		t.Fatalf("End with crash hook = %v", err)
-	}
+	r.crashAfterLog(id)
 	// The machine dies before intentions are applied.
 	r.crash()
 	committed, err := r.svc.Recover()
@@ -590,16 +605,13 @@ func TestCrashBeforeCommitPointLosesNothingCommitted(t *testing.T) {
 }
 
 func TestRecoveryIdempotent(t *testing.T) {
-	r := newRig(t)
+	r := newCrashAfterLogRig(t)
 	id, fid := r.beginWithFile(fit.LockPage)
 	want := []byte("idempotent")
 	if _, err := r.svc.PWrite(id, fid, 0, want); err != nil {
 		t.Fatal(err)
 	}
-	r.svc.SetCrashAfterLog(true)
-	if err := r.svc.End(id); !errors.Is(err, ErrCrashInjected) {
-		t.Fatal(err)
-	}
+	r.crashAfterLog(id)
 	r.crash()
 	if _, err := r.svc.Recover(); err != nil {
 		t.Fatal(err)
