@@ -100,6 +100,12 @@ var _ NameService = (*naming.Service)(nil)
 // remote file service that implements it registers the new file's naming
 // entry on the server that owns the path (its home shard), so creation does
 // not need a second registration message from the client.
+//
+// attr.RefCount asks for the file back open: 1 opens it once on the server
+// after registering it, so the agent's Create sends no separate open, and 0
+// leaves it closed. Any other count is refused and nothing is created. A
+// step that fails undoes the steps before it — no name, file or open
+// reference survives a failed CreatePath.
 type PathCreator interface {
 	CreatePath(attr fit.Attributes, path string) (fileservice.FileID, error)
 }

@@ -3,6 +3,7 @@ package agent
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -519,21 +520,36 @@ func (f *openFailsOnce) Open(id fileservice.FileID) error {
 }
 
 // pathOwner is openFailsOnce as a remote service that owns naming presents
-// itself: it registers the name while serving CreatePath and unregisters it
-// while serving Delete.
+// itself: serving CreatePath it creates, registers the name and — when asked
+// by attr.RefCount — opens the file, undoing the earlier steps when a later
+// one fails; serving Delete it unregisters the name.
 type pathOwner struct {
 	openFailsOnce
 	nm *naming.Service
 }
 
 func (f *pathOwner) CreatePath(attr fit.Attributes, path string) (fileservice.FileID, error) {
+	if attr.RefCount > 1 {
+		return 0, fmt.Errorf("create asks for %d opens", attr.RefCount)
+	}
 	id, err := f.Create(attr)
 	if err != nil {
 		return 0, err
 	}
-	return id, f.nm.Register(naming.Entry{
+	if err := f.nm.Register(naming.Entry{
 		Name: naming.Name{"type": "FILE", "path": path}, Type: naming.FileObject, SystemName: uint64(id), Service: "fs0",
-	})
+	}); err != nil {
+		_ = f.FileService.Delete(id)
+		return 0, err
+	}
+	if attr.RefCount == 1 {
+		if err := f.Open(id); err != nil {
+			f.nm.UnregisterSystemName(naming.FileObject, uint64(id))
+			_ = f.FileService.Delete(id)
+			return 0, err
+		}
+	}
+	return id, nil
 }
 
 func (f *pathOwner) Delete(id fileservice.FileID) error {
@@ -576,6 +592,10 @@ func TestCreateLeavesNothingWhenOpenFails(t *testing.T) {
 			fd, err := fa.Create(p, "/retry", fit.Attributes{})
 			if err != nil {
 				t.Fatalf("second Create of the same path: %v", err)
+			}
+			// Open exactly once, whichever side opened it.
+			if attr, err := fa.GetAttribute(p, fd); err != nil || attr.RefCount != 1 {
+				t.Fatalf("created file RefCount = %d (err %v), want 1", attr.RefCount, err)
 			}
 			if err := fa.Close(p, fd); err != nil {
 				t.Fatal(err)

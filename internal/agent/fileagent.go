@@ -22,29 +22,29 @@ type FileAgent struct {
 // Create creates a file and registers its attributed name, returning an
 // object descriptor on the calling process.
 func (a *FileAgent) Create(p *Process, path string, attr fit.Attributes) (int, error) {
-	var id fileservice.FileID
-	var err error
 	if pc, ok := a.machine.files.(PathCreator); ok {
-		// Remote service: create and register in one message, on the server
-		// (or home shard) that owns the path.
-		id, err = pc.CreatePath(attr, path)
+		// Remote service: create, register and open in one message, on the
+		// server (or home shard) that owns the path; it unwinds what it did
+		// when a step fails.
+		attr.RefCount = 1
+		id, err := pc.CreatePath(attr, path)
 		if err != nil {
 			return 0, err
 		}
-	} else {
-		id, err = a.machine.files.Create(attr)
-		if err != nil {
-			return 0, err
-		}
-		if err := a.machine.naming.Register(naming.Entry{
-			Name:       naming.Name{"type": "FILE", "path": path},
-			Type:       naming.FileObject,
-			SystemName: uint64(id),
-			Service:    "fs0",
-		}); err != nil {
-			_ = a.machine.files.Delete(id)
-			return 0, err
-		}
+		return p.addFileDesc(&descriptor{kind: descFile, file: id}), nil
+	}
+	id, err := a.machine.files.Create(attr)
+	if err != nil {
+		return 0, err
+	}
+	if err := a.machine.naming.Register(naming.Entry{
+		Name:       naming.Name{"type": "FILE", "path": path},
+		Type:       naming.FileObject,
+		SystemName: uint64(id),
+		Service:    "fs0",
+	}); err != nil {
+		_ = a.machine.files.Delete(id)
+		return 0, err
 	}
 	if err := a.machine.files.Open(id); err != nil {
 		// The caller is told the file does not exist, so it must not: a

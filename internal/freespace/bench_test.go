@@ -56,32 +56,52 @@ func BenchmarkAllocateFirstFit(b *testing.B) {
 	}
 }
 
+// BenchmarkFreeCoalesce frees 8 fragments and coalesces them with their
+// neighbours: on a full disk the neighbours are allocated, and with a free
+// tail (a 256 MB disk, the daemon's, with only its head in use) the upper
+// neighbour is most of the disk.
 func BenchmarkFreeCoalesce(b *testing.B) {
-	m, err := NewMap(1 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := m.Allocate(1 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = addr
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := (i * 16) % ((1 << 20) - 16)
-		if err := m.Free(f, 8); err != nil {
+	b.Run("neighbours=allocated", func(b *testing.B) {
+		m, err := NewMap(1 << 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Allocate(1 << 20); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f := (i * 16) % ((1 << 20) - 16)
+			if err := m.Free(f, 8); err != nil {
+				b.Fatal(err)
+			}
 			b.StopTimer()
-			// Already free from a previous lap: reallocate and continue.
 			if err := m.AllocateAt(f, 8); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			continue
 		}
-		b.StopTimer()
-		if err := m.AllocateAt(f, 8); err != nil {
+	})
+	b.Run("neighbours=free-tail", func(b *testing.B) {
+		const capacity, head = 256 << 20 >> 11, 2000
+		m, err := NewMap(capacity)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
-	}
+		if err := m.AllocateAt(0, head); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		const f = head - 8
+		for i := 0; i < b.N; i++ {
+			if err := m.Free(f, 8); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := m.AllocateAt(f, 8); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 }

@@ -66,7 +66,10 @@ type Map struct {
 	mu       sync.Mutex
 	capacity int
 	words    []uint64 // bit set ⇒ fragment allocated
-	free     int      // number of free fragments
+	// summary has bit j set ⇔ words[j] != 0, so a neighbour search skips
+	// 64 empty words at a time instead of walking a free tail word by word.
+	summary []uint64
+	free    int // number of free fragments
 	// rows[r] caches free runs of length r (r in 1..TableRows); rows[TableRows]
 	// additionally holds longer runs with their true length.
 	rows  [TableRows + 1][]Run
@@ -81,6 +84,7 @@ func NewMap(capacity int) (*Map, error) {
 	m := &Map{
 		capacity: capacity,
 		words:    make([]uint64, (capacity+63)/64),
+		summary:  make([]uint64, (capacity+64*64-1)/(64*64)),
 		free:     capacity,
 	}
 	m.rebuildLocked()
@@ -107,17 +111,37 @@ func (m *Map) Stats() Stats {
 // bit helpers ---------------------------------------------------------------
 
 func (m *Map) isSet(i int) bool { return m.words[i/64]&(1<<(i%64)) != 0 }
-func (m *Map) set(i int)        { m.words[i/64] |= 1 << (i % 64) }
-func (m *Map) clear(i int)      { m.words[i/64] &^= 1 << (i % 64) }
+
+func (m *Map) set(i int) {
+	w := i / 64
+	m.words[w] |= 1 << (i % 64)
+	m.summary[w/64] |= 1 << (w % 64)
+}
+
+func (m *Map) clear(i int) {
+	w := i / 64
+	m.words[w] &^= 1 << (i % 64)
+	if m.words[w] == 0 {
+		m.summary[w/64] &^= 1 << (w % 64)
+	}
+}
 
 // nextSet returns the lowest allocated address ≥ i, or the capacity when
 // everything from i up is free. Bits beyond the capacity are never set.
 func (m *Map) nextSet(i int) int {
-	for i < m.capacity {
-		if w := m.words[i/64] >> (i % 64); w != 0 {
-			return i + bits.TrailingZeros64(w)
+	if i >= m.capacity {
+		return m.capacity
+	}
+	w := i / 64
+	if x := m.words[w] >> (i % 64); x != 0 {
+		return i + bits.TrailingZeros64(x)
+	}
+	// The first nonempty word after w, found through the summary.
+	for w++; w < len(m.words); w = (w/64 + 1) * 64 {
+		if s := m.summary[w/64] >> (w % 64); s != 0 {
+			w += bits.TrailingZeros64(s)
+			return w*64 + bits.TrailingZeros64(m.words[w])
 		}
-		i = (i/64 + 1) * 64
 	}
 	return m.capacity
 }
@@ -125,12 +149,20 @@ func (m *Map) nextSet(i int) int {
 // prevSet returns the highest allocated address < i, or -1 when everything
 // below i is free.
 func (m *Map) prevSet(i int) int {
-	for i > 0 {
-		j := i - 1
-		if w := m.words[j/64] << (63 - j%64); w != 0 {
-			return j - bits.LeadingZeros64(w)
+	if i <= 0 {
+		return -1
+	}
+	j := i - 1
+	w := j / 64
+	if x := m.words[w] << (63 - j%64); x != 0 {
+		return j - bits.LeadingZeros64(x)
+	}
+	// The last nonempty word before w, found through the summary.
+	for w--; w >= 0; w = w/64*64 - 1 {
+		if s := m.summary[w/64] << (63 - w%64); s != 0 {
+			w -= bits.LeadingZeros64(s)
+			return w*64 + 63 - bits.LeadingZeros64(m.words[w])
 		}
-		i = j / 64 * 64
 	}
 	return -1
 }
@@ -409,8 +441,9 @@ func (m *Map) Free(start, n int) error {
 		m.clear(i)
 	}
 	m.free += n
-	// Coalesce with adjacent free fragments, a bitmap word at a time: on a
-	// mostly empty disk the free neighbour is most of the disk.
+	// Coalesce with adjacent free fragments. On a mostly empty disk the free
+	// neighbour is most of the disk, so the search skips empty words through
+	// the summary.
 	lo := m.prevSet(start) + 1
 	hi := m.nextSet(start + n)
 	// Neighbouring free spans were already cached as separate runs; those
@@ -515,8 +548,12 @@ func (m *Map) LoadBitmap(words []uint64) error {
 	if rem := m.capacity % 64; rem != 0 {
 		m.words[len(m.words)-1] &= (1 << rem) - 1
 	}
+	clear(m.summary)
 	allocated := 0
-	for _, w := range m.words {
+	for j, w := range m.words {
+		if w != 0 {
+			m.summary[j/64] |= 1 << (j % 64)
+		}
 		allocated += bits.OnesCount64(w)
 	}
 	m.free = m.capacity - allocated

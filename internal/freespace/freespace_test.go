@@ -514,14 +514,70 @@ func freeBitwise(m *Map, start, n int) error {
 	return nil
 }
 
-// TestFreeMatchesBitwiseReference drives the same random AllocateAt / Free
-// sequence into two maps, one freed through Free and one through the
-// bit-at-a-time reference, and requires identical bitmaps, free counts and
-// run tables after every step — at capacities below, at and off a multiple
-// of the word size, with spans that start at address 0, straddle word
-// boundaries and end at the capacity, on mostly empty and mostly full disks.
+// nextSetBitwise and prevSetBitwise are the references for nextSet and
+// prevSet: the same answers found one bit at a time.
+func nextSetBitwise(m *Map, i int) int {
+	for ; i < m.capacity; i++ {
+		if m.isSet(i) {
+			return i
+		}
+	}
+	return m.capacity
+}
+
+func prevSetBitwise(m *Map, i int) int {
+	for i--; i >= 0; i-- {
+		if m.isSet(i) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkSummary requires summary bit j to be set exactly when word j is
+// nonempty, and no bit beyond the last word.
+func checkSummary(t *testing.T, m *Map) {
+	t.Helper()
+	want := make([]uint64, len(m.summary))
+	for j, w := range m.words {
+		if w != 0 {
+			want[j/64] |= 1 << (j % 64)
+		}
+	}
+	if !reflect.DeepEqual(m.summary, want) {
+		t.Fatalf("summary %x, words say %x", m.summary, want)
+	}
+}
+
+// allocatedRuns returns the maximal runs of allocated fragments.
+func allocatedRuns(m *Map) []Run {
+	var runs []Run
+	for i := 0; i < m.capacity; i++ {
+		if !m.isSet(i) {
+			continue
+		}
+		j := i
+		for j < m.capacity && m.isSet(j) {
+			j++
+		}
+		runs = append(runs, Run{Start: i, Len: j - i})
+		i = j
+	}
+	return runs
+}
+
+// TestFreeMatchesBitwiseReference drives the same random sequence of
+// AllocateAt, AllocateFirstFit, LoadBitmap and Free into two maps, one freed
+// through Free and one through the bit-at-a-time reference, and after every
+// step requires identical bitmaps, free counts and run tables, a summary
+// that agrees with the bitmap, the coalesced run of each Free to be the one
+// a bit-at-a-time neighbour search finds, and nextSet and prevSet to answer
+// as their bitwise references at the disk's edges and at random probes. The
+// capacities sit below, at and off a multiple of the word size and of a
+// summary word's 4096 fragments; spans start at address 0, straddle word
+// boundaries, end at the capacity, and now and then cover the whole disk.
 func TestFreeMatchesBitwiseReference(t *testing.T) {
-	for _, capacity := range []int{1, 63, 64, 65, 128, 199, 4096 + 37} {
+	for _, capacity := range []int{1, 63, 64, 65, 128, 199, 4096, 4096 + 37, 3*4096 + 100, 2*4096 - 1} {
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			m, ref := mustMap(t, capacity), mustMap(t, capacity)
@@ -529,10 +585,38 @@ func TestFreeMatchesBitwiseReference(t *testing.T) {
 			type span struct{ start, n int }
 			var live []span
 			for step := 0; step < 600; step++ {
-				if rng.Float64() < fill || len(live) == 0 {
+				switch r := rng.Float64(); {
+				case r < 0.02:
+					// Reload a perturbed copy of the bitmap; the allocated
+					// spans become its maximal allocated runs.
+					words := m.Bitmap()
+					for k := 0; k < 3; k++ {
+						words[rng.Intn(len(words))] ^= rng.Uint64()
+					}
+					if k := rng.Intn(len(words)); rng.Intn(2) == 0 {
+						words[k] = 0
+					}
+					if err, rerr := m.LoadBitmap(words), ref.LoadBitmap(words); err != nil || rerr != nil {
+						t.Fatalf("cap %d seed %d: LoadBitmap = %v, reference %v", capacity, seed, err, rerr)
+					}
+					live = live[:0]
+					for _, run := range allocatedRuns(m) {
+						live = append(live, span{run.Start, run.Len})
+					}
+				case r < 0.1:
+					n := 1 + rng.Intn(min(capacity, 16))
+					start, err := m.AllocateFirstFit(n)
+					rstart, rerr := ref.AllocateFirstFit(n)
+					if start != rstart || (err == nil) != (rerr == nil) {
+						t.Fatalf("cap %d seed %d: AllocateFirstFit(%d) = %d, %v; reference %d, %v", capacity, seed, n, start, err, rstart, rerr)
+					}
+					if err == nil {
+						live = append(live, span{start, n})
+					}
+				case r < fill || len(live) == 0:
 					n := 1 + rng.Intn(min(capacity, 70))
 					start := rng.Intn(capacity - n + 1)
-					switch rng.Intn(8) {
+					switch rng.Intn(10) {
 					case 0:
 						start = 0
 					case 1:
@@ -542,6 +626,8 @@ func TestFreeMatchesBitwiseReference(t *testing.T) {
 						if start < 0 {
 							start = 0
 						}
+					case 3:
+						start, n = 0, capacity // both disk edges
 					}
 					err, rerr := m.AllocateAt(start, n), ref.AllocateAt(start, n)
 					if (err == nil) != (rerr == nil) {
@@ -550,7 +636,7 @@ func TestFreeMatchesBitwiseReference(t *testing.T) {
 					if err == nil {
 						live = append(live, span{start, n})
 					}
-				} else {
+				default:
 					i := rng.Intn(len(live))
 					s := live[i]
 					live[i] = live[len(live)-1]
@@ -569,11 +655,24 @@ func TestFreeMatchesBitwiseReference(t *testing.T) {
 						if err := freeBitwise(ref, p.start, p.n); err != nil {
 							t.Fatalf("cap %d seed %d: reference Free(%d,%d): %v", capacity, seed, p.start, p.n, err)
 						}
+						lo, hi := m.prevSet(p.start)+1, m.nextSet(p.start+p.n)
+						if rlo, rhi := prevSetBitwise(ref, p.start)+1, nextSetBitwise(ref, p.start+p.n); lo != rlo || hi != rhi {
+							t.Fatalf("cap %d seed %d: Free(%d,%d) coalesced [%d,%d), reference [%d,%d)", capacity, seed, p.start, p.n, lo, hi, rlo, rhi)
+						}
 					}
 				}
 				if !reflect.DeepEqual(m.words, ref.words) || m.free != ref.free || !reflect.DeepEqual(m.rows, ref.rows) {
 					t.Fatalf("cap %d seed %d step %d: diverged from the bit-at-a-time reference\n free %d vs %d\n rows %v\n  vs  %v",
 						capacity, seed, step, m.free, ref.free, m.rows, ref.rows)
+				}
+				checkSummary(t, m)
+				for _, i := range []int{0, capacity, capacity - 1, rng.Intn(capacity + 1), rng.Intn(capacity + 1)} {
+					if got, want := m.nextSet(i), nextSetBitwise(m, i); got != want {
+						t.Fatalf("cap %d seed %d step %d: nextSet(%d) = %d, want %d", capacity, seed, step, i, got, want)
+					}
+					if got, want := m.prevSet(i), prevSetBitwise(m, i); got != want {
+						t.Fatalf("cap %d seed %d step %d: prevSet(%d) = %d, want %d", capacity, seed, step, i, got, want)
+					}
 				}
 			}
 			if got := m.Stats().WordsScanned; got != ref.Stats().WordsScanned {

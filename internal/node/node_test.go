@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -348,4 +349,108 @@ func TestCloseReleasesEverything(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// smallFileCycle runs the small-file life cycle through fa: create, write
+// 1 KiB, close, open, read it back, close, delete. after, when not nil, runs
+// after the steps that change the file's open count or existence.
+func smallFileCycle(t *testing.T, fa *agent.FileAgent, p *agent.Process, path string, after func(step string)) {
+	t.Helper()
+	if after == nil {
+		after = func(string) {}
+	}
+	data := bytes.Repeat([]byte{0x5A}, 1024)
+	fd, err := fa.Create(p, path, fit.Attributes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after("create")
+	if _, err := fa.PWrite(p, fd, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := fa.Close(p, fd); err != nil {
+		t.Fatal(err)
+	}
+	after("close")
+	if fd, err = fa.Open(p, path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fa.PRead(p, fd, 0, len(data)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back %d bytes, %v", len(got), err)
+	}
+	if err := fa.Close(p, fd); err != nil {
+		t.Fatal(err)
+	}
+	if err := fa.Delete(path); err != nil {
+		t.Fatal(err)
+	}
+	after("delete")
+}
+
+// newAgent builds a machine over cl and returns its file agent and a process.
+func newAgent(t *testing.T, cl *Client) (*agent.FileAgent, *agent.Process) {
+	t.Helper()
+	m, err := cl.NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.FileAgent(), m.NewProcess()
+}
+
+// TestSmallFileCycleRequestBudget pins the request count of the small-file
+// life cycle through an uncached dialed agent: create (one message that also
+// opens), write, close, open (resolve + open), read, close, delete (resolve +
+// delete) — nine. A create that needs its own open makes it ten.
+func TestSmallFileCycleRequestBudget(t *testing.T) {
+	n := startSolo(t)
+	fa, p := newAgent(t, dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 1}))
+	before := n.Facility.Metrics.Get(metrics.RPCRequests)
+	smallFileCycle(t, fa, p, "/budget/f", nil)
+	if got := n.Facility.Metrics.Get(metrics.RPCRequests) - before; got != 9 {
+		t.Fatalf("small-file cycle sent %d requests, want 9", got)
+	}
+}
+
+// TestOpenedCreateReplicates: the create that hands the file back open ships
+// its open with it, so the backup's copy is open exactly while the client's
+// is, and the cycle's replicated delete finds it with no opener.
+func TestOpenedCreateReplicates(t *testing.T) {
+	pLn, bLn := listen(t), listen(t)
+	m := cluster.Map{Version: 1, Endpoints: []string{pLn.Addr().String()}, Backups: []string{bLn.Addr().String()}}
+	backup, err := Start(Config{Map: m, Role: cluster.RoleBackup, Listener: bLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	primary, err := Start(Config{Map: m, Role: cluster.RolePrimary, Listener: pLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	fa, p := newAgent(t, dial(t, ClientConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: 1}))
+	const path = "/pair/cycle"
+	var id fileservice.FileID
+	want := map[string]uint32{"create": 1, "close": 0}
+	smallFileCycle(t, fa, p, path, func(step string) {
+		if step == "create" {
+			e, err := backup.Facility.Naming.ResolvePath(path)
+			if err != nil {
+				t.Fatalf("the created name does not resolve on the backup: %v", err)
+			}
+			id = fileservice.FileID(e.SystemName)
+		}
+		if step == "delete" {
+			if _, err := backup.Facility.Files.Attributes(id); err == nil {
+				t.Fatal("the backup still holds the deleted file")
+			}
+			if _, err := backup.Facility.Naming.ResolvePath(path); err == nil {
+				t.Fatal("the deleted name still resolves on the backup")
+			}
+			return
+		}
+		attr, err := backup.Facility.Files.Attributes(id)
+		if err != nil || attr.RefCount != want[step] {
+			t.Fatalf("after %s the backup's copy has RefCount %d (err %v), want %d", step, attr.RefCount, err, want[step])
+		}
+	})
 }

@@ -6,6 +6,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,6 +162,104 @@ func benchRoundTrip(b *testing.B, clients int) {
 			c.ReleaseBody(out)
 		}
 	})
+}
+
+// stallThreshold is the round-trip time past which a round trip counts as a
+// stall rather than as service.
+const stallThreshold = time.Millisecond
+
+// reportRoundTrips reports the median of the round-trip times ds, the share
+// of their sum spent in stalls, the stall rate over the benchmark's wall
+// time and the median stall.
+func reportRoundTrips(b *testing.B, ds []time.Duration) {
+	if len(ds) == 0 {
+		return
+	}
+	slices.Sort(ds)
+	var total, stalled time.Duration
+	stalls := 0
+	for _, d := range ds {
+		total += d
+		if d > stallThreshold {
+			stalled += d
+			stalls++
+		}
+	}
+	b.ReportMetric(float64(ds[len(ds)/2])/1e3, "p50_us")
+	b.ReportMetric(100*float64(stalled)/float64(total), "stall_%")
+	b.ReportMetric(float64(stalls)/b.Elapsed().Seconds(), "stalls/s")
+	if stalls > 0 {
+		b.ReportMetric(float64(ds[len(ds)-stalls/2-1])/1e6, "stall_p50_ms")
+	}
+}
+
+// BenchmarkLoopbackEcho is the kernel's share of a round trip, with no rpc
+// layer: two client/echo goroutine pairs, each on its own loopback TCP
+// connection, ping-pong 100-byte frames. Set beside BenchmarkRoundTrip and
+// the rpc round trips of the repository benchmark, its p50 and stall share
+// say how much of a round trip, and of its millisecond stalls, the host's
+// scheduler and loopback stack account for.
+func BenchmarkLoopbackEcho(b *testing.B) {
+	const pairs, frame = 2, 100
+	ln := listen(b)
+	defer func() { _ = ln.Close() }()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, frame)
+				for {
+					if _, err := io.ReadFull(conn, buf); err != nil {
+						return
+					}
+					if _, err := conn.Write(buf); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	conns := make([]net.Conn, pairs)
+	for i := range conns {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		conns[i] = conn
+	}
+	ds := make([][]time.Duration, pairs)
+	var wg sync.WaitGroup
+	b.SetBytes(frame)
+	b.ResetTimer()
+	for i, conn := range conns {
+		n := (b.N + pairs - 1 - i) / pairs
+		ds[i] = make([]time.Duration, 0, n)
+		wg.Add(1)
+		go func(i int, conn net.Conn) {
+			defer wg.Done()
+			buf := make([]byte, frame)
+			for k := 0; k < n; k++ {
+				t0 := time.Now()
+				if _, err := conn.Write(buf); err != nil {
+					b.Error(err)
+					return
+				}
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					b.Error(err)
+					return
+				}
+				ds[i] = append(ds[i], time.Since(t0))
+			}
+		}(i, conn)
+	}
+	wg.Wait()
+	b.StopTimer()
+	reportRoundTrips(b, slices.Concat(ds...))
 }
 
 func BenchmarkRoundTrip(b *testing.B) {

@@ -123,6 +123,8 @@ func FuzzServerHandler(f *testing.F) {
 		v      any
 	}{
 		{rpcfs.MCreate, rpcfs.CreateArgs{Path: "/fuzz/created"}},
+		{rpcfs.MCreate, rpcfs.CreateArgs{Attr: fit.Attributes{RefCount: 1}, Path: "/fuzz/opened"}},
+		{rpcfs.MCreate, rpcfs.CreateArgs{Attr: fit.Attributes{RefCount: 2}, Path: "/fuzz/refused"}},
 		{rpcfs.MOpen, rpcfs.IDArgs{ID: id}},
 		{rpcfs.MClose, rpcfs.IDArgs{ID: id}},
 		{rpcfs.MReadAt, rpcfs.ReadAtArgs{ID: id, Off: 3, N: 8}},

@@ -132,20 +132,9 @@ func (s *Server) HandlerCtx() rpc.Link {
 			if err := unmarshalPayload(body, &a); err != nil {
 				return nil, err
 			}
-			id, err := s.Files.Create(a.Attr)
+			id, err := s.create(a)
 			if err != nil {
 				return nil, err
-			}
-			if a.Path != "" {
-				if err := s.Naming.Register(naming.Entry{
-					Name:       naming.Name{"type": "FILE", "path": a.Path},
-					Type:       naming.FileObject,
-					SystemName: uint64(id),
-					Service:    "rhodosd",
-				}); err != nil {
-					_ = s.Files.Delete(id)
-					return nil, err
-				}
 			}
 			return enc(IntReply{V: int64(id)})
 		case MOpen:
@@ -274,6 +263,40 @@ func (s *Server) HandlerCtx() rpc.Link {
 			return nil, fmt.Errorf("rpcfs: unknown method %q", method)
 		}
 	}
+}
+
+// create serves fs.create: create the file, register a.Path when it is
+// nonempty, then open the file once when a.Attr.RefCount is 1 (the agent's
+// create hands back an open file, so it needs no fs.open of its own). A step
+// that fails unwinds the ones before it: the caller is told the file does
+// not exist, so no name, file or open reference may be left behind.
+func (s *Server) create(a CreateArgs) (fileservice.FileID, error) {
+	if a.Attr.RefCount > 1 {
+		return 0, fmt.Errorf("rpcfs: create asks for %d opens, want 0 or 1", a.Attr.RefCount)
+	}
+	id, err := s.Files.Create(a.Attr)
+	if err != nil {
+		return 0, err
+	}
+	if a.Path != "" {
+		if err := s.Naming.Register(naming.Entry{
+			Name:       naming.Name{"type": "FILE", "path": a.Path},
+			Type:       naming.FileObject,
+			SystemName: uint64(id),
+			Service:    "rhodosd",
+		}); err != nil {
+			_ = s.Files.Delete(id)
+			return 0, err
+		}
+	}
+	if a.Attr.RefCount == 1 {
+		if err := s.Files.Open(id); err != nil {
+			s.Naming.UnregisterSystemName(naming.FileObject, uint64(id))
+			_ = s.Files.Delete(id)
+			return 0, err
+		}
+	}
+	return id, nil
 }
 
 // Client is an agent.FileService implementation backed by a remote server,

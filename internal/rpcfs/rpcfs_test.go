@@ -151,6 +151,48 @@ func TestRegisterViaCreateRollback(t *testing.T) {
 	if got := filesCount(c); got != before {
 		t.Fatalf("leaked file: %d -> %d", before, got)
 	}
+	// The same for a create that asks for the file back open: the name is
+	// refused before the open, so neither a file nor an open reference stays.
+	if _, err := cl.CreatePath(fit.Attributes{RefCount: 1}, "/dup"); err == nil {
+		t.Fatal("duplicate path opened create succeeded")
+	}
+	if got := filesCount(c); got != before {
+		t.Fatalf("opened create leaked a file: %d -> %d", before, got)
+	}
+	e, err := c.Naming.ResolvePath("/dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attr, err := c.Files.Attributes(fileservice.FileID(e.SystemName)); err != nil || attr.RefCount != 0 {
+		t.Fatalf("the registered /dup has RefCount %d (err %v), want 0", attr.RefCount, err)
+	}
+	// A count other than 0 or 1 is refused and creates nothing.
+	if _, err := cl.CreatePath(fit.Attributes{RefCount: 2}, "/twice"); err == nil {
+		t.Fatal("create asking for two opens succeeded")
+	}
+	if got := filesCount(c); got != before {
+		t.Fatalf("refused create left a file: %d -> %d", before, got)
+	}
+	if _, err := c.Naming.ResolvePath("/twice"); err == nil {
+		t.Fatal("refused create registered its name")
+	}
+	// RefCount 1 hands the file back open exactly once.
+	id, err := cl.CreatePath(fit.Attributes{RefCount: 1}, "/opened")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attr, err := c.Files.Attributes(id); err != nil || attr.RefCount != 1 {
+		t.Fatalf("opened create RefCount = %d (err %v), want 1", attr.RefCount, err)
+	}
+	if err := cl.Close(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(id); err == nil {
+		t.Fatal("second close of a file opened once succeeded")
+	}
+	if err := cl.Delete(id); err != nil {
+		t.Fatalf("delete after the one close: %v", err)
+	}
 }
 
 func filesCount(c *core.Cluster) int {
