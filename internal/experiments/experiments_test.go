@@ -1,14 +1,19 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ccache"
 	"repro/internal/obs"
+	"repro/internal/stable"
+	"repro/internal/txn"
 )
 
 // cell parses a table cell as an integer.
@@ -392,24 +397,96 @@ func TestTortureWriteback(t *testing.T) {
 	}
 }
 
-// TestTortureReplayable proves the determinism contract: the same scenario
-// and seed fire the same fault trace and reach the same outcome twice.
+// TestTortureReplayable proves the determinism contract for every
+// in-process recipe: the same scenario and seed fire the same fault trace
+// and reach the same outcome twice.
 func TestTortureReplayable(t *testing.T) {
-	sc := TortureScenarios()[3] // torn primary write mid-commit
-	a, err := RunTorture(sc, 42)
+	scs := TortureScenarios()
+	picked := []TortureScenario{scs[3]} // torn primary write mid-commit
+	for _, kind := range []TortureKind{TortureGroup, TortureWriteback, TortureParity, TortureMedia} {
+		i := slices.IndexFunc(scs, func(sc TortureScenario) bool { return sc.Kind == kind })
+		picked = append(picked, scs[i])
+	}
+	for _, sc := range picked {
+		a, err := RunTorture(sc, 42)
+		if err != nil {
+			t.Fatalf("%s %s: %v", sc.Kind, sc.Point, err)
+		}
+		b, err := RunTorture(sc, 42)
+		if err != nil {
+			t.Fatalf("%s %s: %v", sc.Kind, sc.Point, err)
+		}
+		if a.Fired != b.Fired || a.Outcome != b.Outcome || a.Redone != b.Redone ||
+			!slices.Equal(a.Violations, b.Violations) {
+			t.Errorf("%s %s: replay diverged: %+v vs %+v", sc.Kind, sc.Point, a, b)
+		}
+		if len(a.Violations) > 0 {
+			t.Errorf("%s %s: violations: %v", sc.Kind, sc.Point, a.Violations)
+		}
+	}
+}
+
+// TestTortureVerdictsLive proves the verify steps can fail. Every scenario
+// with a durability verdict, run with that verdict inverted, must report a
+// violation — a recipe that stopped comparing bytes would not. And settle
+// must flag a facility rebooted past a torn mirror write without the first
+// reconcile pass.
+func TestTortureVerdictsLive(t *testing.T) {
+	verdicts := map[TortureKind]bool{TortureTxn: true, TortureGroup: true, TortureKillServer: true, TortureWriteback: true}
+	ran := 0
+	for i, sc := range TortureScenarios() {
+		if !verdicts[sc.Kind] {
+			continue
+		}
+		ran++
+		sc.Durable = !sc.Durable
+		res, err := RunTorture(sc, 1800+int64(i))
+		if err != nil {
+			t.Errorf("%s %s inverted: %v", sc.Kind, sc.Point, err)
+			continue
+		}
+		if len(res.Violations) == 0 {
+			t.Errorf("%s %s: verdict inverted to durable=%v, outcome %q, yet every invariant held",
+				sc.Kind, sc.Point, sc.Durable, res.Outcome)
+		}
+	}
+	if ran != 15 {
+		t.Errorf("ran %d scenarios with a durability verdict, want 15 (txn 10, group 2, kill-server 2, write-back 1)", ran)
+	}
+
+	sc := TortureScenarios()[5] // torn mirror write at the commit record
+	if sc.Point != stable.PtWriteMirror {
+		t.Fatalf("scenario 5 is %s, want %s", sc.Point, stable.PtWriteMirror)
+	}
+	r, err := newWALRig(42, txn.GroupCommitConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTorture(sc, 42)
+	defer func() { _ = r.c.Close() }()
+	fids, err := r.seed(make([]byte, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fired != b.Fired || a.Outcome != b.Outcome || a.Redone != b.Redone {
-		t.Errorf("replay diverged: %+v vs %+v", a, b)
+	res, _, err := r.strike(sc, func() error {
+		_, err := r.commit(2, fids[0], ccache.Run{Data: bytes.Repeat([]byte{7}, 20000)})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(a.Violations)+len(b.Violations) > 0 {
-		t.Errorf("violations: %v / %v", a.Violations, b.Violations)
+	if err := r.c.Crash(); err != nil {
+		t.Fatal(err)
 	}
+	if res.Redone, err = r.c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = r.settle(res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) == 0 {
+		t.Error("settle found nothing to flag after a torn mirror write was never reconciled")
+	}
+	t.Logf("settle flagged: %v", res.Violations)
 }
 
 func TestE20Shape(t *testing.T) {
@@ -555,7 +632,7 @@ func TestE21Failover(t *testing.T) {
 	// The zero-unavailability claim: the victim shard's clients keep
 	// completing operations through the outage — retries span the promotion
 	// window — and the survivors never notice.
-	for _, ph := range []FailoverPhase{during, after} {
+	for _, ph := range []AvailabilityPhase{during, after} {
 		if ph.VictimOK == 0 {
 			t.Errorf("%s phase: victim clients completed nothing (%d errors)", ph.Name, ph.VictimErr)
 		}

@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // E21's failover cell: one shard of the scale-out rig runs as a replicated
@@ -111,20 +107,6 @@ func (r *failoverRig) close() {
 	_ = r.backup.Close()
 }
 
-// FailoverPhase is one phase of the failover cell: per-group success/error
-// counts plus full latency histograms, so the promotion stall is visible as
-// a victim-side tail rather than averaged away.
-type FailoverPhase struct {
-	Name        string
-	Wall        time.Duration
-	VictimOK    int64
-	VictimErr   int64
-	SurvivorOK  int64
-	SurvivorErr int64
-	Victim      *obs.Histogram
-	Survivor    *obs.Histogram
-}
-
 // FailoverResult is the failover cell's outcome.
 type FailoverResult struct {
 	VictimShard int
@@ -137,51 +119,7 @@ type FailoverResult struct {
 	PromotionWindow time.Duration
 	// Events is the backup's event log (promotion, lease breaks, ...).
 	Events []obs.Event
-	Phases []FailoverPhase // before, failover, after
-}
-
-// failoverPhase drives every client with error-tolerant operations for d,
-// recording latency per group. Victim-side errors are tolerated (counted)
-// but with a retry budget spanning the promotion window they should not
-// occur — that is the zero-unavailability claim under test.
-func failoverPhase(name string, d time.Duration, cls []e21Client, victim int) FailoverPhase {
-	ph := FailoverPhase{Name: name, Wall: d, Victim: &obs.Histogram{}, Survivor: &obs.Histogram{}}
-	var wg sync.WaitGroup
-	var sOK, sErr, vOK, vErr atomic.Int64
-	deadline := time.Now().Add(d)
-	for i, cl := range cls {
-		wg.Add(1)
-		go func(i int, cl e21Client) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(2000 + i)))
-			gen := workload.AccessGen{FileSize: e21FileSize, ReadFrac: e21ReadFrac, OpSize: e21OpSize}
-			buf := make([]byte, e21OpSize)
-			hist, ok, bad := ph.Survivor, &sOK, &sErr
-			if cl.shard == victim {
-				hist, ok, bad = ph.Victim, &vOK, &vErr
-			}
-			for time.Now().Before(deadline) {
-				acc := gen.Next(rng)
-				start := time.Now()
-				var err error
-				if acc.Read {
-					_, err = cl.agent.ReadAt(acc.Offset, acc.Length)
-				} else {
-					_, err = cl.agent.WriteAt(acc.Offset, buf[:acc.Length])
-				}
-				hist.Record(time.Since(start))
-				if err != nil {
-					bad.Add(1)
-				} else {
-					ok.Add(1)
-				}
-			}
-		}(i, cl)
-	}
-	wg.Wait()
-	ph.SurvivorOK, ph.SurvivorErr = sOK.Load(), sErr.Load()
-	ph.VictimOK, ph.VictimErr = vOK.Load(), vErr.Load()
-	return ph
+	Phases []AvailabilityPhase // before, failover, after
 }
 
 // FailoverRun executes the zero-unavailability failover cell: 3 shards with
@@ -214,19 +152,22 @@ func FailoverRun(phase time.Duration) (*FailoverResult, error) {
 
 // runPhases drives the three phases of a failover cell — before, the
 // primary's death, after — and reads the promotion window off the backup's
-// event log.
+// event log. Victim-side errors are tolerated (counted) but with a retry
+// budget spanning the promotion window they should not occur — that is the
+// zero-unavailability claim under test.
 func (r *failoverRig) runPhases(cls []e21Client, phase time.Duration) *FailoverResult {
+	const seedBase = 2000
 	res := &FailoverResult{VictimShard: r.victim}
-	res.Phases = append(res.Phases, failoverPhase("before", phase, cls, r.victim))
+	res.Phases = append(res.Phases, availabilityPhase("before", phase, cls, r.victim, seedBase))
 
 	killAt := time.Now()
 	r.killPrimary()
 	// The failover phase covers the outage: the watchdog promotes the backup
 	// after the replication TTL of silence, well inside the phase.
-	res.Phases = append(res.Phases, failoverPhase("failover", phase, cls, r.victim))
+	res.Phases = append(res.Phases, availabilityPhase("failover", phase, cls, r.victim, seedBase))
 	res.Promoted = r.promoted()
 
-	res.Phases = append(res.Phases, failoverPhase("after", phase, cls, r.victim))
+	res.Phases = append(res.Phases, availabilityPhase("after", phase, cls, r.victim, seedBase))
 	res.Events = r.bRec.Events()
 	for _, e := range res.Events {
 		if e.Name == "promote" {

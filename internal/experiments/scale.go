@@ -290,21 +290,70 @@ func ScaleRunOpen(servers, clients int, rate float64, duration time.Duration) (w
 	return res, hist, nil
 }
 
-// KillPhase is one phase of the kill-a-server cell, with operation counts
-// split between clients homed on the victim shard and the survivors.
-type KillPhase struct {
+// AvailabilityPhase is one phase of an E21 availability cell (kill-server,
+// failover): per-group success/error counts plus full latency histograms,
+// split between clients homed on the victim shard and the survivors, so an
+// outage shows up as victim-side errors or a victim-side tail rather than
+// averaged away.
+type AvailabilityPhase struct {
 	Name        string
 	Wall        time.Duration
-	SurvivorOK  int64
-	SurvivorErr int64
 	VictimOK    int64
 	VictimErr   int64
+	SurvivorOK  int64
+	SurvivorErr int64
+	Victim      *obs.Histogram
+	Survivor    *obs.Histogram
+}
+
+// availabilityPhase drives every client with error-tolerant operations for
+// d, client i drawing its accesses from seed seedBase+i. Unlike
+// RunClosedLoop, an error does not abort the run — failing against a dead
+// shard while the rest of the cluster serves is what the kill cell counts.
+func availabilityPhase(name string, d time.Duration, cls []e21Client, victim int, seedBase int64) AvailabilityPhase {
+	ph := AvailabilityPhase{Name: name, Wall: d, Victim: &obs.Histogram{}, Survivor: &obs.Histogram{}}
+	var wg sync.WaitGroup
+	var sOK, sErr, vOK, vErr atomic.Int64
+	deadline := time.Now().Add(d)
+	for i, cl := range cls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seedBase + int64(i)))
+			gen := workload.AccessGen{FileSize: e21FileSize, ReadFrac: e21ReadFrac, OpSize: e21OpSize}
+			buf := make([]byte, e21OpSize)
+			hist, ok, bad := ph.Survivor, &sOK, &sErr
+			if cl.shard == victim {
+				hist, ok, bad = ph.Victim, &vOK, &vErr
+			}
+			for time.Now().Before(deadline) {
+				acc := gen.Next(rng)
+				start := time.Now()
+				var err error
+				if acc.Read {
+					_, err = cl.agent.ReadAt(acc.Offset, acc.Length)
+				} else {
+					_, err = cl.agent.WriteAt(acc.Offset, buf[:acc.Length])
+				}
+				hist.Record(time.Since(start))
+				if err != nil {
+					bad.Add(1)
+				} else {
+					ok.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ph.SurvivorOK, ph.SurvivorErr = sOK.Load(), sErr.Load()
+	ph.VictimOK, ph.VictimErr = vOK.Load(), vErr.Load()
+	return ph
 }
 
 // KillResult is the kill-a-server cell's outcome.
 type KillResult struct {
 	VictimShard int
-	Phases      []KillPhase // before, down, recovered
+	Phases      []AvailabilityPhase // before, down, recovered
 	// LeaseBroken reports that the transaction leased through the victim
 	// shard was broken by the lease sweeper while the server was
 	// unreachable (its client could not renew).
@@ -312,48 +361,6 @@ type KillResult struct {
 	// CompetitorAcquired reports that after the restart a second client
 	// obtained the lock the dead client's transaction had held.
 	CompetitorAcquired bool
-}
-
-// killPhase drives every client with error-tolerant operations for d,
-// counting successes and failures per group. Unlike RunClosedLoop, an error
-// does not abort the run — failing against a dead shard while the rest of
-// the cluster serves is the point.
-func killPhase(name string, d time.Duration, cls []e21Client, victim int) KillPhase {
-	ph := KillPhase{Name: name, Wall: d}
-	var wg sync.WaitGroup
-	var sOK, sErr, vOK, vErr atomic.Int64
-	deadline := time.Now().Add(d)
-	for i, cl := range cls {
-		wg.Add(1)
-		go func(i int, cl e21Client) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + i)))
-			gen := workload.AccessGen{FileSize: e21FileSize, ReadFrac: e21ReadFrac, OpSize: e21OpSize}
-			buf := make([]byte, e21OpSize)
-			for time.Now().Before(deadline) {
-				acc := gen.Next(rng)
-				var err error
-				if acc.Read {
-					_, err = cl.agent.ReadAt(acc.Offset, acc.Length)
-				} else {
-					_, err = cl.agent.WriteAt(acc.Offset, buf[:acc.Length])
-				}
-				ok, bad := &sOK, &sErr
-				if cl.shard == victim {
-					ok, bad = &vOK, &vErr
-				}
-				if err != nil {
-					bad.Add(1)
-				} else {
-					ok.Add(1)
-				}
-			}
-		}(i, cl)
-	}
-	wg.Wait()
-	ph.SurvivorOK, ph.SurvivorErr = sOK.Load(), sErr.Load()
-	ph.VictimOK, ph.VictimErr = vOK.Load(), vErr.Load()
-	return ph
 }
 
 // KillServerRun executes the kill-a-server cell: 3 shards, clients pinned
@@ -368,6 +375,7 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 		clients  = 12
 		victim   = 1
 		leaseTTL = 150 * time.Millisecond
+		seedBase = 1000
 	)
 	rig, cls, cleanup, err := e21Setup(servers, clients, leaseTTL, 3)
 	if err != nil {
@@ -389,10 +397,10 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 		return nil, fmt.Errorf("lease-holder acquire: %w", err)
 	}
 
-	res.Phases = append(res.Phases, killPhase("before", phase, cls, victim))
+	res.Phases = append(res.Phases, availabilityPhase("before", phase, cls, victim, seedBase))
 
 	rig.nodes[victim].Kill()
-	res.Phases = append(res.Phases, killPhase("down", phase, cls, victim))
+	res.Phases = append(res.Phases, availabilityPhase("down", phase, cls, victim, seedBase))
 	// The victim's lease sweeper ran throughout the outage: the unrenewed
 	// lease expired and the transaction's locks were broken (§6.4's break
 	// path, driven by client liveness instead of lock age).
@@ -401,7 +409,7 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 	if err := rig.nodes[victim].Restart(); err != nil {
 		return nil, fmt.Errorf("restart shard %d: %w", victim, err)
 	}
-	res.Phases = append(res.Phases, killPhase("recovered", phase, cls, victim))
+	res.Phases = append(res.Phases, availabilityPhase("recovered", phase, cls, victim, seedBase))
 
 	// With the server back and the dead client's locks broken, a second
 	// client wins the lock.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -70,35 +71,48 @@ const (
 	TortureFailover
 	// TortureWriteback crashes a client-cache write-back at the group
 	// commit's sync: dirty blocks buffered in the cache flush through a
-	// transactional sink (one transaction per flush), the group-commit
-	// leader dies at the armed point, and after recovery every dirty run
-	// the flush carried must be durable or invisible as a unit — never one
-	// run without the other, never a torn block.
+	// transactional sink as one transaction whose commit joins a
+	// group-commit batch, the batch leader dies at the armed point, and
+	// after recovery every dirty run the flush carried must be durable or
+	// invisible as a unit — never one run without the other, never a torn
+	// block.
 	TortureWriteback
 )
 
+// tortureRecipe is one row of the dispatch table: the recipe cell, the mode
+// cell for each action kind the recipe renders its own way, and the runner.
+type tortureRecipe struct {
+	name  string
+	modes map[fault.Kind]string
+	run   func(TortureScenario, int64) (*TortureResult, error)
+}
+
+var tortureRecipes = [...]tortureRecipe{
+	TortureTxn:        {name: "txn-commit", run: runTortureTxn},
+	TortureParity:     {name: "parity-rebuild", run: runTortureParity},
+	TortureMedia:      {name: "media-read", run: runTortureMedia},
+	TortureGroup:      {name: "group-commit", run: runTortureGroup},
+	TortureKillServer: {name: "kill-server", run: runTortureKillServer},
+	TortureLease: {name: "lease-expiry", run: runTortureLease,
+		modes: map[fault.Kind]string{fault.KindError: "renewals dropped"}},
+	TortureFailover: {name: "shard-failover", run: runTortureFailover,
+		modes: map[fault.Kind]string{fault.KindDelay: "ack stalled+kill", fault.KindError: "stream severed+kill"}},
+	TortureWriteback: {name: "cache-writeback", run: runTortureWriteback},
+}
+
+func (k TortureKind) recipe() (tortureRecipe, bool) {
+	if k < 0 || int(k) >= len(tortureRecipes) {
+		return tortureRecipe{}, false
+	}
+	return tortureRecipes[k], true
+}
+
 // String implements fmt.Stringer.
 func (k TortureKind) String() string {
-	switch k {
-	case TortureTxn:
-		return "txn-commit"
-	case TortureParity:
-		return "parity-rebuild"
-	case TortureMedia:
-		return "media-read"
-	case TortureGroup:
-		return "group-commit"
-	case TortureKillServer:
-		return "kill-server"
-	case TortureLease:
-		return "lease-expiry"
-	case TortureFailover:
-		return "shard-failover"
-	case TortureWriteback:
-		return "cache-writeback"
-	default:
-		return fmt.Sprintf("TortureKind(%d)", int(k))
+	if rc, ok := k.recipe(); ok {
+		return rc.name
 	}
+	return fmt.Sprintf("TortureKind(%d)", int(k))
 }
 
 // TortureScenario is one registered fault point plus the action armed at it
@@ -107,35 +121,23 @@ type TortureScenario struct {
 	Point  fault.Point
 	Action fault.Action
 	Kind   TortureKind
-	// Durable, for TortureTxn, is whether the interrupted commit must survive
-	// recovery (the crash point is at or past the commit point) or must leave
-	// no trace (the crash point precedes it).
+	// Durable, for the recipes that interrupt a commit (txn, group,
+	// kill-server, write-back), is whether it must survive recovery (the
+	// crash point is at or past the commit point) or must leave no trace
+	// (the crash point precedes it).
 	Durable bool
 }
 
 // Mode renders the armed action for the report.
 func (sc TortureScenario) Mode() string {
-	var mode string
-	switch sc.Action.Kind {
-	case fault.KindTorn:
+	rc, _ := sc.Kind.recipe()
+	mode, ok := rc.modes[sc.Action.Kind]
+	switch {
+	case ok:
+	case sc.Action.Kind == fault.KindTorn:
 		mode = fmt.Sprintf("torn(%d)+crash", sc.Action.Frags)
-	case fault.KindError:
-		switch sc.Kind {
-		case TortureLease:
-			mode = "renewals dropped"
-		case TortureFailover:
-			mode = "stream severed+kill"
-		default:
-			mode = "media error"
-		}
-	case fault.KindCrash:
-		mode = "crash"
-	case fault.KindDelay:
-		if sc.Kind == TortureFailover {
-			mode = "ack stalled+kill"
-		} else {
-			mode = sc.Action.Kind.String()
-		}
+	case sc.Action.Kind == fault.KindError:
+		mode = "media error"
 	default:
 		mode = sc.Action.Kind.String()
 	}
@@ -143,6 +145,14 @@ func (sc TortureScenario) Mode() string {
 		mode += fmt.Sprintf(" @hit %d", sc.Action.After+1)
 	}
 	return mode
+}
+
+// want is the verdict recovery owes the interrupted commit.
+func (sc TortureScenario) want() string {
+	if sc.Durable {
+		return "durable"
+	}
+	return "invisible"
 }
 
 // TortureScenarios enumerates the full torture matrix: every crash point the
@@ -248,23 +258,180 @@ func (r *TortureResult) fail(format string, args ...any) {
 // RunTorture executes one scenario from a seed. The same (scenario, seed)
 // pair arms the same schedule and fires the same faults on every run.
 func RunTorture(sc TortureScenario, seed int64) (*TortureResult, error) {
-	switch sc.Kind {
-	case TortureParity:
-		return runTortureParity(sc, seed)
-	case TortureMedia:
-		return runTortureMedia(sc, seed)
-	case TortureGroup:
-		return runTortureGroup(sc, seed)
-	case TortureKillServer:
-		return runTortureKillServer(sc, seed)
-	case TortureLease:
-		return runTortureLease(sc, seed)
-	case TortureFailover:
-		return runTortureFailover(sc, seed)
-	case TortureWriteback:
-		return runTortureWriteback(sc, seed)
+	rc, ok := sc.Kind.recipe()
+	if !ok {
+		return nil, fmt.Errorf("no torture recipe for %v", sc.Kind)
+	}
+	return rc.run(sc, seed)
+}
+
+// tortureRig is what a crash recipe strikes: a facility, the injector its
+// fault points consult, and the recorder whose first fault dump the result
+// carries (nil for an untraced facility).
+type tortureRig struct {
+	c   *core.Cluster
+	inj *fault.Injector
+	rec *obs.Recorder
+}
+
+// walFacility is the facility the commit recipes crash: logging forced to
+// the WAL so every commit crosses the log's registered fault points.
+func walFacility(inj *fault.Injector, rec *obs.Recorder) core.Config {
+	return core.Config{
+		Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
+		LogFragments:   2048,
+		Fault:          inj,
+		ForceTechnique: intentions.WAL,
+		Obs:            rec,
+	}
+}
+
+// newWALRig builds a traced in-process WAL facility armed from seed.
+func newWALRig(seed int64, gc txn.GroupCommitConfig) (*tortureRig, error) {
+	inj := fault.NewInjector(seed)
+	rec := obs.New(obs.WithSampleRate(1)) // the fault dump must hold the op that died
+	cfg := walFacility(inj, rec)
+	cfg.GroupCommit = gc
+	c, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &tortureRig{c: c, inj: inj, rec: rec}, nil
+}
+
+// commit runs one transaction for process pid that writes the runs into
+// fid, creating the file when fid is zero, and returns the file.
+func (r *tortureRig) commit(pid int, fid txn.FileID, runs ...ccache.Run) (txn.FileID, error) {
+	t, err := r.c.Txns.Begin(pid)
+	if err != nil {
+		return 0, err
+	}
+	if fid == 0 {
+		fid, err = r.c.Txns.Create(t, fit.Attributes{Locking: fit.LockPage})
+	} else {
+		err = r.c.Txns.Open(t, fid, fit.LockPage)
+	}
+	if err != nil {
+		return 0, err
+	}
+	for _, run := range runs {
+		if _, err := r.c.Txns.PWrite(t, fid, run.Off, run.Data); err != nil {
+			return 0, err
+		}
+	}
+	return fid, r.c.Txns.End(t)
+}
+
+// seed commits each content as a new file and flushes, so the crash can
+// only reach what the recipe commits afterwards.
+func (r *tortureRig) seed(contents ...[]byte) ([]txn.FileID, error) {
+	fids := make([]txn.FileID, len(contents))
+	for i, data := range contents {
+		var err error
+		if fids[i], err = r.commit(1, 0, ccache.Run{Data: data}); err != nil {
+			return nil, err
+		}
+	}
+	return fids, r.c.Flush()
+}
+
+// strike arms sc's fault, runs the ops concurrently under fault.Run, and
+// disarms. Exactly one op must die, at the armed point; an op that returns
+// any error but a crashed batch's ErrCommitInterrupted is a violation. The
+// result carries the fire count and the first fault dump; acked[i] reports
+// that op i returned nil.
+func (r *tortureRig) strike(sc TortureScenario, ops ...func() error) (res *TortureResult, acked []bool, err error) {
+	crashes := make([]*fault.Crash, len(ops))
+	errs := make([]error, len(ops))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	r.inj.Arm(sc.Point, sc.Action)
+	for i, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			crashes[i], errs[i] = fault.Run(op)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	r.inj.DisarmAll()
+
+	var crashed []*fault.Crash
+	for _, c := range crashes {
+		if c != nil {
+			crashed = append(crashed, c)
+		}
+	}
+	if len(crashed) != 1 {
+		return nil, nil, fmt.Errorf("fault at %s killed %d of %d ops, want exactly one (errs %v)",
+			sc.Point, len(crashed), len(ops), errs)
+	}
+	if crashed[0].Point != sc.Point {
+		return nil, nil, fmt.Errorf("crashed at %s, armed %s", crashed[0].Point, sc.Point)
+	}
+	res = &TortureResult{Fired: r.inj.Fired(sc.Point)}
+	// The fault observer dumped the flight recorder as the fault fired; the
+	// dying op is in that dump as an in-flight span tree.
+	if dumps := r.rec.FaultDumps(); len(dumps) > 0 {
+		res.Dump = dumps[0]
+	}
+	acked = make([]bool, len(ops))
+	for i := range ops {
+		acked[i] = crashes[i] == nil && errs[i] == nil
+		if crashes[i] == nil && errs[i] != nil && !errors.Is(errs[i], txn.ErrCommitInterrupted) {
+			res.fail("op %d: unexpected commit error %v", i, errs[i])
+		}
+	}
+	return res, acked, nil
+}
+
+// reboot crashes the facility, reconciles its mirrors and replays the log.
+// Every recipe that reboots seeded a commit first, so a replay that redid
+// nothing lost it.
+func (r *tortureRig) reboot(res *TortureResult) error {
+	if err := r.c.Crash(); err != nil {
+		return err
+	}
+	if err := checkMirrors(res, r.c, false); err != nil {
+		return err
+	}
+	var err error
+	if res.Redone, err = r.c.Recover(); err != nil {
+		return err
+	}
+	if res.Redone < 1 {
+		res.fail("recovery redid no committed transactions")
+	}
+	return nil
+}
+
+// settle is every crash recipe's last word: a second reconcile pass must
+// find nothing left to heal, and the structural fsck must come back clean.
+func (r *tortureRig) settle(res *TortureResult) (*TortureResult, error) {
+	if err := checkMirrors(res, r.c, true); err != nil {
+		return nil, err
+	}
+	rep, err := r.c.Files.Check()
+	if err != nil {
+		return nil, err
+	}
+	if !rep.Ok() {
+		res.fail("fsck: %s", strings.Join(rep.Problems, "; "))
+	}
+	return res, nil
+}
+
+// classify names what recovery left of an overwrite of oldData with newData.
+func classify(got, newData, oldData []byte) string {
+	switch {
+	case bytes.Equal(got, newData):
+		return "durable"
+	case bytes.Equal(got, oldData):
+		return "invisible"
 	default:
-		return runTortureTxn(sc, seed)
+		return "corrupt"
 	}
 }
 
@@ -288,126 +455,58 @@ func checkMirrors(res *TortureResult, c *core.Cluster, secondPass bool) error {
 	return nil
 }
 
-// runTortureTxn commits transaction A, then runs transaction B overwriting
-// A's data with the scenario's fault armed, reboots, recovers, and verifies
-// the four invariants: A durable, B atomically durable-or-invisible per the
-// scenario, mirrors reconciled, structural fsck clean.
+// runTortureTxn runs the txn-commit recipe on a traced in-process facility.
 func runTortureTxn(sc TortureScenario, seed int64) (*TortureResult, error) {
-	inj := fault.NewInjector(seed)
-	rec := obs.New(obs.WithSampleRate(1)) // the fault dump must hold the op that died
-	c, err := core.New(core.Config{
-		Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
-		LogFragments:   2048,
-		Fault:          inj,
-		ForceTechnique: intentions.WAL,
-		Obs:            rec,
-	})
+	r, err := newWALRig(seed, txn.GroupCommitConfig{})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = c.Close() }()
+	defer func() { _ = r.c.Close() }()
+	none := func(*TortureResult) error { return nil }
+	return r.txnCommit(sc, rand.New(rand.NewSource(seed)), none, none)
+}
 
-	rng := rand.New(rand.NewSource(seed))
+// txnCommit is the txn-commit recipe: transaction A commits and is flushed,
+// transaction B overwrites A's data and dies at the armed point, and after
+// the reboot B must be durable or invisible as the scenario demands. down
+// runs between the strike and the reboot, up between the verdict and
+// settle; kill-server puts its networked outage and restart there.
+func (r *tortureRig) txnCommit(sc TortureScenario, rng *rand.Rand, down, up func(*TortureResult) error) (*TortureResult, error) {
 	oldData := make([]byte, 20000)
 	rng.Read(oldData)
 	newData := make([]byte, len(oldData))
 	rng.Read(newData)
-
-	// Transaction A: committed and flushed before the fault is armed.
-	a, err := c.Txns.Begin(1)
+	fids, err := r.seed(oldData)
 	if err != nil {
 		return nil, err
 	}
-	fid, err := c.Txns.Create(a, fit.Attributes{Locking: fit.LockPage})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.Txns.PWrite(a, fid, 0, oldData); err != nil {
-		return nil, err
-	}
-	if err := c.Txns.End(a); err != nil {
-		return nil, err
-	}
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
+	fid := fids[0]
 
-	// Transaction B dies at the armed point while overwriting A's data.
-	inj.Arm(sc.Point, sc.Action)
-	crashed, runErr := fault.Run(func() error {
-		b, err := c.Txns.Begin(2)
-		if err != nil {
-			return err
-		}
-		if err := c.Txns.Open(b, fid, fit.LockPage); err != nil {
-			return err
-		}
-		if _, err := c.Txns.PWrite(b, fid, 0, newData); err != nil {
-			return err
-		}
-		return c.Txns.End(b)
+	res, _, err := r.strike(sc, func() error {
+		_, err := r.commit(2, fid, ccache.Run{Data: newData})
+		return err
 	})
-	inj.DisarmAll()
-	if crashed == nil {
-		return nil, fmt.Errorf("fault at %s did not kill the run (err=%v)", sc.Point, runErr)
-	}
-	if crashed.Point != sc.Point {
-		return nil, fmt.Errorf("crashed at %s, armed %s", crashed.Point, sc.Point)
-	}
-	res := &TortureResult{Fired: inj.Fired(sc.Point)}
-	// The fault observer dumped the flight recorder as the fault fired; the
-	// dying End (or PWrite) is in that dump as an in-flight span tree.
-	if dumps := rec.FaultDumps(); len(dumps) > 0 {
-		res.Dump = dumps[0]
-	}
-
-	// Reboot, reconcile the mirrors, replay the log.
-	if err := c.Crash(); err != nil {
-		return nil, err
-	}
-	if err := checkMirrors(res, c, false); err != nil {
-		return nil, err
-	}
-	res.Redone, err = c.Recover()
 	if err != nil {
 		return nil, err
 	}
-
-	got, err := c.Files.ReadAt(fid, 0, len(oldData))
+	if err := down(res); err != nil {
+		return nil, err
+	}
+	if err := r.reboot(res); err != nil {
+		return nil, err
+	}
+	got, err := r.c.Files.ReadAt(fid, 0, len(oldData))
 	if err != nil {
 		return nil, fmt.Errorf("reading survivor file: %w", err)
 	}
-	switch {
-	case bytes.Equal(got, newData):
-		res.Outcome = "durable"
-	case bytes.Equal(got, oldData):
-		res.Outcome = "invisible"
-	default:
-		res.Outcome = "corrupt"
-	}
-	want := "invisible"
-	if sc.Durable {
-		want = "durable"
-	}
-	if res.Outcome != want {
+	res.Outcome = classify(got, newData, oldData)
+	if want := sc.want(); res.Outcome != want {
 		res.fail("interrupted commit: want %s, got %s", want, res.Outcome)
 	}
-	if res.Redone < 1 {
-		res.fail("recovery redid no committed transactions")
-	}
-
-	// A second reconcile pass must find nothing left to heal.
-	if err := checkMirrors(res, c, true); err != nil {
+	if err := up(res); err != nil {
 		return nil, err
 	}
-	rep, err := c.Files.Check()
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Ok() {
-		res.fail("fsck: %s", strings.Join(rep.Problems, "; "))
-	}
-	return res, nil
+	return r.settle(res)
 }
 
 // runTortureGroup overwrites W per-worker files under W concurrent
@@ -419,162 +518,75 @@ func runTortureTxn(sc TortureScenario, seed int64) (*TortureResult, error) {
 // the sync and no later batch synced behind it; no file is ever torn.
 func runTortureGroup(sc TortureScenario, seed int64) (*TortureResult, error) {
 	const workers = 4
-	inj := fault.NewInjector(seed)
-	rec := obs.New(obs.WithSampleRate(1)) // the fault dump must hold the op that died
-	c, err := core.New(core.Config{
-		Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
-		LogFragments:   2048,
-		Fault:          inj,
-		ForceTechnique: intentions.WAL,
-		Obs:            rec,
-		// MaxDelay makes the first leader linger, so all workers join one
-		// batch and the armed crash strikes a batch with parked followers.
-		GroupCommit: txn.GroupCommitConfig{MaxBatch: workers, MaxDelay: 100 * time.Millisecond},
-	})
+	// MaxDelay makes the first leader linger, so all workers join one batch
+	// and the armed crash strikes a batch with parked followers.
+	r, err := newWALRig(seed, txn.GroupCommitConfig{MaxBatch: workers, MaxDelay: 100 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = c.Close() }()
+	defer func() { _ = r.c.Close() }()
 
 	rng := rand.New(rand.NewSource(seed))
-	var fids [workers]txn.FileID
-	var olds, news [workers][]byte
-	for i := 0; i < workers; i++ {
+	olds, news := make([][]byte, workers), make([][]byte, workers)
+	for i := range olds {
 		olds[i] = make([]byte, 12000)
 		rng.Read(olds[i])
 		news[i] = make([]byte, len(olds[i]))
 		rng.Read(news[i])
-		a, err := c.Txns.Begin(1)
-		if err != nil {
-			return nil, err
-		}
-		fids[i], err = c.Txns.Create(a, fit.Attributes{Locking: fit.LockPage})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := c.Txns.PWrite(a, fids[i], 0, olds[i]); err != nil {
-			return nil, err
-		}
-		if err := c.Txns.End(a); err != nil {
-			return nil, err
-		}
 	}
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
-
-	inj.Arm(sc.Point, sc.Action)
-	var wg sync.WaitGroup
-	var crashes [workers]*fault.Crash
-	var errs [workers]error
-	start := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			crashes[i], errs[i] = fault.Run(func() error {
-				b, err := c.Txns.Begin(10 + i)
-				if err != nil {
-					return err
-				}
-				if err := c.Txns.Open(b, fids[i], fit.LockPage); err != nil {
-					return err
-				}
-				if _, err := c.Txns.PWrite(b, fids[i], 0, news[i]); err != nil {
-					return err
-				}
-				return c.Txns.End(b)
-			})
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	inj.DisarmAll()
-
-	nCrashed, nSuccess := 0, 0
-	for i := 0; i < workers; i++ {
-		switch {
-		case crashes[i] != nil:
-			nCrashed++
-		case errs[i] == nil:
-			nSuccess++
-		}
-	}
-	if nCrashed != 1 {
-		return nil, fmt.Errorf("fault at %s killed %d workers; want exactly the batch leader", sc.Point, nCrashed)
-	}
-	res := &TortureResult{Fired: inj.Fired(sc.Point)}
-	if dumps := rec.FaultDumps(); len(dumps) > 0 {
-		res.Dump = dumps[0]
-	}
-	for i := 0; i < workers; i++ {
-		if crashes[i] == nil && errs[i] != nil && !errors.Is(errs[i], txn.ErrCommitInterrupted) {
-			res.fail("worker %d: unexpected commit error %v", i, errs[i])
-		}
-	}
-
-	// Reboot, reconcile the mirrors, replay the log.
-	if err := c.Crash(); err != nil {
-		return nil, err
-	}
-	if err := checkMirrors(res, c, false); err != nil {
-		return nil, err
-	}
-	res.Redone, err = c.Recover()
+	fids, err := r.seed(olds...)
 	if err != nil {
+		return nil, err
+	}
+	ops := make([]func() error, workers)
+	for i := range ops {
+		ops[i] = func() error {
+			_, err := r.commit(10+i, fids[i], ccache.Run{Data: news[i]})
+			return err
+		}
+	}
+	res, acked, err := r.strike(sc, ops...)
+	if err != nil {
+		return nil, err
+	}
+	anyAcked := slices.Contains(acked, true)
+	if err := r.reboot(res); err != nil {
 		return nil, err
 	}
 
 	nDurable, nInvisible := 0, 0
-	for i := 0; i < workers; i++ {
-		got, err := c.Files.ReadAt(fids[i], 0, len(olds[i]))
+	for i := range fids {
+		got, err := r.c.Files.ReadAt(fids[i], 0, len(olds[i]))
 		if err != nil {
 			return nil, fmt.Errorf("reading worker %d file: %w", i, err)
 		}
-		var state string
-		switch {
-		case bytes.Equal(got, news[i]):
-			state = "durable"
+		state := classify(got, news[i], olds[i])
+		switch state {
+		case "durable":
 			nDurable++
-		case bytes.Equal(got, olds[i]):
-			state = "invisible"
+		case "invisible":
 			nInvisible++
 		default:
 			res.fail("worker %d: file torn after recovery", i)
 			continue
 		}
-		acknowledged := crashes[i] == nil && errs[i] == nil
 		switch {
-		case acknowledged && state != "durable":
+		case acked[i] && state != "durable":
 			res.fail("worker %d: commit acknowledged but %s after recovery", i, state)
-		case !acknowledged && sc.Durable && state != "durable":
+		case !acked[i] && sc.Durable && state != "durable":
 			// The leader synced the batch before dying: every member's
 			// commit record is on stable storage.
 			res.fail("worker %d: leader synced before crashing but commit %s", i, state)
-		case !acknowledged && !sc.Durable && nSuccess == 0 && state != "invisible":
+		case !acked[i] && !sc.Durable && !anyAcked && state != "invisible":
 			// No sync ever completed, so no member's record can be durable.
 			// (A straggler batch that synced behind the crash legitimately
-			// hardens earlier records; nSuccess > 0 detects that run.)
+			// hardens earlier records; an acknowledged member detects that
+			// run.)
 			res.fail("worker %d: nothing was synced but commit %s", i, state)
 		}
 	}
 	res.Outcome = fmt.Sprintf("%d durable / %d invisible", nDurable, nInvisible)
-	if res.Redone < 1 {
-		res.fail("recovery redid no committed transactions")
-	}
-
-	if err := checkMirrors(res, c, true); err != nil {
-		return nil, err
-	}
-	rep, err := c.Files.Check()
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Ok() {
-		res.fail("fsck: %s", strings.Join(rep.Problems, "; "))
-	}
-	return res, nil
+	return r.settle(res)
 }
 
 // txnFlushSink commits each cache flush as one transaction: every dirty
@@ -582,24 +594,13 @@ func runTortureGroup(sc TortureScenario, seed int64) (*TortureResult, error) {
 // whole write-back reaches the log atomically — what a caller that needs
 // crash atomicity across a flush puts in ccache.Config.Sink.
 type txnFlushSink struct {
-	c   *core.Cluster
+	r   *tortureRig
 	pid int
 }
 
 func (s *txnFlushSink) WriteRuns(id fileservice.FileID, runs []ccache.Run) error {
-	b, err := s.c.Txns.Begin(s.pid)
-	if err != nil {
-		return err
-	}
-	if err := s.c.Txns.Open(b, id, fit.LockPage); err != nil {
-		return err
-	}
-	for _, r := range runs {
-		if _, err := s.c.Txns.PWrite(b, id, r.Off, r.Data); err != nil {
-			return err
-		}
-	}
-	return s.c.Txns.End(b)
+	_, err := s.r.commit(s.pid, id, runs...)
+	return err
 }
 
 // runTortureWriteback buffers two widely separated dirty runs in the client
@@ -609,20 +610,11 @@ func (s *txnFlushSink) WriteRuns(id fileservice.FileID, runs []ccache.Run) error
 // together — never one without the other, never a torn block — and the
 // seeded bytes between them untouched.
 func runTortureWriteback(sc TortureScenario, seed int64) (*TortureResult, error) {
-	inj := fault.NewInjector(seed)
-	rec := obs.New(obs.WithSampleRate(1)) // the fault dump must hold the op that died
-	c, err := core.New(core.Config{
-		Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
-		LogFragments:   2048,
-		Fault:          inj,
-		ForceTechnique: intentions.WAL,
-		Obs:            rec,
-		GroupCommit:    txn.GroupCommitConfig{MaxBatch: 1, MaxDelay: 100 * time.Millisecond},
-	})
+	r, err := newWALRig(seed, txn.GroupCommitConfig{MaxBatch: 1, MaxDelay: 100 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = c.Close() }()
+	defer func() { _ = r.c.Close() }()
 
 	// Seed a 5-block file with committed, flushed content the crash must
 	// not disturb.
@@ -630,128 +622,68 @@ func runTortureWriteback(sc TortureScenario, seed int64) (*TortureResult, error)
 	rng := rand.New(rand.NewSource(seed))
 	old := make([]byte, fileLen)
 	rng.Read(old)
-	a, err := c.Txns.Begin(1)
+	fids, err := r.seed(old)
 	if err != nil {
 		return nil, err
 	}
-	fid, err := c.Txns.Create(a, fit.Attributes{Locking: fit.LockPage})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.Txns.PWrite(a, fid, 0, old); err != nil {
-		return nil, err
-	}
-	if err := c.Txns.End(a); err != nil {
-		return nil, err
-	}
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
+	fid := fids[0]
 
 	// A local-mode cache over the recovered-facility file service, flushing
 	// through the transactional sink. Two dirty runs: a full aligned block
 	// at the front and an unaligned run straddling the block-3 boundary, so
 	// the flush carries non-adjacent runs and the unaligned one exercises
 	// the read-modify-write pre-image fetch.
-	cc, err := ccache.New(ccache.Config{Inner: c.Files, Sink: &txnFlushSink{c: c, pid: 7}})
+	cc, err := ccache.New(ccache.Config{Inner: r.c.Files, Sink: &txnFlushSink{r: r, pid: 7}})
 	if err != nil {
 		return nil, err
 	}
-	runA := ccache.Run{Off: 0, Data: make([]byte, ccache.BlockSize)}
-	runB := ccache.Run{Off: 3*ccache.BlockSize - 100, Data: make([]byte, 300)}
-	rng.Read(runA.Data)
-	rng.Read(runB.Data)
-	want := append([]byte(nil), old...)
-	copy(want[runA.Off:], runA.Data)
-	copy(want[runB.Off:], runB.Data)
-	for _, r := range []ccache.Run{runA, runB} {
-		if _, err := cc.WriteAt(fid, r.Off, r.Data); err != nil {
-			return nil, fmt.Errorf("buffering dirty run at %d: %w", r.Off, err)
+	runs := []ccache.Run{
+		{Off: 0, Data: make([]byte, ccache.BlockSize)},
+		{Off: 3*ccache.BlockSize - 100, Data: make([]byte, 300)},
+	}
+	for _, run := range runs {
+		rng.Read(run.Data)
+	}
+	for _, run := range runs {
+		if _, err := cc.WriteAt(fid, run.Off, run.Data); err != nil {
+			return nil, fmt.Errorf("buffering dirty run at %d: %w", run.Off, err)
 		}
 	}
 
-	inj.Arm(sc.Point, sc.Action)
-	crash, err := fault.Run(func() error { return cc.FlushFile(fid) })
-	inj.DisarmAll()
-	res := &TortureResult{Fired: inj.Fired(sc.Point)}
-	if dumps := rec.FaultDumps(); len(dumps) > 0 {
-		res.Dump = dumps[0]
-	}
-	if crash == nil {
-		return nil, fmt.Errorf("fault at %s never fired (flush err %v)", sc.Point, err)
-	}
-
-	// Reboot, reconcile the mirrors, replay the log.
-	if err := c.Crash(); err != nil {
-		return nil, err
-	}
-	if err := checkMirrors(res, c, false); err != nil {
-		return nil, err
-	}
-	res.Redone, err = c.Recover()
+	res, _, err := r.strike(sc, func() error { return cc.FlushFile(fid) })
 	if err != nil {
 		return nil, err
 	}
-
-	got, err := c.Files.ReadAt(fid, 0, fileLen)
+	if err := r.reboot(res); err != nil {
+		return nil, err
+	}
+	got, err := r.c.Files.ReadAt(fid, 0, fileLen)
 	if err != nil {
 		return nil, fmt.Errorf("reading cached file after recovery: %w", err)
 	}
-	regionState := func(r ccache.Run) string {
-		end := r.Off + int64(len(r.Data))
-		switch {
-		case bytes.Equal(got[r.Off:end], r.Data):
-			return "durable"
-		case bytes.Equal(got[r.Off:end], old[r.Off:end]):
-			return "invisible"
-		default:
-			return "torn"
-		}
+	var states [2]string
+	outside := append([]byte(nil), old...) // got's runs over the seeded bytes
+	for i, run := range runs {
+		end := run.Off + int64(len(run.Data))
+		states[i] = classify(got[run.Off:end], run.Data, old[run.Off:end])
+		copy(outside[run.Off:end], got[run.Off:end])
 	}
-	stateA, stateB := regionState(runA), regionState(runB)
+	res.Outcome = states[0]
 	switch {
-	case stateA == "torn" || stateB == "torn":
-		res.fail("write-back torn within a run (front %s, straddle %s)", stateA, stateB)
-	case stateA != stateB:
-		res.fail("write-back torn across runs: front block %s but straddling run %s", stateA, stateB)
-	case sc.Durable && stateA != "durable":
-		res.fail("leader synced before crashing but write-back %s", stateA)
-	case !sc.Durable && stateA != "invisible":
-		res.fail("nothing was synced but write-back %s", stateA)
+	case states[0] == "corrupt" || states[1] == "corrupt":
+		res.fail("write-back torn within a run (front %s, straddle %s)", states[0], states[1])
+		res.Outcome = "corrupt"
+	case states[0] != states[1]:
+		res.fail("write-back torn across runs: front block %s but straddling run %s", states[0], states[1])
+		res.Outcome = "corrupt"
+	case states[0] != sc.want():
+		res.fail("write-back: want %s, got %s", sc.want(), states[0])
 	}
 	// Everything outside the two dirty runs must still be the seeded bytes.
-	mask := make([]bool, fileLen)
-	for _, r := range []ccache.Run{runA, runB} {
-		for i := range r.Data {
-			mask[r.Off+int64(i)] = true
-		}
+	if !bytes.Equal(got, outside) {
+		res.fail("seeded bytes outside the dirty runs disturbed by the write-back crash")
 	}
-	for i := 0; i < fileLen; i++ {
-		if !mask[i] && got[i] != old[i] {
-			res.fail("seeded byte %d disturbed by write-back crash", i)
-			break
-		}
-	}
-	if stateA == "torn" || stateB == "torn" || stateA != stateB {
-		res.Outcome = "corrupt"
-	} else {
-		res.Outcome = stateA
-	}
-	if res.Redone < 1 {
-		res.fail("recovery redid no committed transactions")
-	}
-
-	if err := checkMirrors(res, c, true); err != nil {
-		return nil, err
-	}
-	rep, err := c.Files.Check()
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Ok() {
-		res.fail("fsck: %s", strings.Join(rep.Problems, "; "))
-	}
-	return res, nil
+	return r.settle(res)
 }
 
 // runTortureParity degrades a 3-disk parity array, mutates it degraded,
@@ -770,6 +702,7 @@ func runTortureParity(sc TortureScenario, seed int64) (*TortureResult, error) {
 		return nil, err
 	}
 	defer func() { _ = c.Close() }()
+	r := &tortureRig{c: c, inj: inj}
 
 	rng := rand.New(rand.NewSource(seed))
 	ref := make([]byte, 256<<10)
@@ -812,16 +745,14 @@ func runTortureParity(sc TortureScenario, seed int64) (*TortureResult, error) {
 	if err := arr.ReplaceDisk(1, c.DiskServer(1)); err != nil {
 		return nil, err
 	}
-	inj.Arm(sc.Point, sc.Action)
-	crashed, runErr := fault.Run(arr.Rebuild)
-	inj.DisarmAll()
-	if crashed == nil {
-		return nil, fmt.Errorf("fault at %s did not kill the rebuild (err=%v)", sc.Point, runErr)
+	res, _, err := r.strike(sc, arr.Rebuild)
+	if err != nil {
+		return nil, err
 	}
-	res := &TortureResult{Fired: inj.Fired(sc.Point)}
 
 	// Reboot. The half-rebuilt replacement is stale, so it is re-marked
-	// failed and the rebuild restarts from stripe zero.
+	// failed and the rebuild restarts from stripe zero before the log
+	// replays.
 	if err := c.Crash(); err != nil {
 		return nil, err
 	}
@@ -858,17 +789,7 @@ func runTortureParity(sc TortureScenario, seed int64) (*TortureResult, error) {
 	if err := checkMirrors(res, c, false); err != nil {
 		return nil, err
 	}
-	if err := checkMirrors(res, c, true); err != nil {
-		return nil, err
-	}
-	rep, err := c.Files.Check()
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Ok() {
-		res.fail("fsck: %s", strings.Join(rep.Problems, "; "))
-	}
-	return res, nil
+	return r.settle(res)
 }
 
 // runTortureMedia writes through a standalone stable store, injects a media
@@ -939,13 +860,13 @@ func tortureShardPath(shard, shards int) string {
 	}
 }
 
-// runTortureKillServer runs the txn-commit recipe against one shard of a
-// two-shard networked cluster and kills the whole shard with it: transaction
-// B dies at the armed commit point on the victim's machine, the victim's TCP
-// server closes (the machine is down), and the harness checks availability
-// alongside the commit contract — the surviving shard serves throughout, the
-// victim's clients fail fast during the outage, and after log replay and a
-// restart on the same endpoint they pick the shard back up.
+// runTortureKillServer runs the txn-commit recipe, untraced, on the victim
+// shard's facility in a two-shard networked cluster, and the whole shard
+// dies with transaction B: the victim's TCP server closes (the machine is
+// down) and the harness checks availability alongside the commit contract —
+// the surviving shard serves throughout, the victim's clients fail fast
+// during the outage, and after log replay and a restart on the same
+// endpoint they pick the shard back up.
 func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error) {
 	const shards = 2
 	const victim = 1
@@ -957,23 +878,18 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 	}
 	m := cluster.Map{Version: 1, Endpoints: addrs}
 	nodes, err := startNodes(m, lns, func(i int) node.Config {
-		cfg := core.Config{
-			Geometry:       device.Geometry{FragmentsPerTrack: 32, Tracks: 256},
-			LogFragments:   2048,
-			ForceTechnique: intentions.WAL,
-		}
 		if i == victim {
-			cfg.Fault = inj
+			return node.Config{Facility: walFacility(inj, nil)}
 		}
-		return node.Config{Facility: cfg}
+		return node.Config{Facility: walFacility(nil, nil)}
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer closeNodes(nodes)
 
-	// A routed client with one probe file per shard, flushed so the reboot
-	// cannot take them with it.
+	// A routed client with one probe file per shard; the txn recipe's seed
+	// flush hardens the victim's before the fault is armed.
 	cl, err := node.Dial(node.ClientConfig{Endpoints: addrs, ClientID: 1, Retries: 3})
 	if err != nil {
 		return nil, err
@@ -1000,124 +916,33 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 		fds[i] = fd
 	}
 
-	// Transaction A on the victim's machine: committed and flushed (the
-	// flush also hardens the probe files) before the fault is armed.
-	oldData := make([]byte, 20000)
-	rng.Read(oldData)
-	newData := make([]byte, len(oldData))
-	rng.Read(newData)
-	vc := nodes[victim].Facility
-	a, err := vc.Txns.Begin(1)
-	if err != nil {
-		return nil, err
+	outage := func(res *TortureResult) error {
+		nodes[victim].Kill()
+		if _, err := fa.PRead(proc, fds[0], 0, 64); err != nil {
+			res.fail("surviving shard stopped serving during the outage: %v", err)
+		}
+		if _, err := fa.PRead(proc, fds[victim], 0, 64); err == nil {
+			res.fail("reads through the dead shard succeeded during the outage")
+		}
+		return nil
 	}
-	fid, err := vc.Txns.Create(a, fit.Attributes{Locking: fit.LockPage})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := vc.Txns.PWrite(a, fid, 0, oldData); err != nil {
-		return nil, err
-	}
-	if err := vc.Txns.End(a); err != nil {
-		return nil, err
-	}
-	if err := vc.Flush(); err != nil {
-		return nil, err
-	}
-
-	// Transaction B dies at the armed point; the machine dies with it.
-	inj.Arm(sc.Point, sc.Action)
-	crashed, runErr := fault.Run(func() error {
-		b, err := vc.Txns.Begin(2)
+	restart := func(res *TortureResult) error {
+		// The same address and endpoint (duplicate cache and client
+		// sequence numbers carry over, as in a real server restart); the
+		// router's transport re-dials on the next call.
+		if err := nodes[victim].Restart(); err != nil {
+			return err
+		}
+		back, err := fa.PRead(proc, fds[victim], 0, 64)
 		if err != nil {
-			return err
+			res.fail("victim clients did not fail over after the restart: %v", err)
+		} else if !bytes.Equal(back, probe[:64]) {
+			res.fail("probe file corrupt after the restart")
 		}
-		if err := vc.Txns.Open(b, fid, fit.LockPage); err != nil {
-			return err
-		}
-		if _, err := vc.Txns.PWrite(b, fid, 0, newData); err != nil {
-			return err
-		}
-		return vc.Txns.End(b)
-	})
-	inj.DisarmAll()
-	if crashed == nil {
-		return nil, fmt.Errorf("fault at %s did not kill the run (err=%v)", sc.Point, runErr)
+		return nil
 	}
-	if crashed.Point != sc.Point {
-		return nil, fmt.Errorf("crashed at %s, armed %s", crashed.Point, sc.Point)
-	}
-	res := &TortureResult{Fired: inj.Fired(sc.Point)}
-	nodes[victim].Kill()
-
-	// The outage: the survivor serves, the victim's clients fail fast.
-	if _, err := fa.PRead(proc, fds[0], 0, 64); err != nil {
-		res.fail("surviving shard stopped serving during the outage: %v", err)
-	}
-	if _, err := fa.PRead(proc, fds[victim], 0, 64); err == nil {
-		res.fail("reads through the dead shard succeeded during the outage")
-	}
-
-	// Reboot the victim: reconcile its mirrors, replay its log, check the
-	// interrupted commit.
-	if err := vc.Crash(); err != nil {
-		return nil, err
-	}
-	if err := checkMirrors(res, vc, false); err != nil {
-		return nil, err
-	}
-	res.Redone, err = vc.Recover()
-	if err != nil {
-		return nil, err
-	}
-	got, err := vc.Files.ReadAt(fid, 0, len(oldData))
-	if err != nil {
-		return nil, fmt.Errorf("reading survivor file: %w", err)
-	}
-	switch {
-	case bytes.Equal(got, newData):
-		res.Outcome = "durable"
-	case bytes.Equal(got, oldData):
-		res.Outcome = "invisible"
-	default:
-		res.Outcome = "corrupt"
-	}
-	want := "invisible"
-	if sc.Durable {
-		want = "durable"
-	}
-	if res.Outcome != want {
-		res.fail("interrupted commit: want %s, got %s", want, res.Outcome)
-	}
-	if res.Redone < 1 {
-		res.fail("recovery redid no committed transactions")
-	}
-
-	// Restart the shard's server over the recovered services, on the same
-	// address and endpoint (duplicate cache and client sequence numbers
-	// carry over, as in a real server restart); the router's transport
-	// re-dials on the next call.
-	if err := nodes[victim].Restart(); err != nil {
-		return nil, err
-	}
-	back, err := fa.PRead(proc, fds[victim], 0, 64)
-	if err != nil {
-		res.fail("victim clients did not fail over after the restart: %v", err)
-	} else if !bytes.Equal(back, probe[:64]) {
-		res.fail("probe file corrupt after the restart")
-	}
-
-	if err := checkMirrors(res, vc, true); err != nil {
-		return nil, err
-	}
-	rep, err := vc.Files.Check()
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Ok() {
-		res.fail("fsck: %s", strings.Join(rep.Problems, "; "))
-	}
-	return res, nil
+	r := &tortureRig{c: nodes[victim].Facility, inj: inj}
+	return r.txnCommit(sc, rng, outage, restart)
 }
 
 // runTortureLease partitions a lock-holding client from its shard: the armed
@@ -1361,12 +1186,12 @@ func E18Torture() (*Table, error) {
 			res.Outcome, dump, inv)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("deterministic: scenario i runs from seed %d+i; the same seed fires the same faults", seedBase),
+		fmt.Sprintf("deterministic: scenario i runs from seed %d+i; the same seed fires the same faults — except lease-expiry's fired count, the renewals dropped before the real-time sweeper acts (2 or 3), which ROADMAP item 1's injectable clock will fix", seedBase),
 		"invariants: committed durable; unfinished invisible; mirrors reconciled (2nd pass no-op); parity consistent; fsck clean",
 		"flight dump: span trees the flight recorder snapshotted the instant the fault fired (txn recipes run traced)",
 		"kill-server: a 2-shard cluster's victim server crashes mid-commit and its TCP listener closes; the other shard must keep serving during the outage and the victim must recover and serve again on the same endpoint",
 		"lease-expiry: every renewal is dropped at cluster.lease.renew until the server-side sweeper breaks the client's transaction and a competitor wins its lock",
 		"shard-failover: a replicated pair's primary dies at the armed replication point; cluster.repl.ack is the crash-before-ack window (the retransmission must hit the backup's seeded duplicate cache exactly once), cluster.repl.ship severs the stream (only the replicated prefix may survive the handover)",
-		"cache-writeback: dirty client-cache blocks flush through a transactional sink into the group-commit barrier and the leader dies after the shared sync; the flush's non-adjacent runs must be durable as a unit — never one run without the other, never a torn block")
+		"cache-writeback: dirty client-cache blocks flush through a transactional sink as one transaction whose commit joins a group-commit batch, and the leader dies after the shared sync; the flush's non-adjacent runs must be durable as a unit — never one run without the other, never a torn block")
 	return t, nil
 }
