@@ -1,14 +1,13 @@
-// Command rhodos-bench runs the reproduction experiments (E1–E21 and the
+// Command rhodos-bench runs the reproduction experiments (E1–E23 and the
 // paper's Table 1) and prints their result tables — the data recorded in
-// EXPERIMENTS.md. E19 (group commit), E20 (transport load) and E21 (scale-
-// out) are wall-clock but fast, so they stay in the -smoke pass; only E16
-// is dropped there.
+// EXPERIMENTS.md. E19–E23 are wall-clock but fast, so they stay in the
+// -smoke pass; only E16 is dropped there.
 //
 // Usage:
 //
 //	rhodos-bench                  # run everything
 //	rhodos-bench -only E8         # run one experiment (comma-separated list)
-//	rhodos-bench -smoke           # fast pass: virtual-time experiments only
+//	rhodos-bench -smoke           # fast pass: everything but E16
 //	rhodos-bench -list            # list experiments
 //	rhodos-bench -json out.json   # also write results as JSON
 //	rhodos-bench -load -clients 64
@@ -45,7 +44,7 @@ type jsonTable struct {
 	Notes     []string   `json:"notes,omitempty"`
 	ElapsedMS int64      `json:"elapsed_ms"`
 	// Profile carries the per-layer latency breakdown for experiments
-	// that run traced (E16).
+	// that run traced (E16, E19, E20, E22).
 	Profile *obs.Profile `json:"profile,omitempty"`
 }
 
@@ -55,7 +54,7 @@ func main() {
 
 func run() int {
 	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E1,E8)")
-	smoke := flag.Bool("smoke", false, "fast pass: skip the wall-clock experiments (E16)")
+	smoke := flag.Bool("smoke", false, "fast pass: skip E16, the slow wall-clock experiment")
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonOut := flag.String("json", "", "write results as JSON to this file ('-' for stdout)")
 	load := flag.Bool("load", false, "run one load cell instead of the experiment suite")
@@ -156,14 +155,12 @@ type jsonLoad struct {
 func runLoad(clients, perConn, ops int, rate float64, dur time.Duration, addrs, backups, jsonOut string) int {
 	out := jsonLoad{Clients: clients}
 	var res workload.LoadResult
-	var hist *obs.Histogram
-	switch {
-	case addrs != "":
+	var err error
+	if addrs != "" {
 		if rate > 0 {
 			fmt.Fprintln(os.Stderr, "load: -rate is not supported with -addrs")
 			return 1
 		}
-		endpoints := strings.Split(addrs, ",")
 		var backupList []string
 		if backups != "" {
 			backupList = strings.Split(backups, ",")
@@ -172,37 +169,30 @@ func runLoad(clients, perConn, ops int, rate float64, dur time.Duration, addrs, 
 		// against the same long-lived servers: a reused client ID would hit
 		// the servers' duplicate caches, a reused path their namespace.
 		uniq := uint64(time.Now().UnixNano())
-		var err error
-		res, hist, err = experiments.ClusterLoadRun(endpoints, backupList, clients, ops, uniq, fmt.Sprintf("%x", uniq))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			return 1
-		}
+		res, err = experiments.ClusterLoadRun(strings.Split(addrs, ","), backupList, clients, ops, uniq, fmt.Sprintf("%x", uniq))
+	} else {
+		res, err = experiments.LoadRun(clients, perConn, ops, rate, dur, nil)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "load: %v\n", err)
+		return 1
+	}
+	switch {
+	case addrs != "":
 		out.Mode, out.Addrs = "cluster", addrs
 		fmt.Printf("cluster=%s clients=%d ops=%d\n", addrs, clients, res.Ops)
 	case rate > 0:
-		open, h, err := experiments.LoadRunOpen(clients, perConn, rate, dur)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			return 1
-		}
-		res, hist = open.LoadResult, h
-		out.Mode, out.Offered = "open", open.Offered
+		out.Mode, out.Offered = "open", res.Offered
 		fmt.Printf("clients=%d per-conn=%d rate=%.0f/s offered=%d completed=%d\n",
-			clients, perConn, rate, open.Offered, open.Ops)
+			clients, perConn, rate, res.Offered, res.Ops)
 	default:
-		var err error
-		res, hist, err = experiments.LoadRun(clients, perConn, ops, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			return 1
-		}
 		out.Mode = "closed"
 		fmt.Printf("clients=%d per-conn=%d ops=%d\n", clients, perConn, res.Ops)
 	}
 	fmt.Printf("wall=%v ops/sec=%.0f MB/s=%.1f\n",
 		res.Wall.Round(time.Millisecond), res.OpsPerSec(),
 		float64(res.Bytes)/(1<<20)/res.Wall.Seconds())
+	hist := res.Latency
 	fmt.Printf("latency p50=%v p95=%v p99=%v max=%v\n",
 		hist.Quantile(0.50), hist.Quantile(0.95), hist.Quantile(0.99), hist.Max())
 	if jsonOut != "" {

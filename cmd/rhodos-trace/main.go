@@ -332,10 +332,3 @@ func driveCommits(cluster *core.Cluster, m *agent.Machine, workers, ops, opSize 
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -97,40 +97,26 @@ func (r *e23Rig) dial(id uint64, cached bool, rec *obs.Recorder) (*node.Client, 
 	return cl, nil
 }
 
-// e23Agent adapts positional I/O on the rig's hot file to workload.LoadAgent.
-type e23Agent struct {
-	read  func(off int64, n int) ([]byte, error)
-	write func(off int64, data []byte) (int, error)
-}
-
-func (a e23Agent) ReadAt(off int64, n int) ([]byte, error)     { return a.read(off, n) }
-func (a e23Agent) WriteAt(off int64, data []byte) (int, error) { return a.write(off, data) }
-
 // e23ReRead drives the read-only closed loop over the hot file and reports
 // throughput, latency quantiles, and how many read RPCs reached the disk
 // service during the measured window.
-func (r *e23Rig) e23ReRead(agents []workload.LoadAgent) (workload.LoadResult, *obs.Histogram, int64, error) {
-	hist := &obs.Histogram{}
+func (r *e23Rig) e23ReRead(agents []workload.LoadAgent) (workload.LoadResult, int64, error) {
 	before := r.reads()
-	res, err := workload.RunClosedLoop(workload.LoadConfig{
+	res, err := workload.Run(workload.LoadConfig{
 		OpsPerAgent: e23OpsPerAgent,
 		ReadFrac:    1.0,
 		OpSize:      e23OpSize,
 		FileSize:    e23FileSize,
 		Seed:        23,
-		Latency:     hist,
 	}, agents)
-	if err != nil {
-		return workload.LoadResult{}, nil, 0, err
-	}
-	return res, hist, r.reads() - before, nil
+	return res, r.reads() - before, err
 }
 
 // CachedReadRun executes the before/after hot-spot cells against one rig:
 // the uncached baseline, then the cached population (warmed by one full-file
 // read each). Exported for the shape test. Returns uncached and cached
-// (result, hist, server read RPCs) plus the hit count observed by client 0.
-func CachedReadRun() (unc, cac workload.LoadResult, uncHist, cacHist *obs.Histogram, uncReads, cacReads, hits int64, err error) {
+// (result, server read RPCs) plus the hit count observed by client 0.
+func CachedReadRun() (unc, cac workload.LoadResult, uncReads, cacReads, hits int64, err error) {
 	rig, err := newE23Rig()
 	if err != nil {
 		return
@@ -139,7 +125,7 @@ func CachedReadRun() (unc, cac workload.LoadResult, uncHist, cacHist *obs.Histog
 
 	// hotAgent drives positional I/O on the hot file through a client stack.
 	hotAgent := func(cl *node.Client) workload.LoadAgent {
-		return e23Agent{
+		return loadAgent{
 			read:  func(off int64, n int) ([]byte, error) { return cl.Files.ReadAt(rig.hot, off, n) },
 			write: func(off int64, data []byte) (int, error) { return cl.Files.WriteAt(rig.hot, off, data) },
 		}
@@ -153,7 +139,7 @@ func CachedReadRun() (unc, cac workload.LoadResult, uncHist, cacHist *obs.Histog
 		}
 		raws[i] = hotAgent(cl)
 	}
-	unc, uncHist, uncReads, err = rig.e23ReRead(raws)
+	unc, uncReads, err = rig.e23ReRead(raws)
 	if err != nil {
 		return
 	}
@@ -178,7 +164,7 @@ func CachedReadRun() (unc, cac workload.LoadResult, uncHist, cacHist *obs.Histog
 		}
 		cached[i] = hotAgent(cl)
 	}
-	cac, cacHist, cacReads, err = rig.e23ReRead(cached)
+	cac, cacReads, err = rig.e23ReRead(cached)
 	if err != nil {
 		return
 	}
@@ -302,17 +288,17 @@ func E23ClientCache() (*Table, error) {
 		Claim:   "cached re-reads of a hot file never reach the disk service and beat the uncached path by >5x; one writer recalling the whole reader population stays correct",
 		Columns: []string{"cell", "clients", "ops", "wall", "ops/sec", "read RPCs", "p50", "p99", "note"},
 	}
-	unc, cac, uncHist, cacHist, uncReads, cacReads, hits, err := CachedReadRun()
+	unc, cac, uncReads, cacReads, hits, err := CachedReadRun()
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("uncached re-read", e23Clients, unc.Ops, unc.Wall,
 		fmt.Sprintf("%.0f", unc.OpsPerSec()), uncReads,
-		uncHist.Quantile(0.50), uncHist.Quantile(0.99), "every read a server round trip")
+		unc.Latency.Quantile(0.50), unc.Latency.Quantile(0.99), "every read a server round trip")
 	speedup := cac.OpsPerSec() / unc.OpsPerSec()
 	t.AddRow("cached re-read", e23Clients, cac.Ops, cac.Wall,
 		fmt.Sprintf("%.0f", cac.OpsPerSec()), cacReads,
-		cacHist.Quantile(0.50), cacHist.Quantile(0.99),
+		cac.Latency.Quantile(0.50), cac.Latency.Quantile(0.99),
 		fmt.Sprintf("%.1fx vs uncached; client-0 hits %d", speedup, hits))
 
 	st, err := RecallStormRun(e23StormRounds, e23Clients-1, e23StormReads)

@@ -348,10 +348,3 @@ func onOff(b bool) string {
 	}
 	return "off"
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

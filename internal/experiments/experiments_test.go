@@ -503,19 +503,19 @@ func TestE20Shape(t *testing.T) {
 	const clients, ops = 16, 25
 	var ratio float64
 	for attempt := 0; attempt < 2; attempt++ {
-		serial, _, err := loadRun(true, clients, e20AgentsPerConn, ops, nil)
+		serial, err := loadRun(true, clients, e20AgentsPerConn, ops, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mux, hist, err := loadRun(false, clients, e20AgentsPerConn, ops, nil)
+		mux, err := loadRun(false, clients, e20AgentsPerConn, ops, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if serial.Ops != clients*ops || mux.Ops != clients*ops {
 			t.Fatalf("ops = %d serial, %d mux, want %d", serial.Ops, mux.Ops, clients*ops)
 		}
-		if hist.Count() != int64(mux.Ops) {
-			t.Fatalf("latency samples = %d, want %d", hist.Count(), mux.Ops)
+		if mux.Latency.Count() != int64(mux.Ops) {
+			t.Fatalf("latency samples = %d, want %d", mux.Latency.Count(), mux.Ops)
 		}
 		ratio = mux.OpsPerSec() / serial.OpsPerSec()
 		t.Logf("E20 attempt %d: serial %.0f ops/sec, mux %.0f ops/sec, ratio %.2f",
@@ -543,19 +543,19 @@ func TestE21Shape(t *testing.T) {
 	// and one clean attempt out of two is accepted.
 	var ratio float64
 	for attempt := 0; attempt < 2; attempt++ {
-		one, _, err := ScaleRun(1, e21Clients, 50)
+		one, err := ScaleRun(1, e21Clients, 50, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		four, hist, err := ScaleRun(4, e21Clients, 50)
+		four, err := ScaleRun(4, e21Clients, 50, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if one.Ops != e21Clients*50 || four.Ops != e21Clients*50 {
 			t.Fatalf("ops = %d at 1 server, %d at 4, want %d", one.Ops, four.Ops, e21Clients*50)
 		}
-		if hist.Count() != int64(four.Ops) {
-			t.Fatalf("latency samples = %d, want %d", hist.Count(), four.Ops)
+		if four.Latency.Count() != int64(four.Ops) {
+			t.Fatalf("latency samples = %d, want %d", four.Latency.Count(), four.Ops)
 		}
 		ratio = four.OpsPerSec() / one.OpsPerSec()
 		t.Logf("E21 attempt %d: 1 server %.0f ops/sec, 4 servers %.0f ops/sec, ratio %.2f",
@@ -719,7 +719,7 @@ func TestE16Shape(t *testing.T) {
 		speedup = (float64(eight.ops) / eight.wall.Seconds()) / (float64(one.ops) / one.wall.Seconds())
 		t.Logf("E16 attempt %d: 1 disk %d ops in %v; 8 disks %d ops in %v; speedup %.2f",
 			attempt, one.ops, one.wall, eight.ops, eight.wall, speedup)
-		if speedup >= 3 {
+		if speedup >= 3 || raceEnabled {
 			break
 		}
 	}
@@ -729,7 +729,9 @@ func TestE16Shape(t *testing.T) {
 			t.Errorf("E16: layer %s observed no operations", layer)
 		}
 	}
-	if speedup < 3 {
+	// Under the race detector the CPU-bound share swamps the spindle sleeps,
+	// so only the coverage above is asserted there.
+	if speedup < 3 && !raceEnabled {
 		t.Errorf("E16: 8-disk wall-clock speedup = %.2f, want >= 3", speedup)
 	}
 }

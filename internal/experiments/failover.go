@@ -141,7 +141,7 @@ func FailoverRun(phase time.Duration) (*FailoverResult, error) {
 	}
 	defer rig.close()
 
-	cls, closeClients, err := dialPinned(rig.m, clients, failoverRetries, "fo", nil)
+	cls, closeClients, err := dialPinned(rig.m, clients, failoverRetries, 0, "fo", nil)
 	defer closeClients()
 	if err != nil {
 		return nil, err
@@ -158,16 +158,16 @@ func FailoverRun(phase time.Duration) (*FailoverResult, error) {
 func (r *failoverRig) runPhases(cls []e21Client, phase time.Duration) *FailoverResult {
 	const seedBase = 2000
 	res := &FailoverResult{VictimShard: r.victim}
-	res.Phases = append(res.Phases, availabilityPhase("before", phase, cls, r.victim, seedBase))
+	res.Phases = append(res.Phases, runPhase("before", phase, cls, r.victim, seedBase))
 
 	killAt := time.Now()
 	r.killPrimary()
 	// The failover phase covers the outage: the watchdog promotes the backup
 	// after the replication TTL of silence, well inside the phase.
-	res.Phases = append(res.Phases, availabilityPhase("failover", phase, cls, r.victim, seedBase))
+	res.Phases = append(res.Phases, runPhase("failover", phase, cls, r.victim, seedBase))
 	res.Promoted = r.promoted()
 
-	res.Phases = append(res.Phases, availabilityPhase("after", phase, cls, r.victim, seedBase))
+	res.Phases = append(res.Phases, runPhase("after", phase, cls, r.victim, seedBase))
 	res.Events = r.bRec.Events()
 	for _, e := range res.Events {
 		if e.Name == "promote" {

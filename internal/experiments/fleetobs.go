@@ -45,7 +45,7 @@ func E22FleetObservability() (*Table, error) {
 	// while the servers sample: they trace it because it arrives with the
 	// client's trace identity.
 	clientRec := obs.New(obs.WithSampleRate(1))
-	cls, closeClients, err := dialPinned(rig.m, e22Clients, failoverRetries, "e22c", clientRec)
+	cls, closeClients, err := dialPinned(rig.m, e22Clients, failoverRetries, 0, "e22c", clientRec)
 	defer closeClients()
 	if err != nil {
 		return nil, err

@@ -275,10 +275,3 @@ func stddev(xs []float64) float64 {
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/fit"
 	"repro/internal/node"
@@ -67,7 +67,7 @@ func E20LoadScaling() (*Table, error) {
 			if !serial && clients == 256 {
 				cellRec = rec
 			}
-			res, hist, err := loadRun(serial, clients, e20AgentsPerConn, e20Ops(clients), cellRec)
+			res, err := loadRun(serial, clients, e20AgentsPerConn, e20Ops(clients), 0, 0, cellRec)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,7 @@ func E20LoadScaling() (*Table, error) {
 			conns := (clients + e20AgentsPerConn - 1) / e20AgentsPerConn
 			t.AddRow(label, clients, conns, res.Ops, res.Wall,
 				fmt.Sprintf("%.0f", opsPerSec),
-				hist.Quantile(0.50), hist.Quantile(0.95), hist.Quantile(0.99), ratio)
+				res.Latency.Quantile(0.50), res.Latency.Quantile(0.95), res.Latency.Quantile(0.99), ratio)
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -95,27 +95,43 @@ func E20LoadScaling() (*Table, error) {
 	return t, nil
 }
 
-// e20Agent adapts one client machine's file agent to workload.LoadAgent.
-type e20Agent struct {
-	fa   *agent.FileAgent
-	proc *agent.Process
-	fd   int
+// loadAgent adapts a positional read/write pair to workload.LoadAgent: a
+// descriptor on a file agent (fdAgent) or any file-ID-addressed service.
+type loadAgent struct {
+	read  func(off int64, n int) ([]byte, error)
+	write func(off int64, data []byte) (int, error)
 }
 
-func (a e20Agent) ReadAt(off int64, n int) ([]byte, error) {
-	return a.fa.PRead(a.proc, a.fd, off, n)
+func (a loadAgent) ReadAt(off int64, n int) ([]byte, error)     { return a.read(off, n) }
+func (a loadAgent) WriteAt(off int64, data []byte) (int, error) { return a.write(off, data) }
+
+func fdAgent(fa *agent.FileAgent, proc *agent.Process, fd int) loadAgent {
+	return loadAgent{
+		read:  func(off int64, n int) ([]byte, error) { return fa.PRead(proc, fd, off, n) },
+		write: func(off int64, data []byte) (int, error) { return fa.PWrite(proc, fd, off, data) },
+	}
 }
 
-func (a e20Agent) WriteAt(off int64, data []byte) (int, error) {
-	return a.fa.PWrite(a.proc, a.fd, off, data)
+// seedFile is every load population's per-client step: create path through
+// machine m, write seed to it, and hand back the load agent over the open
+// descriptor.
+func seedFile(m *agent.Machine, path string, seed []byte) (loadAgent, error) {
+	proc, fa := m.NewProcess(), m.FileAgent()
+	fd, err := fa.Create(proc, path, fit.Attributes{})
+	if err != nil {
+		return loadAgent{}, err
+	}
+	if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
+		return loadAgent{}, err
+	}
+	return fdAgent(fa, proc, fd), nil
 }
 
-// loadRig is the single-server load harness shared by the closed- and
-// open-loop entry points: a fresh node served over loopback TCP, clients
-// agent machines in groups of agentsPerConn per connection, each with its
-// file materialized and the per-request service time armed. The clients are
-// raw rpcfs clients, not node.Dial stacks: agentsPerConn of them share one
-// transport, which is the thing under test.
+// loadRig is E20's load harness: a fresh node served over loopback TCP,
+// clients agent machines in groups of agentsPerConn per connection, each
+// with its file materialized and the per-request service time armed. The
+// clients are raw rpcfs clients, not node.Dial stacks: agentsPerConn of
+// them share one transport, which is the thing under test.
 type loadRig struct {
 	agents []workload.LoadAgent
 	closes []func()
@@ -190,23 +206,16 @@ func newLoadRig(serial bool, clients, agentsPerConn int, rec *obs.Recorder) (*lo
 	// injection is armed, so setup runs at full speed.
 	r.agents = make([]workload.LoadAgent, clients)
 	seed := make([]byte, e20FileSize)
-	for i := 0; i < clients; i++ {
+	for i := range r.agents {
 		cl := &rpcfs.Client{C: rpc.NewClient(transports[i/agentsPerConn], uint64(i+1), 10, c.Metrics)}
 		// No client cache under the agent: every timed op must cross the wire.
 		m, err := agent.NewMachine(agent.MachineConfig{Naming: c.Naming, Files: cl, Obs: rec})
 		if err != nil {
 			return fail(err)
 		}
-		proc := m.NewProcess()
-		fa := m.FileAgent()
-		fd, err := fa.Create(proc, fmt.Sprintf("/e20/client%d", i), fit.Attributes{})
-		if err != nil {
+		if r.agents[i], err = seedFile(m, fmt.Sprintf("/e20/client%d", i), seed); err != nil {
 			return fail(err)
 		}
-		if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
-			return fail(err)
-		}
-		r.agents[i] = e20Agent{fa: fa, proc: proc, fd: fd}
 	}
 
 	inj.Arm(rpc.PtTCPServe, fault.Action{Kind: fault.KindDelay, Delay: e20ServiceTime, Times: -1})
@@ -214,119 +223,54 @@ func newLoadRig(serial bool, clients, agentsPerConn int, rec *obs.Recorder) (*lo
 	return r, nil
 }
 
-// LoadRun executes one closed-loop load cell: each of the rig's agents runs
-// opsPerAgent timed operations back to back. Exported for cmd/rhodos-bench's
-// -load mode. rec (optional) receives the spans of every layer on both sides
-// of the wire.
-func LoadRun(clients, agentsPerConn, opsPerAgent int, rec *obs.Recorder) (workload.LoadResult, *obs.Histogram, error) {
-	return loadRun(false, clients, agentsPerConn, opsPerAgent, rec)
+// LoadRun executes one load cell over E20's rig: with rate 0 a closed loop,
+// each agent running opsPerAgent timed operations back to back; with rate >
+// 0 an open loop, operations arriving at rate ops/sec in aggregate for
+// duration, so latency includes queueing delay and a shortfall between
+// offered and completed operations is the overload signature. Exported for
+// cmd/rhodos-bench's -load mode. rec (optional) receives the spans of every
+// layer on both sides of the wire.
+func LoadRun(clients, agentsPerConn, opsPerAgent int, rate float64, duration time.Duration, rec *obs.Recorder) (workload.LoadResult, error) {
+	return loadRun(false, clients, agentsPerConn, opsPerAgent, rate, duration, rec)
 }
 
 // loadRun is LoadRun, optionally over E20's serial baseline.
-func loadRun(serial bool, clients, agentsPerConn, opsPerAgent int, rec *obs.Recorder) (workload.LoadResult, *obs.Histogram, error) {
+func loadRun(serial bool, clients, agentsPerConn, opsPerAgent int, rate float64, duration time.Duration, rec *obs.Recorder) (workload.LoadResult, error) {
 	rig, err := newLoadRig(serial, clients, agentsPerConn, rec)
 	if err != nil {
-		return workload.LoadResult{}, nil, err
+		return workload.LoadResult{}, err
 	}
 	defer rig.close()
-
-	hist := &obs.Histogram{}
-	res, err := workload.RunClosedLoop(workload.LoadConfig{
+	return workload.Run(workload.LoadConfig{
 		OpsPerAgent: opsPerAgent,
 		ReadFrac:    e20ReadFrac,
 		OpSize:      e20OpSize,
 		FileSize:    e20FileSize,
 		Seed:        1,
-		Latency:     hist,
+		Rate:        rate,
+		Duration:    duration,
 	}, rig.agents)
-	if err != nil {
-		return workload.LoadResult{}, nil, err
-	}
-	return res, hist, nil
-}
-
-// LoadRunOpen executes one open-loop load cell over the same rig: operations
-// arrive on a fixed schedule at rate ops/sec in aggregate for the given
-// duration, so latency includes queueing delay and a shortfall between
-// offered and completed rate is the overload signature. Exported for
-// cmd/rhodos-bench's -load -rate mode.
-func LoadRunOpen(clients, agentsPerConn int, rate float64, duration time.Duration) (workload.OpenLoopResult, *obs.Histogram, error) {
-	rig, err := newLoadRig(false, clients, agentsPerConn, nil)
-	if err != nil {
-		return workload.OpenLoopResult{}, nil, err
-	}
-	defer rig.close()
-
-	// The open loop measures latency against a fixed arrival schedule;
-	// collect setup garbage now so GC pauses do not bleed into it.
-	runtime.GC()
-	hist := &obs.Histogram{}
-	res, err := workload.RunOpenLoop(workload.LoadConfig{
-		ReadFrac: e20ReadFrac,
-		OpSize:   e20OpSize,
-		FileSize: e20FileSize,
-		Seed:     1,
-		Latency:  hist,
-	}, rate, duration, rig.agents)
-	if err != nil {
-		return workload.OpenLoopResult{}, nil, err
-	}
-	return res, hist, nil
 }
 
 // ClusterLoadRun executes one closed-loop load cell against an
 // already-running cluster of rhodosd shards: one Router per client agent,
-// each client's file homed on a shard by its directory hash. backups, when
+// each client's file pinned round-robin across the shards. backups, when
 // non-nil, is the per-shard backup list the routers fail over to (may be
 // nil for an unreplicated cluster). baseID and tag must be unique per
-// invocation (the caller derives them from its PID) so client IDs miss the
+// invocation (the caller derives them from the clock) so client IDs miss the
 // servers' duplicate caches and file names miss the namespace of earlier
 // runs. Exported for cmd/rhodos-bench's -addrs mode.
-func ClusterLoadRun(endpoints, backups []string, clients, opsPerAgent int, baseID uint64, tag string) (workload.LoadResult, *obs.Histogram, error) {
-	fail := func(err error) (workload.LoadResult, *obs.Histogram, error) {
-		return workload.LoadResult{}, nil, err
+func ClusterLoadRun(endpoints, backups []string, clients, opsPerAgent int, baseID uint64, tag string) (workload.LoadResult, error) {
+	cls, cleanup, err := dialPinned(cluster.Map{Version: 1, Endpoints: endpoints, Backups: backups}, clients, 0, baseID, tag, nil)
+	defer cleanup()
+	if err != nil {
+		return workload.LoadResult{}, err
 	}
-	if len(endpoints) == 0 || clients <= 0 {
-		return fail(fmt.Errorf("experiments: bad cluster load cell: %d endpoints, %d clients", len(endpoints), clients))
-	}
-	agents := make([]workload.LoadAgent, clients)
-	seed := make([]byte, e20FileSize)
-	for i := 0; i < clients; i++ {
-		cl, err := node.Dial(node.ClientConfig{
-			Endpoints: endpoints,
-			Backups:   backups,
-			ClientID:  baseID + uint64(i) + 1,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		defer func() { _ = cl.Close() }()
-		m, err := cl.NewMachine()
-		if err != nil {
-			return fail(err)
-		}
-		proc := m.NewProcess()
-		fa := m.FileAgent()
-		fd, err := fa.Create(proc, fmt.Sprintf("/bench/%s-%d/f", tag, i), fit.Attributes{})
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
-			return fail(err)
-		}
-		agents[i] = e20Agent{fa: fa, proc: proc, fd: fd}
-	}
-	hist := &obs.Histogram{}
-	res, err := workload.RunClosedLoop(workload.LoadConfig{
+	return workload.Run(workload.LoadConfig{
 		OpsPerAgent: opsPerAgent,
 		ReadFrac:    e20ReadFrac,
 		OpSize:      e20OpSize,
 		FileSize:    e20FileSize,
 		Seed:        1,
-		Latency:     hist,
-	}, agents)
-	if err != nil {
-		return fail(err)
-	}
-	return res, hist, nil
+	}, agentsOf(cls))
 }

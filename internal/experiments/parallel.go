@@ -11,6 +11,7 @@ import (
 	"repro/internal/fit"
 	"repro/internal/obs"
 	"repro/internal/txn"
+	"repro/internal/workload"
 )
 
 // E16 parameters. The workload is deliberately larger than one disk's
@@ -54,10 +55,10 @@ func E16ParallelThroughput() (*Table, error) {
 		Claim:   "independent per-disk request paths scale wall-clock ops/sec with the disk count",
 		Columns: []string{"workload", "disks", "clients", "ops", "wall time", "ops/sec", "MB/s", "speedup"},
 	}
-	for _, workload := range []string{"read", "write", "txn"} {
+	for _, mix := range []string{"read", "write", "txn"} {
 		var base float64
 		for _, disks := range []int{1, 2, 4, 8} {
-			res, err := e16Run(workload, disks, rec)
+			res, err := e16Run(mix, disks, rec)
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +67,7 @@ func E16ParallelThroughput() (*Table, error) {
 				base = opsPerSec
 			}
 			mbPerSec := float64(res.bytes) / (1 << 20) / res.wall.Seconds()
-			t.AddRow(workload, disks, e16Clients, res.ops, fmtDuration(res.wall),
+			t.AddRow(mix, disks, e16Clients, res.ops, fmtDuration(res.wall),
 				fmt.Sprintf("%.0f", opsPerSec), fmt.Sprintf("%.1f", mbPerSec), opsPerSec/base)
 		}
 	}
@@ -85,11 +86,11 @@ type e16Result struct {
 	wall  time.Duration
 }
 
-// e16Run times one (workload, disks) cell: setup runs with instantaneous
+// e16Run times one (mix, disks) cell: setup runs with instantaneous
 // disks, then spindle occupancy is switched on and the clients run
 // concurrently. The shared recorder accumulates the per-layer latency
 // histograms across all cells.
-func e16Run(workload string, disks int, rec *obs.Recorder) (e16Result, error) {
+func e16Run(mix string, disks int, rec *obs.Recorder) (e16Result, error) {
 	c, err := core.New(core.Config{
 		Disks:    disks,
 		Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: 1024}, // 64 MB each
@@ -106,7 +107,7 @@ func e16Run(workload string, disks int, rec *obs.Recorder) (e16Result, error) {
 	}
 	defer func() { _ = c.Close() }()
 
-	if workload == "txn" {
+	if mix == "txn" {
 		return e16RunTxn(c)
 	}
 
@@ -117,21 +118,21 @@ func e16Run(workload string, disks int, rec *obs.Recorder) (e16Result, error) {
 	fa, proc := m.FileAgent(), m.NewProcess()
 
 	attr := fit.Attributes{}
-	if workload == "write" {
+	if mix == "write" {
 		// Transaction-service files are written through: every chunk write
 		// reaches the disks inside the timed region.
 		attr.Service = fit.ServiceTransaction
 	}
 	fds := make([]int, e16Clients)
 	for i := range fds {
-		fd, err := fa.Create(proc, fmt.Sprintf("/e16/%s/%d/client%d", workload, disks, i), attr)
+		fd, err := fa.Create(proc, fmt.Sprintf("/e16/%s/%d/client%d", mix, disks, i), attr)
 		if err != nil {
 			return e16Result{}, err
 		}
 		fds[i] = fd
 	}
 	chunk := make([]byte, e16ChunkSize)
-	if workload == "read" {
+	if mix == "read" {
 		// Materialize the files up front (instantaneous disks) so the timed
 		// phase is pure reading.
 		for _, fd := range fds {
@@ -150,61 +151,39 @@ func e16Run(workload string, disks int, rec *obs.Recorder) (e16Result, error) {
 		c.Device(i).SetWallFactor(e16WallFactor)
 	}
 
-	passes, perClient := e16ReadPasses, e16FileSize
-	if workload == "write" {
-		passes, perClient = 1, e16WriteSize
+	// Each pass is every client streaming its file once in chunk-sized
+	// sequential operations: all reads or all writes.
+	pass := workload.LoadConfig{OpSize: e16ChunkSize, FileSize: e16FileSize, Sequential: true, ReadFrac: 1}
+	passes := e16ReadPasses
+	if mix == "write" {
+		passes, pass.FileSize, pass.ReadFrac = 1, e16WriteSize, 0
 	}
-	runPass := func() error {
-		var wg sync.WaitGroup
-		errs := make([]error, len(fds))
-		for i, fd := range fds {
-			wg.Add(1)
-			go func(i, fd int) {
-				defer wg.Done()
-				for off := 0; off < perClient; off += e16ChunkSize {
-					if workload == "read" {
-						if _, err := fa.PRead(proc, fd, int64(off), e16ChunkSize); err != nil {
-							errs[i] = err
-							return
-						}
-					} else {
-						if _, err := fa.PWrite(proc, fd, int64(off), chunk); err != nil {
-							errs[i] = err
-							return
-						}
-					}
-				}
-			}(i, fd)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+	pass.OpsPerAgent = int(pass.FileSize) / e16ChunkSize
+	agents := make([]workload.LoadAgent, len(fds))
+	for i, fd := range fds {
+		agents[i] = fdAgent(fa, proc, fd)
 	}
 
-	ops := 0
-	var wall time.Duration
+	var res e16Result
 	for p := 0; p < passes; p++ {
-		if workload == "read" {
+		if mix == "read" {
 			// Force the pass back to the platters; otherwise the block cache
 			// absorbs everything after the first pass.
 			c.InvalidateCaches()
 		}
-		start := time.Now()
-		if err := runPass(); err != nil {
+		r, err := workload.Run(pass, agents)
+		if err != nil {
 			return e16Result{}, err
 		}
-		wall += time.Since(start)
-		ops += len(fds) * (perClient / e16ChunkSize)
+		res.wall += r.Wall
+		res.ops += r.Ops
+		res.bytes += r.Bytes
 	}
 	// Run the teardown flush at full speed again.
 	for i := 0; i < c.Disks(); i++ {
 		c.Device(i).SetWallFactor(0)
 	}
-	return e16Result{ops: ops, bytes: int64(ops) * e16ChunkSize, wall: wall}, nil
+	return res, nil
 }
 
 // e16RunTxn is the transactional cell: each client runs one transaction per

@@ -3,18 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fault"
-	"repro/internal/fit"
 	"repro/internal/lock"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -164,14 +159,15 @@ func pathForShard(tag string, shard, servers int) string {
 // rpc client identity) and one seeded file pinned to a chosen shard.
 type e21Client struct {
 	*node.Client
-	agent e20Agent
+	agent loadAgent
 	shard int
 }
 
-// dialPinned dials `clients` uncached client stacks against the map and
-// seeds each one's file, pinned round-robin across the shards. The returned
-// cleanup closes whatever was dialed, on error too.
-func dialPinned(m cluster.Map, clients, retries int, tag string, rec *obs.Recorder) ([]e21Client, func(), error) {
+// dialPinned is the load population of every node.Dial rig: `clients`
+// uncached client stacks with IDs baseID+1, baseID+2, … against the map,
+// each one's file seeded and pinned round-robin across the shards. The
+// returned cleanup closes whatever was dialed, on error too.
+func dialPinned(m cluster.Map, clients, retries int, baseID uint64, tag string, rec *obs.Recorder) ([]e21Client, func(), error) {
 	var cls []e21Client
 	cleanup := func() {
 		for _, cl := range cls {
@@ -184,7 +180,7 @@ func dialPinned(m cluster.Map, clients, retries int, tag string, rec *obs.Record
 		c, err := node.Dial(node.ClientConfig{
 			Endpoints: m.Endpoints,
 			Backups:   m.Backups,
-			ClientID:  uint64(i + 1),
+			ClientID:  baseID + uint64(i) + 1,
 			Retries:   retries,
 			Obs:       rec,
 		})
@@ -196,18 +192,20 @@ func dialPinned(m cluster.Map, clients, retries int, tag string, rec *obs.Record
 		if err != nil {
 			return nil, cleanup, err
 		}
-		proc := mach.NewProcess()
-		fa := mach.FileAgent()
-		fd, err := fa.Create(proc, pathForShard(fmt.Sprintf("%s%d", tag, i), i%servers, servers), fit.Attributes{})
-		if err != nil {
+		if cls[i].agent, err = seedFile(mach, pathForShard(fmt.Sprintf("%s%d", tag, i), i%servers, servers), seed); err != nil {
 			return nil, cleanup, err
 		}
-		if _, err := fa.PWrite(proc, fd, 0, seed); err != nil {
-			return nil, cleanup, err
-		}
-		cls[i].agent = e20Agent{fa: fa, proc: proc, fd: fd}
 	}
 	return cls, cleanup, nil
+}
+
+// agentsOf lists the clients' load agents in client order.
+func agentsOf(cls []e21Client) []workload.LoadAgent {
+	agents := make([]workload.LoadAgent, len(cls))
+	for i, cl := range cls {
+		agents[i] = cl.agent
+	}
+	return agents
 }
 
 // e21Setup boots a rig and clients pinned round-robin across shards, each
@@ -217,7 +215,7 @@ func e21Setup(servers, clients int, leaseTTL time.Duration, retries int) (*shard
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cls, closeClients, err := dialPinned(rig.m, clients, retries, "c", nil)
+	cls, closeClients, err := dialPinned(rig.m, clients, retries, 0, "c", nil)
 	cleanup := func() {
 		closeClients()
 		rig.close()
@@ -229,65 +227,29 @@ func e21Setup(servers, clients int, leaseTTL time.Duration, retries int) (*shard
 	return rig, cls, cleanup, nil
 }
 
-// ScaleRun executes one closed-loop scale-out cell: `servers` shards behind
-// capped worker pools with injected service time, `clients` client machines
-// routed across them. Exported for the shape test and cmd/rhodos-bench.
-func ScaleRun(servers, clients, opsPerAgent int) (workload.LoadResult, *obs.Histogram, error) {
+// ScaleRun executes one scale-out cell: `servers` shards behind capped
+// worker pools with injected service time, `clients` client machines routed
+// across them. With rate 0 each client runs opsPerAgent operations in a
+// closed loop; with rate > 0 the cell is the open-loop counterpart, a fixed
+// offered rate for duration, so overload shows up as offered-minus-completed
+// and queueing latency rather than as a silently slower closed loop.
+// Exported for the shape test.
+func ScaleRun(servers, clients, opsPerAgent int, rate float64, duration time.Duration) (workload.LoadResult, error) {
 	rig, cls, cleanup, err := e21Setup(servers, clients, 0, 10)
 	if err != nil {
-		return workload.LoadResult{}, nil, err
+		return workload.LoadResult{}, err
 	}
 	defer cleanup()
 	rig.armServiceTime()
-	agents := make([]workload.LoadAgent, len(cls))
-	for i, cl := range cls {
-		agents[i] = cl.agent
-	}
-	hist := &obs.Histogram{}
-	res, err := workload.RunClosedLoop(workload.LoadConfig{
+	return workload.Run(workload.LoadConfig{
 		OpsPerAgent: opsPerAgent,
 		ReadFrac:    e21ReadFrac,
 		OpSize:      e21OpSize,
 		FileSize:    e21FileSize,
 		Seed:        21,
-		Latency:     hist,
-	}, agents)
-	if err != nil {
-		return workload.LoadResult{}, nil, err
-	}
-	return res, hist, nil
-}
-
-// ScaleRunOpen is ScaleRun's open-loop counterpart: a fixed offered rate
-// for a fixed duration, so overload shows up as offered-minus-completed and
-// queueing latency rather than as a silently slower closed loop.
-func ScaleRunOpen(servers, clients int, rate float64, duration time.Duration) (workload.OpenLoopResult, *obs.Histogram, error) {
-	rig, cls, cleanup, err := e21Setup(servers, clients, 0, 10)
-	if err != nil {
-		return workload.OpenLoopResult{}, nil, err
-	}
-	defer cleanup()
-	rig.armServiceTime()
-	agents := make([]workload.LoadAgent, len(cls))
-	for i, cl := range cls {
-		agents[i] = cl.agent
-	}
-	// The open loop measures latency against a fixed schedule, so garbage
-	// left by earlier cells (rig setup, prior experiments) must not bleed
-	// collection pauses into it.
-	runtime.GC()
-	hist := &obs.Histogram{}
-	res, err := workload.RunOpenLoop(workload.LoadConfig{
-		ReadFrac: e21ReadFrac,
-		OpSize:   e21OpSize,
-		FileSize: e21FileSize,
-		Seed:     22,
-		Latency:  hist,
-	}, rate, duration, agents)
-	if err != nil {
-		return workload.OpenLoopResult{}, nil, err
-	}
-	return res, hist, nil
+		Rate:        rate,
+		Duration:    duration,
+	}, agentsOf(cls))
 }
 
 // AvailabilityPhase is one phase of an E21 availability cell (kill-server,
@@ -306,47 +268,29 @@ type AvailabilityPhase struct {
 	Survivor    *obs.Histogram
 }
 
-// availabilityPhase drives every client with error-tolerant operations for
-// d, client i drawing its accesses from seed seedBase+i. Unlike
-// RunClosedLoop, an error does not abort the run — failing against a dead
-// shard while the rest of the cluster serves is what the kill cell counts.
-func availabilityPhase(name string, d time.Duration, cls []e21Client, victim int, seedBase int64) AvailabilityPhase {
-	ph := AvailabilityPhase{Name: name, Wall: d, Victim: &obs.Histogram{}, Survivor: &obs.Histogram{}}
-	var wg sync.WaitGroup
-	var sOK, sErr, vOK, vErr atomic.Int64
-	deadline := time.Now().Add(d)
-	for i, cl := range cls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seedBase + int64(i)))
-			gen := workload.AccessGen{FileSize: e21FileSize, ReadFrac: e21ReadFrac, OpSize: e21OpSize}
-			buf := make([]byte, e21OpSize)
-			hist, ok, bad := ph.Survivor, &sOK, &sErr
-			if cl.shard == victim {
-				hist, ok, bad = ph.Victim, &vOK, &vErr
-			}
-			for time.Now().Before(deadline) {
-				acc := gen.Next(rng)
-				start := time.Now()
-				var err error
-				if acc.Read {
-					_, err = cl.agent.ReadAt(acc.Offset, acc.Length)
-				} else {
-					_, err = cl.agent.WriteAt(acc.Offset, buf[:acc.Length])
-				}
-				hist.Record(time.Since(start))
-				if err != nil {
-					bad.Add(1)
-				} else {
-					ok.Add(1)
-				}
-			}
-		}()
+// runPhase drives every client for d, client i drawing its accesses from
+// seed seedBase+i, and splits the per-client outcome between the victim
+// shard's clients and the survivors. Failures do not stop the run — failing
+// against a dead shard while the rest of the cluster serves is what the
+// kill cell counts — so the run's error is dropped here.
+func runPhase(name string, d time.Duration, cls []e21Client, victim int, seedBase int64) AvailabilityPhase {
+	res, _ := workload.Run(workload.LoadConfig{
+		ReadFrac: e21ReadFrac,
+		OpSize:   e21OpSize,
+		FileSize: e21FileSize,
+		Seed:     seedBase,
+		Duration: d,
+	}, agentsOf(cls))
+	ph := AvailabilityPhase{Name: name, Wall: res.Wall, Victim: &obs.Histogram{}, Survivor: &obs.Histogram{}}
+	for i, ar := range res.PerAgent {
+		hist, ok, bad := ph.Survivor, &ph.SurvivorOK, &ph.SurvivorErr
+		if cls[i].shard == victim {
+			hist, ok, bad = ph.Victim, &ph.VictimOK, &ph.VictimErr
+		}
+		hist.Merge(ar.Latency)
+		*ok += int64(ar.OK)
+		*bad += int64(ar.Failed)
 	}
-	wg.Wait()
-	ph.SurvivorOK, ph.SurvivorErr = sOK.Load(), sErr.Load()
-	ph.VictimOK, ph.VictimErr = vOK.Load(), vErr.Load()
 	return ph
 }
 
@@ -397,10 +341,10 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 		return nil, fmt.Errorf("lease-holder acquire: %w", err)
 	}
 
-	res.Phases = append(res.Phases, availabilityPhase("before", phase, cls, victim, seedBase))
+	res.Phases = append(res.Phases, runPhase("before", phase, cls, victim, seedBase))
 
 	rig.nodes[victim].Kill()
-	res.Phases = append(res.Phases, availabilityPhase("down", phase, cls, victim, seedBase))
+	res.Phases = append(res.Phases, runPhase("down", phase, cls, victim, seedBase))
 	// The victim's lease sweeper ran throughout the outage: the unrenewed
 	// lease expired and the transaction's locks were broken (§6.4's break
 	// path, driven by client liveness instead of lock age).
@@ -409,7 +353,7 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 	if err := rig.nodes[victim].Restart(); err != nil {
 		return nil, fmt.Errorf("restart shard %d: %w", victim, err)
 	}
-	res.Phases = append(res.Phases, availabilityPhase("recovered", phase, cls, victim, seedBase))
+	res.Phases = append(res.Phases, runPhase("recovered", phase, cls, victim, seedBase))
 
 	// With the server back and the dead client's locks broken, a second
 	// client wins the lock.
@@ -435,7 +379,7 @@ func E21ScaleOut() (*Table, error) {
 	}
 	var base float64
 	for _, servers := range []int{1, 2, 4, 8} {
-		res, hist, err := ScaleRun(servers, e21Clients, e21OpsPerAgent)
+		res, err := ScaleRun(servers, e21Clients, e21OpsPerAgent, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +391,7 @@ func E21ScaleOut() (*Table, error) {
 			note = fmt.Sprintf("%.1fx vs 1 server", opsPerSec/base)
 		}
 		t.AddRow("closed-loop", servers, e21Clients, res.Ops, 0, res.Wall,
-			fmt.Sprintf("%.0f", opsPerSec), hist.Quantile(0.95), note)
+			fmt.Sprintf("%.0f", opsPerSec), res.Latency.Quantile(0.95), note)
 	}
 
 	// Open-loop: the same 2-server rig offered half and quadruple its
@@ -459,13 +403,13 @@ func E21ScaleOut() (*Table, error) {
 		name string
 		rate float64
 	}{{"open-loop under", 4000}, {"open-loop over", 32000}} {
-		res, hist, err := ScaleRunOpen(2, e21Clients, cell.rate, 400*time.Millisecond)
+		res, err := ScaleRun(2, e21Clients, 0, cell.rate, 400*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
 		note := fmt.Sprintf("offered %.0f/s, completed %d of %d", cell.rate, res.Ops, res.Offered)
 		t.AddRow(cell.name, 2, e21Clients, res.Ops, 0, res.Wall,
-			fmt.Sprintf("%.0f", res.OpsPerSec()), hist.Quantile(0.95), note)
+			fmt.Sprintf("%.0f", res.OpsPerSec()), res.Latency.Quantile(0.95), note)
 	}
 
 	kr, err := KillServerRun(400 * time.Millisecond)
