@@ -31,19 +31,13 @@ const DefaultBlocks = 1024
 // each run to Config.Inner. The sink retries what it wants retried: the
 // default retries each run through recall-in-progress refusals.
 type FlushSink interface {
-	WriteRuns(id fileservice.FileID, runs []Run) error
-}
-
-// Run is one contiguous dirty byte range of a flush.
-type Run struct {
-	Off  int64
-	Data []byte
+	WriteRuns(id fileservice.FileID, runs []fileservice.Run) error
 }
 
 // innerSink is the default FlushSink.
 type innerSink struct{ inner agent.FileService }
 
-func (s innerSink) WriteRuns(id fileservice.FileID, runs []Run) error {
+func (s innerSink) WriteRuns(id fileservice.FileID, runs []fileservice.Run) error {
 	for _, r := range runs {
 		if err := retryBusy(func() error {
 			_, err := s.inner.WriteAt(id, r.Off, r.Data)
@@ -687,7 +681,7 @@ func (c *Client) FlushFile(id fileservice.FileID) error {
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	size := st.size
-	var runs []Run
+	var runs []fileservice.Run
 	var flushed []blockGen
 	for i := 0; i < len(idxs); {
 		j := i
@@ -711,7 +705,7 @@ func (c *Client) FlushFile(id fileservice.FileID) error {
 			}
 			flushed = append(flushed, blockGen{idxs[k], cb.gen})
 		}
-		runs = append(runs, Run{Off: lo, Data: buf})
+		runs = append(runs, fileservice.Run{Off: lo, Data: buf})
 		i = j + 1
 	}
 	c.mu.Unlock()

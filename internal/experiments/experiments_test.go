@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ccache"
+	"repro/internal/fileservice"
 	"repro/internal/obs"
 	"repro/internal/stable"
 	"repro/internal/txn"
@@ -468,7 +468,7 @@ func TestTortureVerdictsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _, err := r.strike(sc, func() error {
-		_, err := r.commit(2, fids[0], ccache.Run{Data: bytes.Repeat([]byte{7}, 20000)})
+		_, err := r.commit(2, fids[0], fileservice.Run{Data: bytes.Repeat([]byte{7}, 20000)})
 		return err
 	})
 	if err != nil {

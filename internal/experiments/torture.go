@@ -301,7 +301,7 @@ func newWALRig(seed int64, gc txn.GroupCommitConfig) (*tortureRig, error) {
 
 // commit runs one transaction for process pid that writes the runs into
 // fid, creating the file when fid is zero, and returns the file.
-func (r *tortureRig) commit(pid int, fid txn.FileID, runs ...ccache.Run) (txn.FileID, error) {
+func (r *tortureRig) commit(pid int, fid txn.FileID, runs ...fileservice.Run) (txn.FileID, error) {
 	t, err := r.c.Txns.Begin(pid)
 	if err != nil {
 		return 0, err
@@ -328,7 +328,7 @@ func (r *tortureRig) seed(contents ...[]byte) ([]txn.FileID, error) {
 	fids := make([]txn.FileID, len(contents))
 	for i, data := range contents {
 		var err error
-		if fids[i], err = r.commit(1, 0, ccache.Run{Data: data}); err != nil {
+		if fids[i], err = r.commit(1, 0, fileservice.Run{Data: data}); err != nil {
 			return nil, err
 		}
 	}
@@ -483,7 +483,7 @@ func (r *tortureRig) txnCommit(sc TortureScenario, rng *rand.Rand, down, up func
 	fid := fids[0]
 
 	res, _, err := r.strike(sc, func() error {
-		_, err := r.commit(2, fid, ccache.Run{Data: newData})
+		_, err := r.commit(2, fid, fileservice.Run{Data: newData})
 		return err
 	})
 	if err != nil {
@@ -541,7 +541,7 @@ func runTortureGroup(sc TortureScenario, seed int64) (*TortureResult, error) {
 	ops := make([]func() error, workers)
 	for i := range ops {
 		ops[i] = func() error {
-			_, err := r.commit(10+i, fids[i], ccache.Run{Data: news[i]})
+			_, err := r.commit(10+i, fids[i], fileservice.Run{Data: news[i]})
 			return err
 		}
 	}
@@ -598,7 +598,7 @@ type txnFlushSink struct {
 	pid int
 }
 
-func (s *txnFlushSink) WriteRuns(id fileservice.FileID, runs []ccache.Run) error {
+func (s *txnFlushSink) WriteRuns(id fileservice.FileID, runs []fileservice.Run) error {
 	_, err := s.r.commit(s.pid, id, runs...)
 	return err
 }
@@ -637,7 +637,7 @@ func runTortureWriteback(sc TortureScenario, seed int64) (*TortureResult, error)
 	if err != nil {
 		return nil, err
 	}
-	runs := []ccache.Run{
+	runs := []fileservice.Run{
 		{Off: 0, Data: make([]byte, ccache.BlockSize)},
 		{Off: 3*ccache.BlockSize - 100, Data: make([]byte, 300)},
 	}

@@ -126,7 +126,14 @@ type fileState struct {
 	extents  *fit.ExtentMap
 	indirect []fit.Extent // locations of indirect blocks
 	refCount int
-	fitDirty bool
+	// fitDirty marks a vital change not yet on disk — extents, size,
+	// indirect pointers, lock level, the reserved block — which the write
+	// path and the last Close write through. attrDirty marks a lazily
+	// persisted one — the last-read stamp, the §2.2 per-use service flip —
+	// which rides along with the next FIT write for any reason and is
+	// written on its own only by Flush, Shutdown and DropFITCache.
+	fitDirty  bool
+	attrDirty bool
 	// reservedAddr is the fragment address of the data block reserved
 	// adjacent to the FIT at creation (-1 when absent or consumed).
 	reservedAddr int
@@ -472,7 +479,9 @@ func (s *Service) Open(id FileID) error {
 }
 
 // Close decrements the reference count and, at zero, flushes the file's
-// dirty state.
+// dirty blocks and writes its FIT if a vital field changed. A read's
+// last-read stamp stays in memory (see fileState.attrDirty), so a Close
+// after reads alone writes nothing.
 func (s *Service) Close(id FileID) error {
 	st, err := s.lockFile(id)
 	if err != nil {
@@ -582,6 +591,8 @@ func (s *Service) SetLocking(id FileID, l fit.LockLevel) error {
 }
 
 // SetService records which service's semantics currently govern the file.
+// The transaction service flips it per use (§2.2), which outlives no crash,
+// so it is persisted lazily: with the next FIT write for any reason.
 func (s *Service) SetService(id FileID, t fit.ServiceType) error {
 	st, err := s.lockFile(id)
 	if err != nil {
@@ -589,7 +600,7 @@ func (s *Service) SetService(id FileID, t fit.ServiceType) error {
 	}
 	defer st.mu.Unlock()
 	st.attr.Service = t
-	st.fitDirty = true
+	st.attrDirty = true
 	return nil
 }
 
@@ -658,7 +669,7 @@ func (s *Service) flushAllLocked() error {
 	for _, st := range s.files {
 		st.mu.Lock()
 		var err error
-		if st.loaded && st.fitDirty {
+		if st.loaded && (st.fitDirty || st.attrDirty) {
 			err = s.writeFIT(st, false)
 		}
 		st.mu.Unlock()
@@ -804,7 +815,9 @@ func (s *Service) InvalidateCaches() {
 
 // DropFITCache evicts in-memory FIT state for closed files, forcing the next
 // access to reload the table from disk (experiments; cold-start behaviour).
-// Files whose lock is currently held are left alone.
+// A table whose only unwritten change is a lazily persisted attribute is
+// written first, so the stamp outlives the state. Files whose lock is
+// currently held, or with an unwritten vital change, are left alone.
 func (s *Service) DropFITCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -812,7 +825,7 @@ func (s *Service) DropFITCache() {
 		if !st.mu.TryLock() {
 			continue
 		}
-		if st.loaded && st.refCount == 0 && !st.fitDirty {
+		if st.loaded && st.refCount == 0 && !st.fitDirty && (!st.attrDirty || s.writeFIT(st, false) == nil) {
 			st.gone = true
 			delete(s.files, id)
 		}
@@ -950,6 +963,6 @@ func (s *Service) writeFIT(st *fileState, waitStable bool) error {
 	}); err != nil {
 		return err
 	}
-	st.fitDirty = false
+	st.fitDirty, st.attrDirty = false, false
 	return nil
 }

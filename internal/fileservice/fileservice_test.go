@@ -17,10 +17,11 @@ import (
 
 // rig bundles a file service with its substrate.
 type rig struct {
-	svc   *Service
-	disks []*diskservice.Server
-	devs  []*device.Disk
-	met   *metrics.Set
+	svc     *Service
+	disks   []*diskservice.Server
+	devs    []*device.Disk
+	stables []*stable.Store
+	met     *metrics.Set
 }
 
 // newRig builds a file service over nDisks simulated disks of 8 MB each.
@@ -58,6 +59,7 @@ func newRigGeom(t *testing.T, g device.Geometry, nDisks int, mutate ...func(*Con
 		}
 		r.disks = append(r.disks, srv)
 		r.devs = append(r.devs, d)
+		r.stables = append(r.stables, st)
 	}
 	cfg := Config{Disks: Servers(r.disks...), Metrics: met}
 	for _, m := range mutate {

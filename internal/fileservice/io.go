@@ -3,6 +3,7 @@ package fileservice
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,7 +90,7 @@ func (s *Service) readAt(ctx context.Context, id FileID, off int64, n, headroom 
 		return nil, err
 	}
 	st.attr.LastRead = time.Now()
-	st.fitDirty = true
+	st.attrDirty = true
 	return out, nil
 }
 
@@ -341,26 +342,53 @@ func (s *Service) fetchBlock(ctx context.Context, key blockKey, contiguous int, 
 	return raw[:BlockSize], nil
 }
 
+// Run is one contiguous byte range of a write: Data at byte offset Off. A
+// commit's record intentions and a client cache's write-back both reach the
+// file service as one file's runs.
+type Run struct {
+	Off  int64
+	Data []byte
+}
+
 // WriteAtCtx writes data at byte offset off, extending the file as needed, and
-// returns the number of bytes written. Modifications follow the file's
-// policy: delayed-write for basic files, write-through for transaction
-// files (§5). Write-through blocks bound for different disks are flushed in
-// parallel once the whole request is staged, one writeback stream per disk,
-// so a striped synchronous write drives all its disks concurrently.
+// returns the number of bytes written: WriteRuns with one run.
 func (s *Service) WriteAtCtx(ctx context.Context, id FileID, off int64, data []byte) (int, error) {
-	ctx, op := s.obsRec.StartOp(ctx, obs.LayerFileService, "writeAt")
+	run := [1]Run{{Off: off, Data: data}}
+	return s.writeRuns(ctx, "writeAt", id, run[:])
+}
+
+// WriteRuns writes the runs into the file in order, extending it as needed,
+// and returns the number of bytes written; where runs overlap the later one
+// wins. Modifications follow the file's policy: delayed-write for basic
+// files, write-through for transaction files (§5). Every run is patched into
+// the cached blocks under one hold of the file's lock; a write-through file
+// then flushes each block the runs touched once — blocks bound for different
+// disks in parallel, one writeback stream per disk — and writes its FIT at
+// most once, only when a vital field changed. That is the in-place pass of
+// a commit over one file's record intentions (§6.7).
+func (s *Service) WriteRuns(ctx context.Context, id FileID, runs []Run) (int, error) {
+	return s.writeRuns(ctx, "writeRuns", id, runs)
+}
+
+// writeRuns brackets one write as the fileservice-layer op name.
+func (s *Service) writeRuns(ctx context.Context, name string, id FileID, runs []Run) (int, error) {
+	ctx, op := s.obsRec.StartOp(ctx, obs.LayerFileService, name)
 	op.SetFile(uint64(id))
-	written, err := s.writeAt(ctx, id, off, data)
+	written, err := s.write(ctx, id, runs)
 	op.AddBytes(written)
 	op.End(err)
 	return written, err
 }
 
-func (s *Service) writeAt(ctx context.Context, id FileID, off int64, data []byte) (int, error) {
-	if off < 0 {
-		return 0, ErrBadOffset
+func (s *Service) write(ctx context.Context, id FileID, runs []Run) (int, error) {
+	empty := true
+	for _, r := range runs {
+		if r.Off < 0 {
+			return 0, ErrBadOffset
+		}
+		empty = empty && len(r.Data) == 0
 	}
-	if len(data) == 0 {
+	if empty {
 		return 0, nil
 	}
 	st, err := s.lockFile(id)
@@ -368,62 +396,70 @@ func (s *Service) writeAt(ctx context.Context, id FileID, off int64, data []byte
 		return 0, err
 	}
 	defer st.mu.Unlock()
-	end := off + int64(len(data))
-	needBlocks := int((end + BlockSize - 1) / BlockSize)
-	oldBlocks := st.extents.TotalBlocks()
-	grew := oldBlocks < needBlocks
-	if err := s.grow(st, needBlocks); err != nil {
-		return 0, err
-	}
-	// Zero-fill hole blocks between the old end and the first written block:
-	// allocation may hand back blocks with stale contents from freed files.
-	if startBlk := int(off / BlockSize); startBlk > oldBlocks {
-		if err := s.zeroFill(st, oldBlocks, startBlk); err != nil {
-			return 0, err
-		}
-	}
 	writeThrough := st.attr.Service == fit.ServiceTransaction
-	var wtBuf [4]blockKey // a record write touches one block, rarely two
+	var wtBuf [4]blockKey // a record commit touches a block or two
 	wtKeys := wtBuf[:0]
-	written := 0
-	for written < len(data) {
-		pos := off + int64(written)
-		blk := int(pos / BlockSize)
-		within := int(pos % BlockSize)
-		chunk := BlockSize - within
-		if chunk > len(data)-written {
-			chunk = len(data) - written
+	// size is the file's end as the runs so far leave it; the FIT takes it
+	// once they are all in.
+	size, grew, written := int64(st.attr.Size), false, 0
+	for _, r := range runs {
+		if len(r.Data) == 0 {
+			continue
 		}
-		disk, addr, contiguous, ok := st.extents.Lookup(blk)
-		if !ok {
-			return written, fmt.Errorf("%w: block %d missing after grow", ErrBadRequest, blk)
-		}
-		key := blockKey{disk: int(disk), addr: int(addr)}
-		src := data[written : written+chunk]
-		if chunk == BlockSize {
-			err = s.blockCache.Put(key, src, true)
-		} else {
-			err = s.writePartial(ctx, st, blk, key, contiguous, within, src)
-		}
-		if err != nil {
+		end := r.Off + int64(len(r.Data))
+		needBlocks := int((end + BlockSize - 1) / BlockSize)
+		oldBlocks := st.extents.TotalBlocks()
+		grew = grew || oldBlocks < needBlocks
+		if err := s.grow(st, needBlocks); err != nil {
 			return written, err
 		}
-		if writeThrough {
-			wtKeys = append(wtKeys, key)
+		// Zero-fill hole blocks between the old end and the run's first
+		// block: allocation may hand back blocks with stale contents from
+		// freed files.
+		if startBlk := int(r.Off / BlockSize); startBlk > oldBlocks {
+			if err := s.zeroFill(st, oldBlocks, startBlk); err != nil {
+				return written, err
+			}
 		}
-		written += chunk
+		for done := 0; done < len(r.Data); {
+			pos := r.Off + int64(done)
+			blk := int(pos / BlockSize)
+			within := int(pos % BlockSize)
+			chunk := min(BlockSize-within, len(r.Data)-done)
+			disk, addr, contiguous, ok := st.extents.Lookup(blk)
+			if !ok {
+				return written, fmt.Errorf("%w: block %d missing after grow", ErrBadRequest, blk)
+			}
+			key := blockKey{disk: int(disk), addr: int(addr)}
+			src := r.Data[done : done+chunk]
+			if chunk == BlockSize {
+				err = s.blockCache.Put(key, src, true)
+			} else {
+				err = s.writePartial(ctx, st, blk, key, contiguous, within, src, size)
+			}
+			if err != nil {
+				return written, err
+			}
+			if writeThrough && !slices.Contains(wtKeys, key) {
+				wtKeys = append(wtKeys, key)
+			}
+			done += chunk
+			written += chunk
+		}
+		size = max(size, end)
 	}
 	if err := s.flushKeys(wtKeys); err != nil {
 		return written, err
 	}
-	if uint64(end) > st.attr.Size {
-		st.attr.Size = uint64(end)
+	if uint64(size) > st.attr.Size {
+		st.attr.Size = uint64(size)
 		st.fitDirty = true
 	}
-	if (writeThrough || grew) && st.fitDirty {
-		// Structural changes (new extents) are vital and always written
-		// through, so the mount-time bitmap rebuild can trust on-disk FITs;
-		// transaction files additionally write attribute changes through.
+	if st.fitDirty && (writeThrough || grew) {
+		// Vital changes are written through here: structural ones (new
+		// extents) for every file, so the mount-time bitmap rebuild can trust
+		// on-disk FITs, and a transaction file's size. The lazily persisted
+		// attributes ride along.
 		if err := s.writeFIT(st, false); err != nil {
 			return written, err
 		}
@@ -434,12 +470,12 @@ func (s *Service) writeAt(ctx context.Context, id FileID, off int64, data []byte
 // writePartial writes src at byte within of logical block blk, which key
 // names, leaving the block dirty in the cache. A cached block takes the bytes
 // in place — under either policy: a write-through file's whole block is
-// written back by WriteAt before it acknowledges; a block beyond the old size
-// is fresh and starts zeroed; any other is read first. Callers must hold
-// st.mu.
-func (s *Service) writePartial(ctx context.Context, st *fileState, blk int, key blockKey, contiguous, within int, src []byte) error {
+// written back by write before it acknowledges; a block at or beyond size,
+// the file's end so far, is fresh and starts zeroed; any other is read
+// first. Callers must hold st.mu.
+func (s *Service) writePartial(ctx context.Context, st *fileState, blk int, key blockKey, contiguous, within int, src []byte, size int64) error {
 	var buf []byte
-	if int64(blk)*BlockSize >= int64(st.attr.Size) {
+	if int64(blk)*BlockSize >= size {
 		buf = make([]byte, BlockSize)
 	} else {
 		seq := st.sequential(blk, blk)

@@ -3,6 +3,7 @@ package fit
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -399,4 +400,53 @@ func TestEnumStrings(t *testing.T) {
 	if LockRecord.String() != "record" || LockPage.String() != "page" || LockFile.String() != "file" || LockNone.String() != "none" {
 		t.Fatal("LockLevel strings wrong")
 	}
+}
+
+// FuzzDecodeFIT feeds arbitrary bytes to both decoders, as a mount does
+// with whatever the drive hands back: neither may panic, and a table or an
+// indirect block either accepts re-encodes to bytes that decode the same.
+func FuzzDecodeFIT(f *testing.F) {
+	atLimits := &Table{Direct: make([]Extent, MaxDirectExtents), Indirect: make([]Extent, MaxIndirectPtrs)}
+	for i := range atLimits.Direct {
+		atLimits.Direct[i] = Extent{Addr: uint32(i), Count: 1}
+	}
+	for _, tbl := range []*Table{sampleTable(), atLimits, {}} {
+		buf, err := tbl.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	ind, err := EncodeIndirect([]Extent{{Disk: 2, Addr: 10, Count: 7}, {Disk: 0, Addr: 500, Count: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ind)
+	f.Add(make([]byte, FragmentSize))
+	f.Add(make([]byte, BlockSize))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if tbl, err := Decode(data); err == nil {
+			buf, err := tbl.Encode()
+			if err != nil {
+				t.Fatalf("an accepted table does not re-encode: %v", err)
+			}
+			again, err := Decode(buf)
+			if err != nil {
+				t.Fatalf("a re-encoded table does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(again, tbl) {
+				t.Fatalf("re-encoded table decodes to %+v, want %+v", again, tbl)
+			}
+		}
+		if exts, err := DecodeIndirect(data); err == nil {
+			buf, err := EncodeIndirect(exts)
+			if err != nil {
+				t.Fatalf("an accepted indirect block does not re-encode: %v", err)
+			}
+			again, err := DecodeIndirect(buf)
+			if err != nil || !reflect.DeepEqual(again, exts) {
+				t.Fatalf("re-encoded indirect block decodes to %v, %v; want %v", again, err, exts)
+			}
+		}
+	})
 }

@@ -193,15 +193,21 @@ type waiter struct {
 const PageSize = 8192
 
 // item is one data item's queue head: the granted records plus the waiting
-// records in FIFO order.
+// records in FIFO order. An item a release empties goes on the manager's
+// free list with both slices' backing arrays, so a grant on a warm manager
+// allocates nothing.
 type item struct {
 	level   Level
 	file    uint64
 	off     uint64
 	length  uint64
-	holders []*hold
+	holders []hold
 	waiters []*waiter
 }
+
+// freeItems bounds the free list: enough for the locks of a few concurrent
+// transactions, without pinning the peak of a table that grew once.
+const freeItems = 64
 
 // byteRange maps an item at any level onto the file's byte space, so items
 // of different granularities can be compared (the §6.1 relaxation).
@@ -257,6 +263,10 @@ type Manager struct {
 	broken    map[TxnID]bool
 	seq       uint64
 	searches  int64 // item records examined (experiment E12)
+	// free holds emptied items for reuse (see item); overlap is
+	// findOverlapping's result buffer, valid until its next call.
+	free    []*item
+	overlap []*item
 }
 
 // New returns a Manager.
@@ -309,8 +319,10 @@ func (m *Manager) SearchSteps() int64 {
 // findOverlapping walks the relevant table(s) linearly (counting search
 // steps) and returns the items overlapping the request, plus the exact item
 // if present. In mixed-level mode every table is searched, since items of
-// any granularity can conflict.
+// any granularity can conflict. The overlapping items are returned in the
+// manager's buffer, valid until the next call.
 func (m *Manager) findOverlapping(level Level, id ItemID, length uint64) (overlapping []*item, exact *item) {
+	overlapping = m.overlap[:0]
 	scan := func(table []*item) {
 		for _, it := range table {
 			m.searches++
@@ -324,12 +336,13 @@ func (m *Manager) findOverlapping(level Level, id ItemID, length uint64) (overla
 		}
 	}
 	if m.mixed && !m.combined {
-		for _, lv := range []Level{Record, Page, File} {
+		for _, lv := range [...]Level{Record, Page, File} {
 			scan(m.tables[lv])
 		}
-		return overlapping, exact
+	} else {
+		scan(m.tables[m.tableKey(level)])
 	}
-	scan(m.tables[m.tableKey(level)])
+	m.overlap = overlapping
 	return overlapping, exact
 }
 
@@ -404,8 +417,7 @@ func (m *Manager) acquire(txn TxnID, pid int, level Level, id ItemID, mode Mode)
 
 	// Enqueue and wait.
 	if exact == nil {
-		exact = &item{level: level, file: id.File, off: id.Offset, length: length}
-		m.addItemLocked(exact)
+		exact = m.newItemLocked(level, id.File, id.Offset, length)
 	}
 	m.seq++
 	w := &waiter{txn: txn, pid: pid, mode: mode, ch: make(chan error, 1), seq: m.seq}
@@ -479,36 +491,43 @@ func (m *Manager) grantableLocked(txn TxnID, overlapping []*item, mode Mode, isQ
 // grantLocked records the grant, converting an existing hold if present.
 func (m *Manager) grantLocked(txn TxnID, pid int, level Level, id ItemID, length uint64, mode Mode, exact *item) {
 	now := m.clock.Now()
-	if exact != nil {
-		for _, h := range exact.holders {
-			if h.txn == txn {
-				if mode > h.mode {
-					h.mode = mode
-					h.grantedAt = now
-					h.renewals = 0
-					m.met.Inc(metrics.LockUpgrades)
-				}
-				return
+	if exact == nil {
+		exact = m.newItemLocked(level, id.File, id.Offset, length)
+	}
+	for i := range exact.holders {
+		if h := &exact.holders[i]; h.txn == txn {
+			if mode > h.mode {
+				h.mode = mode
+				h.grantedAt = now
+				h.renewals = 0
+				m.met.Inc(metrics.LockUpgrades)
 			}
+			return
 		}
 	}
-	if exact == nil {
-		exact = &item{level: level, file: id.File, off: id.Offset, length: length}
-		m.addItemLocked(exact)
-	}
-	exact.holders = append(exact.holders, &hold{
+	exact.holders = append(exact.holders, hold{
 		txn: txn, pid: pid, mode: mode, grantedAt: now,
 	})
 	m.met.Inc(metrics.LocksGranted)
 }
 
-func (m *Manager) addItemLocked(it *item) {
-	key := m.tableKey(it.level)
-	m.tables[key] = append(m.tables[key], it)
-	if m.fileRefs[it.file] == 0 {
-		m.fileLevel[it.file] = it.level
+// newItemLocked appends an item to its table, reusing one from the free
+// list when there is one.
+func (m *Manager) newItemLocked(level Level, file, off, length uint64) *item {
+	var it *item
+	if n := len(m.free); n > 0 {
+		it, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		it = new(item)
 	}
-	m.fileRefs[it.file]++
+	it.level, it.file, it.off, it.length = level, file, off, length
+	key := m.tableKey(level)
+	m.tables[key] = append(m.tables[key], it)
+	if m.fileRefs[file] == 0 {
+		m.fileLevel[file] = level
+	}
+	m.fileRefs[file]++
+	return it
 }
 
 // removeEmptyItemsLocked drops items with no holders and no waiters.
@@ -521,6 +540,11 @@ func (m *Manager) removeEmptyItemsLocked() {
 				if m.fileRefs[it.file] == 0 {
 					delete(m.fileRefs, it.file)
 					delete(m.fileLevel, it.file)
+				}
+				if len(m.free) < freeItems {
+					clear(it.waiters[:cap(it.waiters)]) // woken waiters go
+					it.waiters = it.waiters[:0]
+					m.free = append(m.free, it)
 				}
 				continue
 			}
@@ -621,7 +645,8 @@ func (m *Manager) Sweep() []TxnID {
 	for _, table := range m.tables {
 		for _, it := range table {
 			contested := len(it.waiters) > 0
-			for _, h := range it.holders {
+			for i := range it.holders {
+				h := &it.holders[i]
 				if doomed[h.txn] {
 					continue
 				}

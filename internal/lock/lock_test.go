@@ -594,3 +594,31 @@ func TestMixedLevelsStillConflictAcrossSharedModes(t *testing.T) {
 		t.Fatalf("RO page over RO record denied: ok=%v err=%v", ok, err)
 	}
 }
+
+// TestGrantAllocBudget: a two-lock commit's lock traffic — an Iread on one
+// record converted to an Iwrite, an Iwrite on a second record, ReleaseAll —
+// allocates at most twice on a warm manager. Building each item and hold
+// afresh, and the overlap list per search, cost seven objects.
+func TestGrantAllocBudget(t *testing.T) {
+	m, _ := newMgr(t, func(c *Config) { c.LT = time.Hour })
+	a, b := recItem(1, 0, 256), recItem(1, 8192, 256)
+	txn := TxnID(0)
+	commit := func() {
+		txn++
+		for _, step := range []struct {
+			id   ItemID
+			mode Mode
+		}{{a, IRead}, {a, IWrite}, {b, IWrite}} {
+			if err := m.Acquire(context.Background(), txn, 1, Record, step.id, step.mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.ReleaseAll(txn)
+	}
+	if got := testing.AllocsPerRun(200, commit); got > 2 {
+		t.Errorf("a two-lock commit allocates %.1f objects in the lock manager, budget 2", got)
+	}
+	if n := m.HoldCount(); n != 0 {
+		t.Errorf("%d holds left after ReleaseAll", n)
+	}
+}

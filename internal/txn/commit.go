@@ -203,14 +203,45 @@ func (s *Service) writeCommitRecords(t *txnState) error {
 }
 
 // applyIntentions makes the committed changes permanent and deletes the
-// intention records (§6.7).
+// intention records (§6.7). A file's record intentions are carried out as a
+// unit: one fileservice.Service.WriteRuns call patches them all into the
+// cached blocks, flushes each block they touched once and writes the FIT at
+// most once. Page intentions keep their one-at-a-time path (the logged
+// image written through in place, or the shadow swap). PtCommitMidApply is
+// hit before each file's pass and before each page.
 func (s *Service) applyIntentions(t *txnState) error {
-	for _, rec := range t.list.GetIntentions() {
+	recs := t.list.GetIntentions()
+	var runBuf [4]fileservice.Run // a record commit rewrites a record or two per file
+	var seqBuf [4]int
+	for i, rec := range recs {
+		if rec.Seq < 0 {
+			continue // carried out with an earlier record of its file
+		}
 		s.fault.Hit(PtCommitMidApply)
-		if err := s.applyOne(uint64(t.id), rec); err != nil {
+		if rec.Kind != intentions.RecordKind {
+			if err := s.applyPage(rec); err != nil {
+				return err
+			}
+			t.list.RemoveIntentions(rec.Seq)
+			continue
+		}
+		runs, seqs := runBuf[:0], seqBuf[:0]
+		for j := i; j < len(recs); j++ {
+			r := &recs[j]
+			if r.File != rec.File || r.Seq < 0 {
+				continue
+			}
+			if r.Kind != intentions.RecordKind {
+				break // a later page image of the file applies in its own turn
+			}
+			runs = append(runs, fileservice.Run{Off: r.Offset, Data: r.Data})
+			seqs = append(seqs, r.Seq)
+			r.Seq = -1
+		}
+		if _, err := s.fs.WriteRuns(context.Background(), FileID(rec.File), runs); err != nil {
 			return err
 		}
-		t.list.RemoveIntentions(rec.Seq)
+		t.list.RemoveIntentions(seqs...)
 	}
 	// Apply tentative sizes (page-mode writes do not move the size).
 	t.mu.Lock()
@@ -240,31 +271,27 @@ func (s *Service) applyIntentions(t *txnState) error {
 	return nil
 }
 
-// applyOne makes one intention permanent.
-func (s *Service) applyOne(txn uint64, rec intentions.Record) error {
+// applyPage makes one page intention permanent: the shadow swap, or the
+// logged image written through in place.
+func (s *Service) applyPage(rec intentions.Record) error {
 	fid := FileID(rec.File)
-	switch {
-	case rec.Kind == intentions.RecordKind:
-		_, err := s.fs.WriteAtCtx(context.Background(), fid, rec.Offset, rec.Data)
-		return err
-	case rec.Technique == intentions.ShadowPage:
-		disk, _, err := s.fs.BlockLocation(fid, rec.Block)
-		if err != nil {
-			return err
-		}
-		newAddr, err := s.fs.DiskServer(int(disk)).AllocateBlocks(1)
-		if err != nil {
-			return err
-		}
-		if err := s.fs.DiskServer(int(disk)).Put(context.Background(), newAddr, rec.Data, diskservice.PutOptions{}); err != nil {
-			return err
-		}
-		return s.fs.ReplaceBlockDescriptor(fid, rec.Block, fit.Extent{
-			Disk: disk, Addr: uint32(newAddr), Count: 1,
-		})
-	default:
+	if rec.Technique != intentions.ShadowPage {
 		return s.fs.WriteBlockThrough(fid, rec.Block, rec.Data)
 	}
+	disk, _, err := s.fs.BlockLocation(fid, rec.Block)
+	if err != nil {
+		return err
+	}
+	newAddr, err := s.fs.DiskServer(int(disk)).AllocateBlocks(1)
+	if err != nil {
+		return err
+	}
+	if err := s.fs.DiskServer(int(disk)).Put(context.Background(), newAddr, rec.Data, diskservice.PutOptions{}); err != nil {
+		return err
+	}
+	return s.fs.ReplaceBlockDescriptor(fid, rec.Block, fit.Extent{
+		Disk: disk, Addr: uint32(newAddr), Count: 1,
+	})
 }
 
 // finish releases everything a completed transaction holds: file opens,

@@ -912,3 +912,69 @@ func TestManyCommitsTruncateLog(t *testing.T) {
 	}
 	fmt.Println("log bytes:", r.log.AppendedBytes())
 }
+
+// TestCrashBetweenFilePassesRecoversBoth: a commit carries out its record
+// intentions one file at a time, each file's in one pass. A crash after the
+// first file's pass leaves that file wholly applied and the second
+// untouched, and recovery redoes both from the log: after it both files
+// hold the transaction's writes, never one without the other.
+func TestCrashBetweenFilePassesRecoversBoth(t *testing.T) {
+	r := newCrashAfterLogRig(t)
+	old := bytes.Repeat([]byte("o"), 600)
+	id, err := r.svc.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fids := make([]FileID, 2)
+	for i := range fids {
+		if fids[i], err = r.svc.Create(id, fit.Attributes{Locking: fit.LockRecord}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.svc.PWrite(id, fids[i], 0, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.svc.End(id); err != nil {
+		t.Fatal(err)
+	}
+	// One transaction rewrites two records in each file.
+	id, err = r.svc.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	news := [][]byte{bytes.Repeat([]byte("A"), 100), bytes.Repeat([]byte("B"), 100)}
+	want := make([][]byte, len(fids))
+	for i, fid := range fids {
+		if err := r.svc.Open(id, fid, fit.LockRecord); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = append([]byte(nil), old...)
+		for _, off := range []int{0, 400} {
+			if _, err := r.svc.PWrite(id, fid, int64(off), news[i]); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[i][off:], news[i])
+		}
+	}
+	r.inj.Arm(PtCommitMidApply, fault.Action{Kind: fault.KindCrash, After: 1})
+	crashed, err := fault.Run(func() error { return r.svc.End(id) })
+	if crashed == nil || crashed.Point != PtCommitMidApply {
+		t.Fatalf("End with a crash armed before the second file's pass = %v, %v", crashed, err)
+	}
+	for i, wantNow := range [][]byte{want[0], old} {
+		got, err := r.fs.ReadAt(fids[i], 0, len(old))
+		if err != nil || !bytes.Equal(got, wantNow) {
+			t.Fatalf("before recovery file %d reads %q, %v; want its pass %s", i, got, err, []string{"done", "not begun"}[i])
+		}
+	}
+	r.crash()
+	if committed, err := r.svc.Recover(); err != nil || committed == 0 {
+		t.Fatalf("Recover = %d, %v; want the interrupted transaction redone", committed, err)
+	}
+	for i, fid := range fids {
+		got, err := r.fs.ReadAt(fid, 0, len(old))
+		if err != nil || !bytes.Equal(got, want[i]) {
+			t.Fatalf("after recovery file %d reads %q, %v; want %q", i, got, err, want[i])
+		}
+	}
+}
