@@ -312,10 +312,3 @@ func (p *Process) Twin() (*Process, error) {
 	child.Stdin, child.Stdout, child.Stderr = p.Stdin, p.Stdout, p.Stderr
 	return child, nil
 }
-
-// LiveTransactions returns the number of transactions the process has open.
-func (p *Process) LiveTransactions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.txns)
-}

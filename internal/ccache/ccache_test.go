@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
+	"repro/internal/simclock"
 )
 
 // TestCodecRoundTrips pins the lease protocol's wire layouts.
@@ -87,29 +88,12 @@ type rig struct {
 	core  *core.Cluster
 	srv   *ccache.Server
 	addr  string
-	reads atomic.Int64 // fs.readAt RPCs that reached the file service
-	clk   *fakeClock   // nil for real time
+	reads atomic.Int64      // fs.readAt RPCs that reached the file service
+	clk   *simclock.Virtual // nil for real time
 	srec  *obs.Recorder
 }
 
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
-
-func newRig(t *testing.T, clk *fakeClock) *rig {
+func newRig(t *testing.T, clk *simclock.Virtual) *rig {
 	t.Helper()
 	c, err := core.New(core.Config{})
 	if err != nil {
@@ -132,7 +116,7 @@ func newRig(t *testing.T, clk *fakeClock) *rig {
 		Obs:   r.srec,
 	}
 	if clk != nil {
-		scfg.Now = clk.Now
+		scfg.Now = clk
 	}
 	srv, err := ccache.NewServer(scfg)
 	if err != nil {
@@ -183,7 +167,7 @@ func (r *rig) client(id uint64) (*ccache.Client, *obs.Recorder) {
 		Obs:      rec,
 	}
 	if r.clk != nil {
-		cfg.Now = r.clk.Now
+		cfg.Now = r.clk
 	}
 	cc, err := ccache.New(cfg)
 	if err != nil {
@@ -396,12 +380,38 @@ func TestConcurrentRecallReadStress(t *testing.T) {
 	}
 }
 
+// TestServerSweepStopsOnClose pins that Close ends the lease sweep: a lease
+// that lapsed on the server's clock after Close is still held two sweep
+// periods later, though one pass would have dropped it.
+func TestServerSweepStopsOnClose(t *testing.T) {
+	clk := simclock.New()
+	r := newRig(t, clk)
+	cc, _ := r.client(811)
+	id := r.create("/cc/closed-sweep")
+	if _, err := cc.ReadAt(id, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.srv.Holders(uint64(id)); n != 1 {
+		t.Fatalf("holders = %d, want 1", n)
+	}
+	r.srv.Close()
+	clk.Advance(ccache.DefaultTTL + time.Second)
+	time.Sleep(ccache.DefaultTTL/2 + 100*time.Millisecond)
+	if n := r.srv.Holders(uint64(id)); n != 1 {
+		t.Fatalf("holders = %d after Close, want 1: the sweep ran", n)
+	}
+	r.srv.SweepOnce()
+	if n := r.srv.Holders(uint64(id)); n != 0 {
+		t.Fatalf("holders = %d after one pass, want 0", n)
+	}
+}
+
 // TestExpiredLeaseNeverServesStale pins the §6.4-style sweep semantics:
 // a holder whose lease expired (clock, not callback) is dropped
 // server-side without a recall, and its client — including after a
 // reconnect-style DropLeases — refetches rather than serving stale bytes.
 func TestExpiredLeaseNeverServesStale(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1700000000, 0)}
+	clk := simclock.New()
 	r := newRig(t, clk)
 	cc1, _ := r.client(801)
 	cc2, _ := r.client(802)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fit"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 )
 
 // BlockSize is the cache's block granularity — the file service's block,
@@ -71,8 +72,9 @@ type Config struct {
 	// Obs receives cache telemetry (hits, misses, recalls, flushes) and
 	// op spans. Optional.
 	Obs *obs.Recorder
-	// Now is the lease expiry clock; nil means time.Now.
-	Now func() time.Time
+	// Now is the lease expiry clock; nil means a simclock.Wall of the
+	// cache's own.
+	Now simclock.Clock
 }
 
 // cblock is one cached block: data is always BlockSize long (short tails
@@ -91,8 +93,8 @@ type fileState struct {
 	epoch   uint64
 	mode    byte // 0 = no lease
 	ver     uint64
-	size    int64 // local size: server size plus buffered growth
-	expires time.Time
+	size    int64         // local size: server size plus buffered growth
+	expires time.Duration // instant on the cache's clock
 	gen     uint64
 	blocks  map[int64]*cblock
 	ndirty  int
@@ -106,7 +108,7 @@ type Client struct {
 	sink     FlushSink
 	clientID uint64
 	rec      *obs.Recorder
-	now      func() time.Time
+	clock    simclock.Clock
 
 	mu    sync.Mutex
 	files map[fileservice.FileID]*fileState
@@ -135,9 +137,9 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Lease != nil && cfg.ClientID == 0 {
 		return nil, errors.New("ccache: leased mode requires a client ID")
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	clock := cfg.Now
+	if clock == nil {
+		clock = &simclock.Wall{}
 	}
 	sink := cfg.Sink
 	if sink == nil {
@@ -149,7 +151,7 @@ func New(cfg Config) (*Client, error) {
 		sink:     sink,
 		clientID: cfg.ClientID,
 		rec:      cfg.Obs,
-		now:      now,
+		clock:    clock,
 		files:    make(map[fileservice.FileID]*fileState),
 	}, nil
 }
@@ -173,7 +175,7 @@ func (c *Client) leasedLocked(st *fileState, mode byte) bool {
 	if st.mode == 0 || (mode == ModeWrite && st.mode != ModeWrite) {
 		return false
 	}
-	return c.lease == nil || c.now().Before(st.expires)
+	return c.lease == nil || c.clock.Now() < st.expires
 }
 
 // ensureLease acquires (or renews) a lease of the given mode, retrying
@@ -187,7 +189,7 @@ func (c *Client) ensureLease(id fileservice.FileID, mode byte) error {
 	epoch := c.state(id).epoch
 	c.mu.Unlock()
 	var lastErr error
-	backoff := 2 * time.Millisecond
+	backoff := busyBackoff()
 	for attempt := 0; attempt < 40; attempt++ {
 		g, err := c.lease.AcquireLease(uint64(id), c.clientID, mode)
 		if err == nil {
@@ -206,10 +208,7 @@ func (c *Client) ensureLease(id fileservice.FileID, mode byte) error {
 			return err
 		}
 		lastErr = err
-		time.Sleep(backoff)
-		if backoff < 20*time.Millisecond {
-			backoff *= 2
-		}
+		_ = backoff.Wait(context.Background()) // cannot fail: Background is never done
 	}
 	return lastErr
 }
@@ -262,7 +261,7 @@ func (c *Client) install(id fileservice.FileID, mode byte, g Grant, epoch uint64
 		st.ver = g.Ver
 	}
 	st.mode = mode
-	st.expires = c.now().Add(g.TTL)
+	st.expires = c.clock.Now() + g.TTL
 	// st.size is exact while dirty blocks are buffered (writeAt maintains
 	// it through every buffered write), so a smaller grant size must not
 	// clamp away unflushed growth. With no dirty state — or when the file
@@ -346,17 +345,20 @@ func (c *Client) writeInner(ctx context.Context, id fileservice.FileID, off int6
 // our behalf; the retry lands once it acknowledged or was broken).
 func retryBusy(fn func() error) error {
 	var err error
-	backoff := 2 * time.Millisecond
+	backoff := busyBackoff()
 	for attempt := 0; attempt < 40; attempt++ {
 		if err = fn(); err == nil || !IsBusy(err) {
 			return err
 		}
-		time.Sleep(backoff)
-		if backoff < 20*time.Millisecond {
-			backoff *= 2
-		}
+		_ = backoff.Wait(context.Background()) // cannot fail: Background is never done
 	}
 	return err
+}
+
+// busyBackoff is the wait between retries through busy refusals: 2 ms,
+// doubling while below 20 ms.
+func busyBackoff() simclock.Backoff {
+	return simclock.Backoff{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond}
 }
 
 // gap is one uncovered byte range of a read being assembled.

@@ -25,7 +25,7 @@ func (c *Client) DebugState(id fileservice.FileID) string {
 		return "no state"
 	}
 	desc := fmt.Sprintf("mode=%d ver=%d ndirty=%d expires-live=%v blocks=%d",
-		st.mode, st.ver, st.ndirty, c.now().Before(st.expires), len(st.blocks))
+		st.mode, st.ver, st.ndirty, c.clock.Now() < st.expires, len(st.blocks))
 	if cb := st.blocks[0]; cb != nil {
 		desc += fmt.Sprintf(" block0=%d", cb.data[0])
 	}

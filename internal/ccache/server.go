@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
+	"repro/internal/simclock"
 )
 
 // ServerConfig configures the server-side lease manager.
@@ -25,18 +26,26 @@ type ServerConfig struct {
 	Size func(file uint64) (int64, error)
 	// Obs receives lease telemetry. Optional.
 	Obs *obs.Recorder
-	// Now is the lease clock; nil means time.Now.
-	Now func() time.Time
+	// Now is the lease clock; nil means a simclock.Wall of the server's own.
+	Now simclock.Clock
 }
 
 // srvHolder is one client's lease on one file.
 type srvHolder struct {
 	mode    byte
-	expires time.Time
-	// recallAt is nonzero once a recall push went out: the deadline
-	// after which the lease is broken without an ack.
-	recallAt    time.Time
-	recallStart time.Time
+	expires time.Duration // instants on the server's clock
+	// recalled is set once a recall push went out, at recallStart; an
+	// ack's wait is measured from it. pending holds from that push until
+	// the next grant: meanwhile the lease is broken without an ack
+	// DefaultRecallWait after recallStart.
+	recalled, pending bool
+	recallStart       time.Duration
+}
+
+// lapsed reports whether the lease expired, or its pending recall went
+// unacknowledged past DefaultRecallWait, by now.
+func (h *srvHolder) lapsed(now time.Duration) bool {
+	return now > h.expires || (h.pending && now > h.recallStart+DefaultRecallWait)
 }
 
 // srvFile is the per-file lease record.
@@ -79,7 +88,7 @@ type Server struct {
 	inner  rpc.Link
 	sizeFn func(file uint64) (int64, error)
 	rec    *obs.Recorder
-	now    func() time.Time
+	clock  simclock.Clock
 
 	// verGen mints file versions: globally unique and monotonic, so a
 	// file whose lease record was garbage-collected and recreated can
@@ -91,9 +100,7 @@ type Server struct {
 	files   map[uint64]*srvFile
 	pushers map[uint64]rpc.Pusher
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stopSweep func()
 }
 
 // NewServer builds the lease manager and starts its sweeper. Close
@@ -105,29 +112,27 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Size == nil {
 		return nil, errors.New("ccache: nil size callback")
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	clock := cfg.Now
+	if clock == nil {
+		clock = &simclock.Wall{}
 	}
 	s := &Server{
 		inner:   cfg.Inner,
 		sizeFn:  cfg.Size,
 		rec:     cfg.Obs,
-		now:     now,
+		clock:   clock,
 		files:   make(map[uint64]*srvFile),
 		pushers: make(map[uint64]rpc.Pusher),
-		stop:    make(chan struct{}),
 	}
-	s.wg.Add(1)
-	go s.sweepLoop(DefaultTTL / 4)
+	s.stopSweep = simclock.Every(DefaultTTL/4, func() bool {
+		s.sweepOnce()
+		return true
+	})
 	return s, nil
 }
 
 // Close stops the sweeper.
-func (s *Server) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.stopSweep() }
 
 // HandlerCtx is the lease manager's rpc.Link: it serves the lease protocol
 // and guards everything else with the conflict check before delegating to
@@ -210,8 +215,8 @@ func (s *Server) handleAcquire(body []byte) ([]byte, error) {
 		f.holders[client] = h
 	}
 	h.mode = mode
-	h.expires = s.now().Add(DefaultTTL)
-	h.recallAt = time.Time{}
+	h.expires = s.clock.Now() + DefaultTTL
+	h.pending = false
 	ver := f.ver
 	s.mu.Unlock()
 	s.rec.Gauge(MetricLeaseGrants).Inc()
@@ -242,8 +247,8 @@ func (s *Server) dropHolder(file, client uint64, acked bool) {
 	var waited time.Duration
 	if f := s.files[file]; f != nil {
 		if h := f.holders[client]; h != nil {
-			if acked && !h.recallStart.IsZero() {
-				waited = s.now().Sub(h.recallStart)
+			if acked && h.recalled {
+				waited = s.clock.Now() - h.recallStart
 			}
 			delete(f.holders, client)
 		}
@@ -318,7 +323,7 @@ func (s *Server) endMutation(file uint64, ok bool) {
 // access (exclusive = a write or write-lease acquire, which conflicts
 // with every other holder; shared conflicts only with write leases).
 func (s *Server) recallConflicts(file, requester uint64, exclusive bool) error {
-	deadline := s.now().Add(DefaultRecallWait)
+	deadline := s.clock.Now() + DefaultRecallWait
 	fenced := false
 	defer func() {
 		if fenced {
@@ -354,7 +359,7 @@ func (s *Server) recallConflicts(file, requester uint64, exclusive bool) error {
 			}
 			s.mu.Unlock()
 		}
-		if !s.now().Before(deadline) {
+		if s.clock.Now() >= deadline {
 			s.breakConflicts(file, requester, exclusive)
 			return nil
 		}
@@ -373,7 +378,7 @@ func (s *Server) recallRound(file, requester uint64, exclusive bool) (pending in
 		body []byte
 	}
 	var pushes []push
-	now := s.now()
+	now := s.clock.Now()
 	s.mu.Lock()
 	f := s.files[file]
 	if f == nil {
@@ -387,7 +392,7 @@ func (s *Server) recallRound(file, requester uint64, exclusive bool) (pending in
 		if !exclusive && h.mode != ModeWrite {
 			continue
 		}
-		if now.After(h.expires) || (!h.recallAt.IsZero() && now.After(h.recallAt)) {
+		if h.lapsed(now) {
 			// Expired, or recalled long enough ago: break the lease. The
 			// holder's own clock has (or will have) stopped it serving
 			// cached data.
@@ -395,14 +400,14 @@ func (s *Server) recallRound(file, requester uint64, exclusive bool) (pending in
 			s.rec.Gauge(MetricLeaseBroken).Inc()
 			continue
 		}
-		if h.recallAt.IsZero() {
+		if !h.pending {
 			p := s.pushers[client]
 			if p == nil {
 				delete(f.holders, client)
 				s.rec.Gauge(MetricLeaseBroken).Inc()
 				continue
 			}
-			h.recallAt = now.Add(DefaultRecallWait)
+			h.recalled, h.pending = true, true
 			h.recallStart = now
 			// Push bodies must be plain allocations (see rpc.Pusher):
 			// AppendRecall over nil allocates fresh.
@@ -469,30 +474,16 @@ func (s *Server) Holders(file uint64) int {
 	return len(f.holders)
 }
 
-// sweepLoop periodically drops expired leases — the client side stopped
-// trusting them at the same moment by its own clock — and overdue
-// recalls whose conflicting operation has long given up.
-func (s *Server) sweepLoop(every time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.sweepOnce()
-		}
-	}
-}
-
+// sweepOnce drops expired leases — the client side stopped trusting them at
+// the same moment by its own clock — and overdue recalls whose conflicting
+// operation has long given up. It runs every DefaultTTL/4.
 func (s *Server) sweepOnce() {
-	now := s.now()
+	now := s.clock.Now()
 	expired := 0
 	s.mu.Lock()
 	for file, f := range s.files {
 		for client, h := range f.holders {
-			if now.After(h.expires) || (!h.recallAt.IsZero() && now.After(h.recallAt)) {
+			if h.lapsed(now) {
 				delete(f.holders, client)
 				expired++
 			}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
+	"repro/internal/simclock"
 )
 
 func TestShardForPathColocation(t *testing.T) {
@@ -87,8 +88,8 @@ func TestMapCodecRoundTrip(t *testing.T) {
 }
 
 func TestLeaseTable(t *testing.T) {
-	now := time.Unix(0, 0)
-	tab := NewLeaseTable(100*time.Millisecond, func() time.Time { return now })
+	clk := simclock.New()
+	tab := NewLeaseTable(100*time.Millisecond, clk)
 	if ok, created := tab.Grant(1, 10); !ok || !created {
 		t.Fatalf("first grant: ok=%v created=%v", ok, created)
 	}
@@ -104,11 +105,11 @@ func TestLeaseTable(t *testing.T) {
 	if tab.Renew(2, 10) {
 		t.Fatal("non-owner renewal accepted")
 	}
-	now = now.Add(50 * time.Millisecond)
+	clk.Advance(50 * time.Millisecond)
 	if due := tab.ExpireDue(); len(due) != 0 {
 		t.Fatalf("expired early: %v", due)
 	}
-	now = now.Add(60 * time.Millisecond)
+	clk.Advance(60 * time.Millisecond)
 	if due := tab.ExpireDue(); len(due) != 1 || due[0] != 10 {
 		t.Fatalf("ExpireDue = %v, want [10]", due)
 	}
@@ -118,7 +119,7 @@ func TestLeaseTable(t *testing.T) {
 	// A released lease never expires.
 	tab.Grant(1, 11)
 	tab.Release(11)
-	now = now.Add(time.Hour)
+	clk.Advance(time.Hour)
 	if due := tab.ExpireDue(); len(due) != 0 {
 		t.Fatalf("released lease expired: %v", due)
 	}

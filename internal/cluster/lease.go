@@ -3,6 +3,8 @@ package cluster
 import (
 	"sync"
 	"time"
+
+	"repro/internal/simclock"
 )
 
 // LeaseTable tracks, per transaction holding network locks, which client
@@ -12,8 +14,8 @@ import (
 // or partitioned, and the sweeper breaks the transaction's locks so it
 // aborts cleanly (§6.4's break machinery, repurposed for client liveness).
 type LeaseTable struct {
-	ttl time.Duration
-	now func() time.Time
+	ttl   time.Duration
+	clock simclock.Clock
 
 	mu     sync.Mutex
 	leases map[uint64]*leaseEntry
@@ -21,16 +23,16 @@ type LeaseTable struct {
 
 type leaseEntry struct {
 	client  uint64
-	expires time.Time
+	expires time.Duration // instant on the table's clock
 }
 
-// NewLeaseTable builds a table with the given lease duration. now is the
-// clock; nil means time.Now (tests inject a fake).
-func NewLeaseTable(ttl time.Duration, now func() time.Time) *LeaseTable {
-	if now == nil {
-		now = time.Now
+// NewLeaseTable builds a table with the given lease duration on clock; nil
+// means a simclock.Wall of its own (tests pass a simclock.Virtual).
+func NewLeaseTable(ttl time.Duration, clock simclock.Clock) *LeaseTable {
+	if clock == nil {
+		clock = &simclock.Wall{}
 	}
-	return &LeaseTable{ttl: ttl, now: now, leases: make(map[uint64]*leaseEntry)}
+	return &LeaseTable{ttl: ttl, clock: clock, leases: make(map[uint64]*leaseEntry)}
 }
 
 // TTL returns the lease duration.
@@ -48,13 +50,13 @@ func (t *LeaseTable) Grant(client, txn uint64) (ok, created bool) {
 	defer t.mu.Unlock()
 	e := t.leases[txn]
 	if e == nil {
-		t.leases[txn] = &leaseEntry{client: client, expires: t.now().Add(t.ttl)}
+		t.leases[txn] = &leaseEntry{client: client, expires: t.clock.Now() + t.ttl}
 		return true, true
 	}
 	if e.client != client {
 		return false, false
 	}
-	e.expires = t.now().Add(t.ttl)
+	e.expires = t.clock.Now() + t.ttl
 	return true, false
 }
 
@@ -68,7 +70,7 @@ func (t *LeaseTable) Renew(client, txn uint64) bool {
 	if e == nil || e.client != client {
 		return false
 	}
-	e.expires = t.now().Add(t.ttl)
+	e.expires = t.clock.Now() + t.ttl
 	return true
 }
 
@@ -83,10 +85,10 @@ func (t *LeaseTable) Release(txn uint64) {
 func (t *LeaseTable) ExpireDue() []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
+	now := t.clock.Now()
 	var due []uint64
 	for txn, e := range t.leases {
-		if e.expires.Before(now) || e.expires.Equal(now) {
+		if e.expires <= now {
 			due = append(due, txn)
 			delete(t.leases, txn)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 )
 
 // PtLeaseRenew is the fault point on the client's lease renewal path: an
@@ -31,9 +32,7 @@ type LockClient struct {
 	mu   sync.Mutex
 	txns map[uint64]bool
 
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	stopRenew func()
 }
 
 // Acquire backoff bounds: the first retry after a denied try waits
@@ -52,14 +51,12 @@ func NewLockClient(c *rpc.Client, clientID uint64, ttl time.Duration, inj *fault
 		clientID: clientID,
 		inj:      inj,
 		txns:     make(map[uint64]bool),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	every := ttl / 3
 	if every <= 0 {
 		every = time.Millisecond
 	}
-	go l.renewLoop(every)
+	l.stopRenew = simclock.Every(every, l.renew)
 	return l
 }
 
@@ -70,10 +67,7 @@ func (l *LockClient) SetObs(r *obs.Recorder) { l.rec.Store(r) }
 
 // Close stops the background renewer. It does not release held locks —
 // that is exactly what the server's lease sweeper is for.
-func (l *LockClient) Close() {
-	l.stopOnce.Do(func() { close(l.stop) })
-	<-l.done
-}
+func (l *LockClient) Close() { l.stopRenew() }
 
 // Acquire obtains one lock for txn, polling the server's non-blocking try
 // with exponential backoff until granted, the context expires, or the
@@ -89,7 +83,7 @@ func (l *LockClient) Acquire(ctx context.Context, txn lock.TxnID, pid int, level
 		Off:    item.Offset,
 		Len:    item.Length,
 	}
-	backoff := acquireBackoffMin
+	backoff := simclock.Backoff{Min: acquireBackoffMin, Max: acquireBackoffMax}
 	for {
 		// An already-canceled context must not issue a network call; the
 		// mid-loop select alone only observes cancellation after a denied
@@ -115,13 +109,8 @@ func (l *LockClient) Acquire(ctx context.Context, txn lock.TxnID, pid int, level
 			l.mu.Unlock()
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff < acquireBackoffMax {
-			backoff *= 2
+		if err := backoff.Wait(ctx); err != nil {
+			return err
 		}
 	}
 }
@@ -146,40 +135,31 @@ func (l *LockClient) StopRenewing(txn lock.TxnID) {
 	l.mu.Unlock()
 }
 
-// renewLoop renews every tracked transaction's lease. A transaction whose
-// lease the server reports lost is dropped from the set — its locks are
-// already broken and re-renewing would never succeed.
-func (l *LockClient) renewLoop(every time.Duration) {
-	defer close(l.done)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-		}
-		if err := l.inj.Err(PtLeaseRenew); err != nil {
-			continue // partitioned: the renewal never reaches the server
-		}
-		l.mu.Lock()
-		txns := make([]uint64, 0, len(l.txns))
-		for txn := range l.txns {
-			txns = append(txns, txn)
-		}
-		l.mu.Unlock()
-		for _, txn := range txns {
-			body := appendLockTxn(rpc.Buffer(lockTxnLen)[:0], LockTxnArgs{Client: l.clientID, Txn: txn})
-			t0 := time.Now()
-			out, err := l.c.Call(context.Background(), MLockRenew, body)
-			l.rec.Load().ValueHist(MetricLeaseRenewNS).Record(time.Since(t0))
-			rpc.Recycle(body)
-			l.c.ReleaseBody(out)
-			if err != nil && IsLeaseLost(err) {
-				l.mu.Lock()
-				delete(l.txns, txn)
-				l.mu.Unlock()
-			}
+// renew renews every tracked transaction's lease; it runs every ttl/3. A
+// transaction whose lease the server reports lost is dropped from the set —
+// its locks are already broken and re-renewing would never succeed.
+func (l *LockClient) renew() bool {
+	if err := l.inj.Err(PtLeaseRenew); err != nil {
+		return true // partitioned: the renewal never reaches the server
+	}
+	l.mu.Lock()
+	txns := make([]uint64, 0, len(l.txns))
+	for txn := range l.txns {
+		txns = append(txns, txn)
+	}
+	l.mu.Unlock()
+	for _, txn := range txns {
+		body := appendLockTxn(rpc.Buffer(lockTxnLen)[:0], LockTxnArgs{Client: l.clientID, Txn: txn})
+		t0 := time.Now()
+		out, err := l.c.Call(context.Background(), MLockRenew, body)
+		l.rec.Load().ValueHist(MetricLeaseRenewNS).Record(time.Since(t0))
+		rpc.Recycle(body)
+		l.c.ReleaseBody(out)
+		if err != nil && IsLeaseLost(err) {
+			l.mu.Lock()
+			delete(l.txns, txn)
+			l.mu.Unlock()
 		}
 	}
+	return true
 }

@@ -273,68 +273,53 @@ func (s *Service) handleReplHeartbeat() ([]byte, error) {
 	return nil, nil
 }
 
-// touch records that the primary was heard from just now.
-func (s *Service) touch() { s.lastHeard.Store(time.Now().UnixNano()) }
+// neverHeard is lastHeard before the primary's first contact: on a clock
+// that starts at zero, zero is a real instant.
+const neverHeard = -1
 
-// heartbeatLoop keeps the backup's watchdog quiet while the primary is
-// idle. It exits once the stream is down or the primary is deposed — both
-// terminal states for this pairing.
-func (s *Service) heartbeatLoop() {
-	defer s.wg.Done()
+// touch records that the primary was heard from just now.
+func (s *Service) touch() { s.lastHeard.Store(int64(s.clock.Now())) }
+
+// heartbeat keeps the backup's watchdog quiet while the primary is idle; it
+// runs every TTL/3. It ends the loop once the stream is down or the primary
+// is deposed — both terminal states for this pairing.
+func (s *Service) heartbeat() bool {
 	r := s.repl
-	t := time.NewTicker(r.ttl / 3)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-		}
-		if s.Role() != RolePrimary || r.sh.Down() {
-			return
-		}
-		out, err := r.bc.Call(context.Background(), MReplHeartbeat, nil)
-		r.bc.ReleaseBody(out)
-		if err != nil {
-			if isPromoted(err) {
-				s.stepDown()
-			} else {
-				r.sh.MarkDown(fmt.Errorf("cluster: heartbeat: %w", err))
-			}
-			return
-		}
+	if s.Role() != RolePrimary || r.sh.Down() {
+		return false
 	}
+	out, err := r.bc.Call(context.Background(), MReplHeartbeat, nil)
+	r.bc.ReleaseBody(out)
+	if err != nil {
+		if isPromoted(err) {
+			s.stepDown()
+		} else {
+			r.sh.MarkDown(fmt.Errorf("cluster: heartbeat: %w", err))
+		}
+		return false
+	}
+	return true
 }
 
-// watchdogLoop promotes the backup once the primary has been silent for a
-// full replication TTL. Silence only counts after the primary's first
-// contact (lastHeard stays zero until then): a backup that has never heard
-// from its primary is a pairing that is not live yet, not a dead shard.
-func (s *Service) watchdogLoop() {
-	defer s.wg.Done()
-	r := s.repl
-	t := time.NewTicker(r.ttl / 4)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-		}
-		if s.Role() != RoleBackup {
-			return
-		}
-		last := s.lastHeard.Load()
-		if last == 0 {
-			continue
-		}
-		gap := time.Now().UnixNano() - last
-		s.rec.Gauge(MetricReplHeartbeatGap).Set(gap)
-		if gap >= int64(r.ttl) {
-			s.promote()
-			return
-		}
+// watchdog promotes the backup once the primary has been silent for a full
+// replication TTL; it runs every TTL/4. Silence only counts after the
+// primary's first contact: a backup that has never heard from its primary
+// is a pairing that is not live yet, not a dead shard.
+func (s *Service) watchdog() bool {
+	if s.Role() != RoleBackup {
+		return false
 	}
+	last := s.lastHeard.Load()
+	if last == neverHeard {
+		return true
+	}
+	gap := int64(s.clock.Now()) - last
+	s.rec.Gauge(MetricReplHeartbeatGap).Set(gap)
+	if gap >= int64(s.repl.ttl) {
+		s.promote()
+		return false
+	}
+	return true
 }
 
 // promote flips the backup to primary: its map now names it as the shard's
@@ -344,7 +329,7 @@ func (s *Service) promote() {
 	if !s.role.CompareAndSwap(int32(RoleBackup), int32(RolePrimary)) {
 		return
 	}
-	silence := time.Duration(time.Now().UnixNano() - s.lastHeard.Load())
+	silence := s.clock.Now() - time.Duration(s.lastHeard.Load())
 	s.updateMap(func(m *Map) {
 		m.Endpoints[s.shard] = s.self
 		if s.shard < len(m.Backups) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
+	"repro/internal/simclock"
 )
 
 // PtLeaseSweep is the fault point on the server's lease sweeper, hit once
@@ -101,12 +102,13 @@ type Service struct {
 	repl       *replState
 	self       string       // backup: own address, installed on promotion
 	backupAddr string       // primary: successor address, installed on fencing
-	lastHeard  atomic.Int64 // backup: UnixNano of last primary contact
+	lastHeard  atomic.Int64 // backup: clock instant of last primary contact, neverHeard before it
 	ep         atomic.Pointer[rpc.Endpoint]
 
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	stopOnce sync.Once
+	// clock times the lease table and the backup's watchdog.
+	clock simclock.Clock
+	// stops are the running loops' stop functions (simclock.Every).
+	stops []func()
 }
 
 // NewService builds the shard service and starts its lease sweeper (when a
@@ -135,13 +137,12 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		rec:     cfg.Obs,
 		locks:   cfg.Locks,
 		inj:     cfg.Fault,
-		stop:    make(chan struct{}),
+		clock:   &simclock.Wall{},
 	}
 	s.role.Store(int32(cfg.Role))
 	if cfg.Locks != nil {
-		s.leases = NewLeaseTable(ttl, nil)
-		s.wg.Add(1)
-		go s.sweep(ttl / 4)
+		s.leases = NewLeaseTable(ttl, s.clock)
+		s.stops = append(s.stops, simclock.Every(ttl/4, s.sweep))
 	}
 	rttl := cfg.ReplTTL
 	if rttl <= 0 {
@@ -164,8 +165,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			Obs:    cfg.Obs,
 		})
 		s.repl = r
-		s.wg.Add(1)
-		go s.heartbeatLoop()
+		s.stops = append(s.stops, simclock.Every(rttl/3, s.heartbeat))
 	case RoleBackup:
 		if m.Backup(cfg.Shard) == "" {
 			return nil, errors.New("cluster: backup role requires its own address in the map")
@@ -179,8 +179,8 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		// The promotion clock starts at the primary's first contact, not at
 		// construction: a backup that boots before its (possibly slow)
 		// primary must not usurp a shard nobody has served through it yet.
-		s.wg.Add(1)
-		go s.watchdogLoop()
+		s.lastHeard.Store(neverHeard)
+		s.stops = append(s.stops, simclock.Every(rttl/4, s.watchdog))
 	default:
 		return nil, fmt.Errorf("cluster: cannot start in role %v", cfg.Role)
 	}
@@ -226,16 +226,13 @@ func (s *Service) seedDup(client, cseq uint64, reply []byte) {
 // ship stream down. It does not close the wrapped lock manager, handler,
 // or the backup connection (the caller owns that transport).
 func (s *Service) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
+	for _, stop := range s.stops {
+		stop()
+	}
 	if r := s.repl; r != nil && r.sh != nil {
 		r.sh.Close()
 	}
-	s.wg.Wait()
 }
-
-// Leases exposes the lease table (experiments and tests); nil without a
-// lock manager.
-func (s *Service) Leases() *LeaseTable { return s.leases }
 
 // HandleRequestCtx is the endpoint's rpc.Handler: cluster methods are
 // served here, everything else passes the role and namespace ownership
@@ -341,28 +338,19 @@ func (s *Service) handleRelease(body []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// sweep periodically breaks the locks of transactions whose lease expired:
-// their client is dead or partitioned, and §6.4's break path makes the
-// transaction abort at its next lock operation (or via OnBreak).
-func (s *Service) sweep(every time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			due := s.leases.ExpireDue()
-			if len(due) == 0 {
-				continue
-			}
-			s.inj.Hit(PtLeaseSweep)
-			s.rec.Gauge(MetricLeaseExpired).Add(int64(len(due)))
-			s.rec.Eventf("lease-break", "shard %d: broke %d expired lease(s)", s.shard, len(due))
-			for _, txn := range due {
-				s.locks.Break(lock.TxnID(txn))
-			}
-		}
+// sweep breaks the locks of transactions whose lease expired: their client
+// is dead or partitioned, and §6.4's break path makes the transaction abort
+// at its next lock operation (or via OnBreak). It runs every ttl/4.
+func (s *Service) sweep() bool {
+	due := s.leases.ExpireDue()
+	if len(due) == 0 {
+		return true
 	}
+	s.inj.Hit(PtLeaseSweep)
+	s.rec.Gauge(MetricLeaseExpired).Add(int64(len(due)))
+	s.rec.Eventf("lease-break", "shard %d: broke %d expired lease(s)", s.shard, len(due))
+	for _, txn := range due {
+		s.locks.Break(lock.TxnID(txn))
+	}
+	return true
 }

@@ -143,7 +143,7 @@ type Cluster struct {
 	servers    []*diskservice.Server
 	parity     *parity.Array // nil unless LayoutParity
 	locks      *lock.Manager
-	sweeper    *lock.Sweeper
+	stopSweep  func() // the running deadlock sweeper's stop; nil when none runs
 
 	// caches are the client caches of the machines NewMachine built, kept so
 	// Flush and InvalidateCaches reach every cache level.
@@ -326,16 +326,16 @@ func (c *Cluster) Obs() *obs.Recorder { return c.cfg.Obs }
 // StartSweeper runs the deadlock-timeout sweeper in the background; stop it
 // with StopSweeper (or Close).
 func (c *Cluster) StartSweeper(interval time.Duration) {
-	if c.sweeper == nil {
-		c.sweeper = c.locks.StartSweeper(interval)
+	if c.stopSweep == nil {
+		c.stopSweep = c.locks.StartSweeper(interval)
 	}
 }
 
 // StopSweeper stops the background sweeper.
 func (c *Cluster) StopSweeper() {
-	if c.sweeper != nil {
-		c.sweeper.Close()
-		c.sweeper = nil
+	if c.stopSweep != nil {
+		c.stopSweep()
+		c.stopSweep = nil
 	}
 }
 
@@ -423,13 +423,6 @@ func (c *Cluster) Crash() error {
 // transactions. It returns how many were redone.
 func (c *Cluster) Recover() (int, error) {
 	return c.Txns.Recover()
-}
-
-// RecoverStable reconciles every stable-storage mirror pair (run after media
-// corruption, not needed on a clean reboot).
-func (c *Cluster) RecoverStable() error {
-	_, err := c.StableRecoverAll()
-	return err
 }
 
 // StableRecoverAll reconciles every stable-storage mirror pair and returns

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
+	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/txn"
 )
@@ -241,6 +243,33 @@ func TestMultiDiskStriping(t *testing.T) {
 	if c.Makespan() == 0 {
 		t.Fatal("zero makespan")
 	}
+}
+
+// TestStopSweeperEndsTheSweep pins that StopSweeper ends the background
+// sweep: a lock past its invulnerability is broken while the sweeper runs
+// and left alone once StopSweeper has returned.
+func TestStopSweeperEndsTheSweep(t *testing.T) {
+	c := newCluster(t, func(cfg *Config) { cfg.LT = 5 * time.Millisecond; cfg.MaxRenewals = 1 })
+	locks, item := c.Locks(), lock.ItemID{File: 1}
+	if err := locks.Acquire(context.Background(), 1, 0, lock.File, item, lock.IWrite); err != nil {
+		t.Fatal(err)
+	}
+	c.StartSweeper(2 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); !locks.Broken(1); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the running sweeper never broke the expired lock")
+		}
+	}
+	c.StopSweeper()
+	locks.ReleaseAll(1)
+	if err := locks.Acquire(context.Background(), 2, 0, lock.File, item, lock.IWrite); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(25 * time.Millisecond) // five LTs, a dozen sweep periods
+	if locks.Broken(2) {
+		t.Fatal("sweep ran after StopSweeper")
+	}
+	c.StopSweeper() // a second stop is a no-op
 }
 
 func TestDeadlockSweeperIntegration(t *testing.T) {

@@ -281,9 +281,6 @@ func (s *Server) FreeFragments() int { return s.fsmap.FreeCount() }
 // LargestRun returns the longest contiguous free run, in fragments.
 func (s *Server) LargestRun() int { return s.fsmap.LargestRun() }
 
-// FreeSpaceStats exposes the allocator's work counters (experiment E4).
-func (s *Server) FreeSpaceStats() freespace.Stats { return s.fsmap.Stats() }
-
 func (s *Server) checkOpen() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -309,9 +309,6 @@ func (s *Service) superAddr() int { return s.disks[0].MetadataFragments() }
 // shadow-page staging and by experiments).
 func (s *Service) DiskServer(i int) Backend { return s.disks[i] }
 
-// DiskCount returns the number of disk servers.
-func (s *Service) DiskCount() int { return len(s.disks) }
-
 // newFileState returns an unloaded placeholder for a file known to live at
 // loc.
 func newFileState(id FileID, loc fitLocation) *fileState {

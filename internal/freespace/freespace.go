@@ -560,15 +560,3 @@ func (m *Map) LoadBitmap(words []uint64) error {
 	m.rebuildLocked()
 	return nil
 }
-
-// CachedRuns returns the number of runs currently cached in the table
-// (diagnostic, used by tests).
-func (m *Map) CachedRuns() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := 0
-	for row := 1; row <= TableRows; row++ {
-		total += len(m.rows[row])
-	}
-	return total
-}

@@ -385,34 +385,11 @@ func (m *Manager) Acquire(ctx context.Context, txn TxnID, pid int, level Level, 
 }
 
 func (m *Manager) acquire(txn TxnID, pid int, level Level, id ItemID, mode Mode) error {
-	length, err := normLength(level, id)
-	if err != nil {
-		return err
-	}
-	if mode < ReadOnly || mode > IWrite {
-		return fmt.Errorf("%w: mode %v", ErrBadItem, mode)
-	}
-
 	m.mu.Lock()
-	if m.closed {
+	granted, exact, length, err := m.admitLocked(txn, pid, level, id, mode)
+	if err != nil || granted {
 		m.mu.Unlock()
-		return ErrClosed
-	}
-	if m.broken[txn] {
-		m.mu.Unlock()
-		return ErrTxnBroken
-	}
-	// One-level-per-file rule (§6.1), unless the relaxation is enabled.
-	if cur, ok := m.fileLevel[id.File]; !m.mixed && ok && cur != level {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: file %d is %v-locked, requested %v", ErrLevelMismatch, id.File, cur, level)
-	}
-
-	overlapping, exact := m.findOverlapping(level, id, length)
-	if m.grantableLocked(txn, overlapping, mode, false) {
-		m.grantLocked(txn, pid, level, id, length, mode, exact)
-		m.mu.Unlock()
-		return nil
+		return err
 	}
 
 	// Enqueue and wait.
@@ -434,27 +411,41 @@ func (m *Manager) acquire(txn TxnID, pid int, level Level, id ItemID, mode Mode)
 // TryAcquire is Acquire without blocking: it returns false when the lock
 // cannot be granted immediately.
 func (m *Manager) TryAcquire(txn TxnID, pid int, level Level, id ItemID, mode Mode) (bool, error) {
-	length, err := normLength(level, id)
-	if err != nil {
-		return false, err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	granted, _, _, err := m.admitLocked(txn, pid, level, id, mode)
+	return granted, err
+}
+
+// admitLocked is Acquire's and TryAcquire's one admission step: validate the
+// item's length, the mode and the level, refuse a closed manager and a
+// broken transaction, apply the one-level-per-file rule (§6.1), search, and
+// grant when Table 1 allows. A request that must wait gets back the exact
+// item (nil when none exists yet) and its normalized length to queue on.
+// Callers hold mu.
+func (m *Manager) admitLocked(txn TxnID, pid int, level Level, id ItemID, mode Mode) (granted bool, exact *item, length uint64, err error) {
+	if length, err = normLength(level, id); err != nil {
+		return false, nil, 0, err
+	}
+	if mode < ReadOnly || mode > IWrite {
+		return false, nil, 0, fmt.Errorf("%w: mode %v", ErrBadItem, mode)
+	}
 	if m.closed {
-		return false, ErrClosed
+		return false, nil, 0, ErrClosed
 	}
 	if m.broken[txn] {
-		return false, ErrTxnBroken
+		return false, nil, 0, ErrTxnBroken
 	}
+	// One-level-per-file rule (§6.1), unless the relaxation is enabled.
 	if cur, ok := m.fileLevel[id.File]; !m.mixed && ok && cur != level {
-		return false, fmt.Errorf("%w: file %d is %v-locked, requested %v", ErrLevelMismatch, id.File, cur, level)
+		return false, nil, 0, fmt.Errorf("%w: file %d is %v-locked, requested %v", ErrLevelMismatch, id.File, cur, level)
 	}
 	overlapping, exact := m.findOverlapping(level, id, length)
 	if !m.grantableLocked(txn, overlapping, mode, false) {
-		return false, nil
+		return false, exact, length, nil
 	}
 	m.grantLocked(txn, pid, level, id, length, mode, exact)
-	return true, nil
+	return true, exact, length, nil
 }
 
 // grantableLocked reports whether txn may take mode given the overlapping
@@ -600,26 +591,7 @@ func (m *Manager) regrantLocked() {
 // (§6.2). It also clears the transaction's broken flag.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	m.mu.Lock()
-	for _, table := range m.tables {
-		for _, it := range table {
-			keptH := it.holders[:0]
-			for _, h := range it.holders {
-				if h.txn != txn {
-					keptH = append(keptH, h)
-				}
-			}
-			it.holders = keptH
-			keptW := it.waiters[:0]
-			for _, w := range it.waiters {
-				if w.txn != txn {
-					keptW = append(keptW, w)
-				} else {
-					w.ch <- ErrTxnBroken
-				}
-			}
-			it.waiters = keptW
-		}
-	}
+	m.dropTxnLocked(txn)
 	delete(m.broken, txn)
 	m.removeEmptyItemsLocked()
 	m.regrantLocked()
@@ -704,6 +676,13 @@ func (m *Manager) Break(txn TxnID) {
 func (m *Manager) breakTxnLocked(txn TxnID) {
 	m.broken[txn] = true
 	m.met.Inc(metrics.TxnTimedOut)
+	m.dropTxnLocked(txn)
+}
+
+// dropTxnLocked removes every hold txn has and fails its waiting requests
+// with ErrTxnBroken — the body ReleaseAll and breakTxnLocked share. Callers
+// hold mu.
+func (m *Manager) dropTxnLocked(txn TxnID) {
 	for _, table := range m.tables {
 		for _, it := range table {
 			keptH := it.holders[:0]
@@ -762,39 +741,13 @@ func (m *Manager) HoldCount() int {
 	return n
 }
 
-// Sweeper runs Sweep periodically in the background.
-type Sweeper struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartSweeper sweeps every interval until Close.
-func (m *Manager) StartSweeper(interval time.Duration) *Sweeper {
-	s := &Sweeper{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				m.Sweep()
-			}
-		}
-	}()
-	return s
-}
-
-// Close stops the sweeper and waits for it. Idempotent.
-func (s *Sweeper) Close() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	<-s.done
+// StartSweeper runs Sweep every interval in the background and returns the
+// function that stops it (idempotent; it returns once the sweeper exited).
+func (m *Manager) StartSweeper(interval time.Duration) (stop func()) {
+	return simclock.Every(interval, func() bool {
+		m.Sweep()
+		return true
+	})
 }
 
 // Close marks the manager closed, failing all current and future waiters.

@@ -242,6 +242,23 @@ func TestZeroLengthRecordRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownModesRejected pins the one admission step: Acquire and
+// TryAcquire refuse a mode outside Table 1 alike, and neither leaves a hold.
+func TestUnknownModesRejected(t *testing.T) {
+	m, _ := newMgr(t)
+	for _, mode := range []Mode{0, IWrite + 1} {
+		if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), mode); !errors.Is(err, ErrBadItem) {
+			t.Fatalf("Acquire mode %d = %v, want ErrBadItem", mode, err)
+		}
+		if ok, err := m.TryAcquire(2, 0, File, fileItem(1), mode); ok || !errors.Is(err, ErrBadItem) {
+			t.Fatalf("TryAcquire mode %d = %v, %v, want false, ErrBadItem", mode, ok, err)
+		}
+	}
+	if n := m.HoldCount(); n != 0 {
+		t.Fatalf("HoldCount = %d, want 0", n)
+	}
+}
+
 func TestPageLocksIndependent(t *testing.T) {
 	m, _ := newMgr(t)
 	if err := m.Acquire(context.Background(), 1, 0, Page, pageItem(1, 0), IWrite); err != nil {
@@ -517,8 +534,8 @@ func TestSweeperBackground(t *testing.T) {
 	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
-	sw := m.StartSweeper(2 * time.Millisecond)
-	defer sw.Close()
+	stopSweep := m.StartSweeper(2 * time.Millisecond)
+	defer stopSweep()
 	deadline := time.Now().Add(2 * time.Second)
 	for !m.Broken(1) {
 		if time.Now().After(deadline) {

@@ -235,14 +235,6 @@ func (r *Recorder) LayerWall(layer Layer) *Histogram {
 	return &r.wall[layer]
 }
 
-// LayerVirt returns the layer's virtual-time histogram.
-func (r *Recorder) LayerVirt(layer Layer) *Histogram {
-	if r == nil || layer < 0 || layer >= numLayers {
-		return nil
-	}
-	return &r.virt[layer]
-}
-
 // Gauge is an instantaneous value: queue depth, waiter count. A nil Gauge
 // accepts every method.
 type Gauge struct{ v atomic.Int64 }

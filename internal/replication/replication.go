@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/fileservice"
 	"repro/internal/fit"
-	"repro/internal/obs"
 )
 
 // RepID identifies a replicated file.
@@ -43,17 +42,12 @@ type rfile struct {
 // services. It is safe for concurrent use.
 type Manager struct {
 	replicas []*fileservice.Service
-	obsRec   *obs.Recorder
 
 	mu     sync.Mutex
 	failed []bool
 	files  map[RepID]*rfile
 	nextID RepID
 }
-
-// SetRecorder installs the observability recorder; replicated reads and
-// writes are observed as replication-layer operations. Call before use.
-func (m *Manager) SetRecorder(r *obs.Recorder) { m.obsRec = r }
 
 // NewManager creates a replication manager; at least one replica is
 // required.
@@ -96,14 +90,6 @@ func (m *Manager) Create(attr fit.Attributes) (RepID, error) {
 // skipped and marked stale for this file; the write succeeds as long as at
 // least one replica accepts it.
 func (m *Manager) WriteAt(id RepID, off int64, data []byte) (int, error) {
-	_, op := m.obsRec.StartOp(context.Background(), obs.LayerReplication, "writeAt")
-	op.AddBytes(len(data))
-	n, err := m.writeAt(id, off, data)
-	op.End(err)
-	return n, err
-}
-
-func (m *Manager) writeAt(id RepID, off int64, data []byte) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rf, ok := m.files[id]
@@ -134,14 +120,6 @@ func (m *Manager) writeAt(id RepID, off int64, data []byte) (int, error) {
 // ReadAt reads from the first healthy, non-stale replica (read-one),
 // failing over when a replica errors mid-read.
 func (m *Manager) ReadAt(id RepID, off int64, n int) ([]byte, error) {
-	_, op := m.obsRec.StartOp(context.Background(), obs.LayerReplication, "readAt")
-	data, err := m.readAt(id, off, n)
-	op.AddBytes(len(data))
-	op.End(err)
-	return data, err
-}
-
-func (m *Manager) readAt(id RepID, off int64, n int) ([]byte, error) {
 	m.mu.Lock()
 	rf, ok := m.files[id]
 	if !ok {

@@ -31,6 +31,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/simclock"
 )
 
 // PtSend is the fault point on the in-process transport's send path: arm it
@@ -583,7 +584,7 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 	c.mu.Unlock()
 	dt, hasDeadline := c.t.(DeadlineTransport)
 	var lastErr error
-	backoff := retryOnBackoffMin
+	backoff := simclock.Backoff{Min: retryOnBackoffMin, Max: retryOnBackoffMax}
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			c.met.Inc(metrics.RPCRetries)
@@ -617,10 +618,7 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 				if rb, ok := c.t.(Rebinder); ok {
 					rb.Rebind()
 				}
-				time.Sleep(backoff)
-				if backoff < retryOnBackoffMax {
-					backoff *= 2
-				}
+				_ = backoff.Wait(context.Background()) // cannot fail: Background is never done
 				continue
 			}
 			return resp.Body, se

@@ -128,8 +128,8 @@ func TestMixedLevelsConflictAcrossGranularities(t *testing.T) {
 		c.LT = 30 * time.Millisecond
 		c.MaxRenewals = 1
 	})
-	sw := r.svc.Locks().StartSweeper(10 * time.Millisecond)
-	defer sw.Close()
+	stopSweep := r.svc.Locks().StartSweeper(10 * time.Millisecond)
+	defer stopSweep()
 	id, fid := r.beginWithFile(fit.LockPage)
 	if _, err := r.svc.PWrite(id, fid, 0, make([]byte, 8192)); err != nil {
 		t.Fatal(err)

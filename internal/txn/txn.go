@@ -812,10 +812,3 @@ func (s *Service) CloseFile(id TxnID, fid FileID) error {
 	// cursor becomes unusable. We keep the state and simply note the close.
 	return nil
 }
-
-// Active returns the number of live transactions.
-func (s *Service) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.txns)
-}

@@ -629,8 +629,8 @@ func TestRecoveryIdempotent(t *testing.T) {
 
 func TestDeadlockResolvedByTimeout(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.LT = 20 * time.Millisecond; c.MaxRenewals = 2 })
-	sw := r.svc.Locks().StartSweeper(5 * time.Millisecond)
-	defer sw.Close()
+	stopSweep := r.svc.Locks().StartSweeper(5 * time.Millisecond)
+	defer stopSweep()
 	// Two files, two txns, opposite acquisition order.
 	a, fa := r.beginWithFile(fit.LockFile)
 	if _, err := r.svc.PWrite(a, fa, 0, []byte("a")); err != nil {
@@ -708,8 +708,8 @@ func TestSerializabilityBankTransfers(t *testing.T) {
 	// The classic invariant: concurrent transfers between accounts keep the
 	// total constant. Record-level locking on a single accounts file.
 	r := newRig(t, func(c *Config) { c.LT = 200 * time.Millisecond; c.MaxRenewals = 5 })
-	sw := r.svc.Locks().StartSweeper(20 * time.Millisecond)
-	defer sw.Close()
+	stopSweep := r.svc.Locks().StartSweeper(20 * time.Millisecond)
+	defer stopSweep()
 	const accounts = 8
 	const initial = 1000
 
