@@ -195,13 +195,7 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 				Events []obs.Event `json:"events"`
 				Total  int         `json:"total"`
 			}{events, rec.EventTotal()}
-			data, err := json.MarshalIndent(&out, "", "  ")
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(append(data, '\n'))
+			writeJSON(w, &out)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -213,13 +207,7 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 	mux.HandleFunc("GET /debug/profile", func(w http.ResponseWriter, r *http.Request) {
 		p := rec.Profile()
 		if wantsJSON(r) {
-			data, err := p.JSON()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(append(data, '\n'))
+			writeJSON(w, p)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -245,13 +233,7 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 				FaultDumps []*obs.FaultDump `json:"fault_dumps,omitempty"`
 				SlowOps    []obs.SlowOp     `json:"slow_ops,omitempty"`
 			}{trees, inFlight, dumps, slow}
-			data, err := json.MarshalIndent(&out, "", "  ")
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(append(data, '\n'))
+			writeJSON(w, &out)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -280,6 +262,17 @@ func debugMux(rec *obs.Recorder, met *metrics.Set, svc *cluster.Service, shard, 
 		}
 	})
 	return mux
+}
+
+// writeJSON answers with v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(data, '\n'))
 }
 
 // wantsJSON reports whether the request asked for a JSON response, either

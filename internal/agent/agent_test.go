@@ -12,6 +12,7 @@ import (
 	"repro/internal/diskservice"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
+	"repro/internal/lock"
 	"repro/internal/naming"
 	"repro/internal/stable"
 	"repro/internal/txn"
@@ -62,11 +63,12 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := txn.New(txn.Config{Files: fs, Log: log, LT: 100 * time.Millisecond})
+	locks := lock.New(lock.Config{LT: 100 * time.Millisecond})
+	t.Cleanup(locks.Close)
+	ts, err := txn.New(txn.Config{Files: fs, Log: log, Locks: locks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ts.Close)
 	nm := naming.NewService()
 	machine, err := NewMachine(MachineConfig{Naming: nm, Files: fs, Txns: ts})
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/obs"
+	"repro/internal/polltest"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
 	"repro/internal/simclock"
@@ -139,7 +140,8 @@ func newRig(t *testing.T, clk *simclock.Virtual) *rig {
 
 // client dials one cached client: push handler wired to Recall, conn-down
 // to DropLeases, lease transport direct over the same connection.
-func (r *rig) client(id uint64) (*ccache.Client, *obs.Recorder) {
+// wrap, if given, stands between the cache and that transport.
+func (r *rig) client(id uint64, wrap ...func(ccache.LeaseTransport) ccache.LeaseTransport) (*ccache.Client, *obs.Recorder) {
 	r.t.Helper()
 	var ccp atomic.Pointer[ccache.Client]
 	tr, err := rpc.DialTCP(r.addr,
@@ -160,9 +162,13 @@ func (r *rig) client(id uint64) (*ccache.Client, *obs.Recorder) {
 	r.t.Cleanup(func() { _ = tr.Close() })
 	rcl := rpc.NewClient(tr, id, 8, nil)
 	rec := obs.New()
+	var lease ccache.LeaseTransport = &ccache.DirectLease{C: rcl}
+	for _, w := range wrap {
+		lease = w(lease)
+	}
 	cfg := ccache.Config{
 		Inner:    &rpcfs.Client{C: rcl},
-		Lease:    &ccache.DirectLease{C: rcl},
+		Lease:    lease,
 		ClientID: id,
 		Obs:      rec,
 	}
@@ -317,18 +323,13 @@ func TestConcurrentRecallReadStress(t *testing.T) {
 	errs := make(chan error, nReaders+1)
 
 	ccW, _ := r.client(501)
-	wg.Add(1)
+	writerDone := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(writerDone)
 		buf := make([]byte, region)
-		for v := byte(1); ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for w := 1; w <= 4000; w++ {
 			for i := range buf {
-				buf[i] = v
+				buf[i] = byte(w)
 			}
 			if _, err := ccW.WriteAt(id, 0, buf); err != nil {
 				errs <- fmt.Errorf("writer: %w", err)
@@ -357,7 +358,7 @@ func TestConcurrentRecallReadStress(t *testing.T) {
 			}
 		}(i, cc)
 	}
-	time.Sleep(600 * time.Millisecond)
+	<-writerDone
 	close(stop)
 	wg.Wait()
 	select {
@@ -381,8 +382,8 @@ func TestConcurrentRecallReadStress(t *testing.T) {
 }
 
 // TestServerSweepStopsOnClose pins that Close ends the lease sweep: a lease
-// that lapsed on the server's clock after Close is still held two sweep
-// periods later, though one pass would have dropped it.
+// that lapsed on the server's clock after Close is still held, though the
+// sweep would have run six times by then.
 func TestServerSweepStopsOnClose(t *testing.T) {
 	clk := simclock.New()
 	r := newRig(t, clk)
@@ -396,13 +397,116 @@ func TestServerSweepStopsOnClose(t *testing.T) {
 	}
 	r.srv.Close()
 	clk.Advance(ccache.DefaultTTL + time.Second)
-	time.Sleep(ccache.DefaultTTL/2 + 100*time.Millisecond)
 	if n := r.srv.Holders(uint64(id)); n != 1 {
 		t.Fatalf("holders = %d after Close, want 1: the sweep ran", n)
 	}
 	r.srv.SweepOnce()
 	if n := r.srv.Holders(uint64(id)); n != 0 {
 		t.Fatalf("holders = %d after one pass, want 0", n)
+	}
+}
+
+// TestRecallWait: a write conflicting with a read lease whose holder never
+// acknowledges the recall waits on the server's clock for DefaultRecallWait
+// or, when the lease runs out first, until its expiry — not a moment less,
+// and not until the next sweep — then breaks the lease and proceeds.
+func TestRecallWait(t *testing.T) {
+	// The lease is granted off the sweep's grid, and the write arrives
+	// with less than DefaultRecallWait of it left in the second case.
+	const off, left = ccache.DefaultTTL / 20, ccache.DefaultRecallWait / 2
+	for _, tc := range []struct {
+		name         string
+		before, wait time.Duration
+	}{
+		{"EndsAtTheDeadline", 0, ccache.DefaultRecallWait},
+		{"EndsWhenTheHolderLapses", ccache.DefaultTTL - left, left},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := simclock.New()
+			r := newRig(t, clk)
+			id := r.create("/cc/deaf")
+			clk.Advance(off)
+			tr, err := rpc.DialTCP(r.addr) // no push handler: recalls go unheard
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = tr.Close() })
+			deaf := &ccache.DirectLease{C: rpc.NewClient(tr, 1101, 8, nil)}
+			if _, err := deaf.AcquireLease(uint64(id), 1101, ccache.ModeRead); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(tc.before)
+			writer, _ := r.client(1102)
+			done := make(chan error, 1)
+			go func() {
+				_, err := writer.WriteAt(id, 0, []byte("conflicting"))
+				done <- err
+			}()
+			clk.WaitTimers(2) // the sweep and the recall wait's wake-up
+			clk.Advance(tc.wait - 1)
+			select {
+			case err := <-done:
+				t.Fatalf("write returned (%v) before the recall wait ended", err)
+			default:
+			}
+			clk.Advance(1)
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				clk.Advance(ccache.DefaultRecallWait) // release the write so the rig can close
+				t.Fatal("write still waiting after the recall wait ended")
+			}
+			if got := r.srec.Gauge(ccache.MetricLeaseBroken).Value(); got != 1 || r.srv.Holders(uint64(id)) != 1 {
+				t.Fatalf("%s = %d, holders %d; want the deaf lease broken and the writer's held", ccache.MetricLeaseBroken, got, r.srv.Holders(uint64(id)))
+			}
+		})
+	}
+}
+
+// lateGrant returns each grant most of a lease late on the shared clock, as
+// a stalled connection or a retry answered from the duplicate cache would.
+type lateGrant struct {
+	ccache.LeaseTransport
+	clk *simclock.Virtual
+}
+
+func (l lateGrant) AcquireLease(file, client uint64, mode byte) (ccache.Grant, error) {
+	g, err := l.LeaseTransport.AcquireLease(file, client, mode)
+	l.clk.Advance(ccache.DefaultTTL * 9 / 10)
+	return g, err
+}
+
+// TestLateGrantExpiresFromTheRequest: a lease runs from the request, not the
+// grant's arrival. Past the server's expiry a conflicting write needs no
+// recall, so a client trusting a late grant would serve overwritten bytes.
+func TestLateGrantExpiresFromTheRequest(t *testing.T) {
+	clk := simclock.New()
+	r := newRig(t, clk)
+	id := r.create("/cc/late")
+	old := bytes.Repeat([]byte("old-data"), 512)
+	if _, err := r.core.Files.WriteAt(id, 0, old); err != nil {
+		t.Fatal(err)
+	}
+	ccA, _ := r.client(1001, func(lt ccache.LeaseTransport) ccache.LeaseTransport { return lateGrant{lt, clk} })
+	ccB, _ := r.client(1002)
+	if got, err := ccA.ReadAt(id, 0, len(old)); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("first read: %v", err)
+	}
+	// The server granted A's lease at 0 and it is now 0.9 TTL: step past
+	// the server's expiry.
+	clk.Advance(ccache.DefaultTTL / 5)
+	fresh := bytes.Repeat([]byte("new-data"), 512)
+	if _, err := ccB.WriteAt(id, 0, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := ccB.Shutdown(); err != nil { // flushes and releases the W lease
+		t.Fatal(err)
+	}
+	if got, err := ccA.ReadAt(id, 0, len(fresh)); err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("read after the lease lapsed server-side returned stale bytes (%v)", err)
 	}
 }
 
@@ -437,13 +541,15 @@ func TestExpiredLeaseNeverServesStale(t *testing.T) {
 		t.Fatalf("holders after sweep = %d, want 0", n)
 	}
 
-	// A writer now changes the file; cc1 was never recalled (its lease
-	// already expired), so only the expiry check protects coherence.
+	// A writer now changes the file and releases its lease (a held W lease
+	// would send cc1's re-acquire into busy retries on the virtual clock);
+	// cc1 was never recalled (its lease already expired), so only the
+	// expiry check protects coherence.
 	fresh := bytes.Repeat([]byte("new-data"), 1024)
 	if _, err := cc2.WriteAt(id, 0, fresh); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc2.Flush(); err != nil {
+	if err := cc2.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	got, err = cc1.ReadAt(id, 0, len(fresh))
@@ -458,7 +564,7 @@ func TestExpiredLeaseNeverServesStale(t *testing.T) {
 	if _, err := cc2.WriteAt(id, 0, fresh2); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc2.Flush(); err != nil {
+	if err := cc2.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	cc1.DropLeases(nil)
@@ -500,19 +606,10 @@ func TestLeaseBufferBalance(t *testing.T) {
 	}
 	// The server worker recycles request bodies slightly after replies
 	// land; give the ledger a moment to settle.
-	var leak int64
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	polltest.Until(t, "the lease/recall path's pooled buffers to come back (at most 8 out)", func() bool {
 		gets1, puts1 := rpc.BufferBalance()
-		leak = (gets1 - puts1) - (gets0 - puts0)
-		if leak <= 8 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if leak > 8 {
-		t.Fatalf("lease/recall path leaked %d pooled buffers", leak)
-	}
+		return (gets1-puts1)-(gets0-puts0) <= 8
+	})
 }
 
 // TestLocalModeMirrorsFileService drives the cache in local mode (no

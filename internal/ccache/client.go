@@ -35,12 +35,15 @@ type FlushSink interface {
 	WriteRuns(id fileservice.FileID, runs []fileservice.Run) error
 }
 
-// innerSink is the default FlushSink.
-type innerSink struct{ inner agent.FileService }
+// innerSink is the default FlushSink; its busy retries wait on clock.
+type innerSink struct {
+	inner agent.FileService
+	clock simclock.Clock
+}
 
 func (s innerSink) WriteRuns(id fileservice.FileID, runs []fileservice.Run) error {
 	for _, r := range runs {
-		if err := retryBusy(func() error {
+		if err := retryBusy(s.clock, func() error {
 			_, err := s.inner.WriteAt(id, r.Off, r.Data)
 			return err
 		}); err != nil {
@@ -72,8 +75,8 @@ type Config struct {
 	// Obs receives cache telemetry (hits, misses, recalls, flushes) and
 	// op spans. Optional.
 	Obs *obs.Recorder
-	// Now is the lease expiry clock; nil means a simclock.Wall of the
-	// cache's own.
+	// Now is the lease expiry clock, which the busy retries also wait on;
+	// nil means a simclock.Wall of the cache's own.
 	Now simclock.Clock
 }
 
@@ -137,13 +140,10 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Lease != nil && cfg.ClientID == 0 {
 		return nil, errors.New("ccache: leased mode requires a client ID")
 	}
-	clock := cfg.Now
-	if clock == nil {
-		clock = &simclock.Wall{}
-	}
+	clock := simclock.Or(cfg.Now)
 	sink := cfg.Sink
 	if sink == nil {
-		sink = innerSink{cfg.Inner}
+		sink = innerSink{cfg.Inner, clock}
 	}
 	return &Client{
 		inner:    cfg.Inner,
@@ -185,32 +185,22 @@ func (c *Client) ensureLease(id fileservice.FileID, mode byte) error {
 		_, err := c.ensureLocal(id, mode)
 		return err
 	}
-	c.mu.Lock()
-	epoch := c.state(id).epoch
-	c.mu.Unlock()
-	var lastErr error
-	backoff := busyBackoff()
-	for attempt := 0; attempt < 40; attempt++ {
+	return retryBusy(c.clock, func() error {
+		c.mu.Lock()
+		epoch := c.state(id).epoch
+		c.mu.Unlock()
+		// The lease runs from the request, not from the grant's arrival:
+		// the server started its TTL no earlier than this instant, so a
+		// late reply cannot stretch the lease past the server's expiry.
+		asked := c.clock.Now()
 		g, err := c.lease.AcquireLease(uint64(id), c.clientID, mode)
-		if err == nil {
-			if c.install(id, mode, g, epoch) {
-				return nil
-			}
+		if err == nil && !c.install(id, mode, g, epoch, asked) {
 			// A recall raced the grant: the server has (or will have)
 			// dropped us after our ack; start over.
-			c.mu.Lock()
-			epoch = c.state(id).epoch
-			c.mu.Unlock()
-			lastErr = errNoLease
-			continue
+			err = errNoLease
 		}
-		if !IsBusy(err) {
-			return err
-		}
-		lastErr = err
-		_ = backoff.Wait(context.Background()) // cannot fail: Background is never done
-	}
-	return lastErr
+		return err
+	})
 }
 
 // ensureLocal is local mode's lease: with no transport nobody can recall
@@ -243,10 +233,11 @@ func (c *Client) ensureLocal(id fileservice.FileID, mode byte) (int64, error) {
 	}
 }
 
-// install applies a grant, unless the file's epoch moved while the
-// acquire was in flight (a recall or disconnection revoked the state the
-// grant was built against). Reports whether the grant took.
-func (c *Client) install(id fileservice.FileID, mode byte, g Grant, epoch uint64) bool {
+// install applies a grant requested at the instant asked, unless the
+// file's epoch moved while the acquire was in flight (a recall or
+// disconnection revoked the state the grant was built against). Reports
+// whether the grant took.
+func (c *Client) install(id fileservice.FileID, mode byte, g Grant, epoch uint64, asked time.Duration) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.state(id)
@@ -261,7 +252,7 @@ func (c *Client) install(id fileservice.FileID, mode byte, g Grant, epoch uint64
 		st.ver = g.Ver
 	}
 	st.mode = mode
-	st.expires = c.clock.Now() + g.TTL
+	st.expires = asked + g.TTL
 	// st.size is exact while dirty blocks are buffered (writeAt maintains
 	// it through every buffered write), so a smaller grant size must not
 	// clamp away unflushed growth. With no dirty state — or when the file
@@ -322,7 +313,7 @@ func (c *Client) putCleanLocked(st *fileState, blk int64, data []byte) {
 // holder flushed and acknowledged.
 func (c *Client) readInner(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	var out []byte
-	err := retryBusy(func() (e error) {
+	err := retryBusy(c.clock, func() (e error) {
 		out, e = c.inner.ReadAtCtx(ctx, id, off, n)
 		return e
 	})
@@ -333,32 +324,28 @@ func (c *Client) readInner(ctx context.Context, id fileservice.FileID, off int64
 // refusals like readInner.
 func (c *Client) writeInner(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	var n int
-	err := retryBusy(func() (e error) {
+	err := retryBusy(c.clock, func() (e error) {
 		n, e = c.inner.WriteAtCtx(ctx, id, off, data)
 		return e
 	})
 	return n, err
 }
 
-// retryBusy runs fn, retrying through the server's transient
-// recall-in-progress refusals (a conflicting holder is being recalled on
-// our behalf; the retry lands once it acknowledged or was broken).
-func retryBusy(fn func() error) error {
+// retryBusy runs fn up to 40 times, waiting on clock (2 ms, doubling
+// while below 20 ms) between tries that met the server's transient
+// recall-in-progress refusal — a conflicting holder is being recalled on
+// our behalf, and the retry lands once it acknowledged or was broken — or
+// a recall that raced a lease grant.
+func retryBusy(clock simclock.Clock, fn func() error) error {
 	var err error
-	backoff := busyBackoff()
+	backoff := simclock.Backoff{Clock: clock, Min: 2 * time.Millisecond, Max: 20 * time.Millisecond}
 	for attempt := 0; attempt < 40; attempt++ {
-		if err = fn(); err == nil || !IsBusy(err) {
+		if err = fn(); err == nil || !(IsBusy(err) || err == errNoLease) {
 			return err
 		}
 		_ = backoff.Wait(context.Background()) // cannot fail: Background is never done
 	}
 	return err
-}
-
-// busyBackoff is the wait between retries through busy refusals: 2 ms,
-// doubling while below 20 ms.
-func busyBackoff() simclock.Backoff {
-	return simclock.Backoff{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond}
 }
 
 // gap is one uncovered byte range of a read being assembled.
@@ -781,10 +768,7 @@ func (c *Client) Recall(id fileservice.FileID, ver uint64) {
 		c.ackRecall(id)
 		return
 	}
-	c.epochGen++
-	st.epoch = c.epochGen
-	st.mode = 0
-	c.dropCleanLocked(st)
+	c.revokeLocked(id, st)
 	dirty := st.ndirty > 0
 	c.mu.Unlock()
 	if dirty {
@@ -821,15 +805,8 @@ func (c *Client) DropLeases(match func(fileservice.FileID) bool) {
 	}
 	c.mu.Lock()
 	for id, st := range c.files {
-		if match != nil && !match(id) {
-			continue
-		}
-		c.epochGen++
-		st.epoch = c.epochGen
-		st.mode = 0
-		c.dropCleanLocked(st)
-		if len(st.blocks) == 0 {
-			delete(c.files, id)
+		if match == nil || match(id) {
+			c.revokeLocked(id, st)
 		}
 	}
 	c.mu.Unlock()
@@ -859,19 +836,26 @@ func (c *Client) Shutdown() error {
 	return nil
 }
 
+// revokeLocked ends st's lease client-side: the new epoch voids a grant in
+// flight, clean blocks go, and so does the record once nothing is buffered.
+// Callers hold mu.
+func (c *Client) revokeLocked(id fileservice.FileID, st *fileState) {
+	c.epochGen++
+	st.epoch = c.epochGen
+	st.mode = 0
+	c.dropCleanLocked(st)
+	if len(st.blocks) == 0 {
+		delete(c.files, id)
+	}
+}
+
 // release drops the lease client-side and tells the server.
 func (c *Client) release(id fileservice.FileID) {
 	c.mu.Lock()
 	st := c.files[id]
 	held := st != nil && st.mode != 0
 	if st != nil {
-		c.epochGen++
-		st.epoch = c.epochGen
-		st.mode = 0
-		c.dropCleanLocked(st)
-		if len(st.blocks) == 0 {
-			delete(c.files, id)
-		}
+		c.revokeLocked(id, st)
 	}
 	c.mu.Unlock()
 	if held && c.lease != nil {
@@ -895,7 +879,7 @@ func (c *Client) Close(id fileservice.FileID) error {
 		return err
 	}
 	c.release(id)
-	return retryBusy(func() error { return c.inner.Close(id) })
+	return retryBusy(c.clock, func() error { return c.inner.Close(id) })
 }
 
 // Delete implements agent.FileService: local state is purged first; the
@@ -913,7 +897,7 @@ func (c *Client) Delete(id fileservice.FileID) error {
 	if c.lease != nil {
 		_ = c.lease.ReleaseLease(uint64(id), c.clientID)
 	}
-	return retryBusy(func() error { return c.inner.Delete(id) })
+	return retryBusy(c.clock, func() error { return c.inner.Delete(id) })
 }
 
 // Truncate implements agent.FileService. It is write-through: pending
@@ -926,7 +910,7 @@ func (c *Client) Truncate(id fileservice.FileID, size int64) error {
 	if err := c.FlushFile(id); err != nil {
 		return err
 	}
-	if err := retryBusy(func() error { return c.inner.Truncate(id, size) }); err != nil {
+	if err := retryBusy(c.clock, func() error { return c.inner.Truncate(id, size) }); err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -26,7 +26,8 @@ type ServerConfig struct {
 	Size func(file uint64) (int64, error)
 	// Obs receives lease telemetry. Optional.
 	Obs *obs.Recorder
-	// Now is the lease clock; nil means a simclock.Wall of the server's own.
+	// Now is the lease clock: grants, recall deadlines and the sweep run on
+	// it. nil means a simclock.Wall of the server's own.
 	Now simclock.Clock
 }
 
@@ -42,10 +43,15 @@ type srvHolder struct {
 	recallStart       time.Duration
 }
 
-// lapsed reports whether the lease expired, or its pending recall went
-// unacknowledged past DefaultRecallWait, by now.
-func (h *srvHolder) lapsed(now time.Duration) bool {
-	return now > h.expires || (h.pending && now > h.recallStart+DefaultRecallWait)
+// lapsesAt is the instant the lease expires or, if sooner, its pending
+// recall has gone unacknowledged for DefaultRecallWait. From then on the
+// server breaks it without an ack: the holder's own clock stopped it
+// serving cached data at its expiry, which ran from its request.
+func (h *srvHolder) lapsesAt() time.Duration {
+	if h.pending {
+		return min(h.expires, h.recallStart+DefaultRecallWait)
+	}
+	return h.expires
 }
 
 // srvFile is the per-file lease record.
@@ -62,7 +68,8 @@ type srvFile struct {
 	// fence counts exclusive operations mid-recall. Acquires answer busy
 	// while it is nonzero so a hot reader population cannot re-acquire
 	// faster than a writer's recall rounds clear it — without the fence
-	// the writer livelocks until the recall deadline breaks everyone.
+	// every re-acquired lease is one more holder for the writer to wait
+	// out.
 	fence int
 }
 
@@ -99,6 +106,10 @@ type Server struct {
 	mu      sync.Mutex
 	files   map[uint64]*srvFile
 	pushers map[uint64]rpc.Pusher
+	// drops counts holders leaving any file's table; every change is
+	// broadcast on dropped, which recall waits park on.
+	drops   uint64
+	dropped *sync.Cond
 
 	stopSweep func()
 }
@@ -112,19 +123,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Size == nil {
 		return nil, errors.New("ccache: nil size callback")
 	}
-	clock := cfg.Now
-	if clock == nil {
-		clock = &simclock.Wall{}
-	}
 	s := &Server{
 		inner:   cfg.Inner,
 		sizeFn:  cfg.Size,
 		rec:     cfg.Obs,
-		clock:   clock,
+		clock:   simclock.Or(cfg.Now),
 		files:   make(map[uint64]*srvFile),
 		pushers: make(map[uint64]rpc.Pusher),
 	}
-	s.stopSweep = simclock.Every(DefaultTTL/4, func() bool {
+	s.dropped = sync.NewCond(&s.mu)
+	s.stopSweep = simclock.Every(s.clock, DefaultTTL/4, func() bool {
 		s.sweepOnce()
 		return true
 	})
@@ -251,6 +259,7 @@ func (s *Server) dropHolder(file, client uint64, acked bool) {
 				waited = s.clock.Now() - h.recallStart
 			}
 			delete(f.holders, client)
+			s.droppedLocked()
 		}
 		if f.empty() {
 			delete(s.files, file)
@@ -323,9 +332,10 @@ func (s *Server) endMutation(file uint64, ok bool) {
 // access (exclusive = a write or write-lease acquire, which conflicts
 // with every other holder; shared conflicts only with write leases).
 func (s *Server) recallConflicts(file, requester uint64, exclusive bool) error {
-	deadline := s.clock.Now() + DefaultRecallWait
 	fenced := false
+	stop := func() bool { return false } // the last wait's wake-up
 	defer func() {
+		stop()
 		if fenced {
 			s.mu.Lock()
 			if f := s.files[file]; f != nil {
@@ -338,7 +348,7 @@ func (s *Server) recallConflicts(file, requester uint64, exclusive bool) error {
 		}
 	}()
 	for {
-		pending, hasWriter := s.recallRound(file, requester, exclusive)
+		pending, hasWriter, drops, lapse := s.recallRound(file, requester, exclusive)
 		if pending == 0 {
 			return nil
 		}
@@ -348,119 +358,112 @@ func (s *Server) recallConflicts(file, requester uint64, exclusive bool) error {
 			// be holding. Hand the wait back to the caller.
 			return rpc.Transient(fmt.Errorf("%s: file %#x", busyMarker, file))
 		}
+		s.mu.Lock()
 		if exclusive && !fenced {
 			// Gate new acquires while this recall is outstanding, or a
 			// hot reader population re-acquires faster than its acks
 			// arrive and the wait never converges.
-			s.mu.Lock()
 			if f := s.files[file]; f != nil {
 				f.fence++
 				fenced = true
 			}
-			s.mu.Unlock()
 		}
-		if s.clock.Now() >= deadline {
-			s.breakConflicts(file, requester, exclusive)
-			return nil
+		// Wait for an ack, a release, a sweep or another round to drop a
+		// holder, or for the first one left to lapse, which the next round
+		// breaks.
+		stop()
+		stop = s.clock.AfterFunc(lapse-s.clock.Now(), s.wakeRecalls)
+		for s.drops == drops && s.clock.Now() < lapse {
+			s.dropped.Wait()
 		}
-		time.Sleep(time.Millisecond)
+		s.mu.Unlock()
 	}
 }
 
+// droppedLocked wakes the recall waits after a holder left a file's table.
+// Callers hold mu.
+func (s *Server) droppedLocked() {
+	s.drops++
+	s.dropped.Broadcast()
+}
+
+// wakeRecalls wakes the recall waits to check for lapsed holders.
+func (s *Server) wakeRecalls() {
+	s.mu.Lock()
+	s.dropped.Broadcast()
+	s.mu.Unlock()
+}
+
 // recallRound initiates recalls for the current conflicting holders and
-// reports how many are still outstanding, plus whether any of them holds
-// a write lease. Holders that cannot be reached (no push channel — a
-// backup replay, a dead connection) or whose recall deadline passed are
-// broken immediately.
-func (s *Server) recallRound(file, requester uint64, exclusive bool) (pending int, hasWriter bool) {
+// reports how many are still outstanding, whether any of them holds a
+// write lease, the drop count it saw and the first instant one of them
+// lapses. Holders that lapsed or cannot be reached (no push channel — a
+// backup replay, a dead connection) are broken at once.
+func (s *Server) recallRound(file, requester uint64, exclusive bool) (pending int, hasWriter bool, drops uint64, lapse time.Duration) {
 	type push struct {
 		p    rpc.Pusher
 		body []byte
 	}
 	var pushes []push
+	broken, unacked := 0, 0
 	now := s.clock.Now()
 	s.mu.Lock()
 	f := s.files[file]
 	if f == nil {
 		s.mu.Unlock()
-		return 0, false
+		return 0, false, 0, 0
 	}
 	for client, h := range f.holders {
-		if client == requester {
+		if client == requester || (!exclusive && h.mode != ModeWrite) {
 			continue
 		}
-		if !exclusive && h.mode != ModeWrite {
-			continue
-		}
-		if h.lapsed(now) {
-			// Expired, or recalled long enough ago: break the lease. The
-			// holder's own clock has (or will have) stopped it serving
-			// cached data.
+		p := s.pushers[client]
+		if now >= h.lapsesAt() || (!h.pending && p == nil) {
+			// Expired, recalled long enough ago, or unreachable: break the
+			// lease. The holder's own clock has (or will have) stopped it
+			// serving cached data.
+			if h.pending {
+				unacked++
+			}
 			delete(f.holders, client)
-			s.rec.Gauge(MetricLeaseBroken).Inc()
+			broken++
 			continue
 		}
 		if !h.pending {
-			p := s.pushers[client]
-			if p == nil {
-				delete(f.holders, client)
-				s.rec.Gauge(MetricLeaseBroken).Inc()
-				continue
-			}
 			h.recalled, h.pending = true, true
 			h.recallStart = now
 			// Push bodies must be plain allocations (see rpc.Pusher):
 			// AppendRecall over nil allocates fresh.
 			pushes = append(pushes, push{p, AppendRecall(nil, file, f.ver)})
 		}
+		if pending == 0 || h.lapsesAt() < lapse {
+			lapse = h.lapsesAt()
+		}
 		pending++
 		if h.mode == ModeWrite {
 			hasWriter = true
 		}
 	}
-	if f.empty() {
-		delete(s.files, file)
-	}
-	s.mu.Unlock()
-	for _, p := range pushes {
-		s.rec.Gauge(MetricLeaseRecalls).Inc()
-		if err := p.p.Push(MRecall, p.body); err != nil {
-			// Dead connection: the holder cannot ack; the next round (or
-			// the deadline) breaks it.
-			continue
-		}
-	}
-	return pending, hasWriter
-}
-
-// breakConflicts force-drops the remaining conflicting holders after
-// the recall wait expired.
-func (s *Server) breakConflicts(file, requester uint64, exclusive bool) {
-	s.mu.Lock()
-	f := s.files[file]
-	if f == nil {
-		s.mu.Unlock()
-		return
-	}
-	broken := 0
-	for client, h := range f.holders {
-		if client == requester {
-			continue
-		}
-		if !exclusive && h.mode != ModeWrite {
-			continue
-		}
-		delete(f.holders, client)
-		broken++
+	if broken > 0 {
+		s.droppedLocked()
 	}
 	if f.empty() {
 		delete(s.files, file)
 	}
+	drops = s.drops
 	s.mu.Unlock()
 	if broken > 0 {
 		s.rec.Gauge(MetricLeaseBroken).Add(int64(broken))
-		s.rec.Eventf("ccache-break", "broke %d lease(s) on file %#x after recall timeout", broken, file)
+		if unacked > 0 {
+			s.rec.Eventf("ccache-break", "broke %d lease(s) on file %#x after recall timeout", unacked, file)
+		}
 	}
+	for _, p := range pushes {
+		s.rec.Gauge(MetricLeaseRecalls).Inc()
+		// A dead connection cannot ack; the lapse breaks the holder.
+		_ = p.p.Push(MRecall, p.body)
+	}
+	return pending, hasWriter, drops, lapse
 }
 
 // Holders reports the live holder count for one file (tests).
@@ -483,7 +486,7 @@ func (s *Server) sweepOnce() {
 	s.mu.Lock()
 	for file, f := range s.files {
 		for client, h := range f.holders {
-			if h.lapsed(now) {
+			if now >= h.lapsesAt() {
 				delete(f.holders, client)
 				expired++
 			}
@@ -491,6 +494,9 @@ func (s *Server) sweepOnce() {
 		if f.empty() {
 			delete(s.files, file)
 		}
+	}
+	if expired > 0 {
+		s.droppedLocked()
 	}
 	s.mu.Unlock()
 	if expired > 0 {

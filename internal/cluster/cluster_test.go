@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fit"
 	"repro/internal/lock"
+	"repro/internal/polltest"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
 	"repro/internal/simclock"
@@ -125,12 +125,26 @@ func TestLeaseTable(t *testing.T) {
 	}
 }
 
-// rig is an N-shard cluster on loopback TCP.
+// rig is an N-shard cluster on loopback TCP. Every shard's lock manager,
+// lease table and sweep run on clk.
 type rig struct {
 	cores []*core.Cluster
 	svcs  []*Service
 	srvs  []*rpc.TCPServer
 	m     Map
+	clk   *simclock.Virtual
+}
+
+// expire steps the rig's clock a quarter lease at a time, running the lease
+// sweeps and the clients' renewals, until txn is broken on shard 0.
+func (r *rig) expire(t *testing.T, ttl time.Duration, txn lock.TxnID) {
+	t.Helper()
+	for i := 0; i < 16 && !r.cores[0].Locks().Broken(txn); i++ {
+		r.clk.Advance(ttl / 4)
+	}
+	if !r.cores[0].Locks().Broken(txn) {
+		t.Fatalf("txn %d not broken four leases after its renewals stopped", txn)
+	}
 }
 
 // overFS sets cfg's inner handler to an rpcfs server over c.
@@ -144,49 +158,10 @@ func endpointOf(svc *Service) *rpc.Endpoint {
 	return rpc.NewEndpoint(svc.HandleRequestCtx)
 }
 
+// newRig builds the cluster with no recorder.
 func newRig(t *testing.T, shards int, leaseTTL time.Duration) *rig {
 	t.Helper()
-	r := &rig{}
-	lns := make([]net.Listener, shards)
-	eps := make([]string, shards)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		eps[i] = ln.Addr().String()
-	}
-	r.m = Map{Version: 1, Endpoints: eps}
-	for i := 0; i < shards; i++ {
-		// A long LT keeps the lock manager's own deadlock timeout out of
-		// the lease tests: a slow run (the race detector) must not break a
-		// polling competitor before the lease machinery under test acts.
-		c, err := core.New(core.Config{LT: 30 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.cores = append(r.cores, c)
-		svc, err := NewService(overFS(c, ServiceConfig{
-			Shard:    i,
-			Map:      r.m,
-			Locks:    c.Locks(),
-			LeaseTTL: leaseTTL,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.svcs = append(r.svcs, svc)
-		r.srvs = append(r.srvs, rpc.Serve(lns[i], endpointOf(svc)))
-	}
-	t.Cleanup(func() {
-		for i := range r.srvs {
-			_ = r.srvs[i].Close()
-			r.svcs[i].Close()
-			_ = r.cores[i].Close()
-		}
-	})
-	return r
+	return newObsRig(t, shards, leaseTTL, nil)
 }
 
 func (r *rig) router(t *testing.T, clientID uint64) *Router {
@@ -329,35 +304,36 @@ func TestNetworkLockLeaseExpiry(t *testing.T) {
 	r := newRig(t, 1, ttl)
 	rt := r.router(t, 400)
 
-	inj := fault.NewInjector(1)
-	lc1 := NewLockClient(rt.Lock(0), 401, ttl, nil)
+	lc1 := NewLockClient(rt.Lock(0), 401, ttl, r.clk, nil)
 	defer lc1.Close()
-	lc2 := NewLockClient(rt.Lock(0), 402, ttl, inj)
+	lc2 := NewLockClient(rt.Lock(0), 402, ttl, r.clk, nil)
 	defer lc2.Close()
 
 	item := lock.ItemID{File: 1, Offset: 0, Length: 100}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	// Txn 1 takes a write lock; txn 2's conflicting acquire polls.
+	// Txn 1 takes a write lock; txn 2's conflicting acquire is denied and
+	// parks on its backoff (the sweep and two renewal loops are the other
+	// three timers).
 	if err := lc1.Acquire(ctx, 1, 1, lock.Record, item, lock.IWrite); err != nil {
 		t.Fatal(err)
 	}
-	short, cancelShort := context.WithTimeout(ctx, 3*ttl)
-	err := lc2.Acquire(short, 2, 2, lock.Record, item, lock.IWrite)
+	short, cancelShort := context.WithCancel(ctx)
+	denied := make(chan error, 1)
+	go func() { denied <- lc2.Acquire(short, 2, 2, lock.Record, item, lock.IWrite) }()
+	r.clk.WaitTimers(4)
 	cancelShort()
-	if err == nil {
+	if err := polltest.Recv(t, denied, "the cancelled acquire"); err == nil {
 		t.Fatal("conflicting acquire granted while lease held")
 	}
 
 	// Client 1 goes silent: its lease expires, the sweeper breaks txn 1,
-	// and txn 2's acquire proceeds within a few lease durations.
+	// and txn 2's acquire proceeds.
 	lc1.StopRenewing(1)
+	r.expire(t, ttl, 1)
 	if err := lc2.Acquire(ctx, 2, 2, lock.Record, item, lock.IWrite); err != nil {
 		t.Fatalf("acquire after lease expiry: %v", err)
-	}
-	if !r.cores[0].Locks().Broken(1) {
-		t.Fatal("dead client's txn not marked broken")
 	}
 	if err := lc2.Release(2); err != nil {
 		t.Fatal(err)
@@ -370,9 +346,9 @@ func TestNetworkLockPartitionedRenewals(t *testing.T) {
 	rt := r.router(t, 500)
 
 	inj := fault.NewInjector(1)
-	lc1 := NewLockClient(rt.Lock(0), 501, ttl, inj)
+	lc1 := NewLockClient(rt.Lock(0), 501, ttl, r.clk, inj)
 	defer lc1.Close()
-	lc2 := NewLockClient(rt.Lock(0), 502, ttl, nil)
+	lc2 := NewLockClient(rt.Lock(0), 502, ttl, r.clk, nil)
 	defer lc2.Close()
 
 	item := lock.ItemID{File: 2, Offset: 0, Length: 10}
@@ -384,14 +360,12 @@ func TestNetworkLockPartitionedRenewals(t *testing.T) {
 	// Partition client 1: every renewal from now on is dropped on the
 	// floor, so the server sees silence and breaks the lease.
 	inj.Arm(PtLeaseRenew, fault.Action{Kind: fault.KindError, Times: -1})
+	r.expire(t, ttl, 10)
 	if err := lc2.Acquire(ctx, 11, 2, lock.Record, item, lock.IWrite); err != nil {
 		t.Fatalf("acquire after partition: %v", err)
 	}
-	if inj.Fired(PtLeaseRenew) == 0 {
-		t.Fatal("renewal fault never consulted")
-	}
-	if !r.cores[0].Locks().Broken(10) {
-		t.Fatal("partitioned client's txn not broken")
+	if got := inj.Fired(PtLeaseRenew); got != 3 {
+		t.Fatalf("%d renewals dropped before the break, want 3 (at ttl/3, 2ttl/3, ttl)", got)
 	}
 }
 

@@ -29,14 +29,8 @@ type leaseEntry struct {
 // NewLeaseTable builds a table with the given lease duration on clock; nil
 // means a simclock.Wall of its own (tests pass a simclock.Virtual).
 func NewLeaseTable(ttl time.Duration, clock simclock.Clock) *LeaseTable {
-	if clock == nil {
-		clock = &simclock.Wall{}
-	}
-	return &LeaseTable{ttl: ttl, clock: clock, leases: make(map[uint64]*leaseEntry)}
+	return &LeaseTable{ttl: ttl, clock: simclock.Or(clock), leases: make(map[uint64]*leaseEntry)}
 }
-
-// TTL returns the lease duration.
-func (t *LeaseTable) TTL() time.Duration { return t.ttl }
 
 // Grant leases txn to client, or extends the lease if client already holds
 // it. ok is false when another live client holds the transaction — one

@@ -26,6 +26,7 @@ var PtLeaseRenew = fault.Register("cluster.lease.renew")
 type LockClient struct {
 	c        *rpc.Client
 	clientID uint64
+	clock    simclock.Clock
 	inj      *fault.Injector
 	rec      atomic.Pointer[obs.Recorder]
 
@@ -44,11 +45,13 @@ const (
 
 // NewLockClient starts a lock client over an rpc connection (share the
 // router's via Router.Lock). ttl is the server's lease duration; renewals
-// go out every ttl/3. inj is consulted at PtLeaseRenew (optional).
-func NewLockClient(c *rpc.Client, clientID uint64, ttl time.Duration, inj *fault.Injector) *LockClient {
+// go out every ttl/3 of clock, and denied tries back off on it (nil: wall
+// time). inj is consulted at PtLeaseRenew (optional).
+func NewLockClient(c *rpc.Client, clientID uint64, ttl time.Duration, clock simclock.Clock, inj *fault.Injector) *LockClient {
 	l := &LockClient{
 		c:        c,
 		clientID: clientID,
+		clock:    simclock.Or(clock),
 		inj:      inj,
 		txns:     make(map[uint64]bool),
 	}
@@ -56,7 +59,7 @@ func NewLockClient(c *rpc.Client, clientID uint64, ttl time.Duration, inj *fault
 	if every <= 0 {
 		every = time.Millisecond
 	}
-	l.stopRenew = simclock.Every(every, l.renew)
+	l.stopRenew = simclock.Every(l.clock, every, l.renew)
 	return l
 }
 
@@ -83,7 +86,7 @@ func (l *LockClient) Acquire(ctx context.Context, txn lock.TxnID, pid int, level
 		Off:    item.Offset,
 		Len:    item.Length,
 	}
-	backoff := simclock.Backoff{Min: acquireBackoffMin, Max: acquireBackoffMax}
+	backoff := simclock.Backoff{Clock: l.clock, Min: acquireBackoffMin, Max: acquireBackoffMax}
 	for {
 		// An already-canceled context must not issue a network call; the
 		// mid-loop select alone only observes cancellation after a denied

@@ -13,6 +13,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 )
 
 // TestMetricNamesAudit statically audits the metric registry: every name
@@ -54,7 +55,7 @@ func TestMetricNamesAudit(t *testing.T) {
 // cluster metrics: the service, the router, and the lock clients.
 func newObsRig(t *testing.T, shards int, leaseTTL time.Duration, rec *obs.Recorder) *rig {
 	t.Helper()
-	r := &rig{}
+	r := &rig{clk: simclock.New()}
 	lns := make([]net.Listener, shards)
 	eps := make([]string, shards)
 	for i := range lns {
@@ -67,7 +68,9 @@ func newObsRig(t *testing.T, shards int, leaseTTL time.Duration, rec *obs.Record
 	}
 	r.m = Map{Version: 1, Endpoints: eps}
 	for i := 0; i < shards; i++ {
-		c, err := core.New(core.Config{LT: 30 * time.Second})
+		// A long LT keeps the lock manager's own deadlock timeout out of
+		// the lease tests.
+		c, err := core.New(core.Config{LT: 30 * time.Second, Clock: r.clk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,10 +134,10 @@ func TestLeaseMetricsRecorded(t *testing.T) {
 	}
 	t.Cleanup(rt.Shutdown)
 
-	lc1 := NewLockClient(rt.Lock(0), 901, ttl, nil)
+	lc1 := NewLockClient(rt.Lock(0), 901, ttl, r.clk, nil)
 	defer lc1.Close()
 	lc1.SetObs(rec)
-	lc2 := NewLockClient(rt.Lock(0), 902, ttl, nil)
+	lc2 := NewLockClient(rt.Lock(0), 902, ttl, r.clk, nil)
 	defer lc2.Close()
 	lc2.SetObs(rec)
 
@@ -146,10 +149,11 @@ func TestLeaseMetricsRecorded(t *testing.T) {
 	}
 	// Let the renewer run a few cycles so the renew counter and the
 	// renew-latency histogram both fill.
-	time.Sleep(3 * ttl)
+	r.clk.Advance(3 * ttl)
 	// Client 1 goes silent; the sweeper breaks its lease and client 2 gets
 	// the lock, which it then releases cleanly.
 	lc1.StopRenewing(1)
+	r.expire(t, ttl, 1)
 	if err := lc2.Acquire(ctx, 2, 2, lock.Record, item, lock.IWrite); err != nil {
 		t.Fatalf("acquire after expiry: %v", err)
 	}

@@ -232,9 +232,7 @@ func (s *Service) execReplicated(ctx context.Context, req rpc.Request) ([]byte, 
 		w0 := time.Now()
 		r.sh.Wait(seq)
 		s.rec.ValueHist(MetricReplLagNS).Record(time.Since(w0))
-		if d := s.inj.Delay(PtReplAck); d > 0 {
-			time.Sleep(d)
-		}
+		s.inj.Hit(PtReplAck)
 	}
 	op.End(nil)
 	return out, nil

@@ -9,7 +9,7 @@ import (
 	"repro/internal/fit"
 	"repro/internal/lock"
 	"repro/internal/obs"
-	"repro/internal/rpc"
+	"repro/internal/polltest"
 	"repro/internal/rpcfs"
 )
 
@@ -145,7 +145,7 @@ func TestRefreshMapRules(t *testing.T) {
 func TestLockClientAcquireCanceledContext(t *testing.T) {
 	r := newRig(t, 1, time.Second)
 	rt := r.router(t, 402)
-	lc := NewLockClient(rt.Lock(0), 402, time.Second, nil)
+	lc := NewLockClient(rt.Lock(0), 402, time.Second, nil, nil)
 	defer lc.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -167,23 +167,30 @@ func TestLockClientBufferBalance(t *testing.T) {
 	const ttl = 200 * time.Millisecond
 	r := newRig(t, 1, ttl)
 	rt := r.router(t, 403)
-	lc := NewLockClient(rt.Lock(0), 403, ttl, nil)
+	lc := NewLockClient(rt.Lock(0), 403, ttl, r.clk, nil)
 
 	item := lock.ItemID{File: 42, Offset: 0, Length: 10}
 	if err := lc.Acquire(context.Background(), 1, 1, lock.Record, item, lock.IWrite); err != nil {
 		t.Fatal(err)
 	}
-	base := settleBalance(t)
+	base := polltest.SettledBuffers(t)
 
 	// A contending transaction polls denied tries until the holder releases.
 	done := make(chan error, 1)
 	go func() {
 		done <- lc.Acquire(context.Background(), 2, 2, lock.Record, item, lock.IWrite)
 	}()
-	time.Sleep(30 * time.Millisecond) // several denied tries
+	// Several denied tries: each parks on its backoff beside the sweep and
+	// the renewal loop.
+	for i := 0; i < 4; i++ {
+		r.clk.WaitTimers(3)
+		r.clk.Advance(acquireBackoffMax)
+	}
+	r.clk.WaitTimers(3) // parked after its fourth denied try
 	if err := lc.Release(1); err != nil {
 		t.Fatal(err)
 	}
+	r.clk.Advance(2 * acquireBackoffMax)
 	if err := <-done; err != nil {
 		t.Fatalf("contended acquire: %v", err)
 	}
@@ -193,43 +200,7 @@ func TestLockClientBufferBalance(t *testing.T) {
 	// Stop the background renewer before the final audit so the ledger can
 	// go quiescent.
 	lc.Close()
-	waitBalance(t, base, "after contended acquire/release")
-}
-
-func settleBalance(t *testing.T) int64 {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	gets, puts := rpc.BufferBalance()
-	last := gets - puts
-	stable := 0
-	for stable < 5 {
-		time.Sleep(2 * time.Millisecond)
-		gets, puts = rpc.BufferBalance()
-		if d := gets - puts; d != last {
-			last, stable = d, 0
-		} else {
-			stable++
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("buffer ledger never settled (gets-puts = %d)", last)
-		}
-	}
-	return last
-}
-
-func waitBalance(t *testing.T, want int64, what string) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		gets, puts := rpc.BufferBalance()
-		if gets-puts == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: pooled buffers out of balance: gets-puts = %d, want %d", what, gets-puts, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	polltest.BuffersBalance(t, base, "after contended acquire/release")
 }
 
 // TestRouterEntryPointsObserveOnce pins that a routed read or write is in

@@ -105,7 +105,8 @@ type Service struct {
 	lastHeard  atomic.Int64 // backup: clock instant of last primary contact, neverHeard before it
 	ep         atomic.Pointer[rpc.Endpoint]
 
-	// clock times the lease table and the backup's watchdog.
+	// clock is the lock manager's (a Wall without one): the lease table,
+	// the sweep, the heartbeat and the backup's watchdog run on it.
 	clock simclock.Clock
 	// stops are the running loops' stop functions (simclock.Every).
 	stops []func()
@@ -141,8 +142,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	s.role.Store(int32(cfg.Role))
 	if cfg.Locks != nil {
+		s.clock = cfg.Locks.Clock()
 		s.leases = NewLeaseTable(ttl, s.clock)
-		s.stops = append(s.stops, simclock.Every(ttl/4, s.sweep))
+		s.stops = append(s.stops, simclock.Every(s.clock, ttl/4, s.sweep))
 	}
 	rttl := cfg.ReplTTL
 	if rttl <= 0 {
@@ -165,7 +167,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			Obs:    cfg.Obs,
 		})
 		s.repl = r
-		s.stops = append(s.stops, simclock.Every(rttl/3, s.heartbeat))
+		s.stops = append(s.stops, simclock.Every(s.clock, rttl/3, s.heartbeat))
 	case RoleBackup:
 		if m.Backup(cfg.Shard) == "" {
 			return nil, errors.New("cluster: backup role requires its own address in the map")
@@ -180,7 +182,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		// construction: a backup that boots before its (possibly slow)
 		// primary must not usurp a shard nobody has served through it yet.
 		s.lastHeard.Store(neverHeard)
-		s.stops = append(s.stops, simclock.Every(rttl/4, s.watchdog))
+		s.stops = append(s.stops, simclock.Every(s.clock, rttl/4, s.watchdog))
 	default:
 		return nil, fmt.Errorf("cluster: cannot start in role %v", cfg.Role)
 	}
@@ -194,9 +196,7 @@ func (s *Service) shipBatch(ctx context.Context, batch []byte) error {
 	if err := s.inj.Err(PtReplShip); err != nil {
 		return err
 	}
-	if d := s.inj.Delay(PtReplShip); d > 0 {
-		time.Sleep(d)
-	}
+	s.inj.Hit(PtReplShip)
 	out, err := s.repl.bc.Call(ctx, MReplApply, batch)
 	s.repl.bc.ReleaseBody(out)
 	return err
@@ -340,7 +340,7 @@ func (s *Service) handleRelease(body []byte) ([]byte, error) {
 
 // sweep breaks the locks of transactions whose lease expired: their client
 // is dead or partitioned, and §6.4's break path makes the transaction abort
-// at its next lock operation (or via OnBreak). It runs every ttl/4.
+// at its next lock operation. It runs every ttl/4.
 func (s *Service) sweep() bool {
 	due := s.leases.ExpireDue()
 	if len(due) == 0 {

@@ -11,17 +11,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/lock"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 )
-
-// waitUntil polls cond until it holds or a generous deadline passes.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
 
 // inProcClient is an rpc client over an in-process endpoint running h.
 func inProcClient(id uint64, h rpc.Handler) *rpc.Client {
@@ -31,7 +22,7 @@ func inProcClient(id uint64, h rpc.Handler) *rpc.Client {
 // TestServiceLoopsStopOnClose pins that Close ends every loop a Service
 // runs, in each role: once it returns, the lease sweep breaks no expired
 // lease, a primary sends no heartbeat, and a backup's watchdog promotes no
-// silent pairing — though each would have acted within the wait below.
+// silent pairing — though each would have acted within the advance below.
 func TestServiceLoopsStopOnClose(t *testing.T) {
 	const (
 		leaseTTL = 100 * time.Millisecond // swept every 25 ms
@@ -39,7 +30,8 @@ func TestServiceLoopsStopOnClose(t *testing.T) {
 	)
 	for _, role := range []Role{RoleNone, RolePrimary, RoleBackup} {
 		t.Run(role.String(), func(t *testing.T) {
-			c, err := core.New(core.Config{LT: 30 * time.Second})
+			clk := simclock.New()
+			c, err := core.New(core.Config{LT: 30 * time.Second, Clock: clk})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +57,10 @@ func TestServiceLoopsStopOnClose(t *testing.T) {
 				t.Fatal(err)
 			}
 			if role == RolePrimary {
-				waitUntil(t, "the first heartbeat", func() bool { return beats.Load() > 0 })
+				clk.Advance(replTTL / 3)
+				if beats.Load() != 1 {
+					t.Fatalf("%d heartbeats one period in, want 1", beats.Load())
+				}
 			}
 			// A transaction leased to a client that then falls silent, and
 			// (on a backup) a primary heard once and never again.
@@ -79,7 +74,7 @@ func TestServiceLoopsStopOnClose(t *testing.T) {
 			svc.Close()
 			sent := beats.Load()
 
-			time.Sleep(3 * leaseTTL)
+			clk.Advance(3 * leaseTTL)
 			if c.Locks().Broken(txn) || svc.leases.Len() != 1 {
 				t.Error("lease sweep ran after Close")
 			}
@@ -99,13 +94,16 @@ func TestLockClientRenewStopsOnClose(t *testing.T) {
 	const ttl = 30 * time.Millisecond // renewals every 10 ms
 	inj := fault.NewInjector(1)
 	inj.Arm(PtLeaseRenew, fault.Action{Kind: fault.KindError, Times: -1})
-	lc := NewLockClient(inProcClient(1, func(context.Context, rpc.Request) ([]byte, error) { return nil, nil }), 1, ttl, inj)
-	waitUntil(t, "the first renewal tick", func() bool { return inj.Fired(PtLeaseRenew) > 0 })
+	clk := simclock.New()
+	lc := NewLockClient(inProcClient(1, func(context.Context, rpc.Request) ([]byte, error) { return nil, nil }), 1, ttl, clk, inj)
+	clk.Advance(ttl)
+	if got := inj.Fired(PtLeaseRenew); got != 3 {
+		t.Fatalf("%d renewal ticks in one lease, want 3", got)
+	}
 	lc.Close()
-	ticks := inj.Fired(PtLeaseRenew)
-	time.Sleep(10 * ttl)
-	if got := inj.Fired(PtLeaseRenew); got != ticks {
-		t.Fatalf("%d renewal tick(s) after Close", got-ticks)
+	clk.Advance(10 * ttl)
+	if got := inj.Fired(PtLeaseRenew); got != 3 {
+		t.Fatalf("%d renewal tick(s) after Close", got-3)
 	}
 	lc.Close() // idempotent
 }
@@ -116,7 +114,7 @@ func TestLockClientRenewStopsOnClose(t *testing.T) {
 func TestNetworkLockRefusesUnknownModes(t *testing.T) {
 	r := newRig(t, 1, time.Second)
 	rt := r.router(t, 600)
-	lc := NewLockClient(rt.Lock(0), 601, time.Second, nil)
+	lc := NewLockClient(rt.Lock(0), 601, time.Second, nil, nil)
 	defer lc.Close()
 	item := lock.ItemID{File: 3, Offset: 0, Length: 8}
 	for i, mode := range []lock.Mode{0, lock.IWrite + 1} {

@@ -72,6 +72,10 @@ type Config struct {
 	// LT and MaxRenewals configure deadlock timeouts (§6.4).
 	LT          time.Duration
 	MaxRenewals int
+	// Clock is the lock manager's clock, and through it the group-commit
+	// linger's and the LT sweeper's; node.Start hands it on to the lease
+	// managers and the cluster service. nil means wall time.
+	Clock simclock.Clock
 	// Metrics receives all counters; created if nil.
 	Metrics *metrics.Set
 	// ForceTechnique overrides the §6.7 commit-technique rule (ablation E8).
@@ -80,9 +84,6 @@ type Config struct {
 	// transaction service (E19). Zero value = enabled with defaults; set
 	// GroupCommit.Disable for the one-sync-per-commit baseline.
 	GroupCommit txn.GroupCommitConfig
-	// AllowMixedLevels enables §6.1's deferred relaxation: one file may be
-	// locked at several granularities by concurrent transactions.
-	AllowMixedLevels bool
 	// Ablations.
 	DisableReadAhead   bool // disk-service track cache off (E5)
 	DisableClientCache bool // machines get no client cache (E6)
@@ -116,6 +117,7 @@ func (c *Config) fillDefaults() {
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewSet()
 	}
+	c.Clock = simclock.Or(c.Clock)
 }
 
 // Cluster is one assembled facility.
@@ -278,8 +280,8 @@ func (c *Cluster) buildServices(fresh bool) error {
 		return err
 	}
 	c.locks = lock.New(lock.Config{
-		Clock: &simclock.Wall{}, LT: c.cfg.LT, MaxRenewals: c.cfg.MaxRenewals,
-		Metrics: c.cfg.Metrics, AllowMixedLevels: c.cfg.AllowMixedLevels, Obs: c.cfg.Obs,
+		Clock: c.cfg.Clock, LT: c.cfg.LT, MaxRenewals: c.cfg.MaxRenewals,
+		Metrics: c.cfg.Metrics, Obs: c.cfg.Obs,
 	})
 	c.Txns, err = txn.New(txn.Config{
 		Files: c.Files, Log: c.Log, Locks: c.locks,
@@ -398,7 +400,6 @@ func (c *Cluster) Crash() error {
 	c.caches = nil // the machines died with their delayed writes
 	c.cacheMu.Unlock()
 	c.StopSweeper()
-	c.Txns.Close()
 	c.locks.Close() // volatile lock tables die with the machine
 	c.Log.DropUnsynced()
 	// Remount disk servers from media.
@@ -462,7 +463,6 @@ func (c *Cluster) Flush() error {
 // Close shuts the cluster down, flushing everything.
 func (c *Cluster) Close() error {
 	c.StopSweeper()
-	c.Txns.Close()
 	c.locks.Close()
 	var firstErr error
 	if err := c.Files.Shutdown(); err != nil && !errors.Is(err, fileservice.ErrClosed) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fit"
 	"repro/internal/lock"
 	"repro/internal/metrics"
+	"repro/internal/simclock"
 	"repro/internal/txn"
 )
 
@@ -249,23 +250,23 @@ func TestMultiDiskStriping(t *testing.T) {
 // sweep: a lock past its invulnerability is broken while the sweeper runs
 // and left alone once StopSweeper has returned.
 func TestStopSweeperEndsTheSweep(t *testing.T) {
-	c := newCluster(t, func(cfg *Config) { cfg.LT = 5 * time.Millisecond; cfg.MaxRenewals = 1 })
+	clk := simclock.New()
+	c := newCluster(t, func(cfg *Config) { cfg.LT = 5 * time.Millisecond; cfg.MaxRenewals = 1; cfg.Clock = clk })
 	locks, item := c.Locks(), lock.ItemID{File: 1}
 	if err := locks.Acquire(context.Background(), 1, 0, lock.File, item, lock.IWrite); err != nil {
 		t.Fatal(err)
 	}
 	c.StartSweeper(2 * time.Millisecond)
-	for deadline := time.Now().Add(5 * time.Second); !locks.Broken(1); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the running sweeper never broke the expired lock")
-		}
+	clk.Advance(6 * time.Millisecond) // past one LT, three sweep periods
+	if !locks.Broken(1) {
+		t.Fatal("the running sweeper never broke the expired lock")
 	}
 	c.StopSweeper()
 	locks.ReleaseAll(1)
 	if err := locks.Acquire(context.Background(), 2, 0, lock.File, item, lock.IWrite); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(25 * time.Millisecond) // five LTs, a dozen sweep periods
+	clk.Advance(25 * time.Millisecond) // five LTs, a dozen sweep periods
 	if locks.Broken(2) {
 		t.Fatal("sweep ran after StopSweeper")
 	}

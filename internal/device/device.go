@@ -6,7 +6,7 @@
 // references incur. This package reproduces exactly that accounting: every
 // Read/Write call is one disk reference, head movement is tracked per track,
 // and a Model converts (seeks, rotations, bytes) into virtual time on a
-// simclock.Clock. Data lives in memory; persistence across a simulated
+// simclock.OpClock. Data lives in memory; persistence across a simulated
 // machine crash is the natural consequence of the buffer being retained while
 // volatile caches above this layer are discarded.
 //
@@ -136,8 +136,7 @@ func (m Model) cost(distance, n int) time.Duration {
 type Disk struct {
 	geom  Geometry
 	model Model
-	clock simclock.Clock
-	op    simclock.OpClock // clock's op-bracketing form, when it has one
+	clock simclock.OpClock
 	met   *metrics.Set
 
 	mu         sync.Mutex
@@ -158,7 +157,7 @@ type Option func(*Disk)
 func WithModel(m Model) Option { return func(d *Disk) { d.model = m } }
 
 // WithClock sets the virtual clock that accumulates access time.
-func WithClock(c simclock.Clock) Option { return func(d *Disk) { d.clock = c } }
+func WithClock(c simclock.OpClock) Option { return func(d *Disk) { d.clock = c } }
 
 // WithMetrics sets the metric set that receives reference/seek/byte counters.
 func WithMetrics(s *metrics.Set) Option { return func(d *Disk) { d.met = s } }
@@ -188,7 +187,6 @@ func New(g Geometry, opts ...Option) (*Disk, error) {
 	for _, o := range opts {
 		o(d)
 	}
-	d.op, _ = d.clock.(simclock.OpClock)
 	d.wallFactor = d.model.WallFactor
 	return d, nil
 }
@@ -204,9 +202,6 @@ func (d *Disk) SetWallFactor(f float64) {
 
 // Geometry returns the drive geometry.
 func (d *Disk) Geometry() Geometry { return d.geom }
-
-// Clock returns the clock the drive charges access time to.
-func (d *Disk) Clock() simclock.Clock { return d.clock }
 
 // checkSpan validates the address range [start, start+n).
 func (d *Disk) checkSpan(start, n int) error {
@@ -239,11 +234,7 @@ func (d *Disk) charge(addr, n int) (cost time.Duration, seeked bool) {
 	// Charging at operation start (BeginOp) reserves the member's virtual
 	// interval while d.mu serializes this spindle, so same-disk operations
 	// chain deterministically and cross-disk operations may overlap.
-	if d.op != nil {
-		d.op.BeginOp(cost)
-	} else {
-		d.clock.Advance(cost)
-	}
+	d.clock.BeginOp(cost)
 	if d.wallFactor > 0 {
 		// Spindle occupancy: hold the drive for a slice of real time
 		// proportional to the simulated cost.
@@ -256,9 +247,7 @@ func (d *Disk) charge(addr, n int) (cost time.Duration, seeked bool) {
 // the striped metric set — deliberately outside d.mu, so metric accounting
 // never extends the spindle's critical section.
 func (d *Disk) finish(cost time.Duration, seeked bool) {
-	if d.op != nil {
-		d.op.EndOp()
-	}
+	d.clock.EndOp()
 	d.met.Inc(metrics.DiskReferences)
 	if seeked {
 		d.met.Inc(metrics.DiskSeeks)

@@ -399,11 +399,12 @@ func TestTortureWriteback(t *testing.T) {
 
 // TestTortureReplayable proves the determinism contract for every
 // in-process recipe: the same scenario and seed fire the same fault trace
-// and reach the same outcome twice.
+// and reach the same outcome twice — and lease-expiry, whose renewals and
+// sweep run on one virtual clock, five times, each firing its three faults.
 func TestTortureReplayable(t *testing.T) {
 	scs := TortureScenarios()
 	picked := []TortureScenario{scs[3]} // torn primary write mid-commit
-	for _, kind := range []TortureKind{TortureGroup, TortureWriteback, TortureParity, TortureMedia} {
+	for _, kind := range []TortureKind{TortureGroup, TortureWriteback, TortureParity, TortureMedia, TortureLease} {
 		i := slices.IndexFunc(scs, func(sc TortureScenario) bool { return sc.Kind == kind })
 		picked = append(picked, scs[i])
 	}
@@ -412,13 +413,22 @@ func TestTortureReplayable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", sc.Kind, sc.Point, err)
 		}
-		b, err := RunTorture(sc, 42)
-		if err != nil {
-			t.Fatalf("%s %s: %v", sc.Kind, sc.Point, err)
+		replays := 1
+		if sc.Kind == TortureLease {
+			replays = 4
+			if a.Fired != 3 {
+				t.Errorf("lease-expiry fired %d faults, want 3", a.Fired)
+			}
 		}
-		if a.Fired != b.Fired || a.Outcome != b.Outcome || a.Redone != b.Redone ||
-			!slices.Equal(a.Violations, b.Violations) {
-			t.Errorf("%s %s: replay diverged: %+v vs %+v", sc.Kind, sc.Point, a, b)
+		for i := 0; i < replays; i++ {
+			b, err := RunTorture(sc, 42)
+			if err != nil {
+				t.Fatalf("%s %s: %v", sc.Kind, sc.Point, err)
+			}
+			if a.Fired != b.Fired || a.Outcome != b.Outcome || a.Redone != b.Redone ||
+				!slices.Equal(a.Violations, b.Violations) {
+				t.Errorf("%s %s: replay diverged: %+v vs %+v", sc.Kind, sc.Point, a, b)
+			}
 		}
 		if len(a.Violations) > 0 {
 			t.Errorf("%s %s: violations: %v", sc.Kind, sc.Point, a.Violations)

@@ -332,7 +332,7 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 
 	// A client holds a lock through the victim shard; its renewals stop
 	// when the server dies (the transport has nowhere to deliver them).
-	lcDead := cluster.NewLockClient(cls[0].Router.Lock(victim), 9001, leaseTTL, nil)
+	lcDead := cluster.NewLockClient(cls[0].Router.Lock(victim), 9001, leaseTTL, nil, nil)
 	defer lcDead.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -357,7 +357,7 @@ func KillServerRun(phase time.Duration) (*KillResult, error) {
 
 	// With the server back and the dead client's locks broken, a second
 	// client wins the lock.
-	lcComp := cluster.NewLockClient(cls[1].Router.Lock(victim), 9002, leaseTTL, nil)
+	lcComp := cluster.NewLockClient(cls[1].Router.Lock(victim), 9002, leaseTTL, nil, nil)
 	defer lcComp.Close()
 	acqCtx, acqCancel := context.WithTimeout(ctx, 10*time.Second)
 	err = lcComp.Acquire(acqCtx, 901, 2, lock.Record, item, lock.IWrite)

@@ -24,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parity"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 	"repro/internal/stable"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -947,12 +948,15 @@ func runTortureKillServer(sc TortureScenario, seed int64) (*TortureResult, error
 
 // runTortureLease partitions a lock-holding client from its shard: the armed
 // action drops every lease renewal, the server's sweeper breaks the starved
-// transaction's locks, and a competitor wins them.
+// transaction's locks, and a competitor wins them. The server's sweep and the
+// clients' renewals run on one virtual clock the scenario steps, so the
+// renewals dropped before the break are a fixed count.
 func runTortureLease(sc TortureScenario, seed int64) (*TortureResult, error) {
 	inj := fault.NewInjector(seed)
 	const ttl = 50 * time.Millisecond
+	clk := simclock.New()
 	srv, err := startSolo(node.Config{
-		Facility: core.Config{Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: 64}},
+		Facility: core.Config{Geometry: device.Geometry{FragmentsPerTrack: 32, Tracks: 64}, Clock: clk},
 		LeaseTTL: ttl,
 		Fault:    inj,
 	})
@@ -981,7 +985,7 @@ func runTortureLease(sc TortureScenario, seed int64) (*TortureResult, error) {
 	inj.Arm(sc.Point, sc.Action)
 	inj.Arm(cluster.PtLeaseSweep, fault.Action{Kind: fault.KindDelay, Times: -1})
 	defer inj.DisarmAll()
-	lcA := cluster.NewLockClient(rcA, 1, ttl, inj)
+	lcA := cluster.NewLockClient(rcA, 1, ttl, clk, inj)
 	defer lcA.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -990,11 +994,11 @@ func runTortureLease(sc TortureScenario, seed int64) (*TortureResult, error) {
 		return nil, fmt.Errorf("holder acquire: %w", err)
 	}
 
-	// The sweeper must break the starved lease within a few TTLs.
+	// The sweeper must break the starved lease within a few TTLs: step the
+	// clock one sweep period at a time.
 	res := &TortureResult{}
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.Locks().Broken(1) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 16 && !c.Locks().Broken(1); i++ {
+		clk.Advance(ttl / 4)
 	}
 	res.Fired = inj.Fired(sc.Point)
 	if !c.Locks().Broken(1) {
@@ -1010,7 +1014,7 @@ func runTortureLease(sc TortureScenario, seed int64) (*TortureResult, error) {
 		return nil, err
 	}
 	defer closeB()
-	lcB := cluster.NewLockClient(rcB, 2, ttl, nil)
+	lcB := cluster.NewLockClient(rcB, 2, ttl, clk, nil)
 	defer lcB.Close()
 	if err := lcB.Acquire(ctx, 2, 2, lock.Record, item, lock.IWrite); err != nil {
 		res.fail("competitor could not win the broken lease's lock: %v", err)
@@ -1186,7 +1190,7 @@ func E18Torture() (*Table, error) {
 			res.Outcome, dump, inv)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("deterministic: scenario i runs from seed %d+i; the same seed fires the same faults — except lease-expiry's fired count, the renewals dropped before the real-time sweeper acts (2 or 3), which ROADMAP item 1's injectable clock will fix", seedBase),
+		fmt.Sprintf("deterministic: scenario i runs from seed %d+i; the same seed fires the same faults", seedBase),
 		"invariants: committed durable; unfinished invisible; mirrors reconciled (2nd pass no-op); parity consistent; fsck clean",
 		"flight dump: span trees the flight recorder snapshotted the instant the fault fired (txn recipes run traced)",
 		"kill-server: a 2-shard cluster's victim server crashes mid-commit and its TCP listener closes; the other shard must keep serving during the outage and the victim must recover and serve again on the same endpoint",

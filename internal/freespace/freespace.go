@@ -246,6 +246,12 @@ func (m *Map) rebuildLocked() {
 	}
 	m.stats.Rebuilds++
 	m.stats.WordsScanned += int64(len(m.words))
+	m.eachFreeRunLocked(m.cacheRun)
+}
+
+// eachFreeRunLocked calls fn with every maximal free run, in address order.
+// Callers must hold m.mu.
+func (m *Map) eachFreeRunLocked(fn func(Run)) {
 	start := -1
 	for i := 0; i < m.capacity; i++ {
 		if !m.isSet(i) {
@@ -255,12 +261,12 @@ func (m *Map) rebuildLocked() {
 			continue
 		}
 		if start >= 0 {
-			m.cacheRun(Run{Start: start, Len: i - start})
+			fn(Run{Start: start, Len: i - start})
 			start = -1
 		}
 	}
 	if start >= 0 {
-		m.cacheRun(Run{Start: start, Len: m.capacity - start})
+		fn(Run{Start: start, Len: m.capacity - start})
 	}
 }
 
@@ -505,22 +511,7 @@ func (m *Map) FreeRuns() []Run {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var runs []Run
-	start := -1
-	for i := 0; i < m.capacity; i++ {
-		if !m.isSet(i) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			runs = append(runs, Run{Start: start, Len: i - start})
-			start = -1
-		}
-	}
-	if start >= 0 {
-		runs = append(runs, Run{Start: start, Len: m.capacity - start})
-	}
+	m.eachFreeRunLocked(func(r Run) { runs = append(runs, r) })
 	return runs
 }
 

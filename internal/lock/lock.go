@@ -20,9 +20,9 @@
 // transaction service acquires and releases on behalf of whichever
 // goroutine drives the transaction, and ReleaseAll(txn) at commit/abort is
 // the only bulk release (strict 2PL). Expiry is driven either by an
-// explicit Sweep call (deterministic tests) or a StartSweeper goroutine
-// owned by the caller, which must Close it; the onBreak callback runs
-// without the manager lock held and may call back into the manager.
+// explicit Sweep call (deterministic tests) or a StartSweeper loop on the
+// manager's clock, owned by the caller, which must stop it. A broken
+// transaction learns of it at its next lock operation (ErrTxnBroken).
 package lock
 
 import (
@@ -160,9 +160,6 @@ type Config struct {
 	// with conflicts detected across levels by byte range. The paper defers
 	// this relaxation "at a later stage"; it is off by default.
 	AllowMixedLevels bool
-	// OnBreak, if set, is called (without the manager lock held) with each
-	// transaction aborted by the deadlock timeout.
-	OnBreak func(TxnID)
 	// Obs receives per-acquire spans/latency observations and the
 	// lock-waiter gauge. Optional.
 	Obs *obs.Recorder
@@ -249,7 +246,6 @@ type Manager struct {
 	waitGauge *obs.Gauge // requests currently blocked waiting for a lock
 	combined  bool
 	mixed     bool
-	onBreak   func(TxnID)
 
 	mu     sync.Mutex
 	closed bool
@@ -271,10 +267,6 @@ type Manager struct {
 
 // New returns a Manager.
 func New(cfg Config) *Manager {
-	clk := cfg.Clock
-	if clk == nil {
-		clk = &simclock.Wall{}
-	}
 	lt := cfg.LT
 	if lt <= 0 {
 		lt = 100 * time.Millisecond
@@ -284,7 +276,7 @@ func New(cfg Config) *Manager {
 		n = 5
 	}
 	return &Manager{
-		clock:     clk,
+		clock:     simclock.Or(cfg.Clock),
 		lt:        lt,
 		maxRenew:  n,
 		met:       cfg.Metrics,
@@ -292,7 +284,6 @@ func New(cfg Config) *Manager {
 		waitGauge: cfg.Obs.Gauge("lock.wait_count"),
 		combined:  cfg.Combined,
 		mixed:     cfg.AllowMixedLevels,
-		onBreak:   cfg.OnBreak,
 		tables:    make(map[Level][]*item),
 		fileLevel: make(map[uint64]Level),
 		fileRefs:  make(map[uint64]int),
@@ -644,19 +635,15 @@ func (m *Manager) Sweep() []TxnID {
 		m.regrantLocked()
 	}
 	m.mu.Unlock()
-	if m.onBreak != nil {
-		for _, txn := range out {
-			m.onBreak(txn)
-		}
-	}
 	return out
 }
 
 // Break forcibly breaks every lock txn holds and marks it broken, exactly
 // as an exhausted LT renewal does (§6.4): waiters are failed with
-// ErrTxnBroken, newly grantable locks are regranted, and the OnBreak
-// callback fires so the transaction service aborts the holder. The network
-// lock service uses it to revoke the locks of a client whose lease expired.
+// ErrTxnBroken, newly grantable locks are regranted, and the holder's next
+// lock operation fails with ErrTxnBroken, so the transaction service aborts
+// it. The network lock service uses it to revoke the locks of a client whose
+// lease expired.
 func (m *Manager) Break(txn TxnID) {
 	m.mu.Lock()
 	if m.closed {
@@ -667,9 +654,6 @@ func (m *Manager) Break(txn TxnID) {
 	m.removeEmptyItemsLocked()
 	m.regrantLocked()
 	m.mu.Unlock()
-	if m.onBreak != nil {
-		m.onBreak(txn)
-	}
 }
 
 // breakTxnLocked removes all of txn's holds and waiters and marks it broken.
@@ -741,10 +725,14 @@ func (m *Manager) HoldCount() int {
 	return n
 }
 
-// StartSweeper runs Sweep every interval in the background and returns the
-// function that stops it (idempotent; it returns once the sweeper exited).
+// Clock returns the clock the LT windows run on: the transaction service's
+// group-commit linger and a cluster service's leases share it.
+func (m *Manager) Clock() simclock.Clock { return m.clock }
+
+// StartSweeper runs Sweep every interval of the manager's clock and returns
+// the function that stops it (idempotent; it returns once the sweeper exited).
 func (m *Manager) StartSweeper(interval time.Duration) (stop func()) {
-	return simclock.Every(interval, func() bool {
+	return simclock.Every(m.clock, interval, func() bool {
 		m.Sweep()
 		return true
 	})

@@ -3,24 +3,32 @@ package lock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/polltest"
 	"repro/internal/simclock"
 )
 
 func newMgr(t *testing.T, opts ...func(*Config)) (*Manager, *simclock.Virtual) {
 	t.Helper()
 	clk := simclock.New()
-	cfg := Config{Clock: clk, LT: 10 * time.Millisecond, MaxRenewals: 3}
+	cfg := Config{Clock: clk, LT: 10 * time.Millisecond, MaxRenewals: 3, Metrics: metrics.NewSet()}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	m := New(cfg)
 	t.Cleanup(m.Close)
 	return m, clk
+}
+
+// waitQueued waits until n requests have queued on m's lock tables.
+func waitQueued(t *testing.T, m *Manager, n int64) {
+	t.Helper()
+	polltest.Until(t, fmt.Sprintf("%d queued requests", n), func() bool { return m.met.Get(metrics.LockWaits) >= n })
 }
 
 func fileItem(f uint64) ItemID        { return ItemID{File: f} }
@@ -139,19 +147,10 @@ func TestConversionWaitsForReaderThenProceeds(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, 0, Page, it, IWrite) }()
-	select {
-	case err := <-done:
-		t.Fatalf("IWrite conversion granted while txn 1 holds RO: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	m.ReleaseAll(1) // reader commits
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("conversion after reader release: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("conversion never granted")
+	waitQueued(t, m, 1) // the conversion waits while txn 1 holds RO
+	m.ReleaseAll(1)     // reader commits
+	if err := polltest.Recv(t, done, "the conversion"); err != nil {
+		t.Fatalf("conversion after reader release: %v", err)
 	}
 }
 
@@ -163,19 +162,10 @@ func TestWaiterGrantedOnRelease(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, 0, File, it, IWrite) }()
-	select {
-	case <-done:
-		t.Fatal("second IWrite granted while first held")
-	case <-time.After(20 * time.Millisecond):
-	}
+	waitQueued(t, m, 1) // the second IWrite waits while the first is held
 	m.ReleaseAll(1)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("waiter error: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter never granted")
+	if err := polltest.Recv(t, done, "the waiter's grant"); err != nil {
+		t.Fatalf("waiter error: %v", err)
 	}
 }
 
@@ -202,7 +192,7 @@ func TestFIFOOrdering(t *testing.T) {
 			mu.Unlock()
 			m.ReleaseAll(txn)
 		}(i)
-		time.Sleep(10 * time.Millisecond) // establish arrival order
+		waitQueued(t, m, int64(i-1)) // establish arrival order
 	}
 	m.ReleaseAll(1)
 	wg.Wait()
@@ -297,15 +287,7 @@ func TestOneLevelPerFileRule(t *testing.T) {
 }
 
 func TestDeadlockBrokenByTimeout(t *testing.T) {
-	var brokenMu sync.Mutex
-	var brokenTxns []TxnID
-	m, clk := newMgr(t, func(c *Config) {
-		c.OnBreak = func(id TxnID) {
-			brokenMu.Lock()
-			brokenTxns = append(brokenTxns, id)
-			brokenMu.Unlock()
-		}
-	})
+	m, clk := newMgr(t)
 	a, b := fileItem(1), fileItem(2)
 	if err := m.Acquire(context.Background(), 1, 0, File, a, IWrite); err != nil {
 		t.Fatal(err)
@@ -317,7 +299,7 @@ func TestDeadlockBrokenByTimeout(t *testing.T) {
 	errs := make(chan error, 2)
 	go func() { errs <- m.Acquire(context.Background(), 1, 0, File, b, IWrite) }()
 	go func() { errs <- m.Acquire(context.Background(), 2, 0, File, a, IWrite) }()
-	time.Sleep(20 * time.Millisecond) // both must be enqueued
+	waitQueued(t, m, 2) // both must be enqueued
 
 	// Advance past LT: both locks are contested, so the sweep breaks them.
 	clk.Advance(11 * time.Millisecond)
@@ -328,16 +310,7 @@ func TestDeadlockBrokenByTimeout(t *testing.T) {
 	// At least one waiter must have been released (either granted after the
 	// victim died, or told it is broken).
 	for i := 0; i < len(broke); i++ {
-		select {
-		case <-errs:
-		case <-time.After(2 * time.Second):
-			t.Fatal("waiter still blocked after deadlock resolution")
-		}
-	}
-	brokenMu.Lock()
-	defer brokenMu.Unlock()
-	if len(brokenTxns) != len(broke) {
-		t.Fatalf("OnBreak called %d times, want %d", len(brokenTxns), len(broke))
+		polltest.Recv(t, errs, "a waiter released by the deadlock break")
 	}
 }
 
@@ -372,20 +345,15 @@ func TestContestedLockBrokenAtFirstExpiry(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, 0, File, it, IWrite) }()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	clk.Advance(11 * time.Millisecond)
 	broke := m.Sweep()
 	if len(broke) != 1 || broke[0] != 1 {
 		t.Fatalf("Sweep = %v, want [1] (contested expired lock broken)", broke)
 	}
 	// The waiter now gets the lock.
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("waiter after break: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter never granted after break")
+	if err := polltest.Recv(t, done, "the waiter's grant after the break"); err != nil {
+		t.Fatalf("waiter after break: %v", err)
 	}
 }
 
@@ -495,7 +463,7 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, 0, Page, it, IWrite) }()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	if met.Get(metrics.LockWaits) != 1 {
 		t.Fatalf("waits = %d, want 1", met.Get(metrics.LockWaits))
 	}
@@ -506,22 +474,16 @@ func TestMetricsCounters(t *testing.T) {
 }
 
 func TestCloseFailsWaiters(t *testing.T) {
-	clk := simclock.New()
-	m := New(Config{Clock: clk, LT: time.Hour})
+	m, _ := newMgr(t, func(c *Config) { c.LT = time.Hour })
 	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, 0, File, fileItem(1), IWrite) }()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	m.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("waiter after Close = %v, want ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter survived Close")
+	if err := polltest.Recv(t, done, "the waiter to fail on Close"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiter after Close = %v, want ErrClosed", err)
 	}
 	if err := m.Acquire(context.Background(), 3, 0, File, fileItem(2), ReadOnly); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Acquire after Close = %v, want ErrClosed", err)
@@ -529,19 +491,19 @@ func TestCloseFailsWaiters(t *testing.T) {
 }
 
 func TestSweeperBackground(t *testing.T) {
-	m := New(Config{LT: 5 * time.Millisecond, MaxRenewals: 1}) // wall clock
-	defer m.Close()
+	m, clk := newMgr(t, func(c *Config) { c.LT = 5 * time.Millisecond; c.MaxRenewals = 1 })
 	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(1), IWrite); err != nil {
 		t.Fatal(err)
 	}
 	stopSweep := m.StartSweeper(2 * time.Millisecond)
 	defer stopSweep()
-	deadline := time.Now().Add(2 * time.Second)
-	for !m.Broken(1) {
-		if time.Now().After(deadline) {
-			t.Fatal("background sweeper never broke the expired lock")
-		}
-		time.Sleep(2 * time.Millisecond)
+	clk.Advance(4 * time.Millisecond) // two sweeps inside the LT
+	if m.Broken(1) {
+		t.Fatal("sweeper broke the lock inside its LT")
+	}
+	clk.Advance(2 * time.Millisecond) // the sweep at 6 ms is past it
+	if !m.Broken(1) {
+		t.Fatal("background sweeper never broke the expired lock")
 	}
 }
 

@@ -114,6 +114,7 @@ func Start(cfg Config) (*Node, error) {
 		Inner: n.fs.HandlerCtx(),
 		Size:  func(file uint64) (int64, error) { return n.fs.Files.Size(fileservice.FileID(file)) },
 		Obs:   rec,
+		Now:   fac.Locks().Clock(),
 	})
 	if err != nil {
 		return fail(err)

@@ -14,8 +14,10 @@ import (
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/metrics"
+	"repro/internal/polltest"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
+	"repro/internal/simclock"
 )
 
 func listen(t *testing.T) net.Listener {
@@ -147,7 +149,8 @@ func TestFailoverPair(t *testing.T) {
 	const replTTL = 100 * time.Millisecond
 	pLn, bLn := listen(t), listen(t)
 	m := cluster.Map{Version: 1, Endpoints: []string{pLn.Addr().String()}, Backups: []string{bLn.Addr().String()}}
-	backup, err := Start(Config{Map: m, Role: cluster.RoleBackup, ReplTTL: replTTL, Listener: bLn})
+	clk := simclock.New() // the backup's watchdog runs on it
+	backup, err := Start(Config{Facility: core.Config{Clock: clk}, Map: m, Role: cluster.RoleBackup, ReplTTL: replTTL, Listener: bLn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +171,9 @@ func TestFailoverPair(t *testing.T) {
 	if err := primary.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); backup.Service.Role() != cluster.RolePrimary; {
-		if time.Now().After(deadline) {
-			t.Fatalf("backup never promoted (role %v)", backup.Service.Role())
-		}
-		time.Sleep(time.Millisecond)
+	clk.Advance(2 * replTTL) // the watchdog ticks past a full TTL of silence
+	if got := backup.Service.Role(); got != cluster.RolePrimary {
+		t.Fatalf("backup never promoted (role %v)", got)
 	}
 	if got, err := cl.Files.ReadAt(id, 0, len(data)); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read through the promoted backup: %d bytes, %v", len(got), err)
@@ -230,12 +231,8 @@ func TestReplicatedWriteWaitsForItsShip(t *testing.T) {
 	// backup from the map.
 	inj.Arm(cluster.PtReplShip, fault.Action{Kind: fault.KindError})
 	write([]byte("severs the stream"))
-	for deadline := time.Now().Add(5 * time.Second); primary.Service.Map().Backup(0) != ""; {
-		if time.Now().After(deadline) {
-			t.Fatal("primary never dropped its backup after a failed ship")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	polltest.Until(t, "the primary to drop its backup after a failed ship",
+		func() bool { return primary.Service.Map().Backup(0) == "" })
 	inj.Arm(cluster.PtReplShip, fault.Action{Kind: fault.KindDelay, Delay: stall, Times: -1})
 	solo := []byte("acknowledged solo")
 	if took := write(solo); took >= stall {
@@ -341,13 +338,10 @@ func TestCloseReleasesEverything(t *testing.T) {
 		t.Fatalf("port not released: %v", err)
 	}
 	_ = again.Close()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines before Start, %d after Close:\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
+	if !polltest.Eventually(func() bool { return runtime.NumGoroutine() <= before }) {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before Start, %d after Close:\n%s",
+			before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/diskservice"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/polltest"
 	"repro/internal/stable"
 )
 
@@ -467,16 +468,13 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	inj.Arm(PtRebuildBeforePut, fault.Action{Kind: fault.KindDelay, Delay: 2 * time.Millisecond, Times: -1})
 	rebuildErr := make(chan error, 1)
 	go func() { rebuildErr <- a.Rebuild() }()
-	for {
+	polltest.Until(t, "the rebuild to start", func() bool {
 		done, total := a.RebuildProgress()
-		if done > 0 && done < total {
-			break
-		}
 		if done >= total {
 			t.Fatal("rebuild finished before the second failure could land")
 		}
-		time.Sleep(time.Millisecond)
-	}
+		return done > 0
+	})
 
 	// Concurrent readers race the failure; each read must either succeed
 	// with correct bytes or fail cleanly.

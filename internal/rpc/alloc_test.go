@@ -73,11 +73,7 @@ func TestMuxRoundTripAllocBudget(t *testing.T) {
 	}, WithoutDupCache())
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String(), WithIOTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv, WithIOTimeout(5*time.Second))
 	c := NewClient(tr, 9, 3, nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		out, err := c.Call(context.Background(), "echo", payload)

@@ -19,11 +19,7 @@ func TestMuxConcurrentSendsOneConnection(t *testing.T) {
 	ep := NewEndpoint(h.handle, WithWindow(4096))
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv)
 
 	const goroutines, calls = 32, 25
 	var wg sync.WaitGroup
@@ -75,11 +71,7 @@ func TestMuxStressWithInjectedFaults(t *testing.T) {
 	inj := fault.NewInjector(1)
 	srv := Serve(listen(t), ep, WithInjector(inj), WithWorkers(16))
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String(), WithIOTimeout(80*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv, WithIOTimeout(80*time.Millisecond))
 
 	const goroutines, calls = 24, 20
 	run := func(prefix string) {
@@ -154,11 +146,7 @@ func TestMuxAttemptDeadlineExpiresAlone(t *testing.T) {
 	}, WithWindow(64))
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -202,11 +190,7 @@ func TestMuxExpiredBodyRecycleRace(t *testing.T) {
 	}, WithWindow(4096))
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv)
 
 	const goroutines, iters = 16, 120
 	var wg sync.WaitGroup

@@ -128,11 +128,7 @@ func TestPushIgnoredWithoutHandler(t *testing.T) {
 	}
 	srv := Serve(ln, ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv)
 	cl := NewClient(tr, 8, 3, nil)
 	for i := 0; i < 4; i++ {
 		if _, err := cl.Call(context.Background(), "poke", []byte("x")); err != nil {
@@ -155,11 +151,7 @@ func TestConnDownHookFires(t *testing.T) {
 	}
 	srv := Serve(ln, ep)
 	down := make(chan error, 4)
-	tr, err := DialTCP(srv.Addr().String(), WithConnDown(func(err error) { down <- err }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv, WithConnDown(func(err error) { down <- err }))
 	cl := NewClient(tr, 9, 1, nil)
 	if _, err := cl.Call(context.Background(), "ping", nil); err != nil {
 		t.Fatal(err)

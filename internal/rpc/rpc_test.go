@@ -278,11 +278,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	srv := Serve(ln, ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv)
 	c := NewClient(tr, 42, 3, nil)
 	got, err := c.Call(context.Background(), "ping", []byte("net"))
 	if err != nil || string(got) != "echo:net" {
@@ -302,11 +298,7 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(ln, ep)
-	tr, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +409,7 @@ func TestTCPServerReadTimeout(t *testing.T) {
 		t.Fatal("server kept a silent connection open past its read deadline")
 	}
 	// A well-behaved client still works against the same server.
-	tr, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv)
 	c := NewClient(tr, 7, 3, nil)
 	if got, err := c.Call(context.Background(), "ping", []byte("x")); err != nil || string(got) != "echo:x" {
 		t.Fatalf("call after timeout eviction = %q, %v", got, err)

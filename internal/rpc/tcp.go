@@ -246,9 +246,7 @@ func (s *TCPServer) dropped() bool {
 	if err := inj.Err(PtTCPServe); err != nil {
 		return true
 	}
-	if d := inj.Delay(PtTCPServe); d > 0 {
-		time.Sleep(d)
-	}
+	inj.Hit(PtTCPServe)
 	return false
 }
 

@@ -86,11 +86,7 @@ func TestMuxRoundTripAllocBudgetTracingDisabled(t *testing.T) {
 	}, WithoutDupCache())
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String(), WithIOTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv, WithIOTimeout(5*time.Second))
 	c := NewClient(tr, 9, 3, nil)
 	// A bare context: tracing disabled, the untraced budget.
 	ctx := context.Background()
@@ -122,11 +118,7 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}, WithObs(serverRec), WithoutDupCache())
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String(), WithIOTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
+	tr := dial(t, srv, WithIOTimeout(5*time.Second))
 	c := NewClient(tr, 9, 3, nil)
 
 	clientRec := obs.New(obs.WithSampleRate(1))

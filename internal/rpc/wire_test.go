@@ -21,6 +21,17 @@ func listen(t testing.TB) net.Listener {
 	return ln
 }
 
+// dial connects to srv and closes the connection when the test ends.
+func dial(t testing.TB, srv *TCPServer, opts ...TCPOption) *TCPTransport {
+	t.Helper()
+	tr, err := DialTCP(srv.Addr().String(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	return tr
+}
+
 // encodeFrames renders frames to a byte stream via the production writers.
 func encodeRequestFrame(t *testing.T, id uint64, req Request) []byte {
 	t.Helper()

@@ -3,11 +3,10 @@ package rpcfs_test
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/fit"
 	"repro/internal/naming"
-	"repro/internal/rpc"
+	"repro/internal/polltest"
 )
 
 // TestFreeListBalance is the buffer-leak regression gate for the client call
@@ -29,41 +28,7 @@ func TestFreeListBalance(t *testing.T) {
 
 	// The server worker recycles a request body slightly after the client
 	// sees the response, so sample until the ledger stops moving.
-	settle := func() int64 {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		gets, puts := rpc.BufferBalance()
-		last := gets - puts
-		stable := 0
-		for stable < 5 {
-			time.Sleep(2 * time.Millisecond)
-			gets, puts = rpc.BufferBalance()
-			if d := gets - puts; d != last {
-				last, stable = d, 0
-			} else {
-				stable++
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("buffer ledger never settled (gets-puts = %d)", last)
-			}
-		}
-		return last
-	}
-	waitBalance := func(want int64, what string) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			gets, puts := rpc.BufferBalance()
-			if gets-puts == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: pooled buffers out of balance: gets-puts = %d, want %d", what, gets-puts, want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	base := settle()
+	base := polltest.SettledBuffers(t)
 
 	// A mix of successful and failing calls that must all balance exactly.
 	for i := 0; i < 20; i++ {
@@ -89,7 +54,7 @@ func TestFreeListBalance(t *testing.T) {
 			t.Fatal("duplicate register succeeded")
 		}
 	}
-	waitBalance(base, "after mixed success/error calls")
+	polltest.BuffersBalance(t, base, "after mixed success/error calls")
 
 	// Reads hand the caller its own copy and the frame back to the lists:
 	// nothing stays out, and what was returned survives the frame's reuse by
@@ -109,7 +74,7 @@ func TestFreeListBalance(t *testing.T) {
 		}
 		got = append(got, out)
 	}
-	waitBalance(base, "after reads")
+	polltest.BuffersBalance(t, base, "after reads")
 	for i, out := range got {
 		if !bytes.Equal(out, ramp[i:i+1024]) {
 			t.Fatalf("read %d changed after later reads reused its frame", i)

@@ -4,32 +4,54 @@
 // All disk-cost accounting in the repository runs on a Clock rather than the
 // wall clock: a simulated seek "takes" time by advancing the clock, so
 // benchmarks are fast, reproducible, and independent of host load. The same
-// Clock interface also drives lock-timeout logic in the transaction service,
-// which lets tests force deadlock-timeout expiry without sleeping.
+// Clock interface, timers included, drives every decision and wait made by
+// time — lock timeouts, leases, periodic sweeps, retry backoff — so a test
+// hands the owner a Virtual and calls Advance instead of sleeping.
 package simclock
 
 import (
+	"container/heap"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Clock is a source of virtual time.
+// Clock is a source of time with timers: the one clock type of everything
+// that decides or waits by time.
 //
 // Implementations must be safe for concurrent use.
 type Clock interface {
-	// Now returns the current virtual time.
+	// Now returns the current time.
 	Now() time.Duration
-	// Advance moves the clock forward by d and returns the new time.
-	// Advance panics if d is negative.
-	Advance(d time.Duration) time.Duration
+	// AfterFunc calls f once the clock has moved d past Now. stop cancels
+	// the call and reports whether it did; once f has started, stop
+	// returns false and does not wait for it.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
 
-// Virtual is a purely virtual clock: time moves only when Advance is called.
-// The zero value is ready to use and starts at 0.
+// Or returns c, or a fresh Wall when c is nil: an owner's zero clock means
+// wall time.
+func Or(c Clock) Clock {
+	if c == nil {
+		return &Wall{}
+	}
+	return c
+}
+
+// Virtual is the manual clock: time moves only when Advance is called, and
+// Advance runs every timer due by the new instant, in time order, on the
+// calling goroutine, before it returns. A timer runs with Now reading its
+// due instant, so a timer that re-arms itself lands on the same grid. The
+// zero value is ready to use and starts at 0.
 type Virtual struct {
 	mu  sync.Mutex
 	now time.Duration
+	// end is what every Advance so far adds up to. now catches up with it
+	// once the timers due by it have run.
+	end    time.Duration
+	timers timerHeap
+	seq    uint64     // arming order: equal due instants fire first-armed first
+	armed  *sync.Cond // broadcast on every arming, for WaitTimers; nil until used
 }
 
 // New returns a new virtual clock starting at zero.
@@ -44,24 +66,110 @@ func (c *Virtual) Now() time.Duration {
 	return c.now
 }
 
-// Advance moves the clock forward by d and returns the new time.
+// Advance moves the clock forward by d, runs the timers due by the new
+// instant, and returns the new time. It panics if d is negative. With no
+// timer armed it costs one uncontended lock.
 func (c *Virtual) Advance(d time.Duration) time.Duration {
 	if d < 0 {
 		panic("simclock: negative advance")
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	return c.now
+	c.end += d
+	for len(c.timers) > 0 && c.timers[0].due <= c.end {
+		t := heap.Pop(&c.timers).(*vtimer)
+		if t.due > c.now {
+			c.now = t.due
+		}
+		c.mu.Unlock()
+		t.f()
+		c.mu.Lock()
+	}
+	if c.end > c.now {
+		c.now = c.end
+	}
+	now := c.now
+	c.mu.Unlock()
+	return now
 }
 
-// OpClock is a Clock whose users can bracket each charged operation, so an
-// overlap-aware accounting layer (Group) can tell concurrent operations from
-// sequential ones. BeginOp(cost) charges cost virtual time to the clock at
-// the start of the operation; EndOp marks its completion. Advance(d) is
-// equivalent to BeginOp(d) immediately followed by EndOp.
+// AfterFunc arms f to run inside the Advance that reaches Now()+d.
+func (c *Virtual) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	c.mu.Lock()
+	c.seq++
+	t := &vtimer{due: c.now + d, seq: c.seq, f: f}
+	heap.Push(&c.timers, t)
+	if c.armed != nil {
+		c.armed.Broadcast()
+	}
+	c.mu.Unlock()
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if t.index < 0 {
+			return false
+		}
+		heap.Remove(&c.timers, t.index)
+		return true
+	}
+}
+
+// WaitTimers blocks until at least n timers are armed: a test calls it to
+// know that the goroutine it started is parked on the clock before it calls
+// Advance.
+func (c *Virtual) WaitTimers(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		c.armed = sync.NewCond(&c.mu)
+	}
+	for len(c.timers) < n {
+		c.armed.Wait()
+	}
+}
+
+// vtimer is one armed Virtual timer; index is its heap slot, -1 once it
+// fired or was stopped.
+type vtimer struct {
+	due   time.Duration
+	seq   uint64
+	f     func()
+	index int
+}
+
+// timerHeap orders armed timers by due instant, then arming order.
+type timerHeap []*vtimer
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
+	return h[i].due < h[j].due || (h[i].due == h[j].due && h[i].seq < h[j].seq)
+}
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *timerHeap) Push(x any) {
+	t := x.(*vtimer)
+	t.index = len(*h)
+	*h = append(*h, t)
+}
+func (h *timerHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	t.index = -1
+	return t
+}
+
+// OpClock is a device clock: it accumulates charged access time, and its
+// users bracket each charged operation so an overlap-aware accounting layer
+// (Group) can tell concurrent operations from sequential ones. BeginOp(cost)
+// charges cost virtual time at the start of the operation; EndOp marks its
+// completion. Advance(d) is BeginOp(d) immediately followed by EndOp. Nothing
+// waits on a device clock, so it has no timers.
 type OpClock interface {
-	Clock
+	Now() time.Duration
+	Advance(d time.Duration) time.Duration
 	BeginOp(cost time.Duration)
 	EndOp()
 }
@@ -203,10 +311,9 @@ func (m *Member) Advance(d time.Duration) time.Duration {
 	return m.Now()
 }
 
-// Wall is a Clock backed by the real monotonic clock. Advance on a Wall
-// clock is a no-op apart from returning Now, which makes it suitable for
-// running the same code against real time (e.g. in the TCP server where
-// simulated time is meaningless).
+// Wall is a Clock backed by the real monotonic clock and the runtime's
+// timers, for running the same code against real time (e.g. in the TCP
+// server, where simulated time is meaningless).
 type Wall struct {
 	start time.Time
 	once  sync.Once
@@ -222,5 +329,7 @@ func (c *Wall) Now() time.Duration {
 	return time.Since(c.start)
 }
 
-// Advance returns the current wall time; real time cannot be advanced.
-func (c *Wall) Advance(time.Duration) time.Duration { return c.Now() }
+// AfterFunc runs f on its own goroutine after d of wall time.
+func (c *Wall) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	return time.AfterFunc(d, f).Stop
+}

@@ -69,9 +69,6 @@ func TestWallMonotonic(t *testing.T) {
 	if b < a {
 		t.Fatalf("wall clock went backwards: %v then %v", a, b)
 	}
-	if got := c.Advance(time.Hour); got < b {
-		t.Fatalf("Advance returned %v, want >= %v", got, b)
-	}
 }
 
 func TestGroupSequentialSums(t *testing.T) {
@@ -145,7 +142,7 @@ func TestGroupBeginEndOpWindow(t *testing.T) {
 
 func TestGroupMemberImplementsClock(t *testing.T) {
 	g := NewGroup()
-	var c Clock = g.NewMember()
+	var c OpClock = g.NewMember()
 	if got := c.Advance(time.Millisecond); got != time.Millisecond {
 		t.Fatalf("Advance returned %v, want 1ms", got)
 	}

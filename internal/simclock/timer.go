@@ -6,53 +6,78 @@ import (
 	"time"
 )
 
-// Every calls fn on its own goroutine every d of wall time until fn returns
-// false or stop is called. The first call comes one period after Every
-// returns, as with time.NewTicker, and a call that overruns the period drops
-// the ticks it missed rather than queueing them.
+// Every calls fn every d on clock c until fn returns false or stop is
+// called. The first call comes one period after Every returns, as with
+// time.NewTicker, and a call that overruns the period drops the ticks it
+// missed rather than queueing them. Calls never overlap: each runs on the
+// goroutine that fires the clock's timer (the runtime's on a Wall, the
+// Advance caller's on a Virtual).
 //
 // stop is idempotent and safe to call from several goroutines at once; it
-// returns only once the goroutine has exited, so no call of fn starts after
-// it returns. fn must not call stop: stop waits for fn's goroutine, which is
-// the one calling it. Every panics if d is not positive.
-func Every(d time.Duration, fn func() bool) (stop func()) {
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	t := time.NewTicker(d)
-	go func() {
-		defer close(done)
-		defer t.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-t.C:
-			}
-			if !fn() {
-				return
-			}
+// returns only once no call of fn is running, and none starts after it
+// returns. fn must not call stop: stop waits for fn, which is the one
+// calling it. Every panics if d is not positive.
+func Every(c Clock, d time.Duration, fn func() bool) (stop func()) {
+	if d <= 0 {
+		panic("simclock: non-positive period")
+	}
+	var (
+		run    sync.Mutex // held while fn runs
+		mu     sync.Mutex // guards done and cancel
+		done   bool
+		cancel func() bool
+		next   = c.Now() + d
+		tick   func()
+	)
+	tick = func() {
+		run.Lock()
+		defer run.Unlock()
+		mu.Lock()
+		stopped := done
+		mu.Unlock()
+		if stopped {
+			return
 		}
-	}()
-	var once sync.Once
+		more := fn()
+		now := c.Now()
+		for next <= now {
+			next += d
+		}
+		mu.Lock()
+		if !more {
+			done = true
+		} else if !done {
+			cancel = c.AfterFunc(next-now, tick)
+		}
+		mu.Unlock()
+	}
+	mu.Lock()
+	cancel = c.AfterFunc(d, tick)
+	mu.Unlock()
 	return func() {
-		once.Do(func() { close(quit) })
-		<-done
+		mu.Lock()
+		done = true
+		cancel()
+		mu.Unlock()
+		run.Lock() // waits out a call of fn in flight
+		run.Unlock()
 	}
 }
 
-// Backoff is an exponential wait between retries: the first Wait sleeps
-// Min, and each Wait doubles the next one while it is still below Max. The
-// last doubling may pass Max, and the wait then stays there: Min 5 ms, Max
-// 100 ms sleeps 5, 10, 20, 40, 80, 160, 160, … ms. A Backoff literal starts
-// at Min; it belongs to one retry loop and is not safe for concurrent use.
+// Backoff is an exponential wait between retries on Clock (nil: wall time):
+// the first Wait waits Min, and each Wait doubles the next one while it is
+// still below Max. The last doubling may pass Max, and the wait then stays
+// there: Min 5 ms, Max 100 ms waits 5, 10, 20, 40, 80, 160, 160, … ms. A
+// Backoff literal starts at Min; it belongs to one retry loop and is not
+// safe for concurrent use.
 type Backoff struct {
+	Clock    Clock
 	Min, Max time.Duration
 	next     time.Duration
 }
 
-// Wait sleeps the current wait and doubles the next one. It returns
-// ctx.Err() as soon as ctx is done, without finishing the sleep; a context
-// that can never be done (context.Background) costs no timer.
+// Wait waits the current wait and doubles the next one. It returns
+// ctx.Err() as soon as ctx is done, without finishing the wait.
 func (b *Backoff) Wait(ctx context.Context) error {
 	if b.next == 0 {
 		b.next = b.Min
@@ -61,16 +86,13 @@ func (b *Backoff) Wait(ctx context.Context) error {
 	if b.next < b.Max {
 		b.next *= 2
 	}
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	fired := make(chan struct{})
+	stop := Or(b.Clock).AfterFunc(d, func() { close(fired) })
 	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
+	case <-fired:
 		return nil
+	case <-ctx.Done():
+		stop()
+		return ctx.Err()
 	}
 }

@@ -9,78 +9,100 @@ import (
 	"time"
 )
 
-// waitFor polls cond until it holds or a generous deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+func TestVirtualTimersFireInTimeOrder(t *testing.T) {
+	c := New()
+	got := ""
+	c.AfterFunc(30*time.Millisecond, func() { got += "c" })
+	first := c.AfterFunc(10*time.Millisecond, func() {
+		got += "a"
+		if now := c.Now(); now != 10*time.Millisecond {
+			t.Errorf("timer ran at Now() = %v, want its due instant 10ms", now)
 		}
-		time.Sleep(time.Millisecond)
+		// Re-armed from inside Advance, due at 15 ms: still fires in this Advance.
+		c.AfterFunc(5*time.Millisecond, func() { got += "b" })
+	})
+	stopped := c.AfterFunc(20*time.Millisecond, func() { got += "x" })
+	if !stopped() || stopped() {
+		t.Fatal("stop of an armed timer must report true once, then false")
+	}
+	c.AfterFunc(40*time.Millisecond, func() { got += "d" })
+	if now := c.Advance(35 * time.Millisecond); now != 35*time.Millisecond || got != "abc" {
+		t.Fatalf("Advance to %v fired %q, want 35ms and abc", now, got)
+	}
+	if first() {
+		t.Fatal("stop after the timer fired reported true")
+	}
+	if c.Advance(5 * time.Millisecond); got != "abcd" {
+		t.Fatalf("fired %q by 40ms, want abcd", got)
 	}
 }
 
-func TestEveryNoCallAfterStop(t *testing.T) {
-	var calls atomic.Int64
-	var stopped atomic.Bool
-	stop := Every(time.Millisecond, func() bool {
-		if stopped.Load() {
-			t.Error("fn called after stop returned")
-		}
-		calls.Add(1)
-		return true
+// every starts a loop on a fresh virtual clock that records the instant of
+// each call and returns more(call count).
+func every(d time.Duration, more func(int) bool) (c *Virtual, at *[]time.Duration, stop func()) {
+	c, at = New(), new([]time.Duration)
+	stop = Every(c, d, func() bool {
+		*at = append(*at, c.Now())
+		return more(len(*at))
 	})
-	waitFor(t, "three calls", func() bool { return calls.Load() >= 3 })
+	return c, at, stop
+}
+
+func always(int) bool { return true }
+
+func TestEveryNoCallAfterStop(t *testing.T) {
+	c, at, stop := every(time.Millisecond, always)
+	c.Advance(3 * time.Millisecond)
 	stop()
-	stopped.Store(true)
-	n := calls.Load()
-	time.Sleep(20 * time.Millisecond)
-	if got := calls.Load(); got != n {
-		t.Fatalf("calls went %d -> %d after stop", n, got)
+	stop()
+	c.Advance(10 * time.Millisecond)
+	if len(*at) != 3 {
+		t.Fatalf("%d calls, want 3: none after stop", len(*at))
 	}
 }
 
 func TestEveryFirstCallAfterOnePeriod(t *testing.T) {
 	const period = 50 * time.Millisecond
-	first := make(chan time.Duration, 1)
-	start := time.Now()
-	stop := Every(period, func() bool {
-		first <- time.Since(start)
-		return false
+	c, at, stop := every(period, always)
+	defer stop()
+	c.Advance(period - 1)
+	if len(*at) != 0 {
+		t.Fatalf("called at %v, before one period", *at)
+	}
+	c.Advance(period + period/2 + 1)
+	if len(*at) != 2 || (*at)[0] != period || (*at)[1] != 2*period {
+		t.Fatalf("called at %v, want [%v %v]", *at, period, 2*period)
+	}
+}
+
+func TestEveryOverrunDropsMissedTicks(t *testing.T) {
+	var c *Virtual // assigned by every before the first call
+	c, at, stop := every(10*time.Millisecond, func(n int) bool {
+		if n == 1 {
+			c.Advance(25 * time.Millisecond) // the first call overruns two ticks
+		}
+		return true
 	})
 	defer stop()
-	if d := <-first; d < period {
-		t.Fatalf("first call after %v, want at least one period (%v)", d, period)
+	c.Advance(10 * time.Millisecond) // to 35 ms with the overrun
+	c.Advance(10 * time.Millisecond)
+	if len(*at) != 2 || (*at)[1] != 40*time.Millisecond {
+		t.Fatalf("called at %v, want [10ms 40ms]: the ticks at 20 and 30 ms are dropped", *at)
 	}
 }
 
 func TestEveryFalseEndsLoop(t *testing.T) {
-	var calls atomic.Int64
-	stop := Every(time.Millisecond, func() bool {
-		calls.Add(1)
-		return false
-	})
-	waitFor(t, "the first call", func() bool { return calls.Load() >= 1 })
-	time.Sleep(20 * time.Millisecond)
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn called %d times after returning false, want 1", got)
+	c, at, stop := every(time.Millisecond, func(int) bool { return false })
+	c.Advance(20 * time.Millisecond)
+	if len(*at) != 1 {
+		t.Fatalf("fn called %d times after returning false, want 1", len(*at))
 	}
-	returned := make(chan struct{})
-	go func() {
-		stop()
-		close(returned)
-	}()
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stop hung after the loop ended on its own")
-	}
+	stop() // returns at once: the loop already ended
 }
 
 func TestEveryConcurrentStop(t *testing.T) {
 	for round := 0; round < 200; round++ {
-		stop := Every(time.Hour, func() bool { return true })
+		_, _, stop := every(time.Hour, always)
 		var wg sync.WaitGroup
 		gate := make(chan struct{})
 		for i := 0; i < 8; i++ {
@@ -105,46 +127,71 @@ func TestEveryConcurrentStop(t *testing.T) {
 	}
 }
 
+// TestEveryOnWall runs the loop on the runtime's timers: it ticks, and no call
+// starts after stop returns.
+func TestEveryOnWall(t *testing.T) {
+	ticks := make(chan struct{}, 3) // the three ticks read below
+	var stopped atomic.Bool
+	stop := Every(&Wall{}, time.Millisecond, func() bool {
+		if stopped.Load() {
+			t.Error("fn called after stop returned")
+		}
+		select {
+		case ticks <- struct{}{}:
+		default:
+		}
+		return true
+	})
+	for i := 0; i < 3; i++ {
+		<-ticks
+	}
+	stop()
+	stopped.Store(true)
+}
+
 func TestBackoffDoublesToItsCap(t *testing.T) {
-	b := Backoff{Min: time.Microsecond, Max: 20 * time.Microsecond}
+	c := New()
+	b := Backoff{Clock: c, Min: time.Microsecond, Max: 20 * time.Microsecond}
 	// The doubling stops once the wait reaches or passes Max: 16 µs is
 	// still below 20 µs, so the wait settles at 32 µs.
-	want := []time.Duration{1, 2, 4, 8, 16, 32, 32, 32}
-	for i, w := range want {
-		if b.next != 0 && b.next != w*time.Microsecond {
-			t.Fatalf("wait %d = %v, want %v", i, b.next, w*time.Microsecond)
+	for i, w := range []time.Duration{1, 2, 4, 8, 16, 32, 32, 32} {
+		done := make(chan error, 1)
+		go func() { done <- b.Wait(context.Background()) }()
+		c.WaitTimers(1)
+		c.Advance(w*time.Microsecond - 1)
+		select {
+		case <-done:
+			t.Fatalf("wait %d returned before %v", i, w*time.Microsecond)
+		default:
 		}
-		if err := b.Wait(context.Background()); err != nil {
+		c.Advance(1)
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-	if b.next != 32*time.Microsecond {
-		t.Fatalf("settled wait = %v, want 32µs", b.next)
 	}
 }
 
 func TestBackoffReturnsOnCancel(t *testing.T) {
+	c := New()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b := Backoff{Min: time.Hour, Max: time.Hour}
+	b := Backoff{Clock: c, Min: time.Hour, Max: time.Hour}
 	if err := b.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait on a cancelled context = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() {
-		b := Backoff{Min: time.Hour, Max: time.Hour}
-		errc <- b.Wait(ctx)
-	}()
-	time.Sleep(5 * time.Millisecond)
+	go func() { errc <- b.Wait(ctx) }()
+	c.WaitTimers(1)
 	cancel()
 	select {
 	case err := <-errc:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Wait cancelled mid-sleep = %v, want context.Canceled", err)
+			t.Fatalf("Wait cancelled mid-wait = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait did not return after cancel")
 	}
+	c.Advance(2 * time.Hour) // the cancelled wait's timer is gone
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/diskservice"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
+	"repro/internal/lock"
 	"repro/internal/stable"
 	"repro/internal/wal"
 )
@@ -49,11 +50,12 @@ func benchRig(b *testing.B) *Service {
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc, err := New(Config{Files: fs, Log: log})
+	locks := lock.New(lock.Config{})
+	b.Cleanup(locks.Close)
+	svc, err := New(Config{Files: fs, Log: log, Locks: locks})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(svc.Close)
 	return svc
 }
 

@@ -74,7 +74,7 @@ func TestAdaptiveDefaultLockLevel(t *testing.T) {
 // to end: two transactions lock one file at different granularities, with
 // byte-range conflicts honoured.
 func TestMixedLevelsThroughTxnService(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.AllowMixedLevels = true })
+	r := newRig(t, withLocks(lock.Config{LT: 50 * time.Millisecond, MaxRenewals: 3, AllowMixedLevels: true}))
 	id, fid := r.beginWithFile(fit.LockRecord)
 	if _, err := r.svc.PWrite(id, fid, 0, make([]byte, 3*8192)); err != nil {
 		t.Fatal(err)
@@ -123,11 +123,7 @@ func TestMixedLevelsThroughTxnService(t *testing.T) {
 // TestMixedLevelsConflictAcrossGranularities: a page lock must block a
 // record write inside that page when the relaxation is on.
 func TestMixedLevelsConflictAcrossGranularities(t *testing.T) {
-	r := newRig(t, func(c *Config) {
-		c.AllowMixedLevels = true
-		c.LT = 30 * time.Millisecond
-		c.MaxRenewals = 1
-	})
+	r := newRig(t, withLocks(lock.Config{LT: 30 * time.Millisecond, MaxRenewals: 1, AllowMixedLevels: true}))
 	stopSweep := r.svc.Locks().StartSweeper(10 * time.Millisecond)
 	defer stopSweep()
 	id, fid := r.beginWithFile(fit.LockPage)

@@ -303,14 +303,15 @@ func (g *groupCommit) linger(b *gcBatch) {
 	if g.maxDelay <= 0 || b.size >= g.maxBatch {
 		return
 	}
-	deadline := time.Now().Add(g.maxDelay)
-	timer := time.AfterFunc(g.maxDelay, func() {
+	expired := false
+	stop := g.s.locks.Clock().AfterFunc(g.maxDelay, func() {
 		g.mu.Lock()
+		expired = true
 		g.idle.Broadcast()
 		g.mu.Unlock()
 	})
-	defer timer.Stop()
-	for b.size < g.maxBatch && !b.closed && time.Now().Before(deadline) {
+	defer stop()
+	for b.size < g.maxBatch && !b.closed && !expired {
 		g.idle.Wait()
 	}
 }

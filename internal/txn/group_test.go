@@ -11,7 +11,10 @@ import (
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/fit"
+	"repro/internal/lock"
 	"repro/internal/metrics"
+	"repro/internal/polltest"
+	"repro/internal/simclock"
 	"repro/internal/stable"
 )
 
@@ -245,18 +248,11 @@ func TestGroupSyncFailureFailsAllPendingBatches(t *testing.T) {
 	}
 	waitGC := func(what string, cond func() bool) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); ; {
+		polltest.Until(t, what, func() bool {
 			r.svc.gc.mu.Lock()
-			ok := cond()
-			r.svc.gc.mu.Unlock()
-			if ok {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
+			defer r.svc.gc.mu.Unlock()
+			return cond()
+		})
 	}
 
 	commit(0)
@@ -335,5 +331,31 @@ func TestCommitLargerThanLogAborts(t *testing.T) {
 	got, err := r.fs.ReadAt(fid2, 0, len(want))
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("post-abort commit: %q, %v; want %q", got, err, want)
+	}
+}
+
+// TestLingerWaitsOnTheLockClock: a leader whose batch is below MaxBatch
+// holds it open MaxDelay on the lock manager's clock, then syncs it alone.
+func TestLingerWaitsOnTheLockClock(t *testing.T) {
+	clk := simclock.New()
+	r := newRig(t, withLocks(lock.Config{Clock: clk}), func(c *Config) {
+		c.Group = GroupCommitConfig{MaxBatch: 4, MaxDelay: time.Second}
+	})
+	id, fid := r.beginWithFile(fit.LockRecord)
+	if _, err := r.svc.PWrite(id, fid, 0, []byte("lingered")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- r.svc.End(id) }()
+	clk.WaitTimers(1)
+	clk.Advance(time.Second - 1)
+	select {
+	case err := <-done:
+		t.Fatalf("commit returned (%v) inside its linger", err)
+	default:
+	}
+	clk.Advance(1)
+	if err := polltest.Recv(t, done, "the commit after its linger"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/diskservice"
 	"repro/internal/fault"
@@ -53,7 +52,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/simclock"
 	"repro/internal/wal"
 )
 
@@ -98,14 +96,9 @@ type Config struct {
 	Files *fileservice.Service
 	// Log is the write-ahead log on stable storage. Required.
 	Log *wal.Log
-	// Locks is the lock manager; one is created from LT/MaxRenewals/Clock if
-	// nil.
+	// Locks is the lock manager (§6). Required. Its clock also times the
+	// group-commit linger.
 	Locks *lock.Manager
-	// LT and MaxRenewals configure the created lock manager (§6.4).
-	LT          time.Duration
-	MaxRenewals int
-	// Clock supplies time for lock timeouts.
-	Clock simclock.Clock
 	// Metrics receives transaction counters. Optional.
 	Metrics *metrics.Set
 	// AdaptiveDefault, when set, picks the default lock level from how
@@ -114,9 +107,6 @@ type Config struct {
 	// opened often default to record level (maximize concurrency), rarely
 	// used ones to file level (minimize lock overhead), the rest to page.
 	AdaptiveDefault bool
-	// AllowMixedLevels is forwarded to a lock manager the service creates
-	// itself (§6.1's deferred relaxation).
-	AllowMixedLevels bool
 	// ForceTechnique, when nonzero, overrides the §6.7 contiguity rule and
 	// commits every page intention with the given technique (ablation E8).
 	ForceTechnique intentions.Technique
@@ -174,7 +164,6 @@ type Service struct {
 	fs       *fileservice.Service
 	log      *wal.Log
 	locks    *lock.Manager
-	ownLocks bool
 	met      *metrics.Set
 	adaptive bool
 	force    intentions.Technique
@@ -212,9 +201,13 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Log == nil {
 		return nil, errors.New("txn: nil log")
 	}
+	if cfg.Locks == nil {
+		return nil, errors.New("txn: nil lock manager")
+	}
 	s := &Service{
 		fs:          cfg.Files,
 		log:         cfg.Log,
+		locks:       cfg.Locks,
 		met:         cfg.Metrics,
 		adaptive:    cfg.AdaptiveDefault,
 		force:       cfg.ForceTechnique,
@@ -225,32 +218,12 @@ func New(cfg Config) (*Service, error) {
 		openFreq:    make(map[FileID]int),
 		uncommitted: make(map[FileID]TxnID),
 	}
-	if cfg.Locks != nil {
-		s.locks = cfg.Locks
-	} else {
-		clk := cfg.Clock
-		if clk == nil {
-			clk = &simclock.Wall{}
-		}
-		s.locks = lock.New(lock.Config{
-			Clock: clk, LT: cfg.LT, MaxRenewals: cfg.MaxRenewals, Metrics: cfg.Metrics,
-			AllowMixedLevels: cfg.AllowMixedLevels, Obs: cfg.Obs,
-		})
-		s.ownLocks = true
-	}
 	s.gc = newGroupCommit(s, cfg.Group)
 	return s, nil
 }
 
 // Locks exposes the lock manager (for sweepers and experiments).
 func (s *Service) Locks() *lock.Manager { return s.locks }
-
-// Close shuts down a lock manager the service created itself.
-func (s *Service) Close() {
-	if s.ownLocks {
-		s.locks.Close()
-	}
-}
 
 // Begin starts a transaction (tbegin) on behalf of process pid and returns
 // its transaction descriptor.

@@ -15,7 +15,9 @@ import (
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/intentions"
+	"repro/internal/lock"
 	"repro/internal/metrics"
+	"repro/internal/polltest"
 	"repro/internal/stable"
 	"repro/internal/wal"
 )
@@ -99,26 +101,35 @@ func newRig(t *testing.T, mutate ...func(*Config)) *rig {
 }
 
 func (r *rig) buildService(mutate ...func(*Config)) {
-	cfg := Config{
-		Files: r.fs, Log: r.log, Metrics: r.met,
-		LT: 50 * time.Millisecond, MaxRenewals: 3,
-	}
+	cfg := Config{Files: r.fs, Log: r.log, Metrics: r.met}
 	for _, m := range mutate {
 		m(&cfg)
+	}
+	if cfg.Locks == nil {
+		withLocks(lock.Config{LT: 50 * time.Millisecond, MaxRenewals: 3})(&cfg)
 	}
 	svc, err := New(cfg)
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.svc = svc
-	r.t.Cleanup(svc.Close)
+	r.t.Cleanup(cfg.Locks.Close)
+}
+
+// withLocks gives the service a lock manager built from lc, reporting to the
+// service's metric set.
+func withLocks(lc lock.Config) func(*Config) {
+	return func(c *Config) {
+		lc.Metrics = c.Metrics
+		c.Locks = lock.New(lc)
+	}
 }
 
 // crash simulates a machine crash and restart: volatile caches are lost, the
 // disks survive, and everything is remounted.
 func (r *rig) crash(mutate ...func(*Config)) {
 	r.t.Helper()
-	r.svc.Close()
+	r.svc.Locks().Close()
 	// Volatile state dies with the machine.
 	r.fs.InvalidateCaches()
 	// Remount the world from the surviving media.
@@ -346,6 +357,7 @@ func TestIsolationPageLevel(t *testing.T) {
 		data []byte
 		err  error
 	}, 1)
+	waits := r.met.Get(metrics.LockWaits)
 	go func() {
 		d, err := r.svc.PRead(rd, fid, 0, 4, false)
 		done <- struct {
@@ -353,21 +365,12 @@ func TestIsolationPageLevel(t *testing.T) {
 			err  error
 		}{d, err}
 	}()
-	select {
-	case res := <-done:
-		t.Fatalf("reader not blocked by writer's IWrite: %q, %v", res.data, res.err)
-	case <-time.After(30 * time.Millisecond):
-	}
+	polltest.Until(t, "the reader to wait on the writer's IWrite", func() bool { return r.met.Get(metrics.LockWaits) > waits })
 	if err := r.svc.End(w); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case res := <-done:
-		if res.err != nil || string(res.data) != "BBBB" {
-			t.Fatalf("reader after writer commit = %q, %v", res.data, res.err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reader still blocked after writer committed")
+	if res := polltest.Recv(t, done, "the reader after the commit"); res.err != nil || string(res.data) != "BBBB" {
+		t.Fatalf("reader after writer commit = %q, %v", res.data, res.err)
 	}
 	if err := r.svc.End(rd); err != nil {
 		t.Fatal(err)
@@ -628,7 +631,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 }
 
 func TestDeadlockResolvedByTimeout(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.LT = 20 * time.Millisecond; c.MaxRenewals = 2 })
+	r := newRig(t, withLocks(lock.Config{LT: 20 * time.Millisecond, MaxRenewals: 2}))
 	stopSweep := r.svc.Locks().StartSweeper(5 * time.Millisecond)
 	defer stopSweep()
 	// Two files, two txns, opposite acquisition order.
@@ -707,7 +710,7 @@ func TestDeadlockResolvedByTimeout(t *testing.T) {
 func TestSerializabilityBankTransfers(t *testing.T) {
 	// The classic invariant: concurrent transfers between accounts keep the
 	// total constant. Record-level locking on a single accounts file.
-	r := newRig(t, func(c *Config) { c.LT = 200 * time.Millisecond; c.MaxRenewals = 5 })
+	r := newRig(t, withLocks(lock.Config{LT: 200 * time.Millisecond, MaxRenewals: 5}))
 	stopSweep := r.svc.Locks().StartSweeper(20 * time.Millisecond)
 	defer stopSweep()
 	const accounts = 8
