@@ -115,7 +115,7 @@ func (s *Service) end(ctx context.Context, id TxnID) error {
 	// redo records until recovery.
 	_ = t.list.SetStatus(intentions.Committed)
 	s.fault.Hit(PtCommitAfterLog)
-	if err := s.applyIntentions(t); err != nil {
+	if err := s.apply(t, t.updates); err != nil {
 		// Redo will finish the job at recovery; report but do not abort.
 		return fmt.Errorf("txn: committed but application incomplete (recoverable): %w", err)
 	}
@@ -127,39 +127,55 @@ func (s *Service) end(ctx context.Context, id TxnID) error {
 	return nil
 }
 
-// writeCommitRecords appends the transaction's redo records and its commit
-// record. It does NOT sync: the group-commit coordinator (group.go) owns the
-// barrier, batching many transactions' records under one wal.Sync. On any
-// error (including wal.ErrLogFull) it returns immediately; the coordinator
-// rolls the partial append back and handles log-full recovery.
+// update is one entry of a committed transaction's redo list: one record
+// the commit logs, as writeCommitRecords built it or Recover read it back.
+// apply carries a list of them out, so what reaches the log and what the
+// commit makes permanent are the same thing.
+type update struct {
+	wal.Record
+	// seq is the intention the update carries out, for RemoveIntentions at
+	// commit; sizes, deletes and every update Recover reads back have none.
+	seq int
+	// image is a shadow swap's page image as the commit holds it; nil in
+	// Recover, which reads the staged copy back from stable storage.
+	image []byte
+	// done marks a record run already written with an earlier run of its
+	// file.
+	done bool
+}
+
+// writeCommitRecords builds the transaction's ordered update list — record
+// runs, logged pages and shadow swaps in intention order, then the
+// tentative sizes, then the deletes — appends it and the commit record to
+// the log, and keeps it in t.updates for apply. It does NOT sync: the
+// group-commit coordinator (group.go) owns the barrier, batching many
+// transactions' records under one wal.Sync. On any error (including
+// wal.ErrLogFull) it returns immediately; the coordinator rolls the partial
+// append back and handles log-full recovery.
 func (s *Service) writeCommitRecords(t *txnState) error {
 	recs := t.list.GetIntentions()
-	append1 := func(r wal.Record) error {
-		_, err := s.log.Append(r)
-		return err
+	t.mu.Lock()
+	ups := make([]update, len(recs), len(recs)+len(t.files)+len(t.deleted))
+	// File sizes, so page-mode growth survives recovery.
+	for fid, f := range t.files {
+		size := binary.BigEndian.AppendUint64(nil, uint64(f.size))
+		ups = append(ups, update{Record: wal.Record{File: uint64(fid), Disk: kindSize, Data: size}})
 	}
-	for _, rec := range recs {
+	for _, fid := range t.deleted {
+		ups = append(ups, update{Record: wal.Record{File: uint64(fid), Disk: kindDelete}})
+	}
+	t.mu.Unlock()
+	for i, rec := range recs {
+		u := &ups[i]
+		u.File, u.Data, u.seq = rec.File, rec.Data, rec.Seq
 		switch {
 		case rec.Kind == intentions.RecordKind:
-			if err := append1(wal.Record{
-				Type: wal.RecUpdate, Txn: uint64(t.id), File: rec.File,
-				Disk: kindRecord, Offset: uint32(rec.Offset), Data: rec.Data,
-			}); err != nil {
-				return err
-			}
+			u.Disk, u.Offset = kindRecord, uint32(rec.Offset)
 		case rec.Technique == intentions.ShadowPage:
 			// Shadow data is already staged on stable storage at the block's
 			// old address; log only the swap descriptor.
 			disk, addr, err := s.fs.BlockLocation(FileID(rec.File), rec.Block)
 			if err != nil {
-				return err
-			}
-			var payload [2]byte
-			binary.BigEndian.PutUint16(payload[:], disk)
-			if err := append1(wal.Record{
-				Type: wal.RecUpdate, Txn: uint64(t.id), File: rec.File,
-				Disk: kindShadow, Addr: uint32(rec.Block), Offset: addr, Data: payload[:],
-			}); err != nil {
 				return err
 			}
 			// Restage the final page image (intervening writes may have
@@ -169,129 +185,127 @@ func (s *Service) writeCommitRecords(t *txnState) error {
 			}); err != nil {
 				return err
 			}
+			u.Disk, u.Addr, u.Offset, u.image = kindShadow, uint32(rec.Block), addr, rec.Data
+			u.Data = binary.BigEndian.AppendUint16(nil, disk)
 		default: // page intention via WAL
-			if err := append1(wal.Record{
-				Type: wal.RecUpdate, Txn: uint64(t.id), File: rec.File,
-				Disk: kindPage, Addr: uint32(rec.Block), Data: rec.Data,
-			}); err != nil {
-				return err
-			}
+			u.Disk, u.Addr = kindPage, uint32(rec.Block)
 		}
 	}
-	// File sizes, so page-mode growth survives recovery.
-	t.mu.Lock()
-	type fsize struct {
-		fid  FileID
-		size int64
-	}
-	var sizes []fsize
-	for fid, f := range t.files {
-		sizes = append(sizes, fsize{fid, f.size})
-	}
-	t.mu.Unlock()
-	for _, fs := range sizes {
-		var payload [8]byte
-		binary.BigEndian.PutUint64(payload[:], uint64(fs.size))
-		if err := append1(wal.Record{
-			Type: wal.RecUpdate, Txn: uint64(t.id), File: uint64(fs.fid),
-			Disk: kindSize, Data: payload[:],
-		}); err != nil {
+	for i := range ups {
+		ups[i].Type, ups[i].Txn = wal.RecUpdate, uint64(t.id)
+		if _, err := s.log.Append(ups[i].Record); err != nil {
 			return err
 		}
 	}
-	return append1(wal.Record{Type: wal.RecCommit, Txn: uint64(t.id)})
+	t.updates = ups
+	_, err := s.log.Append(wal.Record{Type: wal.RecCommit, Txn: uint64(t.id)})
+	return err
 }
 
-// applyIntentions makes the committed changes permanent and deletes the
-// intention records (§6.7). A file's record intentions are carried out as a
-// unit: one fileservice.Service.WriteRuns call patches them all into the
-// cached blocks, flushes each block they touched once and writes the FIT at
-// most once. Page intentions keep their one-at-a-time path (the logged
-// image written through in place, or the shadow swap). PtCommitMidApply is
-// hit before each file's pass and before each page.
-func (s *Service) applyIntentions(t *txnState) error {
-	recs := t.list.GetIntentions()
+// apply carries out a committed transaction's updates in log order (§6.7):
+// at commit the list writeCommitRecords just logged, in Recover each
+// committed transaction's records read back from the log. A file's record
+// runs reach the file service as one WriteRuns call, which patches them
+// into the cached blocks, flushes each block they touched once and writes
+// the FIT at most once; the runs stop at a later page update of the same
+// file, which applies in its own turn. A logged page is written through; a
+// shadow swap moves the block's descriptor to a fresh copy of the image,
+// unless it already moved; a size update truncates when the size differs; a
+// delete removes the file. An update to a file deleted later in the log is
+// skipped. At commit (t non-nil) PtCommitMidApply is hit before each file's
+// pass and before each page, each carried-out intention is removed from the
+// list, and a deleted file's service-level open is released first.
+func (s *Service) apply(t *txnState, ups []update) error {
 	var runBuf [4]fileservice.Run // a record commit rewrites a record or two per file
 	var seqBuf [4]int
-	for i, rec := range recs {
-		if rec.Seq < 0 {
-			continue // carried out with an earlier record of its file
-		}
-		s.fault.Hit(PtCommitMidApply)
-		if rec.Kind != intentions.RecordKind {
-			if err := s.applyPage(rec); err != nil {
-				return err
-			}
-			t.list.RemoveIntentions(rec.Seq)
+	for i := range ups {
+		u := &ups[i]
+		if u.done {
 			continue
 		}
-		runs, seqs := runBuf[:0], seqBuf[:0]
-		for j := i; j < len(recs); j++ {
-			r := &recs[j]
-			if r.File != rec.File || r.Seq < 0 {
-				continue
-			}
-			if r.Kind != intentions.RecordKind {
-				break // a later page image of the file applies in its own turn
-			}
-			runs = append(runs, fileservice.Run{Off: r.Offset, Data: r.Data})
-			seqs = append(seqs, r.Seq)
-			r.Seq = -1
+		intention := t != nil && u.Disk <= kindShadow // one of the commit's intentions
+		if intention {
+			s.fault.Hit(PtCommitMidApply)
 		}
-		if _, err := s.fs.WriteRuns(context.Background(), FileID(rec.File), runs); err != nil {
+		fid := FileID(u.File)
+		seqs := append(seqBuf[:0], u.seq)
+		var err error
+		switch u.Disk {
+		case kindRecord:
+			runs := append(runBuf[:0], fileservice.Run{Off: int64(u.Offset), Data: u.Data})
+			for j := i + 1; j < len(ups); j++ {
+				r := &ups[j]
+				if r.File != u.File || r.done {
+					continue
+				}
+				if r.Disk != kindRecord {
+					break
+				}
+				runs = append(runs, fileservice.Run{Off: int64(r.Offset), Data: r.Data})
+				seqs = append(seqs, r.seq)
+				r.done = true
+			}
+			_, err = s.fs.WriteRuns(context.Background(), fid, runs)
+		case kindPage:
+			err = s.fs.WriteBlockThrough(fid, int(u.Addr), u.Data)
+		case kindShadow:
+			err = s.swapShadow(fid, u)
+		case kindSize:
+			var cur int64
+			size := int64(binary.BigEndian.Uint64(u.Data))
+			if cur, err = s.fs.Size(fid); err == nil && cur != size {
+				err = s.fs.Truncate(fid, size)
+			}
+		case kindDelete:
+			if t != nil {
+				s.releaseFile(t, fid)
+			}
+			err = s.fs.Delete(fid)
+		default:
+			err = fmt.Errorf("txn: unknown update kind %d", u.Disk)
+		}
+		if err != nil && !errors.Is(err, fileservice.ErrNotFound) {
 			return err
 		}
-		t.list.RemoveIntentions(seqs...)
-	}
-	// Apply tentative sizes (page-mode writes do not move the size).
-	t.mu.Lock()
-	files := make([]*txnFile, 0, len(t.files))
-	for _, f := range t.files {
-		files = append(files, f)
-	}
-	deleted := append([]FileID(nil), t.deleted...)
-	t.mu.Unlock()
-	for _, f := range files {
-		cur, err := s.fs.Size(f.id)
-		if err != nil {
-			return err
-		}
-		if cur != f.size {
-			if err := s.fs.Truncate(f.id, f.size); err != nil {
-				return err
-			}
-		}
-	}
-	for _, fid := range deleted {
-		s.releaseFile(t, fid)
-		if err := s.fs.Delete(fid); err != nil && !errors.Is(err, fileservice.ErrNotFound) {
-			return err
+		if intention {
+			t.list.RemoveIntentions(seqs...)
 		}
 	}
 	return nil
 }
 
-// applyPage makes one page intention permanent: the shadow swap, or the
-// logged image written through in place.
-func (s *Service) applyPage(rec intentions.Record) error {
-	fid := FileID(rec.File)
-	if rec.Technique != intentions.ShadowPage {
-		return s.fs.WriteBlockThrough(fid, rec.Block, rec.Data)
+// swapShadow makes one shadow page permanent: the block's descriptor moves
+// to a fresh block holding the image. The swap is skipped if the descriptor
+// already left the staged address (it was applied before a crash, or the
+// block is gone); a recovered update, which holds no image, reads the staged
+// copy from stable storage.
+func (s *Service) swapShadow(fid FileID, u *update) error {
+	disk := binary.BigEndian.Uint16(u.Data)
+	curDisk, curAddr, err := s.fs.BlockLocation(fid, int(u.Addr))
+	if errors.Is(err, fileservice.ErrBadRequest) {
+		return nil // the block is gone
 	}
-	disk, _, err := s.fs.BlockLocation(fid, rec.Block)
 	if err != nil {
 		return err
 	}
-	newAddr, err := s.fs.DiskServer(int(disk)).AllocateBlocks(1)
+	if curDisk != disk || curAddr != u.Offset {
+		return nil // swapped before the crash
+	}
+	ds := s.fs.DiskServer(int(disk))
+	image := u.image
+	if image == nil {
+		if image, err = ds.Get(context.Background(), int(u.Offset), fileservice.FragmentsPerBlock, diskservice.GetOptions{FromStable: true}); err != nil {
+			return err
+		}
+	}
+	newAddr, err := ds.AllocateBlocks(1)
 	if err != nil {
 		return err
 	}
-	if err := s.fs.DiskServer(int(disk)).Put(context.Background(), newAddr, rec.Data, diskservice.PutOptions{}); err != nil {
+	if err := ds.Put(context.Background(), newAddr, image, diskservice.PutOptions{}); err != nil {
 		return err
 	}
-	return s.fs.ReplaceBlockDescriptor(fid, rec.Block, fit.Extent{
-		Disk: disk, Addr: uint32(newAddr), Count: 1,
-	})
+	return s.fs.ReplaceBlockDescriptor(fid, int(u.Addr), fit.Extent{Disk: disk, Addr: uint32(newAddr), Count: 1})
 }
 
 // finish releases everything a completed transaction holds: file opens,
@@ -376,39 +390,45 @@ func (s *Service) abort(t *txnState) {
 	s.met.Inc(metrics.TxnAborted)
 }
 
-// maybeTruncateLog resets the log once it is more than half full — but only
-// from a quiescent state. With group commit, other transactions' records may
-// sit in the log synced-but-unapplied (their batch is durable while they are
-// still applying intentions, or their leader crashed before waking them), and
-// those records MUST survive until redo can no longer need them.
-// beginTruncation atomically verifies no batch is forming, no sync is in
-// flight, and every batched commit has applied its intentions; until
-// endTruncation, new committers wait.
+// maybeTruncateLog checkpoints once the log is more than half full — but
+// only from a quiescent state. With group commit, other transactions'
+// records may sit in the log synced-but-unapplied (their batch is durable
+// while they are still applying intentions, or their leader crashed before
+// waking them), and those records MUST survive until Recover can no longer
+// need them. beginTruncation atomically verifies no batch is forming, no
+// sync is in flight, and every batched commit has applied its intentions;
+// until endTruncation, new committers wait.
 func (s *Service) maybeTruncateLog() {
-	if s.log.AppendedBytes() <= s.log.Capacity()/2 {
-		return
-	}
-	if !s.gc.beginTruncation() {
-		return // another commit is in flight; a later End will retry
+	if s.log.AppendedBytes() <= s.log.Capacity()/2 || !s.gc.beginTruncation() {
+		return // a later End will retry
 	}
 	defer s.gc.endTruncation()
-	if err := s.fs.Flush(); err != nil {
-		return // keep the log; redo still possible
-	}
-	_, _ = s.log.Append(wal.Record{Type: wal.RecCheckpoint})
-	_ = s.log.Reset()
+	_ = s.checkpoint() // on failure the log is kept; Recover can still replay it
 }
 
-// Recover replays the write-ahead log after a crash: the updates of
-// committed transactions are redone (idempotently), tentative data of
-// unfinished transactions is discarded, and the log is truncated. Call it
-// on a freshly mounted Service before accepting new transactions.
+// checkpoint makes every logged update redundant and empties the log: the
+// file service's delayed writes reach the disks, then the log is reset. The
+// caller keeps committers out meanwhile (beginTruncation, the log-full
+// drain in appendLocked, or Recover before the service takes transactions).
+func (s *Service) checkpoint() error {
+	if err := s.fs.Flush(); err != nil {
+		return err
+	}
+	return s.log.Reset()
+}
+
+// Recover replays the write-ahead log after a crash: each committed
+// transaction's updates are carried out again by apply, in log order
+// (idempotently), tentative data of unfinished transactions is discarded,
+// and the log is checkpointed. Call it on a freshly mounted Service before
+// accepting new transactions.
 func (s *Service) Recover() (committed int, err error) {
 	// Forget any pre-crash group-commit state: parked followers are gone and
-	// their unapplied counts with them; redo below settles their outcomes.
+	// their unapplied counts with them; the replay below settles their
+	// outcomes.
 	s.gc.reset()
 	type txnLog struct {
-		updates   []wal.Record
+		updates   []update
 		committed bool
 	}
 	logs := map[uint64]*txnLog{}
@@ -422,104 +442,60 @@ func (s *Service) Recover() (committed int, err error) {
 				logs[r.Txn] = tl
 				order = append(order, r.Txn)
 			}
-			tl.updates = append(tl.updates, r)
+			tl.updates = append(tl.updates, update{Record: r})
 		case wal.RecCommit:
 			if tl := logs[r.Txn]; tl != nil {
 				tl.committed = true
 			}
 		case wal.RecAbort:
 			delete(logs, r.Txn)
-		case wal.RecCheckpoint:
-			// Everything before this point is applied; forget it.
-			logs = map[uint64]*txnLog{}
-			order = nil
 		}
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
+	var redo [][]update // each committed transaction's updates, in log order
 	for _, txn := range order {
-		tl := logs[txn]
-		if tl == nil || !tl.committed {
-			continue
+		if tl := logs[txn]; tl != nil && tl.committed {
+			redo = append(redo, tl.updates)
 		}
-		for _, r := range tl.updates {
-			if err := s.redo(r); err != nil {
-				return committed, fmt.Errorf("txn: redo of txn %d: %w", txn, err)
+	}
+	for _, ups := range redo {
+		for i := range ups {
+			if err := s.keepSwapped(&ups[i]); err != nil {
+				return 0, fmt.Errorf("txn: redo of txn %d: %w", ups[i].Txn, err)
 			}
+		}
+	}
+	for _, ups := range redo {
+		if err := s.apply(nil, ups); err != nil {
+			return committed, fmt.Errorf("txn: redo of txn %d: %w", ups[0].Txn, err)
 		}
 		committed++
 	}
-	if err := s.fs.Flush(); err != nil {
-		return committed, err
-	}
-	if err := s.log.Reset(); err != nil {
-		return committed, err
-	}
-	return committed, nil
+	return committed, s.checkpoint()
 }
 
-// redo re-applies one logged update idempotently.
-func (s *Service) redo(r wal.Record) error {
-	fid := FileID(r.File)
-	switch r.Disk {
-	case kindRecord:
-		_, err := s.fs.WriteAtCtx(context.Background(), fid, int64(r.Offset), r.Data)
-		if errors.Is(err, fileservice.ErrNotFound) {
-			return nil // file deleted later; nothing to redo
-		}
-		return err
-	case kindPage:
-		err := s.fs.WriteBlockThrough(fid, int(r.Addr), r.Data)
-		if errors.Is(err, fileservice.ErrNotFound) {
-			return nil
-		}
-		return err
-	case kindSize:
-		size := int64(binary.BigEndian.Uint64(r.Data))
-		cur, err := s.fs.Size(fid)
-		if errors.Is(err, fileservice.ErrNotFound) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if cur != size {
-			return s.fs.Truncate(fid, size)
-		}
+// keepSwapped turns a recovered shadow swap that was done before the crash
+// into a logged page holding the block as the crash left it. The swap put
+// its image in a block the log does not hold, and redo of an earlier
+// transaction's write to the same logical block lands in that block; redone
+// in its turn as a page, the swap puts the block back. Recover calls it on
+// every committed update before it redoes any.
+func (s *Service) keepSwapped(u *update) error {
+	if u.Disk != kindShadow {
 		return nil
-	case kindShadow:
-		oldDisk := binary.BigEndian.Uint16(r.Data)
-		oldAddr := r.Offset
-		blk := int(r.Addr)
-		curDisk, curAddr, err := s.fs.BlockLocation(fid, blk)
-		if errors.Is(err, fileservice.ErrNotFound) || errors.Is(err, fileservice.ErrBadRequest) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if curDisk != oldDisk || curAddr != oldAddr {
-			return nil // swap already applied before the crash
-		}
-		staged, err := s.fs.DiskServer(int(oldDisk)).Get(context.Background(), int(oldAddr),
-			fileservice.FragmentsPerBlock, diskservice.GetOptions{FromStable: true})
-
-		if err != nil {
-			return err
-		}
-		newAddr, err := s.fs.DiskServer(int(oldDisk)).AllocateBlocks(1)
-		if err != nil {
-			return err
-		}
-		if err := s.fs.DiskServer(int(oldDisk)).Put(context.Background(), newAddr, staged, diskservice.PutOptions{}); err != nil {
-			return err
-		}
-		return s.fs.ReplaceBlockDescriptor(fid, blk, fit.Extent{
-			Disk: oldDisk, Addr: uint32(newAddr), Count: 1,
-		})
-	default:
-		return fmt.Errorf("txn: unknown update kind %d", r.Disk)
 	}
+	disk := binary.BigEndian.Uint16(u.Data)
+	curDisk, curAddr, err := s.fs.BlockLocation(FileID(u.File), int(u.Addr))
+	if err != nil || curDisk == disk && curAddr == u.Offset {
+		return nil // not swapped yet (apply swaps it), or gone (apply says why)
+	}
+	image, err := s.fs.DiskServer(int(curDisk)).Get(context.Background(), int(curAddr), fileservice.FragmentsPerBlock, diskservice.GetOptions{})
+	if err != nil {
+		return err
+	}
+	u.Disk, u.Data = kindPage, image
+	return nil
 }

@@ -379,10 +379,7 @@ func (g *groupCommit) appendLocked(t *txnState) error {
 		for g.cur != nil || g.syncing || g.unapplied > 0 {
 			g.idle.Wait()
 		}
-		ferr := g.s.fs.Flush()
-		if ferr == nil {
-			ferr = g.s.log.Reset()
-		}
+		ferr := g.s.checkpoint()
 		g.resetting = false
 		g.idle.Broadcast()
 		if ferr != nil {

@@ -61,12 +61,14 @@ type TxnID = lock.TxnID
 // FileID is a file system name, as in the file service.
 type FileID = fileservice.FileID
 
-// update-record kinds packed into wal.Record.Disk.
+// update-record kinds packed into wal.Record.Disk. The kinds that carry out
+// an intention come first, up to kindShadow.
 const (
 	kindRecord = 0 // byte-range after-image at Offset
 	kindPage   = 1 // whole-block after-image of block Addr
 	kindShadow = 2 // shadow swap: block Addr, staged at stable Offset, Data=[oldDisk:2]
 	kindSize   = 3 // file size: Data = 8-byte big-endian size
+	kindDelete = 4 // file deleted (tdelete)
 )
 
 // Errors.
@@ -156,6 +158,8 @@ type txnState struct {
 	children   int
 	kids       []*txnState
 	done       bool
+	// updates is the redo list the commit logged, kept for apply.
+	updates []update
 }
 
 // Service is the transaction service. It is safe for concurrent use; each

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -549,31 +550,170 @@ func (r *rig) crashAfterLog(id TxnID) {
 	}
 }
 
-func TestCrashBeforeApplyRedoneByRecovery(t *testing.T) {
-	r := newCrashAfterLogRig(t)
-	id, fid := r.beginWithFile(fit.LockPage)
-	want := bytes.Repeat([]byte("R"), 100)
-	if _, err := r.svc.PWrite(id, fid, 0, want); err != nil {
-		t.Fatal(err)
-	}
-	r.crashAfterLog(id)
-	// The machine dies before intentions are applied.
-	r.crash()
-	committed, err := r.svc.Recover()
+// seedFiles commits n files of size bytes each (all 'o') at the given lock
+// level and returns their names.
+func (r *rig) seedFiles(n, size int, level fit.LockLevel) []FileID {
+	r.t.Helper()
+	id, err := r.svc.Begin(1)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		r.t.Fatal(err)
 	}
-	if committed != 1 {
-		t.Fatalf("Recover redid %d txns, want 1", committed)
+	fids := make([]FileID, n)
+	for i := range fids {
+		if fids[i], err = r.svc.Create(id, fit.Attributes{Locking: level}); err != nil {
+			r.t.Fatal(err)
+		}
+		if _, err := r.svc.PWrite(id, fids[i], 0, bytes.Repeat([]byte("o"), size)); err != nil {
+			r.t.Fatal(err)
+		}
 	}
-	got, err := r.fs.ReadAt(fid, 0, 100)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("recovered data = %q, %v", got, err)
+	if err := r.svc.End(id); err != nil {
+		r.t.Fatal(err)
 	}
-	size, err := r.fs.Size(fid)
-	if err != nil || size != 100 {
-		t.Fatalf("recovered size = %d, %v", size, err)
+	return fids
+}
+
+// files reads back every file the file service lists: its bytes, whose
+// length is its size.
+func (r *rig) files() map[FileID][]byte {
+	r.t.Helper()
+	ids, err := r.fs.List()
+	if err != nil {
+		r.t.Fatal(err)
 	}
+	out := make(map[FileID][]byte, len(ids))
+	for _, fid := range ids {
+		size, err := r.fs.Size(fid)
+		if err != nil {
+			r.t.Fatalf("listed file %d: %v", fid, err)
+		}
+		if out[fid], err = r.fs.ReadAt(fid, 0, int(size)); err != nil {
+			r.t.Fatalf("listed file %d: %v", fid, err)
+		}
+	}
+	return out
+}
+
+// TestCrashBeforeApplyRedoneByRecovery: a commit and Recover carry out the
+// same update list. For each kind of update a commit logs, a crash at the
+// commit point followed by Recover leaves what the same commit leaves
+// uncrashed — the file list, every file's bytes and size — and a clean
+// fsck.
+func TestCrashBeforeApplyRedoneByRecovery(t *testing.T) {
+	const bs = fileservice.BlockSize
+	for _, c := range []struct {
+		name        string
+		force       intentions.Technique
+		level       fit.LockLevel
+		files, size int // seeded by an earlier commit
+		do          func(r *rig, id TxnID, fids []FileID)
+		moreExtents bool // the commit broke the file's contiguity
+	}{
+		{name: "record runs in two files", level: fit.LockRecord, files: 2, size: 600,
+			do: func(r *rig, id TxnID, fids []FileID) {
+				for i, fid := range fids {
+					for _, off := range []int64{0, 400} {
+						r.pwrite(id, fid, off, bytes.Repeat([]byte{byte('A' + i)}, 100))
+					}
+				}
+			}},
+		{name: "logged page", force: intentions.WAL, level: fit.LockPage, files: 1, size: 2 * bs,
+			do: func(r *rig, id TxnID, fids []FileID) {
+				r.pwrite(id, fids[0], bs+50, bytes.Repeat([]byte("P"), 100))
+			}},
+		{name: "shadow page", force: intentions.ShadowPage, level: fit.LockPage, files: 1, size: 4 * bs,
+			do: func(r *rig, id TxnID, fids []FileID) {
+				r.pwrite(id, fids[0], bs, bytes.Repeat([]byte("S"), bs))
+			}, moreExtents: true},
+		{name: "growth past the old end", level: fit.LockPage, files: 1, size: 100,
+			do: func(r *rig, id TxnID, fids []FileID) {
+				r.pwrite(id, fids[0], 3*bs-10, bytes.Repeat([]byte("G"), 20))
+			}},
+		{name: "delete", level: fit.LockFile, files: 2, size: 100,
+			do: func(r *rig, id TxnID, fids []FileID) {
+				r.pwrite(id, fids[0], 50, []byte("kept"))
+				if err := r.svc.Delete(id, fids[1]); err != nil {
+					r.t.Fatal(err)
+				}
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var states [2]map[FileID][]byte
+			for i, crash := range []bool{false, true} {
+				inj := fault.NewInjector(1)
+				r := newRig(t, func(cfg *Config) { cfg.Fault, cfg.ForceTechnique = inj, c.force })
+				fids := r.seedFiles(c.files, c.size, c.level)
+				exts, _, err := r.fs.ContiguityProfile(fids[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := r.begin(c.level, fids...)
+				c.do(r, id, fids)
+				if !crash {
+					if err := r.svc.End(id); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					r.crashAfterLog(id)
+					r.crash()
+					// The seeding commit is still in the log, and is redone too.
+					if committed, err := r.svc.Recover(); err != nil || committed != 2 {
+						t.Fatalf("Recover = %d, %v; want both commits redone", committed, err)
+					}
+				}
+				if rep, err := r.fs.Check(); err != nil || !rep.Ok() {
+					t.Fatalf("crash=%v: fsck = %+v, %v", crash, rep, err)
+				}
+				if c.moreExtents {
+					if after, _, err := r.fs.ContiguityProfile(fids[0]); err != nil || after <= exts {
+						t.Fatalf("crash=%v: %d -> %d extents, %v; want the shadow swap done", crash, exts, after, err)
+					}
+				}
+				states[i] = r.files()
+			}
+			uncrashed, recovered := states[0], states[1]
+			if len(recovered) != len(uncrashed) {
+				t.Fatalf("recovered %d files, the uncrashed commit leaves %d", len(recovered), len(uncrashed))
+			}
+			for fid, want := range uncrashed {
+				got, ok := recovered[fid]
+				if !ok {
+					t.Fatalf("file %d missing after recovery", fid)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("file %d after recovery: %d bytes %q...; uncrashed: %d bytes %q...", fid, len(got), head(got), len(want), head(want))
+				}
+			}
+		})
+	}
+}
+
+// pwrite writes data at off in the transaction or fails the test.
+func (r *rig) pwrite(id TxnID, fid FileID, off int64, data []byte) {
+	r.t.Helper()
+	if _, err := r.svc.PWrite(id, fid, off, data); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// begin starts a transaction that opens fids at level, or fails the test.
+func (r *rig) begin(level fit.LockLevel, fids ...FileID) TxnID {
+	r.t.Helper()
+	id, err := r.svc.Begin(1)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for _, fid := range fids {
+		if err := r.svc.Open(id, fid, level); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	return id
+}
+
+// head is at most the first 16 bytes of b, for a failure message.
+func head(b []byte) []byte {
+	return b[:min(len(b), 16)]
 }
 
 func TestCrashBeforeCommitPointLosesNothingCommitted(t *testing.T) {
@@ -627,6 +767,72 @@ func TestRecoveryIdempotent(t *testing.T) {
 	got, err := r.fs.ReadAt(fid, 0, len(want))
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("double-recovered data = %q, %v", got, err)
+	}
+}
+
+// TestCommittedDeleteSurvivesCrash: a transaction that writes file A and
+// deletes file B is whole after a crash anywhere past its commit point —
+// before anything is applied, at the last apply step before the delete, or
+// after an apply that failed — and a second crash and Recover leave the
+// same state. A's rewrite commits as logged pages, then as shadow swaps: a
+// swap done before the crash left its image in a block the log does not
+// hold, and Recover's redo of the seeding commit's logged image of the same
+// block must not leave it overwritten.
+func TestCommittedDeleteSurvivesCrash(t *testing.T) {
+	const bs = fileservice.BlockSize
+	for _, technique := range []intentions.Technique{intentions.WAL, intentions.ShadowPage} {
+		for _, c := range []struct {
+			name string
+			end  func(r *rig, id TxnID)
+		}{
+			{"after-log", func(r *rig, id TxnID) { r.crashAfterLog(id) }},
+			{"mid-apply", func(r *rig, id TxnID) {
+				// A's two pages are hits 1 and 2; die before the second.
+				r.inj.Arm(PtCommitMidApply, fault.Action{Kind: fault.KindCrash, After: 1})
+				if crashed, err := fault.Run(func() error { return r.svc.End(id) }); crashed == nil || crashed.Point != PtCommitMidApply {
+					r.t.Fatalf("End with a crash armed before A's second page = %v, %v", crashed, err)
+				}
+			}},
+			{"apply-failed", func(r *rig, id TxnID) {
+				// The data disk fails under the apply; the log's disks do not.
+				r.dev.Fail()
+				err := r.svc.End(id)
+				r.dev.Repair()
+				if err == nil || !strings.Contains(err.Error(), "application incomplete (recoverable)") {
+					r.t.Fatalf("End with the data disk failed = %v; want committed but application incomplete", err)
+				}
+			}},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", technique, c.name), func(t *testing.T) {
+				inj := fault.NewInjector(1)
+				r := newRig(t, func(cfg *Config) { cfg.Fault, cfg.ForceTechnique = inj, technique })
+				// The seeding writes new blocks, which commit as logged pages
+				// whatever the technique.
+				fids := r.seedFiles(2, 2*bs, fit.LockPage)
+				a, b := fids[0], fids[1]
+				want := bytes.Repeat([]byte("A"), 2*bs)
+				id := r.begin(fit.LockPage, fids...)
+				r.pwrite(id, a, 0, want)
+				if err := r.svc.Delete(id, b); err != nil {
+					t.Fatal(err)
+				}
+				c.end(r, id)
+				for round := 1; round <= 2; round++ {
+					r.crash()
+					if _, err := r.svc.Recover(); err != nil {
+						t.Fatalf("Recover %d: %v", round, err)
+					}
+					for blk := int64(0); blk < 2; blk++ {
+						if got, err := r.fs.ReadAt(a, blk*bs, bs); err != nil || !bytes.Equal(got, want[:bs]) {
+							t.Fatalf("after Recover %d block %d of file A reads %q..., %v; want the committed write", round, blk, head(got), err)
+						}
+					}
+					if size, err := r.fs.Size(b); !errors.Is(err, fileservice.ErrNotFound) {
+						t.Fatalf("after Recover %d file B has size %d, %v; want it deleted", round, size, err)
+					}
+				}
+			})
+		}
 	}
 }
 
