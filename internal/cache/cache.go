@@ -4,11 +4,10 @@
 // client machine's cache is internal/ccache.)
 //
 // A Cache is an LRU map of keys to buffers — its capacity stands for the
-// paper's fragment-pool or block-pool, sized by available memory — with one
-// of two modification policies: delayed-write (dirty buffers flushed on
-// eviction or an explicit Flush) or
-// write-through (every dirty Put is written back immediately, the policy the
-// file service adds for transaction data).
+// paper's fragment-pool or block-pool, sized by available memory — under
+// delayed write: a dirty buffer reaches the layer below on eviction or an
+// explicit flush. A caller that must write through (the file service, for
+// transaction files) flushes the keys it wrote before it returns.
 //
 // Concurrency and ownership contract: a Cache is safe for concurrent use. A
 // cache owns its buffers and callers own theirs; no slice is ever shared.
@@ -17,19 +16,16 @@
 // caller's slice and the cached buffer, in place under the cache mutex — the
 // forms the hot paths use, one copy and no allocation.
 //
-// The one exception is the lending rule, which every WritebackFunc call site
-// (FlushKey, eviction, a write-through Put) follows: the function is handed
-// the buffer itself, the slice does not change while the function runs, and
-// the function does not keep it after it returns — an evicted entry's buffer
-// becomes the buffer of the entry that displaced it. A flush therefore moves
+// The one exception is the lending rule, which both WritebackFunc call sites
+// (FlushKey and eviction) follow: the function is handed the buffer itself,
+// the slice does not change while the function runs, and the function does
+// not keep it after it returns — an evicted entry's buffer becomes the
+// buffer of the entry that displaced it. A flush therefore moves
 // no bytes inside the cache; the copy is paid by the rare write that lands on
 // an entry while its writeback is in flight, which first gives the entry a
 // fresh buffer (ownLocked). Writebacks run outside the cache mutex
 // (per-entry in-flight flags keep writebacks of one key serialized, and a
-// generation number detects redirtying during a flush); the one duty left
-// to the caller: concurrent dirty Puts of the same key in a WriteThrough
-// cache must be serialized above — every user here does so from under a
-// per-file or per-track lock.
+// generation number detects redirtying during a flush).
 package cache
 
 import (
@@ -41,32 +37,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// WritePolicy selects how dirty buffers reach the layer below.
-type WritePolicy int
-
-const (
-	// DelayedWrite keeps dirty buffers in the cache until eviction or Flush.
-	DelayedWrite WritePolicy = iota + 1
-	// WriteThrough writes every dirty buffer back immediately on Put.
-	WriteThrough
-)
-
-// String implements fmt.Stringer.
-func (p WritePolicy) String() string {
-	switch p {
-	case DelayedWrite:
-		return "delayed-write"
-	case WriteThrough:
-		return "write-through"
-	default:
-		return fmt.Sprintf("WritePolicy(%d)", int(p))
-	}
-}
-
 // WritebackFunc persists a dirty buffer to the layer below. data is lent (see
-// the package comment): it is the cache's own buffer, or the caller's on a
-// write-through Put, it holds still for the length of the call, and the
-// function must neither modify it nor keep it once it returns.
+// the package comment): it is the cache's own buffer, it holds still for the
+// length of the call, and the function must neither modify it nor keep it
+// once it returns.
 type WritebackFunc[K comparable] func(key K, data []byte) error
 
 // Cache is an LRU buffer cache. It is safe for concurrent use and shares no
@@ -77,13 +51,9 @@ type WritebackFunc[K comparable] func(key K, data []byte) error
 // one disk's buffers never blocks hits, misses, or flushes bound for another
 // disk. A per-entry generation number detects a buffer redirtied while its
 // writeback was in flight (the flush then leaves it dirty), and a per-entry
-// in-flight flag keeps writebacks of the same key serialized. One caveat for
-// WriteThrough caches: concurrent dirty Puts of the same key must be
-// serialized by the caller (every user of this package writes a given key
-// from under a per-file or per-track lock).
+// in-flight flag keeps writebacks of the same key serialized.
 type Cache[K comparable] struct {
 	capacity  int
-	policy    WritePolicy
 	writeback WritebackFunc[K]
 	met       *metrics.Set
 	hitName   string
@@ -119,8 +89,6 @@ func (e *entry[K]) ownLocked() {
 type Config[K comparable] struct {
 	// Capacity is the maximum number of cached buffers; must be positive.
 	Capacity int
-	// Policy is the modification policy; defaults to DelayedWrite.
-	Policy WritePolicy
 	// Writeback persists dirty buffers; required unless the cache only ever
 	// holds clean data.
 	Writeback WritebackFunc[K]
@@ -135,16 +103,8 @@ func New[K comparable](cfg Config[K]) (*Cache[K], error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("cache: invalid capacity %d", cfg.Capacity)
 	}
-	policy := cfg.Policy
-	if policy == 0 {
-		policy = DelayedWrite
-	}
-	if policy != DelayedWrite && policy != WriteThrough {
-		return nil, fmt.Errorf("cache: invalid policy %v", policy)
-	}
 	c := &Cache[K]{
 		capacity:  cfg.Capacity,
-		policy:    policy,
 		writeback: cfg.Writeback,
 		met:       cfg.Metrics,
 		hitName:   cfg.HitCounter,
@@ -155,9 +115,6 @@ func New[K comparable](cfg Config[K]) (*Cache[K], error) {
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
 }
-
-// Policy returns the cache's modification policy.
-func (c *Cache[K]) Policy() WritePolicy { return c.policy }
 
 // Len returns the number of cached buffers.
 func (c *Cache[K]) Len() int {
@@ -245,11 +202,8 @@ func (c *Cache[K]) Patch(key K, off int, data []byte) bool {
 // miss and touches the LRU order as that Get does, and takes a fresh
 // generation as that Put does, so a write that lands while a FlushKey of key
 // is in flight leaves the buffer dirty for the next flush. It reports whether
-// key was cached; an absent buffer is the caller's to fetch and Put. On a
-// WriteThrough cache the whole patched buffer is written back before
-// WriteRange returns, and a failed writeback is returned with the buffer left
-// dirty.
-func (c *Cache[K]) WriteRange(key K, off int, data []byte) (bool, error) {
+// key was cached; an absent buffer is the caller's to fetch and Put.
+func (c *Cache[K]) WriteRange(key K, off int, data []byte) bool {
 	c.mu.Lock()
 	e, ok := c.lookupLocked(key)
 	if ok {
@@ -260,10 +214,7 @@ func (c *Cache[K]) WriteRange(key K, off int, data []byte) (bool, error) {
 		e.gen = c.seq
 	}
 	c.mu.Unlock()
-	if !ok || c.policy != WriteThrough {
-		return ok, nil
-	}
-	return true, c.FlushKey(key)
+	return ok
 }
 
 // Contains reports whether key is cached, without affecting LRU order or
@@ -275,24 +226,11 @@ func (c *Cache[K]) Contains(key K) bool {
 	return ok
 }
 
-// Put caches a copy of data under key. When dirty is true the buffer is
-// written back according to the cache policy: immediately for WriteThrough,
-// or on eviction/Flush for DelayedWrite. Put may evict the least recently
-// used buffer, writing it back first if dirty; a failed eviction writeback
-// fails the Put and keeps the victim.
+// Put caches a copy of data under key. A dirty buffer is written back on
+// eviction or a flush. Put may evict the least recently used buffer, writing
+// it back first if dirty; a failed eviction writeback fails the Put and keeps
+// the victim.
 func (c *Cache[K]) Put(key K, data []byte, dirty bool) error {
-	if dirty && c.policy == WriteThrough {
-		// Write through before taking the cache lock, so a slow device never
-		// stalls unrelated hits. Concurrent dirty Puts of the same key are the
-		// caller's to serialize (see the type comment).
-		if c.writeback == nil {
-			return errors.New("cache: write-through cache has no writeback")
-		}
-		if err := c.writeback(key, data); err != nil {
-			return fmt.Errorf("cache: write-through: %w", err)
-		}
-		dirty = false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

@@ -10,7 +10,7 @@ import (
 
 func newDelayed(t *testing.T, capacity int, wb WritebackFunc[int]) *Cache[int] {
 	t.Helper()
-	c, err := New(Config[int]{Capacity: capacity, Policy: DelayedWrite, Writeback: wb})
+	c, err := New(Config[int]{Capacity: capacity, Writeback: wb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,16 +20,6 @@ func newDelayed(t *testing.T, capacity int, wb WritebackFunc[int]) *Cache[int] {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config[int]{Capacity: 0}); err == nil {
 		t.Fatal("zero capacity accepted")
-	}
-	if _, err := New(Config[int]{Capacity: 1, Policy: WritePolicy(99)}); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-	c, err := New(Config[int]{Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Policy() != DelayedWrite {
-		t.Fatalf("default policy = %v, want delayed-write", c.Policy())
 	}
 }
 
@@ -78,8 +68,8 @@ func TestBuffersAreCopied(t *testing.T) {
 	}
 	// Lent, not copied: a flush moves no bytes inside the cache, so the
 	// writeback's slice is the buffer the next in-place write lands in.
-	if hit, err := c.WriteRange(1, 0, []byte("X")); !hit || err != nil {
-		t.Fatalf("WriteRange = %v, %v", hit, err)
+	if !c.WriteRange(1, 0, []byte("X")) {
+		t.Fatal("WriteRange missed")
 	}
 	if string(lent) != "Xbc" {
 		t.Fatalf("after the call returned the slice reads %q: FlushKey handed the writeback a copy", lent)
@@ -123,30 +113,6 @@ func TestDelayedWriteFlushesOnEviction(t *testing.T) {
 	}
 	if len(wrote) != 1 || wrote[0] != 1 {
 		t.Fatalf("eviction writebacks = %v, want [1]", wrote)
-	}
-}
-
-func TestWriteThroughWritesImmediately(t *testing.T) {
-	var wrote []int
-	c, err := New(Config[int]{Capacity: 4, Policy: WriteThrough, Writeback: func(k int, data []byte) error {
-		wrote = append(wrote, k)
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(1, []byte("x"), true); err != nil {
-		t.Fatal(err)
-	}
-	if len(wrote) != 1 {
-		t.Fatalf("write-through writebacks = %v, want [1]", wrote)
-	}
-	// The entry is now clean: flushing writes nothing more.
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(wrote) != 1 {
-		t.Fatalf("flush after write-through rewrote: %v", wrote)
 	}
 }
 

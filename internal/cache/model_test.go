@@ -52,11 +52,11 @@ func (s *modelStore) set(key int, data []byte) {
 // than what is already below: writebacks of one key are serialized, so a
 // stale image can never land on a newer one.
 //
-// It is also where the lending rule is checked, at all three call sites
-// (FlushKey, eviction, a write-through Put): data is the cache's own buffer,
-// not a copy, so it is summed, left in flight until some owner has started
-// another operation — a WriteRange, Patch, Put or Invalidate of this key, an
-// evicting Put of another — and summed again. (The wait is bounded: an
+// It is also where the lending rule is checked, at both call sites
+// (FlushKey, eviction): data is the cache's own buffer, not a copy, so it is
+// summed, left in flight until some owner has started another operation — a
+// WriteRange, Patch, Put or Invalidate of this key, an evicting Put of
+// another — and summed again. (The wait is bounded: an
 // eviction writeback runs under the cache mutex, where nobody can step.)
 func (s *modelStore) writeback(key int, data []byte) error {
 	before := crc32.ChecksumIEEE(data)
@@ -87,14 +87,16 @@ func TestModelEquivalence(t *testing.T) {
 		keysPerOwner = 3
 		steps        = 1500
 	)
-	for _, policy := range []WritePolicy{DelayedWrite, WriteThrough} {
+	// Under write-through the owner flushes every key it writes before the
+	// write's step ends, as the file service does for a transaction file.
+	for _, mode := range []string{"delayed-write", "write-through"} {
 		for capacity := 1; capacity <= 4; capacity++ {
 			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%v/cap=%d/seed=%d", policy, capacity, seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/cap=%d/seed=%d", mode, capacity, seed), func(t *testing.T) {
 					store := &modelStore{t: t, data: make(map[int][]byte)}
 					met := metrics.NewSet()
 					c, err := New(Config[int]{
-						Capacity: capacity, Policy: policy, Writeback: store.writeback,
+						Capacity: capacity, Writeback: store.writeback,
 						Metrics: met, HitCounter: "hit", MissCounter: "miss",
 					})
 					if err != nil {
@@ -112,7 +114,7 @@ func TestModelEquivalence(t *testing.T) {
 						wg.Add(1)
 						go func(o int) {
 							defer wg.Done()
-							runOwner(t, c, store, &lookups, rand.New(rand.NewSource(seed*100+int64(o))), o*keysPerOwner, keysPerOwner, steps)
+							runOwner(t, c, store, &lookups, rand.New(rand.NewSource(seed*100+int64(o))), o*keysPerOwner, keysPerOwner, steps, mode == "write-through")
 						}(o)
 					}
 					// Whole-cache traffic racing the owners: a flusher, and a
@@ -166,8 +168,9 @@ func TestModelEquivalence(t *testing.T) {
 }
 
 // runOwner is the one writer of keys [base, base+n): it applies random
-// operations to them and checks each against its reference copy.
-func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.Int64, rng *rand.Rand, base, n, steps int) {
+// operations to them and checks each against its reference copy. Under
+// through it flushes each key it writes before the step ends.
+func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.Int64, rng *rand.Rand, base, n, steps int, through bool) {
 	want := make([][]byte, n)
 	dirty := make([]bool, n) // the cache may hold bytes the store has not seen
 	for i := range want {
@@ -225,11 +228,7 @@ func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.In
 		case op < 8:
 			next, patch := patched(want[i], a, b)
 			lookups.Add(1)
-			hit, err := c.WriteRange(key, a*8, patch)
-			if err != nil {
-				t.Errorf("%s: WriteRange: %v", ctx, err)
-			}
-			if !hit {
+			if !c.WriteRange(key, a*8, patch) {
 				// The file service's miss path: read below, modify, Put.
 				below(ctx+": WriteRange missed", key, want[i])
 				if err := c.Put(key, next, true); err != nil {
@@ -266,8 +265,11 @@ func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.In
 			c.Invalidate(key)
 			want[i], dirty[i] = store.get(key), false
 		}
-		if c.Policy() == WriteThrough {
-			// Nothing stays dirty past the call that wrote it.
+		if through {
+			// Nothing stays dirty past the step that wrote it.
+			if err := c.FlushKey(key); err != nil {
+				t.Errorf("%s: write-through FlushKey: %v", ctx, err)
+			}
 			below(ctx+": write-through", key, want[i])
 			dirty[i] = false
 		}
@@ -298,11 +300,10 @@ func TestWriteRangeDuringFlush(t *testing.T) {
 		second string
 	}{
 		{name: "WriteRange", second: "aaBBaaaa", op: func(c *Cache[int]) error {
-			hit, err := c.WriteRange(key, 2, []byte("BB"))
-			if !hit {
+			if !c.WriteRange(key, 2, []byte("BB")) {
 				return fmt.Errorf("WriteRange missed")
 			}
-			return err
+			return nil
 		}},
 		{name: "same-key Put", second: "CCCCCCCC", op: func(c *Cache[int]) error {
 			return c.Put(key, []byte("CCCCCCCC"), true)

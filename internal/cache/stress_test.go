@@ -39,19 +39,19 @@ func decodeStress(data []byte) (key, version int) {
 	return int(binary.LittleEndian.Uint64(data[0:])), int(binary.LittleEndian.Uint64(data[8:]))
 }
 
-// TestStressConcurrent hammers one cache per policy from many goroutines:
-// each key has exactly one writer (the package's per-key serialization
-// contract), while readers, flushers and invalidators race freely. Run under
+// TestStressConcurrent hammers one cache per write mode from many
+// goroutines: each key has exactly one writer, while readers, flushers and
+// invalidators race freely; under write-through each writer flushes every
+// Put it makes, as the file service does for a transaction file. Run under
 // -race; the data checks catch cross-key mixups and lost writebacks.
 func TestStressConcurrent(t *testing.T) {
-	for _, policy := range []WritePolicy{DelayedWrite, WriteThrough} {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, mode := range []string{"delayed-write", "write-through"} {
+		through := mode == "write-through"
+		t.Run(mode, func(t *testing.T) {
 			t.Parallel()
 			store := &stressStore{data: make(map[int][]byte)}
 			c, err := New(Config[int]{
 				Capacity:  32, // far fewer slots than keys, so eviction races too
-				Policy:    policy,
 				Writeback: store.writeback,
 			})
 			if err != nil {
@@ -75,6 +75,12 @@ func TestStressConcurrent(t *testing.T) {
 						if err := c.Put(key, encodeStress(key, version), true); err != nil {
 							t.Errorf("Put(%d): %v", key, err)
 							return
+						}
+						if through {
+							if err := c.FlushKey(key); err != nil {
+								t.Errorf("write-through FlushKey(%d): %v", key, err)
+								return
+							}
 						}
 						switch i % 7 {
 						case 1:

@@ -200,16 +200,6 @@ func DecodeRecall(body []byte) (file, ver uint64, err error) {
 	return binary.BigEndian.Uint64(body[0:]), binary.BigEndian.Uint64(body[8:]), nil
 }
 
-// IsLeaseMethod reports whether method belongs to the lease protocol
-// (used by the cluster layer's replication predicate).
-func IsLeaseMethod(method string) bool {
-	switch method {
-	case MLeaseAcquire, MLeaseRelease, MLeaseAck:
-		return true
-	}
-	return false
-}
-
 // DirectLease is the single-server LeaseTransport: lease calls go over
 // one rpc client, and file IDs pass through unrouted.
 type DirectLease struct {

@@ -57,12 +57,6 @@ func TestBusyAndLeaseMethodPredicates(t *testing.T) {
 	if !ccache.IsBusy(busy) || ccache.IsBusy(nil) || ccache.IsBusy(fmt.Errorf("other")) {
 		t.Fatal("ccache.IsBusy misclassifies")
 	}
-	if !ccache.IsLeaseMethod(ccache.MLeaseAcquire) || !ccache.IsLeaseMethod(ccache.MLeaseRelease) || !ccache.IsLeaseMethod(ccache.MLeaseAck) {
-		t.Fatal("lease methods not recognized")
-	}
-	if ccache.IsLeaseMethod(ccache.MRecall) || ccache.IsLeaseMethod(rpcfs.MReadAt) {
-		t.Fatal("non-lease method recognized")
-	}
 }
 
 // TestMetricNamesAudit pins the metric namespace: every name the package

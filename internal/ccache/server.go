@@ -164,18 +164,19 @@ func (s *Server) HandlerCtx(ctx context.Context, method string, body []byte) ([]
 	case MLeaseAck:
 		return nil, s.handleAck(body)
 	}
-	fid, mutating, ok, err := rpcfs.FileOfRequest(method, body)
+	c := rpcfs.Classify(method, body)
+	fid, ok, err := c.File()
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return s.inner(ctx, method, body)
 	}
-	if err := s.beginFileOp(fid, peer.ClientID, mutating); err != nil {
+	if err := s.beginFileOp(fid, peer.ClientID, c.Writes); err != nil {
 		return nil, err
 	}
 	out, err := s.inner(ctx, method, body)
-	if mutating {
+	if c.Writes {
 		s.endMutation(fid, err == nil)
 	}
 	return out, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,11 +80,21 @@ func TestMapCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != m.Version || len(got.Endpoints) != 3 || got.Endpoints[2] != "c:3" {
+	if got.Version != m.Version || len(got.Endpoints) != 3 || got.Endpoints[2] != "c:3" || len(got.Backups) != 0 {
 		t.Fatalf("decodeMap = %+v", got)
+	}
+	paired := Map{Version: 9, Endpoints: []string{"a:1", "b:2"}, Backups: []string{"", "bb:2"}}
+	if got, err := decodeMap(appendMap(nil, paired)); err != nil || !reflect.DeepEqual(got, paired) {
+		t.Fatalf("decodeMap(%+v) = %+v, %v", paired, got, err)
 	}
 	if _, err := decodeMap([]byte{1, 2}); err == nil {
 		t.Fatal("truncated map decoded")
+	}
+	// Every encoder writes the backups section: a payload that ends after
+	// the endpoints is cut short.
+	endpointsEnd := mapSize(Map{Endpoints: paired.Endpoints}) - 4 // less the backup count
+	if _, err := decodeMap(appendMap(nil, paired)[:endpointsEnd]); err == nil {
+		t.Fatal("map cut after its endpoints decoded")
 	}
 }
 

@@ -45,12 +45,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ccache"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/rpc"
-	"repro/internal/rpcfs"
 )
 
 // Replication methods.
@@ -153,26 +151,6 @@ type replState struct {
 	ap *replication.Applier
 }
 
-// mutatesState reports whether an rpcfs method changes server state and so
-// must be replicated. Reads and name lookups are served from the primary's
-// state alone.
-//
-// Of the client-cache lease protocol only acquires replicate: the backup's
-// lease table then covers every grant that could outlive a failover, while
-// releases and recall acks stay off the replication path on purpose — an
-// ack must land while a recalling mutation still holds ordMu, so routing
-// it through execReplicated would deadlock. The backup over-approximates
-// the holder set and converges through its own expiry sweep.
-func mutatesState(method string) bool {
-	switch method {
-	case rpcfs.MCreate, rpcfs.MOpen, rpcfs.MClose, rpcfs.MDelete,
-		rpcfs.MWriteAt, rpcfs.MTruncate, rpcfs.MRegister, rpcfs.MUnregisterSys,
-		ccache.MLeaseAcquire:
-		return true
-	}
-	return false
-}
-
 // Role returns the server's current replication role.
 func (s *Service) Role() Role { return Role(s.role.Load()) }
 
@@ -196,13 +174,13 @@ func (s *Service) checkServing() error {
 }
 
 // execReplicated executes one owned rpcfs request and, on a replicated
-// primary, ships successful mutations to the backup before returning —
-// the reply is withheld until the backup confirms (or the stream goes
-// down). The order lock serializes execute+append so the shipped stream
-// is a serialization order of the shard's state machine.
-func (s *Service) execReplicated(ctx context.Context, req rpc.Request) ([]byte, error) {
+// primary, ships it to the backup when replicate says it must and it
+// succeeded — the reply is withheld until the backup confirms (or the
+// stream goes down). The order lock serializes execute+append so the
+// shipped stream is a serialization order of the shard's state machine.
+func (s *Service) execReplicated(ctx context.Context, req rpc.Request, replicate bool) ([]byte, error) {
 	r := s.repl
-	if r == nil || r.sh == nil || s.Role() != RolePrimary || !mutatesState(req.Method) {
+	if r == nil || r.sh == nil || s.Role() != RolePrimary || !replicate {
 		return s.inner(ctx, req.Method, req.Body)
 	}
 	// The group-commit span brackets execute + append + wait; its

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ccache"
 	"repro/internal/fault"
 	"repro/internal/lock"
 	"repro/internal/obs"
@@ -268,14 +269,22 @@ func (s *Service) HandleRequestCtx(ctx context.Context, req rpc.Request) ([]byte
 	// shard is redirected, not executed. ID-addressed requests carry raw
 	// per-server IDs (the router strips the shard tag), and name.list is
 	// answered locally — the router fans it out and merges.
-	if path, ok, err := rpcfs.PathOfRequest(req.Method, req.Body); err != nil {
+	c := rpcfs.Classify(req.Method, req.Body)
+	if path, ok, err := c.Path(); err != nil {
 		return nil, err
 	} else if ok {
 		if home := ShardForPath(path, s.shards); home != s.shard {
 			return nil, NotMine(home, s.curVersion())
 		}
 	}
-	return s.execReplicated(ctx, req)
+	// A request that changes state replicates. Of the client-cache lease
+	// protocol only acquires do: the backup's lease table then covers every
+	// grant that could outlive a failover, while releases and recall acks
+	// stay off the replication path on purpose — an ack must land while a
+	// recalling mutation still holds ordMu, so routing it through
+	// execReplicated would deadlock. The backup over-approximates the holder
+	// set and converges through its own expiry sweep.
+	return s.execReplicated(ctx, req, c.Mutates || req.Method == ccache.MLeaseAcquire)
 }
 
 func (s *Service) handleAcquire(body []byte) ([]byte, error) {

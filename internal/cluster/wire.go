@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -129,8 +130,6 @@ func appendMap(dst []byte, m Map) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(e)))
 		dst = append(dst, e...)
 	}
-	// Backups section, appended after the endpoints so a legacy decoder that
-	// stops there still reads a valid (backup-less) map.
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Backups)))
 	for _, b := range m.Backups {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
@@ -140,52 +139,42 @@ func appendMap(dst []byte, m Map) []byte {
 }
 
 func decodeMap(data []byte) (Map, error) {
-	var m Map
-	if len(data) < 12 {
-		return m, fmt.Errorf("cluster: map payload %d bytes, want >= 12", len(data))
+	if len(data) < 16 {
+		return Map{}, fmt.Errorf("cluster: map payload %d bytes, want >= 16", len(data))
 	}
-	m.Version = binary.BigEndian.Uint64(data)
-	n := int(binary.BigEndian.Uint32(data[8:]))
-	off := 12
-	if n > len(data) { // sanity: each endpoint needs at least its length word
-		return m, fmt.Errorf("cluster: map endpoint count %d exceeds payload", n)
+	m := Map{Version: binary.BigEndian.Uint64(data)}
+	var err error
+	rest := data[8:]
+	if m.Endpoints, rest, err = decodeStrings(rest, "endpoint"); err != nil {
+		return m, err
 	}
-	m.Endpoints = make([]string, n)
-	for i := range m.Endpoints {
-		if off+4 > len(data) {
-			return m, fmt.Errorf("cluster: truncated map payload")
+	m.Backups, _, err = decodeStrings(rest, "backup")
+	return m, err
+}
+
+// decodeStrings reads one of the map's string lists — a u32 count, then each
+// string as a u32 length and its bytes — and returns the bytes after it.
+func decodeStrings(data []byte, what string) ([]string, []byte, error) {
+	if len(data) < 4 {
+		return nil, nil, errors.New("cluster: truncated map payload")
+	}
+	n := int(binary.BigEndian.Uint32(data))
+	data = data[4:]
+	if n > len(data)/4 { // each string needs at least its length word
+		return nil, nil, fmt.Errorf("cluster: map %s count %d exceeds payload", what, n)
+	}
+	list := make([]string, n)
+	for i := range list {
+		if len(data) < 4 {
+			return nil, nil, errors.New("cluster: truncated map payload")
 		}
-		l := int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if off+l > len(data) {
-			return m, fmt.Errorf("cluster: truncated map payload")
+		l := int(binary.BigEndian.Uint32(data))
+		data = data[4:]
+		if l > len(data) {
+			return nil, nil, errors.New("cluster: truncated map payload")
 		}
-		m.Endpoints[i] = string(data[off : off+l])
-		off += l
+		list[i] = string(data[:l])
+		data = data[l:]
 	}
-	if off == len(data) {
-		return m, nil // legacy payload: no backups section
-	}
-	if off+4 > len(data) {
-		return m, fmt.Errorf("cluster: truncated map payload")
-	}
-	nb := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if nb > len(data) {
-		return m, fmt.Errorf("cluster: map backup count %d exceeds payload", nb)
-	}
-	m.Backups = make([]string, nb)
-	for i := range m.Backups {
-		if off+4 > len(data) {
-			return m, fmt.Errorf("cluster: truncated map payload")
-		}
-		l := int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if off+l > len(data) {
-			return m, fmt.Errorf("cluster: truncated map payload")
-		}
-		m.Backups[i] = string(data[off : off+l])
-		off += l
-	}
-	return m, nil
+	return list, data, nil
 }

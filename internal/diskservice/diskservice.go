@@ -241,9 +241,9 @@ func newServer(cfg Config) (*Server, error) {
 	if tracks <= 0 {
 		tracks = 16
 	}
+	// The track cache holds clean images only, so it needs no writeback.
 	tc, err := cache.New(cache.Config[int]{
 		Capacity:    tracks,
-		Policy:      cache.DelayedWrite, // the track cache is read-only; never dirty
 		Metrics:     cfg.Metrics,
 		HitCounter:  metrics.TrackCacheHit,
 		MissCounter: metrics.TrackCacheMiss,

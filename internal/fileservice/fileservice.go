@@ -286,7 +286,6 @@ func newService(cfg Config) (*Service, error) {
 	}
 	bc, err := cache.New(cache.Config[blockKey]{
 		Capacity: cb,
-		Policy:   cache.DelayedWrite,
 		Writeback: func(k blockKey, data []byte) error {
 			return s.disks[k.disk].Put(context.Background(), k.addr, data, diskservice.PutOptions{})
 		},

@@ -469,20 +469,20 @@ func (s *Service) write(ctx context.Context, id FileID, runs []Run) (int, error)
 
 // writePartial writes src at byte within of logical block blk, which key
 // names, leaving the block dirty in the cache. A cached block takes the bytes
-// in place — under either policy: a write-through file's whole block is
-// written back by write before it acknowledges; a block at or beyond size,
-// the file's end so far, is fresh and starts zeroed; any other is read
-// first. Callers must hold st.mu.
+// in place — a write-through file's whole block is written back by write
+// before it acknowledges; a block at or beyond size, the file's end so far,
+// is fresh and starts zeroed; any other is read first. Callers must hold
+// st.mu.
 func (s *Service) writePartial(ctx context.Context, st *fileState, blk int, key blockKey, contiguous, within int, src []byte, size int64) error {
 	var buf []byte
 	if int64(blk)*BlockSize >= size {
 		buf = make([]byte, BlockSize)
 	} else {
 		seq := st.sequential(blk, blk)
-		hit, err := s.blockCache.WriteRange(key, within, src)
-		if hit || err != nil {
-			return err
+		if s.blockCache.WriteRange(key, within, src) {
+			return nil
 		}
+		var err error
 		if buf, err = s.fetchBlock(ctx, key, contiguous, seq); err != nil {
 			return err
 		}

@@ -1,6 +1,9 @@
 package rpcfs
 
-import "context"
+import (
+	"context"
+	"sort"
+)
 
 // The tests live in package rpcfs_test — their rig is built on core.New,
 // and core reaches this package through ccache — so the few unexported
@@ -18,4 +21,14 @@ var (
 // Call issues one raw request.
 func (c *Client) Call(ctx context.Context, method string, args, reply any) error {
 	return c.call(ctx, method, args, reply)
+}
+
+// Methods returns every method the table declares, sorted.
+func Methods() []string {
+	ms := make([]string, 0, len(methods))
+	for m := range methods {
+		ms = append(ms, m)
+	}
+	sort.Strings(ms)
+	return ms
 }

@@ -14,11 +14,8 @@ import (
 	"repro/internal/rpcfs"
 )
 
-// fuzzMethods is every method the server dispatches.
-var fuzzMethods = []string{
-	rpcfs.MCreate, rpcfs.MOpen, rpcfs.MClose, rpcfs.MDelete, rpcfs.MReadAt, rpcfs.MWriteAt, rpcfs.MTruncate, rpcfs.MAttr, rpcfs.MSize,
-	rpcfs.MResolve, rpcfs.MRegister, rpcfs.MUnregister, rpcfs.MUnregisterSys, rpcfs.MList, rpcfs.MResolveQuery,
-}
+// fuzzMethods is every method the server dispatches: the method table's.
+var fuzzMethods = rpcfs.Methods()
 
 // newHandler serves a small facility holding one file with the returned
 // contents, and returns that file's ID.
@@ -108,10 +105,11 @@ func TestReadAtReplyFraming(t *testing.T) {
 }
 
 // FuzzServerHandler drives every rpcfs entry point that parses a request
-// body — the two request classifiers the cluster and lease layers call, and
-// the handler itself over a live facility — with arbitrary bytes: each must
-// answer with a reply or an error, never a panic. The facility is shared
-// across inputs, so later inputs see files earlier ones created or deleted.
+// body — the classifier's two decodes, which the cluster and lease layers
+// call, and the handler itself over a live facility — with arbitrary bytes:
+// each must answer with a reply or an error, never a panic. The facility is
+// shared across inputs, so later inputs see files earlier ones created or
+// deleted.
 func FuzzServerHandler(f *testing.F) {
 	h, id, _ := newHandler(f)
 	entry := naming.Entry{
@@ -149,8 +147,9 @@ func FuzzServerHandler(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, m uint8, body []byte) {
 		method := fuzzMethods[int(m)%len(fuzzMethods)]
-		_, _, _ = rpcfs.PathOfRequest(method, body)
-		_, _, _, _ = rpcfs.FileOfRequest(method, body)
+		c := rpcfs.Classify(method, body)
+		_, _, _ = c.Path()
+		_, _, _ = c.File()
 		_, _ = h(context.Background(), method, body)
 	})
 }

@@ -20,7 +20,6 @@ package rpcfs
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -31,7 +30,8 @@ import (
 	"repro/internal/rpc"
 )
 
-// Method names.
+// Method names. What each one addresses, writes and changes, and how it is
+// served, is declared once, in the method table (methods.go).
 const (
 	MCreate   = "fs.create"
 	MOpen     = "fs.open"
@@ -45,7 +45,6 @@ const (
 
 	MResolve       = "name.resolve"
 	MRegister      = "name.register"
-	MUnregister    = "name.unregister"
 	MUnregisterSys = "name.unregisterSys"
 	MList          = "name.list"
 	MResolveQuery  = "name.resolveQuery"
@@ -120,148 +119,18 @@ func enc(v any) ([]byte, error) {
 	return appendPayload(make([]byte, 0, payloadSize(v)), v)
 }
 
-// HandlerCtx returns the request handler. The request context, which
-// carries the serving span when the request arrived traced, is threaded
-// through to the instrumented file-service data path, so a traced request's
+// HandlerCtx returns the request handler: it looks the method up in the
+// method table and serves it. The request context, which carries the serving
+// span when the request arrived traced, is threaded through to the
+// instrumented file-service data path, so a traced request's
 // fileservice/txn/wal spans nest inside the caller's tree.
 func (s *Server) HandlerCtx() rpc.Link {
 	return func(ctx context.Context, method string, body []byte) ([]byte, error) {
-		switch method {
-		case MCreate:
-			var a CreateArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			id, err := s.create(a)
-			if err != nil {
-				return nil, err
-			}
-			return enc(IntReply{V: int64(id)})
-		case MOpen:
-			var a IDArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			if err := s.Files.Open(fileservice.FileID(a.ID)); err != nil {
-				return nil, err
-			}
-			return enc(Empty{})
-		case MClose:
-			var a IDArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			if err := s.Files.Close(fileservice.FileID(a.ID)); err != nil {
-				return nil, err
-			}
-			return enc(Empty{})
-		case MDelete:
-			var a IDArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			if err := s.Files.Delete(fileservice.FileID(a.ID)); err != nil {
-				return nil, err
-			}
-			s.Naming.UnregisterSystemName(naming.FileObject, a.ID)
-			return enc(Empty{})
-		case MReadAt:
-			var a ReadAtArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			// The reply is a BytesReply the file service reads straight into:
-			// the blob's length header, then the bytes where they were read.
-			reply, err := s.Files.ReadAtHeadroomCtx(ctx, fileservice.FileID(a.ID), a.Off, a.N, blobHeaderLen)
-			if err != nil {
-				return nil, err
-			}
-			binary.BigEndian.PutUint32(reply, uint32(len(reply)-blobHeaderLen))
-			return reply, nil
-		case MWriteAt:
-			var a WriteAtArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			n, err := s.Files.WriteAtCtx(ctx, fileservice.FileID(a.ID), a.Off, a.Data)
-			if err != nil {
-				return nil, err
-			}
-			return enc(IntReply{V: int64(n)})
-		case MTruncate:
-			var a TruncateArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			if err := s.Files.Truncate(fileservice.FileID(a.ID), a.Size); err != nil {
-				return nil, err
-			}
-			return enc(Empty{})
-		case MAttr:
-			var a IDArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			attr, err := s.Files.Attributes(fileservice.FileID(a.ID))
-			if err != nil {
-				return nil, err
-			}
-			return enc(AttrReply{Attr: attr})
-		case MSize:
-			var a IDArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			size, err := s.Files.Size(fileservice.FileID(a.ID))
-			if err != nil {
-				return nil, err
-			}
-			return enc(IntReply{V: size})
-		case MResolve:
-			var a PathArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			e, err := s.Naming.ResolvePath(a.Path)
-			if err != nil {
-				return nil, err
-			}
-			return enc(ResolveReply{Entry: e})
-		case MRegister:
-			var a RegisterArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			if err := s.Naming.Register(a.Entry); err != nil {
-				return nil, err
-			}
-			return enc(Empty{})
-		case MUnregisterSys:
-			var a UnregisterSysArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			n := s.Naming.UnregisterSystemName(naming.ObjectType(a.Type), a.Sys)
-			return enc(IntReply{V: int64(n)})
-		case MResolveQuery:
-			var a QueryArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			e, err := s.Naming.Resolve(a.Query)
-			if err != nil {
-				return nil, err
-			}
-			return enc(ResolveReply{Entry: e})
-		case MList:
-			var a PathArgs
-			if err := unmarshalPayload(body, &a); err != nil {
-				return nil, err
-			}
-			return enc(ListReply{Names: s.Naming.List(a.Path)})
-		default:
+		m := methods[method]
+		if m == nil {
 			return nil, fmt.Errorf("rpcfs: unknown method %q", method)
 		}
+		return m.serve(ctx, s, body)
 	}
 }
 
@@ -445,85 +314,6 @@ func (c *Client) List(dir string) ([]string, error) {
 		return nil, err
 	}
 	return r.Names, nil
-}
-
-// PathOfRequest extracts the attributed path from a path-addressed request
-// body (fs.create, name.resolve, name.register), so a shard wrapper can
-// check namespace ownership without re-implementing the codec. ok is false
-// for methods that do not address an object by path.
-func PathOfRequest(method string, body []byte) (path string, ok bool, err error) {
-	switch method {
-	case MCreate:
-		var a CreateArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return "", false, err
-		}
-		if a.Path == "" {
-			return "", false, nil // anonymous create has no namespace home
-		}
-		return a.Path, true, nil
-	case MResolve:
-		var a PathArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return "", false, err
-		}
-		return a.Path, true, nil
-	case MRegister:
-		var a RegisterArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return "", false, err
-		}
-		if p, exists := a.Entry.Name["path"]; exists {
-			return p, true, nil
-		}
-		return "", false, nil
-	default:
-		return "", false, nil
-	}
-}
-
-// FileOfRequest extracts the file ID from an ID-addressed file-service
-// request body, and reports whether the method mutates that file's data —
-// what a coherence layer needs in order to recall conflicting client leases
-// before the operation executes. ok is false for methods that do not address
-// a single file by ID (path-addressed and naming methods; see PathOfRequest).
-func FileOfRequest(method string, body []byte) (id uint64, mutating, ok bool, err error) {
-	switch method {
-	case MWriteAt:
-		// The decode of WriteAtArgs aliases the payload for Data
-		// (no copy); only the leading ID is read here, the alias dies with a.
-		var a WriteAtArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return 0, false, false, err
-		}
-		return a.ID, true, true, nil
-	case MTruncate:
-		var a TruncateArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return 0, false, false, err
-		}
-		return a.ID, true, true, nil
-	case MDelete:
-		var a IDArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return 0, false, false, err
-		}
-		return a.ID, true, true, nil
-	case MReadAt:
-		var a ReadAtArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return 0, false, false, err
-		}
-		return a.ID, false, true, nil
-	case MSize, MAttr, MOpen, MClose:
-		var a IDArgs
-		if err := unmarshalPayload(body, &a); err != nil {
-			return 0, false, false, err
-		}
-		return a.ID, false, true, nil
-	default:
-		return 0, false, false, nil
-	}
 }
 
 // IsNotFound reports whether a remote error is a not-found condition (the
