@@ -63,8 +63,6 @@ type Config struct {
 	LogFragments int
 	// ServerCacheBlocks sizes the file-service cache.
 	ServerCacheBlocks int
-	// TrackCacheTracks sizes each disk server's read-ahead cache.
-	TrackCacheTracks int
 	// Stripe selects extent placement (default Locality).
 	Stripe fileservice.StripePolicy
 	// StripeUnitBlocks is the Spread policy's unit.
@@ -194,8 +192,8 @@ func New(cfg Config) (*Cluster, error) {
 		c.stables = append(c.stables, st)
 		srv, err := diskservice.Format(diskservice.Config{
 			DiskID: i, Disk: d, Stable: st, Metrics: cfg.Metrics,
-			TrackCacheTracks: cfg.TrackCacheTracks, DisableReadAhead: cfg.DisableReadAhead,
-			Obs: cfg.Obs,
+			DisableReadAhead: cfg.DisableReadAhead,
+			Obs:              cfg.Obs,
 		})
 		if err != nil {
 			return nil, err
@@ -406,8 +404,8 @@ func (c *Cluster) Crash() error {
 	for i := range c.servers {
 		srv, err := diskservice.Mount(diskservice.Config{
 			DiskID: i, Disk: c.devices[i], Stable: c.stables[i], Metrics: c.cfg.Metrics,
-			TrackCacheTracks: c.cfg.TrackCacheTracks, DisableReadAhead: c.cfg.DisableReadAhead,
-			Obs: c.cfg.Obs,
+			DisableReadAhead: c.cfg.DisableReadAhead,
+			Obs:              c.cfg.Obs,
 		})
 		if err != nil {
 			return fmt.Errorf("core: remounting disk %d: %w", i, err)

@@ -9,11 +9,13 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/fault"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
+	"repro/internal/stable"
 	"repro/internal/txn"
 )
 
@@ -498,5 +500,123 @@ func TestParityLayout(t *testing.T) {
 	}
 	if len(bad) != 0 {
 		t.Fatalf("parity invariant violated on stripes %v", bad)
+	}
+}
+
+// TestCrashInDeferredFITWrite crashes a create inside its FIT's stable write.
+// A FIT's stable copy is the deferred flavour of put-block, and a deferred
+// write runs on its caller, so the crash dies in Create under fault.Run: once
+// before either stable copy is written, once between the primary and the
+// mirror copy. After Crash, StableRecoverAll and Recover the file service
+// must check clean, with every create acknowledged before the crash listed
+// and readable.
+func TestCrashInDeferredFITWrite(t *testing.T) {
+	const files, strike = 8, 5 // strike is the create the crash lands in
+
+	// cycle creates, writes and closes file i; creating is set while Create
+	// runs.
+	cycle := func(c *Cluster, i int, creating *bool) (fileservice.FileID, []byte, error) {
+		*creating = true
+		id, err := c.Files.Create(fit.Attributes{})
+		*creating = false
+		if err != nil {
+			return 0, nil, err
+		}
+		data := bytes.Repeat([]byte{byte('a' + i)}, 100+300*i)
+		if err := c.Files.Open(id); err != nil {
+			return 0, nil, err
+		}
+		if _, err := c.Files.WriteAt(id, 0, data); err != nil {
+			return 0, nil, err
+		}
+		return id, data, c.Files.Close(id) // delayed write: Close makes it durable
+	}
+
+	// A dry run counts the deferred writes made before each create: an
+	// action that tears nothing off a one-fragment write and fires on every
+	// deferred primary write is a counter.
+	probe := fault.NewInjector(1)
+	dry := newCluster(t, func(cfg *Config) { cfg.Fault = probe })
+	probe.Arm(stable.PtDeferredPrimary, fault.Action{Kind: fault.KindTorn, Frags: 1, Times: -1})
+	var creating bool
+	before := make([]int, files)
+	for i := 0; i < files; i++ {
+		before[i] = probe.Fired(stable.PtDeferredPrimary)
+		if _, _, err := cycle(dry, i, &creating); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := before[strike]
+	if probe.Fired(stable.PtDeferredPrimary) <= k {
+		t.Fatalf("create %d made no deferred stable write", strike)
+	}
+
+	for _, pt := range []fault.Point{stable.PtDeferredPrimary, stable.PtDeferredMirror} {
+		t.Run(string(pt), func(t *testing.T) {
+			inj := fault.NewInjector(2)
+			c := newCluster(t, func(cfg *Config) { cfg.Fault = inj })
+			// An empty torn prefix plus a crash: the copy at pt is never
+			// written.
+			inj.Arm(pt, fault.Action{Kind: fault.KindTorn, Crash: true, After: k})
+			acked := map[fileservice.FileID][]byte{}
+			var creating bool
+			crashed, err := fault.Run(func() error {
+				for i := 0; i < files; i++ {
+					id, data, err := cycle(c, i, &creating)
+					if err != nil {
+						return err
+					}
+					acked[id] = data
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crashed == nil || crashed.Point != pt || !creating || len(acked) != strike {
+				t.Fatalf("crash = %v after %d creates (creating=%v), want one at %s inside create %d",
+					crashed, len(acked), creating, pt, strike)
+			}
+			inj.DisarmAll()
+
+			if err := c.Crash(); err != nil {
+				t.Fatalf("Crash: %v", err)
+			}
+			reps, err := c.StableRecoverAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			healed := 0
+			for _, rep := range reps {
+				healed += rep.DivergenceHealed
+			}
+			if pt == stable.PtDeferredMirror && healed == 0 {
+				t.Fatal("a crash between the careful writes left no divergence to heal")
+			}
+			if _, err := c.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			rep, err := c.Files.Check()
+			if err != nil || !rep.Ok() {
+				t.Fatalf("Check: %v %v", err, rep.Problems)
+			}
+			listed, err := c.Files.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[fileservice.FileID]bool{}
+			for _, id := range listed {
+				seen[id] = true
+			}
+			for id, want := range acked {
+				if !seen[id] {
+					t.Fatalf("acknowledged file %d not listed after recovery", id)
+				}
+				got, err := c.Files.ReadAt(id, 0, len(want))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("acknowledged file %d lost or damaged: %v", id, err)
+				}
+			}
+		})
 	}
 }

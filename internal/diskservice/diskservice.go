@@ -79,9 +79,10 @@ func (s Stability) String() string {
 type PutOptions struct {
 	// Stability selects the destination; zero means MainOnly.
 	Stability Stability
-	// WaitStable, when a stable copy is requested, makes the call return only
-	// after the stable copy is saved. When false the stable write is deferred
-	// and the call returns immediately after the main-storage write (if any).
+	// WaitStable, when a stable copy is requested, makes the call return the
+	// stable write's error. When false the stable copy is still written
+	// before the call returns, but its error is kept for the next Flush (or
+	// log sync) instead of returned.
 	WaitStable bool
 }
 
@@ -106,6 +107,9 @@ var (
 
 const superMagic = 0x52484F44 // "RHOD"
 
+// trackCacheTracks is the number of tracks the read-ahead cache holds.
+const trackCacheTracks = 16
+
 // Config configures a Server.
 type Config struct {
 	// DiskID identifies this disk within the facility.
@@ -117,9 +121,6 @@ type Config struct {
 	Stable *stable.Store
 	// Metrics receives operation counters. Optional.
 	Metrics *metrics.Set
-	// TrackCacheTracks is the number of tracks the read-ahead cache holds;
-	// defaults to 16.
-	TrackCacheTracks int
 	// DisableReadAhead turns the track cache off entirely (ablation E5).
 	DisableReadAhead bool
 	// Obs receives per-request spans/latency observations and the disk's
@@ -237,13 +238,9 @@ func newServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracks := cfg.TrackCacheTracks
-	if tracks <= 0 {
-		tracks = 16
-	}
 	// The track cache holds clean images only, so it needs no writeback.
 	tc, err := cache.New(cache.Config[int]{
-		Capacity:    tracks,
+		Capacity:    trackCacheTracks,
 		Metrics:     cfg.Metrics,
 		HitCounter:  metrics.TrackCacheHit,
 		MissCounter: metrics.TrackCacheMiss,
@@ -500,8 +497,8 @@ func (s *Server) updateTrackCache(addr int, data []byte) {
 }
 
 // Flush is the paper's flush-block: it makes all buffered state durable —
-// deferred stable writes are drained and the bitmap is persisted to the disk
-// and its stable mirror.
+// the bitmap is persisted to the disk and its stable mirror, and the first
+// error of a deferred stable write, if any, is reported.
 func (s *Server) Flush() error {
 	if err := s.checkOpen(); err != nil {
 		return err

@@ -38,11 +38,7 @@ func (r *Recorder) Event(name, detail string) {
 	}
 	log := r.events.Load()
 	if log == nil {
-		capacity := r.ecap
-		if capacity <= 0 {
-			capacity = defaultEventCap
-		}
-		r.events.CompareAndSwap(nil, newRing[Event](capacity))
+		r.events.CompareAndSwap(nil, newRing[Event](defaultEventCap))
 		log = r.events.Load()
 	}
 	log.add(ev)

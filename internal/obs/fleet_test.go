@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -241,20 +242,21 @@ func TestStitchTraces(t *testing.T) {
 // TestEventRing checks the bounded event log: capacity, ordering, and the
 // total count surviving wraparound.
 func TestEventRing(t *testing.T) {
-	r := New(WithEventCapacity(4))
-	for i := 0; i < 10; i++ {
+	const capacity, added = defaultEventCap, defaultEventCap + 6
+	r := New()
+	for i := 0; i < added; i++ {
 		r.Eventf("e", "event %d", i)
 	}
 	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	if len(evs) != capacity {
+		t.Fatalf("retained %d events, want %d", len(evs), capacity)
 	}
-	if r.EventTotal() != 10 {
-		t.Fatalf("total = %d, want 10", r.EventTotal())
+	if r.EventTotal() != added {
+		t.Fatalf("total = %d, want %d", r.EventTotal(), added)
 	}
-	// Oldest-first snapshot of the last four.
+	// Oldest-first snapshot of the last capacity.
 	for i, e := range evs {
-		if want := "event " + string(rune('6'+i)); e.Detail != want {
+		if want := fmt.Sprintf("event %d", added-capacity+i); e.Detail != want {
 			t.Fatalf("event %d = %q, want %q", i, e.Detail, want)
 		}
 	}

@@ -20,13 +20,6 @@ func newRing[T any](capacity int) *ring[T] {
 	return &ring[T]{buf: make([]T, capacity)}
 }
 
-func newFlightRing(capacity int) *ring[*Span] {
-	if capacity <= 0 {
-		capacity = defaultFlightCap
-	}
-	return newRing[*Span](capacity)
-}
-
 func (f *ring[T]) add(v T) {
 	f.mu.Lock()
 	f.buf[f.next] = v

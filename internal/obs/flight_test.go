@@ -10,9 +10,9 @@ import (
 // TestFlightWraparound fills the ring past capacity and checks that only
 // the newest trees survive, oldest-first.
 func TestFlightWraparound(t *testing.T) {
-	const capacity = 4
-	r := New(WithSampleRate(1), WithFlightCapacity(capacity))
-	for i := 0; i < 10; i++ {
+	const capacity, added = defaultFlightCap, defaultFlightCap + 6
+	r := New(WithSampleRate(1))
+	for i := 0; i < added; i++ {
 		_, sp := r.StartRoot(context.Background(), LayerAgent, fmt.Sprintf("op-%d", i))
 		sp.End(nil)
 	}
@@ -21,19 +21,19 @@ func TestFlightWraparound(t *testing.T) {
 		t.Fatalf("retained = %d, want %d", len(trees), capacity)
 	}
 	for i, d := range trees {
-		want := fmt.Sprintf("op-%d", 10-capacity+i)
+		want := fmt.Sprintf("op-%d", added-capacity+i)
 		if d.Op != want {
 			t.Fatalf("tree %d op = %q, want %q", i, d.Op, want)
 		}
 	}
-	if total := r.flight.total(); total != 10 {
-		t.Fatalf("total = %d, want 10", total)
+	if total := r.flight.total(); total != added {
+		t.Fatalf("total = %d, want %d", total, added)
 	}
 }
 
 // TestFlightPartialFill checks snapshot order before the ring wraps.
 func TestFlightPartialFill(t *testing.T) {
-	r := New(WithSampleRate(1), WithFlightCapacity(8))
+	r := New(WithSampleRate(1))
 	for i := 0; i < 3; i++ {
 		_, sp := r.StartRoot(context.Background(), LayerAgent, fmt.Sprintf("op-%d", i))
 		sp.End(nil)
@@ -52,8 +52,8 @@ func TestFlightPartialFill(t *testing.T) {
 // TestFlightWraparoundConcurrent wraps the ring from many goroutines while
 // snapshots run, under the race detector.
 func TestFlightWraparoundConcurrent(t *testing.T) {
-	const capacity = 8
-	r := New(WithSampleRate(1), WithFlightCapacity(capacity))
+	const capacity = defaultFlightCap
+	r := New(WithSampleRate(1))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -147,23 +147,10 @@ type Recorder struct {
 	// events is the event log, allocated by the first Event: most recorders
 	// never log one.
 	events atomic.Pointer[ring[Event]]
-	ecap   int
 }
 
 // Option configures a Recorder.
 type Option func(*Recorder)
-
-// WithFlightCapacity sets how many completed span trees the flight
-// recorder retains (default 64).
-func WithFlightCapacity(n int) Option {
-	return func(r *Recorder) { r.flight = newFlightRing(n) }
-}
-
-// WithEventCapacity sets how many events the event log retains
-// (default 256).
-func WithEventCapacity(n int) Option {
-	return func(r *Recorder) { r.ecap = n }
-}
 
 // WithSampleRate sets head sampling: one root in n gets a span tree, chosen
 // at random per root. 1 traces every op — what a trace dump, a fault-dump
@@ -179,7 +166,7 @@ func WithSampleRate(n int) Option {
 func New(opts ...Option) *Recorder {
 	r := &Recorder{
 		epoch:      time.Now(),
-		flight:     newFlightRing(defaultFlightCap),
+		flight:     newRing[*Span](defaultFlightCap),
 		slow:       newRing[SlowOp](slowOpCap),
 		gauges:     make(map[string]*Gauge),
 		sampleRate: DefaultSampleRate,

@@ -272,7 +272,7 @@ func TestProfileRender(t *testing.T) {
 // TestConcurrentSpans exercises parallel span creation, fault dumps and
 // flight snapshots under the race detector.
 func TestConcurrentSpans(t *testing.T) {
-	r := New(WithSampleRate(1), WithFlightCapacity(16))
+	r := New(WithSampleRate(1))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -305,8 +305,8 @@ func TestConcurrentSpans(t *testing.T) {
 	if n := r.LayerWall(LayerAgent).Count(); n != 8*200 {
 		t.Fatalf("agent observations = %d, want %d", n, 8*200)
 	}
-	if got := len(r.Flight()); got != 16 {
-		t.Fatalf("flight retained = %d, want 16", got)
+	if got := len(r.Flight()); got != defaultFlightCap {
+		t.Fatalf("flight retained = %d, want %d", got, defaultFlightCap)
 	}
 }
 

@@ -60,6 +60,10 @@ func Every(c Clock, d time.Duration, fn func() bool) (stop func()) {
 		cancel()
 		mu.Unlock()
 		run.Lock() // waits out a call of fn in flight
+		// The runtime keeps a stopped timer, and the tick it would run,
+		// until it next tidies its timer heap: drop fn, so what fn holds
+		// is garbage from the next collection on.
+		fn = nil
 		run.Unlock()
 	}
 }

@@ -3,6 +3,7 @@ package simclock
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,4 +195,23 @@ func TestBackoffReturnsOnCancel(t *testing.T) {
 		t.Fatal("Wait did not return after cancel")
 	}
 	c.Advance(2 * time.Hour) // the cancelled wait's timer is gone
+}
+
+// TestEveryStopReleasesFn: the runtime keeps a stopped timer until it next
+// tidies its timer heap, and the timer holds the loop's tick; stop drops fn,
+// so one collection after stop frees what only fn referenced.
+func TestEveryStopReleasesFn(t *testing.T) {
+	freed := make(chan struct{})
+	stop := func() func() {
+		owner := &struct{ buf [64]byte }{}
+		runtime.SetFinalizer(owner, func(*struct{ buf [64]byte }) { close(freed) })
+		return Every(&Wall{}, time.Hour, func() bool { return owner.buf[0] == 0 })
+	}()
+	stop()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(time.Second):
+		t.Fatal("a stopped loop still pins its function's captures after a collection")
+	}
 }

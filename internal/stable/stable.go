@@ -32,11 +32,12 @@ import (
 var ErrClosed = errors.New("stable: store closed")
 
 // Fault points in the careful-write sequence. The crash points bracket the
-// two mirror writes — dying between them is the classic stable-storage
-// divergence that Recover's primary-wins rule heals — and the per-disk
-// points take torn-write and error injections. The deferred points cover the
-// background worker; they are error-only sites (the worker goroutine is not
-// the harness's, so it must never be crash-armed).
+// two mirror writes of Write — dying between them is the classic
+// stable-storage divergence that Recover's primary-wins rule heals — and the
+// per-disk points take torn-write, crash and error injections. WriteDeferred
+// has its own per-disk points, so arming the Write points leaves deferred
+// writes alone; both flavours run on the caller's goroutine, so every point
+// may be crash-armed under fault.Run.
 var (
 	PtWriteBeforePrimary = fault.Register("stable.write.before-primary")
 	PtWriteAfterPrimary  = fault.Register("stable.write.after-primary")
@@ -46,6 +47,14 @@ var (
 	PtDeferredMirror     = fault.Register("stable.deferred.mirror")
 )
 
+// flavour names the fault points one put-block flavour's careful write hits.
+type flavour struct{ before, primary, after, mirror fault.Point }
+
+var (
+	syncWrite     = flavour{PtWriteBeforePrimary, PtWritePrimary, PtWriteAfterPrimary, PtWriteMirror}
+	deferredWrite = flavour{primary: PtDeferredPrimary, mirror: PtDeferredMirror}
+)
+
 // Store is a mirrored stable store. It is safe for concurrent use.
 type Store struct {
 	primary *device.Disk
@@ -53,22 +62,13 @@ type Store struct {
 	alloc   *freespace.Map
 	met     *metrics.Set
 
+	// mu is held across each careful write, so Close waits out every write
+	// that passed its closed check, and Recover scans a quiescent pair.
 	mu      sync.Mutex
 	closed  bool
-	pending sync.WaitGroup // deferred writes in flight
-	deferCh chan deferred
-	bufs    sync.Pool // *[]byte: copies queued by WriteDeferred, recycled by the worker
-	loopWG  sync.WaitGroup
-
-	errMu   sync.Mutex
 	lastErr error // first unobserved error from a deferred write
 
 	fault *fault.Injector
-}
-
-type deferred struct {
-	start int
-	buf   *[]byte // the store's copy of the data, from bufs; the worker puts it back
 }
 
 // Option configures a Store.
@@ -82,7 +82,6 @@ func WithMetrics(s *metrics.Set) Option { return func(st *Store) { st.met = s } 
 func WithFault(in *fault.Injector) Option { return func(st *Store) { st.fault = in } }
 
 // NewStore creates a stable store over two drives of identical geometry.
-// Close must be called to stop the deferred-write worker.
 func NewStore(primary, mirror *device.Disk, opts ...Option) (*Store, error) {
 	if primary == nil || mirror == nil {
 		return nil, errors.New("stable: nil device")
@@ -95,18 +94,10 @@ func NewStore(primary, mirror *device.Disk, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{
-		primary: primary,
-		mirror:  mirror,
-		alloc:   alloc,
-		deferCh: make(chan deferred, 64),
-		bufs:    sync.Pool{New: func() any { return new([]byte) }},
-	}
+	st := &Store{primary: primary, mirror: mirror, alloc: alloc}
 	for _, o := range opts {
 		o(st)
 	}
-	st.loopWG.Add(1)
-	go st.deferLoop()
 	return st, nil
 }
 
@@ -131,17 +122,39 @@ func (s *Store) FreeCount() int { return s.alloc.FreeCount() }
 // of put-block (§4).
 func (s *Store) Write(start int, data []byte) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.mu.Unlock()
-	s.fault.Hit(PtWriteBeforePrimary)
-	if err := s.writeDisk(s.primary, PtWritePrimary, start, data); err != nil {
+	return s.careful(syncWrite, start, data)
+}
+
+// WriteDeferred is the "call returned before saving on stable storage"
+// flavour of put-block (§4): the caller does not wait on its outcome. It runs
+// the same careful write as Write, on the caller's goroutine, but its error is
+// kept for the next Barrier, Flush or Close instead of returned. The caller
+// may reuse data once it returns.
+func (s *Store) WriteDeferred(start int, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if err := s.careful(deferredWrite, start, data); err != nil && s.lastErr == nil {
+		s.lastErr = err
+	}
+	return nil
+}
+
+// careful writes data to the primary and then to the mirror, hitting f's
+// fault points. The caller holds s.mu.
+func (s *Store) careful(f flavour, start int, data []byte) error {
+	s.fault.Hit(f.before)
+	if err := s.writeDisk(s.primary, f.primary, start, data); err != nil {
 		return fmt.Errorf("stable: primary write: %w", err)
 	}
-	s.fault.Hit(PtWriteAfterPrimary)
-	if err := s.writeDisk(s.mirror, PtWriteMirror, start, data); err != nil {
+	s.fault.Hit(f.after)
+	if err := s.writeDisk(s.mirror, f.mirror, start, data); err != nil {
 		return fmt.Errorf("stable: mirror write: %w", err)
 	}
 	s.met.Inc(metrics.StableWrites)
@@ -175,68 +188,22 @@ func (s *Store) writeDisk(d *device.Disk, p fault.Point, start int, data []byte)
 	return d.WriteFragments(context.Background(), start, data)
 }
 
-// WriteDeferred queues data for stable write and returns immediately — the
-// "call returned before saving on stable storage" flavour of put-block (§4).
-// The data slice is copied. Errors surface from Barrier, Flush or Close.
-func (s *Store) WriteDeferred(start int, data []byte) error {
+// Flush returns the first deferred-write error, if any. The error stays
+// recorded, so every later Flush or Close reports it too.
+func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	bp := s.bufs.Get().(*[]byte)
-	*bp = append((*bp)[:0], data...)
-	s.pending.Add(1)
-	s.deferCh <- deferred{start: start, buf: bp}
-	return nil
-}
-
-func (s *Store) deferLoop() {
-	defer s.loopWG.Done()
-	for d := range s.deferCh {
-		if err := s.writeBoth(d.start, *d.buf); err != nil {
-			s.errMu.Lock()
-			if s.lastErr == nil {
-				s.lastErr = err
-			}
-			s.errMu.Unlock()
-		}
-		s.bufs.Put(d.buf)
-		s.pending.Done()
-	}
-}
-
-func (s *Store) writeBoth(start int, data []byte) error {
-	if err := s.writeDisk(s.primary, PtDeferredPrimary, start, data); err != nil {
-		return fmt.Errorf("stable: primary write: %w", err)
-	}
-	if err := s.writeDisk(s.mirror, PtDeferredMirror, start, data); err != nil {
-		return fmt.Errorf("stable: mirror write: %w", err)
-	}
-	s.met.Inc(metrics.StableWrites)
-	return nil
-}
-
-// Flush waits for all deferred writes to reach both mirrors and returns the
-// first deferred-write error, if any. The error stays recorded, so every
-// later Flush or Close reports it too.
-func (s *Store) Flush() error {
-	s.pending.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
 	return s.lastErr
 }
 
-// Barrier waits for every deferred write queued so far to reach both
-// mirrors and returns the first deferred-write error since the last
-// Barrier, consuming it. A sync path that calls Barrier therefore cannot
-// complete over a silently failed deferred write, and a retry after the
-// caller repairs the fault starts clean. Flush and Close, by contrast,
-// leave the error recorded.
+// Barrier returns the first deferred-write error since the last Barrier,
+// consuming it. A sync path that calls Barrier therefore cannot complete
+// over a silently failed deferred write, and a retry after the caller
+// repairs the fault starts clean. Flush and Close, by contrast, leave the
+// error recorded.
 func (s *Store) Barrier() error {
-	s.pending.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.lastErr
 	s.lastErr = nil
 	return err
@@ -278,10 +245,11 @@ type RecoveryReport struct {
 // Recover reconciles the two mirrors after a crash, scanning track by track.
 // It implements the stable-storage recovery rule: restore an unreadable copy
 // from its twin; when both copies are readable but differ, the primary —
-// written first — wins. Deferred writes still in flight are waited out first,
-// so the scan sees a quiescent pair.
+// written first — wins. Writes wait for the scan, so it sees a quiescent
+// pair.
 func (s *Store) Recover() (RecoveryReport, error) {
-	s.pending.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var rep RecoveryReport
 	geom := s.primary.Geometry()
 	for f := 0; f < geom.Capacity(); f++ {
@@ -313,20 +281,15 @@ func (s *Store) Recover() (RecoveryReport, error) {
 	return rep, nil
 }
 
-// Close drains deferred writes and stops the worker. It returns the first
-// deferred-write error, if any. Close is idempotent.
+// Close rejects further writes, once every write already under way has
+// landed, and returns the first deferred-write error, if any. Close is
+// idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
-	s.pending.Wait()
-	close(s.deferCh)
-	s.loopWG.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
 	return s.lastErr
 }

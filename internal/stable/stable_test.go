@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/fault"
@@ -410,5 +412,112 @@ func TestSyncWriteTornPrimaryFailsWrite(t *testing.T) {
 	}
 	if rep.DivergenceHealed == 0 && rep.MirrorRepaired == 0 {
 		t.Fatalf("recover healed nothing: %+v", rep)
+	}
+}
+
+// A deferred write runs on its caller, so a crash armed at a deferred point
+// dies on the caller, under fault.Run: here the mirror write is torn after
+// one fragment, and Recover must heal the divergence with the primary's copy.
+func TestDeferredMirrorCrashDiesOnCaller(t *testing.T) {
+	p, m := newPair(t)
+	inj := fault.NewInjector(14)
+	st, err := NewStore(p, m, WithFault(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	start, err := st.Allocate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append(frag(7), frag(8)...)
+	inj.Arm(PtDeferredMirror, fault.Action{Kind: fault.KindTorn, Frags: 1, Crash: true})
+	crashed, err := fault.Run(func() error { return st.WriteDeferred(start, data) })
+	if crashed == nil || crashed.Point != PtDeferredMirror {
+		t.Fatalf("WriteDeferred = crash %v, err %v; want a crash at %s", crashed, err, PtDeferredMirror)
+	}
+	rep, err := st.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DivergenceHealed != 1 || rep.PrimaryRepaired != 0 || rep.MirrorRepaired != 0 {
+		t.Fatalf("recover = %+v, want one divergence healed", rep)
+	}
+	for _, d := range []*device.Disk{p, m} {
+		got, err := d.ReadFragments(context.Background(), start, 2)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("copy after recover differs from the primary's: %v", err)
+		}
+	}
+	rep, err = st.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DivergenceHealed != 0 || rep.PrimaryRepaired != 0 || rep.MirrorRepaired != 0 || rep.UnrecoverableLost != 0 {
+		t.Fatalf("second recover = %+v, want no repairs", rep)
+	}
+}
+
+// Close returns only after every write that passed its closed check has
+// landed, for both flavours: writers keep writing until they see ErrClosed,
+// and a copy of the mirrors taken as Close returns holds each fragment's last
+// write that did not report it. A delay at the start of each synchronous
+// write holds the writes open past their closed check.
+func TestCloseWaitsForWritesUnderWay(t *testing.T) {
+	p, m := newPair(t)
+	inj := fault.NewInjector(15)
+	inj.Arm(PtWriteBeforePrimary, fault.Action{Kind: fault.KindDelay, Delay: time.Millisecond, Times: -1})
+	st, err := NewStore(p, m, WithFault(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers = 8
+	last := make([]byte, st.Capacity()) // each fragment's last seed written; one writer per fragment
+	var started, done sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		started.Add(1)
+		done.Add(1)
+		go func(w int) {
+			defer done.Done()
+			for round := 1; ; round++ {
+				for f := w; f < len(last); f += writers {
+					write := st.Write
+					if f%2 == 1 {
+						write = st.WriteDeferred
+					}
+					if err := write(f, frag(byte(round))); err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("write %d: %v", f, err)
+						}
+						if round == 1 {
+							started.Done()
+						}
+						return
+					}
+					last[f] = byte(round)
+				}
+				if round == 1 {
+					started.Done()
+				}
+			}
+		}(w)
+	}
+	started.Wait()
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	var copies [2][]byte
+	for i, d := range []*device.Disk{p, m} {
+		if copies[i], err = d.ReadFragments(context.Background(), 0, len(last)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Wait()
+	for f, seed := range last {
+		for c, img := range copies {
+			if !bytes.Equal(img[f*device.FragmentSize:(f+1)*device.FragmentSize], frag(seed)) {
+				t.Fatalf("fragment %d: copy %d lacks its last write as Close returns", f, c)
+			}
+		}
 	}
 }

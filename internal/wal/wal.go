@@ -212,9 +212,9 @@ func (l *Log) Append(rec Record) (uint64, error) {
 }
 
 // Sync writes every buffered fragment that changed since the last Sync to
-// stable storage, waiting for both mirrors. It also acts as a barrier for
-// the store's deferred writes, so a commit point cannot complete over a
-// silently failed background write.
+// stable storage, waiting for both mirrors. It also takes the store's kept
+// deferred-write error (stable.Store.Barrier), so a commit point cannot
+// complete over a silently failed deferred write.
 //
 // Sync is failure-atomic: on any error the synced/lsnSynced watermarks are
 // left untouched, so a retry rewrites the whole possibly-torn fragment range
