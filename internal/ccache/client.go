@@ -112,6 +112,9 @@ type Client struct {
 	clientID uint64
 	rec      *obs.Recorder
 	clock    simclock.Clock
+	// hits and misses are the recorder's MetricHits and MetricMisses
+	// gauges, resolved once (nil, and still countable, without a recorder).
+	hits, misses *obs.Gauge
 
 	mu    sync.Mutex
 	files map[fileservice.FileID]*fileState
@@ -152,6 +155,8 @@ func New(cfg Config) (*Client, error) {
 		clientID: cfg.ClientID,
 		rec:      cfg.Obs,
 		clock:    clock,
+		hits:     cfg.Obs.Gauge(MetricHits),
+		misses:   cfg.Obs.Gauge(MetricMisses),
 		files:    make(map[fileservice.FileID]*fileState),
 	}, nil
 }
@@ -387,7 +392,7 @@ func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n
 					// A hard lease failure (e.g. no such file) usually
 					// means the direct read fails identically; fall
 					// through so the caller sees the inner error.
-					c.rec.Gauge(MetricMisses).Inc()
+					c.misses.Inc()
 				}
 				return c.readInner(ctx, id, off, n)
 			}
@@ -396,7 +401,7 @@ func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n
 		size := st.size
 		if off >= size {
 			c.mu.Unlock()
-			c.rec.Gauge(MetricHits).Inc()
+			c.hits.Inc()
 			return nil, nil
 		}
 		if off+int64(n) > size {
@@ -424,7 +429,7 @@ func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n
 		}
 		if len(gaps) == 0 {
 			c.mu.Unlock()
-			c.rec.Gauge(MetricHits).Inc()
+			c.hits.Inc()
 			return out, nil
 		}
 		epoch := st.epoch
@@ -434,12 +439,12 @@ func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n
 		} else if !ok {
 			continue // lease moved mid-assembly: retry for a coherent read
 		}
-		c.rec.Gauge(MetricMisses).Inc()
+		c.misses.Inc()
 		return out, nil
 	}
 	// Lease churn (recalls racing this read): serve uncached, which is
 	// atomic under the server's per-file lock.
-	c.rec.Gauge(MetricMisses).Inc()
+	c.misses.Inc()
 	return c.readInner(ctx, id, off, n)
 }
 
@@ -965,7 +970,7 @@ func (c *Client) Size(id fileservice.FileID) (int64, error) {
 	if st := c.files[id]; st != nil && c.leasedLocked(st, ModeRead) {
 		size := st.size
 		c.mu.Unlock()
-		c.rec.Gauge(MetricHits).Inc()
+		c.hits.Inc()
 		return size, nil
 	}
 	c.mu.Unlock()

@@ -161,7 +161,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			return nil, errors.New("cluster: primary role requires a backup address in the map")
 		}
 		s.backupAddr = m.Backup(cfg.Shard)
-		r := &replState{ttl: rttl, bc: cfg.Backup}
+		r := &replState{ttl: rttl, bc: cfg.Backup, lag: cfg.Obs.ValueHist(MetricReplLagNS)}
 		r.sh = replication.NewShipper(replication.ShipperConfig{
 			Send:   s.shipBatch,
 			OnDown: s.streamDown,

@@ -148,6 +148,9 @@ type fileState struct {
 	// recent first: the block after the last one the stream touched. A miss
 	// is sized by whether its access continues one (see sequential).
 	next [4]int
+	// keyBuf is flushFile's list of the file's block keys, kept for the
+	// next close.
+	keyBuf []blockKey
 }
 
 // Service is a basic file service. It is safe for concurrent use.
@@ -769,12 +772,13 @@ func (s *Service) flushDisksLocked() error {
 // flushFile flushes one file's dirty blocks (per-disk parallel) and FIT.
 // Callers must hold st.mu.
 func (s *Service) flushFile(st *fileState) error {
-	keys := make([]blockKey, 0, st.extents.TotalBlocks())
+	keys := st.keyBuf[:0]
 	for _, e := range st.extents.Extents() {
 		for b := 0; b < int(e.Count); b++ {
 			keys = append(keys, blockKey{disk: int(e.Disk), addr: int(e.Addr) + b*FragmentsPerBlock})
 		}
 	}
+	st.keyBuf = keys
 	if err := s.flushKeys(keys); err != nil {
 		return err
 	}

@@ -86,12 +86,56 @@ func (s *Service) readAt(ctx context.Context, id FileID, off int64, n, headroom 
 		n = int(size - off)
 	}
 	out := make([]byte, headroom+n)
-	if err := s.readInto(ctx, st, out[headroom:], off); err != nil {
+	if err := s.readStamped(ctx, st, out[headroom:], off); err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// ReadAtInto is ReadAtCtx reading into the caller's buf: it fills buf with
+// the file's bytes from off and returns how many it read, fewer at end of
+// file (and zero, no error, at or past it). The transaction service reads a
+// view straight into the slice it returns.
+func (s *Service) ReadAtInto(ctx context.Context, id FileID, off int64, buf []byte) (int, error) {
+	ctx, op := s.obsRec.StartOp(ctx, obs.LayerFileService, "readAt")
+	op.SetFile(uint64(id))
+	n, err := s.readAtInto(ctx, id, off, buf)
+	op.AddBytes(n)
+	op.End(err)
+	return n, err
+}
+
+func (s *Service) readAtInto(ctx context.Context, id FileID, off int64, buf []byte) (int, error) {
+	if off < 0 {
+		return 0, ErrBadOffset
+	}
+	st, err := s.lockFile(id)
+	if err != nil {
+		return 0, err
+	}
+	defer st.mu.Unlock()
+	size := int64(st.attr.Size)
+	if off >= size {
+		return 0, nil
+	}
+	if int64(len(buf)) > size-off {
+		buf = buf[:size-off]
+	}
+	if err := s.readStamped(ctx, st, buf, off); err != nil {
+		return 0, err
+	}
+	return len(buf), nil
+}
+
+// readStamped fills out with the file's bytes from off and stamps the
+// file's last read. Callers must hold st.mu.
+func (s *Service) readStamped(ctx context.Context, st *fileState, out []byte, off int64) error {
+	if err := s.readInto(ctx, st, out, off); err != nil {
+		return err
 	}
 	st.attr.LastRead = time.Now()
 	st.attrDirty = true
-	return out, nil
+	return nil
 }
 
 // fetchSpan names bytes to copy out of one block of a fetched run.

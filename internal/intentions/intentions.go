@@ -115,11 +115,39 @@ type List struct {
 	status  Status
 	records []Record // in Seq order: appended with rising Seq, removed in place
 	nextSeq int
+	// data holds the records' after-images, each record's Data a full slice
+	// of it; Reset keeps it for the list's next transaction. An append that
+	// outgrows it moves on to a larger array and leaves the earlier records
+	// where they are.
+	data []byte
 }
+
+// Reset keeps at most keepBytes of after-image storage and keepRecords
+// records: a transaction that wrote more leaves them to the collector.
+const keepBytes, keepRecords = 64 << 10, 256
 
 // NewList returns an empty tentative list for transaction txn.
 func NewList(txn uint64) *List {
 	return &List{txn: txn, status: Tentative}
+}
+
+// Reset empties the list for transaction txn and sets its flag to
+// tentative, keeping its storage for the new transaction's intentions. The
+// Data of every record the list handed out before is overwritten by later
+// intentions, so the caller resets only once it is done with them.
+func (l *List) Reset(txn uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.txn, l.status, l.nextSeq = txn, Tentative, 0
+	clear(l.records[:cap(l.records)]) // no stale Data pins dropped storage
+	l.records = l.records[:0]
+	if cap(l.records) > keepRecords {
+		l.records = nil
+	}
+	l.data = l.data[:0]
+	if cap(l.data) > keepBytes {
+		l.data = nil
+	}
 }
 
 // Txn returns the owning transaction.
@@ -168,9 +196,9 @@ func (l *List) SetIntention(rec Record) error {
 	}
 	rec.Seq = l.nextSeq
 	l.nextSeq++
-	cp := make([]byte, len(rec.Data))
-	copy(cp, rec.Data)
-	rec.Data = cp
+	from := len(l.data)
+	l.data = append(l.data, rec.Data...)
+	rec.Data = l.data[from:len(l.data):len(l.data)]
 	l.records = append(l.records, rec)
 	return nil
 }
@@ -179,11 +207,15 @@ func (l *List) SetIntention(rec Record) error {
 // get-intention). The returned slice is a copy; Data buffers are shared and
 // must not be mutated.
 func (l *List) GetIntentions() []Record {
+	return l.AppendIntentions(nil)
+}
+
+// AppendIntentions is GetIntentions appending to dst, for a caller that
+// reuses one slice across transactions.
+func (l *List) AppendIntentions(dst []Record) []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
-	return out
+	return append(dst, l.records...)
 }
 
 // IntentionsForFile returns the records touching one file, in order.

@@ -170,6 +170,8 @@ type Shipper struct {
 	send   func(context.Context, []byte) error
 	onDown func(error)
 	rec    *obs.Recorder
+	// The recorder's per-batch value histograms, resolved once.
+	batchRecords, batchBytes, shipNS *obs.Histogram
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -186,7 +188,12 @@ type Shipper struct {
 
 // NewShipper starts a shipper and its sender goroutine.
 func NewShipper(cfg ShipperConfig) *Shipper {
-	s := &Shipper{send: cfg.Send, onDown: cfg.OnDown, rec: cfg.Obs}
+	s := &Shipper{
+		send: cfg.Send, onDown: cfg.OnDown, rec: cfg.Obs,
+		batchRecords: cfg.Obs.ValueHist(MetricShipBatchRecords),
+		batchBytes:   cfg.Obs.ValueHist(MetricShipBatchBytes),
+		shipNS:       cfg.Obs.ValueHist(MetricShipNS),
+	}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
 	go s.sender()
@@ -309,9 +316,9 @@ func (s *Shipper) sender() {
 		t0 := time.Now()
 		err := s.send(ctx, frame)
 		op.End(err)
-		s.rec.ValueHist(MetricShipBatchRecords).Record(time.Duration(len(batch)))
-		s.rec.ValueHist(MetricShipBatchBytes).Record(time.Duration(len(frame)))
-		s.rec.ValueHist(MetricShipNS).Record(time.Since(t0))
+		s.batchRecords.Record(time.Duration(len(batch)))
+		s.batchBytes.Record(time.Duration(len(frame)))
+		s.shipNS.Record(time.Since(t0))
 		s.mu.Lock()
 		s.inflight = 0
 		if err == nil {
@@ -344,6 +351,8 @@ type Applier struct {
 
 	mu      sync.Mutex
 	applied uint64 // highest applied sequence number
+	// applyNS is Obs's MetricApplyNS histogram, resolved by the first batch.
+	applyNS *obs.Histogram
 }
 
 // Applied returns the highest applied sequence number.
@@ -367,6 +376,9 @@ func (a *Applier) ApplyBatch(ctx context.Context, data []byte) (uint64, error) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.applyNS == nil {
+		a.applyNS = a.Obs.ValueHist(MetricApplyNS)
+	}
 	for i := range recs {
 		r := &recs[i]
 		if r.Seq <= a.applied {
@@ -381,7 +393,7 @@ func (a *Applier) ApplyBatch(ctx context.Context, data []byte) (uint64, error) {
 		rctx, op := a.Obs.StartOp(ctx, obs.LayerReplication, "backup-apply")
 		out, aerr := a.Apply(rctx, r.Method, r.Body)
 		op.End(aerr)
-		a.Obs.ValueHist(MetricApplyNS).Record(time.Since(t0))
+		a.applyNS.Record(time.Since(t0))
 		if aerr != nil {
 			return a.applied, fmt.Errorf("replication: divergence at seq %d (%s): replay failed: %v", r.Seq, r.Method, aerr)
 		}

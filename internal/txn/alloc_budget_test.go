@@ -83,16 +83,27 @@ var recorders = []struct {
 	bytes, objects int64
 }{
 	{"none", func() *obs.Recorder { return nil }, 0, 0},
-	{"default", func() *obs.Recorder { return obs.New() }, 3120, 27},                       // measured 2 890 B/op in 23 objects
-	{"every-op", func() *obs.Recorder { return obs.New(obs.WithSampleRate(1)) }, 5730, 37}, // measured 5 158 B/op in 32 objects
+	{"default", func() *obs.Recorder { return obs.New() }, 352, 2},                         // measured 306 B/op in 1 object
+	{"every-op", func() *obs.Recorder { return obs.New(obs.WithSampleRate(1)) }, 2961, 12}, // measured 2 574 B/op in 10 objects
 }
 
 // TestCommitAllocBudget pins bytes and objects per commit with a recorder
-// installed, at what was measured + 15 % when the commit allocated 2 714 B
-// in 24 objects (default) and 4 982 B in 33 (every op), before it kept the
-// update list it logged in place of a second copy of its intentions. The
-// sampled default sheds the spans: its commit allocates what one with no
-// recorder does, plus a tree one time in 64. While each record flushed its
+// installed, at what was measured + 15 % (rounded up). The one object a warm
+// commit allocates with the sampled default is the record PRead returns;
+// the tree one time in 64 adds the rest of the bytes. Before finished
+// transactions left their state, views, intentions list and intention bytes
+// to the next Begin, group commit reused its batches, and the read view
+// read straight into the buffer it returns, the same commit allocated
+// 2 890 B in 23 objects (default) and 5 158 B in 32 (every op): the state
+// and its two maps and list, each open's view, the released map, finish's
+// copies, the list's records and a copy of each write's bytes, the copy of
+// the whole list, the update list and its size encodings, a batch and its
+// channel, the file service's read buffer and the ancestry slice, and each
+// close's block-key list. Before it kept the update list it logged in place
+// of a second copy of its intentions, 2 714 B in 24 objects (default) and
+// 4 982 B in 33 (every op). The sampled default sheds the spans: its commit
+// allocates what one with no recorder does, plus a tree one time in 64.
+// While each record flushed its
 // block and the lock manager built its items and holds afresh, the same
 // commit allocated 3 002 B in 32 objects (default) and 5 270 B in 41 (every
 // op); before the commit path lent its buffers, 25 708 B in 67 without the
@@ -133,6 +144,42 @@ func TestCommitAllocBudget(t *testing.T) {
 // the commit's in-place pass ran per file, each record flushed its block
 // and the FIT was rewritten for the per-use service flip and the read's
 // last-read stamp: 3 device writes and 2 stable writes per commit.
+// TestPReadAllocBudget: a read inside a transaction allocates one object,
+// the bytes it returns. The view is read straight into that buffer and
+// overlaid in place; before, the file service's read allocated a second
+// buffer the view was copied from, and each read built its ancestry slice.
+func TestPReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the code's under the race detector")
+	}
+	fac, fids := commitRig(t, obs.New(), 1)
+	svc := fac.Txns
+	id, err := svc.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Open(id, fids[0], fit.LockRecord); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.PWrite(id, fids[0], commitRecSize, make([]byte, commitRecSize)); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		// Records 0 to 2, the middle one under this transaction's own write.
+		if _, err := svc.PRead(id, fids[0], int64(i%3*commitRecSize), commitRecSize, true); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Errorf("a PRead in a transaction allocates %v objects, want 1 (the bytes it returns)", allocs)
+	}
+	if err := svc.End(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCommitWriteBudget(t *testing.T) {
 	const commits = 200 // the log stays under half full: no checkpoint flush
 	fac, fids := commitRig(t, nil, 1)
@@ -227,6 +274,7 @@ func BenchmarkCommitRecordUpdateCommitters(b *testing.B) {
 			fac, fids := commitRig(b, obs.New(), committers)
 			lat := make([][]time.Duration, committers)
 			errs := make([]error, committers)
+			b.ReportAllocs()
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for c := 0; c < committers; c++ {

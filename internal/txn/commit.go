@@ -147,24 +147,29 @@ type update struct {
 // writeCommitRecords builds the transaction's ordered update list — record
 // runs, logged pages and shadow swaps in intention order, then the
 // tentative sizes, then the deletes — appends it and the commit record to
-// the log, and keeps it in t.updates for apply. It does NOT sync: the
-// group-commit coordinator (group.go) owns the barrier, batching many
-// transactions' records under one wal.Sync. On any error (including
-// wal.ErrLogFull) it returns immediately; the coordinator rolls the partial
-// append back and handles log-full recovery.
+// the log, and keeps it in t.updates for apply. The list, like the copy of
+// the intentions it is built from, lives in storage the transaction's state
+// keeps, and its records' data is the intentions' own bytes and the views'
+// size fields, which stay put until the state is reused after apply. It
+// does NOT sync: the group-commit coordinator (group.go) owns the barrier,
+// batching many transactions' records under one wal.Sync. On any error
+// (including wal.ErrLogFull) it returns immediately; the coordinator rolls
+// the partial append back and handles log-full recovery.
 func (s *Service) writeCommitRecords(t *txnState) error {
-	recs := t.list.GetIntentions()
+	recs := t.list.AppendIntentions(t.recs[:0])
+	t.recs = recs
 	t.mu.Lock()
-	ups := make([]update, len(recs), len(recs)+len(t.files)+len(t.deleted))
+	ups := append(t.updates[:0], make([]update, len(recs))...)
 	// File sizes, so page-mode growth survives recovery.
-	for fid, f := range t.files {
-		size := binary.BigEndian.AppendUint64(nil, uint64(f.size))
-		ups = append(ups, update{Record: wal.Record{File: uint64(fid), Disk: kindSize, Data: size}})
+	for _, f := range t.files {
+		binary.BigEndian.PutUint64(f.sizeRec[:], uint64(f.size))
+		ups = append(ups, update{Record: wal.Record{File: uint64(f.id), Disk: kindSize, Data: f.sizeRec[:]}})
 	}
 	for _, fid := range t.deleted {
 		ups = append(ups, update{Record: wal.Record{File: uint64(fid), Disk: kindDelete}})
 	}
 	t.mu.Unlock()
+	t.updates = ups
 	for i, rec := range recs {
 		u := &ups[i]
 		u.File, u.Data, u.seq = rec.File, rec.Data, rec.Seq
@@ -197,7 +202,6 @@ func (s *Service) writeCommitRecords(t *txnState) error {
 			return err
 		}
 	}
-	t.updates = ups
 	_, err := s.log.Append(wal.Record{Type: wal.RecCommit, Txn: uint64(t.id)})
 	return err
 }
@@ -308,8 +312,10 @@ func (s *Service) swapShadow(fid FileID, u *update) error {
 	return s.fs.ReplaceBlockDescriptor(fid, int(u.Addr), fit.Extent{Disk: disk, Addr: uint32(newAddr), Count: 1})
 }
 
-// finish releases everything a completed transaction holds: file opens,
-// service classification, locks, and the transaction entry itself.
+// finish releases everything a completed top-level transaction holds: file
+// opens, service classification, locks, and the transaction entry itself.
+// The entry gone, the state is free for a later Begin unless a child may
+// still hold it; the caller touches it no more.
 func (s *Service) finish(t *txnState) {
 	t.mu.Lock()
 	if t.done {
@@ -317,14 +323,12 @@ func (s *Service) finish(t *txnState) {
 		return
 	}
 	t.done = true
-	files := make([]FileID, 0, len(t.files))
-	for fid := range t.files {
-		files = append(files, fid)
-	}
-	created := append([]FileID(nil), t.created...)
+	// Done, the transaction takes no more views or creations: the slices
+	// stay as they are while finish walks them.
+	files, created, reuse := t.files, t.created, t.parent == nil && !t.nested
 	t.mu.Unlock()
-	for _, fid := range files {
-		s.releaseFile(t, fid) // idempotent: already-released files are skipped
+	for _, f := range files {
+		s.releaseFile(t, f.id) // idempotent: already-released files are skipped
 	}
 	s.locks.ReleaseAll(t.lockID)
 	s.mu.Lock()
@@ -332,20 +336,22 @@ func (s *Service) finish(t *txnState) {
 		delete(s.uncommitted, fid)
 	}
 	delete(s.txns, t.id)
+	if reuse && len(s.free) < maxFree {
+		s.free = append(s.free, t)
+	}
 	s.mu.Unlock()
 }
 
-// releaseFile closes one file's service-level open exactly once.
+// releaseFile closes the service-level open of t's view of fid exactly
+// once.
 func (s *Service) releaseFile(t *txnState, fid FileID) {
 	t.mu.Lock()
-	if t.released == nil {
-		t.released = map[FileID]bool{}
-	}
-	if t.released[fid] {
+	f := t.lookup(fid)
+	if f == nil || f.released {
 		t.mu.Unlock()
 		return
 	}
-	t.released[fid] = true
+	f.released = true
 	t.mu.Unlock()
 	_ = s.fs.Close(fid)
 	s.noteClose(fid)

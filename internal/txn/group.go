@@ -53,7 +53,10 @@ type GroupCommitConfig struct {
 }
 
 // gcBatch is one commit batch: the transactions whose log records share a
-// single stable-storage barrier.
+// single stable-storage barrier. Its fields are guarded by groupCommit.mu.
+// A batch every member has read the result of goes back to groupCommit.free
+// for a later batch; one whose leader crashed is never read by that leader
+// and is left to the collector.
 type gcBatch struct {
 	size int
 	// epoch is g.dropEpoch at creation. If it advances before this batch's
@@ -61,17 +64,25 @@ type gcBatch struct {
 	// discarded its members' records via DropUnsynced, and the batch must
 	// fail instead of syncing a log that no longer holds them.
 	epoch  uint64
-	closed bool          // no longer accepting members; err is settled
-	err    error         // nil: every member's records are durable
-	done   chan struct{} // closed when err is settled
+	closed bool  // no longer accepting members; err is settled
+	err    error // nil: every member's records are durable
+	// settled, on groupCommit.mu, wakes the members parked on the batch
+	// once err is settled.
+	settled sync.Cond
+	// unread counts the members that have not read err yet.
+	unread int
 }
 
 // groupCommit coordinates batched commit-record syncs. Concurrent End
 // callers append their records under mu, join the current batch, and park;
 // the first member of a batch is its leader and issues one wal.Sync for
-// everyone. Appends may proceed while a sync is in flight (the next batch
-// accumulates behind the barrier), which is where the amortization comes
-// from: N concurrent commits cost ~1 barrier instead of N.
+// everyone. The amortization comes from the commits that arrive while a
+// sync is in flight: they all join the next batch, and its one Sync covers
+// them, so N concurrent commits cost ~1 barrier instead of N. Their appends
+// do not overlap that sync, though: wal.Log.Sync holds the log's mutex
+// across its stable write and barrier, so the first of them blocks inside
+// wal.Append — holding mu — until the write lands, and the rest queue on
+// mu behind it.
 //
 // Lock ordering: mu is acquired before the log's internal mutex (via
 // Append/Sync/Rollback) and never the other way around. The leader drops mu
@@ -110,6 +121,8 @@ type groupCommit struct {
 	dropEpoch uint64
 	// dropErr is the sync failure behind the latest dropEpoch bump.
 	dropErr error
+	// free holds batches every member has read the result of.
+	free []*gcBatch
 }
 
 func newGroupCommit(s *Service, cfg GroupCommitConfig) *groupCommit {
@@ -175,42 +188,79 @@ func (g *groupCommit) commit(ctx context.Context, t *txnState) error {
 	b := g.cur
 	leader := false
 	if b == nil || b.closed || b.size >= g.maxBatch {
-		b = &gcBatch{done: make(chan struct{}), epoch: g.dropEpoch}
+		b = g.newBatch()
 		g.cur = b
 		leader = true
 	}
 	b.size++
+	b.unread++
 	g.unapplied++
 	g.idle.Broadcast() // a lingering leader re-checks its batch size
 	g.mu.Unlock()
 
-	var err error
 	if leader {
-		err = g.lead(ctx, b)
+		g.lead(ctx, b)
 	} else {
 		g.s.met.Inc(metrics.TxnGroupWaits)
-		<-b.done
-		err = b.err
 	}
+	g.mu.Lock()
+	for !b.closed {
+		b.settled.Wait()
+	}
+	err := b.err
+	g.release(b)
+	g.mu.Unlock()
 	if err != nil && !errors.Is(err, ErrCommitInterrupted) {
 		g.applied() // records dropped with the failed sync; nothing to apply
 	}
 	return err
 }
 
+// newBatch returns an empty batch, reusing a free one when there is one.
+// Callers hold g.mu.
+func (g *groupCommit) newBatch() *gcBatch {
+	var b *gcBatch
+	if n := len(g.free); n > 0 {
+		b = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	} else {
+		b = &gcBatch{}
+		b.settled.L = &g.mu
+	}
+	b.size, b.epoch, b.closed, b.err = 0, g.dropEpoch, false, nil
+	return b
+}
+
+// release records that one member has read b's result; once every member
+// has, b is free for a later batch. Callers hold g.mu.
+func (g *groupCommit) release(b *gcBatch) {
+	b.unread--
+	if b.unread == 0 {
+		g.free = append(g.free, b)
+	}
+}
+
+// settle closes b with err and wakes its parked members. Callers hold g.mu.
+func settle(b *gcBatch, err error) {
+	b.closed, b.err = true, err
+	b.settled.Broadcast()
+}
+
 // lead runs the leader side of one batch: linger for joiners, wait out the
-// previous sync, close the batch, issue the shared Sync, and wake everyone.
-func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
+// previous sync, close the batch, issue the shared Sync, and settle the
+// batch, which wakes everyone.
+func (g *groupCommit) lead(ctx context.Context, b *gcBatch) {
 	g.mu.Lock()
-	// The previous batch's sync pipelines with this batch's formation: every
-	// commit arriving while it runs joins b here.
+	// Every commit arriving while the previous batch's sync runs joins b
+	// here, once its append gets past that sync.
 	for g.syncing && !b.closed {
 		g.idle.Wait()
 	}
 	if b.closed {
 		// A failed sync poisoned the batch while we waited.
 		g.mu.Unlock()
-		return b.err
+		return
 	}
 	if b.epoch != g.dropEpoch {
 		// A sync ahead of this batch failed while we waited: its
@@ -218,15 +268,12 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 		// batch's, so there is nothing left to harden — syncing now would
 		// acknowledge every member with no durable commit record. Fail them
 		// all instead.
-		err := fmt.Errorf("txn: group sync failed ahead of this batch: %w", g.dropErr)
 		if g.cur == b {
 			g.cur = nil
 		}
-		b.closed = true
-		b.err = err
-		close(b.done)
+		settle(b, fmt.Errorf("txn: group sync failed ahead of this batch: %w", g.dropErr))
 		g.mu.Unlock()
-		return err
+		return
 	}
 	g.linger(b)
 	if g.cur == b {
@@ -247,11 +294,9 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 		// stays elevated and the log keeps their records.
 		g.mu.Lock()
 		g.syncing = false
+		settle(b, ErrCommitInterrupted)
 		g.idle.Broadcast()
 		g.mu.Unlock()
-		b.closed = true
-		b.err = ErrCommitInterrupted
-		close(b.done)
 	}()
 
 	_, op := g.s.obsRec.StartOp(ctx, obs.LayerTxn, "group-sync")
@@ -262,6 +307,11 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 		g.s.fault.Hit(PtGroupLeaderSynced)
 	}
 	op.End(err)
+	completed = true
+	if err == nil {
+		g.s.met.Inc(metrics.TxnGroupBatches)
+		g.batchSize.Record(time.Duration(size))
+	}
 
 	g.mu.Lock()
 	g.syncing = false
@@ -278,23 +328,12 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) error {
 		g.dropErr = err
 		if nxt := g.cur; nxt != nil {
 			g.cur = nil
-			nxt.closed = true
-			nxt.err = fmt.Errorf("txn: group sync failed ahead of this batch: %w", err)
-			close(nxt.done)
+			settle(nxt, fmt.Errorf("txn: group sync failed ahead of this batch: %w", err))
 		}
 	}
+	settle(b, err)
 	g.idle.Broadcast()
 	g.mu.Unlock()
-
-	if err == nil {
-		g.s.met.Inc(metrics.TxnGroupBatches)
-		g.batchSize.Record(time.Duration(size))
-	}
-	completed = true
-	b.closed = true
-	b.err = err
-	close(b.done)
-	return err
 }
 
 // linger holds the batch open for up to MaxDelay while it is below

@@ -3,6 +3,7 @@ package txn
 import (
 	"fmt"
 
+	"repro/internal/fileservice"
 	"repro/internal/intentions"
 )
 
@@ -39,17 +40,16 @@ func (s *Service) BeginChild(parent TxnID) (TxnID, error) {
 	s.mu.Unlock()
 	ct := &txnState{
 		id: id, pid: pt.pid,
-		parent:     pt,
-		lockID:     pt.lockID,
-		files:      make(map[FileID]*txnFile),
-		openedSelf: make(map[FileID]bool),
-		list:       intentions.NewList(uint64(id)),
+		parent: pt,
+		lockID: pt.lockID,
+		list:   intentions.NewList(uint64(id)),
 	}
 	pt.mu.Lock()
 	if pt.done {
 		pt.mu.Unlock()
 		return 0, ErrAborted
 	}
+	pt.nested = true
 	pt.children++
 	pt.kids = append(pt.kids, ct)
 	pt.mu.Unlock()
@@ -68,37 +68,29 @@ func (s *Service) IsChild(id TxnID) bool {
 	return t.parent != nil
 }
 
-// ancestry returns the chain of intention lists from the top-level ancestor
-// down to (and including) t, the order overlays apply in.
-func (t *txnState) ancestry() []*intentions.List {
-	var chain []*intentions.List
-	for cur := t; cur != nil; cur = cur.parent {
-		chain = append(chain, cur.list)
+// overlay patches buf, fid's committed bytes from off, with the tentative
+// data of every ancestor from the top-level one down and then t's own.
+func (t *txnState) overlay(fid FileID, off int64, buf []byte) {
+	if t.parent != nil {
+		t.parent.overlay(fid, off, buf)
 	}
-	// Reverse: root first.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain
+	t.list.Overlay(uint64(fid), off, buf, fileservice.BlockSize)
 }
 
-// inheritedFile looks the file up in the ancestors and clones its view into
-// t. Returns nil when no ancestor has it open.
-func (t *txnState) inheritedFile(fid FileID) *txnFile {
+// inheritedFile looks the file up in the ancestors and returns a copy of
+// the nearest one's view for t, without its fs-level open; ok is false when
+// no ancestor has it open.
+func (t *txnState) inheritedFile(fid FileID) (v txnFile, ok bool) {
 	for cur := t.parent; cur != nil; cur = cur.parent {
 		cur.mu.Lock()
-		f, ok := cur.files[fid]
-		if ok {
-			cp := &txnFile{
-				id: fid, level: f.level,
-				size: f.size, baseBlocks: f.baseBlocks,
-			}
+		if f := cur.lookup(fid); f != nil {
+			v = txnFile{id: fid, level: f.level, size: f.size, baseBlocks: f.baseBlocks}
 			cur.mu.Unlock()
-			return cp
+			return v, true
 		}
 		cur.mu.Unlock()
 	}
-	return nil
+	return txnFile{}, false
 }
 
 // endChild merges the committed child into its parent.
@@ -115,7 +107,6 @@ func (s *Service) endChild(t *txnState) error {
 	t.done = true
 	p := t.parent
 	files := t.files
-	openedSelf := t.openedSelf
 	created := t.created
 	deleted := t.deleted
 	t.mu.Unlock()
@@ -130,19 +121,14 @@ func (s *Service) endChild(t *txnState) error {
 		}
 	}
 	p.mu.Lock()
-	for fid, f := range files {
-		if pf, ok := p.files[fid]; ok {
+	for _, f := range files {
+		if pf := p.lookup(f.id); pf != nil {
 			pf.size = f.size // the child's tentative size is the newest view
 		} else {
-			p.files[fid] = f
-			// The child's fs-level open transfers to the parent, which will
-			// release it at top-level end.
-			if openedSelf[fid] {
-				if p.openedSelf == nil {
-					p.openedSelf = map[FileID]bool{}
-				}
-				p.openedSelf[fid] = true
-			}
+			// The view moves to the parent with its opened flag: the child's
+			// fs-level open transfers, and the parent releases it at
+			// top-level end.
+			p.files = append(p.files, f)
 		}
 	}
 	p.created = append(p.created, created...)
@@ -173,25 +159,21 @@ func (s *Service) abortChild(t *txnState) {
 	t.done = true
 	p := t.parent
 	created := append([]FileID(nil), t.created...)
-	opened := make([]FileID, 0, len(t.files))
-	for fid := range t.files {
-		opened = append(opened, fid)
-	}
+	files := t.files
 	t.mu.Unlock()
 
 	_ = t.list.SetStatus(intentions.Aborted)
 	// Files the child created vanish; files it opened are closed (the
 	// parent's own opens are separate fs.Open calls and unaffected —
-	// inherited views were clones without an fs.Open).
-	createdSet := map[FileID]bool{}
+	// inherited views were clones without an fs.Open). A created file's
+	// open is released before its delete, so the second pass skips it.
 	for _, fid := range created {
-		createdSet[fid] = true
 		s.releaseFile(t, fid)
 		_ = s.fs.Delete(fid)
 	}
-	for _, fid := range opened {
-		if !createdSet[fid] && t.openedSelf[fid] {
-			s.releaseFile(t, fid)
+	for _, f := range files {
+		if f.opened {
+			s.releaseFile(t, f.id)
 		}
 	}
 	p.mu.Lock()

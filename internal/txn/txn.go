@@ -19,11 +19,12 @@
 // commit (group commit; see DESIGN.md's commit-pipeline section and E19).
 // End appends the transaction's commit records to the log, then joins the
 // current batch — or opens one and becomes its leader. The leader waits out
-// any in-flight sync (the next batch accumulates behind an in-flight
-// barrier — that pipelining is where batching comes from), issues one
-// wal.Sync for every member, and wakes the followers; each member then
-// applies its own intentions and releases its own locks. Configure with
-// Config.Group (GroupCommitConfig); Disable restores one sync per commit.
+// any in-flight sync (the commits that arrive during it form the next batch
+// — that is where batching comes from — though their appends wait for the
+// sync's write, which holds the log's mutex), issues one wal.Sync for every
+// member, and wakes the followers; each member then applies its own
+// intentions and releases its own locks. Configure with Config.Group
+// (GroupCommitConfig); Disable restores one sync per commit.
 //
 // Concurrency and ownership contract: a Service is safe for concurrent use
 // by any number of goroutines, but a single transaction is owned by one
@@ -134,6 +135,11 @@ type txnFile struct {
 	// baseBlocks is the file's block count at first touch; blocks at or
 	// beyond it are new in this transaction and always commit via WAL.
 	baseBlocks int
+	// opened marks a file this transaction fs.Open-ed itself (as opposed to
+	// a view inherited from an ancestor); released marks that open closed.
+	opened, released bool
+	// sizeRec is the size update the commit logs for the file.
+	sizeRec [8]byte
 }
 
 // txnState is one live transaction.
@@ -146,20 +152,57 @@ type txnState struct {
 	parent *txnState
 	lockID TxnID
 
-	mu       sync.Mutex
-	files    map[FileID]*txnFile
+	mu sync.Mutex
+	// files are the transaction's views of its open files, in first-open
+	// order; see setView for the entries past the end.
+	files    []*txnFile
 	list     *intentions.List
 	created  []FileID
 	deleted  []FileID
-	released map[FileID]bool
-	// openedSelf marks files this transaction fs.Open-ed itself (as opposed
-	// to views inherited from an ancestor).
-	openedSelf map[FileID]bool
-	children   int
-	kids       []*txnState
-	done       bool
-	// updates is the redo list the commit logged, kept for apply.
+	children int
+	kids     []*txnState
+	// nested marks a transaction that began a subtransaction: a child holds
+	// its state as the parent's, so the state is never reused.
+	nested bool
+	done   bool
+	// recs is the commit's copy of the intentions; updates is the redo list
+	// the commit logged, kept for apply.
+	recs    []intentions.Record
 	updates []update
+}
+
+// maxFree bounds the finished states kept for reuse (Service.free).
+const maxFree = 64
+
+// lookup returns t's view of fid, nil when it has none. Callers hold t.mu.
+func (t *txnState) lookup(fid FileID) *txnFile {
+	for _, f := range t.files {
+		if f.id == fid {
+			return f
+		}
+	}
+	return nil
+}
+
+// setView makes v t's view of its file: in the entry t has for the file
+// (whose fs-level open, if it records one, stays recorded), else in a new
+// one — the entry past the end that an earlier transaction on this state
+// left there, when there is one. Callers hold t.mu.
+func (t *txnState) setView(v txnFile) *txnFile {
+	f := t.lookup(v.id)
+	if f != nil {
+		v.opened = v.opened || f.opened
+	} else {
+		if n := len(t.files); n < cap(t.files) && t.files[:n+1][n] != nil {
+			t.files = t.files[:n+1]
+			f = t.files[n]
+		} else {
+			f = new(txnFile)
+			t.files = append(t.files, f)
+		}
+	}
+	*f = v
+	return f
 }
 
 // Service is the transaction service. It is safe for concurrent use; each
@@ -184,6 +227,14 @@ type Service struct {
 	// uncommitted maps files created by a still-running transaction to that
 	// transaction; other transactions may not open them.
 	uncommitted map[FileID]TxnID
+
+	// free holds finished top-level transactions' states for Begin to
+	// reuse, and with them the storage of their views, lists and intentions,
+	// which a warm transaction then does not allocate. A state's ID leaves
+	// txns before the state joins free, so a call with an ended ID gets
+	// ErrNoTxn; only the goroutine that drove the transaction held the state
+	// itself, and it let go when End or Abort returned.
+	free []*txnState
 
 	// gc is the group-commit coordinator: it serializes commit-record
 	// appends, batches concurrent committers under one log sync, and guards
@@ -236,12 +287,23 @@ func (s *Service) Begin(pid int) (TxnID, error) {
 	defer s.mu.Unlock()
 	s.nextID++
 	id := s.nextID
-	s.txns[id] = &txnState{
-		id: id, pid: pid, lockID: id,
-		files:      make(map[FileID]*txnFile),
-		openedSelf: make(map[FileID]bool),
-		list:       intentions.NewList(uint64(id)),
+	n := len(s.free)
+	if n == 0 {
+		s.txns[id] = &txnState{id: id, pid: pid, lockID: id, list: intentions.NewList(uint64(id))}
+		return id, nil
 	}
+	t := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	t.id, t.pid, t.lockID, t.done = id, pid, id, false
+	t.files, t.created, t.deleted = t.files[:0], t.created[:0], t.deleted[:0]
+	// The previous commit's copies point into its intention bytes, which
+	// the list may drop; let them go.
+	clear(t.recs[:cap(t.recs)])
+	clear(t.updates[:cap(t.updates)])
+	t.recs, t.updates = t.recs[:0], t.updates[:0]
+	t.list.Reset(uint64(id))
+	s.txns[id] = t
 	return id, nil
 }
 
@@ -304,12 +366,8 @@ func (s *Service) Create(id TxnID, attr fit.Attributes) (FileID, error) {
 		return 0, err
 	}
 	t.mu.Lock()
-	t.files[fid] = &txnFile{id: fid, level: attr.Locking, baseBlocks: 0}
+	t.setView(txnFile{id: fid, level: attr.Locking, opened: true})
 	t.created = append(t.created, fid)
-	if t.openedSelf == nil {
-		t.openedSelf = make(map[FileID]bool)
-	}
-	t.openedSelf[fid] = true
 	t.mu.Unlock()
 	// The file is invisible to other transactions until this one commits;
 	// no lock is needed because Open refuses uncommitted files.
@@ -336,12 +394,12 @@ func (s *Service) Open(id TxnID, fid FileID, level fit.LockLevel) error {
 	s.mu.Unlock()
 	// A subtransaction opening a file an ancestor already holds inherits the
 	// ancestor's view (and its fs-level open).
-	if f := t.inheritedFile(fid); f != nil {
+	if v, ok := t.inheritedFile(fid); ok {
 		if level != fit.LockNone {
-			f.level = level
+			v.level = level
 		}
 		t.mu.Lock()
-		t.files[fid] = f
+		t.setView(v)
 		t.mu.Unlock()
 		return nil
 	}
@@ -371,15 +429,7 @@ func (s *Service) Open(id TxnID, fid FileID, level fit.LockLevel) error {
 		return err
 	}
 	t.mu.Lock()
-	t.files[fid] = &txnFile{
-		id: fid, level: level,
-		size:       int64(attr.Size),
-		baseBlocks: blocks,
-	}
-	if t.openedSelf == nil {
-		t.openedSelf = make(map[FileID]bool)
-	}
-	t.openedSelf[fid] = true
+	t.setView(txnFile{id: fid, level: level, size: int64(attr.Size), baseBlocks: blocks, opened: true})
 	t.mu.Unlock()
 	s.noteOpen(fid)
 	return nil
@@ -432,14 +482,14 @@ func (t *txnState) file(fid FileID) (*txnFile, error) {
 		t.mu.Unlock()
 		return nil, ErrAborted
 	}
-	if f, ok := t.files[fid]; ok {
+	if f := t.lookup(fid); f != nil {
 		t.mu.Unlock()
 		return f, nil
 	}
 	t.mu.Unlock()
-	if f := t.inheritedFile(fid); f != nil {
+	if v, ok := t.inheritedFile(fid); ok {
 		t.mu.Lock()
-		t.files[fid] = f
+		f := t.setView(v)
 		t.mu.Unlock()
 		return f, nil
 	}
@@ -553,18 +603,15 @@ func (s *Service) pread(ctx context.Context, id TxnID, fid FileID, off int64, n 
 	return s.readView(ctx, t, f, off, n)
 }
 
-// readView builds the transaction's view: committed bytes overlaid with
-// every ancestor's tentative writes (root first) and then its own.
+// readView builds the transaction's view in the buffer it returns:
+// committed bytes overlaid with every ancestor's tentative writes (root
+// first) and then its own.
 func (s *Service) readView(ctx context.Context, t *txnState, f *txnFile, off int64, n int) ([]byte, error) {
 	buf := make([]byte, n)
-	base, err := s.fs.ReadAtCtx(ctx, f.id, off, n)
-	if err != nil && !errors.Is(err, fileservice.ErrNotFound) {
+	if _, err := s.fs.ReadAtInto(ctx, f.id, off, buf); err != nil && !errors.Is(err, fileservice.ErrNotFound) {
 		return nil, err
 	}
-	copy(buf, base)
-	for _, list := range t.ancestry() {
-		buf = list.Overlay(uint64(f.id), off, buf, fileservice.BlockSize)
-	}
+	t.overlay(f.id, off, buf)
 	return buf, nil
 }
 
@@ -673,14 +720,10 @@ func (s *Service) pwrite(ctx context.Context, id TxnID, fid FileID, off int64, d
 func (s *Service) tentativePage(ctx context.Context, t *txnState, f *txnFile, blk int) ([]byte, error) {
 	page := make([]byte, fileservice.BlockSize)
 	off := int64(blk) * fileservice.BlockSize
-	base, err := s.fs.ReadAtCtx(ctx, f.id, off, fileservice.BlockSize)
-	if err != nil {
+	if _, err := s.fs.ReadAtInto(ctx, f.id, off, page); err != nil {
 		return nil, err
 	}
-	copy(page, base)
-	for _, list := range t.ancestry() {
-		page = list.Overlay(uint64(f.id), off, page, fileservice.BlockSize)
-	}
+	t.overlay(f.id, off, page)
 	return page, nil
 }
 

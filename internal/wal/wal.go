@@ -17,6 +17,10 @@
 // barrier and the unit the transaction service's group commit amortizes:
 // one Sync hardens every record appended before it, whichever goroutine
 // appended them, so a batch leader syncs on behalf of parked followers.
+// Sync holds the mutex across its stable write and barrier, so an Append
+// issued while a sync is in flight waits until that write has landed:
+// appends and the sync do not overlap, and the records the next Sync
+// covers are the ones appended after this one returns.
 // Sync is failure-atomic — on error the durable watermark has not advanced,
 // and the owner of the failed barrier must call DropUnsynced to discard the
 // records the barrier covered (they may belong to other goroutines; the
