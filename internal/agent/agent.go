@@ -187,16 +187,6 @@ func (m *Machine) transactionAgent() (*TransactionAgent, error) {
 	return m.txnAgent, nil
 }
 
-// txnFinished is called when a transaction ends; the agent ceases to exist
-// with the last one (§7).
-func (m *Machine) txnFinished() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.txnAgent != nil && m.txnAgent.live == 0 {
-		m.txnAgent = nil
-	}
-}
-
 // NewProcess creates a client process with default standard descriptors.
 func (m *Machine) NewProcess() *Process {
 	m.mu.Lock()

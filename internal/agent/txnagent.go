@@ -42,17 +42,21 @@ func (p *Process) TBegin() (txn.TxnID, error) {
 	return id, nil
 }
 
-// endTxn updates agent and process bookkeeping after tend/tabort.
+// endTxn updates agent and process bookkeeping after tend/tabort: the
+// transaction agent ceases to exist with its last transaction (§7).
 func (p *Process) endTxn(id txn.TxnID) {
 	p.mu.Lock()
 	delete(p.txns, id)
 	p.mu.Unlock()
-	p.machine.mu.Lock()
-	if p.machine.txnAgent != nil {
-		p.machine.txnAgent.live--
+	m := p.machine
+	m.mu.Lock()
+	if a := m.txnAgent; a != nil {
+		a.live--
+		if a.live == 0 {
+			m.txnAgent = nil
+		}
 	}
-	p.machine.mu.Unlock()
-	p.machine.txnFinished()
+	m.mu.Unlock()
 }
 
 // checkTxn verifies the process owns the transaction.

@@ -55,9 +55,8 @@ type WritebackFunc[K comparable] func(key K, data []byte) error
 type Cache[K comparable] struct {
 	capacity  int
 	writeback WritebackFunc[K]
-	met       *metrics.Set
-	hitName   string
-	missName  string
+	hits      *metrics.Counter // nil unless Config names the counter
+	misses    *metrics.Counter
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled when a writeback in flight completes
@@ -106,11 +105,14 @@ func New[K comparable](cfg Config[K]) (*Cache[K], error) {
 	c := &Cache[K]{
 		capacity:  cfg.Capacity,
 		writeback: cfg.Writeback,
-		met:       cfg.Metrics,
-		hitName:   cfg.HitCounter,
-		missName:  cfg.MissCounter,
 		entries:   make(map[K]*list.Element),
 		lru:       list.New(),
+	}
+	if cfg.HitCounter != "" {
+		c.hits = cfg.Metrics.Counter(cfg.HitCounter)
+	}
+	if cfg.MissCounter != "" {
+		c.misses = cfg.Metrics.Counter(cfg.MissCounter)
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
@@ -128,14 +130,10 @@ func (c *Cache[K]) Len() int {
 func (c *Cache[K]) lookupLocked(key K) (*entry[K], bool) {
 	el, ok := c.entries[key]
 	if !ok {
-		if c.missName != "" {
-			c.met.Inc(c.missName)
-		}
+		c.misses.Inc()
 		return nil, false
 	}
-	if c.hitName != "" {
-		c.met.Inc(c.hitName)
-	}
+	c.hits.Inc()
 	c.lru.MoveToFront(el)
 	return el.Value.(*entry[K]), true
 }

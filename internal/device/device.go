@@ -137,7 +137,10 @@ type Disk struct {
 	geom  Geometry
 	model Model
 	clock simclock.OpClock
-	met   *metrics.Set
+	met   *metrics.Set // simulated time; the counters are resolved from it
+	// refs, seeks, bytesRead and bytesWritten count metrics.DiskReferences,
+	// DiskSeeks, DiskBytesRead and DiskBytesWrite (WithMetrics).
+	refs, seeks, bytesRead, bytesWritten *metrics.Counter
 
 	mu         sync.Mutex
 	data       []byte
@@ -160,7 +163,13 @@ func WithModel(m Model) Option { return func(d *Disk) { d.model = m } }
 func WithClock(c simclock.OpClock) Option { return func(d *Disk) { d.clock = c } }
 
 // WithMetrics sets the metric set that receives reference/seek/byte counters.
-func WithMetrics(s *metrics.Set) Option { return func(d *Disk) { d.met = s } }
+func WithMetrics(s *metrics.Set) Option {
+	return func(d *Disk) {
+		d.met = s
+		d.refs, d.seeks = s.Counter(metrics.DiskReferences), s.Counter(metrics.DiskSeeks)
+		d.bytesRead, d.bytesWritten = s.Counter(metrics.DiskBytesRead), s.Counter(metrics.DiskBytesWrite)
+	}
+}
 
 // WithFault attaches a fault injector to the drive's read/write paths. A nil
 // injector is valid and injects nothing.
@@ -248,9 +257,9 @@ func (d *Disk) charge(addr, n int) (cost time.Duration, seeked bool) {
 // never extends the spindle's critical section.
 func (d *Disk) finish(cost time.Duration, seeked bool) {
 	d.clock.EndOp()
-	d.met.Inc(metrics.DiskReferences)
+	d.refs.Inc()
 	if seeked {
-		d.met.Inc(metrics.DiskSeeks)
+		d.seeks.Inc()
 	}
 	d.met.AddSimTime(cost)
 }
@@ -294,7 +303,7 @@ func (d *Disk) readFragments(start, n int) ([]byte, time.Duration, error) {
 	copy(buf, d.data[start*FragmentSize:])
 	d.mu.Unlock()
 	d.finish(cost, seeked)
-	d.met.Add(metrics.DiskBytesRead, int64(n)*FragmentSize)
+	d.bytesRead.Add(int64(n) * FragmentSize)
 	return buf, cost, nil
 }
 
@@ -334,7 +343,7 @@ func (d *Disk) writeFragments(start int, data []byte) (time.Duration, error) {
 	d.clearCorruption(start, n)
 	d.mu.Unlock()
 	d.finish(cost, seeked)
-	d.met.Add(metrics.DiskBytesWrite, int64(len(data)))
+	d.bytesWritten.Add(int64(len(data)))
 	return cost, nil
 }
 

@@ -153,10 +153,26 @@ type fileState struct {
 	keyBuf []blockKey
 }
 
+// counters are the read path's counters, resolved from Config.Metrics in
+// New (the block cache resolves its hit and miss counters itself).
+type counters struct {
+	cacheHit, stream, demand, streamBlocks, demandBlocks *metrics.Counter
+}
+
+func newCounters(set *metrics.Set) counters {
+	return counters{
+		cacheHit:     set.Counter(metrics.ServerCacheHit),
+		stream:       set.Counter(metrics.FetchStream),
+		demand:       set.Counter(metrics.FetchDemand),
+		streamBlocks: set.Counter(metrics.FetchStreamBlocks),
+		demandBlocks: set.Counter(metrics.FetchDemandBlocks),
+	}
+}
+
 // Service is a basic file service. It is safe for concurrent use.
 type Service struct {
 	disks      []Backend
-	met        *metrics.Set
+	met        counters
 	obsRec     *obs.Recorder
 	stripe     StripePolicy
 	stripeUnit int
@@ -279,7 +295,7 @@ func newService(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		disks:      cfg.Disks,
-		met:        cfg.Metrics,
+		met:        newCounters(cfg.Metrics),
 		obsRec:     cfg.Obs,
 		stripe:     stripe,
 		stripeUnit: unit,

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/diskservice"
 	"repro/internal/fit"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -211,7 +210,7 @@ func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off i
 			// Already part of a planned run fetch; serving it from that run
 			// is the cache hit the block-at-a-time path would have scored.
 			ref.t.spans = append(ref.t.spans, fetchSpan{covered, ref.blk, within, within + chunk})
-			s.met.Inc(metrics.ServerCacheHit)
+			s.met.cacheHit.Inc()
 		} else if !s.blockCache.ReadRange(key, within, out[covered:covered+chunk]) {
 			if !seq && contiguous > lastBlk-blk+1 {
 				contiguous = lastBlk - blk + 1
@@ -331,11 +330,11 @@ func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint
 		installed++
 	}
 	if seq {
-		s.met.Inc(metrics.FetchStream)
-		s.met.Add(metrics.FetchStreamBlocks, int64(installed))
+		s.met.stream.Inc()
+		s.met.streamBlocks.Add(int64(installed))
 	} else {
-		s.met.Inc(metrics.FetchDemand)
-		s.met.Add(metrics.FetchDemandBlocks, int64(installed))
+		s.met.demand.Inc()
+		s.met.demandBlocks.Add(int64(installed))
 	}
 	return raw, nil
 }

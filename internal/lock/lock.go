@@ -241,17 +241,21 @@ type Manager struct {
 	clock     simclock.Clock
 	lt        time.Duration
 	maxRenew  int
-	met       *metrics.Set
 	obsRec    *obs.Recorder
 	waitGauge *obs.Gauge // requests currently blocked waiting for a lock
 	combined  bool
 	mixed     bool
+	// The lock counters, resolved from Config.Metrics in New.
+	granted, waits, upgrades, timedOut *metrics.Counter
 
 	mu     sync.Mutex
 	closed bool
 	// tables[level] is the per-level lock table: a linear list of items, as
 	// §6.5 describes. In combined mode everything lives in tables[0].
-	tables map[Level][]*item
+	tables [File + 1][]*item
+	// waiting counts the queued requests in every table, so a release with
+	// nobody queued skips the regrant pass.
+	waiting int
 	// fileLevel tracks the active granularity per file for the
 	// one-level-per-file rule.
 	fileLevel map[uint64]Level
@@ -279,12 +283,14 @@ func New(cfg Config) *Manager {
 		clock:     simclock.Or(cfg.Clock),
 		lt:        lt,
 		maxRenew:  n,
-		met:       cfg.Metrics,
 		obsRec:    cfg.Obs,
 		waitGauge: cfg.Obs.Gauge("lock.wait_count"),
 		combined:  cfg.Combined,
 		mixed:     cfg.AllowMixedLevels,
-		tables:    make(map[Level][]*item),
+		granted:   cfg.Metrics.Counter(metrics.LocksGranted),
+		waits:     cfg.Metrics.Counter(metrics.LockWaits),
+		upgrades:  cfg.Metrics.Counter(metrics.LockUpgrades),
+		timedOut:  cfg.Metrics.Counter(metrics.TxnTimedOut),
 		fileLevel: make(map[uint64]Level),
 		fileRefs:  make(map[uint64]int),
 		broken:    make(map[TxnID]bool),
@@ -390,7 +396,8 @@ func (m *Manager) acquire(txn TxnID, pid int, level Level, id ItemID, mode Mode)
 	m.seq++
 	w := &waiter{txn: txn, pid: pid, mode: mode, ch: make(chan error, 1), seq: m.seq}
 	exact.waiters = append(exact.waiters, w)
-	m.met.Inc(metrics.LockWaits)
+	m.waiting++
+	m.waits.Inc()
 	m.mu.Unlock()
 
 	m.waitGauge.Inc()
@@ -482,7 +489,7 @@ func (m *Manager) grantLocked(txn TxnID, pid int, level Level, id ItemID, length
 				h.mode = mode
 				h.grantedAt = now
 				h.renewals = 0
-				m.met.Inc(metrics.LockUpgrades)
+				m.upgrades.Inc()
 			}
 			return
 		}
@@ -490,7 +497,7 @@ func (m *Manager) grantLocked(txn TxnID, pid int, level Level, id ItemID, length
 	exact.holders = append(exact.holders, hold{
 		txn: txn, pid: pid, mode: mode, grantedAt: now,
 	})
-	m.met.Inc(metrics.LocksGranted)
+	m.granted.Inc()
 }
 
 // newItemLocked appends an item to its table, reusing one from the free
@@ -514,7 +521,8 @@ func (m *Manager) newItemLocked(level Level, file, off, length uint64) *item {
 
 // removeEmptyItemsLocked drops items with no holders and no waiters.
 func (m *Manager) removeEmptyItemsLocked() {
-	for key, table := range m.tables {
+	for key := range m.tables {
+		table := m.tables[key]
 		kept := table[:0]
 		for _, it := range table {
 			if len(it.holders) == 0 && len(it.waiters) == 0 {
@@ -541,6 +549,9 @@ func (m *Manager) removeEmptyItemsLocked() {
 // stall heads of other items (per-item FIFO is what §6.5's singly linked
 // waiter queues provide).
 func (m *Manager) regrantLocked() {
+	if m.waiting == 0 {
+		return
+	}
 	for progress := true; progress; {
 		progress = false
 		// Collect queue heads sorted by arrival order.
@@ -570,6 +581,7 @@ func (m *Manager) regrantLocked() {
 				continue
 			}
 			it.waiters = it.waiters[1:]
+			m.waiting--
 			m.grantLocked(w.txn, w.pid, it.level, id, it.length, w.mode, it)
 			w.ch <- nil
 			progress = true
@@ -659,7 +671,7 @@ func (m *Manager) Break(txn TxnID) {
 // breakTxnLocked removes all of txn's holds and waiters and marks it broken.
 func (m *Manager) breakTxnLocked(txn TxnID) {
 	m.broken[txn] = true
-	m.met.Inc(metrics.TxnTimedOut)
+	m.timedOut.Inc()
 	m.dropTxnLocked(txn)
 }
 
@@ -682,6 +694,7 @@ func (m *Manager) dropTxnLocked(txn TxnID) {
 					keptW = append(keptW, w)
 				} else {
 					w.ch <- ErrTxnBroken
+					m.waiting--
 				}
 			}
 			it.waiters = keptW
@@ -754,4 +767,5 @@ func (m *Manager) Close() {
 			it.waiters = nil
 		}
 	}
+	m.waiting = 0
 }

@@ -28,7 +28,11 @@ func newMgr(t *testing.T, opts ...func(*Config)) (*Manager, *simclock.Virtual) {
 // waitQueued waits until n requests have queued on m's lock tables.
 func waitQueued(t *testing.T, m *Manager, n int64) {
 	t.Helper()
-	polltest.Until(t, fmt.Sprintf("%d queued requests", n), func() bool { return m.met.Get(metrics.LockWaits) >= n })
+	polltest.Until(t, fmt.Sprintf("%d queued requests", n), func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return int64(m.waiting) >= n
+	})
 }
 
 func fileItem(f uint64) ItemID        { return ItemID{File: f} }
@@ -599,5 +603,70 @@ func TestGrantAllocBudget(t *testing.T) {
 	}
 	if n := m.HoldCount(); n != 0 {
 		t.Errorf("%d holds left after ReleaseAll", n)
+	}
+}
+
+// queuedNow returns the manager's waiting count and the waiters its tables
+// actually hold.
+func queuedNow(m *Manager) (count, held int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, table := range m.tables {
+		for _, it := range table {
+			held += len(it.waiters)
+		}
+	}
+	return m.waiting, held
+}
+
+// TestWaitingCountSettles: the waiting count the regrant pass consults
+// matches the queued requests after every way a request leaves a queue — a
+// grant, a cancelled request, a break by Break or by Sweep, and Close — and
+// is back at 0 once the queues are empty, in split and in combined tables.
+func TestWaitingCountSettles(t *testing.T) {
+	ways := map[string]func(t *testing.T, m *Manager, clk *simclock.Virtual){
+		"ReleaseAll": func(t *testing.T, m *Manager, clk *simclock.Virtual) {
+			m.ReleaseAll(1) // grants txn 2
+			m.ReleaseAll(3) // cancels txn 3's request
+		},
+		"Break": func(t *testing.T, m *Manager, clk *simclock.Virtual) {
+			m.Break(1)
+			m.Break(3)
+		},
+		"Sweep": func(t *testing.T, m *Manager, clk *simclock.Virtual) {
+			for i := 0; i < 2; i++ { // each contested holder breaks at its LT
+				clk.Advance(11 * time.Millisecond)
+				if broke := m.Sweep(); len(broke) != 1 {
+					t.Fatalf("sweep %d broke %v, want one holder", i, broke)
+				}
+			}
+		},
+		"Close": func(t *testing.T, m *Manager, clk *simclock.Virtual) { m.Close() },
+	}
+	for _, combined := range []bool{false, true} {
+		for name, way := range ways {
+			t.Run(fmt.Sprintf("%s/combined=%v", name, combined), func(t *testing.T) {
+				m, clk := newMgr(t, func(c *Config) { c.Combined = combined })
+				it := pageItem(1, 0)
+				if err := m.Acquire(context.Background(), 1, 0, Page, it, IWrite); err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 2)
+				for txn := TxnID(2); txn <= 3; txn++ {
+					go func() { done <- m.Acquire(context.Background(), txn, 0, Page, it, IWrite) }()
+					waitQueued(t, m, int64(txn-1)) // 2 queues before 3
+				}
+				if count, held := queuedNow(m); count != 2 || held != 2 {
+					t.Fatalf("waiting = %d with %d queued, want 2 and 2", count, held)
+				}
+				way(t, m, clk)
+				for i := 0; i < 2; i++ {
+					polltest.Recv(t, done, "a queued request's answer")
+				}
+				if count, held := queuedNow(m); count != 0 || held != 0 {
+					t.Fatalf("after %s: waiting = %d with %d queued, want 0", name, count, held)
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,14 @@
 // Counters are striped: each named counter is a set of cache-line-padded
 // atomics, so concurrent I/O paths on different disks never contend on a
 // global mutex. Readers (Get, Snapshot) merge the stripes.
+//
+// A component resolves each counter it increments once, with Set.Counter,
+// when it is built (or in its With… option), and counts through the handle:
+// an increment is one striped atomic add, with no name hashed and no lock
+// taken. A nil Set hands out nil handles, which count nothing. Reset zeroes
+// every counter in place, so handles stay valid across it; Snapshot (and
+// Diff and String over it) leaves out counters that read zero, so a counter
+// resolved but never incremented is not reported.
 package metrics
 
 import (
@@ -77,16 +85,25 @@ type paddedInt64 struct {
 	_ [56]byte
 }
 
-// counter is one named counter: a stripe of padded atomics summed on read.
-type counter struct {
+// Counter is one named counter of a Set: a stripe of padded atomics summed
+// on read. Components hold the handle Set.Counter returns and increment
+// through it; a nil *Counter (from a nil Set) counts nothing.
+type Counter struct {
 	parts [stripes]paddedInt64
 }
 
-func (c *counter) add(stripe int, delta int64) {
-	c.parts[stripe&(stripes-1)].v.Add(delta)
+// Add adds delta to the counter.
+func (c *Counter) Add(delta int64) {
+	if c == nil {
+		return
+	}
+	c.parts[stripeHint()&(stripes-1)].v.Add(delta)
 }
 
-func (c *counter) sum() int64 {
+// Inc adds one to the counter.
+func (c *Counter) Inc() { c.Add(1) }
+
+func (c *Counter) sum() int64 {
 	var s int64
 	for i := range c.parts {
 		s += c.parts[i].v.Load()
@@ -94,7 +111,7 @@ func (c *counter) sum() int64 {
 	return s
 }
 
-func (c *counter) zero() {
+func (c *Counter) zero() {
 	for i := range c.parts {
 		c.parts[i].v.Store(0)
 	}
@@ -120,19 +137,25 @@ func stripeHint() int {
 
 // Set is a concurrency-safe bag of named counters plus a virtual-time
 // accumulator. The zero value is ready to use. The mutex guards only the
-// name→counter map; the counts themselves are striped atomics, so hot
-// writers on different devices do not serialize.
+// name→counter map, which only grows: a counter, once created, is the same
+// *Counter for the life of the set.
 type Set struct {
 	mu       sync.RWMutex
-	counters map[string]*counter
-	simTime  counter
+	counters map[string]*Counter
+	simTime  Counter
 }
 
 // NewSet returns an empty metric set.
 func NewSet() *Set { return &Set{} }
 
-// counterFor returns the striped counter for name, creating it on first use.
-func (s *Set) counterFor(name string) *counter {
+// Counter returns the handle of counter name, creating the counter on first
+// use. Resolve it once and keep it: the lookup hashes the name under the
+// set's mutex, the handle's Add does not. A nil set returns nil, a handle
+// that counts nothing, so components run without metrics plumbing.
+func (s *Set) Counter(name string) *Counter {
+	if s == nil {
+		return nil
+	}
 	s.mu.RLock()
 	c := s.counters[name]
 	s.mu.RUnlock()
@@ -142,33 +165,28 @@ func (s *Set) counterFor(name string) *counter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.counters == nil {
-		s.counters = make(map[string]*counter)
+		s.counters = make(map[string]*Counter)
 	}
 	if c = s.counters[name]; c == nil {
-		c = &counter{}
+		c = &Counter{}
 		s.counters[name] = c
 	}
 	return c
 }
 
-// Add increments counter name by delta. Nil sets are tolerated so components
-// can be run without metrics plumbing.
-func (s *Set) Add(name string, delta int64) {
-	if s == nil {
-		return
-	}
-	s.counterFor(name).add(stripeHint(), delta)
-}
+// Add increments counter name by delta, looking it up: for tests and
+// one-off counts, not for a path that runs per operation.
+func (s *Set) Add(name string, delta int64) { s.Counter(name).Add(delta) }
 
-// Inc increments counter name by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
+// Inc increments counter name by one (see Add).
+func (s *Set) Inc(name string) { s.Counter(name).Add(1) }
 
 // AddSimTime accumulates simulated device time.
 func (s *Set) AddSimTime(d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.simTime.add(stripeHint(), int64(d))
+	s.simTime.Add(int64(d))
 }
 
 // Get returns the current value of counter name (zero if never touched).
@@ -193,7 +211,7 @@ func (s *Set) SimTime() time.Duration {
 	return time.Duration(s.simTime.sum())
 }
 
-// Snapshot returns a copy of all counters.
+// Snapshot returns a copy of every counter that reads nonzero.
 func (s *Set) Snapshot() map[string]int64 {
 	if s == nil {
 		return nil
@@ -202,20 +220,25 @@ func (s *Set) Snapshot() map[string]int64 {
 	defer s.mu.RUnlock()
 	out := make(map[string]int64, len(s.counters))
 	for k, c := range s.counters {
-		out[k] = c.sum()
+		if v := c.sum(); v != 0 {
+			out[k] = v
+		}
 	}
 	return out
 }
 
-// Reset zeroes every counter and the simulated time. Concurrent increments
-// racing with a Reset may land on either side of it.
+// Reset zeroes every counter and the simulated time in place; handles stay
+// valid. Concurrent increments racing with a Reset may land on either side
+// of it.
 func (s *Set) Reset() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters = nil
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, c := range s.counters {
+		c.zero()
+	}
 	s.simTime.zero()
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -114,5 +115,117 @@ func TestConcurrentAdd(t *testing.T) {
 	wg.Wait()
 	if got := s.Get("c"); got != 8000 {
 		t.Fatalf("concurrent adds lost updates: got %d, want 8000", got)
+	}
+}
+
+func TestCounterHandleSurvivesReset(t *testing.T) {
+	s := NewSet()
+	c := s.Counter(DiskReferences)
+	c.Add(3)
+	c.Inc()
+	if got := s.Get(DiskReferences); got != 4 {
+		t.Fatalf("Get after handle adds = %d, want 4", got)
+	}
+	if s.Counter(DiskReferences) != c {
+		t.Fatal("a second Counter call for the same name returned another handle")
+	}
+	s.Reset()
+	if got := s.Get(DiskReferences); got != 0 {
+		t.Fatalf("Get after Reset = %d, want 0", got)
+	}
+	c.Inc()
+	s.Inc(DiskReferences)
+	if got := s.Get(DiskReferences); got != 2 {
+		t.Fatalf("Get after Reset and two increments = %d, want 2: the handle went stale", got)
+	}
+}
+
+// TestSnapshotOmitsZeroCounters: a counter resolved but not incremented, or
+// zeroed by Reset, is reported by no reader, as if it never existed.
+func TestSnapshotOmitsZeroCounters(t *testing.T) {
+	s := NewSet()
+	s.Counter("resolved.only")
+	s.Counter("b").Add(2)
+	s.Counter("a").Inc()
+	if snap := s.Snapshot(); len(snap) != 2 || snap["a"] != 1 || snap["b"] != 2 {
+		t.Fatalf("Snapshot = %v, want map[a:1 b:2]", snap)
+	}
+	if got, want := s.String(), fmt.Sprintf("%-28s %d\n%-28s %d\n", "a", 1, "b", 2); got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	prev := s.Snapshot()
+	s.Counter("a").Inc()
+	if d := s.Diff(prev); len(d) != 1 || d["a"] != 1 {
+		t.Fatalf("Diff = %v, want map[a:1]", d)
+	}
+	s.Reset()
+	if snap := s.Snapshot(); len(snap) != 0 {
+		t.Fatalf("Snapshot after Reset = %v, want empty", snap)
+	}
+	if got := s.String(); got != "" {
+		t.Fatalf("String after Reset = %q, want empty", got)
+	}
+	// Diff walks the current counters, so a reset one drops out of it, as it
+	// did when Reset emptied the set.
+	if d := s.Diff(prev); len(d) != 0 {
+		t.Fatalf("Diff after Reset = %v, want empty", d)
+	}
+}
+
+func TestNilSetGivesNoOpHandle(t *testing.T) {
+	var s *Set
+	c := s.Counter(DiskReferences)
+	if c != nil {
+		t.Fatalf("nil set handed out a live handle %p", c)
+	}
+	c.Inc()
+	c.Add(5)
+	if got := s.Get(DiskReferences); got != 0 {
+		t.Fatalf("nil set Get = %d, want 0", got)
+	}
+}
+
+// TestAddRacesResetAndSnapshot runs handle and by-name increments against
+// Reset and Snapshot (meaningful under -race): every count lands on one side
+// of a Reset or the other, none is lost after the last one.
+func TestAddRacesResetAndSnapshot(t *testing.T) {
+	s := NewSet()
+	c := s.Counter("c")
+	const writers, adds = 4, 2000
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for j := 0; j < adds; j++ {
+				if i%2 == 0 {
+					c.Inc()
+				} else {
+					s.Inc("c")
+				}
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for j := 0; j < 200; j++ {
+			if v := s.Snapshot()["c"]; v < 0 || v > writers*adds {
+				t.Errorf("Snapshot read c = %d, outside [0, %d]", v, writers*adds)
+			}
+			if j%20 == 0 {
+				s.Reset()
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	s.Reset()
+	c.Add(7)
+	if got := s.Get("c"); got != 7 {
+		t.Fatalf("after the race and a quiet Reset, Get = %d, want 7", got)
 	}
 }

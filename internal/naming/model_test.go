@@ -179,6 +179,62 @@ func TestModelEquivalence(t *testing.T) {
 	}
 }
 
+// TestResolvePathMatchesResolve: ResolvePath reads the path index itself and
+// must answer exactly as the general query it abbreviates — the same entry,
+// or the same error class and the same error text — for a path with one
+// FILE entry, none, several (ambiguous), one beside a non-FILE entry of the
+// same path, and the empty path, which also matches pathless entries.
+func TestResolvePathMatchesResolve(t *testing.T) {
+	paths := []string{"/a", "/a/b", "/dev/tty0", "", "/none"}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewService()
+		for step := 0; step < 600; step++ {
+			p := paths[rng.Intn(len(paths))]
+			n := Name{"type": []string{"FILE", "FILE", "TTY"}[rng.Intn(3)]}
+			if rng.Intn(5) > 0 {
+				n["path"] = p
+			}
+			if rng.Intn(2) == 0 {
+				n["owner"] = fmt.Sprint(rng.Intn(3))
+			}
+			if rng.Intn(4) == 0 {
+				_ = s.Unregister(n)
+			} else {
+				_ = s.Register(Entry{Name: n, Type: FileObject, SystemName: uint64(step)})
+			}
+			for _, q := range paths {
+				got, gerr := s.ResolvePath(q)
+				want, werr := s.Resolve(Name{"type": "FILE", "path": q})
+				if !reflect.DeepEqual(got, want) || (gerr == nil) != (werr == nil) ||
+					gerr != nil && (gerr.Error() != werr.Error() || !sameOutcome(gerr, werr)) {
+					t.Fatalf("seed %d step %d: ResolvePath(%q) = %+v, %v; Resolve = %+v, %v", seed, step, q, got, gerr, want, werr)
+				}
+			}
+		}
+	}
+	// Each case at least once, on a fixed namespace.
+	s := NewService()
+	for i, n := range []Name{
+		{"type": "FILE", "path": "/one"},
+		{"type": "FILE", "path": "/two", "owner": "a"},
+		{"type": "FILE", "path": "/two", "owner": "b"},
+		{"type": "TTY", "path": "/one"},
+		{"type": "TTY", "path": "/tty"},
+		{"type": "FILE", "owner": "pathless"},
+	} {
+		if err := s.Register(Entry{Name: n, Type: FileObject, SystemName: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p, class := range map[string]error{"/one": nil, "/two": ErrAmbiguous, "/tty": ErrNotFound, "/none": ErrNotFound, "": nil} {
+		_, err := s.ResolvePath(p)
+		if class == nil && err != nil || class != nil && !errors.Is(err, class) {
+			t.Errorf("ResolvePath(%q) = %v, want %v", p, err, class)
+		}
+	}
+}
+
 // BenchmarkRegister measures one Register (plus the Unregister that keeps
 // the population constant) in a namespace of the given size; the cost must
 // not grow with it.

@@ -246,9 +246,41 @@ func (s *Service) Resolve(query Name) (Entry, error) {
 	}
 }
 
-// ResolvePath resolves the common case: a FILE object by its path attribute.
+// ResolvePath resolves the common case: a FILE object by its path
+// attribute, answering as Resolve(Name{"type": "FILE", "path": path}) does.
+// The one FILE entry under a non-empty path is read from the path index
+// without building that query; every other answer — no entry, several, or
+// the empty path, which also matches entries without a path attribute —
+// comes from Resolve, error text included.
 func (s *Service) ResolvePath(path string) (Entry, error) {
+	if e, ok := s.onlyFile(path); ok {
+		return e, nil
+	}
 	return s.Resolve(Name{"type": "FILE", "path": path})
+}
+
+// onlyFile returns the entry when exactly one FILE entry is registered
+// under the non-empty path.
+func (s *Service) onlyFile(path string) (Entry, bool) {
+	if path == "" {
+		return Entry{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var found *record
+	for _, r := range s.byPath[path] {
+		if r.Name["type"] != "FILE" {
+			continue
+		}
+		if found != nil {
+			return Entry{}, false
+		}
+		found = r
+	}
+	if found == nil {
+		return Entry{}, false
+	}
+	return found.Entry, true
 }
 
 // Unregister removes the entry exactly matching the attributed name.

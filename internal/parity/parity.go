@@ -119,7 +119,7 @@ type Array struct {
 	n, k    int // n = k+1 disks, k data units per stripe
 	unit    int // fragments per stripe unit
 	stripes int
-	met     *metrics.Set
+	met     counters
 	overlap simclock.Batcher
 	fsmap   *freespace.Map // virtual data fragment space
 
@@ -143,6 +143,21 @@ type Array struct {
 	obsRec *obs.Recorder
 }
 
+// counters are the parity counters, resolved from Config.Metrics in New.
+type counters struct {
+	fullStripe, rmw, degradedWrites, degradedReads, rebuildStripes *metrics.Counter
+}
+
+func newCounters(set *metrics.Set) counters {
+	return counters{
+		fullStripe:     set.Counter(metrics.ParityFullStripeWrites),
+		rmw:            set.Counter(metrics.ParityRMWWrites),
+		degradedWrites: set.Counter(metrics.ParityDegradedWrites),
+		degradedReads:  set.Counter(metrics.ParityDegradedReads),
+		rebuildStripes: set.Counter(metrics.ParityRebuildStripes),
+	}
+}
+
 // New builds an array over the given disk servers, claiming the striped
 // region on each. It works over freshly formatted disks and over remounted
 // ones (the region claim is re-asserted); the virtual allocation map starts
@@ -161,7 +176,7 @@ func New(cfg Config) (*Array, error) {
 		n:       len(cfg.Disks),
 		k:       len(cfg.Disks) - 1,
 		unit:    unit,
-		met:     cfg.Metrics,
+		met:     newCounters(cfg.Metrics),
 		overlap: cfg.Overlap,
 		fault:   cfg.Fault,
 		obsRec:  cfg.Obs,
@@ -642,6 +657,6 @@ func (a *Array) reconstructSpan(dst []byte, sp vspan) error {
 			xorInto(dst, b)
 		}
 	}
-	a.met.Inc(metrics.ParityDegradedReads)
+	a.met.degradedReads.Inc()
 	return nil
 }

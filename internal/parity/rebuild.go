@@ -8,7 +8,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/diskservice"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 )
 
 // ErrNoReplacement reports a rebuild attempt with no replacement installed.
@@ -165,7 +164,7 @@ func (a *Array) rebuildStripe(disks []*diskservice.Server, f, s int) error {
 	}
 	a.fault.Hit(PtRebuildAfterPut)
 	a.watermark.Store(int64(s + 1))
-	a.met.Inc(metrics.ParityRebuildStripes)
+	a.met.rebuildStripes.Inc()
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/diskservice"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -202,9 +201,9 @@ func (a *Array) writeFullStripe(disks []*diskservice.Server, healthy bool, faile
 		return err
 	}
 	if skip >= 0 {
-		a.met.Inc(metrics.ParityDegradedWrites)
+		a.met.degradedWrites.Inc()
 	} else {
-		a.met.Inc(metrics.ParityFullStripeWrites)
+		a.met.fullStripe.Inc()
 	}
 	return nil
 }
@@ -277,7 +276,7 @@ func (a *Array) writeRMW(disks []*diskservice.Server, stripe int, spans []vspan,
 	if err := a.fanout(tasks); err != nil {
 		return err
 	}
-	a.met.Inc(metrics.ParityRMWWrites)
+	a.met.rmw.Inc()
 	return nil
 }
 
@@ -307,7 +306,7 @@ func (a *Array) writeDegraded(disks []*diskservice.Server, failed, stripe int, s
 		if err := a.fanout(tasks); err != nil {
 			return err
 		}
-		a.met.Inc(metrics.ParityDegradedWrites)
+		a.met.degradedWrites.Inc()
 		return nil
 	}
 
@@ -327,7 +326,7 @@ func (a *Array) writeDegraded(disks []*diskservice.Server, failed, stripe int, s
 		if err := a.writeRMW(disks, stripe, spans, data, opts); err != nil {
 			return err
 		}
-		a.met.Inc(metrics.ParityDegradedWrites)
+		a.met.degradedWrites.Inc()
 		return nil
 	}
 
@@ -429,6 +428,6 @@ func (a *Array) writeDegraded(disks []*diskservice.Server, failed, stripe int, s
 	if err := a.fanout(tasks); err != nil {
 		return err
 	}
-	a.met.Inc(metrics.ParityDegradedWrites)
+	a.met.degradedWrites.Inc()
 	return nil
 }

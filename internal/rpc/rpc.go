@@ -259,8 +259,10 @@ func isTransient(err error) bool {
 type Endpoint struct {
 	handler Handler
 	dup     *DupCache
-	met     *metrics.Set
-	obsRec  *obs.Recorder
+	// requests and duplicates count metrics.RPCRequests and
+	// metrics.RPCDuplicates (WithMetrics).
+	requests, duplicates *metrics.Counter
+	obsRec               *obs.Recorder
 	// NoDupCache disables idempotency (ablation for E13): every message is
 	// executed, duplicates included.
 	noDup bool
@@ -289,7 +291,11 @@ type inflightCall struct {
 type EndpointOption func(*Endpoint)
 
 // WithMetrics records request/duplicate counters.
-func WithMetrics(m *metrics.Set) EndpointOption { return func(e *Endpoint) { e.met = m } }
+func WithMetrics(m *metrics.Set) EndpointOption {
+	return func(e *Endpoint) {
+		e.requests, e.duplicates = m.Counter(metrics.RPCRequests), m.Counter(metrics.RPCDuplicates)
+	}
+}
 
 // WithObs observes every handled request as an rpc-layer operation
 // (duplicate-cache replays included — they are real network round trips).
@@ -329,14 +335,14 @@ func (e *Endpoint) Handle(base context.Context, req Request) Response {
 }
 
 func (e *Endpoint) handle(ctx context.Context, req Request) Response {
-	e.met.Inc(metrics.RPCRequests)
+	e.requests.Inc()
 	var call *inflightCall
 	if !e.noDup {
 		key := clientSeq{req.ClientID, req.Seq}
 		e.iMu.Lock()
 		if resp, ok := e.dup.Lookup(req.ClientID, req.Seq); ok {
 			e.iMu.Unlock()
-			e.met.Inc(metrics.RPCDuplicates)
+			e.duplicates.Inc()
 			return resp
 		}
 		if prior, ok := e.inflight[key]; ok {
@@ -344,7 +350,7 @@ func (e *Endpoint) handle(ctx context.Context, req Request) Response {
 			// single execution's result.
 			e.iMu.Unlock()
 			<-prior.done
-			e.met.Inc(metrics.RPCDuplicates)
+			e.duplicates.Inc()
 			return prior.resp
 		}
 		call = &inflightCall{done: make(chan struct{})}
@@ -497,7 +503,7 @@ func (t *InProc) Close() error {
 type Client struct {
 	t        Transport
 	clientID uint64
-	met      *metrics.Set
+	retried  *metrics.Counter // metrics.RPCRetries
 	retries  int
 
 	mu             sync.Mutex
@@ -539,7 +545,7 @@ func NewClient(t Transport, clientID uint64, retries int, met *metrics.Set) *Cli
 	if retries <= 0 {
 		retries = 10
 	}
-	return &Client{t: t, clientID: clientID, retries: retries, met: met}
+	return &Client{t: t, clientID: clientID, retries: retries, retried: met.Counter(metrics.RPCRetries)}
 }
 
 // callerOwnsBodies is implemented by transports whose response bodies are
@@ -587,7 +593,7 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 	backoff := simclock.Backoff{Min: retryOnBackoffMin, Max: retryOnBackoffMax}
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
-			c.met.Inc(metrics.RPCRetries)
+			c.retried.Inc()
 		}
 		var resp Response
 		var err error

@@ -60,7 +60,7 @@ type Store struct {
 	primary *device.Disk
 	mirror  *device.Disk
 	alloc   *freespace.Map
-	met     *metrics.Set
+	writes  *metrics.Counter // metrics.StableWrites
 
 	// mu is held across each careful write, so Close waits out every write
 	// that passed its closed check, and Recover scans a quiescent pair.
@@ -75,7 +75,9 @@ type Store struct {
 type Option func(*Store)
 
 // WithMetrics sets the metric set receiving stable-write counters.
-func WithMetrics(s *metrics.Set) Option { return func(st *Store) { st.met = s } }
+func WithMetrics(s *metrics.Set) Option {
+	return func(st *Store) { st.writes = s.Counter(metrics.StableWrites) }
+}
 
 // WithFault attaches a fault injector to the store's write paths. A nil
 // injector is valid and injects nothing.
@@ -157,7 +159,7 @@ func (s *Store) careful(f flavour, start int, data []byte) error {
 	if err := s.writeDisk(s.mirror, f.mirror, start, data); err != nil {
 		return fmt.Errorf("stable: mirror write: %w", err)
 	}
-	s.met.Inc(metrics.StableWrites)
+	s.writes.Inc()
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/intentions"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -122,7 +121,7 @@ func (s *Service) end(ctx context.Context, id TxnID) error {
 	s.fault.Hit(PtCommitAfterApply)
 	s.finish(t)
 	s.gc.applied()
-	s.met.Inc(metrics.TxnCommitted)
+	s.met.committed.Inc()
 	s.maybeTruncateLog()
 	return nil
 }
@@ -393,7 +392,7 @@ func (s *Service) abort(t *txnState) {
 		_ = s.fs.Delete(fid)
 	}
 	s.finish(t)
-	s.met.Inc(metrics.TxnAborted)
+	s.met.aborted.Inc()
 }
 
 // maybeTruncateLog checkpoints once the log is more than half full — but

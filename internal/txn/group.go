@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -201,7 +200,7 @@ func (g *groupCommit) commit(ctx context.Context, t *txnState) error {
 	if leader {
 		g.lead(ctx, b)
 	} else {
-		g.s.met.Inc(metrics.TxnGroupWaits)
+		g.s.met.groupWaits.Inc()
 	}
 	g.mu.Lock()
 	for !b.closed {
@@ -309,7 +308,7 @@ func (g *groupCommit) lead(ctx context.Context, b *gcBatch) {
 	op.End(err)
 	completed = true
 	if err == nil {
-		g.s.met.Inc(metrics.TxnGroupBatches)
+		g.s.met.groupBatches.Inc()
 		g.batchSize.Record(time.Duration(size))
 	}
 

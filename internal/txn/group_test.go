@@ -152,11 +152,19 @@ func TestGroupLeaderCrashAfterSync(t *testing.T) {
 	ids, fids, payloads := startTxns(r, W)
 	// Delay the first leader so the remaining committers form one batch
 	// behind it, then crash that batch's leader after its sync (After: 1
-	// skips the first leader's own post-sync hit).
+	// skips the first leader's own post-sync hit). The others start once
+	// the first leader is in its delay, its batch closed: started together,
+	// they could all join its batch before it closed, and no second leader
+	// would sync.
 	inj.Arm(PtGroupBeforeSync, fault.Action{Kind: fault.KindDelay, Delay: 50 * time.Millisecond})
 	inj.Arm(PtGroupLeaderSynced, fault.Action{Kind: fault.KindCrash, After: 1})
+	delaying := make(chan struct{})
+	inj.SetObserver(func(ev fault.Event) {
+		if ev.Point == PtGroupBeforeSync {
+			close(delaying) // the delay fires once
+		}
+	})
 
-	start := make(chan struct{})
 	errs := make([]error, W)
 	crashes := make([]*fault.Crash, W)
 	var wg sync.WaitGroup
@@ -164,7 +172,9 @@ func TestGroupLeaderCrashAfterSync(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
+			if i > 0 {
+				<-delaying
+			}
 			crashes[i], errs[i] = fault.Run(func() error {
 				if _, err := r.svc.PWrite(ids[i], fids[i], 0, payloads[i]); err != nil {
 					return err
@@ -173,7 +183,6 @@ func TestGroupLeaderCrashAfterSync(t *testing.T) {
 			})
 		}(i)
 	}
-	close(start)
 	wg.Wait()
 
 	nCrashed, nInterrupted := 0, 0

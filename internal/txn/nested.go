@@ -186,7 +186,7 @@ func (s *Service) abortChild(t *txnState) {
 	}
 	delete(s.txns, t.id)
 	s.mu.Unlock()
-	s.met.Inc(metricTxnChildAborted)
+	s.met.childAborted.Inc()
 }
 
 // dropKid removes a finished child from the parent's kid list; callers hold

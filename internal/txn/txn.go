@@ -169,6 +169,10 @@ type txnState struct {
 	// the commit logged, kept for apply.
 	recs    []intentions.Record
 	updates []update
+	// page is the block a page-mode write builds its tentative page in;
+	// SetIntention and stageShadow copy it, so one buffer serves every
+	// write of the transaction and of the transactions reusing the state.
+	page []byte
 }
 
 // maxFree bounds the finished states kept for reuse (Service.free).
@@ -211,7 +215,7 @@ type Service struct {
 	fs       *fileservice.Service
 	log      *wal.Log
 	locks    *lock.Manager
-	met      *metrics.Set
+	met      counters
 	adaptive bool
 	force    intentions.Technique
 
@@ -245,6 +249,22 @@ type Service struct {
 	obsRec *obs.Recorder
 }
 
+// counters are the transaction counters, resolved from Config.Metrics in
+// New.
+type counters struct {
+	committed, aborted, childAborted, groupWaits, groupBatches *metrics.Counter
+}
+
+func newCounters(set *metrics.Set) counters {
+	return counters{
+		committed:    set.Counter(metrics.TxnCommitted),
+		aborted:      set.Counter(metrics.TxnAborted),
+		childAborted: set.Counter(metricTxnChildAborted),
+		groupWaits:   set.Counter(metrics.TxnGroupWaits),
+		groupBatches: set.Counter(metrics.TxnGroupBatches),
+	}
+}
+
 // defaultLevel is the lock level used when a file's attributes specify none.
 const defaultLevel = fit.LockPage
 
@@ -263,7 +283,7 @@ func New(cfg Config) (*Service, error) {
 		fs:          cfg.Files,
 		log:         cfg.Log,
 		locks:       cfg.Locks,
-		met:         cfg.Metrics,
+		met:         newCounters(cfg.Metrics),
 		adaptive:    cfg.AdaptiveDefault,
 		force:       cfg.ForceTechnique,
 		fault:       cfg.Fault,
@@ -392,6 +412,18 @@ func (s *Service) Open(id TxnID, fid FileID, level fit.LockLevel) error {
 		return fmt.Errorf("%w: id %d (uncommitted)", fileservice.ErrNotFound, fid)
 	}
 	s.mu.Unlock()
+	// A file the transaction already has a view of is only re-levelled: the
+	// file service is not opened again, so the view's one release at End
+	// balances its one open, and the tentative size and cursor stay.
+	t.mu.Lock()
+	if f := t.lookup(fid); f != nil {
+		if level != fit.LockNone {
+			f.level = level
+		}
+		t.mu.Unlock()
+		return nil
+	}
+	t.mu.Unlock()
 	// A subtransaction opening a file an ancestor already holds inherits the
 	// ancestor's view (and its fs-level open).
 	if v, ok := t.inheritedFile(fid); ok {
@@ -716,13 +748,20 @@ func (s *Service) pwrite(ctx context.Context, id TxnID, fid FileID, off int64, d
 }
 
 // tentativePage returns the transaction's current view of one whole block,
-// including ancestors' tentative data for subtransactions.
+// including ancestors' tentative data for subtransactions, in t's page
+// buffer: valid until t's next page-mode write. The bytes past the
+// committed end of the file read as zeros.
 func (s *Service) tentativePage(ctx context.Context, t *txnState, f *txnFile, blk int) ([]byte, error) {
-	page := make([]byte, fileservice.BlockSize)
+	if t.page == nil {
+		t.page = make([]byte, fileservice.BlockSize)
+	}
+	page := t.page
 	off := int64(blk) * fileservice.BlockSize
-	if _, err := s.fs.ReadAtInto(ctx, f.id, off, page); err != nil {
+	n, err := s.fs.ReadAtInto(ctx, f.id, off, page)
+	if err != nil {
 		return nil, err
 	}
+	clear(page[n:])
 	t.overlay(f.id, off, page)
 	return page, nil
 }

@@ -1051,6 +1051,44 @@ func TestFileServiceClassificationFlips(t *testing.T) {
 	}
 }
 
+// TestReopenInTxnReleasesOnce: a transaction that opens a file it already
+// has open keeps its one view and one file-service open, so End leaves the
+// file closed, back in the basic service, and deletable. The re-open
+// re-levels the view but keeps its tentative size.
+func TestReopenInTxnReleasesOnce(t *testing.T) {
+	r := newRig(t)
+	fid := r.seedFiles(1, 100, fit.LockPage)[0]
+	id, err := r.svc.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.svc.Open(id, fid, fit.LockNone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.svc.PWrite(id, fid, 100, []byte("grown")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.svc.Open(id, fid, fit.LockPage); err != nil {
+		t.Fatal(err)
+	}
+	if attr, err := r.svc.GetAttribute(id, fid); err != nil || attr.Size != 105 {
+		t.Fatalf("size after re-open = %d, %v; want the tentative 105", attr.Size, err)
+	}
+	if err := r.svc.End(id); err != nil {
+		t.Fatal(err)
+	}
+	attr, err := r.fs.Attributes(fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attr.RefCount != 0 || attr.Service != fit.ServiceBasic {
+		t.Fatalf("after End: RefCount %d, service %v; want 0 and %v", attr.RefCount, attr.Service, fit.ServiceBasic)
+	}
+	if err := r.fs.Delete(fid); err != nil {
+		t.Fatalf("Delete after End: %v", err)
+	}
+}
+
 func TestErrorsAndEdgeCases(t *testing.T) {
 	r := newRig(t)
 	if _, err := r.svc.PRead(999, 1, 0, 1, false); !errors.Is(err, ErrNoTxn) {

@@ -136,7 +136,7 @@ type Log struct {
 
 	fault *fault.Injector
 	obs   *obs.Recorder
-	met   *metrics.Set
+	syncs *metrics.Counter // metrics.WalSyncs
 }
 
 // Option configures a Log.
@@ -156,7 +156,9 @@ func WithObs(rec *obs.Recorder) Option { return func(l *Log) { l.obs = rec } }
 // WithMetrics counts Sync barriers that hardened records (metrics.WalSyncs);
 // no-op and failed syncs are excluded, so dividing commits by the counter
 // measures real amortization. A nil set is valid.
-func WithMetrics(set *metrics.Set) Option { return func(l *Log) { l.met = set } }
+func WithMetrics(set *metrics.Set) Option {
+	return func(l *Log) { l.syncs = set.Counter(metrics.WalSyncs) }
+}
 
 // Open attaches to the log region [start, start+frags) of store. The region
 // must already be allocated by the caller. Open does not read the region;
@@ -250,7 +252,7 @@ func (l *Log) Sync() error {
 	l.fault.Hit(PtSyncAfterWrite)
 	l.synced = l.off
 	l.lsnSynced = l.lsn
-	l.met.Inc(metrics.WalSyncs)
+	l.syncs.Inc()
 	l.obs.Observe(obs.LayerWal, time.Since(start), 0)
 	return nil
 }
