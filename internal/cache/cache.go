@@ -14,7 +14,9 @@
 // Put copies the caller's bytes in and Get copies the whole buffer out;
 // ReadRange, WriteRange and Patch move only the bytes asked for between the
 // caller's slice and the cached buffer, in place under the cache mutex — the
-// forms the hot paths use, one copy and no allocation.
+// forms the hot paths use, one copy and no allocation. Fill, the miss path,
+// has the layer below write straight into the buffer the cache will keep: the
+// buffer is the filler's alone until Fill installs it.
 //
 // The one exception is the lending rule, which both WritebackFunc call sites
 // (FlushKey and eviction) follow: the function is handed the buffer itself,
@@ -63,7 +65,12 @@ type Cache[K comparable] struct {
 	seq     uint64     // generation source for dirty Puts
 	entries map[K]*list.Element
 	lru     *list.List // front = most recently used
+	spare   [][]byte   // buffers Fill's evictions freed, for the next Fill
 }
+
+// maxSpare bounds the buffers a cache keeps beyond its entries: one per Fill
+// in flight at once, which is one per concurrent miss.
+const maxSpare = 4
 
 type entry[K comparable] struct {
 	key      K
@@ -231,70 +238,167 @@ func (c *Cache[K]) Contains(key K) bool {
 func (c *Cache[K]) Put(key K, data []byte, dirty bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry[K])
-		e.ownLocked()
-		e.data = append(e.data[:0], data...)
-		if dirty {
-			e.dirty = true
-			c.seq++
-			e.gen = c.seq
-		}
-		c.lru.MoveToFront(el)
-		return nil
+	e, _, err := c.entryLocked(key)
+	if err != nil {
+		return err
 	}
-	// A full cache hands the new entry its victim's buffer — the block-pool
-	// of §5: in steady state a miss moves bytes and allocates nothing.
-	var buf []byte
-	if len(c.entries) >= c.capacity {
-		var err error
-		if buf, err = c.evictLocked(); err != nil {
-			return err
-		}
-	}
-	e := &entry[K]{key: key, data: append(buf[:0], data...), dirty: dirty}
+	e.ownLocked()
+	e.data = append(e.data[:0], data...)
 	if dirty {
+		e.dirty = true
 		c.seq++
 		e.gen = c.seq
 	}
-	el := c.lru.PushFront(e)
-	c.entries[key] = el
 	return nil
 }
 
-// evictLocked removes the least recently used entry whose writeback is not
-// in flight, writing it back first if dirty, and returns its buffer, which
-// nothing references any more. Callers must hold c.mu.
-func (c *Cache[K]) evictLocked() ([]byte, error) {
-	for {
-		var victim *list.Element
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			if !el.Value.(*entry[K]).flushing {
-				victim = el
-				break
-			}
-		}
-		if victim == nil {
-			if c.lru.Len() == 0 {
-				return nil, nil
-			}
-			// Every entry has a writeback in flight; wait for one to finish.
-			c.cond.Wait()
-			continue
-		}
-		e := victim.Value.(*entry[K])
-		if e.dirty {
-			if c.writeback == nil {
-				return nil, errors.New("cache: evicting dirty buffer with no writeback")
-			}
-			if err := c.writeback(e.key, e.data); err != nil {
-				return nil, fmt.Errorf("cache: eviction writeback: %w", err)
-			}
-		}
-		c.lru.Remove(victim)
-		delete(c.entries, e.key)
-		return e.data, nil
+// Fill is install-by-fill, the miss path of a cache over a slower layer: the
+// layer below writes straight into the buffer the cache keeps, so no transfer
+// buffer is copied into an entry's. fill is handed one buffer of
+// len(keys)*size bytes and writes bytes [i*size, (i+1)*size) of it for
+// keys[i]. It runs outside the cache mutex, and the buffer is the caller's
+// alone until fill returns: whatever the caller needs out of it, it copies
+// out inside fill. Then every key whose bit is clear in skip is installed as
+// Put would install it — most recently used, evicting the least recently used
+// buffer when the cache is full — the clean ones first and then those whose
+// bit is set in dirty, each in key order: a key patched inside fill ends up
+// as recent as a write after the read would leave it. A key that is cached
+// by then keeps its entry, which may be newer than what fill read; so a
+// caller fills only keys it knows to be absent and skips those it does not.
+// If fill fails nothing is installed; a failed eviction writeback stops the
+// installs there. Fill counts no hit or miss (the lookup that found the keys
+// absent did) and returns how many keys it installed. keys holds at most 64
+// keys.
+//
+// One key fills a buffer an earlier Fill's eviction freed (the block pool of
+// §5), so a steady stream of misses allocates nothing; more keys share one
+// new buffer, a slice each.
+func (c *Cache[K]) Fill(keys []K, size int, skip, dirty uint64, fill func(buf []byte) error) (int, error) {
+	if len(keys) == 0 || len(keys) > 64 {
+		return 0, fmt.Errorf("cache: fill of %d keys", len(keys))
 	}
+	var buf []byte
+	if len(keys) == 1 {
+		c.mu.Lock()
+		if n := len(c.spare); n > 0 && cap(c.spare[n-1]) >= size {
+			buf = c.spare[n-1][:size]
+			c.spare[n-1] = nil
+			c.spare = c.spare[:n-1]
+		}
+		c.mu.Unlock()
+	}
+	if buf == nil {
+		buf = make([]byte, len(keys)*size)
+	}
+	if err := fill(buf); err != nil {
+		if len(keys) == 1 {
+			c.mu.Lock()
+			c.spareLocked(buf)
+			c.mu.Unlock()
+		}
+		return 0, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	installed := 0
+	for _, pass := range [2]uint64{^dirty, dirty} {
+		for i, key := range keys {
+			if skip&(1<<i) != 0 || pass&(1<<i) == 0 {
+				continue
+			}
+			e, fresh, err := c.entryLocked(key)
+			if err != nil {
+				return installed, err
+			}
+			if !fresh {
+				continue
+			}
+			c.spareLocked(e.data)
+			e.data = buf[i*size : (i+1)*size : (i+1)*size]
+			if dirty&(1<<i) != 0 {
+				e.dirty = true
+				c.seq++
+				e.gen = c.seq
+			}
+			installed++
+		}
+	}
+	if installed == 0 && len(keys) == 1 {
+		c.spareLocked(buf)
+	}
+	return installed, nil
+}
+
+// spareLocked keeps buf, which nothing references, for the next Fill.
+// Callers must hold c.mu.
+func (c *Cache[K]) spareLocked(buf []byte) {
+	if buf != nil && len(c.spare) < maxSpare {
+		c.spare = append(c.spare, buf)
+	}
+}
+
+// entryLocked returns key's entry as the most recently used: the cached one,
+// or, fresh, a new clean one holding the buffer of the entry it evicted to
+// make room (nil when there was room). A full cache hands the new entry its
+// victim's entry, list element and buffer — the block-pool of §5: in steady
+// state a miss moves bytes and allocates nothing. Eviction writes a dirty
+// victim back first; a failed writeback fails the call and keeps the victim.
+// Callers must hold c.mu.
+func (c *Cache[K]) entryLocked(key K) (e *entry[K], fresh bool, err error) {
+	for {
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			return el.Value.(*entry[K]), false, nil
+		}
+		if len(c.entries) < c.capacity {
+			e = &entry[K]{key: key}
+			c.entries[key] = c.lru.PushFront(e)
+			return e, true, nil
+		}
+		el, err := c.evictLocked()
+		if err != nil {
+			return nil, false, err
+		}
+		if el == nil {
+			continue // waited out a writeback: look again
+		}
+		e = el.Value.(*entry[K])
+		*e = entry[K]{key: key, data: e.data}
+		c.entries[key] = el
+		c.lru.MoveToFront(el)
+		return e, true, nil
+	}
+}
+
+// evictLocked unmaps the least recently used entry whose writeback is not in
+// flight, writing it back first if dirty, and returns its list element, still
+// in the list, for the caller to re-key: nothing else references the entry or
+// its buffer any more. When every entry has a writeback in flight it waits
+// for one to finish and returns nil, and the caller looks again. Callers must
+// hold c.mu.
+func (c *Cache[K]) evictLocked() (*list.Element, error) {
+	var victim *list.Element
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		if !el.Value.(*entry[K]).flushing {
+			victim = el
+			break
+		}
+	}
+	if victim == nil {
+		c.cond.Wait()
+		return nil, nil
+	}
+	e := victim.Value.(*entry[K])
+	if e.dirty {
+		if c.writeback == nil {
+			return nil, errors.New("cache: evicting dirty buffer with no writeback")
+		}
+		if err := c.writeback(e.key, e.data); err != nil {
+			return nil, fmt.Errorf("cache: eviction writeback: %w", err)
+		}
+	}
+	delete(c.entries, e.key)
+	return victim, nil
 }
 
 // Invalidate drops key from the cache, discarding any dirty data (used when

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -385,5 +386,116 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFillInstallsByMask: one fill of a run installs every key it is not
+// told to skip, dirty where it is told to — clean keys first, so a dirty one
+// ends up most recently used, as a write after the read would leave it — and
+// counts no lookup.
+func TestFillInstallsByMask(t *testing.T) {
+	met := metrics.NewSet()
+	var wrote []int
+	c, err := New(Config[int]{Capacity: 3, Writeback: func(k int, data []byte) error {
+		wrote = append(wrote, k)
+		return nil
+	}, Metrics: met, HitCounter: "h", MissCounter: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(1, []byte("newr"), true); err != nil { // newer than below
+		t.Fatal(err)
+	}
+	n, err := c.Fill([]int{0, 1, 2}, 4, 1<<1, 1<<0, func(buf []byte) error {
+		copy(buf, "AAAAoldrCCCC")
+		return nil
+	})
+	if err != nil || n != 2 {
+		t.Fatalf("Fill = %d, %v; want 2 installed", n, err)
+	}
+	if met.Get("h") != 0 || met.Get("m") != 0 {
+		t.Errorf("Fill counted %d hits and %d misses, want none", met.Get("h"), met.Get("m"))
+	}
+	if c.DirtyCount() != 2 {
+		t.Errorf("DirtyCount = %d, want 2: the dirty Put and the dirty fill", c.DirtyCount())
+	}
+	// Least recently used first: the Put (1), the clean fill (2), the dirty
+	// fill (0). Two one-key fills evict the first two, writing back the
+	// dirty one.
+	for _, key := range []int{7, 8} {
+		if _, err := c.Fill([]int{key}, 4, 0, 0, func(buf []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fmt.Sprint(wrote) != "[1]" || c.Contains(1) || c.Contains(2) {
+		t.Fatalf("after two evicting fills: wrote back %v, 1 cached %v, 2 cached %v; want 1 and 2 evicted, 1 written back",
+			wrote, c.Contains(1), c.Contains(2))
+	}
+	if got, ok := c.Get(0); !ok || string(got) != "AAAA" {
+		t.Errorf("Get(0) = %q, %v; want the dirty fill's bytes", got, ok)
+	}
+}
+
+// TestFillFailureInstallsNothing: a filler that fails leaves the cache as it
+// was — no victim evicted or written back, no key installed.
+func TestFillFailureInstallsNothing(t *testing.T) {
+	writebacks := 0
+	c := newDelayed(t, 1, func(int, []byte) error { writebacks++; return nil })
+	if err := c.Put(1, []byte("dirty"), true); err != nil {
+		t.Fatal(err)
+	}
+	fail := errors.New("device failed")
+	n, err := c.Fill([]int{2}, 5, 0, 0, func(buf []byte) error {
+		copy(buf, "junk!")
+		return fail
+	})
+	if n != 0 || !errors.Is(err, fail) {
+		t.Fatalf("Fill = %d, %v; want 0 and the filler's error", n, err)
+	}
+	if c.Contains(2) || !c.Contains(1) || writebacks != 0 || c.DirtyCount() != 1 {
+		t.Fatalf("after a failed fill: 2 cached %v, 1 cached %v, %d writebacks, %d dirty",
+			c.Contains(2), c.Contains(1), writebacks, c.DirtyCount())
+	}
+}
+
+// TestFillKeepsAnEntryThatArrivedFirst: a key cached while its fill was
+// reading may be newer than what the fill read, so it wins.
+func TestFillKeepsAnEntryThatArrivedFirst(t *testing.T) {
+	c := newDelayed(t, 2, func(int, []byte) error { return nil })
+	n, err := c.Fill([]int{1}, 3, 0, 0, func(buf []byte) error {
+		copy(buf, "old")
+		return c.Put(1, []byte("new"), true)
+	})
+	if err != nil || n != 0 {
+		t.Fatalf("Fill = %d, %v; want 0 installed", n, err)
+	}
+	if got, _ := c.Get(1); string(got) != "new" || c.DirtyCount() != 1 || c.Len() != 1 {
+		t.Fatalf("Get(1) = %q, %d dirty, Len %d; want the Put's dirty bytes alone", got, c.DirtyCount(), c.Len())
+	}
+}
+
+// TestFillReusesEvictedBuffers: in steady state a one-key fill lands in a
+// buffer an earlier fill's eviction freed, so a stream of misses allocates
+// nothing — neither buffers nor entries.
+func TestFillReusesEvictedBuffers(t *testing.T) {
+	c := newDelayed(t, 8, func(int, []byte) error { return nil })
+	key := 0
+	fill := func() {
+		key++
+		if _, err := c.Fill([]int{key}, 8192, 0, 0, func(buf []byte) error {
+			buf[0] = byte(key)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		fill()
+	}
+	if allocs := testing.AllocsPerRun(200, fill); allocs != 0 {
+		t.Fatalf("a warm one-key fill allocates %.1f objects, want 0", allocs)
+	}
+	if got, ok := c.Get(key); !ok || got[0] != byte(key) || c.Len() != 8 {
+		t.Fatalf("last fill: cached %v, first byte %d; Len %d", ok, got[0], c.Len())
 	}
 }

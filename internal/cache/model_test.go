@@ -55,17 +55,11 @@ func (s *modelStore) set(key int, data []byte) {
 // It is also where the lending rule is checked, at both call sites
 // (FlushKey, eviction): data is the cache's own buffer, not a copy, so it is
 // summed, left in flight until some owner has started another operation — a
-// WriteRange, Patch, Put or Invalidate of this key, an evicting Put of
-// another — and summed again. (The wait is bounded: an
+// WriteRange, Patch, Put, Fill or Invalidate of this key, an evicting Put or
+// Fill of another — and summed again (holdStill). (The wait is bounded: an
 // eviction writeback runs under the cache mutex, where nobody can step.)
 func (s *modelStore) writeback(key int, data []byte) error {
-	before := crc32.ChecksumIEEE(data)
-	for i, at := 0, s.steps.Load(); i < 16 && s.steps.Load() == at; i++ {
-		runtime.Gosched()
-	}
-	if after := crc32.ChecksumIEEE(data); after != before {
-		s.t.Errorf("writeback of key %d: the lent buffer changed during the call (crc %08x, then %08x)", key, before, after)
-	}
+	s.holdStill("writeback", key, data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(data) != modelSize || word(data, 0) != uint64(key) {
@@ -79,6 +73,19 @@ func (s *modelStore) writeback(key int, data []byte) error {
 	}
 	s.data[key] = append([]byte(nil), data...)
 	return nil
+}
+
+// holdStill sums buf, keeps it until some owner has started another
+// operation, and sums it again: the buffer — lent to a writeback, or handed
+// to a Fill's filler — must not change while the caller holds it.
+func (s *modelStore) holdStill(what string, key int, buf []byte) {
+	before := crc32.ChecksumIEEE(buf)
+	for i, at := 0, s.steps.Load(); i < 16 && s.steps.Load() == at; i++ {
+		runtime.Gosched()
+	}
+	if after := crc32.ChecksumIEEE(buf); after != before {
+		s.t.Errorf("%s of key %d: the buffer changed while the call held it (crc %08x, then %08x)", what, key, before, after)
+	}
 }
 
 func TestModelEquivalence(t *testing.T) {
@@ -199,7 +206,7 @@ func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.In
 		a := 1 + rng.Intn(modelWords-1)
 		b := a + 1 + rng.Intn(modelWords-a)
 		ctx := fmt.Sprintf("step %d key %d", step, key)
-		switch op := rng.Intn(12); {
+		switch op := rng.Intn(15); {
 		case op < 1:
 			lookups.Add(1)
 			if data, ok := c.Get(key); !ok {
@@ -261,9 +268,61 @@ func runOwner(t *testing.T, c *Cache[int], store *modelStore, lookups *atomic.In
 				below(ctx+": after Flush", base+j, want[j])
 				dirty[j] = false
 			}
-		default: // dirty bytes are discarded: the truth is whatever is below
+		case op < 12: // dirty bytes are discarded: the truth is whatever is below
 			c.Invalidate(key)
 			want[i], dirty[i] = store.get(key), false
+		case op < 13: // the file service's read miss: fill, copy out, install clean
+			dst := make([]byte, (b-a)*8)
+			lookups.Add(1)
+			if c.ReadRange(key, a*8, dst) {
+				break
+			}
+			below(ctx+": ReadRange missed before Fill", key, want[i])
+			n, err := c.Fill([]int{key}, modelSize, 0, 0, func(buf []byte) error {
+				copy(buf, store.get(key))
+				store.holdStill("Fill", key, buf)
+				copy(dst, buf[a*8:b*8])
+				return nil
+			})
+			if err != nil || n != 1 {
+				t.Errorf("%s: Fill after a miss = %d, %v; want 1 installed", ctx, n, err)
+			} else if !bytes.Equal(dst, want[i][a*8:b*8]) {
+				t.Errorf("%s: Fill copied out %v, reference %v", ctx, dst, want[i][a*8:b*8])
+			}
+		case op < 14: // the file service's write miss: fill, patch, install dirty
+			next, patch := patched(want[i], a, b)
+			lookups.Add(1)
+			if !c.WriteRange(key, a*8, patch) {
+				below(ctx+": WriteRange missed before Fill", key, want[i])
+				n, err := c.Fill([]int{key}, modelSize, 0, 1, func(buf []byte) error {
+					copy(buf, store.get(key))
+					copy(buf[a*8:], patch)
+					store.holdStill("Fill", key, buf)
+					return nil
+				})
+				if err != nil || n != 1 {
+					t.Errorf("%s: dirty Fill after a miss = %d, %v; want 1 installed", ctx, n, err)
+				}
+			}
+			want[i], dirty[i] = next, true
+		default: // a fill that fails installs nothing, its bytes included
+			lookups.Add(1)
+			if c.ReadRange(key, a*8, make([]byte, (b-a)*8)) {
+				break
+			}
+			failed := fmt.Errorf("device failed")
+			n, err := c.Fill([]int{key}, modelSize, 0, 1, func(buf []byte) error {
+				for w := range buf {
+					buf[w] = 0xEE
+				}
+				return failed
+			})
+			if n != 0 || err != failed {
+				t.Errorf("%s: failing Fill = %d, %v; want 0 installed and its error", ctx, n, err)
+			}
+			if c.Contains(key) {
+				t.Errorf("%s: a failed Fill installed the key", ctx)
+			}
 		}
 		if through {
 			// Nothing stays dirty past the step that wrote it.

@@ -54,6 +54,8 @@ var (
 	ErrMediaError = errors.New("device: media error")
 	// ErrShortWrite reports a write with fewer bytes than the span requires.
 	ErrShortWrite = errors.New("device: short write")
+	// ErrShortBuffer reports a read into a buffer smaller than the span.
+	ErrShortBuffer = errors.New("device: buffer shorter than the span")
 )
 
 // Geometry describes the layout of a simulated drive.
@@ -264,47 +266,60 @@ func (d *Disk) finish(cost time.Duration, seeked bool) {
 	d.met.AddSimTime(cost)
 }
 
-// ReadFragments reads n fragments starting at fragment address start as one
-// disk reference, returning a fresh buffer of n*FragmentSize bytes. The disk
-// reference is bracketed as a device-layer op — a child span when ctx holds a
-// span — with its exact modeled cost as the virtual duration.
+// ReadFragments is ReadFragmentsInto a fresh buffer of n*FragmentSize bytes.
 func (d *Disk) ReadFragments(ctx context.Context, start, n int) ([]byte, error) {
-	if d.obs == nil {
-		buf, _, err := d.readFragments(start, n)
-		return buf, err
-	}
-	_, op := d.obs.StartOp(ctx, obs.LayerDevice, "read")
-	buf, cost, err := d.readFragments(start, n)
-	op.AddBytes(len(buf))
-	op.EndCost(cost, err)
-	return buf, err
+	buf := make([]byte, min(max(n, 0), d.geom.Capacity())*FragmentSize)
+	return buf, d.ReadFragmentsInto(ctx, start, n, buf)
 }
 
-func (d *Disk) readFragments(start, n int) ([]byte, time.Duration, error) {
+// ReadFragmentsInto reads n fragments starting at fragment address start as
+// one disk reference into the first n*FragmentSize bytes of dst, the caller's
+// buffer. The disk reference is bracketed as a device-layer op — a child span
+// when ctx holds a span — with its exact modeled cost as the virtual duration.
+// A span off the disk, a dst shorter than the span, a failed drive or an
+// unreadable fragment fails before the reference: nothing is charged or
+// counted.
+func (d *Disk) ReadFragmentsInto(ctx context.Context, start, n int, dst []byte) error {
+	if d.obs == nil {
+		_, err := d.readFragments(start, n, dst)
+		return err
+	}
+	_, op := d.obs.StartOp(ctx, obs.LayerDevice, "read")
+	cost, err := d.readFragments(start, n, dst)
+	if err == nil {
+		op.AddBytes(n * FragmentSize)
+	}
+	op.EndCost(cost, err)
+	return err
+}
+
+func (d *Disk) readFragments(start, n int, dst []byte) (time.Duration, error) {
 	if err := d.checkSpan(start, n); err != nil {
-		return nil, 0, err
+		return 0, err
+	}
+	if len(dst) < n*FragmentSize {
+		return 0, fmt.Errorf("%w: %d bytes for %d fragments", ErrShortBuffer, len(dst), n)
 	}
 	if err := d.fault.Err(PtRead); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	d.mu.Lock()
 	if d.failed {
 		d.mu.Unlock()
-		return nil, 0, ErrFailed
+		return 0, ErrFailed
 	}
 	for f := start; f < start+n; f++ {
 		if d.badFrags[f] {
 			d.mu.Unlock()
-			return nil, 0, fmt.Errorf("%w: fragment %d", ErrMediaError, f)
+			return 0, fmt.Errorf("%w: fragment %d", ErrMediaError, f)
 		}
 	}
 	cost, seeked := d.charge(start, n)
-	buf := make([]byte, n*FragmentSize)
-	copy(buf, d.data[start*FragmentSize:])
+	copy(dst[:n*FragmentSize], d.data[start*FragmentSize:])
 	d.mu.Unlock()
 	d.finish(cost, seeked)
 	d.bytesRead.Add(int64(n) * FragmentSize)
-	return buf, cost, nil
+	return cost, nil
 }
 
 // WriteFragments writes len(data)/FragmentSize fragments starting at fragment
@@ -356,13 +371,9 @@ func (d *Disk) ReadTrack(ctx context.Context, addr int) (data []byte, trackStart
 	if err := d.checkSpan(addr, 1); err != nil {
 		return nil, 0, err
 	}
-	track := d.geom.Track(addr)
-	start := d.geom.TrackStart(track)
-	data, err = d.ReadFragments(ctx, start, d.geom.FragmentsPerTrack)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, start, nil
+	trackStart = d.geom.TrackStart(d.geom.Track(addr))
+	data, err = d.ReadFragments(ctx, trackStart, d.geom.FragmentsPerTrack)
+	return data, trackStart, err
 }
 
 // Fail powers the drive off: every subsequent operation returns ErrFailed

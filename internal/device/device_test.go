@@ -341,3 +341,69 @@ func TestInjectedReadWriteErrors(t *testing.T) {
 		t.Fatalf("write after injection = %v, want clean", err)
 	}
 }
+
+// TestReadFragmentsIntoFailsBeforeCharging: every way a read can fail — a
+// failed drive, an unreadable fragment, a span off the disk, a buffer shorter
+// than the span — returns the allocating form's error and charges and counts
+// nothing: no reference, seek, byte, virtual time or head movement.
+func TestReadFragmentsIntoFailsBeforeCharging(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name     string
+		setup    func(d *Disk)
+		start, n int
+		dst      int // bytes of dst
+		want     error
+	}{
+		{"failed", func(d *Disk) { d.Fail() }, 8, 2, 2 * FragmentSize, ErrFailed},
+		{"bad fragment", func(d *Disk) { _ = d.CorruptFragment(9) }, 8, 2, 2 * FragmentSize, ErrMediaError},
+		{"out of range", func(*Disk) {}, d0Capacity - 1, 2, 2 * FragmentSize, ErrOutOfRange},
+		{"short dst", func(*Disk) {}, 8, 2, 2*FragmentSize - 1, ErrShortBuffer},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, met, clk := newTestDisk(t)
+			if _, err := d.ReadFragments(ctx, 100, 1); err != nil { // the head leaves track 0
+				t.Fatal(err)
+			}
+			c.setup(d)
+			before, now, head := met.Snapshot(), clk.Now(), d.HeadTrack()
+			dst := make([]byte, c.dst)
+			err := d.ReadFragmentsInto(ctx, c.start, c.n, dst)
+			if !errors.Is(err, c.want) {
+				t.Fatalf("ReadFragmentsInto = %v, want %v", err, c.want)
+			}
+			if c.want != ErrShortBuffer {
+				if _, aerr := d.ReadFragments(ctx, c.start, c.n); aerr == nil || aerr.Error() != err.Error() {
+					t.Fatalf("ReadFragmentsInto = %v, ReadFragments = %v", err, aerr)
+				}
+			}
+			if diff := met.Diff(before); len(diff) != 0 || clk.Now() != now || d.HeadTrack() != head {
+				t.Fatalf("a failed read charged %v, %v of virtual time, head %d -> %d", diff, clk.Now()-now, head, d.HeadTrack())
+			}
+		})
+	}
+}
+
+// d0Capacity is newTestDisk's capacity in fragments.
+const d0Capacity = 8 * 16
+
+// TestReadFragmentsIntoFillsOnlyTheSpan: the read lands in the first
+// n*FragmentSize bytes of dst and leaves the rest of it alone.
+func TestReadFragmentsIntoFillsOnlyTheSpan(t *testing.T) {
+	d, met, _ := newTestDisk(t)
+	want := pattern(2*FragmentSize, 3)
+	if err := d.WriteFragments(context.Background(), 4, want); err != nil {
+		t.Fatal(err)
+	}
+	met.Reset()
+	dst := bytes.Repeat([]byte{0xAA}, 3*FragmentSize)
+	if err := d.ReadFragmentsInto(context.Background(), 4, 2, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst[:2*FragmentSize], want) || !bytes.Equal(dst[2*FragmentSize:], bytes.Repeat([]byte{0xAA}, FragmentSize)) {
+		t.Fatal("ReadFragmentsInto did not fill exactly the span")
+	}
+	if met.Get(metrics.DiskReferences) != 1 || met.Get(metrics.DiskBytesRead) != 2*FragmentSize {
+		t.Fatalf("references %d, bytes %d; want 1 and %d", met.Get(metrics.DiskReferences), met.Get(metrics.DiskBytesRead), 2*FragmentSize)
+	}
+}

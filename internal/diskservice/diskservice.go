@@ -369,47 +369,59 @@ func (s *Server) Free(addr, n int) error {
 	return s.fsmap.Free(addr, n)
 }
 
-// Get is the paper's get-block: it reads n contiguous fragments starting at
-// addr in one disk reference. By default data comes from main storage, with
-// the track read-ahead cache consulted first; with FromStable it comes from
-// the stable mirror. The request is bracketed by a diskservice-layer span
-// under ctx's (or a histogram observation) and counts against this disk's
-// queue-depth gauge.
+// Get is GetInto a fresh buffer of n*FragmentSize bytes.
 func (s *Server) Get(ctx context.Context, addr, n int, opts GetOptions) ([]byte, error) {
-	s.queue.Inc()
-	ctx, op := s.obsRec.StartOp(ctx, obs.LayerDiskService, "get")
-	data, err := s.get(ctx, addr, n, opts)
-	op.AddBytes(len(data))
-	op.End(err)
-	s.queue.Dec()
-	return data, err
+	buf := make([]byte, min(max(n, 0), s.Capacity())*FragmentSize)
+	return buf, s.GetInto(ctx, addr, n, buf, opts)
 }
 
-func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
+// GetInto is the paper's get-block: it reads n contiguous fragments starting
+// at addr in one disk reference into the first n*FragmentSize bytes of dst,
+// the caller's buffer. By default data comes from main storage, with the
+// track read-ahead cache consulted first — a hit copies the fragments
+// straight out of the cached track into dst; with FromStable it comes from
+// the stable mirror. The request is bracketed by a diskservice-layer span
+// under ctx's (or a histogram observation) and counts against this disk's
+// queue-depth gauge. A span off the disk or a dst shorter than the span
+// fails before any disk reference.
+func (s *Server) GetInto(ctx context.Context, addr, n int, dst []byte, opts GetOptions) error {
+	s.queue.Inc()
+	ctx, op := s.obsRec.StartOp(ctx, obs.LayerDiskService, "get")
+	err := s.get(ctx, addr, n, dst, opts)
+	if err == nil {
+		op.AddBytes(n * FragmentSize)
 	}
-	if opts.FromStable {
-		return s.stable.Read(addr, n)
+	op.End(err)
+	s.queue.Dec()
+	return err
+}
+
+func (s *Server) get(ctx context.Context, addr, n int, dst []byte, opts GetOptions) error {
+	if err := s.checkOpen(); err != nil {
+		return err
 	}
 	geom := s.disk.Geometry()
 	if n <= 0 || addr < 0 || addr+n > geom.Capacity() {
-		return nil, fmt.Errorf("%w: [%d,%d)", device.ErrOutOfRange, addr, addr+n)
+		return fmt.Errorf("%w: [%d,%d)", device.ErrOutOfRange, addr, addr+n)
 	}
-	if !s.readAhead || opts.NoReadAhead {
-		return s.disk.ReadFragments(ctx, addr, n)
+	if len(dst) < n*FragmentSize {
+		return fmt.Errorf("%w: %d bytes for %d fragments", device.ErrShortBuffer, len(dst), n)
+	}
+	dst = dst[:n*FragmentSize]
+	if opts.FromStable {
+		data, err := s.stable.Read(addr, n)
+		copy(dst, data)
+		return err
 	}
 	firstTrack := geom.Track(addr)
-	lastTrack := geom.Track(addr + n - 1)
-	if firstTrack != lastTrack {
+	if !s.readAhead || opts.NoReadAhead || firstTrack != geom.Track(addr+n-1) {
 		// Multi-track transfers bypass the track cache: they are one disk
 		// reference already and would otherwise flood the cache.
-		return s.disk.ReadFragments(ctx, addr, n)
+		return s.disk.ReadFragmentsInto(ctx, addr, n, dst)
 	}
 	off := (addr - geom.TrackStart(firstTrack)) * FragmentSize
-	out := make([]byte, n*FragmentSize)
-	if s.trackCache.ReadRange(firstTrack, off, out) {
-		return out, nil
+	if s.trackCache.ReadRange(firstTrack, off, dst) {
+		return nil
 	}
 	// Miss: fetch the whole track in one reference, serve the requested
 	// fragments, cache the rest (§4).
@@ -418,7 +430,7 @@ func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 	s.tcMu.Unlock()
 	trackData, _, err := s.disk.ReadTrack(ctx, addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.tcMu.Lock()
 	if s.putGen == gen {
@@ -426,10 +438,10 @@ func (s *Server) get(ctx context.Context, addr, n int, opts GetOptions) ([]byte,
 	}
 	s.tcMu.Unlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	copy(out, trackData[off:])
-	return out, nil
+	copy(dst, trackData[off:])
+	return nil
 }
 
 // Put is the paper's put-block: it writes data (a whole number of fragments)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -606,5 +607,89 @@ func TestGetMissRacingPut(t *testing.T) {
 		}()
 		wg.Wait()
 		cachedEqualsDevice(t, r, trackStart, frags)
+	}
+}
+
+// TestGetIntoFailsBeforeCharging: a get-block on a failed disk, over an
+// unreadable fragment, off the disk or into a buffer shorter than the span
+// returns the allocating form's error and charges no disk reference, seek or
+// byte; without read-ahead it counts nothing at all (with it, the track
+// cache counts the lookup that missed).
+func TestGetIntoFailsBeforeCharging(t *testing.T) {
+	ctx := context.Background()
+	for _, readAhead := range []bool{false, true} {
+		for _, c := range []struct {
+			name  string
+			setup func(r *testRig, addr int)
+			addr  func(r *testRig) int
+			n     int
+			dst   int
+			want  error
+		}{
+			{"failed", func(r *testRig, _ int) { r.disk.Fail() }, nil, 2, 2 * FragmentSize, device.ErrFailed},
+			{"bad fragment", func(r *testRig, addr int) { _ = r.disk.CorruptFragment(addr + 1) }, nil, 2, 2 * FragmentSize, device.ErrMediaError},
+			{"out of range", func(*testRig, int) {}, func(r *testRig) int { return r.srv.Capacity() - 1 }, 2, 2 * FragmentSize, device.ErrOutOfRange},
+			{"short dst", func(*testRig, int) {}, nil, 2, 2*FragmentSize - 1, device.ErrShortBuffer},
+		} {
+			t.Run(fmt.Sprintf("%s/readAhead=%v", c.name, readAhead), func(t *testing.T) {
+				r := newRig(t)
+				addr, err := r.srv.AllocateFragments(8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.addr != nil {
+					addr = c.addr(r)
+				}
+				c.setup(r, addr)
+				opts := GetOptions{NoReadAhead: !readAhead}
+				before := r.met.Snapshot()
+				err = r.srv.GetInto(ctx, addr, c.n, make([]byte, c.dst), opts)
+				if !errors.Is(err, c.want) {
+					t.Fatalf("GetInto = %v, want %v", err, c.want)
+				}
+				if c.want != device.ErrShortBuffer {
+					if _, aerr := r.srv.Get(ctx, addr, c.n, opts); aerr == nil || aerr.Error() != err.Error() {
+						t.Fatalf("GetInto = %v, Get = %v", err, aerr)
+					}
+				}
+				diff := r.met.Diff(before)
+				for _, name := range []string{metrics.DiskReferences, metrics.DiskSeeks, metrics.DiskBytesRead} {
+					if diff[name] != 0 {
+						t.Fatalf("a failed get-block charged %d %s", diff[name], name)
+					}
+				}
+				if !readAhead && len(diff) != 0 {
+					t.Fatalf("a failed get-block counted %v", diff)
+				}
+			})
+		}
+	}
+}
+
+// TestGetIntoFromTheTrackCache: a track-cache hit copies the fragments
+// straight into the caller's buffer, at no disk reference, and leaves the
+// rest of the buffer alone.
+func TestGetIntoFromTheTrackCache(t *testing.T) {
+	r := newRig(t)
+	meta := r.srv.MetadataFragments()
+	trackStart := ((meta / 8) + 1) * 8
+	want := frag(8, 5)
+	if err := r.srv.Put(context.Background(), trackStart, want, PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r.srv.InvalidateCache()
+	dst := bytes.Repeat([]byte{0xAA}, 4*FragmentSize)
+	if err := r.srv.GetInto(context.Background(), trackStart, 1, dst, GetOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	refs := r.met.Get(metrics.DiskReferences)
+	if err := r.srv.GetInto(context.Background(), trackStart+2, 3, dst, GetOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.met.Get(metrics.DiskReferences) - refs; got != 0 {
+		t.Fatalf("a track-cache hit took %d disk references", got)
+	}
+	if !bytes.Equal(dst[:3*FragmentSize], want[2*FragmentSize:5*FragmentSize]) || !bytes.Equal(dst[3*FragmentSize:], bytes.Repeat([]byte{0xAA}, FragmentSize)) {
+		t.Fatal("GetInto from the track cache did not fill exactly the span")
 	}
 }

@@ -44,9 +44,12 @@ type Backend interface {
 	// mount-time rebuild resets, then re-marks from the FITs).
 	ResetBitmap() error
 
-	// Get is the paper's get-block (§4). The backend's disk and device
-	// spans nest under ctx's.
-	Get(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error)
+	// GetInto is the paper's get-block (§4): n contiguous fragments from
+	// addr into the first n*FragmentSize bytes of dst, the caller's buffer —
+	// on a block-cache miss, the buffer the cache will keep. It is the one
+	// read a backend has; Get is its allocating form. The backend's disk and
+	// device spans nest under ctx's.
+	GetInto(ctx context.Context, addr, n int, dst []byte, opts diskservice.GetOptions) error
 	// Put is the paper's put-block (§4). data is lent for the length of the
 	// call — it is a cache buffer on a writeback, a pooled one on a FIT write
 	// — so an implementation copies whatever it keeps.
@@ -58,6 +61,12 @@ type Backend interface {
 }
 
 var _ Backend = (*diskservice.Server)(nil)
+
+// Get is b.GetInto a fresh buffer of n*FragmentSize bytes.
+func Get(ctx context.Context, b Backend, addr, n int, opts diskservice.GetOptions) ([]byte, error) {
+	buf := make([]byte, min(max(n, 0), b.Capacity())*FragmentSize)
+	return buf, b.GetInto(ctx, addr, n, buf, opts)
+}
 
 // Servers adapts disk servers to the Backend slice Config.Disks takes —
 // the plain layout, one Backend per physical disk.

@@ -75,68 +75,76 @@ func (f *boundaryFile) sweep() {
 // combination of hit, miss, in-place write and eviction writeback occurs, and
 // compares every byte with an in-memory model: before any flush, after one,
 // and on a service mounted over the disks of the one that was abandoned.
-// It runs under both modification policies; a write-through file must also
-// survive the crash without the flush.
+// It runs under both modification policies, on a single disk and on a parity
+// array; a write-through file must also survive the crash without the flush.
 func TestDataPathBoundaries(t *testing.T) {
-	for _, service := range []fit.ServiceType{fit.ServiceBasic, fit.ServiceTransaction} {
-		for _, flush := range []bool{true, false} {
-			if !flush && service == fit.ServiceBasic {
-				continue // delayed writes are only promised to a flush
+	for _, layout := range layouts {
+		for _, service := range []fit.ServiceType{fit.ServiceBasic, fit.ServiceTransaction} {
+			for _, flush := range []bool{true, false} {
+				if !flush && service == fit.ServiceBasic {
+					continue // delayed writes are only promised to a flush
+				}
+				name := fmt.Sprintf("%v/flush=%v", service, flush)
+				if layout.parity {
+					name = "parity/" + name
+				}
+				t.Run(name, func(t *testing.T) { dataPathBoundaries(t, layout.parity, service, flush) })
 			}
-			t.Run(fmt.Sprintf("%v/flush=%v", service, flush), func(t *testing.T) {
-				r := newRig(t, 1, func(c *Config) { c.CacheBlocks = 2 })
-				id, err := r.svc.Create(fit.Attributes{Service: service})
-				if err != nil {
-					t.Fatal(err)
-				}
-				f := &boundaryFile{t: t, svc: r.svc, id: id}
-				f.write(0, payload(5*BlockSize, 1))
-				f.sweep()
-
-				seed := int64(2)
-				for edge := BlockSize; edge <= 4*BlockSize; edge += BlockSize {
-					for _, off := range []int{edge - 1, edge, edge + 1} {
-						for _, n := range []int{1, BlockSize - 1, BlockSize, BlockSize + 2, 2*BlockSize + 2} {
-							if off+n > len(f.model) {
-								continue // extending writes come below, one at a time
-							}
-							f.write(off, payload(n, seed))
-							seed++
-							f.read(off-1, n+2)
-						}
-					}
-				}
-				f.sweep()
-
-				// End of file moves inside its block, then into the next one.
-				f.write(len(f.model)-3, payload(10, seed))
-				f.write(len(f.model), payload(BlockSize-20, seed+1))
-				f.sweep()
-				// A write past the end leaves a hole: the rest of the last
-				// block, a whole untouched block, and the head of the block
-				// written into must all read as zeros.
-				f.write(len(f.model)+2*BlockSize+5, payload(100, seed+2))
-				f.sweep()
-				// A partial write into the hole's untouched block.
-				f.write(len(f.model)-BlockSize-200, payload(50, seed+3))
-				f.sweep()
-
-				if flush {
-					if err := r.svc.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					f.sweep()
-				}
-				// Crash: the service, its block cache and FIT state are
-				// abandoned, and a new one mounts over the same disks.
-				f.svc, err = Mount(Config{Disks: Servers(r.disks...), CacheBlocks: 2})
-				if err != nil {
-					t.Fatalf("Mount: %v", err)
-				}
-				f.sweep()
-				f.write(BlockSize-1, payload(2, seed+4))
-				f.sweep()
-			})
 		}
 	}
+}
+
+func dataPathBoundaries(t *testing.T, parityLayout bool, service fit.ServiceType, flush bool) {
+	r := newLayoutRig(t, parityLayout, func(c *Config) { c.CacheBlocks = 2 })
+	id, err := r.svc.Create(fit.Attributes{Service: service})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &boundaryFile{t: t, svc: r.svc, id: id}
+	f.write(0, payload(5*BlockSize, 1))
+	f.sweep()
+
+	seed := int64(2)
+	for edge := BlockSize; edge <= 4*BlockSize; edge += BlockSize {
+		for _, off := range []int{edge - 1, edge, edge + 1} {
+			for _, n := range []int{1, BlockSize - 1, BlockSize, BlockSize + 2, 2*BlockSize + 2} {
+				if off+n > len(f.model) {
+					continue // extending writes come below, one at a time
+				}
+				f.write(off, payload(n, seed))
+				seed++
+				f.read(off-1, n+2)
+			}
+		}
+	}
+	f.sweep()
+
+	// End of file moves inside its block, then into the next one.
+	f.write(len(f.model)-3, payload(10, seed))
+	f.write(len(f.model), payload(BlockSize-20, seed+1))
+	f.sweep()
+	// A write past the end leaves a hole: the rest of the last
+	// block, a whole untouched block, and the head of the block
+	// written into must all read as zeros.
+	f.write(len(f.model)+2*BlockSize+5, payload(100, seed+2))
+	f.sweep()
+	// A partial write into the hole's untouched block.
+	f.write(len(f.model)-BlockSize-200, payload(50, seed+3))
+	f.sweep()
+
+	if flush {
+		if err := r.svc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		f.sweep()
+	}
+	// Crash: the service, its block cache and FIT state are
+	// abandoned, and a new one mounts over the same disks.
+	f.svc, err = Mount(Config{Disks: r.backends, CacheBlocks: 2})
+	if err != nil {
+		t.Fatalf("Mount: %v", err)
+	}
+	f.sweep()
+	f.write(BlockSize-1, payload(2, seed+4))
+	f.sweep()
 }

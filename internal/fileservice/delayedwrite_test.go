@@ -30,14 +30,14 @@ func stamped(buf []byte, off int64, gen uint64) bool {
 // consecutive units on one delayed-write file four times the size of the
 // block cache, and returns how many reads held a unit older than its last
 // acknowledged write.
-func delayedWriteChurn(t *testing.T, readUnits int) (stale, reads int) {
+func delayedWriteChurn(t *testing.T, parityLayout bool, readUnits int) (stale, reads int) {
 	t.Helper()
 	const (
 		cacheBlocks = 16
 		unit        = BlockSize / 2
 		size        = 4 * cacheBlocks * BlockSize
 	)
-	r := newRig(t, 1, func(c *Config) { c.CacheBlocks = cacheBlocks })
+	r := newLayoutRig(t, parityLayout, func(c *Config) { c.CacheBlocks = cacheBlocks })
 	id, err := r.svc.Create(fit.Attributes{})
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +83,12 @@ func delayedWriteChurn(t *testing.T, readUnits int) (stale, reads int) {
 // that is cached dirty must keep its data, not take the disk's older image.
 // (The bench module carries the same scenario on the full facility.)
 func TestDelayedWriteNeighbourMiss(t *testing.T) {
-	if stale, reads := delayedWriteChurn(t, 1); stale > 0 {
-		t.Fatalf("%d of %d reads returned a block older than the last acknowledged write", stale, reads)
+	for _, layout := range layouts {
+		t.Run(layout.name, func(t *testing.T) {
+			if stale, reads := delayedWriteChurn(t, layout.parity, 1); stale > 0 {
+				t.Fatalf("%d of %d reads returned a block older than the last acknowledged write", stale, reads)
+			}
+		})
 	}
 }
 
@@ -92,7 +96,11 @@ func TestDelayedWriteNeighbourMiss(t *testing.T) {
 // and its dirty cached neighbour must serve the neighbour from the cache,
 // not from the run fetched for the miss.
 func TestDelayedWriteReadAcrossDirtyNeighbour(t *testing.T) {
-	if stale, reads := delayedWriteChurn(t, 6); stale > 0 {
-		t.Fatalf("%d of %d multi-block reads returned a block older than the last acknowledged write", stale, reads)
+	for _, layout := range layouts {
+		t.Run(layout.name, func(t *testing.T) {
+			if stale, reads := delayedWriteChurn(t, layout.parity, 6); stale > 0 {
+				t.Fatalf("%d of %d multi-block reads returned a block older than the last acknowledged write", stale, reads)
+			}
+		})
 	}
 }

@@ -298,11 +298,11 @@ func (s *Service) loadMapLocked() error {
 // readVital reads one fragment of vital structure, falling back to the
 // stable copy when the main copy is unreadable.
 func (s *Service) readVital(disk, addr int) ([]byte, error) {
-	data, err := s.disks[disk].Get(context.Background(), addr, 1, diskservice.GetOptions{NoReadAhead: true})
+	data, err := Get(context.Background(), s.disks[disk], addr, 1, diskservice.GetOptions{NoReadAhead: true})
 	if err == nil {
 		return data, nil
 	}
-	return s.disks[disk].Get(context.Background(), addr, 1, diskservice.GetOptions{FromStable: true})
+	return Get(context.Background(), s.disks[disk], addr, 1, diskservice.GetOptions{FromStable: true})
 }
 
 // fragCRC computes the fragment checksum with the CRC field zeroed.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/diskservice"
 	"repro/internal/fault"
 	"repro/internal/fit"
+	"repro/internal/parity"
 	"repro/internal/stable"
 )
 
@@ -184,86 +185,138 @@ func TestMountsParentImage(t *testing.T) {
 	}
 }
 
-// crashRig is a one-disk service whose synchronous stable writes — the vital
-// writes of create, delete and the compacting rewrite — pass an injector.
-// Every run starts from the same image of the three drives (main, stable
-// primary, stable mirror): a cleanly shut down service whose file map fills
-// the superfragment and most of one chain fragment. The churn that follows
-// therefore begins by reserving FileIDs (nothing beyond the persisted next ID
-// is reserved after a clean shutdown) with its first entry bound for a chain
-// fragment, and soon appends a second chain fragment behind the first.
+// crashRig is a file service whose synchronous stable writes — the vital
+// writes of create, delete and the compacting rewrite — pass an injector. It
+// runs on one disk server or, with parity set, on a parity array of three.
+// Every run starts from the same image of every drive (each member's main,
+// stable primary and stable mirror): a cleanly shut down service whose file
+// map fills the superfragment and most of one chain fragment. The churn that
+// follows therefore begins by reserving FileIDs (nothing beyond the persisted
+// next ID is reserved after a clean shutdown) with its first entry bound for
+// a chain fragment, and soon appends a second chain fragment behind the
+// first.
 type crashRig struct {
-	devs  [3]*device.Disk
-	image [3][]byte
-	files map[FileID][]byte // what the image holds
-	st    *stable.Store
-	svc   *Service
+	parity bool
+	devs   [][3]*device.Disk // per member: main, stable primary, stable mirror
+	image  [][3][]byte
+	files  map[FileID][]byte // what the image holds
+	st     []*stable.Store
+	svc    *Service
 }
 
-func newCrashRig(t *testing.T) *crashRig {
+func newCrashRig(t *testing.T, parity bool) *crashRig {
 	t.Helper()
 	g := device.Geometry{FragmentsPerTrack: 32, Tracks: 80} // room for ~500 small files
-	r := &crashRig{}
-	for i := range r.devs {
-		d, err := device.New(g)
-		if err != nil {
-			t.Fatal(err)
+	r := &crashRig{parity: parity}
+	members := 1
+	if parity {
+		members = 3
+	}
+	r.devs = make([][3]*device.Disk, members)
+	r.image = make([][3][]byte, members)
+	for m := range r.devs {
+		for i := range r.devs[m] {
+			d, err := device.New(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.devs[m][i] = d
 		}
-		r.devs[i] = d
 	}
-	st, err := stable.NewStore(r.devs[1], r.devs[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := diskservice.Format(diskservice.Config{Disk: r.devs[0], Stable: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New(Config{Disks: Servers(srv)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { r.closeStores() })
+	r.stores(t, nil)
+	r.open(t, true)
 	j := &churnJournal{live: map[FileID][]byte{}, deleted: map[FileID]bool{}}
-	if err := metadataChurn(svc, j, 1, entriesPerSuper+entriesPerChain-30, false); err != nil {
+	if err := metadataChurn(r.svc, j, 1, entriesPerSuper+entriesPerChain-30, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Shutdown(); err != nil {
+	if err := r.svc.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil { // drains the deferred stable writes
-		t.Fatal(err)
-	}
+	r.closeStores() // drains the deferred stable writes
 	r.files = j.live
-	for i, d := range r.devs {
-		if r.image[i], err = d.ReadFragments(context.Background(), 0, g.Capacity()); err != nil {
-			t.Fatal(err)
+	for m := range r.devs {
+		for i, d := range r.devs[m] {
+			var err error
+			if r.image[m][i], err = d.ReadFragments(context.Background(), 0, g.Capacity()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	t.Cleanup(func() {
-		if r.st != nil {
-			_ = r.st.Close()
-		}
-	})
 	return r
 }
 
-// boot puts the image back on the drives and mounts it with inj on the
-// stable store, returning the journal of what the image holds.
-func (r *crashRig) boot(t *testing.T, inj *fault.Injector) *churnJournal {
-	t.Helper()
-	if r.st != nil {
-		_ = r.st.Close()
+func (r *crashRig) closeStores() {
+	for _, st := range r.st {
+		_ = st.Close()
 	}
-	for i, d := range r.devs {
-		if err := d.WriteFragments(context.Background(), 0, r.image[i]); err != nil {
+	r.st = nil
+}
+
+// stores replaces every member's stable store with one whose writes pass
+// inj.
+func (r *crashRig) stores(t *testing.T, inj *fault.Injector) {
+	t.Helper()
+	r.closeStores()
+	for _, devs := range r.devs {
+		st, err := stable.NewStore(devs[1], devs[2], stable.WithFault(inj))
+		if err != nil {
 			t.Fatal(err)
 		}
+		r.st = append(r.st, st)
+	}
+}
+
+// open builds the disk servers over the drives and stable stores — formatting
+// them, or mounting them from media as after a machine crash — and the file
+// service over them, on the parity array of them with parity set.
+func (r *crashRig) open(t *testing.T, format bool) {
+	t.Helper()
+	var srvs []*diskservice.Server
+	for m, devs := range r.devs {
+		cfg := diskservice.Config{DiskID: m, Disk: devs[0], Stable: r.st[m]}
+		srv, err := diskservice.Mount(cfg)
+		if format {
+			srv, err = diskservice.Format(cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs = append(srvs, srv)
+	}
+	backends := Servers(srvs...)
+	if r.parity {
+		arr, err := parity.New(parity.Config{Disks: srvs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = []Backend{arr}
 	}
 	var err error
-	if r.st, err = stable.NewStore(r.devs[1], r.devs[2], stable.WithFault(inj)); err != nil {
+	if format {
+		r.svc, err = New(Config{Disks: backends})
+	} else {
+		r.svc, err = Mount(Config{Disks: backends})
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	r.reboot(t)
+}
+
+// boot puts the image back on the drives and mounts it with inj on the
+// stable stores, returning the journal of what the image holds.
+func (r *crashRig) boot(t *testing.T, inj *fault.Injector) *churnJournal {
+	t.Helper()
+	r.closeStores()
+	for m := range r.devs {
+		for i, d := range r.devs[m] {
+			if err := d.WriteFragments(context.Background(), 0, r.image[m][i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r.stores(t, inj)
+	r.open(t, false)
 	j := &churnJournal{live: map[FileID][]byte{}, deleted: map[FileID]bool{}}
 	for id, data := range r.files {
 		j.live[id] = data
@@ -271,17 +324,11 @@ func (r *crashRig) boot(t *testing.T, inj *fault.Injector) *churnJournal {
 	return j
 }
 
-// reboot remounts the disk server and the file service from media, as after
-// a machine crash.
+// reboot remounts the disk servers and the file service from media, as after
+// a machine crash, keeping the stable stores and their injector.
 func (r *crashRig) reboot(t *testing.T) {
 	t.Helper()
-	srv, err := diskservice.Mount(diskservice.Config{Disk: r.devs[0], Stable: r.st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.svc, err = Mount(Config{Disks: Servers(srv)}); err != nil {
-		t.Fatal(err)
-	}
+	r.open(t, false)
 }
 
 // churnJournal is what the churn's caller was told: which files exist with
@@ -291,6 +338,10 @@ type churnJournal struct {
 	deleted  map[FileID]bool
 	deleting FileID // a Delete that had not returned (0: none)
 	creating bool   // a Create that had not returned
+	// hits, when set, counts the vital writes so far; the churn records it
+	// on either side of its half-way Flush in flushHits.
+	hits      func() int
+	flushHits [2]int
 }
 
 // metadataChurn creates n files, each written and closed; with deletes set it
@@ -341,8 +392,14 @@ func metadataChurn(svc *Service, j *churnJournal, seed int64, n int, deletes boo
 			j.deleted[victim] = true
 		}
 		if i == n/2 {
+			if j.hits != nil {
+				j.flushHits[0] = j.hits()
+			}
 			if err := svc.Flush(); err != nil {
 				return err
+			}
+			if j.hits != nil {
+				j.flushHits[1] = j.hits()
 			}
 		}
 	}
@@ -353,27 +410,43 @@ func metadataChurn(svc *Service, j *churnJournal, seed int64, n int, deletes boo
 // k and on either side of the stable primary write, reboots, and requires:
 // a clean Check; every acknowledged create present with its data; every
 // acknowledged delete absent; nothing else present but what was in flight;
-// and no FileID handed out before the crash handed out again after it.
+// and no FileID handed out before the crash handed out again after it. It
+// runs on one disk server and on a parity array of three; there, the vital
+// writes of the half-way Flush are not crashed, because the array flushes
+// its members on goroutines of its own, where a crash cannot be recovered.
 func TestCrashSweepFileMap(t *testing.T) {
+	for _, layout := range layouts {
+		t.Run(layout.name, func(t *testing.T) { crashSweepFileMap(t, layout.parity) })
+	}
+}
+
+func crashSweepFileMap(t *testing.T, parityLayout bool) {
 	// A dry run counts the vital writes.
 	const creates = 110
 	probe := fault.NewInjector(0)
-	r := newCrashRig(t)
+	r := newCrashRig(t, parityLayout)
 	j := r.boot(t, probe)
 	probe.Arm(stable.PtWriteBeforePrimary, fault.Action{Kind: fault.KindDelay, Times: -1})
+	j.hits = func() int { return probe.Fired(stable.PtWriteBeforePrimary) }
 	if err := metadataChurn(r.svc, j, 2, creates, true); err != nil {
 		t.Fatal(err)
 	}
-	writes := probe.Fired(stable.PtWriteBeforePrimary)
+	writes, flushHits := probe.Fired(stable.PtWriteBeforePrimary), j.flushHits
 	if chain := len(r.svc.mapFrags) - 1; chain != 2 || len(j.deleted) < 10 {
 		t.Fatalf("churn left a %d-fragment chain after %d deletes; it must grow a second chain fragment", chain, len(j.deleted))
 	}
 	stride := 1
+	if parityLayout {
+		stride = 3 // each point costs more on the array; the single disk sweeps them all
+	}
 	if testing.Short() {
-		stride = 7
+		stride *= 7
 	}
 	for _, pt := range []fault.Point{stable.PtWriteBeforePrimary, stable.PtWriteAfterPrimary} {
 		for k := 0; k < writes; k += stride {
+			if parityLayout && k >= flushHits[0] && k < flushHits[1] {
+				continue
+			}
 			inj := fault.NewInjector(int64(k))
 			j := r.boot(t, inj)
 			inj.Arm(pt, fault.Action{Kind: fault.KindCrash, After: k})

@@ -869,14 +869,14 @@ func (s *Service) pickDisk(n int) int {
 // access to st).
 func (s *Service) loadFIT(st *fileState) error {
 	srv := s.disks[st.fitDisk]
-	raw, err := srv.Get(context.Background(), st.fitAddr, 1, diskservice.GetOptions{})
+	raw, err := Get(context.Background(), srv, st.fitAddr, 1, diskservice.GetOptions{})
 	var tbl *fit.Table
 	if err == nil {
 		tbl, err = fit.Decode(raw)
 	}
 	if err != nil {
 		// Vital structure: recover from the stable copy.
-		raw, serr := srv.Get(context.Background(), st.fitAddr, 1, diskservice.GetOptions{FromStable: true})
+		raw, serr := Get(context.Background(), srv, st.fitAddr, 1, diskservice.GetOptions{FromStable: true})
 		if serr != nil {
 			return fmt.Errorf("fileservice: FIT of file %d unreadable: %v; stable: %w", st.id, err, serr)
 		}
@@ -891,7 +891,7 @@ func (s *Service) loadFIT(st *fileState) error {
 	}
 	extents := append([]fit.Extent(nil), tbl.Direct...)
 	for _, ind := range tbl.Indirect {
-		blk, err := s.disks[ind.Disk].Get(context.Background(), int(ind.Addr), FragmentsPerBlock, diskservice.GetOptions{})
+		blk, err := Get(context.Background(), s.disks[ind.Disk], int(ind.Addr), FragmentsPerBlock, diskservice.GetOptions{})
 		if err != nil {
 			return fmt.Errorf("fileservice: reading indirect block of file %d: %w", st.id, err)
 		}

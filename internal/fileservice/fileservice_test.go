@@ -12,16 +12,18 @@ import (
 	"repro/internal/diskservice"
 	"repro/internal/fit"
 	"repro/internal/metrics"
+	"repro/internal/parity"
 	"repro/internal/stable"
 )
 
 // rig bundles a file service with its substrate.
 type rig struct {
-	svc     *Service
-	disks   []*diskservice.Server
-	devs    []*device.Disk
-	stables []*stable.Store
-	met     *metrics.Set
+	svc      *Service
+	backends []Backend // what svc runs on: the disk servers, or an array of them
+	disks    []*diskservice.Server
+	devs     []*device.Disk
+	stables  []*stable.Store
+	met      *metrics.Set
 }
 
 // newRig builds a file service over nDisks simulated disks of 8 MB each.
@@ -32,6 +34,36 @@ func newRig(t *testing.T, nDisks int, mutate ...func(*Config)) *rig {
 
 // newRigGeom is newRig with the disks' geometry chosen by the caller.
 func newRigGeom(t *testing.T, g device.Geometry, nDisks int, mutate ...func(*Config)) *rig {
+	t.Helper()
+	r := newDisks(t, g, nDisks)
+	return r.start(t, Servers(r.disks...), mutate...)
+}
+
+// layouts are the backends the data-path tests run on: one disk server, and
+// a parity array over three (newLayoutRig).
+var layouts = []struct {
+	name   string
+	parity bool
+}{{"single-disk", false}, {"parity", true}}
+
+// newLayoutRig is newRig(t, 1, mutate...) or, with parity set, a file service
+// on a parity array over three such disks.
+func newLayoutRig(t *testing.T, parityLayout bool, mutate ...func(*Config)) *rig {
+	t.Helper()
+	if !parityLayout {
+		return newRig(t, 1, mutate...)
+	}
+	r := newDisks(t, device.Geometry{FragmentsPerTrack: 32, Tracks: 128}, 3)
+	arr, err := parity.New(parity.Config{Disks: r.disks, Metrics: r.met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.start(t, []Backend{arr}, mutate...)
+}
+
+// newDisks formats nDisks disk servers, each with its stable store, sharing
+// one metric set.
+func newDisks(t *testing.T, g device.Geometry, nDisks int) *rig {
 	t.Helper()
 	met := metrics.NewSet()
 	r := &rig{met: met}
@@ -61,7 +93,13 @@ func newRigGeom(t *testing.T, g device.Geometry, nDisks int, mutate ...func(*Con
 		r.devs = append(r.devs, d)
 		r.stables = append(r.stables, st)
 	}
-	cfg := Config{Disks: Servers(r.disks...), Metrics: met}
+	return r
+}
+
+// start builds the rig's file service on backends.
+func (r *rig) start(t *testing.T, backends []Backend, mutate ...func(*Config)) *rig {
+	t.Helper()
+	cfg := Config{Disks: backends, Metrics: r.met}
 	for _, m := range mutate {
 		m(&cfg)
 	}
@@ -69,7 +107,7 @@ func newRigGeom(t *testing.T, g device.Geometry, nDisks int, mutate ...func(*Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.svc = svc
+	r.svc, r.backends = svc, backends
 	return r
 }
 

@@ -137,26 +137,26 @@ func (s *Service) readStamped(ctx context.Context, st *fileState, out []byte, of
 	return nil
 }
 
-// fetchSpan names bytes to copy out of one block of a fetched run.
-type fetchSpan struct {
-	outOff   int // destination offset in the caller's buffer
-	blk      int // block index within the run
-	from, to int // byte range within that block
-}
-
-// fetchTask is one contiguous-run disk fetch plus the output spans it
-// serves.
+// fetchTask is one contiguous-run disk fetch: run blocks from addr on disk,
+// of which the blocks in cached are in the block cache (see planRun). seq
+// says the access continues a stream (see fetchRun).
 type fetchTask struct {
 	disk, addr, run int
-	cached          uint64 // see planRun
-	seq             bool   // the access continues a stream; see fetchRun
-	spans           []fetchSpan
+	cached          uint64
+	seq             bool
+}
+
+// fetchSpan names bytes to copy out of one block of a planned fetch.
+type fetchSpan struct {
+	task     int // index of the fetch in the plan
+	outOff   int // destination offset in the caller's buffer
+	blk      int // block index within the fetch's run
+	from, to int // byte range within that block
 }
 
 // pendingRef locates a block inside an already planned fetch.
 type pendingRef struct {
-	t   *fetchTask
-	blk int
+	task, blk int
 }
 
 // sequential records an access to blocks first through last of the file and
@@ -183,14 +183,18 @@ func (st *fileState) sequential(first, last int) bool {
 // extent map once, serving cached blocks immediately and planning one fetch
 // per uncovered contiguous run — the whole run when the access continues a
 // stream, else no further than the request's last block — then executes the
-// fetches grouped per disk. Callers must hold st.mu.
+// fetches grouped per disk. The plan is values in slices that start in
+// arrays on this stack: a read that misses in one block plans one fetch and
+// one span and allocates neither. Callers must hold st.mu.
 func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off int64) error {
 	if len(out) == 0 {
 		return nil
 	}
 	lastBlk := int((off + int64(len(out)) - 1) / BlockSize)
 	seq := st.sequential(int(off/BlockSize), lastBlk)
-	var tasks []*fetchTask
+	var taskBuf [1]fetchTask
+	var spanBuf [1]fetchSpan
+	tasks, spans := taskBuf[:0], spanBuf[:0]
 	var pending map[blockKey]pendingRef
 	covered := 0
 	for covered < len(out) {
@@ -209,16 +213,15 @@ func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off i
 		if ref, ok := pending[key]; ok {
 			// Already part of a planned run fetch; serving it from that run
 			// is the cache hit the block-at-a-time path would have scored.
-			ref.t.spans = append(ref.t.spans, fetchSpan{covered, ref.blk, within, within + chunk})
+			spans = append(spans, fetchSpan{ref.task, covered, ref.blk, within, within + chunk})
 			s.met.cacheHit.Inc()
 		} else if !s.blockCache.ReadRange(key, within, out[covered:covered+chunk]) {
 			if !seq && contiguous > lastBlk-blk+1 {
 				contiguous = lastBlk - blk + 1
 			}
 			run, cached := s.planRun(int(disk), int(addr), contiguous)
-			t := &fetchTask{disk: int(disk), addr: int(addr), run: run, cached: cached, seq: seq}
-			t.spans = append(t.spans, fetchSpan{covered, 0, within, within + chunk})
-			tasks = append(tasks, t)
+			tasks = append(tasks, fetchTask{disk: int(disk), addr: int(addr), run: run, cached: cached, seq: seq})
+			spans = append(spans, fetchSpan{len(tasks) - 1, covered, 0, within, within + chunk})
 			// Only the request's later blocks can land in this run: a miss in
 			// its last block — every small random read — indexes nothing.
 			if blk < lastBlk {
@@ -227,37 +230,37 @@ func (s *Service) readInto(ctx context.Context, st *fileState, out []byte, off i
 				}
 				for b := 0; b < run; b++ {
 					if cached&(1<<b) == 0 {
-						pending[blockKey{disk: int(disk), addr: int(addr) + b*FragmentsPerBlock}] = pendingRef{t, b}
+						pending[blockKey{disk: int(disk), addr: int(addr) + b*FragmentsPerBlock}] = pendingRef{len(tasks) - 1, b}
 					}
 				}
 			}
 		}
 		covered += chunk
 	}
-	return s.runFetches(ctx, out, tasks)
+	return s.runFetches(ctx, out, tasks, spans)
 }
 
 // runFetches executes the planned fetches: tasks for the same disk run in
 // order on one goroutine (deterministic head movement), tasks for different
 // disks run concurrently.
-func (s *Service) runFetches(ctx context.Context, out []byte, tasks []*fetchTask) error {
+func (s *Service) runFetches(ctx context.Context, out []byte, tasks []fetchTask, spans []fetchSpan) error {
 	if len(tasks) == 0 {
 		return nil
 	}
 	if len(tasks) == 1 {
-		return s.fetch(ctx, out, tasks[0])
+		return s.fetch(ctx, out, 0, tasks[0], spans)
 	}
-	byDisk := make(map[int][]*fetchTask)
+	byDisk := make(map[int][]int)
 	var order []int
-	for _, t := range tasks {
+	for i, t := range tasks {
 		if _, ok := byDisk[t.disk]; !ok {
 			order = append(order, t.disk)
 		}
-		byDisk[t.disk] = append(byDisk[t.disk], t)
+		byDisk[t.disk] = append(byDisk[t.disk], i)
 	}
 	if len(order) == 1 {
-		for _, t := range tasks {
-			if err := s.fetch(ctx, out, t); err != nil {
+		for i, t := range tasks {
+			if err := s.fetch(ctx, out, i, t, spans); err != nil {
 				return err
 			}
 		}
@@ -267,14 +270,17 @@ func (s *Service) runFetches(ctx context.Context, out []byte, tasks []*fetchTask
 		s.overlap.EnterBatch()
 		defer s.overlap.LeaveBatch()
 	}
+	// The goroutines get their own copy of the plan, which may live on
+	// readInto's stack.
+	plan, planSpans := slices.Clone(tasks), slices.Clone(spans)
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for i, d := range order {
 		wg.Add(1)
-		go func(i int, group []*fetchTask) {
+		go func(i int, group []int) {
 			defer wg.Done()
-			for _, t := range group {
-				if err := s.fetch(ctx, out, t); err != nil {
+			for _, ti := range group {
+				if err := s.fetch(ctx, out, ti, plan[ti], planSpans); err != nil {
 					errs[i] = err
 					return
 				}
@@ -309,25 +315,29 @@ func (s *Service) planRun(disk, addr, contiguous int) (run int, cached uint64) {
 	return run, cached
 }
 
-// fetchRun reads a planned run with a single disk reference and caches every
-// block of it that was not cached at planning time. seq says the access
-// continues a stream: only then is the rest of the track worth the disk
-// service's read-ahead (§4).
-func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint64, seq bool) ([]byte, error) {
-	raw, err := s.disks[disk].Get(ctx, addr, run*FragmentsPerBlock, diskservice.GetOptions{NoReadAhead: !seq})
-	if err != nil {
-		return nil, err
-	}
-	installed := 0
+// fetchRun reads a planned run with a single disk reference straight into
+// the buffer the block cache keeps (Cache.Fill) and installs every block of
+// it that was not cached at planning time (cached): the blocks in dirty as
+// dirty, the rest clean. use runs on the run's bytes after the read and
+// before the install, while the buffer is still the fetch's alone: it copies
+// out what the caller needs — so an eviction racing the install can never
+// recycle bytes still to be read — and may patch the blocks it marks dirty.
+// seq says the access continues a stream: only then is the rest of the track
+// worth the disk service's read-ahead (§4).
+func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached, dirty uint64, seq bool, use func(raw []byte)) error {
+	var keys [MaxSingleFetchBlocks]blockKey
 	for b := 0; b < run; b++ {
-		if cached&(1<<b) != 0 {
-			continue
+		keys[b] = blockKey{disk: disk, addr: addr + b*FragmentsPerBlock}
+	}
+	installed, err := s.blockCache.Fill(keys[:run], BlockSize, cached, dirty, func(raw []byte) error {
+		err := s.disks[disk].GetInto(ctx, addr, run*FragmentsPerBlock, raw, diskservice.GetOptions{NoReadAhead: !seq})
+		if err == nil {
+			use(raw)
 		}
-		k := blockKey{disk: disk, addr: addr + b*FragmentsPerBlock}
-		if err := s.blockCache.Put(k, raw[b*BlockSize:(b+1)*BlockSize], false); err != nil {
-			return nil, err
-		}
-		installed++
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	if seq {
 		s.met.stream.Inc()
@@ -336,28 +346,25 @@ func (s *Service) fetchRun(ctx context.Context, disk, addr, run int, cached uint
 		s.met.demand.Inc()
 		s.met.demandBlocks.Add(int64(installed))
 	}
-	return raw, nil
-}
-
-// fetch executes one planned task and copies the requested spans into the
-// caller's buffer. The spans are copied from the raw transfer, never re-read
-// from the cache, so a concurrent eviction cannot lose data.
-func (s *Service) fetch(ctx context.Context, out []byte, t *fetchTask) error {
-	raw, err := s.fetchRun(ctx, t.disk, t.addr, t.run, t.cached, t.seq)
-	if err != nil {
-		return err
-	}
-	for _, sp := range t.spans {
-		copy(out[sp.outOff:], raw[sp.blk*BlockSize+sp.from:sp.blk*BlockSize+sp.to])
-	}
 	return nil
 }
 
+// fetch executes planned fetch ti and copies the spans that name it out of
+// the run into the caller's buffer, before the run's blocks are installed.
+func (s *Service) fetch(ctx context.Context, out []byte, ti int, t fetchTask, spans []fetchSpan) error {
+	return s.fetchRun(ctx, t.disk, t.addr, t.run, t.cached, 0, t.seq, func(raw []byte) {
+		for _, sp := range spans {
+			if sp.task == ti {
+				copy(out[sp.outOff:], raw[sp.blk*BlockSize+sp.from:sp.blk*BlockSize+sp.to])
+			}
+		}
+	})
+}
+
 // block returns logical block blk of the file, from cache or from disk — the
-// serial single-block path used for read-modify-write and page-granular
-// access. A miss fetches the block's contiguous run when the access continues
-// a stream and the block alone otherwise (see ReadAt). Callers must hold
-// st.mu.
+// serial single-block path used for page-granular access. A miss fetches the
+// block's contiguous run when the access continues a stream and the block
+// alone otherwise (see ReadAt). Callers must hold st.mu.
 func (s *Service) block(ctx context.Context, st *fileState, blk int) ([]byte, error) {
 	disk, addr, contiguous, ok := st.extents.Lookup(blk)
 	if !ok {
@@ -368,21 +375,23 @@ func (s *Service) block(ctx context.Context, st *fileState, blk int) ([]byte, er
 	if data, ok := s.blockCache.Get(key); ok {
 		return data, nil
 	}
-	return s.fetchBlock(ctx, key, contiguous, seq)
+	out := make([]byte, BlockSize)
+	if err := s.fetchBlock(ctx, key, contiguous, seq, 0, func(raw []byte) { copy(out, raw) }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// fetchBlock is block's miss path: the caller has looked key up, counted the
-// miss and recorded the access (seq is fileState.sequential's answer).
-func (s *Service) fetchBlock(ctx context.Context, key blockKey, contiguous int, seq bool) ([]byte, error) {
+// fetchBlock is the single-block miss path: the caller has looked key up,
+// counted the miss and recorded the access (seq is fileState.sequential's
+// answer). It fetches the block — with its contiguous run on a stream — and
+// installs it, dirty when dirty is 1, after use has seen the run (fetchRun).
+func (s *Service) fetchBlock(ctx context.Context, key blockKey, contiguous int, seq bool, dirty uint64, use func(raw []byte)) error {
 	if !seq {
 		contiguous = 1
 	}
 	run, cached := s.planRun(key.disk, key.addr, contiguous)
-	raw, err := s.fetchRun(ctx, key.disk, key.addr, run, cached, seq)
-	if err != nil {
-		return nil, err
-	}
-	return raw[:BlockSize], nil
+	return s.fetchRun(ctx, key.disk, key.addr, run, cached, dirty, seq, use)
 }
 
 // Run is one contiguous byte range of a write: Data at byte offset Off. A
@@ -514,24 +523,20 @@ func (s *Service) write(ctx context.Context, id FileID, runs []Run) (int, error)
 // names, leaving the block dirty in the cache. A cached block takes the bytes
 // in place — a write-through file's whole block is written back by write
 // before it acknowledges; a block at or beyond size, the file's end so far,
-// is fresh and starts zeroed; any other is read first. Callers must hold
-// st.mu.
+// is fresh and starts zeroed; any other is read into the buffer the cache
+// keeps, patched there before it is installed, and installed dirty. Callers
+// must hold st.mu.
 func (s *Service) writePartial(ctx context.Context, st *fileState, blk int, key blockKey, contiguous, within int, src []byte, size int64) error {
-	var buf []byte
 	if int64(blk)*BlockSize >= size {
-		buf = make([]byte, BlockSize)
-	} else {
-		seq := st.sequential(blk, blk)
-		if s.blockCache.WriteRange(key, within, src) {
-			return nil
-		}
-		var err error
-		if buf, err = s.fetchBlock(ctx, key, contiguous, seq); err != nil {
-			return err
-		}
+		buf := make([]byte, BlockSize)
+		copy(buf[within:], src)
+		return s.blockCache.Put(key, buf, true)
 	}
-	copy(buf[within:], src)
-	return s.blockCache.Put(key, buf, true)
+	seq := st.sequential(blk, blk)
+	if s.blockCache.WriteRange(key, within, src) {
+		return nil
+	}
+	return s.fetchBlock(ctx, key, contiguous, seq, 1, func(raw []byte) { copy(raw[within:], src) })
 }
 
 // grow extends the file's extent map to cover needBlocks logical blocks,

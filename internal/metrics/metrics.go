@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Counter names used across the facility. Packages add their own counters
@@ -74,9 +75,10 @@ const (
 	ParityRebuildStripes   = "parity.rebuild.stripes"    // stripes resynced onto a replacement
 )
 
-// stripes is the number of independent atomics per counter. Power of two so
-// the stripe hint reduces with a mask.
-const stripes = 16
+// stripes is the number of independent atomics per counter. It is an odd
+// prime, so stripeOf puts stacks a power of two stack units apart on
+// different stripes.
+const stripes = 17
 
 // paddedInt64 is an atomic counter padded out to a cache line so neighbouring
 // stripes do not false-share.
@@ -97,7 +99,7 @@ func (c *Counter) Add(delta int64) {
 	if c == nil {
 		return
 	}
-	c.parts[stripeHint()&(stripes-1)].v.Add(delta)
+	c.parts[stripeHint()].v.Add(delta)
 }
 
 // Inc adds one to the counter.
@@ -117,22 +119,25 @@ func (c *Counter) zero() {
 	}
 }
 
-// stripeSeq hands out initial stripe indexes; stripePool then keeps them
-// loosely affine to the calling P, spreading concurrent writers over the
-// stripes without any per-goroutine state.
-var (
-	stripeSeq  atomic.Uint32
-	stripePool = sync.Pool{New: func() any {
-		i := int(stripeSeq.Add(1))
-		return &i
-	}}
-)
-
+// stripeHint picks the calling goroutine's stripe from the address of a
+// local variable: every goroutine runs on a stack of its own, so concurrent
+// writers land on different stripes without any per-goroutine state, pool
+// round trip or atomic. It is only a hint — a stack that moves as it grows
+// keeps counting correctly on another stripe.
 func stripeHint() int {
-	p := stripePool.Get().(*int)
-	i := *p
-	stripePool.Put(p)
-	return i
+	var local byte
+	return stripeOf(uintptr(unsafe.Pointer(&local)))
+}
+
+// stripeOf is stripeHint's hash of a stack address: the address in units of
+// the smallest goroutine stack (2 KiB, and stacks are aligned to their size),
+// modulo the stripe count. Neighbouring stacks sit a power of two units apart
+// — one unit for two fresh stacks — and no power of two is a multiple of an
+// odd prime, so neighbours never share a stripe and as many stacks in a row
+// as there are stripes use every one. Within a 2 KiB stack the hint does not
+// move with call depth.
+func stripeOf(addr uintptr) int {
+	return int(addr>>11) % stripes
 }
 
 // Set is a concurrency-safe bag of named counters plus a virtual-time

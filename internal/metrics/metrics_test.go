@@ -229,3 +229,47 @@ func TestAddRacesResetAndSnapshot(t *testing.T) {
 		t.Fatalf("after the race and a quiet Reset, Get = %d, want 7", got)
 	}
 }
+
+// TestStripeOfSpreadsNeighbouringStacks: goroutine stacks are allocated a
+// whole number of 2 KiB units apart, so the stack-address hint must put
+// neighbouring stacks — 2, 4, 8, 16 or 32 KiB apart — on different stripes,
+// and as many stacks in a row as there are stripes on every stripe.
+func TestStripeOfSpreadsNeighbouringStacks(t *testing.T) {
+	for _, spacing := range []uintptr{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10} {
+		for base := uintptr(0xc000000000); base < 0xc000000000+256*spacing; base += spacing {
+			if a, b := stripeOf(base), stripeOf(base+spacing); a == b {
+				t.Fatalf("stacks %#x and %#x (%d KiB apart) share stripe %d", base, base+spacing, spacing>>10, a)
+			}
+			seen := map[int]bool{}
+			for i := uintptr(0); i < stripes; i++ {
+				seen[stripeOf(base+i*spacing)] = true
+			}
+			if len(seen) != stripes {
+				t.Fatalf("%d stacks %d KiB apart from %#x use %d stripes", stripes, spacing>>10, base, len(seen))
+			}
+		}
+	}
+	// Within one 2 KiB stack the hint does not move with call depth.
+	if a, b := stripeOf(0xc000001800), stripeOf(0xc000001fff); a != b {
+		t.Errorf("addresses within one 2 KiB stack hash to stripes %d and %d", a, b)
+	}
+}
+
+// BenchmarkCounterInc is one increment through a resolved handle, from one
+// goroutine and from GOMAXPROCS goroutines at once (RunParallel), which must
+// land on different stripes to stay as cheap.
+func BenchmarkCounterInc(b *testing.B) {
+	c := NewSet().Counter("bench")
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Inc()
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				c.Inc()
+			}
+		})
+	})
+}

@@ -420,7 +420,10 @@ func (a *Array) stripeLock(s int) *sync.Mutex { return &a.stripeLocks[s%stripeLo
 // fanout runs the tasks concurrently inside an overlap batch, so transfers
 // dispatched to different disks occupy overlapping virtual intervals (and
 // overlapping wall-clock windows when the drives simulate occupancy). The
-// first error in task order is returned.
+// first task runs on the caller's goroutine, so a crash point it passes — the
+// stable write of a unit's put-block, when it is the only data unit —
+// unwinds to the caller's fault.Run, after the other tasks have finished.
+// The first error in task order is returned.
 func (a *Array) fanout(tasks []func() error) error {
 	if len(tasks) == 0 {
 		return nil
@@ -434,13 +437,15 @@ func (a *Array) fanout(tasks []func() error) error {
 	}
 	errs := make([]error, len(tasks))
 	var wg sync.WaitGroup
-	for i, t := range tasks {
+	defer wg.Wait() // also when the first task unwinds
+	for i, t := range tasks[1:] {
 		wg.Add(1)
 		go func(i int, t func() error) {
 			defer wg.Done()
 			errs[i] = t()
-		}(i, t)
+		}(i+1, t)
 	}
+	errs[0] = tasks[0]()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -496,34 +501,43 @@ func (a *Array) checkSpan(addr, n int) error {
 	return nil
 }
 
-// Get reads n contiguous data fragments starting at addr. Healthy units are
-// fetched with per-disk coalesced reads fanned out across the spindles;
-// units on a failed disk are reconstructed by XOR of the surviving K disks
-// under the stripe lock (degraded read). FromStable passes through to the
-// member disks' stable stores, which survive a main-device failure
-// independently. The read is bracketed as a parity-layer operation under
-// ctx's span; member-disk I/O is observed by the disk service's own
-// instrumentation, outside that tree.
+// Get is GetInto a fresh buffer of n*FragmentSize bytes.
 func (a *Array) Get(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error) {
-	_, op := a.obsRec.StartOp(ctx, obs.LayerParity, "get")
-	data, err := a.get(addr, n, opts)
-	op.AddBytes(len(data))
-	op.End(err)
-	return data, err
+	buf := make([]byte, min(max(n, 0), a.Capacity())*FragmentSize)
+	return buf, a.GetInto(ctx, addr, n, buf, opts)
 }
 
-func (a *Array) get(addr, n int, opts diskservice.GetOptions) ([]byte, error) {
+// GetInto reads n contiguous data fragments starting at addr into the first
+// n*FragmentSize bytes of dst, the caller's buffer. Healthy units are read by
+// per-disk coalesced get-blocks fanned out across the spindles, each landing
+// at its offset in dst; units on a failed disk are reconstructed by XOR of
+// the surviving K disks under the stripe lock (degraded read). FromStable
+// passes through to the member disks' stable stores, which survive a
+// main-device failure independently. The read is bracketed as a parity-layer
+// operation under ctx's span; member-disk I/O is observed by the disk
+// service's own instrumentation, outside that tree. A span off the array or
+// a dst shorter than the span fails before any member is read.
+func (a *Array) GetInto(ctx context.Context, addr, n int, dst []byte, opts diskservice.GetOptions) error {
+	_, op := a.obsRec.StartOp(ctx, obs.LayerParity, "get")
+	err := a.get(addr, n, dst, opts)
+	if err == nil {
+		op.AddBytes(n * FragmentSize)
+	}
+	op.End(err)
+	return err
+}
+
+func (a *Array) get(addr, n int, dst []byte, opts diskservice.GetOptions) error {
 	if err := a.checkSpan(addr, n); err != nil {
-		return nil, err
+		return err
+	}
+	if len(dst) < n*FragmentSize {
+		return fmt.Errorf("%w: %d bytes for %d fragments", device.ErrShortBuffer, len(dst), n)
 	}
 	if err := a.alive(); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, n*FragmentSize)
-	if err := a.readSpans(out, a.planSpans(addr, n), opts, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return a.readSpans(dst[:n*FragmentSize], a.planSpans(addr, n), opts, 0)
 }
 
 // pspan is a physically contiguous read on one disk serving one or more
@@ -562,14 +576,13 @@ func (a *Array) readSpans(out []byte, spans []vspan, opts diskservice.GetOptions
 		srv := disks[d]
 		tasks = append(tasks, func() error {
 			for _, p := range ps {
-				data, err := srv.Get(context.Background(), p.phys, p.frags, opts)
+				err := srv.GetInto(context.Background(), p.phys, p.frags, out[p.bufOff:p.bufOff+p.frags*FragmentSize], opts)
 				if err != nil {
 					if errors.Is(err, device.ErrFailed) && !opts.FromStable && !a.noteFailure(d) {
 						return fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, d, err)
 					}
 					return err
 				}
-				copy(out[p.bufOff:], data)
 			}
 			return nil
 		})

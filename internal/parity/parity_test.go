@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -580,5 +581,96 @@ func TestConcurrentSmallWritesSharingTracks(t *testing.T) {
 	}
 	if got := mustGet(t, a, 0, frags); !bytes.Equal(got, want) {
 		t.Fatal("degraded read after concurrent small writes: mismatch")
+	}
+}
+
+// getIntoCanaried reads [addr, addr+n) with GetInto into the middle of a
+// larger buffer and checks the read stayed inside its span.
+func getIntoCanaried(t *testing.T, a *Array, addr, n int) []byte {
+	t.Helper()
+	const pad = FragmentSize
+	buf := bytes.Repeat([]byte{0xC5}, n*FragmentSize+2*pad)
+	if err := a.GetInto(context.Background(), addr, n, buf[pad:], diskservice.GetOptions{}); err != nil {
+		t.Fatalf("GetInto(%d,%d): %v", addr, n, err)
+	}
+	canary := bytes.Repeat([]byte{0xC5}, pad)
+	if !bytes.Equal(buf[:pad], canary) || !bytes.Equal(buf[pad+n*FragmentSize:], canary) {
+		t.Fatalf("GetInto(%d,%d) wrote outside its span", addr, n)
+	}
+	return buf[pad : pad+n*FragmentSize]
+}
+
+// TestGetIntoMatchesGet: the member reads land at their offsets in the
+// caller's buffer — healthy, degraded, and mid-rebuild with stripes on both
+// sides of the watermark — and read what Get reads.
+func TestGetIntoMatchesGet(t *testing.T) {
+	r := newRig(t, 5)
+	a := r.arr
+	size := a.Capacity()
+	img := pattern(size, 7)
+	if err := a.Put(context.Background(), 0, img, diskservice.PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(state string) {
+		t.Helper()
+		a.InvalidateCache()
+		for _, span := range [][2]int{{0, size}, {3, 40}, {size - 9, 9}, {17, 1}} {
+			into := getIntoCanaried(t, a, span[0], span[1])
+			if got := mustGet(t, a, span[0], span[1]); !bytes.Equal(into, got) {
+				t.Fatalf("%s: GetInto(%d,%d) differs from Get", state, span[0], span[1])
+			}
+			if !bytes.Equal(into, img[span[0]*FragmentSize:(span[0]+span[1])*FragmentSize]) {
+				t.Fatalf("%s: GetInto(%d,%d) differs from what was written", state, span[0], span[1])
+			}
+		}
+	}
+	check("healthy")
+	r.disks[1].Fail()
+	if err := a.MarkFailed(1); err != nil {
+		t.Fatal(err)
+	}
+	degraded := r.met.Get(metrics.ParityDegradedReads)
+	check("degraded")
+	if r.met.Get(metrics.ParityDegradedReads) == degraded {
+		t.Fatal("no degraded read while a disk is down")
+	}
+	repl := r.addDisk(t, device.Geometry{FragmentsPerTrack: 8, Tracks: 32}, 99)
+	if err := a.ReplaceDisk(1, repl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RebuildStep(a.Stripes() / 2); err != nil {
+		t.Fatal(err)
+	}
+	if done, total := a.RebuildProgress(); done == 0 || done == total {
+		t.Fatalf("rebuild at %d of %d stripes; the check wants it half way", done, total)
+	}
+	check("mid-rebuild")
+}
+
+// TestGetIntoRefusesBeforeReading: a span off the array or a buffer shorter
+// than the span is refused before any member is read, with the allocating
+// form's error for the span.
+func TestGetIntoRefusesBeforeReading(t *testing.T) {
+	r := newRig(t, 3)
+	a := r.arr
+	heads := func() (h []int) {
+		for _, d := range r.disks {
+			h = append(h, d.HeadTrack())
+		}
+		return h
+	}
+	if _, err := a.Get(context.Background(), a.Capacity()-40, 1, diskservice.GetOptions{}); err != nil {
+		t.Fatal(err) // move the heads off track 0
+	}
+	before := heads()
+	err := a.GetInto(context.Background(), a.Capacity()-1, 2, make([]byte, 2*FragmentSize), diskservice.GetOptions{})
+	if _, aerr := a.Get(context.Background(), a.Capacity()-1, 2, diskservice.GetOptions{}); !errors.Is(err, device.ErrOutOfRange) || aerr == nil || aerr.Error() != err.Error() {
+		t.Fatalf("GetInto off the array = %v, Get = %v; want ErrOutOfRange from both", err, aerr)
+	}
+	if err := a.GetInto(context.Background(), 0, 2, make([]byte, 2*FragmentSize-1), diskservice.GetOptions{}); !errors.Is(err, device.ErrShortBuffer) {
+		t.Fatalf("GetInto into a short buffer = %v, want ErrShortBuffer", err)
+	}
+	if after := heads(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("a refused read moved the heads: %v -> %v", before, after)
 	}
 }

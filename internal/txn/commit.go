@@ -297,7 +297,7 @@ func (s *Service) swapShadow(fid FileID, u *update) error {
 	ds := s.fs.DiskServer(int(disk))
 	image := u.image
 	if image == nil {
-		if image, err = ds.Get(context.Background(), int(u.Offset), fileservice.FragmentsPerBlock, diskservice.GetOptions{FromStable: true}); err != nil {
+		if image, err = fileservice.Get(context.Background(), ds, int(u.Offset), fileservice.FragmentsPerBlock, diskservice.GetOptions{FromStable: true}); err != nil {
 			return err
 		}
 	}
@@ -497,7 +497,7 @@ func (s *Service) keepSwapped(u *update) error {
 	if err != nil || curDisk == disk && curAddr == u.Offset {
 		return nil // not swapped yet (apply swaps it), or gone (apply says why)
 	}
-	image, err := s.fs.DiskServer(int(curDisk)).Get(context.Background(), int(curAddr), fileservice.FragmentsPerBlock, diskservice.GetOptions{})
+	image, err := fileservice.Get(context.Background(), s.fs.DiskServer(int(curDisk)), int(curAddr), fileservice.FragmentsPerBlock, diskservice.GetOptions{})
 	if err != nil {
 		return err
 	}
