@@ -248,8 +248,8 @@ func parityChecks(c *core.Cluster) int {
 		fmt.Fprintf(os.Stderr, "flush: %v\n", err)
 		return 1
 	}
-	fmt.Printf("parity: checking %d stripes over %d disks (unit %d fragment(s))...\n",
-		arr.Stripes(), arr.Disks(), arr.UnitFragments())
+	fmt.Printf("parity: checking %d stripes over %d disks (unit 1 fragment(s))...\n",
+		arr.Stripes(), arr.Disks())
 	bad, err := arr.CheckParity()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parity check: %v\n", err)

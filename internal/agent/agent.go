@@ -166,14 +166,6 @@ func (m *Machine) FileAgent() *FileAgent { return m.fileAgent }
 // DeviceAgent returns the machine's device agent.
 func (m *Machine) DeviceAgent() *DeviceAgent { return m.deviceAgent }
 
-// TransactionAgentRunning reports whether the event-driven transaction agent
-// currently exists (§7).
-func (m *Machine) TransactionAgentRunning() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.txnAgent != nil
-}
-
 // transactionAgent returns the agent, creating it on first use.
 func (m *Machine) transactionAgent() (*TransactionAgent, error) {
 	if m.txns == nil {
@@ -240,12 +232,6 @@ type Process struct {
 	// variables (§3): 0/1/2 by default, 100001+ when redirected.
 	Stdin, Stdout, Stderr int
 }
-
-// PID returns the process identifier.
-func (p *Process) PID() int { return p.pid }
-
-// Machine returns the hosting machine.
-func (p *Process) Machine() *Machine { return p.machine }
 
 func (p *Process) desc(fd int) (*descriptor, error) {
 	p.mu.Lock()

@@ -13,7 +13,7 @@ import (
 // TransactionAgent allows operations on files with transaction semantics
 // (§6). The agent is highly dynamic (§7): the machine creates it when the
 // first transaction begins and destroys it when the last one completes or
-// aborts; Machine.TransactionAgentRunning observes this lifecycle.
+// aborts.
 type TransactionAgent struct {
 	machine *Machine
 	live    int // transactions in flight on this machine (guarded by machine.mu)

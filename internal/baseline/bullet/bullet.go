@@ -96,26 +96,3 @@ func (s *Server) Read(id FileID) ([]byte, error) {
 	}
 	return raw[:fi.size], nil
 }
-
-// Delete removes a file.
-func (s *Server) Delete(id FileID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fi, ok := s.files[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	delete(s.files, id)
-	return s.alloc.Free(fi.addr, fi.frags)
-}
-
-// Size returns a file's size in bytes.
-func (s *Server) Size(id FileID) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fi, ok := s.files[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return fi.size, nil
-}

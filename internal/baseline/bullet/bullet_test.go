@@ -34,10 +34,6 @@ func TestCreateReadRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("Read mismatch: %v", err)
 	}
-	size, err := s.Size(id)
-	if err != nil || size != len(want) {
-		t.Fatalf("Size = %d, %v", size, err)
-	}
 }
 
 func TestWholeFileReadIsOneReferenceEveryTime(t *testing.T) {
@@ -55,23 +51,6 @@ func TestWholeFileReadIsOneReferenceEveryTime(t *testing.T) {
 	// One reference per read — every time, because there is no cache (§1).
 	if got := met.Get(metrics.DiskReferences) - before; got != 10 {
 		t.Fatalf("10 re-reads took %d references, want 10 (no caching)", got)
-	}
-}
-
-func TestDeleteFreesSpace(t *testing.T) {
-	s, _ := newServer(t)
-	id, err := s.Create([]byte("temp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("read of deleted = %v", err)
-	}
-	if err := s.Delete(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete = %v", err)
 	}
 }
 

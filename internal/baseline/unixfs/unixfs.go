@@ -326,58 +326,6 @@ func (f *FS) WriteAt(ino Ino, off int64, data []byte) (int, error) {
 	return written, nil
 }
 
-// Size returns the file size.
-func (f *FS) Size(ino Ino) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.used[ino] {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, ino)
-	}
-	in, err := f.readInode(ino)
-	if err != nil {
-		return 0, err
-	}
-	return int64(in.size), nil
-}
-
-// Delete frees the file's blocks and inode.
-func (f *FS) Delete(ino Ino) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.used[ino] {
-		return fmt.Errorf("%w: %d", ErrNotFound, ino)
-	}
-	in, err := f.readInode(ino)
-	if err != nil {
-		return err
-	}
-	for _, a := range in.direct {
-		if a != 0 {
-			if err := f.alloc.Free(int(a), FragmentsPerBlock); err != nil {
-				return err
-			}
-		}
-	}
-	if in.indirect != 0 {
-		raw, err := f.disk.ReadFragments(context.Background(), int(in.indirect), FragmentsPerBlock)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < PointersPerIndirect; i++ {
-			if a := binary.BigEndian.Uint32(raw[i*4:]); a != 0 {
-				if err := f.alloc.Free(int(a), FragmentsPerBlock); err != nil {
-					return err
-				}
-			}
-		}
-		if err := f.alloc.Free(int(in.indirect), FragmentsPerBlock); err != nil {
-			return err
-		}
-	}
-	delete(f.used, ino)
-	return nil
-}
-
 // InodeArea returns the fixed inode area's position and extent in fragments
 // (experiment E11's placement contrast).
 func (f *FS) InodeArea() (start, frags int) {

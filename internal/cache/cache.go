@@ -125,13 +125,6 @@ func New[K comparable](cfg Config[K]) (*Cache[K], error) {
 	return c, nil
 }
 
-// Len returns the number of cached buffers.
-func (c *Cache[K]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // lookupLocked finds key for a read: it counts the hit or miss and marks a
 // found buffer most recently used. Callers must hold c.mu.
 func (c *Cache[K]) lookupLocked(key K) (*entry[K], bool) {
@@ -445,17 +438,6 @@ func (c *Cache[K]) InvalidateAll() {
 	c.lru.Init()
 }
 
-// Flush writes back every dirty buffer, leaving them cached clean. Buffers
-// dirtied concurrently with the Flush may or may not be included.
-func (c *Cache[K]) Flush() error {
-	for _, key := range c.DirtyKeys() {
-		if err := c.FlushKey(key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DirtyKeys returns the keys of every dirty buffer, most recently used
 // first. Callers use it to partition a flush by destination (e.g. one
 // goroutine per disk) while preserving per-destination order.
@@ -518,17 +500,4 @@ func (c *Cache[K]) FlushKey(key K) error {
 		return fmt.Errorf("cache: flush: %w", err)
 	}
 	return nil
-}
-
-// DirtyCount returns the number of dirty buffers (diagnostic).
-func (c *Cache[K]) DirtyCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*entry[K]).dirty {
-			n++
-		}
-	}
-	return n
 }

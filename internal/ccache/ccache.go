@@ -259,17 +259,3 @@ const (
 	MetricLeaseBroken  = "ccache.lease.broken"   // counter: leases broken without an ack (timeout, dead conn)
 	MetricRecallWaitNS = "ccache.recall.wait_ns" // hist: recall initiation to holder departure
 )
-
-// MetricNames lists every metric name the package records, for the audit
-// test and the operations runbook.
-var MetricNames = []string{
-	MetricHits,
-	MetricMisses,
-	MetricRecalls,
-	MetricFlushBlocks,
-	MetricLeaseGrants,
-	MetricLeaseRecalls,
-	MetricLeaseExpired,
-	MetricLeaseBroken,
-	MetricRecallWaitNS,
-}

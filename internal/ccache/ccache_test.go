@@ -128,7 +128,7 @@ func newRig(t *testing.T, clk *simclock.Virtual) *rig {
 	}
 	tsrv := rpc.Serve(ln, ep)
 	t.Cleanup(func() { _ = tsrv.Close() })
-	r.addr = tsrv.Addr().String()
+	r.addr = ln.Addr().String()
 	return r
 }
 

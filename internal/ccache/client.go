@@ -747,14 +747,6 @@ func (c *Client) Flush() error {
 	return firstErr
 }
 
-// DirtyBlocks reports the number of unflushed dirty blocks (tests and
-// the workload harness).
-func (c *Client) DirtyBlocks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dirty
-}
-
 // Recall handles a cc.recall push: revoke the lease immediately (no new
 // cached serves), write dirty blocks back, purge, and acknowledge so the
 // server can let the conflicting operation proceed. Wire it to the

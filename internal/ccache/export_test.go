@@ -31,3 +31,36 @@ func (c *Client) DebugState(id fileservice.FileID) string {
 	}
 	return desc
 }
+
+// MetricNames lists every metric name the package records, for the
+// metric-name audit.
+var MetricNames = []string{
+	MetricHits,
+	MetricMisses,
+	MetricRecalls,
+	MetricFlushBlocks,
+	MetricLeaseGrants,
+	MetricLeaseRecalls,
+	MetricLeaseExpired,
+	MetricLeaseBroken,
+	MetricRecallWaitNS,
+}
+
+// DirtyBlocks reports the number of unflushed dirty blocks (tests and
+// the workload harness).
+func (c *Client) DirtyBlocks() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dirty
+}
+
+// Holders reports the live holder count for one file (tests).
+func (s *Server) Holders(file uint64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.files[file]
+	if f == nil {
+		return 0
+	}
+	return len(f.holders)
+}

@@ -467,17 +467,6 @@ func (s *Server) recallRound(file, requester uint64, exclusive bool) (pending in
 	return pending, hasWriter, drops, lapse
 }
 
-// Holders reports the live holder count for one file (tests).
-func (s *Server) Holders(file uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.files[file]
-	if f == nil {
-		return 0
-	}
-	return len(f.holders)
-}
-
 // sweepOnce drops expired leases — the client side stopped trusting them at
 // the same moment by its own clock — and overdue recalls whose conflicting
 // operation has long given up. It runs every DefaultTTL/4.

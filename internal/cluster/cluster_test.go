@@ -341,7 +341,7 @@ func TestNetworkLockLeaseExpiry(t *testing.T) {
 
 	// Client 1 goes silent: its lease expires, the sweeper breaks txn 1,
 	// and txn 2's acquire proceeds.
-	lc1.StopRenewing(1)
+	lc1.Close()
 	r.expire(t, ttl, 1)
 	if err := lc2.Acquire(ctx, 2, 2, lock.Record, item, lock.IWrite); err != nil {
 		t.Fatalf("acquire after lease expiry: %v", err)

@@ -89,10 +89,3 @@ func (t *LeaseTable) ExpireDue() []uint64 {
 	}
 	return due
 }
-
-// Len returns the number of live leases.
-func (t *LeaseTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.leases)
-}

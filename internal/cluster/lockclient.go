@@ -3,12 +3,10 @@ package cluster
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/lock"
-	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/simclock"
 )
@@ -28,7 +26,6 @@ type LockClient struct {
 	clientID uint64
 	clock    simclock.Clock
 	inj      *fault.Injector
-	rec      atomic.Pointer[obs.Recorder]
 
 	mu   sync.Mutex
 	txns map[uint64]bool
@@ -62,11 +59,6 @@ func NewLockClient(c *rpc.Client, clientID uint64, ttl time.Duration, clock simc
 	l.stopRenew = simclock.Every(l.clock, every, l.renew)
 	return l
 }
-
-// SetObs attaches a recorder after construction (the renew loop is already
-// running, hence the atomic): renew round trips land in the
-// cluster.lease.renew_ns histogram.
-func (l *LockClient) SetObs(r *obs.Recorder) { l.rec.Store(r) }
 
 // Close stops the background renewer. It does not release held locks —
 // that is exactly what the server's lease sweeper is for.
@@ -130,14 +122,6 @@ func (l *LockClient) Release(txn lock.TxnID) error {
 	return err
 }
 
-// StopRenewing drops txn from the renewal set without releasing it: the
-// lease then expires server-side as if this client had died (test hook).
-func (l *LockClient) StopRenewing(txn lock.TxnID) {
-	l.mu.Lock()
-	delete(l.txns, uint64(txn))
-	l.mu.Unlock()
-}
-
 // renew renews every tracked transaction's lease; it runs every ttl/3. A
 // transaction whose lease the server reports lost is dropped from the set —
 // its locks are already broken and re-renewing would never succeed.
@@ -153,9 +137,7 @@ func (l *LockClient) renew() bool {
 	l.mu.Unlock()
 	for _, txn := range txns {
 		body := appendLockTxn(rpc.Buffer(lockTxnLen)[:0], LockTxnArgs{Client: l.clientID, Txn: txn})
-		t0 := time.Now()
 		out, err := l.c.Call(context.Background(), MLockRenew, body)
-		l.rec.Load().ValueHist(MetricLeaseRenewNS).Record(time.Since(t0))
 		rpc.Recycle(body)
 		l.c.ReleaseBody(out)
 		if err != nil && IsLeaseLost(err) {

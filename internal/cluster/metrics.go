@@ -1,9 +1,7 @@
 package cluster
 
-import "repro/internal/replication"
-
 // Named metrics the cluster layer records on the recorders handed in via
-// ServiceConfig.Obs / RouterConfig.Obs / LockClient.SetObs. Counters are
+// ServiceConfig.Obs / RouterConfig.Obs. Counters are
 // gauges incremented per occurrence; *_ns names are latency histograms in
 // nanoseconds; heartbeat_gap_ns is a gauge holding the most recent observed
 // silence on a backup's watchdog.
@@ -16,28 +14,8 @@ const (
 	MetricLeaseReleases    = "cluster.lease.releases"        // counter: explicit lease releases
 	MetricLeaseExpired     = "cluster.lease.expired"         // counter: leases broken by the sweeper
 
-	// Client side (RouterConfig.Obs / LockClient.SetObs).
+	// Client side (RouterConfig.Obs).
 	MetricRouterRedirects  = "cluster.router.redirects"      // counter: not-mine redirects followed
 	MetricRouterMapRefresh = "cluster.router.map_refresh_ns" // hist: shard-map refresh round trips
 	MetricRouterRebinds    = "cluster.router.rebinds"        // counter: failover rebinds to a backup address
-	MetricLeaseRenewNS     = "cluster.lease.renew_ns"        // hist: lock-lease renew round trips
 )
-
-// MetricNames lists every metric name the cluster and replication layers
-// record, for the audit test and the fleet scraper's documentation.
-var MetricNames = []string{
-	MetricReplLagNS,
-	MetricReplHeartbeatGap,
-	MetricLeaseGrants,
-	MetricLeaseRenews,
-	MetricLeaseReleases,
-	MetricLeaseExpired,
-	MetricRouterRedirects,
-	MetricRouterMapRefresh,
-	MetricRouterRebinds,
-	MetricLeaseRenewNS,
-	replication.MetricShipBatchRecords,
-	replication.MetricShipBatchBytes,
-	replication.MetricShipNS,
-	replication.MetricApplyNS,
-}

@@ -176,13 +176,6 @@ func (r *Router) Shutdown() {
 	}
 }
 
-// Map returns the router's current shard map.
-func (r *Router) Map() Map {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.cur
-}
-
 // Lock returns the raw rpc client for one shard, for layering the network
 // lock service (LockClient) over the same multiplexed connection.
 func (r *Router) Lock(shard int) *rpc.Client { return r.rcs[shard] }

@@ -39,9 +39,9 @@ import (
 type Layout int
 
 const (
-	// LayoutPlain is the paper's arrangement: one backend per disk, files
+	// The zero Layout is the paper's arrangement: one backend per disk, files
 	// striped across them by extent placement (the default).
-	LayoutPlain Layout = iota
+	_ Layout = iota
 	// LayoutParity presents all disks as one rotating-parity array
 	// (K data + 1 parity): single-disk-failure tolerance at (K+1)/K storage
 	// overhead, with degraded reads and online rebuild. Requires Disks >= 3.
@@ -53,12 +53,11 @@ const (
 type Config struct {
 	// Disks is the number of data disks (default 1).
 	Disks int
-	// Layout arranges the disks under the file service (default LayoutPlain).
+	// Layout arranges the disks under the file service (default: one backend
+	// per disk).
 	Layout Layout
 	// Geometry sizes each disk (default device.DefaultGeometry, 64 MB).
 	Geometry device.Geometry
-	// Model is the drive timing model (default device.DefaultModel).
-	Model device.Model
 	// LogFragments sizes the write-ahead log region (default 512 = 1 MB).
 	LogFragments int
 	// ServerCacheBlocks sizes the file-service cache.
@@ -105,9 +104,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Geometry == (device.Geometry{}) {
 		c.Geometry = device.DefaultGeometry
-	}
-	if c.Model == (device.Model{}) {
-		c.Model = device.DefaultModel
 	}
 	if c.LogFragments <= 0 {
 		c.LogFragments = 512
@@ -170,7 +166,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Disks; i++ {
 		clk := c.timeGroup.NewMember()
 		d, err := device.New(cfg.Geometry,
-			device.WithMetrics(cfg.Metrics), device.WithClock(clk), device.WithModel(cfg.Model),
+			device.WithMetrics(cfg.Metrics), device.WithClock(clk),
 			device.WithFault(cfg.Fault), device.WithObs(cfg.Obs))
 		if err != nil {
 			return nil, err
@@ -234,7 +230,6 @@ func (c *Cluster) buildArray() error {
 	}
 	var err error
 	c.parity, err = parity.New(parity.Config{
-		ID:      0,
 		Disks:   c.servers,
 		Metrics: c.cfg.Metrics,
 		Overlap: c.timeGroup,

@@ -158,9 +158,6 @@ type Disk struct {
 // Option configures a Disk.
 type Option func(*Disk)
 
-// WithModel sets the timing model.
-func WithModel(m Model) Option { return func(d *Disk) { d.model = m } }
-
 // WithClock sets the virtual clock that accumulates access time.
 func WithClock(c simclock.OpClock) Option { return func(d *Disk) { d.clock = c } }
 
@@ -391,13 +388,6 @@ func (d *Disk) Repair() {
 	d.failed = false
 }
 
-// Failed reports whether the drive is currently failed.
-func (d *Disk) Failed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.failed
-}
-
 // CorruptFragment marks a fragment as unreadable (a media error). Writes to
 // the fragment succeed and clear the error, as rewriting a sector does on
 // real media.
@@ -420,18 +410,6 @@ func (d *Disk) clearCorruption(start, n int) {
 	for f := start; f < start+n; f++ {
 		delete(d.badFrags, f)
 	}
-}
-
-// RepairFragment clears a media error without rewriting data (used by
-// stable-storage recovery after it restores the mirror copy).
-func (d *Disk) RepairFragment(addr int) error {
-	if err := d.checkSpan(addr, 1); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.clearCorruption(addr, 1)
-	return nil
 }
 
 // HeadTrack returns the track the head currently rests on (for tests and

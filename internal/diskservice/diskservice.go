@@ -100,7 +100,6 @@ type GetOptions struct {
 
 // Errors returned by the disk service.
 var (
-	ErrClosed = errors.New("diskservice: server closed")
 	// ErrNotFormatted reports a mount of a disk with no valid superblock.
 	ErrNotFormatted = errors.New("diskservice: disk not formatted")
 )
@@ -138,9 +137,8 @@ type Server struct {
 	obsRec    *obs.Recorder
 	queue     *obs.Gauge // in-flight get/put requests on this disk
 
-	mu     sync.Mutex
-	closed bool
-	fsmap  *freespace.Map
+	mu    sync.Mutex
+	fsmap *freespace.Map
 
 	trackCache *cache.Cache[int] // track number -> track bytes
 	// tcMu orders track-cache installs against main-storage writes. A put,
@@ -249,7 +247,6 @@ func newServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		id:         cfg.DiskID,
 		disk:       cfg.Disk,
 		stable:     cfg.Stable,
 		met:        cfg.Metrics,
@@ -266,43 +263,22 @@ func bitmapFragments(capacity int) int {
 	return (bytes + FragmentSize - 1) / FragmentSize
 }
 
-// ID returns the disk identifier.
-func (s *Server) ID() int { return s.id }
-
 // Capacity returns the disk size in fragments.
 func (s *Server) Capacity() int { return s.disk.Geometry().Capacity() }
 
 // FreeFragments returns the number of free fragments.
 func (s *Server) FreeFragments() int { return s.fsmap.FreeCount() }
 
-// LargestRun returns the longest contiguous free run, in fragments.
-func (s *Server) LargestRun() int { return s.fsmap.LargestRun() }
-
-func (s *Server) checkOpen() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
 // AllocateFragments claims n contiguous fragments and returns the address of
 // the first (allocate-block for fragment-granularity callers, used for file
 // index tables and other structural data).
 func (s *Server) AllocateFragments(n int) (int, error) {
-	if err := s.checkOpen(); err != nil {
-		return 0, err
-	}
 	return s.fsmap.Allocate(n)
 }
 
 // AllocateFragmentsNear is AllocateFragments preferring addresses close to
 // hint — used to place a file's first data block next to its FIT (§5).
 func (s *Server) AllocateFragmentsNear(hint, n int) (int, error) {
-	if err := s.checkOpen(); err != nil {
-		return 0, err
-	}
 	return s.fsmap.AllocateNear(hint, n)
 }
 
@@ -325,9 +301,6 @@ func (s *Server) AllocateBlocksNear(hint, n int) (int, error) {
 // scanning the bitmap" extends to rebuilding the bitmap from the structures
 // it protects.
 func (s *Server) ResetBitmap() error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
 	capacity := s.Capacity()
 	fsmap, err := freespace.NewMap(capacity)
 	if err != nil {
@@ -346,26 +319,12 @@ func (s *Server) ResetBitmap() error {
 // AllocateAt claims the exact span [addr, addr+n) — used by layers above
 // for fixed structures like the file service's superfragment.
 func (s *Server) AllocateAt(addr, n int) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
 	return s.fsmap.AllocateAt(addr, n)
-}
-
-// AllocateFirstFit is the baseline allocator (experiment E4 ablation).
-func (s *Server) AllocateFirstFit(n int) (int, error) {
-	if err := s.checkOpen(); err != nil {
-		return 0, err
-	}
-	return s.fsmap.AllocateFirstFit(n)
 }
 
 // Free returns n fragments starting at addr to the free pool — the paper's
 // free-block, for any mix of blocks and fragments.
 func (s *Server) Free(addr, n int) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
 	return s.fsmap.Free(addr, n)
 }
 
@@ -397,9 +356,6 @@ func (s *Server) GetInto(ctx context.Context, addr, n int, dst []byte, opts GetO
 }
 
 func (s *Server) get(ctx context.Context, addr, n int, dst []byte, opts GetOptions) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
 	geom := s.disk.Geometry()
 	if n <= 0 || addr < 0 || addr+n > geom.Capacity() {
 		return fmt.Errorf("%w: [%d,%d)", device.ErrOutOfRange, addr, addr+n)
@@ -459,9 +415,6 @@ func (s *Server) Put(ctx context.Context, addr int, data []byte, opts PutOptions
 }
 
 func (s *Server) put(ctx context.Context, addr int, data []byte, opts PutOptions) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
 	st := opts.Stability
 	if st == 0 {
 		st = MainOnly
@@ -512,9 +465,6 @@ func (s *Server) updateTrackCache(addr int, data []byte) {
 // the bitmap is persisted to the disk and its stable mirror, and the first
 // error of a deferred stable write, if any, is reported.
 func (s *Server) Flush() error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.persistMetadataLocked()
@@ -552,20 +502,6 @@ func (s *Server) persistMetadataLocked() error {
 // InvalidateCache empties the track cache (used by experiments to force cold
 // reads).
 func (s *Server) InvalidateCache() { s.trackCache.InvalidateAll() }
-
-// Close flushes metadata and marks the server closed. The stable store is
-// not closed; its owner closes it.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	err := s.persistMetadataLocked()
-	s.closed = true
-	s.mu.Unlock()
-	return err
-}
 
 // MetadataFragments returns the size of the reserved metadata region, i.e.
 // the first allocatable address (diagnostic; used by fsck and tests).

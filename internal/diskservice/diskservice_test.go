@@ -317,7 +317,7 @@ func TestMountRestoresBitmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	freeBefore := r.srv.FreeFragments()
-	if err := r.srv.Close(); err != nil {
+	if err := r.srv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// Remount on the same devices.
@@ -369,7 +369,7 @@ func TestMountRecoversBitmapFromStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	freeBefore := r.srv.FreeFragments()
-	if err := r.srv.Close(); err != nil {
+	if err := r.srv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the on-disk bitmap; the stable mirror must save the mount.
@@ -382,31 +382,6 @@ func TestMountRecoversBitmapFromStable(t *testing.T) {
 	}
 	if got := srv2.FreeFragments(); got != freeBefore {
 		t.Fatalf("recovered FreeFragments = %d, want %d", got, freeBefore)
-	}
-}
-
-func TestClosedServerRejectsOps(t *testing.T) {
-	r := newRig(t)
-	if err := r.srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.srv.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := r.srv.AllocateFragments(1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Allocate after close = %v, want ErrClosed", err)
-	}
-	if _, err := r.srv.Get(context.Background(), 0, 1, GetOptions{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Get after close = %v, want ErrClosed", err)
-	}
-	if err := r.srv.Put(context.Background(), 0, frag(1, 0), PutOptions{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Put after close = %v, want ErrClosed", err)
-	}
-	if err := r.srv.Free(0, 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Free after close = %v, want ErrClosed", err)
-	}
-	if err := r.srv.Flush(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Flush after close = %v, want ErrClosed", err)
 	}
 }
 
@@ -454,12 +429,12 @@ func TestAllocateAtAndFirstFit(t *testing.T) {
 	if err := r.srv.AllocateAt(meta+10, 1); err == nil {
 		t.Fatal("double AllocateAt succeeded")
 	}
-	addr, err := r.srv.AllocateFirstFit(2)
+	addr, err := r.srv.AllocateFragments(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if addr >= meta+10 && addr < meta+14 {
-		t.Fatalf("first fit returned reserved fragment %d", addr)
+		t.Fatalf("allocation returned reserved fragment %d", addr)
 	}
 }
 
@@ -502,17 +477,6 @@ func TestPutDefaultStabilityIsMainOnly(t *testing.T) {
 	// put itself must not have touched stable storage.
 	if got := r.met.Get(metrics.StableWrites) - before; got > 2 {
 		t.Fatalf("MainOnly put produced %d stable writes", got)
-	}
-}
-
-func TestLargestRunShrinksWithAllocations(t *testing.T) {
-	r := newRig(t)
-	before := r.srv.LargestRun()
-	if _, err := r.srv.AllocateFragments(before / 2); err != nil {
-		t.Fatal(err)
-	}
-	if after := r.srv.LargestRun(); after >= before {
-		t.Fatalf("LargestRun %d -> %d, want shrink", before, after)
 	}
 }
 

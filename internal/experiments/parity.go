@@ -147,7 +147,7 @@ func e17Run(disks int) (e17Result, error) {
 	junk := make([]byte, 64*diskservice.FragmentSize)
 	rng.Read(junk)
 	lo := srv.MetadataFragments()
-	hi := lo + arr.Stripes()*arr.UnitFragments()
+	hi := lo + arr.Stripes() // a stripe unit is one fragment
 	for addr := lo; addr < hi; addr += 64 {
 		n := 64
 		if addr+n > hi {

@@ -35,7 +35,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -57,25 +56,6 @@ func Register(p Point) Point {
 	defer regMu.Unlock()
 	registry[p] = true
 	return p
-}
-
-// Registered reports whether p was declared with Register.
-func Registered(p Point) bool {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return registry[p]
-}
-
-// Points returns every registered point, sorted.
-func Points() []Point {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]Point, 0, len(registry))
-	for p := range registry {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Crash is the panic value thrown at an armed crash point. The torture
@@ -194,26 +174,11 @@ func NewInjector(seed int64) *Injector {
 	return &Injector{seed: seed, arms: make(map[Point]*arm)}
 }
 
-// Seed returns the schedule seed the injector was created with.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Arm installs (or replaces) the action at point p.
 func (in *Injector) Arm(p Point, act Action) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.arms[p] = &arm{act: act}
-}
-
-// Disarm removes the action at p.
-func (in *Injector) Disarm(p Point) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.arms, p)
 }
 
 // DisarmAll removes every armed action (the trace is retained).
@@ -224,16 +189,6 @@ func (in *Injector) DisarmAll() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.arms = make(map[Point]*arm)
-}
-
-// Trace returns the faults that fired, in order.
-func (in *Injector) Trace() []Event {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.trace...)
 }
 
 // Fired reports how many times any action fired at p.

@@ -18,8 +18,6 @@ import (
 // places extents across several Backends, the parity layout places them on
 // one Backend that is internally striped.
 type Backend interface {
-	// ID identifies the backend within the facility.
-	ID() int
 	// Capacity returns the usable size in fragments.
 	Capacity() int
 	// FreeFragments returns the number of free fragments.
@@ -29,9 +27,6 @@ type Backend interface {
 
 	// AllocateFragments claims n contiguous fragments.
 	AllocateFragments(n int) (int, error)
-	// AllocateFragmentsNear is AllocateFragments preferring addresses close
-	// to hint.
-	AllocateFragmentsNear(hint, n int) (int, error)
 	// AllocateBlocks claims n contiguous blocks (4n fragments).
 	AllocateBlocks(n int) (int, error)
 	// AllocateBlocksNear is AllocateBlocks with a placement hint.

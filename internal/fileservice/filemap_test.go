@@ -338,10 +338,6 @@ type churnJournal struct {
 	deleted  map[FileID]bool
 	deleting FileID // a Delete that had not returned (0: none)
 	creating bool   // a Create that had not returned
-	// hits, when set, counts the vital writes so far; the churn records it
-	// on either side of its half-way Flush in flushHits.
-	hits      func() int
-	flushHits [2]int
 }
 
 // metadataChurn creates n files, each written and closed; with deletes set it
@@ -392,14 +388,8 @@ func metadataChurn(svc *Service, j *churnJournal, seed int64, n int, deletes boo
 			j.deleted[victim] = true
 		}
 		if i == n/2 {
-			if j.hits != nil {
-				j.flushHits[0] = j.hits()
-			}
 			if err := svc.Flush(); err != nil {
 				return err
-			}
-			if j.hits != nil {
-				j.flushHits[1] = j.hits()
 			}
 		}
 	}
@@ -411,9 +401,7 @@ func metadataChurn(svc *Service, j *churnJournal, seed int64, n int, deletes boo
 // a clean Check; every acknowledged create present with its data; every
 // acknowledged delete absent; nothing else present but what was in flight;
 // and no FileID handed out before the crash handed out again after it. It
-// runs on one disk server and on a parity array of three; there, the vital
-// writes of the half-way Flush are not crashed, because the array flushes
-// its members on goroutines of its own, where a crash cannot be recovered.
+// runs on one disk server and on a parity array of three.
 func TestCrashSweepFileMap(t *testing.T) {
 	for _, layout := range layouts {
 		t.Run(layout.name, func(t *testing.T) { crashSweepFileMap(t, layout.parity) })
@@ -427,11 +415,10 @@ func crashSweepFileMap(t *testing.T, parityLayout bool) {
 	r := newCrashRig(t, parityLayout)
 	j := r.boot(t, probe)
 	probe.Arm(stable.PtWriteBeforePrimary, fault.Action{Kind: fault.KindDelay, Times: -1})
-	j.hits = func() int { return probe.Fired(stable.PtWriteBeforePrimary) }
 	if err := metadataChurn(r.svc, j, 2, creates, true); err != nil {
 		t.Fatal(err)
 	}
-	writes, flushHits := probe.Fired(stable.PtWriteBeforePrimary), j.flushHits
+	writes := probe.Fired(stable.PtWriteBeforePrimary)
 	if chain := len(r.svc.mapFrags) - 1; chain != 2 || len(j.deleted) < 10 {
 		t.Fatalf("churn left a %d-fragment chain after %d deletes; it must grow a second chain fragment", chain, len(j.deleted))
 	}
@@ -444,9 +431,6 @@ func crashSweepFileMap(t *testing.T, parityLayout bool) {
 	}
 	for _, pt := range []fault.Point{stable.PtWriteBeforePrimary, stable.PtWriteAfterPrimary} {
 		for k := 0; k < writes; k += stride {
-			if parityLayout && k >= flushHits[0] && k < flushHits[1] {
-				continue
-			}
 			inj := fault.NewInjector(int64(k))
 			j := r.boot(t, inj)
 			inj.Arm(pt, fault.Action{Kind: fault.KindCrash, After: k})

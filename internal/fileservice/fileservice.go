@@ -592,19 +592,6 @@ func (s *Service) Attributes(id FileID) (fit.Attributes, error) {
 	return st.attr, nil
 }
 
-// SetLocking records the file's lock level (§6.1); it is persisted with the
-// FIT.
-func (s *Service) SetLocking(id FileID, l fit.LockLevel) error {
-	st, err := s.lockFile(id)
-	if err != nil {
-		return err
-	}
-	defer st.mu.Unlock()
-	st.attr.Locking = l
-	st.fitDirty = true
-	return nil
-}
-
 // SetService records which service's semantics currently govern the file.
 // The transaction service flips it per use (§2.2), which outlives no crash,
 // so it is persisted lazily: with the next FIT write for any reason.
@@ -728,61 +715,30 @@ func (s *Service) flushKeys(keys []blockKey) error {
 	for _, k := range keys {
 		byDisk[k.disk] = append(byDisk[k.disk], k)
 	}
-	if s.overlap != nil {
-		s.overlap.EnterBatch()
-		defer s.overlap.LeaveBatch()
-	}
-	errs := make([]error, len(byDisk))
-	var wg sync.WaitGroup
-	for i, g := range byDisk {
+	var tasks []func() error
+	for _, g := range byDisk {
 		if len(g) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, g []blockKey) {
-			defer wg.Done()
+		tasks = append(tasks, func() error {
 			for _, k := range g {
 				if err := s.blockCache.FlushKey(k); err != nil {
-					errs[i] = err
-					return
+					return err
 				}
 			}
-		}(i, g)
+			return nil
+		})
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return simclock.Fanout(s.overlap, tasks)
 }
 
 // flushDisksLocked issues flush-block to every disk server, in parallel.
 func (s *Service) flushDisksLocked() error {
-	if len(s.disks) == 1 {
-		return s.disks[0].Flush()
-	}
-	if s.overlap != nil {
-		s.overlap.EnterBatch()
-		defer s.overlap.LeaveBatch()
-	}
-	errs := make([]error, len(s.disks))
-	var wg sync.WaitGroup
+	tasks := make([]func() error, len(s.disks))
 	for i, d := range s.disks {
-		wg.Add(1)
-		go func(i int, d Backend) {
-			defer wg.Done()
-			errs[i] = d.Flush()
-		}(i, d)
+		tasks[i] = d.Flush
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return simclock.Fanout(s.overlap, tasks)
 }
 
 // flushFile flushes one file's dirty blocks (per-disk parallel) and FIT.

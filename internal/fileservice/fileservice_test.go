@@ -671,11 +671,8 @@ func TestErrorCases(t *testing.T) {
 
 func TestSetLockingAndServicePersist(t *testing.T) {
 	r := newRig(t, 1)
-	id, err := r.svc.Create(fit.Attributes{})
+	id, err := r.svc.Create(fit.Attributes{Locking: fit.LockPage})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.SetLocking(id, fit.LockPage); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.svc.SetService(id, fit.ServiceTransaction); err != nil {
@@ -768,7 +765,11 @@ func TestWriteBlockThroughAndReadBlock(t *testing.T) {
 	if err := r.svc.WriteBlockThrough(id, 0, blk); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.svc.ReadBlock(context.Background(), id, 0)
+	// As a page commit does, the size is set apart from the block write.
+	if err := r.svc.Truncate(id, BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.svc.ReadAt(id, 0, BlockSize)
 	if err != nil || !bytes.Equal(got, blk) {
 		t.Fatal("block round trip mismatch")
 	}

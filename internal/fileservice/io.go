@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/diskservice"
 	"repro/internal/fit"
 	"repro/internal/obs"
+	"repro/internal/simclock"
 )
 
 // ReadAtCtx reads up to n bytes starting at byte offset off, returning fewer
@@ -266,34 +266,22 @@ func (s *Service) runFetches(ctx context.Context, out []byte, tasks []fetchTask,
 		}
 		return nil
 	}
-	if s.overlap != nil {
-		s.overlap.EnterBatch()
-		defer s.overlap.LeaveBatch()
-	}
-	// The goroutines get their own copy of the plan, which may live on
+	// The per-disk tasks get their own copy of the plan, which may live on
 	// readInto's stack.
 	plan, planSpans := slices.Clone(tasks), slices.Clone(spans)
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
+	perDisk := make([]func() error, len(order))
 	for i, d := range order {
-		wg.Add(1)
-		go func(i int, group []int) {
-			defer wg.Done()
+		group := byDisk[d]
+		perDisk[i] = func() error {
 			for _, ti := range group {
 				if err := s.fetch(ctx, out, ti, plan[ti], planSpans); err != nil {
-					errs[i] = err
-					return
+					return err
 				}
 			}
-		}(i, byDisk[d])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			return nil
 		}
 	}
-	return nil
+	return simclock.Fanout(s.overlap, perDisk)
 }
 
 // planRun sizes the single-reference fetch for a miss on the block at addr,
@@ -738,17 +726,6 @@ func (s *Service) BlockCount(id FileID) (int, error) {
 	}
 	defer st.mu.Unlock()
 	return st.extents.TotalBlocks(), nil
-}
-
-// ReadBlock returns logical block blk (a full 8 KB), for the transaction
-// service's page-granular access.
-func (s *Service) ReadBlock(ctx context.Context, id FileID, blk int) ([]byte, error) {
-	st, err := s.lockFile(id)
-	if err != nil {
-		return nil, err
-	}
-	defer st.mu.Unlock()
-	return s.block(ctx, st, blk)
 }
 
 // WriteBlockThrough writes logical block blk synchronously to disk

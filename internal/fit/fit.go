@@ -110,9 +110,6 @@ type Extent struct {
 	Count uint16
 }
 
-// Blocks returns the number of blocks the extent covers.
-func (e Extent) Blocks() int { return int(e.Count) }
-
 // Attributes are the file-specific attributes stored in the table (§5).
 type Attributes struct {
 	// Size is the file size in bytes.
@@ -146,18 +143,10 @@ var (
 	ErrTooLarge = errors.New("fit: too many extents")
 )
 
-// Encode serializes the table into exactly one fragment. The layout is:
-// magic, CRC, attribute block, direct count, indirect count, descriptors.
-func (t *Table) Encode() ([]byte, error) {
-	buf := make([]byte, FragmentSize)
-	if err := t.EncodeInto(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// EncodeInto is Encode into buf, which must be one fragment long; every byte
-// of it is overwritten, so a caller may reuse one buffer across tables.
+// EncodeInto serializes the table into buf, which must be exactly one
+// fragment long. The layout is: magic, CRC, attribute block, direct count,
+// indirect count, descriptors. Every byte of buf is overwritten, so a caller
+// may reuse one buffer across tables.
 func (t *Table) EncodeInto(buf []byte) error {
 	if len(buf) != FragmentSize {
 		return fmt.Errorf("fit: encode buffer is %d bytes, want %d", len(buf), FragmentSize)

@@ -91,9 +91,6 @@ func NewMap(capacity int) (*Map, error) {
 	return m, nil
 }
 
-// Capacity returns the number of fragments managed.
-func (m *Map) Capacity() int { return m.capacity }
-
 // FreeCount returns the number of free fragments.
 func (m *Map) FreeCount() int {
 	m.mu.Lock()
@@ -473,46 +470,6 @@ func (m *Map) removeCachedWithin(start, n int) {
 		}
 		m.rows[row] = kept
 	}
-}
-
-// Allocated reports whether fragment addr is allocated.
-func (m *Map) Allocated(addr int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if addr < 0 || addr >= m.capacity {
-		return false
-	}
-	return m.isSet(addr)
-}
-
-// LargestRun returns the length of the longest free run on the disk,
-// scanning the bitmap. It is used by callers that fall back to piecewise
-// allocation when no single run is long enough.
-func (m *Map) LargestRun() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.WordsScanned += int64(len(m.words))
-	best, cur := 0, 0
-	for i := 0; i < m.capacity; i++ {
-		if m.isSet(i) {
-			cur = 0
-			continue
-		}
-		cur++
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
-}
-
-// FreeRuns returns all free runs in address order (for fsck and tests).
-func (m *Map) FreeRuns() []Run {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var runs []Run
-	m.eachFreeRunLocked(func(r Run) { runs = append(runs, r) })
-	return runs
 }
 
 // Bitmap returns a copy of the raw bitmap words (for persistence by the

@@ -150,16 +150,6 @@ func (l *List) Reset(txn uint64) {
 	}
 }
 
-// Txn returns the owning transaction.
-func (l *List) Txn() uint64 { return l.txn }
-
-// Status returns the intention flag.
-func (l *List) Status() Status {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.status
-}
-
 // SetStatus moves the intention flag. The legal transitions are
 // Tentative→Committed and Tentative→Aborted; anything else is an error.
 func (l *List) SetStatus(s Status) error {
@@ -216,37 +206,6 @@ func (l *List) AppendIntentions(dst []Record) []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append(dst, l.records...)
-}
-
-// IntentionsForFile returns the records touching one file, in order.
-func (l *List) IntentionsForFile(file uint64) []Record {
-	var out []Record
-	for _, r := range l.GetIntentions() {
-		if r.File == file {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Files returns the distinct files touched, in first-touch order.
-func (l *List) Files() []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, r := range l.GetIntentions() {
-		if !seen[r.File] {
-			seen[r.File] = true
-			out = append(out, r.File)
-		}
-	}
-	return out
-}
-
-// Len returns the number of intention records.
-func (l *List) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
 }
 
 // AssignTechniques fills each record's Technique using the paper's rule

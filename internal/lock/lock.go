@@ -155,11 +155,6 @@ type Config struct {
 	Metrics *metrics.Set
 	// Combined folds all levels into one lock table (ablation for E12).
 	Combined bool
-	// AllowMixedLevels relaxes the one-level-per-file rule of §6.1: a file
-	// may be locked at different granularities by concurrent transactions,
-	// with conflicts detected across levels by byte range. The paper defers
-	// this relaxation "at a later stage"; it is off by default.
-	AllowMixedLevels bool
 	// Obs receives per-acquire spans/latency observations and the
 	// lock-waiter gauge. Optional.
 	Obs *obs.Recorder
@@ -185,8 +180,8 @@ type waiter struct {
 	retry int    // retry count field of the lock record
 }
 
-// PageSize converts page-level item offsets to byte ranges when mixed-level
-// conflict detection is enabled; it matches the facility's 8 KB block size.
+// PageSize converts page-level item offsets to byte ranges for conflict
+// detection; it matches the facility's 8 KB block size.
 const PageSize = 8192
 
 // item is one data item's queue head: the granted records plus the waiting
@@ -244,7 +239,6 @@ type Manager struct {
 	obsRec    *obs.Recorder
 	waitGauge *obs.Gauge // requests currently blocked waiting for a lock
 	combined  bool
-	mixed     bool
 	// The lock counters, resolved from Config.Metrics in New.
 	granted, waits, upgrades, timedOut *metrics.Counter
 
@@ -286,7 +280,6 @@ func New(cfg Config) *Manager {
 		obsRec:    cfg.Obs,
 		waitGauge: cfg.Obs.Gauge("lock.wait_count"),
 		combined:  cfg.Combined,
-		mixed:     cfg.AllowMixedLevels,
 		granted:   cfg.Metrics.Counter(metrics.LocksGranted),
 		waits:     cfg.Metrics.Counter(metrics.LockWaits),
 		upgrades:  cfg.Metrics.Counter(metrics.LockUpgrades),
@@ -315,29 +308,19 @@ func (m *Manager) SearchSteps() int64 {
 
 // findOverlapping walks the relevant table(s) linearly (counting search
 // steps) and returns the items overlapping the request, plus the exact item
-// if present. In mixed-level mode every table is searched, since items of
-// any granularity can conflict. The overlapping items are returned in the
-// manager's buffer, valid until the next call.
+// if present. The overlapping items are returned in the manager's buffer,
+// valid until the next call.
 func (m *Manager) findOverlapping(level Level, id ItemID, length uint64) (overlapping []*item, exact *item) {
 	overlapping = m.overlap[:0]
-	scan := func(table []*item) {
-		for _, it := range table {
-			m.searches++
-			if !it.overlaps(level, id.File, id.Offset, length) {
-				continue
-			}
-			overlapping = append(overlapping, it)
-			if it.sameItem(level, id.File, id.Offset, length) {
-				exact = it
-			}
+	for _, it := range m.tables[m.tableKey(level)] {
+		m.searches++
+		if !it.overlaps(level, id.File, id.Offset, length) {
+			continue
 		}
-	}
-	if m.mixed && !m.combined {
-		for _, lv := range [...]Level{Record, Page, File} {
-			scan(m.tables[lv])
+		overlapping = append(overlapping, it)
+		if it.sameItem(level, id.File, id.Offset, length) {
+			exact = it
 		}
-	} else {
-		scan(m.tables[m.tableKey(level)])
 	}
 	m.overlap = overlapping
 	return overlapping, exact
@@ -434,8 +417,8 @@ func (m *Manager) admitLocked(txn TxnID, pid int, level Level, id ItemID, mode M
 	if m.broken[txn] {
 		return false, nil, 0, ErrTxnBroken
 	}
-	// One-level-per-file rule (§6.1), unless the relaxation is enabled.
-	if cur, ok := m.fileLevel[id.File]; !m.mixed && ok && cur != level {
+	// One-level-per-file rule (§6.1).
+	if cur, ok := m.fileLevel[id.File]; ok && cur != level {
 		return false, nil, 0, fmt.Errorf("%w: file %d is %v-locked, requested %v", ErrLevelMismatch, id.File, cur, level)
 	}
 	overlapping, exact := m.findOverlapping(level, id, length)
@@ -700,28 +683,6 @@ func (m *Manager) dropTxnLocked(txn TxnID) {
 			it.waiters = keptW
 		}
 	}
-}
-
-// HeldModes returns the modes txn currently holds on the item (diagnostic).
-func (m *Manager) HeldModes(txn TxnID, level Level, id ItemID) []Mode {
-	length, err := normLength(level, id)
-	if err != nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var modes []Mode
-	for _, it := range m.tables[m.tableKey(level)] {
-		if !it.sameItem(level, id.File, id.Offset, length) {
-			continue
-		}
-		for _, h := range it.holders {
-			if h.txn == txn {
-				modes = append(modes, h.mode)
-			}
-		}
-	}
-	return modes
 }
 
 // HoldCount returns the total number of granted lock records (diagnostic,

@@ -520,64 +520,6 @@ func TestModeLevelStrings(t *testing.T) {
 	}
 }
 
-func TestMixedLevelsRelaxation(t *testing.T) {
-	// §6.1: "This constraint can be relaxed, if required, at a later stage."
-	m, _ := newMgr(t, func(c *Config) { c.AllowMixedLevels = true })
-	// Record lock on bytes [0, 64) of file 1.
-	if err := m.Acquire(context.Background(), 1, 0, Record, recItem(1, 0, 64), IWrite); err != nil {
-		t.Fatal(err)
-	}
-	// A page lock on page 0 covers bytes [0, 8192): conflicts.
-	ok, err := m.TryAcquire(2, 0, Page, pageItem(1, 0), IWrite)
-	if err != nil || ok {
-		t.Fatalf("page 0 granted over record [0,64): ok=%v err=%v", ok, err)
-	}
-	// Page 1 (bytes [8192, 16384)) is disjoint: granted.
-	ok, err = m.TryAcquire(2, 0, Page, pageItem(1, 1), IWrite)
-	if err != nil || !ok {
-		t.Fatalf("disjoint page denied: ok=%v err=%v", ok, err)
-	}
-	// A file-level lock conflicts with everything on the file.
-	ok, err = m.TryAcquire(3, 0, File, fileItem(1), ReadOnly)
-	if err != nil || ok {
-		t.Fatalf("file lock granted over record+page IWrites: ok=%v err=%v", ok, err)
-	}
-	// And nothing above conflicts on a different file.
-	ok, err = m.TryAcquire(3, 0, File, fileItem(2), IWrite)
-	if err != nil || !ok {
-		t.Fatalf("other-file lock denied: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestMixedLevelsFileLockBlocksRecord(t *testing.T) {
-	m, _ := newMgr(t, func(c *Config) { c.AllowMixedLevels = true })
-	if err := m.Acquire(context.Background(), 1, 0, File, fileItem(7), IWrite); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := m.TryAcquire(2, 0, Record, recItem(7, 99999, 1), ReadOnly)
-	if err != nil || ok {
-		t.Fatalf("record lock granted under file IWrite: ok=%v err=%v", ok, err)
-	}
-	// Release and retry.
-	m.ReleaseAll(1)
-	ok, err = m.TryAcquire(2, 0, Record, recItem(7, 99999, 1), ReadOnly)
-	if err != nil || !ok {
-		t.Fatalf("record lock denied after release: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestMixedLevelsStillConflictAcrossSharedModes(t *testing.T) {
-	m, _ := newMgr(t, func(c *Config) { c.AllowMixedLevels = true })
-	// RO record + RO page on overlapping ranges: compatible.
-	if err := m.Acquire(context.Background(), 1, 0, Record, recItem(1, 0, 100), ReadOnly); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := m.TryAcquire(2, 0, Page, pageItem(1, 0), ReadOnly)
-	if err != nil || !ok {
-		t.Fatalf("RO page over RO record denied: ok=%v err=%v", ok, err)
-	}
-}
-
 // TestGrantAllocBudget: a two-lock commit's lock traffic — an Iread on one
 // record converted to an Iwrite, an Iwrite on a second record, ReleaseAll —
 // allocates at most twice on a warm manager. Building each item and hold

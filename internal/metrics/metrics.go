@@ -179,13 +179,6 @@ func (s *Set) Counter(name string) *Counter {
 	return c
 }
 
-// Add increments counter name by delta, looking it up: for tests and
-// one-off counts, not for a path that runs per operation.
-func (s *Set) Add(name string, delta int64) { s.Counter(name).Add(delta) }
-
-// Inc increments counter name by one (see Add).
-func (s *Set) Inc(name string) { s.Counter(name).Add(1) }
-
 // AddSimTime accumulates simulated device time.
 func (s *Set) AddSimTime(d time.Duration) {
 	if s == nil {

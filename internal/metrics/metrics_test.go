@@ -10,8 +10,8 @@ import (
 
 func TestAddAndGet(t *testing.T) {
 	s := NewSet()
-	s.Add(DiskReferences, 3)
-	s.Inc(DiskReferences)
+	s.Counter(DiskReferences).Add(3)
+	s.Counter(DiskReferences).Inc()
 	if got := s.Get(DiskReferences); got != 4 {
 		t.Fatalf("Get = %d, want 4", got)
 	}
@@ -22,8 +22,8 @@ func TestAddAndGet(t *testing.T) {
 
 func TestNilSetIsSafe(t *testing.T) {
 	var s *Set
-	s.Add("x", 1)
-	s.Inc("x")
+	s.Counter("x").Add(1)
+	s.Counter("x").Inc()
 	s.AddSimTime(time.Second)
 	if got := s.Get("x"); got != 0 {
 		t.Fatalf("nil set Get = %d, want 0", got)
@@ -45,7 +45,7 @@ func TestSimTime(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	s := NewSet()
-	s.Inc("a")
+	s.Counter("a").Inc()
 	snap := s.Snapshot()
 	snap["a"] = 99
 	if got := s.Get("a"); got != 1 {
@@ -55,10 +55,10 @@ func TestSnapshotIsCopy(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	s := NewSet()
-	s.Add("a", 2)
+	s.Counter("a").Add(2)
 	prev := s.Snapshot()
-	s.Add("a", 3)
-	s.Add("b", 1)
+	s.Counter("a").Add(3)
+	s.Counter("b").Add(1)
 	d := s.Diff(prev)
 	if d["a"] != 3 || d["b"] != 1 {
 		t.Fatalf("Diff = %v, want a:3 b:1", d)
@@ -70,7 +70,7 @@ func TestDiff(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	s := NewSet()
-	s.Inc("a")
+	s.Counter("a").Inc()
 	s.AddSimTime(time.Second)
 	s.Reset()
 	if s.Get("a") != 0 || s.SimTime() != 0 {
@@ -80,8 +80,8 @@ func TestReset(t *testing.T) {
 
 func TestStringSorted(t *testing.T) {
 	s := NewSet()
-	s.Inc("zzz")
-	s.Inc("aaa")
+	s.Counter("zzz").Inc()
+	s.Counter("aaa").Inc()
 	out := s.String()
 	if !strings.Contains(out, "aaa") || !strings.Contains(out, "zzz") {
 		t.Fatalf("String missing counters: %q", out)
@@ -108,7 +108,7 @@ func TestConcurrentAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				s.Inc("c")
+				s.Counter("c").Inc()
 			}
 		}()
 	}
@@ -134,7 +134,7 @@ func TestCounterHandleSurvivesReset(t *testing.T) {
 		t.Fatalf("Get after Reset = %d, want 0", got)
 	}
 	c.Inc()
-	s.Inc(DiskReferences)
+	s.Counter(DiskReferences).Inc()
 	if got := s.Get(DiskReferences); got != 2 {
 		t.Fatalf("Get after Reset and two increments = %d, want 2: the handle went stale", got)
 	}
@@ -203,7 +203,7 @@ func TestAddRacesResetAndSnapshot(t *testing.T) {
 				if i%2 == 0 {
 					c.Inc()
 				} else {
-					s.Inc("c")
+					s.Counter("c").Inc()
 				}
 			}
 		}(i)

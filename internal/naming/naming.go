@@ -47,26 +47,6 @@ func (t ObjectType) String() string {
 // Name is an attributed name: a set of attribute=value pairs.
 type Name map[string]string
 
-// ParseName parses "k1=v1,k2=v2". Whitespace around pairs is ignored.
-func ParseName(s string) (Name, error) {
-	n := Name{}
-	for _, pair := range strings.Split(s, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok || k == "" {
-			return nil, fmt.Errorf("naming: malformed attribute %q", pair)
-		}
-		n[strings.TrimSpace(k)] = strings.TrimSpace(v)
-	}
-	if len(n) == 0 {
-		return nil, errors.New("naming: empty attributed name")
-	}
-	return n, nil
-}
-
 // String renders the name canonically (sorted attributes).
 func (n Name) String() string {
 	keys := make([]string, 0, len(n))
@@ -283,19 +263,6 @@ func (s *Service) onlyFile(path string) (Entry, bool) {
 	return found.Entry, true
 }
 
-// Unregister removes the entry exactly matching the attributed name.
-func (s *Service) Unregister(name Name) error {
-	key := name.String()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.byName[key]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	s.removeLocked(r)
-	return nil
-}
-
 // UnregisterSystemName removes every entry with the given type and system
 // name (used when a file is deleted).
 func (s *Service) UnregisterSystemName(t ObjectType, sys uint64) int {
@@ -337,13 +304,6 @@ func (s *Service) List(dir string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of registered entries.
-func (s *Service) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byName)
 }
 
 // Entries returns a snapshot of all entries in registration order

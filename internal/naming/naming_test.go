@@ -15,25 +15,6 @@ func fileEntry(path string, sys uint64) Entry {
 	}
 }
 
-func TestParseName(t *testing.T) {
-	n, err := ParseName("type=FILE, path=/a/b ,owner=alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n["type"] != "FILE" || n["path"] != "/a/b" || n["owner"] != "alice" {
-		t.Fatalf("ParseName = %v", n)
-	}
-	if _, err := ParseName(""); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, err := ParseName("novalue"); err == nil {
-		t.Fatal("malformed pair accepted")
-	}
-	if _, err := ParseName("=x"); err == nil {
-		t.Fatal("empty key accepted")
-	}
-}
-
 func TestNameStringCanonical(t *testing.T) {
 	a := Name{"b": "2", "a": "1"}
 	if a.String() != "a=1,b=2" {

@@ -79,7 +79,7 @@ func tappedCreate(t *testing.T, addr, path string) (fileservice.FileID, *tap) {
 		t.Fatal(err)
 	}
 	tp := &tap{Transport: tr}
-	t.Cleanup(func() { _ = tp.Close() })
+	t.Cleanup(func() { _ = tr.Close() })
 	id, err := (&rpcfs.Client{C: rpc.NewClient(tp, 77, 3, nil)}).CreatePath(fit.Attributes{}, path)
 	if err != nil {
 		t.Fatal(err)

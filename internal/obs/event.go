@@ -22,9 +22,6 @@ type Event struct {
 	VirtNS     int64  `json:"virt_ns"`
 }
 
-// Time returns the event's absolute wall time.
-func (e Event) Time() time.Time { return time.Unix(0, e.WallUnixNS) }
-
 // Event appends an entry to the bounded event log. Nil-safe.
 func (r *Recorder) Event(name, detail string) {
 	if r == nil {

@@ -118,14 +118,3 @@ func StitchTraces(trees []*SpanData) []*SpanData {
 	}
 	return out
 }
-
-// FindTrace returns every top-level tree in trees whose TraceID matches.
-func FindTrace(trees []*SpanData, traceID uint64) []*SpanData {
-	var out []*SpanData
-	for _, t := range trees {
-		if t != nil && t.TraceID == traceID {
-			out = append(out, t)
-		}
-	}
-	return out
-}

@@ -85,14 +85,6 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Sum returns the total observed nanoseconds.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration {
 	if h == nil {

@@ -87,15 +87,6 @@ func (l Layer) String() string {
 	return layerNames[l]
 }
 
-// Layers returns every layer in rendering order.
-func Layers() []Layer {
-	out := make([]Layer, numLayers)
-	for i := range out {
-		out[i] = Layer(i)
-	}
-	return out
-}
-
 const (
 	defaultFlightCap = 64
 	faultDumpCap     = 8
@@ -403,14 +394,6 @@ func FromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// WithSpan returns ctx with sp as the active span.
-func WithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, sp)
-}
-
 // StartSpan starts a child of the span active in ctx and returns it as the
 // context for the work it brackets. When ctx carries no span it returns
 // (ctx, nil) — the disabled fast path is one context lookup and a nil check.
@@ -608,16 +591,6 @@ func (s *Span) SetCount(n int) {
 	s.mu.Unlock()
 }
 
-// End completes the span, recording its wall and virtual durations into
-// the layer histograms. Ending a root pushes the finished tree into the
-// flight recorder. End is idempotent.
-func (s *Span) End(err error) { s.end(err, -1) }
-
-// EndCost is End with an exact virtual-time cost. The device layer uses it
-// because its modeled seek+transfer cost is known precisely, whereas the
-// shared virtual clock folds in concurrently overlapping operations.
-func (s *Span) EndCost(cost time.Duration, err error) { s.end(err, cost) }
-
 func (s *Span) end(err error, cost time.Duration) {
 	if s == nil {
 		return
@@ -750,10 +723,14 @@ func (o *Op) SetTxn(id uint64)  { o.sp.SetTxn(id) }
 func (o *Op) AddBytes(n int)    { o.sp.AddBytes(n) }
 func (o *Op) SetCount(n int)    { o.sp.SetCount(n) }
 
-// End completes the bracket. Like Span.End it is idempotent.
+// End completes the bracket, recording its wall and virtual durations into
+// the layer histograms; ending a root span pushes the finished tree into the
+// flight recorder. End is idempotent.
 func (o *Op) End(err error) { o.end(err, -1) }
 
-// EndCost is End with an exact virtual-time cost (see Span.EndCost).
+// EndCost is End with an exact virtual-time cost. The device layer uses it
+// because its modeled seek+transfer cost is known precisely, whereas the
+// shared virtual clock folds in concurrently overlapping operations.
 func (o *Op) EndCost(cost time.Duration, err error) { o.end(err, cost) }
 
 // end reports the durations it recorded, and false when it recorded none

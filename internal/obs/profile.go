@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -248,11 +247,6 @@ func (p *Profile) String() string {
 	var b strings.Builder
 	p.Render(&b)
 	return b.String()
-}
-
-// JSON marshals the profile with indentation.
-func (p *Profile) JSON() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
 }
 
 // Render writes the span tree as indented text, one span per line.

@@ -56,7 +56,6 @@ import (
 // Sizes re-exported for callers.
 const (
 	FragmentSize      = diskservice.FragmentSize
-	BlockSize         = diskservice.BlockSize
 	FragmentsPerBlock = diskservice.FragmentsPerBlock
 )
 
@@ -90,15 +89,9 @@ var ErrDoubleFailure = fmt.Errorf("%w: second distinct disk failed; array data l
 
 // Config configures an Array.
 type Config struct {
-	// ID identifies the array as a storage backend.
-	ID int
 	// Disks are the K+1 disk servers the array stripes over. Required,
 	// at least three. The array owns the allocatable region of every disk.
 	Disks []*diskservice.Server
-	// UnitFragments is the stripe unit size in fragments; defaults to 1, so
-	// that with K = 4 data disks one 8 KB block is exactly one full stripe
-	// and block-aligned writes take the no-read full-stripe path.
-	UnitFragments int
 	// Metrics receives the parity counters. Optional.
 	Metrics *metrics.Set
 	// Overlap, when set, brackets multi-disk fan-outs so overlap-aware
@@ -115,9 +108,7 @@ type Config struct {
 // presenting the data units as one flat fragment space. It is safe for
 // concurrent use and implements fileservice.Backend.
 type Array struct {
-	id      int
 	n, k    int // n = k+1 disks, k data units per stripe
-	unit    int // fragments per stripe unit
 	stripes int
 	met     counters
 	overlap simclock.Batcher
@@ -167,15 +158,9 @@ func New(cfg Config) (*Array, error) {
 	if len(cfg.Disks) < 3 {
 		return nil, ErrTooFewDisks
 	}
-	unit := cfg.UnitFragments
-	if unit <= 0 {
-		unit = 1
-	}
 	a := &Array{
-		id:      cfg.ID,
 		n:       len(cfg.Disks),
 		k:       len(cfg.Disks) - 1,
-		unit:    unit,
 		met:     newCounters(cfg.Metrics),
 		overlap: cfg.Overlap,
 		fault:   cfg.Fault,
@@ -187,15 +172,15 @@ func New(cfg Config) (*Array, error) {
 	a.stripes = -1
 	for i, d := range a.disks {
 		a.base[i] = d.MetadataFragments()
-		if s := (d.Capacity() - a.base[i]) / unit; a.stripes < 0 || s < a.stripes {
+		if s := d.Capacity() - a.base[i]; a.stripes < 0 || s < a.stripes {
 			a.stripes = s
 		}
 	}
 	if a.stripes <= 0 {
-		return nil, fmt.Errorf("parity: disks too small for unit of %d fragments", unit)
+		return nil, errors.New("parity: disks too small for a stripe")
 	}
 	var err error
-	a.fsmap, err = freespace.NewMap(a.stripes * a.k * unit)
+	a.fsmap, err = freespace.NewMap(a.stripes * a.k)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +197,7 @@ func (a *Array) claimRegions() error {
 		if err := d.ResetBitmap(); err != nil {
 			return err
 		}
-		if err := d.AllocateAt(a.base[i], a.stripes*a.unit); err != nil {
+		if err := d.AllocateAt(a.base[i], a.stripes); err != nil {
 			return fmt.Errorf("parity: claiming region on disk %d: %w", i, err)
 		}
 	}
@@ -220,9 +205,6 @@ func (a *Array) claimRegions() error {
 }
 
 // Geometry accessors.
-
-// ID returns the backend identifier.
-func (a *Array) ID() int { return a.id }
 
 // Disks returns the number of member disks (K+1).
 func (a *Array) Disks() int { return a.n }
@@ -233,12 +215,9 @@ func (a *Array) DataDisks() int { return a.k }
 // Stripes returns the number of stripes.
 func (a *Array) Stripes() int { return a.stripes }
 
-// UnitFragments returns the stripe unit size in fragments.
-func (a *Array) UnitFragments() int { return a.unit }
-
 // Capacity returns the usable (data) size in fragments — K/(K+1) of the raw
 // striped space.
-func (a *Array) Capacity() int { return a.stripes * a.k * a.unit }
+func (a *Array) Capacity() int { return a.stripes * a.k }
 
 // FreeFragments returns the number of free data fragments.
 func (a *Array) FreeFragments() int { return a.fsmap.FreeCount() }
@@ -266,8 +245,9 @@ func (a *Array) dataDisk(s, j int) int {
 }
 
 // physAddr returns the physical fragment address of offset off within
-// stripe s's unit on disk d.
-func (a *Array) physAddr(d, s, off int) int { return a.base[d] + s*a.unit + off }
+// stripe s's unit on disk d. A stripe unit is one fragment, so one stripe
+// is K data fragments plus their parity fragment.
+func (a *Array) physAddr(d, s, off int) int { return a.base[d] + s + off }
 
 // Allocation — the file service's allocator surface, answered from the
 // array's own free-space map over the virtual data space. Underlying disks
@@ -275,9 +255,6 @@ func (a *Array) physAddr(d, s, off int) int { return a.base[d] + s*a.unit + off 
 
 // AllocateFragments claims n contiguous data fragments.
 func (a *Array) AllocateFragments(n int) (int, error) { return a.fsmap.Allocate(n) }
-
-// AllocateFragmentsNear is AllocateFragments preferring addresses near hint.
-func (a *Array) AllocateFragmentsNear(hint, n int) (int, error) { return a.fsmap.AllocateNear(hint, n) }
 
 // AllocateBlocks claims n contiguous blocks (4n fragments).
 func (a *Array) AllocateBlocks(n int) (int, error) { return a.fsmap.Allocate(n * FragmentsPerBlock) }
@@ -417,43 +394,11 @@ func (a *Array) Degraded() bool { return a.FailedDisk() >= 0 }
 // stripeLock returns the lock covering stripe s.
 func (a *Array) stripeLock(s int) *sync.Mutex { return &a.stripeLocks[s%stripeLockCount] }
 
-// fanout runs the tasks concurrently inside an overlap batch, so transfers
-// dispatched to different disks occupy overlapping virtual intervals (and
-// overlapping wall-clock windows when the drives simulate occupancy). The
-// first task runs on the caller's goroutine, so a crash point it passes — the
-// stable write of a unit's put-block, when it is the only data unit —
-// unwinds to the caller's fault.Run, after the other tasks have finished.
-// The first error in task order is returned.
-func (a *Array) fanout(tasks []func() error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	if len(tasks) == 1 {
-		return tasks[0]()
-	}
-	if a.overlap != nil {
-		a.overlap.EnterBatch()
-		defer a.overlap.LeaveBatch()
-	}
-	errs := make([]error, len(tasks))
-	var wg sync.WaitGroup
-	defer wg.Wait() // also when the first task unwinds
-	for i, t := range tasks[1:] {
-		wg.Add(1)
-		go func(i int, t func() error) {
-			defer wg.Done()
-			errs[i] = t()
-		}(i+1, t)
-	}
-	errs[0] = tasks[0]()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// fanout runs the tasks concurrently inside an overlap batch
+// (simclock.Fanout), so transfers dispatched to different disks occupy
+// overlapping virtual intervals (and overlapping wall-clock windows when the
+// drives simulate occupancy).
+func (a *Array) fanout(tasks []func() error) error { return simclock.Fanout(a.overlap, tasks) }
 
 // xorInto folds src into dst byte-wise (dst ^= src).
 func xorInto(dst, src []byte) {
@@ -474,22 +419,12 @@ type vspan struct {
 }
 
 // planSpans splits the virtual range [addr, addr+n) into per-unit spans, in
-// increasing virtual order.
+// increasing virtual order: one span per fragment, the stripe unit.
 func (a *Array) planSpans(addr, n int) []vspan {
-	spans := make([]vspan, 0, n/a.unit+2)
-	for covered := 0; covered < n; {
-		va := addr + covered
-		u := va / a.unit
-		off := va % a.unit
-		frags := a.unit - off
-		if frags > n-covered {
-			frags = n - covered
-		}
-		spans = append(spans, vspan{
-			stripe: u / a.k, j: u % a.k, off: off, frags: frags,
-			bufOff: covered * FragmentSize,
-		})
-		covered += frags
+	spans := make([]vspan, n)
+	for i := range spans {
+		va := addr + i
+		spans[i] = vspan{stripe: va / a.k, j: va % a.k, frags: 1, bufOff: i * FragmentSize}
 	}
 	return spans
 }
@@ -499,12 +434,6 @@ func (a *Array) checkSpan(addr, n int) error {
 		return fmt.Errorf("%w: [%d,%d) of %d", device.ErrOutOfRange, addr, addr+n, a.Capacity())
 	}
 	return nil
-}
-
-// Get is GetInto a fresh buffer of n*FragmentSize bytes.
-func (a *Array) Get(ctx context.Context, addr, n int, opts diskservice.GetOptions) ([]byte, error) {
-	buf := make([]byte, min(max(n, 0), a.Capacity())*FragmentSize)
-	return buf, a.GetInto(ctx, addr, n, buf, opts)
 }
 
 // GetInto reads n contiguous data fragments starting at addr into the first

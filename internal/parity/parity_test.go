@@ -35,7 +35,7 @@ func newRig(t *testing.T, n int, opts ...func(*Config)) *rig {
 	for i := 0; i < n; i++ {
 		r.addDisk(t, g, i)
 	}
-	cfg := Config{ID: 100, Disks: r.srvs, Metrics: met}
+	cfg := Config{Disks: r.srvs, Metrics: met}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -49,7 +49,7 @@ func newRig(t *testing.T, n int, opts ...func(*Config)) *rig {
 
 // addDisk formats one more disk service and appends it to the rig (used for
 // the initial members and for replacement disks).
-func (r *rig) addDisk(t *testing.T, g device.Geometry, id int) *diskservice.Server {
+func (r *rig) addDisk(t *testing.T, g device.Geometry, id int, opts ...stable.Option) *diskservice.Server {
 	t.Helper()
 	disk, err := device.New(g)
 	if err != nil {
@@ -63,7 +63,7 @@ func (r *rig) addDisk(t *testing.T, g device.Geometry, id int) *diskservice.Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := stable.NewStore(sp, sm)
+	st, err := stable.NewStore(sp, sm, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func pattern(frags int, seed int64) []byte {
 
 func mustGet(t *testing.T, a *Array, addr, n int) []byte {
 	t.Helper()
-	b, err := a.Get(context.Background(), addr, n, diskservice.GetOptions{})
+	b, err := a.getAlloc(context.Background(), addr, n, diskservice.GetOptions{})
 	if err != nil {
 		t.Fatalf("Get(%d,%d): %v", addr, n, err)
 	}
@@ -113,7 +113,7 @@ func TestGeometry(t *testing.T) {
 	if got, want := a.StorageOverhead(), 1.25; got != want {
 		t.Fatalf("overhead %v, want %v", got, want)
 	}
-	if a.Capacity() != a.Stripes()*a.DataDisks()*a.UnitFragments() {
+	if a.Capacity() != a.Stripes()*a.DataDisks() {
 		t.Fatalf("capacity %d inconsistent", a.Capacity())
 	}
 	// Every (stripe, unit) maps to a distinct disk, none the parity disk.
@@ -169,17 +169,30 @@ func TestRoundTripAndParityInvariant(t *testing.T) {
 	checkClean(t, a)
 }
 
-func TestLargerUnit(t *testing.T) {
-	r := newRig(t, 4, func(c *Config) { c.UnitFragments = 4 })
-	a := r.arr
-	data := pattern(a.Capacity(), 4)
-	if err := a.Put(context.Background(), 0, data, diskservice.PutOptions{}); err != nil {
+// TestFlushCrashOnMemberUnwindsToCaller: a crash point reached while the
+// array flushes a member off the caller's goroutine — the second member's
+// stable write — unwinds to the caller's fault.Run instead of killing the
+// process.
+func TestFlushCrashOnMemberUnwindsToCaller(t *testing.T) {
+	g := device.Geometry{FragmentsPerTrack: 8, Tracks: 32}
+	inj := fault.NewInjector(1)
+	r := &rig{met: metrics.NewSet()}
+	for i := 0; i < 3; i++ {
+		var opts []stable.Option
+		if i == 1 {
+			opts = append(opts, stable.WithFault(inj))
+		}
+		r.addDisk(t, g, i, opts...)
+	}
+	a, err := New(Config{Disks: r.srvs, Metrics: r.met})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mustGet(t, a, 0, a.Capacity()); !bytes.Equal(got, data) {
-		t.Fatal("whole-array round trip mismatch")
+	inj.Arm(stable.PtWriteBeforePrimary, fault.Action{Kind: fault.KindCrash})
+	crashed, err := fault.Run(a.Flush)
+	if crashed == nil {
+		t.Fatalf("Flush with the second member's stable write armed: no crash (err %v)", err)
 	}
-	checkClean(t, a)
 }
 
 func TestDegradedRead(t *testing.T) {
@@ -272,7 +285,7 @@ func TestDegradedWrite(t *testing.T) {
 			t.Fatalf("post-rebuild read-back, disk %d: mismatch", fail)
 		}
 		checkClean(t, a)
-		if done, total := a.RebuildProgress(); done != total {
+		if done, total := a.rebuildProgress(); done != total {
 			t.Fatalf("rebuild progress %d/%d after completion", done, total)
 		}
 	}
@@ -294,7 +307,7 @@ func TestSecondFailureIsFatal(t *testing.T) {
 	r.disks[1].Fail()
 	r.disks[3].Fail()
 	a.InvalidateCache()
-	if _, err := a.Get(context.Background(), 0, 8, diskservice.GetOptions{}); err == nil {
+	if _, err := a.getAlloc(context.Background(), 0, 8, diskservice.GetOptions{}); err == nil {
 		t.Fatal("read with two disks down unexpectedly succeeded")
 	}
 }
@@ -307,7 +320,7 @@ func TestStablePassThrough(t *testing.T) {
 	if err := a.Put(context.Background(), 4, data, opts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Get(context.Background(), 4, 6, diskservice.GetOptions{FromStable: true})
+	got, err := a.getAlloc(context.Background(), 4, 6, diskservice.GetOptions{FromStable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +336,7 @@ func TestStablePassThrough(t *testing.T) {
 	if err := a.MarkFailed(2); err != nil {
 		t.Fatal(err)
 	}
-	got, err = a.Get(context.Background(), 4, 6, diskservice.GetOptions{FromStable: true})
+	got, err = a.getAlloc(context.Background(), 4, 6, diskservice.GetOptions{FromStable: true})
 	if err != nil {
 		t.Fatalf("stable read with main device down: %v", err)
 	}
@@ -470,7 +483,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	rebuildErr := make(chan error, 1)
 	go func() { rebuildErr <- a.Rebuild() }()
 	polltest.Until(t, "the rebuild to start", func() bool {
-		done, total := a.RebuildProgress()
+		done, total := a.rebuildProgress()
 		if done >= total {
 			t.Fatal("rebuild finished before the second failure could land")
 		}
@@ -486,7 +499,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				got, err := a.Get(context.Background(), 0, 4, diskservice.GetOptions{})
+				got, err := a.getAlloc(context.Background(), 0, 4, diskservice.GetOptions{})
 				if err != nil {
 					if !errors.Is(err, ErrDoubleFailure) && !errors.Is(err, ErrTooManyFailures) {
 						readErrs <- err
@@ -521,7 +534,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 
 	// The array is lost: reads, writes, parity checks, and rebuild restarts
 	// all refuse with the double-failure error instead of serving garbage.
-	if _, err := a.Get(context.Background(), 0, 1, diskservice.GetOptions{}); !errors.Is(err, ErrDoubleFailure) {
+	if _, err := a.getAlloc(context.Background(), 0, 1, diskservice.GetOptions{}); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("Get after double failure = %v", err)
 	}
 	if err := a.Put(context.Background(), 0, pattern(1, 1), diskservice.PutOptions{}); !errors.Is(err, ErrDoubleFailure) {
@@ -641,7 +654,7 @@ func TestGetIntoMatchesGet(t *testing.T) {
 	if _, err := a.RebuildStep(a.Stripes() / 2); err != nil {
 		t.Fatal(err)
 	}
-	if done, total := a.RebuildProgress(); done == 0 || done == total {
+	if done, total := a.rebuildProgress(); done == 0 || done == total {
 		t.Fatalf("rebuild at %d of %d stripes; the check wants it half way", done, total)
 	}
 	check("mid-rebuild")
@@ -659,12 +672,12 @@ func TestGetIntoRefusesBeforeReading(t *testing.T) {
 		}
 		return h
 	}
-	if _, err := a.Get(context.Background(), a.Capacity()-40, 1, diskservice.GetOptions{}); err != nil {
+	if _, err := a.getAlloc(context.Background(), a.Capacity()-40, 1, diskservice.GetOptions{}); err != nil {
 		t.Fatal(err) // move the heads off track 0
 	}
 	before := heads()
 	err := a.GetInto(context.Background(), a.Capacity()-1, 2, make([]byte, 2*FragmentSize), diskservice.GetOptions{})
-	if _, aerr := a.Get(context.Background(), a.Capacity()-1, 2, diskservice.GetOptions{}); !errors.Is(err, device.ErrOutOfRange) || aerr == nil || aerr.Error() != err.Error() {
+	if _, aerr := a.getAlloc(context.Background(), a.Capacity()-1, 2, diskservice.GetOptions{}); !errors.Is(err, device.ErrOutOfRange) || aerr == nil || aerr.Error() != err.Error() {
 		t.Fatalf("GetInto off the array = %v, Get = %v; want ErrOutOfRange from both", err, aerr)
 	}
 	if err := a.GetInto(context.Background(), 0, 2, make([]byte, 2*FragmentSize-1), diskservice.GetOptions{}); !errors.Is(err, device.ErrShortBuffer) {

@@ -47,14 +47,14 @@ func (a *Array) ReplaceDisk(i int, srv *diskservice.Server) error {
 		return fmt.Errorf("parity: replacement metadata region (%d) exceeds slot base %d",
 			srv.MetadataFragments(), a.base[i])
 	}
-	if srv.Capacity() < a.base[i]+a.stripes*a.unit {
+	if srv.Capacity() < a.base[i]+a.stripes {
 		return fmt.Errorf("parity: replacement too small: %d < %d fragments",
-			srv.Capacity(), a.base[i]+a.stripes*a.unit)
+			srv.Capacity(), a.base[i]+a.stripes)
 	}
 	if err := srv.ResetBitmap(); err != nil {
 		return err
 	}
-	if err := srv.AllocateAt(a.base[i], a.stripes*a.unit); err != nil {
+	if err := srv.AllocateAt(a.base[i], a.stripes); err != nil {
 		return fmt.Errorf("parity: claiming region on replacement: %w", err)
 	}
 	// Copy-on-write: snapshot() hands the disks slice out without the lock.
@@ -70,7 +70,7 @@ func (a *Array) ReplaceDisk(i int, srv *diskservice.Server) error {
 // stripe is reconstructed and written under its stripe lock, so reads and
 // writes proceed concurrently throughout; stripes below the advancing
 // watermark are already served healthily. Progress is visible in the
-// parity.rebuild.stripes counter and via RebuildProgress.
+// parity.rebuild.stripes counter.
 func (a *Array) Rebuild() error {
 	for {
 		done, err := a.RebuildStep(256)
@@ -125,7 +125,7 @@ func (a *Array) rebuildStripe(disks []*diskservice.Server, f, s int) error {
 	lk.Lock()
 	defer lk.Unlock()
 
-	unit := make([]byte, a.unit*FragmentSize)
+	unit := make([]byte, FragmentSize)
 	bufs := make([][]byte, a.n)
 	var tasks []func() error
 	for d := 0; d < a.n; d++ {
@@ -136,7 +136,7 @@ func (a *Array) rebuildStripe(disks []*diskservice.Server, f, s int) error {
 		srv := disks[d]
 		phys := a.physAddr(d, s, 0)
 		tasks = append(tasks, func() error {
-			b, err := srv.Get(context.Background(), phys, a.unit, diskservice.GetOptions{})
+			b, err := srv.Get(context.Background(), phys, 1, diskservice.GetOptions{})
 			bufs[d] = b
 			return err
 		})
@@ -168,21 +168,6 @@ func (a *Array) rebuildStripe(disks []*diskservice.Server, f, s int) error {
 	return nil
 }
 
-// RebuildProgress returns how many stripes are in sync on the replacement
-// and the total. With no rebuild in flight it reports (total, total) when
-// healthy and (0, total) when degraded without a replacement.
-func (a *Array) RebuildProgress() (done, total int) {
-	_, failed, rebuilding, w := a.snapshot()
-	switch {
-	case rebuilding:
-		return w, a.stripes
-	case failed < 0:
-		return a.stripes, a.stripes
-	default:
-		return 0, a.stripes
-	}
-}
-
 // CheckParity verifies the parity invariant — the XOR of every stripe's
 // K+1 units is zero — reading each stripe under its stripe lock. It returns
 // the stripes that violate the invariant. The array must be healthy.
@@ -195,7 +180,7 @@ func (a *Array) CheckParity() ([]int, error) {
 		return nil, ErrDegraded
 	}
 	var bad []int
-	acc := make([]byte, a.unit*FragmentSize)
+	acc := make([]byte, FragmentSize)
 	for s := 0; s < a.stripes; s++ {
 		lk := a.stripeLock(s)
 		lk.Lock()
@@ -210,7 +195,7 @@ func (a *Array) CheckParity() ([]int, error) {
 			srv := disks[d]
 			phys := a.physAddr(d, s, 0)
 			tasks = append(tasks, func() error {
-				b, e := srv.Get(context.Background(), phys, a.unit, diskservice.GetOptions{})
+				b, e := srv.Get(context.Background(), phys, 1, diskservice.GetOptions{})
 				bufs[d] = b
 				return e
 			})

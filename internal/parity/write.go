@@ -118,11 +118,7 @@ func (a *Array) writeStripeLocked(stripe int, spans []vspan, data []byte, opts d
 	// A rebuilt stripe (below the watermark) is healthy: its unit on the
 	// replacement disk is in sync and must be written like any other.
 	healthy := failed < 0 || (rebuilding && stripe < w)
-	total := 0
-	for _, sp := range spans {
-		total += sp.frags
-	}
-	if total == a.k*a.unit {
+	if len(spans) == a.k {
 		return a.writeFullStripe(disks, healthy, failed, stripe, spans, data, opts)
 	}
 	if healthy {
@@ -164,7 +160,7 @@ func stableEcho(opts diskservice.PutOptions) (diskservice.PutOptions, bool) {
 // lost disk (data or parity) is simply skipped; the remaining K writes still
 // fully determine the stripe.
 func (a *Array) writeFullStripe(disks []*diskservice.Server, healthy bool, failed, stripe int, spans []vspan, data []byte, opts diskservice.PutOptions) error {
-	par := make([]byte, a.unit*FragmentSize)
+	par := make([]byte, FragmentSize)
 	for _, sp := range spans {
 		xorInto(par, data[sp.bufOff:sp.bufOff+sp.frags*FragmentSize])
 	}

@@ -62,9 +62,6 @@ func NewManager(replicas []*fileservice.Service) (*Manager, error) {
 	}, nil
 }
 
-// Replicas returns the number of replica services.
-func (m *Manager) Replicas() int { return len(m.replicas) }
-
 // Create makes a replicated file on every replica.
 func (m *Manager) Create(attr fit.Attributes) (RepID, error) {
 	m.mu.Lock()
@@ -193,18 +190,6 @@ func (m *Manager) Delete(id RepID) error {
 	return firstErr
 }
 
-// MarkFailed declares a replica down (e.g. its machine crashed). Subsequent
-// writes skip it and mark touched files stale.
-func (m *Manager) MarkFailed(i int) error {
-	if i < 0 || i >= len(m.replicas) {
-		return ErrBadReplica
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failed[i] = true
-	return nil
-}
-
 // Repair brings a replica back: every file stale on it is resynchronized
 // from a healthy copy, then the replica rejoins.
 func (m *Manager) Repair(i int) error {
@@ -260,15 +245,6 @@ func (m *Manager) resyncLocked(rf *rfile, dst int) error {
 		}
 	}
 	return nil
-}
-
-// Health returns the per-replica failed flags (a copy).
-func (m *Manager) Health() []bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]bool, len(m.failed))
-	copy(out, m.failed)
-	return out
 }
 
 // StaleCount returns how many (file, replica) pairs are stale (diagnostic).

@@ -219,24 +219,6 @@ func (c *DupCache) Store(client, seq uint64, resp Response) {
 	}
 }
 
-// Len returns the total number of cached responses (diagnostic).
-func (c *DupCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, w := range c.clients {
-		n += len(w.responses)
-	}
-	return n
-}
-
-// Clients returns how many client windows are retained (diagnostic).
-func (c *DupCache) Clients() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.clients)
-}
-
 // Transient wraps a handler error so the endpoint's duplicate cache does
 // not retain the response: the refusal reflects a condition — a shard's
 // backup not yet promoted, a service still warming up — that a retry of the
@@ -396,7 +378,6 @@ func (e *Endpoint) SeedDup(clientID, seq uint64, body []byte, errMsg string) {
 // Transport delivers requests to an endpoint.
 type Transport interface {
 	Send(Request) (Response, error)
-	Close() error
 }
 
 // DeadlineTransport is implemented by transports that can bound one send
@@ -426,8 +407,6 @@ type InProc struct {
 	rng *rand.Rand
 	cfg FaultConfig
 	inj *fault.Injector
-
-	closed bool
 }
 
 // NewInProc connects to ep with the given fault configuration.
@@ -462,10 +441,6 @@ func (t *InProc) SendWithDeadline(req Request, deadline time.Time) (Response, er
 
 func (t *InProc) send(req Request, deadline time.Time) (Response, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return Response{}, ErrClosed
-	}
 	drop := t.rng.Float64() < t.cfg.DropProb
 	dup := t.rng.Float64() < t.cfg.DupProb
 	inj := t.inj
@@ -488,14 +463,6 @@ func (t *InProc) send(req Request, deadline time.Time) (Response, error) {
 		return Response{}, ErrDropped
 	}
 	return t.ep.Handle(context.Background(), req), nil
-}
-
-// Close marks the transport closed.
-func (t *InProc) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closed = true
-	return nil
 }
 
 // Client issues requests over a transport with retries; combined with the

@@ -229,18 +229,6 @@ func TestExhaustedRetries(t *testing.T) {
 	}
 }
 
-func TestClosedTransport(t *testing.T) {
-	ep := NewEndpoint(newCountingHandler().handle)
-	tr := NewInProc(ep, FaultConfig{})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(tr, 1, 0, nil)
-	if _, err := c.Call(context.Background(), "x", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Call after close = %v, want ErrClosed", err)
-	}
-}
-
 func TestConcurrentCalls(t *testing.T) {
 	h := newCountingHandler()
 	ep := NewEndpoint(h.handle, WithWindow(4096))

@@ -211,9 +211,6 @@ func Serve(ln net.Listener, ep *Endpoint, opts ...TCPOption) *TCPServer {
 	return s
 }
 
-// Addr returns the listener address.
-func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }
-
 func (s *TCPServer) acceptLoop() {
 	defer s.wg.Done()
 	for {

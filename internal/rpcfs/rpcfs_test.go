@@ -32,7 +32,7 @@ func newRemote(t *testing.T) (*core.Cluster, *rpcfs.Client) {
 	}
 	tsrv := rpc.Serve(ln, ep)
 	t.Cleanup(func() { _ = tsrv.Close() })
-	tr, err := rpc.DialTCP(tsrv.Addr().String())
+	tr, err := rpc.DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

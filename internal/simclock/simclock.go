@@ -165,11 +165,8 @@ func (h *timerHeap) Pop() any {
 // users bracket each charged operation so an overlap-aware accounting layer
 // (Group) can tell concurrent operations from sequential ones. BeginOp(cost)
 // charges cost virtual time at the start of the operation; EndOp marks its
-// completion. Advance(d) is BeginOp(d) immediately followed by EndOp. Nothing
-// waits on a device clock, so it has no timers.
+// completion. Nothing waits on a device clock, so it has no timers.
 type OpClock interface {
-	Now() time.Duration
-	Advance(d time.Duration) time.Duration
 	BeginOp(cost time.Duration)
 	EndOp()
 }
@@ -182,6 +179,52 @@ type OpClock interface {
 type Batcher interface {
 	EnterBatch()
 	LeaveBatch()
+}
+
+// Fanout is the scatter-gather layers' one fan-out: it runs the tasks
+// concurrently inside one batch of b (nil: no batch) and returns the first
+// error in task order. A single task runs alone, unbatched. The first task
+// runs on the caller's goroutine and each other on one of its own; Fanout
+// waits for every task, also while the first unwinds, and then raises a
+// panic another task ended with again on the caller, so a crash point
+// reached in any task unwinds to the caller's fault.Run.
+func Fanout(b Batcher, tasks []func() error) error {
+	switch len(tasks) {
+	case 0:
+		return nil
+	case 1:
+		return tasks[0]()
+	}
+	if b != nil {
+		b.EnterBatch()
+		defer b.LeaveBatch()
+	}
+	errs := make([]error, len(tasks))
+	panics := make([]any, len(tasks))
+	var wg sync.WaitGroup
+	for i := 1; i < len(tasks); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			errs[i] = tasks[i]()
+		}(i)
+	}
+	func() {
+		defer wg.Wait()
+		errs[0] = tasks[0]()
+	}()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BeginOp charges d to the virtual clock; on a plain Virtual there is no
@@ -301,14 +344,6 @@ func (m *Member) EndOp() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.leaveBurstLocked()
-}
-
-// Advance charges d as one immediately completed operation and returns the
-// member's accumulated busy time.
-func (m *Member) Advance(d time.Duration) time.Duration {
-	m.BeginOp(d)
-	m.EndOp()
-	return m.Now()
 }
 
 // Wall is a Clock backed by the real monotonic clock and the runtime's

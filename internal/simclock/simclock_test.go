@@ -1,7 +1,9 @@
 package simclock
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -75,9 +77,9 @@ func TestGroupSequentialSums(t *testing.T) {
 	g := NewGroup()
 	a := g.NewMember()
 	b := g.NewMember()
-	a.Advance(10 * time.Millisecond)
-	b.Advance(5 * time.Millisecond)
-	a.Advance(1 * time.Millisecond)
+	op(a, 10*time.Millisecond)
+	op(b, 5*time.Millisecond)
+	op(a, 1*time.Millisecond)
 	if got := g.Elapsed(); got != 16*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 16ms (sequential ops sum)", got)
 	}
@@ -93,17 +95,17 @@ func TestGroupBatchOverlaps(t *testing.T) {
 	g := NewGroup()
 	a := g.NewMember()
 	b := g.NewMember()
-	a.Advance(2 * time.Millisecond) // sequential prelude
+	op(a, 2*time.Millisecond) // sequential prelude
 	g.EnterBatch()
-	a.Advance(10 * time.Millisecond)
-	b.Advance(7 * time.Millisecond)
+	op(a, 10*time.Millisecond)
+	op(b, 7*time.Millisecond)
 	g.LeaveBatch()
 	// Batch ops overlap: elapsed = prelude + max(10ms, 7ms).
 	if got := g.Elapsed(); got != 12*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 12ms (batched ops overlap)", got)
 	}
 	// A later sequential op starts after the batch completes.
-	b.Advance(1 * time.Millisecond)
+	op(b, 1*time.Millisecond)
 	if got := g.Elapsed(); got != 13*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 13ms", got)
 	}
@@ -114,9 +116,9 @@ func TestGroupSameMemberSerializesInBatch(t *testing.T) {
 	a := g.NewMember()
 	b := g.NewMember()
 	g.EnterBatch()
-	a.Advance(3 * time.Millisecond)
-	a.Advance(3 * time.Millisecond) // same spindle: must chain, not overlap
-	b.Advance(4 * time.Millisecond)
+	op(a, 3*time.Millisecond)
+	op(a, 3*time.Millisecond) // same spindle: must chain, not overlap
+	op(b, 4*time.Millisecond)
 	g.LeaveBatch()
 	if got := g.Elapsed(); got != 6*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 6ms (same member chains)", got)
@@ -141,9 +143,51 @@ func TestGroupBeginEndOpWindow(t *testing.T) {
 }
 
 func TestGroupMemberImplementsClock(t *testing.T) {
-	g := NewGroup()
-	var c OpClock = g.NewMember()
-	if got := c.Advance(time.Millisecond); got != time.Millisecond {
-		t.Fatalf("Advance returned %v, want 1ms", got)
+	m := NewGroup().NewMember()
+	var c OpClock = m
+	c.BeginOp(time.Millisecond)
+	c.EndOp()
+	if got := m.Now(); got != time.Millisecond {
+		t.Fatalf("member busy = %v, want 1ms", got)
+	}
+}
+
+// op charges d on m as one immediately completed operation.
+func op(m *Member, d time.Duration) {
+	m.BeginOp(d)
+	m.EndOp()
+}
+
+// countingBatcher counts the batches a fan-out opens and closes.
+type countingBatcher struct{ enter, leave atomic.Int32 }
+
+func (b *countingBatcher) EnterBatch() { b.enter.Add(1) }
+func (b *countingBatcher) LeaveBatch() { b.leave.Add(1) }
+
+// TestFanout: the first error in task order comes back after every task
+// ran inside one batch, and a panic in a task off the caller's goroutine is
+// raised again on the caller once every task has finished.
+func TestFanout(t *testing.T) {
+	var b countingBatcher
+	var ran atomic.Int32
+	errA, errB := errors.New("a"), errors.New("b")
+	task := func(err error) func() error {
+		return func() error { ran.Add(1); return err }
+	}
+	if err := Fanout(&b, []func() error{task(nil), task(errA), task(errB)}); err != errA {
+		t.Fatalf("Fanout = %v, want the first error in task order", err)
+	}
+	if ran.Load() != 3 || b.enter.Load() != 1 || b.leave.Load() != 1 {
+		t.Fatalf("ran %d tasks in %d/%d batches, want 3 in 1", ran.Load(), b.enter.Load(), b.leave.Load())
+	}
+
+	ran.Store(0)
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		_ = Fanout(nil, []func() error{task(nil), func() error { panic("worker") }, task(nil)})
+		return nil
+	}()
+	if got != "worker" || ran.Load() != 2 {
+		t.Fatalf("recovered %v after %d other tasks, want the worker's panic after 2", got, ran.Load())
 	}
 }

@@ -109,15 +109,6 @@ func (s *Store) Capacity() int { return s.primary.Geometry().Capacity() }
 // Allocate claims n contiguous stable fragments.
 func (s *Store) Allocate(n int) (int, error) { return s.alloc.Allocate(n) }
 
-// AllocateAt claims the exact span [start, start+n).
-func (s *Store) AllocateAt(start, n int) error { return s.alloc.AllocateAt(start, n) }
-
-// Free releases a span claimed with Allocate.
-func (s *Store) Free(start, n int) error { return s.alloc.Free(start, n) }
-
-// FreeCount returns the number of unclaimed stable fragments.
-func (s *Store) FreeCount() int { return s.alloc.FreeCount() }
-
 // Write stores data (a whole number of fragments) at the given fragment
 // address on both mirrors, primary first, returning when both copies are on
 // disk. This is the "call returned after saving on stable storage" flavour

@@ -2,10 +2,8 @@ package txn
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/fit"
-	"repro/internal/lock"
 )
 
 // TestAdaptiveDefaultLockLevel verifies §7's "exploits the knowledge of how
@@ -13,19 +11,14 @@ import (
 // locking, hot files to fine (record) locking.
 func TestAdaptiveDefaultLockLevel(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.AdaptiveDefault = true })
-	// Create a file with no recorded lock level.
-	id, fid := r.beginWithFile(fit.LockNone)
-	if _, err := r.svc.PWrite(id, fid, 0, make([]byte, 64*1024)); err != nil {
+	// A file with no recorded lock level, so the adaptive default applies.
+	fid, err := r.fs.Create(fit.Attributes{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.svc.End(id); err != nil {
+	if _, err := r.fs.WriteAt(fid, 0, make([]byte, 64*1024)); err != nil {
 		t.Fatal(err)
 	}
-	// Clear the recorded level so the adaptive default applies.
-	if err := r.fs.SetLocking(fid, fit.LockNone); err != nil {
-		t.Fatal(err)
-	}
-
 	levelOfOpen := func() fit.LockLevel {
 		t.Helper()
 		tid, err := r.svc.Begin(1)
@@ -67,94 +60,6 @@ func TestAdaptiveDefaultLockLevel(t *testing.T) {
 	}
 	if got != fit.LockRecord {
 		t.Fatalf("hot open level = %v, want record", got)
-	}
-}
-
-// TestMixedLevelsThroughTxnService exercises §6.1's deferred relaxation end
-// to end: two transactions lock one file at different granularities, with
-// byte-range conflicts honoured.
-func TestMixedLevelsThroughTxnService(t *testing.T) {
-	r := newRig(t, withLocks(lock.Config{LT: 50 * time.Millisecond, MaxRenewals: 3, AllowMixedLevels: true}))
-	id, fid := r.beginWithFile(fit.LockRecord)
-	if _, err := r.svc.PWrite(id, fid, 0, make([]byte, 3*8192)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.End(id); err != nil {
-		t.Fatal(err)
-	}
-	// Txn A record-locks bytes [0, 64); txn B page-locks page 2 — disjoint,
-	// both proceed despite different levels.
-	a, err := r.svc.Begin(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.svc.Begin(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.Open(a, fid, fit.LockRecord); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.Open(b, fid, fit.LockPage); err != nil {
-		t.Fatalf("second level rejected despite relaxation: %v", err)
-	}
-	if _, err := r.svc.PWrite(a, fid, 0, []byte("recwrite")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.svc.PWrite(b, fid, 2*8192, []byte("pagewrite")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.End(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.End(b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.fs.ReadAt(fid, 0, 8)
-	if err != nil || string(got) != "recwrite" {
-		t.Fatalf("record write = %q, %v", got, err)
-	}
-	got, err = r.fs.ReadAt(fid, 2*8192, 9)
-	if err != nil || string(got) != "pagewrite" {
-		t.Fatalf("page write = %q, %v", got, err)
-	}
-}
-
-// TestMixedLevelsConflictAcrossGranularities: a page lock must block a
-// record write inside that page when the relaxation is on.
-func TestMixedLevelsConflictAcrossGranularities(t *testing.T) {
-	r := newRig(t, withLocks(lock.Config{LT: 30 * time.Millisecond, MaxRenewals: 1, AllowMixedLevels: true}))
-	stopSweep := r.svc.Locks().StartSweeper(10 * time.Millisecond)
-	defer stopSweep()
-	id, fid := r.beginWithFile(fit.LockPage)
-	if _, err := r.svc.PWrite(id, fid, 0, make([]byte, 8192)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.End(id); err != nil {
-		t.Fatal(err)
-	}
-	// A holds page 0 with IWrite.
-	a, err := r.svc.Begin(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.svc.Open(a, fid, fit.LockPage); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.svc.PWrite(a, fid, 0, []byte("heldpage")); err != nil {
-		t.Fatal(err)
-	}
-	// B tries a record write inside page 0: must not be granted immediately.
-	ok, err := r.svc.Locks().TryAcquire(999, 0, lock.Record,
-		lock.ItemID{File: uint64(fid), Offset: 100, Length: 8}, lock.IWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("record lock granted inside an IWrite-locked page (relaxation must still conflict)")
-	}
-	if err := r.svc.End(a); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -59,15 +59,6 @@ func (s *Service) BeginChild(parent TxnID) (TxnID, error) {
 	return id, nil
 }
 
-// IsChild reports whether the transaction is a subtransaction.
-func (s *Service) IsChild(id TxnID) bool {
-	t, err := s.get(id)
-	if err != nil {
-		return false
-	}
-	return t.parent != nil
-}
-
 // overlay patches buf, fid's committed bytes from off, with the tentative
 // data of every ancestor from the top-level one down and then t's own.
 func (t *txnState) overlay(fid FileID, off int64, buf []byte) {

@@ -297,9 +297,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Locks exposes the lock manager (for sweepers and experiments).
-func (s *Service) Locks() *lock.Manager { return s.locks }
-
 // Begin starts a transaction (tbegin) on behalf of process pid and returns
 // its transaction descriptor.
 func (s *Service) Begin(pid int) (TxnID, error) {

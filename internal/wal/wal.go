@@ -104,8 +104,6 @@ var (
 	// ErrLogFull reports that the log region cannot hold the record; the
 	// caller should checkpoint and Reset.
 	ErrLogFull = errors.New("wal: log region full")
-	// ErrCorrupt reports an invalid record during Replay.
-	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
 const (

@@ -22,17 +22,6 @@ type Fixed struct{ N int }
 // Next implements SizeDist.
 func (f Fixed) Next(*rand.Rand) int { return f.N }
 
-// Uniform draws uniformly from [Min, Max].
-type Uniform struct{ Min, Max int }
-
-// Next implements SizeDist.
-func (u Uniform) Next(rng *rand.Rand) int {
-	if u.Max <= u.Min {
-		return u.Min
-	}
-	return u.Min + rng.Intn(u.Max-u.Min+1)
-}
-
 // Exponential draws sizes with the given mean (clamped to [1, Cap]); file
 // sizes in 1990s traces are strongly skewed toward small files.
 type Exponential struct {

@@ -5,20 +5,10 @@ import (
 	"testing"
 )
 
-func TestFixedAndUniform(t *testing.T) {
+func TestFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if got := (Fixed{N: 42}).Next(rng); got != 42 {
 		t.Fatalf("Fixed = %d", got)
-	}
-	u := Uniform{Min: 10, Max: 20}
-	for i := 0; i < 100; i++ {
-		got := u.Next(rng)
-		if got < 10 || got > 20 {
-			t.Fatalf("Uniform out of range: %d", got)
-		}
-	}
-	if got := (Uniform{Min: 5, Max: 5}).Next(rng); got != 5 {
-		t.Fatalf("degenerate Uniform = %d", got)
 	}
 }
 
