@@ -220,7 +220,6 @@ func TestRouterEntryPointsObserveOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cluster := rec.LayerWall(obs.LayerCluster)
 	for _, c := range []struct {
 		name string
 		call func() error
@@ -230,11 +229,11 @@ func TestRouterEntryPointsObserveOnce(t *testing.T) {
 		{"ReadAt", func() error { _, err := rt.ReadAt(id, 0, 3); return err }},
 		{"ReadAtCtx", func() error { _, err := rt.ReadAtCtx(ctx, id, 0, 3); return err }},
 	} {
-		before := cluster.Count()
+		before := rec.LayerCount(obs.LayerCluster)
 		if err := c.call(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := cluster.Count() - before; got != 1 {
+		if got := rec.LayerCount(obs.LayerCluster) - before; got != 1 {
 			t.Errorf("%s recorded %d cluster-layer observations, want 1", c.name, got)
 		}
 	}

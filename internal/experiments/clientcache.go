@@ -78,7 +78,7 @@ func (r *e23Rig) close() {
 // reads counts the reads and writes that reached the file service, off the
 // server's own recorder; over a read-only window it is the read RPCs the
 // clients did not absorb.
-func (r *e23Rig) reads() int64 { return r.srec.LayerWall(obs.LayerFileService).Count() }
+func (r *e23Rig) reads() int64 { return r.srec.LayerCount(obs.LayerFileService) }
 
 // dial dials one client stack: cached (lease-holding, recall sink wired) or
 // not (every read a server round trip, the baseline). rec receives the

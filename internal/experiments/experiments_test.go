@@ -735,7 +735,7 @@ func TestE16Shape(t *testing.T) {
 	}
 	// The agent-driven run must populate the whole layering in the profile.
 	for _, layer := range []obs.Layer{obs.LayerAgent, obs.LayerFileService, obs.LayerDiskService, obs.LayerDevice} {
-		if rec.LayerWall(layer).Count() == 0 {
+		if rec.LayerCount(layer) == 0 {
 			t.Errorf("E16: layer %s observed no operations", layer)
 		}
 	}

@@ -44,4 +44,5 @@ func (in *Injector) Disarm(p Point) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	delete(in.arms, p)
+	in.armed.Store(int32(len(in.arms)))
 }

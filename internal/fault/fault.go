@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -151,6 +152,11 @@ type Observer func(Event)
 type Injector struct {
 	seed int64
 
+	// armed is len(arms), kept by every change to it: with nothing armed a
+	// point returns without taking mu, so the points a hot path crosses
+	// cost one atomic load until a harness arms one.
+	armed atomic.Int32
+
 	mu       sync.Mutex
 	arms     map[Point]*arm
 	trace    []Event
@@ -179,6 +185,7 @@ func (in *Injector) Arm(p Point, act Action) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.arms[p] = &arm{act: act}
+	in.armed.Store(int32(len(in.arms)))
 }
 
 // DisarmAll removes every armed action (the trace is retained).
@@ -189,6 +196,7 @@ func (in *Injector) DisarmAll() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.arms = make(map[Point]*arm)
+	in.armed.Store(0)
 }
 
 // Fired reports how many times any action fired at p.
@@ -207,13 +215,15 @@ func (in *Injector) Fired(p Point) int {
 	return n
 }
 
+// idle reports that nothing is armed, so every point returns at once: one
+// atomic load instead of the mutex, the kinds and the Action that take
+// passes. An unarmed point counts no hit, so skipping take changes nothing.
+func (in *Injector) idle() bool { return in == nil || in.armed.Load() == 0 }
+
 // take consumes one matching hit at p: it counts the visit and returns the
 // armed action if it is of one of the wanted kinds and due to fire. A due
 // fire is reported to the observer after the mutex is released.
 func (in *Injector) take(p Point, kinds ...Kind) (Action, bool) {
-	if in == nil {
-		return Action{}, false
-	}
 	act, ev, obs, ok := in.takeLocked(p, kinds...)
 	if ok && obs != nil {
 		obs(ev)
@@ -259,6 +269,9 @@ func (in *Injector) takeLocked(p Point, kinds ...Kind) (Action, Event, Observer,
 // Crash{p}) when a KindCrash action is due at p, and sleeps when a KindDelay
 // action is due. Nil-safe.
 func (in *Injector) Hit(p Point) {
+	if in.idle() {
+		return
+	}
 	act, ok := in.take(p, KindCrash, KindDelay)
 	if !ok {
 		return
@@ -275,6 +288,9 @@ func (in *Injector) Hit(p Point) {
 // otherwise. The result always matches errors.Is(err, ErrInjected), and also
 // matches the armed Err (e.g. device.ErrFailed) when one was set.
 func (in *Injector) Err(p Point) error {
+	if in.idle() {
+		return nil
+	}
 	act, ok := in.take(p, KindError)
 	if !ok {
 		return nil
@@ -289,6 +305,9 @@ func (in *Injector) Err(p Point) error {
 // frags fragments of the write, then call CrashNow (crash true) or fail the
 // operation (crash false).
 func (in *Injector) Torn(p Point) (frags int, crash bool, ok bool) {
+	if in.idle() {
+		return 0, false, false
+	}
 	act, taken := in.take(p, KindTorn)
 	if !taken {
 		return 0, false, false
@@ -299,6 +318,9 @@ func (in *Injector) Torn(p Point) (frags int, crash bool, ok bool) {
 // Delay returns the injected delay when a KindDelay action is due at p, for
 // sites that must compare the delay against a deadline instead of sleeping.
 func (in *Injector) Delay(p Point) time.Duration {
+	if in.idle() {
+		return 0
+	}
 	act, ok := in.take(p, KindDelay)
 	if !ok {
 		return 0

@@ -165,6 +165,53 @@ func TestDisarmSinglePoint(t *testing.T) {
 	}
 }
 
+// An unarmed injector's points do not take its mutex: with the mutex held
+// here, Hit, Err and Torn still return — on a new injector, after the only
+// armed point is disarmed, and after DisarmAll.
+func TestUnarmedPointsSkipTheMutex(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		setup func(*Injector)
+	}{
+		{"new", func(*Injector) {}},
+		{"disarmed", func(in *Injector) { in.Arm("a", Action{Kind: KindCrash}); in.Disarm("a") }},
+		{"disarmed all", func(in *Injector) {
+			in.Arm("a", Action{Kind: KindCrash})
+			in.Arm("b", Action{Kind: KindError})
+			in.DisarmAll()
+		}},
+	} {
+		in := NewInjector(1)
+		c.setup(in)
+		in.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			in.Hit("a")
+			if in.Err("b") != nil {
+				t.Errorf("%s: an unarmed point fired", c.name)
+			}
+			if _, _, ok := in.Torn("a"); ok {
+				t.Errorf("%s: an unarmed point tore a write", c.name)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: an unarmed point waited for the injector's mutex", c.name)
+		}
+		in.mu.Unlock()
+	}
+	// Arming one point again makes every point consult the arms.
+	in := NewInjector(1)
+	in.Arm("a", Action{Kind: KindError})
+	in.Disarm("a")
+	in.Arm("b", Action{Kind: KindError})
+	if in.Err("b") == nil {
+		t.Fatal("the point armed after a disarm did not fire")
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindCrash: "crash", KindError: "error", KindTorn: "torn", KindDelay: "delay",

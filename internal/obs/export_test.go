@@ -16,6 +16,16 @@ func (s *Span) End(err error) { s.end(err, -1) }
 // shared virtual clock folds in concurrently overlapping operations.
 func (s *Span) EndCost(cost time.Duration, err error) { s.end(err, cost) }
 
+// Observe records a histogram-only observation of known durations for a
+// layer, as a timed bracket of that wall and virtual time would.
+func (r *Recorder) Observe(layer Layer, wall, virt time.Duration) {
+	if r == nil || layer < 0 || layer >= numLayers {
+		return
+	}
+	r.wall[layer].Record(wall)
+	r.virt[layer].Record(virt)
+}
+
 // FindTrace returns every top-level tree in trees whose TraceID matches.
 func FindTrace(trees []*SpanData, traceID uint64) []*SpanData {
 	var out []*SpanData

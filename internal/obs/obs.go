@@ -19,13 +19,19 @@
 // lookup — when tracing is off. BenchmarkSpanDisabled in this package and
 // BenchmarkReadAtCached8KB in fileservice pin that cost at ~0 ns/op.
 //
-// Cost model (TestSpanAllocBudget pins it). Every instrumented op, roots
-// included, pays one Op bracket per layer: no allocation, one read of the
-// monotonic clock per edge, two Histogram.Records at the end — so a layer's
-// histogram count is the same whether or not the op was traced. Only a
-// retained trace pays for spans: one allocation each (wall times are offsets
-// from the recorder's epoch, the span doubles as its own context node, and
-// its first inlineKids children are linked without growing a slice).
+// Cost model (TestSpanAllocBudget pins it). Every instrumented op pays one
+// Op bracket per layer: no allocation, and at its end a record of the op's
+// virtual time, which is also the layer's count — so counts and virtual
+// times are exact whether or not the op was traced or timed. Reading the
+// wall clock is the part worth sampling (two reads per bracket, the
+// commit's largest share of recorder CPU), so only roots — StartRoot,
+// StartOr when it starts one, StartRemoteOp — and spans in a traced tree
+// read it on every op; an interior histogram-only bracket reads it for one
+// op in the sample rate, by a coin of its own, and records a wall time only
+// then (TestWallTimingRule pins the rule). Only a retained trace pays for
+// spans: one allocation each (wall times are offsets from the recorder's
+// epoch, the span doubles as its own context node, and its first inlineKids
+// children are linked without growing a slice).
 //
 // A span tree comes to exist in three ways: the request arrived with trace
 // identity (StartRemoteOp with a non-zero trace ID — the caller already
@@ -143,17 +149,21 @@ type Recorder struct {
 // Option configures a Recorder.
 type Option func(*Recorder)
 
-// WithSampleRate sets head sampling: one root in n gets a span tree, chosen
-// at random per root. 1 traces every op — what a trace dump, a fault-dump
-// reader or a test asserting tree shapes wants; 0 or less turns head sampling
-// off, leaving only trees the tail rule forces and requests that arrive with
-// trace identity. The histograms see every op at any rate.
+// WithSampleRate sets head sampling: one root in n gets a span tree, and one
+// interior histogram-only bracket in n reads the wall clock, each chosen at
+// random per op. 1 traces and times every op — what a trace dump, a
+// fault-dump reader or a test asserting tree shapes or interior wall times
+// wants; 0 or less turns head sampling off, leaving only trees the tail rule
+// forces and requests that arrive with trace identity, and interior wall
+// times only inside those trees. Roots are wall-timed, and every op is
+// counted with its virtual time, at any rate.
 func WithSampleRate(n int) Option {
 	return func(r *Recorder) { r.sampleRate = uint32(max(n, 0)) }
 }
 
-// New creates a Recorder. With no option it samples: every op feeds the
-// histograms, one root in DefaultSampleRate builds a span tree.
+// New creates a Recorder. With no option it samples: every op is counted,
+// every root is wall-timed, one root in DefaultSampleRate builds a span tree
+// and one interior bracket in DefaultSampleRate is wall-timed.
 func New(opts ...Option) *Recorder {
 	r := &Recorder{
 		epoch:      time.Now(),
@@ -194,23 +204,13 @@ func (r *Recorder) vnow() time.Duration {
 	return r.virtNow()
 }
 
-// Observe records a histogram-only observation for a layer — used where a
-// span cannot be threaded (rpc request handling, background flushes) or
-// where an op runs outside any traced request.
-func (r *Recorder) Observe(layer Layer, wall, virt time.Duration) {
+// LayerCount returns how many operations the layer has recorded — every
+// one, timed or not, traced or not (zero on a nil Recorder).
+func (r *Recorder) LayerCount(layer Layer) int64 {
 	if r == nil || layer < 0 || layer >= numLayers {
-		return
+		return 0
 	}
-	r.wall[layer].Record(wall)
-	r.virt[layer].Record(virt)
-}
-
-// LayerWall returns the layer's wall-time histogram (nil on a nil Recorder).
-func (r *Recorder) LayerWall(layer Layer) *Histogram {
-	if r == nil || layer < 0 || layer >= numLayers {
-		return nil
-	}
-	return &r.wall[layer]
+	return r.virt[layer].Count()
 }
 
 // Gauge is an instantaneous value: queue depth, waiter count. A nil Gauge
@@ -424,8 +424,7 @@ func (r *Recorder) StartRoot(ctx context.Context, layer Layer, op string) (conte
 }
 
 // sampled decides whether the next root of layer gets a span tree: always at
-// rate 1, when the tail rule forced it, or one time in sampleRate by the
-// runtime's per-thread generator — no shared counter.
+// rate 1, when the tail rule forced it, or when the coin says so.
 func (r *Recorder) sampled(layer Layer) bool {
 	if r.sampleRate == 1 {
 		return true
@@ -433,7 +432,14 @@ func (r *Recorder) sampled(layer Layer) bool {
 	if f := &r.forceNext[layer]; f.Load() && f.CompareAndSwap(true, false) {
 		return true
 	}
-	return r.sampleRate > 1 && rand.Uint32N(r.sampleRate) == 0
+	return r.coin()
+}
+
+// coin is head sampling's draw, for a root's tree and an interior bracket's
+// wall timing alike: always at rate 1, never at rate 0, otherwise one time in
+// sampleRate by the runtime's per-thread generator — no shared counter.
+func (r *Recorder) coin() bool {
+	return r.sampleRate == 1 || r.sampleRate > 1 && rand.Uint32N(r.sampleRate) == 0
 }
 
 // StartOr nests under the span in ctx when there is one, and otherwise
@@ -669,9 +675,10 @@ func (r *Recorder) recordSelf(s *Span) (start, end time.Duration, done bool) {
 
 // Op brackets one instrumented operation with whichever sink applies: a
 // span when the operation is traced (a child of the span ctx carries, or a
-// sampled root), a histogram-only observation on r otherwise, and nothing at
-// all without either. The zero Op is a valid no-op, so call sites need no
-// conditionals:
+// sampled root), a histogram-only observation on r otherwise — its virtual
+// time always, its wall time when it is a root or its coin came up — and
+// nothing at all without either. The zero Op is a valid no-op, so call
+// sites need no conditionals:
 //
 //	ctx, op := s.rec.StartOp(ctx, obs.LayerDiskService, "get")
 //	... do the work with ctx ...
@@ -683,14 +690,36 @@ type Op struct {
 	sp    *Span
 	r     *Recorder
 	layer Layer
-	t0    time.Duration // r.wallNow() at the start
+	t0    time.Duration // r.wallNow() at the start, or untimed
 	v0    time.Duration
 }
 
-// StartOp starts an operation bracket (see Op). Safe on a nil Recorder: it
-// still nests under a span already in ctx, whose own recorder it reaches
-// through the span.
+// untimed is the t0 of a bracket that does not read the wall clock.
+const untimed time.Duration = -1
+
+// StartOp starts an interior operation bracket (see Op): a span under the
+// one ctx carries, or else a histogram-only bracket that reads the wall
+// clock for one op in the sample rate. Safe on a nil Recorder: it still
+// nests under a span already in ctx, whose own recorder it reaches through
+// the span.
 func (r *Recorder) StartOp(ctx context.Context, layer Layer, op string) (context.Context, Op) {
+	return r.startOp(ctx, layer, op, false)
+}
+
+// StartRemoteOp is the bracket of a request arriving at a server, the
+// server's root: with a nonzero traceID the caller already decided to
+// trace, so it continues the remote caller's tree with a root span on r
+// whatever the sample rate; otherwise it is StartOp, except that it reads
+// the wall clock on every op.
+func (r *Recorder) StartRemoteOp(ctx context.Context, layer Layer, op string, traceID, parentSpanID uint64) (context.Context, Op) {
+	if traceID == 0 || r == nil {
+		return r.startOp(ctx, layer, op, true)
+	}
+	sp := r.newRoot(ctx, layer, op, traceID, parentSpanID)
+	return sp, Op{sp: sp}
+}
+
+func (r *Recorder) startOp(ctx context.Context, layer Layer, op string, root bool) (context.Context, Op) {
 	ctx2, sp := StartSpan(ctx, layer, op)
 	if sp != nil {
 		return ctx2, Op{sp: sp}
@@ -698,19 +727,11 @@ func (r *Recorder) StartOp(ctx context.Context, layer Layer, op string) (context
 	if r == nil {
 		return ctx, Op{}
 	}
-	return ctx, Op{r: r, layer: layer, t0: r.wallNow(), v0: r.vnow()}
-}
-
-// StartRemoteOp is StartOp for a request that arrived with cross-process
-// trace identity: with a nonzero traceID the caller already decided to
-// trace, so it continues the remote caller's tree with a root span on r
-// whatever the sample rate; otherwise it behaves exactly like StartOp.
-func (r *Recorder) StartRemoteOp(ctx context.Context, layer Layer, op string, traceID, parentSpanID uint64) (context.Context, Op) {
-	if traceID == 0 || r == nil {
-		return r.StartOp(ctx, layer, op)
+	t0 := untimed
+	if root || r.coin() {
+		t0 = r.wallNow()
 	}
-	sp := r.newRoot(ctx, layer, op, traceID, parentSpanID)
-	return sp, Op{sp: sp}
+	return ctx, Op{r: r, layer: layer, t0: t0, v0: r.vnow()}
 }
 
 // Span returns the op's span (nil when observing histograms only).
@@ -723,9 +744,9 @@ func (o *Op) SetTxn(id uint64)  { o.sp.SetTxn(id) }
 func (o *Op) AddBytes(n int)    { o.sp.AddBytes(n) }
 func (o *Op) SetCount(n int)    { o.sp.SetCount(n) }
 
-// End completes the bracket, recording its wall and virtual durations into
-// the layer histograms; ending a root span pushes the finished tree into the
-// flight recorder. End is idempotent.
+// End completes the bracket, recording its virtual duration, and its wall
+// duration when it was timed, into the layer histograms; ending a root span
+// pushes the finished tree into the flight recorder. End is idempotent.
 func (o *Op) End(err error) { o.end(err, -1) }
 
 // EndCost is End with an exact virtual-time cost. The device layer uses it
@@ -733,8 +754,9 @@ func (o *Op) End(err error) { o.end(err, -1) }
 // shared virtual clock folds in concurrently overlapping operations.
 func (o *Op) EndCost(cost time.Duration, err error) { o.end(err, cost) }
 
-// end reports the durations it recorded, and false when it recorded none
-// here: the span did, the bracket had ended already, or it is the zero Op.
+// end reports the durations it recorded, and false when it recorded no wall
+// time here: the span did, the bracket was untimed or had ended already, or
+// it is the zero Op.
 func (o *Op) end(err error, cost time.Duration) (wall, virt time.Duration, ok bool) {
 	if o.sp != nil {
 		o.sp.end(err, cost)
@@ -745,12 +767,15 @@ func (o *Op) end(err error, cost time.Duration) (wall, virt time.Duration, ok bo
 		return 0, 0, false
 	}
 	o.r = nil
-	wall = r.wallNow() - o.t0
 	if cost < 0 {
 		cost = max(r.vnow()-o.v0, 0)
 	}
-	r.wall[o.layer].Record(wall)
 	r.virt[o.layer].Record(cost)
+	if o.t0 == untimed {
+		return 0, cost, false
+	}
+	wall = r.wallNow() - o.t0
+	r.wall[o.layer].Record(wall)
 	return wall, cost, true
 }
 

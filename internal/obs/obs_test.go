@@ -98,7 +98,7 @@ func TestSpanTreeNesting(t *testing.T) {
 	}
 	// Histograms saw one observation per layer touched.
 	for _, l := range []Layer{LayerAgent, LayerFileService, LayerDevice} {
-		if n := r.LayerWall(l).Count(); n != 1 {
+		if n := r.LayerCount(l); n != 1 {
 			t.Fatalf("layer %s wall count = %d, want 1", l, n)
 		}
 	}
@@ -140,7 +140,7 @@ func TestEndIdempotent(t *testing.T) {
 	_, sp := r.StartRoot(context.Background(), LayerAgent, "op")
 	sp.End(nil)
 	sp.End(errors.New("second"))
-	if n := r.LayerWall(LayerAgent).Count(); n != 1 {
+	if n := r.LayerCount(LayerAgent); n != 1 {
 		t.Fatalf("double End recorded %d observations", n)
 	}
 	if len(r.Flight()) != 1 {
@@ -157,7 +157,7 @@ func TestEndIdempotent(t *testing.T) {
 		op.End(nil)
 		root.End(errors.New("failed"))
 	}
-	if a, d := r.LayerWall(LayerAgent).Count(), r.LayerWall(LayerDevice).Count(); a != 1 || d != 1 {
+	if a, d := r.LayerCount(LayerAgent), r.LayerCount(LayerDevice); a != 1 || d != 1 {
 		t.Fatalf("double End of untraced brackets recorded %d and %d observations", a, d)
 	}
 	if n := len(r.SlowOps()); n != 1 {
@@ -302,7 +302,7 @@ func TestConcurrentSpans(t *testing.T) {
 	}()
 	wg.Wait()
 	snapWG.Wait()
-	if n := r.LayerWall(LayerAgent).Count(); n != 8*200 {
+	if n := r.LayerCount(LayerAgent); n != 8*200 {
 		t.Fatalf("agent observations = %d, want %d", n, 8*200)
 	}
 	if got := len(r.Flight()); got != defaultFlightCap {

@@ -31,13 +31,13 @@
 package wal
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -226,7 +226,6 @@ func (l *Log) Append(rec Record) (uint64, error) {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	start := time.Now()
 	if l.off == l.synced {
 		// Nothing of ours to write, but still surface deferred-write errors
 		// the store may be sitting on. Not counted below: no records were
@@ -237,6 +236,8 @@ func (l *Log) Sync() error {
 		}
 		return nil
 	}
+	// A failed sync is left unrecorded: the bracket ends only on success.
+	_, op := l.obs.StartOp(context.Background(), obs.LayerWal, "sync")
 	l.fault.Hit(PtSyncBeforeWrite)
 	firstFrag := l.synced / fragSize
 	lastFrag := (l.off - 1) / fragSize
@@ -251,7 +252,7 @@ func (l *Log) Sync() error {
 	l.synced = l.off
 	l.lsnSynced = l.lsn
 	l.syncs.Inc()
-	l.obs.Observe(obs.LayerWal, time.Since(start), 0)
+	op.EndCost(0, nil) // the write's virtual time is the device layer's
 	return nil
 }
 
