@@ -95,7 +95,7 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit the run summary, counters and profile as JSON")
 	commit := flag.Int("commit", 0, "drive N concurrent committers (record-mode transactions) instead of the read/write mix")
 	noGroup := flag.Bool("nogroup", false, "disable group commit: one WAL sync per commit (only meaningful with -commit)")
-	traceSample := flag.Int("trace-sample", 1, "build a span tree for one operation in N (1 = every operation, rhodosd's default is 64); the profile's histograms see every operation regardless")
+	traceSample := flag.Int("trace-sample", 1, "build a span tree for one operation in N, and wall-time one interior bracket in N (1 = every operation, rhodosd's default is 64); the profile's counts, virtual times and roots' wall times cover every operation regardless")
 	clusterAddrs := flag.String("cluster", "", "comma-separated rhodosd debug addresses: scrape and merge the fleet's profiles instead of driving a workload")
 	flag.Parse()
 
