@@ -9,14 +9,14 @@
 // duplicate-request cache so a client retry that lands after a failover
 // still gets the exactly-once answer.
 //
-// Shipper runs on the primary: mutations append records, a single sender
-// goroutine batches and ships them, and Wait blocks each mutation's reply
-// until its record is confirmed by the backup. A ship
-// failure marks the stream down — the primary then serves solo rather than
-// stall (availability over replication; the cluster layer drops the backup
-// from the map). Applier runs on the backup: it checks sequencing and CRC,
-// re-executes each record, and verifies the replay produced the primary's
-// reply.
+// Shipper runs on the primary: mutations append records, and Wait blocks
+// each mutation's reply until its record is confirmed by the backup — the
+// first waiter to find no ship in flight ships everything queued as one
+// batch, on its own goroutine. A ship failure marks the stream down — the
+// primary then serves solo rather than stall (availability over
+// replication; the cluster layer drops the backup from the map). Applier
+// runs on the backup: it checks sequencing and CRC, re-executes each
+// record, and verifies the replay produced the primary's reply.
 package replication
 
 import (
@@ -54,8 +54,8 @@ type Rec struct {
 
 	// TraceID and SpanID carry the group-commit span that appended the
 	// record, in memory only (never encoded into the batch frame): the
-	// sender uses the first traced record to parent its ship span, which
-	// then rides the rpc frame header to the backup.
+	// shipping waiter uses the first traced record to parent its ship span,
+	// which then rides the rpc frame header to the backup.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -149,23 +149,25 @@ func decodeBatch(data []byte) ([]Rec, error) {
 type ShipperConfig struct {
 	// Send ships one encoded batch frame and returns once the backup has
 	// confirmed applying it (typically one rpc round trip). An error marks
-	// the stream down. ctx carries the sender's ship span so a tracing
-	// transport can propagate it to the backup.
+	// the stream down. ctx carries the ship span so a tracing transport can
+	// propagate it to the backup.
 	Send func(ctx context.Context, batch []byte) error
-	// OnDown, when set, runs once (from the sender goroutine or MarkDown's
-	// caller) when the stream goes down, with the cause.
+	// OnDown, when set, runs once (from the waiter whose ship failed or
+	// MarkDown's caller) when the stream goes down, with the cause.
 	OnDown func(err error)
 	// Obs, when set, records a ship span and the batch-size/latency
 	// histograms per shipped batch.
 	Obs *obs.Recorder
 }
 
-// Shipper sequences and ships mutation records to one backup. Appenders and
-// the single sender goroutine rendezvous on a queue: Append assigns the next
-// sequence number and enqueues; the sender drains whatever has accumulated,
-// ships it as one batch, and advances the confirmed watermark. Wait blocks
-// until a record is confirmed or the stream is down — a replicated
-// mutation's acknowledgement rule.
+// Shipper sequences and ships mutation records to one backup, with no
+// goroutine of its own. Append assigns the next sequence number and
+// enqueues; Wait blocks until a record is confirmed or the stream is down —
+// a replicated mutation's acknowledgement rule. A waiter whose record is
+// unconfirmed, finding no ship in flight and the queue non-empty, takes the
+// whole queue and ships it as one batch, group-commit style: records
+// appended meanwhile go in the next batch, shipped by the next waiter that
+// wakes.
 type Shipper struct {
 	send   func(context.Context, []byte) error
 	onDown func(error)
@@ -178,15 +180,13 @@ type Shipper struct {
 	queue     []Rec
 	nextSeq   uint64 // last assigned sequence number
 	confirmed uint64 // highest backup-confirmed sequence number
-	inflight  uint64 // highest seq in the batch the sender holds right now
+	inflight  uint64 // highest seq in the batch being shipped right now; 0: none
 	down      bool
-	downErr   error
 	closed    bool
-
-	wg sync.WaitGroup
+	frame     []byte // the batch encode buffer, used by one ship at a time
 }
 
-// NewShipper starts a shipper and its sender goroutine.
+// NewShipper returns a shipper; it starts no goroutine.
 func NewShipper(cfg ShipperConfig) *Shipper {
 	s := &Shipper{
 		send: cfg.Send, onDown: cfg.OnDown, rec: cfg.Obs,
@@ -195,8 +195,6 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 		shipNS:       cfg.Obs.ValueHist(MetricShipNS),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(1)
-	go s.sender()
 	return s
 }
 
@@ -204,7 +202,8 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 // shipping, and returns the assigned number. ok is false when the stream is
 // down or closed — the record is not queued and the caller proceeds solo.
 // The record's byte slices are retained until the batch containing them has
-// been shipped; callers must not recycle them before Wait returns.
+// been shipped; callers must not recycle them before Wait returns. Every
+// queued record must be waited for: waiters are what ship the queue.
 func (s *Shipper) Append(r Rec) (seq uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,22 +213,73 @@ func (s *Shipper) Append(r Rec) (seq uint64, ok bool) {
 	s.nextSeq++
 	r.Seq = s.nextSeq
 	s.queue = append(s.queue, r)
-	s.cond.Broadcast()
 	return r.Seq, true
 }
 
 // Wait blocks until seq is confirmed by the backup (true) or the stream
-// goes down or closes first (false). A false return also guarantees the
-// sender no longer holds the record — its byte slices are the caller's
-// again — so a record in the batch being encoded when the stream went down
-// is waited out rather than released early.
+// goes down or closes first (false), shipping the queue itself when no ship
+// is in flight. A false return also guarantees no ship still holds the
+// record — its byte slices are the caller's again — so a record in the
+// batch on the wire when the stream went down is waited out rather than
+// released early.
 func (s *Shipper) Wait(seq uint64) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for s.confirmed < seq && !((s.down || s.closed) && seq > s.inflight) {
+		if s.inflight == 0 && len(s.queue) > 0 {
+			s.shipLocked()
+			continue
+		}
 		s.cond.Wait()
 	}
-	return s.confirmed >= seq
+	ok := s.confirmed >= seq
+	s.mu.Unlock()
+	return ok
+}
+
+// shipLocked ships the whole queue as one batch. It is called with mu held
+// and returns with it held, releasing it for the send. A failed ship marks
+// the stream down in the same hold of mu that ends the ship, so no waiter
+// can ship a later batch past the gap.
+func (s *Shipper) shipLocked() {
+	batch := s.queue
+	s.queue = nil
+	s.inflight = batch[len(batch)-1].Seq
+	s.mu.Unlock()
+
+	s.frame = appendBatch(s.frame[:0], batch)
+	// The ship span continues the group-commit span of the first traced
+	// record in the batch (later records in the same batch share the ride
+	// but not the span), and the Send context carries it across the wire to
+	// the backup.
+	var tid, sid uint64
+	for i := range batch {
+		if batch[i].TraceID != 0 {
+			tid, sid = batch[i].TraceID, batch[i].SpanID
+			break
+		}
+	}
+	ctx, op := s.rec.StartRemoteOp(context.Background(), obs.LayerReplication, "ship", tid, sid)
+	op.SetCount(len(batch))
+	op.AddBytes(len(s.frame))
+	t0 := time.Now()
+	err := s.send(ctx, s.frame)
+	op.End(err)
+	s.batchRecords.Record(time.Duration(len(batch)))
+	s.batchBytes.Record(time.Duration(len(s.frame)))
+	s.shipNS.Record(time.Since(t0))
+
+	s.mu.Lock()
+	s.inflight = 0
+	s.cond.Broadcast()
+	if err == nil {
+		s.confirmed = batch[len(batch)-1].Seq
+		return
+	}
+	if s.markDownLocked() {
+		s.mu.Unlock()
+		s.onDown(fmt.Errorf("%w: %v", ErrShipDown, err))
+		s.mu.Lock()
+	}
 }
 
 // Down reports whether the stream is down.
@@ -241,95 +291,37 @@ func (s *Shipper) Down() bool {
 
 // MarkDown forces the stream down with cause (heartbeat failure path);
 // waiters unblock with false and OnDown fires once.
-func (s *Shipper) MarkDown(cause error) { s.setDown(cause) }
-
-func (s *Shipper) setDown(cause error) {
+func (s *Shipper) MarkDown(cause error) {
 	s.mu.Lock()
-	if s.down || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.down = true
-	s.downErr = cause
-	s.queue = nil
-	s.cond.Broadcast()
-	onDown := s.onDown
+	fire := s.markDownLocked()
 	s.mu.Unlock()
-	if onDown != nil {
-		onDown(cause)
+	if fire {
+		s.onDown(cause)
 	}
 }
 
-// Close stops the sender. Unconfirmed records are abandoned (waiters get
-// false); OnDown does not fire.
+// markDownLocked takes the stream down, reporting whether OnDown is to fire
+// for it: set, and the stream neither down nor closed before.
+func (s *Shipper) markDownLocked() bool {
+	if s.down || s.closed {
+		return false
+	}
+	s.down = true
+	s.queue = nil
+	s.cond.Broadcast()
+	return s.onDown != nil
+}
+
+// Close stops the stream and waits out a ship in flight. Unconfirmed
+// records are abandoned (waiters get false); OnDown does not fire.
 func (s *Shipper) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
+	defer s.mu.Unlock()
 	s.closed = true
 	s.queue = nil
 	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// sender drains the queue, shipping each accumulated run as one batch. Under
-// group-commit-style load many appends pile up behind one in-flight ship, so
-// batching amortizes the backup round trip the same way the txn layer
-// amortizes the disk sync.
-func (s *Shipper) sender() {
-	defer s.wg.Done()
-	var frame []byte
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed && !s.down {
-			s.cond.Wait()
-		}
-		if s.closed || s.down {
-			s.mu.Unlock()
-			return
-		}
-		batch := s.queue
-		s.queue = nil
-		s.inflight = batch[len(batch)-1].Seq
-		s.mu.Unlock()
-
-		frame = appendBatch(frame[:0], batch)
-		// The ship span continues the group-commit span of the first traced
-		// record in the batch (later records in the same batch share the
-		// ride but not the span), and the Send context carries it across
-		// the wire to the backup.
-		ctx := context.Background()
-		var op obs.Op
-		var tid, sid uint64
-		for i := range batch {
-			if batch[i].TraceID != 0 {
-				tid, sid = batch[i].TraceID, batch[i].SpanID
-				break
-			}
-		}
-		ctx, op = s.rec.StartRemoteOp(ctx, obs.LayerReplication, "ship", tid, sid)
-		op.SetCount(len(batch))
-		op.AddBytes(len(frame))
-		t0 := time.Now()
-		err := s.send(ctx, frame)
-		op.End(err)
-		s.batchRecords.Record(time.Duration(len(batch)))
-		s.batchBytes.Record(time.Duration(len(frame)))
-		s.shipNS.Record(time.Since(t0))
-		s.mu.Lock()
-		s.inflight = 0
-		if err == nil {
-			s.confirmed = batch[len(batch)-1].Seq
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if err != nil {
-			s.setDown(fmt.Errorf("%w: %v", ErrShipDown, err))
-			return
-		}
+	for s.inflight != 0 {
+		s.cond.Wait()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -159,8 +160,8 @@ func TestShipperSendFailureMarksDown(t *testing.T) {
 }
 
 // TestShipperMarkDownWaitsOutInflight pins the body-lifetime guarantee: a
-// Wait that returns false must mean the sender no longer holds the record,
-// even when MarkDown lands while that record's batch is on the wire.
+// Wait that returns false must mean no ship still holds the record, even
+// when MarkDown lands while that record's batch is on the wire.
 func TestShipperMarkDownWaitsOutInflight(t *testing.T) {
 	sendEntered := make(chan struct{})
 	sendRelease := make(chan struct{})
@@ -175,7 +176,10 @@ func TestShipperMarkDownWaitsOutInflight(t *testing.T) {
 	if !ok {
 		t.Fatal("append refused")
 	}
-	<-sendEntered // the sender holds the record on the encoder now
+	// The first waiter ships the record, and holds it on the wire now.
+	shipperDone := make(chan bool, 1)
+	go func() { shipperDone <- s.Wait(seq) }()
+	<-sendEntered
 
 	waitDone := make(chan bool, 1)
 	go func() { waitDone <- s.Wait(seq) }()
@@ -183,18 +187,87 @@ func TestShipperMarkDownWaitsOutInflight(t *testing.T) {
 	s.MarkDown(errors.New("heartbeat failed"))
 	select {
 	case <-waitDone:
-		t.Fatal("Wait returned while the sender still held the record")
+		t.Fatal("Wait returned while the shipping waiter still held the record")
 	case <-time.After(50 * time.Millisecond):
 	}
 
 	close(sendRelease)
-	select {
-	case ok := <-waitDone:
-		if ok {
-			t.Fatal("Wait confirmed a record on a down stream")
+	for _, done := range []chan bool{waitDone, shipperDone} {
+		select {
+		case ok := <-done:
+			if ok {
+				t.Fatal("Wait confirmed a record on a down stream")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Wait never unblocked after the send released the record")
 		}
+	}
+}
+
+// TestShipperCloseWaitsOutInflight: Close returns only once the ship on the
+// wire has ended, so nothing sends on the backup connection after it.
+func TestShipperCloseWaitsOutInflight(t *testing.T) {
+	sendEntered := make(chan struct{})
+	sendRelease := make(chan struct{})
+	s := NewShipper(ShipperConfig{Send: func(context.Context, []byte) error {
+		close(sendEntered)
+		<-sendRelease
+		return nil
+	}})
+	seq, ok := s.Append(Rec{Method: "m"})
+	if !ok {
+		t.Fatal("append refused")
+	}
+	waitDone := make(chan bool, 1)
+	go func() { waitDone <- s.Wait(seq) }()
+	<-sendEntered
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a ship was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(sendRelease)
+	select {
+	case <-closed:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Wait never unblocked after the sender released the record")
+		t.Fatal("Close never returned after the ship ended")
+	}
+	// The ship the close waited out succeeded: its record is confirmed.
+	if !<-waitDone {
+		t.Fatal("Wait did not confirm a record the backup acked")
+	}
+	if _, ok := s.Append(Rec{Method: "m2"}); ok {
+		t.Fatal("append accepted on a closed stream")
+	}
+}
+
+// TestNewShipperStartsNoGoroutine: the waiter ships, on its own goroutine —
+// one goroutine appends, waits, and sees its record shipped and confirmed.
+func TestNewShipperStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	shipped := 0
+	s := NewShipper(ShipperConfig{Send: func(context.Context, []byte) error {
+		shipped++
+		return nil
+	}})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewShipper started %d goroutine(s)", n-before)
+	}
+	for i := 0; i < 3; i++ {
+		seq, ok := s.Append(Rec{Method: "m"})
+		if !ok || !s.Wait(seq) {
+			t.Fatalf("record %d: append %v, not confirmed", i, ok)
+		}
+	}
+	s.Close()
+	if shipped != 3 {
+		t.Fatalf("%d ships for 3 waited records, want 3", shipped)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutine(s) left after Close", n-before)
 	}
 }
 

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -25,12 +24,17 @@ const (
 	muxRoundTripBudget = 40 // full Client.Call over loopback TCP
 )
 
+// discardConn is a net.Conn that accepts every write.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
 func TestWireEncodeAllocBudget(t *testing.T) {
-	bw := bufio.NewWriterSize(io.Discard, wireBufferSize)
+	w := newFrameWriter(discardConn{}, 0, func(err error) { t.Fatal(err) })
 	req := Request{ClientID: 7, Seq: 1, Method: "fs.pread", Body: make([]byte, 4096)}
 	allocs := testing.AllocsPerRun(200, func() {
 		req.Seq++
-		if err := writeRequest(bw, req.Seq, &req, DefaultMaxFrame); err != nil {
+		if err := w.writeRequest(req.Seq, &req); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -60,7 +64,7 @@ func TestWireDecodeAllocBudget(t *testing.T) {
 }
 
 // TestMuxRoundTripAllocBudget bounds a full retried Call (client goroutine,
-// writer, server reader, worker, response) over real loopback TCP. The
+// server reader, worker, client reader) over real loopback TCP. The
 // budget is deliberately loose — goroutine handoff and the response path
 // allocate a little — but tight enough that a copy or re-encode slipping
 // into the hot path fails CI.
@@ -90,28 +94,20 @@ func TestMuxRoundTripAllocBudget(t *testing.T) {
 // --- benchmarks (compare with -bench 'Wire|RoundTrip' -benchmem) ---
 
 func BenchmarkWireEncode(b *testing.B) {
-	bw := bufio.NewWriterSize(io.Discard, wireBufferSize)
+	w := newFrameWriter(discardConn{}, 0, func(err error) { b.Fatal(err) })
 	req := Request{ClientID: 7, Seq: 1, Method: "fs.pread", Body: make([]byte, 4096)}
 	b.SetBytes(int64(len(req.Body)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := writeRequest(bw, uint64(i), &req, DefaultMaxFrame); err != nil {
+		if err := w.writeRequest(uint64(i), &req); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkWireDecode(b *testing.B) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
 	req := Request{ClientID: 7, Seq: 1, Method: "fs.pread", Body: make([]byte, 4096)}
-	if err := writeRequest(bw, 1, &req, DefaultMaxFrame); err != nil {
-		b.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	rd := bytes.NewReader(buf.Bytes())
+	rd := bytes.NewReader(encodeRequestFrame(b, 1, req))
 	fr := newFrameReader(rd, DefaultMaxFrame)
 	b.SetBytes(int64(len(req.Body)))
 	b.ReportAllocs()

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -13,34 +12,25 @@ import (
 // on every path, error paths included.
 func FuzzFrameReader(f *testing.F) {
 	const maxFrame = 1 << 16
-	var seed bytes.Buffer
-	bw := bufio.NewWriter(&seed)
-	add := func(write func() error) []byte {
-		seed.Reset()
-		if err := write(); err != nil {
-			f.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		frame := append([]byte(nil), seed.Bytes()...)
+	add := func(send func(w *frameWriter) error) []byte {
+		frame := frameBytes(f, send)
 		f.Add(frame)
 		return frame
 	}
 	// The codec round-trip tests' frames, one per kind...
 	req := Request{ClientID: 7, Seq: 42, Method: "fs.read", Body: []byte("hello")}
-	good := add(func() error { return writeRequest(bw, 1, &req, maxFrame) })
+	good := add(func(w *frameWriter) error { return w.writeRequest(1, &req) })
 	traced := Request{ClientID: 7, Seq: 43, Method: "fs.readAt", Body: []byte{1, 2, 3}, TraceID: 0xABCD, SpanID: 9}
-	add(func() error { return writeRequest(bw, 2, &traced, maxFrame) })
+	add(func(w *frameWriter) error { return w.writeRequest(2, &traced) })
 	resp := Response{Seq: 11, Body: bytes.Repeat([]byte{1}, 4096), Err: "both"}
-	add(func() error { return writeResponse(bw, 100, &resp, maxFrame) })
-	add(func() error { return writePush(bw, "cc.recall", []byte{1, 2, 3, 4, 5}, maxFrame) })
+	add(func(w *frameWriter) error { return w.writeResponse(100, &resp) })
+	add(func(w *frameWriter) error { return w.writePush("cc.recall", []byte{1, 2, 3, 4, 5}) })
 	// ...two frames back to back, and TestWireRejectsCorruptFrames' mutations.
-	add(func() error {
-		if err := writeRequest(bw, 3, &req, maxFrame); err != nil {
+	add(func(w *frameWriter) error {
+		if err := w.writeRequest(3, &req); err != nil {
 			return err
 		}
-		return writeResponse(bw, 3, &resp, maxFrame)
+		return w.writeResponse(3, &resp)
 	})
 	huge := append([]byte(nil), good...)
 	binary.BigEndian.PutUint32(huge, maxFrame+1)

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"sync"
@@ -12,8 +11,9 @@ import (
 // muxConn is the client side of one multiplexed connection.
 // Any number of goroutines issue roundTrips concurrently: each send is
 // tagged with a fresh frame ID, registered in the pending-call map, and
-// queued to the writer goroutine; the reader goroutine decodes response
-// frames as they arrive — in any order — and completes the matching call.
+// encoded by its caller onto the connection's frameWriter; the reader
+// goroutine decodes response frames as they arrive — in any order — and
+// completes the matching call.
 // This replaces the serial transport's hold-the-mutex-for-the-round-trip
 // design: one connection now keeps many requests in flight, so the server
 // can overlap their disk work while earlier responses are still in transit.
@@ -26,38 +26,34 @@ import (
 // is failed individually and the connection survives as long as the expiry
 // caught the stream at a frame boundary.
 //
-// Request-body ownership: the writer claims a call under pmu before encoding
-// its body and skips calls that have already been removed from the map, and
-// every completion path that doesn't go through the writer (expiry, forget,
-// teardown) waits for an in-progress claim to clear first. Together these
-// guarantee the connection never touches a request body after roundTrip
-// returns, so callers may recycle it immediately on any outcome.
+// Request-body ownership: roundTrip copies the request into the writer's
+// pending buffer before it waits, so the connection never touches a request
+// body after roundTrip returns and callers may recycle it on any outcome.
 type muxConn struct {
 	conn net.Conn
 	opts tcpOpts
+	w    *frameWriter
 
-	writeq chan muxWrite
-	done   chan struct{} // closed by fail; the connection is then dead
-	once   sync.Once
-	errv   atomic.Value // error stored before done closes
+	done chan struct{} // closed by fail; the connection is then dead
+	once sync.Once
+	errv atomic.Value // error stored before done closes
 
 	nextID atomic.Uint64
 
 	pmu     sync.Mutex
-	wcond   *sync.Cond // signals pendingCall.writing transitions (on pmu)
 	pending map[uint64]*pendingCall
 	dead    bool
+	// timed counts the pending calls with a deadline, and armed is the read
+	// deadline last set on the socket (rearm forces the next setting): with
+	// no call timed and nothing armed a frame costs no deadline work.
+	timed int
+	armed time.Time
+	rearm bool
 
 	// pushes queues server push frames for the dispatcher goroutine; nil
 	// when neither a push handler nor a conn-down hook is configured (push
 	// frames are then dropped on the floor, recycled).
 	pushes *pushQueue
-}
-
-type muxWrite struct {
-	id  uint64
-	req Request
-	pc  *pendingCall
 }
 
 // pushedFrame is one server push awaiting the dispatcher; body is a pooled
@@ -134,10 +130,6 @@ func (q *pushQueue) kill() {
 type pendingCall struct {
 	ch       chan callResult
 	deadline time.Time
-	// writing marks the call's request as on the writer's encoder right now
-	// (guarded by pmu): completion paths that would hand body ownership back
-	// to the caller wait for it to clear.
-	writing bool
 }
 
 type callResult struct {
@@ -145,8 +137,8 @@ type callResult struct {
 	err  error
 }
 
-// dialMux establishes a multiplexed connection and starts its reader and
-// writer goroutines.
+// dialMux establishes a multiplexed connection and starts its reader
+// goroutine (and the push dispatcher, when pushes have somewhere to go).
 func dialMux(addr string, opts tcpOpts) (*muxConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
@@ -155,17 +147,15 @@ func dialMux(addr string, opts tcpOpts) (*muxConn, error) {
 	c := &muxConn{
 		conn:    conn,
 		opts:    opts,
-		writeq:  make(chan muxWrite, 128),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*pendingCall),
 	}
-	c.wcond = sync.NewCond(&c.pmu)
+	c.w = newFrameWriter(conn, opts.ioTimeout, func(err error) { c.fail(errors.Join(ErrDropped, err)) })
 	if opts.pushHandler != nil || opts.connDown != nil {
 		c.pushes = newPushQueue()
 		go c.pushLoop()
 	}
 	go c.readLoop()
-	go c.writeLoop()
 	return c, nil
 }
 
@@ -207,24 +197,18 @@ func (c *muxConn) err() error {
 	return ErrClosed
 }
 
-// fail tears the connection down once: record the cause, close the socket,
-// unblock both loops, and complete every pending call with the cause.
+// fail tears the connection down once: record the cause, close the socket
+// and the writer, and complete every pending call with the cause.
 func (c *muxConn) fail(cause error) {
 	c.once.Do(func() {
 		c.errv.Store(cause)
 		close(c.done)
 		_ = c.conn.Close()
+		c.w.close()
 		c.pmu.Lock()
 		calls := c.pending
 		c.pending = nil
 		c.dead = true
-		// A writer mid-encode still holds a detached call's request body;
-		// wait it out before completing (the closed socket unblocks it).
-		for _, pc := range calls {
-			for pc.writing {
-				c.wcond.Wait()
-			}
-		}
 		c.pmu.Unlock()
 		for _, pc := range calls {
 			pc.ch <- callResult{err: cause}
@@ -253,14 +237,16 @@ func (c *muxConn) roundTrip(req Request, deadline time.Time) (Response, error) {
 	// that just decided to block without a deadline is interrupted by this
 	// earlier one.
 	if !deadline.IsZero() {
+		c.timed++
 		c.armReadDeadlineLocked()
 	}
 	c.pmu.Unlock()
-	select {
-	case c.writeq <- muxWrite{id: id, req: req, pc: pc}:
-	case <-c.done:
-		c.forget(id, pc)
-		return Response{}, c.err()
+	// ErrClosed means the connection is going down, and its teardown
+	// completes the call; any other error refused the frame before a byte
+	// of it was queued.
+	if err := c.w.writeRequest(id, &req); err != nil && !errors.Is(err, ErrClosed) {
+		c.forget(id)
+		return Response{}, err
 	}
 	select {
 	case r := <-pc.ch:
@@ -272,62 +258,65 @@ func (c *muxConn) roundTrip(req Request, deadline time.Time) (Response, error) {
 			return r.resp, r.err
 		default:
 		}
-		c.forget(id, pc)
+		c.forget(id)
 		return Response{}, c.err()
 	}
 }
 
-// forget removes a call that will never be completed through the map. It
-// returns only once the writer holds no claim on the call, so the caller
-// regains exclusive ownership of the request body.
-func (c *muxConn) forget(id uint64, pc *pendingCall) {
+// forget removes a call that will never be completed through the map.
+func (c *muxConn) forget(id uint64) {
 	c.pmu.Lock()
-	if c.pending != nil {
-		delete(c.pending, id)
-	}
-	for pc.writing {
-		c.wcond.Wait()
-	}
+	c.removeLocked(id)
 	c.pmu.Unlock()
 }
 
-// armReadDeadlineLocked points the socket read deadline at the earliest
-// pending attempt deadline (or clears it). Callers hold pmu, which orders
-// every SetReadDeadline: the arming that observes the newest pending set
-// always runs last.
-func (c *muxConn) armReadDeadlineLocked() {
-	var earliest time.Time
-	for _, pc := range c.pending {
-		if pc.deadline.IsZero() {
-			continue
-		}
-		if earliest.IsZero() || pc.deadline.Before(earliest) {
-			earliest = pc.deadline
+// removeLocked takes call id out of the pending map, if it is still there,
+// and returns it.
+func (c *muxConn) removeLocked(id uint64) *pendingCall {
+	pc := c.pending[id]
+	if pc != nil {
+		delete(c.pending, id)
+		if !pc.deadline.IsZero() {
+			c.timed--
 		}
 	}
+	return pc
+}
+
+// armReadDeadlineLocked points the socket read deadline at the earliest
+// pending attempt deadline (or clears it), skipping the call when that is
+// the deadline already armed. Callers hold pmu, which orders every
+// SetReadDeadline: the arming that observes the newest pending set always
+// runs last.
+func (c *muxConn) armReadDeadlineLocked() {
+	var earliest time.Time
+	if c.timed > 0 {
+		for _, pc := range c.pending {
+			if !pc.deadline.IsZero() && (earliest.IsZero() || pc.deadline.Before(earliest)) {
+				earliest = pc.deadline
+			}
+		}
+	}
+	if earliest.Equal(c.armed) && !c.rearm {
+		return
+	}
+	c.armed, c.rearm = earliest, false
 	_ = c.conn.SetReadDeadline(earliest)
 }
 
 // expireOverdue completes every pending call whose deadline has passed with
-// cause, reporting whether any were overdue. An overdue call the writer is
-// encoding right now is waited out first — completing it early would hand
-// its request body back to the caller while the encoder still reads it.
+// cause, reporting whether any were overdue.
 func (c *muxConn) expireOverdue(cause error) bool {
 	now := time.Now()
 	var expired []*pendingCall
 	c.pmu.Lock()
-restart:
+	// The timeout consumed the armed deadline: the next arming sets one
+	// even if it is the same instant.
+	c.rearm = true
 	for id, pc := range c.pending {
-		if pc.deadline.IsZero() || pc.deadline.After(now) {
-			continue
+		if !pc.deadline.IsZero() && !pc.deadline.After(now) {
+			expired = append(expired, c.removeLocked(id))
 		}
-		if pc.writing {
-			// Wait releases pmu; the map may change under us, so rescan.
-			c.wcond.Wait()
-			goto restart
-		}
-		delete(c.pending, id)
-		expired = append(expired, pc)
 	}
 	c.pmu.Unlock()
 	for _, pc := range expired {
@@ -372,16 +361,7 @@ func (c *muxConn) readLoop() {
 			return
 		}
 		c.pmu.Lock()
-		pc := c.pending[frame.id]
-		if pc != nil {
-			delete(c.pending, frame.id)
-			// The response proves the request left the socket, but only the
-			// writer's release orders its reads of the body before the
-			// caller's reuse of it.
-			for pc.writing {
-				c.wcond.Wait()
-			}
-		}
+		pc := c.removeLocked(frame.id)
 		c.pmu.Unlock()
 		if pc == nil {
 			// Response to an expired (already failed) call.
@@ -389,72 +369,5 @@ func (c *muxConn) readLoop() {
 			continue
 		}
 		pc.ch <- callResult{resp: Response{Seq: frame.seq, Body: frame.body, Err: frame.errMsg}}
-	}
-}
-
-// claimWrite marks w's call as having its request on the encoder. False
-// means the call is already gone — expired, forgotten, or torn down — and
-// the frame must not be written: its body may belong to someone else again.
-// (A skipped frame never reaches the server; the client retries under the
-// same sequence number, so the duplicate cache keeps it exactly-once.)
-func (c *muxConn) claimWrite(w muxWrite) bool {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if c.dead || c.pending[w.id] != w.pc {
-		return false
-	}
-	w.pc.writing = true
-	return true
-}
-
-// releaseWrite clears the claim and wakes completion paths waiting on it.
-func (c *muxConn) releaseWrite(pc *pendingCall) {
-	c.pmu.Lock()
-	pc.writing = false
-	c.pmu.Unlock()
-	c.wcond.Broadcast()
-}
-
-// writeLoop encodes queued requests, draining opportunistically so bursts of
-// concurrent sends share one flush (and one TCP segment, when they fit).
-// Each dequeued request is encoded only under a claim (see claimWrite) so
-// body ownership hands back cleanly on every completion path.
-func (c *muxConn) writeLoop() {
-	bw := bufio.NewWriterSize(c.conn, wireBufferSize)
-	for {
-		var w muxWrite
-		select {
-		case <-c.done:
-			return
-		case w = <-c.writeq:
-		}
-		if d := c.opts.ioTimeout; d > 0 {
-			_ = c.conn.SetWriteDeadline(time.Now().Add(d))
-		}
-		wrote := false
-		for {
-			if c.claimWrite(w) {
-				err := writeRequest(bw, w.id, &w.req, DefaultMaxFrame)
-				c.releaseWrite(w.pc)
-				if err != nil {
-					c.fail(errors.Join(ErrDropped, err))
-					return
-				}
-				wrote = true
-			}
-			select {
-			case w = <-c.writeq:
-				continue
-			default:
-			}
-			break
-		}
-		if !wrote {
-			continue
-		}
-		if err := bw.Flush(); err != nil {
-			c.fail(errors.Join(ErrDropped, err))
-			return
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -14,20 +13,13 @@ import (
 
 // TestWirePushRoundTrip pins the push frame layout through the codec.
 func TestWirePushRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
 	body := []byte{1, 2, 3, 4, 5}
-	if err := writePush(bw, "cc.recall", body, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	frame := frameBytes(t, func(w *frameWriter) error { return w.writePush("cc.recall", body) })
 	wantLen := 4 + frameCommonLen + pushFixedLen + len("cc.recall") + len(body)
-	if buf.Len() != wantLen {
-		t.Fatalf("push frame is %d bytes, want %d", buf.Len(), wantLen)
+	if len(frame) != wantLen {
+		t.Fatalf("push frame is %d bytes, want %d", len(frame), wantLen)
 	}
-	fr, _, err := newFrameReader(&buf, 0).read()
+	fr, _, err := newFrameReader(bytes.NewReader(frame), 0).read()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,9 @@ var (
 
 // Pusher sends one-way push frames to a connected client — the reverse
 // direction of the request/response flow. The TCP server's per-connection
-// state implements it; handlers obtain one via PeerFromContext. Push takes
-// ownership of body (pass a plain allocation, not a pooled buffer) and
-// queues the frame; delivery is at-most-once with no reply.
+// state implements it; handlers obtain one via PeerFromContext. Push
+// encodes the frame before it returns, so the body stays the caller's;
+// delivery is at-most-once with no reply.
 type Pusher interface {
 	Push(method string, body []byte) error
 }

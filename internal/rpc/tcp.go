@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -126,10 +125,11 @@ func (o *tcpOpts) deadline() time.Time {
 	return time.Now().Add(o.ioTimeout)
 }
 
-// TCPServer serves an Endpoint over TCP. Each connection gets a reader and a
-// writer goroutine and decoded requests dispatch to the server-wide bounded
-// worker pool, so one connection's requests execute concurrently and respond
-// out of order. Close stops the listener and waits for connections and
+// TCPServer serves an Endpoint over TCP. Each connection gets a reader
+// goroutine, and decoded requests dispatch to the server-wide bounded worker
+// pool, so one connection's requests execute concurrently and respond out of
+// order: the worker that ran a request writes its response (see
+// frameWriter). Close stops the listener and waits for connections and
 // workers to drain.
 type TCPServer struct {
 	ep   *Endpoint
@@ -152,22 +152,13 @@ type serverTask struct {
 	req Request
 }
 
-// serverConn is the per-connection server state: the response queue feeding
-// the connection's writer goroutine, and the teardown latch.
+// serverConn is the per-connection server state: the frame writer its
+// workers and pushers share, and the teardown latch.
 type serverConn struct {
-	conn   net.Conn
-	writeq chan respWrite
-	done   chan struct{}
-	once   sync.Once
-}
-
-// respWrite is one frame bound for the connection writer: a response when
-// pushMethod is empty, a one-way push frame otherwise.
-type respWrite struct {
-	id         uint64
-	resp       Response
-	pushMethod string
-	pushBody   []byte
+	conn net.Conn
+	w    *frameWriter
+	done chan struct{}
+	once sync.Once
 }
 
 // shutdown tears the connection down once; safe from any goroutine.
@@ -175,26 +166,20 @@ func (sc *serverConn) shutdown() {
 	sc.once.Do(func() {
 		close(sc.done)
 		_ = sc.conn.Close()
+		sc.w.close()
 	})
 }
 
-// Push queues a one-way push frame to this connection's client (Pusher).
-// Ownership of body transfers to the connection; callers must pass a plain
-// allocation, never a pooled wire buffer — a push dropped by connection
-// death is simply garbage-collected, so only unpooled bodies keep the
-// BufferBalance ledger exact. Delivery is at-most-once: ErrClosed means the
-// connection is gone and the frame was not sent; a nil return means the
-// frame was queued, not that the client processed it.
+// Push encodes a one-way push frame to this connection's client (Pusher).
+// The body is the caller's again once Push returns. Delivery is
+// at-most-once: ErrClosed means the connection is gone and the frame was
+// not sent; a nil return means the frame was queued, not that the client
+// processed it.
 func (sc *serverConn) Push(method string, body []byte) error {
 	if method == "" {
 		return fmt.Errorf("rpc: push with empty method")
 	}
-	select {
-	case sc.writeq <- respWrite{pushMethod: method, pushBody: body}:
-		return nil
-	case <-sc.done:
-		return ErrClosed
-	}
+	return sc.w.writePush(method, body)
 }
 
 // Serve starts serving ep on ln. It returns immediately; the listener runs
@@ -218,7 +203,8 @@ func (s *TCPServer) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		sc := &serverConn{conn: conn, writeq: make(chan respWrite, 64), done: make(chan struct{})}
+		sc := &serverConn{conn: conn, done: make(chan struct{})}
+		sc.w = newFrameWriter(conn, s.opts.ioTimeout, func(error) { sc.shutdown() })
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -265,18 +251,18 @@ func (s *TCPServer) worker() {
 		ctx := ContextWithPeer(context.Background(), Peer{ClientID: task.req.ClientID, Pusher: task.sc})
 		resp := s.ep.Handle(ctx, task.req)
 		Recycle(task.req.Body)
-		select {
-		case task.sc.writeq <- respWrite{id: task.id, resp: resp}:
-		case <-task.sc.done:
-			// Connection gone; the effect happened and the duplicate cache
-			// will answer the client's retry on a fresh connection.
+		// A dead connection refuses the frame; the effect happened, and the
+		// duplicate cache answers the client's retry on a fresh connection.
+		// A response too large to encode drops the connection, as the
+		// client cannot be answered on it.
+		if err := task.sc.w.writeResponse(task.id, &resp); err != nil {
+			task.sc.shutdown()
 		}
 	}
 }
 
 // serveMuxConn reads frames off one connection and dispatches them to the
-// worker pool; its paired writer goroutine streams responses back in
-// completion order.
+// worker pool, whose workers write the responses back in completion order.
 func (s *TCPServer) serveMuxConn(sc *serverConn) {
 	defer s.wg.Done()
 	defer func() {
@@ -286,13 +272,12 @@ func (s *TCPServer) serveMuxConn(sc *serverConn) {
 		s.mu.Unlock()
 	}()
 
-	s.wg.Add(1)
-	go s.connWriter(sc)
-
 	fr := newFrameReader(sc.conn, DefaultMaxFrame)
 	for {
-		if err := sc.conn.SetReadDeadline(s.opts.deadline()); err != nil {
-			return
+		if s.opts.ioTimeout > 0 {
+			if err := sc.conn.SetReadDeadline(s.opts.deadline()); err != nil {
+				return
+			}
 		}
 		frame, _, err := fr.read()
 		if err != nil {
@@ -318,45 +303,6 @@ func (s *TCPServer) serveMuxConn(sc *serverConn) {
 		case s.work <- task:
 		case <-sc.done:
 			Recycle(frame.body)
-			return
-		}
-	}
-}
-
-// connWriter drains one connection's response queue, batching flushes
-// across bursts of completions.
-func (s *TCPServer) connWriter(sc *serverConn) {
-	defer s.wg.Done()
-	defer sc.shutdown()
-	bw := bufio.NewWriterSize(sc.conn, wireBufferSize)
-	for {
-		var w respWrite
-		select {
-		case <-sc.done:
-			return
-		case w = <-sc.writeq:
-		}
-		if d := s.opts.ioTimeout; d > 0 {
-			_ = sc.conn.SetWriteDeadline(time.Now().Add(d))
-		}
-		for {
-			var err error
-			if w.pushMethod != "" {
-				err = writePush(bw, w.pushMethod, w.pushBody, DefaultMaxFrame)
-			} else {
-				err = writeResponse(bw, w.id, &w.resp, DefaultMaxFrame)
-			}
-			if err != nil {
-				return
-			}
-			select {
-			case w = <-sc.writeq:
-				continue
-			default:
-			}
-			break
-		}
-		if err := bw.Flush(); err != nil {
 			return
 		}
 	}

@@ -1,10 +1,8 @@
 package rpc
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"io"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -59,12 +57,12 @@ func TestWireTracedFrameSize(t *testing.T) {
 // TestWireTracedEncodeAllocBudget holds the traced encode path to the same
 // zero-alloc budget as the untraced one.
 func TestWireTracedEncodeAllocBudget(t *testing.T) {
-	bw := bufio.NewWriterSize(io.Discard, wireBufferSize)
+	w := newFrameWriter(discardConn{}, 0, func(err error) { t.Fatal(err) })
 	req := Request{ClientID: 7, Seq: 1, Method: "fs.pread", Body: make([]byte, 4096),
 		TraceID: 42, SpanID: 43}
 	allocs := testing.AllocsPerRun(200, func() {
 		req.Seq++
-		if err := writeRequest(bw, req.Seq, &req, DefaultMaxFrame); err != nil {
+		if err := w.writeRequest(req.Seq, &req); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -36,12 +36,13 @@ import (
 // The frameID tags each request so responses can return out of order over a
 // multiplexed connection; it is connection-local and never reaches the
 // Endpoint (idempotency still keys on ClientID/Seq). The codec carries no
-// per-frame type metadata, the header encodes in place in the connection
-// writer's buffer, and the body is written to (and read from) the socket
-// directly, so a fragment payload crosses the rpc layer without an
-// intermediate copy: on encode the body slice goes straight to the buffered
-// writer (large bodies bypass even that buffer), and on decode it lands in a
-// recycled buffer from the frame free lists below.
+// per-frame type metadata. A frame is written by the goroutine that made it
+// (see frameWriter): its head is appended to the connection's pending
+// buffer, and so is a small body — the one copy of such a payload, which
+// hands the body back to its owner as soon as the call returns — while a
+// large body goes to the socket straight from the caller's slice. On decode
+// the body is read from the socket straight into a recycled buffer from the
+// frame free lists below.
 
 // Frame kinds.
 const (
@@ -65,8 +66,8 @@ const (
 // the reader allocate unboundedly.
 const DefaultMaxFrame = 16 << 20
 
-// wireBufferSize sizes the per-connection bufio reader/writer. Writes larger
-// than this pass through to the socket uncopied.
+// wireBufferSize sizes the per-connection bufio reader, and bounds the bytes
+// a connection's frameWriter lets pile up behind a write in progress.
 const wireBufferSize = 64 << 10
 
 // bufFree recycles wire buffers in power-of-two size classes —
@@ -313,12 +314,14 @@ func (r *frameReader) fill(p []byte, consumed int) (int, error) {
 	return consumed + n, err
 }
 
-// writeRequest encodes one request frame onto bw. The header builds in a
-// stack array and the body slice is written directly, so encoding performs
-// no allocation and no body copy beyond the writer's own buffering.
-func writeRequest(bw *bufio.Writer, id uint64, req *Request, maxFrame int) error {
+// appendRequest appends the head of one request frame to dst — everything
+// up to its body, which follows it on the wire (see frameWriter.write). A
+// frame that cannot be encoded is refused whole: the error comes back with
+// dst as it was, so a stream never carries half a frame. Appending onto a
+// retained buffer allocates nothing.
+func appendRequest(dst []byte, id uint64, req *Request, maxFrame int) ([]byte, error) {
 	if len(req.Method) > 0xFFFF {
-		return fmt.Errorf("rpc: method name %d bytes long", len(req.Method))
+		return dst, fmt.Errorf("rpc: method name %d bytes long", len(req.Method))
 	}
 	// A request with span identity encodes as the traced frame kind; an
 	// untraced request keeps the exact pre-trace layout, so disabling
@@ -329,80 +332,55 @@ func writeRequest(bw *bufio.Writer, id uint64, req *Request, maxFrame int) error
 	}
 	frameLen := frameCommonLen + fixed + len(req.Method) + len(req.Body)
 	if maxFrame > 0 && frameLen > maxFrame {
-		return fmt.Errorf("rpc: request frame %d bytes exceeds limit %d", frameLen, maxFrame)
+		return dst, fmt.Errorf("rpc: request frame %d bytes exceeds limit %d", frameLen, maxFrame)
 	}
-	// Build the header in the writer's own buffer (AvailableBuffer) so it
-	// never escapes to the heap: steady-state encode is allocation-free.
-	hdr := bw.AvailableBuffer()
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(frameLen))
-	hdr = append(hdr, kind)
-	hdr = binary.BigEndian.AppendUint64(hdr, id)
-	hdr = binary.BigEndian.AppendUint64(hdr, req.ClientID)
-	hdr = binary.BigEndian.AppendUint64(hdr, req.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameLen))
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	dst = binary.BigEndian.AppendUint64(dst, req.ClientID)
+	dst = binary.BigEndian.AppendUint64(dst, req.Seq)
 	if kind == frameRequestTraced {
-		hdr = binary.BigEndian.AppendUint64(hdr, req.TraceID)
-		hdr = binary.BigEndian.AppendUint64(hdr, req.SpanID)
+		dst = binary.BigEndian.AppendUint64(dst, req.TraceID)
+		dst = binary.BigEndian.AppendUint64(dst, req.SpanID)
 	}
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(req.Method)))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(req.Body)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(req.Method); err != nil {
-		return err
-	}
-	_, err := bw.Write(req.Body)
-	return err
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Method)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req.Body)))
+	return append(dst, req.Method...), nil
 }
 
-// writePush encodes one one-way push frame onto bw. Pushes carry no frame
-// ID: nothing ever answers them, so there is nothing to match.
-func writePush(bw *bufio.Writer, method string, body []byte, maxFrame int) error {
+// appendPush appends the head of one one-way push frame to dst. Pushes
+// carry no frame ID: nothing ever answers them, so there is nothing to
+// match.
+func appendPush(dst []byte, method string, body []byte, maxFrame int) ([]byte, error) {
 	if len(method) > 0xFFFF {
-		return fmt.Errorf("rpc: method name %d bytes long", len(method))
+		return dst, fmt.Errorf("rpc: method name %d bytes long", len(method))
 	}
 	frameLen := frameCommonLen + pushFixedLen + len(method) + len(body)
 	if maxFrame > 0 && frameLen > maxFrame {
-		return fmt.Errorf("rpc: push frame %d bytes exceeds limit %d", frameLen, maxFrame)
+		return dst, fmt.Errorf("rpc: push frame %d bytes exceeds limit %d", frameLen, maxFrame)
 	}
-	hdr := bw.AvailableBuffer()
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(frameLen))
-	hdr = append(hdr, framePush)
-	hdr = binary.BigEndian.AppendUint64(hdr, 0)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(method)))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(body)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(method); err != nil {
-		return err
-	}
-	_, err := bw.Write(body)
-	return err
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameLen))
+	dst = append(dst, framePush)
+	dst = binary.BigEndian.AppendUint64(dst, 0)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(method)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	return append(dst, method...), nil
 }
 
-// writeResponse is writeRequest's response-side counterpart.
-func writeResponse(bw *bufio.Writer, id uint64, resp *Response, maxFrame int) error {
+// appendResponse is appendRequest's response-side counterpart.
+func appendResponse(dst []byte, id uint64, resp *Response, maxFrame int) ([]byte, error) {
 	if len(resp.Err) > 0xFFFF {
-		return fmt.Errorf("rpc: error message %d bytes long", len(resp.Err))
+		return dst, fmt.Errorf("rpc: error message %d bytes long", len(resp.Err))
 	}
 	frameLen := frameCommonLen + responseFixedLen + len(resp.Err) + len(resp.Body)
 	if maxFrame > 0 && frameLen > maxFrame {
-		return fmt.Errorf("rpc: response frame %d bytes exceeds limit %d", frameLen, maxFrame)
+		return dst, fmt.Errorf("rpc: response frame %d bytes exceeds limit %d", frameLen, maxFrame)
 	}
-	hdr := bw.AvailableBuffer()
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(frameLen))
-	hdr = append(hdr, frameResponse)
-	hdr = binary.BigEndian.AppendUint64(hdr, id)
-	hdr = binary.BigEndian.AppendUint64(hdr, resp.Seq)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(resp.Err)))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(resp.Body)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(resp.Err); err != nil {
-		return err
-	}
-	_, err := bw.Write(resp.Body)
-	return err
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameLen))
+	dst = append(dst, frameResponse)
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	dst = binary.BigEndian.AppendUint64(dst, resp.Seq)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(resp.Err)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Body)))
+	return append(dst, resp.Err...), nil
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -32,31 +31,34 @@ func dial(t testing.TB, srv *TCPServer, opts ...TCPOption) *TCPTransport {
 	return tr
 }
 
-// encodeFrames renders frames to a byte stream via the production writers.
-func encodeRequestFrame(t *testing.T, id uint64, req Request) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeRequest(bw, id, &req, DefaultMaxFrame); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// bufConn is a net.Conn that keeps what is written to it.
+type bufConn struct {
+	net.Conn
+	buf bytes.Buffer
 }
 
-func encodeResponseFrame(t *testing.T, id uint64, resp Response) []byte {
+func (c *bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// frameBytes renders the frames send writes, through the production path: a
+// frameWriter, head and body.
+func frameBytes(t testing.TB, send func(w *frameWriter) error) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeResponse(bw, id, &resp, DefaultMaxFrame); err != nil {
+	c := &bufConn{}
+	w := newFrameWriter(c, 0, func(err error) { t.Fatal(err) })
+	if err := send(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return c.buf.Bytes()
+}
+
+func encodeRequestFrame(t testing.TB, id uint64, req Request) []byte {
+	t.Helper()
+	return frameBytes(t, func(w *frameWriter) error { return w.writeRequest(id, &req) })
+}
+
+func encodeResponseFrame(t testing.TB, id uint64, resp Response) []byte {
+	t.Helper()
+	return frameBytes(t, func(w *frameWriter) error { return w.writeResponse(id, &resp) })
 }
 
 func TestWireRequestRoundTrip(t *testing.T) {
@@ -142,18 +144,16 @@ func TestWireMethodInterning(t *testing.T) {
 // decode correctly.
 func TestWireMethodInternCap(t *testing.T) {
 	const n = 10_000
-	var stream bytes.Buffer
-	bw := bufio.NewWriter(&stream)
-	for i := 0; i < n; i++ {
-		req := Request{Method: fmt.Sprintf("m.%d", i)}
-		if err := writeRequest(bw, uint64(i), &req, DefaultMaxFrame); err != nil {
-			t.Fatal(err)
+	stream := frameBytes(t, func(w *frameWriter) error {
+		for i := 0; i < n; i++ {
+			req := Request{Method: fmt.Sprintf("m.%d", i)}
+			if err := w.writeRequest(uint64(i), &req); err != nil {
+				return err
+			}
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr := newFrameReader(&stream, DefaultMaxFrame)
+		return nil
+	})
+	fr := newFrameReader(bytes.NewReader(stream), DefaultMaxFrame)
 	for i := 0; i < n; i++ {
 		frame, _, err := fr.read()
 		if err != nil {
@@ -204,17 +204,20 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 }
 
 // TestWireWriterEnforcesMaxFrame: the encoders refuse frames past the limit
-// so a misbehaving caller cannot poison the stream for the peer.
+// so a misbehaving caller cannot poison the stream for the peer, and a
+// refused frame leaves the buffer it was to be appended to as it was.
 func TestWireWriterEnforcesMaxFrame(t *testing.T) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
+	buf := []byte("queued")
 	req := Request{Method: "m", Body: make([]byte, 1024)}
-	if err := writeRequest(bw, 1, &req, 64); err == nil {
-		t.Fatal("oversized request encoded")
+	if out, err := appendRequest(buf, 1, &req, 64); err == nil || string(out) != "queued" {
+		t.Fatalf("oversized request: %q, %v", out, err)
 	}
 	resp := Response{Body: make([]byte, 1024)}
-	if err := writeResponse(bw, 1, &resp, 64); err == nil {
-		t.Fatal("oversized response encoded")
+	if out, err := appendResponse(buf, 1, &resp, 64); err == nil || string(out) != "queued" {
+		t.Fatalf("oversized response: %q, %v", out, err)
+	}
+	if out, err := appendPush(buf, "m", make([]byte, 1024), 64); err == nil || string(out) != "queued" {
+		t.Fatalf("oversized push: %q, %v", out, err)
 	}
 }
 
