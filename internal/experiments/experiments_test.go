@@ -315,7 +315,18 @@ func TestE17Shape(t *testing.T) {
 	}
 	tbl.Render(testWriter{t})
 	wantOverhead := map[int]float64{0: 1.50, 1: 1.25} // 3 disks (K=2), 5 disks (K=4)
+	// Every array call sends its member I/O in a fixed order, so the
+	// virtual-time cells repeat exactly, the degraded read's included.
+	wantTimes := [][3]string{
+		{"286.06ms", "218.56ms", "39.67s"},
+		{"157.88ms", "136.66ms", "39.78s"},
+	}
 	for row := range tbl.Rows {
+		for i, col := range []int{3, 4, 7} {
+			if got := tbl.Rows[row][col]; got != wantTimes[row][i] {
+				t.Errorf("E17 row %d: %s = %s, want %s", row, tbl.Columns[col], got, wantTimes[row][i])
+			}
+		}
 		overhead, err := strconv.ParseFloat(strings.TrimSuffix(tbl.Rows[row][1], "x"), 64)
 		if err != nil {
 			t.Fatalf("E17 row %d overhead %q: %v", row, tbl.Rows[row][1], err)

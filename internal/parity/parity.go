@@ -16,18 +16,24 @@
 // parity array exactly as it runs on a single disk server — the layout is
 // chosen in core.Config, alongside plain striping and replication.
 //
-// Write paths:
+// Write rules. Every stripe write takes one of two paths, chosen from the
+// stripe's shape:
 //
-//   - A write covering every data unit of a stripe computes the parity by
-//     XOR of the new data alone and writes all K+1 units in one fan-out
-//     (full-stripe write, no reads).
-//   - A smaller write does a read-modify-write parity update: read the old
-//     data and old parity for the affected range, then
-//     newParity = oldParity XOR oldData XOR newData (2 reads + 2 writes —
-//     the classic small-write penalty).
-//   - In degraded mode, writes to the failed disk's unit instead recompute
-//     parity from the surviving data units, so the lost unit's new content
-//     is representable even though the disk is gone.
+//   - Reconstruct-write: parity = new data XOR the data units the write
+//     does not cover. Those units are read first; a full stripe reads none.
+//     A lost disk's unit is not written (its stable echo still is), and a
+//     lost parity unit needs no reads at all.
+//   - Read-modify-write, for a partial stripe whose touched units and
+//     parity are all alive: read the old data and old parity, then
+//     newParity = oldParity XOR oldData XOR newData (the classic
+//     small-write penalty).
+//
+// I/O order. Every call sends its member-disk I/O in a fixed order: one
+// fan-out at a time, never one inside another. A read fans out its healthy
+// units first and then reconstructs its degraded ones in stripe order; a
+// write takes its stripes in order. Each member disk therefore sees one
+// sequence of operations per call, so its seek and track-cache costs — and
+// the virtual time they charge — repeat exactly.
 //
 // Parity is an invariant of main storage: parity-unit writes never go to
 // stable storage, and reconstruction always reads main copies. Stable
@@ -40,7 +46,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -244,10 +249,10 @@ func (a *Array) dataDisk(s, j int) int {
 	return j
 }
 
-// physAddr returns the physical fragment address of offset off within
-// stripe s's unit on disk d. A stripe unit is one fragment, so one stripe
-// is K data fragments plus their parity fragment.
-func (a *Array) physAddr(d, s, off int) int { return a.base[d] + s + off }
+// physAddr returns the physical fragment address of stripe s's unit on disk
+// d. A stripe unit is one fragment, so one stripe is K data fragments plus
+// their parity fragment.
+func (a *Array) physAddr(d, s int) int { return a.base[d] + s }
 
 // Allocation — the file service's allocator surface, answered from the
 // array's own free-space map over the virtual data space. Underlying disks
@@ -296,6 +301,9 @@ func (a *Array) InvalidateCache() {
 
 // Flush makes every member disk's buffered state durable, in parallel. A
 // failed member is skipped — its durable state is unreachable until rebuild.
+// A member failing here is noted like any other I/O failure: the first
+// degrades the array and the survivors' flush stands; a second distinct one
+// loses the array.
 func (a *Array) Flush() error {
 	disks, failedIdx, _, _ := a.snapshot()
 	tasks := make([]func() error, 0, len(disks))
@@ -303,16 +311,19 @@ func (a *Array) Flush() error {
 		if i == failedIdx {
 			continue
 		}
-		d := d
-		tasks = append(tasks, func() error { return d.Flush() })
+		i, d := i, d
+		tasks = append(tasks, func() error {
+			err := d.Flush()
+			if err != nil && errors.Is(err, device.ErrFailed) {
+				if !a.noteFailure(i) {
+					return fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, i, err)
+				}
+				return nil
+			}
+			return err
+		})
 	}
-	err := a.fanout(tasks)
-	if err != nil && errors.Is(err, device.ErrFailed) && failedIdx < 0 {
-		// A member died between the snapshot and the flush; one failure is
-		// survivable, so the flush of the survivors stands.
-		return nil
-	}
-	return err
+	return a.fanout(tasks)
 }
 
 // snapshot returns a consistent view of the disk table and failure state.
@@ -408,13 +419,11 @@ func xorInto(dst, src []byte) {
 	}
 }
 
-// vspan is one contiguous fragment range within a single stripe unit, the
-// planning granule of the scatter-gather paths.
+// vspan is one fragment of a request, the planning granule of the
+// scatter-gather paths: data unit j of a stripe.
 type vspan struct {
 	stripe int
 	j      int // data unit index within the stripe
-	off    int // fragment offset within the unit
-	frags  int
 	bufOff int // byte offset in the request buffer
 }
 
@@ -424,7 +433,7 @@ func (a *Array) planSpans(addr, n int) []vspan {
 	spans := make([]vspan, n)
 	for i := range spans {
 		va := addr + i
-		spans[i] = vspan{stripe: va / a.k, j: va % a.k, frags: 1, bufOff: i * FragmentSize}
+		spans[i] = vspan{stripe: va / a.k, j: va % a.k, bufOff: i * FragmentSize}
 	}
 	return spans
 }
@@ -439,8 +448,8 @@ func (a *Array) checkSpan(addr, n int) error {
 // GetInto reads n contiguous data fragments starting at addr into the first
 // n*FragmentSize bytes of dst, the caller's buffer. Healthy units are read by
 // per-disk coalesced get-blocks fanned out across the spindles, each landing
-// at its offset in dst; units on a failed disk are reconstructed by XOR of
-// the surviving K disks under the stripe lock (degraded read). FromStable
+// at its offset in dst; units on a failed disk are then reconstructed by XOR
+// of the surviving K disks under the stripe lock (degraded read). FromStable
 // passes through to the member disks' stable stores, which survive a
 // main-device failure independently. The read is bracketed as a parity-layer
 // operation under ctx's span; member-disk I/O is observed by the disk
@@ -469,60 +478,79 @@ func (a *Array) get(addr, n int, dst []byte, opts diskservice.GetOptions) error 
 	return a.readSpans(dst[:n*FragmentSize], a.planSpans(addr, n), opts, 0)
 }
 
-// pspan is a physically contiguous read on one disk serving one or more
+// pspan is a physically contiguous run on one disk serving one or more
 // virtual spans.
 type pspan struct {
 	phys, frags, bufOff int
 }
 
-// readSpans fills out with the spans' data: healthy spans as coalesced
-// per-disk reads in one fan-out, degraded spans by reconstruction. depth
-// guards the one retry after an in-flight disk failure.
-func (a *Array) readSpans(out []byte, spans []vspan, opts diskservice.GetOptions, depth int) error {
-	disks, failedIdx, rebuilding, w := a.snapshot()
-	perDisk := make(map[int][]pspan)
-	var degraded []vspan
+// perDisk is the one per-disk plan of the scatter-gather paths: it runs io
+// over the spans' units grouped by the disk holding them, one fan-out task
+// per disk in disk order, each disk's runs in sequence. Physically adjacent
+// spans whose buffer targets are also adjacent merge into one run, so a
+// long virtual run costs one member get- or put-block per disk per parity
+// rotation rather than one per stripe.
+func (a *Array) perDisk(spans []vspan, io func(d int, p pspan) error) error {
+	runs := make([][]pspan, a.n)
 	for _, sp := range spans {
 		d := a.dataDisk(sp.stripe, sp.j)
-		// FromStable reads never degrade: the stable store of a failed main
-		// device is a separate pair of drives and stays reachable.
-		if d == failedIdx && !opts.FromStable && !(rebuilding && sp.stripe < w) {
-			degraded = append(degraded, sp)
-			continue
+		p := pspan{phys: a.physAddr(d, sp.stripe), frags: 1, bufOff: sp.bufOff}
+		if rs := runs[d]; len(rs) > 0 {
+			if last := &rs[len(rs)-1]; last.phys+last.frags == p.phys &&
+				last.bufOff+last.frags*FragmentSize == p.bufOff {
+				last.frags++
+				continue
+			}
 		}
-		perDisk[d] = append(perDisk[d], pspan{
-			phys: a.physAddr(d, sp.stripe, sp.off), frags: sp.frags, bufOff: sp.bufOff,
-		})
+		runs[d] = append(runs[d], p)
 	}
 	var tasks []func() error
-	diskOrder := make([]int, 0, len(perDisk))
-	for d := range perDisk {
-		diskOrder = append(diskOrder, d)
-	}
-	sort.Ints(diskOrder)
-	for _, d := range diskOrder {
-		d, ps := d, coalesce(perDisk[d])
-		srv := disks[d]
+	for d, ps := range runs {
+		if len(ps) == 0 {
+			continue
+		}
+		d, ps := d, ps
 		tasks = append(tasks, func() error {
 			for _, p := range ps {
-				err := srv.GetInto(context.Background(), p.phys, p.frags, out[p.bufOff:p.bufOff+p.frags*FragmentSize], opts)
-				if err != nil {
-					if errors.Is(err, device.ErrFailed) && !opts.FromStable && !a.noteFailure(d) {
-						return fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, d, err)
-					}
+				if err := io(d, p); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
 	}
-	for _, sp := range degraded {
-		sp := sp
-		tasks = append(tasks, func() error {
-			return a.reconstructSpan(out[sp.bufOff:sp.bufOff+sp.frags*FragmentSize], sp)
-		})
+	return a.fanout(tasks)
+}
+
+// readSpans fills out with the spans' data: healthy spans as coalesced
+// per-disk reads in one fan-out, then degraded spans by reconstruction, one
+// stripe at a time in stripe order. depth guards the one retry after an
+// in-flight disk failure.
+func (a *Array) readSpans(out []byte, spans []vspan, opts diskservice.GetOptions, depth int) error {
+	disks, failedIdx, rebuilding, w := a.snapshot()
+	var healthy, degraded []vspan
+	for _, sp := range spans {
+		// FromStable reads never degrade: the stable store of a failed main
+		// device is a separate pair of drives and stays reachable.
+		if a.dataDisk(sp.stripe, sp.j) == failedIdx && !opts.FromStable && !(rebuilding && sp.stripe < w) {
+			degraded = append(degraded, sp)
+		} else {
+			healthy = append(healthy, sp)
+		}
 	}
-	err := a.fanout(tasks)
+	err := a.perDisk(healthy, func(d int, p pspan) error {
+		err := disks[d].GetInto(context.Background(), p.phys, p.frags, out[p.bufOff:p.bufOff+p.frags*FragmentSize], opts)
+		if err != nil && errors.Is(err, device.ErrFailed) && !opts.FromStable && !a.noteFailure(d) {
+			return fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, d, err)
+		}
+		return err
+	})
+	for _, sp := range degraded {
+		if err != nil {
+			break
+		}
+		err = a.reconstructSpan(out[sp.bufOff:sp.bufOff+FragmentSize], sp)
+	}
 	if err != nil && errors.Is(err, device.ErrFailed) && !errors.Is(err, ErrTooManyFailures) &&
 		!opts.FromStable && depth == 0 {
 		// A disk died mid-read and the failure was absorbed (noteFailure):
@@ -532,27 +560,10 @@ func (a *Array) readSpans(out []byte, spans []vspan, opts diskservice.GetOptions
 	return err
 }
 
-// coalesce merges physically adjacent spans whose buffer targets are also
-// adjacent, so a long virtual run costs one underlying get-block per disk
-// per parity rotation rather than one per stripe.
-func coalesce(ps []pspan) []pspan {
-	out := ps[:0]
-	for _, p := range ps {
-		if n := len(out); n > 0 &&
-			out[n-1].phys+out[n-1].frags == p.phys &&
-			out[n-1].bufOff+out[n-1].frags*FragmentSize == p.bufOff {
-			out[n-1].frags += p.frags
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// reconstructSpan recovers the fragment range of one lost unit by XOR across
-// the surviving K disks (their data units plus the parity unit), under the
-// stripe lock so a concurrent read-modify-write cannot be observed between
-// its data and parity writes.
+// reconstructSpan recovers one lost unit by XOR across the surviving K disks
+// (their data units plus the parity unit), under the stripe lock so a
+// concurrent read-modify-write cannot be observed between its data and
+// parity writes.
 func (a *Array) reconstructSpan(dst []byte, sp vspan) error {
 	lk := a.stripeLock(sp.stripe)
 	lk.Lock()
@@ -568,37 +579,49 @@ func (a *Array) reconstructSpan(dst []byte, sp vspan) error {
 		a.markDead()
 		return ErrDoubleFailure
 	}
-	for i := range dst {
-		dst[i] = 0
+	clear(dst)
+	if err := a.xorUnits(disks, sp.stripe, a.others(lost), dst); err != nil {
+		return err
 	}
-	bufs := make([][]byte, a.n)
-	var tasks []func() error
+	a.met.degradedReads.Inc()
+	return nil
+}
+
+// others returns every disk index but skip (-1: all of them), in order.
+func (a *Array) others(skip int) []int {
+	ds := make([]int, 0, a.n)
 	for d := 0; d < a.n; d++ {
-		if d == lost {
-			continue
+		if d != skip {
+			ds = append(ds, d)
 		}
-		d := d
-		srv := disks[d]
-		phys := a.physAddr(d, sp.stripe, sp.off)
-		tasks = append(tasks, func() error {
-			data, err := srv.Get(context.Background(), phys, sp.frags, diskservice.GetOptions{})
-			bufs[d] = data
+	}
+	return ds
+}
+
+// xorUnits reads stripe s's unit on each of the disks ds in one fan-out and
+// folds them into acc (one fragment). It is the one survivor read of
+// reconstruction, rebuild and scrub, and the read phase of both write
+// rules. A member failing here is noted: with a unit already lost that is
+// the second distinct failure, and the array is dead.
+func (a *Array) xorUnits(disks []*diskservice.Server, s int, ds []int, acc []byte) error {
+	bufs := make([][]byte, len(ds))
+	tasks := make([]func() error, len(ds))
+	for i, d := range ds {
+		i, d := i, d
+		tasks[i] = func() error {
+			b, err := disks[d].Get(context.Background(), a.physAddr(d, s), 1, diskservice.GetOptions{})
+			if err != nil && errors.Is(err, device.ErrFailed) && !a.noteFailure(d) {
+				return fmt.Errorf("%w: disk %d: %v", ErrDoubleFailure, d, err)
+			}
+			bufs[i] = b
 			return err
-		})
+		}
 	}
 	if err := a.fanout(tasks); err != nil {
-		if errors.Is(err, device.ErrFailed) {
-			// A survivor died while reconstructing: second distinct failure.
-			a.markDead()
-			return fmt.Errorf("%w: %v", ErrDoubleFailure, err)
-		}
 		return err
 	}
 	for _, b := range bufs {
-		if b != nil {
-			xorInto(dst, b)
-		}
+		xorInto(acc, b)
 	}
-	a.met.degradedReads.Inc()
 	return nil
 }

@@ -68,7 +68,7 @@ func (r *rig) addDisk(t *testing.T, g device.Geometry, id int, opts ...stable.Op
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
-	srv, err := diskservice.Format(diskservice.Config{DiskID: id, Disk: disk, Stable: st})
+	srv, err := diskservice.Format(diskservice.Config{DiskID: id, Disk: disk, Stable: st, Metrics: r.met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,6 +288,93 @@ func TestDegradedWrite(t *testing.T) {
 		if done, total := a.rebuildProgress(); done != total {
 			t.Fatalf("rebuild progress %d/%d after completion", done, total)
 		}
+	}
+}
+
+// TestDegradedWriteReads counts the member reads of each degraded-write
+// shape on five disks with disk 1 lost. Stripe 0 keeps its parity on disk 0
+// and data unit 0 on disk 1; stripe 1 keeps its parity on disk 1. A write
+// covering the lost unit reads only the units it leaves untouched — never
+// the old parity or the units it overwrites — and a full stripe or a stripe
+// whose lost disk is its parity reads nothing.
+func TestDegradedWriteReads(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		addr, frags int
+		reads       int64
+	}{
+		{"lost unit alone", 0, 1, 3},
+		{"lost unit and one other", 0, 2, 2},
+		{"full stripe", 0, 4, 0},
+		{"lost parity, one unit", 4, 1, 0},
+		{"lost parity, full stripe", 4, 4, 0},
+	} {
+		r := newRig(t, 5)
+		a := r.arr
+		img := pattern(8, 11)
+		if err := a.Put(context.Background(), 0, img, diskservice.PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		r.disks[1].Fail()
+		if err := a.MarkFailed(1); err != nil {
+			t.Fatal(err)
+		}
+		a.InvalidateCache()
+		memberReads := func() int64 {
+			return r.met.Get(metrics.TrackCacheHit) + r.met.Get(metrics.TrackCacheMiss)
+		}
+		before := memberReads()
+		update := pattern(c.frags, 12)
+		if err := a.Put(context.Background(), c.addr, update, diskservice.PutOptions{}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := memberReads() - before; got != c.reads {
+			t.Errorf("%s: %d member reads, want %d", c.name, got, c.reads)
+		}
+		copy(img[c.addr*FragmentSize:], update)
+		if got := mustGet(t, a, 0, 8); !bytes.Equal(got, img) {
+			t.Fatalf("%s: degraded read-back mismatch", c.name)
+		}
+	}
+}
+
+// TestFlushNotesMemberFailures: a member failing under Flush is noted like a
+// failure of any other member I/O. One failure degrades the array and the
+// survivors' flush stands; a second distinct one loses the array.
+func TestFlushNotesMemberFailures(t *testing.T) {
+	r := newRig(t, 5)
+	a := r.arr
+	data := pattern(8, 5)
+	if err := a.Put(context.Background(), 0, data, diskservice.PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r.disks[2].Fail()
+	if err := a.Flush(); err != nil {
+		t.Fatalf("Flush with one member down = %v, want nil", err)
+	}
+	if a.FailedDisk() != 2 {
+		t.Fatalf("failed disk after Flush = %d, want 2", a.FailedDisk())
+	}
+	a.InvalidateCache()
+	if got := mustGet(t, a, 0, 8); !bytes.Equal(got, data) {
+		t.Fatal("degraded read after Flush: mismatch")
+	}
+
+	r = newRig(t, 5)
+	a = r.arr
+	if err := a.Put(context.Background(), 0, data, diskservice.PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r.disks[1].Fail()
+	r.disks[3].Fail()
+	if err := a.Flush(); !errors.Is(err, ErrDoubleFailure) {
+		t.Fatalf("Flush with two members down = %v, want ErrDoubleFailure", err)
+	}
+	if f := a.FailedDisk(); f != 1 && f != 3 {
+		t.Fatalf("failed disk after Flush = %d, want 1 or 3", f)
+	}
+	if _, err := a.getAlloc(context.Background(), 0, 8, diskservice.GetOptions{}); !errors.Is(err, ErrDoubleFailure) {
+		t.Fatalf("Get after a double failure under Flush = %v, want ErrDoubleFailure", err)
 	}
 }
 

@@ -126,36 +126,11 @@ func (a *Array) rebuildStripe(disks []*diskservice.Server, f, s int) error {
 	defer lk.Unlock()
 
 	unit := make([]byte, FragmentSize)
-	bufs := make([][]byte, a.n)
-	var tasks []func() error
-	for d := 0; d < a.n; d++ {
-		if d == f {
-			continue
-		}
-		d := d
-		srv := disks[d]
-		phys := a.physAddr(d, s, 0)
-		tasks = append(tasks, func() error {
-			b, err := srv.Get(context.Background(), phys, 1, diskservice.GetOptions{})
-			bufs[d] = b
-			return err
-		})
-	}
-	if err := a.fanout(tasks); err != nil {
-		if errors.Is(err, device.ErrFailed) {
-			// A survivor died with the replacement still stale: second failure.
-			a.markDead()
-			return fmt.Errorf("%w: survivor failed during rebuild: %v", ErrDoubleFailure, err)
-		}
+	if err := a.xorUnits(disks, s, a.others(f), unit); err != nil {
 		return err
 	}
-	for _, b := range bufs {
-		if b != nil {
-			xorInto(unit, b)
-		}
-	}
 	a.fault.Hit(PtRebuildBeforePut)
-	if err := disks[f].Put(context.Background(), a.physAddr(f, s, 0), unit, diskservice.PutOptions{}); err != nil {
+	if err := disks[f].Put(context.Background(), a.physAddr(f, s), unit, diskservice.PutOptions{}); err != nil {
 		if errors.Is(err, device.ErrFailed) {
 			// The replacement itself died: drop back to plain degraded mode.
 			a.noteFailure(f)
@@ -180,33 +155,16 @@ func (a *Array) CheckParity() ([]int, error) {
 		return nil, ErrDegraded
 	}
 	var bad []int
+	all := a.others(-1)
 	acc := make([]byte, FragmentSize)
 	for s := 0; s < a.stripes; s++ {
+		clear(acc)
 		lk := a.stripeLock(s)
 		lk.Lock()
-		for i := range acc {
-			acc[i] = 0
-		}
-		var err error
-		bufs := make([][]byte, a.n)
-		var tasks []func() error
-		for d := 0; d < a.n; d++ {
-			d := d
-			srv := disks[d]
-			phys := a.physAddr(d, s, 0)
-			tasks = append(tasks, func() error {
-				b, e := srv.Get(context.Background(), phys, 1, diskservice.GetOptions{})
-				bufs[d] = b
-				return e
-			})
-		}
-		err = a.fanout(tasks)
+		err := a.xorUnits(disks, s, all, acc)
 		lk.Unlock()
 		if err != nil {
 			return bad, err
-		}
-		for _, b := range bufs {
-			xorInto(acc, b)
 		}
 		for _, x := range acc {
 			if x != 0 {

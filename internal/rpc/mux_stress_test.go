@@ -176,13 +176,12 @@ func TestMuxAttemptDeadlineExpiresAlone(t *testing.T) {
 	}
 }
 
-// TestMuxExpiredBodyRecycleRace hammers the writer's claim/skip protocol:
-// callers recycle their request body the moment a call returns — including
-// calls that expired while still queued behind the writer — and immediately
-// draw fresh buffers (often the same memory) for the next call. If the
-// writer ever encoded a frame without holding a claim on a still-pending
-// call, it would read a buffer another goroutine is filling; run with -race
-// to catch it.
+// TestMuxExpiredBodyRecycleRace checks that a caller's request body is never
+// read after roundTrip returns: callers recycle their body the moment a call
+// returns — on success and on an attempt that expired first — and
+// immediately draw fresh buffers (often the same memory) for the next call.
+// If any goroutine still read a returned call's body, it would read a buffer
+// another goroutine is filling; run with -race to catch it.
 func TestMuxExpiredBodyRecycleRace(t *testing.T) {
 	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
 		time.Sleep(2 * time.Millisecond) // outlive the client attempt deadline
