@@ -52,7 +52,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"strings"
 	"time"
 
@@ -131,7 +130,6 @@ const (
 	acquireArgsLen  = 8 + 8 + 1
 	acquireReplyLen = 8 + 8 + 8
 	leaseIDArgsLen  = 8 + 8
-	recallBodyLen   = 8 + 8
 )
 
 // AppendAcquireArgs encodes a cc.lease.acquire request body.
@@ -143,12 +141,9 @@ func AppendAcquireArgs(dst []byte, file, client uint64, mode byte) []byte {
 
 // DecodeAcquireArgs decodes a cc.lease.acquire request body.
 func DecodeAcquireArgs(body []byte) (file, client uint64, mode byte, err error) {
-	if len(body) != acquireArgsLen {
-		return 0, 0, 0, fmt.Errorf("ccache: acquire args are %d bytes, want %d", len(body), acquireArgsLen)
-	}
-	client = binary.BigEndian.Uint64(body[0:])
-	file = binary.BigEndian.Uint64(body[8:])
-	return file, client, body[16], nil
+	r := rpc.NewReader(body)
+	client, file, mode = r.U64(), r.U64(), r.U8()
+	return file, client, mode, r.Done("ccache: acquire args")
 }
 
 // AppendGrant encodes a cc.lease.acquire reply body.
@@ -160,14 +155,9 @@ func AppendGrant(dst []byte, g Grant) []byte {
 
 // DecodeGrant decodes a cc.lease.acquire reply body.
 func DecodeGrant(body []byte) (Grant, error) {
-	if len(body) != acquireReplyLen {
-		return Grant{}, fmt.Errorf("ccache: grant reply is %d bytes, want %d", len(body), acquireReplyLen)
-	}
-	return Grant{
-		Ver:  binary.BigEndian.Uint64(body[0:]),
-		Size: int64(binary.BigEndian.Uint64(body[8:])),
-		TTL:  time.Duration(binary.BigEndian.Uint64(body[16:])),
-	}, nil
+	r := rpc.NewReader(body)
+	g := Grant{Ver: r.U64(), Size: int64(r.U64()), TTL: time.Duration(r.U64())}
+	return g, r.Done("ccache: grant reply")
 }
 
 // AppendLeaseIDArgs encodes a cc.lease.release or cc.lease.ack body.
@@ -178,10 +168,9 @@ func AppendLeaseIDArgs(dst []byte, file, client uint64) []byte {
 
 // DecodeLeaseIDArgs decodes a cc.lease.release or cc.lease.ack body.
 func DecodeLeaseIDArgs(body []byte) (file, client uint64, err error) {
-	if len(body) != leaseIDArgsLen {
-		return 0, 0, fmt.Errorf("ccache: lease args are %d bytes, want %d", len(body), leaseIDArgsLen)
-	}
-	return binary.BigEndian.Uint64(body[8:]), binary.BigEndian.Uint64(body[0:]), nil
+	r := rpc.NewReader(body)
+	client, file = r.U64(), r.U64()
+	return file, client, r.Done("ccache: lease args")
 }
 
 // AppendRecall encodes a cc.recall push body. The result must be a plain
@@ -194,10 +183,9 @@ func AppendRecall(dst []byte, file, ver uint64) []byte {
 
 // DecodeRecall decodes a cc.recall push body.
 func DecodeRecall(body []byte) (file, ver uint64, err error) {
-	if len(body) != recallBodyLen {
-		return 0, 0, fmt.Errorf("ccache: recall body is %d bytes, want %d", len(body), recallBodyLen)
-	}
-	return binary.BigEndian.Uint64(body[0:]), binary.BigEndian.Uint64(body[8:]), nil
+	r := rpc.NewReader(body)
+	file, ver = r.U64(), r.U64()
+	return file, ver, r.Done("ccache: recall body")
 }
 
 // DirectLease is the single-server LeaseTransport: lease calls go over

@@ -7,7 +7,8 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
+
+	"repro/internal/rpc"
 )
 
 // Cluster method names.
@@ -64,19 +65,10 @@ func appendLockAcquire(dst []byte, a LockAcquireArgs) []byte {
 }
 
 func decodeLockAcquire(data []byte) (LockAcquireArgs, error) {
-	var a LockAcquireArgs
-	if len(data) != lockAcquireLen {
-		return a, fmt.Errorf("cluster: lock acquire payload %d bytes, want %d", len(data), lockAcquireLen)
-	}
-	a.Client = binary.BigEndian.Uint64(data[0:])
-	a.Txn = binary.BigEndian.Uint64(data[8:])
-	a.PID = int64(binary.BigEndian.Uint64(data[16:]))
-	a.Level = data[24]
-	a.Mode = data[25]
-	a.File = binary.BigEndian.Uint64(data[26:])
-	a.Off = binary.BigEndian.Uint64(data[34:])
-	a.Len = binary.BigEndian.Uint64(data[42:])
-	return a, nil
+	r := rpc.NewReader(data)
+	a := LockAcquireArgs{Client: r.U64(), Txn: r.U64(), PID: int64(r.U64()), Level: r.U8(), Mode: r.U8(),
+		File: r.U64(), Off: r.U64(), Len: r.U64()}
+	return a, r.Done("cluster: lock acquire")
 }
 
 const lockTxnLen = 8 + 8
@@ -87,13 +79,9 @@ func appendLockTxn(dst []byte, a LockTxnArgs) []byte {
 }
 
 func decodeLockTxn(data []byte) (LockTxnArgs, error) {
-	var a LockTxnArgs
-	if len(data) != lockTxnLen {
-		return a, fmt.Errorf("cluster: lock txn payload %d bytes, want %d", len(data), lockTxnLen)
-	}
-	a.Client = binary.BigEndian.Uint64(data[0:])
-	a.Txn = binary.BigEndian.Uint64(data[8:])
-	return a, nil
+	r := rpc.NewReader(data)
+	a := LockTxnArgs{Client: r.U64(), Txn: r.U64()}
+	return a, r.Done("cluster: lock txn")
 }
 
 func appendLockReply(dst []byte, r LockReply) []byte {
@@ -105,10 +93,12 @@ func appendLockReply(dst []byte, r LockReply) []byte {
 }
 
 func decodeLockReply(data []byte) (LockReply, error) {
-	if len(data) != 1 {
-		return LockReply{}, fmt.Errorf("cluster: lock reply payload %d bytes, want 1", len(data))
+	r := rpc.NewReader(data)
+	b := r.U8()
+	if b > 1 {
+		r.Fail(errors.New("neither 0 nor 1"))
 	}
-	return LockReply{Granted: data[0] == 1}, nil
+	return LockReply{Granted: b == 1}, r.Done("cluster: lock reply")
 }
 
 func mapSize(m Map) int {
@@ -139,42 +129,7 @@ func appendMap(dst []byte, m Map) []byte {
 }
 
 func decodeMap(data []byte) (Map, error) {
-	if len(data) < 16 {
-		return Map{}, fmt.Errorf("cluster: map payload %d bytes, want >= 16", len(data))
-	}
-	m := Map{Version: binary.BigEndian.Uint64(data)}
-	var err error
-	rest := data[8:]
-	if m.Endpoints, rest, err = decodeStrings(rest, "endpoint"); err != nil {
-		return m, err
-	}
-	m.Backups, _, err = decodeStrings(rest, "backup")
-	return m, err
-}
-
-// decodeStrings reads one of the map's string lists — a u32 count, then each
-// string as a u32 length and its bytes — and returns the bytes after it.
-func decodeStrings(data []byte, what string) ([]string, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, errors.New("cluster: truncated map payload")
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if n > len(data)/4 { // each string needs at least its length word
-		return nil, nil, fmt.Errorf("cluster: map %s count %d exceeds payload", what, n)
-	}
-	list := make([]string, n)
-	for i := range list {
-		if len(data) < 4 {
-			return nil, nil, errors.New("cluster: truncated map payload")
-		}
-		l := int(binary.BigEndian.Uint32(data))
-		data = data[4:]
-		if l > len(data) {
-			return nil, nil, errors.New("cluster: truncated map payload")
-		}
-		list[i] = string(data[:l])
-		data = data[l:]
-	}
-	return list, data, nil
+	r := rpc.NewReader(data)
+	m := Map{Version: r.U64(), Endpoints: r.Strings(), Backups: r.Strings()}
+	return m, r.Done("cluster: map")
 }

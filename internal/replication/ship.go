@@ -76,10 +76,6 @@ var ErrShipDown = errors.New("replication: ship stream down")
 // The CRC guards against a corrupt or truncated frame replaying garbage
 // into the backup's state machine.
 
-// recFixedLen is the fixed part of one encoded record: seq, client, cseq,
-// mlen, blen, rlen.
-const recFixedLen = 8 + 8 + 8 + 2 + 4 + 4
-
 // appendBatch encodes recs onto dst.
 func appendBatch(dst []byte, recs []Rec) []byte {
 	start := len(dst)
@@ -104,43 +100,23 @@ func decodeBatch(data []byte) ([]Rec, error) {
 	if len(data) < 8 {
 		return nil, errors.New("replication: short batch frame")
 	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(trailer) {
+	n := len(data) - 4
+	crc := rpc.NewReader(data[n:])
+	if crc32.ChecksumIEEE(data[:n]) != crc.U32() {
 		return nil, errors.New("replication: batch CRC mismatch")
 	}
-	count := binary.BigEndian.Uint32(payload)
-	off := 4
-	// count is the peer's word: bound it by what the payload can hold before
-	// sizing anything by it.
-	if int64(count) > int64(len(payload)-off)/recFixedLen {
-		return nil, errors.New("replication: batch record count exceeds frame")
+	r := rpc.NewReader(data[:n])
+	recs := make([]Rec, r.Count(8+8+8+2+4+4)) // a record's fixed fields
+	for i := range recs {
+		rec := &recs[i]
+		rec.Seq, rec.Client, rec.CSeq = r.U64(), r.U64(), r.U64()
+		mlen, blen, rlen := int(r.U16()), int(r.U32()), int(r.U32())
+		rec.Method = string(r.Bytes(mlen))
+		rec.Body = r.Bytes(blen)
+		rec.Reply = r.Bytes(rlen)
 	}
-	recs := make([]Rec, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(payload)-off < recFixedLen {
-			return nil, errors.New("replication: truncated batch record")
-		}
-		var r Rec
-		r.Seq = binary.BigEndian.Uint64(payload[off:])
-		r.Client = binary.BigEndian.Uint64(payload[off+8:])
-		r.CSeq = binary.BigEndian.Uint64(payload[off+16:])
-		mlen := int(binary.BigEndian.Uint16(payload[off+24:]))
-		blen := int(binary.BigEndian.Uint32(payload[off+26:]))
-		rlen := int(binary.BigEndian.Uint32(payload[off+30:]))
-		off += recFixedLen
-		if len(payload)-off < mlen+blen+rlen {
-			return nil, errors.New("replication: truncated batch record")
-		}
-		r.Method = string(payload[off : off+mlen])
-		off += mlen
-		r.Body = payload[off : off+blen : off+blen]
-		off += blen
-		r.Reply = payload[off : off+rlen : off+rlen]
-		off += rlen
-		recs = append(recs, r)
-	}
-	if off != len(payload) {
-		return nil, errors.New("replication: trailing bytes in batch frame")
+	if err := r.Done("replication: batch frame"); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }

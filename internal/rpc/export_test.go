@@ -2,23 +2,27 @@ package rpc
 
 import "net"
 
-// Len returns the total number of cached responses (diagnostic).
-func (c *DupCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// DupLen returns the total number of cached responses (diagnostic).
+func (e *Endpoint) DupLen() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	n := 0
-	for _, w := range c.clients {
+	for _, w := range e.dup.clients {
 		n += len(w.responses)
 	}
 	return n
 }
 
-// Clients returns how many client windows are retained (diagnostic).
-func (c *DupCache) Clients() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.clients)
+// DupClients returns how many client windows the duplicate cache retains
+// (diagnostic).
+func (e *Endpoint) DupClients() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.dup.clients)
 }
+
+// withMaxClients lowers the duplicate cache's client bound.
+func withMaxClients(n int) EndpointOption { return func(e *Endpoint) { e.dup.maxClients = n } }
 
 // Addr returns the listener address.
 func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }

@@ -127,14 +127,14 @@ func PeerFromContext(ctx context.Context) (Peer, bool) {
 	return p, ok
 }
 
-// DupCache is the duplicate-request cache: the memory of past requests that
+// dupCache is the duplicate-request cache: the memory of past requests that
 // makes operations idempotent. It keeps up to window responses per client,
 // and at most maxClients client windows: the least recently active client's
 // window is reclaimed when a new client would exceed the bound, so a
 // long-lived endpoint serving a churning client population stays "nearly"
-// stateless instead of accumulating a window per client ever seen.
-type DupCache struct {
-	mu         sync.Mutex
+// stateless instead of accumulating a window per client ever seen. Its
+// Endpoint's mutex guards it.
+type dupCache struct {
 	window     int
 	maxClients int
 	clients    map[uint64]*clientWindow
@@ -147,52 +147,29 @@ type clientWindow struct {
 	elem      *list.Element
 }
 
-// DefaultMaxClients bounds how many client windows a DupCache retains.
-const DefaultMaxClients = 1024
+// Duplicate-cache bounds: the responses kept per client, and the client
+// windows kept.
+const (
+	defaultWindow     = 128
+	defaultMaxClients = 1024
+)
 
-// NewDupCache creates a cache remembering the last window responses per
-// client; window defaults to 128, the client bound to DefaultMaxClients.
-func NewDupCache(window int) *DupCache {
-	if window <= 0 {
-		window = 128
-	}
-	return &DupCache{
-		window: window, maxClients: DefaultMaxClients,
-		clients: make(map[uint64]*clientWindow), lru: list.New(),
-	}
-}
-
-func (c *DupCache) setWindow(n int) {
-	if n <= 0 {
-		n = 128
-	}
-	c.mu.Lock()
-	c.window = n
-	c.mu.Unlock()
-}
-
-// touchLocked marks client as most recently active.
-func (c *DupCache) touchLocked(w *clientWindow) { c.lru.MoveToFront(w.elem) }
-
-// Lookup returns the cached response for (client, seq), if any.
-func (c *DupCache) Lookup(client, seq uint64) (Response, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// lookup returns the cached response for (client, seq), if any, and marks
+// the client most recently active.
+func (c *dupCache) lookup(client, seq uint64) (Response, bool) {
 	w, ok := c.clients[client]
 	if !ok {
 		return Response{}, false
 	}
-	c.touchLocked(w)
+	c.lru.MoveToFront(w.elem)
 	resp, ok := w.responses[seq]
 	return resp, ok
 }
 
-// Store remembers the response for (client, seq), evicting the oldest entry
+// store remembers the response for (client, seq), evicting the oldest entry
 // beyond the per-client window and the least recently active client beyond
 // the client bound.
-func (c *DupCache) Store(client, seq uint64, resp Response) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *dupCache) store(client, seq uint64, resp Response) {
 	w, ok := c.clients[client]
 	if !ok {
 		for len(c.clients) >= c.maxClients {
@@ -204,7 +181,7 @@ func (c *DupCache) Store(client, seq uint64, resp Response) {
 		w.elem = c.lru.PushFront(client)
 		c.clients[client] = w
 	} else {
-		c.touchLocked(w)
+		c.lru.MoveToFront(w.elem)
 	}
 	if _, exists := w.responses[seq]; exists {
 		w.responses[seq] = resp
@@ -240,7 +217,6 @@ func isTransient(err error) bool {
 // Endpoint wraps a Handler with the duplicate-request cache.
 type Endpoint struct {
 	handler Handler
-	dup     *DupCache
 	// requests and duplicates count metrics.RPCRequests and
 	// metrics.RPCDuplicates (WithMetrics).
 	requests, duplicates *metrics.Counter
@@ -249,13 +225,14 @@ type Endpoint struct {
 	// executed, duplicates included.
 	noDup bool
 
-	// inflight tracks requests currently executing, so a duplicate that
-	// arrives while the original is still running waits for that result
-	// instead of executing again. A serial server never needed this — one
-	// connection could not deliver a retry while the original executed —
-	// but a multiplexed server dispatching one connection's frames to a
-	// worker pool can.
-	iMu      sync.Mutex
+	// mu guards the duplicate cache and inflight, which tracks requests
+	// currently executing, so a duplicate that arrives while the original
+	// is still running waits for that result instead of executing again. A
+	// serial server never needed this — one connection could not deliver a
+	// retry while the original executed — but a multiplexed server
+	// dispatching one connection's frames to a worker pool can.
+	mu       sync.Mutex
+	dup      dupCache
 	inflight map[clientSeq]*inflightCall
 }
 
@@ -286,12 +263,24 @@ func WithObs(r *obs.Recorder) EndpointOption { return func(e *Endpoint) { e.obsR
 // WithoutDupCache disables the duplicate-request cache (E13 ablation).
 func WithoutDupCache() EndpointOption { return func(e *Endpoint) { e.noDup = true } }
 
-// WithWindow sets the duplicate-cache window size.
-func WithWindow(n int) EndpointOption { return func(e *Endpoint) { e.dup.setWindow(n) } }
+// WithWindow sets how many responses the duplicate cache keeps per client
+// (default 128).
+func WithWindow(n int) EndpointOption {
+	return func(e *Endpoint) {
+		if n > 0 {
+			e.dup.window = n
+		}
+	}
+}
 
 // NewEndpoint wraps handler.
 func NewEndpoint(handler Handler, opts ...EndpointOption) *Endpoint {
-	e := &Endpoint{handler: handler, dup: NewDupCache(0), inflight: make(map[clientSeq]*inflightCall)}
+	e := &Endpoint{
+		handler: handler,
+		dup: dupCache{window: defaultWindow, maxClients: defaultMaxClients,
+			clients: make(map[uint64]*clientWindow), lru: list.New()},
+		inflight: make(map[clientSeq]*inflightCall),
+	}
 	for _, o := range opts {
 		o(e)
 	}
@@ -321,23 +310,23 @@ func (e *Endpoint) handle(ctx context.Context, req Request) Response {
 	var call *inflightCall
 	if !e.noDup {
 		key := clientSeq{req.ClientID, req.Seq}
-		e.iMu.Lock()
-		if resp, ok := e.dup.Lookup(req.ClientID, req.Seq); ok {
-			e.iMu.Unlock()
+		e.mu.Lock()
+		if resp, ok := e.dup.lookup(req.ClientID, req.Seq); ok {
+			e.mu.Unlock()
 			e.duplicates.Inc()
 			return resp
 		}
 		if prior, ok := e.inflight[key]; ok {
 			// The original is still executing; its retry waits for that
 			// single execution's result.
-			e.iMu.Unlock()
+			e.mu.Unlock()
 			<-prior.done
 			e.duplicates.Inc()
 			return prior.resp
 		}
 		call = &inflightCall{done: make(chan struct{})}
 		e.inflight[key] = call
-		e.iMu.Unlock()
+		e.mu.Unlock()
 	}
 	body, err := e.handler(ctx, req)
 	resp := Response{Seq: req.Seq, Body: body}
@@ -345,14 +334,14 @@ func (e *Endpoint) handle(ctx context.Context, req Request) Response {
 		resp.Err = err.Error()
 	}
 	if !e.noDup {
-		e.iMu.Lock()
+		e.mu.Lock()
 		// Transient refusals are not remembered: a same-sequence retry must
 		// re-execute once the refusing condition has passed.
 		if err == nil || !isTransient(err) {
-			e.dup.Store(req.ClientID, req.Seq, resp)
+			e.dup.store(req.ClientID, req.Seq, resp)
 		}
 		delete(e.inflight, clientSeq{req.ClientID, req.Seq})
-		e.iMu.Unlock()
+		e.mu.Unlock()
 		call.resp = resp
 		close(call.done)
 	}
@@ -370,9 +359,9 @@ func (e *Endpoint) SeedDup(clientID, seq uint64, body []byte, errMsg string) {
 	if e.noDup {
 		return
 	}
-	e.iMu.Lock()
-	e.dup.Store(clientID, seq, Response{Seq: seq, Body: body, Err: errMsg})
-	e.iMu.Unlock()
+	e.mu.Lock()
+	e.dup.store(clientID, seq, Response{Seq: seq, Body: body, Err: errMsg})
+	e.mu.Unlock()
 }
 
 // Transport delivers requests to an endpoint.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,64 +121,97 @@ func TestAblationWithoutDupCacheDoubleExecutes(t *testing.T) {
 	}
 }
 
-func TestDupCacheWindowEviction(t *testing.T) {
-	c := NewDupCache(2)
-	c.Store(1, 1, Response{Seq: 1})
-	c.Store(1, 2, Response{Seq: 2})
-	c.Store(1, 3, Response{Seq: 3})
-	if _, ok := c.Lookup(1, 1); ok {
-		t.Fatal("oldest entry not evicted")
+// dupProbe drives an endpoint's duplicate cache through Endpoint.Handle: a
+// request the cache answers does not run the handler.
+type dupProbe struct {
+	ep   *Endpoint
+	runs atomic.Int64
+}
+
+func newDupProbe(opts ...EndpointOption) *dupProbe {
+	p := &dupProbe{}
+	p.ep = NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
+		p.runs.Add(1)
+		return []byte(strconv.FormatUint(req.Seq, 10)), nil
+	}, opts...)
+	return p
+}
+
+// replayed handles (client, seq) and reports whether the cache answered it.
+func (p *dupProbe) replayed(t *testing.T, client, seq uint64) bool {
+	t.Helper()
+	before := p.runs.Load()
+	resp := p.ep.Handle(context.Background(), Request{ClientID: client, Seq: seq, Method: "op"})
+	if resp.Seq != seq || string(resp.Body) != strconv.FormatUint(seq, 10) {
+		t.Errorf("(%d, %d) answered with seq %d, body %q", client, seq, resp.Seq, resp.Body)
 	}
-	if _, ok := c.Lookup(1, 3); !ok {
+	return p.runs.Load() == before
+}
+
+func TestDupCacheWindowEviction(t *testing.T) {
+	p := newDupProbe(WithWindow(2))
+	for seq := uint64(1); seq <= 3; seq++ {
+		if p.replayed(t, 1, seq) {
+			t.Fatalf("first (1, %d) answered from the cache", seq)
+		}
+	}
+	if !p.replayed(t, 1, 3) {
 		t.Fatal("newest entry missing")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if p.ep.DupLen() != 2 {
+		t.Fatalf("DupLen = %d, want 2", p.ep.DupLen())
 	}
-	// Per-client isolation.
-	c.Store(2, 1, Response{Seq: 1})
-	if _, ok := c.Lookup(2, 1); !ok {
+	if p.replayed(t, 1, 1) {
+		t.Fatal("oldest entry not evicted")
+	}
+	// Per-client isolation: another client's seq 1 is its own.
+	if p.replayed(t, 2, 1) {
+		t.Fatal("second client's request answered with the first client's")
+	}
+	if !p.replayed(t, 2, 1) {
 		t.Fatal("second client's entry missing")
 	}
 }
 
 func TestDupCacheClientBound(t *testing.T) {
-	c := NewDupCache(4)
-	c.maxClients = 8
+	p := newDupProbe(WithWindow(4), withMaxClients(8))
 	for id := uint64(1); id <= 100; id++ {
-		c.Store(id, 1, Response{Seq: 1})
+		p.replayed(t, id, 1)
 	}
-	if got := c.Clients(); got != 8 {
-		t.Fatalf("Clients = %d, want 8 (bound)", got)
+	if got := p.ep.DupClients(); got != 8 {
+		t.Fatalf("DupClients = %d, want 8 (bound)", got)
 	}
-	// The survivors are the most recently active clients.
+	// The survivors are the most recently active clients; replaying them in
+	// order leaves 93 the least recently active.
 	for id := uint64(93); id <= 100; id++ {
-		if _, ok := c.Lookup(id, 1); !ok {
+		if !p.replayed(t, id, 1) {
 			t.Fatalf("recent client %d reclaimed", id)
 		}
 	}
-	if _, ok := c.Lookup(1, 1); ok {
-		t.Fatal("least recently active client survived past the bound")
-	}
-	// Lookups count as activity: touch client 93, then add a new client; 94
+	// Replays count as activity: touch client 93, then add a new client; 94
 	// (now the least recent) should go, not 93.
-	if _, ok := c.Lookup(93, 1); !ok {
+	if !p.replayed(t, 93, 1) {
 		t.Fatal("client 93 missing")
 	}
-	c.Store(200, 1, Response{Seq: 1})
-	if _, ok := c.Lookup(93, 1); !ok {
+	p.replayed(t, 200, 1)
+	if !p.replayed(t, 93, 1) {
 		t.Fatal("recently touched client reclaimed")
 	}
-	if _, ok := c.Lookup(94, 1); ok {
+	if p.replayed(t, 94, 1) {
 		t.Fatal("least recently active client not reclaimed")
+	}
+	if p.replayed(t, 1, 1) {
+		t.Fatal("least recently active client survived past the bound")
+	}
+	if got := p.ep.DupClients(); got != 8 {
+		t.Fatalf("DupClients = %d, want 8 (bound)", got)
 	}
 }
 
 func TestDupCacheConcurrentClients(t *testing.T) {
 	// Stress the cache with many clients churning past the bound while
 	// duplicate lookups race with stores (run under -race).
-	c := NewDupCache(8)
-	c.maxClients = 16
+	p := newDupProbe(WithWindow(8), withMaxClients(16))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -186,20 +220,18 @@ func TestDupCacheConcurrentClients(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				client := uint64(w*64 + i%32)
 				seq := uint64(i/32 + 1)
-				if resp, ok := c.Lookup(client, seq); ok && resp.Seq != seq {
-					t.Errorf("Lookup(%d,%d) = seq %d", client, seq, resp.Seq)
-					return
-				}
-				c.Store(client, seq, Response{Seq: seq})
+				// Executed or replayed, the answer is this request's.
+				p.replayed(t, client, seq)
+				p.replayed(t, client, seq)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Clients(); got > 16 {
-		t.Fatalf("Clients = %d, want <= 16", got)
+	if got := p.ep.DupClients(); got > 16 {
+		t.Fatalf("DupClients = %d, want <= 16", got)
 	}
-	if got := c.Len(); got > 16*8 {
-		t.Fatalf("Len = %d, want <= %d", got, 16*8)
+	if got := p.ep.DupLen(); got > 16*8 {
+		t.Fatalf("DupLen = %d, want <= %d", got, 16*8)
 	}
 }
 

@@ -21,10 +21,13 @@ package rpcfs
 // Layout conventions: integers are big-endian fixed width, strings and byte
 // slices are a u32 length followed by the bytes, times are UnixNano with
 // math.MinInt64 reserved for the zero time, and naming.Entry attribute maps
-// are encoded in sorted key order so encodings are deterministic.
+// are encoded in sorted key order so encodings are deterministic. Decoding
+// reads through rpc.Reader and keeps its rule: a body decodes only if it is
+// exactly the encoding of the value it decodes to.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -32,6 +35,7 @@ import (
 
 	"repro/internal/fit"
 	"repro/internal/naming"
+	"repro/internal/rpc"
 )
 
 // payloadSize returns the exact encoded size of v, so marshaling can draw a
@@ -129,57 +133,48 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 // unmarshalPayload decodes data into *v. Byte slices in *v alias data (see the
 // ownership rule above).
 func unmarshalPayload(data []byte, v any) error {
-	r := rbuf{b: data}
+	r := rpc.NewReader(data)
 	switch x := v.(type) {
 	case *CreateArgs:
-		x.Attr = r.attr()
-		x.Path = r.str()
+		x.Attr = readAttr(&r)
+		x.Path = r.Str()
 	case *IDArgs:
-		x.ID = r.u64()
+		x.ID = r.U64()
 	case *ReadAtArgs:
-		x.ID = r.u64()
-		x.Off = int64(r.u64())
-		x.N = int(r.u64())
+		x.ID = r.U64()
+		x.Off = int64(r.U64())
+		x.N = int(r.U64())
 	case *WriteAtArgs:
-		x.ID = r.u64()
-		x.Off = int64(r.u64())
-		x.Data = r.blob()
+		x.ID = r.U64()
+		x.Off = int64(r.U64())
+		x.Data = r.Blob()
 	case *TruncateArgs:
-		x.ID = r.u64()
-		x.Size = int64(r.u64())
+		x.ID = r.U64()
+		x.Size = int64(r.U64())
 	case *PathArgs:
-		x.Path = r.str()
+		x.Path = r.Str()
 	case *RegisterArgs:
-		x.Entry = r.entry()
+		x.Entry = readEntry(&r)
 	case *QueryArgs:
-		x.Query = r.name()
+		x.Query = readName(&r)
 	case *UnregisterSysArgs:
-		x.Type = r.u8()
-		x.Sys = r.u64()
+		x.Type = r.U8()
+		x.Sys = r.U64()
 	case *ResolveReply:
-		x.Entry = r.entry()
+		x.Entry = readEntry(&r)
 	case *ListReply:
-		n := int(r.u32())
-		if n > 0 && r.err == nil {
-			if n > len(r.b)/4 {
-				return fmt.Errorf("rpcfs: list length %d exceeds payload", n)
-			}
-			x.Names = make([]string, n)
-			for i := range x.Names {
-				x.Names[i] = r.str()
-			}
-		}
+		x.Names = r.Strings()
 	case *IntReply:
-		x.V = int64(r.u64())
+		x.V = int64(r.U64())
 	case *AttrReply:
-		x.Attr = r.attr()
+		x.Attr = readAttr(&r)
 	case *BytesReply:
-		x.Data = r.blob()
+		x.Data = r.Blob()
 	case *Empty:
 	default:
 		return fmt.Errorf("rpcfs: no binary decoding for %T", v)
 	}
-	return r.err
+	return r.Done("rpcfs: payload")
 }
 
 func strSize(s string) int { return 4 + len(s) }
@@ -253,111 +248,51 @@ func appendEntry(dst []byte, e naming.Entry) []byte {
 	return appendStr(dst, e.Service)
 }
 
-// rbuf is a bounds-checked sequential reader; the first short read poisons
-// it and every later read returns zero values.
-type rbuf struct {
-	b   []byte
-	off int
-	err error
+func readTime(r *rpc.Reader) time.Time {
+	if v := int64(r.U64()); v != math.MinInt64 {
+		return time.Unix(0, v)
+	}
+	return time.Time{}
 }
 
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) || n < 0 {
-		r.err = fmt.Errorf("rpcfs: truncated payload (%d of %d bytes)", len(r.b)-r.off, n)
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-func (r *rbuf) u8() byte {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *rbuf) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(p)
-}
-
-func (r *rbuf) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
-}
-
-func (r *rbuf) str() string {
-	n := int(r.u32())
-	p := r.take(n)
-	if p == nil {
-		return ""
-	}
-	return string(p)
-}
-
-// blob returns the raw bytes, aliasing the underlying buffer.
-func (r *rbuf) blob() []byte {
-	n := int(r.u32())
-	if n == 0 {
-		return nil
-	}
-	return r.take(n)
-}
-
-func (r *rbuf) time() time.Time {
-	v := int64(r.u64())
-	if v == math.MinInt64 || r.err != nil {
-		return time.Time{}
-	}
-	return time.Unix(0, v)
-}
-
-func (r *rbuf) attr() fit.Attributes {
+func readAttr(r *rpc.Reader) fit.Attributes {
 	var a fit.Attributes
-	a.Size = r.u64()
-	a.Created = r.time()
-	a.LastRead = r.time()
-	a.RefCount = r.u32()
-	a.Service = fit.ServiceType(r.u8())
-	a.Locking = fit.LockLevel(r.u8())
-	a.ExtraSpace = r.u32()
+	a.Size = r.U64()
+	a.Created = readTime(r)
+	a.LastRead = readTime(r)
+	a.RefCount = r.U32()
+	a.Service = fit.ServiceType(r.U8())
+	a.Locking = fit.LockLevel(r.U8())
+	a.ExtraSpace = r.U32()
 	return a
 }
 
-func (r *rbuf) name() naming.Name {
-	n := int(r.u32())
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	if n > len(r.b)/2 {
-		r.err = fmt.Errorf("rpcfs: entry attribute count %d exceeds payload", n)
+// errKeyOrder refuses a name whose keys are not in the strictly ascending
+// order appendName writes them in.
+var errKeyOrder = errors.New("name keys out of order or repeated")
+
+func readName(r *rpc.Reader) naming.Name {
+	n := r.Count(8) // a key and a value, each at least a length word
+	if n == 0 {
 		return nil
 	}
 	name := make(naming.Name, n)
+	prev := ""
 	for i := 0; i < n; i++ {
-		k := r.str()
-		name[k] = r.str()
+		k := r.Str()
+		if i > 0 && k <= prev {
+			r.Fail(errKeyOrder)
+		}
+		name[k], prev = r.Str(), k
 	}
 	return name
 }
 
-func (r *rbuf) entry() naming.Entry {
+func readEntry(r *rpc.Reader) naming.Entry {
 	var e naming.Entry
-	e.Name = r.name()
-	e.Type = naming.ObjectType(r.u8())
-	e.SystemName = r.u64()
-	e.Service = r.str()
+	e.Name = readName(r)
+	e.Type = naming.ObjectType(r.U8())
+	e.SystemName = r.U64()
+	e.Service = r.Str()
 	return e
 }

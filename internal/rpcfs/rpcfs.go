@@ -12,9 +12,8 @@
 // any number of concurrent in-flight requests; synchronization lives in the
 // file service and naming layers below, and exactly-once effects live in
 // the rpc layer's duplicate-request cache. Per-descriptor state (offsets)
-// stays on the client side: the proxy owns its descriptor table and is
-// single-client, shared across goroutines only as safely as the agent
-// sharing its process.
+// lives above this package, in the client machine's file agent: a Client
+// holds no state but its rpc.Client, and is as safe for concurrent use.
 package rpcfs
 
 import (
@@ -181,9 +180,9 @@ var _ agent.FileService = (*Client)(nil)
 func (c *Client) call(ctx context.Context, method string, args, reply any) error {
 	// Both frames are this function's (codec.go has the rule). The argument
 	// body comes from the transport's buffer pools and goes back once Call
-	// returns, on every path: the transport never retains a request body past
-	// Call (the connection writer claims it only while the call is still
-	// pending). The reply frame goes back once it is decoded, its bytes copied
+	// returns, on every path: the connection's writer has copied it into its
+	// buffer, or written it to the socket, before the call waits for its
+	// reply. The reply frame goes back once it is decoded, its bytes copied
 	// out first.
 	body, err := appendPayload(rpc.Buffer(payloadSize(args))[:0], args)
 	if err != nil {

@@ -7,9 +7,14 @@
 //
 // The log is a region of a stable.Store. Records are length-prefixed and
 // CRC-protected; Replay scans until the first invalid record, which is where
-// a crash truncated the log. Records buffered but not yet Synced are lost in
-// a crash — exactly the write-ahead discipline the transaction service
-// relies on (it Syncs the commit record before applying updates in place).
+// a crash truncated the log. Every record carries a generation, and a valid
+// log never goes down in generation: Reset starts the emptied log with a
+// checkpoint record of a generation above any the log has written or
+// replayed, so the records of the epoch before it, still in the region
+// behind the new ones, end a replay rather than extend it. Records buffered
+// but not yet Synced are lost in a crash — exactly the write-ahead
+// discipline the transaction service relies on (it Syncs the commit record
+// before applying updates in place).
 //
 // Concurrency and ownership contract: a Log is safe for concurrent use —
 // one mutex serializes appends, syncs and resets. Append only buffers;
@@ -127,10 +132,13 @@ type Log struct {
 	lsn       uint64
 	lsnSynced uint64 // lsn of the last synced record
 	// gen is the record generation. It increases whenever appends resume
-	// after a Replay, so that stale records left on disk beyond a truncation
-	// point (which may have consecutive LSNs) are recognizable: a valid log
-	// has non-decreasing generations.
+	// after a Replay, and at every Reset, so that stale records left on disk
+	// beyond a truncation point (which may have consecutive LSNs) are
+	// recognizable: a valid log has non-decreasing generations.
 	gen uint32
+	// head is the length of the checkpoint record a Reset put at the head
+	// of the log, 0 when the log has none.
+	head int
 
 	fault *fault.Injector
 	obs   *obs.Recorder
@@ -178,12 +186,12 @@ func Open(store *stable.Store, start, frags int, opts ...Option) (*Log, error) {
 // Capacity returns the region size in bytes.
 func (l *Log) Capacity() int { return l.frags * fragSize }
 
-// AppendedBytes returns the bytes appended since the last Reset (diagnostic;
-// the commit-I/O cost measure in E8).
+// AppendedBytes returns the bytes appended since the last Reset, its
+// checkpoint record aside (diagnostic; the commit-I/O cost measure in E8).
 func (l *Log) AppendedBytes() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.off
+	return l.off - l.head
 }
 
 // Append buffers a record and returns its LSN. The record is not durable
@@ -191,6 +199,10 @@ func (l *Log) AppendedBytes() int {
 func (l *Log) Append(rec Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.appendLocked(rec)
+}
+
+func (l *Log) appendLocked(rec Record) (uint64, error) {
 	need := headerSize + len(rec.Data) + trailerLen
 	if l.off+need > len(l.buf) {
 		return 0, fmt.Errorf("%w: need %d bytes, %d left", ErrLogFull, need, len(l.buf)-l.off)
@@ -268,7 +280,7 @@ func (l *Log) Replay(fn func(Record) error) error {
 		return fmt.Errorf("wal: reading region: %w", err)
 	}
 	copy(l.buf, data)
-	off := 0
+	off, head := 0, 0
 	var lastLSN uint64
 	var lastGen uint32
 	for off+headerSize+trailerLen <= len(l.buf) {
@@ -299,6 +311,14 @@ func (l *Log) Replay(fn func(Record) error) error {
 			// would drop everything appended since as stale.
 			break
 		}
+		if RecordType(b[20]) == RecCheckpoint {
+			if off > 0 {
+				break // only a Reset writes one, at the head of the log
+			}
+			head = need
+			lastLSN, lastGen, off = lsn, gen, need
+			continue
+		}
 		rec := Record{
 			Type:   RecordType(b[20]),
 			Txn:    binary.BigEndian.Uint64(b[21:]),
@@ -321,6 +341,7 @@ func (l *Log) Replay(fn func(Record) error) error {
 		off += need
 	}
 	l.off = off
+	l.head = head
 	l.synced = off
 	l.lsn = lastLSN
 	l.lsnSynced = lastLSN
@@ -329,24 +350,26 @@ func (l *Log) Replay(fn func(Record) error) error {
 }
 
 // Reset truncates the log (after a checkpoint has applied everything in
-// place), clearing both the buffer and the stable region header so a replay
-// finds an empty log.
+// place). The emptied log starts with a checkpoint record of the next
+// generation, written to stable storage at once: a replay then finds no
+// records, and the records appended after the checkpoint, however far they
+// get, stand above the residue of the epoch before it.
 func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := range l.buf {
-		l.buf[i] = 0
+	clear(l.buf)
+	l.off, l.synced = 0, 0
+	l.lsn, l.lsnSynced = 0, 0
+	l.gen++
+	if _, err := l.appendLocked(Record{Type: RecCheckpoint}); err != nil {
+		return fmt.Errorf("wal: reset: %w", err)
 	}
-	l.off = 0
-	l.synced = 0
-	l.lsn = 0
-	l.lsnSynced = 0
-	l.gen = 1
-	// Zero the first fragment on stable storage; a zero magic ends Replay
-	// immediately. (The rest of the region is logically dead.)
+	l.head = l.off
+	// The rest of the region is logically dead.
 	if err := l.store.Write(l.start, l.buf[:fragSize]); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
 	}
+	l.synced, l.lsnSynced = l.off, l.lsn
 	return nil
 }
 

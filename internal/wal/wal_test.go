@@ -418,3 +418,72 @@ func TestSyncSurfacesDeferredStoreError(t *testing.T) {
 		t.Fatalf("Sync after fault cleared = %v", err)
 	}
 }
+
+// fillEpoch appends, from where l stands, records of transaction txn that
+// end exactly on the region's first fragment boundary — a pad record, then
+// ten of one size — and then extra more of that size past it, and syncs.
+// Two epochs filled from the same head lay their records at the same offsets
+// with the same LSNs.
+func fillEpoch(t *testing.T, l *Log, txn uint64, extra int) {
+	t.Helper()
+	const each, n = 20, 10
+	pad := fragSize - l.off - n*(headerSize+each+trailerLen) - (headerSize + trailerLen)
+	if _, err := l.Append(Record{Type: RecUpdate, Txn: txn, Data: make([]byte, pad)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n+extra; i++ {
+		if i == n && l.off != fragSize {
+			t.Fatalf("records end at %d, not on the fragment boundary", l.off)
+		}
+		if _, err := l.Append(Record{Type: RecUpdate, Txn: txn, Data: make([]byte, each)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetResidueNotReplayed: the records synced since a Reset end exactly
+// on a fragment boundary and the node crashes there, so the next bytes of
+// the region are the records of the epoch before the reset — at the offsets
+// and with the LSNs that would continue the log. Replay must stop at the
+// boundary, whether the new epoch was appended straight after the reset or
+// after a crash right after it and a recovery.
+func TestResetResidueNotReplayed(t *testing.T) {
+	const frags = 2
+	for _, crashAfterReset := range []bool{false, true} {
+		t.Run(fmt.Sprintf("crashAfterReset=%v", crashAfterReset), func(t *testing.T) {
+			l, st, start := newLogStart(t, frags)
+			if err := l.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			fillEpoch(t, l, 1, 5)
+			if err := l.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if got := replayTxns(t, st, start, frags); len(got) != 0 {
+				t.Fatalf("a crash right after the reset replays %v", got)
+			}
+			if crashAfterReset {
+				var err error
+				if l, err = Open(st, start, frags); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Replay(func(Record) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fillEpoch(t, l, 2, 0)
+			got := replayTxns(t, st, start, frags)
+			if len(got) != 11 {
+				t.Fatalf("replay after a crash on the boundary = %d records %v, want the 11 since the reset", len(got), got)
+			}
+			for _, txn := range got {
+				if txn != 2 {
+					t.Fatalf("replay returned a record of txn %d from before the reset: %v", txn, got)
+				}
+			}
+		})
+	}
+}
