@@ -72,7 +72,7 @@ func run() int {
 	leaseTTL := flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "network lock lease duration")
 	backupsSpec := flag.String("backups", "", "comma-separated backup address per shard, in shard order (empty entries for unreplicated shards)")
 	roleName := flag.String("role", "none", "replication role for this shard: none, primary, or backup")
-	replTTL := flag.Duration("repl-ttl", cluster.DefaultReplTTL, "replication lease: the backup promotes after this much primary silence")
+	replTTL := flag.Duration("repl-ttl", cluster.DefaultReplTTL, "replication lease: the backup promotes after this much primary silence, and a primary treats its backup as gone after one attempt to it outlasts it")
 	traceSample := flag.Int("trace-sample", obs.DefaultSampleRate, "build a span tree for one operation in N, and wall-time one interior bracket in N (1 = every operation, 0 = only slow, failed and remotely traced trees); counts, virtual times and roots' wall times cover every operation regardless")
 	flag.Parse()
 	shard, shards, err := cluster.ParseShard(*shardSpec)

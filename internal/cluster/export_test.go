@@ -1,6 +1,10 @@
 package cluster
 
-import "repro/internal/replication"
+import (
+	"time"
+
+	"repro/internal/replication"
+)
 
 // MetricNames lists every metric name the cluster and replication layers
 // record, for the metric-name audit.
@@ -33,4 +37,12 @@ func (r *Router) Map() Map {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.cur
+}
+
+// SetRouterAttemptTimeout shortens the bound on each attempt of the routers
+// built until restore is called.
+func SetRouterAttemptTimeout(d time.Duration) (restore func()) {
+	prev := routerAttemptTimeout
+	routerAttemptTimeout = d
+	return func() { routerAttemptTimeout = prev }
 }

@@ -38,7 +38,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -54,7 +53,7 @@ import (
 // Replication methods.
 const (
 	// MReplApply ships one mutation batch primary→backup (batch frame,
-	// 8-byte applied-watermark reply).
+	// empty reply).
 	MReplApply = "cluster.repl.apply"
 	// MReplHeartbeat keeps the backup's promotion watchdog quiet between
 	// mutations (no arguments, empty reply).
@@ -231,11 +230,7 @@ func (s *Service) handleReplApply(ctx context.Context, body []byte) ([]byte, err
 		return nil, errors.New(promotedMarker)
 	}
 	s.touch()
-	applied, err := r.ap.ApplyBatch(ctx, body)
-	if err != nil {
-		return nil, err
-	}
-	return binary.BigEndian.AppendUint64(make([]byte, 0, 8), applied), nil
+	return nil, r.ap.ApplyBatch(ctx, body)
 }
 
 // handleReplHeartbeat quiets the backup's promotion watchdog.

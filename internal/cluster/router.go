@@ -25,6 +25,17 @@ import (
 // version racing in between.
 const redirectAttempts = 3
 
+// routerAttemptTimeout bounds each attempt of a routed call. Past it the
+// shard's server is treated as gone: the connection drops, and the retry
+// re-dials through the failover resolver, as a "not primary" answer does.
+// It is DefaultLeaseTTL, the silence a server allows a client before it
+// breaks the client's locks, and it sits above every legitimate wait on the
+// server: a recall's inline wait (at most ccache.DefaultRecallWait), a lock
+// try (never blocks), and a replicated write waiting out a silent backup
+// (answered on the retry, which the endpoint holds until the original
+// completes). A variable only so that tests can shorten it.
+var routerAttemptTimeout = DefaultLeaseTTL
+
 // RouterConfig configures a client-side shard router.
 type RouterConfig struct {
 	// Endpoints is the bootstrap server list, one address per shard, in
@@ -133,6 +144,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 		}
 		rc := rpc.NewClient(tr, cfg.ClientID, retries, cfg.Metrics)
+		rc.SetAttemptTimeout(routerAttemptTimeout)
 		rc.SetRetryOn(func(se *rpc.ServiceError) bool { return IsNotReady(se) })
 		r.trs = append(r.trs, tr)
 		r.rcs = append(r.rcs, rc)

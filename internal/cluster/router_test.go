@@ -3,13 +3,17 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fit"
 	"repro/internal/lock"
 	"repro/internal/obs"
 	"repro/internal/polltest"
+	"repro/internal/rpc"
 	"repro/internal/rpcfs"
 )
 
@@ -236,5 +240,113 @@ func TestRouterEntryPointsObserveOnce(t *testing.T) {
 		if got := rec.LayerCount(obs.LayerCluster) - before; got != 1 {
 			t.Errorf("%s recorded %d cluster-layer observations, want 1", c.name, got)
 		}
+	}
+}
+
+// silentPeer accepts connections and never reads from or writes to them: a
+// hung process, or a network that drops packets without a reset. Close
+// ends the listener and every accepted connection, which frees whatever
+// still waits on it.
+type silentPeer struct {
+	ln     net.Listener
+	mu     sync.Mutex
+	conns  []net.Conn
+	closed bool
+}
+
+func newSilentPeer(t *testing.T) *silentPeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &silentPeer{ln: ln}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.mu.Lock()
+			if p.closed {
+				_ = conn.Close()
+			} else {
+				p.conns = append(p.conns, conn)
+			}
+			p.mu.Unlock()
+		}
+	}()
+	t.Cleanup(p.Close)
+	return p
+}
+
+func (p *silentPeer) Close() {
+	_ = p.ln.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for _, conn := range p.conns {
+		_ = conn.Close()
+	}
+	p.conns = nil
+}
+
+// TestRouterSilentPrimaryBounded: a primary that accepts connections and
+// then never answers, beside a backup that never heard from it (so it
+// neither promotes nor serves), costs a routed call at most its attempts'
+// bounds: each attempt on the primary ends at the router's bound, the retry
+// re-dials to the backup, whose "not primary" rebinds it back.
+func TestRouterSilentPrimaryBounded(t *testing.T) {
+	const (
+		bound   = 100 * time.Millisecond
+		retries = 3
+	)
+	defer SetRouterAttemptTimeout(bound)()
+	silent := newSilentPeer(t)
+	bLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Map{Version: 1, Endpoints: []string{silent.ln.Addr().String()}, Backups: []string{bLn.Addr().String()}}
+	c, err := core.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	backup, err := NewService(overFS(c, ServiceConfig{Map: m, Role: RoleBackup}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	srv := rpc.Serve(bLn, endpointOf(backup))
+	defer func() { _ = srv.Close() }()
+	rt, err := NewRouter(RouterConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: 1, Retries: retries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+
+	done := make(chan error, 1)
+	t0 := time.Now()
+	go func() {
+		_, err := rt.ResolvePath("/silent/f")
+		done <- err
+	}()
+	watchdog := time.NewTimer(10 * time.Second)
+	defer watchdog.Stop()
+	select {
+	case err = <-done:
+	case <-watchdog.C:
+		silent.Close() // frees the blocked call and the cleanup
+		t.Fatal("a routed call still blocked on a silent primary after 10s")
+	}
+	if err == nil {
+		t.Fatal("a routed call succeeded with no primary serving")
+	}
+	if took, limit := time.Since(t0), (retries+1)*bound; took > limit {
+		t.Fatalf("the call took %v, want at most %v", took, limit)
+	}
+	if got := backup.Role(); got != RoleBackup {
+		t.Fatalf("the backup is %v, want an unpromoted backup", got)
 	}
 }

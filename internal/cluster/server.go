@@ -72,6 +72,7 @@ type ServiceConfig struct {
 	Role Role
 	// Backup is a primary's dedicated rpc connection to its backup
 	// (typically over its own transport, client ID ReplClientID(Shard)).
+	// NewService bounds each of its attempts by ReplTTL.
 	Backup *rpc.Client
 	// ReplTTL is the replication lease: the primary heartbeats at a third
 	// of it, the backup promotes after a full one of silence
@@ -161,6 +162,11 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			return nil, errors.New("cluster: primary role requires a backup address in the map")
 		}
 		s.backupAddr = m.Backup(cfg.Shard)
+		// One replication TTL, in wall time, bounds each attempt of the
+		// ship and the heartbeat: a backup silent that long is treated as
+		// gone, and once the client's retries are spent the failed call
+		// takes the stream down and the primary serves solo.
+		cfg.Backup.SetAttemptTimeout(rttl)
 		r := &replState{ttl: rttl, bc: cfg.Backup, lag: cfg.Obs.ValueHist(MetricReplLagNS)}
 		r.sh = replication.NewShipper(replication.ShipperConfig{
 			Send:   s.shipBatch,

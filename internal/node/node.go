@@ -101,7 +101,9 @@ func Start(cfg Config) (*Node, error) {
 		if err != nil {
 			return fail(fmt.Errorf("dialing backup: %w", err))
 		}
-		backup = rpc.NewClient(n.ship, cluster.ReplClientID(cfg.Shard), 3, nil)
+		// Its retries count in the node's rpc.retries: a ship or heartbeat
+		// attempt past the replication TTL is retried, never waited out.
+		backup = rpc.NewClient(n.ship, cluster.ReplClientID(cfg.Shard), 3, fac.Metrics)
 	}
 
 	n.fs = &rpcfs.Server{Files: fac.Files, Naming: fac.Naming}

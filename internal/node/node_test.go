@@ -2,18 +2,22 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/ccache"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/polltest"
 	"repro/internal/rpc"
 	"repro/internal/rpcfs"
@@ -447,4 +451,229 @@ func TestOpenedCreateReplicates(t *testing.T) {
 			t.Fatalf("after %s the backup's copy has RefCount %d (err %v), want %d", step, attr.RefCount, err, want[step])
 		}
 	})
+}
+
+// silentPeer accepts connections and never reads from or writes to them: a
+// hung process, or a network that drops packets without a reset. Close
+// ends the listener and every accepted connection, which frees whatever
+// still waits on it.
+type silentPeer struct {
+	ln     net.Listener
+	mu     sync.Mutex
+	conns  []net.Conn
+	closed bool
+}
+
+func newSilentPeer(t *testing.T) *silentPeer {
+	t.Helper()
+	p := &silentPeer{ln: listen(t)}
+	go func() {
+		for {
+			conn, err := p.ln.Accept()
+			if err != nil {
+				return
+			}
+			p.mu.Lock()
+			if p.closed {
+				_ = conn.Close()
+			} else {
+				p.conns = append(p.conns, conn)
+			}
+			p.mu.Unlock()
+		}
+	}()
+	t.Cleanup(p.Close)
+	return p
+}
+
+func (p *silentPeer) addr() string { return p.ln.Addr().String() }
+
+func (p *silentPeer) Close() {
+	_ = p.ln.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for _, conn := range p.conns {
+		_ = conn.Close()
+	}
+	p.conns = nil
+}
+
+// within waits for done, failing the test when nothing arrives in ten
+// seconds; the silent peer is closed first, so the blocked call and the
+// test's cleanup can finish.
+func within(t *testing.T, done <-chan error, p *silentPeer, what string) error {
+	t.Helper()
+	watchdog := time.NewTimer(10 * time.Second)
+	defer watchdog.Stop()
+	select {
+	case err := <-done:
+		return err
+	case <-watchdog.C:
+		p.Close()
+		t.Fatalf("%s still blocked on a silent peer after 10s", what)
+		return nil
+	}
+}
+
+// TestSilentBackupBoundsReplicatedWrite: a backup that accepts connections
+// and then never answers costs a replicated write at most the backup
+// client's attempts, one replication TTL each, plus their re-dials. Then
+// the stream is down and the primary serves solo.
+func TestSilentBackupBoundsReplicatedWrite(t *testing.T) {
+	const (
+		replTTL  = 100 * time.Millisecond
+		attempts = 4 // the backup client's: three retries
+	)
+	silent := newSilentPeer(t)
+	pLn := listen(t)
+	m := cluster.Map{Version: 1, Endpoints: []string{pLn.Addr().String()}, Backups: []string{silent.addr()}}
+	rec := obs.New()
+	primary, err := Start(Config{Facility: core.Config{Obs: rec}, Map: m, Role: cluster.RolePrimary, ReplTTL: replTTL, Listener: pLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	raw, err := primary.Facility.Files.Create(fit.Attributes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fileservice.FileID(cluster.RoutedID(0, uint64(raw)))
+	cl := dial(t, ClientConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: 1})
+
+	done := make(chan error, 1)
+	t0 := time.Now()
+	go func() {
+		_, err := cl.Files.WriteAt(id, 0, []byte("acknowledged solo"))
+		done <- err
+	}()
+	if err := within(t, done, silent, "the replicated write"); err != nil {
+		t.Fatal(err)
+	}
+	if took, limit := time.Since(t0), (attempts+1)*replTTL; took > limit {
+		t.Fatalf("the write took %v, want at most %v", took, limit)
+	}
+	if b := primary.Service.Map().Backup(0); b != "" {
+		t.Fatalf("the primary still lists backup %q", b)
+	}
+	solo := false
+	for _, e := range rec.Events() {
+		solo = solo || e.Name == "solo"
+	}
+	if !solo {
+		t.Fatalf("no solo event among %v", rec.Events())
+	}
+}
+
+// TestHealthyPairFiresNoBound: on a busy healthy pair no time bound fires.
+// A bound that fires drops its connection, and with it, through the client
+// cache's conn-down hook, every lease held on it. So a second of concurrent
+// replicated writes and leased re-reads must end with no rpc retry, no
+// duplicate served, no solo, fence or promote event, and no re-read that
+// missed its cache.
+func TestHealthyPairFiresNoBound(t *testing.T) {
+	pLn, bLn := listen(t), listen(t)
+	m := cluster.Map{Version: 1, Endpoints: []string{pLn.Addr().String()}, Backups: []string{bLn.Addr().String()}}
+	bRec, pRec := obs.New(), obs.New()
+	backup, err := Start(Config{Facility: core.Config{Obs: bRec}, Map: m, Role: cluster.RoleBackup, Listener: bLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	primary, err := Start(Config{Facility: core.Config{Obs: pRec}, Map: m, Role: cluster.RolePrimary, Listener: pLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+
+	const block = 4096
+	seed := dial(t, ClientConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: 1})
+	var shared []fileservice.FileID
+	for _, path := range []string{"/healthy/a", "/healthy/b"} {
+		id, err := seed.Router.CreatePath(fit.Attributes{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seed.Files.WriteAt(id, 0, bytes.Repeat([]byte{0xA5}, 4*block)); err != nil {
+			t.Fatal(err)
+		}
+		shared = append(shared, id)
+	}
+
+	// The writers are node.Dial's uncached stack, a router, built here with
+	// a counter set for its retries.
+	met := metrics.NewSet()
+	type worker func(i int) error
+	var workers []worker
+	for w := 0; w < 2; w++ {
+		rt, err := cluster.NewRouter(cluster.RouterConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: uint64(10 + w), Metrics: met})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Shutdown)
+		id, err := rt.CreatePath(fit.Attributes{}, fmt.Sprintf("/healthy/w%d", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte{byte(w)}, block)
+		workers = append(workers, func(i int) error {
+			_, err := rt.WriteAt(id, int64(i%8)*block, data)
+			return err
+		})
+	}
+	var readers []*obs.Recorder
+	for r := 0; r < 2; r++ {
+		rec := obs.New()
+		cl := dial(t, ClientConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: uint64(20 + r), Cache: true, Obs: rec})
+		readers = append(readers, rec)
+		workers = append(workers, func(i int) error {
+			_, err := cl.Files.ReadAt(shared[i%len(shared)], 0, 4*block)
+			return err
+		})
+	}
+
+	stop := time.Now().Add(time.Second)
+	errs := make(chan error, len(workers))
+	for _, w := range workers {
+		go func() {
+			for i := 0; time.Now().Before(stop); i++ {
+				if err := w(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range workers {
+		if err := polltest.Recv(t, errs, "a worker's second of load"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if n := met.Get(metrics.RPCRetries); n != 0 {
+		t.Errorf("the writers' routers retried %d times", n)
+	}
+	if n := primary.Facility.Metrics.Get(metrics.RPCRetries); n != 0 {
+		t.Errorf("the primary's backup client retried %d times", n)
+	}
+	for name, n := range map[string]*Node{"primary": primary, "backup": backup} {
+		if d := n.Facility.Metrics.Get(metrics.RPCDuplicates); d != 0 {
+			t.Errorf("the %s served %d duplicates", name, d)
+		}
+	}
+	for _, rec := range []*obs.Recorder{pRec, bRec} {
+		for _, e := range rec.Events() {
+			if e.Name == "solo" || e.Name == "promote" || e.Name == "fence" {
+				t.Errorf("failover event on a healthy pair: %s: %s", e.Name, e.Detail)
+			}
+		}
+	}
+	for i, rec := range readers {
+		g := rec.Gauges()
+		if g[ccache.MetricHits] == 0 || g[ccache.MetricMisses] != int64(len(shared)) {
+			t.Errorf("reader %d: %d hits, %d misses; want hits and one miss per file (%d): a lease was dropped",
+				i, g[ccache.MetricHits], g[ccache.MetricMisses], len(shared))
+		}
+	}
 }

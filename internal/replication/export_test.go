@@ -23,3 +23,10 @@ func (m *Manager) Health() []bool {
 	copy(out, m.failed)
 	return out
 }
+
+// Applied returns the highest applied sequence number.
+func (a *Applier) Applied() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.applied
+}

@@ -323,24 +323,16 @@ type Applier struct {
 	applyNS *obs.Histogram
 }
 
-// Applied returns the highest applied sequence number.
-func (a *Applier) Applied() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.applied
-}
-
 // ApplyBatch decodes and replays one batch frame. Records at or below the
 // applied watermark are skipped (a resent batch is harmless); a gap or a
 // replay that produces a different reply than the primary's is divergence
-// and fails the batch — the stream cannot safely continue. Returns the new
-// applied watermark. ctx is the receiving rpc's: each record replays under a
-// backup-apply span nested in its tree (the primary's ship span, when the
-// batch arrived traced).
-func (a *Applier) ApplyBatch(ctx context.Context, data []byte) (uint64, error) {
+// and fails the batch — the stream cannot safely continue. ctx is the
+// receiving rpc's: each record replays under a backup-apply span nested in
+// its tree (the primary's ship span, when the batch arrived traced).
+func (a *Applier) ApplyBatch(ctx context.Context, data []byte) error {
 	recs, err := decodeBatch(data)
 	if err != nil {
-		return a.Applied(), err
+		return err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -353,7 +345,7 @@ func (a *Applier) ApplyBatch(ctx context.Context, data []byte) (uint64, error) {
 			continue
 		}
 		if r.Seq != a.applied+1 {
-			return a.applied, fmt.Errorf("replication: sequence gap: have %d, got %d", a.applied, r.Seq)
+			return fmt.Errorf("replication: sequence gap: have %d, got %d", a.applied, r.Seq)
 		}
 		// Only successful mutations are shipped, so a replay that errors —
 		// or answers differently — means the replicas have diverged.
@@ -363,15 +355,15 @@ func (a *Applier) ApplyBatch(ctx context.Context, data []byte) (uint64, error) {
 		op.End(aerr)
 		a.applyNS.Record(time.Since(t0))
 		if aerr != nil {
-			return a.applied, fmt.Errorf("replication: divergence at seq %d (%s): replay failed: %v", r.Seq, r.Method, aerr)
+			return fmt.Errorf("replication: divergence at seq %d (%s): replay failed: %v", r.Seq, r.Method, aerr)
 		}
 		if !bytes.Equal(out, r.Reply) {
-			return a.applied, fmt.Errorf("replication: divergence at seq %d (%s): replay reply differs", r.Seq, r.Method)
+			return fmt.Errorf("replication: divergence at seq %d (%s): replay reply differs", r.Seq, r.Method)
 		}
 		if a.Seed != nil && r.Client != 0 {
 			a.Seed(r.Client, r.CSeq, out)
 		}
 		a.applied = r.Seq
 	}
-	return a.applied, nil
+	return nil
 }

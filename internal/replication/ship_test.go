@@ -288,8 +288,8 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 		{Seq: 1, Client: 7, CSeq: 100, Method: "a", Reply: []byte("ok:a")},
 		{Seq: 2, Client: 0, CSeq: 0, Method: "b", Reply: []byte("ok:b")},
 	})
-	if w, err := a.ApplyBatch(context.Background(), batch); err != nil || w != 2 {
-		t.Fatalf("ApplyBatch = %d, %v", w, err)
+	if err := a.ApplyBatch(context.Background(), batch); err != nil || a.Applied() != 2 {
+		t.Fatalf("ApplyBatch = %v, watermark %d", err, a.Applied())
 	}
 	if len(applied) != 2 || applied[0] != "a" || applied[1] != "b" {
 		t.Fatalf("applied %v", applied)
@@ -300,8 +300,8 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 	}
 
 	// A resent batch is skipped idempotently.
-	if w, err := a.ApplyBatch(context.Background(), batch); err != nil || w != 2 {
-		t.Fatalf("resent ApplyBatch = %d, %v", w, err)
+	if err := a.ApplyBatch(context.Background(), batch); err != nil || a.Applied() != 2 {
+		t.Fatalf("resent ApplyBatch = %v, watermark %d", err, a.Applied())
 	}
 	if len(applied) != 2 {
 		t.Fatalf("resend re-executed: applied %v", applied)
@@ -309,7 +309,7 @@ func TestApplierReplaysAndSeeds(t *testing.T) {
 
 	// A sequence gap is divergence territory: fail, don't apply.
 	gap := appendBatch(nil, []Rec{{Seq: 4, Method: "d", Reply: []byte("ok:d")}})
-	if _, err := a.ApplyBatch(context.Background(), gap); err == nil {
+	if err := a.ApplyBatch(context.Background(), gap); err == nil {
 		t.Fatal("sequence gap applied")
 	}
 	if a.Applied() != 2 {
@@ -327,7 +327,7 @@ func TestApplierDetectsDivergence(t *testing.T) {
 
 	// Replay produced a different reply than the primary recorded.
 	a := newApplier(nil, "backup-said")
-	if _, err := a.ApplyBatch(context.Background(), batch); err == nil {
+	if err := a.ApplyBatch(context.Background(), batch); err == nil {
 		t.Fatal("reply mismatch applied")
 	}
 	if a.Applied() != 0 {
@@ -337,7 +337,7 @@ func TestApplierDetectsDivergence(t *testing.T) {
 	// Replay errored where the primary succeeded (only successful mutations
 	// are shipped).
 	a = newApplier(errors.New("no such file"), "")
-	if _, err := a.ApplyBatch(context.Background(), batch); err == nil {
+	if err := a.ApplyBatch(context.Background(), batch); err == nil {
 		t.Fatal("failed replay applied")
 	}
 }

@@ -30,7 +30,7 @@ type discardConn struct{ net.Conn }
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestWireEncodeAllocBudget(t *testing.T) {
-	w := newFrameWriter(discardConn{}, 0, func(err error) { t.Fatal(err) })
+	w := newFrameWriter(discardConn{}, func(err error) { t.Fatal(err) })
 	req := Request{ClientID: 7, Seq: 1, Method: "fs.pread", Body: make([]byte, 4096)}
 	allocs := testing.AllocsPerRun(200, func() {
 		req.Seq++
@@ -52,7 +52,7 @@ func TestWireDecodeAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		fr.br.Reset(rd)
-		frame, _, err := fr.read()
+		frame, err := fr.read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,8 +77,9 @@ func TestMuxRoundTripAllocBudget(t *testing.T) {
 	}, WithoutDupCache())
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr := dial(t, srv, WithIOTimeout(5*time.Second))
+	tr := dial(t, srv)
 	c := NewClient(tr, 9, 3, nil)
+	c.SetAttemptTimeout(5 * time.Second)
 	allocs := testing.AllocsPerRun(100, func() {
 		out, err := c.Call(context.Background(), "echo", payload)
 		if err != nil || len(out) != len(payload) {
@@ -94,7 +95,7 @@ func TestMuxRoundTripAllocBudget(t *testing.T) {
 // --- benchmarks (compare with -bench 'Wire|RoundTrip' -benchmem) ---
 
 func BenchmarkWireEncode(b *testing.B) {
-	w := newFrameWriter(discardConn{}, 0, func(err error) { b.Fatal(err) })
+	w := newFrameWriter(discardConn{}, func(err error) { b.Fatal(err) })
 	req := Request{ClientID: 7, Seq: 1, Method: "fs.pread", Body: make([]byte, 4096)}
 	b.SetBytes(int64(len(req.Body)))
 	b.ReportAllocs()
@@ -116,7 +117,7 @@ func BenchmarkWireDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		fr.br.Reset(rd)
-		frame, _, err := fr.read()
+		frame, err := fr.read()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func benchRoundTrip(b *testing.B, clients int) {
 	}, WithoutDupCache())
 	srv := Serve(listen(b), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String(), WithIOTimeout(10*time.Second))
+	tr, err := DialTCP(srv.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,6 +147,7 @@ func benchRoundTrip(b *testing.B, clients int) {
 	var id atomic.Uint64
 	b.RunParallel(func(pb *testing.PB) {
 		c := NewClient(tr, id.Add(1), 3, nil)
+		c.SetAttemptTimeout(10 * time.Second)
 		for pb.Next() {
 			out, err := c.Call(context.Background(), "echo", payload)
 			if err != nil {

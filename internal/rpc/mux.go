@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +20,20 @@ import (
 // can overlap their disk work while earlier responses are still in transit.
 //
 // Ownership: a pending call is completed by exactly one party — the reader
-// (response or expiry), or fail (connection teardown) — whichever removes it
-// from the map under pmu; its result channel is buffered so completion never
-// blocks. Attempt deadlines are enforced by the reader's socket read
-// deadline, always armed to the earliest pending deadline: an expired call
-// is failed individually and the connection survives as long as the expiry
-// caught the stream at a frame boundary.
+// (a response), or fail (connection teardown) — whichever removes it from
+// the map under pmu; its result channel is buffered so completion never
+// blocks.
+//
+// Time bound: the socket's read deadline is the connection's one deadline,
+// armed no later than the earliest pending attempt deadline. When it fires
+// with a call overdue, the peer is treated as gone: the connection fails,
+// every call pending on it gets ErrDropped, and closing the socket also
+// returns a flusher blocked writing to a peer that stopped reading. The
+// Client retries on a fresh connection, where the endpoint's duplicate
+// cache (or its wait on the still-running original) keeps the call
+// exactly-once. The deadline is moved only when a call needs an earlier one
+// or when it fires with no call overdue, not per call: moving a socket
+// deadline re-arms a runtime timer, which wakes the network poller.
 //
 // Request-body ownership: roundTrip copies the request into the writer's
 // pending buffer before it waits, so the connection never touches a request
@@ -43,12 +52,9 @@ type muxConn struct {
 	pmu     sync.Mutex
 	pending map[uint64]*pendingCall
 	dead    bool
-	// timed counts the pending calls with a deadline, and armed is the read
-	// deadline last set on the socket (rearm forces the next setting): with
-	// no call timed and nothing armed a frame costs no deadline work.
-	timed int
+	// armed is the read deadline last set on the socket (zero: none), never
+	// later than a pending call's attempt deadline.
 	armed time.Time
-	rearm bool
 
 	// pushes queues server push frames for the dispatcher goroutine; nil
 	// when neither a push handler nor a conn-down hook is configured (push
@@ -150,7 +156,7 @@ func dialMux(addr string, opts tcpOpts) (*muxConn, error) {
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*pendingCall),
 	}
-	c.w = newFrameWriter(conn, opts.ioTimeout, func(err error) { c.fail(errors.Join(ErrDropped, err)) })
+	c.w = newFrameWriter(conn, func(err error) { c.fail(errors.Join(ErrDropped, err)) })
 	if opts.pushHandler != nil || opts.connDown != nil {
 		c.pushes = newPushQueue()
 		go c.pushLoop()
@@ -222,8 +228,9 @@ func (c *muxConn) fail(cause error) {
 // close tears the connection down as an orderly local close.
 func (c *muxConn) close() { c.fail(ErrClosed) }
 
-// roundTrip issues one request and waits for its response or the attempt
-// deadline (zero = wait indefinitely).
+// roundTrip issues one request and waits for its response, or for the
+// connection to fail — which the attempt deadline forces once it passes
+// (zero = wait indefinitely).
 func (c *muxConn) roundTrip(req Request, deadline time.Time) (Response, error) {
 	id := c.nextID.Add(1)
 	pc := &pendingCall{ch: make(chan callResult, 1), deadline: deadline}
@@ -233,12 +240,10 @@ func (c *muxConn) roundTrip(req Request, deadline time.Time) (Response, error) {
 		return Response{}, c.err()
 	}
 	c.pending[id] = pc
-	// Arm the socket deadline under pmu (see armReadDeadlineLocked): a reader
-	// that just decided to block without a deadline is interrupted by this
-	// earlier one.
-	if !deadline.IsZero() {
-		c.timed++
-		c.armReadDeadlineLocked()
+	// Under pmu, which orders every SetReadDeadline: a reader blocked on a
+	// later deadline, or none, is interrupted by this earlier one.
+	if !deadline.IsZero() && (c.armed.IsZero() || deadline.Before(c.armed)) {
+		c.setReadDeadlineLocked(deadline)
 	}
 	c.pmu.Unlock()
 	// ErrClosed means the connection is going down, and its teardown
@@ -274,76 +279,55 @@ func (c *muxConn) forget(id uint64) {
 // and returns it.
 func (c *muxConn) removeLocked(id uint64) *pendingCall {
 	pc := c.pending[id]
-	if pc != nil {
-		delete(c.pending, id)
-		if !pc.deadline.IsZero() {
-			c.timed--
-		}
-	}
+	delete(c.pending, id)
 	return pc
 }
 
-// armReadDeadlineLocked points the socket read deadline at the earliest
-// pending attempt deadline (or clears it), skipping the call when that is
-// the deadline already armed. Callers hold pmu, which orders every
-// SetReadDeadline: the arming that observes the newest pending set always
-// runs last.
-func (c *muxConn) armReadDeadlineLocked() {
-	var earliest time.Time
-	if c.timed > 0 {
-		for _, pc := range c.pending {
-			if !pc.deadline.IsZero() && (earliest.IsZero() || pc.deadline.Before(earliest)) {
-				earliest = pc.deadline
-			}
-		}
-	}
-	if earliest.Equal(c.armed) && !c.rearm {
-		return
-	}
-	c.armed, c.rearm = earliest, false
-	_ = c.conn.SetReadDeadline(earliest)
+// setReadDeadlineLocked arms the socket read deadline at d (zero clears it).
+func (c *muxConn) setReadDeadlineLocked(d time.Time) {
+	c.armed = d
+	_ = c.conn.SetReadDeadline(d)
 }
 
-// expireOverdue completes every pending call whose deadline has passed with
-// cause, reporting whether any were overdue.
-func (c *muxConn) expireOverdue(cause error) bool {
-	now := time.Now()
-	var expired []*pendingCall
-	c.pmu.Lock()
-	// The timeout consumed the armed deadline: the next arming sets one
-	// even if it is the same instant.
-	c.rearm = true
-	for id, pc := range c.pending {
-		if !pc.deadline.IsZero() && !pc.deadline.After(now) {
-			expired = append(expired, c.removeLocked(id))
+// Read is the socket as the frame reader sees it. A read deadline that
+// fires with no call overdue belonged to a call that has completed: the
+// deadline is re-armed at the earliest one still pending and the read goes
+// on, even mid-frame, so only an overdue call's timeout reaches the reader.
+func (c *muxConn) Read(p []byte) (int, error) {
+	for {
+		n, err := c.conn.Read(p)
+		if n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) || c.overdue() {
+			return n, err
 		}
 	}
-	c.pmu.Unlock()
-	for _, pc := range expired {
-		pc.ch <- callResult{err: cause}
+}
+
+// overdue reports whether a pending call's attempt deadline has passed. When
+// none has, it re-arms the socket, whose deadline just fired, at the
+// earliest pending one.
+func (c *muxConn) overdue() bool {
+	now := time.Now()
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	var earliest time.Time
+	for _, pc := range c.pending {
+		if d := pc.deadline; !d.IsZero() && (earliest.IsZero() || d.Before(earliest)) {
+			earliest = d
+		}
 	}
-	return len(expired) > 0
+	if !earliest.IsZero() && !earliest.After(now) {
+		return true
+	}
+	c.setReadDeadlineLocked(earliest)
+	return false
 }
 
 // readLoop decodes response frames and completes their pending calls.
 func (c *muxConn) readLoop() {
-	fr := newFrameReader(c.conn, DefaultMaxFrame)
+	fr := newFrameReader(c, DefaultMaxFrame)
 	for {
-		c.pmu.Lock()
-		c.armReadDeadlineLocked()
-		c.pmu.Unlock()
-		frame, consumed, err := fr.read()
+		frame, err := fr.read()
 		if err != nil {
-			var nerr net.Error
-			if consumed == 0 && errors.As(err, &nerr) && nerr.Timeout() {
-				// Frame boundary: the deadline belonged to one (or a few)
-				// overdue calls. Fail just those and keep the connection;
-				// re-arming picks up the next earliest deadline. A timeout
-				// with nothing overdue was a stale deadline from an
-				// already-completed call — just re-arm.
-				c.expireOverdue(errors.Join(ErrDropped, err))
-				continue
-			}
 			c.fail(errors.Join(ErrDropped, err))
 			return
 		}
@@ -364,7 +348,7 @@ func (c *muxConn) readLoop() {
 		pc := c.removeLocked(frame.id)
 		c.pmu.Unlock()
 		if pc == nil {
-			// Response to an expired (already failed) call.
+			// Response to a call already forgotten.
 			Recycle(frame.body)
 			continue
 		}

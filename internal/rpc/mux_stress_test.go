@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 )
 
 // TestMuxConcurrentSendsOneConnection: many goroutines share one multiplexed
@@ -60,9 +61,10 @@ func TestMuxConcurrentSendsOneConnection(t *testing.T) {
 
 // TestMuxStressWithInjectedFaults is the transport-concurrency stress test:
 // many goroutines call through one multiplexed TCPTransport while the server
-// randomly drops and delays requests at PtTCPServe. Dropped requests time
-// out on the client, the Client retries, and the duplicate-request cache
-// must keep every logical call exactly-once — each method executes once and
+// randomly drops and delays requests at PtTCPServe. A dropped request's
+// attempt deadline passes, the connection drops under every call pending on
+// it, the Clients retry on a fresh one, and the duplicate-request cache must
+// keep every logical call exactly-once — each method executes once and
 // every caller sees its own echo. Run with -race to exercise the
 // reader/writer/pending-map synchronization.
 func TestMuxStressWithInjectedFaults(t *testing.T) {
@@ -71,7 +73,7 @@ func TestMuxStressWithInjectedFaults(t *testing.T) {
 	inj := fault.NewInjector(1)
 	srv := Serve(listen(t), ep, WithInjector(inj), WithWorkers(16))
 	defer func() { _ = srv.Close() }()
-	tr := dial(t, srv, WithIOTimeout(80*time.Millisecond))
+	tr := dial(t, srv)
 
 	const goroutines, calls = 24, 20
 	run := func(prefix string) {
@@ -83,6 +85,7 @@ func TestMuxStressWithInjectedFaults(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				c := NewClient(tr, uint64(len(prefix))*10000+uint64(5000+g), 50, nil)
+				c.SetAttemptTimeout(80 * time.Millisecond)
 				for i := 0; i < calls; i++ {
 					payload := fmt.Sprintf("g%d-i%d", g, i)
 					got, err := c.Call(context.Background(), prefix+payload, []byte(payload))
@@ -133,46 +136,67 @@ func TestMuxStressWithInjectedFaults(t *testing.T) {
 	}
 }
 
-// TestMuxAttemptDeadlineExpiresAlone: on a multiplexed connection an overdue
-// attempt fails by itself — a concurrent slow-but-within-deadline call on
-// the same connection still completes, and the connection survives.
-func TestMuxAttemptDeadlineExpiresAlone(t *testing.T) {
-	block := make(chan struct{})
-	ep := NewEndpoint(func(_ context.Context, req Request) ([]byte, error) {
-		if req.Method == "slow" {
+// TestMuxOverdueAttemptDropsConnection: an overdue attempt treats the peer
+// as gone and drops its connection, so the other call pending on it fails as
+// ErrDropped too, and that call's Client retry completes exactly once on a
+// fresh connection.
+func TestMuxOverdueAttemptDropsConnection(t *testing.T) {
+	block, release := make(chan struct{}), make(chan struct{})
+	started := make(chan struct{}, 1)
+	h := newCountingHandler()
+	met := metrics.NewSet()
+	ep := NewEndpoint(func(ctx context.Context, req Request) ([]byte, error) {
+		switch req.Method {
+		case "slow":
 			<-block
+		case "other":
+			started <- struct{}{}
+			<-release
 		}
-		return []byte(req.Method), nil
-	}, WithWindow(64))
+		return h.handle(ctx, req)
+	}, WithWindow(64), WithMetrics(met))
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
 	tr := dial(t, srv)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	slowErr := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		_, err := tr.SendWithDeadline(Request{ClientID: 1, Seq: 1, Method: "slow"},
-			time.Now().Add(60*time.Millisecond))
-		slowErr <- err
-	}()
-	// The fast call shares the connection and must not be collateral damage
-	// of the slow call's expiry.
-	deadline := time.Now().Add(5 * time.Second)
-	resp, err := tr.SendWithDeadline(Request{ClientID: 1, Seq: 2, Method: "fast"}, deadline)
-	if err != nil || string(resp.Body) != "fast" {
-		t.Fatalf("fast call on shared connection = %q, %v", resp.Body, err)
+	defer close(block)
+	conn := func() *muxConn {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return tr.mc
 	}
-	wg.Wait()
-	if err := <-slowErr; !errors.Is(err, ErrDropped) {
+
+	c := NewClient(tr, 2, 3, met)
+	c.SetAttemptTimeout(5 * time.Second)
+	other := make(chan error, 1)
+	go func() {
+		got, err := c.Call(context.Background(), "other", []byte("x"))
+		if err == nil && string(got) != "echo:x" {
+			err = fmt.Errorf("got %q", got)
+		}
+		other <- err
+	}()
+	<-started // "other" is executing, its call pending on the connection
+	first := conn()
+
+	_, err := tr.SendWithDeadline(Request{ClientID: 1, Seq: 1, Method: "slow"}, time.Now().Add(60*time.Millisecond))
+	if !errors.Is(err, ErrDropped) {
 		t.Fatalf("overdue attempt = %v, want ErrDropped", err)
 	}
-	close(block) // release the handler
-	// The connection is still usable after the expiry.
-	resp, err = tr.Send(Request{ClientID: 1, Seq: 3, Method: "again"})
-	if err != nil || string(resp.Body) != "again" {
-		t.Fatalf("call after expiry = %q, %v", resp.Body, err)
+	if !first.isDead() {
+		t.Fatal("the connection outlived an overdue attempt")
+	}
+	close(release)
+	if err := <-other; err != nil {
+		t.Fatalf("the call pending beside the overdue one: %v", err)
+	}
+	if n := h.count("other"); n != 1 {
+		t.Fatalf("the retried call executed %d times, want 1", n)
+	}
+	if r := met.Get(metrics.RPCRetries); r != 1 {
+		t.Fatalf("%d retries, want 1: the pending call failed with the connection", r)
+	}
+	if conn() == first {
+		t.Fatal("the retry did not re-dial")
 	}
 }
 
@@ -216,4 +240,78 @@ func TestMuxExpiredBodyRecycleRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestMuxStaleDeadlineMidFrame: the read deadline is left where an earlier,
+// completed call armed it, so it can fire while a later response is half
+// read. With no call overdue the read goes on: the response arrives whole
+// and the connection survives.
+func TestMuxStaleDeadlineMidFrame(t *testing.T) {
+	ln := listen(t)
+	defer func() { _ = ln.Close() }()
+	const stale = 30 * time.Millisecond
+	served, release := make(chan error, 1), make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		fr := newFrameReader(conn, DefaultMaxFrame)
+		for i := 0; i < 2; i++ {
+			frame, err := fr.read()
+			if err != nil {
+				served <- err
+				return
+			}
+			resp := Response{Seq: frame.seq, Body: []byte(frame.method)}
+			head, err := appendResponse(nil, frame.id, &resp, DefaultMaxFrame)
+			if err != nil {
+				served <- err
+				return
+			}
+			out := append(head, resp.Body...)
+			if i == 1 {
+				// Half the frame, then a pause past the first call's
+				// deadline, then the rest.
+				if _, err := conn.Write(out[:len(out)/2]); err != nil {
+					served <- err
+					return
+				}
+				<-time.After(3 * stale)
+				out = out[len(out)/2:]
+			}
+			if _, err := conn.Write(out); err != nil {
+				served <- err
+				return
+			}
+		}
+		served <- nil
+		<-release // keep the connection open until the client is checked
+	}()
+	tr, err := DialTCP(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	first := tr.mc
+
+	if resp, err := tr.SendWithDeadline(Request{ClientID: 1, Seq: 1, Method: "first"}, time.Now().Add(stale)); err != nil || string(resp.Body) != "first" {
+		t.Fatalf("first call = %q, %v", resp.Body, err)
+	}
+	resp, err := tr.SendWithDeadline(Request{ClientID: 1, Seq: 2, Method: "second"}, time.Now().Add(5*time.Second))
+	if err != nil || string(resp.Body) != "second" {
+		t.Fatalf("call read across a stale deadline = %q, %v", resp.Body, err)
+	}
+	defer close(release)
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	same := tr.mc == first
+	tr.mu.Unlock()
+	if !same || first.isDead() {
+		t.Fatal("a stale deadline dropped the connection")
+	}
 }

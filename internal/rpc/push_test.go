@@ -19,7 +19,7 @@ func TestWirePushRoundTrip(t *testing.T) {
 	if len(frame) != wantLen {
 		t.Fatalf("push frame is %d bytes, want %d", len(frame), wantLen)
 	}
-	fr, _, err := newFrameReader(bytes.NewReader(frame), 0).read()
+	fr, err := newFrameReader(bytes.NewReader(frame), 0).read()
 	if err != nil {
 		t.Fatal(err)
 	}

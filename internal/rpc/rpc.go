@@ -370,9 +370,9 @@ type Transport interface {
 }
 
 // DeadlineTransport is implemented by transports that can bound one send
-// with an absolute I/O deadline. The Client computes the deadline fresh for
-// every attempt, so a retry never inherits the previous attempt's expired
-// deadline.
+// with an absolute attempt deadline. The Client computes the deadline fresh
+// for every attempt, so a retry never inherits the previous attempt's
+// expired deadline.
 type DeadlineTransport interface {
 	SendWithDeadline(Request, time.Time) (Response, error)
 }
@@ -522,8 +522,10 @@ func (c *Client) ReleaseBody(body []byte) {
 }
 
 // SetAttemptTimeout bounds each individual send attempt when the transport
-// supports deadlines (DeadlineTransport). Zero (the default) leaves sends
-// unbounded.
+// supports deadlines (DeadlineTransport); an attempt that outlasts it fails
+// as ErrDropped and is retried. Zero (the default) leaves sends unbounded.
+// The deployed clients derive it from what they already hold (the cluster
+// package's backup client and router).
 func (c *Client) SetAttemptTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.attemptTimeout = d

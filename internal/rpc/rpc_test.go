@@ -366,10 +366,10 @@ func TestTCPReconnectAfterServerRestart(t *testing.T) {
 	}
 }
 
-// TestTCPIOTimeout: a peer that accepts and then never responds must not
-// block the transport forever — the read deadline fires and the send fails
-// with ErrDropped.
-func TestTCPIOTimeout(t *testing.T) {
+// TestTCPAttemptDeadline: a peer that accepts and then never responds must
+// not block the transport forever — the attempt deadline fires, the
+// connection drops and the send fails with ErrDropped.
+func TestTCPAttemptDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -385,13 +385,13 @@ func TestTCPIOTimeout(t *testing.T) {
 			defer func() { _ = conn.Close() }()
 		}
 	}()
-	tr, err := DialTCP(ln.Addr().String(), WithIOTimeout(50*time.Millisecond))
+	tr, err := DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
 	start := time.Now()
-	_, err = tr.Send(Request{ClientID: 1, Seq: 1, Method: "ping"})
+	_, err = tr.SendWithDeadline(Request{ClientID: 1, Seq: 1, Method: "ping"}, start.Add(50*time.Millisecond))
 	if !errors.Is(err, ErrDropped) {
 		t.Fatalf("send to hung server = %v, want ErrDropped", err)
 	}
@@ -401,38 +401,6 @@ func TestTCPIOTimeout(t *testing.T) {
 	var nerr net.Error
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
 		t.Fatalf("error %v does not wrap a net timeout", err)
-	}
-}
-
-// TestTCPServerReadTimeout: a client that connects and sends nothing is
-// dropped by the server's read deadline instead of pinning a goroutine and
-// connection forever.
-func TestTCPServerReadTimeout(t *testing.T) {
-	h := newCountingHandler()
-	ep := NewEndpoint(h.handle)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, ep, WithIOTimeout(50*time.Millisecond))
-	defer func() { _ = srv.Close() }()
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	// Send nothing; the server must close the connection, observed here as
-	// EOF (not a local deadline, so give the read a generous bound).
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("server kept a silent connection open past its read deadline")
-	}
-	// A well-behaved client still works against the same server.
-	tr := dial(t, srv)
-	c := NewClient(tr, 7, 3, nil)
-	if got, err := c.Call(context.Background(), "ping", []byte("x")); err != nil || string(got) != "echo:x" {
-		t.Fatalf("call after timeout eviction = %q, %v", got, err)
 	}
 }
 

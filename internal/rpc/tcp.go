@@ -19,14 +19,13 @@ import (
 // asserting exactly-once effects.
 var PtTCPServe = fault.Register("rpc.tcp.serve")
 
-// dialTimeout bounds connection establishment and every re-dial, independent
-// of the I/O timeout (whose zero default would let a dial to a black-holed
-// address block forever).
+// dialTimeout bounds connection establishment and every re-dial: an attempt
+// deadline bounds only a call on a connection, so without it a dial to a
+// black-holed address would block forever.
 const dialTimeout = 10 * time.Second
 
 // tcpOpts are the shared tunables of the TCP server and transport.
 type tcpOpts struct {
-	ioTimeout    time.Duration
 	workers      int
 	inj          *fault.Injector
 	lazyDial     bool
@@ -37,18 +36,6 @@ type tcpOpts struct {
 
 // TCPOption configures Serve or DialTCP.
 type TCPOption func(*tcpOpts)
-
-// WithIOTimeout bounds every network read and write: an operation that makes
-// no progress for d is abandoned, instead of blocking forever on a hung
-// peer. On the client the failed send surfaces as ErrDropped, so the Client
-// retry plus the server's duplicate cache keep the exactly-once behaviour;
-// on the server the connection closes and the client transparently re-dials.
-// On a multiplexed connection the deadline bounds each attempt's round trip:
-// an overdue attempt fails alone while responses keep flowing for the rest.
-// Zero (the default) means no deadline.
-func WithIOTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOpts) { o.ioTimeout = d }
-}
 
 // WithWorkers sets the server's bounded handler pool size (default
 // 4×GOMAXPROCS). The pool is shared by every connection:
@@ -114,15 +101,6 @@ func applyTCPOpts(opts []TCPOption) tcpOpts {
 		o.workers = 4 * runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// deadline returns the absolute deadline for one I/O operation starting now,
-// or the zero time (no deadline) when no timeout is configured.
-func (o *tcpOpts) deadline() time.Time {
-	if o.ioTimeout <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(o.ioTimeout)
 }
 
 // TCPServer serves an Endpoint over TCP. Each connection gets a reader
@@ -204,7 +182,7 @@ func (s *TCPServer) acceptLoop() {
 			return // listener closed
 		}
 		sc := &serverConn{conn: conn, done: make(chan struct{})}
-		sc.w = newFrameWriter(conn, s.opts.ioTimeout, func(error) { sc.shutdown() })
+		sc.w = newFrameWriter(conn, func(error) { sc.shutdown() })
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -274,12 +252,7 @@ func (s *TCPServer) serveMuxConn(sc *serverConn) {
 
 	fr := newFrameReader(sc.conn, DefaultMaxFrame)
 	for {
-		if s.opts.ioTimeout > 0 {
-			if err := sc.conn.SetReadDeadline(s.opts.deadline()); err != nil {
-				return
-			}
-		}
-		frame, _, err := fr.read()
+		frame, err := fr.read()
 		if err != nil {
 			return
 		}
@@ -406,23 +379,18 @@ func (t *TCPTransport) Rebind() {
 	}
 }
 
-// Send issues one request and waits for its response. A broken connection is
-// re-dialed on the next send and the failure surfaces as ErrDropped, so the
-// Client's retry (and the server's duplicate cache) provide the exactly-once
-// behaviour.
+// Send issues one request and waits for its response, with no time bound.
+// A broken connection is re-dialed on the next send and the failure surfaces
+// as ErrDropped, so the Client's retry (and the server's duplicate cache)
+// provide the exactly-once behaviour.
 func (t *TCPTransport) Send(req Request) (Response, error) {
-	return t.send(req, time.Time{})
+	return t.SendWithDeadline(req, time.Time{})
 }
 
-// SendWithDeadline is Send with an explicit absolute deadline on this
-// attempt, overriding the configured per-operation timeout.
+// SendWithDeadline is Send bounded by an absolute attempt deadline (zero:
+// none). Past it the peer is treated as gone: the connection drops, and
+// every call pending on it fails as ErrDropped (see muxConn).
 func (t *TCPTransport) SendWithDeadline(req Request, deadline time.Time) (Response, error) {
-	return t.send(req, deadline)
-}
-
-// send issues one request. A zero override falls back to the per-operation
-// deadline derived from WithIOTimeout.
-func (t *TCPTransport) send(req Request, override time.Time) (Response, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -440,10 +408,6 @@ func (t *TCPTransport) send(req Request, override time.Time) (Response, error) {
 		mc = fresh
 	}
 	t.mu.Unlock()
-	deadline := override
-	if deadline.IsZero() {
-		deadline = t.opts.deadline()
-	}
 	return mc.roundTrip(req, deadline)
 }
 

@@ -20,7 +20,7 @@ func TestWireTracedRequestRoundTrip(t *testing.T) {
 		t.Fatalf("frame kind = %d, want traced (%d)", stream[4], frameRequestTraced)
 	}
 	fr := newFrameReader(bytes.NewReader(stream), DefaultMaxFrame)
-	frame, _, err := fr.read()
+	frame, err := fr.read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestWireTracedFrameSize(t *testing.T) {
 // TestWireTracedEncodeAllocBudget holds the traced encode path to the same
 // zero-alloc budget as the untraced one.
 func TestWireTracedEncodeAllocBudget(t *testing.T) {
-	w := newFrameWriter(discardConn{}, 0, func(err error) { t.Fatal(err) })
+	w := newFrameWriter(discardConn{}, func(err error) { t.Fatal(err) })
 	req := Request{ClientID: 7, Seq: 1, Method: "fs.pread", Body: make([]byte, 4096),
 		TraceID: 42, SpanID: 43}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -84,8 +84,9 @@ func TestMuxRoundTripAllocBudgetTracingDisabled(t *testing.T) {
 	}, WithoutDupCache())
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr := dial(t, srv, WithIOTimeout(5*time.Second))
+	tr := dial(t, srv)
 	c := NewClient(tr, 9, 3, nil)
+	c.SetAttemptTimeout(5 * time.Second)
 	// A bare context: tracing disabled, the untraced budget.
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -116,8 +117,9 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}, WithObs(serverRec), WithoutDupCache())
 	srv := Serve(listen(t), ep)
 	defer func() { _ = srv.Close() }()
-	tr := dial(t, srv, WithIOTimeout(5*time.Second))
+	tr := dial(t, srv)
 	c := NewClient(tr, 9, 3, nil)
+	c.SetAttemptTimeout(5 * time.Second)
 
 	clientRec := obs.New(obs.WithSampleRate(1))
 	ctx, root := clientRec.StartRoot(context.Background(), obs.LayerAgent, "op")
@@ -167,12 +169,13 @@ func BenchmarkMuxRoundTripTraced(b *testing.B) {
 	}, WithoutDupCache())
 	srv := Serve(listen(b), ep)
 	defer func() { _ = srv.Close() }()
-	tr, err := DialTCP(srv.Addr().String(), WithIOTimeout(10*time.Second))
+	tr, err := DialTCP(srv.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
 	c := NewClient(tr, 9, 3, nil)
+	c.SetAttemptTimeout(10 * time.Second)
 	payload := bytes.Repeat([]byte{0xCD}, 4096)
 	rec := obs.New(obs.WithSampleRate(1))
 	b.SetBytes(int64(len(payload)))

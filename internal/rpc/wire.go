@@ -208,25 +208,21 @@ func newFrameReader(r io.Reader, maxFrame int) *frameReader {
 	}
 }
 
-// read decodes the next frame. consumed reports how many bytes of the frame
-// were read off the stream before an error: a timeout with consumed == 0
-// left the stream at a frame boundary and the connection is still usable; a
-// timeout mid-frame has lost the stream position and the connection must be
-// dropped.
-func (r *frameReader) read() (fr wireFrame, consumed int, err error) {
+// read decodes the next frame.
+func (r *frameReader) read() (fr wireFrame, err error) {
 	// The header parses out of the reader's persistent scratch space: a
 	// stack array would escape through io.ReadFull and cost an allocation
 	// per frame.
 	hdr := r.scratch[:4+frameCommonLen+requestTracedFixedLen]
-	if consumed, err = r.fill(hdr[:4], consumed); err != nil {
-		return fr, consumed, err
+	if err = r.fill(hdr[:4]); err != nil {
+		return fr, err
 	}
 	frameLen := int(binary.BigEndian.Uint32(hdr[:4]))
 	if frameLen < frameCommonLen || frameLen > r.maxFrame {
-		return fr, consumed, fmt.Errorf("rpc: bad frame length %d", frameLen)
+		return fr, fmt.Errorf("rpc: bad frame length %d", frameLen)
 	}
-	if consumed, err = r.fill(hdr[4:4+frameCommonLen], consumed); err != nil {
-		return fr, consumed, err
+	if err = r.fill(hdr[4 : 4+frameCommonLen]); err != nil {
+		return fr, err
 	}
 	fr.kind = hdr[4]
 	fr.id = binary.BigEndian.Uint64(hdr[5:])
@@ -235,8 +231,8 @@ func (r *frameReader) read() (fr wireFrame, consumed int, err error) {
 	case frameRequest:
 		fixed = requestFixedLen
 		p := hdr[4+frameCommonLen:]
-		if consumed, err = r.fill(p[:fixed], consumed); err != nil {
-			return fr, consumed, err
+		if err = r.fill(p[:fixed]); err != nil {
+			return fr, err
 		}
 		fr.clientID = binary.BigEndian.Uint64(p[0:])
 		fr.seq = binary.BigEndian.Uint64(p[8:])
@@ -245,8 +241,8 @@ func (r *frameReader) read() (fr wireFrame, consumed int, err error) {
 	case frameRequestTraced:
 		fixed = requestTracedFixedLen
 		p := hdr[4+frameCommonLen:]
-		if consumed, err = r.fill(p[:fixed], consumed); err != nil {
-			return fr, consumed, err
+		if err = r.fill(p[:fixed]); err != nil {
+			return fr, err
 		}
 		fr.clientID = binary.BigEndian.Uint64(p[0:])
 		fr.seq = binary.BigEndian.Uint64(p[8:])
@@ -257,8 +253,8 @@ func (r *frameReader) read() (fr wireFrame, consumed int, err error) {
 	case frameResponse:
 		fixed = responseFixedLen
 		p := hdr[4+frameCommonLen:]
-		if consumed, err = r.fill(p[:fixed], consumed); err != nil {
-			return fr, consumed, err
+		if err = r.fill(p[:fixed]); err != nil {
+			return fr, err
 		}
 		fr.seq = binary.BigEndian.Uint64(p[0:])
 		strLen = int(binary.BigEndian.Uint16(p[8:]))
@@ -266,24 +262,24 @@ func (r *frameReader) read() (fr wireFrame, consumed int, err error) {
 	case framePush:
 		fixed = pushFixedLen
 		p := hdr[4+frameCommonLen:]
-		if consumed, err = r.fill(p[:fixed], consumed); err != nil {
-			return fr, consumed, err
+		if err = r.fill(p[:fixed]); err != nil {
+			return fr, err
 		}
 		strLen = int(binary.BigEndian.Uint16(p[0:]))
 		bodyLen = int(binary.BigEndian.Uint32(p[2:]))
 	default:
-		return fr, consumed, fmt.Errorf("rpc: unknown frame kind %d", fr.kind)
+		return fr, fmt.Errorf("rpc: unknown frame kind %d", fr.kind)
 	}
 	if frameLen != frameCommonLen+fixed+strLen+bodyLen {
-		return fr, consumed, fmt.Errorf("rpc: inconsistent frame: length %d, fields %d+%d",
+		return fr, fmt.Errorf("rpc: inconsistent frame: length %d, fields %d+%d",
 			frameLen, strLen, bodyLen)
 	}
 	s := r.scratch[:]
 	if strLen > len(s) {
 		s = make([]byte, strLen)
 	}
-	if consumed, err = r.fill(s[:strLen], consumed); err != nil {
-		return fr, consumed, err
+	if err = r.fill(s[:strLen]); err != nil {
+		return fr, err
 	}
 	if fr.kind == frameRequest || fr.kind == frameRequestTraced || fr.kind == framePush {
 		m, ok := r.methods[string(s[:strLen])]
@@ -299,19 +295,19 @@ func (r *frameReader) read() (fr wireFrame, consumed int, err error) {
 	}
 	if bodyLen > 0 {
 		fr.body = getBuf(bodyLen)
-		if consumed, err = r.fill(fr.body, consumed); err != nil {
+		if err = r.fill(fr.body); err != nil {
 			Recycle(fr.body)
 			fr.body = nil
-			return fr, consumed, err
+			return fr, err
 		}
 	}
-	return fr, consumed, nil
+	return fr, nil
 }
 
-// fill is io.ReadFull with byte accounting for the boundary check in read.
-func (r *frameReader) fill(p []byte, consumed int) (int, error) {
-	n, err := io.ReadFull(r.br, p)
-	return consumed + n, err
+// fill reads exactly len(p) bytes.
+func (r *frameReader) fill(p []byte) error {
+	_, err := io.ReadFull(r.br, p)
+	return err
 }
 
 // appendRequest appends the head of one request frame to dst — everything

@@ -44,7 +44,7 @@ func (c *bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 func frameBytes(t testing.TB, send func(w *frameWriter) error) []byte {
 	t.Helper()
 	c := &bufConn{}
-	w := newFrameWriter(c, 0, func(err error) { t.Fatal(err) })
+	w := newFrameWriter(c, func(err error) { t.Fatal(err) })
 	if err := send(w); err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +69,14 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	}
 	for i, req := range cases {
 		stream := encodeRequestFrame(t, uint64(i)+1, req)
-		fr := newFrameReader(bytes.NewReader(stream), DefaultMaxFrame)
-		frame, consumed, err := fr.read()
+		rd := bytes.NewReader(stream)
+		fr := newFrameReader(rd, DefaultMaxFrame)
+		frame, err := fr.read()
 		if err != nil {
 			t.Fatalf("case %d: read: %v", i, err)
 		}
-		if consumed != len(stream) {
-			t.Fatalf("case %d: consumed %d of %d bytes", i, consumed, len(stream))
+		if left := rd.Len() + fr.br.Buffered(); left != 0 {
+			t.Fatalf("case %d: %d of %d bytes left unread", i, left, len(stream))
 		}
 		if frame.kind != frameRequest || frame.id != uint64(i)+1 {
 			t.Fatalf("case %d: kind=%d id=%d", i, frame.kind, frame.id)
@@ -99,7 +100,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 	for i, resp := range cases {
 		stream := encodeResponseFrame(t, uint64(100+i), resp)
 		fr := newFrameReader(bytes.NewReader(stream), DefaultMaxFrame)
-		frame, _, err := fr.read()
+		frame, err := fr.read()
 		if err != nil {
 			t.Fatalf("case %d: read: %v", i, err)
 		}
@@ -127,7 +128,7 @@ func TestWireMethodInterning(t *testing.T) {
 	fr := newFrameReader(bytes.NewReader(stream), DefaultMaxFrame)
 	var first string
 	for i := 0; i < 3; i++ {
-		frame, _, err := fr.read()
+		frame, err := fr.read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestWireMethodInternCap(t *testing.T) {
 	})
 	fr := newFrameReader(bytes.NewReader(stream), DefaultMaxFrame)
 	for i := 0; i < n; i++ {
-		frame, _, err := fr.read()
+		frame, err := fr.read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,14 +177,14 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	// Oversized length prefix.
 	huge := append([]byte(nil), good...)
 	binary.BigEndian.PutUint32(huge[0:], uint32(DefaultMaxFrame)+1)
-	if _, _, err := newFrameReader(bytes.NewReader(huge), DefaultMaxFrame).read(); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(huge), DefaultMaxFrame).read(); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 
 	// Length prefix shorter than the common header.
 	tiny := append([]byte(nil), good...)
 	binary.BigEndian.PutUint32(tiny[0:], 3)
-	if _, _, err := newFrameReader(bytes.NewReader(tiny), DefaultMaxFrame).read(); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(tiny), DefaultMaxFrame).read(); err == nil {
 		t.Fatal("undersized frame accepted")
 	}
 
@@ -191,14 +192,14 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	skewed := append([]byte(nil), good...)
 	// blen lives at offset 4 (len) + 9 (common) + 8 + 8 + 2 = 31.
 	binary.BigEndian.PutUint32(skewed[31:], 9999)
-	if _, _, err := newFrameReader(bytes.NewReader(skewed), DefaultMaxFrame).read(); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(skewed), DefaultMaxFrame).read(); err == nil {
 		t.Fatal("inconsistent frame accepted")
 	}
 
 	// Unknown frame kind.
 	alien := append([]byte(nil), good...)
 	alien[4] = 77
-	if _, _, err := newFrameReader(bytes.NewReader(alien), DefaultMaxFrame).read(); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(alien), DefaultMaxFrame).read(); err == nil {
 		t.Fatal("unknown frame kind accepted")
 	}
 }

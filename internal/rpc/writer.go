@@ -3,7 +3,6 @@ package rpc
 import (
 	"net"
 	"sync"
-	"time"
 )
 
 // frameWriter is the send half of one connection, client or server side.
@@ -21,11 +20,13 @@ import (
 // Backpressure: a producer waits while a write is in progress and at least
 // wireBufferSize bytes are pending, so a peer that stops reading bounds the
 // bytes queued behind it. A failed write kills the writer and tears the
-// connection down through fail; later producers get ErrClosed.
+// connection down through fail; later producers get ErrClosed. A write has
+// no deadline of its own: a flusher blocked on a peer that stopped reading
+// returns when the connection is closed under it (on the client, by the
+// expiry of a call's attempt deadline).
 type frameWriter struct {
-	conn      net.Conn
-	ioTimeout time.Duration
-	fail      func(error) // tears the connection down after a failed write
+	conn net.Conn
+	fail func(error) // tears the connection down after a failed write
 
 	mu      sync.Mutex
 	drained *sync.Cond // on mu: a write took the pending bytes or ended, or the writer died
@@ -54,8 +55,8 @@ const (
 	headScratch = 128
 )
 
-func newFrameWriter(conn net.Conn, ioTimeout time.Duration, fail func(error)) *frameWriter {
-	w := &frameWriter{conn: conn, ioTimeout: ioTimeout, fail: fail}
+func newFrameWriter(conn net.Conn, fail func(error)) *frameWriter {
+	w := &frameWriter{conn: conn, fail: fail}
 	w.drained = sync.NewCond(&w.mu)
 	return w
 }
@@ -137,9 +138,6 @@ func (w *frameWriter) flushLocked(tail []byte) {
 		w.pending, w.spare = w.spare, nil
 		w.mu.Unlock()
 		w.drained.Broadcast()
-		if w.ioTimeout > 0 {
-			_ = w.conn.SetWriteDeadline(time.Now().Add(w.ioTimeout))
-		}
 		if tail != nil {
 			w.vec = [2][]byte{buf, tail}
 			w.bufs = w.vec[:]

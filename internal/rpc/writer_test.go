@@ -41,7 +41,7 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 func TestFrameWriterSharesWrites(t *testing.T) {
 	const n = 8
 	conn := &gatedConn{entered: make(chan struct{}), gate: make(chan struct{})}
-	w := newFrameWriter(conn, 0, func(err error) { t.Errorf("write failed: %v", err) })
+	w := newFrameWriter(conn, func(err error) { t.Errorf("write failed: %v", err) })
 	first := make(chan error, 1)
 	go func() { first <- w.writeResponse(0, &Response{Body: []byte("first")}) }()
 	<-conn.entered
@@ -70,7 +70,7 @@ func TestFrameWriterSharesWrites(t *testing.T) {
 	fr := newFrameReader(bytes.NewReader(conn.writes[1]), DefaultMaxFrame)
 	seen := map[uint64]bool{}
 	for {
-		frame, _, err := fr.read()
+		frame, err := fr.read()
 		if err == io.EOF {
 			break
 		}
@@ -105,7 +105,7 @@ func (c *sliceConn) Write(p []byte) (int, error) {
 func TestFrameWriterLargeBodyUncopied(t *testing.T) {
 	for _, size := range []int{directBodySize - 1, directBodySize, 1 << 20} {
 		conn := &sliceConn{}
-		w := newFrameWriter(conn, 0, func(err error) { t.Fatal(err) })
+		w := newFrameWriter(conn, func(err error) { t.Fatal(err) })
 		body := make([]byte, size)
 		if err := w.writeResponse(1, &Response{Body: body}); err != nil {
 			t.Fatal(err)

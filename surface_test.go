@@ -64,10 +64,8 @@ var surfaceAllow = map[string]string{
 	"replication.Manager.Delete":   "paper API §5: delete, over the replicas (Fig. 1 replication service)",
 	"txn.Config.AdaptiveDefault":   "paper API §7: the lock level a file's use frequency picks",
 
-	"ccache.Config.Now":            "test seam: clients take their clock as a parameter (DESIGN \"Time\")",
-	"rpc.InProc.SetInjector":       "test seam: a fault injector stands in for a slow or lossy network",
-	"rpc.Client.SetAttemptTimeout": "test seam: bounds one attempt, so a test's injected slow network is retried rather than waited out",
-	"rpc.WithIOTimeout":            "test seam: bounds socket I/O, so a test's stalled peer fails rather than hangs",
+	"ccache.Config.Now":      "test seam: clients take their clock as a parameter (DESIGN \"Time\")",
+	"rpc.InProc.SetInjector": "test seam: a fault injector stands in for a slow or lossy network",
 
 	"polltest.Recv":               "test helper: waits for a goroutine's result in another package's test",
 	"polltest.SettledBuffers":     "test helper: the rpc buffer ledger for another package's leak test",
