@@ -97,9 +97,12 @@ type NameService interface {
 var _ NameService = (*naming.Service)(nil)
 
 // PathCreator is the optional one-round-trip form of create-and-register: a
-// remote file service that implements it registers the new file's naming
-// entry on the server that owns the path (its home shard), so creation does
-// not need a second registration message from the client.
+// remote name service that implements it (the cluster router) creates the
+// file and registers its naming entry on the server that owns the path (its
+// home shard), so creation does not need a second registration message from
+// the client. The agent asks the machine's name service, which owns the
+// name, not its file service, which may be a client cache over the same
+// servers.
 //
 // attr.RefCount asks for the file back open: 1 opens it once on the server
 // after registering it, so the agent's Create sends no separate open, and 0

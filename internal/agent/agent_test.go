@@ -522,12 +522,13 @@ func (f *openFailsOnce) Open(id fileservice.FileID) error {
 }
 
 // pathOwner is openFailsOnce as a remote service that owns naming presents
-// itself: serving CreatePath it creates, registers the name and — when asked
-// by attr.RefCount — opens the file, undoing the earlier steps when a later
-// one fails; serving Delete it unregisters the name.
+// itself, to the agent as both the name and the file service: serving
+// CreatePath it creates, registers the name and — when asked by
+// attr.RefCount — opens the file, undoing the earlier steps when a later one
+// fails; serving Delete it unregisters the name.
 type pathOwner struct {
 	openFailsOnce
-	nm *naming.Service
+	*naming.Service
 }
 
 func (f *pathOwner) CreatePath(attr fit.Attributes, path string) (fileservice.FileID, error) {
@@ -538,7 +539,7 @@ func (f *pathOwner) CreatePath(attr fit.Attributes, path string) (fileservice.Fi
 	if err != nil {
 		return 0, err
 	}
-	if err := f.nm.Register(naming.Entry{
+	if err := f.Register(naming.Entry{
 		Name: naming.Name{"type": "FILE", "path": path}, Type: naming.FileObject, SystemName: uint64(id), Service: "fs0",
 	}); err != nil {
 		_ = f.FileService.Delete(id)
@@ -546,7 +547,7 @@ func (f *pathOwner) CreatePath(attr fit.Attributes, path string) (fileservice.Fi
 	}
 	if attr.RefCount == 1 {
 		if err := f.Open(id); err != nil {
-			f.nm.UnregisterSystemName(naming.FileObject, uint64(id))
+			f.UnregisterSystemName(naming.FileObject, uint64(id))
 			_ = f.FileService.Delete(id)
 			return 0, err
 		}
@@ -558,7 +559,7 @@ func (f *pathOwner) Delete(id fileservice.FileID) error {
 	if err := f.FileService.Delete(id); err != nil {
 		return err
 	}
-	f.nm.UnregisterSystemName(naming.FileObject, uint64(id))
+	f.UnregisterSystemName(naming.FileObject, uint64(id))
 	return nil
 }
 
@@ -567,17 +568,18 @@ func (f *pathOwner) Delete(id fileservice.FileID) error {
 // the same path can be created again.
 func TestCreateLeavesNothingWhenOpenFails(t *testing.T) {
 	errOpen := errors.New("open refused")
-	for name, wrap := range map[string]func(r *rig) FileService{
-		"agent registers the name": func(r *rig) FileService {
-			return &openFailsOnce{FileService: r.fs, err: errOpen}
+	for name, wrap := range map[string]func(r *rig) MachineConfig{
+		"agent registers the name": func(r *rig) MachineConfig {
+			return MachineConfig{Naming: r.nm, Files: &openFailsOnce{FileService: r.fs, err: errOpen}}
 		},
-		"service registers the name": func(r *rig) FileService {
-			return &pathOwner{openFailsOnce: openFailsOnce{FileService: r.fs, err: errOpen}, nm: r.nm}
+		"service registers the name": func(r *rig) MachineConfig {
+			po := &pathOwner{openFailsOnce: openFailsOnce{FileService: r.fs, err: errOpen}, Service: r.nm}
+			return MachineConfig{Naming: po, Files: po}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t)
-			m, err := NewMachine(MachineConfig{Naming: r.nm, Files: wrap(r)})
+			m, err := NewMachine(wrap(r))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,10 +22,11 @@ type FileAgent struct {
 // Create creates a file and registers its attributed name, returning an
 // object descriptor on the calling process.
 func (a *FileAgent) Create(p *Process, path string, attr fit.Attributes) (int, error) {
-	if pc, ok := a.machine.files.(PathCreator); ok {
-		// Remote service: create, register and open in one message, on the
-		// server (or home shard) that owns the path; it unwinds what it did
-		// when a step fails.
+	if pc, ok := a.machine.naming.(PathCreator); ok {
+		// Remote name service: create, register and open in one message, on
+		// the server (or home shard) that owns the path; it unwinds what it
+		// did when a step fails. The file service under the agent — a client
+		// cache, say — holds nothing for a file it has not yet touched.
 		attr.RefCount = 1
 		id, err := pc.CreatePath(attr, path)
 		if err != nil {
@@ -55,14 +56,14 @@ func (a *FileAgent) Create(p *Process, path string, attr fit.Attributes) (int, e
 	return p.addFileDesc(&descriptor{kind: descFile, file: id}), nil
 }
 
-// remove deletes file id and its name. A remote service that owns naming
-// (see Create) unregisters the name while serving the delete; otherwise the
+// remove deletes file id and its name. A remote name service (see Create)
+// unregisters the name while its server serves the delete; otherwise the
 // agent does.
 func (a *FileAgent) remove(id fileservice.FileID) error {
 	if err := a.machine.files.Delete(id); err != nil {
 		return err
 	}
-	if _, ok := a.machine.files.(PathCreator); !ok {
+	if _, ok := a.machine.naming.(PathCreator); !ok {
 		a.machine.naming.UnregisterSystemName(naming.FileObject, uint64(id))
 	}
 	return nil

@@ -92,7 +92,9 @@ const DefaultRecallWait = 250 * time.Millisecond
 const busyMarker = "ccache: recall in progress"
 
 // IsBusy reports whether a remote error means a recall is in flight for
-// the file and the operation should be retried shortly.
+// the file. The refusal passes once the holder acknowledged or was broken;
+// the cluster router's rpc clients retry it on the same connection, so a
+// routed caller sees it only when the recall outlasts the call's retries.
 func IsBusy(err error) bool {
 	return err != nil && strings.Contains(err.Error(), busyMarker)
 }

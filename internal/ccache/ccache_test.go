@@ -154,7 +154,11 @@ func (r *rig) client(id uint64, wrap ...func(ccache.LeaseTransport) ccache.Lease
 		r.t.Fatal(err)
 	}
 	r.t.Cleanup(func() { _ = tr.Close() })
-	rcl := rpc.NewClient(tr, id, 8, nil)
+	// A shard client as the cluster router builds one: its default of 10
+	// retries, and its rule for this refusal — wait out the recall on the
+	// same connection.
+	rcl := rpc.NewClient(tr, id, 10, nil)
+	rcl.SetRetryOn(func(se *rpc.ServiceError) bool { return ccache.IsBusy(se) })
 	rec := obs.New()
 	var lease ccache.LeaseTransport = &ccache.DirectLease{C: rcl}
 	for _, w := range wrap {

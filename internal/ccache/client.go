@@ -29,24 +29,17 @@ const DefaultBlocks = 1024
 // FlushSink receives write-back traffic: all of one file's dirty runs,
 // coalesced and in offset order, in one call per flush. A sink may apply
 // them atomically (E18 wraps them in one transaction); the default writes
-// each run to Config.Inner. The sink retries what it wants retried: the
-// default retries each run through recall-in-progress refusals.
+// each run to Config.Inner.
 type FlushSink interface {
 	WriteRuns(id fileservice.FileID, runs []fileservice.Run) error
 }
 
-// innerSink is the default FlushSink; its busy retries wait on clock.
-type innerSink struct {
-	inner agent.FileService
-	clock simclock.Clock
-}
+// innerSink is the default FlushSink.
+type innerSink struct{ inner agent.FileService }
 
 func (s innerSink) WriteRuns(id fileservice.FileID, runs []fileservice.Run) error {
 	for _, r := range runs {
-		if err := retryBusy(s.clock, func() error {
-			_, err := s.inner.WriteAt(id, r.Off, r.Data)
-			return err
-		}); err != nil {
+		if _, err := s.inner.WriteAt(id, r.Off, r.Data); err != nil {
 			return err
 		}
 	}
@@ -75,8 +68,8 @@ type Config struct {
 	// Obs receives cache telemetry (hits, misses, recalls, flushes) and
 	// op spans. Optional.
 	Obs *obs.Recorder
-	// Now is the lease expiry clock, which the busy retries also wait on;
-	// nil means a simclock.Wall of the cache's own.
+	// Now is the lease expiry clock; nil means a simclock.Wall of the
+	// cache's own.
 	Now simclock.Clock
 }
 
@@ -146,7 +139,7 @@ func New(cfg Config) (*Client, error) {
 	clock := simclock.Or(cfg.Now)
 	sink := cfg.Sink
 	if sink == nil {
-		sink = innerSink{cfg.Inner, clock}
+		sink = innerSink{cfg.Inner}
 	}
 	return &Client{
 		inner:    cfg.Inner,
@@ -183,29 +176,26 @@ func (c *Client) leasedLocked(st *fileState, mode byte) bool {
 	return c.lease == nil || c.clock.Now() < st.expires
 }
 
-// ensureLease acquires (or renews) a lease of the given mode, retrying
-// through the server's transient recall-in-progress refusals.
+// ensureLease acquires (or renews) a lease of the given mode. It returns
+// errNoLease when a recall raced the grant: the server has (or will have)
+// dropped us after our ack, and the caller's attempt loop asks again.
 func (c *Client) ensureLease(id fileservice.FileID, mode byte) error {
 	if c.lease == nil {
 		_, err := c.ensureLocal(id, mode)
 		return err
 	}
-	return retryBusy(c.clock, func() error {
-		c.mu.Lock()
-		epoch := c.state(id).epoch
-		c.mu.Unlock()
-		// The lease runs from the request, not from the grant's arrival:
-		// the server started its TTL no earlier than this instant, so a
-		// late reply cannot stretch the lease past the server's expiry.
-		asked := c.clock.Now()
-		g, err := c.lease.AcquireLease(uint64(id), c.clientID, mode)
-		if err == nil && !c.install(id, mode, g, epoch, asked) {
-			// A recall raced the grant: the server has (or will have)
-			// dropped us after our ack; start over.
-			err = errNoLease
-		}
-		return err
-	})
+	c.mu.Lock()
+	epoch := c.state(id).epoch
+	c.mu.Unlock()
+	// The lease runs from the request, not from the grant's arrival: the
+	// server started its TTL no earlier than this instant, so a late reply
+	// cannot stretch the lease past the server's expiry.
+	asked := c.clock.Now()
+	g, err := c.lease.AcquireLease(uint64(id), c.clientID, mode)
+	if err == nil && !c.install(id, mode, g, epoch, asked) {
+		err = errNoLease
+	}
+	return err
 }
 
 // ensureLocal is local mode's lease: with no transport nobody can recall
@@ -312,47 +302,6 @@ func (c *Client) putCleanLocked(st *fileState, blk int64, data []byte) {
 	c.total++
 }
 
-// readInner is the uncached read. It absorbs the server's transient
-// recall-in-progress refusals: a read can arrive while another client's
-// write lease is being recalled on our behalf, and the retry lands once the
-// holder flushed and acknowledged.
-func (c *Client) readInner(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
-	var out []byte
-	err := retryBusy(c.clock, func() (e error) {
-		out, e = c.inner.ReadAtCtx(ctx, id, off, n)
-		return e
-	})
-	return out, err
-}
-
-// writeInner is the uncached write, retrying through recall-in-progress
-// refusals like readInner.
-func (c *Client) writeInner(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
-	var n int
-	err := retryBusy(c.clock, func() (e error) {
-		n, e = c.inner.WriteAtCtx(ctx, id, off, data)
-		return e
-	})
-	return n, err
-}
-
-// retryBusy runs fn up to 40 times, waiting on clock (2 ms, doubling
-// while below 20 ms) between tries that met the server's transient
-// recall-in-progress refusal — a conflicting holder is being recalled on
-// our behalf, and the retry lands once it acknowledged or was broken — or
-// a recall that raced a lease grant.
-func retryBusy(clock simclock.Clock, fn func() error) error {
-	var err error
-	backoff := simclock.Backoff{Clock: clock, Min: 2 * time.Millisecond, Max: 20 * time.Millisecond}
-	for attempt := 0; attempt < 40; attempt++ {
-		if err = fn(); err == nil || !(IsBusy(err) || err == errNoLease) {
-			return err
-		}
-		_ = backoff.Wait(context.Background()) // cannot fail: Background is never done
-	}
-	return err
-}
-
 // gap is one uncovered byte range of a read being assembled.
 type gap struct {
 	outOff int
@@ -366,7 +315,7 @@ type gap struct {
 // client-cache promise, made safe by the recall protocol.
 func (c *Client) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 {
-		return c.readInner(ctx, id, off, n)
+		return c.inner.ReadAtCtx(ctx, id, off, n)
 	}
 	rctx, op := c.rec.StartOp(ctx, obs.LayerAgent, "ccache.read")
 	op.SetFile(uint64(id))
@@ -379,7 +328,7 @@ func (c *Client) ReadAtCtx(ctx context.Context, id fileservice.FileID, off int64
 func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n int) ([]byte, error) {
 	if c.lease == nil {
 		if _, err := c.ensureLocal(id, ModeRead); err != nil {
-			return c.readInner(ctx, id, off, n)
+			return c.inner.ReadAtCtx(ctx, id, off, n)
 		}
 	}
 	for attempt := 0; attempt < 4; attempt++ {
@@ -387,14 +336,14 @@ func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n
 		st := c.files[id]
 		if st == nil || !c.leasedLocked(st, ModeRead) {
 			c.mu.Unlock()
-			if err := c.ensureLease(id, ModeRead); err != nil {
-				if !errors.Is(err, errNoLease) && !IsBusy(err) && c.lease != nil {
+			if err := c.ensureLease(id, ModeRead); err != nil && !errors.Is(err, errNoLease) {
+				if c.lease != nil {
 					// A hard lease failure (e.g. no such file) usually
 					// means the direct read fails identically; fall
 					// through so the caller sees the inner error.
 					c.misses.Inc()
 				}
-				return c.readInner(ctx, id, off, n)
+				return c.inner.ReadAtCtx(ctx, id, off, n)
 			}
 			continue
 		}
@@ -445,7 +394,7 @@ func (c *Client) readAt(ctx context.Context, id fileservice.FileID, off int64, n
 	// Lease churn (recalls racing this read): serve uncached, which is
 	// atomic under the server's per-file lock.
 	c.misses.Inc()
-	return c.readInner(ctx, id, off, n)
+	return c.inner.ReadAtCtx(ctx, id, off, n)
 }
 
 // fillGaps fetches the uncovered ranges of a read block-aligned, copies
@@ -460,7 +409,7 @@ func (c *Client) fillGaps(ctx context.Context, id fileservice.FileID, st *fileSt
 		if rem := aEnd % BlockSize; rem != 0 {
 			aEnd += BlockSize - rem
 		}
-		data, err := c.readInner(ctx, id, aOff, int(aEnd-aOff))
+		data, err := c.inner.ReadAtCtx(ctx, id, aOff, int(aEnd-aOff))
 		if err != nil {
 			return false, err
 		}
@@ -506,7 +455,7 @@ func (c *Client) fillGaps(ctx context.Context, id fileservice.FileID, st *fileSt
 // write lease, or an explicit flush.
 func (c *Client) WriteAtCtx(ctx context.Context, id fileservice.FileID, off int64, data []byte) (int, error) {
 	if off < 0 {
-		return c.writeInner(ctx, id, off, data)
+		return c.inner.WriteAtCtx(ctx, id, off, data)
 	}
 	if len(data) == 0 {
 		return 0, nil
@@ -524,7 +473,7 @@ func (c *Client) writeAt(ctx context.Context, id fileservice.FileID, off int64, 
 	firstBlk, lastBlk := off/BlockSize, (end-1)/BlockSize
 	if c.lease == nil {
 		if _, err := c.ensureLocal(id, ModeWrite); err != nil {
-			return c.writeInner(ctx, id, off, data)
+			return c.inner.WriteAtCtx(ctx, id, off, data)
 		}
 	}
 	flushed := false
@@ -533,7 +482,7 @@ func (c *Client) writeAt(ctx context.Context, id fileservice.FileID, off int64, 
 		st := c.files[id]
 		if st == nil || !c.leasedLocked(st, ModeWrite) {
 			c.mu.Unlock()
-			if err := c.ensureLease(id, ModeWrite); err != nil {
+			if err := c.ensureLease(id, ModeWrite); err != nil && !errors.Is(err, errNoLease) {
 				break // write through below
 			}
 			continue
@@ -614,7 +563,7 @@ func (c *Client) writeAt(ctx context.Context, id fileservice.FileID, off int64, 
 	if err := c.FlushFile(id); err != nil {
 		return 0, err
 	}
-	return c.writeInner(ctx, id, off, data)
+	return c.inner.WriteAtCtx(ctx, id, off, data)
 }
 
 // cleanLocked counts the blocks of [first, last] that are not dirty yet —
@@ -633,7 +582,7 @@ func (c *Client) cleanLocked(st *fileState, first, last int64) int {
 // reporting false when the epoch moved mid-fetch.
 func (c *Client) fetchBlocks(ctx context.Context, id fileservice.FileID, st *fileState, epoch uint64, blks []int64) (bool, error) {
 	for _, blk := range blks {
-		data, err := c.readInner(ctx, id, blk*BlockSize, BlockSize)
+		data, err := c.inner.ReadAtCtx(ctx, id, blk*BlockSize, BlockSize)
 		if err != nil {
 			return false, err
 		}
@@ -876,7 +825,7 @@ func (c *Client) Close(id fileservice.FileID) error {
 		return err
 	}
 	c.release(id)
-	return retryBusy(c.clock, func() error { return c.inner.Close(id) })
+	return c.inner.Close(id)
 }
 
 // Delete implements agent.FileService: local state is purged first; the
@@ -894,7 +843,7 @@ func (c *Client) Delete(id fileservice.FileID) error {
 	if c.lease != nil {
 		_ = c.lease.ReleaseLease(uint64(id), c.clientID)
 	}
-	return retryBusy(c.clock, func() error { return c.inner.Delete(id) })
+	return c.inner.Delete(id)
 }
 
 // Truncate implements agent.FileService. It is write-through: pending
@@ -907,7 +856,7 @@ func (c *Client) Truncate(id fileservice.FileID, size int64) error {
 	if err := c.FlushFile(id); err != nil {
 		return err
 	}
-	if err := retryBusy(c.clock, func() error { return c.inner.Truncate(id, size) }); err != nil {
+	if err := c.inner.Truncate(id, size); err != nil {
 		return err
 	}
 	c.mu.Lock()

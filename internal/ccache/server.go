@@ -88,7 +88,8 @@ func (f *srvFile) empty() bool { return len(f.holders) == 0 && f.inflight == 0 &
 // initiated while the shard's replication order lock is held cannot
 // wait for a write-lease holder's flush (the flush itself needs that
 // lock), so conflicts with a write lease answer a transient
-// recall-in-progress refusal and the caller retries; read-lease
+// recall-in-progress refusal, which the caller's rpc client retries on
+// the same connection (the cluster router's retry rule); read-lease
 // conflicts only need acks, which bypass the order lock, and are waited
 // out inline.
 type Server struct {
@@ -210,7 +211,7 @@ func (s *Server) handleAcquire(body []byte) ([]byte, error) {
 		// A mutation is executing (a grant now could carry the
 		// pre-mutation version while the client fetches post- or
 		// mid-mutation bytes), or an exclusive recall is converging.
-		// Busy; the client retries.
+		// Busy; the caller's rpc client retries.
 		s.mu.Unlock()
 		return nil, rpc.Transient(fmt.Errorf("%s: file %#x", busyMarker, file))
 	}

@@ -108,7 +108,8 @@ var (
 // re-dial, alternating with the shard's backup when one exists, and
 // not-primary rejections (an unpromoted backup, a fenced ex-primary) are
 // retried the same way, so a failover is invisible to callers beyond
-// latency.
+// latency; so is another client's lease on a file, whose recall the call
+// waits out (retryRefusal).
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Endpoints) == 0 {
 		return nil, errors.New("cluster: no endpoints")
@@ -145,13 +146,28 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		rc := rpc.NewClient(tr, cfg.ClientID, retries, cfg.Metrics)
 		rc.SetAttemptTimeout(routerAttemptTimeout)
-		rc.SetRetryOn(func(se *rpc.ServiceError) bool { return IsNotReady(se) })
+		rc.SetRetryOn(func(se *rpc.ServiceError) bool { return retryRefusal(tr, se) })
 		r.trs = append(r.trs, tr)
 		r.rcs = append(r.rcs, rc)
 		r.fs = append(r.fs, &rpcfs.Client{C: rc})
 		r.leases = append(r.leases, &ccache.DirectLease{C: rc})
 	}
 	return r, nil
+}
+
+// retryRefusal is every routed call's rule for a refusal the server marks
+// as passing. "Not primary" means the address is wrong: drop the connection
+// so the retry re-dials through the failover resolver. "Recall in progress"
+// means the right server is waiting for another client's lease to be
+// handed back (or broken, after ccache.DefaultRecallWait): retry on the same
+// connection, because dropping it would fire the conn-down hook and cost
+// the client cache every lease it holds on the shard.
+func retryRefusal(tr *rpc.TCPTransport, se *rpc.ServiceError) bool {
+	if IsNotReady(se) {
+		tr.Rebind()
+		return true
+	}
+	return ccache.IsBusy(se)
 }
 
 // SetPushSink installs the router's push fan-in: onPush receives every

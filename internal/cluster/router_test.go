@@ -1,16 +1,21 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ccache"
 	"repro/internal/core"
+	"repro/internal/fileservice"
 	"repro/internal/fit"
 	"repro/internal/lock"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/polltest"
 	"repro/internal/rpc"
@@ -348,5 +353,141 @@ func TestRouterSilentPrimaryBounded(t *testing.T) {
 	}
 	if got := backup.Role(); got != RoleBackup {
 		t.Fatalf("the backup is %v, want an unpromoted backup", got)
+	}
+}
+
+// TestBusyRetryKeepsItsConnection: a routed call that meets a recall in
+// progress waits it out on the connection it has. Dropping the connection
+// would fire the conn-down hook, on which a client cache gives up every
+// lease it holds on the shard; so the retry fires no hook, the cache's other
+// lease still serves locally, and the router counts no rebind — although it
+// has a backup address it would rebind to. A call that meets "not primary",
+// by contrast, moves to the shard's other address.
+func TestBusyRetryKeepsItsConnection(t *testing.T) {
+	c, err := core.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	leases, err := ccache.NewServer(ccache.ServerConfig{
+		Inner: (&rpcfs.Server{Files: c.Files, Naming: c.Naming}).HandlerCtx(),
+		Size:  func(file uint64) (int64, error) { return c.Files.Size(fileservice.FileID(file)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leases.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(ServiceConfig{Map: Map{Version: 1, Endpoints: []string{ln.Addr().String()}}, InnerCtx: leases.HandlerCtx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := rpc.Serve(ln, endpointOf(svc))
+	defer func() { _ = srv.Close() }()
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = dead.Close()
+
+	// cached dials a router with a client cache wired as node.Dial wires
+	// one, and counts the router's conn-down notices.
+	cached := func(cfg RouterConfig) (*Router, *ccache.Client, *atomic.Int32) {
+		t.Helper()
+		cfg.Endpoints = []string{ln.Addr().String()}
+		rt, err := NewRouter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Shutdown)
+		cc, err := ccache.New(ccache.Config{Inner: rt, Lease: rt, ClientID: cfg.ClientID, Obs: cfg.Obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		downs := new(atomic.Int32)
+		rt.SetPushSink(func(shard int, method string, body []byte) {
+			if file, ver, err := ccache.DecodeRecall(body); err == nil && method == ccache.MRecall {
+				cc.Recall(fileservice.FileID(RoutedID(shard, file)), ver)
+			}
+		}, func(int, error) {
+			downs.Add(1)
+			cc.DropLeases(nil)
+		})
+		return rt, cc, downs
+	}
+	holder, ccH, _ := cached(RouterConfig{ClientID: 1})
+	rec, met := obs.New(), metrics.NewSet()
+	_, ccC, downs := cached(RouterConfig{ClientID: 2, Backups: []string{dead.Addr().String()}, Obs: rec, Metrics: met})
+
+	f, err := holder.CreatePath(fit.Attributes{}, "/busy/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := holder.CreatePath(fit.Attributes{}, "/busy/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := []byte("the caller's other leased file")
+	if _, err := holder.WriteAt(g, 0, other); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ccC.ReadAt(g, 0, len(other)); err != nil || !bytes.Equal(got, other) {
+		t.Fatalf("first read of the other file = %q, %v", got, err)
+	}
+	buffered := []byte("bytes the holder has not written back")
+	if _, err := ccH.WriteAt(f, 0, buffered); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, err := ccC.ReadAt(f, 0, len(buffered)); err != nil || !bytes.Equal(got, buffered) {
+		t.Fatalf("read through the holder's recall = %q, %v; want %q", got, err, buffered)
+	}
+	if met.Get(metrics.RPCRetries) == 0 {
+		t.Fatal("the read met no recall in progress — the test lost its subject")
+	}
+	if n := downs.Load(); n != 0 {
+		t.Fatalf("the busy retry fired %d conn-down notices, want 0", n)
+	}
+	if n := rec.Gauge(MetricRouterRebinds).Value(); n != 0 {
+		t.Fatalf("%s = %d after a busy retry, want 0", MetricRouterRebinds, n)
+	}
+	hits := rec.Gauge(ccache.MetricHits).Value()
+	if got, err := ccC.ReadAt(g, 0, len(other)); err != nil || !bytes.Equal(got, other) {
+		t.Fatalf("re-read of the other file = %q, %v", got, err)
+	}
+	if rec.Gauge(ccache.MetricHits).Value() != hits+1 {
+		t.Fatal("the other file's lease did not survive the busy retry: its re-read went to the server")
+	}
+
+	// The contrast: "not primary" moves the call. A router whose primary
+	// address reaches an unpromoted backup rebinds to its backup address,
+	// the serving node, and the call succeeds there.
+	bLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup, err := NewService(overFS(c, ServiceConfig{Role: RoleBackup,
+		Map: Map{Version: 1, Endpoints: []string{ln.Addr().String()}, Backups: []string{bLn.Addr().String()}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	bsrv := rpc.Serve(bLn, endpointOf(backup))
+	defer func() { _ = bsrv.Close() }()
+	frec := obs.New()
+	moved, err := NewRouter(RouterConfig{Endpoints: []string{bLn.Addr().String()}, Backups: []string{ln.Addr().String()}, ClientID: 3, Obs: frec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer moved.Shutdown()
+	if _, err := moved.ResolvePath("/busy/f"); err != nil {
+		t.Fatalf("a call first sent to an unpromoted backup: %v", err)
+	}
+	if n := frec.Gauge(MetricRouterRebinds).Value(); n == 0 {
+		t.Fatalf("%s = 0 after a \"not primary\" answer, want a rebind", MetricRouterRebinds)
 	}
 }

@@ -116,7 +116,12 @@ func retransmit(t *testing.T, tp *tap, addr string, serving *Node) {
 
 // TestRecallReachesDialedCache: a recall pushed by the node's lease manager
 // lands in the sink Dial wired, so a cached reader sees another client's
-// overwrite on its very next read instead of serving its lease out.
+// overwrite on its very next read instead of serving its lease out. And a
+// recall is something the other clients wait out, not an error: on a solo
+// node and on a replicated pair (whose primary refuses while it holds its
+// order lock), every call a cached or an uncached client makes on a file
+// whose write lease another client holds with buffered bytes succeeds and
+// sees those bytes.
 func TestRecallReachesDialedCache(t *testing.T) {
 	n := startSolo(t)
 	a := dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 1, Cache: true})
@@ -143,6 +148,86 @@ func TestRecallReachesDialedCache(t *testing.T) {
 	write(second)
 	if got, err := b.Files.ReadAt(id, 0, len(second)); err != nil || !bytes.Equal(got, second) {
 		t.Fatalf("B's read after A's overwrite = %q, %v; want %q", got, err, second)
+	}
+	t.Run("Solo", func(t *testing.T) {
+		waitsOutRecalls(t, a, b, dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 3}), "/shared/f")
+	})
+	t.Run("ReplicatedPair", waitsOutRecallsOnAPair)
+}
+
+func waitsOutRecallsOnAPair(t *testing.T) {
+	pLn, bLn := listen(t), listen(t)
+	m := cluster.Map{Version: 1, Endpoints: []string{pLn.Addr().String()}, Backups: []string{bLn.Addr().String()}}
+	backup, err := Start(Config{Map: m, Role: cluster.RoleBackup, Listener: bLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	primary, err := Start(Config{Map: m, Role: cluster.RolePrimary, Listener: pLn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	cfg := func(id uint64, cached bool) ClientConfig {
+		return ClientConfig{Endpoints: m.Endpoints, Backups: m.Backups, ClientID: id, Cache: cached}
+	}
+	a := dial(t, cfg(1, true))
+	if _, err := a.Router.CreatePath(fit.Attributes{}, "/shared/f"); err != nil {
+		t.Fatal(err)
+	}
+	waitsOutRecalls(t, a, dial(t, cfg(2, true)), dial(t, cfg(3, false)), "/shared/f")
+}
+
+// waitsOutRecalls re-arms holder's write lease on path with buffered bytes
+// before each step of a cached client's (cached) and an uncached client's
+// (plain) open, attribute, read, write and close of the file: each step
+// meets the server's recall-in-progress refusal, and must wait it out.
+func waitsOutRecalls(t *testing.T, holder, cached, plain *Client, path string) {
+	e, err := holder.Router.ResolvePath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fileservice.FileID(e.SystemName)
+	step := 0
+	for _, c := range []struct {
+		name string
+		cl   *Client
+	}{{"Cached", cached}, {"Uncached", plain}} {
+		t.Run(c.name, func(t *testing.T) {
+			hold := func() []byte {
+				t.Helper()
+				step++
+				data := []byte(fmt.Sprintf("buffered by the holder, step %02d", step))
+				if _, err := holder.Files.WriteAt(id, 0, data); err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			fa, p := newAgent(t, c.cl)
+			hold()
+			fd, err := fa.Open(p, path)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			want := hold()
+			if attr, err := fa.GetAttribute(p, fd); err != nil || attr.Size != uint64(len(want)) {
+				t.Fatalf("GetAttribute: size %d, %v; want %d", attr.Size, err, len(want))
+			}
+			want = hold()
+			if got, err := fa.PRead(p, fd, 0, len(want)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("PRead = %q, %v; want the holder's %q", got, err, want)
+			}
+			if c.cl == plain {
+				hold()
+				if _, err := fa.PWrite(p, fd, 0, []byte("written by the uncached client")); err != nil {
+					t.Fatalf("PWrite: %v", err)
+				}
+			}
+			hold()
+			if err := fa.Close(p, fd); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
 	}
 }
 
@@ -396,16 +481,29 @@ func newAgent(t *testing.T, cl *Client) (*agent.FileAgent, *agent.Process) {
 }
 
 // TestSmallFileCycleRequestBudget pins the request count of the small-file
-// life cycle through an uncached dialed agent: create (one message that also
+// life cycle through a dialed agent. Uncached: create (one message that also
 // opens), write, close, open (resolve + open), read, close, delete (resolve +
-// delete) — nine. A create that needs its own open makes it ten.
+// delete) — nine. A create that needs its own open makes it ten. Cached, the
+// create is still one message — the agent asks the router, its name service,
+// to create by path — and the cache adds lease traffic: a write-lease
+// acquire, the close's release, a read-lease acquire and its release, and the
+// delete's release — fourteen. A create sent as create, register and open
+// makes it sixteen, and a delete that unregisters the name again seventeen.
 func TestSmallFileCycleRequestBudget(t *testing.T) {
-	n := startSolo(t)
-	fa, p := newAgent(t, dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 1}))
-	before := n.Facility.Metrics.Get(metrics.RPCRequests)
-	smallFileCycle(t, fa, p, "/budget/f", nil)
-	if got := n.Facility.Metrics.Get(metrics.RPCRequests) - before; got != 9 {
-		t.Fatalf("small-file cycle sent %d requests, want 9", got)
+	for _, tc := range []struct {
+		name   string
+		cached bool
+		want   int64
+	}{{"Uncached", false, 9}, {"Cached", true, 14}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := startSolo(t)
+			fa, p := newAgent(t, dial(t, ClientConfig{Endpoints: []string{n.Addr()}, ClientID: 1, Cache: tc.cached}))
+			before := n.Facility.Metrics.Get(metrics.RPCRequests)
+			smallFileCycle(t, fa, p, "/budget/f", nil)
+			if got := n.Facility.Metrics.Get(metrics.RPCRequests) - before; got != tc.want {
+				t.Fatalf("small-file cycle sent %d requests, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

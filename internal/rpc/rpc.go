@@ -468,27 +468,20 @@ type Client struct {
 	retryOn        func(*ServiceError) bool
 }
 
-// Rebinder is implemented by transports that can drop their current
-// connection and re-resolve the peer address on the next send. The Client
-// asks for a rebind before retrying a service error its retryOn predicate
-// marked retriable — the shard-failover path, where the retry must reach
-// the newly promoted server rather than the one that refused.
-type Rebinder interface{ Rebind() }
-
 // Retriable service-error backoff bounds: the first retry waits
 // retryOnBackoffMin, doubling up to retryOnBackoffMax — together long
 // enough within a default retry budget for a backup's promotion watchdog to
-// fire.
+// fire, or for a recalled lease holder that never acknowledges to be broken.
 const (
 	retryOnBackoffMin = 5 * time.Millisecond
 	retryOnBackoffMax = 100 * time.Millisecond
 )
 
 // SetRetryOn makes service errors matching pred retriable: Call releases
-// the reply, asks a Rebinder transport to re-resolve its peer, backs off,
-// and re-sends under the same sequence number, so the duplicate cache still
-// guarantees at-most-one execution. Non-matching service errors return
-// immediately, as before.
+// the reply, backs off, and re-sends under the same sequence number, so the
+// duplicate cache still guarantees at-most-one execution. pred runs before
+// the retry and may redirect it (the cluster router rebinds its transport
+// on "not primary"). Non-matching service errors return immediately.
 func (c *Client) SetRetryOn(pred func(*ServiceError) bool) {
 	c.mu.Lock()
 	c.retryOn = pred
@@ -574,14 +567,11 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 		if resp.Err != "" {
 			se := &ServiceError{Method: method, Message: resp.Err}
 			if retryOn != nil && attempt < c.retries && retryOn(se) {
-				// A retriable refusal (e.g. a shard's backup not yet
-				// promoted): drop the reply, re-resolve the peer, back off,
+				// A refusal the server marked as passing (a backup not yet
+				// promoted, a recall in flight): drop the reply, back off,
 				// and resend the same sequence number.
 				lastErr = se
 				c.ReleaseBody(resp.Body)
-				if rb, ok := c.t.(Rebinder); ok {
-					rb.Rebind()
-				}
 				_ = backoff.Wait(context.Background()) // cannot fail: Background is never done
 				continue
 			}

@@ -11,8 +11,11 @@ import (
 // handler refusal wrapped in Transient is NOT stored in the endpoint's
 // duplicate cache, so a same-sequence retry re-executes the handler and
 // succeeds once the refusing condition passes (an unpromoted backup
-// becoming primary). Without the exemption the first refusal would answer
-// every retransmission of that sequence number forever.
+// becoming primary, a recall completing). Without the exemption the first
+// refusal would answer every retransmission of that sequence number
+// forever. The Client only retries; where a retry goes is its predicate's
+// business (the cluster router rebinds on "not primary", which its
+// failover tests cover).
 func TestTransientErrorNotCached(t *testing.T) {
 	var mu sync.Mutex
 	execs := 0
